@@ -1,44 +1,20 @@
 //! `mwsj` — command-line multiway spatial join processing.
 //!
-//! ```text
-//! mwsj generate --out rivers.csv --n 10000 --density 0.05 [--distribution uniform|clustered|skewed|zipf] [--seed 1]
-//! mwsj info     --data rivers.csv
-//! mwsj solve    --data a.csv --data b.csv --data c.csv --query chain
-//!               [--algo ils|gils|sea|sea-hybrid|ibb|two-step] [--seconds 2] [--iterations N]
-//!               [--seed 42] [--top 5] [--restarts K] [--threads T]
-//!               [--backend rtree|grid] [--grid-threads T]
-//! mwsj join     --data a.csv --data b.csv --query 0-1 [--algo wr|st|pjm] [--limit 100]
-//!               [--backend rtree|grid] [--grid-threads T]
-//! mwsj explain  --data a.csv --data b.csv --query chain [--backend rtree|grid] [--metrics-out est.jsonl]
-//! mwsj report   run.jsonl|BENCH_label.json
-//! mwsj watch    run.jsonl [--poll-ms 50] [--timeout-secs 600] [--no-tty]
-//! mwsj bench    snapshot [--tier base|large] [--label ci] [--reps 3] [--out FILE]
-//! mwsj bench    compare BENCH_baseline.json BENCH_ci.json [--wall-tolerance 0.25] [--wall-slack-ms 5.0]
-//! mwsj hard-density --shape chain|clique|star|cycle|random --vars 5 --n 100000 [--target 1]
-//! ```
-//!
-//! Datasets are CSV files of `min_x,min_y,max_x,max_y` rows (see
-//! `mwsj-datagen`); `generate` produces them synthetically. `solve` and
-//! `join` accept `--metrics-out FILE` (structured JSONL run events, see
-//! `DESIGN.md` "Observability") and `solve` additionally `--trace-out
-//! FILE` (the convergence trace as `trace_point` lines), `--profile-out
-//! FILE` (the per-phase wall-clock breakdown as folded stacks) and
-//! `--flight-recorder-out FILE` (a byte-bounded ring of the most recent
-//! run events, drained after the run — see `DESIGN.md` "Resource
-//! observability"); `report` validates and summarises a JSONL file. `bench
-//! snapshot` runs the pinned benchmark suite into a schema-validated
-//! `BENCH_<label>.json` performance snapshot, and `bench compare` is the
-//! noise-aware regression gate over two such snapshots.
+//! [`HELP`] (printed by `mwsj help`) is the one usage listing: every
+//! subcommand with its flags. Datasets are CSV files of
+//! `min_x,min_y,max_x,max_y` rows (see `mwsj-datagen`). This file is the
+//! dispatch plus the commands that run a search (`generate`, `info`,
+//! `solve`, `join`, `explain`, `hard-density`); `report`, `watch` and
+//! `bench` — the readers of what those runs write — have their own modules.
 
 mod args;
+mod bench;
 mod query_spec;
+mod report;
 mod watch;
 
 use args::Args;
-use mwsj_core::obs::{
-    compare, schema, to_folded, BenchSnapshot, CompareConfig, ExplainReport, Json, PhaseSnapshot,
-    DEFAULT_WALL_SLACK_MS, DEFAULT_WALL_TOLERANCE,
-};
+use mwsj_core::obs::{to_folded, PhaseSnapshot};
 use mwsj_core::{
     AnytimeSearch, BackendKind, EventSink, FanoutSink, FlightRecorder, FlushPolicy, Gils,
     GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance, JsonlSink, ObsHandle, ParallelPortfolio,
@@ -65,9 +41,9 @@ fn main() -> ExitCode {
         Some("solve") => cmd_solve(&args),
         Some("explain") => cmd_explain(&args),
         Some("join") => cmd_join(&args),
-        Some("report") => cmd_report(&args),
+        Some("report") => report::cmd_report(&args),
         Some("watch") => watch::cmd_watch(&args),
-        Some("bench") => cmd_bench(&args),
+        Some("bench") => bench::cmd_bench(&args),
         Some("hard-density") => cmd_hard_density(&args),
         Some("help") | None => {
             print!("{}", HELP);
@@ -597,7 +573,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         Instance::new(graph, datasets).map_err(|e| e.to_string())?,
     )?;
     let report = mwsj_core::build_explain_report(&instance);
-    print_explain(&report);
+    print!("{}", report::explain_text(&report));
     if let Some(path) = args.value("metrics-out") {
         let sink = JsonlSink::create(path).map_err(|e| format!("{path}: {e}"))?;
         sink.emit(&RunEvent::ExplainReport {
@@ -606,101 +582,6 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         println!("wrote explain report to {path} (inspect with 'mwsj report {path}')");
     }
     Ok(())
-}
-
-/// Renders an [`ExplainReport`] — shared by `mwsj explain` (estimates
-/// only) and `mwsj report` (estimate vs actual when the run attached the
-/// observed side).
-fn print_explain(report: &ExplainReport) {
-    println!(
-        "explain: {} model, E[solutions] = {:.4}",
-        report.model, report.expected_solutions
-    );
-    println!("edges (estimated vs observed selectivity):");
-    println!(
-        "  {:<6} {:<12} {:>13} {:>13} {:>10} {:>8}",
-        "edge", "predicate", "estimated", "observed", "pairs", "error"
-    );
-    for e in &report.edges {
-        let (obs, pairs, err) = match (e.observed_selectivity, e.observed_pairs) {
-            (Some(sel), Some(pairs)) => (
-                format!("{sel:.6e}"),
-                pairs.to_string(),
-                e.error_factor().map_or("-".into(), |f| format!("{f:.2}x")),
-            ),
-            _ => ("-".into(), "-".into(), "-".into()),
-        };
-        println!(
-            "  {:<6} {:<12} {:>13} {:>13} {:>10} {:>8}",
-            format!("{}-{}", e.a, e.b),
-            e.predicate,
-            format!("{:.6e}", e.estimated_selectivity),
-            obs,
-            pairs,
-            err
-        );
-    }
-    println!("variables (window cost model and R*-tree quality):");
-    for v in &report.vars {
-        println!(
-            "  var{}: N={}, avg extent {:.6}, E[window hits] {:.4}, \
-             predicted accesses/query {:.2}",
-            v.var,
-            v.cardinality,
-            v.avg_extent,
-            v.expected_window_hits,
-            v.predicted_accesses_per_query
-        );
-        let t = &v.tree;
-        println!(
-            "    tree: height {}, {} nodes, avg fill {:.3}",
-            t.height, t.nodes, t.avg_fill
-        );
-        let fmt3 = |xs: &[f64]| {
-            xs.iter()
-                .map(|x| format!("{x:.3}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        println!(
-            "    per level (leaf->root): fill [{}], overlap [{}], dead space [{}], perimeter [{}]",
-            fmt3(&t.fill_per_level),
-            fmt3(&t.overlap_factor_per_level),
-            fmt3(&t.dead_space_per_level),
-            fmt3(&t.perimeter_per_level)
-        );
-        if let Some(g) = &v.grid {
-            println!(
-                "    grid: {} cells ({} occupied), replication {:.3}, occupancy avg {:.1} max {}, \
-                 predicted cells/query {:.2}, predicted cost/query {:.2}",
-                g.cells,
-                g.occupied_cells,
-                g.replication_factor,
-                g.avg_occupancy,
-                g.max_occupancy,
-                g.predicted_cells_per_query,
-                g.predicted_cost_per_query
-            );
-        }
-    }
-    if let Some(total) = report.observed_node_accesses {
-        println!(
-            "observed node accesses: {total} total, {} attributed per variable",
-            report.attributed_accesses()
-        );
-        for v in &report.vars {
-            let levels = v
-                .accesses_per_level
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ");
-            println!(
-                "  var{}: {} accesses (per level, leaf->root: {levels})",
-                v.var, v.observed_accesses
-            );
-        }
-    }
 }
 
 fn cmd_join(args: &Args) -> Result<(), String> {
@@ -783,389 +664,6 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         println!("wrote run events to {path} (inspect with 'mwsj report {path}')");
     }
     Ok(())
-}
-
-/// Validates a metrics JSONL file against the documented schema and
-/// renders a human-readable summary of its contents.
-fn cmd_report(args: &Args) -> Result<(), String> {
-    let path = args
-        .arg()
-        .ok_or("usage: mwsj report FILE (a --metrics-out JSONL file or a bench snapshot)")?;
-    if let Some(extra) = args.positionals.get(1) {
-        return Err(format!(
-            "unexpected argument '{extra}' (mwsj report takes exactly one file)"
-        ));
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    if text.trim().is_empty() {
-        return Err(format!(
-            "{path}: empty metrics file — the run wrote no events \
-             (interrupted before the first event, or the wrong file?)"
-        ));
-    }
-    // A bench snapshot is a single pretty-printed JSON object, not JSONL;
-    // summarise it directly instead of failing schema validation.
-    if let Ok(snapshot) = BenchSnapshot::parse(&text) {
-        return report_snapshot(path, &snapshot);
-    }
-    let events = schema::validate_jsonl(&text).map_err(|(line, e)| {
-        // A file cut off mid-write ends in a partial JSON line with no
-        // trailing newline; point that out instead of a bare parse error.
-        let last_line = text.trim_end().lines().count();
-        if line == last_line && !text.ends_with('\n') {
-            format!("{path}:{line}: {e} (the file ends mid-line and appears truncated)")
-        } else {
-            format!("{path}:{line}: {e}")
-        }
-    })?;
-    println!("{path}: {events} events, schema OK");
-
-    let mut improvements = 0usize;
-    let mut restarts_seen = 0usize;
-    let mut budget_exhausted = 0usize;
-    let mut cutoffs = 0usize;
-    let mut trace_points = 0usize;
-    let mut progress_points = 0usize;
-    let mut stalls_detected = 0usize;
-    let mut stall_aborts = 0usize;
-    let mut reseeds = 0usize;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let ev = Json::parse(line).map_err(|e| format!("{path}: {e}"))?;
-        match ev.get("event").and_then(Json::as_str) {
-            Some("run_start") => {
-                let algo = ev.get("algo").and_then(Json::as_str).unwrap_or("?");
-                let n_vars = ev.get("n_vars").and_then(Json::as_u64).unwrap_or(0);
-                let edges = ev.get("edges").and_then(Json::as_u64).unwrap_or(0);
-                let seed = ev.get("seed").and_then(Json::as_u64).unwrap_or(0);
-                let restarts = ev.get("restarts").and_then(Json::as_u64).unwrap_or(1);
-                print!("run: {algo} on {n_vars} variables / {edges} edges, seed {seed}");
-                if restarts > 1 {
-                    print!(", {restarts} portfolio restarts");
-                }
-                if let Some(steps) = ev.get("budget_steps").and_then(Json::as_u64) {
-                    print!(", budget {steps} steps");
-                }
-                if let Some(secs) = ev.get("budget_secs").and_then(Json::as_f64) {
-                    print!(", budget {secs}s");
-                }
-                println!();
-            }
-            Some("improvement") => improvements += 1,
-            Some("restart_end") => restarts_seen += 1,
-            Some("budget_exhausted") => budget_exhausted += 1,
-            Some("cutoff_fired") => cutoffs += 1,
-            Some("trace_point") => trace_points += 1,
-            Some("progress") => progress_points += 1,
-            Some("stall_detected") => stalls_detected += 1,
-            Some("stagnation_reseed") => reseeds += 1,
-            Some("stall_aborted") => {
-                stall_aborts += 1;
-                let steps = ev.get("steps").and_then(Json::as_u64).unwrap_or(0);
-                let secs = ev.get("elapsed_secs").and_then(Json::as_f64).unwrap_or(0.0);
-                println!(
-                    "stall abort: run stopped after {steps} steps ({secs:.3}s) without improvement"
-                );
-            }
-            Some("metrics") => {
-                if let Some(counters) = ev.get("counters").and_then(Json::as_object) {
-                    println!("counters:");
-                    for (name, value) in counters {
-                        println!("  {name:<24} {}", value.as_u64().unwrap_or(0));
-                    }
-                }
-                if let Some(histograms) = ev.get("histograms").and_then(Json::as_object) {
-                    for (name, h) in histograms {
-                        let count = h.get("count").and_then(Json::as_u64).unwrap_or(0);
-                        let min = h.get("min").and_then(Json::as_u64).unwrap_or(0);
-                        let max = h.get("max").and_then(Json::as_u64).unwrap_or(0);
-                        println!("histogram {name}: {count} samples in [{min}, {max}]");
-                    }
-                }
-            }
-            Some("explain_report") => {
-                if let Some(report) = ExplainReport::from_json(&ev) {
-                    print_explain(&report);
-                }
-            }
-            Some("resource_report") => {
-                let total = ev.get("total_bytes").and_then(Json::as_u64).unwrap_or(0);
-                if let Some(components) = ev.get("components").and_then(Json::as_object) {
-                    println!("memory:");
-                    for (name, bytes) in components {
-                        println!("  {name:<24} {:>12} bytes", bytes.as_u64().unwrap_or(0));
-                    }
-                    println!("  {:<24} {total:>12} bytes", "total");
-                }
-            }
-            Some("phases") => {
-                if let Some(phases) = ev.get("phases").and_then(Json::as_array) {
-                    if !phases.is_empty() {
-                        println!("phases:");
-                    }
-                    for p in phases {
-                        let path = p.get("path").and_then(Json::as_str).unwrap_or("?");
-                        let calls = p.get("calls").and_then(Json::as_u64).unwrap_or(0);
-                        let steps = p.get("steps").and_then(Json::as_u64).unwrap_or(0);
-                        let wall = p.get("wall_secs").and_then(Json::as_f64).unwrap_or(0.0);
-                        println!("  {path:<28} {calls:>6} calls {steps:>10} steps {wall:>9.4}s");
-                    }
-                }
-            }
-            Some("run_end") => {
-                let violations = ev
-                    .get("best_violations")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
-                let similarity = ev
-                    .get("best_similarity")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0);
-                let steps = ev.get("steps").and_then(Json::as_u64).unwrap_or(0);
-                let accesses = ev.get("node_accesses").and_then(Json::as_u64).unwrap_or(0);
-                let secs = ev.get("elapsed_secs").and_then(Json::as_f64).unwrap_or(0.0);
-                let optimal = ev
-                    .get("proven_optimal")
-                    .and_then(Json::as_bool)
-                    .unwrap_or(false);
-                println!(
-                    "result: similarity {similarity:.3} ({violations} violations{}), \
-                     {steps} steps, {accesses} node accesses, {secs:.3}s",
-                    if optimal { ", proven optimal" } else { "" }
-                );
-            }
-            _ => {}
-        }
-    }
-    let mut lifecycle = Vec::new();
-    if improvements > 0 {
-        lifecycle.push(format!("{improvements} improvements"));
-    }
-    if restarts_seen > 0 {
-        lifecycle.push(format!("{restarts_seen} restarts finished"));
-    }
-    if budget_exhausted > 0 {
-        lifecycle.push(format!("{budget_exhausted} budget exhaustions"));
-    }
-    if cutoffs > 0 {
-        lifecycle.push(format!("{cutoffs} cutoff firings"));
-    }
-    if trace_points > 0 {
-        lifecycle.push(format!("{trace_points} trace points"));
-    }
-    if progress_points > 0 {
-        lifecycle.push(format!("{progress_points} progress heartbeats"));
-    }
-    if stalls_detected > 0 {
-        lifecycle.push(format!("{stalls_detected} stalls detected"));
-    }
-    if stall_aborts > 0 {
-        lifecycle.push(format!("{stall_aborts} stall aborts"));
-    }
-    if reseeds > 0 {
-        lifecycle.push(format!("{reseeds} stagnation reseeds"));
-    }
-    if !lifecycle.is_empty() {
-        println!("events: {}", lifecycle.join(", "));
-    }
-    Ok(())
-}
-
-/// Summarises a `BENCH_*.json` snapshot for `mwsj report`, ordered by
-/// parsed suite key — numeric on the variable count, so `chain-n10-…`
-/// sorts after `chain-n4-…` instead of between `n1` and `n2` as a naive
-/// lexicographic (single-digit-assuming) ordering would.
-fn report_snapshot(path: &str, snapshot: &BenchSnapshot) -> Result<(), String> {
-    use mwsj_core::obs::SuiteKey;
-    println!(
-        "{path}: bench snapshot '{}', {} instances, {} reps",
-        snapshot.label,
-        snapshot.instances.len(),
-        snapshot.reps
-    );
-    let mut order: Vec<usize> = (0..snapshot.instances.len()).collect();
-    order.sort_by_key(|&i| {
-        let inst = &snapshot.instances[i];
-        match SuiteKey::parse(&inst.name) {
-            Some(k) => (k.shape, k.n_vars, k.qualifier),
-            // Unkeyed instances sort after keyed ones, by raw name.
-            None => ("~".to_string(), u64::MAX, inst.name.clone()),
-        }
-    });
-    for &i in &order {
-        let inst = &snapshot.instances[i];
-        if let Some(key) = SuiteKey::parse(&inst.name) {
-            if key.n_vars != inst.n_vars || key.shape != inst.shape {
-                println!(
-                    "warning: {} — suite key ({} n={}) contradicts record metadata ({} n={})",
-                    inst.name, key.shape, key.n_vars, inst.shape, inst.n_vars
-                );
-            }
-        }
-        println!(
-            "  {} ({} n={} N={} seed={})",
-            inst.name, inst.shape, inst.n_vars, inst.cardinality, inst.seed
-        );
-        for algo in &inst.algos {
-            let steps = algo.counter("steps").unwrap_or(0);
-            let accesses = algo.counter("node_accesses").unwrap_or(0);
-            println!(
-                "    {:<18} similarity {:.3}  {steps} steps  {accesses} node accesses  {:.2}ms",
-                algo.algo, algo.best_similarity, algo.wall_ms_median
-            );
-        }
-        for mem in snapshot.memory.iter().filter(|m| m.instance == inst.name) {
-            println!("    memory: {} bytes resident", mem.total_bytes);
-        }
-        for cache in snapshot.cache.iter().filter(|c| c.instance == inst.name) {
-            println!(
-                "    {:<18} cache: {} hits, {} misses, {} reassign / {} penalty \
-                 invalidations, {} bytes",
-                cache.algo,
-                cache.hits,
-                cache.misses,
-                cache.invalidations_reassign,
-                cache.invalidations_penalty,
-                cache.bytes
-            );
-        }
-        for rec in snapshot.explain.iter().filter(|e| e.instance == inst.name) {
-            let worst = rec
-                .report
-                .edges
-                .iter()
-                .filter_map(|e| e.error_factor())
-                .fold(None::<f64>, |acc, f| Some(acc.map_or(f, |a| a.max(f))));
-            println!(
-                "    explain: {} model, E[solutions] {:.4}, worst edge estimate error {}",
-                rec.report.model,
-                rec.report.expected_solutions,
-                worst.map_or("-".into(), |f| format!("{f:.2}x"))
-            );
-        }
-    }
-    Ok(())
-}
-
-/// Dispatches `mwsj bench <snapshot|compare>`.
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    const USAGE: &str =
-        "usage: mwsj bench snapshot [--tier base|large] [--label L] [--reps N] [--out FILE]\n   \
-                         or: mwsj bench compare BASELINE.json CANDIDATE.json \
-                         [--wall-tolerance T] [--wall-slack-ms S]";
-    match args.arg() {
-        Some("snapshot") => cmd_bench_snapshot(args),
-        Some("compare") => cmd_bench_compare(args),
-        Some(other) => Err(format!("unknown bench subcommand '{other}'\n{USAGE}")),
-        None => Err(USAGE.into()),
-    }
-}
-
-/// Runs the pinned benchmark suite and writes a `BENCH_<label>.json`
-/// performance snapshot (see `DESIGN.md` "Benchmark snapshots").
-fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
-    if let Some(extra) = args.positionals.get(1) {
-        return Err(format!(
-            "unexpected argument '{extra}' (bench snapshot takes options only)"
-        ));
-    }
-    let tier = match args.value("tier") {
-        None => mwsj_bench::BenchTier::Base,
-        Some(name) => mwsj_bench::BenchTier::parse(name)
-            .ok_or_else(|| format!("unknown tier '{name}' (expected 'base' or 'large')"))?,
-    };
-    // The default label/output track the tier, so `--tier large` writes
-    // BENCH_large.json next to the base tier's BENCH_baseline.json.
-    let default_label = match tier {
-        mwsj_bench::BenchTier::Base => "snapshot",
-        mwsj_bench::BenchTier::Large => "large",
-    };
-    let label = args.value("label").unwrap_or(default_label);
-    let reps: usize = args
-        .parse_or("reps", mwsj_bench::DEFAULT_REPS, "a repetition count")
-        .map_err(|e| e.to_string())?;
-    if reps == 0 {
-        return Err("--reps must be at least 1".into());
-    }
-    let out = args
-        .value("out")
-        .map(str::to_string)
-        .unwrap_or_else(|| format!("BENCH_{label}.json"));
-    let snapshot = mwsj_bench::run_suite(tier, label, reps, |case, algo| {
-        eprintln!("bench: {case} / {algo}");
-    })?;
-    std::fs::write(&out, snapshot.to_string_pretty()).map_err(|e| format!("{out}: {e}"))?;
-    let records: usize = snapshot.instances.iter().map(|i| i.algos.len()).sum();
-    println!(
-        "wrote benchmark snapshot '{label}' to {out} ({} instances, {records} algo records, {} reps)",
-        snapshot.instances.len(),
-        snapshot.reps,
-    );
-    println!("gate a change with 'mwsj bench compare BENCH_baseline.json {out}'");
-    Ok(())
-}
-
-/// Compares two benchmark snapshots: deterministic work counters must
-/// match exactly; wall-clock medians may drift up to the tolerance band.
-fn cmd_bench_compare(args: &Args) -> Result<(), String> {
-    let (baseline_path, candidate_path) = match &args.positionals[..] {
-        [_, b, c] => (b.as_str(), c.as_str()),
-        _ => {
-            return Err("usage: mwsj bench compare BASELINE.json CANDIDATE.json \
-                 [--wall-tolerance T] [--wall-slack-ms S]"
-                .into())
-        }
-    };
-    let tolerance: f64 = args
-        .parse_or(
-            "wall-tolerance",
-            DEFAULT_WALL_TOLERANCE,
-            "a fraction (e.g. 0.25 for +25%)",
-        )
-        .map_err(|e| e.to_string())?;
-    if !tolerance.is_finite() || tolerance < 0.0 {
-        return Err("--wall-tolerance must be a non-negative fraction".into());
-    }
-    let slack_ms: f64 = args
-        .parse_or(
-            "wall-slack-ms",
-            DEFAULT_WALL_SLACK_MS,
-            "a duration in milliseconds (e.g. 5.0)",
-        )
-        .map_err(|e| e.to_string())?;
-    if !slack_ms.is_finite() || slack_ms < 0.0 {
-        return Err("--wall-slack-ms must be a non-negative duration".into());
-    }
-    let load = |path: &str| -> Result<BenchSnapshot, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        BenchSnapshot::parse(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let baseline = load(baseline_path)?;
-    let candidate = load(candidate_path)?;
-    println!(
-        "comparing '{}' ({baseline_path}) -> '{}' ({candidate_path}), \
-         wall tolerance +{:.0}% or +{:.1}ms",
-        baseline.label,
-        candidate.label,
-        tolerance * 100.0,
-        slack_ms
-    );
-    let report = compare(
-        &baseline,
-        &candidate,
-        CompareConfig {
-            wall_tolerance: tolerance,
-            wall_slack_ms: slack_ms,
-        },
-    );
-    print!("{}", report.render());
-    if report.passed() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} regression check(s) failed (see report above)",
-            report.failures()
-        ))
-    }
 }
 
 fn cmd_hard_density(args: &Args) -> Result<(), String> {

@@ -1,0 +1,450 @@
+//! `mwsj report` — validate a metrics JSONL file (or a bench snapshot) and
+//! render a human-readable summary; also the explain-report renderer
+//! shared with `mwsj explain`.
+//!
+//! Everything is rendered from typed [`RunEvent`]s: the file is parsed by
+//! the derived reader first, so a malformed line is an error with its line
+//! number and field path, never a defaulted `?` or `0` in the summary.
+
+use crate::args::Args;
+use mwsj_core::obs::{schema, BenchSnapshot, ExplainReport, SuiteKey};
+use mwsj_core::RunEvent;
+use std::collections::BTreeMap;
+
+/// Validates a metrics JSONL file against the declared schema and prints
+/// a summary of its contents.
+pub fn cmd_report(args: &Args) -> Result<(), String> {
+    let path = args
+        .arg()
+        .ok_or("usage: mwsj report FILE (a --metrics-out JSONL file or a bench snapshot)")?;
+    if let Some(extra) = args.positionals.get(1) {
+        return Err(format!(
+            "unexpected argument '{extra}' (mwsj report takes exactly one file)"
+        ));
+    }
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    print!("{}", report_text(path, &text)?);
+    Ok(())
+}
+
+/// The full `mwsj report` output for the file contents `text`.
+pub fn report_text(path: &str, text: &str) -> Result<String, String> {
+    if text.trim().is_empty() {
+        return Err(format!(
+            "{path}: empty metrics file — the run wrote no events \
+             (interrupted before the first event, or the wrong file?)"
+        ));
+    }
+    // A bench snapshot is a single pretty-printed JSON object, not JSONL;
+    // summarise it directly instead of failing schema validation.
+    if let Ok(snapshot) = BenchSnapshot::parse(text) {
+        return Ok(snapshot_lines(path, &snapshot).join("\n") + "\n");
+    }
+    let events = schema::parse_jsonl(text).map_err(|(line, e)| {
+        // A file cut off mid-write ends in a partial JSON line with no
+        // trailing newline; point that out instead of a bare parse error.
+        let last_line = text.trim_end().lines().count();
+        if line == last_line && !text.ends_with('\n') {
+            format!("{path}:{line}: {e} (the file ends mid-line and appears truncated)")
+        } else {
+            format!("{path}:{line}: {e}")
+        }
+    })?;
+    let mut lines = vec![format!("{path}: {} events, schema OK", events.len())];
+    // Lifecycle events are only counted; the key's rank fixes their order.
+    let mut lifecycle: BTreeMap<(u8, &str), usize> = BTreeMap::new();
+    for event in &events {
+        event_lines(event, &mut lines);
+        let counted = match event {
+            RunEvent::Improvement { .. } => (0, "improvements"),
+            RunEvent::RestartEnd { .. } => (1, "restarts finished"),
+            RunEvent::BudgetExhausted { .. } => (2, "budget exhaustions"),
+            RunEvent::CutoffFired { .. } => (3, "cutoff firings"),
+            RunEvent::TracePoint { .. } => (4, "trace points"),
+            RunEvent::Progress { .. } => (5, "progress heartbeats"),
+            RunEvent::StallDetected { .. } => (6, "stalls detected"),
+            RunEvent::StallAborted { .. } => (7, "stall aborts"),
+            RunEvent::StagnationReseed { .. } => (8, "stagnation reseeds"),
+            _ => continue,
+        };
+        *lifecycle.entry(counted).or_default() += 1;
+    }
+    if !lifecycle.is_empty() {
+        let seen: Vec<String> = lifecycle
+            .iter()
+            .map(|((_, label), n)| format!("{n} {label}"))
+            .collect();
+        lines.push(format!("events: {}", seen.join(", ")));
+    }
+    Ok(lines.join("\n") + "\n")
+}
+
+/// The summary lines one event contributes (lifecycle events only count).
+fn event_lines(event: &RunEvent, lines: &mut Vec<String>) {
+    match event {
+        RunEvent::RunStart {
+            algo,
+            n_vars,
+            edges,
+            restarts,
+            seed,
+            budget_steps,
+            budget_secs,
+            ..
+        } => {
+            let mut line =
+                format!("run: {algo} on {n_vars} variables / {edges} edges, seed {seed}");
+            if *restarts > 1 {
+                line += &format!(", {restarts} portfolio restarts");
+            }
+            if let Some(steps) = budget_steps {
+                line += &format!(", budget {steps} steps");
+            }
+            if let Some(secs) = budget_secs {
+                line += &format!(", budget {secs}s");
+            }
+            lines.push(line);
+        }
+        RunEvent::StallAborted {
+            steps,
+            elapsed_secs,
+            ..
+        } => lines.push(format!(
+            "stall abort: run stopped after {steps} steps ({elapsed_secs:.3}s) without improvement"
+        )),
+        RunEvent::Metrics { snapshot } => {
+            lines.push("counters:".into());
+            for (name, value) in &snapshot.counters {
+                lines.push(format!("  {name:<24} {value}"));
+            }
+            for (name, h) in &snapshot.histograms {
+                lines.push(format!(
+                    "histogram {name}: {} samples in [{}, {}]",
+                    h.count, h.min, h.max
+                ));
+            }
+        }
+        RunEvent::ExplainReport { report } => explain_lines(report, lines),
+        RunEvent::ResourceReport { report } => {
+            lines.push("memory:".into());
+            for (name, bytes) in report.components() {
+                lines.push(format!("  {name:<24} {bytes:>12} bytes"));
+            }
+            lines.push(format!(
+                "  {:<24} {:>12} bytes",
+                "total",
+                report.total_bytes()
+            ));
+        }
+        RunEvent::Phases { phases } => {
+            if !phases.is_empty() {
+                lines.push("phases:".into());
+            }
+            for p in phases {
+                lines.push(format!(
+                    "  {:<28} {:>6} calls {:>10} steps {:>9.4}s",
+                    p.path,
+                    p.calls,
+                    p.steps,
+                    p.wall.as_secs_f64()
+                ));
+            }
+        }
+        RunEvent::RunEnd {
+            best_violations,
+            best_similarity,
+            steps,
+            node_accesses,
+            elapsed_secs,
+            proven_optimal,
+            ..
+        } => lines.push(format!(
+            "result: similarity {best_similarity:.3} ({best_violations} violations{}), \
+             {steps} steps, {node_accesses} node accesses, {elapsed_secs:.3}s",
+            if *proven_optimal {
+                ", proven optimal"
+            } else {
+                ""
+            }
+        )),
+        _ => {}
+    }
+}
+
+/// Renders an [`ExplainReport`] — shared by `mwsj explain` (estimates
+/// only) and `mwsj report` (estimate vs actual when the run attached the
+/// observed side).
+pub fn explain_text(report: &ExplainReport) -> String {
+    let mut lines = Vec::new();
+    explain_lines(report, &mut lines);
+    lines.join("\n") + "\n"
+}
+
+fn explain_lines(report: &ExplainReport, lines: &mut Vec<String>) {
+    lines.push(format!(
+        "explain: {} model, E[solutions] = {:.4}",
+        report.model, report.expected_solutions
+    ));
+    lines.push("edges (estimated vs observed selectivity):".into());
+    lines.push(format!(
+        "  {:<6} {:<12} {:>13} {:>13} {:>10} {:>8}",
+        "edge", "predicate", "estimated", "observed", "pairs", "error"
+    ));
+    for e in &report.edges {
+        let (obs, pairs, err) = match (e.observed_selectivity, e.observed_pairs) {
+            (Some(sel), Some(pairs)) => (
+                format!("{sel:.6e}"),
+                pairs.to_string(),
+                e.error_factor().map_or("-".into(), |f| format!("{f:.2}x")),
+            ),
+            _ => ("-".into(), "-".into(), "-".into()),
+        };
+        lines.push(format!(
+            "  {:<6} {:<12} {:>13} {:>13} {:>10} {:>8}",
+            format!("{}-{}", e.a, e.b),
+            e.predicate,
+            format!("{:.6e}", e.estimated_selectivity),
+            obs,
+            pairs,
+            err
+        ));
+    }
+    lines.push("variables (window cost model and R*-tree quality):".into());
+    for v in &report.vars {
+        lines.push(format!(
+            "  var{}: N={}, avg extent {:.6}, E[window hits] {:.4}, \
+             predicted accesses/query {:.2}",
+            v.var,
+            v.cardinality,
+            v.avg_extent,
+            v.expected_window_hits,
+            v.predicted_accesses_per_query
+        ));
+        let t = &v.tree;
+        lines.push(format!(
+            "    tree: height {}, {} nodes, avg fill {:.3}",
+            t.height, t.nodes, t.avg_fill
+        ));
+        let fmt3 = |xs: &[f64]| {
+            xs.iter()
+                .map(|x| format!("{x:.3}"))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        lines.push(format!(
+            "    per level (leaf->root): fill [{}], overlap [{}], dead space [{}], perimeter [{}]",
+            fmt3(&t.fill_per_level),
+            fmt3(&t.overlap_factor_per_level),
+            fmt3(&t.dead_space_per_level),
+            fmt3(&t.perimeter_per_level)
+        ));
+        if let Some(g) = &v.grid {
+            lines.push(format!(
+                "    grid: {} cells ({} occupied), replication {:.3}, occupancy avg {:.1} max {}, \
+                 predicted cells/query {:.2}, predicted cost/query {:.2}",
+                g.cells,
+                g.occupied_cells,
+                g.replication_factor,
+                g.avg_occupancy,
+                g.max_occupancy,
+                g.predicted_cells_per_query,
+                g.predicted_cost_per_query
+            ));
+        }
+    }
+    if let Some(total) = report.observed_node_accesses {
+        lines.push(format!(
+            "observed node accesses: {total} total, {} attributed per variable",
+            report.attributed_accesses()
+        ));
+        for v in &report.vars {
+            let levels = v
+                .accesses_per_level
+                .iter()
+                .map(u64::to_string)
+                .collect::<Vec<_>>()
+                .join(", ");
+            lines.push(format!(
+                "  var{}: {} accesses (per level, leaf->root: {levels})",
+                v.var, v.observed_accesses
+            ));
+        }
+    }
+}
+
+/// Summarises a `BENCH_*.json` snapshot for `mwsj report`, ordered by
+/// parsed suite key — numeric on the variable count, so `chain-n10-…`
+/// sorts after `chain-n4-…` instead of between `n1` and `n2` as a naive
+/// lexicographic (single-digit-assuming) ordering would.
+fn snapshot_lines(path: &str, snapshot: &BenchSnapshot) -> Vec<String> {
+    let mut lines = vec![format!(
+        "{path}: bench snapshot '{}', {} instances, {} reps",
+        snapshot.label,
+        snapshot.instances.len(),
+        snapshot.reps
+    )];
+    let mut order: Vec<usize> = (0..snapshot.instances.len()).collect();
+    order.sort_by_key(|&i| {
+        let inst = &snapshot.instances[i];
+        match SuiteKey::parse(&inst.name) {
+            Some(k) => (k.shape, k.n_vars, k.qualifier),
+            // Unkeyed instances sort after keyed ones, by raw name.
+            None => ("~".to_string(), u64::MAX, inst.name.clone()),
+        }
+    });
+    for &i in &order {
+        let inst = &snapshot.instances[i];
+        if let Some(key) = SuiteKey::parse(&inst.name) {
+            if key.n_vars != inst.n_vars || key.shape != inst.shape {
+                lines.push(format!(
+                    "warning: {} — suite key ({} n={}) contradicts record metadata ({} n={})",
+                    inst.name, key.shape, key.n_vars, inst.shape, inst.n_vars
+                ));
+            }
+        }
+        lines.push(format!(
+            "  {} ({} n={} N={} seed={})",
+            inst.name, inst.shape, inst.n_vars, inst.cardinality, inst.seed
+        ));
+        for algo in &inst.algos {
+            let steps = algo.counter("steps").unwrap_or(0);
+            let accesses = algo.counter("node_accesses").unwrap_or(0);
+            lines.push(format!(
+                "    {:<18} similarity {:.3}  {steps} steps  {accesses} node accesses  {:.2}ms",
+                algo.algo, algo.best_similarity, algo.wall_ms_median
+            ));
+        }
+        for mem in snapshot.memory.iter().filter(|m| m.instance == inst.name) {
+            lines.push(format!("    memory: {} bytes resident", mem.total_bytes));
+        }
+        for cache in snapshot.cache.iter().filter(|c| c.instance == inst.name) {
+            lines.push(format!(
+                "    {:<18} cache: {} hits, {} misses, {} reassign / {} penalty \
+                 invalidations, {} bytes",
+                cache.algo,
+                cache.hits,
+                cache.misses,
+                cache.invalidations_reassign,
+                cache.invalidations_penalty,
+                cache.bytes
+            ));
+        }
+        for rec in snapshot.explain.iter().filter(|e| e.instance == inst.name) {
+            let worst = rec
+                .report
+                .edges
+                .iter()
+                .filter_map(|e| e.error_factor())
+                .fold(None::<f64>, |acc, f| Some(acc.map_or(f, |a| a.max(f))));
+            lines.push(format!(
+                "    explain: {} model, E[solutions] {:.4}, worst edge estimate error {}",
+                rec.report.model,
+                rec.report.expected_solutions,
+                worst.map_or("-".into(), |f| format!("{f:.2}x"))
+            ));
+        }
+    }
+    lines
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::watch::View;
+
+    /// Hostile input is always an error that names the line and the
+    /// offending field — never a panic, never a rendered `?` / `0` / `inf`
+    /// — for all three readers: the schema check, `report` and `watch`.
+    #[test]
+    fn hostile_lines_are_errors_for_every_reader() {
+        let run_end = |similarity: &str, secs: &str| {
+            format!(
+                "{{\"event\":\"run_end\",\"best_violations\":0,\"best_similarity\":{similarity},\
+                 \"steps\":1,\"node_accesses\":1,\"local_maxima\":0,\"improvements\":0,\
+                 \"restarts\":0,\"elapsed_secs\":{secs},\"proven_optimal\":false}}"
+            )
+        };
+        let table: Vec<(String, &str)> = vec![
+            (
+                r#"{"event":"phases","phases":[42,{"path":7}]}"#.into(),
+                "phases[0]: expected object",
+            ),
+            (
+                r#"{"event":"phases","phases":[{"path":7}]}"#.into(),
+                "phases[0].path: expected string",
+            ),
+            (
+                r#"{"event":"metrics","counters":{"a":"x"},"gauges":{},"histograms":{"h":3}}"#
+                    .into(),
+                "counters.a: expected non-negative integer",
+            ),
+            (
+                r#"{"event":"metrics","counters":{},"gauges":{},"histograms":{"h":3}}"#.into(),
+                "histograms.h: expected object",
+            ),
+            (
+                r#"{"event":"resource_report","total_bytes":5,"components":{"rtree.var000":"lots"}}"#
+                    .into(),
+                "components.rtree.var000: expected non-negative integer",
+            ),
+            (run_end("1e999", "-1"), "best_similarity: expected finite number"),
+            (run_end("1", "-1"), "elapsed_secs: expected non-negative number"),
+            // A negative counter, an integer past u64::MAX.
+            (
+                r#"{"event":"restart_start","restart":-3,"seed":1}"#.into(),
+                "restart: expected non-negative integer",
+            ),
+            (
+                r#"{"event":"restart_start","restart":0,"seed":18446744073709551616}"#.into(),
+                "seed: expected non-negative integer",
+            ),
+            (r#"{"event":"warp_drive"}"#.into(), "unknown event kind"),
+            (r#"[1,2,3]"#.into(), "not a JSON object"),
+            (r#""run_end""#.into(), "not a JSON object"),
+            // A writer killed mid-line.
+            (r#"{"event":"improvem"#.into(), "JSON error"),
+        ];
+        for (row, expected) in &table {
+            let text = format!("{}\n{row}", r#"{"event":"phases","phases":[]}"#);
+
+            let (line, err) = schema::validate_jsonl(&text).expect_err(row);
+            assert_eq!(line, 2, "{row}");
+            assert!(err.to_string().contains(expected), "{row}: {err}");
+
+            let err = report_text("hostile.jsonl", &text).expect_err(row);
+            assert!(
+                err.contains("hostile.jsonl:2: ") && err.contains(expected),
+                "{row}: {err}"
+            );
+
+            let mut view = View::default();
+            view.ingest(r#"{"event":"phases","phases":[]}"#, "hostile.jsonl")
+                .expect("first line is fine");
+            let err = view.ingest(row, "hostile.jsonl").expect_err(row);
+            assert!(
+                err.contains("hostile.jsonl:2: ") && err.contains(expected),
+                "{row}: {err}"
+            );
+        }
+        // An empty file is a report error; for the schema check and the
+        // watcher it is simply zero events so far.
+        assert!(report_text("empty.jsonl", " \n").is_err());
+        assert_eq!(schema::validate_jsonl(" \n"), Ok(0));
+    }
+
+    #[test]
+    fn valid_stream_renders_typed_fields() {
+        let text = concat!(
+            r#"{"event":"run_start","algo":"ILS","n_vars":3,"edges":2,"restarts":1,"threads":0,"seed":16045690984503098047,"budget_steps":50}"#,
+            "\n",
+            r#"{"event":"stall_aborted","steps":40,"elapsed_secs":0.5}"#,
+            "\n"
+        );
+        let out = report_text("run.jsonl", text).unwrap();
+        assert!(
+            out.contains("seed 16045690984503098047, budget 50 steps"),
+            "{out}"
+        );
+        assert!(out.ends_with("events: 1 stall aborts\n"), "{out}");
+    }
+}

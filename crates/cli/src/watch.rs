@@ -10,7 +10,7 @@
 //! arrives, and fails after `--timeout-secs` without one.
 
 use crate::args::Args;
-use mwsj_core::obs::Json;
+use mwsj_core::RunEvent;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{IsTerminal, Read, Seek, SeekFrom, Write};
@@ -148,7 +148,9 @@ struct Row {
 
 /// Accumulated state of the run being watched.
 #[derive(Debug, Default)]
-struct View {
+pub(crate) struct View {
+    /// Lines ingested so far (for error messages).
+    lines: usize,
     header: Option<String>,
     rows: BTreeMap<u64, Row>,
     improvements: u64,
@@ -162,40 +164,48 @@ struct View {
 
 impl View {
     /// Folds one JSONL event line into the view; returns the plain-mode
-    /// log lines it produced.
-    fn ingest(&mut self, line: &str, path: &str) -> Result<Vec<String>, String> {
-        let ev = Json::parse(line).map_err(|e| format!("{path}: {e}"))?;
-        let kind = ev.get("event").and_then(Json::as_str).unwrap_or("");
-        let restart = ev.get("restart").and_then(Json::as_u64);
-        let row_key = restart.unwrap_or(NO_RESTART);
+    /// log lines it produced. A line that is not a well-formed event is an
+    /// error naming the line and the offending field.
+    pub(crate) fn ingest(&mut self, line: &str, path: &str) -> Result<Vec<String>, String> {
+        self.lines += 1;
+        let event =
+            RunEvent::parse_line(line).map_err(|e| format!("{path}:{}: {e}", self.lines))?;
         let mut logs = Vec::new();
-        match kind {
-            "run_start" => {
-                let algo = ev.get("algo").and_then(Json::as_str).unwrap_or("?");
-                let n_vars = ev.get("n_vars").and_then(Json::as_u64).unwrap_or(0);
-                let edges = ev.get("edges").and_then(Json::as_u64).unwrap_or(0);
-                let seed = ev.get("seed").and_then(Json::as_u64).unwrap_or(0);
-                let restarts = ev.get("restarts").and_then(Json::as_u64).unwrap_or(1);
+        let row_key = |restart: Option<u64>| restart.unwrap_or(NO_RESTART);
+        match &event {
+            RunEvent::RunStart {
+                algo,
+                n_vars,
+                edges,
+                restarts,
+                seed,
+                ..
+            } => {
                 let header = format!(
                     "{algo} on {n_vars} vars / {edges} edges, seed {seed}, {restarts} restart(s)"
                 );
                 logs.push(format!("run_start {header}"));
                 self.header = Some(header);
             }
-            "progress" => {
-                let row = self.rows.entry(row_key).or_default();
-                row.step = ev.get("step").and_then(Json::as_u64).unwrap_or(0);
-                row.steps_per_sec = ev
-                    .get("steps_per_sec")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0);
-                row.similarity = ev.get("best_similarity").and_then(Json::as_f64);
-                row.violations = ev.get("best_violations").and_then(Json::as_u64);
-                row.node_accesses = ev.get("node_accesses").and_then(Json::as_u64).unwrap_or(0);
+            RunEvent::Progress {
+                restart,
+                step,
+                steps_per_sec,
+                best_violations,
+                best_similarity,
+                node_accesses,
+                ..
+            } => {
+                let row = self.rows.entry(row_key(*restart)).or_default();
+                row.step = *step;
+                row.steps_per_sec = *steps_per_sec;
+                row.similarity = *best_similarity;
+                row.violations = *best_violations;
+                row.node_accesses = *node_accesses;
                 row.stalled = false;
                 logs.push(format!(
                     "progress{} step={} steps_per_sec={:.0} best_similarity={} node_accesses={}",
-                    restart_tag(restart),
+                    restart_tag(*restart),
                     row.step,
                     row.steps_per_sec,
                     row.similarity
@@ -204,39 +214,40 @@ impl View {
                     row.node_accesses
                 ));
             }
-            "improvement" => self.improvements += 1,
-            "stall_detected" => {
+            RunEvent::Improvement { .. } => self.improvements += 1,
+            RunEvent::StallDetected {
+                restart,
+                steps_since_improvement,
+                ..
+            } => {
                 self.stalls += 1;
-                self.rows.entry(row_key).or_default().stalled = true;
-                let since = ev
-                    .get("steps_since_improvement")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
+                self.rows.entry(row_key(*restart)).or_default().stalled = true;
                 logs.push(format!(
-                    "stall_detected{} steps_since_improvement={since}",
-                    restart_tag(restart)
+                    "stall_detected{} steps_since_improvement={steps_since_improvement}",
+                    restart_tag(*restart)
                 ));
             }
-            "stall_aborted" => {
+            RunEvent::StallAborted { restart, .. } => {
                 self.aborts += 1;
-                self.stop = Some("stall_aborted");
-                logs.push(format!("stall_aborted{}", restart_tag(restart)));
+                self.stop = Some(event.kind());
+                logs.push(format!("{}{}", event.kind(), restart_tag(*restart)));
             }
-            "stagnation_reseed" => self.reseeds += 1,
-            "budget_exhausted" => self.stop = Some("budget_exhausted"),
-            "cutoff_fired" => self.stop = Some("cutoff_fired"),
-            "restart_end" => {
-                self.rows.entry(row_key).or_default().finished = true;
+            RunEvent::StagnationReseed { .. } => self.reseeds += 1,
+            RunEvent::BudgetExhausted { .. } | RunEvent::CutoffFired { .. } => {
+                self.stop = Some(event.kind());
             }
-            "run_end" => {
-                let similarity = ev
-                    .get("best_similarity")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0);
-                let steps = ev.get("steps").and_then(Json::as_u64).unwrap_or(0);
-                let secs = ev.get("elapsed_secs").and_then(Json::as_f64).unwrap_or(0.0);
+            RunEvent::RestartEnd { restart, .. } => {
+                self.rows.entry(*restart).or_default().finished = true;
+            }
+            RunEvent::RunEnd {
+                best_similarity,
+                steps,
+                elapsed_secs,
+                ..
+            } => {
                 let final_line = format!(
-                    "run_end best_similarity={similarity:.3} steps={steps} elapsed={secs:.3}s{}",
+                    "run_end best_similarity={best_similarity:.3} steps={steps} \
+                     elapsed={elapsed_secs:.3}s{}",
                     self.stop.map(|s| format!(" stop={s}")).unwrap_or_default()
                 );
                 logs.push(final_line.clone());

@@ -149,6 +149,28 @@ fn report_rejects_trailing_partial_line() {
 }
 
 #[test]
+fn report_rejects_nested_garbage_with_line_and_field_path() {
+    let dir = temp_dir("report_hostile");
+    let (metrics, _) = solve_with_metrics(&dir, &[]);
+    let mut text = std::fs::read_to_string(&metrics).unwrap();
+    let good_lines = text.lines().count();
+    text.push_str(
+        "{\"event\":\"metrics\",\"counters\":{\"a\":\"x\"},\"gauges\":{},\"histograms\":{}}\n",
+    );
+    let path = dir.join("hostile.jsonl");
+    std::fs::write(&path, &text).unwrap();
+    let out = report(&path);
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "nothing is rendered from a bad file");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("hostile.jsonl:{}: ", good_lines + 1))
+            && err.contains("counters.a: expected non-negative integer"),
+        "{err}"
+    );
+}
+
+#[test]
 fn profile_out_writes_parseable_folded_stacks() {
     let dir = temp_dir("profile");
     let profile = dir.join("solve.folded");

@@ -194,6 +194,7 @@ pub fn explain_report_for_run(instance: &Instance, stats: &RunStats) -> ExplainR
 mod tests {
     use super::*;
     use mwsj_datagen::{hard_region_density, Dataset, QueryShape};
+    use mwsj_obs::Record;
     use mwsj_query::QueryGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -214,8 +215,8 @@ mod tests {
         let b = build_explain_report(&inst);
         assert_eq!(a, b);
         assert_eq!(
-            format!("{{{}}}", a.to_json_fields()),
-            format!("{{{}}}", b.to_json_fields()),
+            a.to_json(),
+            b.to_json(),
             "serialisation must be byte-stable"
         );
         assert!(!a.has_observed());
@@ -317,9 +318,8 @@ mod tests {
             let expected_cost = g.predicted_cells_per_query * g.avg_occupancy;
             assert!((g.predicted_cost_per_query - expected_cost).abs() < 1e-9);
         }
-        let json = format!("{{{}}}", report.to_json_fields());
-        let parsed = ExplainReport::from_json(&mwsj_obs::Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(parsed, report);
+        let json = mwsj_obs::Json::parse(&report.to_json()).unwrap();
+        assert_eq!(ExplainReport::from_json(&json), Ok(report.clone()));
 
         // R*-tree reports stay grid-free, keeping pinned snapshots
         // byte-identical.

@@ -5,9 +5,11 @@
 //! differently, following the workspace determinism contract:
 //!
 //! * **Deterministic fields** — work counters, `best_similarity`,
-//!   `auc_steps`, `steps_to` — must match *exactly* (counters) or to
-//!   floating-point round-off (derived values). Any drift means the
-//!   algorithms themselves changed and fails the gate outright.
+//!   `auc_steps`, `steps_to` and the memory / cache / explain sections —
+//!   must match *exactly* (integers) or to floating-point round-off
+//!   (derived values), through the comparison derived from the records'
+//!   declarations ([`Field::diff`] skips `[measured]` fields). Any drift
+//!   means the algorithms themselves changed and fails the gate outright.
 //! * **Measured fields** — the wall-clock medians — are compared with a
 //!   relative tolerance band (default +25%) widened by an absolute slack
 //!   (default +5ms): a candidate fails only when it exceeds both, so
@@ -20,7 +22,7 @@
 //! Missing or extra (instance, algorithm) pairs fail the gate: a
 //! disappearing benchmark is a regression of coverage, not noise.
 
-use crate::explain::ExplainReport;
+use crate::record::{Field, Record};
 use crate::snapshot::{AlgoRecord, BenchSnapshot};
 use std::fmt::Write as _;
 
@@ -35,9 +37,6 @@ pub const DEFAULT_WALL_TOLERANCE: f64 = 0.25;
 /// wall gate only when it exceeds **both** the relative band and this
 /// absolute slack over the baseline.
 pub const DEFAULT_WALL_SLACK_MS: f64 = 5.0;
-
-/// Absolute tolerance for derived deterministic floats (round-off only).
-const FLOAT_EPS: f64 = 1e-9;
 
 /// Noise floor for the wall gate, in milliseconds: the relative band is
 /// evaluated against `max(baseline, floor)`, because a percentage of a
@@ -185,402 +184,143 @@ pub fn compare(
             }
         }
     }
-    for base_inst in &baseline.instances {
-        let Some(cand_inst) = candidate.instance(&base_inst.name) else {
-            report.push(
-                &base_inst.name,
-                Verdict::Fail,
-                "instance missing from candidate snapshot".into(),
-            );
-            continue;
-        };
-        if (cand_inst.n_vars, cand_inst.cardinality, &cand_inst.shape)
-            != (base_inst.n_vars, base_inst.cardinality, &base_inst.shape)
-        {
-            report.push(
-                &base_inst.name,
-                Verdict::Fail,
-                format!(
-                    "workload metadata drifted: baseline {}×n{} '{}', candidate {}×n{} '{}'",
-                    base_inst.cardinality,
-                    base_inst.n_vars,
-                    base_inst.shape,
-                    cand_inst.cardinality,
-                    cand_inst.n_vars,
-                    cand_inst.shape
-                ),
-            );
-        }
-        for base_algo in &base_inst.algos {
-            let scope = format!("{}/{}", base_inst.name, base_algo.algo);
-            let Some(cand_algo) = cand_inst.algos.iter().find(|a| a.algo == base_algo.algo) else {
+    let instances = (&baseline.instances[..], &candidate.instances[..]);
+    for_each_pair(&mut report, "instance", instances, |i| i.name.clone(), {
+        |report, scope, base_inst, cand_inst| {
+            if (cand_inst.n_vars, cand_inst.cardinality, &cand_inst.shape)
+                != (base_inst.n_vars, base_inst.cardinality, &base_inst.shape)
+            {
                 report.push(
-                    &scope,
+                    scope,
                     Verdict::Fail,
-                    "algorithm missing from candidate snapshot".into(),
-                );
-                continue;
-            };
-            compare_algo(&mut report, &scope, base_algo, cand_algo, cfg);
-        }
-        for cand_algo in &cand_inst.algos {
-            if !base_inst.algos.iter().any(|a| a.algo == cand_algo.algo) {
-                report.push(
-                    &format!("{}/{}", base_inst.name, cand_algo.algo),
-                    Verdict::Fail,
-                    "algorithm not present in baseline (re-snapshot the baseline)".into(),
+                    format!(
+                        "workload metadata drifted: baseline {}×n{} '{}', candidate {}×n{} '{}'",
+                        base_inst.cardinality,
+                        base_inst.n_vars,
+                        base_inst.shape,
+                        cand_inst.cardinality,
+                        cand_inst.n_vars,
+                        cand_inst.shape
+                    ),
                 );
             }
-        }
-    }
-    for cand_inst in &candidate.instances {
-        if baseline.instance(&cand_inst.name).is_none() {
-            report.push(
-                &cand_inst.name,
-                Verdict::Fail,
-                "instance not present in baseline (re-snapshot the baseline)".into(),
+            let algos = (&base_inst.algos[..], &cand_inst.algos[..]);
+            let algo_scope = |a: &AlgoRecord| format!("{scope}/{}", a.algo);
+            for_each_pair(
+                report,
+                "algorithm",
+                algos,
+                algo_scope,
+                |report, scope, b, c| compare_algo(report, scope, b, c, cfg),
             );
         }
-    }
-    compare_memory(&mut report, baseline, candidate);
-    compare_cache(&mut report, baseline, candidate);
-    compare_explain(&mut report, baseline, candidate);
+    });
+    // The deterministic sections: byte counts (`MemoryFootprint`
+    // contract), window-cache work counters and the estimate side of the
+    // explain audit are pure functions of the pinned suite, so every
+    // declared non-measured field must match (integers exactly, derived
+    // floats to round-off).
+    compare_section(
+        &mut report,
+        "memory",
+        (&baseline.memory, &candidate.memory),
+        |m| format!("{}/memory", m.instance),
+        |m| {
+            format!(
+                "memory identical ({} components, {} bytes)",
+                m.components.len(),
+                m.total_bytes
+            )
+        },
+    );
+    compare_section(
+        &mut report,
+        "cache",
+        (&baseline.cache, &candidate.cache),
+        |c| format!("{}/{}/cache", c.instance, c.algo),
+        |c| {
+            format!(
+                "cache counters identical ({} hits, {} misses)",
+                c.hits, c.misses
+            )
+        },
+    );
+    compare_section(
+        &mut report,
+        "explain",
+        (&baseline.explain, &candidate.explain),
+        |e| format!("{}/explain", e.instance),
+        |e| {
+            let r = &e.report;
+            format!(
+                "explain identical ({} model, {} edges, {} vars)",
+                r.model,
+                r.edges.len(),
+                r.vars.len()
+            )
+        },
+    );
     report
 }
 
-/// Gates the `memory` section: byte counts are deterministic
-/// (`MemoryFootprint` contract), so every component must match exactly.
-/// Records present on one side only fail, like missing algorithm records.
-fn compare_memory(report: &mut CompareReport, baseline: &BenchSnapshot, candidate: &BenchSnapshot) {
-    for base in &baseline.memory {
-        let scope = format!("{}/memory", base.instance);
-        let Some(cand) = candidate
-            .memory
-            .iter()
-            .find(|m| m.instance == base.instance)
-        else {
-            report.push(
-                &scope,
-                Verdict::Fail,
-                "memory record missing from candidate snapshot".into(),
-            );
-            continue;
-        };
-        if base == cand {
-            report.push(
-                &scope,
-                Verdict::Ok,
-                format!(
-                    "memory identical ({} components, {} bytes)",
-                    base.components.len(),
-                    base.total_bytes
-                ),
-            );
-        } else {
-            let mut drift = Vec::new();
-            for (name, base_v) in &base.components {
-                match cand.components.iter().find(|(n, _)| n == name) {
-                    Some((_, cand_v)) if cand_v == base_v => {}
-                    Some((_, cand_v)) => drift.push(format!("{name} {base_v} -> {cand_v}")),
-                    None => drift.push(format!("{name} {base_v} -> <absent>")),
-                }
-            }
-            for (name, cand_v) in &cand.components {
-                if !base.components.iter().any(|(n, _)| n == name) {
-                    drift.push(format!("{name} <absent> -> {cand_v}"));
-                }
-            }
-            if base.total_bytes != cand.total_bytes {
-                drift.push(format!(
-                    "total_bytes {} -> {}",
-                    base.total_bytes, cand.total_bytes
-                ));
-            }
-            report.push(
-                &scope,
-                Verdict::Fail,
-                format!("memory drift: {}", drift.join(", ")),
-            );
-        }
-    }
-    for cand in &candidate.memory {
-        if !baseline.memory.iter().any(|m| m.instance == cand.instance) {
-            report.push(
-                &format!("{}/memory", cand.instance),
-                Verdict::Fail,
-                "memory record not present in baseline (re-snapshot the baseline)".into(),
-            );
-        }
-    }
-}
-
-/// Gates the `cache` section: hit/miss/invalidation counters are
-/// deterministic work counters, compared with exact equality like every
-/// other counter. Records present on one side only fail.
-fn compare_cache(report: &mut CompareReport, baseline: &BenchSnapshot, candidate: &BenchSnapshot) {
-    for base in &baseline.cache {
-        let scope = format!("{}/{}/cache", base.instance, base.algo);
-        let Some(cand) = candidate
-            .cache
-            .iter()
-            .find(|c| c.instance == base.instance && c.algo == base.algo)
-        else {
-            report.push(
-                &scope,
-                Verdict::Fail,
-                "cache record missing from candidate snapshot".into(),
-            );
-            continue;
-        };
-        if base == cand {
-            report.push(
-                &scope,
-                Verdict::Ok,
-                format!(
-                    "cache counters identical ({} hits, {} misses)",
-                    base.hits, base.misses
-                ),
-            );
-        } else {
-            let mut drift = Vec::new();
-            for (name, base_v, cand_v) in [
-                ("hits", base.hits, cand.hits),
-                ("misses", base.misses, cand.misses),
-                (
-                    "invalidations_reassign",
-                    base.invalidations_reassign,
-                    cand.invalidations_reassign,
-                ),
-                (
-                    "invalidations_penalty",
-                    base.invalidations_penalty,
-                    cand.invalidations_penalty,
-                ),
-                ("bytes", base.bytes, cand.bytes),
-            ] {
-                if base_v != cand_v {
-                    drift.push(format!("{name} {base_v} -> {cand_v}"));
-                }
-            }
-            report.push(
-                &scope,
-                Verdict::Fail,
-                format!("cache counter drift: {}", drift.join(", ")),
-            );
-        }
-    }
-    for cand in &candidate.cache {
-        if !baseline
-            .cache
-            .iter()
-            .any(|c| c.instance == cand.instance && c.algo == cand.algo)
-        {
-            report.push(
-                &format!("{}/{}/cache", cand.instance, cand.algo),
-                Verdict::Fail,
-                "cache record not present in baseline (re-snapshot the baseline)".into(),
-            );
-        }
-    }
-}
-
-/// Gates the `explain` section: the snapshot stores the *estimate side*
-/// only — selectivity models, tree quality, predicted accesses — which is
-/// a pure function of the pinned instance, so every field must match
-/// exactly (integers) or to floating-point round-off (derived floats).
-/// Records present on one side only fail, like missing algorithm records.
-fn compare_explain(
+/// Pairs two keyed record lists by `scope` (which also labels the
+/// findings) and hands every matched pair to `both`. A record on one
+/// side only fails the gate: a disappearing benchmark is a regression of
+/// coverage, a new one needs a re-snapshot.
+fn for_each_pair<R>(
     report: &mut CompareReport,
-    baseline: &BenchSnapshot,
-    candidate: &BenchSnapshot,
+    what: &str,
+    (baseline, candidate): (&[R], &[R]),
+    scope: impl Fn(&R) -> String,
+    mut both: impl FnMut(&mut CompareReport, &str, &R, &R),
 ) {
-    for base in &baseline.explain {
-        let scope = format!("{}/explain", base.instance);
-        let Some(cand) = candidate
-            .explain
-            .iter()
-            .find(|e| e.instance == base.instance)
-        else {
-            report.push(
-                &scope,
+    for base in baseline {
+        let name = scope(base);
+        match candidate.iter().find(|c| scope(c) == name) {
+            Some(cand) => both(report, &name, base, cand),
+            None => report.push(
+                &name,
                 Verdict::Fail,
-                "explain record missing from candidate snapshot".into(),
-            );
-            continue;
-        };
-        let drift = explain_drift(&base.report, &cand.report);
-        if drift.is_empty() {
-            report.push(
-                &scope,
-                Verdict::Ok,
-                format!(
-                    "explain identical ({} model, {} edges, {} vars)",
-                    base.report.model,
-                    base.report.edges.len(),
-                    base.report.vars.len()
-                ),
-            );
-        } else {
-            report.push(
-                &scope,
-                Verdict::Fail,
-                format!("explain drift: {}", drift.join(", ")),
-            );
+                format!("{what} missing from candidate snapshot"),
+            ),
         }
     }
-    for cand in &candidate.explain {
-        if !baseline.explain.iter().any(|e| e.instance == cand.instance) {
+    for cand in candidate {
+        let name = scope(cand);
+        if !baseline.iter().any(|b| scope(b) == name) {
             report.push(
-                &format!("{}/explain", cand.instance),
+                &name,
                 Verdict::Fail,
-                "explain record not present in baseline (re-snapshot the baseline)".into(),
+                format!("{what} not present in baseline (re-snapshot the baseline)"),
             );
         }
     }
 }
 
-/// Field-by-field drift between two explain reports: integers exact,
-/// floats to [`FLOAT_EPS`]. Returns one message per drifted field.
-fn explain_drift(base: &ExplainReport, cand: &ExplainReport) -> Vec<String> {
-    let mut drift = Vec::new();
-    let f = |drift: &mut Vec<String>, name: &str, b: f64, c: f64| {
-        if (b - c).abs() > FLOAT_EPS {
-            drift.push(format!("{name} {b} -> {c}"));
-        }
-    };
-    let fo = |drift: &mut Vec<String>, name: &str, b: Option<f64>, c: Option<f64>| match (b, c) {
-        (Some(b), Some(c)) if (b - c).abs() <= FLOAT_EPS => {}
-        (None, None) => {}
-        _ => drift.push(format!("{name} {b:?} -> {c:?}")),
-    };
-    let fv = |drift: &mut Vec<String>, name: &str, b: &[f64], c: &[f64]| {
-        if b.len() != c.len() || b.iter().zip(c).any(|(x, y)| (x - y).abs() > FLOAT_EPS) {
-            drift.push(format!("{name} {b:?} -> {c:?}"));
-        }
-    };
-    if base.model != cand.model {
-        drift.push(format!("model {:?} -> {:?}", base.model, cand.model));
-    }
-    f(
-        &mut drift,
-        "expected_solutions",
-        base.expected_solutions,
-        cand.expected_solutions,
+/// Gates one keyed snapshot section exact-or-fail with the records'
+/// derived [`Record::drift`]; `identical` words the passing line.
+fn compare_section<R: Record>(
+    report: &mut CompareReport,
+    what: &str,
+    sections: (&[R], &[R]),
+    scope: impl Fn(&R) -> String,
+    identical: impl Fn(&R) -> String,
+) {
+    let records = format!("{what} record");
+    for_each_pair(
+        report,
+        &records,
+        sections,
+        scope,
+        |report, scope, base, cand| match base.drift(cand) {
+            drift if drift.is_empty() => report.push(scope, Verdict::Ok, identical(base)),
+            drift => report.push(
+                scope,
+                Verdict::Fail,
+                format!("{what} drift: {}", drift.join(", ")),
+            ),
+        },
     );
-    if base.edges.len() != cand.edges.len() {
-        drift.push(format!(
-            "edge count {} -> {}",
-            base.edges.len(),
-            cand.edges.len()
-        ));
-    } else {
-        for (b, c) in base.edges.iter().zip(&cand.edges) {
-            let tag = format!("edge({},{})", b.a, b.b);
-            if (b.a, b.b, &b.predicate) != (c.a, c.b, &c.predicate) {
-                drift.push(format!(
-                    "{tag} identity {:?} -> ({},{}) {:?}",
-                    b.predicate, c.a, c.b, c.predicate
-                ));
-                continue;
-            }
-            f(
-                &mut drift,
-                &format!("{tag}.estimated_selectivity"),
-                b.estimated_selectivity,
-                c.estimated_selectivity,
-            );
-            fo(
-                &mut drift,
-                &format!("{tag}.observed_selectivity"),
-                b.observed_selectivity,
-                c.observed_selectivity,
-            );
-            if b.observed_pairs != c.observed_pairs {
-                drift.push(format!(
-                    "{tag}.observed_pairs {:?} -> {:?}",
-                    b.observed_pairs, c.observed_pairs
-                ));
-            }
-        }
-    }
-    if base.vars.len() != cand.vars.len() {
-        drift.push(format!(
-            "var count {} -> {}",
-            base.vars.len(),
-            cand.vars.len()
-        ));
-    } else {
-        for (b, c) in base.vars.iter().zip(&cand.vars) {
-            let tag = format!("var{}", b.var);
-            if (b.var, b.cardinality, b.observed_accesses)
-                != (c.var, c.cardinality, c.observed_accesses)
-                || b.accesses_per_level != c.accesses_per_level
-            {
-                drift.push(format!("{tag} integer fields drifted"));
-            }
-            f(
-                &mut drift,
-                &format!("{tag}.avg_extent"),
-                b.avg_extent,
-                c.avg_extent,
-            );
-            f(
-                &mut drift,
-                &format!("{tag}.expected_window_hits"),
-                b.expected_window_hits,
-                c.expected_window_hits,
-            );
-            f(
-                &mut drift,
-                &format!("{tag}.predicted_accesses_per_query"),
-                b.predicted_accesses_per_query,
-                c.predicted_accesses_per_query,
-            );
-            if (b.tree.height, b.tree.nodes) != (c.tree.height, c.tree.nodes) {
-                drift.push(format!(
-                    "{tag}.tree {}l/{}n -> {}l/{}n",
-                    b.tree.height, b.tree.nodes, c.tree.height, c.tree.nodes
-                ));
-            }
-            f(
-                &mut drift,
-                &format!("{tag}.tree.avg_fill"),
-                b.tree.avg_fill,
-                c.tree.avg_fill,
-            );
-            fv(
-                &mut drift,
-                &format!("{tag}.tree.fill_per_level"),
-                &b.tree.fill_per_level,
-                &c.tree.fill_per_level,
-            );
-            fv(
-                &mut drift,
-                &format!("{tag}.tree.overlap_factor_per_level"),
-                &b.tree.overlap_factor_per_level,
-                &c.tree.overlap_factor_per_level,
-            );
-            fv(
-                &mut drift,
-                &format!("{tag}.tree.dead_space_per_level"),
-                &b.tree.dead_space_per_level,
-                &c.tree.dead_space_per_level,
-            );
-            fv(
-                &mut drift,
-                &format!("{tag}.tree.perimeter_per_level"),
-                &b.tree.perimeter_per_level,
-                &c.tree.perimeter_per_level,
-            );
-        }
-    }
-    if base.observed_node_accesses != cand.observed_node_accesses {
-        drift.push(format!(
-            "observed_node_accesses {:?} -> {:?}",
-            base.observed_node_accesses, cand.observed_node_accesses
-        ));
-    }
-    drift
 }
 
 fn compare_algo(
@@ -592,18 +332,7 @@ fn compare_algo(
 ) {
     // Deterministic counters: exact or fail.
     let mut counter_drift = Vec::new();
-    for (name, base_v) in &base.counters {
-        match cand.counter(name) {
-            Some(cand_v) if cand_v == *base_v => {}
-            Some(cand_v) => counter_drift.push(format!("{name} {base_v} -> {cand_v}")),
-            None => counter_drift.push(format!("{name} {base_v} -> <absent>")),
-        }
-    }
-    for (name, cand_v) in &cand.counters {
-        if base.counter(name).is_none() {
-            counter_drift.push(format!("{name} <absent> -> {cand_v}"));
-        }
-    }
+    base.counters.diff(&cand.counters, "", &mut counter_drift);
     if counter_drift.is_empty() {
         report.push(
             scope,
@@ -618,40 +347,19 @@ fn compare_algo(
         );
     }
 
-    // Derived deterministic floats: round-off tolerance only.
-    for (name, base_v, cand_v) in [
-        (
-            "best_similarity",
-            base.best_similarity,
-            cand.best_similarity,
-        ),
-        ("auc_steps", base.auc_steps, cand.auc_steps),
-    ] {
-        if (base_v - cand_v).abs() > FLOAT_EPS {
-            report.push(
-                scope,
-                Verdict::Fail,
-                format!("{name} drifted: {base_v} -> {cand_v}"),
-            );
-        }
-    }
-    for (tau, base_v) in &base.steps_to {
-        let cand_v = cand
-            .steps_to
-            .iter()
-            .find(|(t, _)| t == tau)
-            .map(|(_, v)| *v);
-        if cand_v != Some(*base_v) {
-            report.push(
-                scope,
-                Verdict::Fail,
-                format!(
-                    "steps_to[{tau}] drifted: {} -> {}",
-                    fmt_opt(*base_v),
-                    cand_v.map_or("<absent>".into(), fmt_opt)
-                ),
-            );
-        }
+    // Derived deterministic values: floats to round-off, steps-to-τ exactly.
+    let mut drift = Vec::new();
+    base.best_similarity
+        .diff(&cand.best_similarity, "best_similarity", &mut drift);
+    base.auc_steps
+        .diff(&cand.auc_steps, "auc_steps", &mut drift);
+    base.steps_to.diff(&cand.steps_to, "steps_to", &mut drift);
+    if !drift.is_empty() {
+        report.push(
+            scope,
+            Verdict::Fail,
+            format!("deterministic summary drift: {}", drift.join(", ")),
+        );
     }
 
     // Measured wall clock: median within the tolerance band. The band is
@@ -682,10 +390,6 @@ fn compare_algo(
             format!("wall median {b:.2}ms -> {c:.2}ms (baseline too small to gate)"),
         );
     }
-}
-
-fn fmt_opt(v: Option<u64>) -> String {
-    v.map_or("never".into(), |x| x.to_string())
 }
 
 fn summarize_counters(algo: &AlgoRecord) -> String {
@@ -980,7 +684,7 @@ mod tests {
         assert!(
             report
                 .render()
-                .contains("explain drift: edge(0,1).estimated_selectivity"),
+                .contains("explain drift: edges[0].estimated_selectivity"),
             "{}",
             report.render()
         );
@@ -1002,7 +706,7 @@ mod tests {
         assert!(
             report
                 .render()
-                .contains("var1.tree.overlap_factor_per_level"),
+                .contains("vars[1].tree.overlap_factor_per_level[0]"),
             "{}",
             report.render()
         );
@@ -1018,7 +722,7 @@ mod tests {
         assert!(!report.passed());
         let rendered = report.render();
         assert!(
-            rendered.contains("memory drift") && rendered.contains("rtree.var000 4096 -> 4097"),
+            rendered.contains("memory drift: components.rtree.var000 4096 -> 4097"),
             "{rendered}"
         );
     }
@@ -1031,9 +735,7 @@ mod tests {
         let report = compare(&a, &b, CompareConfig::default());
         assert!(!report.passed());
         assert!(
-            report
-                .render()
-                .contains("cache counter drift: hits 10 -> 11"),
+            report.render().contains("cache drift: hits 10 -> 11"),
             "{}",
             report.render()
         );

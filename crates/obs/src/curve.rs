@@ -21,17 +21,20 @@
 //! algorithms whose per-step access cost is roughly constant.
 
 use crate::events::RunEvent;
+use crate::record::record;
 
-/// One point of an anytime curve: the best similarity known after `step`
-/// steps / `wall_ms` milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CurvePoint {
-    /// Steps consumed when this similarity was reached.
-    pub step: u64,
-    /// Milliseconds since the run started.
-    pub wall_ms: f64,
-    /// Best similarity from this point on (until the next point).
-    pub similarity: f64,
+record! {
+    /// One point of an anytime curve: the best similarity known after `step`
+    /// steps / `wall_ms` milliseconds.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct CurvePoint {
+        /// Steps consumed when this similarity was reached.
+        pub step: u64,
+        /// Milliseconds since the run started.
+        pub wall_ms: f64 [measured],
+        /// Best similarity from this point on (until the next point).
+        pub similarity: f64,
+    }
 }
 
 /// A monotone similarity-vs-cost curve plus the run totals that normalize

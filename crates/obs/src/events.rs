@@ -1,527 +1,220 @@
 //! Structured run events and JSONL sinks.
 //!
 //! Every event serialises to one JSON object per line with a
-//! discriminating `"event"` field; the full schema is documented in
-//! `DESIGN.md` ("Observability") and machine-checked by [`crate::schema`].
+//! discriminating `"event"` field. The `events!` declaration below is the
+//! schema: the enum, its writer, its validating reader
+//! ([`RunEvent::parse_line`]) and the table in `DESIGN.md`
+//! ("Observability") are all derived from it (see [`crate::record`]).
 //! Producers emit through the object-safe [`EventSink`] trait so the same
 //! instrumentation can stream to a file ([`JsonlSink`]) or be captured
 //! in-memory for tests ([`VecSink`]).
 
-use crate::json::{escape, fmt_f64};
+use crate::record::events;
 use crate::registry::MetricsSnapshot;
 use crate::timer::PhaseSnapshot;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
-/// One structured run event.
-///
-/// `restart` fields are `Some` when the event was produced inside a
-/// portfolio restart (carrying the restart's seed-order index) and `None`
-/// for standalone runs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunEvent {
-    /// A run (one CLI `solve`/`join` invocation or one bench run) begins.
-    RunStart {
-        /// Algorithm name (e.g. `"ILS"`, `"SEA"`, `"WR"`).
-        algo: String,
-        /// Number of query variables.
-        n_vars: u64,
-        /// Number of join edges.
-        edges: u64,
-        /// Portfolio restarts requested (1 for single runs).
-        restarts: u64,
-        /// Worker threads requested (0 = auto).
-        threads: u64,
-        /// Master RNG seed.
-        seed: u64,
-        /// Step budget, when one was set.
-        budget_steps: Option<u64>,
-        /// Time budget in seconds, when one was set.
-        budget_secs: Option<f64>,
-    },
-    /// A portfolio restart begins.
-    RestartStart {
-        /// Seed-order index of the restart.
-        restart: u64,
-        /// Derived RNG seed of the restart.
-        seed: u64,
-    },
-    /// The incumbent best solution improved.
-    Improvement {
-        /// Restart index, when inside a portfolio.
-        restart: Option<u64>,
-        /// Steps consumed when the improvement happened.
-        step: u64,
-        /// Violations of the new incumbent.
-        violations: u64,
-        /// Similarity of the new incumbent.
-        similarity: f64,
-        /// Seconds since the run started.
-        elapsed_secs: f64,
-    },
-    /// A portfolio restart finished.
-    RestartEnd {
-        /// Seed-order index of the restart.
-        restart: u64,
-        /// Violations of the restart's best solution.
-        best_violations: u64,
-        /// Steps the restart consumed.
-        steps: u64,
-        /// Seconds the restart ran.
-        elapsed_secs: f64,
-    },
-    /// The step or time budget ran out.
-    BudgetExhausted {
-        /// Restart index, when inside a portfolio.
-        restart: Option<u64>,
-        /// Steps consumed at exhaustion.
-        steps: u64,
-        /// Seconds since the run started.
-        elapsed_secs: f64,
-    },
-    /// The portfolio cutoff stopped this run because a sibling restart
-    /// already reached an exact solution.
-    CutoffFired {
-        /// Restart index, when inside a portfolio.
-        restart: Option<u64>,
-        /// Steps consumed when the cutoff fired.
-        steps: u64,
-        /// Seconds since the run started.
-        elapsed_secs: f64,
-    },
-    /// One convergence-trace point (used by `--trace-out`).
-    TracePoint {
-        /// Steps consumed at this point.
-        step: u64,
-        /// Best similarity at this point.
-        similarity: f64,
-        /// Seconds since the run started.
-        elapsed_secs: f64,
-    },
-    /// Periodic live-telemetry heartbeat, emitted by the search driver
-    /// every `progress_every` steps. The cadence is **step-indexed**, so
-    /// every counter-valued field (step, best violations/similarity,
-    /// node accesses, cache counters, resident bytes) is deterministic
-    /// under a step budget; `steps_per_sec` and `elapsed_secs` are
-    /// measured wall-clock and exempt, like bench-snapshot wall fields.
-    Progress {
-        /// Restart index, when inside a portfolio.
-        restart: Option<u64>,
-        /// Steps consumed at this heartbeat.
-        step: u64,
-        /// Measured step throughput since the run started.
-        steps_per_sec: f64,
-        /// Seconds since the run started.
-        elapsed_secs: f64,
-        /// Violations of the incumbent, once one exists.
-        best_violations: Option<u64>,
-        /// Similarity of the incumbent, once one exists.
-        best_similarity: Option<f64>,
-        /// R*-tree node accesses so far.
-        node_accesses: u64,
-        /// Window-cache hits at the last deterministic sample point.
-        cache_hits: u64,
-        /// Window-cache misses at the last deterministic sample point.
-        cache_misses: u64,
-        /// Resident bytes (instance index structures + window cache).
-        resident_bytes: u64,
-    },
-    /// The stall watchdog observed no incumbent improvement for the
-    /// configured step and/or wall window. Emitted once per stall episode
-    /// (re-armed by the next improvement).
-    StallDetected {
-        /// Restart index, when inside a portfolio.
-        restart: Option<u64>,
-        /// Steps consumed when the stall was detected.
-        step: u64,
-        /// Steps since the last incumbent improvement (or run start).
-        steps_since_improvement: u64,
-        /// Seconds since the last incumbent improvement (measured).
-        secs_since_improvement: f64,
-        /// Seconds since the run started.
-        elapsed_secs: f64,
-    },
-    /// The stall watchdog aborted the run (`--stall-abort`): a distinct
-    /// stop reason riding the same cutoff machinery as `cutoff_fired`.
-    StallAborted {
-        /// Restart index, when inside a portfolio.
-        restart: Option<u64>,
-        /// Steps consumed when the abort fired.
-        steps: u64,
-        /// Seconds since the run started.
-        elapsed_secs: f64,
-    },
-    /// GILS reseeded from a fresh random solution after
-    /// `stagnation_reseed` punishment rounds without improvement.
-    StagnationReseed {
-        /// Restart index, when inside a portfolio.
-        restart: Option<u64>,
-        /// Steps consumed when the reseed fired.
-        step: u64,
-        /// Punishment rounds without improvement that triggered it.
-        rounds: u64,
-        /// Seconds since the run started.
-        elapsed_secs: f64,
-    },
-    /// Frozen metrics of the run (or the merged portfolio metrics).
-    Metrics {
-        /// The snapshot.
-        snapshot: MetricsSnapshot,
-    },
-    /// Frozen phase-timer aggregates of the run.
-    Phases {
-        /// Per-phase aggregates, sorted by path.
-        phases: Vec<PhaseSnapshot>,
-    },
-    /// Estimated-vs-observed cost audit of the run (see
-    /// [`crate::explain::ExplainReport`]). Emitted once per top-level run
-    /// just before `resource_report`; `mwsj explain` emits the pre-run
-    /// estimate-only form.
-    ExplainReport {
-        /// The report.
-        report: crate::explain::ExplainReport,
-    },
-    /// Deterministic memory footprint of the run's resident structures
-    /// (see [`crate::resource::MemoryFootprint`]).
-    ResourceReport {
-        /// The component → bytes table.
-        report: crate::resource::ResourceReport,
-    },
-    /// The run finished.
-    RunEnd {
-        /// Violations of the best solution found.
-        best_violations: u64,
-        /// Similarity of the best solution found.
-        best_similarity: f64,
-        /// Total steps consumed.
-        steps: u64,
-        /// Total R*-tree node accesses.
-        node_accesses: u64,
-        /// Local maxima reached.
-        local_maxima: u64,
-        /// Incumbent improvements.
-        improvements: u64,
-        /// Restarts (portfolio restarts, or ILS internal restarts for a
-        /// single run).
-        restarts: u64,
-        /// Total wall-clock seconds.
-        elapsed_secs: f64,
-        /// Whether the result was proven optimal.
-        proven_optimal: bool,
-    },
-}
-
-impl RunEvent {
-    /// The value of the discriminating `"event"` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            RunEvent::RunStart { .. } => "run_start",
-            RunEvent::RestartStart { .. } => "restart_start",
-            RunEvent::Improvement { .. } => "improvement",
-            RunEvent::RestartEnd { .. } => "restart_end",
-            RunEvent::BudgetExhausted { .. } => "budget_exhausted",
-            RunEvent::CutoffFired { .. } => "cutoff_fired",
-            RunEvent::TracePoint { .. } => "trace_point",
-            RunEvent::Progress { .. } => "progress",
-            RunEvent::StallDetected { .. } => "stall_detected",
-            RunEvent::StallAborted { .. } => "stall_aborted",
-            RunEvent::StagnationReseed { .. } => "stagnation_reseed",
-            RunEvent::Metrics { .. } => "metrics",
-            RunEvent::Phases { .. } => "phases",
-            RunEvent::ExplainReport { .. } => "explain_report",
-            RunEvent::ResourceReport { .. } => "resource_report",
-            RunEvent::RunEnd { .. } => "run_end",
-        }
+events! {
+    /// One structured run event.
+    ///
+    /// `restart` fields are `Some` when the event was produced inside a
+    /// portfolio restart (carrying the restart's seed-order index) and `None`
+    /// for standalone runs.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum RunEvent {
+        /// A run (one CLI `solve`/`join` invocation or one bench run) begins.
+        RunStart = "run_start" {
+            /// Algorithm name (e.g. `"ILS"`, `"SEA"`, `"WR"`).
+            algo: String,
+            /// Number of query variables.
+            n_vars: u64,
+            /// Number of join edges.
+            edges: u64,
+            /// Portfolio restarts requested (1 for single runs).
+            restarts: u64,
+            /// Worker threads requested (0 = auto).
+            threads: u64,
+            /// Master RNG seed.
+            seed: u64,
+            /// Step budget, when one was set.
+            budget_steps: Option<u64> [opt],
+            /// Time budget in seconds, when one was set.
+            budget_secs: Option<f64> [opt],
+        },
+        /// A portfolio restart begins.
+        RestartStart = "restart_start" {
+            /// Seed-order index of the restart.
+            restart: u64,
+            /// Derived RNG seed of the restart.
+            seed: u64,
+        },
+        /// The incumbent best solution improved.
+        Improvement = "improvement" {
+            /// Restart index, when inside a portfolio.
+            restart: Option<u64> [opt],
+            /// Steps consumed when the improvement happened.
+            step: u64,
+            /// Violations of the new incumbent.
+            violations: u64,
+            /// Similarity of the new incumbent.
+            similarity: f64,
+            /// Seconds since the run started.
+            elapsed_secs: f64 [measured],
+        },
+        /// A portfolio restart finished.
+        RestartEnd = "restart_end" {
+            /// Seed-order index of the restart.
+            restart: u64,
+            /// Violations of the restart's best solution.
+            best_violations: u64,
+            /// Steps the restart consumed.
+            steps: u64,
+            /// Seconds the restart ran.
+            elapsed_secs: f64 [measured],
+        },
+        /// The step or time budget ran out.
+        BudgetExhausted = "budget_exhausted" {
+            /// Restart index, when inside a portfolio.
+            restart: Option<u64> [opt],
+            /// Steps consumed at exhaustion.
+            steps: u64,
+            /// Seconds since the run started.
+            elapsed_secs: f64 [measured],
+        },
+        /// The portfolio cutoff stopped this run because a sibling restart
+        /// already reached an exact solution.
+        CutoffFired = "cutoff_fired" {
+            /// Restart index, when inside a portfolio.
+            restart: Option<u64> [opt],
+            /// Steps consumed when the cutoff fired.
+            steps: u64,
+            /// Seconds since the run started.
+            elapsed_secs: f64 [measured],
+        },
+        /// One convergence-trace point (used by `--trace-out`).
+        TracePoint = "trace_point" {
+            /// Steps consumed at this point.
+            step: u64,
+            /// Best similarity at this point.
+            similarity: f64,
+            /// Seconds since the run started.
+            elapsed_secs: f64 [measured],
+        },
+        /// Periodic live-telemetry heartbeat, emitted by the search driver
+        /// every `progress_every` steps. The cadence is **step-indexed**, so
+        /// every counter-valued field (step, best violations/similarity,
+        /// node accesses, cache counters, resident bytes) is deterministic
+        /// under a step budget; `steps_per_sec` and `elapsed_secs` are
+        /// measured wall-clock and exempt, like bench-snapshot wall fields.
+        Progress = "progress" {
+            /// Restart index, when inside a portfolio.
+            restart: Option<u64> [opt],
+            /// Steps consumed at this heartbeat.
+            step: u64,
+            /// Measured step throughput since the run started.
+            steps_per_sec: f64 [measured],
+            /// Seconds since the run started.
+            elapsed_secs: f64 [measured],
+            /// Violations of the incumbent, once one exists.
+            best_violations: Option<u64> [opt],
+            /// Similarity of the incumbent, once one exists.
+            best_similarity: Option<f64> [opt],
+            /// R*-tree node accesses so far.
+            node_accesses: u64,
+            /// Window-cache hits at the last deterministic sample point.
+            cache_hits: u64,
+            /// Window-cache misses at the last deterministic sample point.
+            cache_misses: u64,
+            /// Resident bytes (instance index structures + window cache).
+            resident_bytes: u64,
+        },
+        /// The stall watchdog observed no incumbent improvement for the
+        /// configured step and/or wall window. Emitted once per stall episode
+        /// (re-armed by the next improvement).
+        StallDetected = "stall_detected" {
+            /// Restart index, when inside a portfolio.
+            restart: Option<u64> [opt],
+            /// Steps consumed when the stall was detected.
+            step: u64,
+            /// Steps since the last incumbent improvement (or run start).
+            steps_since_improvement: u64,
+            /// Seconds since the last incumbent improvement (measured).
+            secs_since_improvement: f64 [measured],
+            /// Seconds since the run started.
+            elapsed_secs: f64 [measured],
+        },
+        /// The stall watchdog aborted the run (`--stall-abort`): a distinct
+        /// stop reason riding the same cutoff machinery as `cutoff_fired`.
+        StallAborted = "stall_aborted" {
+            /// Restart index, when inside a portfolio.
+            restart: Option<u64> [opt],
+            /// Steps consumed when the abort fired.
+            steps: u64,
+            /// Seconds since the run started.
+            elapsed_secs: f64 [measured],
+        },
+        /// GILS reseeded from a fresh random solution after
+        /// `stagnation_reseed` punishment rounds without improvement.
+        StagnationReseed = "stagnation_reseed" {
+            /// Restart index, when inside a portfolio.
+            restart: Option<u64> [opt],
+            /// Steps consumed when the reseed fired.
+            step: u64,
+            /// Punishment rounds without improvement that triggered it.
+            rounds: u64,
+            /// Seconds since the run started.
+            elapsed_secs: f64 [measured],
+        },
+        /// Frozen metrics of the run (or the merged portfolio metrics).
+        Metrics = "metrics" {
+            /// The snapshot.
+            snapshot: MetricsSnapshot [flat],
+        },
+        /// Frozen phase-timer aggregates of the run.
+        Phases = "phases" {
+            /// Per-phase aggregates, sorted by path.
+            phases: Vec<PhaseSnapshot>,
+        },
+        /// Estimated-vs-observed cost audit of the run (see
+        /// [`crate::explain::ExplainReport`]). Emitted once per top-level run
+        /// just before `resource_report`; `mwsj explain` emits the pre-run
+        /// estimate-only form.
+        ExplainReport = "explain_report" {
+            /// The report.
+            report: crate::explain::ExplainReport [flat],
+        },
+        /// Deterministic memory footprint of the run's resident structures
+        /// (see [`crate::resource::MemoryFootprint`]).
+        ResourceReport = "resource_report" {
+            /// The component → bytes table.
+            report: crate::resource::ResourceReport [flat],
+        },
+        /// The run finished.
+        RunEnd = "run_end" {
+            /// Violations of the best solution found.
+            best_violations: u64,
+            /// Similarity of the best solution found.
+            best_similarity: f64,
+            /// Total steps consumed.
+            steps: u64,
+            /// Total R*-tree node accesses.
+            node_accesses: u64,
+            /// Local maxima reached.
+            local_maxima: u64,
+            /// Incumbent improvements.
+            improvements: u64,
+            /// Restarts (portfolio restarts, or ILS internal restarts for a
+            /// single run).
+            restarts: u64,
+            /// Total wall-clock seconds.
+            elapsed_secs: f64 [measured],
+            /// Whether the result was proven optimal.
+            proven_optimal: bool,
+        },
     }
 
-    /// Serialises the event as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObj::new(self.kind());
-        match self {
-            RunEvent::RunStart {
-                algo,
-                n_vars,
-                edges,
-                restarts,
-                threads,
-                seed,
-                budget_steps,
-                budget_secs,
-            } => {
-                obj.str("algo", algo);
-                obj.u64("n_vars", *n_vars);
-                obj.u64("edges", *edges);
-                obj.u64("restarts", *restarts);
-                obj.u64("threads", *threads);
-                obj.u64("seed", *seed);
-                if let Some(steps) = budget_steps {
-                    obj.u64("budget_steps", *steps);
-                }
-                if let Some(secs) = budget_secs {
-                    obj.f64("budget_secs", *secs);
-                }
-            }
-            RunEvent::RestartStart { restart, seed } => {
-                obj.u64("restart", *restart);
-                obj.u64("seed", *seed);
-            }
-            RunEvent::Improvement {
-                restart,
-                step,
-                violations,
-                similarity,
-                elapsed_secs,
-            } => {
-                if let Some(r) = restart {
-                    obj.u64("restart", *r);
-                }
-                obj.u64("step", *step);
-                obj.u64("violations", *violations);
-                obj.f64("similarity", *similarity);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::RestartEnd {
-                restart,
-                best_violations,
-                steps,
-                elapsed_secs,
-            } => {
-                obj.u64("restart", *restart);
-                obj.u64("best_violations", *best_violations);
-                obj.u64("steps", *steps);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::BudgetExhausted {
-                restart,
-                steps,
-                elapsed_secs,
-            }
-            | RunEvent::CutoffFired {
-                restart,
-                steps,
-                elapsed_secs,
-            } => {
-                if let Some(r) = restart {
-                    obj.u64("restart", *r);
-                }
-                obj.u64("steps", *steps);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::TracePoint {
-                step,
-                similarity,
-                elapsed_secs,
-            } => {
-                obj.u64("step", *step);
-                obj.f64("similarity", *similarity);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::Progress {
-                restart,
-                step,
-                steps_per_sec,
-                elapsed_secs,
-                best_violations,
-                best_similarity,
-                node_accesses,
-                cache_hits,
-                cache_misses,
-                resident_bytes,
-            } => {
-                if let Some(r) = restart {
-                    obj.u64("restart", *r);
-                }
-                obj.u64("step", *step);
-                obj.f64("steps_per_sec", *steps_per_sec);
-                obj.f64("elapsed_secs", *elapsed_secs);
-                if let Some(v) = best_violations {
-                    obj.u64("best_violations", *v);
-                }
-                if let Some(s) = best_similarity {
-                    obj.f64("best_similarity", *s);
-                }
-                obj.u64("node_accesses", *node_accesses);
-                obj.u64("cache_hits", *cache_hits);
-                obj.u64("cache_misses", *cache_misses);
-                obj.u64("resident_bytes", *resident_bytes);
-            }
-            RunEvent::StallDetected {
-                restart,
-                step,
-                steps_since_improvement,
-                secs_since_improvement,
-                elapsed_secs,
-            } => {
-                if let Some(r) = restart {
-                    obj.u64("restart", *r);
-                }
-                obj.u64("step", *step);
-                obj.u64("steps_since_improvement", *steps_since_improvement);
-                obj.f64("secs_since_improvement", *secs_since_improvement);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::StallAborted {
-                restart,
-                steps,
-                elapsed_secs,
-            } => {
-                if let Some(r) = restart {
-                    obj.u64("restart", *r);
-                }
-                obj.u64("steps", *steps);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::StagnationReseed {
-                restart,
-                step,
-                rounds,
-                elapsed_secs,
-            } => {
-                if let Some(r) = restart {
-                    obj.u64("restart", *r);
-                }
-                obj.u64("step", *step);
-                obj.u64("rounds", *rounds);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::Metrics { snapshot } => {
-                obj.raw("counters", &counters_json(&snapshot.counters));
-                obj.raw("gauges", &gauges_json(&snapshot.gauges));
-                obj.raw("histograms", &histograms_json(&snapshot.histograms));
-            }
-            RunEvent::Phases { phases } => {
-                obj.raw("phases", &phases_json(phases));
-            }
-            RunEvent::ExplainReport { report } => {
-                obj.out.push(',');
-                obj.out.push_str(&report.to_json_fields());
-            }
-            RunEvent::ResourceReport { report } => {
-                obj.u64("total_bytes", report.total_bytes());
-                obj.raw("components", &counters_json(report.components()));
-            }
-            RunEvent::RunEnd {
-                best_violations,
-                best_similarity,
-                steps,
-                node_accesses,
-                local_maxima,
-                improvements,
-                restarts,
-                elapsed_secs,
-                proven_optimal,
-            } => {
-                obj.u64("best_violations", *best_violations);
-                obj.f64("best_similarity", *best_similarity);
-                obj.u64("steps", *steps);
-                obj.u64("node_accesses", *node_accesses);
-                obj.u64("local_maxima", *local_maxima);
-                obj.u64("improvements", *improvements);
-                obj.u64("restarts", *restarts);
-                obj.f64("elapsed_secs", *elapsed_secs);
-                obj.bool("proven_optimal", *proven_optimal);
-            }
-        }
-        obj.finish()
-    }
-}
-
-/// Tiny builder for one flat JSON object line.
-struct JsonObj {
-    out: String,
-}
-
-impl JsonObj {
-    fn new(kind: &str) -> Self {
-        JsonObj {
-            out: format!("{{\"event\":{}", escape(kind)),
-        }
-    }
-    fn key(&mut self, key: &str) {
-        self.out.push(',');
-        self.out.push_str(&escape(key));
-        self.out.push(':');
-    }
-    fn str(&mut self, key: &str, value: &str) {
-        self.key(key);
-        self.out.push_str(&escape(value));
-    }
-    fn u64(&mut self, key: &str, value: u64) {
-        self.key(key);
-        self.out.push_str(&value.to_string());
-    }
-    fn f64(&mut self, key: &str, value: f64) {
-        self.key(key);
-        self.out.push_str(&fmt_f64(value));
-    }
-    fn bool(&mut self, key: &str, value: bool) {
-        self.key(key);
-        self.out.push_str(if value { "true" } else { "false" });
-    }
-    fn raw(&mut self, key: &str, json: &str) {
-        self.key(key);
-        self.out.push_str(json);
-    }
-    fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
-    }
-}
-
-fn counters_json(counters: &[(String, u64)]) -> String {
-    let body: Vec<String> = counters
-        .iter()
-        .map(|(k, v)| format!("{}:{v}", escape(k)))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-fn gauges_json(gauges: &[(String, f64)]) -> String {
-    let body: Vec<String> = gauges
-        .iter()
-        .map(|(k, v)| format!("{}:{}", escape(k), fmt_f64(*v)))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-fn histograms_json(histograms: &[(String, crate::HistogramSnapshot)]) -> String {
-    let body: Vec<String> = histograms
-        .iter()
-        .map(|(k, h)| {
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .map(|(b, n)| format!("[{b},{n}]"))
-                .collect();
-            format!(
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}",
-                escape(k),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                buckets.join(",")
-            )
-        })
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-fn phases_json(phases: &[PhaseSnapshot]) -> String {
-    let body: Vec<String> = phases
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"path\":{},\"calls\":{},\"steps\":{},\"wall_secs\":{}}}",
-                escape(&p.path),
-                p.calls,
-                p.steps,
-                fmt_f64(p.wall.as_secs_f64())
-            )
-        })
-        .collect();
-    format!("[{}]", body.join(","))
 }
 
 /// Receives run events. Implementations must tolerate concurrent emitters

@@ -15,70 +15,76 @@
 //!
 //! This crate stays dependency-free: the structs here are plain data filled
 //! by `mwsj-core` (which owns the instance, the estimator and the run
-//! stats); only (de)serialisation lives here.
+//! stats); their `record!` declarations are the whole (de)serialisation.
 
-use crate::json::Json;
+use crate::record::record;
 
-/// Structural quality of one variable's R*-tree, per level
-/// (`[0]` = leaf level everywhere).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TreeQuality {
-    /// Number of levels.
-    pub height: u64,
-    /// Total number of nodes.
-    pub nodes: u64,
-    /// Mean node occupancy as a fraction of capacity.
-    pub avg_fill: f64,
-    /// Mean node occupancy per level.
-    pub fill_per_level: Vec<f64>,
-    /// Summed pairwise sibling overlap area / summed node area per level.
-    pub overlap_factor_per_level: Vec<f64>,
-    /// Fraction of node area not covered by entries per level.
-    pub dead_space_per_level: Vec<f64>,
-    /// Summed node margins (width + height) per level.
-    pub perimeter_per_level: Vec<f64>,
+record! {
+    /// Structural quality of one variable's R*-tree, per level
+    /// (`[0]` = leaf level everywhere).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct TreeQuality {
+        /// Number of levels.
+        pub height: u64,
+        /// Total number of nodes.
+        pub nodes: u64,
+        /// Mean node occupancy as a fraction of capacity.
+        pub avg_fill: f64,
+        /// Mean node occupancy per level.
+        pub fill_per_level: Vec<f64>,
+        /// Summed pairwise sibling overlap area / summed node area per level.
+        pub overlap_factor_per_level: Vec<f64>,
+        /// Fraction of node area not covered by entries per level.
+        pub dead_space_per_level: Vec<f64>,
+        /// Summed node margins (width + height) per level.
+        pub perimeter_per_level: Vec<f64>,
+    }
 }
 
-/// Structural quality and predicted query cost of one variable's uniform
-/// grid (present only when the run used the grid backend).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct GridQuality {
-    /// Total number of cells (`nx · ny`).
-    pub cells: u64,
-    /// Cells holding at least one entry.
-    pub occupied_cells: u64,
-    /// Replicated entries / unique objects (`≥ 1`; boundary straddlers are
-    /// stored once per overlapped cell).
-    pub replication_factor: f64,
-    /// Mean entries per occupied cell.
-    pub avg_occupancy: f64,
-    /// Largest cell's entry count.
-    pub max_occupancy: u64,
-    /// Expected candidate cells touched by one *find best value* query on
-    /// this variable, summed over the neighbour windows and clamped at
-    /// `cells`.
-    pub predicted_cells_per_query: f64,
-    /// Predicted entry scans per query:
-    /// `predicted_cells_per_query · avg_occupancy`.
-    pub predicted_cost_per_query: f64,
+record! {
+    /// Structural quality and predicted query cost of one variable's uniform
+    /// grid (present only when the run used the grid backend).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct GridQuality {
+        /// Total number of cells (`nx · ny`).
+        pub cells: u64,
+        /// Cells holding at least one entry.
+        pub occupied_cells: u64,
+        /// Replicated entries / unique objects (`≥ 1`; boundary straddlers are
+        /// stored once per overlapped cell).
+        pub replication_factor: f64,
+        /// Mean entries per occupied cell.
+        pub avg_occupancy: f64,
+        /// Largest cell's entry count.
+        pub max_occupancy: u64,
+        /// Expected candidate cells touched by one *find best value* query on
+        /// this variable, summed over the neighbour windows and clamped at
+        /// `cells`.
+        pub predicted_cells_per_query: f64,
+        /// Predicted entry scans per query:
+        /// `predicted_cells_per_query · avg_occupancy`.
+        pub predicted_cost_per_query: f64,
+    }
 }
 
-/// Estimate-vs-actual record of one query-graph edge.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EdgeExplain {
-    /// First endpoint variable.
-    pub a: u64,
-    /// Second endpoint variable.
-    pub b: u64,
-    /// Predicate name (e.g. `"intersects"`).
-    pub predicate: String,
-    /// Estimated pairwise selectivity `(|rₐ|+|r_b|)²` \[TSS98\].
-    pub estimated_selectivity: f64,
-    /// Observed selectivity `pairs / (Nₐ·N_b)`; `None` when the pair count
-    /// was skipped (dataset product over the counting threshold).
-    pub observed_selectivity: Option<f64>,
-    /// Raw observed qualifying pair count behind the selectivity.
-    pub observed_pairs: Option<u64>,
+record! {
+    /// Estimate-vs-actual record of one query-graph edge.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EdgeExplain {
+        /// First endpoint variable.
+        pub a: u64,
+        /// Second endpoint variable.
+        pub b: u64,
+        /// Predicate name (e.g. `"intersects"`).
+        pub predicate: String,
+        /// Estimated pairwise selectivity `(|rₐ|+|r_b|)²` \[TSS98\].
+        pub estimated_selectivity: f64,
+        /// Observed selectivity `pairs / (Nₐ·N_b)`; `None` when the pair count
+        /// was skipped (dataset product over the counting threshold).
+        pub observed_selectivity: Option<f64> [opt],
+        /// Raw observed qualifying pair count behind the selectivity.
+        pub observed_pairs: Option<u64> [opt],
+    }
 }
 
 impl EdgeExplain {
@@ -94,57 +100,61 @@ impl EdgeExplain {
     }
 }
 
-/// Estimate-vs-actual record of one query variable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VarExplain {
-    /// The variable.
-    pub var: u64,
-    /// Dataset cardinality `Nᵥ`.
-    pub cardinality: u64,
-    /// Average per-axis rectangle extent `|rᵥ|`.
-    pub avg_extent: f64,
-    /// Expected objects satisfying all neighbour windows at once,
-    /// `Nᵥ · Π (|rᵤ|+|rᵥ|)²`.
-    pub expected_window_hits: f64,
-    /// Predicted R*-tree node accesses of one *find best value* query on
-    /// this variable: the classic window-query cost model
-    /// `Σ_levels (area + w·perimeter + w²·nodes)` summed over the
-    /// neighbour windows (union bound, clamped per level at the level's
-    /// node count).
-    pub predicted_accesses_per_query: f64,
-    /// Observed node accesses attributed to this variable's tree.
-    pub observed_accesses: u64,
-    /// Observed accesses per tree level, `[0]` = leaf.
-    pub accesses_per_level: Vec<u64>,
-    /// Structural quality of the variable's tree.
-    pub tree: TreeQuality,
-    /// Grid-backend quality and predicted cost; `None` on R*-tree runs, so
-    /// existing reports and pinned snapshots serialise byte-identically.
-    pub grid: Option<GridQuality>,
+record! {
+    /// Estimate-vs-actual record of one query variable.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct VarExplain {
+        /// The variable.
+        pub var: u64,
+        /// Dataset cardinality `Nᵥ`.
+        pub cardinality: u64,
+        /// Average per-axis rectangle extent `|rᵥ|`.
+        pub avg_extent: f64,
+        /// Expected objects satisfying all neighbour windows at once,
+        /// `Nᵥ · Π (|rᵤ|+|rᵥ|)²`.
+        pub expected_window_hits: f64,
+        /// Predicted R*-tree node accesses of one *find best value* query on
+        /// this variable: the classic window-query cost model
+        /// `Σ_levels (area + w·perimeter + w²·nodes)` summed over the
+        /// neighbour windows (union bound, clamped per level at the level's
+        /// node count).
+        pub predicted_accesses_per_query: f64,
+        /// Observed node accesses attributed to this variable's tree.
+        pub observed_accesses: u64,
+        /// Observed accesses per tree level, `[0]` = leaf.
+        pub accesses_per_level: Vec<u64>,
+        /// Structural quality of the variable's tree.
+        pub tree: TreeQuality,
+        /// Grid-backend quality and predicted cost; `None` on R*-tree runs, so
+        /// existing reports and pinned snapshots serialise byte-identically.
+        pub grid: Option<GridQuality> [opt],
+    }
 }
 
-/// One run's estimated-vs-observed cost report.
-///
-/// The estimate side (model, selectivities, hit rates, tree quality) is a
-/// pure function of the instance and therefore byte-stable on a fixed
-/// seed; the observed side is attributed traversal work, absent
-/// (`observed_node_accesses == None`, zero per-var counts) in pre-run
-/// `mwsj explain` mode.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExplainReport {
-    /// Closed-form model behind `expected_solutions`
-    /// (`acyclic` / `clique` / `decomposed` / `independence`).
-    pub model: String,
-    /// Expected number of exact solutions of the query.
-    pub expected_solutions: f64,
-    /// Per-edge records, in query-graph edge order.
-    pub edges: Vec<EdgeExplain>,
-    /// Per-variable records, in variable order.
-    pub vars: Vec<VarExplain>,
-    /// The run's shared node-access counter total; `None` for a pre-run
-    /// estimate. The per-variable attributed counts sum to at most this
-    /// (exactly, for the window-query algorithms ILS/GILS/SEA/IBB).
-    pub observed_node_accesses: Option<u64>,
+record! {
+    /// One run's estimated-vs-observed cost report.
+    ///
+    /// The estimate side (model, selectivities, hit rates, tree quality) is a
+    /// pure function of the instance and therefore byte-stable on a fixed
+    /// seed; the observed side is attributed traversal work, absent
+    /// (`observed_node_accesses == None`, zero per-var counts) in pre-run
+    /// `mwsj explain` mode.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ExplainReport {
+        /// Closed-form model behind `expected_solutions`
+        /// (`acyclic` / `clique` / `decomposed` / `independence`).
+        pub model: String,
+        /// Expected number of exact solutions of the query.
+        pub expected_solutions: f64,
+        /// Per-edge records, in query-graph edge order.
+        pub edges: Vec<EdgeExplain>,
+        /// Per-variable records, in variable order.
+        pub vars: Vec<VarExplain>,
+        /// The run's shared node-access counter total; `None` for a pre-run
+        /// estimate. The per-variable attributed counts sum to at most this
+        /// (exactly, for the window-query algorithms ILS/GILS/SEA/IBB).
+        pub observed_node_accesses: Option<u64> [opt],
+    }
 }
 
 impl ExplainReport {
@@ -157,216 +167,13 @@ impl ExplainReport {
     pub fn has_observed(&self) -> bool {
         self.observed_node_accesses.is_some()
     }
-
-    /// Serialises the report's fields as the body of a JSON object (no
-    /// braces, no `event` discriminator) — the exact field set of the
-    /// `explain_report` run event and the snapshot `explain` record.
-    pub fn to_json_fields(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "\"model\":\"{}\",\"expected_solutions\":{}",
-            self.model,
-            fmt_f64(self.expected_solutions)
-        ));
-        let edges: Vec<String> = self.edges.iter().map(edge_json).collect();
-        out.push_str(&format!(",\"edges\":[{}]", edges.join(",")));
-        let vars: Vec<String> = self.vars.iter().map(var_json).collect();
-        out.push_str(&format!(",\"vars\":[{}]", vars.join(",")));
-        if let Some(total) = self.observed_node_accesses {
-            out.push_str(&format!(",\"observed_node_accesses\":{total}"));
-        }
-        out
-    }
-
-    /// Parses a report from a JSON object (an `explain_report` event line
-    /// or a snapshot `explain` record). Returns `None` when any required
-    /// field is missing or mistyped.
-    pub fn from_json(value: &Json) -> Option<ExplainReport> {
-        let model = value.get("model")?.as_str()?.to_string();
-        let expected_solutions = value.get("expected_solutions")?.as_f64()?;
-        let edges = value
-            .get("edges")?
-            .as_array()?
-            .iter()
-            .map(edge_from_json)
-            .collect::<Option<Vec<_>>>()?;
-        let vars = value
-            .get("vars")?
-            .as_array()?
-            .iter()
-            .map(var_from_json)
-            .collect::<Option<Vec<_>>>()?;
-        let observed_node_accesses = match value.get("observed_node_accesses") {
-            Some(v) => Some(v.as_u64()?),
-            None => None,
-        };
-        Some(ExplainReport {
-            model,
-            expected_solutions,
-            edges,
-            vars,
-            observed_node_accesses,
-        })
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn f64_list(values: &[f64]) -> String {
-    let body: Vec<String> = values.iter().map(|&v| fmt_f64(v)).collect();
-    format!("[{}]", body.join(","))
-}
-
-fn u64_list(values: &[u64]) -> String {
-    let body: Vec<String> = values.iter().map(u64::to_string).collect();
-    format!("[{}]", body.join(","))
-}
-
-fn edge_json(e: &EdgeExplain) -> String {
-    let mut out = format!(
-        "{{\"a\":{},\"b\":{},\"predicate\":\"{}\",\"estimated_selectivity\":{}",
-        e.a,
-        e.b,
-        e.predicate,
-        fmt_f64(e.estimated_selectivity)
-    );
-    if let Some(obs) = e.observed_selectivity {
-        out.push_str(&format!(",\"observed_selectivity\":{}", fmt_f64(obs)));
-    }
-    if let Some(pairs) = e.observed_pairs {
-        out.push_str(&format!(",\"observed_pairs\":{pairs}"));
-    }
-    out.push('}');
-    out
-}
-
-fn edge_from_json(value: &Json) -> Option<EdgeExplain> {
-    Some(EdgeExplain {
-        a: value.get("a")?.as_u64()?,
-        b: value.get("b")?.as_u64()?,
-        predicate: value.get("predicate")?.as_str()?.to_string(),
-        estimated_selectivity: value.get("estimated_selectivity")?.as_f64()?,
-        observed_selectivity: match value.get("observed_selectivity") {
-            Some(v) => Some(v.as_f64()?),
-            None => None,
-        },
-        observed_pairs: match value.get("observed_pairs") {
-            Some(v) => Some(v.as_u64()?),
-            None => None,
-        },
-    })
-}
-
-fn var_json(v: &VarExplain) -> String {
-    let mut out = format!(
-        "{{\"var\":{},\"cardinality\":{},\"avg_extent\":{},\"expected_window_hits\":{},\
-         \"predicted_accesses_per_query\":{},\"observed_accesses\":{},\
-         \"accesses_per_level\":{},\"tree\":{}",
-        v.var,
-        v.cardinality,
-        fmt_f64(v.avg_extent),
-        fmt_f64(v.expected_window_hits),
-        fmt_f64(v.predicted_accesses_per_query),
-        v.observed_accesses,
-        u64_list(&v.accesses_per_level),
-        tree_json(&v.tree)
-    );
-    if let Some(grid) = &v.grid {
-        out.push_str(&format!(",\"grid\":{}", grid_json(grid)));
-    }
-    out.push('}');
-    out
-}
-
-fn var_from_json(value: &Json) -> Option<VarExplain> {
-    Some(VarExplain {
-        var: value.get("var")?.as_u64()?,
-        cardinality: value.get("cardinality")?.as_u64()?,
-        avg_extent: value.get("avg_extent")?.as_f64()?,
-        expected_window_hits: value.get("expected_window_hits")?.as_f64()?,
-        predicted_accesses_per_query: value.get("predicted_accesses_per_query")?.as_f64()?,
-        observed_accesses: value.get("observed_accesses")?.as_u64()?,
-        accesses_per_level: value
-            .get("accesses_per_level")?
-            .as_array()?
-            .iter()
-            .map(Json::as_u64)
-            .collect::<Option<Vec<_>>>()?,
-        tree: tree_from_json(value.get("tree")?)?,
-        grid: match value.get("grid") {
-            Some(v) => Some(grid_from_json(v)?),
-            None => None,
-        },
-    })
-}
-
-fn grid_json(g: &GridQuality) -> String {
-    format!(
-        "{{\"cells\":{},\"occupied_cells\":{},\"replication_factor\":{},\
-         \"avg_occupancy\":{},\"max_occupancy\":{},\"predicted_cells_per_query\":{},\
-         \"predicted_cost_per_query\":{}}}",
-        g.cells,
-        g.occupied_cells,
-        fmt_f64(g.replication_factor),
-        fmt_f64(g.avg_occupancy),
-        g.max_occupancy,
-        fmt_f64(g.predicted_cells_per_query),
-        fmt_f64(g.predicted_cost_per_query)
-    )
-}
-
-fn grid_from_json(value: &Json) -> Option<GridQuality> {
-    Some(GridQuality {
-        cells: value.get("cells")?.as_u64()?,
-        occupied_cells: value.get("occupied_cells")?.as_u64()?,
-        replication_factor: value.get("replication_factor")?.as_f64()?,
-        avg_occupancy: value.get("avg_occupancy")?.as_f64()?,
-        max_occupancy: value.get("max_occupancy")?.as_u64()?,
-        predicted_cells_per_query: value.get("predicted_cells_per_query")?.as_f64()?,
-        predicted_cost_per_query: value.get("predicted_cost_per_query")?.as_f64()?,
-    })
-}
-
-fn tree_json(t: &TreeQuality) -> String {
-    format!(
-        "{{\"height\":{},\"nodes\":{},\"avg_fill\":{},\"fill_per_level\":{},\
-         \"overlap_factor_per_level\":{},\"dead_space_per_level\":{},\
-         \"perimeter_per_level\":{}}}",
-        t.height,
-        t.nodes,
-        fmt_f64(t.avg_fill),
-        f64_list(&t.fill_per_level),
-        f64_list(&t.overlap_factor_per_level),
-        f64_list(&t.dead_space_per_level),
-        f64_list(&t.perimeter_per_level)
-    )
-}
-
-fn f64_vec(value: &Json) -> Option<Vec<f64>> {
-    value.as_array()?.iter().map(Json::as_f64).collect()
-}
-
-fn tree_from_json(value: &Json) -> Option<TreeQuality> {
-    Some(TreeQuality {
-        height: value.get("height")?.as_u64()?,
-        nodes: value.get("nodes")?.as_u64()?,
-        avg_fill: value.get("avg_fill")?.as_f64()?,
-        fill_per_level: f64_vec(value.get("fill_per_level")?)?,
-        overlap_factor_per_level: f64_vec(value.get("overlap_factor_per_level")?)?,
-        dead_space_per_level: f64_vec(value.get("dead_space_per_level")?)?,
-        perimeter_per_level: f64_vec(value.get("perimeter_per_level")?)?,
-    })
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::json::Json;
+    use crate::record::Record;
 
     pub(crate) fn sample_report(observed: bool) -> ExplainReport {
         ExplainReport {
@@ -433,9 +240,8 @@ pub(crate) mod tests {
     fn report_round_trips_through_json() {
         for observed in [false, true] {
             let report = sample_report(observed);
-            let json = format!("{{{}}}", report.to_json_fields());
-            let parsed = ExplainReport::from_json(&Json::parse(&json).unwrap()).unwrap();
-            assert_eq!(parsed, report);
+            let parsed = ExplainReport::from_json(&Json::parse(&report.to_json()).unwrap());
+            assert_eq!(parsed, Ok(report));
         }
     }
 
@@ -463,8 +269,8 @@ pub(crate) mod tests {
     #[test]
     fn missing_required_field_fails_parse() {
         let report = sample_report(true);
-        let json = format!("{{{}}}", report.to_json_fields());
-        let broken = json.replace("\"model\":\"acyclic\",", "");
-        assert!(ExplainReport::from_json(&Json::parse(&broken).unwrap()).is_none());
+        let broken = report.to_json().replace("\"model\":\"acyclic\",", "");
+        let err = ExplainReport::from_json(&Json::parse(&broken).unwrap()).unwrap_err();
+        assert_eq!(err.to_string(), "model: missing required field");
     }
 }

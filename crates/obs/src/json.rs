@@ -1,19 +1,17 @@
-//! Minimal JSON support: string escaping and number formatting for the
-//! writer side, plus a small recursive-descent parser used by
-//! `mwsj report` and the schema checker.
+//! Minimal JSON support: the one streaming [`JsonWriter`] every record,
+//! event and [`Json`] value serialises through, plus a small
+//! recursive-descent parser used by the typed readers.
 //!
 //! The workspace builds without crates.io access, so this is a
 //! deliberately tiny hand-rolled implementation covering exactly the
 //! JSONL schema emitted by [`crate::events`]: objects, arrays, strings,
-//! finite numbers, booleans and `null`. Numbers are parsed as `f64`;
-//! integer counters are exact up to 2⁵³, far beyond any counter this
-//! workspace produces in practice.
+//! finite numbers, booleans and `null`. Unsigned integer literals that fit
+//! a `u64` are kept exact ([`Json::Int`]); every other number is an `f64`.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// Escapes `s` for inclusion in a JSON string literal (quotes included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` as a JSON string literal (quotes included).
+fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -22,24 +20,123 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
-/// Formats an `f64` as a JSON number. Non-finite values (which JSON cannot
-/// represent) are emitted as `null`.
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` prints integral floats without a fractional part ("1"),
-        // which is still a valid JSON number; keep it as-is.
-        s
-    } else {
-        "null".to_string()
+/// Streaming JSON serialiser: compact (one JSONL line) or indented two
+/// spaces per level (the `BENCH_*.json` form). Values are appended in
+/// document order; inside an array call [`JsonWriter::elem`] before each
+/// value, inside an object [`JsonWriter::key`].
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    pretty: bool,
+    depth: usize,
+    /// `true` right after an opening bracket (the container is still empty).
+    fresh: bool,
+}
+
+impl JsonWriter {
+    /// A writer producing compact JSON (no whitespace).
+    pub fn compact() -> Self {
+        JsonWriter {
+            // Most event lines fit; skips the first few regrowths.
+            out: String::with_capacity(128),
+            pretty: false,
+            depth: 0,
+            fresh: true,
+        }
+    }
+
+    /// A writer producing indented multi-line JSON.
+    pub fn pretty() -> Self {
+        JsonWriter {
+            pretty: true,
+            ..JsonWriter::compact()
+        }
+    }
+
+    /// The serialised text.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            for _ in 0..self.depth {
+                self.out.push_str("  ");
+            }
+        }
+    }
+
+    /// Starts the next array element (separator and indentation).
+    pub fn elem(&mut self) {
+        if !self.fresh {
+            self.out.push(',');
+        }
+        self.fresh = false;
+        self.newline();
+    }
+
+    /// Starts the next object member: separator, escaped key and colon.
+    pub fn key(&mut self, key: &str) {
+        self.elem();
+        escape_into(&mut self.out, key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+    }
+
+    /// Opens an object (`'{'`) or array (`'['`).
+    pub fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.fresh = true;
+    }
+
+    /// Closes the innermost container with its matching bracket.
+    pub fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.fresh {
+            self.newline();
+        }
+        self.fresh = false;
+        self.out.push(bracket);
+    }
+
+    /// Appends an unsigned integer.
+    pub fn u64(&mut self, v: u64) {
+        let _ = write!(self.out, "{v}");
+    }
+
+    /// Appends a float; non-finite values become `null`. Integral floats
+    /// print without a fractional part (`1`), still a valid JSON number.
+    pub fn f64(&mut self, v: f64) {
+        if v.is_finite() {
+            let _ = write!(self.out, "{v}");
+        } else {
+            self.null();
+        }
+    }
+
+    /// Appends an escaped string literal.
+    pub fn str(&mut self, v: &str) {
+        escape_into(&mut self.out, v);
+    }
+
+    /// Appends `true` / `false`.
+    pub fn bool(&mut self, v: bool) {
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    /// Appends `null`.
+    pub fn null(&mut self) {
+        self.out.push_str("null");
     }
 }
 
@@ -50,8 +147,11 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// Any JSON number that is not an exact [`Json::Int`].
     Num(f64),
+    /// An unsigned integer literal that fits a `u64`, kept exact (a
+    /// 64-bit seed does not survive a trip through `f64`).
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -99,18 +199,22 @@ impl Json {
         }
     }
 
-    /// The value as a finite `f64`, if it is a number.
+    /// The value as an `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(v) => Some(*v),
+            Json::Int(v) => Some(*v as f64),
             _ => None,
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integral number.
+    /// The value as a `u64`, if it is a non-negative integral number
+    /// below 2⁶⁴ (`u64::MAX as f64` rounds up to 2⁶⁴, hence the strict
+    /// bound: 18446744073709551616 is not a `u64`).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
+            Json::Int(v) => Some(*v),
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < u64::MAX as f64 => {
                 Some(*v as u64)
             }
             _ => None,
@@ -151,67 +255,41 @@ impl Json {
 
     /// Serialises the value as compact JSON (no whitespace).
     pub fn dump(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        let mut w = JsonWriter::compact();
+        self.write(&mut w);
+        w.finish()
     }
 
     /// Serialises the value as indented multi-line JSON (two spaces per
     /// level) — the format of `BENCH_*.json` snapshot files.
     pub fn dump_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
+        let mut w = JsonWriter::pretty();
+        self.write(&mut w);
+        w.finish()
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let newline = |out: &mut String, depth: usize| {
-            if let Some(width) = indent {
-                out.push('\n');
-                out.push_str(&" ".repeat(width * depth));
-            }
-        };
+    fn write(&self, w: &mut JsonWriter) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => out.push_str(&fmt_f64(*v)),
-            Json::Str(s) => out.push_str(&escape(s)),
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(v) => w.f64(*v),
+            Json::Int(v) => w.u64(*v),
+            Json::Str(s) => w.str(s),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                w.open('[');
+                for item in items {
+                    w.elem();
+                    item.write(w);
                 }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, depth + 1);
-                    item.write(out, indent, depth + 1);
-                }
-                newline(out, depth);
-                out.push(']');
+                w.close(']');
             }
             Json::Obj(members) => {
-                if members.is_empty() {
-                    out.push_str("{}");
-                    return;
+                w.open('{');
+                for (key, value) in members {
+                    w.key(key);
+                    value.write(w);
                 }
-                out.push('{');
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, depth + 1);
-                    out.push_str(&escape(key));
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    value.write(out, indent, depth + 1);
-                }
-                newline(out, depth);
-                out.push('}');
+                w.close('}');
             }
         }
     }
@@ -273,6 +351,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number slice");
+    if let Ok(v) = text.parse::<u64>() {
+        return Ok(Json::Int(v));
+    }
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| err(start, "invalid number"))
@@ -402,6 +483,14 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn escape(s: &str) -> String {
+        Json::Str(s.to_string()).dump()
+    }
+
+    fn fmt_f64(v: f64) -> String {
+        Json::Num(v).dump()
+    }
 
     #[test]
     fn escape_handles_specials() {

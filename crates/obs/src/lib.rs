@@ -17,9 +17,10 @@
 //!   Disabled timers never call [`std::time::Instant::now`].
 //! * [`RunEvent`] / [`EventSink`] — a structured run-event stream (run
 //!   start/end, incumbent improvements, restart lifecycle, budget
-//!   exhaustion, cutoff firings) serialised as JSON Lines. The schema is
-//!   documented in `DESIGN.md` and validated by [`schema::validate_line`]
-//!   (also available as the `mwsj-schema-check` binary).
+//!   exhaustion, cutoff firings) serialised as JSON Lines. Each kind is
+//!   declared once ([`record`]); the writer, the validating reader
+//!   [`RunEvent::parse_line`] (also the `mwsj-schema-check` binary), the
+//!   snapshot comparator and the `DESIGN.md` schema table derive from it.
 //!
 //! [`ObsHandle`] bundles the three for threading through search contexts.
 //!
@@ -48,6 +49,7 @@ pub mod explain;
 pub mod handle;
 pub mod json;
 pub mod profile;
+pub mod record;
 pub mod registry;
 pub mod resource;
 pub mod schema;
@@ -62,8 +64,9 @@ pub use curve::{AnytimeCurve, CurvePoint};
 pub use events::{EventSink, FanoutSink, FlushPolicy, JsonlSink, RunEvent, VecSink};
 pub use explain::{EdgeExplain, ExplainReport, GridQuality, TreeQuality, VarExplain};
 pub use handle::ObsHandle;
-pub use json::Json;
+pub use json::{Json, JsonWriter};
 pub use profile::{folded_root_totals, parse_folded, to_folded};
+pub use record::{Field, FieldDoc, FieldError, Record};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
@@ -71,8 +74,8 @@ pub use resource::{
     FlightRecorder, MemoryFootprint, ResourceReport, DEFAULT_FLIGHT_RECORDER_BYTES,
 };
 pub use snapshot::{
-    AlgoRecord, BenchSnapshot, CacheRecord, ExplainRecord, InstanceRecord, MemoryRecord,
-    SnapshotError, SNAPSHOT_FORMAT, SNAPSHOT_SECTIONS, SNAPSHOT_VERSION,
+    snapshot_sections, AlgoRecord, BenchSnapshot, CacheRecord, ExplainRecord, InstanceRecord,
+    MemoryRecord, SnapshotError, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
 };
 pub use suite_key::SuiteKey;
 pub use timer::{merge_phase_snapshots, PhaseSnapshot, PhaseSpan, PhaseTimer};

@@ -15,6 +15,7 @@
 //! snapshots in seed order yields bit-identical results for any thread
 //! count under a step budget.
 
+use crate::record::record;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -265,20 +266,22 @@ impl Histogram {
     }
 }
 
-/// Frozen histogram state: exact count/sum/min/max plus the non-empty
-/// log₂ buckets as `(bucket_index, count)` pairs (see [`Histogram`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of all observations.
-    pub sum: u64,
-    /// Smallest observation (0 when empty).
-    pub min: u64,
-    /// Largest observation (0 when empty).
-    pub max: u64,
-    /// Non-empty buckets, ascending by index.
-    pub buckets: Vec<(u32, u64)>,
+record! {
+    /// Frozen histogram state: exact count/sum/min/max plus the non-empty
+    /// log₂ buckets as `(bucket_index, count)` pairs (see [`Histogram`]).
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct HistogramSnapshot {
+        /// Number of observations.
+        pub count: u64,
+        /// Sum of all observations.
+        pub sum: u64,
+        /// Smallest observation (0 when empty).
+        pub min: u64,
+        /// Largest observation (0 when empty).
+        pub max: u64,
+        /// Non-empty buckets, ascending by index.
+        pub buckets: Vec<(u32, u64)>,
+    }
 }
 
 impl HistogramSnapshot {
@@ -313,20 +316,22 @@ impl HistogramSnapshot {
     }
 }
 
-/// All metrics of one registry frozen at a point in time, sorted by name.
-///
-/// Snapshots merge **deterministically**: counters and histogram contents
-/// sum, gauges keep the maximum. The operation is associative and
-/// commutative, so a fold over per-restart snapshots in seed order is
-/// independent of which thread produced which snapshot.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// `(name, value)` pairs, ascending by name.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, value)` pairs, ascending by name.
-    pub gauges: Vec<(String, f64)>,
-    /// `(name, histogram)` pairs, ascending by name.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
+record! {
+    /// All metrics of one registry frozen at a point in time, sorted by name.
+    ///
+    /// Snapshots merge **deterministically**: counters and histogram contents
+    /// sum, gauges keep the maximum. The operation is associative and
+    /// commutative, so a fold over per-restart snapshots in seed order is
+    /// independent of which thread produced which snapshot.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct MetricsSnapshot {
+        /// `(name, value)` pairs, ascending by name.
+        pub counters: Vec<(String, u64)>,
+        /// `(name, value)` pairs, ascending by name.
+        pub gauges: Vec<(String, f64)>,
+        /// `(name, histogram)` pairs, ascending by name.
+        pub histograms: Vec<(String, HistogramSnapshot)>,
+    }
 }
 
 impl MetricsSnapshot {

@@ -22,6 +22,7 @@
 //!   needs when a query goes sideways.
 
 use crate::events::{EventSink, RunEvent};
+use crate::record::record;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::path::Path;
@@ -46,12 +47,16 @@ pub trait MemoryFootprint {
     fn memory_bytes(&self) -> u64;
 }
 
-/// A per-run memory table: named components with their
-/// [`MemoryFootprint`] byte counts, sorted by component name.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ResourceReport {
-    /// `(component, bytes)` pairs, ascending by component name.
-    components: Vec<(String, u64)>,
+record! {
+    /// A per-run memory table: named components with their
+    /// [`MemoryFootprint`] byte counts, sorted by component name.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ResourceReport {
+        /// Sum over `components`, kept current by [`ResourceReport::record`].
+        total_bytes: u64,
+        /// `(component, bytes)` pairs, ascending by component name.
+        components: Vec<(String, u64)>,
+    }
 }
 
 impl ResourceReport {
@@ -70,6 +75,7 @@ impl ResourceReport {
             Ok(i) => self.components[i].1 = bytes,
             Err(i) => self.components.insert(i, (component.to_string(), bytes)),
         }
+        self.total_bytes = self.components.iter().map(|(_, b)| *b).sum();
     }
 
     /// The `(component, bytes)` pairs, ascending by component name.
@@ -87,7 +93,7 @@ impl ResourceReport {
 
     /// Sum over all components.
     pub fn total_bytes(&self) -> u64 {
-        self.components.iter().map(|(_, b)| *b).sum()
+        self.total_bytes
     }
 
     /// `true` when no component has been recorded.

@@ -1,204 +1,19 @@
-//! Validation of JSONL run-event files against the documented schema.
+//! Validation of JSONL run-event files, and the schema table.
 //!
-//! The authoritative prose schema lives in `DESIGN.md` ("Observability");
-//! this module is its executable form, used by tests, CI (via the
-//! `mwsj-schema-check` binary) and `mwsj report`. Validation is
-//! deliberately *open*: unknown extra fields are allowed (forward
-//! compatibility), but the `event` discriminator must be known and every
-//! required field must be present with the right JSON type.
+//! There is no schema beside the declarations: [`RunEvent::parse_line`]
+//! — derived from the one `events!` declaration in [`crate::events`] —
+//! is the validator, and [`markdown_table`] renders the same
+//! declarations as the table embedded in `DESIGN.md`. This module is the
+//! thin front used by tests, CI (via the `mwsj-schema-check` binary),
+//! `mwsj report` and `mwsj watch`. Validation is deliberately *open*:
+//! unknown extra fields are allowed (forward compatibility), but the
+//! `event` discriminator must be known and every declared field must be
+//! present with the right JSON type, all the way into nested records.
 
+use crate::events::RunEvent;
 use crate::json::{Json, JsonError};
+use crate::record::{render_fields, FieldDoc, FieldError, Record};
 use std::fmt;
-
-/// Expected JSON type of a schema field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FieldType {
-    U64,
-    F64,
-    Str,
-    Bool,
-    Obj,
-    Arr,
-}
-
-impl FieldType {
-    fn check(self, value: &Json) -> bool {
-        match self {
-            FieldType::U64 => value.as_u64().is_some(),
-            FieldType::F64 => value.as_f64().is_some(),
-            FieldType::Str => value.as_str().is_some(),
-            FieldType::Bool => value.as_bool().is_some(),
-            FieldType::Obj => value.as_object().is_some(),
-            FieldType::Arr => value.as_array().is_some(),
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            FieldType::U64 => "non-negative integer",
-            FieldType::F64 => "number",
-            FieldType::Str => "string",
-            FieldType::Bool => "boolean",
-            FieldType::Obj => "object",
-            FieldType::Arr => "array",
-        }
-    }
-}
-
-/// Required fields per event kind (optional fields are not listed; they
-/// are type-checked only when present via `OPTIONAL`).
-const REQUIRED: &[(&str, &[(&str, FieldType)])] = &[
-    (
-        "run_start",
-        &[
-            ("algo", FieldType::Str),
-            ("n_vars", FieldType::U64),
-            ("edges", FieldType::U64),
-            ("restarts", FieldType::U64),
-            ("threads", FieldType::U64),
-            ("seed", FieldType::U64),
-        ],
-    ),
-    (
-        "restart_start",
-        &[("restart", FieldType::U64), ("seed", FieldType::U64)],
-    ),
-    (
-        "improvement",
-        &[
-            ("step", FieldType::U64),
-            ("violations", FieldType::U64),
-            ("similarity", FieldType::F64),
-            ("elapsed_secs", FieldType::F64),
-        ],
-    ),
-    (
-        "restart_end",
-        &[
-            ("restart", FieldType::U64),
-            ("best_violations", FieldType::U64),
-            ("steps", FieldType::U64),
-            ("elapsed_secs", FieldType::F64),
-        ],
-    ),
-    (
-        "budget_exhausted",
-        &[("steps", FieldType::U64), ("elapsed_secs", FieldType::F64)],
-    ),
-    (
-        "cutoff_fired",
-        &[("steps", FieldType::U64), ("elapsed_secs", FieldType::F64)],
-    ),
-    (
-        "trace_point",
-        &[
-            ("step", FieldType::U64),
-            ("similarity", FieldType::F64),
-            ("elapsed_secs", FieldType::F64),
-        ],
-    ),
-    (
-        "progress",
-        &[
-            ("step", FieldType::U64),
-            ("steps_per_sec", FieldType::F64),
-            ("elapsed_secs", FieldType::F64),
-            ("node_accesses", FieldType::U64),
-            ("cache_hits", FieldType::U64),
-            ("cache_misses", FieldType::U64),
-            ("resident_bytes", FieldType::U64),
-        ],
-    ),
-    (
-        "stall_detected",
-        &[
-            ("step", FieldType::U64),
-            ("steps_since_improvement", FieldType::U64),
-            ("secs_since_improvement", FieldType::F64),
-            ("elapsed_secs", FieldType::F64),
-        ],
-    ),
-    (
-        "stall_aborted",
-        &[("steps", FieldType::U64), ("elapsed_secs", FieldType::F64)],
-    ),
-    (
-        "stagnation_reseed",
-        &[
-            ("step", FieldType::U64),
-            ("rounds", FieldType::U64),
-            ("elapsed_secs", FieldType::F64),
-        ],
-    ),
-    (
-        "metrics",
-        &[
-            ("counters", FieldType::Obj),
-            ("gauges", FieldType::Obj),
-            ("histograms", FieldType::Obj),
-        ],
-    ),
-    ("phases", &[("phases", FieldType::Arr)]),
-    (
-        "explain_report",
-        &[
-            ("model", FieldType::Str),
-            ("expected_solutions", FieldType::F64),
-            ("edges", FieldType::Arr),
-            ("vars", FieldType::Arr),
-        ],
-    ),
-    (
-        "resource_report",
-        &[
-            ("total_bytes", FieldType::U64),
-            ("components", FieldType::Obj),
-        ],
-    ),
-    (
-        "run_end",
-        &[
-            ("best_violations", FieldType::U64),
-            ("best_similarity", FieldType::F64),
-            ("steps", FieldType::U64),
-            ("node_accesses", FieldType::U64),
-            ("local_maxima", FieldType::U64),
-            ("improvements", FieldType::U64),
-            ("restarts", FieldType::U64),
-            ("elapsed_secs", FieldType::F64),
-            ("proven_optimal", FieldType::Bool),
-        ],
-    ),
-];
-
-/// Optional fields, type-checked only when present.
-const OPTIONAL: &[(&str, &[(&str, FieldType)])] = &[
-    (
-        "run_start",
-        &[
-            ("budget_steps", FieldType::U64),
-            ("budget_secs", FieldType::F64),
-        ],
-    ),
-    ("improvement", &[("restart", FieldType::U64)]),
-    ("budget_exhausted", &[("restart", FieldType::U64)]),
-    ("cutoff_fired", &[("restart", FieldType::U64)]),
-    (
-        "progress",
-        &[
-            ("restart", FieldType::U64),
-            ("best_violations", FieldType::U64),
-            ("best_similarity", FieldType::F64),
-        ],
-    ),
-    ("stall_detected", &[("restart", FieldType::U64)]),
-    (
-        "explain_report",
-        &[("observed_node_accesses", FieldType::U64)],
-    ),
-    ("stall_aborted", &[("restart", FieldType::U64)]),
-    ("stagnation_reseed", &[("restart", FieldType::U64)]),
-];
 
 /// A schema violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,18 +30,33 @@ pub enum SchemaError {
     MissingField {
         /// The event kind.
         event: String,
-        /// The missing field.
+        /// Path of the missing field (e.g. `phases[0].calls`).
         field: String,
     },
-    /// A field is present with the wrong JSON type.
+    /// A field is present with the wrong JSON type or an invalid value.
     WrongType {
         /// The event kind.
         event: String,
-        /// The offending field.
+        /// Path of the offending field.
         field: String,
-        /// The expected type, human-readable.
+        /// What the reader expected, human-readable.
         expected: &'static str,
     },
+}
+
+impl SchemaError {
+    /// Lifts a reader error into the event it occurred in.
+    pub fn field(event: &str, error: FieldError) -> Self {
+        let (event, field) = (event.to_string(), error.path);
+        match error.expected {
+            None => SchemaError::MissingField { event, field },
+            Some(expected) => SchemaError::WrongType {
+                event,
+                field,
+                expected,
+            },
+        }
+    }
 }
 
 impl fmt::Display for SchemaError {
@@ -237,81 +67,85 @@ impl fmt::Display for SchemaError {
             SchemaError::MissingEventField => write!(f, "missing \"event\" string field"),
             SchemaError::UnknownEvent(kind) => write!(f, "unknown event kind {kind:?}"),
             SchemaError::MissingField { event, field } => {
-                write!(f, "event {event:?} missing required field {field:?}")
+                write!(f, "event {event:?}: {field}: missing required field")
             }
             SchemaError::WrongType {
                 event,
                 field,
                 expected,
-            } => write!(f, "event {event:?} field {field:?} must be a {expected}"),
+            } => write!(f, "event {event:?}: {field}: expected {expected}"),
         }
     }
 }
 
 impl std::error::Error for SchemaError {}
 
-/// Validates one JSONL line; returns the event kind on success.
-pub fn validate_line(line: &str) -> Result<&'static str, SchemaError> {
-    let value = Json::parse(line).map_err(SchemaError::Json)?;
-    if value.as_object().is_none() {
-        return Err(SchemaError::NotAnObject);
+impl RunEvent {
+    /// Parses and validates one JSONL line.
+    pub fn parse_line(line: &str) -> Result<RunEvent, SchemaError> {
+        RunEvent::from_json(&Json::parse(line).map_err(SchemaError::Json)?)
     }
-    let kind = value
-        .get("event")
-        .and_then(Json::as_str)
-        .ok_or(SchemaError::MissingEventField)?;
-    let (kind, required) = REQUIRED
-        .iter()
-        .find(|(k, _)| *k == kind)
-        .map(|(k, req)| (*k, *req))
-        .ok_or_else(|| SchemaError::UnknownEvent(kind.to_string()))?;
-    for (field, ty) in required {
-        match value.get(field) {
-            None => {
-                return Err(SchemaError::MissingField {
-                    event: kind.to_string(),
-                    field: field.to_string(),
-                })
-            }
-            Some(v) if !ty.check(v) => {
-                return Err(SchemaError::WrongType {
-                    event: kind.to_string(),
-                    field: field.to_string(),
-                    expected: ty.name(),
-                })
-            }
-            Some(_) => {}
-        }
-    }
-    if let Some((_, optional)) = OPTIONAL.iter().find(|(k, _)| *k == kind) {
-        for (field, ty) in *optional {
-            if let Some(v) = value.get(field) {
-                if !ty.check(v) {
-                    return Err(SchemaError::WrongType {
-                        event: kind.to_string(),
-                        field: field.to_string(),
-                        expected: ty.name(),
-                    });
-                }
-            }
-        }
-    }
-    Ok(kind)
 }
 
-/// Validates a whole JSONL document (empty lines are ignored); returns the
-/// number of events on success, or the 1-based line number of the first
-/// failure.
+/// Validates one JSONL line; returns the event kind on success.
+pub fn validate_line(line: &str) -> Result<&'static str, SchemaError> {
+    RunEvent::parse_line(line).map(|event| event.kind())
+}
+
+/// Parses a whole JSONL document (empty lines are ignored) into its
+/// events, or the 1-based line number of the first failure.
+pub fn parse_jsonl(text: &str) -> Result<Vec<RunEvent>, (usize, SchemaError)> {
+    let lines = text.lines().enumerate();
+    lines
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| RunEvent::parse_line(line).map_err(|e| (i + 1, e)))
+        .collect()
+}
+
+/// Validates a whole JSONL document; returns the number of events on
+/// success, or the 1-based line number of the first failure.
 pub fn validate_jsonl(text: &str) -> Result<usize, (usize, SchemaError)> {
-    let mut events = 0;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        validate_line(line).map_err(|e| (i + 1, e))?;
-        events += 1;
+    parse_jsonl(text).map(|events| events.len())
+}
+
+/// The schema as markdown, rendered from the declarations: one table of
+/// run events, one of the records nested in events and bench snapshots.
+/// `DESIGN.md` embeds this text verbatim (pinned by a test).
+pub fn markdown_table() -> String {
+    use crate::{explain, registry, snapshot, timer};
+    fn record<R: Record>() -> (String, Vec<FieldDoc>) {
+        let mut fields = Vec::new();
+        R::schema(&mut fields);
+        (R::kind(), fields)
     }
-    Ok(events)
+    let mut out = String::from("| `event` | fields |\n|---|---|\n");
+    for (kind, fields) in RunEvent::schema() {
+        out += &format!("| `{kind}` | {} |\n", render_fields(&fields));
+    }
+    out += "\n| record | fields |\n|---|---|\n";
+    for (name, fields) in [
+        record::<registry::HistogramSnapshot>(),
+        record::<timer::PhaseSnapshot>(),
+        record::<explain::EdgeExplain>(),
+        record::<explain::VarExplain>(),
+        record::<explain::TreeQuality>(),
+        record::<explain::GridQuality>(),
+        record::<snapshot::SnapshotHeader>(),
+        record::<snapshot::BenchSnapshot>(),
+        record::<snapshot::InstanceRecord>(),
+        record::<snapshot::AlgoRecord>(),
+        record::<crate::curve::CurvePoint>(),
+        record::<snapshot::MemoryRecord>(),
+        record::<snapshot::CacheRecord>(),
+        record::<snapshot::ExplainRecord>(),
+    ] {
+        out += &format!("| `{name}` | {} |\n", render_fields(&fields));
+    }
+    out += "\n`†` measured wall-clock (non-negative; exempt from determinism and \
+            skipped by `bench compare`) · `?` may be `null` · `{str: T}` object \
+            keyed by name · nested records are validated recursively · unknown \
+            extra members are allowed\n";
+    out
 }
 
 #[cfg(test)]

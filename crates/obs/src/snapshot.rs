@@ -7,18 +7,18 @@
 //! (median of `reps` repetitions), the anytime curve with its quality-AUC
 //! and time-to-τ summaries, and the per-phase timer breakdown.
 //!
-//! Like the JSONL run events, the format is schema-validated:
-//! [`BenchSnapshot::parse`] is the executable schema (also run by the
-//! `mwsj-schema-check` binary, which auto-detects snapshot files), and
-//! `mwsj bench compare` consumes the parsed form. The prose schema lives
-//! in `DESIGN.md` ("Benchmark snapshots").
+//! Like the JSONL run events, every record here is declared once with
+//! `record!` (see [`crate::record`]); [`BenchSnapshot::parse`] — the
+//! derived reader plus the format/version/non-empty checks — is the
+//! schema (also run by the `mwsj-schema-check` binary, which auto-detects
+//! snapshot files), and `mwsj bench compare` consumes the parsed form.
 
 use crate::curve::{AnytimeCurve, CurvePoint};
 use crate::explain::ExplainReport;
-use crate::json::{Json, JsonError};
+use crate::json::{Json, JsonError, JsonWriter};
+use crate::record::{record, FieldDoc, FieldError, Record};
 use crate::timer::PhaseSnapshot;
 use std::fmt;
-use std::time::Duration;
 
 /// The top-level `format` discriminator of snapshot files.
 pub const SNAPSHOT_FORMAT: &str = "mwsj-bench-snapshot";
@@ -34,130 +34,157 @@ pub fn tau_key(tau: f64) -> String {
     format!("{tau:.2}")
 }
 
-/// The top-level sections a snapshot document may contain; anything else
-/// is rejected by [`BenchSnapshot::parse`] with an error naming the
+/// The top-level sections a snapshot document may contain (the declared
+/// members of the header and of [`BenchSnapshot`]); anything else is
+/// rejected by [`BenchSnapshot::parse`] with an error naming the
 /// offending section.
-pub const SNAPSHOT_SECTIONS: [&str; 8] = [
-    "format", "version", "label", "reps", "suite", "memory", "cache", "explain",
-];
-
-/// One suite snapshot: the pinned instances and their per-algorithm
-/// records.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchSnapshot {
-    /// Snapshot label (e.g. `"baseline"`, `"ci"`).
-    pub label: String,
-    /// Wall-clock repetitions each algorithm was run for.
-    pub reps: u64,
-    /// Per-instance records.
-    pub instances: Vec<InstanceRecord>,
-    /// Deterministic per-instance memory tables (the `memory` section;
-    /// empty for snapshots written before it existed). Compared with
-    /// exact equality by `mwsj bench compare`.
-    pub memory: Vec<MemoryRecord>,
-    /// Deterministic per-record cache-efficiency counters (the `cache`
-    /// section; empty for snapshots written before it existed). Compared
-    /// with exact equality by `mwsj bench compare`.
-    pub cache: Vec<CacheRecord>,
-    /// Deterministic per-instance workload explain reports (the `explain`
-    /// section; empty for snapshots written before it existed): the
-    /// pre-run estimate side only — selectivities, hit rates, predicted
-    /// accesses, tree quality — a pure function of the pinned instance.
-    /// Compared with exact equality by `mwsj bench compare`.
-    pub explain: Vec<ExplainRecord>,
+pub fn snapshot_sections() -> Vec<&'static str> {
+    let mut fields: Vec<FieldDoc> = Vec::new();
+    SnapshotHeader::schema(&mut fields);
+    BenchSnapshot::schema(&mut fields);
+    fields.iter().map(|f| f.key).collect()
 }
 
-/// Deterministic pre-run explain report of one suite instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExplainRecord {
-    /// The suite instance this report describes.
-    pub instance: String,
-    /// The estimate-side [`ExplainReport`] of the pinned instance.
-    pub report: ExplainReport,
+record! {
+    /// The two discriminating members every snapshot file starts with.
+    #[derive(Debug)]
+    pub(crate) struct SnapshotHeader {
+        /// Always [`SNAPSHOT_FORMAT`].
+        format: String,
+        /// Always [`SNAPSHOT_VERSION`].
+        version: u64,
+    }
 }
 
-/// Deterministic memory footprint of one suite instance's resident
-/// structures, component by component (`rtree.var000`, `flat_leaves.var000`,
-/// …). Bytes are length-based (`MemoryFootprint` contract), so the same
-/// pinned instance always reports the same table on every machine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemoryRecord {
-    /// The suite instance this table describes.
-    pub instance: String,
-    /// Component → bytes, ascending by component name.
-    pub components: Vec<(String, u64)>,
-    /// Sum over `components`.
-    pub total_bytes: u64,
+record! {
+    /// One suite snapshot: the pinned instances and their per-algorithm
+    /// records.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BenchSnapshot {
+        /// Snapshot label (e.g. `"baseline"`, `"ci"`).
+        pub label: String,
+        /// Wall-clock repetitions each algorithm was run for.
+        pub reps: u64,
+        /// Per-instance records.
+        pub instances: Vec<InstanceRecord> as "suite",
+        /// Deterministic per-instance memory tables (the `memory` section;
+        /// empty for snapshots written before it existed). Compared with
+        /// exact equality by `mwsj bench compare`.
+        pub memory: Vec<MemoryRecord> [default],
+        /// Deterministic per-record cache-efficiency counters (the `cache`
+        /// section; empty for snapshots written before it existed). Compared
+        /// with exact equality by `mwsj bench compare`.
+        pub cache: Vec<CacheRecord> [default],
+        /// Deterministic per-instance workload explain reports (the `explain`
+        /// section; empty for snapshots written before it existed): the
+        /// pre-run estimate side only — selectivities, hit rates, predicted
+        /// accesses, tree quality — a pure function of the pinned instance.
+        /// Compared with exact equality by `mwsj bench compare`.
+        pub explain: Vec<ExplainRecord> [default],
+    }
 }
 
-/// Deterministic window-cache efficiency counters of one instance ×
-/// algorithm record. All-zero records (algorithms that run without the
-/// cache) are still recorded so regressions that silently disable the
-/// cache fail the gate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheRecord {
-    /// The suite instance.
-    pub instance: String,
-    /// The algorithm name.
-    pub algo: String,
-    /// Queries answered from the memoised result without a traversal.
-    pub hits: u64,
-    /// Queries that ran the index traversal.
-    pub misses: u64,
-    /// Misses caused by a neighbour-assignment change.
-    pub invalidations_reassign: u64,
-    /// Misses caused by a penalty-version bump alone.
-    pub invalidations_penalty: u64,
-    /// Cache resident bytes at run end (summed across merged restarts).
-    pub bytes: u64,
+record! {
+    /// Deterministic pre-run explain report of one suite instance.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ExplainRecord {
+        /// The suite instance this report describes.
+        pub instance: String,
+        /// The estimate-side [`ExplainReport`] of the pinned instance.
+        pub report: ExplainReport [flat],
+    }
 }
 
-/// One pinned suite instance and the algorithms measured on it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InstanceRecord {
-    /// Stable instance name (e.g. `"chain-4x300-sol1"`).
-    pub name: String,
-    /// Query shape (`"chain"`, `"clique"`, …).
-    pub shape: String,
-    /// Number of query variables / datasets.
-    pub n_vars: u64,
-    /// Objects per dataset.
-    pub cardinality: u64,
-    /// Workload RNG seed.
-    pub seed: u64,
-    /// Per-algorithm measurements, in suite order.
-    pub algos: Vec<AlgoRecord>,
+record! {
+    /// Deterministic memory footprint of one suite instance's resident
+    /// structures, component by component (`rtree.var000`, `flat_leaves.var000`,
+    /// …). Bytes are length-based (`MemoryFootprint` contract), so the same
+    /// pinned instance always reports the same table on every machine.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct MemoryRecord {
+        /// The suite instance this table describes.
+        pub instance: String,
+        /// Component → bytes, ascending by component name.
+        pub components: Vec<(String, u64)>,
+        /// Sum over `components`.
+        pub total_bytes: u64,
+    }
 }
 
-/// Measurements of one algorithm on one instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlgoRecord {
-    /// Algorithm name (`"ILS"`, `"GILS"`, `"SEA"`, `"two-step"`).
-    pub algo: String,
-    /// Deterministic work counters, ascending by name. Compared with
-    /// exact equality by `mwsj bench compare`.
-    pub counters: Vec<(String, u64)>,
-    /// Best similarity reached (deterministic under a step budget).
-    pub best_similarity: f64,
-    /// Quality AUC over the step axis (deterministic).
-    pub auc_steps: f64,
-    /// Steps to reach each τ of [`TAUS`] (`None` = never), keyed by
-    /// [`tau_key`]. Deterministic.
-    pub steps_to: Vec<(String, Option<u64>)>,
-    /// Median wall-clock milliseconds across the repetitions. Measured.
-    pub wall_ms_median: f64,
-    /// Wall-clock milliseconds of every repetition, in run order.
-    pub wall_ms_reps: Vec<f64>,
-    /// Steps per second at the median wall time. Measured.
-    pub steps_per_sec: f64,
-    /// Quality AUC over the wall-clock axis. Measured.
-    pub auc_wall: f64,
-    /// Milliseconds to reach each τ of [`TAUS`]. Measured.
-    pub time_to_ms: Vec<(String, Option<f64>)>,
-    /// The anytime curve of the median-wall repetition.
-    pub curve: Vec<CurvePoint>,
-    /// Per-phase timer breakdown of the median-wall repetition.
-    pub phases: Vec<PhaseSnapshot>,
+record! {
+    /// Deterministic window-cache efficiency counters of one instance ×
+    /// algorithm record. All-zero records (algorithms that run without the
+    /// cache) are still recorded so regressions that silently disable the
+    /// cache fail the gate.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CacheRecord {
+        /// The suite instance.
+        pub instance: String,
+        /// The algorithm name.
+        pub algo: String,
+        /// Queries answered from the memoised result without a traversal.
+        pub hits: u64,
+        /// Queries that ran the index traversal.
+        pub misses: u64,
+        /// Misses caused by a neighbour-assignment change.
+        pub invalidations_reassign: u64,
+        /// Misses caused by a penalty-version bump alone.
+        pub invalidations_penalty: u64,
+        /// Cache resident bytes at run end (summed across merged restarts).
+        pub bytes: u64,
+    }
+}
+
+record! {
+    /// One pinned suite instance and the algorithms measured on it.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct InstanceRecord {
+        /// Stable instance name (e.g. `"chain-4x300-sol1"`).
+        pub name: String as "instance",
+        /// Query shape (`"chain"`, `"clique"`, …).
+        pub shape: String,
+        /// Number of query variables / datasets.
+        pub n_vars: u64,
+        /// Objects per dataset.
+        pub cardinality: u64,
+        /// Workload RNG seed.
+        pub seed: u64,
+        /// Per-algorithm measurements, in suite order.
+        pub algos: Vec<AlgoRecord>,
+    }
+}
+
+record! {
+    /// Measurements of one algorithm on one instance.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct AlgoRecord {
+        /// Algorithm name (`"ILS"`, `"GILS"`, `"SEA"`, `"two-step"`).
+        pub algo: String,
+        /// Deterministic work counters, ascending by name. Compared with
+        /// exact equality by `mwsj bench compare`.
+        pub counters: Vec<(String, u64)>,
+        /// Best similarity reached (deterministic under a step budget).
+        pub best_similarity: f64,
+        /// Quality AUC over the step axis (deterministic).
+        pub auc_steps: f64,
+        /// Steps to reach each τ of [`TAUS`] (`None` = never), keyed by
+        /// [`tau_key`]. Deterministic.
+        pub steps_to: Vec<(String, Option<u64>)>,
+        /// Median wall-clock milliseconds across the repetitions. Measured.
+        pub wall_ms_median: f64 [measured],
+        /// Wall-clock milliseconds of every repetition, in run order.
+        pub wall_ms_reps: Vec<f64> [measured],
+        /// Steps per second at the median wall time. Measured.
+        pub steps_per_sec: f64 [measured],
+        /// Quality AUC over the wall-clock axis. Measured.
+        pub auc_wall: f64 [measured],
+        /// Milliseconds to reach each τ of [`TAUS`]. Measured.
+        pub time_to_ms: Vec<(String, Option<f64>)> [measured],
+        /// The anytime curve of the median-wall repetition.
+        pub curve: Vec<CurvePoint>,
+        /// Per-phase timer breakdown of the median-wall repetition.
+        pub phases: Vec<PhaseSnapshot>,
+    }
 }
 
 impl AlgoRecord {
@@ -260,6 +287,12 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+impl From<FieldError> for SnapshotError {
+    fn from(error: FieldError) -> Self {
+        SnapshotError::Schema(error.to_string())
+    }
+}
+
 fn schema_err<T>(msg: impl Into<String>) -> Result<T, SnapshotError> {
     Err(SnapshotError::Schema(msg.into()))
 }
@@ -268,40 +301,21 @@ impl BenchSnapshot {
     /// Serialises the snapshot as indented JSON (the on-disk
     /// `BENCH_<label>.json` form, trailing newline included).
     pub fn to_string_pretty(&self) -> String {
-        let mut out = self.to_json().dump_pretty();
-        out.push('\n');
-        out
+        let header = SnapshotHeader {
+            format: SNAPSHOT_FORMAT.to_string(),
+            version: SNAPSHOT_VERSION,
+        };
+        let mut w = JsonWriter::pretty();
+        w.open('{');
+        header.write_fields(&mut w);
+        self.write_fields(&mut w);
+        w.close('}');
+        w.finish() + "\n"
     }
 
-    /// The snapshot as a JSON value tree.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("format".into(), Json::Str(SNAPSHOT_FORMAT.into())),
-            ("version".into(), Json::Num(SNAPSHOT_VERSION as f64)),
-            ("label".into(), Json::Str(self.label.clone())),
-            ("reps".into(), Json::Num(self.reps as f64)),
-            (
-                "suite".into(),
-                Json::Arr(self.instances.iter().map(instance_json).collect()),
-            ),
-            (
-                "memory".into(),
-                Json::Arr(self.memory.iter().map(memory_json).collect()),
-            ),
-            (
-                "cache".into(),
-                Json::Arr(self.cache.iter().map(cache_json).collect()),
-            ),
-            (
-                "explain".into(),
-                Json::Arr(self.explain.iter().map(explain_json).collect()),
-            ),
-        ])
-    }
-
-    /// Parses and schema-validates a snapshot document. This is the
-    /// executable form of the schema: every required field must be present
-    /// with the right type; unknown extra fields are allowed.
+    /// Parses and schema-validates a snapshot document: the derived typed
+    /// reader checks every declared field all the way down (unknown extra
+    /// fields are allowed, unknown top-level sections are not).
     pub fn parse(text: &str) -> Result<BenchSnapshot, SnapshotError> {
         if text.trim().is_empty() {
             return Err(SnapshotError::Empty);
@@ -313,77 +327,34 @@ impl BenchSnapshot {
         let top = doc
             .as_object()
             .ok_or_else(|| SnapshotError::Schema("snapshot must be a JSON object".into()))?;
-        if let Some((unknown, _)) = top
-            .iter()
-            .find(|(k, _)| !SNAPSHOT_SECTIONS.contains(&k.as_str()))
-        {
+        let sections = snapshot_sections();
+        if let Some((unknown, _)) = top.iter().find(|(k, _)| !sections.contains(&k.as_str())) {
             return schema_err(format!(
                 "unknown top-level section {unknown:?} (known sections: {})",
-                SNAPSHOT_SECTIONS.join(", ")
+                sections.join(", ")
             ));
         }
-        let format = req_str(&doc, "format", "snapshot")?;
-        if format != SNAPSHOT_FORMAT {
+        let header = SnapshotHeader::from_json(&doc)?;
+        if header.format != SNAPSHOT_FORMAT {
             return schema_err(format!(
-                "\"format\" is {format:?}, expected {SNAPSHOT_FORMAT:?}"
+                "\"format\" is {:?}, expected {SNAPSHOT_FORMAT:?}",
+                header.format
             ));
         }
-        let version = req_u64(&doc, "version", "snapshot")?;
-        if version != SNAPSHOT_VERSION {
+        if header.version != SNAPSHOT_VERSION {
             return schema_err(format!(
-                "unsupported snapshot version {version} (supported: {SNAPSHOT_VERSION})"
+                "unsupported snapshot version {} (supported: {SNAPSHOT_VERSION})",
+                header.version
             ));
         }
-        let label = req_str(&doc, "label", "snapshot")?.to_string();
-        let reps = req_u64(&doc, "reps", "snapshot")?;
-        let suite = doc
-            .get("suite")
-            .and_then(Json::as_array)
-            .ok_or_else(|| SnapshotError::Schema("snapshot missing \"suite\" array".into()))?;
-        if suite.is_empty() {
+        let snapshot = BenchSnapshot::from_json(&doc)?;
+        if snapshot.instances.is_empty() {
             return schema_err("\"suite\" must contain at least one instance");
         }
-        let instances = suite
-            .iter()
-            .map(parse_instance)
-            .collect::<Result<Vec<_>, _>>()?;
-        // `memory` and `cache` are optional so pre-section snapshots stay
-        // readable; when present they must be well-formed.
-        let memory = match doc.get("memory") {
-            None => Vec::new(),
-            Some(section) => section
-                .as_array()
-                .ok_or_else(|| SnapshotError::Schema("\"memory\" must be an array".into()))?
-                .iter()
-                .map(parse_memory)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let cache = match doc.get("cache") {
-            None => Vec::new(),
-            Some(section) => section
-                .as_array()
-                .ok_or_else(|| SnapshotError::Schema("\"cache\" must be an array".into()))?
-                .iter()
-                .map(parse_cache)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let explain = match doc.get("explain") {
-            None => Vec::new(),
-            Some(section) => section
-                .as_array()
-                .ok_or_else(|| SnapshotError::Schema("\"explain\" must be an array".into()))?
-                .iter()
-                .map(parse_explain)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        Ok(BenchSnapshot {
-            label,
-            reps,
-            instances,
-            memory,
-            cache,
-            explain,
-        })
+        if let Some(inst) = snapshot.instances.iter().find(|i| i.algos.is_empty()) {
+            return schema_err(format!("instance {:?} has no algorithm records", inst.name));
+        }
+        Ok(snapshot)
     }
 
     /// `true` when `text` looks like a snapshot document rather than a
@@ -404,337 +375,10 @@ impl BenchSnapshot {
     }
 }
 
-fn instance_json(inst: &InstanceRecord) -> Json {
-    Json::Obj(vec![
-        ("instance".into(), Json::Str(inst.name.clone())),
-        ("shape".into(), Json::Str(inst.shape.clone())),
-        ("n_vars".into(), Json::Num(inst.n_vars as f64)),
-        ("cardinality".into(), Json::Num(inst.cardinality as f64)),
-        ("seed".into(), Json::Num(inst.seed as f64)),
-        (
-            "algos".into(),
-            Json::Arr(inst.algos.iter().map(algo_json).collect()),
-        ),
-    ])
-}
-
-fn algo_json(algo: &AlgoRecord) -> Json {
-    let opt_u64 = |v: Option<u64>| v.map_or(Json::Null, |x| Json::Num(x as f64));
-    let opt_f64 = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
-    Json::Obj(vec![
-        ("algo".into(), Json::Str(algo.algo.clone())),
-        (
-            "counters".into(),
-            Json::Obj(
-                algo.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                    .collect(),
-            ),
-        ),
-        ("best_similarity".into(), Json::Num(algo.best_similarity)),
-        ("auc_steps".into(), Json::Num(algo.auc_steps)),
-        (
-            "steps_to".into(),
-            Json::Obj(
-                algo.steps_to
-                    .iter()
-                    .map(|(k, v)| (k.clone(), opt_u64(*v)))
-                    .collect(),
-            ),
-        ),
-        ("wall_ms_median".into(), Json::Num(algo.wall_ms_median)),
-        (
-            "wall_ms_reps".into(),
-            Json::Arr(algo.wall_ms_reps.iter().map(|&v| Json::Num(v)).collect()),
-        ),
-        ("steps_per_sec".into(), Json::Num(algo.steps_per_sec)),
-        ("auc_wall".into(), Json::Num(algo.auc_wall)),
-        (
-            "time_to_ms".into(),
-            Json::Obj(
-                algo.time_to_ms
-                    .iter()
-                    .map(|(k, v)| (k.clone(), opt_f64(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "curve".into(),
-            Json::Arr(
-                algo.curve
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("step".into(), Json::Num(p.step as f64)),
-                            ("wall_ms".into(), Json::Num(p.wall_ms)),
-                            ("similarity".into(), Json::Num(p.similarity)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "phases".into(),
-            Json::Arr(
-                algo.phases
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("path".into(), Json::Str(p.path.clone())),
-                            ("calls".into(), Json::Num(p.calls as f64)),
-                            ("steps".into(), Json::Num(p.steps as f64)),
-                            ("wall_secs".into(), Json::Num(p.wall.as_secs_f64())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn memory_json(rec: &MemoryRecord) -> Json {
-    Json::Obj(vec![
-        ("instance".into(), Json::Str(rec.instance.clone())),
-        (
-            "components".into(),
-            Json::Obj(
-                rec.components
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                    .collect(),
-            ),
-        ),
-        ("total_bytes".into(), Json::Num(rec.total_bytes as f64)),
-    ])
-}
-
-fn cache_json(rec: &CacheRecord) -> Json {
-    Json::Obj(vec![
-        ("instance".into(), Json::Str(rec.instance.clone())),
-        ("algo".into(), Json::Str(rec.algo.clone())),
-        ("hits".into(), Json::Num(rec.hits as f64)),
-        ("misses".into(), Json::Num(rec.misses as f64)),
-        (
-            "invalidations_reassign".into(),
-            Json::Num(rec.invalidations_reassign as f64),
-        ),
-        (
-            "invalidations_penalty".into(),
-            Json::Num(rec.invalidations_penalty as f64),
-        ),
-        ("bytes".into(), Json::Num(rec.bytes as f64)),
-    ])
-}
-
-fn explain_json(rec: &ExplainRecord) -> Json {
-    let report = Json::parse(&format!("{{{}}}", rec.report.to_json_fields()))
-        .expect("explain report serialisation is valid JSON");
-    let mut fields = vec![("instance".into(), Json::Str(rec.instance.clone()))];
-    if let Json::Obj(entries) = report {
-        fields.extend(entries);
-    }
-    Json::Obj(fields)
-}
-
-fn parse_explain(doc: &Json) -> Result<ExplainRecord, SnapshotError> {
-    let instance = req_str(doc, "instance", "explain record")?.to_string();
-    let report = ExplainReport::from_json(doc).ok_or_else(|| {
-        SnapshotError::Schema(format!(
-            "explain record {instance:?} is missing a required report field"
-        ))
-    })?;
-    Ok(ExplainRecord { instance, report })
-}
-
-fn parse_memory(doc: &Json) -> Result<MemoryRecord, SnapshotError> {
-    let instance = req_str(doc, "instance", "memory record")?.to_string();
-    let ctx = format!("memory record {instance:?}");
-    let components_obj = req(doc, "components", &ctx)?
-        .as_object()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} \"components\" must be an object")))?;
-    let mut components = Vec::with_capacity(components_obj.len());
-    for (k, v) in components_obj {
-        let v = v.as_u64().ok_or_else(|| {
-            SnapshotError::Schema(format!(
-                "{ctx} component {k:?} must be a non-negative integer"
-            ))
-        })?;
-        components.push((k.clone(), v));
-    }
-    components.sort();
-    Ok(MemoryRecord {
-        total_bytes: req_u64(doc, "total_bytes", &ctx)?,
-        instance,
-        components,
-    })
-}
-
-fn parse_cache(doc: &Json) -> Result<CacheRecord, SnapshotError> {
-    let instance = req_str(doc, "instance", "cache record")?.to_string();
-    let algo = req_str(doc, "algo", "cache record")?.to_string();
-    let ctx = format!("cache record {instance}/{algo}");
-    Ok(CacheRecord {
-        hits: req_u64(doc, "hits", &ctx)?,
-        misses: req_u64(doc, "misses", &ctx)?,
-        invalidations_reassign: req_u64(doc, "invalidations_reassign", &ctx)?,
-        invalidations_penalty: req_u64(doc, "invalidations_penalty", &ctx)?,
-        bytes: req_u64(doc, "bytes", &ctx)?,
-        instance,
-        algo,
-    })
-}
-
-fn req<'a>(doc: &'a Json, field: &str, ctx: &str) -> Result<&'a Json, SnapshotError> {
-    doc.get(field)
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} missing required field {field:?}")))
-}
-
-fn req_str<'a>(doc: &'a Json, field: &str, ctx: &str) -> Result<&'a str, SnapshotError> {
-    req(doc, field, ctx)?
-        .as_str()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} field {field:?} must be a string")))
-}
-
-fn req_u64(doc: &Json, field: &str, ctx: &str) -> Result<u64, SnapshotError> {
-    req(doc, field, ctx)?.as_u64().ok_or_else(|| {
-        SnapshotError::Schema(format!(
-            "{ctx} field {field:?} must be a non-negative integer"
-        ))
-    })
-}
-
-fn req_f64(doc: &Json, field: &str, ctx: &str) -> Result<f64, SnapshotError> {
-    req(doc, field, ctx)?
-        .as_f64()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} field {field:?} must be a number")))
-}
-
-fn parse_instance(doc: &Json) -> Result<InstanceRecord, SnapshotError> {
-    let name = req_str(doc, "instance", "suite entry")?.to_string();
-    let ctx = format!("instance {name:?}");
-    let algos = req(doc, "algos", &ctx)?
-        .as_array()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} field \"algos\" must be an array")))?;
-    if algos.is_empty() {
-        return schema_err(format!("{ctx} has no algorithm records"));
-    }
-    Ok(InstanceRecord {
-        shape: req_str(doc, "shape", &ctx)?.to_string(),
-        n_vars: req_u64(doc, "n_vars", &ctx)?,
-        cardinality: req_u64(doc, "cardinality", &ctx)?,
-        seed: req_u64(doc, "seed", &ctx)?,
-        algos: algos
-            .iter()
-            .map(|a| parse_algo(a, &name))
-            .collect::<Result<Vec<_>, _>>()?,
-        name,
-    })
-}
-
-fn parse_algo(doc: &Json, instance: &str) -> Result<AlgoRecord, SnapshotError> {
-    let algo = req_str(doc, "algo", "algo record")?.to_string();
-    let ctx = format!("{instance}/{algo}");
-
-    let counters_obj = req(doc, "counters", &ctx)?
-        .as_object()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} \"counters\" must be an object")))?;
-    let mut counters = Vec::with_capacity(counters_obj.len());
-    for (k, v) in counters_obj {
-        let v = v.as_u64().ok_or_else(|| {
-            SnapshotError::Schema(format!(
-                "{ctx} counter {k:?} must be a non-negative integer"
-            ))
-        })?;
-        counters.push((k.clone(), v));
-    }
-    counters.sort();
-
-    let opt_map_u64 = |field: &str| -> Result<Vec<(String, Option<u64>)>, SnapshotError> {
-        let obj = req(doc, field, &ctx)?
-            .as_object()
-            .ok_or_else(|| SnapshotError::Schema(format!("{ctx} {field:?} must be an object")))?;
-        obj.iter()
-            .map(|(k, v)| match v {
-                Json::Null => Ok((k.clone(), None)),
-                v => v.as_u64().map(|x| (k.clone(), Some(x))).ok_or_else(|| {
-                    SnapshotError::Schema(format!("{ctx} {field}[{k:?}] must be integer or null"))
-                }),
-            })
-            .collect()
-    };
-    let opt_map_f64 = |field: &str| -> Result<Vec<(String, Option<f64>)>, SnapshotError> {
-        let obj = req(doc, field, &ctx)?
-            .as_object()
-            .ok_or_else(|| SnapshotError::Schema(format!("{ctx} {field:?} must be an object")))?;
-        obj.iter()
-            .map(|(k, v)| match v {
-                Json::Null => Ok((k.clone(), None)),
-                v => v.as_f64().map(|x| (k.clone(), Some(x))).ok_or_else(|| {
-                    SnapshotError::Schema(format!("{ctx} {field}[{k:?}] must be number or null"))
-                }),
-            })
-            .collect()
-    };
-
-    let wall_ms_reps = req(doc, "wall_ms_reps", &ctx)?
-        .as_array()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} \"wall_ms_reps\" must be an array")))?
-        .iter()
-        .map(|v| {
-            v.as_f64().ok_or_else(|| {
-                SnapshotError::Schema(format!("{ctx} \"wall_ms_reps\" entries must be numbers"))
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-
-    let curve = req(doc, "curve", &ctx)?
-        .as_array()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} \"curve\" must be an array")))?
-        .iter()
-        .map(|p| {
-            Ok(CurvePoint {
-                step: req_u64(p, "step", &format!("{ctx} curve point"))?,
-                wall_ms: req_f64(p, "wall_ms", &format!("{ctx} curve point"))?,
-                similarity: req_f64(p, "similarity", &format!("{ctx} curve point"))?,
-            })
-        })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-
-    let phases = req(doc, "phases", &ctx)?
-        .as_array()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} \"phases\" must be an array")))?
-        .iter()
-        .map(|p| {
-            let pctx = format!("{ctx} phase");
-            Ok(PhaseSnapshot {
-                path: req_str(p, "path", &pctx)?.to_string(),
-                calls: req_u64(p, "calls", &pctx)?,
-                steps: req_u64(p, "steps", &pctx)?,
-                wall: Duration::from_secs_f64(req_f64(p, "wall_secs", &pctx)?.max(0.0)),
-            })
-        })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-
-    Ok(AlgoRecord {
-        counters,
-        best_similarity: req_f64(doc, "best_similarity", &ctx)?,
-        auc_steps: req_f64(doc, "auc_steps", &ctx)?,
-        steps_to: opt_map_u64("steps_to")?,
-        wall_ms_median: req_f64(doc, "wall_ms_median", &ctx)?,
-        wall_ms_reps,
-        steps_per_sec: req_f64(doc, "steps_per_sec", &ctx)?,
-        auc_wall: req_f64(doc, "auc_wall", &ctx)?,
-        time_to_ms: opt_map_f64("time_to_ms")?,
-        curve,
-        phases,
-        algo,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     pub(crate) fn sample_snapshot(label: &str) -> BenchSnapshot {
         let mut curve = AnytimeCurve::new();
@@ -921,7 +565,10 @@ mod tests {
             .replace("\"expected_solutions\"", "\"renamed_solutions\"");
         let err = BenchSnapshot::parse(&text).unwrap_err();
         let msg = err.to_string();
-        assert!(msg.contains("explain record"), "{msg}");
+        assert!(
+            msg.contains("explain[0 \"chain-4x300-sol1\"].expected_solutions: missing"),
+            "{msg}"
+        );
     }
 
     #[test]

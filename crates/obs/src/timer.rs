@@ -15,6 +15,7 @@
 //! [`crate::MetricsSnapshot`]); their `calls` and `steps` fields are
 //! nevertheless exact counters.
 
+use crate::record::record;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -154,17 +155,19 @@ impl Drop for PhaseSpan {
     }
 }
 
-/// Frozen aggregate for one phase path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseSnapshot {
-    /// `" > "`-joined span names, outermost first.
-    pub path: String,
-    /// Number of times the span closed.
-    pub calls: u64,
-    /// Steps attributed while this span was innermost.
-    pub steps: u64,
-    /// Total wall-clock time spent inside the span.
-    pub wall: Duration,
+record! {
+    /// Frozen aggregate for one phase path.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PhaseSnapshot {
+        /// `" > "`-joined span names, outermost first.
+        pub path: String,
+        /// Number of times the span closed.
+        pub calls: u64,
+        /// Steps attributed while this span was innermost.
+        pub steps: u64,
+        /// Total wall-clock time spent inside the span.
+        pub wall: Duration as "wall_secs" [measured],
+    }
 }
 
 /// Merges several phase-snapshot lists (e.g. one per portfolio restart)
