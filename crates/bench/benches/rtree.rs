@@ -1,12 +1,12 @@
-//! Criterion microbenches for the R*-tree substrate: construction
-//! (incremental vs. STR bulk load) and query throughput.
+//! Criterion microbenches for the R-tree substrate: STR bulk load and
+//! window-query throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use mwsj_datagen::Dataset;
-use mwsj_geom::{Point, Rect};
+use mwsj_geom::Rect;
 use mwsj_rtree::{RTree, RTreeParams};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn items(n: usize, seed: u64) -> Vec<(Rect, u32)> {
@@ -24,24 +24,6 @@ fn bench_build(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &[1_000usize, 10_000, 100_000] {
         let data = items(n, 1);
-        // Incremental insert at 100k is dominated by reinsertion churn and
-        // would swamp the group's time budget; the bulk loaders are the
-        // paper-scale story.
-        if n <= 10_000 {
-            group.bench_with_input(BenchmarkId::new("insert", n), &data, |b, data| {
-                b.iter_batched(
-                    || data.clone(),
-                    |data| {
-                        let mut tree = RTree::with_params(RTreeParams::new(32));
-                        for (r, v) in data {
-                            tree.insert(r, v);
-                        }
-                        black_box(tree.len())
-                    },
-                    BatchSize::LargeInput,
-                )
-            });
-        }
         group.bench_with_input(BenchmarkId::new("bulk_load_str", n), &data, |b, data| {
             b.iter_batched(
                 || data.clone(),
@@ -52,20 +34,6 @@ fn bench_build(c: &mut Criterion) {
                 BatchSize::LargeInput,
             )
         });
-        group.bench_with_input(
-            BenchmarkId::new("bulk_load_hilbert", n),
-            &data,
-            |b, data| {
-                b.iter_batched(
-                    || data.clone(),
-                    |data| {
-                        let tree = RTree::bulk_load_hilbert_with_params(RTreeParams::new(32), data);
-                        black_box(tree.len())
-                    },
-                    BatchSize::LargeInput,
-                )
-            },
-        );
     }
     group.finish();
 }
@@ -81,13 +49,6 @@ fn bench_queries(c: &mut Criterion) {
     let big = Rect::new(0.1, 0.1, 0.9, 0.9);
     group.bench_function("window_large", |b| {
         b.iter(|| black_box(tree.window(black_box(&big)).count()))
-    });
-    let mut rng = StdRng::seed_from_u64(3);
-    group.bench_function("knn_10", |b| {
-        b.iter(|| {
-            let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
-            black_box(tree.nearest_neighbors(&p, 10).len())
-        })
     });
     group.finish();
 }

@@ -15,8 +15,8 @@
 
 use crate::Algo;
 use mwsj_core::{
-    BackendKind, CacheStats, IlsConfig, Instance, LeafLayout, RunStats, SearchBudget,
-    SearchContext, TracePoint, TwoStep, TwoStepConfig,
+    BackendKind, CacheStats, IlsConfig, Instance, RunStats, SearchBudget, SearchContext,
+    TracePoint, TwoStep, TwoStepConfig,
 };
 use mwsj_datagen::{Distribution, QueryShape, WorkloadSpec};
 use mwsj_obs::snapshot::AlgoRecord;
@@ -69,9 +69,7 @@ pub enum BenchTier {
     #[default]
     Base,
     /// Paper-scale workloads (N = 10⁴–10⁵ objects, n up to 10, all five
-    /// query shapes) — `BENCH_large.json`. Adds an entry-layout ILS
-    /// A/B record so node-access parity and the flat-leaf wall-time win
-    /// are visible in the snapshot itself.
+    /// query shapes) — `BENCH_large.json`.
     Large,
 }
 
@@ -110,7 +108,6 @@ impl BenchTier {
             BenchTier::Base => SuiteAlgo::ALL.to_vec(),
             BenchTier::Large => vec![
                 SuiteAlgo::Ils,
-                SuiteAlgo::IlsEntryLayout,
                 SuiteAlgo::IlsGrid,
                 SuiteAlgo::Gils,
                 SuiteAlgo::Sea,
@@ -223,12 +220,6 @@ pub fn pinned_suite_large() -> Vec<SuiteCase> {
 pub enum SuiteAlgo {
     /// Indexed local search under the tier's local-search budget.
     Ils,
-    /// ILS forced onto the reference entry leaf layout
-    /// ([`LeafLayout::Entry`]) — the large tier's A/B record: its
-    /// deterministic counters must equal the `ILS` record's exactly
-    /// (node-access parity), while its wall time shows what the flat
-    /// layout buys.
-    IlsEntryLayout,
     /// ILS on the uniform-grid backend ([`BackendKind::Grid`]) — the
     /// large tier's backend A/B record: its solution quality
     /// (`best_violations`, `best_similarity`) must equal the `ILS`
@@ -257,7 +248,6 @@ impl SuiteAlgo {
     pub fn name(&self) -> &'static str {
         match self {
             SuiteAlgo::Ils => "ILS",
-            SuiteAlgo::IlsEntryLayout => "ILS-entry-layout",
             SuiteAlgo::IlsGrid => "ILS-grid",
             SuiteAlgo::Gils => "GILS",
             SuiteAlgo::Sea => "SEA",
@@ -279,32 +269,21 @@ fn run_once(algo: SuiteAlgo, instance: &Instance, budgets: TierBudgets) -> Suite
     let mut rng = StdRng::seed_from_u64(RUN_SEED);
     let obs = ObsHandle::timer_only();
     match algo {
-        SuiteAlgo::Ils
-        | SuiteAlgo::IlsEntryLayout
-        | SuiteAlgo::IlsGrid
-        | SuiteAlgo::Gils
-        | SuiteAlgo::Sea => {
+        SuiteAlgo::Ils | SuiteAlgo::IlsGrid | SuiteAlgo::Gils | SuiteAlgo::Sea => {
             let (runner, steps) = match algo {
-                SuiteAlgo::Ils | SuiteAlgo::IlsEntryLayout | SuiteAlgo::IlsGrid => {
-                    (Algo::Ils, budgets.local_search)
-                }
+                SuiteAlgo::Ils | SuiteAlgo::IlsGrid => (Algo::Ils, budgets.local_search),
                 SuiteAlgo::Gils => (Algo::Gils, budgets.local_search),
                 _ => (Algo::Sea, budgets.sea),
             };
-            // The A/B records run the same search over the reference
-            // entry layout / the grid backend; a shallow clone retargets
-            // the kernel (the Arc'd datasets are shared, not copied).
+            // The A/B record runs the same search over the grid backend; a
+            // shallow clone retargets the kernel (the Arc'd datasets are
+            // shared, not copied).
             let ab_instance;
-            let instance = match algo {
-                SuiteAlgo::IlsEntryLayout => {
-                    ab_instance = instance.clone().with_leaf_layout(LeafLayout::Entry);
-                    &ab_instance
-                }
-                SuiteAlgo::IlsGrid => {
-                    ab_instance = instance.clone().with_backend(BackendKind::Grid);
-                    &ab_instance
-                }
-                _ => instance,
+            let instance = if algo == SuiteAlgo::IlsGrid {
+                ab_instance = instance.clone().with_backend(BackendKind::Grid);
+                &ab_instance
+            } else {
+                instance
             };
             let ctx = SearchContext::local(SearchBudget::iterations(steps)).with_obs(obs.clone());
             let outcome = runner.search(instance, &ctx, &mut rng);
@@ -606,7 +585,7 @@ mod tests {
         // per-variable index components present.
         assert_eq!(snap.memory.len(), 4);
         for mem in &snap.memory {
-            assert_eq!(mem.components.len(), 12, "{}", mem.instance); // 3 per var × 4 vars
+            assert_eq!(mem.components.len(), 8, "{}", mem.instance); // 2 per var × 4 vars
             assert!(mem.total_bytes > 0);
             assert_eq!(
                 mem.total_bytes,

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::time::Duration;
 
 /// A parsed command line: subcommand, positional arguments,
 /// `--key value` options (repeatable) and `--flag` switches.
@@ -164,6 +165,25 @@ impl Args {
                 expected,
             }),
         }
+    }
+
+    /// The value of a seconds-valued option (`--seconds`, `--stall-secs`,
+    /// `--timeout-secs`) as a [`Duration`], `None` when the option is
+    /// absent. The one checked conversion for user-supplied times: zero,
+    /// negative, NaN, infinite and unrepresentably large values are errors,
+    /// never a panic or a silent default.
+    pub fn seconds(&self, key: &str) -> Result<Option<Duration>, String> {
+        let Some(raw) = self.value(key) else {
+            return Ok(None);
+        };
+        raw.parse::<f64>()
+            .ok()
+            .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+            .filter(|limit| !limit.is_zero())
+            .map(Some)
+            .ok_or_else(|| {
+                format!("--{key} must be a positive, finite number of seconds (got {raw})")
+            })
     }
 
     /// The first positional argument, for single-argument commands.

@@ -117,7 +117,7 @@ USAGE:
                                             into BENCH_<L>.json: anytime curves, quality AUC,
                                             time-to-tau, counters, phase timings. base = n=4
                                             toy scale; large = paper scale (N>=10k, n<=10,
-                                            all shapes, plus an ILS entry-layout A/B record)
+                                            all shapes)
   mwsj bench compare BASELINE CANDIDATE [--wall-tolerance T] [--wall-slack-ms S]
                                             regression gate: deterministic counters must match
                                             exactly, wall medians within tolerance (default +25%
@@ -141,21 +141,16 @@ fn load_datasets(args: &Args) -> Result<Vec<Dataset>, String> {
 }
 
 fn budget_from(args: &Args) -> Result<SearchBudget, String> {
-    let seconds: f64 = args
-        .parse_or("seconds", 0.0, "a number of seconds")
-        .map_err(|e| e.to_string())?;
+    let limit = args.seconds("seconds")?;
     let iterations: u64 = args
         .parse_or("iterations", 0, "an iteration count")
         .map_err(|e| e.to_string())?;
-    Ok(match (seconds > 0.0, iterations > 0) {
-        (true, true) => SearchBudget::time_and_iterations(
-            std::time::Duration::from_secs_f64(seconds),
-            iterations,
-        ),
-        (false, true) => SearchBudget::iterations(iterations),
+    Ok(match (limit, iterations > 0) {
+        (Some(limit), true) => SearchBudget::time_and_iterations(limit, iterations),
+        (None, true) => SearchBudget::iterations(iterations),
+        (Some(limit), false) => SearchBudget::time(limit),
         // Default: 2 seconds.
-        (true, false) => SearchBudget::seconds(seconds),
-        (false, false) => SearchBudget::seconds(2.0),
+        (None, false) => SearchBudget::seconds(2.0),
     })
 }
 
@@ -278,11 +273,9 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
     let stall_steps: u64 = args
         .parse_or("stall-steps", 0, "a step count")
         .map_err(|e| e.to_string())?;
-    let stall_secs: f64 = args
-        .parse_or("stall-secs", 0.0, "a number of seconds")
-        .map_err(|e| e.to_string())?;
+    let stall_secs = args.seconds("stall-secs")?;
     let stall_abort = args.flag("stall-abort");
-    if stall_abort && stall_steps == 0 && stall_secs <= 0.0 {
+    if stall_abort && stall_steps == 0 && stall_secs.is_none() {
         return Err(
             "--stall-abort needs a stall window (--stall-steps N or --stall-secs S)".into(),
         );
@@ -290,7 +283,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
     let telemetry = TelemetryConfig {
         progress_every: (progress_every > 0).then_some(progress_every),
         stall_window_steps: (stall_steps > 0).then_some(stall_steps),
-        stall_window_secs: (stall_secs > 0.0).then_some(stall_secs),
+        stall_window_secs: stall_secs.map(|window| window.as_secs_f64()),
         stall_abort,
     };
     if telemetry.progress_every.is_some() && metrics_path.is_none() {

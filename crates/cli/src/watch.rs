@@ -31,19 +31,11 @@ pub fn cmd_watch(args: &Args) -> Result<(), String> {
     let poll_ms: u64 = args
         .parse_or("poll-ms", 50, "a poll interval in milliseconds")
         .map_err(|e| e.to_string())?;
-    let timeout_secs: f64 = args
-        .parse_or("timeout-secs", 600.0, "a timeout in seconds")
-        .map_err(|e| e.to_string())?;
-    if !timeout_secs.is_finite() || timeout_secs <= 0.0 {
-        return Err("--timeout-secs must be a positive number of seconds".into());
-    }
+    let timeout = args
+        .seconds("timeout-secs")?
+        .unwrap_or(Duration::from_secs(600));
     let plain = args.flag("no-tty") || !std::io::stdout().is_terminal();
-    watch_file(
-        path,
-        Duration::from_millis(poll_ms.max(1)),
-        Duration::from_secs_f64(timeout_secs),
-        plain,
-    )
+    watch_file(path, Duration::from_millis(poll_ms.max(1)), timeout, plain)
 }
 
 fn watch_file(path: &str, poll: Duration, timeout: Duration, plain: bool) -> Result<(), String> {

@@ -245,13 +245,8 @@ fn report_renders_resource_report_as_memory_table() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("memory:"), "{text}");
-    // One rects/rtree/flat_leaves row per variable, plus the totals line.
-    for component in [
-        "rects.var000",
-        "rtree.var001",
-        "flat_leaves.var000",
-        "total",
-    ] {
+    // One rects/rtree row per variable, plus the totals line.
+    for component in ["rects.var000", "rtree.var001", "total"] {
         assert!(text.contains(component), "missing {component}:\n{text}");
     }
     assert!(text.contains("bytes"), "{text}");

@@ -378,6 +378,36 @@ fn telemetry_flags_are_validated() {
     assert!(run(&["--flight-recorder-bytes", "8192"]).contains("needs --flight-recorder-out"));
 }
 
+/// Hostile time flags are rejected by the one checked conversion: a
+/// one-line error and a non-zero exit, never a panic or a silent default.
+#[test]
+fn hostile_time_flags_are_rejected_without_panicking() {
+    let dir = temp_dir("hostiletime");
+    let a = generate(&dir, "a.csv", 50, 0.1, 1);
+    let a = a.to_str().unwrap();
+    let solve = ["solve", "--data", a, "--data", a, "--query", "0-1"];
+    let solve_steps = [&solve[..], &["--iterations", "10"]].concat();
+    let watch = ["watch", a, "--no-tty"];
+    let rows: [(&[&str], &str, &str); 7] = [
+        (&solve, "--seconds", "inf"),
+        (&solve, "--seconds", "1e20"),
+        (&solve, "--seconds", "-3"),
+        (&solve, "--seconds", "nan"),
+        (&solve_steps, "--stall-secs", "-3"),
+        (&solve_steps, "--stall-secs", "nan"),
+        (&watch, "--timeout-secs", "1e20"),
+    ];
+    for (command, flag, value) in rows {
+        let out = mwsj().args(command).args([flag, value]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: {flag} must be a positive, finite number of seconds (got {value})"),
+        );
+    }
+}
+
 #[test]
 fn solve_with_mixed_predicates_via_edge_list() {
     let dir = temp_dir("mixed");

@@ -39,9 +39,18 @@ impl SearchBudget {
         }
     }
 
-    /// Budget limited by wall-clock seconds.
+    /// Budget limited by wall-clock seconds. Never panics: a value no
+    /// [`Duration`] can hold **saturates** — negative or NaN to a zero
+    /// budget (the run stops at its first budget check), `+∞` or anything
+    /// above `Duration::MAX` to `Duration::MAX` (the time limit never
+    /// fires). Front ends that want to reject such input do so before
+    /// calling this (the CLI's `--seconds` does).
     pub fn seconds(secs: f64) -> Self {
-        Self::time(Duration::from_secs_f64(secs))
+        Self::time(Duration::try_from_secs_f64(secs).unwrap_or(if secs > 0.0 {
+            Duration::MAX
+        } else {
+            Duration::ZERO
+        }))
     }
 
     /// Budget limited by a deterministic step count only.
@@ -309,13 +318,11 @@ impl BudgetClock {
 
     pub(crate) fn from_context(ctx: &SearchContext) -> Self {
         let start = Instant::now();
+        // The budget was validated by `SearchContext::local`. A limit too
+        // long for `Instant` to represent never fires.
         let deadline = ctx
             .deadline
-            .or_else(|| ctx.budget.time_limit.map(|d| start + d));
-        assert!(
-            deadline.is_some() || ctx.budget.max_steps.is_some(),
-            "a search budget must set a time limit, a step limit, or both"
-        );
+            .or_else(|| ctx.budget.time_limit.and_then(|d| start.checked_add(d)));
         BudgetClock {
             start,
             deadline,
@@ -520,6 +527,22 @@ mod tests {
     fn seconds_constructor() {
         let b = SearchBudget::seconds(1.5);
         assert_eq!(b.time_limit, Some(Duration::from_millis(1500)));
+        // Hostile floats saturate instead of panicking, and a limit no
+        // `Instant` can reach is a deadline that never fires.
+        for (secs, limit) in [
+            (f64::NAN, Duration::ZERO),
+            (-3.0, Duration::ZERO),
+            (f64::INFINITY, Duration::MAX),
+            (1e20, Duration::MAX),
+        ] {
+            assert_eq!(
+                SearchBudget::seconds(secs).time_limit,
+                Some(limit),
+                "{secs}"
+            );
+        }
+        assert!(!BudgetClock::start(&SearchBudget::seconds(f64::INFINITY)).exhausted());
+        assert!(BudgetClock::start(&SearchBudget::seconds(f64::NAN)).exhausted());
     }
 
     #[test]

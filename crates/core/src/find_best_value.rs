@@ -22,7 +22,7 @@
 //! which reuses the window vector across calls and skips the traversal
 //! entirely when nothing relevant changed.
 
-use crate::instance::{BackendKind, Instance, LeafLayout};
+use crate::instance::{BackendKind, Instance};
 use mwsj_geom::{Predicate, Rect};
 use mwsj_query::{PenaltyTable, Solution, VarId};
 use mwsj_rtree::{grid, multiwindow};
@@ -87,17 +87,15 @@ pub(crate) fn best_value_in_windows(
     // fans cells across threads and therefore needs `Fn + Sync` scorers,
     // while the R*-tree kernel keeps its original `FnMut` contract.
     let best = match (instance.backend(), penalties) {
-        (BackendKind::RTree, Some((table, lambda))) => run_kernel(
-            instance,
-            var,
+        (BackendKind::RTree, Some((table, lambda))) => multiwindow::find_best_leaf_leveled(
+            instance.tree(var).root_node(),
             windows,
             |&object, count| count as f64 - lambda * table.get(var, object as usize) as f64,
             node_accesses,
             level_accesses,
         ),
-        (BackendKind::RTree, None) => run_kernel(
-            instance,
-            var,
+        (BackendKind::RTree, None) => multiwindow::find_best_leaf_leveled(
+            instance.tree(var).root_node(),
             windows,
             |_, count| count as f64,
             node_accesses,
@@ -125,34 +123,6 @@ pub(crate) fn best_value_in_windows(
         satisfied: best.satisfied,
         effective: best.score,
     })
-}
-
-/// Dispatches the traversal to the leaf layout the instance selects. The
-/// two kernels are bit-identical in results and node accesses (DESIGN.md
-/// §5f); [`LeafLayout::Flat`] scans the frozen SoA arrays and is the
-/// default hot path.
-fn run_kernel(
-    instance: &Instance,
-    var: VarId,
-    windows: &[(Predicate, Rect)],
-    score: impl FnMut(&u32, u32) -> f64,
-    node_accesses: &mut u64,
-    level_accesses: &mut [u64],
-) -> Option<multiwindow::BestLeaf<u32>> {
-    let root = instance.tree(var).root_node();
-    match instance.leaf_layout() {
-        LeafLayout::Flat => multiwindow::find_best_leaf_flat_leveled(
-            root,
-            instance.flat_leaves(var),
-            windows,
-            score,
-            node_accesses,
-            level_accesses,
-        ),
-        LeafLayout::Entry => {
-            multiwindow::find_best_leaf_leveled(root, windows, score, node_accesses, level_accesses)
-        }
-    }
 }
 
 #[cfg(test)]

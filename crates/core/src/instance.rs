@@ -3,26 +3,11 @@
 use mwsj_geom::Rect;
 use mwsj_obs::{MemoryFootprint, ResourceReport};
 use mwsj_query::{ConflictState, QueryGraph, Solution, VarId};
-use mwsj_rtree::{FlatLeaves, RTree, RTreeParams, UniformGrid};
+use mwsj_rtree::{RTree, UniformGrid};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
-
-/// Which leaf representation the multi-window kernel scans.
-///
-/// Both layouts are bit-identical in results and node-access counts
-/// (DESIGN.md §5f); [`LeafLayout::Flat`] reads the frozen SoA coordinate
-/// arrays and is the default — the entry layout stays selectable for A/B
-/// benchmarking and the scale-invariance tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LeafLayout {
-    /// Contiguous SoA leaf arrays ([`FlatLeaves`]); the fast path.
-    #[default]
-    Flat,
-    /// The slab's array-of-structs entry vectors; the reference path.
-    Entry,
-}
 
 /// Which spatial index backend answers the window and multi-window
 /// queries of the search algorithms.
@@ -66,10 +51,6 @@ impl BackendKind {
 pub(crate) struct IndexedDataset {
     pub rects: Vec<Rect>,
     pub tree: RTree<u32>,
-    /// Frozen SoA view of `tree`'s leaf level (the kernel's fast path).
-    /// Valid for the instance's lifetime: instance trees are bulk-loaded
-    /// once and never mutated.
-    pub flat: FlatLeaves<u32>,
     /// Uniform-grid index over the same rectangles, built on first use
     /// (selecting [`BackendKind::Grid`] builds it eagerly). `OnceLock`
     /// keeps the dataset shareable across `Arc` aliases without cloning
@@ -78,14 +59,11 @@ pub(crate) struct IndexedDataset {
 }
 
 impl IndexedDataset {
-    fn build(rects: Vec<Rect>, params: RTreeParams) -> Self {
+    fn build(rects: Vec<Rect>) -> Self {
         let items: Vec<(Rect, u32)> = rects.iter().copied().zip(0u32..).collect();
-        let tree = RTree::bulk_load_with_params(params, items);
-        let flat = tree.flat_leaves();
         IndexedDataset {
             rects,
-            tree,
-            flat,
+            tree: RTree::bulk_load(items),
             grid: OnceLock::new(),
         }
     }
@@ -137,7 +115,6 @@ impl std::error::Error for InstanceError {}
 pub struct Instance {
     graph: QueryGraph,
     data: Vec<Arc<IndexedDataset>>,
-    leaf_layout: LeafLayout,
     backend: BackendKind,
     /// Worker threads for intra-query grid parallelism (1 = sequential;
     /// results are bit-identical at any setting).
@@ -155,21 +132,9 @@ impl Instance {
     where
         D: AsRef<[Rect]>,
     {
-        Self::with_tree_params(graph, datasets, RTreeParams::default())
-    }
-
-    /// [`Instance::new`] with explicit R*-tree parameters.
-    pub fn with_tree_params<D>(
-        graph: QueryGraph,
-        datasets: impl IntoIterator<Item = D>,
-        params: RTreeParams,
-    ) -> Result<Self, InstanceError>
-    where
-        D: AsRef<[Rect]>,
-    {
         let data: Vec<Arc<IndexedDataset>> = datasets
             .into_iter()
-            .map(|d| Arc::new(IndexedDataset::build(d.as_ref().to_vec(), params)))
+            .map(|d| Arc::new(IndexedDataset::build(d.as_ref().to_vec())))
             .collect();
         if data.len() != graph.n_vars() {
             return Err(InstanceError::DatasetCountMismatch {
@@ -183,7 +148,6 @@ impl Instance {
         Ok(Instance {
             graph,
             data,
-            leaf_layout: LeafLayout::default(),
             backend: BackendKind::default(),
             grid_threads: 1,
         })
@@ -196,10 +160,7 @@ impl Instance {
     where
         D: AsRef<[Rect]>,
     {
-        let shared = Arc::new(IndexedDataset::build(
-            dataset.as_ref().to_vec(),
-            RTreeParams::default(),
-        ));
+        let shared = Arc::new(IndexedDataset::build(dataset.as_ref().to_vec()));
         if shared.rects.is_empty() {
             return Err(InstanceError::EmptyDataset(0));
         }
@@ -207,24 +168,9 @@ impl Instance {
         Ok(Instance {
             graph,
             data: vec![shared; n],
-            leaf_layout: LeafLayout::default(),
             backend: BackendKind::default(),
             grid_threads: 1,
         })
-    }
-
-    /// Selects the leaf representation the multi-window kernel scans
-    /// (builder style). Defaults to [`LeafLayout::Flat`]; the entry layout
-    /// exists for A/B benchmarking and layout-equivalence tests.
-    pub fn with_leaf_layout(mut self, layout: LeafLayout) -> Self {
-        self.leaf_layout = layout;
-        self
-    }
-
-    /// The leaf representation the multi-window kernel scans.
-    #[inline]
-    pub fn leaf_layout(&self) -> LeafLayout {
-        self.leaf_layout
     }
 
     /// Selects the spatial backend answering the index queries (builder
@@ -303,12 +249,6 @@ impl Instance {
         &self.data[v].tree
     }
 
-    /// The flat SoA leaf snapshot of variable `v`'s tree.
-    #[inline]
-    pub(crate) fn flat_leaves(&self, v: VarId) -> &FlatLeaves<u32> {
-        &self.data[v].flat
-    }
-
     /// Closure resolving `(variable, object)` to its MBR, the shape the
     /// `mwsj-query` evaluation APIs expect.
     pub fn rect_of(&self) -> impl Fn(VarId, usize) -> Rect + '_ {
@@ -355,9 +295,9 @@ impl Instance {
     }
 
     /// Records per-structure byte counts into `report`: for each unique
-    /// dataset, the raw rectangles (`rects.varNNN`), the R*-tree arena
-    /// (`rtree.varNNN`) and the frozen SoA leaves (`flat_leaves.varNNN`),
-    /// named after the first variable bound to that dataset. The same
+    /// dataset, the raw rectangles (`rects.varNNN`) and the R*-tree nodes
+    /// (`rtree.varNNN`), named after the first variable bound to that
+    /// dataset, plus `grid.varNNN` once the grid has been built. The same
     /// table backs the `resource_report` run event and the `memory`
     /// section of bench snapshots.
     pub fn fill_resource_report(&self, report: &mut ResourceReport) {
@@ -367,10 +307,6 @@ impl Instance {
                 d.rects.len() as u64 * std::mem::size_of::<Rect>() as u64,
             );
             report.record(&format!("rtree.var{v:03}"), d.tree.memory_bytes());
-            report.record(
-                &format!("flat_leaves.var{v:03}"),
-                MemoryFootprint::memory_bytes(&d.flat),
-            );
             // The grid component appears only once the grid backend has
             // been materialised, keeping R*-tree-only reports (and the
             // pinned bench snapshots) byte-identical.
@@ -397,8 +333,8 @@ impl Instance {
 }
 
 impl MemoryFootprint for Instance {
-    /// Resident bytes of the indexed datasets (rectangles, R*-tree arenas
-    /// and frozen SoA leaves), with `Arc`-shared self-join datasets counted
+    /// Resident bytes of the indexed datasets (rectangles, R*-tree nodes and
+    /// built grids), with `Arc`-shared self-join datasets counted
     /// once. Deterministic: the same logical instance always reports the
     /// same total.
     fn memory_bytes(&self) -> u64 {
@@ -406,7 +342,6 @@ impl MemoryFootprint for Instance {
             .map(|(_, d)| {
                 d.rects.len() as u64 * std::mem::size_of::<Rect>() as u64
                     + d.tree.memory_bytes()
-                    + MemoryFootprint::memory_bytes(&d.flat)
                     + d.grid.get().map_or(0, MemoryFootprint::memory_bytes)
             })
             .sum()
@@ -505,17 +440,14 @@ mod tests {
             .iter()
             .map(|(n, _)| n.as_str())
             .collect();
-        assert_eq!(
-            names,
-            ["flat_leaves.var000", "rects.var000", "rtree.var000"]
-        );
+        assert_eq!(names, ["rects.var000", "rtree.var000"]);
         assert_eq!(report.total_bytes(), inst.memory_bytes());
 
         // Distinct datasets report one component set per variable.
         let distinct = tiny_instance();
         let mut report = ResourceReport::new();
         distinct.fill_resource_report(&mut report);
-        assert_eq!(report.components().len(), 9);
+        assert_eq!(report.components().len(), 6);
         assert_eq!(report.total_bytes(), distinct.memory_bytes());
     }
 
@@ -536,15 +468,7 @@ mod tests {
             .iter()
             .map(|(n, _)| n.as_str())
             .collect();
-        assert_eq!(
-            names,
-            [
-                "flat_leaves.var000",
-                "grid.var000",
-                "rects.var000",
-                "rtree.var000"
-            ]
-        );
+        assert_eq!(names, ["grid.var000", "rects.var000", "rtree.var000"]);
         assert_eq!(report.total_bytes(), inst.memory_bytes());
         // Aliased variables share one grid.
         assert!(std::ptr::eq(inst.grid(0), inst.grid(3)));
@@ -553,7 +477,7 @@ mod tests {
         assert_eq!(plain.backend(), BackendKind::RTree);
         let mut report = ResourceReport::new();
         plain.fill_resource_report(&mut report);
-        assert_eq!(report.components().len(), 9);
+        assert_eq!(report.components().len(), 6);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use find_best_value::{find_best_value, BestValue};
 pub use gils::{Gils, GilsConfig};
 pub use ibb::{Ibb, IbbConfig};
 pub use ils::{Ils, IlsConfig};
-pub use instance::{BackendKind, Instance, InstanceError, LeafLayout};
+pub use instance::{BackendKind, Instance, InstanceError};
 pub use naive::{NaiveGa, NaiveGaConfig, NaiveLocalSearch, SaConfig, SimulatedAnnealing};
 pub use observe::metric;
 pub use pairwise::PairwiseJoin;

@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_yield_empty_result() {
-        let empty: RTree<u32> = RTree::new();
+        let empty: RTree<u32> = RTree::bulk_load(Vec::new());
         let mut rng = StdRng::seed_from_u64(113);
         let d = Dataset::uniform(10, 0.2, &mut rng);
         let t = tree_of(d.rects(), 8);

@@ -245,7 +245,7 @@ impl<A: AnytimeSearch> ParallelPortfolio<A> {
         let shares = budget.split(k);
         let shared = SharedSearchState::new();
         let cutoff = self.config.cutoff.armed(budget);
-        let deadline = budget.time_limit.map(|limit| start + limit);
+        let deadline = budget.time_limit.and_then(|limit| start.checked_add(limit));
 
         let threads_used = self.effective_threads();
         let mut outcomes: Vec<RestartOutcome> = if threads_used <= 1 {

@@ -65,16 +65,16 @@ impl Dataset {
     /// is not a number) is skipped; blank lines are ignored.
     pub fn from_csv(text: &str) -> Result<Dataset, CsvError> {
         let mut rects = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = i + 1;
-            let trimmed = raw.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
+        let rows = text
+            .lines()
+            .enumerate()
+            .map(|(i, raw)| (i + 1, raw.trim()))
+            .filter(|(_, trimmed)| !trimmed.is_empty());
+        for (row, (line, trimmed)) in rows.enumerate() {
             let fields: Vec<&str> = trimmed.split(',').map(str::trim).collect();
             // Header detection: first field not numeric on the first
             // non-empty row.
-            if rects.is_empty() && fields[0].parse::<f64>().is_err() && i == 0 {
+            if row == 0 && fields[0].parse::<f64>().is_err() {
                 continue;
             }
             if fields.len() != 4 {
@@ -141,6 +141,9 @@ mod tests {
     fn skips_blank_lines_and_whitespace() {
         let d = Dataset::from_csv("min_x,min_y,max_x,max_y\n\n 0 , 0 , 1 , 1 \n\n").unwrap();
         assert_eq!(d.len(), 1);
+        // The header is the first non-empty row, wherever it sits.
+        let d = Dataset::from_csv("\nmin_x,min_y,max_x,max_y\n0,0,1,1\n").unwrap();
+        assert_eq!(d.len(), 1);
     }
 
     #[test]
@@ -162,6 +165,11 @@ mod tests {
             CsvError::Empty
         );
         assert_eq!(Dataset::from_csv("").unwrap_err(), CsvError::Empty);
+        // Only the first non-empty row may be a header.
+        assert!(matches!(
+            Dataset::from_csv("\n0,0,1,1\nmin_x,min_y,max_x,max_y\n"),
+            Err(CsvError::BadNumber { line: 3, .. })
+        ));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! flight recorder.
 //!
 //! In-memory join processing lives or dies by working-set size: the paper's
-//! "Very Large Databases" claim only holds while every R*-tree, flat-leaf
-//! snapshot and search-side cache stays resident. This module gives the
+//! "Very Large Databases" claim only holds while every R*-tree, grid and
+//! search-side cache stays resident. This module gives the
 //! workspace one vocabulary for that cost:
 //!
 //! * [`MemoryFootprint`] — byte-exact, **deterministic** accounting of the

@@ -97,8 +97,7 @@ record! {
 
 record! {
     /// Deterministic memory footprint of one suite instance's resident
-    /// structures, component by component (`rtree.var000`, `flat_leaves.var000`,
-    /// …). Bytes are length-based (`MemoryFootprint` contract), so the same
+    /// structures, component by component (`rects.var000`, `rtree.var000`, …). Bytes are length-based (`MemoryFootprint` contract), so the same
     /// pinned instance always reports the same table on every machine.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct MemoryRecord {
@@ -415,10 +414,7 @@ mod tests {
             }],
             memory: vec![MemoryRecord {
                 instance: "chain-4x300-sol1".into(),
-                components: vec![
-                    ("flat_leaves.var000".into(), 4096),
-                    ("rtree.var000".into(), 8192),
-                ],
+                components: vec![("rects.var000".into(), 4096), ("rtree.var000".into(), 8192)],
                 total_bytes: 12_288,
             }],
             cache: vec![CacheRecord {

@@ -4,8 +4,7 @@
 //! system every node visit is a potential page read. [`AccessCounter`] is
 //! the one accounting primitive shared by **all** traversal paths of this
 //! crate: window/point/predicate queries ([`crate::RTree::window_counted`]
-//! and friends), k-NN ([`crate::RTree::nearest_neighbors_counted`]),
-//! insertion ([`crate::RTree::insert_counted`]), STR bulk loading
+//! and friends), STR bulk loading
 //! ([`crate::RTree::bulk_load_with_params_counted`]) and the visit API
 //! ([`crate::RTree::root_node_counted`]).
 //!

@@ -3,11 +3,12 @@
 //! STR packs a static dataset into a fully-built tree in `O(N log N)`:
 //! sort by x-center, cut into `⌈√P⌉` vertical slices (P = number of leaves),
 //! sort each slice by y-center and pack runs of `M` entries into leaves;
-//! repeat one level up until a single node remains. The experiment harness
-//! uses this to build indexes over 10⁴–10⁵ objects per dataset in
-//! milliseconds rather than running one R* insertion per object.
+//! repeat one level up until a single node remains. It is the only way to
+//! build an [`RTree`]: the engine indexes static datasets of 10⁴–10⁵
+//! objects, and one-by-one R* insertion was measured 21–26× slower to build
+//! for the same `find best value` access counts (DESIGN.md §5f).
 
-use crate::node::Entry;
+use crate::node::{Entry, Node, NodeId};
 use crate::params::RTreeParams;
 use crate::tree::RTree;
 use mwsj_geom::Rect;
@@ -20,7 +21,41 @@ impl<T> RTree<T> {
 
     /// Builds a tree over `items` using STR packing.
     pub fn bulk_load_with_params(params: RTreeParams, items: Vec<(Rect, T)>) -> Self {
-        Self::bulk_load_impl(params, items, None)
+        debug_assert!(items.iter().all(|(r, _)| r.is_finite()));
+        let cap = params.max_entries();
+        let len = items.len();
+        let mut nodes: Vec<Node<T>> = Vec::new();
+
+        // Pack level by level until everything fits in one node; an empty
+        // input yields a single empty leaf as root.
+        let mut level = 0u32;
+        let mut current: Vec<Entry<T>> = items
+            .into_iter()
+            .map(|(mbr, v)| Entry::data(mbr, v))
+            .collect();
+        while current.len() > cap {
+            let groups = str_partition(current, cap);
+            let mut parents: Vec<Entry<T>> = Vec::with_capacity(groups.len());
+            for entries in groups {
+                let node = Node { level, entries };
+                parents.push(Entry::child(node.mbr(), NodeId(nodes.len() as u32)));
+                nodes.push(node);
+            }
+            current = parents;
+            level += 1;
+        }
+        let root = NodeId(nodes.len() as u32);
+        nodes.push(Node {
+            level,
+            entries: current,
+        });
+        RTree {
+            params,
+            nodes,
+            root,
+            height: level + 1,
+            len,
+        }
     }
 
     /// [`RTree::bulk_load_with_params`] with node accesses recorded into
@@ -30,65 +65,9 @@ impl<T> RTree<T> {
         items: Vec<(Rect, T)>,
         counter: &crate::AccessCounter,
     ) -> Self {
-        Self::bulk_load_impl(params, items, Some(counter))
-    }
-
-    fn bulk_load_impl(
-        params: RTreeParams,
-        items: Vec<(Rect, T)>,
-        counter: Option<&crate::AccessCounter>,
-    ) -> Self {
-        let mut tree = RTree::with_params(params);
-        if items.is_empty() {
-            return tree;
-        }
-        tree.len = items.len();
-        debug_assert!(items.iter().all(|(r, _)| r.is_finite()));
-
-        let entries: Vec<Entry<T>> = items
-            .into_iter()
-            .map(|(mbr, v)| Entry::data(mbr, v))
-            .collect();
-
-        // Pack level by level until everything fits in one node.
-        let mut level = 0u32;
-        let mut current = entries;
-        loop {
-            if current.len() <= params.max_entries {
-                // Root node at this level.
-                tree.dealloc_initial_root_if_needed(level);
-                let root = tree.alloc(level);
-                tree.node_mut(root).entries = current;
-                tree.root = root;
-                tree.height = level + 1;
-                if let Some(c) = counter {
-                    c.inc();
-                }
-                return tree;
-            }
-            let groups = str_partition(current, params.max_entries);
-            let mut parents: Vec<Entry<T>> = Vec::with_capacity(groups.len());
-            for group in groups {
-                let id = tree.alloc(level);
-                tree.node_mut(id).entries = group;
-                let mbr = tree.node(id).mbr();
-                parents.push(Entry::child(mbr, id));
-                if let Some(c) = counter {
-                    c.inc();
-                }
-            }
-            current = parents;
-            level += 1;
-        }
-    }
-
-    /// The constructor pre-allocates an empty leaf root; when bulk loading
-    /// at leaf level we can reuse it via the free list.
-    fn dealloc_initial_root_if_needed(&mut self, _level: u32) {
-        if self.node(self.root).entries.is_empty() {
-            let r = self.root;
-            self.dealloc(r);
-        }
+        let tree = Self::bulk_load_with_params(params, items);
+        counter.add(tree.nodes.len() as u64);
+        tree
     }
 }
 
@@ -96,8 +75,8 @@ impl<T> RTree<T> {
 ///
 /// Group sizes are distributed evenly (instead of filling nodes to `cap`
 /// and leaving a short tail), which guarantees every group holds at least
-/// `⌊cap/2⌋ ≥ min_entries` members, so bulk-loaded trees satisfy the same
-/// occupancy invariants as dynamically built ones.
+/// `⌊cap/2⌋` members — the occupancy bound [`RTree::check_invariants`]
+/// verifies.
 fn str_partition<T>(mut entries: Vec<Entry<T>>, cap: usize) -> Vec<Vec<Entry<T>>> {
     let n = entries.len();
     debug_assert!(n > cap);
@@ -130,7 +109,7 @@ fn str_partition<T>(mut entries: Vec<Entry<T>>, cap: usize) -> Vec<Vec<Entry<T>>
 }
 
 /// Splits `items` into `k` contiguous chunks whose sizes differ by at most 1.
-pub(crate) fn even_chunks<T>(mut items: Vec<T>, k: usize) -> Vec<Vec<T>> {
+fn even_chunks<T>(mut items: Vec<T>, k: usize) -> Vec<Vec<T>> {
     let n = items.len();
     let k = k.clamp(1, n.max(1));
     let base = n / k;
@@ -190,19 +169,21 @@ mod tests {
     }
 
     #[test]
-    fn bulk_load_matches_incremental_queries() {
+    fn bulk_load_matches_linear_scan_at_every_capacity() {
         let items = random_items(2_000, 3);
-        let bulk = RTree::bulk_load_with_params(RTreeParams::new(16), items.clone());
-        let mut incr = RTree::with_params(RTreeParams::new(16));
-        for (r, v) in items {
-            incr.insert(r, v);
-        }
         let window = Rect::new(0.2, 0.2, 0.4, 0.4);
-        let mut a: Vec<usize> = bulk.window(&window).map(|(_, v)| *v).collect();
-        let mut b: Vec<usize> = incr.window(&window).map(|(_, v)| *v).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        let expected: Vec<usize> = items
+            .iter()
+            .filter(|(r, _)| r.intersects(&window))
+            .map(|(_, v)| *v)
+            .collect();
+        for cap in [4, 8, 32] {
+            let tree = RTree::bulk_load_with_params(RTreeParams::new(cap), items.clone());
+            tree.check_invariants().unwrap();
+            let mut got: Vec<usize> = tree.window(&window).map(|(_, v)| *v).collect();
+            got.sort_unstable();
+            assert_eq!(got, expected, "capacity {cap}");
+        }
     }
 
     #[test]
@@ -226,18 +207,5 @@ mod tests {
             &counter,
         );
         assert_eq!(counter.get(), tree.node_count() as u64);
-    }
-
-    #[test]
-    fn bulk_loaded_tree_supports_further_inserts_and_removals() {
-        let items = random_items(1_000, 6);
-        let mut tree = RTree::bulk_load_with_params(RTreeParams::new(8), items.clone());
-        tree.insert(Rect::new(0.5, 0.5, 0.6, 0.6), 99_999);
-        assert_eq!(tree.len(), 1_001);
-        tree.check_invariants().unwrap();
-        let (r0, v0) = items[0];
-        assert!(tree.remove(&r0, &v0));
-        tree.check_invariants().unwrap();
-        assert_eq!(tree.len(), 1_000);
     }
 }

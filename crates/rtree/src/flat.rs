@@ -1,31 +1,27 @@
-//! Flat contiguous leaf-entry storage (structure-of-arrays).
+//! Flat contiguous leaf-entry storage (structure-of-arrays) — **probe-only**.
 //!
-//! The slab layout of [`RTree`] stores leaf entries as
-//! `Vec<Entry<T>>` per node — an array-of-structs whose 40-byte stride
-//! (MBR + payload enum) and per-entry discriminant check make the
-//! multi-window kernel's leaf scans branch-heavy and cache-unfriendly at
-//! paper scale (10⁴–10⁵ objects per dataset). [`FlatLeaves`] is a frozen
-//! side-car view of the same leaf level: four contiguous `f64` coordinate
-//! arrays plus one value array, indexed per node by a `(start, len)` span,
-//! so a leaf scan is a tight loop over adjacent memory with no enum
-//! branches — the layout in-memory spatial join engines use for their
-//! scan phases.
+//! [`FlatLeaves`] copies an [`RTree`]'s leaf level into four contiguous
+//! `f64` coordinate arrays plus one value array, indexed per node by a
+//! `(start, len)` span, so that [`find_best_leaf_flat`](crate::find_best_leaf_flat)
+//! can scan leaves without the 40-byte entry stride and payload branch.
 //!
-//! A `FlatLeaves` is a **snapshot**: it is built from the current tree
-//! contents ([`RTree::flat_leaves`]) and does not observe later inserts or
-//! deletes. The intended use is bulk-load-once read-many workloads (all of
-//! `mwsj-core`'s search instances); rebuild after mutating.
+//! Nothing in the engine uses it: the measured leaf-layout A/B showed no
+//! wall-time win (DESIGN.md §5f) and `mwsj-core` scans the entry layout
+//! like every other traversal. The type, [`RTree::flat_leaves`] and
+//! `find_best_leaf_flat` stay only because the repository benchmark's
+//! per-layer probes (`benchmark/src/probes.rs`) time them; they and
+//! `tests/flat_layout_prop.rs` leave with the next benchmark change.
 //!
-//! The counter-compatibility contract (DESIGN.md §5f) requires scans over
-//! this layout to be bit-identical to the entry layout: same coordinates,
-//! same values, same entry order per node. [`FlatLeaves::new`] copies all
-//! three verbatim, and the round-trip test below locks the guarantee.
+//! Scans over this layout are bit-identical to the entry layout: same
+//! coordinates, same values, same entry order per node.
+//! [`FlatLeaves::new`] copies all three verbatim, and the round-trip test
+//! below locks the guarantee.
 
 use crate::node::{NodeId, Payload};
 use crate::tree::RTree;
 use mwsj_geom::{Point, Rect};
 
-/// Frozen SoA copy of an [`RTree`]'s leaf level. See the module docs.
+/// SoA copy of an [`RTree`]'s leaf level (probe-only; see the module docs).
 #[derive(Debug, Clone)]
 pub struct FlatLeaves<T> {
     /// Lower-left x of every leaf entry, in (node, slot) order.
@@ -39,7 +35,7 @@ pub struct FlatLeaves<T> {
     /// Leaf payloads, parallel to the coordinate arrays.
     values: Vec<T>,
     /// Per node-id `(start, len)` span into the arrays; `(0, 0)` for
-    /// internal (and free-listed) nodes.
+    /// internal nodes.
     spans: Vec<(u32, u32)>,
 }
 
@@ -53,9 +49,9 @@ impl<T: Copy> FlatLeaves<T> {
             hi_x: Vec::with_capacity(tree.len()),
             hi_y: Vec::with_capacity(tree.len()),
             values: Vec::with_capacity(tree.len()),
-            spans: vec![(0, 0); tree.node_count_slab()],
+            spans: vec![(0, 0); tree.nodes.len()],
         };
-        let mut stack = vec![tree.root_id()];
+        let mut stack = vec![tree.root];
         while let Some(id) = stack.pop() {
             let node = tree.node(id);
             if node.is_leaf() {
@@ -94,8 +90,7 @@ impl<T> FlatLeaves<T> {
         self.values.is_empty()
     }
 
-    /// Bytes occupied by the SoA arrays (coordinates + values + spans) —
-    /// the memory cost of keeping the fast path resident.
+    /// Bytes occupied by the SoA arrays (coordinates + values + spans).
     pub fn memory_bytes(&self) -> usize {
         4 * self.lo_x.len() * std::mem::size_of::<f64>()
             + self.values.len() * std::mem::size_of::<T>()
@@ -144,26 +139,19 @@ mod tests {
             .collect()
     }
 
-    /// Every leaf node's span reproduces its entries verbatim, for both
-    /// bulk-load flavours and an incremental build.
+    /// Every leaf node's span reproduces its entries verbatim, at every
+    /// node capacity.
     #[test]
     fn flat_view_matches_entry_layout_per_node() {
         let items = random_items(3, 2_000);
-        let mut incremental = RTree::with_params(RTreeParams::new(8));
-        for (r, v) in &items {
-            incremental.insert(*r, *v);
-        }
-        let trees = [
-            RTree::bulk_load_with_params(RTreeParams::new(8), items.clone()),
-            RTree::bulk_load_hilbert_with_params(RTreeParams::new(8), items.clone()),
-            incremental,
-        ];
+        let trees = [4, 8, 32]
+            .map(|cap| RTree::bulk_load_with_params(RTreeParams::new(cap), items.clone()));
         for tree in &trees {
             let flat = tree.flat_leaves();
             assert_eq!(flat.len(), tree.len());
             assert!(flat.memory_bytes() > 0);
             // Walk the tree; at each leaf, the span must mirror the node.
-            let mut stack = vec![tree.root_id()];
+            let mut stack = vec![tree.root];
             let mut seen = 0usize;
             while let Some(id) = stack.pop() {
                 let node = tree.node(id);
@@ -192,7 +180,7 @@ mod tests {
 
     #[test]
     fn empty_tree_yields_empty_view() {
-        let tree: RTree<u32> = RTree::new();
+        let tree: RTree<u32> = RTree::bulk_load(Vec::new());
         let flat = tree.flat_leaves();
         assert!(flat.is_empty());
         assert_eq!(flat.len(), 0);

@@ -2,21 +2,19 @@
 //!
 //! Byte counts follow the trait's contract (`mwsj_obs::resource`):
 //! length-based, never capacity-based, so the same logical tree always
-//! reports the same bytes regardless of allocator growth or the `+1`
-//! transient-overflow headroom nodes reserve. The numbers are the
+//! reports the same bytes regardless of allocator growth. The numbers are the
 //! regression-gated working-set cost of keeping an index resident, not an
 //! allocator measurement.
 
 use crate::flat::FlatLeaves;
-use crate::node::{Entry, Node, NodeId};
+use crate::node::{Entry, Node};
 use crate::tree::RTree;
 use mwsj_obs::MemoryFootprint;
 use std::mem::size_of;
 
 impl<T> MemoryFootprint for RTree<T> {
-    /// Heap bytes of the node arena: one node header per slab slot
-    /// (free-listed slots keep their header resident), the stored entries
-    /// counted by `len`, and the free list itself.
+    /// Heap bytes of the node vector: one node header per node plus the
+    /// stored entries counted by `len`.
     fn memory_bytes(&self) -> u64 {
         let headers = self.nodes.len() as u64 * size_of::<Node<T>>() as u64;
         let entries: u64 = self
@@ -25,14 +23,14 @@ impl<T> MemoryFootprint for RTree<T> {
             .map(|node| node.entries.len() as u64)
             .sum::<u64>()
             * size_of::<Entry<T>>() as u64;
-        let free = self.free.len() as u64 * size_of::<NodeId>() as u64;
-        headers + entries + free
+        headers + entries
     }
 }
 
 impl<T> MemoryFootprint for FlatLeaves<T> {
     /// Delegates to [`FlatLeaves::memory_bytes`]: the SoA coordinate
-    /// streams, the value array and the per-node span table.
+    /// streams, the value array and the per-node span table. Probe-only,
+    /// like the type (see the `flat` module docs).
     fn memory_bytes(&self) -> u64 {
         FlatLeaves::memory_bytes(self) as u64
     }
@@ -94,22 +92,19 @@ mod tests {
         }
     }
 
-    /// Incremental mutation keeps the accounting length-based: inserting
-    /// then deleting entries changes the byte count with the contents,
-    /// and free-listed slots still charge their node header.
+    /// The accounting is length-based: the byte count grows with the
+    /// contents at every node capacity.
     #[test]
-    fn tree_bytes_track_contents_not_capacity() {
-        let mut tree = RTree::with_params(RTreeParams::new(4));
-        let empty = MemoryFootprint::memory_bytes(&tree);
-        for (r, v) in items(7, 200) {
-            tree.insert(r, v);
+    fn tree_bytes_track_contents() {
+        for cap in [4, 8, 32] {
+            let build = |n| {
+                MemoryFootprint::memory_bytes(&RTree::bulk_load_with_params(
+                    RTreeParams::new(cap),
+                    items(7, n),
+                ))
+            };
+            let (empty, small, full) = (build(0), build(50), build(200));
+            assert!(empty < small && small < full, "capacity {cap}");
         }
-        let full = MemoryFootprint::memory_bytes(&tree);
-        assert!(full > empty);
-        for (r, v) in items(7, 200) {
-            assert!(tree.remove(&r, &v));
-        }
-        let drained = MemoryFootprint::memory_bytes(&tree);
-        assert!(drained < full, "deleting entries must shrink the count");
     }
 }

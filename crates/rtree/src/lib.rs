@@ -1,23 +1,22 @@
-//! An arena-based R*-tree.
+//! A static, bulk-loaded R-tree.
 //!
-//! This crate implements the index substrate of the EDBT 2002 paper: the
-//! R*-tree of Beckmann, Kriegel, Schneider and Seeger (SIGMOD 1990), the
-//! structure the paper assumes over every input dataset ("for the rest of
-//! the paper we consider that all datasets are indexed by R*-trees on
-//! minimum bounding rectangles").
+//! This crate implements the index substrate of the EDBT 2002 paper, which
+//! assumes an R*-tree (Beckmann, Kriegel, Schneider and Seeger, SIGMOD
+//! 1990) over every input dataset ("for the rest of the paper we consider
+//! that all datasets are indexed by R*-trees on minimum bounding
+//! rectangles"). The engine only ever *reads* its indexes, so the tree is
+//! built once and is immutable: the R* insertion heuristics (choose-subtree,
+//! topological split, forced re-insertion), deletion and k-NN search were
+//! removed after measuring that they buy the search nothing over STR
+//! packing (DESIGN.md §5f).
 //!
 //! Features:
 //!
-//! * **Dynamic insertion** with R* subtree choice (minimum overlap
-//!   enlargement at the leaf level), topological split and forced
-//!   reinsertion (30 % of the node on first overflow per level).
-//! * **Deletion** with tree condensation and orphan re-insertion.
-//! * **STR bulk loading** (Sort-Tile-Recursive) for building an index over a
-//!   static dataset in one pass — used by the experiment harness, which
-//!   builds trees over 10⁴–10⁵ objects per query variable.
+//! * **STR bulk loading** (Sort-Tile-Recursive), the one build path —
+//!   an index over 10⁴–10⁵ objects per query variable in milliseconds.
 //! * **Queries**: window (rectangle intersection), generic
-//!   [`Predicate`](mwsj_geom::Predicate)-based candidate enumeration,
-//!   point queries and best-first k-nearest-neighbour search.
+//!   [`Predicate`](mwsj_geom::Predicate)-based candidate enumeration and
+//!   point queries.
 //! * A **read-only traversal API** ([`NodeRef`]/[`EntryRef`]) that the join
 //!   algorithms in `mwsj-core` use to drive custom branch-and-bound
 //!   traversals (the paper's *find best value*, synchronous traversal and
@@ -27,32 +26,30 @@
 //!   best value* (Fig. 5) with a caller-supplied leaf scorer, shared by
 //!   the raw (ILS/SEA/IBB) and λ-penalised (GILS) search paths.
 //! * A shared **access-accounting hook** ([`AccessCounter`]): every
-//!   traversal path — insertion, window/point/predicate queries, k-NN,
-//!   bulk load and the visit API — has a `*_counted` variant that records
-//!   one access per node touched into a caller-supplied counter.
+//!   traversal path — window/point/predicate queries, bulk load and the
+//!   visit API — has a `*_counted` variant that records one access per
+//!   node touched into a caller-supplied counter.
+//! * A **uniform grid** ([`UniformGrid`]), the second spatial backend.
 //! * An **invariant checker** ([`RTree::check_invariants`]) used by the test
 //!   suite and property tests.
 //!
-//! The tree stores nodes in a slab (`Vec`) addressed by compact ids — no
-//! pointer chasing through boxes, no unsafe code.
+//! The tree stores nodes in one `Vec` addressed by compact ids — no
+//! pointer chasing through boxes, no unsafe code. [`FlatLeaves`] and
+//! [`find_best_leaf_flat`] are probe-only leftovers of a retired leaf
+//! layout (see the `flat` module docs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod access;
 mod bulk;
-mod bulk_hilbert;
-mod delete;
 mod flat;
 mod footprint;
 pub mod grid;
-mod insert;
-mod knn;
 pub mod multiwindow;
 mod node;
 mod params;
 mod query;
-mod split;
 mod stats;
 mod tree;
 mod validate;
@@ -61,11 +58,7 @@ mod visit;
 pub use access::AccessCounter;
 pub use flat::FlatLeaves;
 pub use grid::{GridStats, UniformGrid};
-pub use knn::Neighbor;
-pub use multiwindow::{
-    find_best_leaf, find_best_leaf_flat, find_best_leaf_flat_leveled, find_best_leaf_leveled,
-    BestLeaf,
-};
+pub use multiwindow::{find_best_leaf, find_best_leaf_flat, find_best_leaf_leveled, BestLeaf};
 pub use params::RTreeParams;
 pub use stats::TreeStats;
 pub use tree::RTree;

@@ -99,15 +99,15 @@ pub fn find_best_leaf_leveled<T: Copy>(
 }
 
 /// [`find_best_leaf`] over the flat leaf layout (see
-/// [`FlatLeaves`]): internal-node traversal, ordering and pruning are
-/// byte-for-byte the same, but leaf nodes are scanned through the frozen
-/// SoA coordinate arrays instead of the per-node entry vectors. Results
-/// (winner, satisfied count, score) and the `node_accesses` total are
-/// bit-identical to the entry-layout kernel — the counter-compatibility
-/// contract of DESIGN.md §5f, locked by property tests.
+/// [`FlatLeaves`]) — **probe-only**, kept for the benchmark's
+/// `rtree.multiwindow` probe: internal-node traversal, ordering and
+/// pruning are byte-for-byte the same, but leaf nodes are scanned through
+/// the SoA coordinate arrays instead of the per-node entry vectors.
+/// Results (winner, satisfied count, score) and the `node_accesses` total
+/// are bit-identical to the entry-layout kernel, locked by property tests.
 ///
-/// `flat` must be a snapshot of the tree `root` belongs to, taken after
-/// its last mutation; spans of a stale snapshot address the wrong data.
+/// `flat` must be the copy of the tree `root` belongs to; spans of
+/// another tree's copy address the wrong data.
 pub fn find_best_leaf_flat<T: Copy>(
     root: NodeRef<'_, T>,
     flat: &FlatLeaves<T>,
@@ -126,36 +126,6 @@ pub fn find_best_leaf_flat<T: Copy>(
         &mut score,
         &mut best,
         &mut |_| *node_accesses += 1,
-    );
-    best
-}
-
-/// [`find_best_leaf_flat`] with per-level access attribution; see
-/// [`find_best_leaf_leveled`] for the attribution contract.
-pub fn find_best_leaf_flat_leveled<T: Copy>(
-    root: NodeRef<'_, T>,
-    flat: &FlatLeaves<T>,
-    windows: &[(Predicate, Rect)],
-    mut score: impl FnMut(&T, u32) -> f64,
-    node_accesses: &mut u64,
-    level_accesses: &mut [u64],
-) -> Option<BestLeaf<T>> {
-    if windows.is_empty() {
-        return None;
-    }
-    let mut best: Option<BestLeaf<T>> = None;
-    descend(
-        root,
-        Some(flat),
-        windows,
-        &mut score,
-        &mut best,
-        &mut |lvl| {
-            *node_accesses += 1;
-            if let Some(slot) = level_accesses.get_mut(lvl as usize) {
-                *slot += 1;
-            }
-        },
     );
     best
 }
@@ -212,7 +182,7 @@ fn descend<T: Copy>(
     }
 }
 
-/// Leaf scan over the slab entry layout: count satisfied windows per
+/// Leaf scan over the node's entry vector: count satisfied windows per
 /// entry, drop zero counts, visit in descending count order, keep the
 /// first strict score improvement.
 fn scan_leaf_entries<T: Copy>(
@@ -240,7 +210,7 @@ fn scan_leaf_entries<T: Copy>(
 /// as [`scan_leaf_entries`] — identical inputs through an identical sort
 /// give identical visit order, hence bit-identical winners — but the
 /// counting loop reads four contiguous coordinate arrays with no payload
-/// branch, which is what makes large-tier leaf scans cheap.
+/// branch.
 fn scan_leaf_flat<T: Copy>(
     node: NodeRef<'_, T>,
     flat: &FlatLeaves<T>,
@@ -249,7 +219,7 @@ fn scan_leaf_flat<T: Copy>(
     best: &mut Option<BestLeaf<T>>,
 ) {
     let (start, len) = flat.span(node.id());
-    debug_assert_eq!(len, node.len(), "stale flat-leaf snapshot");
+    debug_assert_eq!(len, node.len(), "flat leaves of another tree");
     let mut scored: Vec<(u32, usize)> = Vec::with_capacity(len);
     for i in 0..len {
         let mbr = flat.rect(start + i);
@@ -412,17 +382,15 @@ mod tests {
             assert_eq!(plain_acc, acc);
             assert_eq!(levels.iter().sum::<u64>(), acc, "levels {levels:?}");
             let mut flat_acc = 0u64;
-            let mut flat_levels = vec![0u64; tree.height() as usize];
-            let flat_best = find_best_leaf_flat_leveled(
+            let flat_best = find_best_leaf_flat(
                 tree.root_node(),
                 &flat,
                 &windows,
                 |_, c| c as f64,
                 &mut flat_acc,
-                &mut flat_levels,
             );
             assert_eq!(plain, flat_best);
-            assert_eq!(flat_levels, levels);
+            assert_eq!(flat_acc, acc);
         }
     }
 

@@ -1,8 +1,8 @@
-//! Internal node representation: a slab of nodes addressed by compact ids.
+//! Internal node representation: a vector of nodes addressed by compact ids.
 
 use mwsj_geom::Rect;
 
-/// Index of a node in the tree's slab.
+/// Index of a node in the tree's node vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct NodeId(pub u32);
 
@@ -62,14 +62,6 @@ pub(crate) struct Node<T> {
 }
 
 impl<T> Node<T> {
-    pub(crate) fn new(level: u32, capacity: usize) -> Self {
-        Node {
-            level,
-            // +1: nodes transiently hold M+1 entries before overflow handling.
-            entries: Vec::with_capacity(capacity + 1),
-        }
-    }
-
     #[inline]
     pub(crate) fn is_leaf(&self) -> bool {
         self.level == 0

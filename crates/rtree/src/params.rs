@@ -1,60 +1,27 @@
-//! Tuning parameters of the R*-tree.
+//! The one structural parameter of the tree: node capacity.
 
-/// Structural parameters of an [`crate::RTree`].
-///
-/// `max_entries` (the *M* of the R-tree literature) is the node capacity;
-/// `min_entries` (*m*) is the minimum node occupancy after a split or
-/// deletion; `reinsert_count` (*p*) is how many entries forced reinsertion
-/// evicts on the first overflow of a level. BKSS90 recommends `m = 0.4·M`
-/// and `p = 0.3·M`, which [`RTreeParams::new`] applies.
+/// Structural parameters of an [`crate::RTree`]: the node capacity (the
+/// *M* of the R-tree literature). STR packing fills every non-root node
+/// to between `⌊M/2⌋` and `M` entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RTreeParams {
-    /// Maximum number of entries per node (*M*). At least 4.
-    pub max_entries: usize,
-    /// Minimum number of entries per non-root node (*m*), `2 ≤ m ≤ M/2`.
-    pub min_entries: usize,
-    /// Number of entries evicted by forced reinsertion (*p*),
-    /// `1 ≤ p ≤ M − m`. Zero disables forced reinsertion.
-    pub reinsert_count: usize,
+    max_entries: usize,
 }
 
 impl RTreeParams {
-    /// Creates parameters with the BKSS90 recommendations
-    /// (`m = 0.4·M`, `p = 0.3·M`) for a given node capacity.
+    /// Parameters for a given node capacity.
     ///
     /// # Panics
     /// Panics if `max_entries < 4`.
     pub fn new(max_entries: usize) -> Self {
-        assert!(max_entries >= 4, "R*-tree node capacity must be at least 4");
-        let min_entries = ((max_entries as f64 * 0.4) as usize).max(2);
-        let reinsert_count = ((max_entries as f64 * 0.3) as usize).max(1);
-        RTreeParams {
-            max_entries,
-            min_entries,
-            reinsert_count,
-        }
+        assert!(max_entries >= 4, "R-tree node capacity must be at least 4");
+        RTreeParams { max_entries }
     }
 
-    /// Validates the parameter combination.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_entries < 4 {
-            return Err(format!("max_entries {} < 4", self.max_entries));
-        }
-        if self.min_entries < 2 || self.min_entries > self.max_entries / 2 {
-            return Err(format!(
-                "min_entries {} outside [2, M/2 = {}]",
-                self.min_entries,
-                self.max_entries / 2
-            ));
-        }
-        if self.reinsert_count > self.max_entries - self.min_entries {
-            return Err(format!(
-                "reinsert_count {} > M - m = {}",
-                self.reinsert_count,
-                self.max_entries - self.min_entries
-            ));
-        }
-        Ok(())
+    /// Maximum number of entries per node (*M*). At least 4.
+    #[inline]
+    pub fn max_entries(&self) -> usize {
+        self.max_entries
     }
 }
 
@@ -71,44 +38,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_follow_bkss90_ratios() {
-        let p = RTreeParams::default();
-        assert_eq!(p.max_entries, 32);
-        assert_eq!(p.min_entries, 12); // 0.4 * 32
-        assert_eq!(p.reinsert_count, 9); // 0.3 * 32
-        assert!(p.validate().is_ok());
-    }
-
-    #[test]
-    fn small_capacity_is_clamped_valid() {
-        let p = RTreeParams::new(4);
-        assert_eq!(p.min_entries, 2);
-        assert!(p.validate().is_ok());
+    fn default_capacity_is_32() {
+        assert_eq!(RTreeParams::default().max_entries(), 32);
     }
 
     #[test]
     #[should_panic(expected = "at least 4")]
     fn rejects_tiny_capacity() {
         let _ = RTreeParams::new(3);
-    }
-
-    #[test]
-    fn validate_rejects_bad_min() {
-        let p = RTreeParams {
-            max_entries: 10,
-            min_entries: 6,
-            reinsert_count: 1,
-        };
-        assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_bad_reinsert() {
-        let p = RTreeParams {
-            max_entries: 10,
-            min_entries: 4,
-            reinsert_count: 7,
-        };
-        assert!(p.validate().is_err());
     }
 }

@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn empty_tree_returns_nothing() {
-        let tree: RTree<usize> = RTree::new();
+        let tree: RTree<usize> = RTree::bulk_load(Vec::new());
         assert_eq!(tree.window(&Rect::new(0.0, 0.0, 1.0, 1.0)).count(), 0);
         assert_eq!(tree.point_query(&Point::new(0.0, 0.0)).count(), 0);
     }

@@ -71,7 +71,7 @@ impl<T> RTree<T> {
             if node.is_leaf() {
                 leaves += 1;
             }
-            fill_sum += node.entries.len() as f64 / self.params.max_entries as f64;
+            fill_sum += node.entries.len() as f64 / self.params.max_entries() as f64;
             let lvl = node.level as usize;
             nodes_per_level[lvl] += 1;
             entries_per_level[lvl] += node.entries.len();
@@ -97,7 +97,7 @@ impl<T> RTree<T> {
 
         for lvl in 0..height {
             fill_per_level[lvl] = entries_per_level[lvl] as f64
-                / (nodes_per_level[lvl] as f64 * self.params.max_entries as f64);
+                / (nodes_per_level[lvl] as f64 * self.params.max_entries() as f64);
         }
         let ratio_or_zero = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
         let overlap_factor_per_level: Vec<f64> = (0..height)
@@ -187,103 +187,42 @@ mod tests {
         );
     }
 
-    /// The quality metrics must be finite and sane for both bulk loaders
-    /// at paper scale, and the structural invariants must be unaffected by
-    /// the new per-level columns.
+    /// The quality metrics must be finite and sane at paper scale, and the
+    /// structural invariants must be unaffected by the per-level columns.
     #[test]
-    fn str_and_hilbert_quality_metrics_are_sane_at_100k() {
-        let items = random_items(100_000, 35);
-        let loaded = [
-            (
-                "str",
-                RTree::bulk_load_with_params(RTreeParams::new(16), items.clone()),
-            ),
-            (
-                "hilbert",
-                RTree::bulk_load_hilbert_with_params(RTreeParams::new(16), items),
-            ),
-        ];
-        for (name, tree) in &loaded {
-            let s = tree.stats();
-            let h = tree.height() as usize;
-            assert_eq!(s.len, 100_000, "{name}");
-            assert_eq!(s.fill_per_level.len(), h, "{name}");
-            assert_eq!(s.overlap_factor_per_level.len(), h, "{name}");
-            assert_eq!(s.dead_space_per_level.len(), h, "{name}");
-            assert_eq!(s.perimeter_per_level.len(), h, "{name}");
-            for lvl in 0..h {
-                let fill = s.fill_per_level[lvl];
-                assert!(
-                    fill.is_finite() && fill > 0.0 && fill <= 1.0,
-                    "{name} level {lvl} fill {fill}"
-                );
-                let ov = s.overlap_factor_per_level[lvl];
-                assert!(
-                    ov.is_finite() && ov >= 0.0,
-                    "{name} level {lvl} overlap {ov}"
-                );
-                let dead = s.dead_space_per_level[lvl];
-                assert!(
-                    dead.is_finite() && (0.0..=1.0).contains(&dead),
-                    "{name} level {lvl} dead space {dead}"
-                );
-                let per = s.perimeter_per_level[lvl];
-                assert!(
-                    per.is_finite() && per > 0.0,
-                    "{name} level {lvl} perimeter {per}"
-                );
-            }
-            // The whole-tree fill is the node-weighted mean of the
-            // per-level fills.
-            let weighted: f64 = (0..h)
-                .map(|l| s.fill_per_level[l] * s.nodes_per_level[l] as f64)
-                .sum::<f64>()
-                / s.nodes as f64;
-            assert!((weighted - s.avg_fill).abs() < 1e-9, "{name}");
-            // Invariants unchanged by the new columns.
-            assert_eq!(s.nodes_per_level.iter().sum::<usize>(), s.nodes, "{name}");
-            assert_eq!(s.entries_per_level[0], s.len, "{name}");
+    fn str_quality_metrics_are_sane_at_100k() {
+        let tree = RTree::bulk_load_with_params(RTreeParams::new(16), random_items(100_000, 35));
+        let s = tree.stats();
+        let h = tree.height() as usize;
+        assert_eq!(s.len, 100_000);
+        assert_eq!(s.fill_per_level.len(), h);
+        assert_eq!(s.overlap_factor_per_level.len(), h);
+        assert_eq!(s.dead_space_per_level.len(), h);
+        assert_eq!(s.perimeter_per_level.len(), h);
+        for lvl in 0..h {
+            let fill = s.fill_per_level[lvl];
+            assert!(
+                fill.is_finite() && fill > 0.0 && fill <= 1.0,
+                "level {lvl} fill {fill}"
+            );
             // Loose packing bound: at this density data rects overlap
             // heavily by construction, but a bulk-loaded tree must not
             // degenerate into near-total sibling overlap.
-            for lvl in 0..h {
-                assert!(
-                    s.overlap_factor_per_level[lvl] < 50.0,
-                    "{name} level {lvl} overlap factor {}",
-                    s.overlap_factor_per_level[lvl]
-                );
-            }
+            let ov = s.overlap_factor_per_level[lvl];
+            assert!((0.0..50.0).contains(&ov), "level {lvl} overlap factor {ov}");
+            let dead = s.dead_space_per_level[lvl];
+            assert!((0.0..=1.0).contains(&dead), "level {lvl} dead space {dead}");
+            let per = s.perimeter_per_level[lvl];
+            assert!(per.is_finite() && per > 0.0, "level {lvl} perimeter {per}");
         }
-        // The two loaders land in the same quality regime on uniform data:
-        // neither should beat the other by an order of magnitude on
-        // sibling overlap at the level above the leaves.
-        let (str_s, hil_s) = (loaded[0].1.stats(), loaded[1].1.stats());
-        let (a, b) = (
-            str_s.overlap_factor_per_level[1],
-            hil_s.overlap_factor_per_level[1],
-        );
-        assert!(
-            a < 10.0 * b && b < 10.0 * a,
-            "STR vs Hilbert overlap factors diverge: {a} vs {b}"
-        );
-    }
-
-    #[test]
-    fn rstar_insertion_keeps_overlap_moderate() {
-        // Sanity check that the R* heuristics produce a usable index: leaf
-        // level overlap should be a small fraction of leaf level area for
-        // uniform data.
-        let items = random_items(4_000, 33);
-        let mut tree = RTree::with_params(RTreeParams::new(16));
-        for (r, v) in items {
-            tree.insert(r, v);
-        }
-        let s = tree.stats();
-        let leaf_area: f64 = s.area_per_level[0];
-        let leaf_overlap: f64 = s.overlap_per_level[0];
-        assert!(
-            leaf_overlap < leaf_area * 0.5,
-            "excessive leaf overlap: {leaf_overlap} vs area {leaf_area}"
-        );
+        // The whole-tree fill is the node-weighted mean of the per-level
+        // fills.
+        let weighted: f64 = (0..h)
+            .map(|l| s.fill_per_level[l] * s.nodes_per_level[l] as f64)
+            .sum::<f64>()
+            / s.nodes as f64;
+        assert!((weighted - s.avg_fill).abs() < 1e-9);
+        assert_eq!(s.nodes_per_level.iter().sum::<usize>(), s.nodes);
+        assert_eq!(s.entries_per_level[0], s.len);
     }
 }

@@ -1,26 +1,28 @@
-//! The `RTree` container: slab storage, construction, basic accessors.
+//! The `RTree` container: node storage and basic accessors.
 
-use crate::node::{Entry, Node, NodeId, Payload};
+use crate::node::{Node, NodeId, Payload};
 use crate::params::RTreeParams;
 use crate::visit::NodeRef;
 use mwsj_geom::Rect;
 
-/// An R*-tree over rectangles with payloads of type `T`.
+/// A static R-tree over rectangles with payloads of type `T`, built once
+/// by STR bulk loading ([`RTree::bulk_load`]) and immutable afterwards.
 ///
-/// In this project `T` is usually an object id (`u32`/`usize` index into a
-/// dataset), but any type works; deletion additionally requires
-/// `T: PartialEq` to identify the entry to remove.
+/// In this project `T` is an object id (`u32`/`usize` index into a
+/// dataset), but any type works.
 ///
 /// ```
 /// use mwsj_rtree::RTree;
 /// use mwsj_geom::Rect;
 ///
-/// let mut tree = RTree::new();
-/// for i in 0..100u32 {
-///     let x = (i % 10) as f64;
-///     let y = (i / 10) as f64;
-///     tree.insert(Rect::new(x, y, x + 0.5, y + 0.5), i);
-/// }
+/// let items = (0..100u32)
+///     .map(|i| {
+///         let x = (i % 10) as f64;
+///         let y = (i / 10) as f64;
+///         (Rect::new(x, y, x + 0.5, y + 0.5), i)
+///     })
+///     .collect();
+/// let tree = RTree::bulk_load(items);
 /// assert_eq!(tree.len(), 100);
 /// let window = Rect::new(0.0, 0.0, 1.0, 1.0);
 /// let hits: Vec<_> = tree.window(&window).collect();
@@ -29,45 +31,15 @@ use mwsj_geom::Rect;
 #[derive(Debug)]
 pub struct RTree<T> {
     pub(crate) params: RTreeParams,
+    /// Every node, addressed by [`NodeId`]; all are reachable from `root`.
     pub(crate) nodes: Vec<Node<T>>,
-    pub(crate) free: Vec<NodeId>,
     pub(crate) root: NodeId,
     /// Number of levels; the root node has `level == height - 1`.
     pub(crate) height: u32,
     pub(crate) len: usize,
 }
 
-impl<T> Default for RTree<T> {
-    fn default() -> Self {
-        RTree::new()
-    }
-}
-
 impl<T> RTree<T> {
-    /// Creates an empty tree with [`RTreeParams::default`].
-    pub fn new() -> Self {
-        RTree::with_params(RTreeParams::default())
-    }
-
-    /// Creates an empty tree with the given parameters.
-    ///
-    /// # Panics
-    /// Panics if the parameters are invalid (see [`RTreeParams::validate`]).
-    pub fn with_params(params: RTreeParams) -> Self {
-        params
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid R*-tree parameters: {e}"));
-        let root_node = Node::new(0, params.max_entries);
-        RTree {
-            params,
-            nodes: vec![root_node],
-            free: Vec::new(),
-            root: NodeId(0),
-            height: 1,
-            len: 0,
-        }
-    }
-
     /// Number of data entries stored.
     #[inline]
     pub fn len(&self) -> usize {
@@ -92,9 +64,9 @@ impl<T> RTree<T> {
         &self.params
     }
 
-    /// Number of live nodes (internal + leaf).
+    /// Number of nodes (internal + leaf).
     pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.nodes.len()
     }
 
     /// Bounding box of the whole dataset ([`Rect::EMPTY`] when empty).
@@ -115,11 +87,10 @@ impl<T> RTree<T> {
         NodeRef::counted(self, self.root, counter)
     }
 
-    /// Builds a frozen structure-of-arrays snapshot of the leaf level for
-    /// scan-heavy read paths (see [`FlatLeaves`](crate::FlatLeaves) and
+    /// Builds a structure-of-arrays copy of the leaf level (see
+    /// [`FlatLeaves`](crate::FlatLeaves) and
     /// [`multiwindow::find_best_leaf_flat`](crate::find_best_leaf_flat)).
-    /// The snapshot does not observe later mutations; rebuild after
-    /// inserting or deleting.
+    /// Probe-only: nothing in the engine holds one.
     pub fn flat_leaves(&self) -> crate::FlatLeaves<T>
     where
         T: Copy,
@@ -131,8 +102,7 @@ impl<T> RTree<T> {
     pub fn iter(&self) -> impl Iterator<Item = (&Rect, &T)> + '_ {
         let mut stack = vec![self.root];
         let mut leaf_entries: Vec<(&Rect, &T)> = Vec::new();
-        // Collect eagerly: trees here are static during iteration and this
-        // keeps the iterator type simple.
+        // Collect eagerly: this keeps the iterator type simple.
         while let Some(id) = stack.pop() {
             let node = self.node(id);
             for e in &node.entries {
@@ -145,66 +115,9 @@ impl<T> RTree<T> {
         leaf_entries.into_iter()
     }
 
-    // ------------------------------------------------------------------
-    // Slab management (crate-internal)
-    // ------------------------------------------------------------------
-
     #[inline]
     pub(crate) fn node(&self, id: NodeId) -> &Node<T> {
         &self.nodes[id.index()]
-    }
-
-    /// Id of the root node (for crate-internal traversals that need to
-    /// address nodes, e.g. the flat-leaf snapshot).
-    #[inline]
-    pub(crate) fn root_id(&self) -> NodeId {
-        self.root
-    }
-
-    /// Size of the node slab including free-listed slots — the bound for
-    /// per-node side tables indexed by [`NodeId`].
-    #[inline]
-    pub(crate) fn node_count_slab(&self) -> usize {
-        self.nodes.len()
-    }
-
-    #[inline]
-    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node<T> {
-        &mut self.nodes[id.index()]
-    }
-
-    pub(crate) fn alloc(&mut self, level: u32) -> NodeId {
-        if let Some(id) = self.free.pop() {
-            let cap = self.params.max_entries;
-            let node = self.node_mut(id);
-            node.level = level;
-            node.entries.clear();
-            node.entries.reserve(cap + 1);
-            id
-        } else {
-            let id = NodeId(self.nodes.len() as u32);
-            self.nodes.push(Node::new(level, self.params.max_entries));
-            id
-        }
-    }
-
-    pub(crate) fn dealloc(&mut self, id: NodeId) {
-        self.node_mut(id).entries.clear();
-        self.free.push(id);
-    }
-
-    /// Replaces the root with a fresh node one level higher whose children
-    /// are the old root and `sibling` (used when the root splits).
-    pub(crate) fn grow_root(&mut self, sibling: Entry<T>) {
-        let old_root = self.root;
-        let old_mbr = self.node(old_root).mbr();
-        let new_level = self.node(old_root).level + 1;
-        let new_root = self.alloc(new_level);
-        let node = self.node_mut(new_root);
-        node.entries.push(Entry::child(old_mbr, old_root));
-        node.entries.push(sibling);
-        self.root = new_root;
-        self.height = new_level + 1;
     }
 }
 
@@ -214,33 +127,12 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let tree: RTree<u32> = RTree::new();
+        let tree: RTree<u32> = RTree::bulk_load(Vec::new());
         assert!(tree.is_empty());
         assert_eq!(tree.len(), 0);
         assert_eq!(tree.height(), 1);
         assert_eq!(tree.node_count(), 1);
         assert!(tree.bounding_box().is_empty());
         assert_eq!(tree.iter().count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid R*-tree parameters")]
-    fn rejects_invalid_params() {
-        let bad = RTreeParams {
-            max_entries: 8,
-            min_entries: 7,
-            reinsert_count: 1,
-        };
-        let _: RTree<u32> = RTree::with_params(bad);
-    }
-
-    #[test]
-    fn alloc_reuses_freed_nodes() {
-        let mut tree: RTree<u32> = RTree::new();
-        let a = tree.alloc(0);
-        tree.dealloc(a);
-        let b = tree.alloc(1);
-        assert_eq!(a, b);
-        assert_eq!(tree.node(b).level, 1);
     }
 }

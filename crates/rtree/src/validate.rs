@@ -12,15 +12,14 @@ impl<T> RTree<T> {
     /// 2. every internal entry's MBR equals (within fp tolerance) the tight
     ///    union of its child's entries;
     /// 3. occupancy: every node holds at most `M` entries and every
-    ///    non-root node at least `m`; an internal root holds at least 2;
-    /// 4. no node is reachable twice and no reachable node is on the free
-    ///    list;
+    ///    non-root node at least `⌊M/2⌋` (the STR packing bound); an
+    ///    internal root holds at least 2;
+    /// 4. no node is reachable twice and every stored node is reachable;
     /// 5. the recorded `len` equals the number of reachable data entries.
     ///
     /// Returns a description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut seen: HashSet<u32> = HashSet::new();
-        let free: HashSet<u32> = self.free.iter().map(|id| id.0).collect();
         let mut data_count = 0usize;
 
         let root = self.root;
@@ -37,26 +36,23 @@ impl<T> RTree<T> {
             if !seen.insert(id.0) {
                 return Err(format!("node {} reachable twice", id.0));
             }
-            if free.contains(&id.0) {
-                return Err(format!("node {} is on the free list but reachable", id.0));
-            }
             let node = self.node(id);
 
             // Occupancy.
-            if node.entries.len() > self.params.max_entries {
+            let cap = self.params.max_entries();
+            if node.entries.len() > cap {
                 return Err(format!(
-                    "node {} overflows: {} > M = {}",
+                    "node {} overflows: {} > M = {cap}",
                     id.0,
-                    node.entries.len(),
-                    self.params.max_entries
+                    node.entries.len()
                 ));
             }
-            if id != root && node.entries.len() < self.params.min_entries {
+            if id != root && node.entries.len() < cap / 2 {
                 return Err(format!(
-                    "node {} underflows: {} < m = {}",
+                    "node {} underflows: {} < M/2 = {}",
                     id.0,
                     node.entries.len(),
-                    self.params.min_entries
+                    cap / 2
                 ));
             }
             if id == root && !node.is_leaf() && node.entries.len() < 2 {
@@ -101,6 +97,13 @@ impl<T> RTree<T> {
             }
         }
 
+        if seen.len() != self.nodes.len() {
+            return Err(format!(
+                "{} of {} stored nodes are unreachable",
+                self.nodes.len() - seen.len(),
+                self.nodes.len()
+            ));
+        }
         if data_count != self.len {
             return Err(format!(
                 "len mismatch: recorded {}, reachable {}",
@@ -141,56 +144,24 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Inserting any sequence of rectangles keeps all invariants and
-        /// makes every rectangle findable by a window query on itself.
+        /// Bulk loading any set of rectangles at any capacity keeps all
+        /// invariants and makes every rectangle findable by a window
+        /// query on itself.
         #[test]
-        fn insert_preserves_invariants(rects in arb_rects(300)) {
-            let mut tree = RTree::with_params(RTreeParams::new(4));
-            for (i, r) in rects.iter().enumerate() {
-                tree.insert(*r, i);
-            }
-            prop_assert!(tree.check_invariants().is_ok());
-            for (i, r) in rects.iter().enumerate() {
-                prop_assert!(
-                    tree.window(r).any(|(_, v)| *v == i),
-                    "rect {i} not found by self-window"
+        fn bulk_load_preserves_invariants(rects in arb_rects(300)) {
+            for cap in [4, 8, 32] {
+                let tree = RTree::bulk_load_with_params(
+                    RTreeParams::new(cap),
+                    rects.iter().copied().zip(0usize..).collect(),
                 );
+                prop_assert!(tree.check_invariants().is_ok());
+                for (i, r) in rects.iter().enumerate() {
+                    prop_assert!(
+                        tree.window(r).any(|(_, v)| *v == i),
+                        "rect {i} not found by self-window at capacity {cap}"
+                    );
+                }
             }
-        }
-
-        /// Bulk loading is equivalent to insertion w.r.t. query results.
-        #[test]
-        fn bulk_load_equivalent_to_inserts(rects in arb_rects(300)) {
-            let bulk = RTree::bulk_load_with_params(
-                RTreeParams::new(4),
-                rects.iter().copied().zip(0usize..).collect(),
-            );
-            prop_assert!(bulk.check_invariants().is_ok());
-            let mut incr = RTree::with_params(RTreeParams::new(4));
-            for (i, r) in rects.iter().enumerate() {
-                incr.insert(*r, i);
-            }
-            let w = Rect::new(0.25, 0.25, 0.75, 0.75);
-            let mut a: Vec<usize> = bulk.window(&w).map(|(_, v)| *v).collect();
-            let mut b: Vec<usize> = incr.window(&w).map(|(_, v)| *v).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b);
-        }
-
-        /// Insert + delete round-trips to an empty tree with invariants held
-        /// at every step boundary.
-        #[test]
-        fn insert_delete_roundtrip(rects in arb_rects(150)) {
-            let mut tree = RTree::with_params(RTreeParams::new(4));
-            for (i, r) in rects.iter().enumerate() {
-                tree.insert(*r, i);
-            }
-            for (i, r) in rects.iter().enumerate() {
-                prop_assert!(tree.remove(r, &i), "remove {i} failed");
-            }
-            prop_assert!(tree.is_empty());
-            prop_assert!(tree.check_invariants().is_ok());
         }
     }
 }

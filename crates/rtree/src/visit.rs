@@ -53,8 +53,8 @@ impl<'a, T> NodeRef<'a, T> {
         }
     }
 
-    /// Slab id of the node (crate-internal: keys per-node side tables
-    /// such as the flat-leaf spans).
+    /// Id of the node (crate-internal: keys the probe-only flat-leaf
+    /// spans).
     #[inline]
     pub(crate) fn id(&self) -> NodeId {
         self.id
@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn root_of_empty_tree_is_empty_leaf() {
-        let tree: RTree<usize> = RTree::new();
+        let tree: RTree<usize> = RTree::bulk_load(Vec::new());
         let root = tree.root_node();
         assert!(root.is_leaf());
         assert!(root.is_empty());

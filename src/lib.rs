@@ -47,8 +47,8 @@ pub use mwsj_rtree as rtree;
 pub mod prelude {
     pub use mwsj_core::{
         derive_seed, find_best_value, AnytimeSearch, BestValue, CutoffPolicy, ExactJoinOutcome,
-        Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance, InstanceError, LeafLayout,
-        NaiveGa, NaiveGaConfig, NaiveLocalSearch, PairwiseJoin, ParallelPortfolio, Pjm, PjmOrder,
+        Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance, InstanceError, NaiveGa,
+        NaiveGaConfig, NaiveLocalSearch, PairwiseJoin, ParallelPortfolio, Pjm, PjmOrder,
         PortfolioConfig, PortfolioOutcome, RestartOutcome, RunOutcome, RunStats, SaConfig, Sea,
         SeaConfig, SearchBudget, SearchContext, SharedSearchState, SimulatedAnnealing,
         SynchronousTraversal, TelemetryConfig, TopSolutions, TracePoint, TwoStep, TwoStepConfig,
