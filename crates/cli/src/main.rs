@@ -74,7 +74,9 @@ USAGE:
                                             PBSM-style uniform grid (identical results,
                                             different cost profile; see mwsj explain)
              [--grid-threads T]             fan grid queries over T threads (grid backend
-                                            only; results are bit-identical for any T)
+                                            only; default 1, T=0 -> all cores, never more
+                                            than all cores; results are bit-identical
+                                            for any T)
              [--metrics-out FILE]           structured JSONL run events + metrics
              [--trace-out FILE]             convergence trace as JSONL trace points
              [--profile-out FILE]           per-phase wall-clock profile (folded stacks,
@@ -100,7 +102,8 @@ USAGE:
                                             affordable), per-variable window hit rates,
                                             predicted node accesses per window query, and
                                             R*-tree structural quality per level (plus grid
-                                            cell-occupancy stats and predicted scan cost
+                                            cell-occupancy stats and the predicted number
+                                            of entries one query's in-cell sweep tests
                                             with --backend grid); output is byte-stable
                                             for a fixed dataset. --metrics-out writes the
                                             same report as one schema-validated
@@ -170,7 +173,18 @@ fn apply_backend(args: &Args, instance: Instance) -> Result<Instance, String> {
     }
     Ok(instance
         .with_backend(backend)
-        .with_grid_threads(grid_threads))
+        .with_grid_threads(grid_workers(grid_threads)))
+}
+
+/// Worker threads for a `--grid-threads` request: `0` means all cores, as
+/// for `--threads`, and no request gets more workers than there are cores
+/// (the grid spawns what it is given, once per query).
+fn grid_workers(requested: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    match requested {
+        0 => cores,
+        n => n.min(cores),
+    }
 }
 
 fn cmd_generate(args: &Args) -> Result<(), String> {
@@ -687,4 +701,18 @@ fn cmd_hard_density(args: &Args) -> Result<(), String> {
         mwsj_datagen::extent_for_density(n, d)
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::grid_workers;
+
+    #[test]
+    fn grid_workers_never_exceed_the_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(grid_workers(0), cores);
+        assert_eq!(grid_workers(1), 1);
+        assert_eq!(grid_workers(100_000), cores);
+        assert_eq!(grid_workers(usize::MAX), cores);
+    }
 }

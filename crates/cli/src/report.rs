@@ -241,7 +241,7 @@ fn explain_lines(report: &ExplainReport, lines: &mut Vec<String>) {
         if let Some(g) = &v.grid {
             lines.push(format!(
                 "    grid: {} cells ({} occupied), replication {:.3}, occupancy avg {:.1} max {}, \
-                 predicted cells/query {:.2}, predicted cost/query {:.2}",
+                 predicted cells/query {:.2}, predicted swept entries/query {:.2}",
                 g.cells,
                 g.occupied_cells,
                 g.replication_factor,

@@ -378,33 +378,104 @@ fn telemetry_flags_are_validated() {
     assert!(run(&["--flight-recorder-bytes", "8192"]).contains("needs --flight-recorder-out"));
 }
 
-/// Hostile time flags are rejected by the one checked conversion: a
-/// one-line error and a non-zero exit, never a panic or a silent default.
+/// Hostile flag values meet the one checked conversion of their kind: a
+/// one-line error and a non-zero exit — or, for a thread count above the
+/// core count, a clamp that leaves the output as it is at one thread —
+/// never a panic, a thread per object or a silent default.
 #[test]
-fn hostile_time_flags_are_rejected_without_panicking() {
-    let dir = temp_dir("hostiletime");
-    let a = generate(&dir, "a.csv", 50, 0.1, 1);
+fn hostile_flags_are_rejected_or_clamped_without_panicking() {
+    let dir = temp_dir("hostileflags");
+    let a = generate(&dir, "a.csv", 300, 0.5, 1);
     let a = a.to_str().unwrap();
     let solve = ["solve", "--data", a, "--data", a, "--query", "0-1"];
     let solve_steps = [&solve[..], &["--iterations", "10"]].concat();
     let watch = ["watch", a, "--no-tty"];
-    let rows: [(&[&str], &str, &str); 7] = [
-        (&solve, "--seconds", "inf"),
-        (&solve, "--seconds", "1e20"),
-        (&solve, "--seconds", "-3"),
-        (&solve, "--seconds", "nan"),
-        (&solve_steps, "--stall-secs", "-3"),
-        (&solve_steps, "--stall-secs", "nan"),
-        (&watch, "--timeout-secs", "1e20"),
+    let join = ["join", "--data", a, "--data", a, "--query", "0-1"];
+    let join = [&join[..], &["--algo", "pjm", "--backend", "grid"]].concat();
+    // (command, flag, value, what must come of it).
+    enum Expect {
+        NotSeconds,
+        NotACount,
+        Accepted,
+    }
+    use Expect::*;
+    let rows: [(&[&str], &str, &str, Expect); 11] = [
+        (&solve, "--seconds", "inf", NotSeconds),
+        (&solve, "--seconds", "1e20", NotSeconds),
+        (&solve, "--seconds", "-3", NotSeconds),
+        (&solve, "--seconds", "nan", NotSeconds),
+        (&solve_steps, "--stall-secs", "-3", NotSeconds),
+        (&solve_steps, "--stall-secs", "nan", NotSeconds),
+        (&watch, "--timeout-secs", "1e20", NotSeconds),
+        (&join, "--grid-threads", "-1", NotACount),
+        (&join, "--grid-threads", "abc", NotACount),
+        (&join, "--grid-threads", "0", Accepted),
+        (&join, "--grid-threads", "100000", Accepted),
     ];
-    for (command, flag, value) in rows {
+    // Everything `join` prints but the elapsed time of its first line.
+    let solutions = |stdout: &[u8]| {
+        let text = String::from_utf8_lossy(stdout).into_owned();
+        let (head, rest) = text.split_once(" in ").expect("join summary line");
+        format!("{head}{}", &rest[rest.find(" (").expect("access count")..])
+    };
+    let one_thread = mwsj()
+        .args(&join)
+        .args(["--grid-threads", "1"])
+        .output()
+        .unwrap();
+    assert!(one_thread.status.success());
+    for (command, flag, value, expect) in rows {
         let out = mwsj().args(command).args([flag, value]).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
+        let error = match expect {
+            NotSeconds => {
+                format!("error: {flag} must be a positive, finite number of seconds (got {value})")
+            }
+            NotACount => format!("error: {flag} {value}: expected a thread count"),
+            Accepted => {
+                assert_eq!(out.status.code(), Some(0), "{flag} {value}: {stderr}");
+                assert_eq!(solutions(&out.stdout), solutions(&one_thread.stdout));
+                continue;
+            }
+        };
         assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
-        assert_eq!(
-            stderr.trim_end(),
-            format!("error: {flag} must be a positive, finite number of seconds (got {value})"),
-        );
+        assert_eq!(stderr.trim_end(), error);
+    }
+}
+
+/// The grid's canonical enumeration order is pinned: WR and PJM under
+/// `--limit` print the tuples (and count the accesses) they printed when
+/// grid cells were scanned whole, in item order.
+#[test]
+fn grid_joins_print_the_pinned_first_tuples() {
+    let dir = temp_dir("gridpinned");
+    let files: Vec<PathBuf> = (0..3)
+        .map(|i| generate(&dir, &format!("{i}.csv"), 2000, 0.5, 41 + i))
+        .collect();
+    let pinned = [
+        (
+            "wr",
+            "(7 node accesses)\n  (r1,249, r2,2, r3,986)\n  (r1,249, r2,2, r3,990)\n  \
+             (r1,611, r2,2, r3,986)\n  (r1,611, r2,2, r3,990)\n  (r1,1386, r2,2, r3,986)\n  \
+             (r1,1386, r2,2, r3,990)\n",
+        ),
+        (
+            "pjm",
+            "(8420 node accesses)\n  (r1,1, r2,503, r3,435)\n  (r1,1, r2,503, r3,1150)\n  \
+             (r1,1, r2,503, r3,1591)\n  (r1,2, r2,155, r3,351)\n  (r1,2, r2,155, r3,1296)\n  \
+             (r1,2, r2,155, r3,1330)\n",
+        ),
+    ];
+    for (algo, tail) in pinned {
+        let mut cmd = mwsj();
+        cmd.arg("join");
+        for f in &files {
+            cmd.args(["--data", f.to_str().unwrap()]);
+        }
+        cmd.args(["--query", "chain", "--backend", "grid", "--limit", "6"]);
+        let out = cmd.args(["--algo", algo]).output().unwrap();
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.ends_with(tail), "{algo}: {text}");
     }
 }
 

@@ -18,7 +18,7 @@ use mwsj_rtree::{grid, NodeRef, RTree};
 /// instance's selected backend. `min_count` must be ≥ 1.
 ///
 /// Both backends return the identical result *set*; the order differs
-/// (R*-tree traversal order vs the grid's canonical `(cell, slot)`
+/// (R*-tree traversal order vs the grid's canonical `(cell, object)`
 /// order), so callers needing a fixed order sort — IBB already sorts by
 /// `(count desc, object asc)`.
 ///

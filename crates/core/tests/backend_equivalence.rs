@@ -40,35 +40,56 @@ fn grid_clone(inst: &Instance, threads: usize) -> Instance {
 ///
 /// * objects 0 and 1 share identical coordinates (duplicate rects),
 /// * object 2 spans nearly the whole space (straddles every cell
-///   boundary, so it is replicated into every cell),
+///   boundary, so it is replicated into every cell — and makes every
+///   cell's sweep bound the whole space, so every cell is swept whole),
 /// * object 3 is a degenerate point at (0.5, 0.5) — in a 2×2 grid over
 ///   this data that lands exactly on the shared cell corner.
+///
+/// Every other draw is **clustered** instead: eight times the objects,
+/// small, packed around three centres and without the space-spanning
+/// object 2, so single cells hold a hundred entries of which a window
+/// reaches a few — the in-cell sweep's binary search at work.
 fn arb_backend_instance() -> impl Strategy<Value = (Instance, u64)> {
-    (3usize..=4, 24usize..=40, 0.0f64..=1.0, any::<u64>()).prop_map(
-        |(n, cardinality, extra_edges, seed)| {
+    (
+        3usize..=4,
+        24usize..=40,
+        0.0f64..=1.0,
+        any::<u64>(),
+        any::<bool>(),
+    )
+        .prop_map(|(n, cardinality, extra_edges, seed, clustered)| {
+            use rand::RngExt;
             let mut rng = StdRng::seed_from_u64(seed);
             let graph = QueryGraph::random_connected(n, extra_edges, &mut rng);
+            // (objects, their centres, spread around a centre, largest extent)
+            let (count, centres, spread, extent) = if clustered {
+                let centre = |_| (rng.random_range(0.1..0.9), rng.random_range(0.1..0.9));
+                (8 * cardinality, std::array::from_fn(centre), 0.04, 0.008)
+            } else {
+                (cardinality, [(0.0, 0.0); 3], 1.0, 0.12)
+            };
             let datasets: Vec<Vec<Rect>> = (0..n)
                 .map(|_| {
-                    let mut rects: Vec<Rect> = (0..cardinality)
-                        .map(|_| {
-                            use rand::RngExt;
-                            let x: f64 = rng.random_range(0.0..1.0);
-                            let y: f64 = rng.random_range(0.0..1.0);
-                            let w: f64 = rng.random_range(0.0..0.12);
-                            let h: f64 = rng.random_range(0.0..0.12);
+                    let mut rects: Vec<Rect> = (0..count)
+                        .map(|i| {
+                            let (cx, cy) = centres[i % 3];
+                            let x: f64 = cx + rng.random_range(0.0..spread);
+                            let y: f64 = cy + rng.random_range(0.0..spread);
+                            let w: f64 = rng.random_range(0.0..extent);
+                            let h: f64 = rng.random_range(0.0..extent);
                             Rect::new(x, y, (x + w).min(1.0), (y + h).min(1.0))
                         })
                         .collect();
                     rects[1] = rects[0];
-                    rects[2] = Rect::new(0.02, 0.02, 0.98, 0.98);
+                    if !clustered {
+                        rects[2] = Rect::new(0.02, 0.02, 0.98, 0.98);
+                    }
                     rects[3] = Rect::new(0.5, 0.5, 0.5, 0.5);
                     rects
                 })
                 .collect();
             (Instance::new(graph, datasets).unwrap(), seed)
-        },
-    )
+        })
 }
 
 /// Sorts an exact join's solution list for order-insensitive comparison
@@ -88,7 +109,7 @@ proptest! {
     /// returns the same feasibility verdict and a bit-equal best score as
     /// the R*-tree backend. The winning *object* may differ only when the
     /// score ties (R*-tree keeps the first visited, the grid keeps the
-    /// canonical (cell, slot) minimum), so objects are not compared here.
+    /// canonical (cell, object) minimum), so objects are not compared here.
     #[test]
     fn find_best_value_is_backend_invariant((inst, seed) in arb_backend_instance()) {
         use rand::RngExt;

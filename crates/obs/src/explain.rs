@@ -61,8 +61,10 @@ record! {
         /// this variable, summed over the neighbour windows and clamped at
         /// `cells`.
         pub predicted_cells_per_query: f64,
-        /// Predicted entry scans per query:
-        /// `predicted_cells_per_query · avg_occupancy`.
+        /// Predicted entries one query's in-cell sweep tests: per neighbour
+        /// window, its candidate cells times the occupancy a window placed on
+        /// the data finds (`Σ len² / Σ len`) times the swept share of a cell,
+        /// `(w + max_w) / cell_w`, at most 1.
         pub predicted_cost_per_query: f64,
     }
 }

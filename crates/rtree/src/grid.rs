@@ -6,17 +6,20 @@
 //! The workspace bounding box is split into `nx × ny` uniform cells; every
 //! MBR is **replicated** into each cell its rectangle overlaps, stored in
 //! per-cell contiguous SoA coordinate arrays (the same layout trick as
-//! [`FlatLeaves`](crate::FlatLeaves)). Queries scan only candidate cells
-//! and deduplicate replicated hits with a **reference-point rule**: every
-//! entry is *processed* in exactly one deterministic cell — the row-major
-//! smallest cell where the entry's cell span meets a query's candidate
-//! cell range — so each result is reported exactly once without any hash
-//! set.
+//! [`FlatLeaves`](crate::FlatLeaves)) ordered by `lo_x`. Queries visit only
+//! candidate cells and **sweep** a cell: two binary searches per window,
+//! bounded by the cell's widest entry, find the slots whose x extent can
+//! reach the window. Replicated hits are deduplicated with a
+//! **reference-point rule**: every entry is *processed* in exactly one
+//! deterministic cell — the row-major smallest cell where the entry's cell
+//! span meets a query's candidate cell range — so each result is reported
+//! exactly once without any hash set.
 //!
 //! Determinism contract (mirrors the portfolio's): candidate cells are
-//! enumerated in ascending row-major order, in-cell entries in build
-//! order; the parallel paths fan whole cells across scoped worker threads
-//! and merge by `(cell, slot)` rank, so merged results and every
+//! enumerated in ascending row-major order, the entries of one cell rank
+//! by payload (item order, for the ascending object ids every caller
+//! builds with); the parallel paths fan whole cells across scoped worker
+//! threads and merge by `(cell, payload)` rank, so merged results and every
 //! counter-class metric (`cell accesses`) are bit-identical across thread
 //! counts, including the sequential path.
 //!
@@ -26,10 +29,12 @@
 //! construction.
 
 use crate::multiwindow::BestLeaf;
-use mwsj_geom::{Predicate, Rect};
+use mwsj_geom::{Point, Predicate, Rect};
 use mwsj_obs::MemoryFootprint;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+
+const INF: f64 = f64::INFINITY;
 
 /// Default target number of (replicated) entries per occupied cell; the
 /// grid resolution is chosen as `ceil(sqrt(n / target))` cells per axis.
@@ -55,7 +60,8 @@ pub struct UniformGrid<T> {
     ny: usize,
     cell_w: f64,
     cell_h: f64,
-    /// Per-cell spans into the SoA arrays: cell `c` owns `starts[c]..starts[c+1]`.
+    /// Per-cell spans into the SoA arrays: cell `c` owns
+    /// `starts[c]..starts[c+1]`, ordered by `(lo_x, item)`.
     starts: Vec<usize>,
     lo_x: Vec<f64>,
     lo_y: Vec<f64>,
@@ -65,6 +71,9 @@ pub struct UniformGrid<T> {
     /// Union MBR of the **full** (unclipped) rectangles replicated into
     /// each cell; [`Rect::EMPTY`] for empty cells.
     cell_mbr: Vec<Rect>,
+    /// Per-cell sweep bound: a width `w` with `lo_x + w ≥ hi_x` (as
+    /// computed in `f64`) for every entry of the cell.
+    max_w: Vec<f64>,
     /// Number of unique indexed rectangles (before replication).
     unique: usize,
 }
@@ -90,6 +99,13 @@ pub struct GridStats {
     pub avg_occupancy: f64,
     /// Largest per-cell entry count.
     pub max_occupancy: u64,
+    /// `Σ len² / Σ len`, the occupancy of the cell a random entry lies in:
+    /// what a window drawn from the data finds (skew lifts it far above
+    /// `avg_occupancy`).
+    pub seen_occupancy: f64,
+    /// The widest entry of a cell — how far left of a window the in-cell
+    /// sweep starts — averaged with the same `len²` weights.
+    pub seen_max_width: f64,
 }
 
 impl<T: Copy> UniformGrid<T> {
@@ -126,6 +142,7 @@ impl<T: Copy> UniformGrid<T> {
             hi_y: Vec::new(),
             values: Vec::new(),
             cell_mbr: vec![Rect::EMPTY; nx * ny],
+            max_w: vec![0.0; nx * ny],
             unique: items.len(),
         };
 
@@ -146,35 +163,38 @@ impl<T: Copy> UniformGrid<T> {
             acc += c;
             starts.push(acc);
         }
-        grid.lo_x = vec![0.0; acc];
-        grid.lo_y = vec![0.0; acc];
-        grid.hi_x = vec![0.0; acc];
-        grid.hi_y = vec![0.0; acc];
-        grid.values = Vec::with_capacity(acc);
-        // Fill values with placeholders so we can write by index.
-        if let Some(&(_, v0)) = items.first() {
-            grid.values.resize(acc, v0);
-        }
 
-        // Pass 2: fill each cell in item order (within-cell order therefore
-        // equals the original item order — the canonical tie-break order).
+        // Pass 2: the items of each cell, in item order.
         let mut cursor: Vec<usize> = starts[..nx * ny].to_vec();
-        for (r, v) in items {
+        let mut slots = vec![0usize; acc];
+        for (i, (r, _)) in items.iter().enumerate() {
             let s = grid.span_of(r);
+            let mut w = r.max.x - r.min.x;
+            if r.min.x + w < r.max.x {
+                w = w.next_up(); // the subtraction rounded down
+            }
             for cy in s.y0..=s.y1 {
                 for cx in s.x0..=s.x1 {
                     let cell = cy * nx + cx;
-                    let at = cursor[cell];
+                    slots[cursor[cell]] = i;
                     cursor[cell] += 1;
-                    grid.lo_x[at] = r.min.x;
-                    grid.lo_y[at] = r.min.y;
-                    grid.hi_x[at] = r.max.x;
-                    grid.hi_y[at] = r.max.y;
-                    grid.values[at] = *v;
                     grid.cell_mbr[cell] = grid.cell_mbr[cell].union(r);
+                    grid.max_w[cell] = grid.max_w[cell].max(w);
                 }
             }
         }
+
+        // Pass 3: order each cell by `lo_x` — stably, so ties keep item
+        // order — and lay the entries out.
+        for cell in starts.windows(2) {
+            slots[cell[0]..cell[1]].sort_by(|&a, &b| items[a].0.min.x.total_cmp(&items[b].0.min.x));
+        }
+        let entries = || slots.iter().map(|&i| &items[i]);
+        grid.lo_x = entries().map(|(r, _)| r.min.x).collect();
+        grid.lo_y = entries().map(|(r, _)| r.min.y).collect();
+        grid.hi_x = entries().map(|(r, _)| r.max.x).collect();
+        grid.hi_y = entries().map(|(r, _)| r.max.y).collect();
+        grid.values = entries().map(|(_, v)| *v).collect();
         grid.starts = starts;
         grid
     }
@@ -225,7 +245,7 @@ impl<T> UniformGrid<T> {
     }
 
     /// Iterates the `(value, full_rect)` entries replicated into cell `c`,
-    /// in build order (= original item order within the cell). Boundary
+    /// in `(lo_x, item)` order. Boundary
     /// straddlers appear under every overlapping cell; filter on
     /// [`UniformGrid::home_cell`] for exactly-once enumeration.
     pub fn cell_entries(&self, c: usize) -> impl Iterator<Item = (T, Rect)> + '_
@@ -240,8 +260,8 @@ impl<T> UniformGrid<T> {
     #[inline]
     fn rect_at(&self, i: usize) -> Rect {
         Rect {
-            min: mwsj_geom::Point::new(self.lo_x[i], self.lo_y[i]),
-            max: mwsj_geom::Point::new(self.hi_x[i], self.hi_y[i]),
+            min: Point::new(self.lo_x[i], self.lo_y[i]),
+            max: Point::new(self.hi_x[i], self.hi_y[i]),
         }
     }
 
@@ -251,12 +271,15 @@ impl<T> UniformGrid<T> {
         let entries = self.values.len() as u64;
         let mut occupied = 0u64;
         let mut max_occ = 0u64;
+        let (mut len_sq, mut width) = (0.0, 0.0);
         for c in 0..cells {
             let n = self.cell_len(c) as u64;
             if n > 0 {
                 occupied += 1;
             }
             max_occ = max_occ.max(n);
+            len_sq += (n * n) as f64;
+            width += (n * n) as f64 * self.max_w[c];
         }
         GridStats {
             nx: self.nx as u64,
@@ -276,6 +299,8 @@ impl<T> UniformGrid<T> {
                 entries as f64 / occupied as f64
             },
             max_occupancy: max_occ,
+            seen_occupancy: len_sq / (entries as f64).max(1.0),
+            seen_max_width: width / len_sq.max(1.0),
         }
     }
 
@@ -311,42 +336,43 @@ impl<T> UniformGrid<T> {
         self.cell_y(r.min.y) * self.nx + self.cell_x(r.min.x)
     }
 
-    /// Candidate cell range for `pred` against window `w`: a conservative
-    /// cover — `pred.eval(r, w)` implies `r` intersects the region, which
-    /// the range covers. `None` when no indexed rectangle can qualify.
-    fn candidate_range(&self, pred: Predicate, w: &Rect) -> Option<CellRange> {
-        let region = match pred {
+    /// Plans one window: the cells covering its candidate region — a
+    /// conservative cover, `pred.eval(r, w)` implies `r` intersects the
+    /// region — and the region's x extent for the in-cell sweep. `None`
+    /// when no indexed rectangle can qualify.
+    fn plan_window(&self, pred: Predicate, w: &Rect) -> Option<WindowPlan> {
+        let (region, pad) = match pred {
             // r must share a point with w (also necessary for Contains /
             // Inside: containment in either direction implies overlap).
-            Predicate::Intersects | Predicate::Contains | Predicate::Inside => *w,
+            Predicate::Intersects | Predicate::Contains | Predicate::Inside => (*w, 0.0),
             // r.min ≥ w.max on both axes ⇒ r meets the quadrant NE of w.max.
-            Predicate::NorthEast => Rect {
-                min: w.max,
-                max: mwsj_geom::Point::new(f64::INFINITY, f64::INFINITY),
-            },
-            Predicate::SouthWest => Rect {
-                min: mwsj_geom::Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
-                max: w.min,
-            },
-            Predicate::WithinDistance(eps) => w.inflate(eps.max(0.0)),
+            Predicate::NorthEast => (Rect::from_corners(w.max, Point::new(INF, INF)), 0.0),
+            Predicate::SouthWest => (Rect::from_corners(Point::new(-INF, -INF), w.min), 0.0),
+            // Evaluated on rounded squares, so an entry a few ulps outside
+            // the rounded region can still satisfy it: pad the sweep.
+            Predicate::WithinDistance(eps) => (
+                w.inflate(eps.max(0.0)),
+                4.0 * f64::EPSILON * (eps.abs() + w.min.x.abs().max(w.max.x.abs())),
+            ),
         };
         let clamped = region.intersection(&self.bbox);
-        if clamped.is_empty() {
-            return None;
-        }
-        Some(self.span_of(&clamped))
+        (!clamped.is_empty()).then(|| WindowPlan {
+            range: self.span_of(&clamped),
+            x0: region.min.x - pad,
+            x1: region.max.x + pad,
+        })
     }
 
     /// Reference-point deduplication: the unique cell in which an entry
     /// with rectangle `r` is processed for a query with candidate cell
-    /// `ranges` — the row-major smallest cell where `r`'s span meets any
-    /// range. `None` when the spans are disjoint from every range (the
+    /// ranges `plan` — the row-major smallest cell where `r`'s span meets
+    /// any range. `None` when the spans are disjoint from every range (the
     /// entry can satisfy no window and is never scanned).
     #[inline]
-    fn dedup_cell(&self, r: &Rect, ranges: &[CellRange]) -> Option<usize> {
+    fn dedup_cell(&self, r: &Rect, plan: &[WindowPlan]) -> Option<usize> {
         let s = self.span_of(r);
         let mut best: Option<usize> = None;
-        for g in ranges {
+        for WindowPlan { range: g, .. } in plan {
             let x0 = s.x0.max(g.x0);
             let y0 = s.y0.max(g.y0);
             if x0 > s.x1.min(g.x1) || y0 > s.y1.min(g.y1) {
@@ -360,66 +386,201 @@ impl<T> UniformGrid<T> {
         best
     }
 
-    /// Sorted (ascending row-major) union of the candidate cell ranges.
-    fn union_cells(&self, ranges: &[CellRange]) -> Vec<usize> {
-        let mut cells = Vec::new();
-        for g in ranges {
-            for cy in g.y0..=g.y1 {
-                for cx in g.x0..=g.x1 {
-                    cells.push(cy * self.nx + cx);
-                }
+    /// Calls `f` with the runs (some may be empty) of cell `c`'s slots that
+    /// the x extent of a window's candidate region can reach: `lo_x ≤ x1`,
+    /// and `lo_x + max_w(c) ≥ x0`, which `hi_x ≥ x0` implies for every
+    /// entry of the cell. `plan` ascends in `x0`, so the runs' starts
+    /// ascend too and overlapping runs merge in one pass. A cell whose
+    /// widest entry spans it yields the whole cell.
+    fn runs(&self, c: usize, plan: &[WindowPlan], mut f: impl FnMut(std::ops::Range<usize>)) {
+        let (reach, end) = (self.max_w[c], self.starts[c + 1]);
+        let (mut a, mut run) = (self.starts[c], 0..0);
+        for p in plan {
+            a += self.lo_x[a..end].partition_point(|&x| x + reach < p.x0);
+            let b = a + self.lo_x[a..end].partition_point(|&x| x <= p.x1);
+            if a > run.end {
+                f(std::mem::replace(&mut run, a..b));
+            } else {
+                run.end = run.end.max(b);
             }
         }
-        cells.sort_unstable();
-        cells.dedup();
-        cells
+        f(run);
     }
 
-    fn ranges_for(&self, windows: &[(Predicate, Rect)]) -> Vec<CellRange> {
-        windows
-            .iter()
-            .filter_map(|(p, w)| self.candidate_range(*p, w))
-            .collect()
+    /// The one scan loop of the three kernels: visits `(slot, rect)` for
+    /// every entry of the plan's `pos`-th cell that lies in one of its
+    /// [`runs`](Self::runs) and is processed in that cell under the
+    /// reference-point rule. The runs are those of **all** windows, not
+    /// only of the windows whose range covers the cell: the rule can
+    /// process an entry in a cell that lies only in another window's range.
+    fn sweep(&self, plan: &Plan, pos: usize, mut visit: impl FnMut(usize, &Rect)) {
+        let c = plan.cells[pos];
+        self.runs(c, &plan.windows, |run| {
+            for slot in run {
+                let r = self.rect_at(slot);
+                if self.dedup_cell(&r, &plan.windows) == Some(c) {
+                    visit(slot, &r);
+                }
+            }
+        });
+    }
+
+    /// Number of slots the sweep tests for `windows` (before the
+    /// reference-point rule and the exact predicate): the deterministic
+    /// work count that `mwsj explain`'s grid cost predicts.
+    pub fn swept_slots(&self, windows: &[(Predicate, Rect)]) -> u64 {
+        let mut slots = 0;
+        with_plan(self, windows, &mut 0, &mut [], |plan| {
+            for &c in &plan.cells {
+                self.runs(c, &plan.windows, |run| slots += run.len() as u64);
+            }
+        });
+        slots
     }
 }
 
-/// Charges `cells` accesses to the shared counter and to the leaf row of
-/// the per-level attribution slice (the grid is a flat, one-level
-/// structure: every access is a "leaf" access).
+/// One window's share of a query plan.
+struct WindowPlan {
+    /// Candidate cell range.
+    range: CellRange,
+    /// X extent of the candidate region.
+    x0: f64,
+    x1: f64,
+}
+
+/// What a query derives from its windows before touching a cell.
+#[derive(Default)]
+struct Plan {
+    /// The windows that have a candidate range, ascending in `x0`.
+    windows: Vec<WindowPlan>,
+    /// Ascending row-major union of the candidate cell ranges.
+    cells: Vec<usize>,
+}
+
+thread_local! {
+    /// The calling thread's plan buffers, reused so that a query allocates
+    /// nothing for its plan once they have grown.
+    static PLAN: RefCell<Plan> = RefCell::default();
+}
+
+/// Plans `windows` over `grid`, charges one access per candidate cell to
+/// the shared counter and to the leaf row of the per-level attribution
+/// slice (the grid is a flat, one-level structure: every access is a
+/// "leaf" access) and runs `f` on the plan, unless no window has a
+/// candidate range.
+fn with_plan<T>(
+    grid: &UniformGrid<T>,
+    windows: &[(Predicate, Rect)],
+    cell_accesses: &mut u64,
+    level_accesses: &mut [u64],
+    f: impl FnOnce(&Plan),
+) {
+    // Taken, not borrowed: `f` may run a query of its own on this thread.
+    let mut plan = PLAN.take();
+    plan.windows.clear();
+    let planned = windows.iter().filter_map(|(p, w)| grid.plan_window(*p, w));
+    plan.windows.extend(planned);
+    plan.windows.sort_unstable_by(|a, b| a.x0.total_cmp(&b.x0));
+    plan.cells.clear();
+    for WindowPlan { range: g, .. } in &plan.windows {
+        for cy in g.y0..=g.y1 {
+            plan.cells.extend((g.x0..=g.x1).map(|cx| cy * grid.nx + cx));
+        }
+    }
+    plan.cells.sort_unstable();
+    plan.cells.dedup();
+    if !plan.cells.is_empty() {
+        let cells = plan.cells.len() as u64;
+        *cell_accesses += cells;
+        if let Some(slot) = level_accesses.get_mut(0) {
+            *slot += cells;
+        }
+        f(&plan);
+    }
+    PLAN.set(plan);
+}
+
+/// Runs `work(pos, &mut acc)` for every `pos < n` — in ascending order on
+/// the calling thread, or, with `threads > 1`, fanned over scoped workers
+/// that each start from `A::default()` — and hands every accumulator to
+/// `merge`.
+fn fan_out<A: Default + Send>(
+    n: usize,
+    threads: usize,
+    work: impl Fn(usize, &mut A) + Sync,
+    mut merge: impl FnMut(A),
+) {
+    if threads <= 1 || n < 2 {
+        let mut acc = A::default();
+        (0..n).for_each(|pos| work(pos, &mut acc));
+        return merge(acc);
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut acc = A::default();
+                    loop {
+                        let pos = next.fetch_add(1, Ordering::Relaxed);
+                        if pos >= n {
+                            break acc;
+                        }
+                        work(pos, &mut acc);
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            merge(worker.join().expect("grid worker panicked"));
+        }
+    });
+}
+
+/// Number of `windows` that `r` satisfies under the exact predicate.
 #[inline]
-fn charge(cells: u64, cell_accesses: &mut u64, level_accesses: &mut [u64]) {
-    *cell_accesses += cells;
-    if let Some(slot) = level_accesses.get_mut(0) {
-        *slot += cells;
-    }
+fn satisfied_count(windows: &[(Predicate, Rect)], r: &Rect) -> u32 {
+    windows.iter().filter(|(p, w)| p.eval(r, w)).count() as u32
 }
 
-/// Best-scoring entry of one cell: `(score, slot, value, satisfied)` with
-/// `slot` the global SoA index (in-cell order ⊂ ascending slot order).
+/// Best-scoring entry seen so far, with its canonical `(cell, payload)`
+/// rank.
 struct CellBest<T> {
     score: f64,
     cell_pos: usize,
-    slot: usize,
     value: T,
     satisfied: u32,
+}
+
+impl<T: Ord> CellBest<T> {
+    /// Replaces `held` if `self` scores strictly higher, or the same at an
+    /// earlier rank.
+    fn offer_to(self, held: &mut Option<Self>) {
+        let beats = |h: &Self| {
+            self.score > h.score
+                || (self.score == h.score && (self.cell_pos, &self.value) < (h.cell_pos, &h.value))
+        };
+        if held.as_ref().is_none_or(beats) {
+            *held = Some(self);
+        }
+    }
 }
 
 /// Multi-window best-entry query over the grid — the grid analogue of the
 /// R*-tree [`find_best_leaf`](crate::find_best_leaf) kernel.
 ///
-/// Scans the union of the windows' candidate cell ranges in ascending
-/// row-major order; each entry is evaluated exactly once (reference-point
-/// rule) against **all** windows with the exact [`Predicate::eval`] test,
-/// scored by `score(&value, satisfied_count)` and offered with a strict
-/// `>` comparison, ties keeping the earliest `(cell, slot)` — the grid's
-/// canonical order. Entries satisfying zero windows are skipped.
+/// Sweeps the union of the windows' candidate cell ranges in ascending
+/// row-major order; each entry is evaluated at most once (reference-point
+/// rule) against **all** windows with the exact [`Predicate::eval`] test
+/// and scored by `score(&value, satisfied_count)`. The highest score wins,
+/// ties going to the earliest `(cell, payload)` — the grid's canonical
+/// order. Entries satisfying zero windows are skipped.
 ///
 /// `threads > 1` fans whole cells across scoped worker threads; the merge
-/// picks the maximum score with the smallest `(cell, slot)` rank on ties,
-/// reproducing the sequential result bit-for-bit. `cell_accesses` (and
-/// `level_accesses[0]`, when present) are bumped once per candidate cell —
-/// an exact, thread-invariant count.
-pub fn find_best_in_windows<T: Copy + Send + Sync>(
+/// applies the same rule, reproducing the sequential result bit-for-bit.
+/// `cell_accesses` (and `level_accesses[0]`, when present) are bumped once
+/// per candidate cell — an exact, thread-invariant count.
+pub fn find_best_in_windows<T: Copy + Ord + Send + Sync>(
     grid: &UniformGrid<T>,
     windows: &[(Predicate, Rect)],
     score: impl Fn(&T, u32) -> f64 + Sync,
@@ -427,81 +588,28 @@ pub fn find_best_in_windows<T: Copy + Send + Sync>(
     cell_accesses: &mut u64,
     level_accesses: &mut [u64],
 ) -> Option<BestLeaf<T>> {
-    let ranges = grid.ranges_for(windows);
-    if ranges.is_empty() {
-        return None;
-    }
-    let cells = grid.union_cells(&ranges);
-    charge(cells.len() as u64, cell_accesses, level_accesses);
-
-    let scan_cell = |pos: usize, best: &mut Option<CellBest<T>>| {
-        let c = cells[pos];
-        for slot in grid.cell_slots(c) {
-            let r = grid.rect_at(slot);
-            if grid.dedup_cell(&r, &ranges) != Some(c) {
-                continue;
-            }
-            let satisfied = windows.iter().filter(|(p, w)| p.eval(&r, w)).count() as u32;
-            if satisfied == 0 {
-                continue;
-            }
-            let value = grid.values[slot];
-            let s = score(&value, satisfied);
-            let better = match best {
-                None => true,
-                Some(b) => s > b.score,
-            };
-            if better {
-                *best = Some(CellBest {
-                    score: s,
-                    cell_pos: pos,
-                    slot,
-                    value,
-                    satisfied,
-                });
-            }
-        }
-    };
-
-    let winner = if threads <= 1 || cells.len() < 2 {
-        let mut best: Option<CellBest<T>> = None;
-        for pos in 0..cells.len() {
-            scan_cell(pos, &mut best);
-        }
-        best
-    } else {
-        let workers = threads.min(cells.len());
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<CellBest<T>>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut best: Option<CellBest<T>> = None;
-                    loop {
-                        let pos = next.fetch_add(1, Ordering::Relaxed);
-                        if pos >= cells.len() {
-                            break;
-                        }
-                        scan_cell(pos, &mut best);
+    let mut winner: Option<CellBest<T>> = None;
+    with_plan(grid, windows, cell_accesses, level_accesses, |plan| {
+        let scan = |pos: usize, best: &mut Option<CellBest<T>>| {
+            grid.sweep(plan, pos, |slot, r| {
+                let satisfied = satisfied_count(windows, r);
+                if satisfied > 0 {
+                    let value = grid.values[slot];
+                    let score = score(&value, satisfied);
+                    CellBest {
+                        score,
+                        cell_pos: pos,
+                        value,
+                        satisfied,
                     }
-                    if let Some(b) = best {
-                        collected.lock().unwrap().push(b);
-                    }
-                });
-            }
+                    .offer_to(best);
+                }
+            });
+        };
+        fan_out(plan.cells.len(), threads, scan, |best| {
+            best.into_iter().for_each(|b| b.offer_to(&mut winner));
         });
-        // Deterministic merge: max score, ties to the smallest (cell, slot)
-        // rank — exactly the sequential first-wins order.
-        collected.into_inner().unwrap().into_iter().reduce(|a, b| {
-            if b.score > a.score
-                || (b.score == a.score && (b.cell_pos, b.slot) < (a.cell_pos, a.slot))
-            {
-                b
-            } else {
-                a
-            }
-        })
-    };
+    });
     winner.map(|b| BestLeaf {
         value: b.value,
         satisfied: b.satisfied,
@@ -509,81 +617,74 @@ pub fn find_best_in_windows<T: Copy + Send + Sync>(
     })
 }
 
+/// Hits of the two enumeration kernels: `hit(value, satisfied_count)` of
+/// every processed entry that yields one, in canonical `(cell, payload)`
+/// order (`key` recovers the payload of a hit).
+fn collect_hits<T: Copy + Ord + Send + Sync, R: Send>(
+    grid: &UniformGrid<T>,
+    windows: &[(Predicate, Rect)],
+    threads: usize,
+    cell_accesses: &mut u64,
+    level_accesses: &mut [u64],
+    hit: impl Fn(T, u32) -> Option<R> + Sync,
+    key: impl Fn(&R) -> T + Sync,
+) -> Vec<R> {
+    let mut out = Vec::new();
+    with_plan(grid, windows, cell_accesses, level_accesses, |plan| {
+        let scan = |pos: usize, out: &mut Vec<R>| {
+            let start = out.len();
+            grid.sweep(plan, pos, |slot, r| {
+                out.extend(hit(grid.values[slot], satisfied_count(windows, r)));
+            });
+            out[start..].sort_unstable_by_key(&key);
+        };
+        if threads <= 1 {
+            (0..plan.cells.len()).for_each(|pos| scan(pos, &mut out));
+            return;
+        }
+        // Per-cell chunks, merged back in cell order.
+        let mut chunks: Vec<(usize, Vec<R>)> = Vec::new();
+        let chunk = |pos: usize, acc: &mut Vec<(usize, Vec<R>)>| {
+            let mut hits = Vec::new();
+            scan(pos, &mut hits);
+            acc.push((pos, hits));
+        };
+        fan_out(plan.cells.len(), threads, chunk, |acc| chunks.extend(acc));
+        chunks.sort_unstable_by_key(|(pos, _)| *pos);
+        out.extend(chunks.into_iter().flat_map(|(_, hits)| hits));
+    });
+    out
+}
+
 /// Single-predicate window query: all values whose rectangle satisfies
 /// `pred` against `window`, each reported exactly once, in the grid's
-/// canonical `(cell, slot)` order.
+/// canonical `(cell, payload)` order.
 ///
 /// `threads > 1` fans cells across scoped workers; per-cell result chunks
 /// are merged in cell order, so the output is bit-identical at any thread
 /// count. One access is charged per candidate cell.
-pub fn query_predicate<T: Copy + Send + Sync>(
+pub fn query_predicate<T: Copy + Ord + Send + Sync>(
     grid: &UniformGrid<T>,
     pred: Predicate,
     window: &Rect,
     threads: usize,
     cell_accesses: &mut u64,
 ) -> Vec<T> {
-    let ranges = match grid.candidate_range(pred, window) {
-        Some(r) => vec![r],
-        None => return Vec::new(),
-    };
-    let cells = grid.union_cells(&ranges);
-    charge(cells.len() as u64, cell_accesses, &mut []);
-
-    let scan_cell = |pos: usize, out: &mut Vec<T>| {
-        let c = cells[pos];
-        for slot in grid.cell_slots(c) {
-            let r = grid.rect_at(slot);
-            if grid.dedup_cell(&r, &ranges) != Some(c) {
-                continue;
-            }
-            if pred.eval(&r, window) {
-                out.push(grid.values[slot]);
-            }
-        }
-    };
-
-    if threads <= 1 || cells.len() < 2 {
-        let mut out = Vec::new();
-        for pos in 0..cells.len() {
-            scan_cell(pos, &mut out);
-        }
-        out
-    } else {
-        let workers = threads.min(cells.len());
-        let next = AtomicUsize::new(0);
-        let chunks: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let pos = next.fetch_add(1, Ordering::Relaxed);
-                    if pos >= cells.len() {
-                        break;
-                    }
-                    let mut out = Vec::new();
-                    scan_cell(pos, &mut out);
-                    if !out.is_empty() {
-                        chunks.lock().unwrap().push((pos, out));
-                    }
-                });
-            }
-        });
-        let mut chunks = chunks.into_inner().unwrap();
-        chunks.sort_unstable_by_key(|(pos, _)| *pos);
-        chunks.into_iter().flat_map(|(_, v)| v).collect()
-    }
+    let windows = [(pred, *window)];
+    let hit = |value, satisfied| (satisfied > 0).then_some(value);
+    collect_hits(grid, &windows, threads, cell_accesses, &mut [], hit, |v| *v)
 }
 
 /// Multi-window candidate enumeration — the grid analogue of the
 /// conjunctive/disjunctive R*-tree candidate walk used by WR, PJM and IBB:
 /// every `(value, satisfied_count)` with `satisfied_count ≥ min_count`,
-/// each value exactly once, in canonical `(cell, slot)` order.
+/// each value exactly once, in canonical `(cell, payload)` order.
 ///
-/// The scan covers the **union** of the windows' candidate ranges even for
+/// The sweep covers the **union** of the windows' candidate ranges even for
 /// conjunctive queries (`min_count == windows.len()`): an entry may
 /// satisfy two windows whose candidate ranges are disjoint, so the range
 /// intersection would not be a sound filter.
-pub fn candidates_with_counts<T: Copy>(
+pub fn candidates_with_counts<T: Copy + Ord + Send + Sync>(
     grid: &UniformGrid<T>,
     windows: &[(Predicate, Rect)],
     min_count: u32,
@@ -591,26 +692,10 @@ pub fn candidates_with_counts<T: Copy>(
     level_accesses: &mut [u64],
 ) -> Vec<(T, u32)> {
     debug_assert!(min_count >= 1);
-    let ranges = grid.ranges_for(windows);
-    if ranges.is_empty() {
-        return Vec::new();
-    }
-    let cells = grid.union_cells(&ranges);
-    charge(cells.len() as u64, cell_accesses, level_accesses);
-    let mut out = Vec::new();
-    for &c in &cells {
-        for slot in grid.cell_slots(c) {
-            let r = grid.rect_at(slot);
-            if grid.dedup_cell(&r, &ranges) != Some(c) {
-                continue;
-            }
-            let count = windows.iter().filter(|(p, w)| p.eval(&r, w)).count() as u32;
-            if count >= min_count {
-                out.push((grid.values[slot], count));
-            }
-        }
-    }
-    out
+    let hit = |value, count| (count >= min_count).then_some((value, count));
+    collect_hits(grid, windows, 1, cell_accesses, level_accesses, hit, |h| {
+        h.0
+    })
 }
 
 /// Cell width/height that is strictly positive even for degenerate
@@ -627,13 +712,15 @@ fn positive_step(extent: f64, n: usize) -> f64 {
 
 impl<T> MemoryFootprint for UniformGrid<T> {
     /// Length-based resident bytes: the four SoA coordinate streams, the
-    /// value array, the per-cell span table and the cell union-MBRs.
+    /// value array, the per-cell span table, the cell union-MBRs and the
+    /// per-cell sweep bounds.
     fn memory_bytes(&self) -> u64 {
         let coords = (self.lo_x.len() * 4 * std::mem::size_of::<f64>()) as u64;
         let values = (self.values.len() * std::mem::size_of::<T>()) as u64;
         let starts = (self.starts.len() * std::mem::size_of::<usize>()) as u64;
         let mbrs = (self.cell_mbr.len() * std::mem::size_of::<Rect>()) as u64;
-        coords + values + starts + mbrs
+        let widths = (self.max_w.len() * std::mem::size_of::<f64>()) as u64;
+        coords + values + starts + mbrs + widths
     }
 }
 
@@ -813,6 +900,215 @@ mod tests {
         ];
         let got = candidates_with_counts(&grid, &windows, 2, &mut 0, &mut []);
         assert_eq!(got, vec![(0, 2)]);
+    }
+
+    /// The traversal the sweep replaced, kept as the reference: every slot
+    /// of every candidate cell in item order (ids ascend in item order),
+    /// filtered by the reference-point rule only. Returns the processed
+    /// `(value, satisfied_count)` list, the candidate cell count and the
+    /// number of slots scanned.
+    fn full_scan(
+        grid: &UniformGrid<u32>,
+        windows: &[(Predicate, Rect)],
+    ) -> (Vec<(u32, u32)>, u64, u64) {
+        let plan: Vec<WindowPlan> = windows
+            .iter()
+            .filter_map(|(p, w)| grid.plan_window(*p, w))
+            .collect();
+        let mut cells = Vec::new();
+        for WindowPlan { range: g, .. } in &plan {
+            for cy in g.y0..=g.y1 {
+                cells.extend((g.x0..=g.x1).map(|cx| cy * grid.nx + cx));
+            }
+        }
+        cells.sort_unstable();
+        cells.dedup();
+        let (mut seen, mut scanned) = (Vec::new(), 0);
+        for &c in &cells {
+            let mut slots: Vec<usize> = grid.cell_slots(c).collect();
+            slots.sort_by_key(|&slot| grid.values[slot]);
+            scanned += slots.len() as u64;
+            for slot in slots {
+                let r = grid.rect_at(slot);
+                if grid.dedup_cell(&r, &plan) == Some(c) {
+                    seen.push((grid.values[slot], satisfied_count(windows, &r)));
+                }
+            }
+        }
+        (seen, cells.len() as u64, scanned)
+    }
+
+    /// Asserts that all three kernels, at 1 and 3 threads, return exactly
+    /// what [`full_scan`] implies: same winner, output order and accesses.
+    fn assert_kernels_match_full_scan(
+        name: &str,
+        grid: &UniformGrid<u32>,
+        windows: &[(Predicate, Rect)],
+    ) {
+        let (seen, cells, scanned) = full_scan(grid, windows);
+        assert!(grid.swept_slots(windows) <= scanned, "{name}: {windows:?}");
+        // A payload-dependent score, so that ties and their order matter.
+        let score = |v: &u32, c: u32| c as f64 + (*v % 3) as f64 * 0.25;
+        let mut best: Option<(u32, u32, f64)> = None;
+        for &(v, c) in seen.iter().filter(|&&(_, c)| c > 0) {
+            if best.is_none_or(|(_, _, s)| score(&v, c) > s) {
+                best = Some((v, c, score(&v, c)));
+            }
+        }
+        for threads in [1, 3] {
+            let (mut acc, mut levels) = (0, [0u64; 2]);
+            let got = find_best_in_windows(grid, windows, score, threads, &mut acc, &mut levels);
+            let got = got.map(|b| (b.value, b.satisfied, b.score));
+            assert_eq!(
+                got, best,
+                "{name}: find_best, {threads} threads, {windows:?}"
+            );
+            assert_eq!((acc, levels), (cells, [cells, 0]), "{name}: {windows:?}");
+        }
+        for min in 1..=windows.len() as u32 {
+            let (mut acc, mut levels) = (0, [0u64; 1]);
+            let got = candidates_with_counts(grid, windows, min, &mut acc, &mut levels);
+            let want: Vec<(u32, u32)> = seen.iter().copied().filter(|&(_, c)| c >= min).collect();
+            assert_eq!(got, want, "{name}: candidates ≥ {min}, {windows:?}");
+            assert_eq!((acc, levels), (cells, [cells]), "{name}: {windows:?}");
+        }
+        for (i, &(pred, w)) in windows.iter().enumerate() {
+            let (seen, cells, _) = full_scan(grid, &windows[i..=i]);
+            let want: Vec<u32> = seen.iter().filter(|h| h.1 > 0).map(|h| h.0).collect();
+            for threads in [1, 3] {
+                let mut acc = 0;
+                let got = query_predicate(grid, pred, &w, threads, &mut acc);
+                assert_eq!(got, want, "{name}: query {pred} on {w}, {threads} threads");
+                assert_eq!(acc, cells, "{name}: query {pred} on {w}");
+            }
+        }
+    }
+
+    fn zipf_items(seed: u64, n: usize, density: f64) -> Vec<(Rect, u32)> {
+        use mwsj_datagen::{Dataset, DatasetSpec, Distribution};
+        let spec = DatasetSpec {
+            cardinality: n,
+            density,
+            distribution: Distribution::ZipfClustered {
+                clusters: 16,
+                sigma: 0.02,
+                exponent: 1.1,
+            },
+            constant_extent: false,
+        };
+        let data = Dataset::generate(&spec, &mut StdRng::seed_from_u64(seed));
+        data.rects().iter().copied().zip(0u32..).collect()
+    }
+
+    /// Data layouts chosen to defeat the sweep: hot cells, a maximal sweep
+    /// bound in every cell, zero widths, equal sort keys, duplicates and
+    /// the smallest grid.
+    fn hostile_layouts() -> Vec<(&'static str, Vec<(Rect, u32)>)> {
+        let ids = |rects: Vec<Rect>| rects.into_iter().zip(0u32..).collect::<Vec<_>>();
+        let mut covered = random_items(21, 400, 0.05);
+        covered[7].0 = Rect::new(0.0, 0.0, 1.05, 1.05);
+        let zero_width = random_items(22, 400, 0.1)
+            .into_iter()
+            .map(|(r, _)| Rect::new(r.min.x, r.min.y, r.min.x, r.max.y));
+        let same_lo_x = random_items(23, 400, 0.1)
+            .into_iter()
+            .map(|(r, _)| Rect::new(0.25, r.min.y, r.max.x.max(0.25), r.max.y));
+        vec![
+            ("uniform", random_items(20, 1_500, 0.08)),
+            ("zipf", zipf_items(24, 4_000, 0.05)),
+            ("one rect covers the bbox", covered),
+            ("zero width", ids(zero_width.collect())),
+            ("equal lo_x", ids(same_lo_x.collect())),
+            ("duplicates", ids(vec![Rect::new(0.3, 0.3, 0.4, 0.5); 200])),
+            ("single object", ids(vec![Rect::new(0.2, 0.2, 0.6, 0.7)])),
+        ]
+    }
+
+    #[test]
+    fn kernels_equal_the_full_scan_on_hostile_layouts() {
+        let mut rng = StdRng::seed_from_u64(25);
+        for (name, items) in hostile_layouts() {
+            let grid = UniformGrid::with_target_occupancy(&items, 6.0);
+            // One to five windows: the first two far apart (disjoint
+            // candidate ranges, as in the conjunctive test above), the rest
+            // placed on data so that they land in the hot cells.
+            let mut windows = vec![
+                (Predicate::Intersects, Rect::new(0.0, 0.0, 0.1, 0.1)),
+                (Predicate::Intersects, Rect::new(0.9, 0.9, 1.0, 1.0)),
+            ];
+            for _ in 2..5 {
+                let (r, _) = items[rng.random_range(0..items.len())];
+                let d = rng.random_range(0.0..0.05);
+                windows.push((Predicate::Intersects, r.inflate(d)));
+            }
+            for pred in ALL_PREDS {
+                windows.iter_mut().for_each(|(p, _)| *p = pred);
+                for k in 1..=windows.len() {
+                    assert_kernels_match_full_scan(name, &grid, &windows[..k]);
+                }
+                // Mixed predicates in one call.
+                for (i, (p, _)) in windows.iter_mut().enumerate() {
+                    *p = ALL_PREDS[i % ALL_PREDS.len()];
+                }
+                assert_kernels_match_full_scan(name, &grid, &windows);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The same equality on drawn layouts: any size, entry extent and
+        /// cell occupancy, uniform or packed into a few spots, against one
+        /// to five windows of drawn predicates.
+        #[test]
+        fn kernels_equal_the_full_scan_on_drawn_layouts(
+            seed in proptest::prelude::any::<u64>(),
+            n in 1usize..600,
+            extent in 0.0f64..0.3,
+            occupancy in 1.0f64..40.0,
+            spots in 0usize..4,
+            preds in proptest::collection::vec(0usize..ALL_PREDS.len(), 1..=5),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut items = random_items(seed, n, extent + 1e-9);
+            if spots > 0 {
+                // Shrink the layout into `spots` tight clumps.
+                for (i, (r, _)) in items.iter_mut().enumerate() {
+                    let at = 0.1 + 0.25 * (i % spots) as f64;
+                    let shrink = |v: f64| at + 0.05 * v;
+                    *r = Rect::new(shrink(r.min.x), shrink(r.min.y), shrink(r.max.x), shrink(r.max.y));
+                }
+            }
+            let grid = UniformGrid::with_target_occupancy(&items, occupancy);
+            let windows: Vec<(Predicate, Rect)> = preds
+                .iter()
+                .map(|&p| {
+                    let (r, _) = items[rng.random_range(0..items.len())];
+                    (ALL_PREDS[p], r.inflate(rng.random_range(0.0..0.1)))
+                })
+                .collect();
+            assert_kernels_match_full_scan("drawn", &grid, &windows);
+        }
+    }
+
+    /// The work bound the sweep exists for (it fails on a full-cell scan,
+    /// whose ratio is 1): on the benchmark's Zipf row (distribution,
+    /// cardinality and density of `zipf-50k-grid`), a window drawn from the
+    /// data tests at most a tenth of the entries of its candidate cells.
+    #[test]
+    fn sweep_tests_a_tenth_of_the_candidate_cells_on_zipf_data() {
+        use mwsj_datagen::{hard_region_density, QueryShape};
+        let density = hard_region_density(QueryShape::Chain, 6, 50_000, 1e-10);
+        let items = zipf_items(26, 50_000, density);
+        let grid = UniformGrid::build(&items);
+        let (mut swept, mut occupancy) = (0, 0);
+        for (w, _) in items.iter().step_by(97) {
+            let windows = [(Predicate::Intersects, *w)];
+            swept += grid.swept_slots(&windows);
+            occupancy += full_scan(&grid, &windows).2;
+        }
+        assert!(swept * 10 <= occupancy, "swept {swept} of {occupancy}");
     }
 
     #[test]
