@@ -15,7 +15,8 @@ use std::fmt;
 pub enum QuerySpecError {
     /// Edge not of the form `a-b[:predicate]`.
     BadEdge(String),
-    /// Unknown predicate name.
+    /// Unknown predicate name, or a `within:<eps>` whose ε is not a
+    /// finite, non-negative number.
     BadPredicate(String),
     /// The built graph was rejected (self-loop, duplicate, range…).
     BadGraph(String),
@@ -27,7 +28,8 @@ impl fmt::Display for QuerySpecError {
             QuerySpecError::BadEdge(e) => write!(f, "bad edge '{e}' (expected a-b[:pred])"),
             QuerySpecError::BadPredicate(p) => write!(
                 f,
-                "unknown predicate '{p}' (intersects|contains|inside|northeast|southwest|within:<eps>)"
+                "bad predicate '{p}' (intersects|contains|inside|northeast|southwest|within:<eps>, \
+                 eps a finite distance >= 0)"
             ),
             QuerySpecError::BadGraph(m) => write!(f, "invalid query graph: {m}"),
         }
@@ -98,10 +100,13 @@ fn parse_predicate(spec: &str) -> Result<Predicate, QuerySpecError> {
         "southwest" | "sw" => Ok(Predicate::SouthWest),
         other => {
             if let Some(eps) = other.strip_prefix("within:") {
-                let eps: f64 = eps
-                    .parse()
-                    .map_err(|_| QuerySpecError::BadPredicate(other.to_string()))?;
-                Ok(Predicate::WithinDistance(eps))
+                // A distance: `f64::from_str` also reads "nan", "inf" and
+                // negatives, on which the backends do not agree (the grid
+                // clamps a negative ε to 0, the R*-tree compares with ε²).
+                match eps.parse::<f64>() {
+                    Ok(eps) if eps.is_finite() && eps >= 0.0 => Ok(Predicate::WithinDistance(eps)),
+                    _ => Err(QuerySpecError::BadPredicate(other.to_string())),
+                }
             } else {
                 Err(QuerySpecError::BadPredicate(other.to_string()))
             }
@@ -175,9 +180,17 @@ mod tests {
 
     #[test]
     fn within_requires_numeric_epsilon() {
-        assert!(matches!(
-            parse_query("0-1:within:big", 2),
-            Err(QuerySpecError::BadPredicate(_))
-        ));
+        for eps in ["big", "", "-0.01", "nan", "inf", "-inf"] {
+            let err = parse_query(&format!("0-1:within:{eps}"), 2).unwrap_err();
+            assert_eq!(err, QuerySpecError::BadPredicate(format!("within:{eps}")));
+            assert!(
+                err.to_string().contains(&format!("'within:{eps}'")),
+                "{err}"
+            );
+        }
+        for (eps, value) in [("0", 0.0), ("0.05", 0.05), ("-0", 0.0), ("1e3", 1000.0)] {
+            let g = parse_query(&format!("0-1:within:{eps}"), 2).unwrap();
+            assert_eq!(g.edges()[0].pred, Predicate::WithinDistance(value));
+        }
     }
 }

@@ -443,6 +443,42 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     }
 }
 
+/// `within:<eps>` takes a distance. A negative ε used to run and count
+/// 5 972 pairs on the R*-tree (ε² on both sides) but 3 701 on the grid
+/// (window inflated by max(ε, 0)); NaN ran and silently found nothing.
+#[test]
+fn within_epsilon_must_be_a_finite_distance() {
+    let dir = temp_dir("withineps");
+    let a = generate(&dir, "a.csv", 2000, 0.2, 1);
+    let b = generate(&dir, "b.csv", 2000, 0.2, 2);
+    let join = |backend: &str, eps: &str| {
+        mwsj()
+            .args(["join", "--data", a.to_str().unwrap()])
+            .args(["--data", b.to_str().unwrap()])
+            .args(["--algo", "wr", "--limit", "100000000"])
+            .args(["--backend", backend])
+            .args(["--query", &format!("0-1:within:{eps}")])
+            .output()
+            .unwrap()
+    };
+    for backend in ["rtree", "grid"] {
+        for eps in ["-0.01", "nan", "inf", "-inf"] {
+            let out = join(backend, eps);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{backend} {eps}: {stderr}");
+            let named = format!("error: bad predicate 'within:{eps}'");
+            assert!(stderr.starts_with(&named), "{backend} {eps}: {stderr}");
+        }
+        let out = join(backend, "0.01");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{backend}: {stdout}");
+        assert!(
+            stdout.starts_with("5972 exact solutions"),
+            "{backend}: {stdout}"
+        );
+    }
+}
+
 /// The grid's canonical enumeration order is pinned: WR and PJM under
 /// `--limit` print the tuples (and count the accesses) they printed when
 /// grid cells were scanned whole, in item order.

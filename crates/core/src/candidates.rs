@@ -11,7 +11,7 @@
 use crate::instance::{BackendKind, Instance};
 use mwsj_geom::{Predicate, Rect};
 use mwsj_query::VarId;
-use mwsj_rtree::{grid, NodeRef, RTree};
+use mwsj_rtree::{grid, multiwindow, RTree};
 
 /// Enumerates `(object, satisfied_count)` for all objects of `var`'s
 /// dataset satisfying at least `min_count` of the `windows`, through the
@@ -60,7 +60,8 @@ pub(crate) fn candidates_with_counts(
     }
 }
 
-/// The R*-tree arm: a best-effort pruned walk from the root.
+/// The R*-tree arm: the pruned threshold walk of
+/// [`multiwindow::for_each_candidate`] from the root.
 pub(crate) fn candidates_in_tree(
     tree: &RTree<u32>,
     windows: &[(Predicate, Rect)],
@@ -68,61 +69,16 @@ pub(crate) fn candidates_in_tree(
     node_accesses: &mut u64,
     level_accesses: &mut [u64],
 ) -> Vec<(usize, u32)> {
-    debug_assert!(min_count >= 1);
     let mut out = Vec::new();
-    if windows.is_empty() {
-        return out;
-    }
-    collect(
+    multiwindow::for_each_candidate(
         tree.root_node(),
         windows,
         min_count,
-        &mut out,
         node_accesses,
         level_accesses,
+        |obj, count| out.push((obj as usize, count)),
     );
     out
-}
-
-fn collect(
-    node: NodeRef<'_, u32>,
-    windows: &[(Predicate, Rect)],
-    min_count: u32,
-    out: &mut Vec<(usize, u32)>,
-    node_accesses: &mut u64,
-    level_accesses: &mut [u64],
-) {
-    *node_accesses += 1;
-    if let Some(slot) = level_accesses.get_mut(node.level() as usize) {
-        *slot += 1;
-    }
-    if node.is_leaf() {
-        for entry in node.entries() {
-            let mbr = entry.mbr();
-            let count = windows.iter().filter(|(pred, w)| pred.eval(mbr, w)).count() as u32;
-            if count >= min_count {
-                out.push((*entry.value().expect("leaf entry") as usize, count));
-            }
-        }
-    } else {
-        for entry in node.entries() {
-            let mbr = entry.mbr();
-            let possible = windows
-                .iter()
-                .filter(|(pred, w)| pred.possible(mbr, w))
-                .count() as u32;
-            if possible >= min_count {
-                collect(
-                    entry.child().expect("internal entry"),
-                    windows,
-                    min_count,
-                    out,
-                    node_accesses,
-                    level_accesses,
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -159,13 +115,43 @@ mod tests {
     #[test]
     fn counts_match_brute_force_at_every_threshold() {
         let (tree, rects, windows) = setup();
-        for min in 1..=3 {
-            let mut acc = 0;
-            let mut got = candidates_in_tree(&tree, &windows, min, &mut acc, &mut []);
-            got.sort_unstable();
-            let mut expected = brute(&rects, &windows, min);
-            expected.sort_unstable();
-            assert_eq!(got, expected, "min_count {min}");
+        let predicates = [
+            Predicate::Intersects,
+            Predicate::Contains,
+            Predicate::Inside,
+            Predicate::NorthEast,
+            Predicate::SouthWest,
+            Predicate::WithinDistance(0.02),
+        ];
+        // The three large windows, and three point-sized ones placed on
+        // objects so that `Contains` has something to find.
+        let large: Vec<Rect> = windows.iter().map(|&(_, w)| w).collect();
+        let small: Vec<Rect> = [3, 400, 799]
+            .map(|i| Rect::from_center(rects[i].center(), 1e-6, 1e-6))
+            .to_vec();
+        for pred in predicates {
+            let mut matched = false;
+            for window_rects in [&large, &small] {
+                // Under one predicate, then under three.
+                let same = [pred; 3];
+                let mixed = [pred, pred.transpose(), Predicate::Intersects];
+                for preds in [same, mixed] {
+                    let windows: Vec<_> = preds
+                        .into_iter()
+                        .zip(window_rects.iter().copied())
+                        .collect();
+                    for min in 1..=3 {
+                        let mut acc = 0;
+                        let mut got = candidates_in_tree(&tree, &windows, min, &mut acc, &mut []);
+                        got.sort_unstable();
+                        let mut expected = brute(&rects, &windows, min);
+                        expected.sort_unstable();
+                        assert_eq!(got, expected, "{pred}, min_count {min}");
+                        matched |= preds == same && !got.is_empty();
+                    }
+                }
+            }
+            assert!(matched, "{pred} matched nothing: the comparison is vacuous");
         }
     }
 

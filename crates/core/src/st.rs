@@ -33,9 +33,14 @@ pub struct SynchronousTraversal {}
 /// prune stays admissible, and entries are accepted only at their
 /// [`UniformGrid::home_cell`] so each object is enumerated exactly once
 /// despite boundary replication (DESIGN.md §5j).
+///
+/// A node cursor carries the node's MBR — the rectangle of the entry that
+/// led to it (STR writes the child's tight MBR there), the tree's bounding
+/// box for a root — so a consistency check reads it instead of re-uniting
+/// the node's entries.
 #[derive(Clone)]
 enum Cursor<'a> {
-    Node(NodeRef<'a, u32>),
+    Node(NodeRef<'a, u32>, Rect),
     GridRoot(&'a UniformGrid<u32>),
     GridCell(&'a UniformGrid<u32>, usize),
     Data(usize, Rect),
@@ -44,7 +49,7 @@ enum Cursor<'a> {
 impl Cursor<'_> {
     fn mbr(&self) -> Rect {
         match self {
-            Cursor::Node(n) => n.mbr(),
+            Cursor::Node(_, mbr) => *mbr,
             Cursor::GridRoot(g) => g.bbox(),
             Cursor::GridCell(g, c) => g.cell_mbr(*c),
             Cursor::Data(_, r) => *r,
@@ -109,7 +114,10 @@ impl SynchronousTraversal {
         };
         let roots: Vec<Cursor<'_>> = (0..instance.n_vars())
             .map(|v| match instance.backend() {
-                BackendKind::RTree => Cursor::Node(instance.tree(v).root_node()),
+                BackendKind::RTree => {
+                    let tree = instance.tree(v);
+                    Cursor::Node(tree.root_node(), tree.bounding_box())
+                }
                 BackendKind::Grid => Cursor::GridRoot(instance.grid(v)),
             })
             .collect();
@@ -195,7 +203,7 @@ fn choose<'a>(
                 chosen[var] = None;
             }
         }
-        Cursor::Node(node) => {
+        Cursor::Node(node, _) => {
             for entry in node.entries() {
                 let mbr = *entry.mbr();
                 if !consistent(graph, chosen, var, &mbr) {
@@ -204,7 +212,7 @@ fn choose<'a>(
                 let cursor = match entry.child() {
                     Some(child) => {
                         state.stats.node_accesses += 1;
-                        Cursor::Node(child)
+                        Cursor::Node(child, mbr)
                     }
                     None => Cursor::Data(*entry.value().expect("leaf") as usize, mbr),
                 };

@@ -77,16 +77,12 @@ impl Interval {
         self.intersection(other).length()
     }
 
-    /// Distance between the intervals (0 if they intersect).
+    /// Distance between the intervals (0 if they intersect): the larger
+    /// of the two signed gaps, clamped at zero, so no branch depends on how
+    /// the intervals lie.
     #[inline]
     pub fn distance(&self, other: &Interval) -> f64 {
-        if self.intersects(other) {
-            0.0
-        } else if self.hi < other.lo {
-            other.lo - self.hi
-        } else {
-            self.lo - other.hi
-        }
+        (other.lo - self.hi).max(self.lo - other.hi).max(0.0)
     }
 
     /// Midpoint of the interval.

@@ -18,8 +18,19 @@
 //! `possible` must never produce false negatives (it is an *admissible*
 //! filter); false positives merely cost extra node visits. This soundness
 //! property is checked by property-based tests.
+//!
+//! Each test also has a **batch form** — [`Predicate::tally_eval`] and
+//! [`Predicate::tally_possible`] — that holds one window against a whole
+//! node's rectangles and adds every verdict to a per-rectangle count. It is
+//! what the multi-window traversals run: the predicate is matched once per
+//! window instead of once per (rectangle, window) pair, and the loop over the
+//! rectangles contains no branch that depends on the data. All comparison
+//! bodies are branch-free (`&` over the float compares) and written once:
+//! the batch forms call `eval` / `possible` with the variant fixed, so the
+//! two forms cannot disagree.
 
-use crate::Rect;
+use crate::{Point, Rect};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A binary spatial predicate `a P b` between two MBRs.
@@ -43,6 +54,22 @@ pub enum Predicate {
     WithinDistance(f64),
 }
 
+/// `p` dominates `q`: at least as far north and east (closed, so touching
+/// counts). The directional predicates are this test on two corners.
+#[inline]
+fn dominates(p: &Point, q: &Point) -> bool {
+    (p.x >= q.x) & (p.y >= q.y)
+}
+
+/// The *near* test; `eps` is a distance and therefore not negative (the
+/// window planners of the grid clamp it, so a negative ε would make the
+/// backends disagree — the CLI rejects it at parse time).
+#[inline]
+fn within(a: &Rect, b: &Rect, eps: f64) -> bool {
+    debug_assert!(eps >= 0.0, "within-distance needs ε ≥ 0, got {eps}");
+    a.min_distance_sq(b) <= eps * eps
+}
+
 impl Predicate {
     /// Evaluates the predicate between two object MBRs.
     #[inline]
@@ -51,9 +78,9 @@ impl Predicate {
             Predicate::Intersects => a.intersects(b),
             Predicate::Contains => a.contains(b),
             Predicate::Inside => b.contains(a),
-            Predicate::NorthEast => a.min.x >= b.max.x && a.min.y >= b.max.y,
-            Predicate::SouthWest => a.max.x <= b.min.x && a.max.y <= b.min.y,
-            Predicate::WithinDistance(eps) => a.min_distance_sq(b) <= eps * eps,
+            Predicate::NorthEast => dominates(&a.min, &b.max),
+            Predicate::SouthWest => dominates(&b.min, &a.max),
+            Predicate::WithinDistance(eps) => within(a, b, eps),
         }
     }
 
@@ -74,9 +101,74 @@ impl Predicate {
             Predicate::Inside => node.intersects(b),
             // Some sub-rectangle of the node can sit NE of b iff the node
             // reaches at least as far NE as b's upper-right corner.
-            Predicate::NorthEast => node.max.x >= b.max.x && node.max.y >= b.max.y,
-            Predicate::SouthWest => node.min.x <= b.min.x && node.min.y <= b.min.y,
-            Predicate::WithinDistance(eps) => node.min_distance_sq(b) <= eps * eps,
+            Predicate::NorthEast => dominates(&node.max, &b.max),
+            Predicate::SouthWest => dominates(&b.min, &node.min),
+            Predicate::WithinDistance(eps) => within(node, b, eps),
+        }
+    }
+
+    /// Batch form of [`Predicate::eval`]: for every rectangle `rᵢ` of
+    /// `rects`, adds `self.eval(rᵢ, b) as u32` to `counts[i]`. Calling it
+    /// once per window over zeroed counts leaves in `counts[i]` the number
+    /// of windows `rᵢ` satisfies.
+    ///
+    /// # Panics
+    /// Panics if `rects` and `counts` differ in length.
+    pub fn tally_eval<I>(&self, b: &Rect, rects: I, counts: &mut [u32])
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: Borrow<Rect>,
+    {
+        self.tally(b, rects.into_iter(), counts, Predicate::eval);
+    }
+
+    /// Batch form of [`Predicate::possible`]: adds
+    /// `self.possible(nodeᵢ, b) as u32` to `counts[i]` for every node MBR of
+    /// `nodes`.
+    ///
+    /// # Panics
+    /// Panics if `nodes` and `counts` differ in length.
+    pub fn tally_possible<I>(&self, b: &Rect, nodes: I, counts: &mut [u32])
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: Borrow<Rect>,
+    {
+        self.tally(b, nodes.into_iter(), counts, Predicate::possible);
+    }
+
+    /// Runs `counts[i] += test(self, rectᵢ, b)` over `rects`.
+    ///
+    /// The match sits outside the loop and hands every arm a predicate
+    /// whose variant is a constant: `test` (`eval` or `possible`) is
+    /// inlined into the arm's loop and its own match folds to the one
+    /// comparison body, so the loop neither dispatches nor branches on the
+    /// rectangles. That folding is the optimiser's, and no correctness test
+    /// can see it go: what holds it is the benchmark's `solve_s` on the
+    /// R\*-tree rows and the traced `rtree.multiwindow_entry.ns_per_call`
+    /// (DESIGN §5e has the numbers to compare against).
+    #[inline]
+    fn tally<R: Borrow<Rect>>(
+        &self,
+        b: &Rect,
+        rects: impl ExactSizeIterator<Item = R>,
+        counts: &mut [u32],
+        test: impl Fn(&Predicate, &Rect, &Rect) -> bool + Copy,
+    ) {
+        assert_eq!(rects.len(), counts.len(), "one count per rectangle");
+        let run = |fixed: Predicate| {
+            for (count, rect) in counts.iter_mut().zip(rects) {
+                *count += test(&fixed, rect.borrow(), b) as u32;
+            }
+        };
+        match *self {
+            Predicate::Intersects => run(Predicate::Intersects),
+            Predicate::Contains => run(Predicate::Contains),
+            Predicate::Inside => run(Predicate::Inside),
+            Predicate::NorthEast => run(Predicate::NorthEast),
+            Predicate::SouthWest => run(Predicate::SouthWest),
+            Predicate::WithinDistance(eps) => run(Predicate::WithinDistance(eps)),
         }
     }
 
@@ -263,7 +355,56 @@ mod proptests {
         ]
     }
 
+    /// Rectangles on a coarse lattice: drawn pairs share edges exactly,
+    /// touch at corners, nest with common sides and collapse to segments
+    /// and points (zero extent).
+    fn lattice_rect() -> impl Strategy<Value = Rect> {
+        (0u32..6, 0u32..6, 0u32..4, 0u32..4).prop_map(|(x, y, w, h)| {
+            let at = |i: u32| f64::from(i) / 4.0;
+            Rect::new(at(x), at(y), at(x + w), at(y + h))
+        })
+    }
+
+    fn arb_scan_rect() -> impl Strategy<Value = Rect> {
+        prop_oneof![lattice_rect(), arb_rect()]
+    }
+
+    fn arb_scan_pred() -> impl Strategy<Value = Predicate> {
+        prop_oneof![
+            arb_pred(),
+            Just(Predicate::WithinDistance(0.0)),
+            Just(Predicate::WithinDistance(0.25)),
+        ]
+    }
+
     proptest! {
+        /// The batch forms are the per-pair tests, summed: over any
+        /// rectangle list (empty included) and any window — the empty
+        /// rectangle included, which nothing contains and which contains
+        /// nothing — `tally_eval` / `tally_possible` add exactly
+        /// `eval` / `possible` to every count, and `eval ⇒ possible`.
+        #[test]
+        fn tally_equals_a_loop_of_the_definitions(
+            p in arb_scan_pred(),
+            window in prop_oneof![arb_scan_rect(), Just(Rect::EMPTY)],
+            rects in prop::collection::vec(arb_scan_rect(), 0..40),
+            prior in 0u32..9,
+        ) {
+            let mut evals = vec![prior; rects.len()];
+            p.tally_eval(&window, &rects, &mut evals);
+            let mut possibles = vec![prior; rects.len()];
+            p.tally_possible(&window, rects.iter().copied(), &mut possibles);
+            for (i, r) in rects.iter().enumerate() {
+                prop_assert_eq!(evals[i], prior + p.eval(r, &window) as u32, "{} eval #{}", p, i);
+                prop_assert_eq!(
+                    possibles[i],
+                    prior + p.possible(r, &window) as u32,
+                    "{} possible #{}", p, i
+                );
+                prop_assert!(evals[i] <= possibles[i], "{}: eval without possible", p);
+            }
+        }
+
         /// Admissibility of the pruning test: any object inside a node that
         /// satisfies the predicate forces `possible(node, b)` to hold.
         #[test]

@@ -116,7 +116,7 @@ impl Rect {
     /// Returns `true` if the rectangle contains no point.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.min.x > self.max.x || self.min.y > self.max.y
+        (self.min.x > self.max.x) | (self.min.y > self.max.y)
     }
 
     /// Returns `true` if all four coordinates are finite.
@@ -127,12 +127,16 @@ impl Rect {
 
     /// Returns `true` if the closed rectangles share at least one point
     /// (the paper's default *overlap* join predicate).
+    ///
+    /// The four compares are joined with `&`, not `&&`: they are cheaper
+    /// than the mispredicted branch a short circuit costs in a scan over
+    /// many rectangles (see [`Predicate`](crate::Predicate)'s batch form).
     #[inline]
     pub fn intersects(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
+        (self.min.x <= other.max.x)
+            & (other.min.x <= self.max.x)
+            & (self.min.y <= other.max.y)
+            & (other.min.y <= self.max.y)
     }
 
     /// Returns `true` if `p` lies inside the closed rectangle.
@@ -141,14 +145,15 @@ impl Rect {
         self.min.x <= p.x && p.x <= self.max.x && self.min.y <= p.y && p.y <= self.max.y
     }
 
-    /// Returns `true` if `other` lies entirely inside `self`.
+    /// Returns `true` if `other` lies entirely inside `self` (an empty
+    /// `other` lies inside nothing). Branch-free like [`Rect::intersects`].
     #[inline]
     pub fn contains(&self, other: &Rect) -> bool {
         !other.is_empty()
-            && self.min.x <= other.min.x
-            && self.min.y <= other.min.y
-            && other.max.x <= self.max.x
-            && other.max.y <= self.max.y
+            & (self.min.x <= other.min.x)
+            & (self.min.y <= other.min.y)
+            & (other.max.x <= self.max.x)
+            & (other.max.y <= self.max.y)
     }
 
     /// Smallest rectangle covering both operands.

@@ -17,7 +17,7 @@
 //! [`FlatLeaves::new`] copies all three verbatim, and the round-trip test
 //! below locks the guarantee.
 
-use crate::node::{NodeId, Payload};
+use crate::node::NodeId;
 use crate::tree::RTree;
 use mwsj_geom::{Point, Rect};
 
@@ -57,14 +57,11 @@ impl<T: Copy> FlatLeaves<T> {
             if node.is_leaf() {
                 let start = flat.values.len() as u32;
                 for entry in &node.entries {
-                    let Payload::Data(v) = &entry.payload else {
-                        unreachable!("leaf entry without data payload");
-                    };
                     flat.lo_x.push(entry.mbr.min.x);
                     flat.lo_y.push(entry.mbr.min.y);
                     flat.hi_x.push(entry.mbr.max.x);
                     flat.hi_y.push(entry.mbr.max.y);
-                    flat.values.push(*v);
+                    flat.values.push(*entry.value());
                 }
                 flat.spans[id.index()] = (start, node.entries.len() as u32);
             } else {
@@ -97,27 +94,28 @@ impl<T> FlatLeaves<T> {
             + self.spans.len() * std::mem::size_of::<(u32, u32)>()
     }
 
-    /// The `(start, len)` span of leaf node `id`, as usizes.
+    /// The index range of leaf node `id`'s entries in the arrays.
     #[inline]
-    pub(crate) fn span(&self, id: NodeId) -> (usize, usize) {
+    fn span(&self, id: NodeId) -> std::ops::Range<usize> {
         let (start, len) = self.spans[id.index()];
-        (start as usize, len as usize)
+        start as usize..(start + len) as usize
     }
 
-    /// Reconstructs the MBR of flat entry `i`. Coordinates were stored
-    /// normalised (`min ≤ max`), so this is branch-free.
+    /// The MBRs of leaf node `id`'s entries, in slot order. Coordinates
+    /// were stored normalised (`min ≤ max`), so rebuilding a rectangle is
+    /// branch-free.
     #[inline]
-    pub(crate) fn rect(&self, i: usize) -> Rect {
-        Rect {
+    pub(crate) fn rects(&self, id: NodeId) -> impl ExactSizeIterator<Item = Rect> + '_ {
+        self.span(id).map(|i| Rect {
             min: Point::new(self.lo_x[i], self.lo_y[i]),
             max: Point::new(self.hi_x[i], self.hi_y[i]),
-        }
+        })
     }
 
-    /// The value of flat entry `i`.
+    /// The payloads of leaf node `id`'s entries, in slot order.
     #[inline]
-    pub(crate) fn value(&self, i: usize) -> &T {
-        &self.values[i]
+    pub(crate) fn values(&self, id: NodeId) -> &[T] {
+        &self.values[self.span(id)]
     }
 }
 
@@ -156,16 +154,11 @@ mod tests {
             while let Some(id) = stack.pop() {
                 let node = tree.node(id);
                 if node.is_leaf() {
-                    let (start, len) = flat.span(id);
-                    assert_eq!(len, node.entries.len());
-                    for (slot, entry) in node.entries.iter().enumerate() {
-                        assert_eq!(flat.rect(start + slot), entry.mbr);
-                        match &entry.payload {
-                            crate::node::Payload::Data(v) => {
-                                assert_eq!(flat.value(start + slot), v)
-                            }
-                            _ => panic!("leaf entry without data"),
-                        }
+                    assert_eq!(flat.rects(id).len(), node.entries.len());
+                    let rects = flat.rects(id).zip(flat.values(id));
+                    for ((rect, value), entry) in rects.zip(&node.entries) {
+                        assert_eq!(rect, entry.mbr);
+                        assert_eq!(value, entry.value());
                         seen += 1;
                     }
                 } else {

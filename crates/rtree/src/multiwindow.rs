@@ -20,10 +20,30 @@
 //! it: scorers must never score a leaf above `count as f64` (penalties only
 //! subtract), so a subtree whose potential count does not exceed the best
 //! score found so far cannot contain a better leaf.
+//!
+//! # The node scan
+//!
+//! A node is scored **window by window**: for each window the predicate's
+//! batch form ([`Predicate::tally_possible`] on internal nodes,
+//! [`Predicate::tally_eval`] on leaves) runs over the node's entry slice
+//! and adds its verdicts to one count per slot — the predicate is matched
+//! once per window and the loop over the entries has no data-dependent
+//! branch. The slots with a positive count are then ranked in a **total
+//! order: count descending, then slot ascending**, and visited in it.
+//!
+//! Counts and ranks live in one per-thread arena that the traversal uses
+//! as a stack (a frame per node on the current root-to-leaf path), so a
+//! call allocates nothing once the arena has grown to the tree's height.
+//! [`for_each_candidate`], the threshold walk of the systematic algorithms,
+//! scores its nodes through the same scan.
 
 use crate::flat::FlatLeaves;
+use crate::node::Payload;
 use crate::visit::NodeRef;
 use mwsj_geom::{Predicate, Rect};
+use std::borrow::Borrow;
+use std::cell::RefCell;
+use std::cmp::Reverse;
 
 /// The winning leaf of a [`find_best_leaf`] traversal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,23 +72,21 @@ pub struct BestLeaf<T> {
 ///
 /// # Determinism
 ///
-/// For a fixed tree and window list the traversal is deterministic: equal
-/// counts are visited in the node's entry order after a stable-for-equal-
-/// inputs unstable sort, and ties on score keep the first winner.
+/// The visit order is a definition, not a property of a sort: within a
+/// node, entries go by **count descending, then slot ascending**, and a
+/// leaf replaces the incumbent only with a strictly greater score. So for
+/// a fixed tree and window list the winner is the first leaf, in that
+/// order, that reaches the maximum score — whatever the node capacity and
+/// however many entries tie.
 pub fn find_best_leaf<T: Copy>(
     root: NodeRef<'_, T>,
     windows: &[(Predicate, Rect)],
     mut score: impl FnMut(&T, u32) -> f64,
     node_accesses: &mut u64,
 ) -> Option<BestLeaf<T>> {
-    if windows.is_empty() {
-        return None;
-    }
-    let mut best: Option<BestLeaf<T>> = None;
-    descend(root, None, windows, &mut score, &mut best, &mut |_| {
+    search(root, None, windows, &mut score, &mut |_| {
         *node_accesses += 1
-    });
-    best
+    })
 }
 
 /// [`find_best_leaf`] with **per-level access attribution**: identical
@@ -85,17 +103,12 @@ pub fn find_best_leaf_leveled<T: Copy>(
     node_accesses: &mut u64,
     level_accesses: &mut [u64],
 ) -> Option<BestLeaf<T>> {
-    if windows.is_empty() {
-        return None;
-    }
-    let mut best: Option<BestLeaf<T>> = None;
-    descend(root, None, windows, &mut score, &mut best, &mut |lvl| {
+    search(root, None, windows, &mut score, &mut |lvl| {
         *node_accesses += 1;
         if let Some(slot) = level_accesses.get_mut(lvl as usize) {
             *slot += 1;
         }
-    });
-    best
+    })
 }
 
 /// [`find_best_leaf`] over the flat leaf layout (see
@@ -115,26 +128,122 @@ pub fn find_best_leaf_flat<T: Copy>(
     mut score: impl FnMut(&T, u32) -> f64,
     node_accesses: &mut u64,
 ) -> Option<BestLeaf<T>> {
+    search(root, Some(flat), windows, &mut score, &mut |_| {
+        *node_accesses += 1
+    })
+}
+
+/// Visits every leaf payload below `root` that satisfies at least
+/// `min_count` (≥ 1) of the `windows`: `emit(value, satisfied_count)`, in
+/// tree order, descending only into entries whose MBR could still reach
+/// `min_count`. With `min_count = windows.len()` this is the conjunctive
+/// window query of *window reduction*; with `min_count = 1` it is the
+/// candidate generation of IBB.
+///
+/// Every visited node bumps `node_accesses` and, when the slice is long
+/// enough, `level_accesses[node.level()]` (`[0]` = leaf); pass `&mut []`
+/// to skip attribution. Empty `windows` visit nothing.
+pub fn for_each_candidate<T: Copy>(
+    root: NodeRef<'_, T>,
+    windows: &[(Predicate, Rect)],
+    min_count: u32,
+    node_accesses: &mut u64,
+    level_accesses: &mut [u64],
+    mut emit: impl FnMut(T, u32),
+) {
+    debug_assert!(min_count >= 1);
+    if windows.is_empty() {
+        return;
+    }
+    with_scratch(|scratch| {
+        collect(
+            root,
+            windows,
+            min_count,
+            &mut emit,
+            node_accesses,
+            level_accesses,
+            scratch,
+        )
+    });
+}
+
+thread_local! {
+    /// The calling thread's count / rank arena, reused so that a traversal
+    /// allocates nothing once it has grown.
+    static SCRATCH: RefCell<Vec<u32>> = RefCell::default();
+}
+
+/// Runs `f` on the thread's arena. Every traversal pops the frames it
+/// pushes, so the arena is handed over, and put back, empty.
+fn with_scratch<R>(f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
+    // Taken, not borrowed: a scorer or `emit` may run a traversal of its
+    // own on this thread.
+    let mut scratch = SCRATCH.take();
+    let out = f(&mut scratch);
+    SCRATCH.set(scratch);
+    out
+}
+
+/// Adds to `counts[slot]` the number of `windows` that slot's rectangle
+/// satisfies (`leaf`: `eval`) or could satisfy (internal: `possible`);
+/// `rects` yields the node's rectangles in slot order, once per window.
+fn tally_windows<I>(
+    windows: &[(Predicate, Rect)],
+    leaf: bool,
+    rects: impl Fn() -> I,
+    counts: &mut [u32],
+) where
+    I: ExactSizeIterator,
+    I::Item: Borrow<Rect>,
+{
+    for (pred, w) in windows {
+        if leaf {
+            pred.tally_eval(w, rects(), counts);
+        } else {
+            pred.tally_possible(w, rects(), counts);
+        }
+    }
+}
+
+/// Writes the slots with a positive count to the front of `ranks` — count
+/// descending, then slot ascending — and returns how many there are.
+/// `ranks` must be at least as long as `counts`.
+fn rank(counts: &[u32], ranks: &mut [u32]) -> usize {
+    let mut ranked = 0;
+    for (slot, &count) in counts.iter().enumerate() {
+        ranks[ranked] = slot as u32;
+        ranked += (count > 0) as usize;
+    }
+    // The key is unique per slot, so any sort yields the one order.
+    ranks[..ranked].sort_unstable_by_key(|&slot| (Reverse(counts[slot as usize]), slot));
+    ranked
+}
+
+/// Shared back half of the three entry points.
+fn search<T: Copy>(
+    root: NodeRef<'_, T>,
+    flat: Option<&FlatLeaves<T>>,
+    windows: &[(Predicate, Rect)],
+    score: &mut impl FnMut(&T, u32) -> f64,
+    tally: &mut impl FnMut(u32),
+) -> Option<BestLeaf<T>> {
     if windows.is_empty() {
         return None;
     }
-    let mut best: Option<BestLeaf<T>> = None;
-    descend(
-        root,
-        Some(flat),
-        windows,
-        &mut score,
-        &mut best,
-        &mut |_| *node_accesses += 1,
-    );
+    let mut best = None;
+    with_scratch(|scratch| descend(root, flat, windows, score, &mut best, tally, scratch));
     best
 }
 
 /// Recursive worker shared by every entry point. `tally` is invoked once
 /// per node whose entries are read, with the node's level (0 = leaf) —
 /// the entry points reduce it to a plain counter bump or a counter bump
-/// plus per-level attribution, so the traversal itself stays single-copy
-/// and the non-attributing paths monomorphise to the pre-attribution code.
+/// plus per-level attribution, so the traversal itself stays single-copy.
+///
+/// The node's frame on `scratch` is `n` counts followed by `n` rank
+/// cells; it is addressed by index because the recursion pushes further
+/// frames behind it, and popped before returning.
 fn descend<T: Copy>(
     node: NodeRef<'_, T>,
     flat: Option<&FlatLeaves<T>>,
@@ -142,33 +251,32 @@ fn descend<T: Copy>(
     score: &mut impl FnMut(&T, u32) -> f64,
     best: &mut Option<BestLeaf<T>>,
     tally: &mut impl FnMut(u32),
+    scratch: &mut Vec<u32>,
 ) {
     tally(node.level());
 
-    if node.is_leaf() {
-        match flat {
-            Some(flat) => scan_leaf_flat(node, flat, windows, score, best),
-            None => scan_leaf_entries(node, windows, score, best),
-        }
-        return;
+    let entries = node.entry_slice();
+    let (leaf, n) = (node.is_leaf(), entries.len());
+    let base = scratch.len();
+    scratch.resize(base + 2 * n, 0);
+    let (counts, ranks) = scratch[base..].split_at_mut(n);
+    match flat {
+        Some(flat) if leaf => tally_windows(windows, leaf, || flat.rects(node.id()), counts),
+        _ => tally_windows(windows, leaf, || entries.iter().map(|e| &e.mbr), counts),
     }
+    let ranked = rank(counts, ranks);
 
-    // Count potentially satisfied windows per entry; keep only entries
-    // with a positive count, sorted descending (Fig. 5).
-    let mut scored: Vec<(u32, usize)> = Vec::with_capacity(node.len());
-    for (i, entry) in node.entries().enumerate() {
-        let mbr = entry.mbr();
-        let count = windows
-            .iter()
-            .filter(|(pred, w)| pred.possible(mbr, w))
-            .count() as u32;
-        if count > 0 {
-            scored.push((count, i));
+    for k in 0..ranked {
+        let slot = scratch[base + n + k] as usize;
+        let count = scratch[base + slot];
+        if leaf {
+            let value = match flat {
+                Some(flat) => flat.values(node.id())[slot],
+                None => *entries[slot].value(),
+            };
+            offer(best, value, count, score);
+            continue;
         }
-    }
-    scored.sort_unstable_by_key(|&(count, _)| std::cmp::Reverse(count));
-
-    for (count, i) in scored {
         // The potential count bounds every leaf score below this entry
         // (scorers never exceed the raw count), so a subtree that
         // cannot beat the incumbent score is pruned.
@@ -177,65 +285,51 @@ fn descend<T: Copy>(
                 continue;
             }
         }
-        let child = node.entry(i).child().expect("internal entry");
-        descend(child, flat, windows, score, best, tally);
+        let child = node.entry(slot).child().expect("internal entry");
+        descend(child, flat, windows, score, best, tally, scratch);
     }
+    scratch.truncate(base);
 }
 
-/// Leaf scan over the node's entry vector: count satisfied windows per
-/// entry, drop zero counts, visit in descending count order, keep the
-/// first strict score improvement.
-fn scan_leaf_entries<T: Copy>(
+/// Recursive worker of [`for_each_candidate`]; its frame is the `n`
+/// counts alone.
+fn collect<T: Copy>(
     node: NodeRef<'_, T>,
     windows: &[(Predicate, Rect)],
-    score: &mut impl FnMut(&T, u32) -> f64,
-    best: &mut Option<BestLeaf<T>>,
+    min_count: u32,
+    emit: &mut impl FnMut(T, u32),
+    node_accesses: &mut u64,
+    level_accesses: &mut [u64],
+    scratch: &mut Vec<u32>,
 ) {
-    let mut scored: Vec<(u32, usize)> = Vec::with_capacity(node.len());
-    for (i, entry) in node.entries().enumerate() {
-        let mbr = entry.mbr();
-        let count = windows.iter().filter(|(pred, w)| pred.eval(mbr, w)).count() as u32;
-        if count > 0 {
-            scored.push((count, i));
+    *node_accesses += 1;
+    if let Some(slot) = level_accesses.get_mut(node.level() as usize) {
+        *slot += 1;
+    }
+    let entries = node.entry_slice();
+    let base = scratch.len();
+    scratch.resize(base + entries.len(), 0);
+    let mbrs = || entries.iter().map(|e| &e.mbr);
+    tally_windows(windows, node.is_leaf(), mbrs, &mut scratch[base..]);
+    for (slot, entry) in entries.iter().enumerate() {
+        let count = scratch[base + slot];
+        if count < min_count {
+            continue;
+        }
+        match entry.payload {
+            Payload::Data(value) => emit(value, count),
+            Payload::Child(_) => collect(
+                node.entry(slot).child().expect("internal entry"),
+                windows,
+                min_count,
+                emit,
+                node_accesses,
+                level_accesses,
+                scratch,
+            ),
         }
     }
-    scored.sort_unstable_by_key(|&(count, _)| std::cmp::Reverse(count));
-    for (count, i) in scored {
-        let value = *node.entry(i).value().expect("leaf entry");
-        offer(best, value, count, score);
-    }
-}
-
-/// Leaf scan over the flat SoA layout: the same count/sort/offer sequence
-/// as [`scan_leaf_entries`] — identical inputs through an identical sort
-/// give identical visit order, hence bit-identical winners — but the
-/// counting loop reads four contiguous coordinate arrays with no payload
-/// branch.
-fn scan_leaf_flat<T: Copy>(
-    node: NodeRef<'_, T>,
-    flat: &FlatLeaves<T>,
-    windows: &[(Predicate, Rect)],
-    score: &mut impl FnMut(&T, u32) -> f64,
-    best: &mut Option<BestLeaf<T>>,
-) {
-    let (start, len) = flat.span(node.id());
-    debug_assert_eq!(len, node.len(), "flat leaves of another tree");
-    let mut scored: Vec<(u32, usize)> = Vec::with_capacity(len);
-    for i in 0..len {
-        let mbr = flat.rect(start + i);
-        let count = windows
-            .iter()
-            .filter(|(pred, w)| pred.eval(&mbr, w))
-            .count() as u32;
-        if count > 0 {
-            scored.push((count, i));
-        }
-    }
-    scored.sort_unstable_by_key(|&(count, _)| std::cmp::Reverse(count));
-    for (count, i) in scored {
-        let value = *flat.value(start + i);
-        offer(best, value, count, score);
-    }
+    scratch.truncate(base);
 }
 
 /// Offers one leaf candidate to the incumbent: strictly greater score
@@ -277,6 +371,10 @@ mod tests {
     }
 
     fn sample_tree(seed: u64, n: usize) -> (RTree<u32>, Vec<Rect>) {
+        sample_tree_with_capacity(seed, n, 8)
+    }
+
+    fn sample_tree_with_capacity(seed: u64, n: usize, capacity: usize) -> (RTree<u32>, Vec<Rect>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let rects: Vec<Rect> = (0..n).map(|_| random_rect(&mut rng, 0.1)).collect();
         let items: Vec<(Rect, u32)> = rects
@@ -285,9 +383,243 @@ mod tests {
             .map(|(i, r)| (*r, i as u32))
             .collect();
         (
-            RTree::bulk_load_with_params(RTreeParams::new(8), items),
+            RTree::bulk_load_with_params(RTreeParams::new(capacity), items),
             rects,
         )
+    }
+
+    /// The kernel as it was before the window-by-window scan, kept as the
+    /// reference: every entry scored on its own, a fresh vector per node,
+    /// and a *stable* sort by descending count — which is the stated total
+    /// order, because the vector is filled in slot order.
+    fn reference_descend(
+        node: NodeRef<'_, u32>,
+        windows: &[(Predicate, Rect)],
+        score: &mut impl FnMut(&u32, u32) -> f64,
+        best: &mut Option<BestLeaf<u32>>,
+        levels: &mut [u64],
+    ) {
+        levels[node.level() as usize] += 1;
+        let leaf = node.is_leaf();
+        let mut scored: Vec<(u32, usize)> = Vec::with_capacity(node.len());
+        for (i, entry) in node.entries().enumerate() {
+            let mbr = entry.mbr();
+            let count = windows
+                .iter()
+                .filter(|(pred, w)| {
+                    if leaf {
+                        pred.eval(mbr, w)
+                    } else {
+                        pred.possible(mbr, w)
+                    }
+                })
+                .count() as u32;
+            if count > 0 {
+                scored.push((count, i));
+            }
+        }
+        scored.sort_by_key(|&(count, _)| Reverse(count));
+        for (count, i) in scored {
+            if leaf {
+                let value = *node.entry(i).value().expect("leaf entry");
+                offer(best, value, count, score);
+                continue;
+            }
+            if let Some(b) = best {
+                if (count as f64) <= b.score {
+                    continue;
+                }
+            }
+            let child = node.entry(i).child().expect("internal entry");
+            reference_descend(child, windows, score, best, levels);
+        }
+    }
+
+    /// The threshold walk as it was: entry-by-entry counts, slot order.
+    fn reference_collect(
+        node: NodeRef<'_, u32>,
+        windows: &[(Predicate, Rect)],
+        min_count: u32,
+        out: &mut Vec<(u32, u32)>,
+        levels: &mut [u64],
+    ) {
+        levels[node.level() as usize] += 1;
+        for entry in node.entries() {
+            let mbr = entry.mbr();
+            match entry.child() {
+                None => {
+                    let count = windows.iter().filter(|(p, w)| p.eval(mbr, w)).count() as u32;
+                    if count >= min_count {
+                        out.push((*entry.value().expect("leaf entry"), count));
+                    }
+                }
+                Some(child) => {
+                    let possible =
+                        windows.iter().filter(|(p, w)| p.possible(mbr, w)).count() as u32;
+                    if possible >= min_count {
+                        reference_collect(child, windows, min_count, out, levels);
+                    }
+                }
+            }
+        }
+    }
+
+    const PREDICATES: [Predicate; 6] = [
+        Predicate::Intersects,
+        Predicate::Contains,
+        Predicate::Inside,
+        Predicate::NorthEast,
+        Predicate::SouthWest,
+        Predicate::WithinDistance(0.05),
+    ];
+
+    /// A window every rectangle of the unit workspace satisfies `pred`
+    /// against, where there is one: it ties all entries of a node on the
+    /// top count.
+    fn covering_window(pred: Predicate) -> Option<Rect> {
+        match pred {
+            Predicate::Intersects | Predicate::Inside | Predicate::WithinDistance(_) => {
+                Some(Rect::new(-1.0, -1.0, 3.0, 3.0))
+            }
+            Predicate::NorthEast => Some(Rect::new(-1.0, -1.0, -1.0, -1.0)),
+            Predicate::SouthWest => Some(Rect::new(3.0, 3.0, 3.0, 3.0)),
+            Predicate::Contains => None,
+        }
+    }
+
+    /// Holds the three kernels and the threshold walk against the
+    /// references on one window list, raw and penalised.
+    fn assert_equals_reference(tree: &RTree<u32>, windows: &[(Predicate, Rect)], what: &str) {
+        let flat = tree.flat_leaves();
+        let height = tree.height() as usize;
+        // λ = 0 is the raw scorer. Few distinct penalties, so that many
+        // leaves tie on the score and the visit order decides the winner.
+        for lambda in [0.0, 0.3] {
+            let scorer = |v: &u32, c: u32| c as f64 - lambda * (v.wrapping_mul(7919) % 3) as f64;
+            let what = format!("{what}, λ = {lambda}");
+            let mut expected = None;
+            let mut expected_levels = vec![0u64; height];
+            reference_descend(
+                tree.root_node(),
+                windows,
+                &mut { scorer },
+                &mut expected,
+                &mut expected_levels,
+            );
+            let expected_accesses: u64 = expected_levels.iter().sum();
+            let bits =
+                |b: Option<BestLeaf<u32>>| b.map(|b| (b.value, b.satisfied, b.score.to_bits()));
+
+            let mut acc = 0u64;
+            let plain = find_best_leaf(tree.root_node(), windows, scorer, &mut acc);
+            assert_eq!(bits(plain), bits(expected), "plain: {what}");
+            assert_eq!(acc, expected_accesses, "plain accesses: {what}");
+
+            let (mut acc, mut levels) = (0u64, vec![0u64; height]);
+            let leveled =
+                find_best_leaf_leveled(tree.root_node(), windows, scorer, &mut acc, &mut levels);
+            assert_eq!(bits(leveled), bits(expected), "leveled: {what}");
+            assert_eq!(acc, expected_accesses, "leveled accesses: {what}");
+            assert_eq!(levels, expected_levels, "per-level attribution: {what}");
+
+            let mut acc = 0u64;
+            let flat_best = find_best_leaf_flat(tree.root_node(), &flat, windows, scorer, &mut acc);
+            assert_eq!(bits(flat_best), bits(expected), "flat: {what}");
+            assert_eq!(acc, expected_accesses, "flat accesses: {what}");
+        }
+        for min_count in [1, windows.len() as u32] {
+            let what = format!("{what}, min_count {min_count}");
+            let mut expected = Vec::new();
+            let mut expected_levels = vec![0u64; height];
+            reference_collect(
+                tree.root_node(),
+                windows,
+                min_count,
+                &mut expected,
+                &mut expected_levels,
+            );
+            let (mut acc, mut levels, mut got) = (0u64, vec![0u64; height], Vec::new());
+            for_each_candidate(
+                tree.root_node(),
+                windows,
+                min_count,
+                &mut acc,
+                &mut levels,
+                |v, c| got.push((v, c)),
+            );
+            assert_eq!(got, expected, "candidates: {what}");
+            assert_eq!(levels, expected_levels, "candidate attribution: {what}");
+            assert_eq!(acc, expected_levels.iter().sum::<u64>(), "{what}");
+        }
+    }
+
+    #[test]
+    fn kernels_equal_the_entry_by_entry_reference() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for capacity in [4, 8, 32] {
+            let (tree, _) = sample_tree_with_capacity(20 + capacity as u64, 3_000, capacity);
+            for pred in PREDICATES {
+                for n_windows in 1..=5 {
+                    for draw in 0..6 {
+                        // Mostly one predicate, every other draw a mix.
+                        let windows: Vec<(Predicate, Rect)> = (0..n_windows)
+                            .map(|k| {
+                                let p = if draw % 2 == 1 {
+                                    PREDICATES[(k + draw) % PREDICATES.len()]
+                                } else {
+                                    pred
+                                };
+                                (p, random_rect(&mut rng, 0.3))
+                            })
+                            .collect();
+                        let what =
+                            format!("capacity {capacity}, {pred}, {n_windows} windows, #{draw}");
+                        assert_equals_reference(&tree, &windows, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The case the unstable sort left open: more than 20 entries of a
+    /// node tied on the top count. Windows that every rectangle satisfies
+    /// tie all 32 entries of every node, on one to five windows.
+    #[test]
+    fn ties_beyond_twenty_entries_follow_the_stated_order() {
+        let (tree, _) = sample_tree_with_capacity(31, 3_000, 32);
+        let mut leaf = tree.root_node();
+        while !leaf.is_leaf() {
+            leaf = leaf.entry(0).child().expect("internal entry");
+        }
+        assert!(leaf.len() > 20, "first leaf holds {} entries", leaf.len());
+        let mut rng = StdRng::seed_from_u64(32);
+        for pred in PREDICATES {
+            let Some(cover) = covering_window(pred) else {
+                continue;
+            };
+            for n_windows in 1..=5 {
+                let all_tied = vec![(pred, cover); n_windows];
+                assert_equals_reference(
+                    &tree,
+                    &all_tied,
+                    &format!("{pred} × {n_windows} covering"),
+                );
+                // Covering windows plus a selective one: two count classes,
+                // the lower one still more than 20 strong.
+                let mut mixed = all_tied;
+                mixed.push((Predicate::Intersects, random_rect(&mut rng, 0.05)));
+                assert_equals_reference(&tree, &mixed, &format!("{pred} × {n_windows} + 1"));
+            }
+        }
+    }
+
+    #[test]
+    fn rank_orders_by_count_then_slot() {
+        let counts = [0, 2, 5, 2, 0, 5, 1, 2];
+        let mut ranks = [u32::MAX; 8];
+        let ranked = rank(&counts, &mut ranks);
+        assert_eq!(&ranks[..ranked], &[2, 5, 1, 3, 7, 6]);
+        assert_eq!(rank(&[], &mut []), 0);
     }
 
     fn scan_best_score(

@@ -52,6 +52,14 @@ impl<T> Entry<T> {
             Payload::Data(_) => unreachable!("child_id on a data entry"),
         }
     }
+
+    #[inline]
+    pub(crate) fn value(&self) -> &T {
+        match &self.payload {
+            Payload::Data(value) => value,
+            Payload::Child(_) => unreachable!("value on a child entry"),
+        }
+    }
 }
 
 /// A tree node. `level == 0` means leaf; the root sits at `height - 1`.

@@ -15,7 +15,7 @@
 //! path and flush them into the metrics registry when a run finishes.
 
 use crate::access::AccessCounter;
-use crate::node::{NodeId, Payload};
+use crate::node::{Entry, NodeId, Payload};
 use crate::tree::RTree;
 use mwsj_geom::Rect;
 
@@ -58,6 +58,12 @@ impl<'a, T> NodeRef<'a, T> {
     #[inline]
     pub(crate) fn id(&self) -> NodeId {
         self.id
+    }
+
+    /// The node's entries as stored, for scans that read every slot.
+    #[inline]
+    pub(crate) fn entry_slice(&self) -> &'a [Entry<T>] {
+        &self.tree.node(self.id).entries
     }
 
     /// Level of this node (0 = leaf).

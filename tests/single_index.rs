@@ -8,7 +8,7 @@
 
 use mwsj::core::{BackendKind, ResourceReport};
 use mwsj::prelude::*;
-use mwsj::query::PenaltyTable;
+use mwsj::query::{PenaltyTable, QueryGraphBuilder};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -23,6 +23,37 @@ fn chain_instance() -> Instance {
         .map(|_| Dataset::uniform(CARDINALITY, 2.0, &mut rng))
         .collect();
     Instance::new(QueryGraph::chain(N_VARS), datasets).unwrap()
+}
+
+const PREDICATES: [Predicate; 6] = [
+    Predicate::Intersects,
+    Predicate::Contains,
+    Predicate::Inside,
+    Predicate::NorthEast,
+    Predicate::SouthWest,
+    Predicate::WithinDistance(0.01),
+];
+
+/// A 4-clique whose six edges carry the six predicates. Extents shrink
+/// from dataset 3 over 0 to 2 so that the containment edges (`0 contains
+/// 2`, `0 inside 3`) have pairs to find.
+fn six_predicate_instance() -> Instance {
+    let mut rng = StdRng::seed_from_u64(1303);
+    let datasets: Vec<Dataset> = [2.0, 2.0, 0.2, 20.0]
+        .iter()
+        .map(|&density| Dataset::uniform(CARDINALITY, density, &mut rng))
+        .collect();
+    let [intersects, contains, inside, north_east, south_west, within] = PREDICATES;
+    let graph = QueryGraphBuilder::new(4)
+        .edge_with(0, 1, intersects)
+        .edge_with(0, 2, contains)
+        .edge_with(0, 3, inside)
+        .edge_with(1, 2, north_east)
+        .edge_with(1, 3, south_west)
+        .edge_with(2, 3, within)
+        .build()
+        .unwrap();
+    Instance::new(graph, datasets).unwrap()
 }
 
 fn component_names(instance: &Instance) -> (Vec<String>, u64) {
@@ -51,20 +82,25 @@ fn resource_report_holds_rects_and_one_index_per_dataset() {
     assert_eq!(names, names_of(&["grid", "rects", "rtree"]));
 }
 
-#[test]
-fn find_best_value_matches_exhaustive_scan() {
-    let instance = chain_instance();
-    let mut rng = StdRng::seed_from_u64(1302);
+/// 200 `find_best_value` calls on random solutions, raw and penalised
+/// alternating, each held against the exhaustive scan over
+/// `instance.rects(var)`. Returns how many calls had a candidate and, per
+/// entry of [`PREDICATES`], whether a winner ever satisfied a window of
+/// that predicate.
+fn compare_with_exhaustive_scan(instance: &Instance, seed: u64) -> (usize, [bool; 6]) {
+    let n_vars = instance.n_vars();
+    let mut rng = StdRng::seed_from_u64(seed);
     let lambda = 0.3;
     let mut table = PenaltyTable::new();
     for _ in 0..2_000 {
-        let v = rng.random_range(0..N_VARS);
+        let v = rng.random_range(0..n_vars);
         table.penalize(v, rng.random_range(0..CARDINALITY));
     }
     let mut found = 0;
+    let mut satisfied = [false; 6];
     for call in 0..200 {
         let sol = instance.random_solution(&mut rng);
-        let var = call % N_VARS;
+        let var = call % n_vars;
         let penalties = (call % 2 == 1).then_some((&table, lambda));
         let windows: Vec<(Predicate, Rect)> = instance
             .graph()
@@ -87,14 +123,37 @@ fn find_best_value_matches_exhaustive_scan() {
             .max_by(|a, b| a.partial_cmp(b).expect("finite scores"));
 
         let mut accesses = 0;
-        let got = find_best_value(&instance, &sol, var, penalties, &mut accesses);
+        let got = find_best_value(instance, &sol, var, penalties, &mut accesses);
         assert_eq!(got.map(|b| b.effective), expected, "call {call}");
         if let Some(best) = got {
-            assert_eq!(best.satisfied, count_of(&instance.rect(var, best.object)));
+            let rect = instance.rect(var, best.object);
+            assert_eq!(best.satisfied, count_of(&rect));
             assert_eq!(best.effective, effective_of(best.object, best.satisfied));
             assert!(accesses > 0);
             found += 1;
+            for (pred, _) in windows.iter().filter(|(p, w)| p.eval(&rect, w)) {
+                let kind = PREDICATES
+                    .iter()
+                    .position(|p| std::mem::discriminant(p) == std::mem::discriminant(pred))
+                    .expect("one of the six");
+                satisfied[kind] = true;
+            }
         }
     }
+    (found, satisfied)
+}
+
+#[test]
+fn find_best_value_matches_exhaustive_scan() {
+    let (found, _) = compare_with_exhaustive_scan(&chain_instance(), 1302);
     assert!(found >= 190, "only {found} of 200 calls had a candidate");
+}
+
+/// The same on edges of all six predicates, seen from both endpoints (a
+/// variable at the `b` end of an edge evaluates the transposed predicate).
+#[test]
+fn find_best_value_matches_exhaustive_scan_under_every_predicate() {
+    let (found, satisfied) = compare_with_exhaustive_scan(&six_predicate_instance(), 1304);
+    assert!(found >= 190, "only {found} of 200 calls had a candidate");
+    assert_eq!(satisfied, [true; 6], "a predicate no winner satisfied");
 }
