@@ -60,10 +60,12 @@ pub(crate) struct IndexedDataset {
 
 impl IndexedDataset {
     fn build(rects: Vec<Rect>) -> Self {
-        let items: Vec<(Rect, u32)> = rects.iter().copied().zip(0u32..).collect();
+        // Collected straight into the tree's leaf entries, default
+        // parameters as `RTree::bulk_load`.
+        let tree = rects.iter().copied().zip(0u32..).collect();
         IndexedDataset {
             rects,
-            tree: RTree::bulk_load(items),
+            tree,
             grid: OnceLock::new(),
         }
     }

@@ -159,3 +159,34 @@ fn warm_traversals_do_not_allocate() {
         assert!(candidates > 0);
     }
 }
+
+/// Setup side of the same gate: STR packing gathers every node's entry
+/// vector once, at its final size. What it allocates beyond the nodes is
+/// per level, not per node: two key vectors, the group and parent lists,
+/// the node vector's growth (and the entry copy, where the payload type
+/// keeps `collect` from reusing the input's buffer).
+#[test]
+fn bulk_load_allocates_once_per_node() {
+    const PER_LEVEL: u64 = 5;
+    let mut rng = StdRng::seed_from_u64(43);
+    let items: Vec<(Rect, u32)> = (0..20_000u32)
+        .map(|i| (random_rect(&mut rng, 0.02), i))
+        .collect();
+    for capacity in [32, 4] {
+        let items = items.clone();
+        let mut built = None;
+        let allocations = allocations_during(|| {
+            built = Some(RTree::bulk_load_with_params(
+                RTreeParams::new(capacity),
+                items,
+            ));
+        });
+        let tree = built.expect("built");
+        let bound = tree.node_count() as u64 + PER_LEVEL * u64::from(tree.height());
+        assert!(
+            allocations <= bound,
+            "capacity {capacity}: {allocations} allocations for {} nodes",
+            tree.node_count()
+        );
+    }
+}

@@ -1,6 +1,7 @@
 //! Tier-1 guard of "one leaf layout, one build path": an instance keeps
-//! exactly one index copy per dataset next to the raw rectangles, and the
-//! one kernel `find_best_value` runs agrees with an exhaustive scan.
+//! exactly one index copy per dataset next to the raw rectangles, the
+//! one kernel `find_best_value` runs agrees with an exhaustive scan, and
+//! the one loader builds the tree that STR's definition builds.
 //!
 //! The crate-level versions of these checks only run under `--workspace`;
 //! this file runs with the root package so a second resident copy of the
@@ -156,4 +157,80 @@ fn find_best_value_matches_exhaustive_scan_under_every_predicate() {
     let (found, satisfied) = compare_with_exhaustive_scan(&six_predicate_instance(), 1304);
     assert!(found >= 190, "only {found} of 200 calls had a candidate");
     assert_eq!(satisfied, [true; 6], "a predicate no winner satisfied");
+}
+
+/// STR as it is defined, written the slow way: stable sorts that compare
+/// centres with `partial_cmp`, slices and runs cut by draining. A node is
+/// the list of its entries; a data entry has no children.
+struct StrEntry(Rect, u32, Vec<StrEntry>);
+
+fn str_reference(mut level: Vec<StrEntry>, cap: usize) -> Vec<StrEntry> {
+    fn even_chunks(mut items: Vec<StrEntry>, k: usize) -> Vec<Vec<StrEntry>> {
+        let (n, k) = (items.len(), k.clamp(1, items.len().max(1)));
+        (0..k)
+            .map(|i| items.drain(..n / k + usize::from(i < n % k)).collect())
+            .collect()
+    }
+    while level.len() > cap {
+        let groups = level.len().div_ceil(cap);
+        level.sort_by(|a, b| a.0.center().x.partial_cmp(&b.0.center().x).unwrap());
+        let mut parents = Vec::with_capacity(groups);
+        for mut slice in even_chunks(level, (groups as f64).sqrt().ceil() as usize) {
+            slice.sort_by(|a, b| a.0.center().y.partial_cmp(&b.0.center().y).unwrap());
+            let runs = slice.len().div_ceil(cap);
+            for node in even_chunks(slice, runs) {
+                let mbr = Rect::union_all(node.iter().map(|e| &e.0));
+                parents.push(StrEntry(mbr, u32::MAX, node));
+            }
+        }
+        level = parents;
+    }
+    level
+}
+
+fn assert_same_node(node: mwsj::rtree::NodeRef<'_, u32>, expected: &[StrEntry], what: &str) {
+    let bits = |r: &Rect| [r.min.x, r.min.y, r.max.x, r.max.y].map(f64::to_bits);
+    assert_eq!(node.len(), expected.len(), "{what}");
+    for (entry, StrEntry(mbr, value, children)) in node.entries().zip(expected) {
+        assert_eq!(bits(entry.mbr()), bits(mbr), "{what}");
+        match entry.child() {
+            Some(child) => assert_same_node(child, children, what),
+            None => assert_eq!(entry.value(), Some(value), "{what}"),
+        }
+    }
+}
+
+/// The loader's integer sort keys and position tie-breaks build the tree
+/// the definition builds — node for node, entry order and MBR bits — on
+/// uniform data and on centres that collide (a 7 × 7 lattice, `+0.0` and
+/// `-0.0` among them), where only the tie-break decides the order.
+#[test]
+fn bulk_load_equals_stable_sort_str() {
+    let mut rng = StdRng::seed_from_u64(1305);
+    let uniform = Dataset::uniform(CARDINALITY, 2.0, &mut rng)
+        .rects()
+        .to_vec();
+    let lattice: Vec<Rect> = (0..CARDINALITY)
+        .map(|_| {
+            let mut axis = || {
+                let c = f64::from(rng.random_range(-3i32..=3));
+                let h: f64 = rng.random_range(0.0..0.5);
+                if c == 0.0 && h < 0.25 {
+                    (-0.0, -0.0)
+                } else {
+                    (c - h, c + h)
+                }
+            };
+            let ((lo_x, hi_x), (lo_y, hi_y)) = (axis(), axis());
+            Rect::new(lo_x, lo_y, hi_x, hi_y)
+        })
+        .collect();
+    for (what, rects) in [("uniform", uniform), ("lattice", lattice)] {
+        for cap in [4, 32] {
+            let items = rects.iter().copied().zip(0u32..);
+            let tree = RTree::bulk_load_with_params(RTreeParams::new(cap), items.clone().collect());
+            let leaves = items.map(|(r, v)| StrEntry(r, v, Vec::new())).collect();
+            assert_same_node(tree.root_node(), &str_reference(leaves, cap), what);
+        }
+    }
 }
