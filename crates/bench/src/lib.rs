@@ -29,10 +29,7 @@ pub mod suite;
 pub use io::{write_csv, Table};
 pub use record::Recorder;
 pub use scale::Scale;
-pub use suite::{
-    pinned_suite, pinned_suite_large, run_pinned_suite, run_suite, BenchTier, SuiteAlgo, SuiteCase,
-    DEFAULT_REPS,
-};
+pub use suite::{pinned_suite, pinned_suite_large, run_suite, BenchTier, SuiteAlgo, SuiteCase};
 
 use mwsj_core::Instance;
 use mwsj_core::{

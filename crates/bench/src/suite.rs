@@ -4,31 +4,28 @@
 //! densities) is run through ILS, GILS, SEA and the two-step pipeline
 //! under **step budgets**, so every work counter — steps, node accesses,
 //! restarts, improvements — is bit-identical across machines and runs.
-//! Each algorithm is repeated `reps` times to estimate wall-clock noise;
-//! the repetitions must agree on every deterministic counter (the runner
-//! fails otherwise, since that would mean the algorithms themselves are
-//! non-deterministic) and the anytime curve of the median-wall repetition
-//! is recorded together with per-phase timer breakdowns.
+//! Each seeded search is run exactly twice and the two runs must agree on
+//! every counter: two is what it takes to catch a run-to-run divergence,
+//! which would mean the algorithms themselves are non-deterministic, and
+//! the runner fails on one. No clock is read into the result.
 //!
 //! The result is a [`BenchSnapshot`] — the schema-validated
-//! `BENCH_<label>.json` format that `mwsj bench compare` gates CI with.
+//! `BENCH_<label>.json` format that `mwsj bench compare` and the root
+//! `tests/counter_gate.rs` gate with. Speed is measured by `benchmark/`.
 
 use crate::Algo;
 use mwsj_core::{
-    BackendKind, CacheStats, IlsConfig, Instance, RunStats, SearchBudget, SearchContext,
-    TracePoint, TwoStep, TwoStepConfig,
+    BackendKind, CacheStats, IlsConfig, Instance, RunStats, SearchBudget, TracePoint, TwoStep,
+    TwoStepConfig,
 };
 use mwsj_datagen::{Distribution, QueryShape, WorkloadSpec};
 use mwsj_obs::snapshot::AlgoRecord;
 use mwsj_obs::{
     AnytimeCurve, BenchSnapshot, CacheRecord, ExplainRecord, InstanceRecord, MemoryRecord,
-    ObsHandle, PhaseSnapshot, ResourceReport,
+    ResourceReport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Default number of wall-clock repetitions per algorithm.
-pub const DEFAULT_REPS: usize = 3;
 
 /// Step budget for ILS/GILS (one step = one `find best value` call).
 const LOCAL_SEARCH_STEPS: u64 = 3_000;
@@ -262,12 +259,9 @@ struct SuiteRun {
     best_violations: usize,
     best_similarity: f64,
     trace: Vec<TracePoint>,
-    phases: Vec<PhaseSnapshot>,
 }
 
 fn run_once(algo: SuiteAlgo, instance: &Instance, budgets: TierBudgets) -> SuiteRun {
-    let mut rng = StdRng::seed_from_u64(RUN_SEED);
-    let obs = ObsHandle::timer_only();
     match algo {
         SuiteAlgo::Ils | SuiteAlgo::IlsGrid | SuiteAlgo::Gils | SuiteAlgo::Sea => {
             let (runner, steps) = match algo {
@@ -285,14 +279,12 @@ fn run_once(algo: SuiteAlgo, instance: &Instance, budgets: TierBudgets) -> Suite
             } else {
                 instance
             };
-            let ctx = SearchContext::local(SearchBudget::iterations(steps)).with_obs(obs.clone());
-            let outcome = runner.search(instance, &ctx, &mut rng);
+            let outcome = runner.run(instance, &SearchBudget::iterations(steps), RUN_SEED);
             SuiteRun {
                 stats: outcome.stats,
                 best_violations: outcome.best_violations,
                 best_similarity: outcome.best_similarity,
                 trace: outcome.trace,
-                phases: obs.timer.snapshot(),
             }
         }
         SuiteAlgo::TwoStep => {
@@ -300,26 +292,21 @@ fn run_once(algo: SuiteAlgo, instance: &Instance, budgets: TierBudgets) -> Suite
                 IlsConfig::default(),
                 SearchBudget::iterations(budgets.two_step_heuristic),
             ));
-            let outcome = pipeline.run_with_obs(
+            let outcome = pipeline.run(
                 instance,
                 &SearchBudget::iterations(budgets.two_step_ibb),
-                &mut rng,
-                &obs,
+                &mut StdRng::seed_from_u64(RUN_SEED),
             );
             // Concatenate the phases' traces into one pipeline-level anytime
             // curve: systematic trace points are shifted by the heuristic's
-            // consumed steps/time, and non-improving points (IBB starts from
-            // the heuristic's incumbent) fold away in the curve.
+            // consumed steps, and non-improving points (IBB starts from the
+            // heuristic's incumbent) fold away in the curve.
             let mut trace = outcome.heuristic.trace.clone();
             if let Some(sys) = &outcome.systematic {
-                let (dt, ds) = (
-                    outcome.heuristic.stats.elapsed,
-                    outcome.heuristic.stats.steps,
-                );
+                let heuristic_steps = outcome.heuristic.stats.steps;
                 trace.extend(sys.trace.iter().map(|p| TracePoint {
-                    elapsed: p.elapsed + dt,
-                    step: p.step + ds,
-                    similarity: p.similarity,
+                    step: p.step + heuristic_steps,
+                    ..*p
                 }));
             }
             SuiteRun {
@@ -327,7 +314,6 @@ fn run_once(algo: SuiteAlgo, instance: &Instance, budgets: TierBudgets) -> Suite
                 best_violations: outcome.best.best_violations,
                 best_similarity: outcome.best.best_similarity,
                 trace,
-                phases: obs.timer.snapshot(),
             }
         }
     }
@@ -344,17 +330,14 @@ fn counters_of(run: &SuiteRun) -> Vec<(String, u64)> {
     ]
 }
 
-/// Builds an [`AnytimeCurve`] from a run's convergence trace and totals.
-pub fn curve_from_trace(trace: &[TracePoint], stats: &RunStats) -> AnytimeCurve {
+/// The step axis of a run's convergence trace as an [`AnytimeCurve`],
+/// normalized by the run's totals.
+fn curve_from_trace(trace: &[TracePoint], stats: &RunStats) -> AnytimeCurve {
     let mut curve = AnytimeCurve::new();
     for p in trace {
-        curve.record(p.step, p.elapsed.as_secs_f64() * 1000.0, p.similarity);
+        curve.record(p.step, 0.0, p.similarity);
     }
-    curve.set_totals(
-        stats.steps,
-        stats.node_accesses,
-        stats.elapsed.as_secs_f64() * 1000.0,
-    );
+    curve.set_totals(stats.steps, stats.node_accesses, 0.0);
     curve
 }
 
@@ -362,76 +345,40 @@ fn measure(
     algo: SuiteAlgo,
     instance: &Instance,
     budgets: TierBudgets,
-    reps: usize,
 ) -> Result<(AlgoRecord, CacheStats), String> {
-    let runs: Vec<SuiteRun> = (0..reps.max(1))
-        .map(|_| run_once(algo, instance, budgets))
-        .collect();
-
-    // Every repetition re-runs the same seeded search under a step budget:
-    // any counter disagreement is a determinism bug, not noise. The
-    // window-cache telemetry obeys the same contract.
-    let expected = counters_of(&runs[0]);
-    for (rep, run) in runs.iter().enumerate().skip(1) {
-        let got = counters_of(run);
-        if got != expected {
-            return Err(format!(
-                "{}: deterministic counters diverged between rep 0 ({expected:?}) and rep {rep} ({got:?})",
-                algo.name()
-            ));
-        }
-        if run.stats.cache != runs[0].stats.cache {
-            return Err(format!(
-                "{}: cache telemetry diverged between rep 0 and rep {rep}",
-                algo.name()
-            ));
-        }
+    // The same seeded search under a step budget, twice: any counter
+    // disagreement is a determinism bug, not noise. The window-cache
+    // telemetry obeys the same contract.
+    let run = run_once(algo, instance, budgets);
+    let again = run_once(algo, instance, budgets);
+    let (expected, got) = (counters_of(&run), counters_of(&again));
+    if got != expected {
+        return Err(format!(
+            "{}: deterministic counters diverged between rep 0 ({expected:?}) and rep 1 ({got:?})",
+            algo.name()
+        ));
     }
-
-    let wall_ms_reps: Vec<f64> = runs
-        .iter()
-        .map(|r| r.stats.elapsed.as_secs_f64() * 1000.0)
-        .collect();
-    // The curve and phase breakdown come from the median-wall repetition
-    // (lower median for even rep counts) — the most representative timing.
-    let mut order: Vec<usize> = (0..runs.len()).collect();
-    order.sort_by(|&a, &b| {
-        wall_ms_reps[a]
-            .partial_cmp(&wall_ms_reps[b])
-            .expect("finite wall times")
-    });
-    let median_rep = &runs[order[order.len() / 2]];
-    let curve = curve_from_trace(&median_rep.trace, &median_rep.stats);
-
+    if again.stats.cache != run.stats.cache {
+        return Err(format!(
+            "{}: cache telemetry diverged between rep 0 and rep 1",
+            algo.name()
+        ));
+    }
     let record = AlgoRecord::from_curve(
         algo.name(),
         expected,
-        median_rep.best_similarity,
-        &curve,
-        wall_ms_reps,
-        median_rep.phases.clone(),
+        run.best_similarity,
+        &curve_from_trace(&run.trace, &run.stats),
     );
-    Ok((record, runs[0].stats.cache.clone()))
+    Ok((record, run.stats.cache))
 }
 
-/// Runs the base-tier pinned suite ([`BenchTier::Base`]) and assembles
-/// the snapshot. See [`run_suite`].
-pub fn run_pinned_suite(
-    label: &str,
-    reps: usize,
-    progress: impl FnMut(&str, &str),
-) -> Result<BenchSnapshot, String> {
-    run_suite(BenchTier::Base, label, reps, progress)
-}
-
-/// Runs one tier's pinned suite and assembles the snapshot. `reps` is the
-/// number of wall-clock repetitions per algorithm (clamped to ≥ 1).
-/// `progress` is called once per (instance, algorithm) before it runs,
-/// for CLI progress output.
+/// Runs one tier's pinned suite and assembles the snapshot. `progress` is
+/// called once per (instance, algorithm) before it runs, for CLI progress
+/// output.
 pub fn run_suite(
     tier: BenchTier,
     label: &str,
-    reps: usize,
     mut progress: impl FnMut(&str, &str),
 ) -> Result<BenchSnapshot, String> {
     let budgets = tier.budgets();
@@ -464,7 +411,7 @@ pub fn run_suite(
         let mut algos = Vec::new();
         for algo in tier.algos() {
             progress(case.name, algo.name());
-            let (record, cache_stats) = measure(algo, &instance, budgets, reps)?;
+            let (record, cache_stats) = measure(algo, &instance, budgets)?;
             cache.push(CacheRecord {
                 instance: case.name.to_string(),
                 algo: algo.name().to_string(),
@@ -487,7 +434,6 @@ pub fn run_suite(
     }
     Ok(BenchSnapshot {
         label: label.to_string(),
-        reps: reps.max(1) as u64,
         instances,
         memory,
         cache,
@@ -538,47 +484,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn curve_from_trace_uses_run_totals() {
-        use std::time::Duration;
-        let trace = vec![
-            TracePoint {
-                elapsed: Duration::ZERO,
-                step: 0,
-                similarity: 0.5,
-            },
-            TracePoint {
-                elapsed: Duration::from_millis(5),
-                step: 50,
-                similarity: 1.0,
-            },
-        ];
-        let stats = RunStats {
-            elapsed: Duration::from_millis(10),
-            steps: 100,
-            node_accesses: 400,
-            ..RunStats::default()
-        };
-        let curve = curve_from_trace(&trace, &stats);
-        assert_eq!(curve.total_steps(), 100);
-        assert_eq!(curve.total_node_accesses(), 400);
-        assert!((curve.auc_steps() - 0.75).abs() < 1e-12);
-    }
-
-    /// One full (small-rep) suite run: deterministic counters repeat, the
-    /// snapshot round-trips through its JSON schema, and the ILS records
-    /// carry non-trivial curves.
+    /// One full suite run: the snapshot has its four sections, round-trips
+    /// through its JSON schema, and a second run of the same tier and label
+    /// serialises to the same bytes — there is no clock in the file.
     #[test]
     fn suite_runs_and_snapshot_round_trips() {
-        let snap = run_pinned_suite("test", 2, |_, _| {}).expect("suite runs");
+        let snap = run_suite(BenchTier::Base, "test", |_, _| {}).expect("suite runs");
         assert_eq!(snap.instances.len(), 4);
         assert_eq!(snap.algo_records(), 16);
         for inst in &snap.instances {
             for algo in &inst.algos {
                 assert!(algo.counter("steps").unwrap() > 0, "{}", algo.algo);
-                assert!(!algo.curve.is_empty(), "{}/{}", inst.name, algo.algo);
-                assert!(!algo.phases.is_empty(), "{}/{}", inst.name, algo.algo);
-                assert_eq!(algo.wall_ms_reps.len(), 2);
             }
         }
         // Memory section: one deterministic table per instance, with the
@@ -620,18 +536,10 @@ mod tests {
         let parsed = BenchSnapshot::parse(&text).expect("snapshot validates");
         assert_eq!(parsed, snap);
 
-        // Running again reproduces every deterministic field.
-        let again = run_pinned_suite("test", 1, |_, _| {}).expect("suite runs");
-        for (a, b) in snap.instances.iter().zip(&again.instances) {
-            for (ra, rb) in a.algos.iter().zip(&b.algos) {
-                assert_eq!(ra.counters, rb.counters, "{}/{}", a.name, ra.algo);
-                assert_eq!(ra.best_similarity, rb.best_similarity);
-                assert_eq!(ra.auc_steps, rb.auc_steps);
-                assert_eq!(ra.steps_to, rb.steps_to);
-            }
-        }
-        assert_eq!(snap.memory, again.memory);
-        assert_eq!(snap.cache, again.cache);
-        assert_eq!(snap.explain, again.explain);
+        let again = run_suite(BenchTier::Base, "test", |_, _| {}).expect("suite runs");
+        assert!(
+            again.to_string_pretty() == text,
+            "a second run wrote a different file"
+        );
     }
 }

@@ -5,7 +5,7 @@ use std::fmt;
 use std::time::Duration;
 
 /// A parsed command line: subcommand, positional arguments,
-/// `--key value` options (repeatable) and `--flag` switches.
+/// `--key value` options (repeatable) and `--switch` switches.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// The subcommand (first non-flag argument).
@@ -36,6 +36,8 @@ pub enum ArgError {
     },
     /// Unexpected free-standing argument.
     UnexpectedArgument(String),
+    /// A `--name` the binary does not read.
+    UnknownOption(String),
 }
 
 impl fmt::Display for ArgError {
@@ -49,13 +51,14 @@ impl fmt::Display for ArgError {
                 expected,
             } => write!(f, "--{option} {value}: expected {expected}"),
             ArgError::UnexpectedArgument(a) => write!(f, "unexpected argument '{a}'"),
+            ArgError::UnknownOption(k) => write!(f, "unknown option '--{k}'"),
         }
     }
 }
 
 impl std::error::Error for ArgError {}
 
-/// Options that take a value (everything else after `--` is a flag).
+/// Options that take a value.
 const VALUE_OPTIONS: &[&str] = &[
     "out",
     "n",
@@ -88,11 +91,13 @@ const VALUE_OPTIONS: &[&str] = &[
     "poll-ms",
     "timeout-secs",
     "label",
-    "reps",
     "tier",
-    "wall-tolerance",
-    "wall-slack-ms",
 ];
+
+/// Options that take none. With [`VALUE_OPTIONS`] this is every `--name`
+/// the binary reads: any other is an error, so that a mistyped `--sead 5`
+/// cannot run with the default seed and exit 0.
+const SWITCHES: &[&str] = &["follow", "no-tty", "stall-abort"];
 
 impl Args {
     /// Parses an iterator of arguments (excluding the program name).
@@ -101,26 +106,26 @@ impl Args {
         let mut iter = items.into_iter().peekable();
         while let Some(item) = iter.next() {
             if let Some(rest) = item.strip_prefix("--") {
-                if let Some((k, v)) = rest.split_once('=') {
-                    // `--key=value` form.
-                    if VALUE_OPTIONS.contains(&k) {
-                        args.options
-                            .entry(k.to_string())
-                            .or_default()
-                            .push(v.to_string());
-                    } else {
-                        return Err(ArgError::UnexpectedArgument(format!("--{rest}")));
-                    }
-                } else if VALUE_OPTIONS.contains(&rest) {
-                    // `--key value` form.
-                    match iter.next() {
-                        Some(v) if !v.starts_with("--") => {
-                            args.options.entry(rest.to_string()).or_default().push(v)
-                        }
-                        _ => return Err(ArgError::MissingValue(rest.to_string())),
-                    }
+                // `--key value` or `--key=value`.
+                let (name, inline) = match rest.split_once('=') {
+                    Some((name, value)) => (name, Some(value.to_string())),
+                    None => (rest, None),
+                };
+                if VALUE_OPTIONS.contains(&name) {
+                    let value = match inline.or_else(|| iter.next_if(|v| !v.starts_with("--"))) {
+                        Some(value) => value,
+                        None => return Err(ArgError::MissingValue(name.to_string())),
+                    };
+                    args.options
+                        .entry(name.to_string())
+                        .or_default()
+                        .push(value);
+                } else if !SWITCHES.contains(&name) {
+                    return Err(ArgError::UnknownOption(name.to_string()));
+                } else if inline.is_some() {
+                    return Err(ArgError::UnexpectedArgument(item));
                 } else {
-                    args.flags.push(rest.to_string());
+                    args.flags.push(name.to_string());
                 }
             } else if args.command.is_none() {
                 args.command = Some(item);
@@ -191,8 +196,7 @@ impl Args {
         self.positionals.first().map(String::as_str)
     }
 
-    /// Whether a boolean flag was given.
-    #[allow(dead_code)] // part of the parser API; exercised by tests
+    /// Whether a switch was given.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
@@ -208,12 +212,12 @@ mod tests {
 
     #[test]
     fn parses_command_and_options() {
-        let a = parse("solve --algo ils --seconds 2.5 --verbose").unwrap();
+        let a = parse("solve --algo ils --seconds 2.5 --follow").unwrap();
         assert_eq!(a.command.as_deref(), Some("solve"));
         assert_eq!(a.value("algo"), Some("ils"));
         assert_eq!(a.value("seconds"), Some("2.5"));
-        assert!(a.flag("verbose"));
-        assert!(!a.flag("quiet"));
+        assert!(a.flag("follow"));
+        assert!(!a.flag("stall-abort"));
     }
 
     #[test]
@@ -250,25 +254,20 @@ mod tests {
 
     #[test]
     fn multiple_positionals_are_kept_in_order() {
-        let a = parse(
-            "bench compare BENCH_baseline.json BENCH_ci.json --wall-tolerance 0.5 --wall-slack-ms 0",
-        )
-        .unwrap();
+        let a = parse("bench compare BENCH_baseline.json BENCH_ci.json").unwrap();
         assert_eq!(a.command.as_deref(), Some("bench"));
         assert_eq!(
             a.positionals,
             vec!["compare", "BENCH_baseline.json", "BENCH_ci.json"]
         );
         assert_eq!(a.arg(), Some("compare"));
-        assert_eq!(a.value("wall-tolerance"), Some("0.5"));
-        assert_eq!(a.value("wall-slack-ms"), Some("0"));
     }
 
     #[test]
     fn tier_takes_a_value() {
-        let a = parse("bench snapshot --tier large --reps 1").unwrap();
+        let a = parse("bench snapshot --tier large --label x").unwrap();
         assert_eq!(a.value("tier"), Some("large"));
-        assert_eq!(a.value("reps"), Some("1"));
+        assert_eq!(a.value("label"), Some("x"));
         assert!(a.positionals.len() == 1, "{:?}", a.positionals);
     }
 
@@ -290,10 +289,22 @@ mod tests {
     }
 
     #[test]
-    fn unknown_equals_flag_is_rejected() {
-        assert!(matches!(
-            parse("solve --bogus=1"),
-            Err(ArgError::UnexpectedArgument(_))
-        ));
+    fn unknown_options_are_rejected_in_either_form() {
+        for (line, name) in [
+            ("solve --sead 5", "sead"),
+            ("solve --sead=5", "sead"),
+            ("solve --stall-abrt", "stall-abrt"),
+            ("bench snapshot --reps 1", "reps"),
+            ("bench compare a b --wall-tolerance=0.5", "wall-tolerance"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert_eq!(err, ArgError::UnknownOption(name.into()), "{line}");
+            assert_eq!(err.to_string(), format!("unknown option '--{name}'"));
+        }
+        // A switch takes no value.
+        assert_eq!(
+            parse("solve --follow=1").unwrap_err(),
+            ArgError::UnexpectedArgument("--follow=1".into())
+        );
     }
 }

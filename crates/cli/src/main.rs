@@ -35,7 +35,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // These take options only: a stray positional is a value whose option
+    // went missing (`solve a.csv`, `--data a.csv b.csv`), not something to
+    // drop.
+    let options_only = matches!(
+        args.command.as_deref(),
+        Some("generate" | "info" | "solve" | "join" | "explain" | "hard-density")
+    );
     let result = match args.command.as_deref() {
+        Some(_) if options_only && !args.positionals.is_empty() => {
+            Err(args::ArgError::UnexpectedArgument(args.positionals[0].clone()).to_string())
+        }
         Some("generate") => cmd_generate(&args),
         Some("info") => cmd_info(&args),
         Some("solve") => cmd_solve(&args),
@@ -115,16 +125,18 @@ USAGE:
                                             solve --follow): in-place status view on a
                                             TTY, one line per update with --no-tty;
                                             exits when the run ends
-  mwsj bench snapshot [--tier base|large] [--label L] [--reps N] [--out FILE]
+  mwsj bench snapshot [--tier base|large] [--label L] [--out FILE]
                                             run a pinned suite tier (ILS/GILS/SEA/two-step)
-                                            into BENCH_<L>.json: anytime curves, quality AUC,
-                                            time-to-tau, counters, phase timings. base = n=4
-                                            toy scale; large = paper scale (N>=10k, n<=10,
-                                            all shapes)
-  mwsj bench compare BASELINE CANDIDATE [--wall-tolerance T] [--wall-slack-ms S]
-                                            regression gate: deterministic counters must match
-                                            exactly, wall medians within tolerance (default +25%
-                                            or +5ms absolute, whichever is larger)
+                                            under step budgets into BENCH_<L>.json: work
+                                            counters, best similarity, quality AUC and
+                                            steps-to-tau per algorithm, memory / cache /
+                                            explain tables per instance. No clock is read:
+                                            two snapshots of one commit are byte-identical.
+                                            base = n=4 toy scale; large = paper scale
+                                            (N>=10k, n<=10, all shapes)
+  mwsj bench compare BASELINE CANDIDATE     regression gate: every recorded member must match
+                                            (integers exactly, derived floats to round-off);
+                                            speed is measured by benchmark/ (BENCHMARK.json)
   mwsj hard-density --shape chain|clique|star|cycle|random --vars N --n CARD [--target SOL]
 
 QUERY SPECS:

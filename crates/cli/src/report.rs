@@ -278,10 +278,9 @@ fn explain_lines(report: &ExplainReport, lines: &mut Vec<String>) {
 /// lexicographic (single-digit-assuming) ordering would.
 fn snapshot_lines(path: &str, snapshot: &BenchSnapshot) -> Vec<String> {
     let mut lines = vec![format!(
-        "{path}: bench snapshot '{}', {} instances, {} reps",
+        "{path}: bench snapshot '{}', {} instances",
         snapshot.label,
-        snapshot.instances.len(),
-        snapshot.reps
+        snapshot.instances.len()
     )];
     let mut order: Vec<usize> = (0..snapshot.instances.len()).collect();
     order.sort_by_key(|&i| {
@@ -310,8 +309,8 @@ fn snapshot_lines(path: &str, snapshot: &BenchSnapshot) -> Vec<String> {
             let steps = algo.counter("steps").unwrap_or(0);
             let accesses = algo.counter("node_accesses").unwrap_or(0);
             lines.push(format!(
-                "    {:<18} similarity {:.3}  {steps} steps  {accesses} node accesses  {:.2}ms",
-                algo.algo, algo.best_similarity, algo.wall_ms_median
+                "    {:<18} similarity {:.3}  {steps} steps  {accesses} node accesses",
+                algo.algo, algo.best_similarity
             ));
         }
         for mem in snapshot.memory.iter().filter(|m| m.instance == inst.name) {

@@ -326,8 +326,6 @@ fn bench_snapshot_then_compare_passes_and_detects_tampering() {
             "snapshot",
             "--label",
             "t1",
-            "--reps",
-            "1",
             "--out",
             snap.to_str().unwrap(),
         ])
@@ -343,8 +341,7 @@ fn bench_snapshot_then_compare_passes_and_detects_tampering() {
     let body = std::fs::read_to_string(&snap).unwrap();
     assert!(body.contains("mwsj-bench-snapshot"), "format discriminator");
 
-    // A snapshot compared against itself passes: counters are identical
-    // and the wall ratio is exactly 1.0.
+    // A snapshot compared against itself passes.
     let out = mwsj()
         .args([
             "bench",
@@ -381,19 +378,26 @@ fn bench_snapshot_then_compare_passes_and_detects_tampering() {
     assert!(text.contains("FAIL"), "{text}");
     assert!(text.contains("node_accesses"), "{text}");
 
-    // A wider wall tolerance must not excuse counter drift.
+    // A file of the previous version — the header the committed baseline
+    // had until version 2 — is refused as that, not half-read.
+    let v1 = dir.join("BENCH_v1.json");
+    std::fs::write(
+        &v1,
+        "{\n  \"format\": \"mwsj-bench-snapshot\",\n  \"version\": 1,\n  \
+         \"label\": \"baseline\",\n  \"reps\": 9,\n  \"suite\": []\n}\n",
+    )
+    .unwrap();
     let out = mwsj()
-        .args([
-            "bench",
-            "compare",
-            snap.to_str().unwrap(),
-            tampered.to_str().unwrap(),
-            "--wall-tolerance",
-            "10",
-        ])
+        .args(["bench", "compare"])
+        .args([&snap, &v1])
         .output()
         .unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("BENCH_v1.json: snapshot schema violation: unsupported snapshot version 1"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -417,7 +421,7 @@ fn bench_compare_rejects_damaged_snapshots() {
     let cut = dir.join("cut.json");
     std::fs::write(
         &cut,
-        "{\n  \"format\": \"mwsj-bench-snapshot\",\n  \"version\": 1,\n  \"label\": \"x",
+        "{\n  \"format\": \"mwsj-bench-snapshot\",\n  \"version\": 2,\n  \"label\": \"x",
     )
     .unwrap();
     let out = mwsj()
@@ -617,8 +621,6 @@ fn report_renders_snapshot_explain_summary() {
             "snapshot",
             "--label",
             "e",
-            "--reps",
-            "1",
             "--out",
             snap.to_str().unwrap(),
         ])

@@ -381,7 +381,9 @@ fn telemetry_flags_are_validated() {
 /// Hostile flag values meet the one checked conversion of their kind: a
 /// one-line error and a non-zero exit — or, for a thread count above the
 /// core count, a clamp that leaves the output as it is at one thread —
-/// never a panic, a thread per object or a silent default.
+/// never a panic, a thread per object or a silent default. An option the
+/// binary does not read, or a stray positional, is hostile in the same
+/// way: `--sead 5` used to run with the default seed and exit 0.
 #[test]
 fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     let dir = temp_dir("hostileflags");
@@ -392,25 +394,60 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     let watch = ["watch", a, "--no-tty"];
     let join = ["join", "--data", a, "--data", a, "--query", "0-1"];
     let join = [&join[..], &["--algo", "pjm", "--backend", "grid"]].concat();
-    // (command, flag, value, what must come of it).
+    let explain = ["explain", "--data", a, "--data", a, "--query", "0-1"];
+    let hard_density = ["hard-density", "--shape", "chain"];
+    // (command, hostile arguments, what must come of them).
     enum Expect {
         NotSeconds,
         NotACount,
         Accepted,
+        Unknown(&'static str),
+        Stray,
     }
     use Expect::*;
-    let rows: [(&[&str], &str, &str, Expect); 11] = [
-        (&solve, "--seconds", "inf", NotSeconds),
-        (&solve, "--seconds", "1e20", NotSeconds),
-        (&solve, "--seconds", "-3", NotSeconds),
-        (&solve, "--seconds", "nan", NotSeconds),
-        (&solve_steps, "--stall-secs", "-3", NotSeconds),
-        (&solve_steps, "--stall-secs", "nan", NotSeconds),
-        (&watch, "--timeout-secs", "1e20", NotSeconds),
-        (&join, "--grid-threads", "-1", NotACount),
-        (&join, "--grid-threads", "abc", NotACount),
-        (&join, "--grid-threads", "0", Accepted),
-        (&join, "--grid-threads", "100000", Accepted),
+    let rows: [(&[&str], &[&str], Expect); 26] = [
+        (&solve, &["--seconds", "inf"], NotSeconds),
+        (&solve, &["--seconds", "1e20"], NotSeconds),
+        (&solve, &["--seconds", "-3"], NotSeconds),
+        (&solve, &["--seconds", "nan"], NotSeconds),
+        (&solve_steps, &["--stall-secs", "-3"], NotSeconds),
+        (&solve_steps, &["--stall-secs", "nan"], NotSeconds),
+        (&watch, &["--timeout-secs", "1e20"], NotSeconds),
+        (&join, &["--grid-threads", "-1"], NotACount),
+        (&join, &["--grid-threads", "abc"], NotACount),
+        (&join, &["--grid-threads", "0"], Accepted),
+        (&join, &["--grid-threads", "100000"], Accepted),
+        (&solve_steps, &["--sead", "5"], Unknown("--sead")),
+        (&solve_steps, &["--sead=5"], Unknown("--sead")),
+        (
+            &solve_steps,
+            &["--stall-steps", "5", "--stall-abrt"],
+            Unknown("--stall-abrt"),
+        ),
+        (&join, &["--limt=3"], Unknown("--limt")),
+        (&["bench", "snapshot"], &["--reps", "1"], Unknown("--reps")),
+        (
+            &["bench", "snapshot"],
+            &["--reps", "18446744073709551615"],
+            Unknown("--reps"),
+        ),
+        (
+            &["bench", "compare", a, a],
+            &["--wall-tolerance", "0.5"],
+            Unknown("--wall-tolerance"),
+        ),
+        (
+            &["bench", "compare", a, a],
+            &["--wall-slack-ms=0"],
+            Unknown("--wall-slack-ms"),
+        ),
+        (&solve_steps, &["stray.csv"], Stray),
+        (&join, &["stray.csv"], Stray),
+        (&explain, &["stray.csv"], Stray),
+        (&["generate", "--out", a, "--n"], &["5", "7"], Stray),
+        (&["info"], &[a], Stray),
+        (&["info", "--data", a], &["b.csv"], Stray),
+        (&hard_density, &["5"], Stray),
     ];
     // Everything `join` prints but the elapsed time of its first line.
     let solutions = |stdout: &[u8]| {
@@ -424,21 +461,24 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
         .output()
         .unwrap();
     assert!(one_thread.status.success());
-    for (command, flag, value, expect) in rows {
-        let out = mwsj().args(command).args([flag, value]).output().unwrap();
+    for (command, hostile, expect) in rows {
+        let out = mwsj().args(command).args(hostile).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
+        let (flag, value) = (hostile[0], hostile[hostile.len() - 1]);
         let error = match expect {
             NotSeconds => {
                 format!("error: {flag} must be a positive, finite number of seconds (got {value})")
             }
             NotACount => format!("error: {flag} {value}: expected a thread count"),
+            Unknown(option) => format!("error: unknown option '{option}'"),
+            Stray => format!("error: unexpected argument '{value}'"),
             Accepted => {
-                assert_eq!(out.status.code(), Some(0), "{flag} {value}: {stderr}");
+                assert_eq!(out.status.code(), Some(0), "{hostile:?}: {stderr}");
                 assert_eq!(solutions(&out.stdout), solutions(&one_thread.stdout));
                 continue;
             }
         };
-        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{hostile:?}: {stderr}");
         assert_eq!(stderr.trim_end(), error);
     }
 }

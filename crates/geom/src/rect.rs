@@ -63,12 +63,6 @@ impl Rect {
         }
     }
 
-    /// A degenerate rectangle covering a single point.
-    #[inline]
-    pub fn from_point(p: Point) -> Self {
-        Rect { min: p, max: p }
-    }
-
     /// The projection of the rectangle onto the x axis.
     #[inline]
     pub fn x_interval(&self) -> Interval {
@@ -182,32 +176,13 @@ impl Rect {
         ix * iy
     }
 
-    /// Area increase needed for `self` to cover `other`
-    /// (the *enlargement* criterion of R-tree subtree choice).
-    #[inline]
-    pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).area() - self.area()
-    }
-
-    /// Minimum Euclidean distance between the rectangles (0 if they
-    /// intersect). Used by distance predicates and k-NN search.
-    #[inline]
-    pub fn min_distance(&self, other: &Rect) -> f64 {
-        self.min_distance_sq(other).sqrt()
-    }
-
-    /// Squared minimum distance between the rectangles.
+    /// Squared minimum Euclidean distance between the rectangles (0 if
+    /// they intersect). Used by the distance predicate.
     #[inline]
     pub fn min_distance_sq(&self, other: &Rect) -> f64 {
         let dx = self.x_interval().distance(&other.x_interval());
         let dy = self.y_interval().distance(&other.y_interval());
         dx * dx + dy * dy
-    }
-
-    /// Minimum distance from a point to the rectangle (0 if inside).
-    #[inline]
-    pub fn min_distance_to_point(&self, p: &Point) -> f64 {
-        self.min_distance(&Rect::from_point(*p))
     }
 
     /// Grows the rectangle by `delta` on every side.
@@ -312,23 +287,12 @@ mod tests {
     }
 
     #[test]
-    fn enlargement_zero_when_contained() {
-        let outer = r(0.0, 0.0, 10.0, 10.0);
-        let inner = r(1.0, 1.0, 2.0, 2.0);
-        assert_eq!(outer.enlargement(&inner), 0.0);
-        // Growing a 1x1 rect to also cover a far unit square.
-        let a = r(0.0, 0.0, 1.0, 1.0);
-        let b = r(2.0, 0.0, 3.0, 1.0);
-        assert_eq!(a.enlargement(&b), 3.0 - 1.0);
-    }
-
-    #[test]
     fn min_distance_between_rects() {
         let a = r(0.0, 0.0, 1.0, 1.0);
         let b = r(4.0, 5.0, 6.0, 7.0);
         // dx = 3, dy = 4 => distance 5.
-        assert_eq!(a.min_distance(&b), 5.0);
-        assert_eq!(a.min_distance(&r(0.5, 0.5, 2.0, 2.0)), 0.0);
+        assert_eq!(a.min_distance_sq(&b), 25.0);
+        assert_eq!(a.min_distance_sq(&r(0.5, 0.5, 2.0, 2.0)), 0.0);
     }
 
     #[test]
@@ -359,12 +323,5 @@ mod tests {
     fn inflate_grows_all_sides() {
         let a = r(0.0, 0.0, 1.0, 1.0).inflate(0.5);
         assert_eq!(a, r(-0.5, -0.5, 1.5, 1.5));
-    }
-
-    #[test]
-    fn point_rect_distance() {
-        let a = r(0.0, 0.0, 1.0, 1.0);
-        assert_eq!(a.min_distance_to_point(&Point::new(0.5, 0.5)), 0.0);
-        assert_eq!(a.min_distance_to_point(&Point::new(4.0, 5.0)), 5.0);
     }
 }

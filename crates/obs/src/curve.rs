@@ -1,40 +1,33 @@
 //! Anytime-curve capture: the paper's evaluation object.
 //!
 //! Figs. 10a–c and 11 of *Papadias & Arkoumanis, EDBT 2002* plot the best
-//! similarity reached against consumed resources — time, steps and R*-tree
-//! node accesses. [`AnytimeCurve`] folds a run's [`RunEvent::Improvement`]
-//! / [`RunEvent::TracePoint`] stream (or a trace fed in directly) into a
-//! monotone step function over those three axes and derives the two
-//! summary statistics used for regression gating:
+//! similarity reached against consumed resources. [`AnytimeCurve`] folds a
+//! run's [`RunEvent::Improvement`] / [`RunEvent::TracePoint`] stream (or a
+//! trace fed in directly) into a monotone step function and derives the
+//! two summary statistics used for regression gating, both over the
+//! **step** axis, which is deterministic under a step budget:
 //!
 //! * **quality AUC** — the area under the normalized similarity curve in
 //!   `[0, 1]` (1.0 = the run was at similarity 1 from the first instant,
-//!   0.0 = it never found anything). Computed per axis: the step axis is
-//!   deterministic under a step budget, the wall axis is measured.
-//! * **time/steps to similarity τ** — the first resource expenditure at
-//!   which the curve reached a threshold τ, or `None` when it never did.
+//!   0.0 = it never found anything).
+//! * **steps to similarity τ** — the first step count at which the curve
+//!   reached a threshold τ, or `None` when it never did.
 //!
-//! Node accesses are not carried on individual trace points (the event
-//! schema predates this module), so the access axis is derived by scaling
-//! the step axis with the run's final `node_accesses / steps` ratio — an
-//! approximation that is exact in the common case of index-driven
-//! algorithms whose per-step access cost is roughly constant.
+//! Each point also carries the wall-clock reading it was observed at, for
+//! callers that plot against time; no summary is taken over that axis.
 
 use crate::events::RunEvent;
-use crate::record::record;
 
-record! {
-    /// One point of an anytime curve: the best similarity known after `step`
-    /// steps / `wall_ms` milliseconds.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct CurvePoint {
-        /// Steps consumed when this similarity was reached.
-        pub step: u64,
-        /// Milliseconds since the run started.
-        pub wall_ms: f64 [measured],
-        /// Best similarity from this point on (until the next point).
-        pub similarity: f64,
-    }
+/// One point of an anytime curve: the best similarity known after `step`
+/// steps / `wall_ms` milliseconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CurvePoint {
+    /// Steps consumed when this similarity was reached.
+    pub step: u64,
+    /// Milliseconds since the run started.
+    pub wall_ms: f64,
+    /// Best similarity from this point on (until the next point).
+    pub similarity: f64,
 }
 
 /// A monotone similarity-vs-cost curve plus the run totals that normalize
@@ -44,7 +37,6 @@ pub struct AnytimeCurve {
     points: Vec<CurvePoint>,
     total_steps: u64,
     total_node_accesses: u64,
-    total_wall_ms: f64,
 }
 
 impl AnytimeCurve {
@@ -105,11 +97,12 @@ impl AnytimeCurve {
         }
     }
 
-    /// Sets the run totals the curve is normalized against.
-    pub fn set_totals(&mut self, steps: u64, node_accesses: u64, wall_ms: f64) {
+    /// Sets the run totals the curve is normalized against. The wall total
+    /// is accepted and dropped: `benchmark/` calls this with all three, and
+    /// no summary is normalized against time.
+    pub fn set_totals(&mut self, steps: u64, node_accesses: u64, _wall_ms: f64) {
         self.total_steps = steps;
         self.total_node_accesses = node_accesses;
-        self.total_wall_ms = wall_ms;
     }
 
     /// The recorded points, in order.
@@ -127,65 +120,24 @@ impl AnytimeCurve {
         self.total_node_accesses
     }
 
-    /// Total wall-clock milliseconds the run consumed.
-    pub fn total_wall_ms(&self) -> f64 {
-        self.total_wall_ms
-    }
-
     /// The curve's final (best) similarity; `0.0` for an empty curve.
     pub fn final_similarity(&self) -> f64 {
         self.points.last().map_or(0.0, |p| p.similarity)
-    }
-
-    /// Best similarity known after `step` steps (step function; `0.0`
-    /// before the first point).
-    pub fn similarity_at_step(&self, step: u64) -> f64 {
-        let mut sim = 0.0;
-        for p in &self.points {
-            if p.step <= step {
-                sim = p.similarity;
-            } else {
-                break;
-            }
-        }
-        sim
-    }
-
-    /// Best similarity known after `wall_ms` milliseconds.
-    pub fn similarity_at_ms(&self, wall_ms: f64) -> f64 {
-        let mut sim = 0.0;
-        for p in &self.points {
-            if p.wall_ms <= wall_ms {
-                sim = p.similarity;
-            } else {
-                break;
-            }
-        }
-        sim
     }
 
     /// Quality AUC over the **step** axis, normalized to `[0, 1]`.
     /// Deterministic under a step budget. A zero-step run degenerates to
     /// its final similarity.
     pub fn auc_steps(&self) -> f64 {
-        self.auc_over(|p| p.step as f64, self.total_steps as f64)
-    }
-
-    /// Quality AUC over the **wall-clock** axis, normalized to `[0, 1]`.
-    /// Measured, not deterministic.
-    pub fn auc_wall(&self) -> f64 {
-        self.auc_over(|p| p.wall_ms, self.total_wall_ms)
-    }
-
-    fn auc_over(&self, axis: impl Fn(&CurvePoint) -> f64, total: f64) -> f64 {
+        let total = self.total_steps as f64;
         if total <= 0.0 {
             return self.final_similarity();
         }
         let mut area = 0.0;
         for (i, p) in self.points.iter().enumerate() {
-            let from = axis(p).min(total);
+            let from = (p.step as f64).min(total);
             let to = match self.points.get(i + 1) {
-                Some(next) => axis(next).min(total),
+                Some(next) => (next.step as f64).min(total),
                 None => total,
             };
             area += p.similarity * (to - from);
@@ -200,26 +152,6 @@ impl AnytimeCurve {
             .iter()
             .find(|p| p.similarity >= tau - 1e-12)
             .map(|p| p.step)
-    }
-
-    /// Wall-clock milliseconds elapsed when similarity first reached `tau`.
-    pub fn time_to_ms(&self, tau: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.similarity >= tau - 1e-12)
-            .map(|p| p.wall_ms)
-    }
-
-    /// Estimated node accesses consumed when similarity first reached
-    /// `tau`, derived by scaling the step axis with the run's final
-    /// accesses-per-step ratio (see the module docs).
-    pub fn accesses_to(&self, tau: f64) -> Option<u64> {
-        let steps = self.steps_to(tau)?;
-        if self.total_steps == 0 {
-            return Some(0);
-        }
-        let ratio = self.total_node_accesses as f64 / self.total_steps as f64;
-        Some((steps as f64 * ratio).round() as u64)
     }
 }
 
@@ -283,7 +215,6 @@ mod tests {
         assert_eq!(c.points().len(), 2);
         assert_eq!(c.total_steps(), 10);
         assert_eq!(c.total_node_accesses(), 40);
-        assert!((c.total_wall_ms() - 10.0).abs() < 1e-9);
         assert_eq!(c.points()[0].wall_ms, 1.0);
     }
 
@@ -294,7 +225,6 @@ mod tests {
         let mut c = curve(&[(0, 0.0, 0.5), (5, 5.0, 1.0)]);
         c.set_totals(10, 100, 10.0);
         assert!((c.auc_steps() - 0.75).abs() < 1e-12);
-        assert!((c.auc_wall() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -325,21 +255,7 @@ mod tests {
         c.set_totals(10, 50, 10.0);
         assert_eq!(c.steps_to(0.5), Some(4));
         assert_eq!(c.steps_to(0.2), Some(0));
-        assert_eq!(c.time_to_ms(1.0), Some(6.0));
+        assert_eq!(c.steps_to(1.0), Some(8));
         assert_eq!(c.steps_to(1.1), None);
-        // 8 steps · (50/10) accesses per step = 40.
-        assert_eq!(c.accesses_to(1.0), Some(40));
-        assert_eq!(c.accesses_to(1.1), None);
-    }
-
-    #[test]
-    fn similarity_lookups_are_step_functions() {
-        let c = curve(&[(2, 1.0, 0.5), (6, 3.0, 1.0)]);
-        assert_eq!(c.similarity_at_step(1), 0.0);
-        assert_eq!(c.similarity_at_step(2), 0.5);
-        assert_eq!(c.similarity_at_step(7), 1.0);
-        assert_eq!(c.similarity_at_ms(0.5), 0.0);
-        assert_eq!(c.similarity_at_ms(1.0), 0.5);
-        assert_eq!(c.similarity_at_ms(99.0), 1.0);
     }
 }

@@ -27,11 +27,11 @@
 //! On top of the raw streams sit the performance-trajectory tools:
 //! [`AnytimeCurve`] folds improvement events into the paper's
 //! similarity-vs-cost convergence curves (with quality-AUC and
-//! time-to-τ summaries), [`BenchSnapshot`] is the schema-validated
-//! `BENCH_<label>.json` format produced by `mwsj bench snapshot`,
-//! [`compare`](mod@compare) is the noise-aware regression gate behind
-//! `mwsj bench compare`, and [`profile::to_folded`] exports phase timers as
-//! flamegraph-ready folded stacks.
+//! steps-to-τ summaries), [`BenchSnapshot`] is the schema-validated,
+//! clock-free `BENCH_<label>.json` format produced by `mwsj bench
+//! snapshot`, [`compare`](mod@compare) is the exact-or-fail regression
+//! gate behind `mwsj bench compare`, and [`profile::to_folded`] exports
+//! phase timers as flamegraph-ready folded stacks.
 //!
 //! **Determinism contract.** Metric *values* flushed by the search layer
 //! are pure counters of algorithmic work (steps, node accesses, …) and are
@@ -57,9 +57,7 @@ pub mod snapshot;
 pub mod suite_key;
 pub mod timer;
 
-pub use compare::{
-    compare, CompareConfig, CompareReport, Verdict, DEFAULT_WALL_SLACK_MS, DEFAULT_WALL_TOLERANCE,
-};
+pub use compare::{compare, CompareReport, Verdict};
 pub use curve::{AnytimeCurve, CurvePoint};
 pub use events::{EventSink, FanoutSink, FlushPolicy, JsonlSink, RunEvent, VecSink};
 pub use explain::{EdgeExplain, ExplainReport, GridQuality, TreeQuality, VarExplain};

@@ -134,15 +134,14 @@ pub fn markdown_table() -> String {
         record::<snapshot::BenchSnapshot>(),
         record::<snapshot::InstanceRecord>(),
         record::<snapshot::AlgoRecord>(),
-        record::<crate::curve::CurvePoint>(),
         record::<snapshot::MemoryRecord>(),
         record::<snapshot::CacheRecord>(),
         record::<snapshot::ExplainRecord>(),
     ] {
         out += &format!("| `{name}` | {} |\n", render_fields(&fields));
     }
-    out += "\n`†` measured wall-clock (non-negative; exempt from determinism and \
-            skipped by `bench compare`) · `?` may be `null` · `{str: T}` object \
+    out += "\n`†` measured wall-clock (non-negative; exempt from determinism; in \
+            run events only, a bench snapshot has none) · `?` may be `null` · `{str: T}` object \
             keyed by name · nested records are validated recursively · unknown \
             extra members are allowed\n";
     out

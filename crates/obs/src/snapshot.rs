@@ -1,11 +1,15 @@
-//! The `BENCH_<label>.json` performance-snapshot format.
+//! The `BENCH_<label>.json` counter-snapshot format.
 //!
-//! One snapshot records the pinned benchmark suite's performance
-//! trajectory: per instance × algorithm, the **deterministic work
-//! counters** (steps, node accesses, …, bit-identical across machines
-//! under the suite's step budgets), the **measured wall-clock** metrics
-//! (median of `reps` repetitions), the anytime curve with its quality-AUC
-//! and time-to-τ summaries, and the per-phase timer breakdown.
+//! One snapshot records what the pinned suite's step-budgeted runs did,
+//! in the paper's cost units: per instance × algorithm, the **work
+//! counters** (steps, node accesses, …), the best similarity and the
+//! step-axis quality AUC and steps-to-τ of the anytime curve, plus the
+//! per-instance memory, cache and explain tables. Every member is a pure
+//! function of (commit, tier): there is **no clock reading in the file**,
+//! so two snapshots of one commit are byte-identical and any difference
+//! `mwsj bench compare` finds is a change in the code. Wall-clock time is
+//! measured by `benchmark/` (BENCHMARK.json), at run lengths with a known
+//! noise floor.
 //!
 //! Like the JSONL run events, every record here is declared once with
 //! `record!` (see [`crate::record`]); [`BenchSnapshot::parse`] — the
@@ -13,20 +17,18 @@
 //! schema (also run by the `mwsj-schema-check` binary, which auto-detects
 //! snapshot files), and `mwsj bench compare` consumes the parsed form.
 
-use crate::curve::{AnytimeCurve, CurvePoint};
+use crate::curve::AnytimeCurve;
 use crate::explain::ExplainReport;
 use crate::json::{Json, JsonError, JsonWriter};
 use crate::record::{record, FieldDoc, FieldError, Record};
-use crate::timer::PhaseSnapshot;
 use std::fmt;
 
 /// The top-level `format` discriminator of snapshot files.
 pub const SNAPSHOT_FORMAT: &str = "mwsj-bench-snapshot";
-/// Current snapshot schema version.
-pub const SNAPSHOT_VERSION: u64 = 1;
+/// Current snapshot schema version (1 carried wall-clock members).
+pub const SNAPSHOT_VERSION: u64 = 2;
 
-/// The similarity thresholds every snapshot reports `steps_to` /
-/// `time_to_ms` for.
+/// The similarity thresholds every snapshot reports `steps_to` for.
 pub const TAUS: [f64; 3] = [0.5, 0.9, 1.0];
 
 /// Formats a τ threshold as its canonical JSON map key (`"0.50"`).
@@ -63,8 +65,6 @@ record! {
     pub struct BenchSnapshot {
         /// Snapshot label (e.g. `"baseline"`, `"ci"`).
         pub label: String,
-        /// Wall-clock repetitions each algorithm was run for.
-        pub reps: u64,
         /// Per-instance records.
         pub instances: Vec<InstanceRecord> as "suite",
         /// Deterministic per-instance memory tables (the `memory` section;
@@ -169,37 +169,19 @@ record! {
         /// Steps to reach each τ of [`TAUS`] (`None` = never), keyed by
         /// [`tau_key`]. Deterministic.
         pub steps_to: Vec<(String, Option<u64>)>,
-        /// Median wall-clock milliseconds across the repetitions. Measured.
-        pub wall_ms_median: f64 [measured],
-        /// Wall-clock milliseconds of every repetition, in run order.
-        pub wall_ms_reps: Vec<f64> [measured],
-        /// Steps per second at the median wall time. Measured.
-        pub steps_per_sec: f64 [measured],
-        /// Quality AUC over the wall-clock axis. Measured.
-        pub auc_wall: f64 [measured],
-        /// Milliseconds to reach each τ of [`TAUS`]. Measured.
-        pub time_to_ms: Vec<(String, Option<f64>)> [measured],
-        /// The anytime curve of the median-wall repetition.
-        pub curve: Vec<CurvePoint>,
-        /// Per-phase timer breakdown of the median-wall repetition.
-        pub phases: Vec<PhaseSnapshot>,
     }
 }
 
 impl AlgoRecord {
-    /// Builds a record from a finished curve (with totals set) and the
-    /// measured repetition wall times. `counters` may be in any order.
+    /// Builds a record from a finished curve (with totals set).
+    /// `counters` may be in any order.
     pub fn from_curve(
         algo: &str,
         mut counters: Vec<(String, u64)>,
         best_similarity: f64,
         curve: &AnytimeCurve,
-        wall_ms_reps: Vec<f64>,
-        phases: Vec<PhaseSnapshot>,
     ) -> AlgoRecord {
         counters.sort();
-        let wall_ms_median = median(&wall_ms_reps);
-        let steps = curve.total_steps();
         AlgoRecord {
             algo: algo.to_string(),
             counters,
@@ -209,20 +191,6 @@ impl AlgoRecord {
                 .iter()
                 .map(|&tau| (tau_key(tau), curve.steps_to(tau)))
                 .collect(),
-            wall_ms_median,
-            wall_ms_reps,
-            steps_per_sec: if wall_ms_median > 0.0 {
-                steps as f64 / (wall_ms_median / 1000.0)
-            } else {
-                0.0
-            },
-            auc_wall: curve.auc_wall(),
-            time_to_ms: TAUS
-                .iter()
-                .map(|&tau| (tau_key(tau), curve.time_to_ms(tau)))
-                .collect(),
-            curve: curve.points().to_vec(),
-            phases,
         }
     }
 
@@ -232,22 +200,6 @@ impl AlgoRecord {
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| *v)
-    }
-}
-
-/// Median of measured values (mean of the middle two for even counts);
-/// `0.0` when empty.
-pub fn median(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite wall times"));
-    let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 1 {
-        sorted[mid]
-    } else {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
     }
 }
 
@@ -326,13 +278,8 @@ impl BenchSnapshot {
         let top = doc
             .as_object()
             .ok_or_else(|| SnapshotError::Schema("snapshot must be a JSON object".into()))?;
-        let sections = snapshot_sections();
-        if let Some((unknown, _)) = top.iter().find(|(k, _)| !sections.contains(&k.as_str())) {
-            return schema_err(format!(
-                "unknown top-level section {unknown:?} (known sections: {})",
-                sections.join(", ")
-            ));
-        }
+        // The header first: a file of another version is refused as that,
+        // not as whichever of its members this version does not know.
         let header = SnapshotHeader::from_json(&doc)?;
         if header.format != SNAPSHOT_FORMAT {
             return schema_err(format!(
@@ -344,6 +291,13 @@ impl BenchSnapshot {
             return schema_err(format!(
                 "unsupported snapshot version {} (supported: {SNAPSHOT_VERSION})",
                 header.version
+            ));
+        }
+        let sections = snapshot_sections();
+        if let Some((unknown, _)) = top.iter().find(|(k, _)| !sections.contains(&k.as_str())) {
+            return schema_err(format!(
+                "unknown top-level section {unknown:?} (known sections: {})",
+                sections.join(", ")
             ));
         }
         let snapshot = BenchSnapshot::from_json(&doc)?;
@@ -377,7 +331,6 @@ impl BenchSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     pub(crate) fn sample_snapshot(label: &str) -> BenchSnapshot {
         let mut curve = AnytimeCurve::new();
@@ -393,17 +346,9 @@ mod tests {
             ],
             1.0,
             &curve,
-            vec![9.0, 8.0, 11.0],
-            vec![PhaseSnapshot {
-                path: "ils".into(),
-                calls: 1,
-                steps: 100,
-                wall: Duration::from_millis(9),
-            }],
         );
         BenchSnapshot {
             label: label.to_string(),
-            reps: 3,
             instances: vec![InstanceRecord {
                 name: "chain-4x300-sol1".into(),
                 shape: "chain".into(),
@@ -447,7 +392,6 @@ mod tests {
     fn from_curve_computes_summaries() {
         let snap = sample_snapshot("x");
         let algo = &snap.instances[0].algos[0];
-        assert_eq!(algo.wall_ms_median, 9.0);
         assert_eq!(algo.counter("steps"), Some(100));
         assert_eq!(algo.counter("missing"), None);
         // sim 0.5 over steps [0,40), 1.0 over [40,100): AUC = 0.8.
@@ -460,17 +404,8 @@ mod tests {
                 ("1.00".to_string(), Some(40)),
             ]
         );
-        assert!((algo.steps_per_sec - 100.0 / 0.009).abs() < 1e-6);
         // Counters came unsorted; the record sorts them.
         assert_eq!(algo.counters[0].0, "best_violations");
-    }
-
-    #[test]
-    fn median_handles_even_odd_empty() {
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(median(&[3.0]), 3.0);
-        assert_eq!(median(&[4.0, 1.0, 3.0]), 3.0);
-        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
     }
 
     #[test]
@@ -487,13 +422,18 @@ mod tests {
 
     #[test]
     fn parse_rejects_wrong_format_and_version() {
-        let err = BenchSnapshot::parse(r#"{"format":"other","version":1}"#).unwrap_err();
+        let err = BenchSnapshot::parse(r#"{"format":"other","version":2}"#).unwrap_err();
         assert!(matches!(err, SnapshotError::Schema(_)), "{err}");
+        // A version-1 file is refused as that, before its `reps` member
+        // can read as an unknown section.
         let err = BenchSnapshot::parse(
-            r#"{"format":"mwsj-bench-snapshot","version":99,"label":"x","reps":1,"suite":[]}"#,
+            r#"{"format":"mwsj-bench-snapshot","version":1,"label":"x","reps":9,"suite":[]}"#,
         )
         .unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "snapshot schema violation: unsupported snapshot version 1 (supported: 2)"
+        );
     }
 
     #[test]

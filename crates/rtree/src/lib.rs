@@ -14,9 +14,8 @@
 //!
 //! * **STR bulk loading** (Sort-Tile-Recursive), the one build path —
 //!   an index over 10⁴–10⁵ objects per query variable in milliseconds.
-//! * **Queries**: window (rectangle intersection), generic
-//!   [`Predicate`](mwsj_geom::Predicate)-based candidate enumeration and
-//!   point queries.
+//! * **Queries**: window (rectangle intersection) and generic
+//!   [`Predicate`](mwsj_geom::Predicate)-based candidate enumeration.
 //! * A **read-only traversal API** ([`NodeRef`]/[`EntryRef`]) that the join
 //!   algorithms in `mwsj-core` use to drive custom branch-and-bound
 //!   traversals (the paper's *find best value*, synchronous traversal and
@@ -26,7 +25,7 @@
 //!   best value* (Fig. 5) with a caller-supplied leaf scorer, shared by
 //!   the raw (ILS/SEA/IBB) and λ-penalised (GILS) search paths.
 //! * A shared **access-accounting hook** ([`AccessCounter`]): every
-//!   traversal path — window/point/predicate queries, bulk load and the
+//!   traversal path — window/predicate queries, bulk load and the
 //!   visit API — has a `*_counted` variant that records one access per
 //!   node touched into a caller-supplied counter.
 //! * A **uniform grid** ([`UniformGrid`]), the second spatial backend.

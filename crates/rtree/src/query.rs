@@ -9,7 +9,7 @@
 use crate::access::AccessCounter;
 use crate::node::{NodeId, Payload};
 use crate::tree::RTree;
-use mwsj_geom::{Point, Predicate, Rect};
+use mwsj_geom::{Predicate, Rect};
 
 /// Depth-first query iterator shared by all filter queries.
 ///
@@ -116,33 +116,6 @@ impl<T> RTree<T> {
         )
     }
 
-    /// All entries whose MBR contains `point`.
-    pub fn point_query<'a>(
-        &'a self,
-        point: &'a Point,
-    ) -> impl Iterator<Item = (&'a Rect, &'a T)> + 'a {
-        QueryIter::new(
-            self,
-            move |node_mbr: &Rect| node_mbr.contains_point(point),
-            move |mbr: &Rect| mbr.contains_point(point),
-            None,
-        )
-    }
-
-    /// [`RTree::point_query`] with node accesses recorded into `counter`.
-    pub fn point_query_counted<'a>(
-        &'a self,
-        point: &'a Point,
-        counter: &'a AccessCounter,
-    ) -> impl Iterator<Item = (&'a Rect, &'a T)> + 'a {
-        QueryIter::new(
-            self,
-            move |node_mbr: &Rect| node_mbr.contains_point(point),
-            move |mbr: &Rect| mbr.contains_point(point),
-            Some(counter),
-        )
-    }
-
     /// All entries `r` satisfying `r P window` for an arbitrary
     /// [`Predicate`], pruning subtrees with the predicate's node-level
     /// possibility test.
@@ -193,7 +166,7 @@ impl<T> RTree<T> {
 #[cfg(test)]
 mod tests {
     use crate::{RTree, RTreeParams};
-    use mwsj_geom::{Point, Predicate, Rect};
+    use mwsj_geom::{Predicate, Rect};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -239,21 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn point_query_matches_scan() {
-        let (tree, rects) = random_tree(1_000, 12);
-        let p = Point::new(0.5, 0.5);
-        let mut got: Vec<usize> = tree.point_query(&p).map(|(_, v)| *v).collect();
-        got.sort_unstable();
-        let expected: Vec<usize> = rects
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.contains_point(&p))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
     fn predicate_query_matches_scan_for_all_predicates() {
         let (tree, rects) = random_tree(1_500, 13);
         let window = Rect::new(0.4, 0.4, 0.6, 0.6);
@@ -282,7 +240,6 @@ mod tests {
     fn empty_tree_returns_nothing() {
         let tree: RTree<usize> = RTree::bulk_load(Vec::new());
         assert_eq!(tree.window(&Rect::new(0.0, 0.0, 1.0, 1.0)).count(), 0);
-        assert_eq!(tree.point_query(&Point::new(0.0, 0.0)).count(), 0);
     }
 
     #[test]
@@ -323,13 +280,9 @@ mod tests {
         let accesses = counter.take();
         assert!(accesses >= 1 && accesses <= tree.node_count() as u64);
 
-        // Predicate and point variants also count.
+        // The predicate variant also counts.
         let _ = tree
             .query_predicate_counted(Predicate::Intersects, &w, &counter)
-            .count();
-        assert!(counter.take() >= 1);
-        let _ = tree
-            .point_query_counted(&Point::new(0.5, 0.5), &counter)
             .count();
         assert!(counter.take() >= 1);
         assert_eq!(
