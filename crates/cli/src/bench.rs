@@ -3,28 +3,30 @@
 //! over two such snapshots (see `DESIGN.md` "Benchmark snapshots").
 
 use crate::args::Args;
+use crate::Failure;
 use mwsj_core::obs::{compare, BenchSnapshot};
+use std::io::Write;
 
 /// Dispatches `mwsj bench <snapshot|compare>`.
-pub fn cmd_bench(args: &Args) -> Result<(), String> {
+pub fn cmd_bench(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     const USAGE: &str =
         "usage: mwsj bench snapshot [--tier base|large] [--label L] [--out FILE]\n   \
                          or: mwsj bench compare BASELINE.json CANDIDATE.json";
     match args.arg() {
-        Some("snapshot") => cmd_bench_snapshot(args),
-        Some("compare") => cmd_bench_compare(args),
-        Some(other) => Err(format!("unknown bench subcommand '{other}'\n{USAGE}")),
+        Some("snapshot") => cmd_bench_snapshot(args, stdout),
+        Some("compare") => cmd_bench_compare(args, stdout),
+        Some(other) => Err(format!("unknown bench subcommand '{other}'\n{USAGE}").into()),
         None => Err(USAGE.into()),
     }
 }
 
 /// Runs the pinned benchmark suite and writes a `BENCH_<label>.json`
 /// snapshot (see `DESIGN.md` "Benchmark snapshots").
-fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
+fn cmd_bench_snapshot(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     if let Some(extra) = args.positionals.get(1) {
-        return Err(format!(
-            "unexpected argument '{extra}' (bench snapshot takes options only)"
-        ));
+        return Err(
+            format!("unexpected argument '{extra}' (bench snapshot takes options only)").into(),
+        );
     }
     let tier = match args.value("tier") {
         None => mwsj_bench::BenchTier::Base,
@@ -46,18 +48,22 @@ fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
         eprintln!("bench: {case} / {algo}");
     })?;
     std::fs::write(&out, snapshot.to_string_pretty()).map_err(|e| format!("{out}: {e}"))?;
-    println!(
+    writeln!(
+        stdout,
         "wrote benchmark snapshot '{label}' to {out} ({} instances, {} algo records)",
         snapshot.instances.len(),
         snapshot.algo_records(),
-    );
-    println!("gate a change with 'mwsj bench compare BENCH_baseline.json {out}'");
+    )?;
+    writeln!(
+        stdout,
+        "gate a change with 'mwsj bench compare BENCH_baseline.json {out}'"
+    )?;
     Ok(())
 }
 
 /// Compares two benchmark snapshots: every recorded member must match
 /// (integers exactly, derived floats to round-off).
-fn cmd_bench_compare(args: &Args) -> Result<(), String> {
+fn cmd_bench_compare(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let (baseline_path, candidate_path) = match &args.positionals[..] {
         [_, b, c] => (b.as_str(), c.as_str()),
         _ => return Err("usage: mwsj bench compare BASELINE.json CANDIDATE.json".into()),
@@ -68,18 +74,20 @@ fn cmd_bench_compare(args: &Args) -> Result<(), String> {
     };
     let baseline = load(baseline_path)?;
     let candidate = load(candidate_path)?;
-    println!(
+    writeln!(
+        stdout,
         "comparing '{}' ({baseline_path}) -> '{}' ({candidate_path})",
         baseline.label, candidate.label
-    );
+    )?;
     let report = compare(&baseline, &candidate);
-    print!("{}", report.render());
+    write!(stdout, "{}", report.render())?;
     if report.passed() {
         Ok(())
     } else {
         Err(format!(
             "{} regression check(s) failed (see report above)",
             report.failures()
-        ))
+        )
+        .into())
     }
 }

@@ -24,17 +24,57 @@ use mwsj_core::{
 use mwsj_datagen::{Dataset, DatasetSpec, Distribution, QueryShape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// Why a command stopped: a message for stderr, or stdout itself failed.
+/// Every command writes through the one locked stdout `main` hands it, so a
+/// reader that goes away (`mwsj join … | head -1`) surfaces here as an
+/// `io::Error` and not as `println!`'s panic.
+pub enum Failure {
+    Message(String),
+    Stdout(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Failure::Message(message.to_string())
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(error: std::io::Error) -> Self {
+        Failure::Stdout(error)
+    }
+}
+
 fn main() -> ExitCode {
-    let args = match Args::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+    let mut stdout = std::io::stdout().lock();
+    let result = run(&mut stdout).and_then(|()| Ok(stdout.flush()?));
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        // Nobody is reading any more: what was asked for has been delivered.
+        Err(Failure::Stdout(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("error: writing to stdout: {e}");
+            ExitCode::FAILURE
         }
-    };
+        Err(Failure::Message(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(stdout: &mut impl Write) -> Result<(), Failure> {
+    let args = Args::parse(std::env::args().skip(1)).map_err(|e| e.to_string())?;
     // These take options only: a stray positional is a value whose option
     // went missing (`solve a.csv`, `--data a.csv b.csv`), not something to
     // drop.
@@ -42,31 +82,23 @@ fn main() -> ExitCode {
         args.command.as_deref(),
         Some("generate" | "info" | "solve" | "join" | "explain" | "hard-density")
     );
-    let result = match args.command.as_deref() {
-        Some(_) if options_only && !args.positionals.is_empty() => {
-            Err(args::ArgError::UnexpectedArgument(args.positionals[0].clone()).to_string())
-        }
-        Some("generate") => cmd_generate(&args),
-        Some("info") => cmd_info(&args),
-        Some("solve") => cmd_solve(&args),
-        Some("explain") => cmd_explain(&args),
-        Some("join") => cmd_join(&args),
-        Some("report") => report::cmd_report(&args),
-        Some("watch") => watch::cmd_watch(&args),
-        Some("bench") => bench::cmd_bench(&args),
-        Some("hard-density") => cmd_hard_density(&args),
-        Some("help") | None => {
-            print!("{}", HELP);
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command '{other}' (try 'mwsj help')")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+    match args.command.as_deref() {
+        Some(_) if options_only && !args.positionals.is_empty() => Err(
+            args::ArgError::UnexpectedArgument(args.positionals[0].clone())
+                .to_string()
+                .into(),
+        ),
+        Some("generate") => cmd_generate(&args, stdout),
+        Some("info") => cmd_info(&args, stdout),
+        Some("solve") => cmd_solve(&args, stdout),
+        Some("explain") => cmd_explain(&args, stdout),
+        Some("join") => cmd_join(&args, stdout),
+        Some("report") => report::cmd_report(&args, stdout),
+        Some("watch") => Ok(watch::cmd_watch(&args)?),
+        Some("bench") => bench::cmd_bench(&args, stdout),
+        Some("hard-density") => cmd_hard_density(&args, stdout),
+        Some("help") | None => Ok(write!(stdout, "{}", HELP)?),
+        Some(other) => Err(format!("unknown command '{other}' (try 'mwsj help')").into()),
     }
 }
 
@@ -75,8 +107,8 @@ mwsj — approximate multiway spatial join processing (EDBT 2002)
 
 USAGE:
   mwsj generate --out FILE --n N --density D [--distribution uniform|clustered|skewed|zipf] [--seed S]
-  mwsj info --data FILE
-  mwsj solve --data FILE... --query SPEC [--algo ils|gils|sea|sea-hybrid|ibb|two-step]
+  mwsj info --data FILE [--data FILE]...
+  mwsj solve --data FILE [--data FILE]... --query SPEC [--algo ils|gils|sea|sea-hybrid|ibb|two-step]
              [--seconds S | --iterations I] [--seed S] [--top K]
              [--restarts K] [--threads T]   parallel portfolio of K seeded restarts
                                             (heuristics only; T=0 -> all cores)
@@ -103,9 +135,9 @@ USAGE:
                                             (stop reason 'stall_aborted')
              [--follow]                     flush each event line immediately so the
                                             metrics file can be tailed live
-  mwsj join --data FILE... --query SPEC [--algo wr|st|pjm] [--limit K] [--seconds S]
+  mwsj join --data FILE [--data FILE]... --query SPEC [--algo wr|st|pjm] [--limit K] [--seconds S]
             [--backend rtree|grid] [--grid-threads T] [--metrics-out FILE]
-  mwsj explain --data FILE... --query SPEC [--backend rtree|grid] [--metrics-out FILE]
+  mwsj explain --data FILE [--data FILE]... --query SPEC [--backend rtree|grid] [--metrics-out FILE]
                                             pre-run cost & selectivity report, no solving:
                                             per-edge selectivity estimates (with exact
                                             observed selectivities when the pair count is
@@ -155,17 +187,26 @@ fn load_datasets(args: &Args) -> Result<Vec<Dataset>, String> {
         .collect()
 }
 
-fn budget_from(args: &Args) -> Result<SearchBudget, String> {
+/// The budget `--seconds` / `--iterations` ask for, or `None` when neither
+/// was given: whether a flag is present is never read off its value, and
+/// each command brings its own default.
+fn budget_from(args: &Args) -> Result<Option<SearchBudget>, String> {
     let limit = args.seconds("seconds")?;
-    let iterations: u64 = args
-        .parse_or("iterations", 0, "an iteration count")
+    let iterations: Option<u64> = args
+        .value("iterations")
+        .map(|_| args.parse_or("iterations", 0, "an iteration count"))
+        .transpose()
         .map_err(|e| e.to_string())?;
-    Ok(match (limit, iterations > 0) {
-        (Some(limit), true) => SearchBudget::time_and_iterations(limit, iterations),
-        (None, true) => SearchBudget::iterations(iterations),
-        (Some(limit), false) => SearchBudget::time(limit),
-        // Default: 2 seconds.
-        (None, false) => SearchBudget::seconds(2.0),
+    if iterations == Some(0) {
+        return Err("--iterations must be at least 1".into());
+    }
+    Ok(match (limit, iterations) {
+        (Some(limit), Some(iterations)) => {
+            Some(SearchBudget::time_and_iterations(limit, iterations))
+        }
+        (None, Some(iterations)) => Some(SearchBudget::iterations(iterations)),
+        (Some(limit), None) => Some(SearchBudget::time(limit)),
+        (None, None) => None,
     })
 }
 
@@ -199,7 +240,7 @@ fn grid_workers(requested: usize) -> usize {
     }
 }
 
-fn cmd_generate(args: &Args) -> Result<(), String> {
+fn cmd_generate(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let out = args.required("out").map_err(|e| e.to_string())?.to_string();
     let n: usize = args
         .parse_or("n", 10_000, "an object count")
@@ -222,7 +263,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
             sigma: 0.02,
             exponent: 1.1,
         },
-        other => return Err(format!("unknown distribution '{other}'")),
+        other => return Err(format!("unknown distribution '{other}'").into()),
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let ds = DatasetSpec {
@@ -233,23 +274,24 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     }
     .generate(&mut rng);
     ds.write_csv_file(&out).map_err(|e| e.to_string())?;
-    println!("wrote {n} objects (density {density}) to {out}");
+    writeln!(stdout, "wrote {n} objects (density {density}) to {out}")?;
     Ok(())
 }
 
-fn cmd_info(args: &Args) -> Result<(), String> {
+fn cmd_info(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     for path in args.values("data") {
         let ds = Dataset::read_csv_file(path).map_err(|e| format!("{path}: {e}"))?;
         let bbox = ds
             .rects()
             .iter()
             .fold(mwsj_geom::Rect::EMPTY, |acc, r| acc.union(r));
-        println!(
+        writeln!(
+            stdout,
             "{path}: {} objects, realized density {:.4}, bbox {}",
             ds.len(),
             ds.realized_density(),
             bbox
-        );
+        )?;
     }
     if args.values("data").is_empty() {
         return Err("at least one --data FILE is required".into());
@@ -257,7 +299,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_solve(args: &Args) -> Result<(), String> {
+fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let datasets = load_datasets(args)?;
     let n_vars = datasets.len();
     let query = args.required("query").map_err(|e| e.to_string())?;
@@ -266,7 +308,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         args,
         Instance::new(graph, datasets).map_err(|e| e.to_string())?,
     )?;
-    let budget = budget_from(args)?;
+    let budget = budget_from(args)?.unwrap_or(SearchBudget::seconds(2.0));
     let seed: u64 = args
         .parse_or("seed", 42, "a seed")
         .map_err(|e| e.to_string())?;
@@ -341,7 +383,8 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         return Err(format!(
             "--flight-recorder-bytes {recorder_bytes}: the ring needs at least 4096 bytes \
              to hold a useful event window"
-        ));
+        )
+        .into());
     }
     if args.value("flight-recorder-bytes").is_some() && flight_path.is_none() {
         return Err("--flight-recorder-bytes needs --flight-recorder-out FILE".into());
@@ -393,7 +436,8 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
                 threads,
                 telemetry,
                 &obs,
-            );
+                stdout,
+            )?;
             portfolio_phases = phases;
             merged
         }
@@ -407,7 +451,8 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
                 threads,
                 telemetry,
                 &obs,
-            );
+                stdout,
+            )?;
             portfolio_phases = phases;
             merged
         }
@@ -421,7 +466,8 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
                 threads,
                 telemetry,
                 &obs,
-            );
+                stdout,
+            )?;
             portfolio_phases = phases;
             merged
         }
@@ -435,7 +481,8 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
                 threads,
                 telemetry,
                 &obs,
-            );
+                stdout,
+            )?;
             portfolio_phases = phases;
             merged
         }
@@ -445,9 +492,9 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         "sea-hybrid" => Sea::new(SeaConfig::default_for(&instance).with_ils_seeding())
             .search(&instance, &ctx, &mut rng),
         "ibb" | "two-step" if portfolio => {
-            return Err(format!(
-                "--restarts applies to the anytime heuristics, not '{algo}'"
-            ))
+            return Err(
+                format!("--restarts applies to the anytime heuristics, not '{algo}'").into(),
+            )
         }
         "ibb" => Ibb::new(IbbConfig::new()).search(&instance, &ctx),
         "two-step" => {
@@ -457,7 +504,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
             let out = two.run_with_obs(&instance, &budget, &mut rng, &obs);
             out.best
         }
-        other => return Err(format!("unknown algorithm '{other}'")),
+        other => return Err(format!("unknown algorithm '{other}'").into()),
     };
 
     if !portfolio {
@@ -484,7 +531,8 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         }
     }
 
-    println!(
+    writeln!(
+        stdout,
         "best solution: {} (similarity {:.3}, {} of {} conditions violated{})",
         outcome.best,
         outcome.best_similarity,
@@ -495,36 +543,52 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         } else {
             ""
         }
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "stats: {:?} elapsed, {} steps, {} node accesses, {} local maxima",
         outcome.stats.elapsed,
         outcome.stats.steps,
         outcome.stats.node_accesses,
         outcome.stats.local_maxima
-    );
+    )?;
     if top > 1 {
-        println!(
+        writeln!(
+            stdout,
             "top {} distinct solutions:",
             top.min(outcome.top_solutions.len())
-        );
+        )?;
         for (rank, (sol, violations)) in outcome.top_solutions.iter().take(top).enumerate() {
-            println!("  {:>2}. {} ({} violations)", rank + 1, sol, violations);
+            writeln!(
+                stdout,
+                "  {:>2}. {} ({} violations)",
+                rank + 1,
+                sol,
+                violations
+            )?;
         }
     }
     if let Some(path) = &metrics_path {
-        println!("wrote run events to {path} (inspect with 'mwsj report {path}')");
+        writeln!(
+            stdout,
+            "wrote run events to {path} (inspect with 'mwsj report {path}')"
+        )?;
     }
     if let Some(path) = &trace_path {
-        println!("wrote {} trace points to {path}", outcome.trace.len());
+        writeln!(
+            stdout,
+            "wrote {} trace points to {path}",
+            outcome.trace.len()
+        )?;
     }
     if let (Some(path), Some(rec)) = (&flight_path, &recorder) {
         let written = rec.write_jsonl(path).map_err(|e| format!("{path}: {e}"))?;
-        println!(
+        writeln!(
+            stdout,
             "wrote {written} recent run events to {path} (flight recorder, \
              {} byte budget)",
             rec.capacity_bytes()
-        );
+        )?;
     }
     if let Some(path) = &profile_path {
         let phases = if portfolio {
@@ -534,10 +598,11 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         };
         let folded = to_folded(&phases);
         std::fs::write(path, &folded).map_err(|e| format!("{path}: {e}"))?;
-        println!(
+        writeln!(
+            stdout,
             "wrote phase profile to {path} ({} folded stack lines, flamegraph-ready)",
             folded.lines().count()
-        );
+        )?;
     }
     Ok(())
 }
@@ -552,7 +617,8 @@ fn run_portfolio<A: AnytimeSearch>(
     threads: usize,
     telemetry: TelemetryConfig,
     obs: &ObsHandle,
-) -> (RunOutcome, Vec<PhaseSnapshot>) {
+    stdout: &mut impl Write,
+) -> Result<(RunOutcome, Vec<PhaseSnapshot>), Failure> {
     let mut config = PortfolioConfig::new(restarts, threads);
     config.telemetry = telemetry;
     let portfolio = ParallelPortfolio::new(algo, config);
@@ -563,7 +629,8 @@ fn run_portfolio<A: AnytimeSearch>(
     obs.emit(RunEvent::Phases {
         phases: outcome.phases.clone(),
     });
-    println!(
+    writeln!(
+        stdout,
         "portfolio: {} restarts on {} thread{} (per-restart best: {})",
         outcome.restarts.len(),
         outcome.threads_used,
@@ -574,15 +641,15 @@ fn run_portfolio<A: AnytimeSearch>(
             .map(|r| r.outcome.best_violations.to_string())
             .collect::<Vec<_>>()
             .join(", ")
-    );
-    (outcome.merged, outcome.phases)
+    )?;
+    Ok((outcome.merged, outcome.phases))
 }
 
 /// `mwsj explain` — the pre-run side of the cost & selectivity audit:
 /// builds the instance, prints the estimate report, and never solves.
 /// Deterministic: repeated invocations on the same inputs are
 /// byte-identical (the report is a pure function of the datasets).
-fn cmd_explain(args: &Args) -> Result<(), String> {
+fn cmd_explain(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let datasets = load_datasets(args)?;
     let n_vars = datasets.len();
     let query = args.required("query").map_err(|e| e.to_string())?;
@@ -592,18 +659,21 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         Instance::new(graph, datasets).map_err(|e| e.to_string())?,
     )?;
     let report = mwsj_core::build_explain_report(&instance);
-    print!("{}", report::explain_text(&report));
+    write!(stdout, "{}", report::explain_text(&report))?;
     if let Some(path) = args.value("metrics-out") {
         let sink = JsonlSink::create(path).map_err(|e| format!("{path}: {e}"))?;
         sink.emit(&RunEvent::ExplainReport {
             report: report.clone(),
         });
-        println!("wrote explain report to {path} (inspect with 'mwsj report {path}')");
+        writeln!(
+            stdout,
+            "wrote explain report to {path} (inspect with 'mwsj report {path}')"
+        )?;
     }
     Ok(())
 }
 
-fn cmd_join(args: &Args) -> Result<(), String> {
+fn cmd_join(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let datasets = load_datasets(args)?;
     let n_vars = datasets.len();
     let query = args.required("query").map_err(|e| e.to_string())?;
@@ -612,11 +682,8 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         args,
         Instance::new(graph, datasets).map_err(|e| e.to_string())?,
     )?;
-    let budget = match budget_from(args)? {
-        // Exact joins default to a generous budget.
-        b if b == SearchBudget::seconds(2.0) => SearchBudget::seconds(60.0),
-        b => b,
-    };
+    // Exact joins default to a generous budget.
+    let budget = budget_from(args)?.unwrap_or(SearchBudget::seconds(60.0));
     let limit: usize = args
         .parse_or("limit", 100, "a solution limit")
         .map_err(|e| e.to_string())?;
@@ -644,7 +711,7 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         "wr" => WindowReduction::new().run_with_obs(&instance, &budget, limit, &obs),
         "st" => SynchronousTraversal::new().run_with_obs(&instance, &budget, limit, &obs),
         "pjm" => Pjm::default().run_with_obs(&instance, &budget, limit, &obs),
-        other => return Err(format!("unknown exact algorithm '{other}'")),
+        other => return Err(format!("unknown exact algorithm '{other}'").into()),
     };
     obs.emit(RunEvent::Metrics {
         snapshot: obs.metrics.snapshot(),
@@ -669,30 +736,34 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         proven_optimal: outcome.complete,
     });
 
-    println!(
+    writeln!(
+        stdout,
         "{} exact solutions{} in {:?} ({} node accesses)",
         outcome.solutions.len(),
         if outcome.complete { "" } else { " (truncated)" },
         outcome.stats.elapsed,
         outcome.stats.node_accesses
-    );
+    )?;
     for sol in outcome.solutions.iter().take(limit) {
-        println!("  {sol}");
+        writeln!(stdout, "  {sol}")?;
     }
     if let Some(path) = &metrics_path {
-        println!("wrote run events to {path} (inspect with 'mwsj report {path}')");
+        writeln!(
+            stdout,
+            "wrote run events to {path} (inspect with 'mwsj report {path}')"
+        )?;
     }
     Ok(())
 }
 
-fn cmd_hard_density(args: &Args) -> Result<(), String> {
+fn cmd_hard_density(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let shape = match args.required("shape").map_err(|e| e.to_string())? {
         "chain" => QueryShape::Chain,
         "clique" => QueryShape::Clique,
         "star" => QueryShape::Star,
         "cycle" => QueryShape::Cycle,
         "random" => QueryShape::Random,
-        other => return Err(format!("unknown shape '{other}'")),
+        other => return Err(format!("unknown shape '{other}'").into()),
     };
     let vars: usize = args
         .parse_or("vars", 5, "a variable count")
@@ -704,14 +775,16 @@ fn cmd_hard_density(args: &Args) -> Result<(), String> {
         .parse_or("target", 1.0, "a solution count")
         .map_err(|e| e.to_string())?;
     let d = mwsj_datagen::hard_region_density(shape, vars, n, target);
-    println!(
+    writeln!(
+        stdout,
         "{} query over {vars} datasets of {n} objects: density {d:.6} gives E[solutions] = {target}",
         shape.name()
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "(average per-axis extent |r| = {:.6})",
         mwsj_datagen::extent_for_density(n, d)
-    );
+    )?;
     Ok(())
 }
 

@@ -7,23 +7,25 @@
 //! number and field path, never a defaulted `?` or `0` in the summary.
 
 use crate::args::Args;
+use crate::Failure;
 use mwsj_core::obs::{schema, BenchSnapshot, ExplainReport, SuiteKey};
 use mwsj_core::RunEvent;
 use std::collections::BTreeMap;
+use std::io::Write;
 
 /// Validates a metrics JSONL file against the declared schema and prints
 /// a summary of its contents.
-pub fn cmd_report(args: &Args) -> Result<(), String> {
+pub fn cmd_report(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let path = args
         .arg()
         .ok_or("usage: mwsj report FILE (a --metrics-out JSONL file or a bench snapshot)")?;
     if let Some(extra) = args.positionals.get(1) {
-        return Err(format!(
-            "unexpected argument '{extra}' (mwsj report takes exactly one file)"
-        ));
+        return Err(
+            format!("unexpected argument '{extra}' (mwsj report takes exactly one file)").into(),
+        );
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    print!("{}", report_text(path, &text)?);
+    write!(stdout, "{}", report_text(path, &text)?)?;
     Ok(())
 }
 

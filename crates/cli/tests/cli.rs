@@ -403,9 +403,20 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
         Accepted,
         Unknown(&'static str),
         Stray,
+        /// Exit 1 with exactly this on stderr.
+        Refused(&'static str),
+        /// Exit 0 and stdout begins with this.
+        Prints(&'static str),
+        /// Exit 0 and the `run_start` event of `--metrics-out` holds this.
+        Announces(&'static str),
     }
     use Expect::*;
-    let rows: [(&[&str], &[&str], Expect); 26] = [
+    let join_wr = ["join", "--data", a, "--data", a, "--query", "0-1"];
+    let metrics = dir.join("join.jsonl");
+    let metrics = metrics.to_str().unwrap();
+    let no_iterations = "error: --iterations must be at least 1";
+    let nothing = "0 exact solutions (truncated)";
+    let rows: [(&[&str], &[&str], Expect); 35] = [
         (&solve, &["--seconds", "inf"], NotSeconds),
         (&solve, &["--seconds", "1e20"], NotSeconds),
         (&solve, &["--seconds", "-3"], NotSeconds),
@@ -448,6 +459,34 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
         (&["info"], &[a], Stray),
         (&["info", "--data", a], &["b.csv"], Stray),
         (&hard_density, &["5"], Stray),
+        // A budget or limit is what was given, not what it happens to equal:
+        // `--iterations 0` used to run the 2 s default, `join --seconds 2`
+        // the 60 s one, and `--limit 0` returned one solution from WR / ST.
+        (&solve, &["--iterations", "0"], Refused(no_iterations)),
+        (&join_wr, &["--iterations", "0"], Refused(no_iterations)),
+        (
+            &join_wr,
+            &["--metrics-out", metrics, "--seconds", "2"],
+            Announces("\"budget_secs\":2}"),
+        ),
+        (&join_wr, &["--algo", "wr", "--limit", "0"], Prints(nothing)),
+        (&join_wr, &["--algo", "st", "--limit", "0"], Prints(nothing)),
+        (
+            &join_wr,
+            &["--algo", "pjm", "--limit", "0"],
+            Prints(nothing),
+        ),
+        (
+            &join_wr,
+            &["--backend", "grid", "--algo", "wr", "--limit", "0"],
+            Prints(nothing),
+        ),
+        (
+            &join_wr,
+            &["--backend", "grid", "--algo", "st", "--limit", "0"],
+            Prints(nothing),
+        ),
+        (&join, &["--limit", "0"], Prints(nothing)),
     ];
     // Everything `join` prints but the elapsed time of its first line.
     let solutions = |stdout: &[u8]| {
@@ -472,15 +511,70 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
             NotACount => format!("error: {flag} {value}: expected a thread count"),
             Unknown(option) => format!("error: unknown option '{option}'"),
             Stray => format!("error: unexpected argument '{value}'"),
+            Refused(message) => message.to_string(),
             Accepted => {
                 assert_eq!(out.status.code(), Some(0), "{hostile:?}: {stderr}");
                 assert_eq!(solutions(&out.stdout), solutions(&one_thread.stdout));
+                continue;
+            }
+            Prints(head) => {
+                assert_eq!(out.status.code(), Some(0), "{hostile:?}: {stderr}");
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                assert!(stdout.starts_with(head), "{hostile:?}: {stdout}");
+                continue;
+            }
+            Announces(member) => {
+                assert_eq!(out.status.code(), Some(0), "{hostile:?}: {stderr}");
+                let events = std::fs::read_to_string(metrics).unwrap();
+                let run_start = events.lines().next().unwrap();
+                assert!(run_start.contains("\"event\":\"run_start\""), "{run_start}");
+                assert!(run_start.contains(member), "{hostile:?}: {run_start}");
                 continue;
             }
         };
         assert_eq!(out.status.code(), Some(1), "{hostile:?}: {stderr}");
         assert_eq!(stderr.trim_end(), error);
     }
+}
+
+/// A reader that goes away is not an error: `mwsj join … | head -1` used to
+/// die of `println!`'s panic (`failed printing to stdout: Broken pipe`,
+/// exit 101) whenever the output outgrew the pipe's buffer.
+#[test]
+fn a_closed_stdout_is_a_quiet_exit() {
+    use std::io::{BufRead, BufReader, Read};
+    let dir = temp_dir("brokenpipe");
+    let a = generate(&dir, "a.csv", 2000, 2.0, 1);
+    let b = generate(&dir, "b.csv", 2000, 2.0, 2);
+    let mut child = mwsj()
+        .args(["join", "--data", a.to_str().unwrap()])
+        .args(["--data", b.to_str().unwrap()])
+        .args(["--query", "0-1", "--limit", "100000000"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Read the summary line, then hang up with the solutions unread: far
+    // more of them than a pipe holds, so the writer must meet the closed end.
+    let mut stdout = BufReader::with_capacity(64, child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    let solutions: usize = first.split(' ').next().unwrap().parse().expect(&first);
+    assert!(
+        solutions * 16 > 1 << 17,
+        "too few to fill a pipe twice: {first}"
+    );
+    drop(stdout);
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert_eq!(stderr, "", "nothing to report");
+    assert_eq!(status.code(), Some(0));
 }
 
 /// `within:<eps>` takes a distance. A negative ε used to run and count

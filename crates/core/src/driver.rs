@@ -374,7 +374,7 @@ impl SearchDriver {
                     sol,
                     violations,
                     self.edges,
-                    self.clock.elapsed(),
+                    || self.clock.elapsed(),
                     self.clock.steps(),
                 ) {
                     self.stats.improvements += 1;
@@ -407,7 +407,7 @@ impl SearchDriver {
             sol,
             violations,
             self.edges,
-            self.clock.elapsed(),
+            || self.clock.elapsed(),
             self.clock.steps(),
         ) {
             self.stats.improvements += 1;
@@ -455,7 +455,7 @@ impl SearchDriver {
                     sol,
                     violations,
                     self.edges,
-                    self.clock.elapsed(),
+                    || self.clock.elapsed(),
                     self.clock.steps(),
                 );
                 debug_assert!(improved, "record_best requires a bound-beating solution");

@@ -288,22 +288,24 @@ impl Incumbent {
         }
     }
 
-    /// Offers a candidate; keeps it if strictly better.
+    /// Offers a candidate; keeps it if strictly better. `elapsed` is asked
+    /// for the run's wall time only then, so a candidate that is turned
+    /// away — nearly every one — costs no clock read.
     pub(crate) fn offer(
         &mut self,
         candidate: &Solution,
         violations: usize,
         edge_count: usize,
-        elapsed: Duration,
+        elapsed: impl FnOnce() -> Duration,
         step: u64,
     ) -> bool {
         self.top.insert(candidate, violations);
         if violations < self.best_violations {
-            self.best = candidate.clone();
+            self.best.clone_from(candidate);
             self.best_violations = violations;
             self.improvements += 1;
             self.trace.push(TracePoint {
-                elapsed,
+                elapsed: elapsed(),
                 step,
                 similarity: 1.0 - violations as f64 / edge_count as f64,
             });
@@ -359,8 +361,8 @@ mod tests {
     #[test]
     fn incumbent_feeds_top_solutions() {
         let mut inc = Incumbent::new(Solution::new(vec![0, 0]), 3, 4, Duration::ZERO, 0);
-        inc.offer(&Solution::new(vec![1, 1]), 2, 4, Duration::ZERO, 1);
-        inc.offer(&Solution::new(vec![2, 2]), 3, 4, Duration::ZERO, 2); // not best, still top
+        inc.offer(&Solution::new(vec![1, 1]), 2, 4, || Duration::ZERO, 1);
+        inc.offer(&Solution::new(vec![2, 2]), 3, 4, || Duration::ZERO, 2); // not best, still top
         assert_eq!(inc.top.len(), 3);
         assert_eq!(inc.top.iter().next().unwrap().1, 2);
     }
@@ -368,8 +370,9 @@ mod tests {
     #[test]
     fn incumbent_keeps_only_improvements() {
         let mut inc = Incumbent::new(Solution::new(vec![0, 0]), 3, 4, Duration::ZERO, 0);
-        assert!(!inc.offer(&Solution::new(vec![1, 1]), 3, 4, Duration::ZERO, 1));
-        assert!(inc.offer(&Solution::new(vec![2, 2]), 1, 4, Duration::ZERO, 2));
+        let unread = || -> Duration { panic!("a rejected candidate must not read the clock") };
+        assert!(!inc.offer(&Solution::new(vec![1, 1]), 3, 4, unread, 1));
+        assert!(inc.offer(&Solution::new(vec![2, 2]), 1, 4, || Duration::ZERO, 2));
         assert_eq!(inc.best_violations, 1);
         assert_eq!(inc.best.as_slice(), &[2, 2]);
         assert_eq!(inc.improvements, 1);

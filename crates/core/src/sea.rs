@@ -23,6 +23,7 @@ use crate::driver::{run_driven, DriveSearch, SearchDriver};
 use crate::instance::Instance;
 use crate::result::RunOutcome;
 use crate::window_cache::WindowCache;
+use mwsj_geom::Rect;
 use mwsj_query::{ConflictState, Solution, VarId};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -128,11 +129,63 @@ impl Default for SeaConfig {
     }
 }
 
-/// One member of the population: a solution with its cached evaluation.
-#[derive(Debug, Clone)]
+/// One member of the population: a solution with its cached evaluation
+/// and the MBR of each assignment, so that a generation reads the
+/// datasets' rectangle arrays only inside the index kernel.
+#[derive(Debug)]
 struct Individual {
     sol: Solution,
     cs: ConflictState,
+    /// `rects[v] == instance.rect(v, sol.get(v))`.
+    rects: Vec<Rect>,
+}
+
+impl Clone for Individual {
+    fn clone(&self) -> Self {
+        Individual {
+            sol: self.sol.clone(),
+            cs: self.cs.clone(),
+            rects: self.rects.clone(),
+        }
+    }
+
+    /// Reuses all of `self`'s vectors: selection copies a whole population
+    /// every generation.
+    fn clone_from(&mut self, source: &Self) {
+        self.sol.clone_from(&source.sol);
+        self.cs.clone_from(&source.cs);
+        self.rects.clone_from(&source.rects);
+    }
+}
+
+impl Individual {
+    fn new(instance: &Instance, sol: Solution) -> Self {
+        let rects: Vec<Rect> = (0..sol.len())
+            .map(|v| instance.rect(v, sol.get(v)))
+            .collect();
+        let cs = ConflictState::evaluate(instance.graph(), &sol, |v, _| rects[v]);
+        Individual { sol, cs, rects }
+    }
+
+    /// Overwrites `self` in place with `seed`, or else with a random
+    /// solution drawn as [`Instance::random_solution`] draws it.
+    fn reseed(&mut self, instance: &Instance, seed: Option<Solution>, rng: &mut StdRng) {
+        match seed {
+            Some(sol) => self.sol = sol,
+            None => {
+                for v in 0..instance.n_vars() {
+                    let object = rng.random_range(0..instance.cardinality(v));
+                    self.sol.set(v, object);
+                }
+            }
+        }
+        for (v, rect) in self.rects.iter_mut().enumerate() {
+            *rect = instance.rect(v, self.sol.get(v));
+        }
+        let rects = &self.rects;
+        self.cs
+            .evaluate_into(instance.graph(), &self.sol, |v, _| rects[v]);
+    }
 }
 
 /// Spatial evolutionary algorithm.
@@ -161,54 +214,69 @@ impl Sea {
     pub fn search(&self, instance: &Instance, ctx: &SearchContext, rng: &mut StdRng) -> RunOutcome {
         run_driven(self, instance, ctx, rng)
     }
-}
 
-impl DriveSearch for Sea {
-    const NAME: &'static str = "SEA";
-    const PHASE: &'static str = "sea";
+    /// `p` ILS local maxima for the hybrid initialisation and its
+    /// stagnation restarts (none unless [`SeaConfig::seed_with_ils`]).
+    fn ils_seeds(
+        &self,
+        instance: &Instance,
+        driver: &mut SearchDriver,
+        rng: &mut StdRng,
+    ) -> Vec<Solution> {
+        if !self.config.seed_with_ils {
+            return Vec::new();
+        }
+        let p = self.config.population;
+        let mut seed_cache = crate::window_cache::CacheStats::default();
+        let (acc, profile) = driver.access_mut();
+        let maxima = crate::ils::collect_local_maxima(
+            instance,
+            p,
+            20 * p as u64,
+            rng,
+            acc,
+            profile,
+            &mut seed_cache,
+        );
+        driver.stats_mut().cache.absorb(&seed_cache);
+        maxima
+    }
 
-    fn drive(&self, instance: &Instance, driver: &mut SearchDriver, rng: &mut StdRng) {
+    /// The search itself, on the `cache` it is given; `after_generation`
+    /// sees the population at the end of every complete generation (the
+    /// tests' window onto the invariants of [`Individual`]).
+    fn evolve(
+        &self,
+        instance: &Instance,
+        driver: &mut SearchDriver,
+        rng: &mut StdRng,
+        mut cache: WindowCache,
+        mut after_generation: impl FnMut(&[Individual]),
+    ) {
         let graph = instance.graph();
         let n = instance.n_vars();
         let p = self.config.population;
-        let mut cache = WindowCache::new(instance);
 
         // Initial population: random, or the first p ILS local maxima
         // (the hybrid initialisation of the paper's Discussion).
         let mut pop: Vec<Individual> = {
             let _seed_phase = driver.obs().timer.span("seed");
-            let mut pop: Vec<Individual> = if self.config.seed_with_ils {
-                let mut seed_cache = crate::window_cache::CacheStats::default();
-                let maxima = {
-                    let (acc, profile) = driver.access_mut();
-                    crate::ils::collect_local_maxima(
-                        instance,
-                        p,
-                        20 * p as u64,
-                        rng,
-                        acc,
-                        profile,
-                        &mut seed_cache,
-                    )
-                };
-                driver.stats_mut().cache.absorb(&seed_cache);
-                maxima
-                    .into_iter()
-                    .map(|sol| {
-                        let cs = instance.evaluate(&sol);
-                        Individual { sol, cs }
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            let mut pop: Vec<Individual> = self
+                .ils_seeds(instance, driver, rng)
+                .into_iter()
+                .map(|sol| Individual::new(instance, sol))
+                .collect();
             while pop.len() < p {
-                let sol = instance.random_solution(rng);
-                let cs = instance.evaluate(&sol);
-                pop.push(Individual { sol, cs });
+                pop.push(Individual::new(instance, instance.random_solution(rng)));
             }
             pop
         };
+        // Everything a generation writes lives in storage the run owns:
+        // selection copies into `next` and swaps, crossover and mutation
+        // pick their variables out of `keep` and `tied`.
+        let mut next = pop.clone();
+        let mut keep = KeepSet::default();
+        let mut tied: Vec<VarId> = Vec::with_capacity(n);
 
         // Eager incumbent from the first member, so the run always has a
         // full trace even on a zero-generation budget.
@@ -223,37 +291,15 @@ impl DriveSearch for Sea {
             driver.stats_mut().restarts = generation; // generations telemetry
             driver.sample_cache(&cache);
 
-            // Stagnation restart: re-diversify a converged population.
+            // Stagnation restart: re-diversify a converged population with
+            // fresh ILS local maxima in hybrid mode, otherwise (and for any
+            // shortfall) fresh random solutions.
             if self.config.stagnation_restart > 0
                 && generation - last_improvement_gen > self.config.stagnation_restart
             {
-                // Re-diversify: fresh ILS local maxima in hybrid mode,
-                // otherwise fresh random solutions.
-                let seeds = if self.config.seed_with_ils {
-                    let mut seed_cache = crate::window_cache::CacheStats::default();
-                    let maxima = {
-                        let (acc, profile) = driver.access_mut();
-                        crate::ils::collect_local_maxima(
-                            instance,
-                            p,
-                            20 * p as u64,
-                            rng,
-                            acc,
-                            profile,
-                            &mut seed_cache,
-                        )
-                    };
-                    driver.stats_mut().cache.absorb(&seed_cache);
-                    maxima
-                } else {
-                    Vec::new()
-                };
-                let mut seeds = seeds.into_iter();
+                let mut seeds = self.ils_seeds(instance, driver, rng).into_iter();
                 for ind in pop.iter_mut() {
-                    ind.sol = seeds
-                        .next()
-                        .unwrap_or_else(|| instance.random_solution(rng));
-                    ind.cs = instance.evaluate(&ind.sol);
+                    ind.reseed(instance, seeds.next(), rng);
                 }
                 last_improvement_gen = generation;
             }
@@ -279,8 +325,7 @@ impl DriveSearch for Sea {
             }
 
             // --- Offspring allocation: tournament selection. ---
-            let mut next: Vec<Individual> = Vec::with_capacity(p);
-            for i in 0..p {
+            for (i, slot) in next.iter_mut().enumerate() {
                 let mut winner = i;
                 for _ in 0..self.config.tournament {
                     let rival = rng.random_range(0..p);
@@ -288,9 +333,9 @@ impl DriveSearch for Sea {
                         winner = rival;
                     }
                 }
-                next.push(pop[winner].clone());
+                slot.clone_from(&pop[winner]);
             }
-            pop = next;
+            std::mem::swap(&mut pop, &mut next);
 
             // --- Crossover. ---
             for i in 0..p {
@@ -301,19 +346,25 @@ impl DriveSearch for Sea {
                 if donor == i {
                     continue;
                 }
-                let keep = greedy_keep_set(graph, &pop[i].cs, c);
-                let donor_sol = pop[donor].sol.clone();
-                let ind = &mut pop[i];
+                let (ind, donor) = if i < donor {
+                    let (head, tail) = pop.split_at_mut(donor);
+                    (&mut head[i], &tail[0])
+                } else {
+                    let (head, tail) = pop.split_at_mut(i);
+                    (&mut tail[0], &head[donor])
+                };
+                keep.fill(graph, &ind.cs, c);
                 let mut changed = false;
-                #[allow(clippy::needless_range_loop)]
                 for v in 0..n {
-                    if !keep[v] && ind.sol.get(v) != donor_sol.get(v) {
-                        ind.sol.set(v, donor_sol.get(v));
+                    if !keep.mask[v] && ind.sol.get(v) != donor.sol.get(v) {
+                        ind.sol.set(v, donor.sol.get(v));
+                        ind.rects[v] = donor.rects[v];
                         changed = true;
                     }
                 }
                 if changed {
-                    ind.cs = instance.evaluate(&ind.sol);
+                    let rects = &ind.rects;
+                    ind.cs.evaluate_into(graph, &ind.sol, |v, _| rects[v]);
                 }
             }
 
@@ -329,29 +380,25 @@ impl DriveSearch for Sea {
                 // population contains many copies of good solutions, and a
                 // deterministic tie-break would mutate all of them
                 // identically.
-                let order = ind.cs.vars_by_badness(graph);
-                let key = |v: VarId| (ind.cs.conflicts_of(v), ind.cs.satisfied_of(graph, v));
-                let tied = order
-                    .iter()
-                    .take_while(|&&v| key(v) == key(order[0]))
-                    .count();
-                let worst = order[rng.random_range(0..tied)];
+                ind.cs.worst_tied(graph, &mut tied);
+                let worst = tied[rng.random_range(0..tied.len())];
                 let current_satisfied = ind.cs.satisfied_of(graph, worst);
-                if let Some(best) = {
-                    let (acc, levels) = driver.tally(worst);
-                    cache.find_best_value_leveled(instance, &ind.sol, worst, None, acc, levels)
-                } {
-                    if best.satisfied > current_satisfied {
-                        ind.cs.reassign(
-                            graph,
-                            &mut ind.sol,
-                            worst,
-                            best.object,
-                            instance.rect_of(),
-                        );
-                    }
+                let rects = &mut ind.rects;
+                let best = cache.find_best_value_with(
+                    instance,
+                    &ind.sol,
+                    worst,
+                    None,
+                    |v, _| rects[v],
+                    driver.tally(worst),
+                );
+                if let Some(best) = best.filter(|best| best.satisfied > current_satisfied) {
+                    rects[worst] = instance.rect(worst, best.object);
+                    ind.cs
+                        .reassign(graph, &mut ind.sol, worst, best.object, |v, _| rects[v]);
                 }
             }
+            after_generation(&pop);
         }
 
         // Final evaluation pass so the last generation's work counts.
@@ -362,65 +409,95 @@ impl DriveSearch for Sea {
     }
 }
 
-/// The greedy crossover split (paper §5, Fig. 8): selects `c` variables to
-/// keep. Variables are first ordered by satisfied conditions (desc), ties
-/// by violations (asc); the set `X` then grows by repeatedly adding the
-/// variable satisfying the most conditions towards members of `X`, ties
-/// resolved by the initial order. Returns a keep-mask.
-fn greedy_keep_set(graph: &mwsj_query::QueryGraph, cs: &ConflictState, c: usize) -> Vec<bool> {
-    let n = graph.n_vars();
-    let c = c.min(n);
-    // Initial order.
-    let mut order: Vec<VarId> = (0..n).collect();
-    order.sort_by_key(|&v| {
-        (
-            std::cmp::Reverse(cs.satisfied_of(graph, v)),
-            cs.conflicts_of(v),
-            v,
-        )
-    });
-    let mut rank = vec![0usize; n];
-    for (r, &v) in order.iter().enumerate() {
-        rank[v] = r;
-    }
+impl DriveSearch for Sea {
+    const NAME: &'static str = "SEA";
+    const PHASE: &'static str = "sea";
 
-    let mut keep = vec![false; n];
-    if c == 0 {
-        return keep;
+    fn drive(&self, instance: &Instance, driver: &mut SearchDriver, rng: &mut StdRng) {
+        // Selection fills the population with copies, so most mutations ask
+        // a question some individual has asked before: a memo of a few
+        // slots per individual answers those without the index.
+        let slots = (4 * self.config.population).next_power_of_two();
+        let cache = WindowCache::with_memo(instance, slots);
+        self.evolve(instance, driver, rng, cache, |_| {});
     }
-    keep[order[0]] = true;
-    for _ in 1..c {
-        let mut best: Option<(u32, usize, VarId)> = None; // (sat_to_X desc, rank asc)
-        for v in 0..n {
-            if keep[v] {
-                continue;
-            }
-            let sat_to_x = graph
-                .neighbors(v)
-                .iter()
-                .filter(|&&(u, _)| {
-                    keep[u] && !cs.is_edge_violated(graph.edge_index(v, u).expect("neighbor edge"))
-                })
-                .count() as u32;
-            let candidate = (sat_to_x, rank[v], v);
-            let better = match best {
-                None => true,
-                Some((bs, br, _)) => sat_to_x > bs || (sat_to_x == bs && rank[v] < br),
-            };
-            if better {
-                best = Some(candidate);
-            }
+}
+
+/// The greedy crossover split (paper §5, Fig. 8) and its scratch, which the
+/// run owns so that a crossover allocates nothing.
+#[derive(Debug, Default)]
+struct KeepSet {
+    /// `mask[v]`: variable `v` keeps its assignment.
+    mask: Vec<bool>,
+    order: Vec<VarId>,
+    rank: Vec<usize>,
+}
+
+impl KeepSet {
+    /// Selects `c` variables to keep. Variables are first ordered by
+    /// satisfied conditions (desc), ties by violations (asc); the set `X`
+    /// then grows by repeatedly adding the variable satisfying the most
+    /// conditions towards members of `X`, ties resolved by the initial
+    /// order.
+    fn fill(&mut self, graph: &mwsj_query::QueryGraph, cs: &ConflictState, c: usize) {
+        let KeepSet { mask, order, rank } = self;
+        let n = graph.n_vars();
+        let c = c.min(n);
+        // Initial order (a total one: the variable is the last key).
+        order.clear();
+        order.extend(0..n);
+        order.sort_unstable_by_key(|&v| {
+            (
+                std::cmp::Reverse(cs.satisfied_of(graph, v)),
+                cs.conflicts_of(v),
+                v,
+            )
+        });
+        rank.clear();
+        rank.resize(n, 0);
+        for (r, &v) in order.iter().enumerate() {
+            rank[v] = r;
         }
-        keep[best.expect("n > c candidates remain").2] = true;
+
+        mask.clear();
+        mask.resize(n, false);
+        if c == 0 {
+            return;
+        }
+        mask[order[0]] = true;
+        for _ in 1..c {
+            let mut best: Option<(u32, usize, VarId)> = None; // (sat_to_X desc, rank asc)
+            for v in 0..n {
+                if mask[v] {
+                    continue;
+                }
+                let sat_to_x = graph
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&(u, _)| {
+                        mask[u]
+                            && !cs.is_edge_violated(graph.edge_index(v, u).expect("neighbor edge"))
+                    })
+                    .count() as u32;
+                let better = match best {
+                    None => true,
+                    Some((bs, br, _)) => sat_to_x > bs || (sat_to_x == bs && rank[v] < br),
+                };
+                if better {
+                    best = Some((sat_to_x, rank[v], v));
+                }
+            }
+            mask[best.expect("n > c candidates remain").2] = true;
+        }
     }
-    keep
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BackendKind;
     use mwsj_datagen::{hard_region_density, Dataset, QueryShape};
-    use mwsj_query::QueryGraphBuilder;
+    use mwsj_query::{QueryGraph, QueryGraphBuilder};
     use rand::SeedableRng;
 
     fn hard_instance(seed: u64, shape: QueryShape, n: usize, cardinality: usize) -> Instance {
@@ -502,8 +579,9 @@ mod tests {
         let inst = Instance::new(graph, data).unwrap();
         let sol = Solution::new(vec![0; 5]);
         let cs = inst.evaluate(&sol);
-        let keep = greedy_keep_set(inst.graph(), &cs, 3);
-        assert_eq!(keep, vec![true, true, true, false, false]);
+        let mut keep = KeepSet::default();
+        keep.fill(inst.graph(), &cs, 3);
+        assert_eq!(keep.mask, vec![true, true, true, false, false]);
     }
 
     #[test]
@@ -512,9 +590,183 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(85);
         let sol = inst.random_solution(&mut rng);
         let cs = inst.evaluate(&sol);
+        let mut keep = KeepSet::default();
         for c in 0..=6 {
-            let keep = greedy_keep_set(inst.graph(), &cs, c);
-            assert_eq!(keep.iter().filter(|&&k| k).count(), c.min(6));
+            keep.fill(inst.graph(), &cs, c);
+            assert_eq!(keep.mask.iter().filter(|&&k| k).count(), c.min(6));
+        }
+    }
+
+    /// The allocating body [`KeepSet::fill`] replaced, kept as its reference.
+    fn greedy_keep_set_reference(graph: &QueryGraph, cs: &ConflictState, c: usize) -> Vec<bool> {
+        let n = graph.n_vars();
+        let c = c.min(n);
+        let mut order: Vec<VarId> = (0..n).collect();
+        order.sort_by_key(|&v| {
+            (
+                std::cmp::Reverse(cs.satisfied_of(graph, v)),
+                cs.conflicts_of(v),
+                v,
+            )
+        });
+        let mut rank = vec![0usize; n];
+        for (r, &v) in order.iter().enumerate() {
+            rank[v] = r;
+        }
+
+        let mut keep = vec![false; n];
+        if c == 0 {
+            return keep;
+        }
+        keep[order[0]] = true;
+        for _ in 1..c {
+            let mut best: Option<(u32, usize, VarId)> = None;
+            for v in 0..n {
+                if keep[v] {
+                    continue;
+                }
+                let sat_to_x = graph
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&(u, _)| {
+                        keep[u]
+                            && !cs.is_edge_violated(graph.edge_index(v, u).expect("neighbor edge"))
+                    })
+                    .count() as u32;
+                let better = match best {
+                    None => true,
+                    Some((bs, br, _)) => sat_to_x > bs || (sat_to_x == bs && rank[v] < br),
+                };
+                if better {
+                    best = Some((sat_to_x, rank[v], v));
+                }
+            }
+            keep[best.expect("n > c candidates remain").2] = true;
+        }
+        keep
+    }
+
+    #[test]
+    fn keep_set_fill_equals_the_allocating_reference() {
+        let mut rng = StdRng::seed_from_u64(90);
+        let mut keep = KeepSet::default();
+        let shapes = [
+            QueryShape::Chain,
+            QueryShape::Clique,
+            QueryShape::Star,
+            QueryShape::Cycle,
+            QueryShape::Random,
+        ];
+        for (i, shape) in shapes.into_iter().cycle().take(20).enumerate() {
+            // One scratch across graphs of changing size: stale lengths too.
+            let n = 3 + (i * 3) % 7;
+            let datasets: Vec<Dataset> = (0..n)
+                .map(|_| Dataset::uniform(40, 0.4, &mut rng))
+                .collect();
+            let inst = Instance::new(shape.graph(n), datasets).unwrap();
+            for _ in 0..50 {
+                let cs = inst.evaluate(&inst.random_solution(&mut rng));
+                for c in 0..=n + 1 {
+                    keep.fill(inst.graph(), &cs, c);
+                    let reference = greedy_keep_set_reference(inst.graph(), &cs, c);
+                    assert_eq!(keep.mask, reference, "{shape:?} n={n} c={c}");
+                }
+            }
+        }
+    }
+
+    /// One seeded search on the cache it is handed.
+    fn evolve_with(
+        sea: &Sea,
+        inst: &Instance,
+        generations: u64,
+        seed: u64,
+        cache: WindowCache,
+        after_generation: impl FnMut(&[Individual]),
+    ) -> RunOutcome {
+        let ctx = SearchContext::local(SearchBudget::iterations(generations));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut driver = SearchDriver::new(inst, &ctx);
+        sea.evolve(inst, &mut driver, &mut rng, cache, after_generation);
+        driver.finish(inst, &mut rng)
+    }
+
+    #[test]
+    fn memo_changes_only_whether_the_index_is_walked() {
+        const GENERATIONS: u64 = 40;
+        let mut saved = 0;
+        let mut restarted = 0;
+        for shape in [QueryShape::Chain, QueryShape::Clique, QueryShape::Star] {
+            for n in [3, 5, 8] {
+                for backend in [BackendKind::RTree, BackendKind::Grid] {
+                    let inst = hard_instance(91 + n as u64, shape, n, 300).with_backend(backend);
+                    for hybrid in [false, true] {
+                        let cfg = SeaConfig {
+                            stagnation_restart: 6,
+                            seed_with_ils: hybrid,
+                            ..SeaConfig::default_for(&inst)
+                        };
+                        let slots = (4 * cfg.population).next_power_of_two();
+                        let sea = Sea::new(cfg);
+                        let plain = WindowCache::new(&inst);
+                        let memo = WindowCache::with_memo(&inst, slots);
+                        let a = evolve_with(&sea, &inst, GENERATIONS, 17, plain, |_| {});
+                        let b = evolve_with(&sea, &inst, GENERATIONS, 17, memo, |_| {});
+                        let what = format!("{shape:?} n={n} {backend:?} hybrid={hybrid}");
+                        assert_eq!(a.best, b.best, "{what}");
+                        assert_eq!(a.best_violations, b.best_violations, "{what}");
+                        assert_eq!(a.top_solutions, b.top_solutions, "{what}");
+                        let trace = |o: &RunOutcome| -> Vec<(u64, f64)> {
+                            o.trace.iter().map(|p| (p.step, p.similarity)).collect()
+                        };
+                        assert_eq!(trace(&a), trace(&b), "{what}");
+                        assert_eq!(a.stats.steps, b.stats.steps, "{what}");
+                        assert_eq!(a.stats.improvements, b.stats.improvements, "{what}");
+                        assert_eq!(a.stats.restarts, b.stats.restarts, "{what}");
+                        let queries =
+                            |o: &RunOutcome| o.stats.cache.hits() + o.stats.cache.misses();
+                        assert_eq!(queries(&a), queries(&b), "{what}");
+                        assert!(a.stats.node_accesses >= b.stats.node_accesses, "{what}");
+                        assert_eq!(
+                            b.stats.access_profile.total(),
+                            b.stats.node_accesses,
+                            "attribution still sums: {what}"
+                        );
+                        saved += a.stats.node_accesses - b.stats.node_accesses;
+                        // A run whose last improvement is more than the
+                        // stagnation window before its end has re-seeded.
+                        let last = a.trace.last().expect("eager incumbent").step;
+                        restarted +=
+                            (a.stats.steps == GENERATIONS && last + 7 < GENERATIONS) as u32;
+                    }
+                }
+            }
+        }
+        assert!(saved > 0, "the memo never hit");
+        assert!(restarted > 0, "no run reached a stagnation restart");
+    }
+
+    #[test]
+    fn individuals_stay_consistent_through_every_generation() {
+        for hybrid in [false, true] {
+            let inst = hard_instance(92, QueryShape::Clique, 5, 300);
+            let cfg = SeaConfig {
+                stagnation_restart: 6,
+                seed_with_ils: hybrid,
+                ..SeaConfig::default_for(&inst)
+            };
+            let cache = WindowCache::with_memo(&inst, 256);
+            let mut generations = 0;
+            evolve_with(&Sea::new(cfg), &inst, 51, 18, cache, |pop| {
+                generations += 1;
+                for ind in pop {
+                    for v in 0..inst.n_vars() {
+                        assert_eq!(ind.rects[v], inst.rect(v, ind.sol.get(v)));
+                    }
+                    assert_eq!(ind.cs, inst.evaluate(&ind.sol));
+                }
+            });
+            assert_eq!(generations, 50, "the 51st stops before mutating");
         }
     }
 

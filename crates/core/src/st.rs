@@ -122,7 +122,11 @@ impl SynchronousTraversal {
             })
             .collect();
         state.stats.node_accesses += instance.n_vars() as u64;
-        expand(&mut state, &roots);
+        // `limit = 0` asks for nothing: `expand` would push the first
+        // solution before looking at the limit.
+        if limit > 0 {
+            expand(&mut state, &roots);
+        }
         let mut stats = state.stats;
         stats.elapsed = state.clock.elapsed();
         stats.steps = state.clock.steps();

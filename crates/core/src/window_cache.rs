@@ -17,6 +17,16 @@
 //! The variable's *own* assignment is irrelevant: the query depends only
 //! on the neighbour windows.
 //!
+//! One entry per variable forgets a neighbourhood the moment another
+//! solution asks about a different one. A population asks the same few
+//! questions over and over — tournament selection fills it with copies of
+//! good solutions — so [`WindowCache::with_memo`] adds a direct-mapped
+//! table behind the per-variable front, consulted after a front miss and
+//! before the traversal. Its key is everything the answer depends on
+//! (variable, raw or penalised mode and penalty version, every neighbour's
+//! assignment), stored and compared in full: two keys that share a slot
+//! evict each other, they never answer for each other.
+//!
 //! Because a cache hit returns a bit-identical result while skipping the
 //! traversal, node-access counts under the cache are ≤ the uncached
 //! counts and every other counter (steps, improvements, trajectories) is
@@ -39,7 +49,8 @@ use mwsj_query::{PenaltyTable, Solution, VarId};
 /// Cache telemetry for one variable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VarCacheStats {
-    /// Queries answered from the memoised result without a traversal.
+    /// Queries answered without a traversal: from the variable's own
+    /// memoised result or, behind it, from the neighbourhood memo.
     pub hits: u64,
     /// Queries that ran the index traversal (cold or invalidated).
     pub misses: u64,
@@ -133,6 +144,50 @@ struct VarWindows {
     penalty_version: u64,
 }
 
+/// The neighbourhood memo of [`WindowCache::with_memo`]: a direct-mapped
+/// table from a whole question to its answer.
+#[derive(Debug, Clone)]
+struct Memo {
+    /// `None` = never written.
+    slots: Vec<Option<MemoSlot>>,
+    /// Per slot: the question's neighbour assignments, `stride` apiece.
+    assignments: Vec<usize>,
+    /// The largest degree of the query graph.
+    stride: usize,
+}
+
+/// The fixed-size part of a memoised question, and the traversal's answer.
+#[derive(Debug, Clone, Copy)]
+struct MemoSlot {
+    var: VarId,
+    /// Penalty version; `None` = raw mode.
+    version: Option<u64>,
+    answer: Option<BestValue>,
+}
+
+impl Memo {
+    /// The slot a question maps to, and the answer if the slot holds exactly
+    /// that question.
+    fn probe(
+        &self,
+        var: VarId,
+        version: Option<u64>,
+        assignments: &[usize],
+    ) -> (usize, Option<Option<BestValue>>) {
+        let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        let seed = mix(var as u64, version.map_or(0, |v| v.wrapping_add(1)));
+        let hash = assignments.iter().fold(seed, |h, &a| mix(h, a as u64));
+        // The multiply pushes entropy upwards: index with the high half.
+        let slot = (hash >> 32) as usize & (self.slots.len() - 1);
+        let stored = &self.assignments[slot * self.stride..];
+        let same = |s: &MemoSlot| {
+            s.var == var && s.version == version && stored[..assignments.len()] == *assignments
+        };
+        let answer = self.slots[slot].filter(same).map(|s| s.answer);
+        (slot, answer)
+    }
+}
+
 /// Reusable window vectors + memoised results for repeated
 /// [`find_best_value`](crate::find_best_value) calls over one instance.
 ///
@@ -144,6 +199,7 @@ struct VarWindows {
 pub struct WindowCache {
     vars: Vec<VarWindows>,
     stats: Vec<VarCacheStats>,
+    memo: Option<Memo>,
 }
 
 impl WindowCache {
@@ -161,7 +217,33 @@ impl WindowCache {
             })
             .collect();
         let stats = vec![VarCacheStats::default(); instance.n_vars()];
-        WindowCache { vars, stats }
+        WindowCache {
+            vars,
+            stats,
+            memo: None,
+        }
+    }
+
+    /// [`WindowCache::new`] plus a neighbourhood memo of `slots` entries (a
+    /// power of two) — for a caller that interleaves queries about many
+    /// solutions, i.e. one that keeps a population. A memo hit is counted as
+    /// a hit, refreshes the variable's front entry and, like a front hit,
+    /// touches no access counter.
+    pub fn with_memo(instance: &Instance, slots: usize) -> Self {
+        assert!(slots.is_power_of_two(), "memo slots must be a power of two");
+        let graph = instance.graph();
+        let stride = (0..graph.n_vars())
+            .map(|v| graph.degree(v))
+            .max()
+            .unwrap_or(0);
+        WindowCache {
+            memo: Some(Memo {
+                slots: vec![None; slots],
+                assignments: vec![0; slots * stride],
+                stride,
+            }),
+            ..WindowCache::new(instance)
+        }
     }
 
     /// Drops every cached window and result (e.g. after swapping in an
@@ -173,6 +255,9 @@ impl WindowCache {
             entry.assignments.fill(usize::MAX);
             entry.windows.clear();
             entry.result = None;
+        }
+        if let Some(memo) = &mut self.memo {
+            memo.slots.fill(None);
         }
     }
 
@@ -227,6 +312,24 @@ impl WindowCache {
         node_accesses: &mut u64,
         level_accesses: &mut [u64],
     ) -> Option<BestValue> {
+        let tally = (node_accesses, level_accesses);
+        self.find_best_value_with(instance, sol, var, penalties, instance.rect_of(), tally)
+    }
+
+    /// [`WindowCache::find_best_value_leveled`] for a caller that keeps the
+    /// MBRs of `sol`'s assignments at hand: a changed neighbour's window is
+    /// read through `rect_of(neighbour, object)` — which must return what
+    /// [`Instance::rect`] would — instead of from the dataset's rectangle
+    /// array. `tally` is `(node_accesses, level_accesses)`.
+    pub(crate) fn find_best_value_with(
+        &mut self,
+        instance: &Instance,
+        sol: &Solution,
+        var: VarId,
+        penalties: Option<(&PenaltyTable, f64)>,
+        rect_of: impl Fn(VarId, usize) -> Rect,
+        tally: (&mut u64, &mut [u64]),
+    ) -> Option<BestValue> {
         let neighbors = instance.graph().neighbors(var);
         let entry = &mut self.vars[var];
 
@@ -237,7 +340,7 @@ impl WindowCache {
             for (slot, &(u, pred)) in neighbors.iter().enumerate() {
                 let assigned = sol.get(u);
                 entry.assignments[slot] = assigned;
-                entry.windows.push((pred, instance.rect(u, assigned)));
+                entry.windows.push((pred, rect_of(u, assigned)));
             }
             dirty = true;
         } else {
@@ -245,7 +348,7 @@ impl WindowCache {
                 let assigned = sol.get(u);
                 if entry.assignments[slot] != assigned {
                     entry.assignments[slot] = assigned;
-                    entry.windows[slot].1 = instance.rect(u, assigned);
+                    entry.windows[slot].1 = rect_of(u, assigned);
                     dirty = true;
                 }
             }
@@ -260,6 +363,21 @@ impl WindowCache {
             }
         }
 
+        // The front missed; has any solution asked this whole question?
+        let version = penalties.map(|_| penalty_version);
+        let memo_slot = match &self.memo {
+            None => None,
+            Some(memo) => match memo.probe(var, version, &entry.assignments) {
+                (_, Some(answer)) => {
+                    self.stats[var].hits += 1;
+                    entry.result = Some(answer);
+                    entry.penalty_version = penalty_version;
+                    return answer;
+                }
+                (slot, None) => Some(slot),
+            },
+        };
+
         // Traversal required; classify why a memoised result didn't serve.
         let var_stats = &mut self.stats[var];
         var_stats.misses += 1;
@@ -272,24 +390,27 @@ impl WindowCache {
             // (neither: the memoised result was dropped by `clear`)
         }
 
-        let result = best_value_in_windows(
-            instance,
-            var,
-            &entry.windows,
-            penalties,
-            node_accesses,
-            level_accesses,
-        );
-        let entry = &mut self.vars[var];
+        let result =
+            best_value_in_windows(instance, var, &entry.windows, penalties, tally.0, tally.1);
         entry.result = Some(result);
         entry.penalty_version = penalty_version;
+        if let (Some(memo), Some(slot)) = (&mut self.memo, memo_slot) {
+            memo.slots[slot] = Some(MemoSlot {
+                var,
+                version,
+                answer: result,
+            });
+            memo.assignments[slot * memo.stride..][..entry.assignments.len()]
+                .copy_from_slice(&entry.assignments);
+        }
         result
     }
 }
 
 impl MemoryFootprint for WindowCache {
     /// Length-based resident bytes: the per-variable window/assignment
-    /// vectors, the telemetry counters and the per-variable headers.
+    /// vectors, the telemetry counters, the per-variable headers and the
+    /// neighbourhood memo's table.
     fn memory_bytes(&self) -> u64 {
         let per_entry: u64 = self
             .vars
@@ -302,7 +423,11 @@ impl MemoryFootprint for WindowCache {
             .sum();
         let headers = (self.vars.len() * std::mem::size_of::<VarWindows>()) as u64;
         let stats = (self.stats.len() * std::mem::size_of::<VarCacheStats>()) as u64;
-        per_entry + headers + stats
+        let memo = self.memo.as_ref().map_or(0, |m| {
+            std::mem::size_of_val(m.slots.as_slice())
+                + std::mem::size_of_val(m.assignments.as_slice())
+        }) as u64;
+        per_entry + headers + stats + memo
     }
 }
 
@@ -452,6 +577,83 @@ mod tests {
             0,
             "a cleared result is a cold miss, not an invalidation"
         );
+    }
+
+    #[test]
+    fn memo_answers_a_question_the_front_has_forgotten() {
+        let inst = random_instance(75, 4, 300);
+        let mut rng = StdRng::seed_from_u64(76);
+        let a = inst.random_solution(&mut rng);
+        let mut b = a.clone();
+        b.set(1, (a.get(1) + 1) % 300); // a neighbour of variable 0
+        let mut cache = WindowCache::with_memo(&inst, 64);
+        let mut levels = vec![0u64; inst.tree(0).height() as usize];
+        let mut acc = 0;
+        let first = cache.find_best_value_leveled(&inst, &a, 0, None, &mut acc, &mut levels);
+        let other = cache.find_best_value_leveled(&inst, &b, 0, None, &mut acc, &mut levels);
+        let walked = (acc, levels.clone());
+        // The front now holds b's neighbourhood; a's is in the memo.
+        let again = cache.find_best_value_leveled(&inst, &a, 0, None, &mut acc, &mut levels);
+        assert_eq!(again, first);
+        assert_eq!(again, find_best_value(&inst, &a, 0, None, &mut 0));
+        assert_eq!(other, find_best_value(&inst, &b, 0, None, &mut 0));
+        assert_eq!(
+            (acc, levels.clone()),
+            walked,
+            "a memo hit touches no counter"
+        );
+        // ... and the hit refreshed the front: the same question is now a
+        // front hit even in a cache whose memo has been emptied.
+        let stats = cache.stats();
+        assert_eq!(stats.per_var[0].hits, 1);
+        assert_eq!(stats.per_var[0].misses, 2);
+        assert_eq!(stats.per_var[0].invalidations_reassign, 1, "b's miss only");
+        cache.memo.as_mut().unwrap().slots.fill(None);
+        assert_eq!(cache.find_best_value(&inst, &a, 0, None, &mut acc), first);
+        assert_eq!(acc, walked.0);
+        assert_eq!(cache.stats().per_var[0].hits, 2);
+
+        // `clear` empties front and memo alike.
+        cache.find_best_value(&inst, &b, 0, None, &mut acc);
+        cache.clear();
+        let before = acc;
+        assert_eq!(cache.find_best_value(&inst, &a, 0, None, &mut acc), first);
+        assert!(acc > before, "a cleared memo must not answer");
+
+        // The table is counted: 64 slots of a header and 3 assignments.
+        let slot = std::mem::size_of::<Option<MemoSlot>>() + 3 * 8;
+        let plain = WindowCache::new(&inst).memory_bytes();
+        let memo = WindowCache::with_memo(&inst, 64).memory_bytes();
+        assert_eq!(memo - plain, 64 * slot as u64);
+    }
+
+    #[test]
+    fn questions_sharing_a_slot_evict_but_never_answer_for_each_other() {
+        let inst = random_instance(77, 4, 300);
+        let mut cache = WindowCache::with_memo(&inst, 1024);
+        // Brute-force two neighbourhoods of variable 0 into one slot.
+        let memo = cache.memo.as_ref().unwrap();
+        let slot_of = |x: usize, y: usize| memo.probe(0, None, &[x, y, 9]).0;
+        let (x, y) = (1..300)
+            .flat_map(|x| (0..300).map(move |y| (x, y)))
+            .find(|&(x, y)| slot_of(x, y) == slot_of(0, 0))
+            .expect("90 000 keys over 1 024 slots: many share a slot with (0, 0)");
+        let a = Solution::new(vec![5, 0, 0, 9]);
+        let b = Solution::new(vec![5, x, y, 9]);
+        let mut acc = 0;
+        for sol in [&a, &b, &a, &b] {
+            let before = acc;
+            let got = cache.find_best_value(&inst, sol, 0, None, &mut acc);
+            assert_eq!(got, find_best_value(&inst, sol, 0, None, &mut 0));
+            assert!(acc > before, "the other question's slot must not answer");
+        }
+        assert_ne!(
+            find_best_value(&inst, &a, 0, None, &mut 0),
+            find_best_value(&inst, &b, 0, None, &mut 0),
+            "the two questions have different answers"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits(), stats.misses()), (0, 4));
     }
 
     #[test]

@@ -78,7 +78,11 @@ impl WindowReduction {
             truncated: false,
         };
         let mut assignment = vec![usize::MAX; instance.n_vars()];
-        descend(&mut state, 0, &mut assignment);
+        // `limit = 0` asks for nothing: `descend` would push the first
+        // solution before looking at the limit.
+        if limit > 0 {
+            descend(&mut state, 0, &mut assignment);
+        }
         let mut stats = state.stats;
         stats.elapsed = state.clock.elapsed();
         stats.steps = state.clock.steps();

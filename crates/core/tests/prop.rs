@@ -178,6 +178,41 @@ proptest! {
             sol.set(v, rng.random_range(0..inst.cardinality(v)));
         }
         prop_assert!(cached_acc <= fresh_acc, "cache may only save node accesses");
+
+        // The neighbourhood memo, driven the way a population drives it:
+        // several solutions interleaved, copied over one another, each
+        // mutated between its queries, raw and λ-penalised questions mixed
+        // with penalties landing mid-stream — and a table of 4 slots, so
+        // questions evict each other all the time.
+        let mut pop: Vec<Solution> = (0..4).map(|_| inst.random_solution(&mut rng)).collect();
+        let mut plain = WindowCache::new(&inst);
+        let mut memo = WindowCache::with_memo(&inst, 4);
+        let mut table = PenaltyTable::new();
+        const QUERIES: u64 = 80;
+        for round in 0..QUERIES {
+            let i = rng.random_range(0..pop.len());
+            if round % 3 == 0 {
+                pop[i] = pop[rng.random_range(0..pop.len())].clone();
+            }
+            let var = rng.random_range(0..inst.n_vars());
+            let penalties = (round % 4 == 3).then_some((&table, 0.3));
+            let fresh = find_best_value(&inst, &pop[i], var, penalties, &mut 0);
+            let (mut plain_acc, mut memo_acc) = (0u64, 0u64);
+            prop_assert_eq!(plain.find_best_value(&inst, &pop[i], var, penalties, &mut plain_acc), fresh);
+            prop_assert_eq!(memo.find_best_value(&inst, &pop[i], var, penalties, &mut memo_acc), fresh);
+            prop_assert!(memo_acc <= plain_acc, "a memo may only save node accesses");
+            if round % 7 == 6 {
+                table.penalize_local_maximum(&pop[i]);
+            }
+            if round % 2 == 0 {
+                let v = rng.random_range(0..inst.n_vars());
+                pop[i].set(v, rng.random_range(0..inst.cardinality(v)));
+            }
+        }
+        for stats in [plain.stats(), memo.stats()] {
+            prop_assert_eq!(stats.hits() + stats.misses(), QUERIES, "every query classified");
+        }
+        prop_assert!(memo.stats().hits() >= plain.stats().hits());
     }
 
     /// Exhaustive IBB equals the brute-force optimum on every instance.
@@ -257,6 +292,20 @@ proptest! {
         .collect::<Result<_, _>>()?;
         prop_assert_eq!(&sets[0], &sets[1]);
         prop_assert_eq!(&sets[0], &sets[2]);
+
+        // Under a limit each returns that many members of the set (which
+        // ones is the algorithm's enumeration order), none for `limit = 0`.
+        for limit in 0..=2 {
+            for (name, outcome) in [
+                ("wr", WindowReduction::new().run(&inst, &budget, limit)),
+                ("st", SynchronousTraversal::new().run(&inst, &budget, limit)),
+                ("pjm", Pjm::default().run(&inst, &budget, limit)),
+            ] {
+                prop_assert_eq!(outcome.solutions.len(), limit.min(sets[0].len()), "{} limit {}", name, limit);
+                prop_assert!(outcome.solutions.iter().all(|s| sets[0].contains(s)), "{} limit {}", name, limit);
+                prop_assert!(outcome.complete || limit <= sets[0].len(), "{} limit {}", name, limit);
+            }
+        }
     }
 
     /// Heuristic convergence traces are monotone: similarity never

@@ -11,7 +11,7 @@ use crate::{QueryGraph, Solution, VarId};
 use mwsj_geom::Rect;
 
 /// Violation state of one solution under one query graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ConflictState {
     /// Per-edge violation flags, indexed like [`QueryGraph::edges`].
     violated: Vec<bool>,
@@ -21,30 +21,59 @@ pub struct ConflictState {
     total: usize,
 }
 
+impl Clone for ConflictState {
+    fn clone(&self) -> Self {
+        ConflictState {
+            violated: self.violated.clone(),
+            conflicts: self.conflicts.clone(),
+            total: self.total,
+        }
+    }
+
+    /// Reuses `self`'s vectors (the derive's would drop and reallocate them).
+    fn clone_from(&mut self, source: &Self) {
+        self.violated.clone_from(&source.violated);
+        self.conflicts.clone_from(&source.conflicts);
+        self.total = source.total;
+    }
+}
+
 impl ConflictState {
     /// Evaluates `sol` from scratch in O(E).
     pub fn evaluate<F>(graph: &QueryGraph, sol: &Solution, rect_of: F) -> Self
     where
         F: Fn(VarId, usize) -> Rect,
     {
+        let mut state = ConflictState {
+            violated: Vec::new(),
+            conflicts: Vec::new(),
+            total: 0,
+        };
+        state.evaluate_into(graph, sol, rect_of);
+        state
+    }
+
+    /// [`ConflictState::evaluate`] in place: whatever `self` held is
+    /// overwritten and its vectors are reused.
+    pub fn evaluate_into<F>(&mut self, graph: &QueryGraph, sol: &Solution, rect_of: F)
+    where
+        F: Fn(VarId, usize) -> Rect,
+    {
         assert_eq!(sol.len(), graph.n_vars());
-        let mut violated = vec![false; graph.edge_count()];
-        let mut conflicts = vec![0u32; graph.n_vars()];
-        let mut total = 0usize;
+        self.violated.clear();
+        self.violated.resize(graph.edge_count(), false);
+        self.conflicts.clear();
+        self.conflicts.resize(graph.n_vars(), 0);
+        self.total = 0;
         for (i, e) in graph.edges().iter().enumerate() {
             let ra = rect_of(e.a, sol.get(e.a));
             let rb = rect_of(e.b, sol.get(e.b));
             if !e.pred.eval(&ra, &rb) {
-                violated[i] = true;
-                conflicts[e.a] += 1;
-                conflicts[e.b] += 1;
-                total += 1;
+                self.violated[i] = true;
+                self.conflicts[e.a] += 1;
+                self.conflicts[e.b] += 1;
+                self.total += 1;
             }
-        }
-        ConflictState {
-            violated,
-            conflicts,
-            total,
         }
     }
 
@@ -111,6 +140,28 @@ impl ConflictState {
                     self.total -= 1;
                 }
             }
+        }
+    }
+
+    /// The variables tied for worst — most conflicts, then fewest satisfied
+    /// conditions — written to `tied` in index order: the leading run of
+    /// [`ConflictState::vars_by_badness`] with equal keys, found in one pass
+    /// without sorting or allocating.
+    pub fn worst_tied(&self, graph: &QueryGraph, tied: &mut Vec<VarId>) {
+        tied.clear();
+        let key = |v: VarId| {
+            (
+                std::cmp::Reverse(self.conflicts[v]),
+                self.satisfied_of(graph, v),
+            )
+        };
+        for v in 0..graph.n_vars() {
+            match tied.first().map(|&worst| key(v).cmp(&key(worst))) {
+                Some(std::cmp::Ordering::Greater) => continue,
+                Some(std::cmp::Ordering::Less) => tied.clear(),
+                Some(std::cmp::Ordering::Equal) | None => {}
+            }
+            tied.push(v);
         }
     }
 
@@ -233,5 +284,81 @@ mod tests {
         let cs = ConflictState::evaluate(&g, &sol, rect_of(&data));
         assert_eq!(cs.total_violations(), 2); // v3 misses both others
         assert!((cs.similarity(&g) - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    /// Random rectangles for `n` variables of `objs` objects each, and a
+    /// random connected graph over them.
+    fn random_problem(rng: &mut StdRng, n: usize, objs: usize) -> (QueryGraph, Vec<Vec<Rect>>) {
+        let data = (0..n)
+            .map(|_| {
+                (0..objs)
+                    .map(|_| {
+                        let x: f64 = rng.random_range(0.0..1.0);
+                        let y: f64 = rng.random_range(0.0..1.0);
+                        Rect::new(x, y, x + 0.3, y + 0.3)
+                    })
+                    .collect()
+            })
+            .collect();
+        (QueryGraph::random_connected(n, 0.5, rng), data)
+    }
+
+    fn random_solution(rng: &mut StdRng, n: usize, objs: usize) -> Solution {
+        Solution::new((0..n).map(|_| rng.random_range(0..objs)).collect())
+    }
+
+    #[test]
+    fn worst_tied_is_the_leading_run_of_vars_by_badness() {
+        let mut rng = StdRng::seed_from_u64(101);
+        let mut tied = vec![7, 7, 7]; // dirty on purpose
+        let mut widest = 0;
+        for round in 0..1_000 {
+            let n = 2 + round % 9;
+            let (g, data) = random_problem(&mut rng, n, 6);
+            let cs = ConflictState::evaluate(&g, &random_solution(&mut rng, n, 6), rect_of(&data));
+            let order = cs.vars_by_badness(&g);
+            let key = |v: VarId| (cs.conflicts_of(v), cs.satisfied_of(&g, v));
+            let run = order
+                .iter()
+                .take_while(|&&v| key(v) == key(order[0]))
+                .count();
+            cs.worst_tied(&g, &mut tied);
+            // Equal slices: the same variable at every tie index.
+            assert_eq!(tied, order[..run], "round {round}");
+            widest = widest.max(run);
+        }
+        assert!(widest >= 3, "the rounds must include real ties");
+    }
+
+    #[test]
+    fn evaluate_into_over_dirty_storage_equals_evaluate() {
+        let mut rng = StdRng::seed_from_u64(102);
+        let (g0, data0) = random_problem(&mut rng, 9, 5);
+        let mut state = ConflictState::evaluate(&g0, &Solution::new(vec![0; 9]), rect_of(&data0));
+        for round in 0..300 {
+            // Alternate between smaller and larger graphs than the last.
+            let n = 2 + (round * 5) % 9;
+            let (g, data) = random_problem(&mut rng, n, 5);
+            let sol = random_solution(&mut rng, n, 5);
+            state.evaluate_into(&g, &sol, rect_of(&data));
+            assert_eq!(state, ConflictState::evaluate(&g, &sol, rect_of(&data)));
+        }
+    }
+
+    #[test]
+    fn clone_from_equals_clone_from_longer_and_shorter_sources() {
+        let mut rng = StdRng::seed_from_u64(103);
+        let states: Vec<ConflictState> = [4, 9, 2, 9, 3]
+            .into_iter()
+            .map(|n| {
+                let (g, data) = random_problem(&mut rng, n, 5);
+                ConflictState::evaluate(&g, &random_solution(&mut rng, n, 5), rect_of(&data))
+            })
+            .collect();
+        let mut target = states[0].clone();
+        for source in &states {
+            target.clone_from(source);
+            assert_eq!(target, source.clone());
+        }
     }
 }

@@ -10,9 +10,20 @@ use std::fmt;
 ///
 /// A solution is *exact* when it violates no join condition and
 /// *approximate* otherwise; see [`QueryGraph`]-based evaluation below.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Solution {
     assignment: Vec<usize>,
+}
+
+impl Clone for Solution {
+    fn clone(&self) -> Self {
+        Solution::new(self.assignment.clone())
+    }
+
+    /// Reuses `self`'s vector (the derive's would drop and reallocate it).
+    fn clone_from(&mut self, source: &Self) {
+        self.assignment.clone_from(&source.assignment);
+    }
 }
 
 impl Solution {
@@ -203,5 +214,16 @@ mod tests {
         assert_eq!(g.similarity_of_violations(0), 1.0);
         assert_eq!(g.similarity_of_violations(6), 0.0);
         assert!((g.similarity_of_violations(3) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn clone_from_equals_clone_from_longer_and_shorter_sources() {
+        let mut target = Solution::new(vec![1, 2, 3]);
+        for source in [vec![4, 5, 6, 7, 8], vec![9], vec![], vec![3, 1, 4]] {
+            let source = Solution::new(source);
+            target.clone_from(&source);
+            assert_eq!(target, source.clone());
+            assert_eq!(target.as_slice(), source.as_slice());
+        }
     }
 }
