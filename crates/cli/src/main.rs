@@ -285,12 +285,20 @@ fn cmd_info(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
             .rects()
             .iter()
             .fold(mwsj_geom::Rect::EMPTY, |acc, r| acc.union(r));
+        // `Rect`'s own `Display`, but a coordinate near `f64::MAX` in
+        // exponent form rather than in its 309 digits.
+        let [x0, x1, y0, y1] = [bbox.min.x, bbox.max.x, bbox.min.y, bbox.max.y].map(|c| {
+            if c.abs() >= 1e16 {
+                format!("{c:e}")
+            } else {
+                c.to_string()
+            }
+        });
         writeln!(
             stdout,
-            "{path}: {} objects, realized density {:.4}, bbox {}",
+            "{path}: {} objects, realized density {}, bbox [{x0}, {x1}]x[{y0}, {y1}]",
             ds.len(),
-            ds.realized_density(),
-            bbox
+            report::fixed(ds.realized_density(), 4),
         )?;
     }
     if args.values("data").is_empty() {

@@ -182,10 +182,36 @@ pub fn explain_text(report: &ExplainReport) -> String {
     lines.join("\n") + "\n"
 }
 
+/// What stands for a float that is not finite. The event stream carries
+/// one as `null`, which reads back as NaN whatever it was, so `mwsj explain`
+/// (printing the report it built) and `mwsj report` (printing the one it
+/// read) can only agree on a spelling that does not tell ±∞ from NaN.
+const NON_FINITE: &str = "non-finite";
+
+/// `x` to `decimals` places; a magnitude of 1e16 or more in exponent form
+/// instead of its hundreds of digits, a non-finite one as [`NON_FINITE`].
+pub fn fixed(x: f64, decimals: usize) -> String {
+    match x.abs() {
+        m if !m.is_finite() => NON_FINITE.into(),
+        m if m >= 1e16 => format!("{x:.decimals$e}"),
+        _ => format!("{x:.decimals$}"),
+    }
+}
+
+/// `x` in exponent form, six places.
+fn scientific(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x:.6e}")
+    } else {
+        NON_FINITE.into()
+    }
+}
+
 fn explain_lines(report: &ExplainReport, lines: &mut Vec<String>) {
     lines.push(format!(
-        "explain: {} model, E[solutions] = {:.4}",
-        report.model, report.expected_solutions
+        "explain: {} model, E[solutions] = {}",
+        report.model,
+        fixed(report.expected_solutions, 4)
     ));
     lines.push("edges (estimated vs observed selectivity):".into());
     lines.push(format!(
@@ -195,9 +221,13 @@ fn explain_lines(report: &ExplainReport, lines: &mut Vec<String>) {
     for e in &report.edges {
         let (obs, pairs, err) = match (e.observed_selectivity, e.observed_pairs) {
             (Some(sel), Some(pairs)) => (
-                format!("{sel:.6e}"),
+                scientific(sel),
                 pairs.to_string(),
-                e.error_factor().map_or("-".into(), |f| format!("{f:.2}x")),
+                match e.error_factor() {
+                    Some(f) if f.is_finite() => format!("{}x", fixed(f, 2)),
+                    Some(_) => NON_FINITE.into(),
+                    None => "-".into(),
+                },
             ),
             _ => ("-".into(), "-".into(), "-".into()),
         };
@@ -205,7 +235,7 @@ fn explain_lines(report: &ExplainReport, lines: &mut Vec<String>) {
             "  {:<6} {:<12} {:>13} {:>13} {:>10} {:>8}",
             format!("{}-{}", e.a, e.b),
             e.predicate,
-            format!("{:.6e}", e.estimated_selectivity),
+            scientific(e.estimated_selectivity),
             obs,
             pairs,
             err
@@ -214,22 +244,24 @@ fn explain_lines(report: &ExplainReport, lines: &mut Vec<String>) {
     lines.push("variables (window cost model and R*-tree quality):".into());
     for v in &report.vars {
         lines.push(format!(
-            "  var{}: N={}, avg extent {:.6}, E[window hits] {:.4}, \
-             predicted accesses/query {:.2}",
+            "  var{}: N={}, avg extent {}, E[window hits] {}, \
+             predicted accesses/query {}",
             v.var,
             v.cardinality,
-            v.avg_extent,
-            v.expected_window_hits,
-            v.predicted_accesses_per_query
+            fixed(v.avg_extent, 6),
+            fixed(v.expected_window_hits, 4),
+            fixed(v.predicted_accesses_per_query, 2)
         ));
         let t = &v.tree;
         lines.push(format!(
-            "    tree: height {}, {} nodes, avg fill {:.3}",
-            t.height, t.nodes, t.avg_fill
+            "    tree: height {}, {} nodes, avg fill {}",
+            t.height,
+            t.nodes,
+            fixed(t.avg_fill, 3)
         ));
         let fmt3 = |xs: &[f64]| {
             xs.iter()
-                .map(|x| format!("{x:.3}"))
+                .map(|&x| fixed(x, 3))
                 .collect::<Vec<_>>()
                 .join(" ")
         };
@@ -242,15 +274,15 @@ fn explain_lines(report: &ExplainReport, lines: &mut Vec<String>) {
         ));
         if let Some(g) = &v.grid {
             lines.push(format!(
-                "    grid: {} cells ({} occupied), replication {:.3}, occupancy avg {:.1} max {}, \
-                 predicted cells/query {:.2}, predicted swept entries/query {:.2}",
+                "    grid: {} cells ({} occupied), replication {}, occupancy avg {} max {}, \
+                 predicted cells/query {}, predicted swept entries/query {}",
                 g.cells,
                 g.occupied_cells,
-                g.replication_factor,
-                g.avg_occupancy,
+                fixed(g.replication_factor, 3),
+                fixed(g.avg_occupancy, 1),
                 g.max_occupancy,
-                g.predicted_cells_per_query,
-                g.predicted_cost_per_query
+                fixed(g.predicted_cells_per_query, 2),
+                fixed(g.predicted_cost_per_query, 2)
             ));
         }
     }

@@ -409,6 +409,11 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
         Prints(&'static str),
         /// Exit 0 and the `run_start` event of `--metrics-out` holds this.
         Announces(&'static str),
+        /// Exit 0 and stdout holds this.
+        Mentions(&'static str),
+        /// Exit 0, stdout holds this, and `mwsj report` renders the event
+        /// `--metrics-out` wrote exactly as stdout rendered the report.
+        ReportsAsPrinted(&'static str),
     }
     use Expect::*;
     let join_wr = ["join", "--data", a, "--data", a, "--query", "0-1"];
@@ -416,7 +421,15 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     let metrics = metrics.to_str().unwrap();
     let no_iterations = "error: --iterations must be at least 1";
     let nothing = "0 exact solutions (truncated)";
-    let rows: [(&[&str], &[&str], Expect); 35] = [
+    // Coordinates near `f64::MAX`: areas, extents and selectivities
+    // overflow, which must read the same from stdout as from the event.
+    let huge = dir.join("huge.csv");
+    std::fs::write(&huge, "1e308,1e308,1.7e308,1.7e308\n-1e308,0,1,1\n").unwrap();
+    let huge = huge.to_str().unwrap();
+    let explain_huge = ["explain", "--data", huge, "--data", huge, "--query", "0-1"];
+    let explained = dir.join("explain.jsonl");
+    let explained = explained.to_str().unwrap();
+    let rows: [(&[&str], &[&str], Expect); 37] = [
         (&solve, &["--seconds", "inf"], NotSeconds),
         (&solve, &["--seconds", "1e20"], NotSeconds),
         (&solve, &["--seconds", "-3"], NotSeconds),
@@ -487,6 +500,16 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
             Prints(nothing),
         ),
         (&join, &["--limit", "0"], Prints(nothing)),
+        (
+            &explain_huge,
+            &["--metrics-out", explained],
+            ReportsAsPrinted("E[solutions] = non-finite"),
+        ),
+        (
+            &["info"],
+            &["--data", huge],
+            Mentions("bbox [-1e308, 1.7e308]x[0, 1.7e308]"),
+        ),
     ];
     // Everything `join` prints but the elapsed time of its first line.
     let solutions = |stdout: &[u8]| {
@@ -521,6 +544,21 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
                 assert_eq!(out.status.code(), Some(0), "{hostile:?}: {stderr}");
                 let stdout = String::from_utf8_lossy(&out.stdout);
                 assert!(stdout.starts_with(head), "{hostile:?}: {stdout}");
+                continue;
+            }
+            Mentions(text) | ReportsAsPrinted(text) => {
+                assert_eq!(out.status.code(), Some(0), "{hostile:?}: {stderr}");
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                assert!(stdout.contains(text), "{hostile:?}: {stdout}");
+                if let ReportsAsPrinted(_) = expect {
+                    let report = mwsj().args(["report", value]).output().unwrap();
+                    assert!(report.status.success());
+                    // Between `report`'s schema line and `explain`'s
+                    // "wrote …" line, the two print the one report.
+                    let report = String::from_utf8_lossy(&report.stdout);
+                    let printed = &stdout[..stdout.rfind("wrote ").expect("wrote line")];
+                    assert!(report.ends_with(printed), "{report}\nvs\n{printed}");
+                }
                 continue;
             }
             Announces(member) => {

@@ -32,6 +32,10 @@ use mwsj_rtree::{grid, multiwindow};
 pub struct BestValue {
     /// The best object of the variable's dataset.
     pub object: usize,
+    /// Its MBR — [`Instance::rect`]`(var, object)`, read where the
+    /// traversal found it, so a caller that keeps its assignment's
+    /// rectangles at hand need not look it up.
+    pub rect: Rect,
     /// Number of join conditions the object satisfies against the current
     /// assignments of the variable's neighbours.
     pub satisfied: u32,
@@ -120,6 +124,7 @@ pub(crate) fn best_value_in_windows(
     }?;
     Some(BestValue {
         object: best.value as usize,
+        rect: best.rect,
         satisfied: best.satisfied,
         effective: best.score,
     })
@@ -170,6 +175,7 @@ mod tests {
             if better {
                 best = Some(BestValue {
                     object: obj,
+                    rect: r,
                     satisfied: count,
                     effective,
                 });

@@ -11,6 +11,7 @@
 
 use crate::budget::{SearchBudget, SearchContext};
 use crate::driver::{run_driven, DriveSearch, SearchDriver};
+use crate::individual::Individual;
 use crate::instance::Instance;
 use crate::result::RunOutcome;
 use crate::window_cache::WindowCache;
@@ -101,6 +102,21 @@ impl DriveSearch for Gils {
     const PHASE: &'static str = "gils";
 
     fn drive(&self, instance: &Instance, driver: &mut SearchDriver, rng: &mut StdRng) {
+        self.climb(instance, driver, rng, |_| {});
+    }
+}
+
+impl Gils {
+    /// The search itself; `after_step` sees the climbing solution at the
+    /// end of every step (the tests' window onto the invariants of
+    /// [`Individual`]).
+    fn climb(
+        &self,
+        instance: &Instance,
+        driver: &mut SearchDriver,
+        rng: &mut StdRng,
+        mut after_step: impl FnMut(&Individual),
+    ) {
         let graph = instance.graph();
         let lambda = self
             .config
@@ -110,9 +126,8 @@ impl DriveSearch for Gils {
         let mut cache = WindowCache::new(instance);
 
         // Single seed for the whole run (Fig. 7).
-        let mut sol = instance.random_solution(rng);
-        let mut cs = instance.evaluate(&sol);
-        driver.offer(&sol, cs.total_violations());
+        let mut ind = Individual::new(instance, instance.random_solution(rng));
+        driver.offer(&ind.sol, ind.cs.total_violations());
         driver.stats_mut().restarts = 1;
         let mut rounds_since_improvement: u64 = 0;
         let mut last_best = driver.best_violations();
@@ -127,40 +142,35 @@ impl DriveSearch for Gils {
                 }
                 let mut improved = false;
                 any_candidate = false;
-                for v in cs.vars_by_badness(graph) {
+                for v in ind.cs.vars_by_badness(graph) {
                     if driver.exhausted() {
                         break 'time;
                     }
                     driver.step();
-                    let cur_obj = sol.get(v);
-                    let cur_eff = cs.satisfied_of(graph, v) as f64
+                    let cur_obj = ind.sol.get(v);
+                    let cur_eff = ind.cs.satisfied_of(graph, v) as f64
                         - lambda * penalties.get(v, cur_obj) as f64;
-                    if let Some(best) = {
-                        let (acc, levels) = driver.tally(v);
-                        cache.find_best_value_leveled(
-                            instance,
-                            &sol,
-                            v,
-                            Some((&penalties, lambda)),
-                            acc,
-                            levels,
-                        )
-                    } {
-                        any_candidate = true;
-                        if best.object != cur_obj && best.effective > cur_eff {
-                            cs.reassign(graph, &mut sol, v, best.object, instance.rect_of());
-                            driver.offer(&sol, cs.total_violations());
-                            if cs.total_violations() == 0 {
-                                // Exact solution: nothing can beat similarity 1.
-                                break 'time;
-                            }
-                            improved = true;
-                            break;
-                        }
+                    let guided = Some((&penalties, lambda));
+                    let best = ind.best_value(&mut cache, instance, v, guided, driver.tally(v));
+                    any_candidate |= best.is_some();
+                    if let Some(best) =
+                        best.filter(|best| best.object != cur_obj && best.effective > cur_eff)
+                    {
+                        ind.assign(graph, v, &best);
+                        driver.offer(&ind.sol, ind.cs.total_violations());
+                        improved = true;
+                    }
+                    after_step(&ind);
+                    if improved {
+                        break;
                     }
                 }
                 if !improved {
                     break;
+                }
+                if ind.cs.total_violations() == 0 {
+                    // Exact solution: nothing can beat similarity 1.
+                    break 'time;
                 }
             }
 
@@ -177,7 +187,7 @@ impl DriveSearch for Gils {
             if any_candidate && !stagnated {
                 // Local maximum: punish its minimum-penalty assignments and
                 // continue from the same solution (no restart).
-                penalties.penalize_local_maximum(&sol);
+                penalties.penalize_local_maximum(&ind.sol);
             } else {
                 // Degenerate maximum (no variable has *any* candidate, so
                 // punishment teaches nothing) or prolonged stagnation:
@@ -190,9 +200,8 @@ impl DriveSearch for Gils {
                 }
                 driver.stats_mut().restarts += 1;
                 rounds_since_improvement = 0;
-                sol = instance.random_solution(rng);
-                cs = instance.evaluate(&sol);
-                driver.offer(&sol, cs.total_violations());
+                ind.reseed(instance, None, rng);
+                driver.offer(&ind.sol, ind.cs.total_violations());
             }
             driver.sample_cache(&cache);
         }
@@ -255,6 +264,28 @@ mod tests {
             outcome.stats.local_maxima,
             outcome.stats.restarts
         );
+    }
+
+    /// The analogue of SEA's `individuals_stay_consistent_…`: after every
+    /// step — reseeds included — the carried rectangles and evaluation are
+    /// those of the solution.
+    #[test]
+    fn the_climber_stays_consistent_through_every_step() {
+        let inst = hard_instance(78, QueryShape::Clique, 5, 300);
+        let ctx = SearchContext::local(SearchBudget::iterations(2_000));
+        let mut driver = SearchDriver::new(&inst, &ctx);
+        let gils = Gils::new(GilsConfig {
+            stagnation_reseed: 3,
+            ..GilsConfig::default()
+        });
+        let mut steps = 0;
+        gils.climb(&inst, &mut driver, &mut StdRng::seed_from_u64(79), |ind| {
+            steps += 1;
+            ind.assert_consistent(&inst);
+        });
+        assert_eq!(steps, 2_000);
+        let outcome = driver.finish(&inst, &mut StdRng::seed_from_u64(0));
+        assert!(outcome.stats.restarts > 1, "no reseed was exercised");
     }
 
     #[test]

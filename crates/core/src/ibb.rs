@@ -135,7 +135,8 @@ impl Ibb {
         };
 
         let mut assignment = vec![usize::MAX; instance.n_vars()];
-        let exact_found = descend(&mut state, 0, &mut assignment, 0);
+        let mut rects = vec![Rect::EMPTY; instance.n_vars()];
+        let exact_found = descend(&mut state, 0, &mut assignment, &mut rects, 0);
 
         let proven_optimal = !state.truncated || (exact_found && state.stop_at_exact);
         driver.finish_systematic(instance, proven_optimal)
@@ -143,11 +144,13 @@ impl Ibb {
 }
 
 /// Depth-first search. Returns `true` if an exact solution was found and
-/// the search should stop.
+/// the search should stop. `rects[v]` is the MBR of `assignment[v]` for
+/// every instantiated `v`.
 fn descend(
     state: &mut SearchState<'_, '_>,
     depth: usize,
     assignment: &mut [usize],
+    rects: &mut [Rect],
     violations_so_far: usize,
 ) -> bool {
     let instance = state.instance;
@@ -168,7 +171,7 @@ fn descend(
         .neighbors(var)
         .iter()
         .filter(|&&(u, _)| state.position[u] < depth)
-        .map(|&(u, pred)| (pred, instance.rect(u, assignment[u])))
+        .map(|&(u, pred)| (pred, rects[u]))
         .collect();
     let assigned_neighbors = windows.len() as u32;
 
@@ -198,8 +201,8 @@ fn descend(
             return false;
         }
         state.driver.step();
-        assignment[var] = obj;
-        if descend(state, depth + 1, assignment, new_violations) {
+        (assignment[var], rects[var]) = (obj, instance.rect(var, obj));
+        if descend(state, depth + 1, assignment, rects, new_violations) {
             return true;
         }
     }
@@ -208,7 +211,7 @@ fn descend(
     // every remaining object violates all `assigned_neighbors` conditions.
     let zero_violations = violations_so_far + assigned_neighbors as usize;
     if zero_violations < state.driver.bound() {
-        for obj in 0..instance.cardinality(var) {
+        for (obj, rect) in instance.scan(var) {
             if positive.contains(&obj) {
                 continue;
             }
@@ -221,8 +224,8 @@ fn descend(
                 return false;
             }
             state.driver.step();
-            assignment[var] = obj;
-            if descend(state, depth + 1, assignment, zero_violations) {
+            (assignment[var], rects[var]) = (obj, rect);
+            if descend(state, depth + 1, assignment, rects, zero_violations) {
                 return true;
             }
         }

@@ -10,6 +10,7 @@
 
 use crate::budget::{SearchBudget, SearchContext};
 use crate::driver::{run_driven, DriveSearch, SearchDriver};
+use crate::individual::Individual;
 use crate::instance::Instance;
 use crate::result::RunOutcome;
 use crate::window_cache::WindowCache;
@@ -48,19 +49,30 @@ impl Ils {
     }
 }
 
-impl DriveSearch for Ils {
-    const NAME: &'static str = "ILS";
-    const PHASE: &'static str = "ils";
-
-    fn drive(&self, instance: &Instance, driver: &mut SearchDriver, rng: &mut StdRng) {
+impl Ils {
+    /// The search itself; `after_step` sees the climbing solution at the
+    /// end of every step (the tests' window onto the invariants of
+    /// [`Individual`]).
+    fn climb(
+        &self,
+        instance: &Instance,
+        driver: &mut SearchDriver,
+        rng: &mut StdRng,
+        mut after_step: impl FnMut(&Individual),
+    ) {
         let graph = instance.graph();
         let mut cache = WindowCache::new(instance);
 
         'restarts: while !driver.exhausted() {
             driver.stats_mut().restarts += 1;
-            let mut sol = instance.random_solution(rng);
-            let mut cs = instance.evaluate(&sol);
-            driver.offer(&sol, cs.total_violations());
+            let mut ind = Individual::new(instance, instance.random_solution(rng));
+            driver.offer(&ind.sol, ind.cs.total_violations());
+            if ind.cs.total_violations() == 0 {
+                // The seed is already exact: climbing it would book the
+                // optimum as a local maximum and restart from it for ever.
+                driver.stats_mut().local_maxima += 1;
+                break 'restarts;
+            }
 
             // Hill-climb to a local maximum.
             loop {
@@ -70,29 +82,28 @@ impl DriveSearch for Ils {
                 let mut improved = false;
                 // Worst variable first; fall through to progressively
                 // better-off variables when the worst cannot improve.
-                for v in cs.vars_by_badness(graph) {
+                for v in ind.cs.vars_by_badness(graph) {
                     if driver.exhausted() {
                         break 'restarts;
                     }
                     driver.step();
-                    let current_satisfied = cs.satisfied_of(graph, v);
-                    if let Some(best) = {
-                        let (acc, levels) = driver.tally(v);
-                        cache.find_best_value_leveled(instance, &sol, v, None, acc, levels)
-                    } {
-                        if best.satisfied > current_satisfied {
-                            cs.reassign(graph, &mut sol, v, best.object, instance.rect_of());
-                            driver.offer(&sol, cs.total_violations());
-                            improved = true;
-                            break;
-                        }
+                    let current_satisfied = ind.cs.satisfied_of(graph, v);
+                    let best = ind.best_value(&mut cache, instance, v, None, driver.tally(v));
+                    if let Some(best) = best.filter(|best| best.satisfied > current_satisfied) {
+                        ind.assign(graph, v, &best);
+                        driver.offer(&ind.sol, ind.cs.total_violations());
+                        improved = true;
+                    }
+                    after_step(&ind);
+                    if improved {
+                        break;
                     }
                 }
                 if !improved {
                     driver.stats_mut().local_maxima += 1;
                     break;
                 }
-                if cs.total_violations() == 0 {
+                if ind.cs.total_violations() == 0 {
                     // Exact solution: nothing can beat similarity 1.
                     driver.stats_mut().local_maxima += 1;
                     break 'restarts;
@@ -101,6 +112,15 @@ impl DriveSearch for Ils {
             driver.sample_cache(&cache);
         }
         driver.stats_mut().cache.absorb(&cache.stats());
+    }
+}
+
+impl DriveSearch for Ils {
+    const NAME: &'static str = "ILS";
+    const PHASE: &'static str = "ils";
+
+    fn drive(&self, instance: &Instance, driver: &mut SearchDriver, rng: &mut StdRng) {
+        self.climb(instance, driver, rng, |_| {});
     }
 }
 
@@ -123,26 +143,19 @@ pub(crate) fn collect_local_maxima(
     let mut maxima = Vec::with_capacity(want);
     let mut steps = 0u64;
     while maxima.len() < want && steps < step_cap {
-        let mut sol = instance.random_solution(rng);
-        let mut cs = instance.evaluate(&sol);
+        let mut ind = Individual::new(instance, instance.random_solution(rng));
         'climb: loop {
             if steps >= step_cap {
                 break;
             }
-            for v in cs.vars_by_badness(graph) {
+            for v in ind.cs.vars_by_badness(graph) {
                 steps += 1;
-                let current = cs.satisfied_of(graph, v);
-                if let Some(best) = cache.find_best_value_leveled(
-                    instance,
-                    &sol,
-                    v,
-                    None,
-                    node_accesses,
-                    profile.levels_mut(v),
-                ) {
+                let current = ind.cs.satisfied_of(graph, v);
+                let tally = (&mut *node_accesses, profile.levels_mut(v));
+                if let Some(best) = ind.best_value(&mut cache, instance, v, None, tally) {
                     if best.satisfied > current {
-                        cs.reassign(graph, &mut sol, v, best.object, instance.rect_of());
-                        if cs.total_violations() == 0 {
+                        ind.assign(graph, v, &best);
+                        if ind.cs.total_violations() == 0 {
                             break 'climb;
                         }
                         continue 'climb;
@@ -154,7 +167,7 @@ pub(crate) fn collect_local_maxima(
             }
             break; // no variable improved: local maximum
         }
-        maxima.push(sol);
+        maxima.push(ind.sol);
     }
     cache_stats.absorb(&cache.stats());
     maxima
@@ -255,6 +268,53 @@ mod tests {
             outcome.trace.last().unwrap().similarity,
             outcome.best_similarity
         );
+    }
+
+    /// An instance every random seed of which is exact: the search must
+    /// see that before it spends a step — on both backends, and without
+    /// naming a stop reason, because the budget did not end the run.
+    #[test]
+    fn an_exact_seed_ends_the_run_before_its_first_step() {
+        use crate::{BackendKind, ObsHandle, RunEvent, VecSink};
+        use mwsj_geom::Rect;
+        use std::sync::Arc;
+        let one = vec![Rect::new(0.0, 0.0, 1.0, 1.0)];
+        let two = vec![Rect::new(0.0, 0.0, 1.0, 1.0), Rect::new(0.5, 0.5, 2.0, 2.0)];
+        for backend in [BackendKind::RTree, BackendKind::Grid] {
+            let inst = Instance::new(QueryGraph::chain(2), [one.clone(), two.clone()])
+                .unwrap()
+                .with_backend(backend);
+            let sink = Arc::new(VecSink::new());
+            let obs = ObsHandle::enabled().with_sink(sink.clone());
+            let ctx = SearchContext::local(SearchBudget::iterations(50)).with_obs(obs);
+            let outcome = Ils::default().search(&inst, &ctx, &mut StdRng::seed_from_u64(1));
+            assert_eq!(outcome.best_similarity, 1.0, "{backend:?}");
+            assert_eq!(outcome.stats.steps, 0, "{backend:?}");
+            assert_eq!(outcome.stats.restarts, 1, "{backend:?}");
+            assert_eq!(outcome.stats.local_maxima, 1, "{backend:?}");
+            let events = sink.events();
+            assert!(
+                !events
+                    .iter()
+                    .any(|e| matches!(e, RunEvent::BudgetExhausted { .. })),
+                "{backend:?}: {events:?}"
+            );
+        }
+    }
+
+    /// The analogue of SEA's `individuals_stay_consistent_…`: after every
+    /// step the carried rectangles and evaluation are those of the solution.
+    #[test]
+    fn the_climber_stays_consistent_through_every_step() {
+        let inst = hard_instance(71, QueryShape::Clique, 5, 300);
+        let ctx = SearchContext::local(SearchBudget::iterations(2_000));
+        let mut driver = SearchDriver::new(&inst, &ctx);
+        let mut steps = 0;
+        Ils::default().climb(&inst, &mut driver, &mut StdRng::seed_from_u64(72), |ind| {
+            steps += 1;
+            ind.assert_consistent(&inst);
+        });
+        assert_eq!(steps, 2_000);
     }
 
     #[test]

@@ -46,11 +46,17 @@ impl BackendKind {
     }
 }
 
-/// One dataset with its R*-tree index (payloads are object indices).
+/// One dataset as its R*-tree index (payloads are object ids): the tree's
+/// leaf level *is* the rectangle storage, in STR order, and `inv` finds an
+/// object in it.
 #[derive(Debug)]
 pub(crate) struct IndexedDataset {
-    pub rects: Vec<Rect>,
     pub tree: RTree<u32>,
+    /// Object id → position in the tree's leaf arrays.
+    pub inv: Vec<u32>,
+    /// Mean per-axis extent, summed in object-id order (the leaf order
+    /// would round the sum differently).
+    pub avg_extent: f64,
     /// Uniform-grid index over the same rectangles, built on first use
     /// (selecting [`BackendKind::Grid`] builds it eagerly). `OnceLock`
     /// keeps the dataset shareable across `Arc` aliases without cloning
@@ -59,24 +65,48 @@ pub(crate) struct IndexedDataset {
 }
 
 impl IndexedDataset {
-    fn build(rects: Vec<Rect>) -> Self {
-        // Collected straight into the tree's leaf entries, default
-        // parameters as `RTree::bulk_load`.
-        let tree = rects.iter().copied().zip(0u32..).collect();
+    fn build(rects: &[Rect]) -> Self {
+        let tree = RTree::from_rects(rects);
+        let mut inv = vec![0u32; rects.len()];
+        for (position, &object) in tree.leaf_values().iter().enumerate() {
+            inv[object as usize] = position as u32;
+        }
+        let extents: f64 = rects.iter().map(|r| 0.5 * (r.width() + r.height())).sum();
         IndexedDataset {
-            rects,
             tree,
+            inv,
+            avg_extent: extents / rects.len() as f64,
             grid: OnceLock::new(),
         }
     }
 
+    #[inline]
+    fn rect(&self, obj: usize) -> Rect {
+        self.tree.leaf_rects()[self.inv[obj] as usize]
+    }
+
     /// The grid index, built deterministically from the rectangles on
-    /// first access.
+    /// first access — fed in object-id order, which is what breaks its
+    /// `lo_x` ties.
     fn grid(&self) -> &UniformGrid<u32> {
         self.grid.get_or_init(|| {
-            let items: Vec<(Rect, u32)> = self.rects.iter().copied().zip(0u32..).collect();
+            let items: Vec<(Rect, u32)> = (0..self.inv.len())
+                .map(|obj| (self.rect(obj), obj as u32))
+                .collect();
             UniformGrid::build(&items)
         })
+    }
+
+    /// Resident bytes of everything but the leaf rectangles and the grid:
+    /// payloads, `inv`, upper levels and `start` tables.
+    fn index_bytes(&self) -> u64 {
+        self.tree.memory_bytes() - self.rect_bytes()
+            + (self.inv.len() * std::mem::size_of::<u32>()) as u64
+    }
+
+    /// Resident bytes of the leaf rectangle array.
+    fn rect_bytes(&self) -> u64 {
+        std::mem::size_of_val(self.tree.leaf_rects()) as u64
     }
 }
 
@@ -136,7 +166,7 @@ impl Instance {
     {
         let data: Vec<Arc<IndexedDataset>> = datasets
             .into_iter()
-            .map(|d| Arc::new(IndexedDataset::build(d.as_ref().to_vec())))
+            .map(|d| Arc::new(IndexedDataset::build(d.as_ref())))
             .collect();
         if data.len() != graph.n_vars() {
             return Err(InstanceError::DatasetCountMismatch {
@@ -144,7 +174,7 @@ impl Instance {
                 got: data.len(),
             });
         }
-        if let Some(v) = data.iter().position(|d| d.rects.is_empty()) {
+        if let Some(v) = data.iter().position(|d| d.tree.is_empty()) {
             return Err(InstanceError::EmptyDataset(v));
         }
         Ok(Instance {
@@ -162,8 +192,8 @@ impl Instance {
     where
         D: AsRef<[Rect]>,
     {
-        let shared = Arc::new(IndexedDataset::build(dataset.as_ref().to_vec()));
-        if shared.rects.is_empty() {
+        let shared = Arc::new(IndexedDataset::build(dataset.as_ref()));
+        if shared.tree.is_empty() {
             return Err(InstanceError::EmptyDataset(0));
         }
         let n = graph.n_vars();
@@ -230,19 +260,50 @@ impl Instance {
     /// Cardinality of the dataset bound to variable `v`.
     #[inline]
     pub fn cardinality(&self, v: VarId) -> usize {
-        self.data[v].rects.len()
+        self.data[v].tree.len()
     }
 
     /// MBR of object `obj` in variable `v`'s dataset.
     #[inline]
     pub fn rect(&self, v: VarId, obj: usize) -> Rect {
-        self.data[v].rects[obj]
+        self.data[v].rect(obj)
     }
 
-    /// All rectangles of variable `v`'s dataset.
+    /// All rectangles of variable `v`'s dataset, in **STR order** — the
+    /// order of the tree's leaf level, which is where they are stored —
+    /// not object-id order: `rects(v)[i]` is the rectangle of object
+    /// [`objects(v)[i]`](Instance::objects). Use [`Instance::rect`] to look
+    /// an object up.
     #[inline]
     pub fn rects(&self, v: VarId) -> &[Rect] {
-        &self.data[v].rects
+        self.data[v].tree.leaf_rects()
+    }
+
+    /// The object ids of variable `v`'s dataset in the order of
+    /// [`Instance::rects`]: a permutation of `0..cardinality(v)`.
+    #[inline]
+    pub fn objects(&self, v: VarId) -> &[u32] {
+        self.data[v].tree.leaf_values()
+    }
+
+    /// Every object of variable `v`'s dataset in id order, with its
+    /// rectangle. The rectangles are stored in leaf order, so a scan by id
+    /// is a gather; it is made a block at a time, which lets the cache
+    /// misses of a block overlap where one [`Instance::rect`] per step
+    /// would wait out each in turn.
+    pub fn scan(&self, v: VarId) -> impl Iterator<Item = (usize, Rect)> + '_ {
+        const BLOCK: usize = 64;
+        let data = &*self.data[v];
+        let n = data.inv.len();
+        let mut block = [Rect::EMPTY; BLOCK];
+        (0..n).map(move |obj| {
+            if obj % BLOCK == 0 {
+                for (slot, ahead) in block.iter_mut().zip(obj..n) {
+                    *slot = data.rect(ahead);
+                }
+            }
+            (obj, block[obj % BLOCK])
+        })
     }
 
     /// The R*-tree over variable `v`'s dataset.
@@ -261,9 +322,7 @@ impl Instance {
     /// the \[TSS98\] selectivity model, computed from the data. Used by
     /// cost-based join ordering.
     pub fn avg_extent(&self, v: VarId) -> f64 {
-        let rects = &self.data[v].rects;
-        let sum: f64 = rects.iter().map(|r| 0.5 * (r.width() + r.height())).sum();
-        sum / rects.len() as f64
+        self.data[v].avg_extent
     }
 
     /// Problem size `s = log₂ ∏ Nᵢ` (paper §5), used to scale SEA/GILS
@@ -297,18 +356,16 @@ impl Instance {
     }
 
     /// Records per-structure byte counts into `report`: for each unique
-    /// dataset, the raw rectangles (`rects.varNNN`) and the R*-tree nodes
-    /// (`rtree.varNNN`), named after the first variable bound to that
-    /// dataset, plus `grid.varNNN` once the grid has been built. The same
-    /// table backs the `resource_report` run event and the `memory`
-    /// section of bench snapshots.
+    /// dataset, the rectangles (`rects.varNNN`: the tree's leaf array) and
+    /// the rest of the R*-tree (`rtree.varNNN`: payloads, the id → position
+    /// table, upper levels and `start` tables), named after the first
+    /// variable bound to that dataset, plus `grid.varNNN` once the grid has
+    /// been built. The same table backs the `resource_report` run event
+    /// and the `memory` section of bench snapshots.
     pub fn fill_resource_report(&self, report: &mut ResourceReport) {
         for (v, d) in self.unique_datasets() {
-            report.record(
-                &format!("rects.var{v:03}"),
-                d.rects.len() as u64 * std::mem::size_of::<Rect>() as u64,
-            );
-            report.record(&format!("rtree.var{v:03}"), d.tree.memory_bytes());
+            report.record(&format!("rects.var{v:03}"), d.rect_bytes());
+            report.record(&format!("rtree.var{v:03}"), d.index_bytes());
             // The grid component appears only once the grid backend has
             // been materialised, keeping R*-tree-only reports (and the
             // pinned bench snapshots) byte-identical.
@@ -335,15 +392,15 @@ impl Instance {
 }
 
 impl MemoryFootprint for Instance {
-    /// Resident bytes of the indexed datasets (rectangles, R*-tree nodes and
+    /// Resident bytes of the indexed datasets (rectangles, R*-tree and
     /// built grids), with `Arc`-shared self-join datasets counted
     /// once. Deterministic: the same logical instance always reports the
     /// same total.
     fn memory_bytes(&self) -> u64 {
         self.unique_datasets()
             .map(|(_, d)| {
-                d.rects.len() as u64 * std::mem::size_of::<Rect>() as u64
-                    + d.tree.memory_bytes()
+                d.rect_bytes()
+                    + d.index_bytes()
                     + d.grid.get().map_or(0, MemoryFootprint::memory_bytes)
             })
             .sum()
@@ -371,8 +428,80 @@ mod tests {
         assert_eq!(inst.n_vars(), 3);
         assert_eq!(inst.cardinality(0), 100);
         assert_eq!(inst.tree(1).len(), 100);
-        assert_eq!(inst.rect(2, 5), inst.rects(2)[5]);
+        let at = inst.objects(2).iter().position(|&o| o == 5).unwrap();
+        assert_eq!(inst.rect(2, 5), inst.rects(2)[at]);
         assert!(inst.problem_size_bits() > 0.0);
+    }
+
+    /// Uniform data, and data whose centres and `lo_x` all tie — where only
+    /// the loaders' tie-breaks decide an order.
+    fn tie_heavy_inputs() -> Vec<Vec<Rect>> {
+        let mut rng = StdRng::seed_from_u64(8);
+        let lattice = (0..700)
+            .map(|_| {
+                let (x, y) = (rng.random_range(0..3) as f64, rng.random_range(0..3) as f64);
+                let h: f64 = rng.random_range(0.0..0.4);
+                Rect::new(x, y - h, x + 1.0, y + h)
+            })
+            .collect();
+        vec![
+            Dataset::uniform(1_000, 0.5, &mut rng).rects().to_vec(),
+            vec![Rect::new(0.25, 0.25, 0.5, 0.75); 500],
+            lattice,
+            vec![Rect::new(0.0, 0.0, 1.0, 1.0)],
+        ]
+    }
+
+    /// Storage order is index order, and the ids still find everything:
+    /// `rect` — and `scan`, block by block — returns the input rectangle of
+    /// every object, `objects` is a permutation, and `rects` pairs with it
+    /// position for position.
+    #[test]
+    fn every_object_keeps_its_rectangle_under_the_leaf_permutation() {
+        for input in tie_heavy_inputs() {
+            let instances = [
+                Instance::new(QueryGraph::chain(2), [&input, &input]).unwrap(),
+                Instance::self_join(QueryGraph::clique(3), &input).unwrap(),
+            ];
+            for inst in &instances {
+                for v in 0..inst.n_vars() {
+                    assert_eq!(inst.cardinality(v), input.len());
+                    for (obj, rect) in input.iter().enumerate() {
+                        assert_eq!(inst.rect(v, obj), *rect);
+                    }
+                    assert!(inst.scan(v).eq(input.iter().copied().enumerate()));
+                    let mut ids = inst.objects(v).to_vec();
+                    ids.sort_unstable();
+                    assert!(ids.iter().copied().eq(0..input.len() as u32));
+                    for (rect, &obj) in inst.rects(v).iter().zip(inst.objects(v)) {
+                        assert_eq!(*rect, inst.rect(v, obj as usize));
+                    }
+                }
+            }
+        }
+    }
+
+    /// What is computed from the rectangles in object-id order stays as it
+    /// was when they were stored in that order: the extent sum's rounding
+    /// and every cell of the grid, ties and all.
+    #[test]
+    fn id_ordered_derivations_do_not_see_the_leaf_order() {
+        for input in tie_heavy_inputs() {
+            let inst = Instance::new(QueryGraph::chain(2), [&input, &input]).unwrap();
+            let sum: f64 = input.iter().map(|r| 0.5 * (r.width() + r.height())).sum();
+            let expected = sum / input.len() as f64;
+            assert_eq!(inst.avg_extent(0).to_bits(), expected.to_bits());
+
+            let items: Vec<(Rect, u32)> = input.iter().copied().zip(0u32..).collect();
+            let (built, expected) = (inst.grid(1), UniformGrid::build(&items));
+            assert_eq!(built.cells(), expected.cells());
+            for c in 0..built.cells() {
+                assert!(
+                    built.cell_entries(c).eq(expected.cell_entries(c)),
+                    "cell {c}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@ mod find_best_value;
 mod gils;
 mod ibb;
 mod ils;
+mod individual;
 mod instance;
 mod naive;
 mod observe;

@@ -138,8 +138,7 @@ impl Pjm {
                     // Generic predicate: index-nested-loop over v0.
                     let counter = AccessCounter::new();
                     let mut out = Vec::new();
-                    for a in 0..instance.cardinality(v0) {
-                        let w = instance.rect(v0, a);
+                    for (a, w) in instance.scan(v0) {
                         for (_, b) in instance
                             .tree(v1)
                             .query_predicate_counted(pred.transpose(), &w, &counter)
@@ -314,8 +313,7 @@ fn grid_pair_join(
 
     let g = instance.grid(v1);
     let n = instance.cardinality(v0);
-    let probe = |a: usize, accesses: &mut u64| -> Vec<Vec<usize>> {
-        let w = instance.rect(v0, a);
+    let probe = |a: usize, w: Rect, accesses: &mut u64| -> Vec<Vec<usize>> {
         grid::query_predicate(g, pred.transpose(), &w, 1, accesses)
             .into_iter()
             .map(|b| vec![a, b as usize])
@@ -324,8 +322,8 @@ fn grid_pair_join(
     let threads = instance.grid_threads().min(n);
     if threads <= 1 {
         let mut out = Vec::new();
-        for a in 0..n {
-            out.extend(probe(a, node_accesses));
+        for (a, w) in instance.scan(v0) {
+            out.extend(probe(a, w, node_accesses));
         }
         return out;
     }
@@ -343,7 +341,7 @@ fn grid_pair_join(
                     break;
                 }
                 let mut accesses = 0u64;
-                let rows = probe(a, &mut accesses);
+                let rows = probe(a, instance.rect(v0, a), &mut accesses);
                 done.lock().expect("probe mutex").push((a, rows, accesses));
             });
         }

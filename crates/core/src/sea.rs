@@ -20,10 +20,10 @@
 
 use crate::budget::{SearchBudget, SearchContext};
 use crate::driver::{run_driven, DriveSearch, SearchDriver};
+use crate::individual::Individual;
 use crate::instance::Instance;
 use crate::result::RunOutcome;
 use crate::window_cache::WindowCache;
-use mwsj_geom::Rect;
 use mwsj_query::{ConflictState, Solution, VarId};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -126,65 +126,6 @@ impl Default for SeaConfig {
     fn default() -> Self {
         // A reasonable mid-size default; prefer `default_for`.
         SeaConfig::scaled(128.0)
-    }
-}
-
-/// One member of the population: a solution with its cached evaluation
-/// and the MBR of each assignment, so that a generation reads the
-/// datasets' rectangle arrays only inside the index kernel.
-#[derive(Debug)]
-struct Individual {
-    sol: Solution,
-    cs: ConflictState,
-    /// `rects[v] == instance.rect(v, sol.get(v))`.
-    rects: Vec<Rect>,
-}
-
-impl Clone for Individual {
-    fn clone(&self) -> Self {
-        Individual {
-            sol: self.sol.clone(),
-            cs: self.cs.clone(),
-            rects: self.rects.clone(),
-        }
-    }
-
-    /// Reuses all of `self`'s vectors: selection copies a whole population
-    /// every generation.
-    fn clone_from(&mut self, source: &Self) {
-        self.sol.clone_from(&source.sol);
-        self.cs.clone_from(&source.cs);
-        self.rects.clone_from(&source.rects);
-    }
-}
-
-impl Individual {
-    fn new(instance: &Instance, sol: Solution) -> Self {
-        let rects: Vec<Rect> = (0..sol.len())
-            .map(|v| instance.rect(v, sol.get(v)))
-            .collect();
-        let cs = ConflictState::evaluate(instance.graph(), &sol, |v, _| rects[v]);
-        Individual { sol, cs, rects }
-    }
-
-    /// Overwrites `self` in place with `seed`, or else with a random
-    /// solution drawn as [`Instance::random_solution`] draws it.
-    fn reseed(&mut self, instance: &Instance, seed: Option<Solution>, rng: &mut StdRng) {
-        match seed {
-            Some(sol) => self.sol = sol,
-            None => {
-                for v in 0..instance.n_vars() {
-                    let object = rng.random_range(0..instance.cardinality(v));
-                    self.sol.set(v, object);
-                }
-            }
-        }
-        for (v, rect) in self.rects.iter_mut().enumerate() {
-            *rect = instance.rect(v, self.sol.get(v));
-        }
-        let rects = &self.rects;
-        self.cs
-            .evaluate_into(instance.graph(), &self.sol, |v, _| rects[v]);
     }
 }
 
@@ -383,19 +324,9 @@ impl Sea {
                 ind.cs.worst_tied(graph, &mut tied);
                 let worst = tied[rng.random_range(0..tied.len())];
                 let current_satisfied = ind.cs.satisfied_of(graph, worst);
-                let rects = &mut ind.rects;
-                let best = cache.find_best_value_with(
-                    instance,
-                    &ind.sol,
-                    worst,
-                    None,
-                    |v, _| rects[v],
-                    driver.tally(worst),
-                );
+                let best = ind.best_value(&mut cache, instance, worst, None, driver.tally(worst));
                 if let Some(best) = best.filter(|best| best.satisfied > current_satisfied) {
-                    rects[worst] = instance.rect(worst, best.object);
-                    ind.cs
-                        .reassign(graph, &mut ind.sol, worst, best.object, |v, _| rects[v]);
+                    ind.assign(graph, worst, &best);
                 }
             }
             after_generation(&pop);
@@ -759,12 +690,7 @@ mod tests {
             let mut generations = 0;
             evolve_with(&Sea::new(cfg), &inst, 51, 18, cache, |pop| {
                 generations += 1;
-                for ind in pop {
-                    for v in 0..inst.n_vars() {
-                        assert_eq!(ind.rects[v], inst.rect(v, ind.sol.get(v)));
-                    }
-                    assert_eq!(ind.cs, inst.evaluate(&ind.sol));
-                }
+                pop.iter().for_each(|ind| ind.assert_consistent(&inst));
             });
             assert_eq!(generations, 50, "the 51st stops before mutating");
         }

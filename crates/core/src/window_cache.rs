@@ -128,6 +128,49 @@ impl CacheStats {
     }
 }
 
+/// A traversal's answer as the cache keeps it: a [`BestValue`] without its
+/// rectangle — 32 of its 56 bytes, in every front entry and memo slot —
+/// which a hit reads back from the asking solution's own rectangles or,
+/// failing that, from the instance ([`Answer::revive`]).
+#[derive(Debug, Clone, Copy)]
+struct Answer {
+    object: usize,
+    satisfied: u32,
+    effective: f64,
+}
+
+impl Answer {
+    fn of(best: BestValue) -> Self {
+        Answer {
+            object: best.object,
+            satisfied: best.satisfied,
+            effective: best.effective,
+        }
+    }
+
+    /// The full answer to a question about `var` asked on behalf of `sol`,
+    /// whose assignments' rectangles `rect_of` has at hand.
+    fn revive(
+        self,
+        instance: &Instance,
+        sol: &Solution,
+        var: VarId,
+        rect_of: impl Fn(VarId, usize) -> Rect,
+    ) -> BestValue {
+        let rect = if self.object == sol.get(var) {
+            rect_of(var, self.object)
+        } else {
+            instance.rect(var, self.object)
+        };
+        BestValue {
+            object: self.object,
+            rect,
+            satisfied: self.satisfied,
+            effective: self.effective,
+        }
+    }
+}
+
 /// Cached window state for one variable.
 #[derive(Debug, Clone)]
 struct VarWindows {
@@ -139,7 +182,7 @@ struct VarWindows {
     /// [`find_best_value`](crate::find_best_value) builds.
     windows: Vec<(Predicate, Rect)>,
     /// Result of the last traversal with these windows, if still valid.
-    result: Option<Option<BestValue>>,
+    result: Option<Option<Answer>>,
     /// Penalty-table version the cached result was computed at.
     penalty_version: u64,
 }
@@ -162,7 +205,7 @@ struct MemoSlot {
     var: VarId,
     /// Penalty version; `None` = raw mode.
     version: Option<u64>,
-    answer: Option<BestValue>,
+    answer: Option<Answer>,
 }
 
 impl Memo {
@@ -173,7 +216,7 @@ impl Memo {
         var: VarId,
         version: Option<u64>,
         assignments: &[usize],
-    ) -> (usize, Option<Option<BestValue>>) {
+    ) -> (usize, Option<Option<Answer>>) {
         let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
         let seed = mix(var as u64, version.map_or(0, |v| v.wrapping_add(1)));
         let hash = assignments.iter().fold(seed, |h, &a| mix(h, a as u64));
@@ -317,9 +360,11 @@ impl WindowCache {
     }
 
     /// [`WindowCache::find_best_value_leveled`] for a caller that keeps the
-    /// MBRs of `sol`'s assignments at hand: a changed neighbour's window is
-    /// read through `rect_of(neighbour, object)` — which must return what
-    /// [`Instance::rect`] would — instead of from the dataset's rectangle
+    /// MBRs of `sol`'s assignments at hand: a changed neighbour's window,
+    /// and the rectangle of a remembered answer that is `var`'s current
+    /// assignment, are read through `rect_of(v, sol.get(v))` — which must
+    /// return what [`Instance::rect`] would, and is asked about nothing but
+    /// `sol`'s own assignments — instead of from the dataset's rectangle
     /// array. `tally` is `(node_accesses, level_accesses)`.
     pub(crate) fn find_best_value_with(
         &mut self,
@@ -359,7 +404,7 @@ impl WindowCache {
         if !dirty && entry.penalty_version == penalty_version {
             if let Some(cached) = entry.result {
                 self.stats[var].hits += 1;
-                return cached;
+                return cached.map(|a| a.revive(instance, sol, var, rect_of));
             }
         }
 
@@ -372,7 +417,7 @@ impl WindowCache {
                     self.stats[var].hits += 1;
                     entry.result = Some(answer);
                     entry.penalty_version = penalty_version;
-                    return answer;
+                    return answer.map(|a| a.revive(instance, sol, var, rect_of));
                 }
                 (slot, None) => Some(slot),
             },
@@ -392,13 +437,14 @@ impl WindowCache {
 
         let result =
             best_value_in_windows(instance, var, &entry.windows, penalties, tally.0, tally.1);
-        entry.result = Some(result);
+        let answer = result.map(Answer::of);
+        entry.result = Some(answer);
         entry.penalty_version = penalty_version;
         if let (Some(memo), Some(slot)) = (&mut self.memo, memo_slot) {
             memo.slots[slot] = Some(MemoSlot {
                 var,
                 version,
-                answer: result,
+                answer,
             });
             memo.assignments[slot * memo.stride..][..entry.assignments.len()]
                 .copy_from_slice(&entry.assignments);

@@ -78,10 +78,11 @@ impl WindowReduction {
             truncated: false,
         };
         let mut assignment = vec![usize::MAX; instance.n_vars()];
+        let mut rects = vec![Rect::EMPTY; instance.n_vars()];
         // `limit = 0` asks for nothing: `descend` would push the first
         // solution before looking at the limit.
         if limit > 0 {
-            descend(&mut state, 0, &mut assignment);
+            descend(&mut state, 0, &mut assignment, &mut rects);
         }
         let mut stats = state.stats;
         stats.elapsed = state.clock.elapsed();
@@ -109,7 +110,13 @@ struct WrState<'a> {
 }
 
 /// Returns `true` when enumeration should stop (limit or budget hit).
-fn descend(state: &mut WrState<'_>, depth: usize, assignment: &mut [usize]) -> bool {
+/// `rects[v]` is the MBR of `assignment[v]` for every instantiated `v`.
+fn descend(
+    state: &mut WrState<'_>,
+    depth: usize,
+    assignment: &mut [usize],
+    rects: &mut [Rect],
+) -> bool {
     let instance = state.instance;
     let graph = instance.graph();
     if depth == graph.n_vars() {
@@ -121,20 +128,20 @@ fn descend(state: &mut WrState<'_>, depth: usize, assignment: &mut [usize]) -> b
         .neighbors(var)
         .iter()
         .filter(|&&(u, _)| state.position[u] < depth)
-        .map(|&(u, pred)| (pred, instance.rect(u, assignment[u])))
+        .map(|&(u, pred)| (pred, rects[u]))
         .collect();
 
     if windows.is_empty() {
         // First variable (or a variable with no instantiated neighbours —
         // impossible on connected graphs past depth 0): full scan.
-        for obj in 0..instance.cardinality(var) {
+        for (obj, rect) in instance.scan(var) {
             if state.clock.exhausted() {
                 state.truncated = true;
                 return true;
             }
             state.clock.step();
-            assignment[var] = obj;
-            if descend(state, depth + 1, assignment) {
+            (assignment[var], rects[var]) = (obj, rect);
+            if descend(state, depth + 1, assignment, rects) {
                 return true;
             }
         }
@@ -155,8 +162,8 @@ fn descend(state: &mut WrState<'_>, depth: usize, assignment: &mut [usize]) -> b
                 return true;
             }
             state.clock.step();
-            assignment[var] = obj;
-            if descend(state, depth + 1, assignment) {
+            (assignment[var], rects[var]) = (obj, instance.rect(var, obj));
+            if descend(state, depth + 1, assignment, rects) {
                 return true;
             }
         }

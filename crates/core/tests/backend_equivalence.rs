@@ -109,7 +109,8 @@ proptest! {
     /// returns the same feasibility verdict and a bit-equal best score as
     /// the R*-tree backend. The winning *object* may differ only when the
     /// score ties (R*-tree keeps the first visited, the grid keeps the
-    /// canonical (cell, object) minimum), so objects are not compared here.
+    /// canonical (cell, object) minimum), so objects are not compared here;
+    /// each backend's rectangle must be its own winner's.
     #[test]
     fn find_best_value_is_backend_invariant((inst, seed) in arb_backend_instance()) {
         use rand::RngExt;
@@ -140,6 +141,8 @@ proptest! {
                                 // Unpenalised, the score *is* the count.
                                 prop_assert_eq!(r.satisfied, g.satisfied);
                             }
+                            prop_assert_eq!(r.rect, inst.rect(var, r.object));
+                            prop_assert_eq!(g.rect, inst.rect(var, g.object));
                         }
                         (r, g) => prop_assert!(false, "rtree {:?} vs grid {:?}", r, g),
                     }

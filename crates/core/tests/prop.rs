@@ -159,7 +159,8 @@ proptest! {
     }
 
     /// `WindowCache` is transparent: across an arbitrary mutation sequence
-    /// it returns exactly what a fresh `find_best_value` returns, while
+    /// it returns exactly what a fresh `find_best_value` returns — the
+    /// rectangle it re-attaches to a remembered answer included — while
     /// never visiting more nodes.
     #[test]
     fn window_cache_is_transparent((inst, seed) in arb_instance()) {
@@ -174,6 +175,9 @@ proptest! {
             let cached = cache.find_best_value(&inst, &sol, var, None, &mut cached_acc);
             let fresh = find_best_value(&inst, &sol, var, None, &mut fresh_acc);
             prop_assert_eq!(cached, fresh);
+            if let Some(best) = cached {
+                prop_assert_eq!(best.rect, inst.rect(var, best.object));
+            }
             let v = rng.random_range(0..inst.n_vars());
             sol.set(v, rng.random_range(0..inst.cardinality(v)));
         }
@@ -200,6 +204,9 @@ proptest! {
             let (mut plain_acc, mut memo_acc) = (0u64, 0u64);
             prop_assert_eq!(plain.find_best_value(&inst, &pop[i], var, penalties, &mut plain_acc), fresh);
             prop_assert_eq!(memo.find_best_value(&inst, &pop[i], var, penalties, &mut memo_acc), fresh);
+            if let Some(best) = fresh {
+                prop_assert_eq!(best.rect, inst.rect(var, best.object));
+            }
             prop_assert!(memo_acc <= plain_acc, "a memo may only save node accesses");
             if round % 7 == 6 {
                 table.penalize_local_maximum(&pop[i]);

@@ -21,18 +21,53 @@
 //! Both are total orders, so an unstable sort yields what a stable sort by
 //! the coordinate alone would, and the tree is a function of the input
 //! sequence alone: same items in the same order ⇒ same nodes, same entry
-//! order, same node accesses for every query. Each node's entry vector is
-//! then gathered once, at its final size.
+//! order, same node accesses for every query.
+//!
+//! # Three passes
+//!
+//! 1. **Topology, bottom-up, on positions.** Each level is tiled into
+//!    nodes ([`Tiling`]: which entry positions each node holds, in entry
+//!    order) and every node's MBR is united in that order; the MBRs are the
+//!    entries of the next level up.
+//! 2. **Layout, top-down.** A node's place in its level is its entry's
+//!    place in the level above, so the final order of a level's nodes is
+//!    the concatenation of its parents' member lists in *their* final
+//!    order, starting from the root — which makes every node's children
+//!    contiguous and turns child ids into positions.
+//! 3. **Gather.** In that order each level's rectangles — and, on the leaf
+//!    level, the payloads — are copied once into their arrays.
 
-use crate::node::{Entry, Node, NodeId};
 use crate::params::RTreeParams;
-use crate::tree::RTree;
+use crate::tree::{Level, RTree};
 use mwsj_geom::Rect;
 
-/// An STR tiling: entries of one level in, one group per node out.
-type Partition<T> = fn(Vec<Entry<T>>, usize) -> Vec<Vec<Entry<T>>>;
+/// How one level's entries fall into nodes, by entry position.
+struct Tiling {
+    /// Entry positions, node after node, each node's in entry order.
+    members: Vec<u32>,
+    /// Node `k` holds `members[start[k]..start[k + 1]]`.
+    start: Vec<u32>,
+}
 
-impl<T> RTree<T> {
+impl Tiling {
+    /// All `n` entries in one node, in position order: the root.
+    fn single(n: usize) -> Self {
+        Tiling {
+            members: (0..n as u32).collect(),
+            start: vec![0, n as u32],
+        }
+    }
+
+    fn nodes(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn members_of(&self, node: u32) -> &[u32] {
+        &self.members[self.start[node as usize] as usize..self.start[node as usize + 1] as usize]
+    }
+}
+
+impl<T: Copy> RTree<T> {
     /// Builds a tree over `items` using STR packing and default parameters.
     pub fn bulk_load(items: Vec<(Rect, T)>) -> Self {
         Self::bulk_load_with_params(RTreeParams::default(), items)
@@ -40,52 +75,7 @@ impl<T> RTree<T> {
 
     /// Builds a tree over `items` using STR packing.
     pub fn bulk_load_with_params(params: RTreeParams, items: Vec<(Rect, T)>) -> Self {
-        Self::pack(params, items.into_iter(), str_partition)
-    }
-
-    /// Packs level by level with `partition` until everything fits in one
-    /// node; an empty input yields a single empty leaf as root. The items
-    /// are collected once, as the leaf level's entries.
-    fn pack(
-        params: RTreeParams,
-        items: impl Iterator<Item = (Rect, T)>,
-        partition: Partition<T>,
-    ) -> Self {
-        let cap = params.max_entries();
-        let mut nodes: Vec<Node<T>> = Vec::new();
-
-        let mut level = 0u32;
-        let mut current: Vec<Entry<T>> = items
-            .map(|(mbr, v)| {
-                debug_assert!(mbr.is_finite());
-                Entry::data(mbr, v)
-            })
-            .collect();
-        let len = current.len();
-        while current.len() > cap {
-            let groups = partition(current, cap);
-            let mut parents: Vec<Entry<T>> = Vec::with_capacity(groups.len());
-            nodes.reserve(groups.len() + 1);
-            for entries in groups {
-                let node = Node { level, entries };
-                parents.push(Entry::child(node.mbr(), NodeId(nodes.len() as u32)));
-                nodes.push(node);
-            }
-            current = parents;
-            level += 1;
-        }
-        let root = NodeId(nodes.len() as u32);
-        nodes.push(Node {
-            level,
-            entries: current,
-        });
-        RTree {
-            params,
-            nodes,
-            root,
-            height: level + 1,
-            len,
-        }
+        Self::pack(params, items.len(), |i| items[i].0, |i| items[i].1)
     }
 
     /// [`RTree::bulk_load_with_params`] with node accesses recorded into
@@ -96,18 +86,93 @@ impl<T> RTree<T> {
         counter: &crate::AccessCounter,
     ) -> Self {
         let tree = Self::bulk_load_with_params(params, items);
-        counter.add(tree.nodes.len() as u64);
+        counter.add(tree.node_count() as u64);
         tree
+    }
+
+    /// Packs the `n` items `(rect_at(i), value_at(i))` (see the module docs
+    /// for the passes); an empty input yields a single empty leaf as root.
+    fn pack(
+        params: RTreeParams,
+        n: usize,
+        rect_at: impl Fn(usize) -> Rect,
+        value_at: impl Fn(usize) -> T,
+    ) -> Self {
+        assert!(u32::try_from(n).is_ok(), "more than u32::MAX entries");
+        debug_assert!((0..n).all(|i| rect_at(i).is_finite()));
+        let cap = params.max_entries();
+
+        // Pass 1. `mbrs[l]` are the node MBRs of level `l` in the order the
+        // tiling made them: the entries of level `l + 1`.
+        let mut tilings: Vec<Tiling> = Vec::new();
+        let mut mbrs: Vec<Vec<Rect>> = Vec::new();
+        let mut count = n;
+        while count > cap {
+            let (tiling, node_mbrs) = match mbrs.last() {
+                None => tile(count, cap, &rect_at),
+                Some(below) => tile(count, cap, |i| below[i]),
+            };
+            count = tiling.nodes();
+            tilings.push(tiling);
+            mbrs.push(node_mbrs);
+        }
+        tilings.push(Tiling::single(count));
+
+        // Passes 2 and 3, from the root down. `order` lists the level's
+        // nodes, by tiling position, in their final order.
+        let mut levels: Vec<Level> = Vec::with_capacity(tilings.len());
+        let mut order: Vec<u32> = vec![0];
+        for (level, tiling) in tilings.iter().enumerate().rev() {
+            let mut start = Vec::with_capacity(order.len() + 1);
+            let mut entries: Vec<u32> = Vec::with_capacity(tiling.members.len());
+            start.push(0);
+            for &node in &order {
+                entries.extend_from_slice(tiling.members_of(node));
+                start.push(entries.len() as u32);
+            }
+            let rects = match level.checked_sub(1) {
+                None => entries.iter().map(|&p| rect_at(p as usize)).collect(),
+                Some(below) => entries.iter().map(|&p| mbrs[below][p as usize]).collect(),
+            };
+            levels.push(Level { rects, start });
+            order = entries;
+        }
+        levels.reverse();
+        let values = order.iter().map(|&p| value_at(p as usize)).collect();
+        RTree {
+            params,
+            levels,
+            values,
+        }
     }
 }
 
-/// STR packing with default parameters straight from an iterator, for
-/// callers that hold the rectangles in another shape and would only build
-/// the `Vec` of [`RTree::bulk_load`] to hand it over.
-impl<T> FromIterator<(Rect, T)> for RTree<T> {
-    fn from_iter<I: IntoIterator<Item = (Rect, T)>>(items: I) -> Self {
-        Self::pack(RTreeParams::default(), items.into_iter(), str_partition)
+impl RTree<u32> {
+    /// STR packing with default parameters over rectangles held in a slice,
+    /// each stored with its position in the slice as payload — for callers
+    /// that would only build the item `Vec` of [`RTree::bulk_load`] to hand
+    /// it over.
+    pub fn from_rects(rects: &[Rect]) -> Self {
+        Self::pack(
+            RTreeParams::default(),
+            rects.len(),
+            |i| rects[i],
+            |i| i as u32,
+        )
     }
+}
+
+/// Tiles `n > cap` entries into nodes and unites each node's MBR, in entry
+/// order.
+fn tile(n: usize, cap: usize, rect_at: impl Fn(usize) -> Rect) -> (Tiling, Vec<Rect>) {
+    let tiling = str_tiling(n, cap, &rect_at);
+    let mbrs = (0..tiling.nodes() as u32)
+        .map(|node| {
+            let members = tiling.members_of(node).iter();
+            members.fold(Rect::EMPTY, |acc, &p| acc.union(&rect_at(p as usize)))
+        })
+        .collect();
+    (tiling, mbrs)
 }
 
 /// Order-preserving image of a non-NaN `f64` in the unsigned integers:
@@ -128,70 +193,106 @@ fn even_sizes(n: usize, k: usize) -> impl Iterator<Item = usize> {
     (0..k).map(move |i| n / k + usize::from(i < n % k))
 }
 
-/// Partitions entries into groups of at most `cap` using the STR tiling
-/// (see the module docs for the two orders).
+/// Tiles `n` entries into nodes of at most `cap` using the STR tiling (see
+/// the module docs for the two orders).
 ///
-/// Group sizes are distributed evenly (instead of filling nodes to `cap`
-/// and leaving a short tail), which guarantees every group holds at least
+/// Node sizes are distributed evenly (instead of filling nodes to `cap`
+/// and leaving a short tail), which guarantees every node holds at least
 /// `⌊cap/2⌋` members — the occupancy bound [`RTree::check_invariants`]
 /// verifies.
-fn str_partition<T>(entries: Vec<Entry<T>>, cap: usize) -> Vec<Vec<Entry<T>>> {
-    let n = entries.len();
+fn str_tiling(n: usize, cap: usize, rect_at: impl Fn(usize) -> Rect) -> Tiling {
     debug_assert!(n > cap);
-    assert!(u32::try_from(n).is_ok(), "more than u32::MAX entries");
-    let group_count = n.div_ceil(cap);
-    let slice_count = (group_count as f64).sqrt().ceil() as usize;
+    let node_count = n.div_ceil(cap);
+    let slice_count = (node_count as f64).sqrt().ceil() as usize;
 
     // Vertical slices by (x-center, input position).
-    let mut by_x: Vec<(u64, u32)> = entries
-        .iter()
-        .zip(0u32..)
-        .map(|(e, position)| (sort_key(e.mbr.center().x), position))
+    let mut by_x: Vec<(u64, u32)> = (0..n as u32)
+        .map(|position| (sort_key(rect_at(position as usize).center().x), position))
         .collect();
     by_x.sort_unstable();
     // Within a slice, horizontal runs by (y-center, rank in the x-order).
     let mut by_y: Vec<(u64, u32)> = by_x
         .iter()
         .zip(0u32..)
-        .map(|(&(_, position), rank)| (sort_key(entries[position as usize].mbr.center().y), rank))
+        .map(|(&(_, position), rank)| (sort_key(rect_at(position as usize).center().y), rank))
         .collect();
 
-    let mut entries: Vec<Option<Entry<T>>> = entries.into_iter().map(Some).collect();
-    let mut groups = Vec::with_capacity(group_count);
+    let mut members = Vec::with_capacity(n);
+    let mut start = Vec::with_capacity(node_count + 1);
+    start.push(0);
     let mut rest = by_y.as_mut_slice();
     for slice_len in even_sizes(n, slice_count) {
         let (slice, tail) = rest.split_at_mut(slice_len);
         rest = tail;
         slice.sort_unstable();
-        let mut runs = &*slice;
-        for group_len in even_sizes(slice_len, slice_len.div_ceil(cap)) {
-            let (run, tail) = runs.split_at(group_len);
-            runs = tail;
-            groups.push(
-                run.iter()
-                    .map(|&(_, rank)| {
-                        let (_, position) = by_x[rank as usize];
-                        entries[position as usize]
-                            .take()
-                            .expect("every entry is in exactly one run")
-                    })
-                    .collect(),
-            );
+        let slice_start = members.len();
+        members.extend(slice.iter().map(|&(_, rank)| by_x[rank as usize].1));
+        let mut end = slice_start;
+        for node_len in even_sizes(slice_len, slice_len.div_ceil(cap)) {
+            end += node_len;
+            start.push(end as u32);
         }
     }
-    groups
+    Tiling { members, start }
 }
 
 #[cfg(test)]
 mod reference {
-    //! The loader as it was before the integer keys: stable sorts that
-    //! compare entries by recomputed centers, and chunking by
-    //! drain-and-collect. The equality tests below hold
-    //! [`super::str_partition`] to it node for node.
+    //! The loader as it was before the packed layout and before the integer
+    //! keys: a vector of nodes that own their entries and name their
+    //! children by id, tiled by stable sorts that compare entries by
+    //! recomputed centers and chunk by drain-and-collect. The equality test
+    //! below holds the packed build to it node for node.
 
-    use crate::node::Entry;
+    use mwsj_geom::Rect;
 
-    pub(super) fn str_partition<T>(mut entries: Vec<Entry<T>>, cap: usize) -> Vec<Vec<Entry<T>>> {
+    pub(super) enum Payload {
+        Child(usize),
+        Data(usize),
+    }
+
+    pub(super) struct Entry {
+        pub mbr: Rect,
+        pub payload: Payload,
+    }
+
+    pub(super) struct Node {
+        pub level: u32,
+        pub entries: Vec<Entry>,
+    }
+
+    /// The node vector and the root's id.
+    pub(super) fn pack(items: Vec<(Rect, usize)>, cap: usize) -> (Vec<Node>, usize) {
+        let mut nodes: Vec<Node> = Vec::new();
+        let mut level = 0u32;
+        let mut current: Vec<Entry> = items
+            .into_iter()
+            .map(|(mbr, v)| Entry {
+                mbr,
+                payload: Payload::Data(v),
+            })
+            .collect();
+        while current.len() > cap {
+            let mut parents = Vec::new();
+            for entries in str_partition(current, cap) {
+                parents.push(Entry {
+                    mbr: Rect::union_all(entries.iter().map(|e| &e.mbr)),
+                    payload: Payload::Child(nodes.len()),
+                });
+                nodes.push(Node { level, entries });
+            }
+            current = parents;
+            level += 1;
+        }
+        nodes.push(Node {
+            level,
+            entries: current,
+        });
+        let root = nodes.len() - 1;
+        (nodes, root)
+    }
+
+    fn str_partition(mut entries: Vec<Entry>, cap: usize) -> Vec<Vec<Entry>> {
         let n = entries.len();
         let group_count = n.div_ceil(cap);
         let slice_count = (group_count as f64).sqrt().ceil() as usize;
@@ -235,8 +336,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::{reference, sort_key};
-    use crate::node::Payload;
-    use crate::{RTree, RTreeParams};
+    use crate::{NodeRef, RTree, RTreeParams};
     use mwsj_geom::Rect;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -348,22 +448,22 @@ mod tests {
         }
     }
 
-    /// Everything a tree is, in node order: level, then per entry the MBR
-    /// bits and the payload (`Err(child id)` on internal levels).
-    type Shape = Vec<(u32, Vec<([u64; 4], Result<usize, u32>)>)>;
-
-    fn shape(tree: &RTree<usize>) -> Shape {
+    /// Holds `node` and everything below it to the reference node `id`:
+    /// level, entry order, MBR bits and payloads.
+    fn assert_same_subtree(node: NodeRef<'_, usize>, nodes: &[reference::Node], id: usize) {
         let bits = |r: &Rect| [r.min.x, r.min.y, r.max.x, r.max.y].map(f64::to_bits);
-        tree.nodes
-            .iter()
-            .map(|node| {
-                let entries = node.entries.iter().map(|e| match e.payload {
-                    Payload::Data(v) => (bits(&e.mbr), Ok(v)),
-                    Payload::Child(id) => (bits(&e.mbr), Err(id.0)),
-                });
-                (node.level, entries.collect())
-            })
-            .collect()
+        let expected = &nodes[id];
+        assert_eq!(node.level(), expected.level);
+        assert_eq!(node.len(), expected.entries.len());
+        for (entry, want) in node.entries().zip(&expected.entries) {
+            assert_eq!(bits(entry.mbr()), bits(&want.mbr));
+            match want.payload {
+                reference::Payload::Data(v) => assert_eq!(entry.value(), Some(&v)),
+                reference::Payload::Child(child) => {
+                    assert_same_subtree(entry.child().expect("internal entry"), nodes, child)
+                }
+            }
+        }
     }
 
     /// Inputs on which a tie-break or a key could tell the two loaders
@@ -414,21 +514,38 @@ mod tests {
     }
 
     #[test]
-    fn integer_key_build_equals_the_stable_sort_reference() {
+    fn packed_build_equals_the_node_vector_reference() {
         for cap in [4, 8, 32] {
             for n in [0, 1, cap, cap + 1, 1_000, 20_000] {
                 for (name, rects) in tie_break_inputs(n, (cap * 31 + n) as u64) {
                     let items = || rects.iter().copied().zip(0usize..).collect::<Vec<_>>();
-                    let params = RTreeParams::new(cap);
-                    let built = RTree::bulk_load_with_params(params, items());
-                    let expected =
-                        RTree::pack(params, items().into_iter(), reference::str_partition);
-                    assert_eq!(built.height(), expected.height(), "{name}, N {n}, M {cap}");
-                    assert_eq!(built.root, expected.root, "{name}, N {n}, M {cap}");
-                    assert!(shape(&built) == shape(&expected), "{name}, N {n}, M {cap}");
+                    let built = RTree::bulk_load_with_params(RTreeParams::new(cap), items());
+                    let (nodes, root) = reference::pack(items(), cap);
+                    let what = format!("{name}, N {n}, M {cap}");
+                    assert_eq!(built.node_count(), nodes.len(), "{what}");
+                    assert_eq!(built.height(), nodes[root].level + 1, "{what}");
+                    assert_same_subtree(built.root_node(), &nodes, root);
                     built.check_invariants().unwrap();
                 }
             }
+        }
+    }
+
+    /// The slice constructor builds the tree `bulk_load` builds from the
+    /// same rectangles paired with their positions.
+    #[test]
+    fn from_rects_equals_bulk_load_of_positions() {
+        let rects: Vec<Rect> = random_items(5_000, 9).into_iter().map(|(r, _)| r).collect();
+        let sliced = RTree::from_rects(&rects);
+        let loaded = RTree::bulk_load(rects.iter().copied().zip(0u32..).collect());
+        assert_eq!(sliced.leaf_values(), loaded.leaf_values());
+        for (a, b) in sliced.levels.iter().zip(&loaded.levels) {
+            assert_eq!(a.start, b.start);
+            assert_eq!(a.rects, b.rects);
+        }
+        // Leaf order pairs every rectangle with the position it came from.
+        for (rect, &position) in sliced.iter() {
+            assert_eq!(*rect, rects[position as usize]);
         }
     }
 }

@@ -1,30 +1,31 @@
 //! Flat contiguous leaf-entry storage (structure-of-arrays) — **probe-only**.
 //!
 //! [`FlatLeaves`] copies an [`RTree`]'s leaf level into four contiguous
-//! `f64` coordinate arrays plus one value array, indexed per node by a
-//! `(start, len)` span, so that [`find_best_leaf_flat`](crate::find_best_leaf_flat)
-//! can scan leaves without the 40-byte entry stride and payload branch.
+//! `f64` coordinate arrays plus one value array, indexed per leaf by a
+//! copy of the leaf level's `start` table, so that
+//! [`find_best_leaf_flat`](crate::find_best_leaf_flat) can scan leaves one
+//! coordinate stream at a time.
 //!
 //! Nothing in the engine uses it: the measured leaf-layout A/B showed no
-//! wall-time win (DESIGN.md §5f) and `mwsj-core` scans the entry layout
-//! like every other traversal. The type, [`RTree::flat_leaves`] and
-//! `find_best_leaf_flat` stay only because the repository benchmark's
-//! per-layer probes (`benchmark/src/probes.rs`) time them; they and
-//! `tests/flat_layout_prop.rs` leave with the next benchmark change.
+//! wall-time win (DESIGN.md §5f) and `mwsj-core` scans the tree's own
+//! rectangle arrays like every other traversal. The type,
+//! [`RTree::flat_leaves`] and `find_best_leaf_flat` stay only because the
+//! repository benchmark's per-layer probes (`benchmark/src/probes.rs`)
+//! time them; they and `tests/flat_layout_prop.rs` leave with the next
+//! benchmark change.
 //!
-//! Scans over this layout are bit-identical to the entry layout: same
-//! coordinates, same values, same entry order per node.
+//! Scans over this layout are bit-identical to the tree's: same
+//! coordinates, same values, same entry order per leaf.
 //! [`FlatLeaves::new`] copies all three verbatim, and the round-trip test
 //! below locks the guarantee.
 
-use crate::node::NodeId;
 use crate::tree::RTree;
 use mwsj_geom::{Point, Rect};
 
 /// SoA copy of an [`RTree`]'s leaf level (probe-only; see the module docs).
 #[derive(Debug, Clone)]
 pub struct FlatLeaves<T> {
-    /// Lower-left x of every leaf entry, in (node, slot) order.
+    /// Lower-left x of every leaf entry, in leaf order.
     lo_x: Vec<f64>,
     /// Lower-left y.
     lo_y: Vec<f64>,
@@ -34,43 +35,23 @@ pub struct FlatLeaves<T> {
     hi_y: Vec<f64>,
     /// Leaf payloads, parallel to the coordinate arrays.
     values: Vec<T>,
-    /// Per node-id `(start, len)` span into the arrays; `(0, 0)` for
-    /// internal nodes.
-    spans: Vec<(u32, u32)>,
+    /// Leaf `k` owns `start[k]..start[k + 1]` of the arrays.
+    start: Vec<u32>,
 }
 
 impl<T: Copy> FlatLeaves<T> {
-    /// Builds the flat view by walking the tree from its root and copying
-    /// every leaf node's entries in entry order.
+    /// Builds the flat view by splitting the leaf level's rectangles into
+    /// coordinate streams, leaf order kept.
     pub(crate) fn new(tree: &RTree<T>) -> Self {
-        let mut flat = FlatLeaves {
-            lo_x: Vec::with_capacity(tree.len()),
-            lo_y: Vec::with_capacity(tree.len()),
-            hi_x: Vec::with_capacity(tree.len()),
-            hi_y: Vec::with_capacity(tree.len()),
-            values: Vec::with_capacity(tree.len()),
-            spans: vec![(0, 0); tree.nodes.len()],
-        };
-        let mut stack = vec![tree.root];
-        while let Some(id) = stack.pop() {
-            let node = tree.node(id);
-            if node.is_leaf() {
-                let start = flat.values.len() as u32;
-                for entry in &node.entries {
-                    flat.lo_x.push(entry.mbr.min.x);
-                    flat.lo_y.push(entry.mbr.min.y);
-                    flat.hi_x.push(entry.mbr.max.x);
-                    flat.hi_y.push(entry.mbr.max.y);
-                    flat.values.push(*entry.value());
-                }
-                flat.spans[id.index()] = (start, node.entries.len() as u32);
-            } else {
-                for entry in &node.entries {
-                    stack.push(entry.child_id());
-                }
-            }
+        let rects = tree.leaf_rects();
+        FlatLeaves {
+            lo_x: rects.iter().map(|r| r.min.x).collect(),
+            lo_y: rects.iter().map(|r| r.min.y).collect(),
+            hi_x: rects.iter().map(|r| r.max.x).collect(),
+            hi_y: rects.iter().map(|r| r.max.y).collect(),
+            values: tree.leaf_values().to_vec(),
+            start: tree.levels[0].start.clone(),
         }
-        flat
     }
 }
 
@@ -87,35 +68,34 @@ impl<T> FlatLeaves<T> {
         self.values.is_empty()
     }
 
-    /// Bytes occupied by the SoA arrays (coordinates + values + spans).
+    /// Bytes occupied by the SoA arrays (coordinates + values + starts).
     pub fn memory_bytes(&self) -> usize {
         4 * self.lo_x.len() * std::mem::size_of::<f64>()
             + self.values.len() * std::mem::size_of::<T>()
-            + self.spans.len() * std::mem::size_of::<(u32, u32)>()
+            + self.start.len() * std::mem::size_of::<u32>()
     }
 
-    /// The index range of leaf node `id`'s entries in the arrays.
+    /// The index range of leaf `leaf`'s entries in the arrays.
     #[inline]
-    fn span(&self, id: NodeId) -> std::ops::Range<usize> {
-        let (start, len) = self.spans[id.index()];
-        start as usize..(start + len) as usize
+    fn span(&self, leaf: usize) -> std::ops::Range<usize> {
+        self.start[leaf] as usize..self.start[leaf + 1] as usize
     }
 
-    /// The MBRs of leaf node `id`'s entries, in slot order. Coordinates
+    /// The MBRs of leaf `leaf`'s entries, in slot order. Coordinates
     /// were stored normalised (`min ≤ max`), so rebuilding a rectangle is
     /// branch-free.
     #[inline]
-    pub(crate) fn rects(&self, id: NodeId) -> impl ExactSizeIterator<Item = Rect> + '_ {
-        self.span(id).map(|i| Rect {
+    pub(crate) fn rects(&self, leaf: usize) -> impl ExactSizeIterator<Item = Rect> + '_ {
+        self.span(leaf).map(|i| Rect {
             min: Point::new(self.lo_x[i], self.lo_y[i]),
             max: Point::new(self.hi_x[i], self.hi_y[i]),
         })
     }
 
-    /// The payloads of leaf node `id`'s entries, in slot order.
+    /// The payloads of leaf `leaf`'s entries, in slot order.
     #[inline]
-    pub(crate) fn values(&self, id: NodeId) -> &[T] {
-        &self.values[self.span(id)]
+    pub(crate) fn values(&self, leaf: usize) -> &[T] {
+        &self.values[self.span(leaf)]
     }
 }
 
@@ -149,22 +129,16 @@ mod tests {
             assert_eq!(flat.len(), tree.len());
             assert!(flat.memory_bytes() > 0);
             // Walk the tree; at each leaf, the span must mirror the node.
-            let mut stack = vec![tree.root];
+            let mut stack = vec![tree.root_node()];
             let mut seen = 0usize;
-            while let Some(id) = stack.pop() {
-                let node = tree.node(id);
+            while let Some(node) = stack.pop() {
                 if node.is_leaf() {
-                    assert_eq!(flat.rects(id).len(), node.entries.len());
-                    let rects = flat.rects(id).zip(flat.values(id));
-                    for ((rect, value), entry) in rects.zip(&node.entries) {
-                        assert_eq!(rect, entry.mbr);
-                        assert_eq!(value, entry.value());
-                        seen += 1;
-                    }
+                    assert_eq!(flat.rects(node.index()).len(), node.len());
+                    assert!(flat.rects(node.index()).eq(node.rects().iter().copied()));
+                    assert_eq!(flat.values(node.index()), node.values());
+                    seen += node.len();
                 } else {
-                    for entry in &node.entries {
-                        stack.push(entry.child_id());
-                    }
+                    stack.extend(node.entries().map(|e| e.child().expect("internal entry")));
                 }
             }
             assert_eq!(seen, tree.len());

@@ -7,23 +7,23 @@
 //! allocator measurement.
 
 use crate::flat::FlatLeaves;
-use crate::node::{Entry, Node};
 use crate::tree::RTree;
+use mwsj_geom::Rect;
 use mwsj_obs::MemoryFootprint;
 use std::mem::size_of;
 
 impl<T> MemoryFootprint for RTree<T> {
-    /// Heap bytes of the node vector: one node header per node plus the
-    /// stored entries counted by `len`.
+    /// Heap bytes of the per-level arrays — every level's rectangles and
+    /// `start` table — plus the leaf payloads, all counted by `len`. The
+    /// leaf level's rectangles are the dataset itself, so this is the
+    /// index *and* the data it indexes.
     fn memory_bytes(&self) -> u64 {
-        let headers = self.nodes.len() as u64 * size_of::<Node<T>>() as u64;
-        let entries: u64 = self
-            .nodes
+        let levels: usize = self
+            .levels
             .iter()
-            .map(|node| node.entries.len() as u64)
-            .sum::<u64>()
-            * size_of::<Entry<T>>() as u64;
-        headers + entries
+            .map(|l| l.rects.len() * size_of::<Rect>() + l.start.len() * size_of::<u32>())
+            .sum();
+        (levels + self.values.len() * size_of::<T>()) as u64
     }
 }
 
@@ -40,7 +40,6 @@ impl<T> MemoryFootprint for FlatLeaves<T> {
 mod tests {
     use super::*;
     use crate::RTreeParams;
-    use mwsj_geom::Rect;
     use proptest::prelude::*;
 
     fn items(seed: u64, n: usize) -> Vec<(Rect, u32)> {

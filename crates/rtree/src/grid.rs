@@ -548,6 +548,8 @@ fn satisfied_count(windows: &[(Predicate, Rect)], r: &Rect) -> u32 {
 struct CellBest<T> {
     score: f64,
     cell_pos: usize,
+    /// Where the entry lies in the SoA arrays.
+    slot: usize,
     value: T,
     satisfied: u32,
 }
@@ -599,6 +601,7 @@ pub fn find_best_in_windows<T: Copy + Ord + Send + Sync>(
                     CellBest {
                         score,
                         cell_pos: pos,
+                        slot,
                         value,
                         satisfied,
                     }
@@ -612,6 +615,7 @@ pub fn find_best_in_windows<T: Copy + Ord + Send + Sync>(
     });
     winner.map(|b| BestLeaf {
         value: b.value,
+        rect: grid.rect_at(b.slot),
         satisfied: b.satisfied,
         score: b.score,
     })

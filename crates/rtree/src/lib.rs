@@ -32,8 +32,13 @@
 //! * An **invariant checker** ([`RTree::check_invariants`]) used by the test
 //!   suite and property tests.
 //!
-//! The tree stores nodes in one `Vec` addressed by compact ids — no
-//! pointer chasing through boxes, no unsafe code. [`FlatLeaves`] and
+//! The tree is one packed array per level: the leaf level is the dataset's
+//! rectangles themselves, permuted once into STR order next to a parallel
+//! payload array; each level above is an array of node MBRs; a `start`
+//! table per level says where each node's run begins, and entry *j* of a
+//! level **is** node *j* of the level below — no child ids, no per-node
+//! allocation, no unsafe code (the `tree` module docs draw it).
+//! [`FlatLeaves`] and
 //! [`find_best_leaf_flat`] are probe-only leftovers of a retired leaf
 //! layout (see the `flat` module docs).
 
@@ -46,7 +51,6 @@ mod flat;
 mod footprint;
 pub mod grid;
 pub mod multiwindow;
-mod node;
 mod params;
 mod query;
 mod stats;

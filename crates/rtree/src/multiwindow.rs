@@ -25,10 +25,10 @@
 //!
 //! A node is scored **window by window**: for each window the predicate's
 //! batch form ([`Predicate::tally_possible`] on internal nodes,
-//! [`Predicate::tally_eval`] on leaves) runs over the node's entry slice
-//! and adds its verdicts to one count per slot — the predicate is matched
-//! once per window and the loop over the entries has no data-dependent
-//! branch. The slots with a positive count are then ranked in a **total
+//! [`Predicate::tally_eval`] on leaves) runs over the node's run of its
+//! level's rectangle array and adds its verdicts to one count per slot —
+//! the predicate is matched once per window and the loop over the entries
+//! has no data-dependent branch. The slots with a positive count are then ranked in a **total
 //! order: count descending, then slot ascending**, and visited in it.
 //!
 //! Counts and ranks live in one per-thread arena that the traversal uses
@@ -38,7 +38,6 @@
 //! scores its nodes through the same scan.
 
 use crate::flat::FlatLeaves;
-use crate::node::Payload;
 use crate::visit::NodeRef;
 use mwsj_geom::{Predicate, Rect};
 use std::borrow::Borrow;
@@ -50,6 +49,8 @@ use std::cmp::Reverse;
 pub struct BestLeaf<T> {
     /// The leaf payload.
     pub value: T,
+    /// The leaf's rectangle, as the index stores it.
+    pub rect: Rect,
     /// Number of windows the leaf's MBR satisfies.
     pub satisfied: u32,
     /// The caller-supplied score the leaf won with.
@@ -115,9 +116,9 @@ pub fn find_best_leaf_leveled<T: Copy>(
 /// [`FlatLeaves`]) — **probe-only**, kept for the benchmark's
 /// `rtree.multiwindow` probe: internal-node traversal, ordering and
 /// pruning are byte-for-byte the same, but leaf nodes are scanned through
-/// the SoA coordinate arrays instead of the per-node entry vectors.
+/// the SoA coordinate arrays instead of the leaf level's rectangle array.
 /// Results (winner, satisfied count, score) and the `node_accesses` total
-/// are bit-identical to the entry-layout kernel, locked by property tests.
+/// are bit-identical to [`find_best_leaf`]'s, locked by property tests.
 ///
 /// `flat` must be the copy of the tree `root` belongs to; spans of
 /// another tree's copy address the wrong data.
@@ -255,14 +256,14 @@ fn descend<T: Copy>(
 ) {
     tally(node.level());
 
-    let entries = node.entry_slice();
-    let (leaf, n) = (node.is_leaf(), entries.len());
+    let rects = node.rects();
+    let (leaf, n) = (node.is_leaf(), rects.len());
     let base = scratch.len();
     scratch.resize(base + 2 * n, 0);
     let (counts, ranks) = scratch[base..].split_at_mut(n);
     match flat {
-        Some(flat) if leaf => tally_windows(windows, leaf, || flat.rects(node.id()), counts),
-        _ => tally_windows(windows, leaf, || entries.iter().map(|e| &e.mbr), counts),
+        Some(flat) if leaf => tally_windows(windows, leaf, || flat.rects(node.index()), counts),
+        _ => tally_windows(windows, leaf, || rects.iter(), counts),
     }
     let ranked = rank(counts, ranks);
 
@@ -271,10 +272,10 @@ fn descend<T: Copy>(
         let count = scratch[base + slot];
         if leaf {
             let value = match flat {
-                Some(flat) => flat.values(node.id())[slot],
-                None => *entries[slot].value(),
+                Some(flat) => flat.values(node.index())[slot],
+                None => node.values()[slot],
             };
-            offer(best, value, count, score);
+            offer(best, value, &rects[slot], count, score);
             continue;
         }
         // The potential count bounds every leaf score below this entry
@@ -306,19 +307,19 @@ fn collect<T: Copy>(
     if let Some(slot) = level_accesses.get_mut(node.level() as usize) {
         *slot += 1;
     }
-    let entries = node.entry_slice();
+    let (leaf, rects) = (node.is_leaf(), node.rects());
     let base = scratch.len();
-    scratch.resize(base + entries.len(), 0);
-    let mbrs = || entries.iter().map(|e| &e.mbr);
-    tally_windows(windows, node.is_leaf(), mbrs, &mut scratch[base..]);
-    for (slot, entry) in entries.iter().enumerate() {
+    scratch.resize(base + rects.len(), 0);
+    tally_windows(windows, leaf, || rects.iter(), &mut scratch[base..]);
+    for slot in 0..rects.len() {
         let count = scratch[base + slot];
         if count < min_count {
             continue;
         }
-        match entry.payload {
-            Payload::Data(value) => emit(value, count),
-            Payload::Child(_) => collect(
+        if leaf {
+            emit(node.values()[slot], count);
+        } else {
+            collect(
                 node.entry(slot).child().expect("internal entry"),
                 windows,
                 min_count,
@@ -326,7 +327,7 @@ fn collect<T: Copy>(
                 node_accesses,
                 level_accesses,
                 scratch,
-            ),
+            );
         }
     }
     scratch.truncate(base);
@@ -338,6 +339,7 @@ fn collect<T: Copy>(
 fn offer<T: Copy>(
     best: &mut Option<BestLeaf<T>>,
     value: T,
+    rect: &Rect,
     count: u32,
     score: &mut impl FnMut(&T, u32) -> f64,
 ) {
@@ -349,6 +351,7 @@ fn offer<T: Copy>(
     if better {
         *best = Some(BestLeaf {
             value,
+            rect: *rect,
             satisfied: count,
             score: leaf_score,
         });
@@ -422,7 +425,7 @@ mod tests {
         for (count, i) in scored {
             if leaf {
                 let value = *node.entry(i).value().expect("leaf entry");
-                offer(best, value, count, score);
+                offer(best, value, node.entry(i).mbr(), count, score);
                 continue;
             }
             if let Some(b) = best {
@@ -507,8 +510,9 @@ mod tests {
                 &mut expected_levels,
             );
             let expected_accesses: u64 = expected_levels.iter().sum();
-            let bits =
-                |b: Option<BestLeaf<u32>>| b.map(|b| (b.value, b.satisfied, b.score.to_bits()));
+            let bits = |b: Option<BestLeaf<u32>>| {
+                b.map(|b| (b.value, b.rect, b.satisfied, b.score.to_bits()))
+            };
 
             let mut acc = 0u64;
             let plain = find_best_leaf(tree.root_node(), windows, scorer, &mut acc);
@@ -656,6 +660,7 @@ mod tests {
                     .filter(|(pred, w)| pred.eval(&rects[b.value as usize], w))
                     .count() as u32;
                 assert_eq!(b.satisfied, true_count);
+                assert_eq!(b.rect, rects[b.value as usize]);
             }
             assert!(acc > 0, "must at least visit the root");
         }

@@ -7,7 +7,6 @@
 //! start, every descendant when its subtree is entered).
 
 use crate::access::AccessCounter;
-use crate::node::{NodeId, Payload};
 use crate::tree::RTree;
 use mwsj_geom::{Predicate, Rect};
 
@@ -22,8 +21,10 @@ where
     LF: Fn(&Rect) -> bool,
 {
     tree: &'a RTree<T>,
-    /// Stack of (node, next-entry-index) cursors.
-    stack: Vec<(NodeId, usize)>,
+    /// One cursor per node on the current path: its level, the next entry
+    /// to look at and the end of its run, both as positions in the level's
+    /// arrays.
+    stack: Vec<(usize, usize, usize)>,
     node_filter: NF,
     leaf_filter: LF,
     /// Shared access-accounting hook; `None` disables counting.
@@ -45,9 +46,11 @@ where
         if let Some(c) = counter {
             c.inc();
         }
+        let top = tree.levels.len() - 1;
+        let root = tree.levels[top].span(0);
         QueryIter {
             tree,
-            stack: vec![(tree.root, 0)],
+            stack: vec![(top, root.start, root.end)],
             node_filter,
             leaf_filter,
             counter,
@@ -63,28 +66,25 @@ where
     type Item = (&'a Rect, &'a T);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while let Some((node_id, cursor)) = self.stack.last_mut() {
-            let node = self.tree.node(*node_id);
-            if *cursor >= node.entries.len() {
+        while let Some((level, cursor, end)) = self.stack.last_mut() {
+            if cursor >= end {
                 self.stack.pop();
                 continue;
             }
-            let entry = &node.entries[*cursor];
+            let (level, index) = (*level, *cursor);
             *cursor += 1;
-            match &entry.payload {
-                Payload::Data(v) => {
-                    if (self.leaf_filter)(&entry.mbr) {
-                        return Some((&entry.mbr, v));
-                    }
+            let mbr = &self.tree.levels[level].rects[index];
+            if level == 0 {
+                if (self.leaf_filter)(mbr) {
+                    return Some((mbr, &self.tree.values[index]));
                 }
-                Payload::Child(child) => {
-                    if (self.node_filter)(&entry.mbr) {
-                        if let Some(c) = self.counter {
-                            c.inc();
-                        }
-                        self.stack.push((*child, 0));
-                    }
+            } else if (self.node_filter)(mbr) {
+                if let Some(c) = self.counter {
+                    c.inc();
                 }
+                // Entry `index` of this level is node `index` of the next.
+                let child = self.tree.levels[level - 1].span(index);
+                self.stack.push((level - 1, child.start, child.end));
             }
         }
         None

@@ -1,7 +1,6 @@
 //! Structural statistics, useful for diagnosing index quality in the
 //! experiment harness (node occupancy, per-level area/overlap).
 
-use crate::node::Payload;
 use crate::tree::RTree;
 
 /// Summary statistics of an R*-tree's structure.
@@ -51,8 +50,13 @@ pub struct TreeStats {
 impl<T> RTree<T> {
     /// Computes structural statistics in one traversal (plus an O(M²) pass
     /// per node for sibling overlap).
+    ///
+    /// The float sums are taken in one fixed order — depth first from the
+    /// root, the last child first — which is the order they were pinned in
+    /// (`explain` sections of the committed snapshots), not array order.
     pub fn stats(&self) -> TreeStats {
-        let height = self.height as usize;
+        let height = self.levels.len();
+        let cap = self.params.max_entries() as f64;
         let mut nodes = 0usize;
         let mut leaves = 0usize;
         let mut fill_sum = 0.0f64;
@@ -64,31 +68,30 @@ impl<T> RTree<T> {
         let mut dead_area_per_level = vec![0.0f64; height];
         let mut perimeter_per_level = vec![0.0f64; height];
 
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = self.node(id);
+        let mut stack = vec![self.root_node()];
+        while let Some(node) = stack.pop() {
+            let rects = node.rects();
             nodes += 1;
             if node.is_leaf() {
                 leaves += 1;
             }
-            fill_sum += node.entries.len() as f64 / self.params.max_entries() as f64;
-            let lvl = node.level as usize;
+            fill_sum += rects.len() as f64 / cap;
+            let lvl = node.level() as usize;
             nodes_per_level[lvl] += 1;
-            entries_per_level[lvl] += node.entries.len();
-            let node_area = node.mbr().area();
+            entries_per_level[lvl] += rects.len();
+            let mbr = node.mbr();
+            let node_area = mbr.area();
             area_per_level[lvl] += node_area;
-            perimeter_per_level[lvl] += node.mbr().margin();
+            perimeter_per_level[lvl] += mbr.margin();
             let mut entry_area = 0.0f64;
             let mut entry_overlap = 0.0f64;
-            for (i, a) in node.entries.iter().enumerate() {
-                entry_area += a.mbr.area();
-                for b in node.entries.iter().skip(i + 1) {
-                    entry_overlap += a.mbr.overlap_area(&b.mbr);
-                }
-                if let Payload::Child(c) = a.payload {
-                    stack.push(c);
+            for (i, a) in rects.iter().enumerate() {
+                entry_area += a.area();
+                for b in &rects[i + 1..] {
+                    entry_overlap += a.overlap_area(b);
                 }
             }
+            stack.extend(node.entries().filter_map(|e| e.child()));
             overlap_per_level[lvl] += entry_overlap;
             // Two-term inclusion–exclusion estimate of the covered area;
             // clamp per node since triple-overlaps can overshoot it.
@@ -96,8 +99,8 @@ impl<T> RTree<T> {
         }
 
         for lvl in 0..height {
-            fill_per_level[lvl] = entries_per_level[lvl] as f64
-                / (nodes_per_level[lvl] as f64 * self.params.max_entries() as f64);
+            fill_per_level[lvl] =
+                entries_per_level[lvl] as f64 / (nodes_per_level[lvl] as f64 * cap);
         }
         let ratio_or_zero = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
         let overlap_factor_per_level: Vec<f64> = (0..height)
@@ -108,8 +111,8 @@ impl<T> RTree<T> {
             .collect();
 
         TreeStats {
-            len: self.len,
-            height: self.height,
+            len: self.len(),
+            height: self.height(),
             nodes,
             leaves,
             avg_fill: fill_sum / nodes as f64,

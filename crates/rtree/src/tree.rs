@@ -1,15 +1,54 @@
-//! The `RTree` container: node storage and basic accessors.
+//! The `RTree` container: one packed array per level and basic accessors.
+//!
+//! ```text
+//! level 2 (root)  rects [ A  B ]                     start [0 2]
+//! level 1         rects [ a  b  c | d  e ]           start [0 3 5]
+//! level 0 (leaf)  rects [ r r r | r r | r r r | … ]  start [0 3 5 8 …]
+//!                 values[ o o o | o o | o o o | … ]  (parallel to the leaf rects)
+//! entry j of level ℓ is node j of level ℓ−1: A = node 0 of level 1 = entries a b c
+//! ```
+//!
+//! A node is a `(level, index)` pair and owns the run
+//! `rects[start[index]..start[index + 1]]` of its level; an internal entry
+//! needs no child id because its position *is* the child's index. The leaf
+//! level holds the dataset's rectangles themselves, permuted once into STR
+//! order — there is no second copy.
 
-use crate::node::{Node, NodeId, Payload};
 use crate::params::RTreeParams;
 use crate::visit::NodeRef;
 use mwsj_geom::Rect;
+use std::ops::Range;
+
+/// One level of the tree: the entry rectangles of its nodes, node after
+/// node, and where each node's run begins.
+#[derive(Debug)]
+pub(crate) struct Level {
+    /// Data rectangles on level 0, child-node MBRs above.
+    pub rects: Vec<Rect>,
+    /// Node `k` owns `rects[start[k]..start[k + 1]]`; one more cell than
+    /// the level has nodes.
+    pub start: Vec<u32>,
+}
+
+impl Level {
+    /// Number of nodes on the level.
+    #[inline]
+    pub(crate) fn nodes(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The run of node `index` in `rects`.
+    #[inline]
+    pub(crate) fn span(&self, index: usize) -> Range<usize> {
+        self.start[index] as usize..self.start[index + 1] as usize
+    }
+}
 
 /// A static R-tree over rectangles with payloads of type `T`, built once
 /// by STR bulk loading ([`RTree::bulk_load`]) and immutable afterwards.
 ///
 /// In this project `T` is an object id (`u32`/`usize` index into a
-/// dataset), but any type works.
+/// dataset), but any `Copy` type works.
 ///
 /// ```
 /// use mwsj_rtree::RTree;
@@ -31,31 +70,29 @@ use mwsj_geom::Rect;
 #[derive(Debug)]
 pub struct RTree<T> {
     pub(crate) params: RTreeParams,
-    /// Every node, addressed by [`NodeId`]; all are reachable from `root`.
-    pub(crate) nodes: Vec<Node<T>>,
-    pub(crate) root: NodeId,
-    /// Number of levels; the root node has `level == height - 1`.
-    pub(crate) height: u32,
-    pub(crate) len: usize,
+    /// `[0]` = leaf level; the last level holds the root, its only node.
+    pub(crate) levels: Vec<Level>,
+    /// Leaf payloads, parallel to `levels[0].rects`.
+    pub(crate) values: Vec<T>,
 }
 
 impl<T> RTree<T> {
     /// Number of data entries stored.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.values.len()
     }
 
     /// Returns `true` if the tree stores no data.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.values.is_empty()
     }
 
     /// Number of levels (1 for a tree that is a single leaf).
     #[inline]
     pub fn height(&self) -> u32 {
-        self.height
+        self.levels.len() as u32
     }
 
     /// The structural parameters the tree was built with.
@@ -66,25 +103,38 @@ impl<T> RTree<T> {
 
     /// Number of nodes (internal + leaf).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.levels.iter().map(Level::nodes).sum()
     }
 
     /// Bounding box of the whole dataset ([`Rect::EMPTY`] when empty).
     pub fn bounding_box(&self) -> Rect {
-        self.node(self.root).mbr()
+        self.root_node().mbr()
+    }
+
+    /// The stored rectangles in leaf order — STR order, leaf after leaf —
+    /// paired index for index with [`RTree::leaf_values`].
+    #[inline]
+    pub fn leaf_rects(&self) -> &[Rect] {
+        &self.levels[0].rects
+    }
+
+    /// The payloads in leaf order (see [`RTree::leaf_rects`]).
+    #[inline]
+    pub fn leaf_values(&self) -> &[T] {
+        &self.values
     }
 
     /// Read-only view of the root node, entry point of the traversal API
     /// used by the join algorithms (`find best value`, ST, IBB).
     pub fn root_node(&self) -> NodeRef<'_, T> {
-        NodeRef::new(self, self.root)
+        NodeRef::new(self, self.height() - 1, 0)
     }
 
     /// [`RTree::root_node`] with node accesses recorded into `counter`:
     /// the root counts immediately and every child materialised through
     /// [`EntryRef::child`](crate::EntryRef::child) below it counts once.
     pub fn root_node_counted<'a>(&'a self, counter: &'a crate::AccessCounter) -> NodeRef<'a, T> {
-        NodeRef::counted(self, self.root, counter)
+        NodeRef::counted(self, self.height() - 1, 0, counter)
     }
 
     /// Builds a structure-of-arrays copy of the leaf level (see
@@ -98,26 +148,9 @@ impl<T> RTree<T> {
         crate::FlatLeaves::new(self)
     }
 
-    /// Iterates over every stored `(mbr, payload)` pair, in tree order.
+    /// Iterates over every stored `(mbr, payload)` pair, in leaf order.
     pub fn iter(&self) -> impl Iterator<Item = (&Rect, &T)> + '_ {
-        let mut stack = vec![self.root];
-        let mut leaf_entries: Vec<(&Rect, &T)> = Vec::new();
-        // Collect eagerly: this keeps the iterator type simple.
-        while let Some(id) = stack.pop() {
-            let node = self.node(id);
-            for e in &node.entries {
-                match &e.payload {
-                    Payload::Child(c) => stack.push(*c),
-                    Payload::Data(v) => leaf_entries.push((&e.mbr, v)),
-                }
-            }
-        }
-        leaf_entries.into_iter()
-    }
-
-    #[inline]
-    pub(crate) fn node(&self, id: NodeId) -> &Node<T> {
-        &self.nodes[id.index()]
+        self.leaf_rects().iter().zip(&self.values)
     }
 }
 

@@ -1,113 +1,91 @@
 //! Structural invariant checking, used heavily by the test suite.
 
-use crate::node::{NodeId, Payload};
 use crate::tree::RTree;
-use std::collections::HashSet;
+use mwsj_geom::Rect;
 
 impl<T> RTree<T> {
     /// Verifies every structural invariant of the tree:
     ///
-    /// 1. node levels decrease by exactly one along child edges, leaves sit
-    ///    at level 0 and the root at `height - 1`;
+    /// 1. every level's `start` table begins at 0, never decreases and ends
+    ///    at the level's entry count; the top level is one node (the root)
+    ///    and every other level has exactly as many nodes as the level
+    ///    above has entries — so each node is the child of one entry,
+    ///    reachable once, one level below its parent;
     /// 2. every internal entry's MBR equals (within fp tolerance) the tight
     ///    union of its child's entries;
     /// 3. occupancy: every node holds at most `M` entries and every
     ///    non-root node at least `⌊M/2⌋` (the STR packing bound); an
     ///    internal root holds at least 2;
-    /// 4. no node is reachable twice and every stored node is reachable;
-    /// 5. the recorded `len` equals the number of reachable data entries.
+    /// 4. the leaf level carries one payload per rectangle.
     ///
     /// Returns a description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut seen: HashSet<u32> = HashSet::new();
-        let mut data_count = 0usize;
-
-        let root = self.root;
-        if self.node(root).level + 1 != self.height {
-            return Err(format!(
-                "root level {} inconsistent with height {}",
-                self.node(root).level,
-                self.height
-            ));
-        }
-
-        let mut stack: Vec<NodeId> = vec![root];
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id.0) {
-                return Err(format!("node {} reachable twice", id.0));
-            }
-            let node = self.node(id);
-
-            // Occupancy.
-            let cap = self.params.max_entries();
-            if node.entries.len() > cap {
+        let cap = self.params.max_entries();
+        let Some(top) = self.levels.len().checked_sub(1) else {
+            return Err("no levels".into());
+        };
+        for (lvl, level) in self.levels.iter().enumerate() {
+            let starts = &level.start;
+            if starts.first() != Some(&0)
+                || starts.last().map(|&end| end as usize) != Some(level.rects.len())
+                || starts.windows(2).any(|w| w[0] > w[1])
+            {
                 return Err(format!(
-                    "node {} overflows: {} > M = {cap}",
-                    id.0,
-                    node.entries.len()
+                    "level {lvl}: start table does not tile its {} entries",
+                    level.rects.len()
                 ));
             }
-            if id != root && node.entries.len() < cap / 2 {
+            let expected_nodes = match self.levels.get(lvl + 1) {
+                Some(above) => above.rects.len(),
+                None => 1,
+            };
+            if level.nodes() != expected_nodes {
                 return Err(format!(
-                    "node {} underflows: {} < M/2 = {}",
-                    id.0,
-                    node.entries.len(),
-                    cap / 2
+                    "level {lvl}: {} nodes under {expected_nodes} parent entries",
+                    level.nodes()
                 ));
             }
-            if id == root && !node.is_leaf() && node.entries.len() < 2 {
-                return Err("internal root with fewer than 2 entries".into());
-            }
-
-            for (slot, e) in node.entries.iter().enumerate() {
-                if !e.mbr.is_finite() && !e.mbr.is_empty() {
-                    return Err(format!("node {} slot {slot}: non-finite MBR", id.0));
+            for node in 0..level.nodes() {
+                let entries = &level.rects[level.span(node)];
+                if entries.len() > cap {
+                    return Err(format!(
+                        "level {lvl} node {node} overflows: {} > M = {cap}",
+                        entries.len()
+                    ));
                 }
-                match &e.payload {
-                    Payload::Data(_) => {
-                        if !node.is_leaf() {
-                            return Err(format!(
-                                "data entry in internal node {} (level {})",
-                                id.0, node.level
-                            ));
-                        }
-                        data_count += 1;
-                    }
-                    Payload::Child(child_id) => {
-                        if node.is_leaf() {
-                            return Err(format!("child entry in leaf node {}", id.0));
-                        }
-                        let child = self.node(*child_id);
-                        if child.level + 1 != node.level {
-                            return Err(format!(
-                                "child {} at level {} under parent {} at level {}",
-                                child_id.0, child.level, id.0, node.level
-                            ));
-                        }
-                        let tight = child.mbr();
-                        if !rects_close(&e.mbr, &tight) {
-                            return Err(format!(
-                                "stale MBR for child {}: stored {} vs tight {}",
-                                child_id.0, e.mbr, tight
-                            ));
-                        }
-                        stack.push(*child_id);
+                if lvl != top && entries.len() < cap / 2 {
+                    return Err(format!(
+                        "level {lvl} node {node} underflows: {} < M/2 = {}",
+                        entries.len(),
+                        cap / 2
+                    ));
+                }
+                if lvl == top && lvl > 0 && entries.len() < 2 {
+                    return Err("internal root with fewer than 2 entries".into());
+                }
+                if let Some(slot) = entries
+                    .iter()
+                    .position(|mbr| !mbr.is_finite() && !mbr.is_empty())
+                {
+                    return Err(format!(
+                        "level {lvl} node {node} slot {slot}: non-finite MBR"
+                    ));
+                }
+                if let Some(above) = self.levels.get(lvl + 1) {
+                    let (stored, tight) = (&above.rects[node], Rect::union_all(entries));
+                    if !rects_close(stored, &tight) {
+                        return Err(format!(
+                            "stale MBR for level {lvl} node {node}: stored {stored} vs tight {tight}"
+                        ));
                     }
                 }
             }
         }
-
-        if seen.len() != self.nodes.len() {
+        if self.values.len() != self.levels[0].rects.len() {
             return Err(format!(
-                "{} of {} stored nodes are unreachable",
-                self.nodes.len() - seen.len(),
-                self.nodes.len()
-            ));
-        }
-        if data_count != self.len {
-            return Err(format!(
-                "len mismatch: recorded {}, reachable {}",
-                self.len, data_count
+                "len mismatch: {} payloads, {} leaf rectangles",
+                self.values.len(),
+                self.levels[0].rects.len()
             ));
         }
         Ok(())
@@ -116,7 +94,7 @@ impl<T> RTree<T> {
 
 /// Exact equality is expected — MBRs are recomputed as exact unions — but a
 /// tiny tolerance guards against platform fp quirks in future refactors.
-fn rects_close(a: &mwsj_geom::Rect, b: &mwsj_geom::Rect) -> bool {
+fn rects_close(a: &Rect, b: &Rect) -> bool {
     if a.is_empty() && b.is_empty() {
         return true;
     }

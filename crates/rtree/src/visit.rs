@@ -4,7 +4,8 @@
 //! traversals over the index (the paper's *find best value*, synchronous
 //! traversal and IBB all sort and prune node entries with query-specific
 //! logic). [`NodeRef`] and [`EntryRef`] expose the tree structure immutably
-//! without this crate leaking mutable internals.
+//! without this crate leaking mutable internals: a node is a `(level,
+//! index)` pair, its entries a run of its level's rectangle array.
 //!
 //! Node accesses along a visit-API traversal can be accounted through the
 //! shared [`AccessCounter`](crate::AccessCounter) hook: start from
@@ -15,15 +16,17 @@
 //! path and flush them into the metrics registry when a run finishes.
 
 use crate::access::AccessCounter;
-use crate::node::{Entry, NodeId, Payload};
 use crate::tree::RTree;
 use mwsj_geom::Rect;
+use std::ops::Range;
 
 /// Immutable view of one tree node.
 #[derive(Debug)]
 pub struct NodeRef<'a, T> {
     tree: &'a RTree<T>,
-    id: NodeId,
+    level: u32,
+    /// Position among the nodes of `level`.
+    index: u32,
     /// Shared access-accounting hook; `None` disables counting.
     counter: Option<&'a AccessCounter>,
 }
@@ -36,52 +39,56 @@ impl<T> Clone for NodeRef<'_, T> {
 impl<T> Copy for NodeRef<'_, T> {}
 
 impl<'a, T> NodeRef<'a, T> {
-    pub(crate) fn new(tree: &'a RTree<T>, id: NodeId) -> Self {
+    pub(crate) fn new(tree: &'a RTree<T>, level: u32, index: u32) -> Self {
         NodeRef {
             tree,
-            id,
+            level,
+            index,
             counter: None,
         }
     }
 
-    pub(crate) fn counted(tree: &'a RTree<T>, id: NodeId, counter: &'a AccessCounter) -> Self {
+    pub(crate) fn counted(
+        tree: &'a RTree<T>,
+        level: u32,
+        index: u32,
+        counter: &'a AccessCounter,
+    ) -> Self {
         counter.inc();
         NodeRef {
-            tree,
-            id,
             counter: Some(counter),
+            ..NodeRef::new(tree, level, index)
         }
     }
 
-    /// Id of the node (crate-internal: keys the probe-only flat-leaf
-    /// spans).
+    /// Position of the node among the nodes of its level.
     #[inline]
-    pub(crate) fn id(&self) -> NodeId {
-        self.id
+    pub(crate) fn index(&self) -> usize {
+        self.index as usize
     }
 
-    /// The node's entries as stored, for scans that read every slot.
+    /// The node's run in its level's entry arrays.
     #[inline]
-    pub(crate) fn entry_slice(&self) -> &'a [Entry<T>] {
-        &self.tree.node(self.id).entries
+    fn span(&self) -> Range<usize> {
+        self.tree.levels[self.level as usize].span(self.index())
     }
 
     /// Level of this node (0 = leaf).
     #[inline]
     pub fn level(&self) -> u32 {
-        self.tree.node(self.id).level
+        self.level
     }
 
     /// Returns `true` if this node's entries carry data payloads.
     #[inline]
     pub fn is_leaf(&self) -> bool {
-        self.tree.node(self.id).is_leaf()
+        self.level == 0
     }
 
     /// Number of entries in the node.
     #[inline]
     pub fn len(&self) -> usize {
-        self.tree.node(self.id).entries.len()
+        self.span().len()
     }
 
     /// Returns `true` if the node holds no entries (only the root of an
@@ -91,9 +98,30 @@ impl<'a, T> NodeRef<'a, T> {
         self.len() == 0
     }
 
-    /// Tight bounding box over the node's entries.
+    /// The rectangles of the node's entries, in entry order.
+    #[inline]
+    pub fn rects(&self) -> &'a [Rect] {
+        &self.tree.levels[self.level as usize].rects[self.span()]
+    }
+
+    /// The payloads of a leaf's entries, parallel to [`NodeRef::rects`];
+    /// empty on an internal node.
+    #[inline]
+    pub fn values(&self) -> &'a [T] {
+        if self.is_leaf() {
+            &self.tree.values[self.span()]
+        } else {
+            &[]
+        }
+    }
+
+    /// Tight bounding box over the node's entries: what the parent's entry
+    /// for this node stores, computed only for the root.
     pub fn mbr(&self) -> Rect {
-        self.tree.node(self.id).mbr()
+        match self.tree.levels.get(self.level as usize + 1) {
+            Some(parents) => parents.rects[self.index()],
+            None => Rect::union_all(self.rects()),
+        }
     }
 
     /// The `i`-th entry of the node.
@@ -102,34 +130,35 @@ impl<'a, T> NodeRef<'a, T> {
     /// Panics if `i >= self.len()`.
     #[inline]
     pub fn entry(&self, i: usize) -> EntryRef<'a, T> {
-        EntryRef {
-            tree: self.tree,
-            node: self.id,
-            slot: i,
-            counter: self.counter,
-        }
+        let span = self.span();
+        assert!(i < span.len(), "entry {i} of a node of {}", span.len());
+        self.entry_at(span.start + i)
     }
 
     /// Iterates over the node's entries.
     pub fn entries(&self) -> impl Iterator<Item = EntryRef<'a, T>> + '_ {
-        let tree = self.tree;
-        let node = self.id;
-        let counter = self.counter;
-        (0..self.len()).map(move |slot| EntryRef {
-            tree,
-            node,
-            slot,
-            counter,
-        })
+        self.span().map(|index| self.entry_at(index))
+    }
+
+    fn entry_at(&self, index: usize) -> EntryRef<'a, T> {
+        EntryRef {
+            tree: self.tree,
+            level: self.level,
+            index: index as u32,
+            counter: self.counter,
+        }
     }
 }
 
-/// Immutable view of one entry (MBR + child pointer or data payload).
+/// Immutable view of one entry (MBR + child node or data payload).
 #[derive(Debug)]
 pub struct EntryRef<'a, T> {
     tree: &'a RTree<T>,
-    node: NodeId,
-    slot: usize,
+    /// Level of the node holding the entry.
+    level: u32,
+    /// Position in that level's entry arrays — on an internal level, also
+    /// the child's position among the nodes of the level below.
+    index: u32,
     /// Inherited from the originating [`NodeRef`]; counted traversals
     /// propagate it to children.
     counter: Option<&'a AccessCounter>,
@@ -146,7 +175,7 @@ impl<'a, T> EntryRef<'a, T> {
     /// The entry's bounding rectangle.
     #[inline]
     pub fn mbr(&self) -> &'a Rect {
-        &self.tree.node(self.node).entries[self.slot].mbr
+        &self.tree.levels[self.level as usize].rects[self.index as usize]
     }
 
     /// The child node, if this is an internal entry. On a counted
@@ -154,22 +183,17 @@ impl<'a, T> EntryRef<'a, T> {
     /// records one node access.
     #[inline]
     pub fn child(&self) -> Option<NodeRef<'a, T>> {
-        match self.tree.node(self.node).entries[self.slot].payload {
-            Payload::Child(id) => Some(match self.counter {
-                Some(counter) => NodeRef::counted(self.tree, id, counter),
-                None => NodeRef::new(self.tree, id),
-            }),
-            Payload::Data(_) => None,
-        }
+        let level = self.level.checked_sub(1)?;
+        Some(match self.counter {
+            Some(counter) => NodeRef::counted(self.tree, level, self.index, counter),
+            None => NodeRef::new(self.tree, level, self.index),
+        })
     }
 
     /// The data payload, if this is a leaf entry.
     #[inline]
     pub fn value(&self) -> Option<&'a T> {
-        match &self.tree.node(self.node).entries[self.slot].payload {
-            Payload::Data(v) => Some(v),
-            Payload::Child(_) => None,
-        }
+        (self.level == 0).then(|| &self.tree.values[self.index as usize])
     }
 }
 

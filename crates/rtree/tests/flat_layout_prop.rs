@@ -1,8 +1,8 @@
 //! Layout-equivalence properties for the probe-only flat kernel (the only
 //! check on code the benchmark's `rtree.multiwindow` probe times): the
 //! multi-window kernel must be **bit-identical** — same best leaf, same
-//! score, same node-access count — whether it scans the nodes' entry
-//! vectors or the flat SoA copy. Randomized STR trees go up to 10k entries
+//! score, same node-access count — whether it scans the tree's own
+//! rectangle arrays or the flat SoA copy. Randomized STR trees go up to 10k entries
 //! at node capacities 4, 8 and 32, with and without penalty-style scorers.
 
 use mwsj_geom::{Predicate, Rect};
