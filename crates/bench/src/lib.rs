@@ -33,9 +33,8 @@ pub use suite::{pinned_suite, pinned_suite_large, run_suite, BenchTier, SuiteAlg
 
 use mwsj_core::Instance;
 use mwsj_core::{
-    Gils, GilsConfig, Ils, IlsConfig, NaiveGa, NaiveGaConfig, NaiveLocalSearch, ParallelPortfolio,
-    PortfolioConfig, PortfolioOutcome, RunOutcome, Sea, SeaConfig, SearchBudget, SearchContext,
-    SimulatedAnnealing,
+    Gils, GilsConfig, Ils, IlsConfig, NaiveGa, NaiveGaConfig, NaiveLocalSearch, RunOutcome, Sea,
+    SeaConfig, SearchBudget, SearchContext, SimulatedAnnealing,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,46 +90,6 @@ impl Algo {
             Algo::Sa => SimulatedAnnealing::default().search(instance, ctx, rng),
         }
     }
-
-    /// Runs the algorithm as a [`ParallelPortfolio`] of `restarts` seeded
-    /// restarts on `threads` worker threads (`0` = all cores), sharing
-    /// `budget` across the restarts.
-    pub fn run_portfolio(
-        &self,
-        instance: &Instance,
-        budget: &SearchBudget,
-        master_seed: u64,
-        restarts: usize,
-        threads: usize,
-    ) -> PortfolioOutcome {
-        let config = PortfolioConfig::new(restarts, threads);
-        match self {
-            Algo::Ils => ParallelPortfolio::new(Ils::new(IlsConfig::default()), config).run(
-                instance,
-                budget,
-                master_seed,
-            ),
-            Algo::Gils => ParallelPortfolio::new(Gils::new(GilsConfig::default()), config).run(
-                instance,
-                budget,
-                master_seed,
-            ),
-            Algo::Sea => ParallelPortfolio::new(Sea::new(SeaConfig::default_for(instance)), config)
-                .run(instance, budget, master_seed),
-            Algo::NaiveLs => ParallelPortfolio::new(NaiveLocalSearch::default(), config).run(
-                instance,
-                budget,
-                master_seed,
-            ),
-            Algo::NaiveGa => ParallelPortfolio::new(NaiveGa::new(NaiveGaConfig::default()), config)
-                .run(instance, budget, master_seed),
-            Algo::Sa => ParallelPortfolio::new(SimulatedAnnealing::default(), config).run(
-                instance,
-                budget,
-                master_seed,
-            ),
-        }
-    }
 }
 
 /// Arithmetic mean (0 for an empty slice).
@@ -142,25 +101,14 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Sample standard deviation (0 for fewer than two samples).
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean_of_none_and_some() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(stddev(&[1.0]), 0.0);
-        assert!((stddev(&[2.0, 4.0]) - std::f64::consts::SQRT_2).abs() < 1e-12);
     }
 
     #[test]

@@ -137,6 +137,8 @@ USAGE:
                                             metrics file can be tailed live
   mwsj join --data FILE [--data FILE]... --query SPEC [--algo wr|st|pjm] [--limit K] [--seconds S]
             [--backend rtree|grid] [--grid-threads T] [--metrics-out FILE]
+                                            --algo st descends the R*-trees and ignores
+                                            --backend; it takes overlap queries only
   mwsj explain --data FILE [--data FILE]... --query SPEC [--backend rtree|grid] [--metrics-out FILE]
                                             pre-run cost & selectivity report, no solving:
                                             per-edge selectivity estimates (with exact
@@ -332,7 +334,6 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     if restarts == 0 {
         return Err("--restarts must be at least 1".into());
     }
-    let mut rng = StdRng::seed_from_u64(seed);
 
     let algo = args.value("algo").unwrap_or("ils");
     let portfolio = restarts > 1;
@@ -430,94 +431,49 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
         .with_obs(obs.clone())
         .with_telemetry(telemetry);
 
+    let heuristic = HeuristicRun {
+        instance: &instance,
+        budget: &budget,
+        ctx: &ctx,
+        seed,
+        restarts,
+        threads,
+        telemetry,
+        obs: &obs,
+    };
     // Portfolio runs merge per-restart phase timers themselves; keep the
     // merged snapshot around for `--profile-out`.
-    let mut portfolio_phases: Vec<PhaseSnapshot> = Vec::new();
-    let outcome: RunOutcome = match algo {
-        "ils" if portfolio => {
-            let (merged, phases) = run_portfolio(
-                Ils::new(IlsConfig::default()),
-                &instance,
-                &budget,
-                seed,
-                restarts,
-                threads,
-                telemetry,
-                &obs,
-                stdout,
-            )?;
-            portfolio_phases = phases;
-            merged
-        }
-        "gils" if portfolio => {
-            let (merged, phases) = run_portfolio(
-                Gils::new(GilsConfig::default()),
-                &instance,
-                &budget,
-                seed,
-                restarts,
-                threads,
-                telemetry,
-                &obs,
-                stdout,
-            )?;
-            portfolio_phases = phases;
-            merged
-        }
-        "sea" if portfolio => {
-            let (merged, phases) = run_portfolio(
-                Sea::new(SeaConfig::default_for(&instance)),
-                &instance,
-                &budget,
-                seed,
-                restarts,
-                threads,
-                telemetry,
-                &obs,
-                stdout,
-            )?;
-            portfolio_phases = phases;
-            merged
-        }
-        "sea-hybrid" if portfolio => {
-            let (merged, phases) = run_portfolio(
-                Sea::new(SeaConfig::default_for(&instance).with_ils_seeding()),
-                &instance,
-                &budget,
-                seed,
-                restarts,
-                threads,
-                telemetry,
-                &obs,
-                stdout,
-            )?;
-            portfolio_phases = phases;
-            merged
-        }
-        "ils" => Ils::new(IlsConfig::default()).search(&instance, &ctx, &mut rng),
-        "gils" => Gils::new(GilsConfig::default()).search(&instance, &ctx, &mut rng),
-        "sea" => Sea::new(SeaConfig::default_for(&instance)).search(&instance, &ctx, &mut rng),
-        "sea-hybrid" => Sea::new(SeaConfig::default_for(&instance).with_ils_seeding())
-            .search(&instance, &ctx, &mut rng),
+    let (outcome, portfolio_phases): (RunOutcome, Vec<PhaseSnapshot>) = match algo {
+        "ils" => heuristic.run(Ils::new(IlsConfig::default()), stdout)?,
+        "gils" => heuristic.run(Gils::new(GilsConfig::default()), stdout)?,
+        "sea" => heuristic.run(Sea::new(SeaConfig::default_for(&instance)), stdout)?,
+        "sea-hybrid" => heuristic.run(
+            Sea::new(SeaConfig::default_for(&instance).with_ils_seeding()),
+            stdout,
+        )?,
         "ibb" | "two-step" if portfolio => {
             return Err(
                 format!("--restarts applies to the anytime heuristics, not '{algo}'").into(),
             )
         }
-        "ibb" => Ibb::new(IbbConfig::new()).search(&instance, &ctx),
+        "ibb" => (
+            Ibb::new(IbbConfig::new()).search(&instance, &ctx),
+            Vec::new(),
+        ),
         "two-step" => {
             let heuristic_budget = SearchBudget::seconds(0.5);
             let two = TwoStep::new(TwoStepConfig::Ils(IlsConfig::default(), heuristic_budget))
                 .with_telemetry(telemetry);
+            let mut rng = StdRng::seed_from_u64(seed);
             let out = two.run_with_obs(&instance, &budget, &mut rng, &obs);
-            out.best
+            (out.best, Vec::new())
         }
         other => return Err(format!("unknown algorithm '{other}'").into()),
     };
 
     if !portfolio {
         // Portfolio runs emit their seed-order merged snapshots inside
-        // `run_portfolio`; single runs freeze the handle's own registry.
+        // `HeuristicRun::run`; single runs freeze the handle's own registry.
         obs.emit(RunEvent::Metrics {
             snapshot: obs.metrics.snapshot(),
         });
@@ -615,42 +571,56 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)] // thin CLI plumbing over PortfolioConfig
-fn run_portfolio<A: AnytimeSearch>(
-    algo: A,
-    instance: &Instance,
-    budget: &SearchBudget,
-    master_seed: u64,
+/// What `solve` runs an anytime heuristic with.
+struct HeuristicRun<'a> {
+    instance: &'a Instance,
+    budget: &'a SearchBudget,
+    ctx: &'a SearchContext,
+    seed: u64,
     restarts: usize,
     threads: usize,
     telemetry: TelemetryConfig,
-    obs: &ObsHandle,
-    stdout: &mut impl Write,
-) -> Result<(RunOutcome, Vec<PhaseSnapshot>), Failure> {
-    let mut config = PortfolioConfig::new(restarts, threads);
-    config.telemetry = telemetry;
-    let portfolio = ParallelPortfolio::new(algo, config);
-    let outcome = portfolio.run_with_obs(instance, budget, master_seed, obs);
-    obs.emit(RunEvent::Metrics {
-        snapshot: outcome.metrics.clone(),
-    });
-    obs.emit(RunEvent::Phases {
-        phases: outcome.phases.clone(),
-    });
-    writeln!(
-        stdout,
-        "portfolio: {} restarts on {} thread{} (per-restart best: {})",
-        outcome.restarts.len(),
-        outcome.threads_used,
-        if outcome.threads_used == 1 { "" } else { "s" },
-        outcome
-            .restarts
-            .iter()
-            .map(|r| r.outcome.best_violations.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    )?;
-    Ok((outcome.merged, outcome.phases))
+    obs: &'a ObsHandle,
+}
+
+impl HeuristicRun<'_> {
+    /// Runs `algo` once from the seed — or, with `--restarts K` above 1, as
+    /// a portfolio of K seeded restarts, whose merged phase timers come
+    /// back beside the merged outcome.
+    fn run<A: AnytimeSearch>(
+        &self,
+        algo: A,
+        stdout: &mut impl Write,
+    ) -> Result<(RunOutcome, Vec<PhaseSnapshot>), Failure> {
+        if self.restarts == 1 {
+            let mut rng = StdRng::seed_from_u64(self.seed);
+            return Ok((algo.search(self.instance, self.ctx, &mut rng), Vec::new()));
+        }
+        let mut config = PortfolioConfig::new(self.restarts, self.threads);
+        config.telemetry = self.telemetry;
+        let portfolio = ParallelPortfolio::new(algo, config);
+        let outcome = portfolio.run_with_obs(self.instance, self.budget, self.seed, self.obs);
+        self.obs.emit(RunEvent::Metrics {
+            snapshot: outcome.metrics.clone(),
+        });
+        self.obs.emit(RunEvent::Phases {
+            phases: outcome.phases.clone(),
+        });
+        writeln!(
+            stdout,
+            "portfolio: {} restarts on {} thread{} (per-restart best: {})",
+            outcome.restarts.len(),
+            outcome.threads_used,
+            if outcome.threads_used == 1 { "" } else { "s" },
+            outcome
+                .restarts
+                .iter()
+                .map(|r| r.outcome.best_violations.to_string())
+                .collect::<Vec<_>>()
+                .join(", ")
+        )?;
+        Ok((outcome.merged, outcome.phases))
+    }
 }
 
 /// `mwsj explain` — the pre-run side of the cost & selectivity audit:
@@ -697,6 +667,12 @@ fn cmd_join(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
         .map_err(|e| e.to_string())?;
 
     let algo = args.value("algo").unwrap_or("wr");
+    // The MBR filter of the synchronous descent is complete for overlap
+    // only, and the library asserts it.
+    let overlap_only = |e: &mwsj_query::Edge| e.pred == mwsj_geom::Predicate::Intersects;
+    if algo == "st" && !instance.graph().edges().iter().all(overlap_only) {
+        return Err("--algo st supports overlap (intersects) queries only".into());
+    }
     let metrics_path = args.value("metrics-out").map(str::to_string);
     let obs = match &metrics_path {
         Some(path) => {

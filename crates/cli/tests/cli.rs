@@ -429,7 +429,16 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     let explain_huge = ["explain", "--data", huge, "--data", huge, "--query", "0-1"];
     let explained = dir.join("explain.jsonl");
     let explained = explained.to_str().unwrap();
-    let rows: [(&[&str], &[&str], Expect); 37] = [
+    // Three objects that each overlap only themselves: three pairs on the
+    // edge, times the three objects of the variable no edge touches.
+    let apart = dir.join("apart.csv");
+    std::fs::write(&apart, "0,0,1,1\n2,2,3,3\n4,4,5,5\n").unwrap();
+    let apart = apart.to_str().unwrap();
+    let isolated = ["--data", apart, "--data", apart, "--data", apart];
+    let isolated = [&["join", "--query", "0-1"], &isolated[..]].concat();
+    let contains = ["join", "--data", a, "--data", a, "--query", "0-1:contains"];
+    let st_overlap_only = "error: --algo st supports overlap (intersects) queries only";
+    let rows: [(&[&str], &[&str], Expect); 39] = [
         (&solve, &["--seconds", "inf"], NotSeconds),
         (&solve, &["--seconds", "1e20"], NotSeconds),
         (&solve, &["--seconds", "-3"], NotSeconds),
@@ -500,6 +509,15 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
             Prints(nothing),
         ),
         (&join, &["--limit", "0"], Prints(nothing)),
+        // A variable no edge touches multiplies the result by its dataset:
+        // PJM used to attach it with no window and return nothing.
+        (
+            &isolated,
+            &["--algo", "pjm"],
+            Prints("9 exact solutions in"),
+        ),
+        // A query spec ST cannot run is an error, not its library assert.
+        (&contains, &["--algo", "st"], Refused(st_overlap_only)),
         (
             &explain_huge,
             &["--metrics-out", explained],

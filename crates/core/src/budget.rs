@@ -131,11 +131,6 @@ impl TelemetryConfig {
     pub fn watches_stalls(&self) -> bool {
         self.stall_window_steps.is_some() || self.stall_window_secs.is_some()
     }
-
-    /// `true` when the config asks for any live telemetry at all.
-    pub fn is_active(&self) -> bool {
-        self.progress_every.is_some() || self.watches_stalls()
-    }
 }
 
 /// Coordination state shared by every restart of a parallel portfolio:

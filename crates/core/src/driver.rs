@@ -31,7 +31,7 @@ use crate::window_cache::WindowCache;
 use mwsj_obs::{MemoryFootprint, ObsHandle, RunEvent};
 use mwsj_query::Solution;
 use rand::rngs::StdRng;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Live-telemetry state of one run: the progress-heartbeat cadence and the
 /// stall watchdog. Present only when the context's [`TelemetryConfig`]
@@ -280,20 +280,6 @@ impl SearchDriver {
     #[inline]
     pub(crate) fn exhausted(&self) -> bool {
         self.clock.exhausted()
-    }
-
-    /// Steps recorded so far.
-    #[inline]
-    #[allow(dead_code)]
-    pub(crate) fn steps(&self) -> u64 {
-        self.clock.steps()
-    }
-
-    /// Time since the run started.
-    #[inline]
-    #[allow(dead_code)]
-    pub(crate) fn elapsed(&self) -> Duration {
-        self.clock.elapsed()
     }
 
     /// Fraction of the budget consumed (see

@@ -329,6 +329,23 @@ mod tests {
         let json = mwsj_obs::Json::parse(&report.to_json()).unwrap();
         assert_eq!(ExplainReport::from_json(&json), Ok(report.clone()));
 
+        // Pinned to the bit on the middle variable: what the grid stores
+        // per cell may change, what it reports and predicts may not.
+        let stats = inst.grid(1).stats();
+        assert_eq!(
+            (stats.entries, stats.seen_occupancy, stats.seen_max_width),
+            (105, 12.638095238095238, 0.01581138830084193)
+        );
+        let g = report.vars[1].grid.as_ref().unwrap();
+        assert_eq!(
+            (g.avg_occupancy, g.max_occupancy, g.replication_factor),
+            (11.666666666666666, 17, 1.05)
+        );
+        assert_eq!(
+            (g.predicted_cells_per_query, g.predicted_cost_per_query),
+            (2.1951232622347248, 2.655336400598554)
+        );
+
         // R*-tree reports stay grid-free, keeping pinned snapshots
         // byte-identical.
         let plain = build_explain_report(&paper_instance(QueryShape::Chain, 3, 100, 12));

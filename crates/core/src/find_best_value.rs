@@ -16,16 +16,17 @@
 //! leaf's value.
 //!
 //! The traversal itself is the shared multi-window kernel in
-//! [`mwsj_rtree::multiwindow`]; this module builds the windows from the
-//! query graph and injects the raw or λ-penalised leaf scorer. Hot loops
-//! should prefer [`WindowCache::find_best_value`](crate::WindowCache),
-//! which reuses the window vector across calls and skips the traversal
-//! entirely when nothing relevant changed.
+//! [`mwsj_rtree::multiwindow`] (or its grid analogue), reached through
+//! `index::best`; this module builds the windows from the query graph.
+//! Hot loops should prefer
+//! [`WindowCache::find_best_value`](crate::WindowCache), which reuses the
+//! window vector across calls and skips the traversal entirely when nothing
+//! relevant changed.
 
-use crate::instance::{BackendKind, Instance};
+use crate::index;
+use crate::instance::Instance;
 use mwsj_geom::{Predicate, Rect};
 use mwsj_query::{PenaltyTable, Solution, VarId};
-use mwsj_rtree::{grid, multiwindow};
 
 /// Result of a [`find_best_value`] search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,7 +51,7 @@ pub struct BestValue {
 ///
 /// `penalties` activates GILS mode: leaf values are compared by their
 /// λ-discounted effective value. `node_accesses` is incremented once per
-/// R*-tree node visited.
+/// R*-tree node visited (per candidate cell scanned on the grid backend).
 pub fn find_best_value(
     instance: &Instance,
     sol: &Solution,
@@ -65,69 +66,7 @@ pub fn find_best_value(
         .iter()
         .map(|&(u, pred)| (pred, instance.rect(u, sol.get(u))))
         .collect();
-    best_value_in_windows(instance, var, &windows, penalties, node_accesses, &mut [])
-}
-
-/// Runs the traversal kernel over `var`'s tree with pre-built windows.
-///
-/// This is the shared back half of [`find_best_value`] and the
-/// [`WindowCache`](crate::WindowCache) fast path. Raw mode scores a leaf
-/// by its satisfied count; penalty mode subtracts `λ·penalty` — both as
-/// `f64`, which reproduces the paper's raw strict-count comparison exactly
-/// because `u32 → f64` is lossless.
-///
-/// `level_accesses[lvl]` (`[0]` = leaf) is bumped per visited node when the
-/// slice covers the tree height; pass `&mut []` to skip attribution. The
-/// leveled and plain kernels are bit-identical in results and counts.
-pub(crate) fn best_value_in_windows(
-    instance: &Instance,
-    var: VarId,
-    windows: &[(Predicate, Rect)],
-    penalties: Option<(&PenaltyTable, f64)>,
-    node_accesses: &mut u64,
-    level_accesses: &mut [u64],
-) -> Option<BestValue> {
-    // Backend is matched before the closures are built: the grid kernel
-    // fans cells across threads and therefore needs `Fn + Sync` scorers,
-    // while the R*-tree kernel keeps its original `FnMut` contract.
-    let best = match (instance.backend(), penalties) {
-        (BackendKind::RTree, Some((table, lambda))) => multiwindow::find_best_leaf_leveled(
-            instance.tree(var).root_node(),
-            windows,
-            |&object, count| count as f64 - lambda * table.get(var, object as usize) as f64,
-            node_accesses,
-            level_accesses,
-        ),
-        (BackendKind::RTree, None) => multiwindow::find_best_leaf_leveled(
-            instance.tree(var).root_node(),
-            windows,
-            |_, count| count as f64,
-            node_accesses,
-            level_accesses,
-        ),
-        (BackendKind::Grid, Some((table, lambda))) => grid::find_best_in_windows(
-            instance.grid(var),
-            windows,
-            |&object, count| count as f64 - lambda * table.get(var, object as usize) as f64,
-            instance.grid_threads(),
-            node_accesses,
-            level_accesses,
-        ),
-        (BackendKind::Grid, None) => grid::find_best_in_windows(
-            instance.grid(var),
-            windows,
-            |_, count| count as f64,
-            instance.grid_threads(),
-            node_accesses,
-            level_accesses,
-        ),
-    }?;
-    Some(BestValue {
-        object: best.value as usize,
-        rect: best.rect,
-        satisfied: best.satisfied,
-        effective: best.score,
-    })
+    index::best(instance, var, &windows, penalties, node_accesses, &mut [])
 }
 
 #[cfg(test)]

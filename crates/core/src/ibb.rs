@@ -15,8 +15,8 @@
 //! part of the search space up front (paper Fig. 11).
 
 use crate::budget::{SearchBudget, SearchContext};
-use crate::candidates::candidates_with_counts;
 use crate::driver::SearchDriver;
+use crate::index;
 use crate::instance::Instance;
 use crate::order::connectivity_order;
 use crate::result::RunOutcome;
@@ -181,7 +181,7 @@ fn descend(
     } else {
         {
             let (node_accesses, levels) = state.driver.tally(var);
-            candidates_with_counts(instance, var, &windows, 1, node_accesses, levels)
+            index::candidates(instance, var, &windows, 1, node_accesses, levels)
         }
     };
     candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));

@@ -16,9 +16,9 @@ use crate::result::RunOutcome;
 use crate::window_cache::WindowCache;
 use rand::rngs::StdRng;
 
-/// Configuration of [`Ils`]. The paper emphasises that ILS "does not
-/// include any problem specific parameters"; the single knob here bounds
-/// memory for the convergence trace.
+/// Configuration of [`Ils`]: empty. The paper emphasises that ILS "does not
+/// include any problem specific parameters", and neither does this one; the
+/// type exists so that ILS is configured like the other heuristics.
 #[derive(Debug, Clone, Default)]
 pub struct IlsConfig {}
 

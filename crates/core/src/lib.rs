@@ -31,13 +31,13 @@
 #![warn(missing_docs)]
 
 mod budget;
-mod candidates;
 mod driver;
 pub mod explain;
 mod find_best_value;
 mod gils;
 mod ibb;
 mod ils;
+mod index;
 mod individual;
 mod instance;
 mod naive;
@@ -63,7 +63,7 @@ pub use instance::{BackendKind, Instance, InstanceError};
 pub use naive::{NaiveGa, NaiveGaConfig, NaiveLocalSearch, SaConfig, SimulatedAnnealing};
 pub use observe::metric;
 pub use pairwise::PairwiseJoin;
-pub use pjm::{Pjm, PjmOrder};
+pub use pjm::Pjm;
 pub use portfolio::{
     derive_seed, AnytimeSearch, CutoffPolicy, ParallelPortfolio, PortfolioConfig, PortfolioOutcome,
     RestartOutcome,

@@ -94,16 +94,6 @@ pub(crate) fn emit_improvement(clock: &BudgetClock, violations: usize, edges: us
     });
 }
 
-/// Emits the `run_end` summary event for a finished outcome (no-op without
-/// a sink). Ownership rule: exactly **one** `run_end` per top-level run —
-/// the search driver emits it for standalone runs, composites
-/// ([`crate::TwoStep`], [`crate::ParallelPortfolio`]) emit one merged event
-/// and mark their component runs nested instead.
-/// Emits the `resource_report` memory table for a finished run (no-op
-/// without a sink). Follows the `run_end` ownership rule: one report per
-/// top-level run, emitted just before its `run_end`. Components: the
-/// instance's index structures (unique datasets only — self-joins share
-/// one), the window cache(s) and the retained top solutions.
 /// Emits the `explain_report` estimate-vs-actual audit for a finished run
 /// (no-op without a sink). Follows the `run_end` ownership rule: one
 /// report per top-level run, emitted just before its `resource_report`.
@@ -115,6 +105,11 @@ pub(crate) fn emit_explain_report(obs: &ObsHandle, instance: &Instance, outcome:
     obs.emit(RunEvent::ExplainReport { report });
 }
 
+/// Emits the `resource_report` memory table for a finished run (no-op
+/// without a sink). Follows the `run_end` ownership rule: one report per
+/// top-level run, emitted just before its `run_end`. Components: the
+/// instance's index structures (unique datasets only — self-joins share
+/// one), the window cache(s) and the retained top solutions.
 pub(crate) fn emit_resource_report(obs: &ObsHandle, instance: &Instance, outcome: &RunOutcome) {
     if !obs.has_sink() {
         return;
@@ -134,6 +129,11 @@ pub(crate) fn emit_resource_report(obs: &ObsHandle, instance: &Instance, outcome
     obs.emit(RunEvent::ResourceReport { report });
 }
 
+/// Emits the `run_end` summary event for a finished outcome (no-op without
+/// a sink). Ownership rule: exactly **one** `run_end` per top-level run —
+/// the search driver emits it for standalone runs, composites
+/// ([`crate::TwoStep`], [`crate::ParallelPortfolio`]) emit one merged event
+/// and mark their component runs nested instead.
 pub(crate) fn emit_run_end(obs: &ObsHandle, outcome: &RunOutcome) {
     if !obs.has_sink() {
         return;

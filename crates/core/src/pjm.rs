@@ -1,80 +1,47 @@
 //! Pairwise Join Method (paper §2, \[MP99\]): exact multiway joins composed
-//! from pairwise R-tree joins.
+//! from pairwise joins.
 //!
-//! The first two variables of a connectivity order are joined with the
-//! BKS93 synchronous pairwise join; every further variable is attached by
-//! an index-nested-loop step that, for each intermediate tuple, runs a
-//! conjunctive multi-window query against the new variable's R*-tree. The
-//! intermediate result is materialised between steps — the source of PJM's
-//! memory blow-up on high-selectivity queries, and the reason it cannot be
-//! adapted to approximate retrieval (intermediate pairs must intersect).
+//! The first two variables of the join order are joined as a pair
+//! (`index::first_pair`: on the R*-tree the BKS93 synchronous pairwise join
+//! for overlap, an index-nested-loop otherwise); every further variable is
+//! attached by an index-nested-loop step that, for each intermediate tuple,
+//! runs a conjunctive multi-window query against the new variable's index.
+//! A variable with no placed neighbour — the query graph is disconnected —
+//! extends every tuple with every object of its dataset. The intermediate
+//! result is materialised between steps — the source of PJM's memory
+//! blow-up on high-selectivity queries, and the reason it cannot be adapted
+//! to approximate retrieval (intermediate pairs must intersect).
 
 use crate::budget::{BudgetClock, SearchBudget, SearchContext};
-use crate::candidates::candidates_with_counts;
-use crate::instance::{BackendKind, Instance};
+use crate::index;
+use crate::instance::Instance;
 use crate::order::connectivity_order;
-use crate::pairwise::PairwiseJoin;
 use crate::result::RunStats;
 use crate::wr::ExactJoinOutcome;
 use mwsj_geom::{Predicate, Rect};
 use mwsj_obs::ObsHandle;
 use mwsj_query::Solution;
-use mwsj_rtree::AccessCounter;
 
-/// Join-order strategy for [`Pjm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PjmOrder {
-    /// Cost-based greedy ordering \[MP99\]: start with the edge whose
-    /// estimated pairwise output (`Nᵢ·Nⱼ·(|rᵢ|+|rⱼ|)²`, extents measured
-    /// from the data) is smallest, then repeatedly attach the connected
-    /// variable with the smallest estimated growth factor. Minimises the
-    /// materialised intermediate results.
-    #[default]
-    CostBased,
-    /// Structural ordering (most-connected first), ignoring statistics.
-    Connectivity,
-}
-
-/// Pairwise join method.
+/// Pairwise join method, joining in the cost-based greedy order of
+/// \[MP99\] (see `cost_based_order`), which minimises the materialised
+/// intermediate results.
 #[derive(Debug, Clone)]
 pub struct Pjm {
     /// Cap on the materialised intermediate result (tuples). Exceeding it
     /// truncates the join (`complete = false`).
     pub max_intermediate: usize,
-    /// Join-order strategy.
-    pub order: PjmOrder,
 }
 
 impl Default for Pjm {
     fn default() -> Self {
-        Pjm {
-            max_intermediate: 5_000_000,
-            order: PjmOrder::default(),
-        }
+        Pjm::new(5_000_000)
     }
 }
 
 impl Pjm {
     /// Creates the algorithm with an intermediate-result cap.
     pub fn new(max_intermediate: usize) -> Self {
-        Pjm {
-            max_intermediate,
-            ..Pjm::default()
-        }
-    }
-
-    /// Sets the join-order strategy.
-    pub fn with_order(mut self, order: PjmOrder) -> Self {
-        self.order = order;
-        self
-    }
-
-    /// Computes the variable order according to the configured strategy.
-    fn join_order(&self, instance: &Instance) -> Vec<usize> {
-        match self.order {
-            PjmOrder::Connectivity => connectivity_order(instance.graph()),
-            PjmOrder::CostBased => cost_based_order(instance),
-        }
+        Pjm { max_intermediate }
     }
 
     /// Enumerates up to `limit` exact solutions within `budget`.
@@ -98,102 +65,65 @@ impl Pjm {
     ) -> ExactJoinOutcome {
         let graph = instance.graph();
         let n = graph.n_vars();
-        let order = self.join_order(instance);
+        let order = cost_based_order(instance);
         let ctx = SearchContext::local(*budget).with_obs(obs.clone());
         let mut clock = BudgetClock::from_context(&ctx);
         let _phase = clock.obs().timer.span("pjm");
         let mut stats = RunStats::default();
         let mut truncated = false;
 
-        // Step 1: pairwise join of the first two variables in the order
-        // (connected by construction of the order on connected graphs;
-        // fall back to a cross filter if not).
+        // Step 1: pairwise join of the first two variables in the order.
         let (v0, v1) = (order[0], order[1]);
-        let mut tuples: Vec<Vec<usize>> =
-            match (instance.backend(), graph.predicate_between(v0, v1)) {
-                // No edge between the first two: Cartesian product is required;
-                // guarded by the intermediate cap.
-                (_, None) => {
-                    let mut out = Vec::new();
-                    'outer: for a in 0..instance.cardinality(v0) {
-                        for b in 0..instance.cardinality(v1) {
-                            if out.len() >= self.max_intermediate {
-                                truncated = true;
-                                break 'outer;
-                            }
-                            out.push(vec![a, b]);
-                        }
-                    }
-                    out
-                }
-                (BackendKind::RTree, Some(Predicate::Intersects)) => {
-                    let join = PairwiseJoin::join(instance.tree(v0), instance.tree(v1));
-                    stats.node_accesses += join.node_accesses;
-                    join.pairs
-                        .into_iter()
-                        .map(|(a, b)| vec![a as usize, b as usize])
-                        .collect()
-                }
-                (BackendKind::RTree, Some(pred)) => {
-                    // Generic predicate: index-nested-loop over v0.
-                    let counter = AccessCounter::new();
-                    let mut out = Vec::new();
-                    for (a, w) in instance.scan(v0) {
-                        for (_, b) in instance
-                            .tree(v1)
-                            .query_predicate_counted(pred.transpose(), &w, &counter)
-                            .map(|(r, v)| (r, *v as usize))
-                        {
-                            out.push(vec![a, b]);
-                        }
-                    }
-                    stats.node_accesses += counter.get();
-                    out
-                }
-                (BackendKind::Grid, Some(pred)) => {
-                    grid_pair_join(instance, v0, v1, pred, &mut stats.node_accesses)
-                }
-            };
+        let pred = graph
+            .predicate_between(v0, v1)
+            .expect("the cost-based order starts with an edge");
+        let mut tuples = index::first_pair(instance, v0, v1, pred, &mut stats.node_accesses);
         clock.step();
 
         // Steps 2..n: attach one variable at a time.
+        let mut windows: Vec<(Predicate, Rect)> = Vec::new();
         for k in 2..n {
             if tuples.is_empty() {
                 break;
             }
             let var = order[k];
             let mut next: Vec<Vec<usize>> = Vec::new();
-            'tuples: for tuple in &tuples {
+            for tuple in &tuples {
                 if clock.exhausted() {
                     truncated = true;
-                    break 'tuples;
+                    break;
                 }
                 clock.step();
-                let windows: Vec<(Predicate, Rect)> = graph
-                    .neighbors(var)
-                    .iter()
-                    .filter_map(|&(u, pred)| {
-                        let pos = order[..k].iter().position(|&x| x == u)?;
-                        Some((pred, instance.rect(u, tuple[pos])))
-                    })
-                    .collect();
-                debug_assert!(!windows.is_empty(), "connectivity order guarantees windows");
-                let required = windows.len() as u32;
-                for (obj, _) in candidates_with_counts(
-                    instance,
-                    var,
-                    &windows,
-                    required,
-                    &mut stats.node_accesses,
-                    &mut [],
-                ) {
-                    if next.len() >= self.max_intermediate {
-                        truncated = true;
-                        break 'tuples;
+                windows.clear();
+                windows.extend(graph.neighbors(var).iter().filter_map(|&(u, pred)| {
+                    let pos = order[..k].iter().position(|&x| x == u)?;
+                    Some((pred, instance.rect(u, tuple[pos])))
+                }));
+                // `false` once the cap is reached.
+                let mut extend = |obj: usize| {
+                    let fits = next.len() < self.max_intermediate;
+                    if fits {
+                        let mut extended = tuple.clone();
+                        extended.push(obj);
+                        next.push(extended);
                     }
-                    let mut extended = tuple.clone();
-                    extended.push(obj);
-                    next.push(extended);
+                    fits
+                };
+                let fits = if windows.is_empty() {
+                    // No placed neighbour (a disconnected query graph): the
+                    // variable constrains nothing yet, every object extends
+                    // the tuple.
+                    (0..instance.cardinality(var)).all(&mut extend)
+                } else {
+                    let required = windows.len() as u32;
+                    let accesses = &mut stats.node_accesses;
+                    index::candidates(instance, var, &windows, required, accesses, &mut [])
+                        .into_iter()
+                        .all(|(obj, _)| extend(obj))
+                };
+                if !fits {
+                    truncated = true;
+                    break;
                 }
             }
             tuples = next;
@@ -228,11 +158,13 @@ impl Pjm {
     }
 }
 
-/// Greedy cost-based ordering: smallest estimated first pair, then the
-/// cheapest connected extension (estimated growth factor
-/// `Nᵥ · Π (|rᵥ|+|rᵤ|)²` over edges to already-placed variables; a factor
-/// below 1 *shrinks* the intermediate result). Falls back to connectivity
-/// for variables with no placed neighbour (disconnected graphs).
+/// Greedy cost-based ordering \[MP99\]: start with the edge whose
+/// estimated pairwise output (`Nᵢ·Nⱼ·(|rᵢ|+|rⱼ|)²`, extents measured from
+/// the data) is smallest, then repeatedly attach the cheapest connected
+/// extension (estimated growth factor `Nᵥ · Π (|rᵥ|+|rᵤ|)²` over edges to
+/// already-placed variables; a factor below 1 *shrinks* the intermediate
+/// result). Falls back to connectivity for variables with no placed
+/// neighbour (disconnected graphs).
 fn cost_based_order(instance: &Instance) -> Vec<usize> {
     let graph = instance.graph();
     let n = graph.n_vars();
@@ -296,66 +228,6 @@ fn cost_based_order(instance: &Instance) -> Vec<usize> {
     order
 }
 
-/// First-pair join on the grid backend: an index-nested-loop over `v0`'s
-/// objects, each probing `v1`'s grid with the transposed predicate. With
-/// `grid_threads() > 1` the probes fan out over scoped worker threads; the
-/// result is merged back in `v0`-object order and the per-probe cell-access
-/// counts are summed, so both the pair list and `node_accesses` are
-/// bit-identical to the sequential run (see DESIGN.md §5j).
-fn grid_pair_join(
-    instance: &Instance,
-    v0: usize,
-    v1: usize,
-    pred: Predicate,
-    node_accesses: &mut u64,
-) -> Vec<Vec<usize>> {
-    use mwsj_rtree::grid;
-
-    let g = instance.grid(v1);
-    let n = instance.cardinality(v0);
-    let probe = |a: usize, w: Rect, accesses: &mut u64| -> Vec<Vec<usize>> {
-        grid::query_predicate(g, pred.transpose(), &w, 1, accesses)
-            .into_iter()
-            .map(|b| vec![a, b as usize])
-            .collect()
-    };
-    let threads = instance.grid_threads().min(n);
-    if threads <= 1 {
-        let mut out = Vec::new();
-        for (a, w) in instance.scan(v0) {
-            out.extend(probe(a, w, node_accesses));
-        }
-        return out;
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    // (probe object, its pair rows, its cell accesses) per finished probe.
-    type ProbeResult = (usize, Vec<Vec<usize>>, u64);
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<ProbeResult>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let a = next.fetch_add(1, Ordering::Relaxed);
-                if a >= n {
-                    break;
-                }
-                let mut accesses = 0u64;
-                let rows = probe(a, instance.rect(v0, a), &mut accesses);
-                done.lock().expect("probe mutex").push((a, rows, accesses));
-            });
-        }
-    });
-    let mut done = done.into_inner().expect("probe mutex");
-    done.sort_unstable_by_key(|&(a, _, _)| a);
-    let mut out = Vec::new();
-    for (_, rows, accesses) in done {
-        *node_accesses += accesses;
-        out.extend(rows);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,21 +285,27 @@ mod tests {
         assert!(!outcome.complete);
     }
 
+    /// A variable no edge touches extends every tuple with every object of
+    /// its dataset (it used to get an empty window list and extend none),
+    /// under the intermediate cap like every other attach step.
     #[test]
-    fn both_orders_produce_identical_solution_sets() {
-        let (inst, _) = instance(145, QueryShape::Cycle, 4, 50, 0.4);
+    fn isolated_variable_multiplies_the_result_by_its_dataset() {
+        let (_, datasets) = instance(147, QueryShape::Chain, 3, 30, 0.5);
+        let one_edge = mwsj_query::QueryGraphBuilder::new(3)
+            .edge(0, 2)
+            .build()
+            .unwrap();
+        let inst = Instance::new(one_edge, datasets.clone()).unwrap();
         let budget = SearchBudget::seconds(30.0);
-        let mut cost: Vec<Solution> = Pjm::default()
-            .with_order(PjmOrder::CostBased)
-            .run(&inst, &budget, usize::MAX)
-            .solutions;
-        let mut conn: Vec<Solution> = Pjm::default()
-            .with_order(PjmOrder::Connectivity)
-            .run(&inst, &budget, usize::MAX)
-            .solutions;
-        cost.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
-        conn.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
-        assert_eq!(cost, conn);
+        let outcome = Pjm::default().run(&inst, &budget, usize::MAX);
+        let brute = count_exact_solutions(&datasets, inst.graph(), u64::MAX);
+        assert!(outcome.complete && brute >= 30, "{brute} solutions");
+        assert_eq!(outcome.solutions.len() as u64, brute);
+        assert!(outcome.solutions.iter().all(|s| inst.violations(s) == 0));
+
+        let capped = Pjm::new(brute as usize - 1).run(&inst, &budget, usize::MAX);
+        assert!(!capped.complete);
+        assert_eq!(capped.solutions.len() as u64, brute - 1);
     }
 
     #[test]

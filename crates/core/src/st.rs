@@ -10,29 +10,26 @@
 //!
 //! Restricted to *overlap* queries: MBR-level intersection of two subtree
 //! MBRs is the correct (complete) filter for the intersect predicate.
+//!
+//! This is a traversal of the *trees*, not a question to an index, and
+//! every [`Instance`] has its trees: the algorithm descends them whatever
+//! [`BackendKind`](crate::BackendKind) is selected.
 
 use crate::budget::{BudgetClock, SearchBudget, SearchContext};
-use crate::instance::{BackendKind, Instance};
+use crate::instance::Instance;
 use crate::result::RunStats;
 use crate::wr::ExactJoinOutcome;
 use mwsj_geom::{Predicate, Rect};
 use mwsj_obs::ObsHandle;
 use mwsj_query::Solution;
-use mwsj_rtree::{NodeRef, UniformGrid};
+use mwsj_rtree::NodeRef;
 
 /// Synchronous traversal.
 #[derive(Debug, Clone, Default)]
 pub struct SynchronousTraversal {}
 
-/// One variable's position during the descent: still inside a subtree (or,
-/// on the grid backend, at the grid root / inside one cell), or already
-/// fixed to a data object (trees can have different heights).
-///
-/// The grid is a two-level "tree": root → occupied cells → entries. Cell
-/// MBRs are unions of the *full* entry rectangles, so the MBR-consistency
-/// prune stays admissible, and entries are accepted only at their
-/// [`UniformGrid::home_cell`] so each object is enumerated exactly once
-/// despite boundary replication (DESIGN.md §5j).
+/// One variable's position during the descent: still inside a subtree, or
+/// already fixed to a data object (trees can have different heights).
 ///
 /// A node cursor carries the node's MBR — the rectangle of the entry that
 /// led to it (STR writes the child's tight MBR there), the tree's bounding
@@ -41,18 +38,13 @@ pub struct SynchronousTraversal {}
 #[derive(Clone)]
 enum Cursor<'a> {
     Node(NodeRef<'a, u32>, Rect),
-    GridRoot(&'a UniformGrid<u32>),
-    GridCell(&'a UniformGrid<u32>, usize),
     Data(usize, Rect),
 }
 
 impl Cursor<'_> {
     fn mbr(&self) -> Rect {
         match self {
-            Cursor::Node(_, mbr) => *mbr,
-            Cursor::GridRoot(g) => g.bbox(),
-            Cursor::GridCell(g, c) => g.cell_mbr(*c),
-            Cursor::Data(_, r) => *r,
+            Cursor::Node(_, mbr) | Cursor::Data(_, mbr) => *mbr,
         }
     }
     fn is_data(&self) -> bool {
@@ -113,12 +105,9 @@ impl SynchronousTraversal {
             truncated: false,
         };
         let roots: Vec<Cursor<'_>> = (0..instance.n_vars())
-            .map(|v| match instance.backend() {
-                BackendKind::RTree => {
-                    let tree = instance.tree(v);
-                    Cursor::Node(tree.root_node(), tree.bounding_box())
-                }
-                BackendKind::Grid => Cursor::GridRoot(instance.grid(v)),
+            .map(|v| {
+                let tree = instance.tree(v);
+                Cursor::Node(tree.root_node(), tree.bounding_box())
             })
             .collect();
         state.stats.node_accesses += instance.n_vars() as u64;
@@ -227,37 +216,6 @@ fn choose<'a>(
                 chosen[var] = None;
             }
         }
-        Cursor::GridRoot(g) => {
-            for c in 0..g.cells() {
-                if g.cell_len(c) == 0 {
-                    continue;
-                }
-                if !consistent(graph, chosen, var, &g.cell_mbr(c)) {
-                    continue;
-                }
-                state.stats.node_accesses += 1;
-                chosen[var] = Some(Cursor::GridCell(g, c));
-                if choose(state, cursors, chosen, var + 1) {
-                    return true;
-                }
-                chosen[var] = None;
-            }
-        }
-        Cursor::GridCell(g, c) => {
-            for (value, rect) in g.cell_entries(*c) {
-                if g.home_cell(&rect) != *c {
-                    continue; // replica; enumerated at its home cell
-                }
-                if !consistent(graph, chosen, var, &rect) {
-                    continue;
-                }
-                chosen[var] = Some(Cursor::Data(value as usize, rect));
-                if choose(state, cursors, chosen, var + 1) {
-                    return true;
-                }
-                chosen[var] = None;
-            }
-        }
     }
     false
 }
@@ -325,6 +283,25 @@ mod tests {
         st.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
         wr.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
         assert_eq!(st, wr);
+    }
+
+    /// ST descends the trees whatever backend is selected: the same
+    /// solutions in the same order, and tree node accesses, on an instance
+    /// switched to the grid.
+    #[test]
+    fn st_runs_on_the_trees_of_a_grid_instance() {
+        let (inst, _) = instance(135, QueryShape::Clique, 3, 80, 0.6);
+        let on_grid = inst.clone().with_backend(crate::BackendKind::Grid);
+        let budget = SearchBudget::seconds(30.0);
+        for limit in [usize::MAX, 5] {
+            let tree = SynchronousTraversal::new().run(&inst, &budget, limit);
+            let grid = SynchronousTraversal::new().run(&on_grid, &budget, limit);
+            assert!(!tree.solutions.is_empty());
+            assert_eq!(tree.solutions, grid.solutions, "limit {limit}");
+            assert_eq!(tree.stats.node_accesses, grid.stats.node_accesses);
+            assert_eq!(tree.stats.steps, grid.stats.steps);
+            assert_eq!(tree.complete, grid.complete);
+        }
     }
 
     #[test]

@@ -89,22 +89,6 @@ impl TwoStep {
         self
     }
 
-    /// The paper's Fig. 11 settings: SEA for `10·n` seconds, then IBB.
-    pub fn paper_sea(instance: &Instance) -> Self {
-        TwoStep::new(TwoStepConfig::Sea(
-            SeaConfig::default_for(instance),
-            SearchBudget::seconds(10.0 * instance.n_vars() as f64),
-        ))
-    }
-
-    /// The paper's Fig. 11 settings: ILS for 1 second, then IBB.
-    pub fn paper_ils() -> Self {
-        TwoStep::new(TwoStepConfig::Ils(
-            IlsConfig::default(),
-            SearchBudget::seconds(1.0),
-        ))
-    }
-
     /// Runs the heuristic, then (unless an exact solution was found) IBB
     /// seeded with the heuristic's best solution under `ibb_budget`.
     pub fn run(
@@ -266,13 +250,6 @@ mod tests {
             inst.violations(&outcome.best.best),
             outcome.best.best_violations
         );
-    }
-
-    #[test]
-    fn paper_constructors_build() {
-        let inst = planted_instance(158, 3, 50);
-        let _ = TwoStep::paper_sea(&inst);
-        let _ = TwoStep::paper_ils();
     }
 
     #[test]

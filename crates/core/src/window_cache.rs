@@ -40,7 +40,8 @@
 //! follow the same deterministic flush-and-merge path as every other work
 //! counter (DESIGN.md §5g).
 
-use crate::find_best_value::{best_value_in_windows, BestValue};
+use crate::find_best_value::BestValue;
+use crate::index;
 use crate::instance::Instance;
 use mwsj_geom::{Predicate, Rect};
 use mwsj_obs::MemoryFootprint;
@@ -435,8 +436,7 @@ impl WindowCache {
             // (neither: the memoised result was dropped by `clear`)
         }
 
-        let result =
-            best_value_in_windows(instance, var, &entry.windows, penalties, tally.0, tally.1);
+        let result = index::best(instance, var, &entry.windows, penalties, tally.0, tally.1);
         let answer = result.map(Answer::of);
         entry.result = Some(answer);
         entry.penalty_version = penalty_version;

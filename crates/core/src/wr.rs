@@ -9,7 +9,7 @@
 //! limitation the paper's heuristics address).
 
 use crate::budget::{BudgetClock, SearchBudget, SearchContext};
-use crate::candidates::candidates_with_counts;
+use crate::index;
 use crate::instance::Instance;
 use crate::order::connectivity_order;
 use crate::result::RunStats;
@@ -148,7 +148,7 @@ fn descend(
     } else {
         // Conjunctive window query: every condition must hold.
         let required = windows.len() as u32;
-        let candidates = candidates_with_counts(
+        let candidates = index::candidates(
             instance,
             var,
             &windows,

@@ -3,12 +3,12 @@
 //! instances.
 
 use mwsj_core::{
-    find_best_value, Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance, ParallelPortfolio,
-    Pjm, PortfolioConfig, RunOutcome, Sea, SeaConfig, SearchBudget, SynchronousTraversal,
-    WindowCache, WindowReduction,
+    find_best_value, BackendKind, Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance,
+    ParallelPortfolio, Pjm, PortfolioConfig, RunOutcome, Sea, SeaConfig, SearchBudget,
+    SynchronousTraversal, WindowCache, WindowReduction,
 };
 use mwsj_geom::Rect;
-use mwsj_query::{PenaltyTable, QueryGraph, Solution};
+use mwsj_query::{PenaltyTable, QueryGraph, QueryGraphBuilder, Solution};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,16 +42,21 @@ fn arb_instance() -> impl Strategy<Value = (Instance, u64)> {
 
 /// Brute-force minimum violations over the full cross product.
 fn brute_optimum(inst: &Instance) -> usize {
+    brute_violations(inst).into_iter().min().unwrap()
+}
+
+/// The violation count of every assignment of the full cross product.
+fn brute_violations(inst: &Instance) -> Vec<usize> {
     let n = inst.n_vars();
     let mut assignment = vec![0usize; n];
-    let mut best = usize::MAX;
+    let mut all = Vec::new();
     loop {
-        best = best.min(inst.violations(&Solution::new(assignment.clone())));
+        all.push(inst.violations(&Solution::new(assignment.clone())));
         // Odometer increment.
         let mut k = 0;
         loop {
             if k == n {
-                return best;
+                return all;
             }
             assignment[k] += 1;
             if assignment[k] < inst.cardinality(k) {
@@ -279,38 +284,48 @@ proptest! {
     }
 
     /// The three exact baselines (window reduction, synchronous traversal,
-    /// pairwise join method) enumerate identical solution sets on every
-    /// random instance.
+    /// pairwise join method) enumerate identical solution sets, of the
+    /// brute-force size, on every random instance — and on the same data
+    /// under a disconnected query (one edge, every other variable isolated:
+    /// the cross product with their datasets), on both backends.
     #[test]
     fn exact_baselines_agree((inst, _) in arb_instance()) {
         let budget = SearchBudget::seconds(120.0);
-        let sets: Vec<Vec<Solution>> = [
-            WindowReduction::new().run(&inst, &budget, usize::MAX),
-            SynchronousTraversal::new().run(&inst, &budget, usize::MAX),
-            Pjm::default().run(&inst, &budget, usize::MAX),
-        ]
-        .into_iter()
-        .map(|outcome| {
-            prop_assert!(outcome.complete);
-            let mut sols = outcome.solutions;
-            sols.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
-            Ok(sols)
-        })
-        .collect::<Result<_, _>>()?;
-        prop_assert_eq!(&sets[0], &sets[1]);
-        prop_assert_eq!(&sets[0], &sets[2]);
+        let datasets = (0..inst.n_vars()).map(|v| inst.scan(v).map(|(_, r)| r).collect::<Vec<Rect>>());
+        let one_edge = QueryGraphBuilder::new(inst.n_vars()).edge(0, 1).build().unwrap();
+        let disconnected = Instance::new(one_edge, datasets).unwrap();
+        let on_grid = disconnected.clone().with_backend(BackendKind::Grid);
+        for (row, inst) in [("connected", inst), ("disconnected", disconnected), ("disconnected, grid", on_grid)] {
+            let sets: Vec<Vec<Solution>> = [
+                WindowReduction::new().run(&inst, &budget, usize::MAX),
+                SynchronousTraversal::new().run(&inst, &budget, usize::MAX),
+                Pjm::default().run(&inst, &budget, usize::MAX),
+            ]
+            .into_iter()
+            .map(|outcome| {
+                prop_assert!(outcome.complete, "{}", row);
+                let mut sols = outcome.solutions;
+                sols.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
+                Ok(sols)
+            })
+            .collect::<Result<_, _>>()?;
+            prop_assert_eq!(&sets[0], &sets[1], "{}", row);
+            prop_assert_eq!(&sets[0], &sets[2], "{}", row);
+            let exact = brute_violations(&inst).into_iter().filter(|&v| v == 0).count();
+            prop_assert_eq!(sets[0].len(), exact, "{}", row);
 
-        // Under a limit each returns that many members of the set (which
-        // ones is the algorithm's enumeration order), none for `limit = 0`.
-        for limit in 0..=2 {
-            for (name, outcome) in [
-                ("wr", WindowReduction::new().run(&inst, &budget, limit)),
-                ("st", SynchronousTraversal::new().run(&inst, &budget, limit)),
-                ("pjm", Pjm::default().run(&inst, &budget, limit)),
-            ] {
-                prop_assert_eq!(outcome.solutions.len(), limit.min(sets[0].len()), "{} limit {}", name, limit);
-                prop_assert!(outcome.solutions.iter().all(|s| sets[0].contains(s)), "{} limit {}", name, limit);
-                prop_assert!(outcome.complete || limit <= sets[0].len(), "{} limit {}", name, limit);
+            // Under a limit each returns that many members of the set (which
+            // ones is the algorithm's enumeration order), none for `limit = 0`.
+            for limit in 0..=2 {
+                for (name, outcome) in [
+                    ("wr", WindowReduction::new().run(&inst, &budget, limit)),
+                    ("st", SynchronousTraversal::new().run(&inst, &budget, limit)),
+                    ("pjm", Pjm::default().run(&inst, &budget, limit)),
+                ] {
+                    prop_assert_eq!(outcome.solutions.len(), limit.min(sets[0].len()), "{}: {} limit {}", row, name, limit);
+                    prop_assert!(outcome.solutions.iter().all(|s| sets[0].contains(s)), "{}: {} limit {}", row, name, limit);
+                    prop_assert!(outcome.complete || limit <= sets[0].len(), "{}: {} limit {}", row, name, limit);
+                }
             }
         }
     }

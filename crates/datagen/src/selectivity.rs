@@ -103,24 +103,6 @@ pub fn decomposed_solutions(graph: &QueryGraph, cards: &[usize], extents: &[f64]
     Some(tuples * selectivity)
 }
 
-/// Expected output size for any connected query: the exact
-/// block-decomposition estimate when available
-/// ([`decomposed_solutions`]), otherwise the independence approximation
-/// `Π Nᵢ · Π_edges (|rᵢ|+|rⱼ|)²` (an overestimate for cyclic constraints,
-/// which are positively correlated).
-pub fn estimated_solutions(graph: &QueryGraph, cards: &[usize], extents: &[f64]) -> f64 {
-    if let Some(sol) = decomposed_solutions(graph, cards, extents) {
-        return sol;
-    }
-    let tuples: f64 = cards.iter().map(|&c| c as f64).product();
-    let selectivity: f64 = graph
-        .edges()
-        .iter()
-        .map(|e| pairwise_selectivity(extents[e.a], extents[e.b]))
-        .product();
-    tuples * selectivity
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,15 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn star_uses_acyclic_formula() {
-        let n = 5;
-        let graph = QueryGraph::star(n);
-        let est = estimated_solutions(&graph, &vec![1000; n], &vec![0.01; n]);
-        let direct = acyclic_solutions(&graph, &vec![1000; n], &vec![0.01; n]);
-        assert_eq!(est, direct);
-    }
-
-    #[test]
     fn heterogeneous_extents_are_supported() {
         let graph = QueryGraph::chain(3);
         let sol = acyclic_solutions(&graph, &[100, 200, 300], &[0.1, 0.2, 0.3]);
@@ -244,14 +217,6 @@ mod tests {
             * pairwise_selectivity(0.1, 0.2)
             * pairwise_selectivity(0.2, 0.3);
         assert!((sol - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cycle_approximation_is_product_of_pairwise() {
-        let graph = QueryGraph::cycle(4);
-        let est = estimated_solutions(&graph, &[10; 4], &[0.1; 4]);
-        let expected = 1e4 * pairwise_selectivity(0.1, 0.1).powi(4);
-        assert!((est - expected).abs() < 1e-9);
     }
 
     #[test]

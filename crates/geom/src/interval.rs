@@ -53,12 +53,6 @@ impl Interval {
         self.lo <= other.hi && other.lo <= self.hi
     }
 
-    /// Returns `true` if `other` lies entirely inside `self`.
-    #[inline]
-    pub fn contains_interval(&self, other: &Interval) -> bool {
-        !other.is_empty() && self.lo <= other.lo && other.hi <= self.hi
-    }
-
     /// Smallest interval covering both operands.
     #[inline]
     pub fn union(&self, other: &Interval) -> Interval {
@@ -132,16 +126,6 @@ mod tests {
         let b = Interval::new(1.0, 2.0);
         assert!(a.intersects(&b));
         assert_eq!(a.overlap_length(&b), 0.0);
-    }
-
-    #[test]
-    fn containment() {
-        let outer = Interval::new(0.0, 10.0);
-        let inner = Interval::new(2.0, 3.0);
-        assert!(outer.contains_interval(&inner));
-        assert!(!inner.contains_interval(&outer));
-        assert!(outer.contains_interval(&outer));
-        assert!(!outer.contains_interval(&Interval::EMPTY));
     }
 
     #[test]

@@ -187,12 +187,6 @@ impl Predicate {
             Predicate::WithinDistance(eps) => Predicate::WithinDistance(eps),
         }
     }
-
-    /// Returns `true` if the predicate is symmetric (`transpose == self`).
-    #[inline]
-    pub fn is_symmetric(&self) -> bool {
-        matches!(self, Predicate::Intersects | Predicate::WithinDistance(_))
-    }
 }
 
 impl Default for Predicate {
@@ -297,14 +291,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn symmetric_predicates() {
-        assert!(Predicate::Intersects.is_symmetric());
-        assert!(Predicate::WithinDistance(1.0).is_symmetric());
-        assert!(!Predicate::Contains.is_symmetric());
-        assert!(!Predicate::NorthEast.is_symmetric());
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl PenaltyTable {
             .sum()
     }
 
-    /// Effective inconsistency degree: violations plus λ-weighted penalties
-    /// (paper §4).
-    pub fn effective_inconsistency(&self, violations: usize, sol: &Solution, lambda: f64) -> f64 {
-        violations as f64 + lambda * self.total_for(sol) as f64
-    }
-
     /// The GILS punishment step: among the assignments of the current local
     /// maximum, penalise those with the **minimum** penalty so far (avoiding
     /// over-punishing assignments already penalised at earlier maxima).
@@ -121,15 +115,6 @@ mod tests {
         t.penalize(2, 1);
         let sol = Solution::new(vec![5, 9, 1]);
         assert_eq!(t.total_for(&sol), 3); // 2 (v0←5) + 0 (v1←9) + 1 (v2←1)
-    }
-
-    #[test]
-    fn effective_inconsistency_applies_lambda() {
-        let mut t = PenaltyTable::new();
-        let sol = Solution::new(vec![0, 0]);
-        t.penalize(0, 0);
-        let eff = t.effective_inconsistency(3, &sol, 0.5);
-        assert!((eff - 3.5).abs() < 1e-12);
     }
 
     #[test]

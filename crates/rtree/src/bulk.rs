@@ -78,18 +78,6 @@ impl<T: Copy> RTree<T> {
         Self::pack(params, items.len(), |i| items[i].0, |i| items[i].1)
     }
 
-    /// [`RTree::bulk_load_with_params`] with node accesses recorded into
-    /// `counter`: one access per node written during packing.
-    pub fn bulk_load_with_params_counted(
-        params: RTreeParams,
-        items: Vec<(Rect, T)>,
-        counter: &crate::AccessCounter,
-    ) -> Self {
-        let tree = Self::bulk_load_with_params(params, items);
-        counter.add(tree.node_count() as u64);
-        tree
-    }
-
     /// Packs the `n` items `(rect_at(i), value_at(i))` (see the module docs
     /// for the passes); an empty input yields a single empty leaf as root.
     fn pack(
@@ -336,8 +324,9 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::{reference, sort_key};
+    use crate::multiwindow::tests::window_hits;
     use crate::{NodeRef, RTree, RTreeParams};
-    use mwsj_geom::Rect;
+    use mwsj_geom::{Predicate, Rect};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -391,7 +380,7 @@ mod tests {
         for cap in [4, 8, 32] {
             let tree = RTree::bulk_load_with_params(RTreeParams::new(cap), items.clone());
             tree.check_invariants().unwrap();
-            let mut got: Vec<usize> = tree.window(&window).map(|(_, v)| *v).collect();
+            let mut got = window_hits(&tree, Predicate::Intersects, &window);
             got.sort_unstable();
             assert_eq!(got, expected, "capacity {cap}");
         }
@@ -406,18 +395,6 @@ mod tests {
         let tree = RTree::bulk_load_with_params(RTreeParams::new(m), random_items(m + 1, 5));
         assert_eq!(tree.height(), 2);
         tree.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn counted_bulk_load_records_one_access_per_node() {
-        use crate::AccessCounter;
-        let counter = AccessCounter::new();
-        let tree = RTree::bulk_load_with_params_counted(
-            RTreeParams::new(8),
-            random_items(2_000, 7),
-            &counter,
-        );
-        assert_eq!(counter.get(), tree.node_count() as u64);
     }
 
     #[test]

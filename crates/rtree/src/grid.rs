@@ -15,13 +15,19 @@
 //! span meets a query's candidate cell range — so each result is reported
 //! exactly once without any hash set.
 //!
+//! There are two kernels over one plan → sweep → runs traversal:
+//! [`find_best_in_windows`] (the best entry for a window list) and
+//! [`candidates_with_counts`] (every entry satisfying at least `min_count`
+//! of the windows; a single-window query is that with one window and
+//! `min_count = 1`).
+//!
 //! Determinism contract (mirrors the portfolio's): candidate cells are
 //! enumerated in ascending row-major order, the entries of one cell rank
 //! by payload (item order, for the ascending object ids every caller
-//! builds with); the parallel paths fan whole cells across scoped worker
-//! threads and merge by `(cell, payload)` rank, so merged results and every
-//! counter-class metric (`cell accesses`) are bit-identical across thread
-//! counts, including the sequential path.
+//! builds with). [`find_best_in_windows`] can fan whole cells across
+//! scoped worker threads; it merges by `(cell, payload)` rank, so its
+//! result and its counter-class metric (`cell accesses`) are bit-identical
+//! across thread counts, including the sequential path.
 //!
 //! Access accounting: one *access* per candidate cell scanned (the grid
 //! analogue of one R*-tree node visit). The candidate cell set is a pure
@@ -68,9 +74,6 @@ pub struct UniformGrid<T> {
     hi_x: Vec<f64>,
     hi_y: Vec<f64>,
     values: Vec<T>,
-    /// Union MBR of the **full** (unclipped) rectangles replicated into
-    /// each cell; [`Rect::EMPTY`] for empty cells.
-    cell_mbr: Vec<Rect>,
     /// Per-cell sweep bound: a width `w` with `lo_x + w ≥ hi_x` (as
     /// computed in `f64`) for every entry of the cell.
     max_w: Vec<f64>,
@@ -141,7 +144,6 @@ impl<T: Copy> UniformGrid<T> {
             hi_x: Vec::new(),
             hi_y: Vec::new(),
             values: Vec::new(),
-            cell_mbr: vec![Rect::EMPTY; nx * ny],
             max_w: vec![0.0; nx * ny],
             unique: items.len(),
         };
@@ -178,7 +180,6 @@ impl<T: Copy> UniformGrid<T> {
                     let cell = cy * nx + cx;
                     slots[cursor[cell]] = i;
                     cursor[cell] += 1;
-                    grid.cell_mbr[cell] = grid.cell_mbr[cell].union(r);
                     grid.max_w[cell] = grid.max_w[cell].max(w);
                 }
             }
@@ -213,47 +214,16 @@ impl<T> UniformGrid<T> {
         self.unique == 0
     }
 
-    /// Total number of cells.
-    #[inline]
-    pub fn cells(&self) -> usize {
-        self.nx * self.ny
-    }
-
     /// The workspace bounding box the grid covers.
     #[inline]
     pub fn bbox(&self) -> Rect {
         self.bbox
     }
 
-    /// Union MBR of the full rectangles replicated into cell `c`
-    /// ([`Rect::EMPTY`] for empty cells).
-    #[inline]
-    pub fn cell_mbr(&self, c: usize) -> Rect {
-        self.cell_mbr[c]
-    }
-
     /// Entry slots of cell `c` (indices into the SoA arrays).
     #[inline]
     fn cell_slots(&self, c: usize) -> std::ops::Range<usize> {
         self.starts[c]..self.starts[c + 1]
-    }
-
-    /// Number of entries replicated into cell `c`.
-    #[inline]
-    pub fn cell_len(&self, c: usize) -> usize {
-        self.starts[c + 1] - self.starts[c]
-    }
-
-    /// Iterates the `(value, full_rect)` entries replicated into cell `c`,
-    /// in `(lo_x, item)` order. Boundary
-    /// straddlers appear under every overlapping cell; filter on
-    /// [`UniformGrid::home_cell`] for exactly-once enumeration.
-    pub fn cell_entries(&self, c: usize) -> impl Iterator<Item = (T, Rect)> + '_
-    where
-        T: Copy,
-    {
-        self.cell_slots(c)
-            .map(move |i| (self.values[i], self.rect_at(i)))
     }
 
     /// The full rectangle stored at SoA slot `i`.
@@ -267,13 +237,13 @@ impl<T> UniformGrid<T> {
 
     /// Structural cell-occupancy statistics.
     pub fn stats(&self) -> GridStats {
-        let cells = self.cells();
+        let cells = self.nx * self.ny;
         let entries = self.values.len() as u64;
         let mut occupied = 0u64;
         let mut max_occ = 0u64;
         let (mut len_sq, mut width) = (0.0, 0.0);
         for c in 0..cells {
-            let n = self.cell_len(c) as u64;
+            let n = self.cell_slots(c).len() as u64;
             if n > 0 {
                 occupied += 1;
             }
@@ -325,15 +295,6 @@ impl<T> UniformGrid<T> {
             x1: self.cell_x(r.max.x),
             y1: self.cell_y(r.max.y),
         }
-    }
-
-    /// The *home cell* of a rectangle: the row-major smallest cell of its
-    /// span (its min corner's cell, clamped into the grid). Every indexed
-    /// rectangle is replicated into its home cell, so accepting entries
-    /// only at `home_cell(r) == c` enumerates each exactly once.
-    #[inline]
-    pub fn home_cell(&self, r: &Rect) -> usize {
-        self.cell_y(r.min.y) * self.nx + self.cell_x(r.min.x)
     }
 
     /// Plans one window: the cells covering its candidate region — a
@@ -407,7 +368,7 @@ impl<T> UniformGrid<T> {
         f(run);
     }
 
-    /// The one scan loop of the three kernels: visits `(slot, rect)` for
+    /// The one scan loop of both kernels: visits `(slot, rect)` for
     /// every entry of the plan's `pos`-th cell that lies in one of its
     /// [`runs`](Self::runs) and is processed in that cell under the
     /// reference-point rule. The runs are those of **all** windows, not
@@ -621,74 +582,17 @@ pub fn find_best_in_windows<T: Copy + Ord + Send + Sync>(
     })
 }
 
-/// Hits of the two enumeration kernels: `hit(value, satisfied_count)` of
-/// every processed entry that yields one, in canonical `(cell, payload)`
-/// order (`key` recovers the payload of a hit).
-fn collect_hits<T: Copy + Ord + Send + Sync, R: Send>(
-    grid: &UniformGrid<T>,
-    windows: &[(Predicate, Rect)],
-    threads: usize,
-    cell_accesses: &mut u64,
-    level_accesses: &mut [u64],
-    hit: impl Fn(T, u32) -> Option<R> + Sync,
-    key: impl Fn(&R) -> T + Sync,
-) -> Vec<R> {
-    let mut out = Vec::new();
-    with_plan(grid, windows, cell_accesses, level_accesses, |plan| {
-        let scan = |pos: usize, out: &mut Vec<R>| {
-            let start = out.len();
-            grid.sweep(plan, pos, |slot, r| {
-                out.extend(hit(grid.values[slot], satisfied_count(windows, r)));
-            });
-            out[start..].sort_unstable_by_key(&key);
-        };
-        if threads <= 1 {
-            (0..plan.cells.len()).for_each(|pos| scan(pos, &mut out));
-            return;
-        }
-        // Per-cell chunks, merged back in cell order.
-        let mut chunks: Vec<(usize, Vec<R>)> = Vec::new();
-        let chunk = |pos: usize, acc: &mut Vec<(usize, Vec<R>)>| {
-            let mut hits = Vec::new();
-            scan(pos, &mut hits);
-            acc.push((pos, hits));
-        };
-        fan_out(plan.cells.len(), threads, chunk, |acc| chunks.extend(acc));
-        chunks.sort_unstable_by_key(|(pos, _)| *pos);
-        out.extend(chunks.into_iter().flat_map(|(_, hits)| hits));
-    });
-    out
-}
-
-/// Single-predicate window query: all values whose rectangle satisfies
-/// `pred` against `window`, each reported exactly once, in the grid's
-/// canonical `(cell, payload)` order.
-///
-/// `threads > 1` fans cells across scoped workers; per-cell result chunks
-/// are merged in cell order, so the output is bit-identical at any thread
-/// count. One access is charged per candidate cell.
-pub fn query_predicate<T: Copy + Ord + Send + Sync>(
-    grid: &UniformGrid<T>,
-    pred: Predicate,
-    window: &Rect,
-    threads: usize,
-    cell_accesses: &mut u64,
-) -> Vec<T> {
-    let windows = [(pred, *window)];
-    let hit = |value, satisfied| (satisfied > 0).then_some(value);
-    collect_hits(grid, &windows, threads, cell_accesses, &mut [], hit, |v| *v)
-}
-
-/// Multi-window candidate enumeration — the grid analogue of the
-/// conjunctive/disjunctive R*-tree candidate walk used by WR, PJM and IBB:
-/// every `(value, satisfied_count)` with `satisfied_count ≥ min_count`,
-/// each value exactly once, in canonical `(cell, payload)` order.
+/// Multi-window candidate enumeration — the grid analogue of the R*-tree
+/// candidate walk ([`for_each_candidate`](crate::multiwindow::for_each_candidate))
+/// used by WR, PJM and IBB: every `(value, satisfied_count)` with
+/// `satisfied_count ≥ min_count`, each value exactly once, in canonical
+/// `(cell, payload)` order. One access is charged per candidate cell.
 ///
 /// The sweep covers the **union** of the windows' candidate ranges even for
 /// conjunctive queries (`min_count == windows.len()`): an entry may
 /// satisfy two windows whose candidate ranges are disjoint, so the range
 /// intersection would not be a sound filter.
-pub fn candidates_with_counts<T: Copy + Ord + Send + Sync>(
+pub fn candidates_with_counts<T: Copy + Ord>(
     grid: &UniformGrid<T>,
     windows: &[(Predicate, Rect)],
     min_count: u32,
@@ -696,10 +600,20 @@ pub fn candidates_with_counts<T: Copy + Ord + Send + Sync>(
     level_accesses: &mut [u64],
 ) -> Vec<(T, u32)> {
     debug_assert!(min_count >= 1);
-    let hit = |value, count| (count >= min_count).then_some((value, count));
-    collect_hits(grid, windows, 1, cell_accesses, level_accesses, hit, |h| {
-        h.0
-    })
+    let mut out = Vec::new();
+    with_plan(grid, windows, cell_accesses, level_accesses, |plan| {
+        for pos in 0..plan.cells.len() {
+            let start = out.len();
+            grid.sweep(plan, pos, |slot, r| {
+                let count = satisfied_count(windows, r);
+                if count >= min_count {
+                    out.push((grid.values[slot], count));
+                }
+            });
+            out[start..].sort_unstable_by_key(|hit| hit.0);
+        }
+    });
+    out
 }
 
 /// Cell width/height that is strictly positive even for degenerate
@@ -716,15 +630,13 @@ fn positive_step(extent: f64, n: usize) -> f64 {
 
 impl<T> MemoryFootprint for UniformGrid<T> {
     /// Length-based resident bytes: the four SoA coordinate streams, the
-    /// value array, the per-cell span table, the cell union-MBRs and the
-    /// per-cell sweep bounds.
+    /// value array, the per-cell span table and the per-cell sweep bounds.
     fn memory_bytes(&self) -> u64 {
         let coords = (self.lo_x.len() * 4 * std::mem::size_of::<f64>()) as u64;
         let values = (self.values.len() * std::mem::size_of::<T>()) as u64;
         let starts = (self.starts.len() * std::mem::size_of::<usize>()) as u64;
-        let mbrs = (self.cell_mbr.len() * std::mem::size_of::<Rect>()) as u64;
         let widths = (self.max_w.len() * std::mem::size_of::<f64>()) as u64;
-        coords + values + starts + mbrs + widths
+        coords + values + starts + widths
     }
 }
 
@@ -756,6 +668,12 @@ mod tests {
         Predicate::WithinDistance(0.2),
     ];
 
+    /// A single-window query: the kernel with one window and `min_count` 1.
+    fn query(grid: &UniformGrid<u32>, pred: Predicate, w: &Rect, accesses: &mut u64) -> Vec<u32> {
+        let hits = candidates_with_counts(grid, &[(pred, *w)], 1, accesses, &mut []);
+        hits.into_iter().map(|(v, _)| v).collect()
+    }
+
     #[test]
     fn query_matches_brute_force_for_every_predicate() {
         let items = random_items(11, 600, 0.2);
@@ -768,7 +686,7 @@ mod tests {
         for pred in ALL_PREDS {
             for w in &windows {
                 let mut acc = 0;
-                let mut got = query_predicate(&grid, pred, w, 1, &mut acc);
+                let mut got = query(&grid, pred, w, &mut acc);
                 got.sort_unstable();
                 let mut expected: Vec<u32> = items
                     .iter()
@@ -791,7 +709,7 @@ mod tests {
         items.push((Rect::new(0.1, 0.1, 0.9, 0.9), 302));
         let grid = UniformGrid::with_target_occupancy(&items, 4.0);
         let w = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let got = query_predicate(&grid, Predicate::Intersects, &w, 1, &mut 0);
+        let got = query(&grid, Predicate::Intersects, &w, &mut 0);
         let mut sorted = got.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -846,21 +764,6 @@ mod tests {
                 "threads {threads}"
             );
             assert_eq!(acc, acc1, "accesses must be thread-invariant");
-        }
-    }
-
-    #[test]
-    fn parallel_query_equals_sequential() {
-        let items = random_items(15, 1_500, 0.2);
-        let grid = UniformGrid::build(&items);
-        let w = Rect::new(0.1, 0.1, 0.8, 0.8);
-        let mut acc1 = 0;
-        let seq = query_predicate(&grid, Predicate::Intersects, &w, 1, &mut acc1);
-        for threads in [2, 4] {
-            let mut acc = 0;
-            let par = query_predicate(&grid, Predicate::Intersects, &w, threads, &mut acc);
-            assert_eq!(seq, par, "threads {threads}");
-            assert_eq!(acc, acc1);
         }
     }
 
@@ -942,8 +845,9 @@ mod tests {
         (seen, cells.len() as u64, scanned)
     }
 
-    /// Asserts that all three kernels, at 1 and 3 threads, return exactly
-    /// what [`full_scan`] implies: same winner, output order and accesses.
+    /// Asserts that both kernels — the find-best one at 1 and 3 threads —
+    /// return exactly what [`full_scan`] implies: same winner, output order
+    /// and accesses.
     fn assert_kernels_match_full_scan(
         name: &str,
         grid: &UniformGrid<u32>,
@@ -979,12 +883,13 @@ mod tests {
         for (i, &(pred, w)) in windows.iter().enumerate() {
             let (seen, cells, _) = full_scan(grid, &windows[i..=i]);
             let want: Vec<u32> = seen.iter().filter(|h| h.1 > 0).map(|h| h.0).collect();
-            for threads in [1, 3] {
-                let mut acc = 0;
-                let got = query_predicate(grid, pred, &w, threads, &mut acc);
-                assert_eq!(got, want, "{name}: query {pred} on {w}, {threads} threads");
-                assert_eq!(acc, cells, "{name}: query {pred} on {w}");
-            }
+            let mut acc = 0;
+            assert_eq!(
+                query(grid, pred, &w, &mut acc),
+                want,
+                "{name}: {pred} on {w}"
+            );
+            assert_eq!(acc, cells, "{name}: query {pred} on {w}");
         }
     }
 
@@ -1133,50 +1038,18 @@ mod tests {
     }
 
     #[test]
-    fn home_cell_is_within_span_and_unique() {
-        let items = random_items(18, 300, 0.4);
-        let grid = UniformGrid::with_target_occupancy(&items, 4.0);
-        let mut seen = vec![0u32; items.len()];
-        for c in 0..grid.cells() {
-            for slot in grid.cell_slots(c) {
-                let r = grid.rect_at(slot);
-                if grid.home_cell(&r) == c {
-                    seen[grid.values[slot] as usize] += 1;
-                }
-            }
-        }
-        assert!(
-            seen.iter().all(|&n| n == 1),
-            "home-cell rule not exactly-once"
-        );
-    }
-
-    #[test]
     fn degenerate_and_empty_inputs() {
         // All items on a single point: degenerate bbox.
         let items: Vec<(Rect, u32)> = (0..10)
             .map(|i| (Rect::new(0.5, 0.5, 0.5, 0.5), i))
             .collect();
         let grid = UniformGrid::build(&items);
-        let got = query_predicate(
-            &grid,
-            Predicate::Intersects,
-            &Rect::new(0.0, 0.0, 1.0, 1.0),
-            1,
-            &mut 0,
-        );
-        assert_eq!(got.len(), 10);
+        let unit = Rect::new(0.0, 0.0, 1.0, 1.0);
+        assert_eq!(query(&grid, Predicate::Intersects, &unit, &mut 0).len(), 10);
 
         let empty: Vec<(Rect, u32)> = Vec::new();
         let grid = UniformGrid::build(&empty);
         assert!(grid.is_empty());
-        assert!(query_predicate(
-            &grid,
-            Predicate::Intersects,
-            &Rect::new(0.0, 0.0, 1.0, 1.0),
-            1,
-            &mut 0
-        )
-        .is_empty());
+        assert!(query(&grid, Predicate::Intersects, &unit, &mut 0).is_empty());
     }
 }

@@ -14,21 +14,26 @@
 //!
 //! * **STR bulk loading** (Sort-Tile-Recursive), the one build path —
 //!   an index over 10⁴–10⁵ objects per query variable in milliseconds.
-//! * **Queries**: window (rectangle intersection) and generic
-//!   [`Predicate`](mwsj_geom::Predicate)-based candidate enumeration.
-//! * A **read-only traversal API** ([`NodeRef`]/[`EntryRef`]) that the join
-//!   algorithms in `mwsj-core` use to drive custom branch-and-bound
-//!   traversals (the paper's *find best value*, synchronous traversal and
-//!   IBB) while counting node accesses themselves.
+//! * **One enumeration**: [`multiwindow::for_each_candidate`], every
+//!   entry satisfying at least `min_count` of a list of
+//!   ([`Predicate`](mwsj_geom::Predicate), window) pairs. A window query is
+//!   that walk with one window and `min_count = 1`; there is no second
+//!   traversal.
 //! * A **multi-window branch-and-bound kernel** ([`find_best_leaf`]):
 //!   the best-first, prune-by-potential traversal of the paper's *find
 //!   best value* (Fig. 5) with a caller-supplied leaf scorer, shared by
 //!   the raw (ILS/SEA/IBB) and λ-penalised (GILS) search paths.
-//! * A shared **access-accounting hook** ([`AccessCounter`]): every
-//!   traversal path — window/predicate queries, bulk load and the
-//!   visit API — has a `*_counted` variant that records one access per
-//!   node touched into a caller-supplied counter.
-//! * A **uniform grid** ([`UniformGrid`]), the second spatial backend.
+//! * A **read-only traversal API** ([`NodeRef`]/[`EntryRef`]) for the
+//!   traversals `mwsj-core` writes itself (synchronous traversal, the
+//!   pairwise join).
+//! * **Access accounting by the caller**: every traversal bumps a `&mut
+//!   u64` it is handed once per node it enters (the kernels also a
+//!   per-level slice). [`AccessCounter`] and
+//!   [`RTree::count_window_counted`] are a probe-only wrapper over the walk
+//!   (see the `access` module docs).
+//! * A **uniform grid** ([`UniformGrid`]), the second spatial backend,
+//!   with the same two questions: [`grid::find_best_in_windows`] and
+//!   [`grid::candidates_with_counts`].
 //! * An **invariant checker** ([`RTree::check_invariants`]) used by the test
 //!   suite and property tests.
 //!
@@ -52,7 +57,6 @@ mod footprint;
 pub mod grid;
 pub mod multiwindow;
 mod params;
-mod query;
 mod stats;
 mod tree;
 mod validate;

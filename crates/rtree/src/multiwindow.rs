@@ -359,11 +359,22 @@ fn offer<T: Copy>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{RTree, RTreeParams};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    /// The single-window query of the crate's other test modules: the
+    /// payloads satisfying `pred` against `window`, in walk order.
+    pub(crate) fn window_hits<T: Copy>(tree: &RTree<T>, pred: Predicate, window: &Rect) -> Vec<T> {
+        let mut hits = Vec::new();
+        let windows = [(pred, *window)];
+        for_each_candidate(tree.root_node(), &windows, 1, &mut 0, &mut [], |v, _| {
+            hits.push(v)
+        });
+        hits
+    }
 
     fn random_rect(rng: &mut StdRng, extent: f64) -> Rect {
         let x = rng.random_range(0.0..1.0);
@@ -615,6 +626,44 @@ mod tests {
                 assert_equals_reference(&tree, &mixed, &format!("{pred} × {n_windows} + 1"));
             }
         }
+    }
+
+    /// A single-window query is the walk with one window and `min_count`
+    /// 1: under every predicate and at every capacity it returns what a
+    /// linear scan of the input does, in ascending leaf-array position.
+    #[test]
+    fn single_window_walk_is_the_linear_scan_in_leaf_order() {
+        let windows = [
+            Rect::new(0.1, 0.1, 0.3, 0.3),
+            Rect::new(0.0, 0.0, 1.0, 1.0),
+            Rect::new(0.95, 0.95, 0.99, 0.99),
+            Rect::new(0.5, 0.5, 0.5, 0.5),
+            Rect::new(2.0, 2.0, 3.0, 3.0), // off the workspace
+        ];
+        for capacity in [4, 8, 32] {
+            let (tree, rects) = sample_tree_with_capacity(11, 2_000, capacity);
+            for pred in PREDICATES {
+                for w in &windows {
+                    let got = window_hits(&tree, pred, w);
+                    let in_leaf_order: Vec<u32> = tree
+                        .iter()
+                        .filter(|(r, _)| pred.eval(r, w))
+                        .map(|(_, v)| *v)
+                        .collect();
+                    assert_eq!(got, in_leaf_order, "capacity {capacity}, {pred} on {w}");
+                    let mut got = got;
+                    got.sort_unstable();
+                    let scan: Vec<u32> = (0u32..)
+                        .zip(&rects)
+                        .filter(|(_, r)| pred.eval(r, w))
+                        .map(|(i, _)| i)
+                        .collect();
+                    assert_eq!(got, scan, "capacity {capacity}, {pred} on {w}");
+                }
+            }
+        }
+        let empty: RTree<u32> = RTree::bulk_load(Vec::new());
+        assert!(window_hits(&empty, Predicate::Intersects, &windows[1]).is_empty());
     }
 
     #[test]

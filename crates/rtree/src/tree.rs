@@ -51,8 +51,8 @@ impl Level {
 /// dataset), but any `Copy` type works.
 ///
 /// ```
-/// use mwsj_rtree::RTree;
-/// use mwsj_geom::Rect;
+/// use mwsj_rtree::{multiwindow::for_each_candidate, RTree};
+/// use mwsj_geom::{Predicate, Rect};
 ///
 /// let items = (0..100u32)
 ///     .map(|i| {
@@ -63,9 +63,14 @@ impl Level {
 ///     .collect();
 /// let tree = RTree::bulk_load(items);
 /// assert_eq!(tree.len(), 100);
-/// let window = Rect::new(0.0, 0.0, 1.0, 1.0);
-/// let hits: Vec<_> = tree.window(&window).collect();
-/// assert_eq!(hits.len(), 4); // (0,0), (1,0), (0,1), (1,1) — boundary touches count
+/// // A window query is the candidate walk with one window.
+/// let window = [(Predicate::Intersects, Rect::new(0.0, 0.0, 1.0, 1.0))];
+/// let (mut hits, mut node_accesses) = (Vec::new(), 0);
+/// for_each_candidate(tree.root_node(), &window, 1, &mut node_accesses, &mut [], |id, _| {
+///     hits.push(id)
+/// });
+/// hits.sort_unstable(); // they arrive in leaf (STR) order
+/// assert_eq!(hits, [0, 1, 10, 11]); // boundary touches count
 /// ```
 #[derive(Debug)]
 pub struct RTree<T> {
@@ -128,13 +133,6 @@ impl<T> RTree<T> {
     /// used by the join algorithms (`find best value`, ST, IBB).
     pub fn root_node(&self) -> NodeRef<'_, T> {
         NodeRef::new(self, self.height() - 1, 0)
-    }
-
-    /// [`RTree::root_node`] with node accesses recorded into `counter`:
-    /// the root counts immediately and every child materialised through
-    /// [`EntryRef::child`](crate::EntryRef::child) below it counts once.
-    pub fn root_node_counted<'a>(&'a self, counter: &'a crate::AccessCounter) -> NodeRef<'a, T> {
-        NodeRef::counted(self, self.height() - 1, 0, counter)
     }
 
     /// Builds a structure-of-arrays copy of the leaf level (see

@@ -107,8 +107,9 @@ fn rects_close(a: &Rect, b: &Rect) -> bool {
 
 #[cfg(test)]
 mod proptests {
+    use crate::multiwindow::tests::window_hits;
     use crate::{RTree, RTreeParams};
-    use mwsj_geom::Rect;
+    use mwsj_geom::{Predicate, Rect};
     use proptest::prelude::*;
 
     fn arb_rects(max: usize) -> impl Strategy<Value = Vec<Rect>> {
@@ -135,7 +136,7 @@ mod proptests {
                 prop_assert!(tree.check_invariants().is_ok());
                 for (i, r) in rects.iter().enumerate() {
                     prop_assert!(
-                        tree.window(r).any(|(_, v)| *v == i),
+                        window_hits(&tree, Predicate::Intersects, r).contains(&i),
                         "rect {i} not found by self-window at capacity {cap}"
                     );
                 }

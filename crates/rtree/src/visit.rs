@@ -7,15 +7,11 @@
 //! without this crate leaking mutable internals: a node is a `(level,
 //! index)` pair, its entries a run of its level's rectangle array.
 //!
-//! Node accesses along a visit-API traversal can be accounted through the
-//! shared [`AccessCounter`](crate::AccessCounter) hook: start from
-//! [`RTree::root_node_counted`] and every [`EntryRef::child`]
-//! materialisation below it increments the counter (one access per node
-//! entered, the same policy as the query paths). `mwsj-core`'s
-//! branch-and-bound traversals keep their own per-run counters on the hot
-//! path and flush them into the metrics registry when a run finishes.
+//! The views count nothing. A traversal counts the nodes it enters into a
+//! counter its caller owns — one access per node, the root included — and
+//! the search layer flushes that into the metrics registry when a run
+//! finishes.
 
-use crate::access::AccessCounter;
 use crate::tree::RTree;
 use mwsj_geom::Rect;
 use std::ops::Range;
@@ -27,8 +23,6 @@ pub struct NodeRef<'a, T> {
     level: u32,
     /// Position among the nodes of `level`.
     index: u32,
-    /// Shared access-accounting hook; `None` disables counting.
-    counter: Option<&'a AccessCounter>,
 }
 
 impl<T> Clone for NodeRef<'_, T> {
@@ -40,25 +34,7 @@ impl<T> Copy for NodeRef<'_, T> {}
 
 impl<'a, T> NodeRef<'a, T> {
     pub(crate) fn new(tree: &'a RTree<T>, level: u32, index: u32) -> Self {
-        NodeRef {
-            tree,
-            level,
-            index,
-            counter: None,
-        }
-    }
-
-    pub(crate) fn counted(
-        tree: &'a RTree<T>,
-        level: u32,
-        index: u32,
-        counter: &'a AccessCounter,
-    ) -> Self {
-        counter.inc();
-        NodeRef {
-            counter: Some(counter),
-            ..NodeRef::new(tree, level, index)
-        }
+        NodeRef { tree, level, index }
     }
 
     /// Position of the node among the nodes of its level.
@@ -145,7 +121,6 @@ impl<'a, T> NodeRef<'a, T> {
             tree: self.tree,
             level: self.level,
             index: index as u32,
-            counter: self.counter,
         }
     }
 }
@@ -159,9 +134,6 @@ pub struct EntryRef<'a, T> {
     /// Position in that level's entry arrays — on an internal level, also
     /// the child's position among the nodes of the level below.
     index: u32,
-    /// Inherited from the originating [`NodeRef`]; counted traversals
-    /// propagate it to children.
-    counter: Option<&'a AccessCounter>,
 }
 
 impl<T> Clone for EntryRef<'_, T> {
@@ -178,16 +150,11 @@ impl<'a, T> EntryRef<'a, T> {
         &self.tree.levels[self.level as usize].rects[self.index as usize]
     }
 
-    /// The child node, if this is an internal entry. On a counted
-    /// traversal (see [`RTree::root_node_counted`]) materialising a child
-    /// records one node access.
+    /// The child node, if this is an internal entry.
     #[inline]
     pub fn child(&self) -> Option<NodeRef<'a, T>> {
         let level = self.level.checked_sub(1)?;
-        Some(match self.counter {
-            Some(counter) => NodeRef::counted(self.tree, level, self.index, counter),
-            None => NodeRef::new(self.tree, level, self.index),
-        })
+        Some(NodeRef::new(self.tree, level, self.index))
     }
 
     /// The data payload, if this is a leaf entry.
@@ -257,22 +224,6 @@ mod tests {
             assert!(e.value().is_some());
             assert!(e.child().is_none());
         }
-    }
-
-    #[test]
-    fn counted_traversal_records_one_access_per_node() {
-        use crate::AccessCounter;
-        let tree = sample_tree();
-        let counter = AccessCounter::new();
-        let mut stack = vec![tree.root_node_counted(&counter)];
-        while let Some(node) = stack.pop() {
-            for e in node.entries() {
-                if let Some(child) = e.child() {
-                    stack.push(child);
-                }
-            }
-        }
-        assert_eq!(counter.get(), tree.node_count() as u64);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Property-based tests: every query kind agrees with a linear scan on
-//! arbitrary data, at node capacities 4, 8 and 32.
+//! Property-based tests: the single-window walk agrees with a linear scan
+//! on arbitrary data, under every predicate, at node capacities 4, 8 and 32.
 
 use mwsj_geom::{Predicate, Rect};
-use mwsj_rtree::{RTree, RTreeParams};
+use mwsj_rtree::{multiwindow::for_each_candidate, RTree, RTreeParams};
 use proptest::prelude::*;
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -29,29 +29,13 @@ fn trees_of(rects: &[Rect]) -> Vec<RTree<usize>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
+    /// `for_each_candidate` with one window and `min_count = 1` emits the
+    /// entries a linear scan of the input finds, in ascending leaf-array
+    /// position (`leaf_values()` filtered in array order).
     #[test]
-    fn window_query_agrees_with_scan(
-        rects in prop::collection::vec(arb_rect(), 1..120),
-        window in arb_rect(),
-    ) {
-        let expected: Vec<usize> = rects
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.intersects(&window))
-            .map(|(i, _)| i)
-            .collect();
-        for tree in trees_of(&rects) {
-            prop_assert!(tree.check_invariants().is_ok());
-            let mut got: Vec<usize> = tree.window(&window).map(|(_, v)| *v).collect();
-            got.sort_unstable();
-            prop_assert_eq!(&got, &expected);
-        }
-    }
-
-    #[test]
-    fn predicate_query_agrees_with_scan(
+    fn single_window_walk_agrees_with_scan(
         rects in prop::collection::vec(arb_rect(), 1..120),
         window in arb_rect(),
         pred in arb_pred(),
@@ -63,8 +47,18 @@ proptest! {
             .map(|(i, _)| i)
             .collect();
         for tree in trees_of(&rects) {
-            let mut got: Vec<usize> =
-                tree.query_predicate(pred, &window).map(|(_, v)| *v).collect();
+            prop_assert!(tree.check_invariants().is_ok());
+            let mut got = Vec::new();
+            let windows = [(pred, window)];
+            for_each_candidate(tree.root_node(), &windows, 1, &mut 0, &mut [], |v, _| {
+                got.push(v)
+            });
+            let in_leaf_order: Vec<usize> = tree
+                .iter()
+                .filter(|(r, _)| pred.eval(r, &window))
+                .map(|(_, v)| *v)
+                .collect();
+            prop_assert_eq!(&got, &in_leaf_order, "predicate {}", pred);
             got.sort_unstable();
             prop_assert_eq!(&got, &expected, "predicate {}", pred);
         }

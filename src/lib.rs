@@ -48,11 +48,11 @@ pub mod prelude {
     pub use mwsj_core::{
         derive_seed, find_best_value, AnytimeSearch, BestValue, CutoffPolicy, ExactJoinOutcome,
         Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance, InstanceError, NaiveGa,
-        NaiveGaConfig, NaiveLocalSearch, PairwiseJoin, ParallelPortfolio, Pjm, PjmOrder,
-        PortfolioConfig, PortfolioOutcome, RestartOutcome, RunOutcome, RunStats, SaConfig, Sea,
-        SeaConfig, SearchBudget, SearchContext, SharedSearchState, SimulatedAnnealing,
-        SynchronousTraversal, TelemetryConfig, TopSolutions, TracePoint, TwoStep, TwoStepConfig,
-        TwoStepOutcome, WindowReduction,
+        NaiveGaConfig, NaiveLocalSearch, PairwiseJoin, ParallelPortfolio, Pjm, PortfolioConfig,
+        PortfolioOutcome, RestartOutcome, RunOutcome, RunStats, SaConfig, Sea, SeaConfig,
+        SearchBudget, SearchContext, SharedSearchState, SimulatedAnnealing, SynchronousTraversal,
+        TelemetryConfig, TopSolutions, TracePoint, TwoStep, TwoStepConfig, TwoStepOutcome,
+        WindowReduction,
     };
     pub use mwsj_datagen::{
         hard_region_density, Dataset, DatasetSpec, Distribution, QueryShape, Workload, WorkloadSpec,

@@ -9,6 +9,7 @@
 //! the data never drifts).
 
 use mwsj::prelude::*;
+use mwsj::rtree::multiwindow::for_each_candidate;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -69,12 +70,14 @@ fn count_rec(
         // Probe the tree with the first assigned neighbour's rectangle,
         // then filter against the rest.
         Some(&(u0, _)) => {
-            let window = datasets[u0][assignment[u0]];
-            let candidates: Vec<usize> = trees[var]
-                .window(&window)
-                .map(|(_, &v)| v as usize)
-                .filter(|&obj| ok(obj))
-                .collect();
+            let window = [(Predicate::Intersects, datasets[u0][assignment[u0]])];
+            let mut candidates: Vec<usize> = Vec::new();
+            let root = trees[var].root_node();
+            for_each_candidate(root, &window, 1, &mut 0, &mut [], |obj, _| {
+                if ok(obj as usize) {
+                    candidates.push(obj as usize);
+                }
+            });
             for obj in candidates {
                 assignment[var] = obj;
                 count_rec(datasets, trees, graph, var + 1, assignment, count);
