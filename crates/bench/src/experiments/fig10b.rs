@@ -52,7 +52,7 @@ pub fn run_shape_recorded(scale: Scale, shape: QueryShape, rec: &Recorder) -> Ta
                 mean(
                     &outcomes
                         .iter()
-                        .map(|o| o.similarity_at(t))
+                        .map(|o| o.best_similarity_at(t))
                         .collect::<Vec<_>>(),
                 )
             })

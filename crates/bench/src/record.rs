@@ -59,31 +59,13 @@ impl Recorder {
 
     /// Emits a `run_start` event for one upcoming algorithm run.
     pub fn start(&self, algo: &str, instance: &Instance, budget: &SearchBudget, seed: u64) {
-        self.obs.emit(mwsj_core::RunEvent::RunStart {
-            algo: algo.to_string(),
-            n_vars: instance.n_vars() as u64,
-            edges: instance.graph().edge_count() as u64,
-            restarts: 1,
-            threads: 1,
-            seed,
-            budget_steps: budget.max_steps,
-            budget_secs: budget.time_limit.map(|d| d.as_secs_f64()),
-        });
+        self.obs
+            .emit(mwsj_core::run_start(algo, instance, budget, 1, 1, seed));
     }
 
     /// Emits the matching `run_end` event.
     pub fn end(&self, outcome: &RunOutcome) {
-        self.obs.emit(mwsj_core::RunEvent::RunEnd {
-            best_violations: outcome.best_violations as u64,
-            best_similarity: outcome.best_similarity,
-            steps: outcome.stats.steps,
-            node_accesses: outcome.stats.node_accesses,
-            local_maxima: outcome.stats.local_maxima,
-            improvements: outcome.stats.improvements,
-            restarts: outcome.stats.restarts,
-            elapsed_secs: outcome.stats.elapsed.as_secs_f64(),
-            proven_optimal: outcome.proven_optimal,
-        });
+        self.obs.emit(outcome.run_end());
     }
 
     /// Runs `algo` with run-start/end events and full instrumentation.

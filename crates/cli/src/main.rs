@@ -417,16 +417,9 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
         (None, None) if profile_path.is_some() => ObsHandle::timer_only(),
         (None, None) => ObsHandle::disabled(),
     };
-    obs.emit(RunEvent::RunStart {
-        algo: algo.to_string(),
-        n_vars: n_vars as u64,
-        edges: instance.graph().edge_count() as u64,
-        restarts: restarts as u64,
-        threads: threads as u64,
-        seed,
-        budget_steps: budget.max_steps,
-        budget_secs: budget.time_limit.map(|d| d.as_secs_f64()),
-    });
+    obs.emit(mwsj_core::run_start(
+        algo, &instance, &budget, restarts, threads, seed,
+    ));
     let ctx = SearchContext::local(budget)
         .with_obs(obs.clone())
         .with_telemetry(telemetry);
@@ -681,16 +674,8 @@ fn cmd_join(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
         }
         None => ObsHandle::disabled(),
     };
-    obs.emit(RunEvent::RunStart {
-        algo: algo.to_string(),
-        n_vars: n_vars as u64,
-        edges: instance.graph().edge_count() as u64,
-        restarts: 1,
-        threads: 1,
-        seed: 0, // exact joins are deterministic; no RNG is involved
-        budget_steps: budget.max_steps,
-        budget_secs: budget.time_limit.map(|d| d.as_secs_f64()),
-    });
+    // Seed 0: exact joins are deterministic; no RNG is involved.
+    obs.emit(mwsj_core::run_start(algo, &instance, &budget, 1, 1, 0));
     let outcome = match algo {
         "wr" => WindowReduction::new().run_with_obs(&instance, &budget, limit, &obs),
         "st" => SynchronousTraversal::new().run_with_obs(&instance, &budget, limit, &obs),
@@ -703,22 +688,7 @@ fn cmd_join(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     obs.emit(RunEvent::Phases {
         phases: obs.timer.snapshot(),
     });
-    let found = !outcome.solutions.is_empty();
-    obs.emit(RunEvent::RunEnd {
-        best_violations: if found {
-            0
-        } else {
-            instance.graph().edge_count() as u64
-        },
-        best_similarity: if found { 1.0 } else { 0.0 },
-        steps: outcome.stats.steps,
-        node_accesses: outcome.stats.node_accesses,
-        local_maxima: outcome.stats.local_maxima,
-        improvements: outcome.stats.improvements,
-        restarts: outcome.stats.restarts,
-        elapsed_secs: outcome.stats.elapsed.as_secs_f64(),
-        proven_optimal: outcome.complete,
-    });
+    obs.emit(outcome.run_end(&instance));
 
     writeln!(
         stdout,

@@ -8,7 +8,7 @@
 
 use crate::args::Args;
 use crate::Failure;
-use mwsj_core::obs::{schema, BenchSnapshot, ExplainReport, SuiteKey};
+use mwsj_core::obs::{schema, BenchSnapshot, ExplainReport};
 use mwsj_core::RunEvent;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -37,9 +37,11 @@ pub fn report_text(path: &str, text: &str) -> Result<String, String> {
              (interrupted before the first event, or the wrong file?)"
         ));
     }
-    // A bench snapshot is a single pretty-printed JSON object, not JSONL;
-    // summarise it directly instead of failing schema validation.
-    if let Ok(snapshot) = BenchSnapshot::parse(text) {
+    // A bench snapshot is a single pretty-printed JSON object, not JSONL:
+    // a file that says it is one is read as one, so what is wrong with it
+    // is reported in the snapshot's terms (section, record, field).
+    if BenchSnapshot::sniff(text) {
+        let snapshot = BenchSnapshot::parse(text).map_err(|e| format!("{path}: {e}"))?;
         return Ok(snapshot_lines(path, &snapshot).join("\n") + "\n");
     }
     let events = schema::parse_jsonl(text).map_err(|(line, e)| {
@@ -307,9 +309,9 @@ fn explain_lines(report: &ExplainReport, lines: &mut Vec<String>) {
 }
 
 /// Summarises a `BENCH_*.json` snapshot for `mwsj report`, ordered by
-/// parsed suite key — numeric on the variable count, so `chain-n10-…`
-/// sorts after `chain-n4-…` instead of between `n1` and `n2` as a naive
-/// lexicographic (single-digit-assuming) ordering would.
+/// shape, then variable count — numeric, so `chain-n10-…` sorts after
+/// `chain-n4-…` instead of between `n1` and `n2` as the names would —
+/// then name.
 fn snapshot_lines(path: &str, snapshot: &BenchSnapshot) -> Vec<String> {
     let mut lines = vec![format!(
         "{path}: bench snapshot '{}', {} instances",
@@ -319,22 +321,10 @@ fn snapshot_lines(path: &str, snapshot: &BenchSnapshot) -> Vec<String> {
     let mut order: Vec<usize> = (0..snapshot.instances.len()).collect();
     order.sort_by_key(|&i| {
         let inst = &snapshot.instances[i];
-        match SuiteKey::parse(&inst.name) {
-            Some(k) => (k.shape, k.n_vars, k.qualifier),
-            // Unkeyed instances sort after keyed ones, by raw name.
-            None => ("~".to_string(), u64::MAX, inst.name.clone()),
-        }
+        (&inst.shape, inst.n_vars, &inst.name)
     });
     for &i in &order {
         let inst = &snapshot.instances[i];
-        if let Some(key) = SuiteKey::parse(&inst.name) {
-            if key.n_vars != inst.n_vars || key.shape != inst.shape {
-                lines.push(format!(
-                    "warning: {} — suite key ({} n={}) contradicts record metadata ({} n={})",
-                    inst.name, key.shape, key.n_vars, inst.shape, inst.n_vars
-                ));
-            }
-        }
         lines.push(format!(
             "  {} ({} n={} N={} seed={})",
             inst.name, inst.shape, inst.n_vars, inst.cardinality, inst.seed
@@ -387,7 +377,7 @@ mod tests {
 
     /// Hostile input is always an error that names the line and the
     /// offending field — never a panic, never a rendered `?` / `0` / `inf`
-    /// — for all three readers: the schema check, `report` and `watch`.
+    /// — for all three readers: the JSONL parser, `report` and `watch`.
     #[test]
     fn hostile_lines_are_errors_for_every_reader() {
         let run_end = |similarity: &str, secs: &str| {
@@ -440,7 +430,7 @@ mod tests {
         for (row, expected) in &table {
             let text = format!("{}\n{row}", r#"{"event":"phases","phases":[]}"#);
 
-            let (line, err) = schema::validate_jsonl(&text).expect_err(row);
+            let (line, err) = schema::parse_jsonl(&text).expect_err(row);
             assert_eq!(line, 2, "{row}");
             assert!(err.to_string().contains(expected), "{row}: {err}");
 
@@ -459,10 +449,10 @@ mod tests {
                 "{row}: {err}"
             );
         }
-        // An empty file is a report error; for the schema check and the
-        // watcher it is simply zero events so far.
+        // An empty file is a report error; for the parser and the watcher
+        // it is simply zero events so far.
         assert!(report_text("empty.jsonl", " \n").is_err());
-        assert_eq!(schema::validate_jsonl(" \n"), Ok(0));
+        assert_eq!(schema::parse_jsonl(" \n"), Ok(vec![]));
     }
 
     #[test]
@@ -479,5 +469,40 @@ mod tests {
             "{out}"
         );
         assert!(out.ends_with("events: 1 stall aborts\n"), "{out}");
+    }
+
+    /// A `metrics` line as the registry of atomic cells wrote it (PR 20):
+    /// the wire record has not moved, so old artifacts still report.
+    #[test]
+    fn a_metrics_line_written_before_the_accumulator_still_reports() {
+        let line = concat!(
+            r#"{"event":"metrics","counters":{"search.improvements":0,"search.local_maxima":0,"#,
+            r#""search.node_accesses":4240,"search.restarts":0,"search.steps":1430},"gauges":{},"#,
+            r#""histograms":{"search.steps_per_run":{"count":1,"sum":1430,"min":1430,"#,
+            r#""max":1430,"buckets":[[11,1]]}}}"#,
+            "\n"
+        );
+        let out = report_text("wr.jsonl", line).unwrap();
+        assert_eq!(
+            out,
+            "wr.jsonl: 1 events, schema OK\n\
+             counters:\n\
+             \x20 search.improvements      0\n\
+             \x20 search.local_maxima      0\n\
+             \x20 search.node_accesses     4240\n\
+             \x20 search.restarts          0\n\
+             \x20 search.steps             1430\n\
+             histogram search.steps_per_run: 1 samples in [1430, 1430]\n"
+        );
+        // And it is the line this build writes for the same counters.
+        let stats = mwsj_core::RunStats {
+            steps: 1430,
+            node_accesses: 4240,
+            ..Default::default()
+        };
+        let rewritten = RunEvent::Metrics {
+            snapshot: stats.metrics(),
+        };
+        assert_eq!(rewritten.to_json() + "\n", line);
     }
 }

@@ -148,24 +148,66 @@ fn report_rejects_trailing_partial_line() {
     assert!(err.contains("appears truncated"), "{err}");
 }
 
+/// `mwsj report` is the one validator CI runs on every artifact: each of
+/// the four hostile lines of the smoke jobs is an error naming the line,
+/// the event and the field path, and nothing is rendered.
 #[test]
 fn report_rejects_nested_garbage_with_line_and_field_path() {
     let dir = temp_dir("report_hostile");
     let (metrics, _) = solve_with_metrics(&dir, &[]);
-    let mut text = std::fs::read_to_string(&metrics).unwrap();
-    let good_lines = text.lines().count();
-    text.push_str(
-        "{\"event\":\"metrics\",\"counters\":{\"a\":\"x\"},\"gauges\":{},\"histograms\":{}}\n",
-    );
+    let good = std::fs::read_to_string(&metrics).unwrap();
+    let bad_line = good.lines().count() + 1;
+    let hostile = [
+        (
+            r#"{"event":"phases","phases":[42,{"path":7}]}"#,
+            r#"event "phases": phases[0]: expected object"#,
+        ),
+        (
+            r#"{"event":"metrics","counters":{"a":"x"},"gauges":{},"histograms":{"h":3}}"#,
+            r#"event "metrics": counters.a: expected non-negative integer"#,
+        ),
+        (
+            r#"{"event":"resource_report","total_bytes":5,"components":{"rtree.var000":"lots"}}"#,
+            r#"event "resource_report": components.rtree.var000: expected non-negative integer"#,
+        ),
+        (
+            r#"{"event":"run_end","best_violations":0,"best_similarity":1e999,"steps":1,"node_accesses":1,"local_maxima":0,"improvements":0,"restarts":0,"elapsed_secs":-1,"proven_optimal":false}"#,
+            r#"event "run_end": best_similarity: expected finite number"#,
+        ),
+    ];
     let path = dir.join("hostile.jsonl");
-    std::fs::write(&path, &text).unwrap();
+    for (line, expected) in hostile {
+        std::fs::write(&path, format!("{good}{line}\n")).unwrap();
+        let out = report(&path);
+        assert!(!out.status.success(), "{line}");
+        assert!(out.stdout.is_empty(), "nothing is rendered from a bad file");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("hostile.jsonl:{bad_line}: {expected}")),
+            "{err}"
+        );
+    }
+}
+
+/// A file that says it is a bench snapshot is read as one: what is wrong
+/// with it is the snapshot's own error (record and field), not the JSONL
+/// reader's complaint about the first line of a pretty-printed object.
+#[test]
+fn report_names_the_field_a_schema_invalid_snapshot_lacks() {
+    let dir = temp_dir("report_bad_snapshot");
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+    let text = std::fs::read_to_string(baseline).unwrap();
+    let path = dir.join("bad.json");
+    std::fs::write(&path, text.replace("\"cardinality\"", "\"cardinalitx\"")).unwrap();
     let out = report(&path);
     assert!(!out.status.success());
-    assert!(out.stdout.is_empty(), "nothing is rendered from a bad file");
+    assert!(out.stdout.is_empty());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains(&format!("hostile.jsonl:{}: ", good_lines + 1))
-            && err.contains("counters.a: expected non-negative integer"),
+        err.contains(
+            "bad.json: snapshot schema violation: \
+             suite[0 \"chain-n4-hard\"].cardinality: missing required field"
+        ),
         "{err}"
     );
 }

@@ -438,7 +438,13 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     let isolated = [&["join", "--query", "0-1"], &isolated[..]].concat();
     let contains = ["join", "--data", a, "--data", a, "--query", "0-1:contains"];
     let st_overlap_only = "error: --algo st supports overlap (intersects) queries only";
-    let rows: [(&[&str], &[&str], Expect); 39] = [
+    // One object a side: every seed is exact, and a search that does not
+    // look at its seed spends the whole budget climbing from the optimum.
+    let one = dir.join("one.csv");
+    std::fs::write(&one, "0,0,1,1\n").unwrap();
+    let one = one.to_str().unwrap();
+    let solve_one = ["solve", "--data", one, "--data", one, "--query", "chain"];
+    let rows: [(&[&str], &[&str], Expect); 40] = [
         (&solve, &["--seconds", "inf"], NotSeconds),
         (&solve, &["--seconds", "1e20"], NotSeconds),
         (&solve, &["--seconds", "-3"], NotSeconds),
@@ -515,6 +521,11 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
             &isolated,
             &["--algo", "pjm"],
             Prints("9 exact solutions in"),
+        ),
+        (
+            &solve_one,
+            &["--algo", "gils", "--iterations", "1000"],
+            Mentions(" elapsed, 0 steps, "),
         ),
         // A query spec ST cannot run is an error, not its library assert.
         (&contains, &["--algo", "st"], Refused(st_overlap_only)),

@@ -355,13 +355,23 @@ impl BudgetClock {
         &self.obs
     }
 
+    /// Ends the run, the one way every algorithm does: freezes the wall
+    /// time and the step count into `stats`, hands the block to the
+    /// handle's metrics registry and emits the stop reason.
+    pub(crate) fn finish(&self, stats: &mut crate::RunStats) {
+        stats.elapsed = self.elapsed();
+        stats.steps = self.steps;
+        crate::observe::flush_stats(&self.obs, stats);
+        self.emit_stop_reason();
+    }
+
     /// Emits the stop-reason event for a finished run: `budget_exhausted`
     /// when either limit was hit, `cutoff_fired` when a cooperating restart
     /// stopped on another restart's similarity-1 certificate. Runs that end
     /// for algorithmic reasons (exact solution found, space exhausted) emit
     /// neither. Called once at finish time so the hot `exhausted()` check
     /// stays branch-free.
-    pub(crate) fn emit_stop_reason(&self) {
+    fn emit_stop_reason(&self) {
         if !self.obs.has_sink() {
             return;
         }

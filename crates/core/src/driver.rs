@@ -518,11 +518,8 @@ impl SearchDriver {
         emit_end: bool,
         instance: &Instance,
     ) -> RunOutcome {
-        stats.elapsed = clock.elapsed();
-        stats.steps = clock.steps();
         stats.improvements = incumbent.improvements;
-        crate::observe::flush_stats(clock.obs(), &stats);
-        clock.emit_stop_reason();
+        clock.finish(&mut stats);
         let outcome = RunOutcome {
             best_similarity: 1.0 - incumbent.best_violations as f64 / edges as f64,
             best: incumbent.best,
@@ -533,9 +530,7 @@ impl SearchDriver {
             top_solutions: incumbent.top.into_vec(),
         };
         if emit_end {
-            crate::observe::emit_explain_report(clock.obs(), instance, &outcome);
-            crate::observe::emit_resource_report(clock.obs(), instance, &outcome);
-            crate::observe::emit_run_end(clock.obs(), &outcome);
+            crate::observe::emit_run_end(clock.obs(), instance, &outcome);
         }
         outcome
     }

@@ -125,14 +125,22 @@ impl Gils {
         let mut penalties = PenaltyTable::new();
         let mut cache = WindowCache::new(instance);
 
+        // A seed (or reseed) that is already exact ends the run: nothing
+        // beats similarity 1, and climbing from it would punish the
+        // optimum as a local maximum until the budget is gone.
+        let offer_seed = |driver: &mut SearchDriver, ind: &Individual| {
+            driver.offer(&ind.sol, ind.cs.total_violations());
+            ind.cs.total_violations() == 0
+        };
+
         // Single seed for the whole run (Fig. 7).
         let mut ind = Individual::new(instance, instance.random_solution(rng));
-        driver.offer(&ind.sol, ind.cs.total_violations());
+        let mut exact_seed = offer_seed(driver, &ind);
         driver.stats_mut().restarts = 1;
         let mut rounds_since_improvement: u64 = 0;
         let mut last_best = driver.best_violations();
 
-        'time: while !driver.exhausted() {
+        'time: while !exact_seed && !driver.exhausted() {
             // Climb (by effective value) to a local maximum.
             #[allow(unused_assignments)]
             let mut any_candidate = false;
@@ -201,7 +209,7 @@ impl Gils {
                 driver.stats_mut().restarts += 1;
                 rounds_since_improvement = 0;
                 ind.reseed(instance, None, rng);
-                driver.offer(&ind.sol, ind.cs.total_violations());
+                exact_seed = offer_seed(driver, &ind);
             }
             driver.sample_cache(&cache);
         }
@@ -286,6 +294,43 @@ mod tests {
         assert_eq!(steps, 2_000);
         let outcome = driver.finish(&inst, &mut StdRng::seed_from_u64(0));
         assert!(outcome.stats.restarts > 1, "no reseed was exercised");
+    }
+
+    /// An exact seed ends the run before its first step; so does an exact
+    /// *reseed* — the two sites share one check (`offer_seed`).
+    #[test]
+    fn an_exact_seed_or_reseed_ends_the_run() {
+        use mwsj_geom::Rect;
+        use mwsj_query::QueryGraph;
+        let budget = SearchBudget::iterations(1_000);
+        let one = vec![Rect::new(0.0, 0.0, 1.0, 1.0)];
+        let inst = Instance::new(QueryGraph::chain(2), [one.clone(), one]).unwrap();
+        let outcome = Gils::default().run(&inst, &budget, &mut StdRng::seed_from_u64(1));
+        assert_eq!(outcome.best_similarity, 1.0);
+        assert_eq!(outcome.stats.steps, 0);
+        assert_eq!(outcome.stats.local_maxima, 0);
+
+        // One overlapping pair and one isolated object a side: the seed
+        // (isolated, isolated) is a degenerate maximum — no window holds
+        // a candidate — so GILS reseeds until it draws the exact pair.
+        let side = |far: f64| {
+            vec![
+                Rect::new(0.0, 0.0, 1.0, 1.0),
+                Rect::new(far, far, far + 1.0, far + 1.0),
+            ]
+        };
+        let inst = Instance::new(QueryGraph::chain(2), [side(10.0), side(20.0)]).unwrap();
+        let mut reseeded = false;
+        for seed in 0..16 {
+            let outcome = Gils::default().run(&inst, &budget, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(outcome.best_similarity, 1.0, "seed {seed}");
+            assert!(
+                outcome.stats.steps < 1_000,
+                "seed {seed} ran the budget out"
+            );
+            reseeded |= outcome.stats.restarts > 1;
+        }
+        assert!(reseeded, "no seed took the reseed path");
     }
 
     #[test]

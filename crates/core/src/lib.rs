@@ -61,7 +61,7 @@ pub use ibb::{Ibb, IbbConfig};
 pub use ils::{Ils, IlsConfig};
 pub use instance::{BackendKind, Instance, InstanceError};
 pub use naive::{NaiveGa, NaiveGaConfig, NaiveLocalSearch, SaConfig, SimulatedAnnealing};
-pub use observe::metric;
+pub use observe::{metric, run_start};
 pub use pairwise::PairwiseJoin;
 pub use pjm::Pjm;
 pub use portfolio::{

@@ -66,6 +66,10 @@ impl DriveSearch for NaiveLocalSearch {
             let mut sol = instance.random_solution(rng);
             let mut cs = instance.evaluate(&sol);
             driver.offer(&sol, cs.total_violations());
+            if cs.total_violations() == 0 {
+                // The seed is already exact: nothing beats similarity 1.
+                break 'restarts;
+            }
 
             loop {
                 if driver.exhausted() {
@@ -301,6 +305,9 @@ impl DriveSearch for SimulatedAnnealing {
         let mut cs = instance.evaluate(&sol);
         driver.offer(&sol, cs.total_violations());
         driver.stats_mut().restarts = 1;
+        if cs.total_violations() == 0 {
+            return; // an exact seed leaves nothing to anneal towards
+        }
 
         let mut temperature = self.config.initial_temperature;
         while !driver.exhausted() {
@@ -345,6 +352,31 @@ mod tests {
             .map(|_| Dataset::uniform(cardinality, d, &mut rng))
             .collect();
         Instance::new(shape.graph(n), datasets).unwrap()
+    }
+
+    /// PR 19 fixed ILS; the baselines had the same hole.
+    #[test]
+    fn an_exact_seed_ends_the_run_before_its_first_step() {
+        use mwsj_geom::Rect;
+        use mwsj_query::QueryGraph;
+        let one = vec![Rect::new(0.0, 0.0, 1.0, 1.0)];
+        let inst = Instance::new(QueryGraph::chain(2), [one.clone(), one]).unwrap();
+        let budget = SearchBudget::iterations(1_000);
+        let rng = || StdRng::seed_from_u64(1);
+        for (name, outcome) in [
+            (
+                "naive-LS",
+                NaiveLocalSearch::default().run(&inst, &budget, &mut rng()),
+            ),
+            (
+                "SA",
+                SimulatedAnnealing::default().run(&inst, &budget, &mut rng()),
+            ),
+        ] {
+            assert_eq!(outcome.best_similarity, 1.0, "{name}");
+            assert_eq!(outcome.stats.steps, 0, "{name}");
+            assert_eq!(outcome.stats.restarts, 1, "{name}");
+        }
     }
 
     #[test]

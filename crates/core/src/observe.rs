@@ -2,17 +2,19 @@
 //!
 //! The hot loops keep their plain `u64` counters in [`RunStats`] — an
 //! enabled-or-not check per `find best value` call would be pure overhead —
-//! and flush them into the metrics registry **once per run** when the run
-//! finishes. Event emission (incumbent improvements, stop reasons) happens
+//! and hand them to the handle's registry **once per run**, as one
+//! [`RunStats::metrics`] snapshot, when the run finishes. Event emission (incumbent improvements, stop reasons) happens
 //! at the same already-cold points, so a disabled [`ObsHandle`] costs one
 //! branch per run, not per step.
 
-use crate::budget::BudgetClock;
+use crate::budget::{BudgetClock, SearchBudget};
 use crate::instance::Instance;
 use crate::result::{RunOutcome, RunStats};
 use mwsj_obs::{ObsHandle, ResourceReport, RunEvent};
 
-/// Canonical metric names every search algorithm reports under.
+/// Canonical metric names every search algorithm reports under. The
+/// `search.*` counters are the rows of [`RunStats::counters`] under that
+/// prefix.
 pub mod metric {
     /// Counter: algorithm steps consumed (budget units).
     pub const STEPS: &str = "search.steps";
@@ -46,36 +48,33 @@ pub mod metric {
     }
 }
 
-/// Flushes a finished run's counters into the registry (no-op when the
-/// registry is disabled).
+/// Hands a finished run's counters to the handle's registry (no-op when
+/// the registry is disabled).
 pub(crate) fn flush_stats(obs: &ObsHandle, stats: &RunStats) {
-    if !obs.metrics.is_enabled() {
-        return;
+    if obs.metrics.is_enabled() {
+        obs.metrics.absorb(&stats.metrics());
     }
-    let m = &obs.metrics;
-    m.counter(metric::STEPS).add(stats.steps);
-    m.counter(metric::RESTARTS).add(stats.restarts);
-    m.counter(metric::LOCAL_MAXIMA).add(stats.local_maxima);
-    m.counter(metric::NODE_ACCESSES).add(stats.node_accesses);
-    m.counter(metric::IMPROVEMENTS).add(stats.improvements);
-    m.histogram(metric::STEPS_PER_RUN).record(stats.steps);
-    let cache = &stats.cache;
-    if !cache.per_var.is_empty() {
-        m.counter(metric::CACHE_HITS).add(cache.hits());
-        m.counter(metric::CACHE_MISSES).add(cache.misses());
-        m.counter(metric::CACHE_INVALIDATIONS_REASSIGN)
-            .add(cache.invalidations_reassign());
-        m.counter(metric::CACHE_INVALIDATIONS_PENALTY)
-            .add(cache.invalidations_penalty());
-        m.counter(metric::CACHE_BYTES).add(cache.bytes);
-        for (var, v) in cache.per_var.iter().enumerate() {
-            m.counter(&metric::cache_var(var, "hits")).add(v.hits);
-            m.counter(&metric::cache_var(var, "misses")).add(v.misses);
-            m.counter(&metric::cache_var(var, "invalidations.reassign"))
-                .add(v.invalidations_reassign);
-            m.counter(&metric::cache_var(var, "invalidations.penalty"))
-                .add(v.invalidations_penalty);
-        }
+}
+
+/// The `run_start` event of one run of `algo` on `instance` under `budget`
+/// (`restarts` = 1 and `threads` = 1 for anything but a portfolio).
+pub fn run_start(
+    algo: &str,
+    instance: &Instance,
+    budget: &SearchBudget,
+    restarts: usize,
+    threads: usize,
+    seed: u64,
+) -> RunEvent {
+    RunEvent::RunStart {
+        algo: algo.to_string(),
+        n_vars: instance.n_vars() as u64,
+        edges: instance.graph().edge_count() as u64,
+        restarts: restarts as u64,
+        threads: threads as u64,
+        seed,
+        budget_steps: budget.max_steps,
+        budget_secs: budget.time_limit.map(|d| d.as_secs_f64()),
     }
 }
 
@@ -94,26 +93,21 @@ pub(crate) fn emit_improvement(clock: &BudgetClock, violations: usize, edges: us
     });
 }
 
-/// Emits the `explain_report` estimate-vs-actual audit for a finished run
-/// (no-op without a sink). Follows the `run_end` ownership rule: one
-/// report per top-level run, emitted just before its `resource_report`.
-pub(crate) fn emit_explain_report(obs: &ObsHandle, instance: &Instance, outcome: &RunOutcome) {
+/// Ends a top-level run's event stream (no-op without a sink): the
+/// `explain_report` estimate-vs-actual audit, the `resource_report` memory
+/// table — the instance's index structures (unique datasets only:
+/// self-joins share one), the window cache(s), the retained top solutions —
+/// and `run_end`, in that order. Ownership rule: exactly **one** trio per
+/// top-level run — the search driver emits it for standalone runs,
+/// [`crate::TwoStep`] and [`crate::ParallelPortfolio`] emit one for the
+/// merged outcome and run their components nested.
+pub(crate) fn emit_run_end(obs: &ObsHandle, instance: &Instance, outcome: &RunOutcome) {
     if !obs.has_sink() {
         return;
     }
     let report = crate::explain::explain_report_for_run(instance, &outcome.stats);
     obs.emit(RunEvent::ExplainReport { report });
-}
 
-/// Emits the `resource_report` memory table for a finished run (no-op
-/// without a sink). Follows the `run_end` ownership rule: one report per
-/// top-level run, emitted just before its `run_end`. Components: the
-/// instance's index structures (unique datasets only — self-joins share
-/// one), the window cache(s) and the retained top solutions.
-pub(crate) fn emit_resource_report(obs: &ObsHandle, instance: &Instance, outcome: &RunOutcome) {
-    if !obs.has_sink() {
-        return;
-    }
     let mut report = ResourceReport::new();
     instance.fill_resource_report(&mut report);
     if outcome.stats.cache.bytes > 0 {
@@ -127,26 +121,6 @@ pub(crate) fn emit_resource_report(obs: &ObsHandle, instance: &Instance, outcome
     // flight recorder) reports its ring bytes here.
     obs.fill_sink_resources(&mut report);
     obs.emit(RunEvent::ResourceReport { report });
-}
 
-/// Emits the `run_end` summary event for a finished outcome (no-op without
-/// a sink). Ownership rule: exactly **one** `run_end` per top-level run —
-/// the search driver emits it for standalone runs, composites
-/// ([`crate::TwoStep`], [`crate::ParallelPortfolio`]) emit one merged event
-/// and mark their component runs nested instead.
-pub(crate) fn emit_run_end(obs: &ObsHandle, outcome: &RunOutcome) {
-    if !obs.has_sink() {
-        return;
-    }
-    obs.emit(RunEvent::RunEnd {
-        best_violations: outcome.best_violations as u64,
-        best_similarity: outcome.best_similarity,
-        steps: outcome.stats.steps,
-        node_accesses: outcome.stats.node_accesses,
-        local_maxima: outcome.stats.local_maxima,
-        improvements: outcome.stats.improvements,
-        restarts: outcome.stats.restarts,
-        elapsed_secs: outcome.stats.elapsed.as_secs_f64(),
-        proven_optimal: outcome.proven_optimal,
-    });
+    obs.emit(outcome.run_end());
 }

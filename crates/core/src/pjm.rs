@@ -146,10 +146,7 @@ impl Pjm {
             solutions.push(Solution::new(assignment));
         }
 
-        stats.elapsed = clock.elapsed();
-        stats.steps = clock.steps();
-        crate::observe::flush_stats(clock.obs(), &stats);
-        clock.emit_stop_reason();
+        clock.finish(&mut stats);
         ExactJoinOutcome {
             solutions,
             stats,

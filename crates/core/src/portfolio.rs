@@ -205,16 +205,6 @@ impl<A: AnytimeSearch> ParallelPortfolio<A> {
         ParallelPortfolio { algo, config }
     }
 
-    /// The wrapped algorithm.
-    pub fn algorithm(&self) -> &A {
-        &self.algo
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PortfolioConfig {
-        &self.config
-    }
-
     /// Runs the portfolio: `budget` is the **total** budget (steps are
     /// split across restarts; the time limit becomes one shared absolute
     /// deadline), `master_seed` determines every restart's seed.
@@ -298,12 +288,10 @@ impl<A: AnytimeSearch> ParallelPortfolio<A> {
         let mut merged =
             merge_outcomes(&outcomes, instance.graph().edge_count(), self.config.top_k);
         merged.stats.elapsed = start.elapsed();
-        // One `resource_report` + `run_end` for the whole portfolio: the
+        // One end-of-run trio (`run_end` last) for the whole portfolio: the
         // restarts themselves run under restart-scoped handles, which
         // suppresses their own emission.
-        crate::observe::emit_explain_report(obs, instance, &merged);
-        crate::observe::emit_resource_report(obs, instance, &merged);
-        crate::observe::emit_run_end(obs, &merged);
+        crate::observe::emit_run_end(obs, instance, &merged);
 
         // Seed-ordered reduction of the per-restart snapshots: the fold
         // visits restarts in index order, so the merged values are
@@ -423,14 +411,7 @@ fn merge_outcomes(outcomes: &[RestartOutcome], edges: usize, top_k: usize) -> Ru
     // with the portfolio's wall-clock).
     let mut stats = RunStats::default();
     for restart in outcomes {
-        let s = &restart.outcome.stats;
-        stats.steps += s.steps;
-        stats.restarts += s.restarts;
-        stats.local_maxima += s.local_maxima;
-        stats.node_accesses += s.node_accesses;
-        stats.improvements += s.improvements;
-        stats.cache.absorb(&s.cache);
-        stats.access_profile.absorb(&s.access_profile);
+        stats.absorb(&restart.outcome.stats);
     }
 
     RunOutcome {

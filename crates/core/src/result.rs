@@ -1,11 +1,17 @@
 //! Run outcomes: best solution, counters and convergence traces.
 
-use crate::window_cache::CacheStats;
-use mwsj_obs::MemoryFootprint;
+use crate::observe::metric;
+use crate::window_cache::{CacheStats, VarCacheStats};
+use mwsj_obs::{HistogramSnapshot, MemoryFootprint, MetricsSnapshot, RunEvent};
 use mwsj_query::Solution;
 use std::time::Duration;
 
 /// Counters collected during one search run.
+///
+/// Adding a counter is an edit to this file only: the field, its line in
+/// [`RunStats::absorb`] and its row in [`RunStats::counters`], which both
+/// destructure the struct exhaustively so the compiler points at whichever
+/// was forgotten.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Wall-clock duration of the run.
@@ -27,6 +33,117 @@ pub struct RunStats {
     /// [`RunStats::node_accesses`] (empty for algorithms that predate the
     /// attribution plumbing). See [`AccessProfile`] for the invariant.
     pub access_profile: AccessProfile,
+}
+
+impl RunStats {
+    /// Adds `other` into `self` — the one sum behind the portfolio's
+    /// seed-ordered reduction and the two-step pipeline's totals. Every
+    /// count adds, the cache and access tables add pointwise (growing to
+    /// the larger operand), `elapsed` adds. Associative and commutative.
+    pub fn absorb(&mut self, other: &RunStats) {
+        let RunStats {
+            elapsed,
+            steps,
+            restarts,
+            local_maxima,
+            node_accesses,
+            improvements,
+            cache,
+            access_profile,
+        } = other;
+        self.elapsed += *elapsed;
+        self.steps += steps;
+        self.restarts += restarts;
+        self.local_maxima += local_maxima;
+        self.node_accesses += node_accesses;
+        self.improvements += improvements;
+        self.cache.absorb(cache);
+        self.access_profile.absorb(access_profile);
+    }
+
+    /// The work counters by name — the one table behind the rows a
+    /// `BENCH_*.json` pins per algorithm and the `search.<name>` counters
+    /// of the `metrics` event (see [`RunStats::metrics`]).
+    pub fn counters(&self) -> [(&'static str, u64); 5] {
+        let RunStats {
+            elapsed: _,
+            steps,
+            restarts,
+            local_maxima,
+            node_accesses,
+            improvements,
+            cache: _,
+            access_profile: _,
+        } = self;
+        [
+            ("steps", *steps),
+            ("node_accesses", *node_accesses),
+            ("restarts", *restarts),
+            ("local_maxima", *local_maxima),
+            ("improvements", *improvements),
+        ]
+    }
+
+    /// This run as the `metrics` event reports it: `search.*` for every
+    /// row of [`RunStats::counters`] (zeros included), one
+    /// `search.steps_per_run` sample, and — only for a run that consulted
+    /// a window cache — `cache.*` totals and `cache.varNNN.*` rows. Names
+    /// are sorted, as [`MetricsSnapshot`] requires.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut counters: Vec<(String, u64)> = self
+            .counters()
+            .iter()
+            .map(|(name, value)| (format!("search.{name}"), *value))
+            .collect();
+        let cache = &self.cache;
+        if !cache.per_var.is_empty() {
+            counters.push((metric::CACHE_BYTES.into(), cache.bytes));
+            let mut total = VarCacheStats::default();
+            for (var, v) in cache.per_var.iter().enumerate() {
+                total.absorb(v);
+                counters.extend(
+                    v.counters()
+                        .map(|(kind, n)| (metric::cache_var(var, kind), n)),
+                );
+            }
+            counters.extend(
+                total
+                    .counters()
+                    .map(|(kind, n)| (format!("cache.{kind}"), n)),
+            );
+        }
+        counters.sort_unstable();
+        let mut steps_per_run = HistogramSnapshot::default();
+        steps_per_run.record(self.steps);
+        MetricsSnapshot {
+            counters,
+            gauges: Vec::new(),
+            histograms: vec![(metric::STEPS_PER_RUN.into(), steps_per_run)],
+        }
+    }
+
+    /// The `run_end` event of a run with these counters whose best
+    /// solution violates `best_violations` conditions. (Its members are
+    /// the `RunEnd` declaration's: a new counter joins it there or not at
+    /// all, so nothing here has to be exhaustive.)
+    pub fn run_end(
+        &self,
+        best_violations: usize,
+        best_similarity: f64,
+        proven_optimal: bool,
+    ) -> RunEvent {
+        RunEvent::RunEnd {
+            best_violations: best_violations as u64,
+            best_similarity,
+            steps: self.steps,
+            node_accesses: self.node_accesses,
+            local_maxima: self.local_maxima,
+            improvements: self.improvements,
+            restarts: self.restarts,
+            elapsed_secs: self.elapsed.as_secs_f64(),
+            proven_optimal,
+        }
+    }
 }
 
 /// Per-variable, per-tree-level attribution of R*-tree node accesses.
@@ -247,10 +364,13 @@ impl RunOutcome {
         sim
     }
 
-    /// Alias of [`RunOutcome::best_similarity_at`], kept for existing
-    /// callers.
-    pub fn similarity_at(&self, t: Duration) -> f64 {
-        self.best_similarity_at(t)
+    /// The `run_end` event describing this outcome.
+    pub fn run_end(&self) -> RunEvent {
+        self.stats.run_end(
+            self.best_violations,
+            self.best_similarity,
+            self.proven_optimal,
+        )
     }
 }
 
@@ -406,9 +526,9 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(outcome.similarity_at(Duration::from_secs(1)), 0.2);
-        assert_eq!(outcome.similarity_at(Duration::from_secs(2)), 0.7);
-        assert_eq!(outcome.similarity_at(Duration::from_secs(99)), 1.0);
+        assert_eq!(outcome.best_similarity_at(Duration::from_secs(1)), 0.2);
+        assert_eq!(outcome.best_similarity_at(Duration::from_secs(2)), 0.7);
+        assert_eq!(outcome.best_similarity_at(Duration::from_secs(99)), 1.0);
     }
 
     fn outcome_with_trace(trace: Vec<TracePoint>) -> RunOutcome {
@@ -466,11 +586,6 @@ mod tests {
         // boundary, matching "best similarity known at t".
         assert_eq!(outcome.best_similarity_at(Duration::from_secs(1)), 0.5);
         assert_eq!(outcome.best_similarity_at(Duration::from_secs(3)), 0.75);
-        assert_eq!(
-            outcome.similarity_at(Duration::from_secs(3)),
-            outcome.best_similarity_at(Duration::from_secs(3)),
-            "alias agrees"
-        );
     }
 
     #[test]

@@ -117,10 +117,7 @@ impl SynchronousTraversal {
             expand(&mut state, &roots);
         }
         let mut stats = state.stats;
-        stats.elapsed = state.clock.elapsed();
-        stats.steps = state.clock.steps();
-        crate::observe::flush_stats(state.clock.obs(), &stats);
-        state.clock.emit_stop_reason();
+        state.clock.finish(&mut stats);
         let complete = !state.truncated && state.solutions.len() < state.limit;
         ExactJoinOutcome {
             solutions: state.solutions,

@@ -53,14 +53,7 @@ impl TwoStepOutcome {
     pub fn total_stats(&self) -> RunStats {
         let mut total = self.heuristic.stats.clone();
         if let Some(sys) = &self.systematic {
-            total.elapsed += sys.stats.elapsed;
-            total.steps += sys.stats.steps;
-            total.restarts += sys.stats.restarts;
-            total.local_maxima += sys.stats.local_maxima;
-            total.node_accesses += sys.stats.node_accesses;
-            total.improvements += sys.stats.improvements;
-            total.cache.absorb(&sys.stats.cache);
-            total.access_profile.absorb(&sys.stats.access_profile);
+            total.absorb(&sys.stats);
         }
         total
     }
@@ -174,7 +167,7 @@ impl TwoStep {
     }
 }
 
-/// Emits the pipeline's single `resource_report` + `run_end`: the overall
+/// Emits the pipeline's single end-of-run trio (`run_end` last): the overall
 /// best outcome with counters aggregated across both stages (no-op without
 /// a sink).
 fn emit_combined_run_end(obs: &ObsHandle, instance: &Instance, outcome: &TwoStepOutcome) {
@@ -183,9 +176,7 @@ fn emit_combined_run_end(obs: &ObsHandle, instance: &Instance, outcome: &TwoStep
     }
     let mut combined = outcome.best.clone();
     combined.stats = outcome.total_stats();
-    crate::observe::emit_explain_report(obs, instance, &combined);
-    crate::observe::emit_resource_report(obs, instance, &combined);
-    crate::observe::emit_run_end(obs, &combined);
+    crate::observe::emit_run_end(obs, instance, &combined);
 }
 
 #[cfg(test)]

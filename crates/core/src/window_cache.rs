@@ -64,7 +64,18 @@ pub struct VarCacheStats {
 }
 
 impl VarCacheStats {
-    fn absorb(&mut self, other: &VarCacheStats) {
+    /// The four counters by the name the `metrics` event gives them
+    /// (`cache.<name>` for the totals, `cache.varNNN.<name>` per variable).
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 4] {
+        [
+            ("hits", self.hits),
+            ("misses", self.misses),
+            ("invalidations.reassign", self.invalidations_reassign),
+            ("invalidations.penalty", self.invalidations_penalty),
+        ]
+    }
+
+    pub(crate) fn absorb(&mut self, other: &VarCacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
         self.invalidations_reassign += other.invalidations_reassign;

@@ -29,6 +29,20 @@ pub struct ExactJoinOutcome {
     pub complete: bool,
 }
 
+impl ExactJoinOutcome {
+    /// The `run_end` event of an exact join over `instance`: similarity 1
+    /// when a solution was found, 0 (every condition violated) when none
+    /// was, proven when the enumeration is [`complete`](Self::complete).
+    pub fn run_end(&self, instance: &Instance) -> mwsj_obs::RunEvent {
+        let (violations, similarity) = if self.solutions.is_empty() {
+            (instance.graph().edge_count(), 0.0)
+        } else {
+            (0, 1.0)
+        };
+        self.stats.run_end(violations, similarity, self.complete)
+    }
+}
+
 /// Window reduction.
 #[derive(Debug, Clone, Default)]
 pub struct WindowReduction {}
@@ -85,10 +99,7 @@ impl WindowReduction {
             descend(&mut state, 0, &mut assignment, &mut rects);
         }
         let mut stats = state.stats;
-        stats.elapsed = state.clock.elapsed();
-        stats.steps = state.clock.steps();
-        crate::observe::flush_stats(state.clock.obs(), &stats);
-        state.clock.emit_stop_reason();
+        state.clock.finish(&mut stats);
         let complete = !state.truncated && state.solutions.len() < state.limit;
         ExactJoinOutcome {
             solutions: state.solutions,

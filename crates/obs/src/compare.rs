@@ -96,37 +96,6 @@ impl CompareReport {
 /// semantics).
 pub fn compare(baseline: &BenchSnapshot, candidate: &BenchSnapshot) -> CompareReport {
     let mut report = CompareReport::default();
-    // Suite-keyed instances must tell the truth about themselves:
-    // `random-n10-hard` recording `n_vars: 1` means some tool sliced the
-    // key instead of parsing it (see [`crate::suite_key`]). Both sides are
-    // checked — a poisoned baseline is as useless as a poisoned candidate.
-    for (side, snap) in [("baseline", baseline), ("candidate", candidate)] {
-        for inst in &snap.instances {
-            let Some(key) = crate::suite_key::SuiteKey::parse(&inst.name) else {
-                continue;
-            };
-            if key.n_vars != inst.n_vars {
-                report.push(
-                    &inst.name,
-                    Verdict::Fail,
-                    format!(
-                        "{side} suite key declares n={} but the record says n_vars={}",
-                        key.n_vars, inst.n_vars
-                    ),
-                );
-            }
-            if key.shape != inst.shape {
-                report.push(
-                    &inst.name,
-                    Verdict::Fail,
-                    format!(
-                        "{side} suite key declares shape '{}' but the record says '{}'",
-                        key.shape, inst.shape
-                    ),
-                );
-            }
-        }
-    }
     let instances = (&baseline.instances[..], &candidate.instances[..]);
     for_each_pair(&mut report, "instance", instances, |i| i.name.clone(), {
         |report, scope, base_inst, cand_inst| {
@@ -363,51 +332,6 @@ mod tests {
         let report = compare(&a, &snapshot("b", vec![drifted]));
         assert!(!report.passed());
         assert!(report.render().contains("steps_to"), "{}", report.render());
-    }
-
-    fn keyed_snapshot(label: &str, name: &str, n_vars: u64, shape: &str) -> BenchSnapshot {
-        BenchSnapshot {
-            label: label.into(),
-            instances: vec![InstanceRecord {
-                name: name.into(),
-                shape: shape.into(),
-                n_vars,
-                cardinality: 10_000,
-                seed: 1,
-                algos: vec![record("ILS", 100)],
-            }],
-            memory: vec![],
-            cache: vec![],
-            explain: vec![],
-        }
-    }
-
-    #[test]
-    fn multi_digit_suite_keys_validate_against_record_metadata() {
-        // Consistent n=10 key: passes — a parser slicing one digit would
-        // have read n=1 and failed this.
-        let a = keyed_snapshot("a", "random-n10-hard", 10, "random");
-        let b = keyed_snapshot("b", "random-n10-hard", 10, "random");
-        assert!(compare(&a, &b).passed());
-
-        // A record whose metadata contradicts its key fails the gate.
-        let bad = keyed_snapshot("b", "random-n10-hard", 1, "random");
-        let report = compare(&a, &bad);
-        assert!(!report.passed());
-        assert!(
-            report.render().contains("suite key declares n=10"),
-            "{}",
-            report.render()
-        );
-
-        let bad = keyed_snapshot("b", "random-n10-hard", 10, "chain");
-        let report = compare(&a, &bad);
-        assert!(!report.passed());
-        assert!(
-            report.render().contains("suite key declares shape"),
-            "{}",
-            report.render()
-        );
     }
 
     fn with_sections(mut snap: BenchSnapshot) -> BenchSnapshot {

@@ -291,11 +291,6 @@ impl JsonlSink {
         ))
     }
 
-    /// The sink's flush policy.
-    pub fn policy(&self) -> FlushPolicy {
-        self.policy
-    }
-
     /// Flushes the underlying writer.
     pub fn flush(&self) {
         let _ = self.out.lock().expect("sink mutex").flush();
@@ -391,15 +386,22 @@ impl EventSink for VecSink {
 mod tests {
     use super::*;
     use crate::json::Json;
-    use crate::registry::MetricsRegistry;
+    use crate::registry::{HistogramSnapshot, MetricsSnapshot};
     use std::time::Duration;
+
+    fn one_sample(value: u64) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::default();
+        h.record(value);
+        h
+    }
 
     #[test]
     fn every_event_serialises_to_parseable_json() {
-        let reg = MetricsRegistry::new();
-        reg.counter("search.steps").add(3);
-        reg.gauge("g").set(0.5);
-        reg.histogram("h").record(4);
+        let snapshot = MetricsSnapshot {
+            counters: vec![("search.steps".into(), 3)],
+            gauges: vec![("g".into(), 0.5)],
+            histograms: vec![("h".into(), one_sample(4))],
+        };
         let events = vec![
             RunEvent::RunStart {
                 algo: "ILS".into(),
@@ -485,9 +487,7 @@ mod tests {
                 rounds: 1000,
                 elapsed_secs: 0.1,
             },
-            RunEvent::Metrics {
-                snapshot: reg.snapshot(),
-            },
+            RunEvent::Metrics { snapshot },
             RunEvent::Phases {
                 phases: vec![PhaseSnapshot {
                     path: "solve > restart[0]".into(),
@@ -525,11 +525,12 @@ mod tests {
 
     #[test]
     fn metrics_event_embeds_snapshot_values() {
-        let reg = MetricsRegistry::new();
-        reg.counter("steps").add(17);
-        reg.histogram("h").record(5);
         let line = RunEvent::Metrics {
-            snapshot: reg.snapshot(),
+            snapshot: MetricsSnapshot {
+                counters: vec![("steps".into(), 17)],
+                gauges: vec![],
+                histograms: vec![("h".into(), one_sample(5))],
+            },
         }
         .to_json();
         let parsed = Json::parse(&line).unwrap();

@@ -147,7 +147,11 @@ mod tests {
         let obs = ObsHandle::enabled().with_sink(sink.clone());
         let child = obs.for_restart(3);
         assert_eq!(child.restart(), Some(3));
-        child.metrics.counter("c").inc();
+        child.metrics.absorb(&crate::MetricsSnapshot {
+            counters: vec![("c".into(), 1)],
+            ..Default::default()
+        });
+        assert_eq!(child.metrics.snapshot().counter("c"), Some(1));
         assert_eq!(obs.metrics.snapshot().counter("c"), None);
         child.emit(RunEvent::RestartStart {
             restart: 3,

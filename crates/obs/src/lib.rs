@@ -6,11 +6,12 @@
 //! convergence, node accesses and step counts. This crate centralises that
 //! bookkeeping behind three cooperating pieces:
 //!
-//! * [`MetricsRegistry`] — named counters, gauges and log₂-bucketed
-//!   histograms. A registry handle is either *enabled* (backed by shared
-//!   atomic cells) or *disabled* (every operation is a single `Option`
-//!   check), so instrumented code pays near-zero cost when observability
-//!   is off.
+//! * [`MetricsRegistry`] — an accumulator of per-run
+//!   [`MetricsSnapshot`]s (named counters and log₂-bucketed histograms;
+//!   the search layer's counter block owns the names). A registry handle
+//!   is either *enabled* (one shared snapshot, touched once per run) or
+//!   *disabled* (every operation is a single `Option` check), so
+//!   instrumented code pays near-zero cost when observability is off.
 //! * [`PhaseTimer`] — hierarchical wall-clock spans
 //!   (`solve > restart[3] > find_best_value`) with per-phase call counts
 //!   and step attribution.
@@ -19,7 +20,7 @@
 //!   start/end, incumbent improvements, restart lifecycle, budget
 //!   exhaustion, cutoff firings) serialised as JSON Lines. Each kind is
 //!   declared once ([`record`]); the writer, the validating reader
-//!   [`RunEvent::parse_line`] (also the `mwsj-schema-check` binary), the
+//!   [`RunEvent::parse_line`] (behind `mwsj report` and `mwsj watch`), the
 //!   snapshot comparator and the `DESIGN.md` schema table derive from it.
 //!
 //! [`ObsHandle`] bundles the three for threading through search contexts.
@@ -54,7 +55,6 @@ pub mod registry;
 pub mod resource;
 pub mod schema;
 pub mod snapshot;
-pub mod suite_key;
 pub mod timer;
 
 pub use compare::{compare, CompareReport, Verdict};
@@ -65,9 +65,7 @@ pub use handle::ObsHandle;
 pub use json::{Json, JsonWriter};
 pub use profile::{folded_root_totals, parse_folded, to_folded};
 pub use record::{Field, FieldDoc, FieldError, Record};
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
+pub use registry::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use resource::{
     FlightRecorder, MemoryFootprint, ResourceReport, DEFAULT_FLIGHT_RECORDER_BYTES,
 };
@@ -75,5 +73,4 @@ pub use snapshot::{
     snapshot_sections, AlgoRecord, BenchSnapshot, CacheRecord, ExplainRecord, InstanceRecord,
     MemoryRecord, SnapshotError, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
 };
-pub use suite_key::SuiteKey;
 pub use timer::{merge_phase_snapshots, PhaseSnapshot, PhaseSpan, PhaseTimer};

@@ -293,6 +293,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(written, 5);
-        assert_eq!(crate::schema::validate_jsonl(&text), Ok(5));
+        assert_eq!(crate::schema::parse_jsonl(&text).unwrap().len(), 5);
     }
 }

@@ -4,8 +4,8 @@
 //! — derived from the one `events!` declaration in [`crate::events`] —
 //! is the validator, and [`markdown_table`] renders the same
 //! declarations as the table embedded in `DESIGN.md`. This module is the
-//! thin front used by tests, CI (via the `mwsj-schema-check` binary),
-//! `mwsj report` and `mwsj watch`. Validation is deliberately *open*:
+//! thin front used by tests, `mwsj report` (which CI runs on every
+//! artifact) and `mwsj watch`. Validation is deliberately *open*:
 //! unknown extra fields are allowed (forward compatibility), but the
 //! `event` discriminator must be known and every declared field must be
 //! present with the right JSON type, all the way into nested records.
@@ -87,11 +87,6 @@ impl RunEvent {
     }
 }
 
-/// Validates one JSONL line; returns the event kind on success.
-pub fn validate_line(line: &str) -> Result<&'static str, SchemaError> {
-    RunEvent::parse_line(line).map(|event| event.kind())
-}
-
 /// Parses a whole JSONL document (empty lines are ignored) into its
 /// events, or the 1-based line number of the first failure.
 pub fn parse_jsonl(text: &str) -> Result<Vec<RunEvent>, (usize, SchemaError)> {
@@ -100,12 +95,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<RunEvent>, (usize, SchemaError)> {
         .filter(|(_, line)| !line.trim().is_empty())
         .map(|(i, line)| RunEvent::parse_line(line).map_err(|e| (i + 1, e)))
         .collect()
-}
-
-/// Validates a whole JSONL document; returns the number of events on
-/// success, or the 1-based line number of the first failure.
-pub fn validate_jsonl(text: &str) -> Result<usize, (usize, SchemaError)> {
-    parse_jsonl(text).map(|events| events.len())
 }
 
 /// The schema as markdown, rendered from the declarations: one table of
@@ -152,6 +141,11 @@ mod tests {
     use super::*;
     use crate::events::RunEvent;
     use crate::registry::MetricsRegistry;
+
+    /// The kind of a valid line, or why it is not one.
+    fn validate_line(line: &str) -> Result<&'static str, SchemaError> {
+        RunEvent::parse_line(line).map(|event| event.kind())
+    }
 
     #[test]
     fn emitted_events_validate() {
@@ -306,11 +300,11 @@ mod tests {
     }
 
     #[test]
-    fn validate_jsonl_counts_events_and_reports_line_numbers() {
+    fn parse_jsonl_skips_blank_lines_and_reports_line_numbers() {
         let good = "{\"event\":\"phases\",\"phases\":[]}\n\n{\"event\":\"phases\",\"phases\":[]}\n";
-        assert_eq!(validate_jsonl(good), Ok(2));
+        assert_eq!(parse_jsonl(good).unwrap().len(), 2);
         let bad = "{\"event\":\"phases\",\"phases\":[]}\nbroken\n";
-        assert_eq!(validate_jsonl(bad).unwrap_err().0, 2);
+        assert_eq!(parse_jsonl(bad).unwrap_err().0, 2);
     }
 
     #[test]

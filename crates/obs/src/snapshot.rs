@@ -14,8 +14,8 @@
 //! Like the JSONL run events, every record here is declared once with
 //! `record!` (see [`crate::record`]); [`BenchSnapshot::parse`] — the
 //! derived reader plus the format/version/non-empty checks — is the
-//! schema (also run by the `mwsj-schema-check` binary, which auto-detects
-//! snapshot files), and `mwsj bench compare` consumes the parsed form.
+//! schema (`mwsj report` runs it on any file that [`BenchSnapshot::sniff`]s
+//! as a snapshot), and `mwsj bench compare` consumes the parsed form.
 
 use crate::curve::AnytimeCurve;
 use crate::explain::ExplainReport;
@@ -311,7 +311,7 @@ impl BenchSnapshot {
     }
 
     /// `true` when `text` looks like a snapshot document rather than a
-    /// JSONL event stream (used by `mwsj-schema-check` to auto-detect).
+    /// JSONL event stream (how `mwsj report` routes its input).
     pub fn sniff(text: &str) -> bool {
         Json::parse(text)
             .is_ok_and(|doc| doc.get("format").and_then(Json::as_str) == Some(SNAPSHOT_FORMAT))

@@ -4,24 +4,18 @@
 //! order-insensitive — the algebraic facts the portfolio's parallel
 //! reduction and the bench suite's two-step stat combination rely on.
 
-use mwsj_obs::{merge_phase_snapshots, HistogramSnapshot, MetricsRegistry, PhaseSnapshot};
+use mwsj_obs::{merge_phase_snapshots, HistogramSnapshot, PhaseSnapshot};
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// Builds a histogram snapshot by recording `values` into a live registry,
-/// so the tested merge sees exactly what instrumentation produces.
+/// Builds a histogram snapshot by recording `values` one at a time, the
+/// way the search layer records a run's steps.
 fn histogram_of(values: &[u64]) -> HistogramSnapshot {
-    let reg = MetricsRegistry::new();
-    let h = reg.histogram("h");
+    let mut h = HistogramSnapshot::default();
     for &v in values {
         h.record(v);
     }
-    reg.snapshot()
-        .histograms
-        .into_iter()
-        .next()
-        .map(|(_, snap)| snap)
-        .unwrap_or_default()
+    h
 }
 
 fn arb_values() -> impl Strategy<Value = Vec<u64>> {
