@@ -12,19 +12,14 @@
 
 use crate::experiments::build_instance;
 use crate::{mean, write_csv, Algo, Recorder, Scale, Table};
-use mwsj_core::{Gils, GilsConfig, SearchBudget, SearchContext};
+use mwsj_core::{Gils, GilsConfig, SearchBudget};
 use mwsj_datagen::QueryShape;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Runs all ablation studies; rows are `(study, shape, algorithm, similarity)`.
-pub fn run(scale: Scale) -> Table {
-    run_recorded(scale, &Recorder::disabled())
-}
-
-/// Like [`run`], additionally streaming per-run events and metrics through
-/// `rec`.
-pub fn run_recorded(scale: Scale, rec: &Recorder) -> Table {
+/// Runs all ablation studies, streaming per-run events and metrics through
+/// `rec`; rows are `(study, shape, algorithm, similarity)`.
+pub fn run(scale: Scale, rec: &Recorder) -> Table {
     let n = match scale {
         Scale::Smoke => 5,
         _ => 15,
@@ -86,13 +81,10 @@ pub fn run_recorded(scale: Scale, rec: &Recorder) -> Table {
                         cfg.seed_with_ils = seeded;
                         let seed = 7500 + rep as u64;
                         let mut rng = StdRng::seed_from_u64(seed);
-                        rec.start(label, &instance, &budget, seed);
-                        let ctx = SearchContext::local(budget)
-                            .with_obs(rec.obs().clone())
-                            .nested();
-                        let outcome = Sea::new(cfg).search(&instance, &ctx, &mut rng);
-                        rec.end(&outcome);
-                        outcome.best_similarity
+                        rec.framed(label, &instance, &budget, seed, |ctx| {
+                            Sea::new(cfg).search(&instance, ctx, &mut rng)
+                        })
+                        .best_similarity
                     })
                     .collect();
                 table.row(vec![
@@ -119,14 +111,11 @@ pub fn run_recorded(scale: Scale, rec: &Recorder) -> Table {
                 .map(|rep| {
                     let seed = 8000 + rep as u64;
                     let mut rng = StdRng::seed_from_u64(seed);
-                    rec.start(&format!("GILS λ={label}"), &instance, &budget, seed);
-                    let ctx = SearchContext::local(budget)
-                        .with_obs(rec.obs().clone())
-                        .nested();
-                    let outcome = Gils::new(GilsConfig::with_lambda(lambda))
-                        .search(&instance, &ctx, &mut rng);
-                    rec.end(&outcome);
-                    outcome.best_similarity
+                    let name = format!("GILS λ={label}");
+                    rec.framed(&name, &instance, &budget, seed, |ctx| {
+                        Gils::new(GilsConfig::with_lambda(lambda)).search(&instance, ctx, &mut rng)
+                    })
+                    .best_similarity
                 })
                 .collect();
             table.row(vec![
@@ -145,7 +134,7 @@ pub fn run_recorded(scale: Scale, rec: &Recorder) -> Table {
 pub fn main(scale: Scale) {
     println!("Ablation studies (scale: {})", scale.name());
     let rec = Recorder::create("ablations");
-    let table = run_recorded(scale, &rec);
+    let table = run(scale, &rec);
     println!("{}", table.render());
     let path = write_csv("ablations.csv", &table.to_csv()).expect("write results");
     println!("CSV written to {}", path.display());

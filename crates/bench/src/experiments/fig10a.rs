@@ -11,15 +11,10 @@ use crate::{mean, write_csv, Algo, Recorder, Scale, Table};
 use mwsj_core::SearchBudget;
 use mwsj_datagen::QueryShape;
 
-/// Runs the experiment and returns the result table
+/// Runs the experiment, streaming per-run events and metrics through
+/// `rec`, and returns the result table
 /// (`shape, n, density, ILS, GILS, SEA`).
-pub fn run(scale: Scale) -> Table {
-    run_recorded(scale, &Recorder::disabled())
-}
-
-/// Like [`run`], additionally streaming per-run events and metrics through
-/// `rec`.
-pub fn run_recorded(scale: Scale, rec: &Recorder) -> Table {
+pub fn run(scale: Scale, rec: &Recorder) -> Table {
     let mut table = Table::new(vec!["shape", "n", "density", "ILS", "GILS", "SEA"]);
     for shape in [QueryShape::Chain, QueryShape::Clique] {
         for &n in &scale.query_sizes() {
@@ -63,7 +58,7 @@ pub fn main(scale: Scale) {
         scale.time_factor()
     );
     let rec = Recorder::create("fig10a");
-    let table = run_recorded(scale, &rec);
+    let table = run(scale, &rec);
     println!("{}", table.render());
     let path = write_csv("fig10a.csv", &table.to_csv()).expect("write results");
     println!("CSV written to {}", path.display());

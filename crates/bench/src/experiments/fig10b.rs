@@ -16,15 +16,9 @@ use std::time::Duration;
 /// Number of sample points on the time grid.
 const GRID: usize = 20;
 
-/// Runs the experiment for one shape; returns `(time, ILS, GILS, SEA)`
-/// rows.
-pub fn run_shape(scale: Scale, shape: QueryShape) -> Table {
-    run_shape_recorded(scale, shape, &Recorder::disabled())
-}
-
-/// Like [`run_shape`], additionally streaming per-run events and metrics
-/// through `rec`.
-pub fn run_shape_recorded(scale: Scale, shape: QueryShape, rec: &Recorder) -> Table {
+/// Runs the experiment for one shape, streaming per-run events and metrics
+/// through `rec`; returns `(time, ILS, GILS, SEA)` rows.
+pub fn run_shape(scale: Scale, shape: QueryShape, rec: &Recorder) -> Table {
     let n = match scale {
         Scale::Smoke => 5,
         _ => 15,
@@ -82,7 +76,7 @@ pub fn main(scale: Scale) {
             scale.name()
         );
         let rec = Recorder::create(&format!("fig10b_{}", shape.name()));
-        let table = run_shape_recorded(scale, shape, &rec);
+        let table = run_shape(scale, shape, &rec);
         println!("{}", table.render());
         let name = format!("fig10b_{}.csv", shape.name());
         let path = write_csv(&name, &table.to_csv()).expect("write results");

@@ -11,15 +11,9 @@ use crate::{mean, write_csv, Algo, Recorder, Scale, Table};
 use mwsj_core::SearchBudget;
 use mwsj_datagen::QueryShape;
 
-/// Runs the experiment for one shape; rows are
-/// `(expected_solutions, density, ILS, GILS, SEA)`.
-pub fn run_shape(scale: Scale, shape: QueryShape) -> Table {
-    run_shape_recorded(scale, shape, &Recorder::disabled())
-}
-
-/// Like [`run_shape`], additionally streaming per-run events and metrics
-/// through `rec`.
-pub fn run_shape_recorded(scale: Scale, shape: QueryShape, rec: &Recorder) -> Table {
+/// Runs the experiment for one shape, streaming per-run events and metrics
+/// through `rec`; rows are `(expected_solutions, density, ILS, GILS, SEA)`.
+pub fn run_shape(scale: Scale, shape: QueryShape, rec: &Recorder) -> Table {
     let n = match scale {
         Scale::Smoke => 5,
         _ => 15,
@@ -65,7 +59,7 @@ pub fn main(scale: Scale) {
             scale.name()
         );
         let rec = Recorder::create(&format!("fig10c_{}", shape.name()));
-        let table = run_shape_recorded(scale, shape, &rec);
+        let table = run_shape(scale, shape, &rec);
         println!("{}", table.render());
         let name = format!("fig10c_{}.csv", shape.name());
         let path = write_csv(&name, &table.to_csv()).expect("write results");

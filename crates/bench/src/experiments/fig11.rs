@@ -10,7 +10,7 @@
 
 use crate::experiments::build_instance;
 use crate::{mean, write_csv, Algo, Recorder, Scale, Table};
-use mwsj_core::{Ibb, IbbConfig, SearchBudget, SearchContext, TwoStep, TwoStepConfig};
+use mwsj_core::{Ibb, IbbConfig, SearchBudget, TwoStep, TwoStepConfig};
 use mwsj_datagen::QueryShape;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,16 +31,10 @@ fn settings(scale: Scale) -> (Vec<usize>, usize, Duration, usize) {
     }
 }
 
-/// Runs the experiment; rows are
-/// `(n, IBB_seconds, ILS+IBB_seconds, SEA+IBB_seconds)` where a leading
-/// `>` marks a timeout.
-pub fn run(scale: Scale) -> Table {
-    run_recorded(scale, &Recorder::disabled())
-}
-
-/// Like [`run`], additionally streaming per-run events and metrics through
-/// `rec`.
-pub fn run_recorded(scale: Scale, rec: &Recorder) -> Table {
+/// Runs the experiment, streaming per-run events and metrics through
+/// `rec`; rows are `(n, IBB_seconds, ILS+IBB_seconds, SEA+IBB_seconds)`
+/// where a leading `>` marks a timeout.
+pub fn run(scale: Scale, rec: &Recorder) -> Table {
     let (sizes, cardinality, ibb_cap, reps) = settings(scale);
     let mut table = Table::new(vec!["n", "IBB", "ILS+IBB", "SEA+IBB"]);
     for &n in &sizes {
@@ -56,13 +50,9 @@ pub fn run_recorded(scale: Scale, rec: &Recorder) -> Table {
 
         // --- Plain IBB (deterministic: one run). ---
         let ibb_budget = SearchBudget::time(ibb_cap);
-        rec.start("IBB", &instance, &ibb_budget, 0);
-        // Nested so the recorder's `end` below stays the single `run_end`.
-        let ctx = SearchContext::local(ibb_budget)
-            .with_obs(rec.obs().clone())
-            .nested();
-        let outcome = Ibb::new(IbbConfig::new()).search(&instance, &ctx);
-        rec.end(&outcome);
+        let outcome = rec.framed("IBB", &instance, &ibb_budget, 0, |ctx| {
+            Ibb::new(IbbConfig::new()).search(&instance, ctx)
+        });
         let ibb_cell = if outcome.is_exact() {
             format!("{:.2}", outcome.stats.elapsed.as_secs_f64())
         } else {
@@ -94,23 +84,15 @@ pub fn run_recorded(scale: Scale, rec: &Recorder) -> Table {
                 let seed = 4000 + rep as u64;
                 let mut rng = StdRng::seed_from_u64(seed);
                 let total_budget = SearchBudget::time(ibb_cap);
-                rec.start(
-                    &format!("{}+IBB", algo.name()),
-                    &instance,
-                    &total_budget,
-                    seed,
-                );
+                let name = format!("{}+IBB", algo.name());
                 let start = std::time::Instant::now();
-                // The pipeline emits its own combined `run_end` (both
-                // stages run nested), so no `rec.end` here.
-                let outcome = TwoStep::new(config).run_with_obs(
-                    &instance,
-                    &total_budget,
-                    &mut rng,
-                    rec.obs(),
-                );
+                let outcome = rec.framed(&name, &instance, &total_budget, seed, |ctx| {
+                    TwoStep::new(config)
+                        .search(&instance, ctx, &mut rng)
+                        .combined()
+                });
                 let elapsed = start.elapsed();
-                if outcome.best.is_exact() {
+                if outcome.is_exact() {
                     times.push(elapsed.as_secs_f64());
                 } else {
                     timeouts += 1;
@@ -143,7 +125,7 @@ pub fn main(scale: Scale) {
         scale.name()
     );
     let rec = Recorder::create("fig11");
-    let table = run_recorded(scale, &rec);
+    let table = run(scale, &rec);
     println!("{}", table.render());
     let path = write_csv("fig11.csv", &table.to_csv()).expect("write results");
     println!("CSV written to {}", path.display());

@@ -48,15 +48,16 @@ mod tests {
     #[test]
     fn all_experiments_run_at_smoke_scale() {
         let scale = Scale::Smoke;
-        let t = super::fig10a::run(scale);
+        let rec = &crate::Recorder::disabled();
+        let t = super::fig10a::run(scale, rec);
         assert!(t.to_csv().lines().count() > 1);
-        let t = super::fig10b::run_shape(scale, mwsj_datagen::QueryShape::Chain);
+        let t = super::fig10b::run_shape(scale, mwsj_datagen::QueryShape::Chain, rec);
         assert!(t.to_csv().lines().count() > 1);
-        let t = super::fig10c::run_shape(scale, mwsj_datagen::QueryShape::Clique);
+        let t = super::fig10c::run_shape(scale, mwsj_datagen::QueryShape::Clique, rec);
         assert!(t.to_csv().lines().count() > 1);
-        let t = super::fig11::run(scale);
+        let t = super::fig11::run(scale, rec);
         assert!(t.to_csv().lines().count() > 1);
-        let t = super::ablations::run(scale);
+        let t = super::ablations::run(scale, rec);
         assert!(t.to_csv().lines().count() > 1);
     }
 

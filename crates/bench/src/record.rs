@@ -4,8 +4,7 @@
 //! `results/<experiment>.metrics.jsonl` in the same JSONL run-event schema
 //! the CLI's `--metrics-out` produces (see `DESIGN.md` "Observability"),
 //! so figure runs can be post-processed with `mwsj report` or any JSONL
-//! tool. The library entry points (`run`/`run_shape`) used by tests take a
-//! disabled recorder and write nothing.
+//! tool. Tests pass [`Recorder::disabled`], which writes nothing.
 
 use crate::Algo;
 use mwsj_core::{Instance, JsonlSink, ObsHandle, RunOutcome, SearchBudget, SearchContext};
@@ -43,8 +42,7 @@ impl Recorder {
         }
     }
 
-    /// A recorder that collects and writes nothing (used by the library
-    /// entry points exercised in tests).
+    /// A recorder that collects and writes nothing (what tests pass).
     pub fn disabled() -> Recorder {
         Recorder {
             obs: ObsHandle::disabled(),
@@ -52,23 +50,25 @@ impl Recorder {
         }
     }
 
-    /// The observability handle to thread into algorithm runs.
-    pub fn obs(&self) -> &ObsHandle {
-        &self.obs
-    }
-
-    /// Emits a `run_start` event for one upcoming algorithm run.
-    pub fn start(&self, algo: &str, instance: &Instance, budget: &SearchBudget, seed: u64) {
+    /// Frames one run: `run_start`, then `search` under a context of
+    /// `budget` reporting through this recorder, then `run_end` for the
+    /// outcome it returns.
+    pub fn framed(
+        &self,
+        algo: &str,
+        instance: &Instance,
+        budget: &SearchBudget,
+        seed: u64,
+        search: impl FnOnce(&SearchContext) -> RunOutcome,
+    ) -> RunOutcome {
         self.obs
             .emit(mwsj_core::run_start(algo, instance, budget, 1, 1, seed));
-    }
-
-    /// Emits the matching `run_end` event.
-    pub fn end(&self, outcome: &RunOutcome) {
+        let outcome = search(&SearchContext::local(*budget).with_obs(self.obs.clone()));
         self.obs.emit(outcome.run_end());
+        outcome
     }
 
-    /// Runs `algo` with run-start/end events and full instrumentation.
+    /// Runs `algo` from `seed`, framed.
     pub fn run(
         &self,
         algo: Algo,
@@ -76,16 +76,9 @@ impl Recorder {
         budget: &SearchBudget,
         seed: u64,
     ) -> RunOutcome {
-        self.start(algo.name(), instance, budget, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Nested: the recorder owns the `run_start`/`run_end` pair, so the
-        // driver must not emit its own `run_end`.
-        let ctx = SearchContext::local(*budget)
-            .with_obs(self.obs.clone())
-            .nested();
-        let outcome = algo.search(instance, &ctx, &mut rng);
-        self.end(&outcome);
-        outcome
+        self.framed(algo.name(), instance, budget, seed, |ctx| {
+            algo.search(instance, ctx, &mut StdRng::seed_from_u64(seed))
+        })
     }
 
     /// Freezes the experiment-wide metrics/phase aggregates into the file
@@ -108,7 +101,7 @@ mod tests {
     #[test]
     fn disabled_recorder_is_inert() {
         let rec = Recorder::disabled();
-        assert!(!rec.obs().is_enabled());
+        assert!(!rec.obs.is_enabled());
         assert!(rec.finish().is_none());
     }
 }

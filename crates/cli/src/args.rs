@@ -38,6 +38,13 @@ pub enum ArgError {
     UnexpectedArgument(String),
     /// A `--name` the binary does not read.
     UnknownOption(String),
+    /// A `--name` the binary reads, but not for this command.
+    ForeignOption {
+        /// The option name.
+        option: String,
+        /// The command it was given to.
+        command: String,
+    },
 }
 
 impl fmt::Display for ArgError {
@@ -52,57 +59,135 @@ impl fmt::Display for ArgError {
             } => write!(f, "--{option} {value}: expected {expected}"),
             ArgError::UnexpectedArgument(a) => write!(f, "unexpected argument '{a}'"),
             ArgError::UnknownOption(k) => write!(f, "unknown option '--{k}'"),
+            ArgError::ForeignOption { option, command } => {
+                write!(f, "unknown option '--{option}' for '{command}'")
+            }
         }
     }
 }
 
 impl std::error::Error for ArgError {}
 
-/// Options that take a value.
-const VALUE_OPTIONS: &[&str] = &[
-    "out",
-    "n",
-    "density",
-    "distribution",
-    "seed",
-    "data",
-    "query",
-    "algo",
-    "backend",
-    "grid-threads",
-    "seconds",
-    "iterations",
-    "top",
-    "limit",
-    "lambda",
-    "target",
-    "shape",
-    "vars",
-    "threads",
-    "restarts",
-    "metrics-out",
-    "trace-out",
-    "profile-out",
-    "flight-recorder-out",
-    "flight-recorder-bytes",
-    "progress-every",
-    "stall-steps",
-    "stall-secs",
-    "poll-ms",
-    "timeout-secs",
-    "label",
-    "tier",
-];
+/// What one command reads.
+pub struct CommandSpec {
+    /// The subcommand.
+    pub name: &'static str,
+    /// `false` for a command that takes options only: a stray positional is
+    /// then a value whose option went missing (`solve a.csv`, `--data a.csv
+    /// b.csv`), not something to drop.
+    pub positionals: bool,
+    /// Options that take a value.
+    values: &'static [&'static str],
+    /// Options that take none.
+    switches: &'static [&'static str],
+}
 
-/// Options that take none. With [`VALUE_OPTIONS`] this is every `--name`
-/// the binary reads: any other is an error, so that a mistyped `--sead 5`
-/// cannot run with the default seed and exit 0.
-const SWITCHES: &[&str] = &["follow", "no-tty", "stall-abort"];
+/// Every command with every `--name` it reads — the one table. A name in no
+/// row is an error, and so is a name given to a command whose row lacks it:
+/// a mistyped `--sead 5` cannot run with the default seed and exit 0, nor
+/// `join --top 3` print what it would have printed anyway.
+pub const COMMANDS: &[CommandSpec] = &[
+    CommandSpec {
+        name: "generate",
+        positionals: false,
+        values: &["out", "n", "density", "distribution", "seed"],
+        switches: &[],
+    },
+    CommandSpec {
+        name: "info",
+        positionals: false,
+        values: &["data"],
+        switches: &[],
+    },
+    CommandSpec {
+        name: "solve",
+        positionals: false,
+        values: &[
+            "data",
+            "query",
+            "algo",
+            "seconds",
+            "iterations",
+            "seed",
+            "top",
+            "restarts",
+            "threads",
+            "backend",
+            "grid-threads",
+            "metrics-out",
+            "trace-out",
+            "profile-out",
+            "flight-recorder-out",
+            "flight-recorder-bytes",
+            "progress-every",
+            "stall-steps",
+            "stall-secs",
+        ],
+        switches: &["stall-abort", "follow"],
+    },
+    CommandSpec {
+        name: "join",
+        positionals: false,
+        values: &[
+            "data",
+            "query",
+            "algo",
+            "limit",
+            "seconds",
+            "iterations",
+            "backend",
+            "grid-threads",
+            "metrics-out",
+        ],
+        switches: &[],
+    },
+    CommandSpec {
+        name: "explain",
+        positionals: false,
+        values: &["data", "query", "backend", "grid-threads", "metrics-out"],
+        switches: &[],
+    },
+    CommandSpec {
+        name: "hard-density",
+        positionals: false,
+        values: &["shape", "vars", "n", "target"],
+        switches: &[],
+    },
+    CommandSpec {
+        name: "report",
+        positionals: true,
+        values: &[],
+        switches: &[],
+    },
+    CommandSpec {
+        name: "watch",
+        positionals: true,
+        values: &["poll-ms", "timeout-secs"],
+        switches: &["no-tty"],
+    },
+    CommandSpec {
+        name: "bench",
+        positionals: true,
+        values: &["tier", "label", "out"],
+        switches: &[],
+    },
+    CommandSpec {
+        name: "help",
+        positionals: true,
+        values: &[],
+        switches: &[],
+    },
+];
 
 impl Args {
     /// Parses an iterator of arguments (excluding the program name).
     pub fn parse<I: IntoIterator<Item = String>>(items: I) -> Result<Args, ArgError> {
         let mut args = Args::default();
+        // Whether a name takes a value is read off the whole table: the
+        // command may come after its options.
+        let takes_value = |name: &str| COMMANDS.iter().any(|c| c.values.contains(&name));
+        let is_switch = |name: &str| COMMANDS.iter().any(|c| c.switches.contains(&name));
+        let mut given: Vec<String> = Vec::new();
         let mut iter = items.into_iter().peekable();
         while let Some(item) = iter.next() {
             if let Some(rest) = item.strip_prefix("--") {
@@ -111,7 +196,8 @@ impl Args {
                     Some((name, value)) => (name, Some(value.to_string())),
                     None => (rest, None),
                 };
-                if VALUE_OPTIONS.contains(&name) {
+                given.push(name.to_string());
+                if takes_value(name) {
                     let value = match inline.or_else(|| iter.next_if(|v| !v.starts_with("--"))) {
                         Some(value) => value,
                         None => return Err(ArgError::MissingValue(name.to_string())),
@@ -120,7 +206,7 @@ impl Args {
                         .entry(name.to_string())
                         .or_default()
                         .push(value);
-                } else if !SWITCHES.contains(&name) {
+                } else if !is_switch(name) {
                     return Err(ArgError::UnknownOption(name.to_string()));
                 } else if inline.is_some() {
                     return Err(ArgError::UnexpectedArgument(item));
@@ -133,7 +219,24 @@ impl Args {
                 args.positionals.push(item);
             }
         }
+        if let Some(spec) = args.spec() {
+            let foreign = |name: &&String| {
+                !spec.values.contains(&name.as_str()) && !spec.switches.contains(&name.as_str())
+            };
+            if let Some(option) = given.iter().find(foreign) {
+                return Err(ArgError::ForeignOption {
+                    option: option.clone(),
+                    command: spec.name.to_string(),
+                });
+            }
+        }
         Ok(args)
+    }
+
+    /// The [`COMMANDS`] row of the subcommand, if it is one.
+    pub fn spec(&self) -> Option<&'static CommandSpec> {
+        let command = self.command.as_deref()?;
+        COMMANDS.iter().find(|c| c.name == command)
     }
 
     /// All values given for a repeatable option.
@@ -305,6 +408,29 @@ mod tests {
         assert_eq!(
             parse("solve --follow=1").unwrap_err(),
             ArgError::UnexpectedArgument("--follow=1".into())
+        );
+    }
+
+    #[test]
+    fn an_option_of_another_command_is_rejected_by_name_and_command() {
+        for (line, option, command) in [
+            ("join --top 3 --restarts 4", "top", "join"),
+            ("solve --limit 2", "limit", "solve"),
+            ("--seed 1 explain", "seed", "explain"),
+            ("info --query chain", "query", "info"),
+            ("report run.jsonl --no-tty", "no-tty", "report"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("unknown option '--{option}' for '{command}'"),
+                "{line}"
+            );
+        }
+        // `--lambda` was listed and read by nothing.
+        assert_eq!(
+            parse("solve --algo gils --lambda 123").unwrap_err(),
+            ArgError::UnknownOption("lambda".into())
         );
     }
 }

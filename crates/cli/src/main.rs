@@ -17,9 +17,9 @@ use args::Args;
 use mwsj_core::obs::{to_folded, PhaseSnapshot};
 use mwsj_core::{
     AnytimeSearch, BackendKind, EventSink, FanoutSink, FlightRecorder, FlushPolicy, Gils,
-    GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance, JsonlSink, ObsHandle, ParallelPortfolio,
-    Pjm, PortfolioConfig, RunEvent, RunOutcome, Sea, SeaConfig, SearchBudget, SearchContext,
-    SynchronousTraversal, TelemetryConfig, TwoStep, TwoStepConfig, WindowReduction,
+    GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance, JsonlSink, MetricsSnapshot, ObsHandle,
+    ParallelPortfolio, Pjm, PortfolioConfig, RunEvent, RunOutcome, Sea, SeaConfig, SearchBudget,
+    SearchContext, SynchronousTraversal, TelemetryConfig, TwoStep, TwoStepConfig, WindowReduction,
 };
 use mwsj_datagen::{Dataset, DatasetSpec, Distribution, QueryShape};
 use rand::rngs::StdRng;
@@ -27,6 +27,7 @@ use rand::SeedableRng;
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Why a command stopped: a message for stderr, or stdout itself failed.
 /// Every command writes through the one locked stdout `main` hands it, so a
@@ -75,13 +76,7 @@ fn main() -> ExitCode {
 
 fn run(stdout: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(std::env::args().skip(1)).map_err(|e| e.to_string())?;
-    // These take options only: a stray positional is a value whose option
-    // went missing (`solve a.csv`, `--data a.csv b.csv`), not something to
-    // drop.
-    let options_only = matches!(
-        args.command.as_deref(),
-        Some("generate" | "info" | "solve" | "join" | "explain" | "hard-density")
-    );
+    let options_only = args.spec().is_some_and(|spec| !spec.positionals);
     match args.command.as_deref() {
         Some(_) if options_only && !args.positionals.is_empty() => Err(
             args::ArgError::UnexpectedArgument(args.positionals[0].clone())
@@ -110,6 +105,9 @@ USAGE:
   mwsj info --data FILE [--data FILE]...
   mwsj solve --data FILE [--data FILE]... --query SPEC [--algo ils|gils|sea|sea-hybrid|ibb|two-step]
              [--seconds S | --iterations I] [--seed S] [--top K]
+                                            two-step: ILS gets a tenth of each limit given
+                                            (at least 1 step, at most 0.5 s), then IBB,
+                                            bounded by its result, the whole budget
              [--restarts K] [--threads T]   parallel portfolio of K seeded restarts
                                             (heuristics only; T=0 -> all cores)
              [--backend rtree|grid]         spatial index backend: R*-trees (default) or a
@@ -426,17 +424,14 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
 
     let heuristic = HeuristicRun {
         instance: &instance,
-        budget: &budget,
         ctx: &ctx,
         seed,
         restarts,
         threads,
-        telemetry,
-        obs: &obs,
     };
-    // Portfolio runs merge per-restart phase timers themselves; keep the
-    // merged snapshot around for `--profile-out`.
-    let (outcome, portfolio_phases): (RunOutcome, Vec<PhaseSnapshot>) = match algo {
+    // A portfolio merges its restarts' private registries and phase timers
+    // itself; a single run's are the handle's own.
+    let (outcome, merged): (RunOutcome, Option<Merged>) = match algo {
         "ils" => heuristic.run(Ils::new(IlsConfig::default()), stdout)?,
         "gils" => heuristic.run(Gils::new(GilsConfig::default()), stdout)?,
         "sea" => heuristic.run(Sea::new(SeaConfig::default_for(&instance)), stdout)?,
@@ -449,34 +444,24 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
                 format!("--restarts applies to the anytime heuristics, not '{algo}'").into(),
             )
         }
-        "ibb" => (
-            Ibb::new(IbbConfig::new()).search(&instance, &ctx),
-            Vec::new(),
-        ),
+        "ibb" => (Ibb::new(IbbConfig::new()).search(&instance, &ctx), None),
         "two-step" => {
-            let heuristic_budget = SearchBudget::seconds(0.5);
-            let two = TwoStep::new(TwoStepConfig::Ils(IlsConfig::default(), heuristic_budget))
-                .with_telemetry(telemetry);
+            let step_one = TwoStepConfig::Ils(IlsConfig::default(), two_step_stage_budget(&budget));
             let mut rng = StdRng::seed_from_u64(seed);
-            let out = two.run_with_obs(&instance, &budget, &mut rng, &obs);
-            (out.best, Vec::new())
+            let out = TwoStep::new(step_one).search(&instance, &ctx, &mut rng);
+            (out.combined(), None)
         }
         other => return Err(format!("unknown algorithm '{other}'").into()),
     };
 
-    if !portfolio {
-        // Portfolio runs emit their seed-order merged snapshots inside
-        // `HeuristicRun::run`; single runs freeze the handle's own registry.
-        obs.emit(RunEvent::Metrics {
-            snapshot: obs.metrics.snapshot(),
-        });
-        obs.emit(RunEvent::Phases {
-            phases: obs.timer.snapshot(),
-        });
-    }
-    // `run_end` is emitted by the search itself: standalone algorithms via
-    // the driver, the two-step pipeline and the portfolio as one combined
-    // event each.
+    // The frame of the run: the library emits only what happens inside one.
+    mwsj_core::emit_run_end(&obs, &instance, &outcome);
+    let (metrics, phases) =
+        merged.unwrap_or_else(|| (obs.metrics.snapshot(), obs.timer.snapshot()));
+    obs.emit(RunEvent::Metrics { snapshot: metrics });
+    obs.emit(RunEvent::Phases {
+        phases: phases.clone(),
+    });
     if let Some(path) = &trace_path {
         let sink = JsonlSink::create(path).map_err(|e| format!("{path}: {e}"))?;
         for p in &outcome.trace {
@@ -548,11 +533,6 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
         )?;
     }
     if let Some(path) = &profile_path {
-        let phases = if portfolio {
-            portfolio_phases
-        } else {
-            obs.timer.snapshot()
-        };
         let folded = to_folded(&phases);
         std::fs::write(path, &folded).map_err(|e| format!("{path}: {e}"))?;
         writeln!(
@@ -564,41 +544,47 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     Ok(())
 }
 
+/// Step one's share of a `solve --algo two-step` budget: a tenth of each
+/// limit that was given — at least one step, at most half a second — so
+/// that a step budget reads no clock in either stage. Step two gets the
+/// whole budget.
+fn two_step_stage_budget(budget: &SearchBudget) -> SearchBudget {
+    SearchBudget {
+        time_limit: budget
+            .time_limit
+            .map(|limit| (limit / 10).min(Duration::from_millis(500))),
+        max_steps: budget.max_steps.map(|steps| (steps / 10).max(1)),
+    }
+}
+
+/// The merged registry and phase timers of a portfolio's restarts.
+type Merged = (MetricsSnapshot, Vec<PhaseSnapshot>);
+
 /// What `solve` runs an anytime heuristic with.
 struct HeuristicRun<'a> {
     instance: &'a Instance,
-    budget: &'a SearchBudget,
     ctx: &'a SearchContext,
     seed: u64,
     restarts: usize,
     threads: usize,
-    telemetry: TelemetryConfig,
-    obs: &'a ObsHandle,
 }
 
 impl HeuristicRun<'_> {
     /// Runs `algo` once from the seed — or, with `--restarts K` above 1, as
-    /// a portfolio of K seeded restarts, whose merged phase timers come
-    /// back beside the merged outcome.
+    /// a portfolio of K seeded restarts, whose merged registry and phase
+    /// timers come back beside the merged outcome.
     fn run<A: AnytimeSearch>(
         &self,
         algo: A,
         stdout: &mut impl Write,
-    ) -> Result<(RunOutcome, Vec<PhaseSnapshot>), Failure> {
+    ) -> Result<(RunOutcome, Option<Merged>), Failure> {
         if self.restarts == 1 {
             let mut rng = StdRng::seed_from_u64(self.seed);
-            return Ok((algo.search(self.instance, self.ctx, &mut rng), Vec::new()));
+            return Ok((algo.search(self.instance, self.ctx, &mut rng), None));
         }
-        let mut config = PortfolioConfig::new(self.restarts, self.threads);
-        config.telemetry = self.telemetry;
-        let portfolio = ParallelPortfolio::new(algo, config);
-        let outcome = portfolio.run_with_obs(self.instance, self.budget, self.seed, self.obs);
-        self.obs.emit(RunEvent::Metrics {
-            snapshot: outcome.metrics.clone(),
-        });
-        self.obs.emit(RunEvent::Phases {
-            phases: outcome.phases.clone(),
-        });
+        let config = PortfolioConfig::new(self.restarts, self.threads);
+        let outcome =
+            ParallelPortfolio::new(algo, config).search(self.instance, self.ctx, self.seed);
         writeln!(
             stdout,
             "portfolio: {} restarts on {} thread{} (per-restart best: {})",
@@ -612,7 +598,7 @@ impl HeuristicRun<'_> {
                 .collect::<Vec<_>>()
                 .join(", ")
         )?;
-        Ok((outcome.merged, outcome.phases))
+        Ok((outcome.merged, Some((outcome.metrics, outcome.phases))))
     }
 }
 
@@ -744,7 +730,30 @@ fn cmd_hard_density(args: &Args, stdout: &mut impl Write) -> Result<(), Failure>
 
 #[cfg(test)]
 mod tests {
-    use super::grid_workers;
+    use super::{grid_workers, two_step_stage_budget};
+    use mwsj_core::SearchBudget;
+    use std::time::Duration;
+
+    #[test]
+    fn two_step_stage_budget_is_a_tenth_of_what_was_given() {
+        let ms = Duration::from_millis;
+        for (given, stage) in [
+            // Steps only: no clock limit appears.
+            (
+                SearchBudget::iterations(2_000),
+                SearchBudget::iterations(200),
+            ),
+            (SearchBudget::iterations(5), SearchBudget::iterations(1)),
+            (SearchBudget::time(ms(100)), SearchBudget::time(ms(10))),
+            (SearchBudget::time(ms(60_000)), SearchBudget::time(ms(500))),
+            (
+                SearchBudget::time_and_iterations(ms(2_000), 30),
+                SearchBudget::time_and_iterations(ms(200), 3),
+            ),
+        ] {
+            assert_eq!(two_step_stage_budget(&given), stage, "{given:?}");
+        }
+    }
 
     #[test]
     fn grid_workers_never_exceed_the_cores() {

@@ -653,6 +653,126 @@ fn solve_metrics_carry_explain_report_with_actuals() {
     assert!(summary.contains("progress heartbeats"), "{summary}");
 }
 
+/// The kinds of the events in a metrics file, in order, a run of one kind
+/// written once.
+fn event_kinds(path: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).unwrap();
+    let mut kinds: Vec<String> = text
+        .lines()
+        .map(|line| {
+            let event = mwsj_core::RunEvent::parse_line(line).unwrap_or_else(|e| panic!("{e}"));
+            event.kind().to_string()
+        })
+        .collect();
+    kinds.dedup();
+    kinds
+}
+
+/// What frames a run and what happens inside it reach the file in one
+/// order for every algorithm and composite, whoever emits which: `solve`
+/// ends `explain_report, resource_report, run_end, metrics, phases`, and
+/// `join` ends `metrics, phases, run_end`.
+#[test]
+fn metrics_out_writes_one_order_of_event_kinds_per_command() {
+    let dir = temp_dir("event_kinds");
+    let data: Vec<PathBuf> = (1..=3)
+        .map(|seed| generate(&dir, &format!("{seed}.csv"), 200, seed))
+        .collect();
+    let metrics = dir.join("kinds.jsonl");
+    let kinds_of = |command: &str, files: usize, extra: &[&str]| {
+        let mut cmd = mwsj();
+        cmd.arg(command);
+        for path in &data[..files] {
+            cmd.args(["--data", path.to_str().unwrap()]);
+        }
+        cmd.args(["--query", "chain", "--iterations", "300"]);
+        cmd.args(["--metrics-out", metrics.to_str().unwrap()]);
+        let out = cmd.args(extra).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{command} {extra:?}: {stderr}");
+        event_kinds(&metrics)
+    };
+    let solve_end = [
+        "explain_report",
+        "resource_report",
+        "run_end",
+        "metrics",
+        "phases",
+    ];
+    let restart = ["restart_start", "improvement", "restart_end"];
+    let rows: [(&[&str], &[&str]); 7] = [
+        (&["--algo", "ils"], &["improvement"]),
+        (&["--algo", "gils"], &["improvement"]),
+        (&["--algo", "sea"], &["improvement"]),
+        (&["--algo", "sea-hybrid"], &["improvement"]),
+        (&["--algo", "ibb"], &["improvement"]),
+        (&["--algo", "two-step"], &["improvement"]),
+        (
+            &["--algo", "ils", "--restarts", "2", "--threads", "1"],
+            &[restart, restart].concat(),
+        ),
+    ];
+    for (algo, inside) in rows {
+        let extra = [algo, &["--seed", "9"]].concat();
+        let expected = [&["run_start"], inside, &solve_end].concat();
+        assert_eq!(kinds_of("solve", 3, &extra), expected, "{algo:?}");
+    }
+    assert_eq!(
+        kinds_of("join", 2, &["--algo", "wr"]),
+        ["run_start", "metrics", "phases", "run_end"]
+    );
+}
+
+/// `solve --algo two-step --iterations I` reads no clock: step one gets a
+/// tenth of the steps (it used to get half a second whatever was asked), so
+/// two invocations count the same work.
+#[test]
+fn two_step_under_a_step_budget_counts_the_same_work_twice() {
+    let dir = temp_dir("two_step_steps");
+    let data: Vec<PathBuf> = (31..=33)
+        .map(|seed| generate_sparse(&dir, &format!("{seed}.csv"), seed))
+        .collect();
+    let metrics = dir.join("two_step.jsonl");
+    let run_end = || {
+        let mut cmd = mwsj();
+        cmd.arg("solve");
+        for path in &data {
+            cmd.args(["--data", path.to_str().unwrap()]);
+        }
+        cmd.args(["--query", "clique", "--algo", "two-step", "--seed", "5"]);
+        cmd.args(["--iterations", "400"]);
+        cmd.args(["--metrics-out", metrics.to_str().unwrap()]);
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        let text = std::fs::read_to_string(&metrics).unwrap();
+        let line = text.lines().find(|l| l.contains("\"event\":\"run_end\""));
+        match mwsj_core::RunEvent::parse_line(line.expect("a run_end line")).unwrap() {
+            mwsj_core::RunEvent::RunEnd {
+                steps,
+                node_accesses,
+                local_maxima,
+                improvements,
+                restarts,
+                best_violations,
+                ..
+            } => [
+                steps,
+                node_accesses,
+                local_maxima,
+                improvements,
+                restarts,
+                best_violations,
+            ],
+            other => panic!("{other:?}"),
+        }
+    };
+    let first = run_end();
+    // 40 steps of ILS, then no exact solution exists: IBB's whole 400.
+    assert_eq!(first[0], 440, "{first:?}");
+    assert_eq!(first, run_end());
+}
+
 #[test]
 fn report_renders_snapshot_explain_summary() {
     let dir = temp_dir("snapshot_explain");

@@ -402,6 +402,8 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
         NotACount,
         Accepted,
         Unknown(&'static str),
+        /// An option of another command: (option, command).
+        Foreign(&'static str, &'static str),
         Stray,
         /// Exit 1 with exactly this on stderr.
         Refused(&'static str),
@@ -444,7 +446,7 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     std::fs::write(&one, "0,0,1,1\n").unwrap();
     let one = one.to_str().unwrap();
     let solve_one = ["solve", "--data", one, "--data", one, "--query", "chain"];
-    let rows: [(&[&str], &[&str], Expect); 40] = [
+    let rows: [(&[&str], &[&str], Expect); 45] = [
         (&solve, &["--seconds", "inf"], NotSeconds),
         (&solve, &["--seconds", "1e20"], NotSeconds),
         (&solve, &["--seconds", "-3"], NotSeconds),
@@ -479,6 +481,26 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
             &["bench", "compare", a, a],
             &["--wall-slack-ms=0"],
             Unknown("--wall-slack-ms"),
+        ),
+        // An option another command reads is as unknown here as a typo:
+        // these five used to exit 0 and ignore it (`--lambda` was read by
+        // no command at all).
+        (
+            &join,
+            &["--top", "3", "--restarts", "4"],
+            Foreign("--top", "join"),
+        ),
+        (&solve_steps, &["--limit", "2"], Foreign("--limit", "solve")),
+        (
+            &solve_steps,
+            &["--algo", "gils", "--lambda", "123"],
+            Unknown("--lambda"),
+        ),
+        (&explain, &["--seed", "1"], Foreign("--seed", "explain")),
+        (
+            &["info", "--data", a],
+            &["--query", "chain"],
+            Foreign("--query", "info"),
         ),
         (&solve_steps, &["stray.csv"], Stray),
         (&join, &["stray.csv"], Stray),
@@ -562,6 +584,9 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
             }
             NotACount => format!("error: {flag} {value}: expected a thread count"),
             Unknown(option) => format!("error: unknown option '{option}'"),
+            Foreign(option, command) => {
+                format!("error: unknown option '{option}' for '{command}'")
+            }
             Stray => format!("error: unexpected argument '{value}'"),
             Refused(message) => message.to_string(),
             Accepted => {

@@ -12,11 +12,11 @@
 //! is shared by `K` concurrent restarts: the wall-clock limit becomes one
 //! **absolute deadline** (every restart stops at the same instant, instead
 //! of each measuring its own start), the step limit is **split
-//! deterministically** across restarts, and a [`SharedSearchState`]
-//! aggregates steps and the best-known violation count across threads.
+//! deterministically** across restarts, and the restarts share the
+//! best-known violation count.
 
 use mwsj_obs::{ObsHandle, RunEvent};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,8 +75,7 @@ impl SearchBudget {
     /// restarts receive one extra step — so the restarts together consume
     /// exactly `max_steps` and the split depends only on `(max_steps, k)`.
     /// The time limit is copied verbatim into every share: a portfolio
-    /// converts it into one absolute deadline common to all restarts (see
-    /// [`SearchContext::with_deadline`]).
+    /// converts it into one absolute deadline common to all restarts.
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -134,34 +133,26 @@ impl TelemetryConfig {
 }
 
 /// Coordination state shared by every restart of a parallel portfolio:
-/// an aggregate step counter and the best-known violation count (the
-/// portfolio's *bound*, mirroring how the two-step scheme of §6 feeds a
-/// heuristic bound into IBB).
+/// the best-known violation count (the portfolio's *bound*, mirroring how
+/// the two-step scheme of §6 feeds a heuristic bound into IBB).
 ///
-/// Cloning shares the underlying atomics.
+/// Cloning shares the underlying atomic.
 #[derive(Debug, Clone)]
-pub struct SharedSearchState {
-    steps: Arc<AtomicU64>,
+pub(crate) struct SharedSearchState {
     /// Best-known violations across all restarts; `u32::MAX` = none yet.
     bound: Arc<AtomicU32>,
 }
 
 impl SharedSearchState {
     /// Fresh state with no published bound.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SharedSearchState {
-            steps: Arc::new(AtomicU64::new(0)),
             bound: Arc::new(AtomicU32::new(u32::MAX)),
         }
     }
 
-    /// Total steps consumed so far across every attached restart.
-    pub fn steps(&self) -> u64 {
-        self.steps.load(Ordering::Relaxed)
-    }
-
     /// The best-known violation count published by any restart, if any.
-    pub fn bound_violations(&self) -> Option<usize> {
+    pub(crate) fn bound_violations(&self) -> Option<usize> {
         match self.bound.load(Ordering::Relaxed) {
             u32::MAX => None,
             v => Some(v as usize),
@@ -169,46 +160,44 @@ impl SharedSearchState {
     }
 
     /// Lowers the shared bound to `violations` if it improves on it.
-    pub fn publish(&self, violations: usize) {
+    pub(crate) fn publish(&self, violations: usize) {
         let v = u32::try_from(violations).unwrap_or(u32::MAX - 1);
         self.bound.fetch_min(v, Ordering::Relaxed);
     }
 
     /// `true` once a zero-violation (similarity 1) solution was published:
     /// nothing can improve on it, so cooperating restarts may stop.
-    pub fn optimum_reached(&self) -> bool {
+    pub(crate) fn optimum_reached(&self) -> bool {
         self.bound.load(Ordering::Relaxed) == 0
     }
-
-    #[inline]
-    fn add_step(&self) {
-        self.steps.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
-impl Default for SharedSearchState {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Everything an anytime search needs to know about *when to stop*: the
-/// per-run [`SearchBudget`], an optional absolute deadline overriding the
-/// budget's relative time limit, and optional portfolio coordination.
+/// What one run is given: the [`SearchBudget`] that stops it, the
+/// [`ObsHandle`] it reports through and the [`TelemetryConfig`] of its
+/// heartbeats and stall watchdog. Built with [`SearchContext::local`],
+/// [`SearchContext::with_obs`] and [`SearchContext::with_telemetry`];
+/// `run(instance, &budget, …)` of every algorithm and composite is
+/// `search(instance, &SearchContext::local(budget), …)`.
+///
+/// The handle and the telemetry travel **only** here: a composite
+/// ([`crate::TwoStep`], [`crate::ParallelPortfolio`]) copies both into the
+/// contexts of its stages and restarts. A run emits what happens inside it
+/// (improvements, progress, stalls, stop reasons, restart lifecycle); the
+/// caller frames it with [`crate::run_start`] and [`crate::emit_run_end`].
 #[derive(Debug, Clone)]
 pub struct SearchContext {
     budget: SearchBudget,
+    /// Absolute deadline overriding the budget's relative time limit.
     deadline: Option<Instant>,
     shared: Option<SharedSearchState>,
     cutoff: bool,
     obs: ObsHandle,
-    nested: bool,
     telemetry: TelemetryConfig,
 }
 
 impl SearchContext {
-    /// A standalone (single-threaded) run of `budget`: the deadline is
-    /// measured from the moment the search starts.
+    /// A run of `budget` reporting nowhere: the deadline is measured from
+    /// the moment the search starts.
     pub fn local(budget: SearchBudget) -> Self {
         budget.validate();
         SearchContext {
@@ -217,29 +206,23 @@ impl SearchContext {
             shared: None,
             cutoff: false,
             obs: ObsHandle::disabled(),
-            nested: false,
             telemetry: TelemetryConfig::default(),
         }
     }
 
-    /// Marks this run as a *component* of a larger composite run (a
-    /// two-step pipeline stage, a recorded batch entry, …). The search
-    /// driver then leaves `run_end` emission to the enclosing composite,
-    /// which reports one merged outcome instead.
-    pub fn nested(mut self) -> Self {
-        self.nested = true;
-        self
-    }
-
-    /// `true` when [`SearchContext::nested`] was applied.
-    pub(crate) fn is_nested(&self) -> bool {
-        self.nested
+    /// The context of one component of this run (a pipeline stage, a
+    /// portfolio restart) under its own `budget`: same handle, same
+    /// telemetry, no coordination state.
+    pub(crate) fn stage(&self, budget: SearchBudget) -> Self {
+        SearchContext::local(budget)
+            .with_obs(self.obs.clone())
+            .with_telemetry(self.telemetry)
     }
 
     /// Replaces the budget's relative time limit with an absolute deadline
     /// (shared by every restart of a portfolio).
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
+    pub(crate) fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
+        self.deadline = deadline;
         self
     }
 
@@ -248,10 +231,9 @@ impl SearchContext {
     /// violations (a similarity-1 certificate another restart published —
     /// the only *sound* cross-restart cutoff for heuristics, since nothing
     /// can beat an exact solution). Cutoff trades bit-reproducibility of
-    /// secondary results for wall-clock, so portfolios enable it only for
-    /// time-limited budgets unless told otherwise (see
-    /// [`crate::CutoffPolicy`]).
-    pub fn with_shared(mut self, shared: SharedSearchState, cutoff: bool) -> Self {
+    /// secondary results for wall-clock, so portfolios arm it only for
+    /// time-limited budgets.
+    pub(crate) fn with_shared(mut self, shared: SharedSearchState, cutoff: bool) -> Self {
         self.shared = Some(shared);
         self.cutoff = cutoff;
         self
@@ -338,14 +320,11 @@ impl BudgetClock {
         self.stall_tripped = true;
     }
 
-    /// Records one step (locally, in the shared aggregate, and against the
-    /// innermost open phase span).
+    /// Records one step (locally and against the innermost open phase
+    /// span).
     #[inline]
     pub(crate) fn step(&mut self) {
         self.steps += 1;
-        if let Some(shared) = &self.shared {
-            shared.add_step();
-        }
         self.obs.timer.add_steps(1);
     }
 
@@ -594,20 +573,15 @@ mod tests {
     }
 
     #[test]
-    fn shared_state_aggregates_and_bounds() {
+    fn shared_state_keeps_the_lowest_published_bound() {
         let shared = SharedSearchState::new();
         assert_eq!(shared.bound_violations(), None);
         assert!(!shared.optimum_reached());
 
         let ctx =
             SearchContext::local(SearchBudget::iterations(5)).with_shared(shared.clone(), false);
-        let mut a = BudgetClock::from_context(&ctx);
-        let mut b = BudgetClock::from_context(&ctx);
-        a.step();
-        a.step();
-        b.step();
-        assert_eq!(shared.steps(), 3);
-        assert_eq!(a.steps(), 2);
+        let a = BudgetClock::from_context(&ctx);
+        let b = BudgetClock::from_context(&ctx);
 
         a.publish_bound(7);
         b.publish_bound(9); // worse: ignored
@@ -636,7 +610,7 @@ mod tests {
     #[test]
     fn absolute_deadline_is_respected() {
         let ctx = SearchContext::local(SearchBudget::seconds(3600.0))
-            .with_deadline(Instant::now() - Duration::from_millis(1));
+            .with_deadline(Some(Instant::now() - Duration::from_millis(1)));
         let clock = BudgetClock::from_context(&ctx);
         assert!(clock.exhausted(), "deadline already passed");
     }

@@ -5,7 +5,7 @@
 //! stepping the [`BudgetClock`], tracking the incumbent and
 //! [`TopSolutions`](crate::TopSolutions), recording `(step, similarity)`
 //! trace points, publishing bounds, flushing counters and emitting
-//! stop-reason / `run_end` events. [`SearchDriver`] owns all of that; the
+//! stop-reason events. [`SearchDriver`] owns all of that; the
 //! algorithms reduce to *drive* functions ([`DriveSearch`]) that only
 //! encode their search moves.
 //!
@@ -15,13 +15,9 @@
 //! algorithm are unchanged; `node_accesses` may only decrease (via
 //! [`WindowCache`](crate::WindowCache) hits).
 //!
-//! `run_end` ownership: exactly one `run_end` event is emitted per
-//! top-level run. Standalone runs get it from [`SearchDriver::finish`];
-//! composite runs ([`crate::TwoStep`], [`crate::ParallelPortfolio`],
-//! recorded batch entries) mark their component contexts
-//! [`SearchContext::nested`] (or run under a restart-scoped
-//! [`ObsHandle`](mwsj_obs::ObsHandle)) and emit one merged event
-//! themselves.
+//! The driver emits what happens *inside* a run (improvements, progress,
+//! stalls, the stop reason). What *frames* a run — `run_start` and the
+//! end-of-run trio of [`crate::emit_run_end`] — is the caller's to emit.
 
 use crate::budget::{BudgetClock, SearchContext, TelemetryConfig};
 use crate::instance::Instance;
@@ -108,9 +104,6 @@ pub(crate) struct SearchDriver {
     stats: RunStats,
     incumbent: Option<Incumbent>,
     edges: usize,
-    /// Whether this driver owns the run's `run_end` event (standalone
-    /// top-level runs only; see the module docs).
-    emit_end: bool,
     /// Live-telemetry state; `None` keeps the hot path at one check.
     watch: Option<WatchState>,
 }
@@ -119,7 +112,6 @@ impl SearchDriver {
     /// Starts the clock for one run of `instance` under `ctx`.
     pub(crate) fn new(instance: &Instance, ctx: &SearchContext) -> Self {
         let clock = BudgetClock::from_context(ctx);
-        let emit_end = !ctx.is_nested() && ctx.obs().restart().is_none() && ctx.obs().has_sink();
         let watch = WatchState::new(ctx.telemetry(), instance, ctx.obs());
         let stats = RunStats {
             access_profile: crate::result::AccessProfile::for_instance(instance),
@@ -130,7 +122,6 @@ impl SearchDriver {
             stats,
             incumbent: None,
             edges: instance.graph().edge_count(),
-            emit_end,
             watch,
         }
     }
@@ -160,7 +151,9 @@ impl SearchDriver {
             if !watch.stalled
                 && (watch.stall_window_steps.is_some() || watch.stall_window_secs.is_some())
             {
-                let steps_since = step - watch.last_improvement_step;
+                // Completed steps without an improvement: the step that is
+                // starting has not offered its result yet.
+                let steps_since = step - 1 - watch.last_improvement_step;
                 let step_stall = watch.stall_window_steps.is_some_and(|w| steps_since >= w);
                 // Only pay an Instant::now() per step when a wall window
                 // was explicitly configured.
@@ -378,30 +371,6 @@ impl SearchDriver {
         improved
     }
 
-    /// [`SearchDriver::offer`] without publishing the portfolio bound —
-    /// the naive-GA baseline predates bound sharing and is kept
-    /// bit-faithful to its published behaviour.
-    ///
-    /// # Panics
-    /// Panics if no incumbent was seeded yet.
-    pub(crate) fn offer_unpublished(&mut self, sol: &Solution, violations: usize) {
-        let inc = self
-            .incumbent
-            .as_mut()
-            .expect("offer_unpublished requires a seeded incumbent");
-        if inc.offer(
-            sol,
-            violations,
-            self.edges,
-            || self.clock.elapsed(),
-            self.clock.steps(),
-        ) {
-            self.stats.improvements += 1;
-            crate::observe::emit_improvement(&self.clock, inc.best_violations, self.edges);
-            self.note_improvement();
-        }
-    }
-
     /// Installs an initial incumbent **silently**: trace point and top-list
     /// entry, but no improvement event and no bound publication. Used for
     /// seeds that are given, not found (IBB's heuristic bound, naive-GA's
@@ -453,8 +422,8 @@ impl SearchDriver {
 
     /// Finishes an anytime run: falls back to a random solution when the
     /// budget expired before any incumbent existed, freezes the counters,
-    /// flushes them to the metrics registry, emits the stop-reason (and,
-    /// for standalone runs, `run_end`) events and assembles the outcome.
+    /// flushes them to the metrics registry, emits the stop reason and
+    /// assembles the outcome.
     pub(crate) fn finish(self, instance: &Instance, rng: &mut StdRng) -> RunOutcome {
         let fallback = |clock: &BudgetClock, rng: &mut StdRng| {
             let sol = instance.random_solution(rng);
@@ -471,15 +440,7 @@ impl SearchDriver {
             Some(inc) => inc,
             None => fallback(&self.clock, rng),
         };
-        Self::into_outcome(
-            self.clock,
-            self.stats,
-            incumbent,
-            self.edges,
-            false,
-            self.emit_end,
-            instance,
-        )
+        Self::into_outcome(self.clock, self.stats, incumbent, self.edges, false)
     }
 
     /// Finishes a systematic (IBB) run: `proven_optimal` is the caller's
@@ -504,8 +465,6 @@ impl SearchDriver {
             incumbent,
             self.edges,
             proven_optimal,
-            self.emit_end,
-            instance,
         )
     }
 
@@ -515,12 +474,10 @@ impl SearchDriver {
         incumbent: Incumbent,
         edges: usize,
         proven_optimal: bool,
-        emit_end: bool,
-        instance: &Instance,
     ) -> RunOutcome {
         stats.improvements = incumbent.improvements;
         clock.finish(&mut stats);
-        let outcome = RunOutcome {
+        RunOutcome {
             best_similarity: 1.0 - incumbent.best_violations as f64 / edges as f64,
             best: incumbent.best,
             best_violations: incumbent.best_violations,
@@ -528,11 +485,7 @@ impl SearchDriver {
             trace: incumbent.trace,
             proven_optimal,
             top_solutions: incumbent.top.into_vec(),
-        };
-        if emit_end {
-            crate::observe::emit_run_end(clock.obs(), instance, &outcome);
         }
-        outcome
     }
 }
 

@@ -21,7 +21,6 @@ use crate::instance::Instance;
 use crate::order::connectivity_order;
 use crate::result::RunOutcome;
 use mwsj_geom::{Predicate, Rect};
-use mwsj_obs::ObsHandle;
 use mwsj_query::{Solution, VarId};
 
 /// Configuration of [`Ibb`].
@@ -91,26 +90,12 @@ impl Ibb {
     /// (or an exact solution was found), i.e. whether the answer is the
     /// global best.
     pub fn run(&self, instance: &Instance, budget: &SearchBudget) -> RunOutcome {
-        self.run_with_obs(instance, budget, &ObsHandle::disabled())
+        self.search(instance, &SearchContext::local(*budget))
     }
 
-    /// Runs IBB and reports counters, phase timings ("ibb") and improvement
-    /// / stop-reason / `run_end` events through `obs`.
-    pub fn run_with_obs(
-        &self,
-        instance: &Instance,
-        budget: &SearchBudget,
-        obs: &ObsHandle,
-    ) -> RunOutcome {
-        self.search(
-            instance,
-            &SearchContext::local(*budget).with_obs(obs.clone()),
-        )
-    }
-
-    /// Runs IBB under an explicit [`SearchContext`] — the entry point used
-    /// by composites (e.g. [`crate::TwoStep`]) to mark the run nested so it
-    /// does not emit its own `run_end`.
+    /// Runs IBB under an explicit [`SearchContext`], reporting counters,
+    /// phase timings ("ibb") and improvement / stop-reason events through
+    /// its handle.
     pub fn search(&self, instance: &Instance, ctx: &SearchContext) -> RunOutcome {
         let graph = instance.graph();
         let order = connectivity_order(graph);

@@ -53,7 +53,7 @@ mod two_step;
 mod window_cache;
 mod wr;
 
-pub use budget::{SearchBudget, SearchContext, SharedSearchState, TelemetryConfig};
+pub use budget::{SearchBudget, SearchContext, TelemetryConfig};
 pub use explain::{build_explain_report, explain_report_for_run, observed_edge_selectivity};
 pub use find_best_value::{find_best_value, BestValue};
 pub use gils::{Gils, GilsConfig};
@@ -61,11 +61,11 @@ pub use ibb::{Ibb, IbbConfig};
 pub use ils::{Ils, IlsConfig};
 pub use instance::{BackendKind, Instance, InstanceError};
 pub use naive::{NaiveGa, NaiveGaConfig, NaiveLocalSearch, SaConfig, SimulatedAnnealing};
-pub use observe::{metric, run_start};
+pub use observe::{emit_run_end, metric, run_start};
 pub use pairwise::PairwiseJoin;
 pub use pjm::Pjm;
 pub use portfolio::{
-    derive_seed, AnytimeSearch, CutoffPolicy, ParallelPortfolio, PortfolioConfig, PortfolioOutcome,
+    derive_seed, AnytimeSearch, ParallelPortfolio, PortfolioConfig, PortfolioOutcome,
     RestartOutcome,
 };
 pub use result::{AccessProfile, RunOutcome, RunStats, TopSolutions, TracePoint, DEFAULT_TOP_K};

@@ -183,8 +183,7 @@ impl DriveSearch for NaiveGa {
                 (sol, cs)
             })
             .collect();
-        // Silent eager seed: this baseline predates bound sharing, so it
-        // neither publishes nor emits for its arbitrary first member.
+        // Silent eager seed: the arbitrary first member is given, not found.
         driver.seed_incumbent(&pop[0].0, pop[0].1.total_violations());
 
         while !driver.exhausted() {
@@ -192,7 +191,7 @@ impl DriveSearch for NaiveGa {
             driver.stats_mut().restarts += 1;
 
             for (sol, cs) in &pop {
-                driver.offer_unpublished(sol, cs.total_violations());
+                driver.offer(sol, cs.total_violations());
             }
             if driver.best_violations() == Some(0) {
                 break;
@@ -242,7 +241,7 @@ impl DriveSearch for NaiveGa {
 
         // Final evaluation pass so the last generation's work counts.
         for (sol, cs) in &pop {
-            driver.offer_unpublished(sol, cs.total_violations());
+            driver.offer(sol, cs.total_violations());
         }
     }
 }

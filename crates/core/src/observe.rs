@@ -93,15 +93,15 @@ pub(crate) fn emit_improvement(clock: &BudgetClock, violations: usize, edges: us
     });
 }
 
-/// Ends a top-level run's event stream (no-op without a sink): the
-/// `explain_report` estimate-vs-actual audit, the `resource_report` memory
-/// table — the instance's index structures (unique datasets only:
-/// self-joins share one), the window cache(s), the retained top solutions —
-/// and `run_end`, in that order. Ownership rule: exactly **one** trio per
-/// top-level run — the search driver emits it for standalone runs,
-/// [`crate::TwoStep`] and [`crate::ParallelPortfolio`] emit one for the
-/// merged outcome and run their components nested.
-pub(crate) fn emit_run_end(obs: &ObsHandle, instance: &Instance, outcome: &RunOutcome) {
+/// Ends a run's event stream (no-op without a sink): the `explain_report`
+/// estimate-vs-actual audit, the `resource_report` memory table — the
+/// instance's index structures (unique datasets only: self-joins share
+/// one), the window cache(s), the retained top solutions — and `run_end`,
+/// in that order. With [`run_start`] this is the frame of a run, and the
+/// caller's to emit: no algorithm or composite emits either. For a
+/// composite, `outcome` is its merged one
+/// ([`crate::TwoStepOutcome::combined`], [`crate::PortfolioOutcome::merged`]).
+pub fn emit_run_end(obs: &ObsHandle, instance: &Instance, outcome: &RunOutcome) {
     if !obs.has_sink() {
         return;
     }

@@ -6,8 +6,8 @@
 //! way portfolio solvers do: it fans out `K` **independently seeded
 //! restarts** of one algorithm across a scoped thread pool, lets them
 //! share the best-known violation count through an atomic bound
-//! ([`SharedSearchState`], mirroring how the two-step scheme of §6 feeds a
-//! heuristic bound into IBB), and merges the per-restart results with a
+//! (mirroring how the two-step scheme of §6 feeds a heuristic bound into
+//! IBB), and merges the per-restart results with a
 //! **deterministic, seed-ordered reduction**.
 //!
 //! # Determinism guarantee
@@ -25,8 +25,8 @@
 //! * the reduction folds per-restart results in restart order, never
 //!   completion order;
 //! * the cross-restart cutoff (stop when the shared bound proves
-//!   similarity 1 was reached) is only armed for **time-limited** budgets
-//!   under [`CutoffPolicy::Auto`], because whether a racing restart gets
+//!   similarity 1 was reached) is armed iff the budget has a **time
+//!   limit**, because whether a racing restart gets
 //!   cut off mid-climb depends on scheduling. Time-limited runs are
 //!   already non-reproducible — the paper's own setting — so there the
 //!   cutoff is pure win: late restarts stop burning CPU the moment any
@@ -36,10 +36,10 @@
 //! Wall-clock fields ([`RunStats::elapsed`], [`TracePoint::elapsed`]) are
 //! measured and therefore exempt from the guarantee.
 
-use crate::budget::{SearchBudget, SearchContext, SharedSearchState, TelemetryConfig};
+use crate::budget::{SearchBudget, SearchContext, SharedSearchState};
 use crate::instance::Instance;
-use crate::result::{RunOutcome, RunStats, TopSolutions, TracePoint};
-use mwsj_obs::{merge_phase_snapshots, MetricsSnapshot, ObsHandle, PhaseSnapshot, RunEvent};
+use crate::result::{RunOutcome, RunStats, TopSolutions, TracePoint, DEFAULT_TOP_K};
+use mwsj_obs::{merge_phase_snapshots, MetricsSnapshot, PhaseSnapshot, RunEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,35 +56,10 @@ pub trait AnytimeSearch: Sync {
     /// Display name (matches the paper's figures).
     fn name(&self) -> &'static str;
 
-    /// Runs one search to budget exhaustion under `ctx`.
+    /// Runs one search to budget exhaustion under `ctx`, reporting what
+    /// happens inside the run through the context's handle; `run_start`
+    /// and [`crate::emit_run_end`] are the caller's.
     fn search(&self, instance: &Instance, ctx: &SearchContext, rng: &mut StdRng) -> RunOutcome;
-}
-
-/// When cooperating restarts may stop early on a shared similarity-1
-/// certificate (see the module docs for why this is the only sound
-/// cross-restart cutoff).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CutoffPolicy {
-    /// Cut off only for time-limited budgets; pure step budgets stay
-    /// bit-reproducible. The default.
-    #[default]
-    Auto,
-    /// Always cut off (step-budgeted runs may under-consume their budget
-    /// non-deterministically; solution quality is unaffected — the merged
-    /// best is an exact solution whenever a cutoff fires).
-    Always,
-    /// Never cut off; every restart consumes its full budget share.
-    Never,
-}
-
-impl CutoffPolicy {
-    fn armed(self, budget: &SearchBudget) -> bool {
-        match self {
-            CutoffPolicy::Auto => budget.time_limit.is_some(),
-            CutoffPolicy::Always => true,
-            CutoffPolicy::Never => false,
-        }
-    }
 }
 
 /// Configuration of a [`ParallelPortfolio`].
@@ -96,37 +71,12 @@ pub struct PortfolioConfig {
     /// Never more threads than restarts are spawned. The thread count
     /// affects wall-clock only, never results (see the module docs).
     pub threads: usize,
-    /// Capacity of the merged [`TopSolutions`] list.
-    pub top_k: usize,
-    /// Cross-restart cutoff policy.
-    pub cutoff: CutoffPolicy,
-    /// Live-telemetry configuration applied to every restart: each
-    /// restart emits its own restart-tagged `progress` / `stall_detected`
-    /// events through the shared sink, and the stall watchdog (with
-    /// `stall_abort`) stops restarts individually.
-    pub telemetry: TelemetryConfig,
 }
 
 impl PortfolioConfig {
-    /// `restarts` restarts on `threads` threads, defaults elsewhere.
+    /// `restarts` restarts on `threads` threads.
     pub fn new(restarts: usize, threads: usize) -> Self {
-        PortfolioConfig {
-            restarts,
-            threads,
-            ..PortfolioConfig::default()
-        }
-    }
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            restarts: 4,
-            threads: 0,
-            top_k: crate::result::DEFAULT_TOP_K,
-            cutoff: CutoffPolicy::Auto,
-            telemetry: TelemetryConfig::default(),
-        }
+        PortfolioConfig { restarts, threads }
     }
 }
 
@@ -214,47 +164,46 @@ impl<A: AnytimeSearch> ParallelPortfolio<A> {
         budget: &SearchBudget,
         master_seed: u64,
     ) -> PortfolioOutcome {
-        self.run_with_obs(instance, budget, master_seed, &ObsHandle::disabled())
+        self.search(instance, &SearchContext::local(*budget), master_seed)
     }
 
-    /// Like [`ParallelPortfolio::run`], additionally reporting through
-    /// `obs`: every restart gets a private registry and timer (mirroring
-    /// `obs`'s enabledness) via [`ObsHandle::for_restart`], restart
+    /// Runs the portfolio under an explicit [`SearchContext`] whose budget
+    /// is the total one. Every restart reports through a private registry
+    /// and timer (mirroring the handle's enabledness) via
+    /// [`mwsj_obs::ObsHandle::for_restart`] and runs the context's
+    /// telemetry itself (restart-tagged `progress` / `stall_detected`
+    /// events; the stall watchdog stops restarts individually); restart
     /// lifecycle events go to the shared sink, and the per-restart
     /// snapshots are merged seed-ordered into [`PortfolioOutcome::metrics`]
     /// / [`PortfolioOutcome::phases`].
-    pub fn run_with_obs(
+    pub fn search(
         &self,
         instance: &Instance,
-        budget: &SearchBudget,
+        ctx: &SearchContext,
         master_seed: u64,
-        obs: &ObsHandle,
     ) -> PortfolioOutcome {
         let start = Instant::now();
         let k = self.config.restarts;
+        let budget = ctx.budget();
         let shares = budget.split(k);
         let shared = SharedSearchState::new();
-        let cutoff = self.config.cutoff.armed(budget);
+        // Whether a racing restart gets cut off mid-climb depends on
+        // scheduling, so only budgets that read the clock anyway arm it.
+        let cutoff = budget.time_limit.is_some();
         let deadline = budget.time_limit.and_then(|limit| start.checked_add(limit));
+        let restart = |i: usize| {
+            let ctx = ctx
+                .stage(shares[i])
+                .with_deadline(deadline)
+                .with_shared(shared.clone(), cutoff);
+            self.run_restart(instance, ctx, derive_seed(master_seed, i), i)
+        };
 
         let threads_used = self.effective_threads();
         let mut outcomes: Vec<RestartOutcome> = if threads_used <= 1 {
             // In-thread execution: identical results by construction (the
             // parallel path differs only in which thread runs a restart).
-            (0..k)
-                .map(|i| {
-                    self.run_restart(
-                        instance,
-                        &shares[i],
-                        deadline,
-                        &shared,
-                        cutoff,
-                        master_seed,
-                        i,
-                        obs,
-                    )
-                })
-                .collect()
+            (0..k).map(restart).collect()
         } else {
             let next = AtomicUsize::new(0);
             let collected: Mutex<Vec<RestartOutcome>> = Mutex::new(Vec::with_capacity(k));
@@ -265,16 +214,7 @@ impl<A: AnytimeSearch> ParallelPortfolio<A> {
                         if i >= k {
                             break;
                         }
-                        let result = self.run_restart(
-                            instance,
-                            &shares[i],
-                            deadline,
-                            &shared,
-                            cutoff,
-                            master_seed,
-                            i,
-                            obs,
-                        );
+                        let result = restart(i);
                         collected.lock().expect("collector poisoned").push(result);
                     });
                 }
@@ -285,13 +225,8 @@ impl<A: AnytimeSearch> ParallelPortfolio<A> {
         // depend on thread scheduling.
         outcomes.sort_unstable_by_key(|r| r.index);
 
-        let mut merged =
-            merge_outcomes(&outcomes, instance.graph().edge_count(), self.config.top_k);
+        let mut merged = merge_outcomes(&outcomes, instance.graph().edge_count());
         merged.stats.elapsed = start.elapsed();
-        // One end-of-run trio (`run_end` last) for the whole portfolio: the
-        // restarts themselves run under restart-scoped handles, which
-        // suppresses their own emission.
-        crate::observe::emit_run_end(obs, instance, &merged);
 
         // Seed-ordered reduction of the per-restart snapshots: the fold
         // visits restarts in index order, so the merged values are
@@ -312,31 +247,21 @@ impl<A: AnytimeSearch> ParallelPortfolio<A> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Restart `index` under `ctx` (its budget share and the portfolio's
+    /// coordination state), reporting through a restart-scoped handle.
     fn run_restart(
         &self,
         instance: &Instance,
-        share: &SearchBudget,
-        deadline: Option<Instant>,
-        shared: &SharedSearchState,
-        cutoff: bool,
-        master_seed: u64,
+        ctx: SearchContext,
+        seed: u64,
         index: usize,
-        obs: &ObsHandle,
     ) -> RestartOutcome {
-        let seed = derive_seed(master_seed, index);
-        let robs = obs.for_restart(index as u64);
+        let robs = ctx.obs().for_restart(index as u64);
         robs.emit(RunEvent::RestartStart {
             restart: index as u64,
             seed,
         });
-        let mut ctx = SearchContext::local(*share)
-            .with_shared(shared.clone(), cutoff)
-            .with_obs(robs.clone())
-            .with_telemetry(self.config.telemetry);
-        if let Some(deadline) = deadline {
-            ctx = ctx.with_deadline(deadline);
-        }
+        let ctx = ctx.with_obs(robs.clone());
         let mut rng = StdRng::seed_from_u64(seed);
         let outcome = {
             let _span = robs.timer.span(&format!("restart[{index}]"));
@@ -370,7 +295,7 @@ impl<A: AnytimeSearch> ParallelPortfolio<A> {
 }
 
 /// Folds per-restart outcomes in restart order into one [`RunOutcome`].
-fn merge_outcomes(outcomes: &[RestartOutcome], edges: usize, top_k: usize) -> RunOutcome {
+fn merge_outcomes(outcomes: &[RestartOutcome], edges: usize) -> RunOutcome {
     assert!(!outcomes.is_empty());
 
     // Best solution: fewest violations, ties to the lowest restart index.
@@ -381,7 +306,7 @@ fn merge_outcomes(outcomes: &[RestartOutcome], edges: usize, top_k: usize) -> Ru
 
     // Top list: offer every restart's list in restart order; TopSolutions
     // dedups and breaks violation ties by arrival (= restart) order.
-    let mut top = TopSolutions::new(top_k);
+    let mut top = TopSolutions::new(DEFAULT_TOP_K);
     for restart in outcomes {
         for (sol, violations) in &restart.outcome.top_solutions {
             top.insert(sol, *violations);
@@ -432,6 +357,7 @@ mod tests {
     use crate::ils::Ils;
     use crate::sea::Sea;
     use mwsj_datagen::{hard_region_density, Dataset, QueryShape};
+    use mwsj_obs::ObsHandle;
 
     fn hard_instance(seed: u64, shape: QueryShape, n: usize, cardinality: usize) -> Instance {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -498,11 +424,11 @@ mod tests {
     fn portfolio_metrics_are_bit_identical_across_thread_counts() {
         let inst = hard_instance(90, QueryShape::Chain, 4, 300);
         let budget = SearchBudget::iterations(2_000);
-        let run =
-            |threads: usize| {
-                ParallelPortfolio::new(Ils::default(), PortfolioConfig::new(4, threads))
-                    .run_with_obs(&inst, &budget, 1234, &ObsHandle::enabled())
-            };
+        let run = |threads: usize| {
+            let ctx = SearchContext::local(budget).with_obs(ObsHandle::enabled());
+            ParallelPortfolio::new(Ils::default(), PortfolioConfig::new(4, threads))
+                .search(&inst, &ctx, 1234)
+        };
         let sequential = run(1);
         let parallel = run(4);
         assert_eq!(sequential.threads_used, 1);
@@ -630,13 +556,23 @@ mod tests {
     }
 
     #[test]
-    fn auto_cutoff_stays_off_for_step_budgets() {
-        let budget = SearchBudget::iterations(100);
-        assert!(!CutoffPolicy::Auto.armed(&budget));
-        assert!(CutoffPolicy::Always.armed(&budget));
-        let timed = SearchBudget::seconds(1.0);
-        assert!(CutoffPolicy::Auto.armed(&timed));
-        assert!(!CutoffPolicy::Never.armed(&timed));
+    fn any_restart_that_finds_an_exact_solution_publishes_the_bound() {
+        // One pair in 250 overlaps: no restart is seeded with an exact
+        // solution, every restart's generations soon draw one.
+        let mut rng = StdRng::seed_from_u64(96);
+        let datasets: Vec<Dataset> = (0..2)
+            .map(|_| Dataset::uniform(100, 0.1, &mut rng))
+            .collect();
+        let inst = Instance::new(QueryShape::Chain.graph(2), datasets).unwrap();
+        let naive_ga = crate::NaiveGa::new(crate::NaiveGaConfig::default());
+        let outcome = ParallelPortfolio::new(naive_ga, PortfolioConfig::new(2, 1)).run(
+            &inst,
+            &SearchBudget::iterations(200),
+            13,
+        );
+        assert!(outcome.merged.is_exact());
+        assert!(outcome.merged.stats.improvements > 0, "found, not given");
+        assert_eq!(outcome.bound_violations, Some(0));
     }
 
     #[test]

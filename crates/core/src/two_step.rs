@@ -8,14 +8,13 @@
 //! of magnitude, and that for small queries the heuristic alone often
 //! already finds the exact solution, skipping systematic search entirely.
 
-use crate::budget::{SearchBudget, SearchContext, TelemetryConfig};
+use crate::budget::{SearchBudget, SearchContext};
 use crate::ibb::{Ibb, IbbConfig};
 use crate::ils::Ils;
 use crate::instance::Instance;
 use crate::result::{RunOutcome, RunStats};
 use crate::sea::{Sea, SeaConfig};
 use crate::{GilsConfig, IlsConfig};
-use mwsj_obs::ObsHandle;
 use rand::rngs::StdRng;
 
 /// Which heuristic runs in step one.
@@ -57,29 +56,28 @@ impl TwoStepOutcome {
         }
         total
     }
+
+    /// The pipeline as one run: the overall best outcome carrying
+    /// [`TwoStepOutcome::total_stats`] — what [`crate::emit_run_end`]
+    /// reports for a two-step run.
+    pub fn combined(&self) -> RunOutcome {
+        RunOutcome {
+            stats: self.total_stats(),
+            ..self.best.clone()
+        }
+    }
 }
 
 /// The two-step method.
 #[derive(Debug, Clone)]
 pub struct TwoStep {
     config: TwoStepConfig,
-    telemetry: TelemetryConfig,
 }
 
 impl TwoStep {
     /// Creates a two-step pipeline with the given step-one heuristic.
     pub fn new(config: TwoStepConfig) -> Self {
-        TwoStep {
-            config,
-            telemetry: TelemetryConfig::default(),
-        }
-    }
-
-    /// Attaches a live-telemetry configuration applied to both stages
-    /// (progress heartbeats and the stall watchdog run per stage).
-    pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
-        self.telemetry = telemetry;
-        self
+        TwoStep { config }
     }
 
     /// Runs the heuristic, then (unless an exact solution was found) IBB
@@ -90,39 +88,32 @@ impl TwoStep {
         ibb_budget: &SearchBudget,
         rng: &mut StdRng,
     ) -> TwoStepOutcome {
-        self.run_with_obs(instance, ibb_budget, rng, &ObsHandle::disabled())
+        self.search(instance, &SearchContext::local(*ibb_budget), rng)
     }
 
-    /// Like [`TwoStep::run`], additionally reporting both steps through
-    /// `obs`: the heuristic under a "heuristic" phase span, IBB under
-    /// "systematic", with counters, improvement events and stop reasons for
-    /// each step. Both stages run *nested* (they do not emit their own
-    /// `run_end`); the pipeline emits **one** `run_end` describing the
-    /// overall best with the counters summed across both stages.
-    pub fn run_with_obs(
+    /// Runs the pipeline under an explicit [`SearchContext`] whose budget
+    /// is step two's. Both steps report through the context's handle with
+    /// its telemetry (heartbeats and the stall watchdog run per stage): the
+    /// heuristic under a "heuristic" phase span, IBB under "systematic",
+    /// with counters, improvement events and stop reasons for each.
+    pub fn search(
         &self,
         instance: &Instance,
-        ibb_budget: &SearchBudget,
+        ctx: &SearchContext,
         rng: &mut StdRng,
-        obs: &ObsHandle,
     ) -> TwoStepOutcome {
+        let obs = ctx.obs();
         let heuristic = {
             let _phase = obs.timer.span("heuristic");
-            let stage_ctx = |budget: &SearchBudget| {
-                SearchContext::local(*budget)
-                    .with_obs(obs.clone())
-                    .with_telemetry(self.telemetry)
-                    .nested()
-            };
             match &self.config {
                 TwoStepConfig::Ils(cfg, budget) => {
-                    Ils::new(cfg.clone()).search(instance, &stage_ctx(budget), rng)
+                    Ils::new(cfg.clone()).search(instance, &ctx.stage(*budget), rng)
                 }
                 TwoStepConfig::Gils(cfg, budget) => {
-                    crate::Gils::new(cfg.clone()).search(instance, &stage_ctx(budget), rng)
+                    crate::Gils::new(cfg.clone()).search(instance, &ctx.stage(*budget), rng)
                 }
                 TwoStepConfig::Sea(cfg, budget) => {
-                    Sea::new(cfg.clone()).search(instance, &stage_ctx(budget), rng)
+                    Sea::new(cfg.clone()).search(instance, &ctx.stage(*budget), rng)
                 }
             }
         };
@@ -133,23 +124,17 @@ impl TwoStep {
             // systematic search is not performed at all."
             let mut best = heuristic.clone();
             best.proven_optimal = true; // similarity 1 cannot be beaten
-            let outcome = TwoStepOutcome {
+            return TwoStepOutcome {
                 heuristic,
                 systematic: None,
                 best,
             };
-            emit_combined_run_end(obs, instance, &outcome);
-            return outcome;
         }
 
         let ibb = Ibb::new(IbbConfig::with_initial(heuristic.best.clone()));
         let systematic = {
             let _phase = obs.timer.span("systematic");
-            let ctx = SearchContext::local(*ibb_budget)
-                .with_obs(obs.clone())
-                .with_telemetry(self.telemetry)
-                .nested();
-            ibb.search(instance, &ctx)
+            ibb.search(instance, ctx)
         };
 
         let best = if systematic.best_violations <= heuristic.best_violations {
@@ -157,26 +142,12 @@ impl TwoStep {
         } else {
             heuristic.clone()
         };
-        let outcome = TwoStepOutcome {
+        TwoStepOutcome {
             heuristic,
             systematic: Some(systematic),
             best,
-        };
-        emit_combined_run_end(obs, instance, &outcome);
-        outcome
+        }
     }
-}
-
-/// Emits the pipeline's single end-of-run trio (`run_end` last): the overall
-/// best outcome with counters aggregated across both stages (no-op without
-/// a sink).
-fn emit_combined_run_end(obs: &ObsHandle, instance: &Instance, outcome: &TwoStepOutcome) {
-    if !obs.has_sink() {
-        return;
-    }
-    let mut combined = outcome.best.clone();
-    combined.stats = outcome.total_stats();
-    crate::observe::emit_run_end(obs, instance, &combined);
 }
 
 #[cfg(test)]

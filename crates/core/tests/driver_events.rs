@@ -1,43 +1,24 @@
-//! Event-stream contract of the [`mwsj_core`] search driver: every
-//! top-level run emits exactly one `run_end`, every driver-run emits at
-//! most one stop-reason event, and portfolio restarts — including
-//! zero-step ones when `K` exceeds the step budget — always emit their
-//! `restart_start`/`restart_end` pair.
+//! Event-stream contract of [`mwsj_core`]: a run emits what happens inside
+//! it and nothing that frames it — no algorithm or composite emits
+//! `run_start` or the end-of-run trio, which are the caller's
+//! ([`mwsj_core::run_start`], [`mwsj_core::emit_run_end`]) —, every
+//! driver-run emits at most one stop-reason event, and portfolio restarts —
+//! including zero-step ones when `K` exceeds the step budget — always emit
+//! their `restart_start`/`restart_end` pair.
 
+mod common;
+
+use common::{hard_instance, sinked_obs};
 use mwsj_core::{
-    Gils, Ibb, IbbConfig, Ils, IlsConfig, Instance, NaiveGa, NaiveGaConfig, NaiveLocalSearch,
-    ObsHandle, ParallelPortfolio, PortfolioConfig, RunEvent, SaConfig, Sea, SeaConfig,
-    SearchBudget, SearchContext, SimulatedAnnealing, TwoStep, TwoStepConfig, VecSink,
+    emit_run_end, Gils, Ibb, IbbConfig, Ils, IlsConfig, NaiveGa, NaiveGaConfig, NaiveLocalSearch,
+    ParallelPortfolio, PortfolioConfig, RunEvent, SaConfig, Sea, SeaConfig, SearchBudget,
+    SearchContext, SimulatedAnnealing, TwoStep, TwoStepConfig,
 };
-use mwsj_datagen::{hard_region_density, Dataset, QueryShape};
+use mwsj_datagen::QueryShape;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
-/// Hard-region instance with no planted solution, so heuristics run to
-/// budget exhaustion instead of stopping on an exact solution.
-fn hard_instance(seed: u64, n: usize, cardinality: usize) -> Instance {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let shape = QueryShape::Chain;
-    let d = hard_region_density(shape, n, cardinality, 1.0);
-    let datasets: Vec<Dataset> = (0..n)
-        .map(|_| Dataset::uniform(cardinality, d, &mut rng))
-        .collect();
-    Instance::new(shape.graph(n), datasets).unwrap()
-}
-
-fn sinked_obs() -> (Arc<VecSink>, ObsHandle) {
-    let sink = Arc::new(VecSink::new());
-    let obs = ObsHandle::enabled().with_sink(sink.clone());
-    (sink, obs)
-}
-
-fn count_run_ends(events: &[RunEvent]) -> usize {
-    events
-        .iter()
-        .filter(|e| matches!(e, RunEvent::RunEnd { .. }))
-        .count()
-}
+const FRAME_KINDS: [&str; 4] = ["run_start", "explain_report", "resource_report", "run_end"];
 
 fn count_stop_reasons(events: &[RunEvent]) -> usize {
     events
@@ -52,122 +33,126 @@ fn count_stop_reasons(events: &[RunEvent]) -> usize {
 }
 
 #[test]
-fn every_standalone_algorithm_emits_one_run_end_and_at_most_one_stop_reason() {
-    let inst = hard_instance(301, 4, 150);
+fn no_algorithm_or_composite_frames_its_own_run() {
+    let inst = hard_instance(301, QueryShape::Chain, 4, 150);
     let budget = SearchBudget::iterations(120);
+    let two_step = TwoStep::new(TwoStepConfig::Ils(
+        IlsConfig::default(),
+        SearchBudget::iterations(100),
+    ));
+    let portfolio = ParallelPortfolio::new(Ils::default(), PortfolioConfig::new(3, 1));
+    // (name, the run, how many driver-runs it may hold).
     type AlgoRun<'a> = Box<dyn Fn(&SearchContext, &mut StdRng) + 'a>;
-    let algos: Vec<(&str, AlgoRun)> = vec![
+    let algos: Vec<(&str, AlgoRun, usize)> = vec![
         (
             "ILS",
             Box::new(|ctx: &SearchContext, rng: &mut StdRng| {
                 let _ = Ils::new(IlsConfig::default()).search(&inst, ctx, rng);
             }),
+            1,
         ),
         (
             "GILS",
             Box::new(|ctx, rng| {
                 let _ = Gils::default().search(&inst, ctx, rng);
             }),
+            1,
         ),
         (
             "SEA",
             Box::new(|ctx, rng| {
                 let _ = Sea::new(SeaConfig::default_for(&inst)).search(&inst, ctx, rng);
             }),
+            1,
         ),
         (
             "naive-LS",
             Box::new(|ctx, rng| {
                 let _ = NaiveLocalSearch::default().search(&inst, ctx, rng);
             }),
+            1,
         ),
         (
             "naive-GA",
             Box::new(|ctx, rng| {
                 let _ = NaiveGa::new(NaiveGaConfig::default()).search(&inst, ctx, rng);
             }),
+            1,
         ),
         (
             "SA",
             Box::new(|ctx, rng| {
                 let _ = SimulatedAnnealing::new(SaConfig::default()).search(&inst, ctx, rng);
             }),
+            1,
+        ),
+        (
+            "IBB",
+            Box::new(|ctx, _| {
+                let _ = Ibb::new(IbbConfig::new()).search(&inst, ctx);
+            }),
+            1,
+        ),
+        (
+            "two-step",
+            Box::new(|ctx, rng| {
+                let _ = two_step.search(&inst, ctx, rng);
+            }),
+            2,
+        ),
+        (
+            "portfolio",
+            Box::new(|ctx, _| {
+                let _ = portfolio.search(&inst, ctx, 302);
+            }),
+            3,
         ),
     ];
-    for (name, run) in &algos {
+    for (name, run, driver_runs) in &algos {
         let (sink, obs) = sinked_obs();
         let ctx = SearchContext::local(budget).with_obs(obs);
-        let mut rng = StdRng::seed_from_u64(302);
-        run(&ctx, &mut rng);
+        run(&ctx, &mut StdRng::seed_from_u64(302));
         let events = sink.events();
-        assert_eq!(count_run_ends(&events), 1, "{name}: exactly one run_end");
+        assert!(!events.is_empty(), "{name}: the run reports what it does");
+        for event in &events {
+            assert!(!FRAME_KINDS.contains(&event.kind()), "{name}: {event:?}");
+        }
         assert!(
-            count_stop_reasons(&events) <= 1,
-            "{name}: at most one stop-reason event"
+            count_stop_reasons(&events) <= *driver_runs,
+            "{name}: at most one stop-reason event per driver-run"
         );
     }
 }
 
 #[test]
-fn nested_runs_leave_run_end_to_the_composite() {
-    let inst = hard_instance(303, 4, 150);
+fn emit_run_end_frames_a_two_step_run_with_the_counters_of_both_stages() {
+    let inst = hard_instance(303, QueryShape::Clique, 5, 400);
     let (sink, obs) = sinked_obs();
-    let ctx = SearchContext::local(SearchBudget::iterations(80))
-        .with_obs(obs)
-        .nested();
-    let mut rng = StdRng::seed_from_u64(304);
-    let _ = Ils::default().search(&inst, &ctx, &mut rng);
-    assert_eq!(
-        count_run_ends(&sink.events()),
-        0,
-        "nested run must not emit run_end"
-    );
-}
-
-#[test]
-fn ibb_emits_one_run_end() {
-    let inst = hard_instance(305, 3, 60);
-    let (sink, obs) = sinked_obs();
-    let _ = Ibb::new(IbbConfig::new()).run_with_obs(&inst, &SearchBudget::iterations(50), &obs);
-    let events = sink.events();
-    assert_eq!(count_run_ends(&events), 1, "IBB: exactly one run_end");
-    assert!(count_stop_reasons(&events) <= 1);
-}
-
-#[test]
-fn two_step_emits_one_combined_run_end() {
-    let inst = hard_instance(306, 4, 150);
-    let (sink, obs) = sinked_obs();
-    let mut rng = StdRng::seed_from_u64(307);
-    let two = TwoStep::new(TwoStepConfig::Ils(
+    let pipeline = TwoStep::new(TwoStepConfig::Ils(
         IlsConfig::default(),
-        SearchBudget::iterations(100),
+        SearchBudget::iterations(60),
     ));
-    let outcome = two.run_with_obs(&inst, &SearchBudget::iterations(200), &mut rng, &obs);
+    let ctx = SearchContext::local(SearchBudget::iterations(500)).with_obs(obs.clone());
+    let outcome = pipeline.search(&inst, &ctx, &mut StdRng::seed_from_u64(304));
+    assert!(outcome.ran_systematic(), "the hard instance needs IBB");
+    let inside = sink.events().len();
+    emit_run_end(&obs, &inst, &outcome.combined());
+
     let events = sink.events();
-    assert_eq!(
-        count_run_ends(&events),
-        1,
-        "two-step pipeline: one combined run_end"
-    );
-    // Each stage is one driver-run, so at most one stop reason per stage.
-    let stages = 1 + usize::from(outcome.ran_systematic());
-    assert!(count_stop_reasons(&events) <= stages);
-    // The combined event carries the counters summed across both stages.
+    let kinds: Vec<&str> = events[inside..].iter().map(RunEvent::kind).collect();
+    assert_eq!(kinds, ["explain_report", "resource_report", "run_end"]);
+    // `run_end` is the overall best over the block summed across stages.
     let total = outcome.total_stats();
-    let end = events
-        .iter()
-        .find(|e| matches!(e, RunEvent::RunEnd { .. }))
-        .unwrap();
-    if let RunEvent::RunEnd {
-        steps,
-        node_accesses,
-        ..
-    } = end
-    {
-        assert_eq!(*steps, total.steps);
-        assert_eq!(*node_accesses, total.node_accesses);
-    }
+    assert_eq!(
+        total.steps,
+        outcome.heuristic.stats.steps + outcome.systematic.as_ref().unwrap().stats.steps
+    );
+    let expected = total.run_end(
+        outcome.best.best_violations,
+        outcome.best.best_similarity,
+        outcome.best.proven_optimal,
+    );
+    assert_eq!(events.last(), Some(&expected));
 }
 
 #[test]
@@ -175,10 +160,11 @@ fn portfolio_with_more_restarts_than_steps_emits_all_restart_pairs() {
     // K = 5 restarts sharing a 3-step budget: `SearchBudget::split` hands
     // the last two restarts zero steps. They must still run, emit their
     // `restart_start`/`restart_end` pair, and merge cleanly.
-    let inst = hard_instance(308, 4, 120);
+    let inst = hard_instance(308, QueryShape::Chain, 4, 120);
     let (sink, obs) = sinked_obs();
     let portfolio = ParallelPortfolio::new(Ils::default(), PortfolioConfig::new(5, 1));
-    let outcome = portfolio.run_with_obs(&inst, &SearchBudget::iterations(3), 309, &obs);
+    let ctx = SearchContext::local(SearchBudget::iterations(3)).with_obs(obs);
+    let outcome = portfolio.search(&inst, &ctx, 309);
 
     let events = sink.events();
     let starts: Vec<u64> = events
@@ -208,8 +194,6 @@ fn portfolio_with_more_restarts_than_steps_emits_all_restart_pairs() {
         "restart steps sum to the total budget"
     );
 
-    // One merged run_end for the whole portfolio, none per restart.
-    assert_eq!(count_run_ends(&events), 1);
     assert_eq!(outcome.merged.stats.steps, 3);
     assert_eq!(outcome.restarts.len(), 5);
     // Zero-step restarts still produce a (random fallback) outcome.

@@ -2,9 +2,12 @@
 //! account its R*-tree node accesses in [`mwsj_core::RunStats`] and flush
 //! its counters into an enabled metrics registry.
 
+mod common;
+
+use common::{hard_instance, sinked_obs};
 use mwsj_core::{
     metric, Gils, Ibb, IbbConfig, Ils, ObsHandle, Pjm, RunEvent, Sea, SeaConfig, SearchBudget,
-    SearchContext, SynchronousTraversal, TwoStep, TwoStepConfig, VecSink, WindowReduction,
+    SearchContext, SynchronousTraversal, TwoStep, TwoStepConfig, WindowReduction,
 };
 use mwsj_core::{IlsConfig, Instance};
 use mwsj_datagen::{hard_region_density, plant_solution, Dataset, QueryShape};
@@ -12,7 +15,6 @@ use mwsj_geom::Predicate;
 use mwsj_query::QueryGraphBuilder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 fn planted_instance(seed: u64, shape: QueryShape, n: usize, cardinality: usize) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -23,17 +25,6 @@ fn planted_instance(seed: u64, shape: QueryShape, n: usize, cardinality: usize) 
     let graph = shape.graph(n);
     plant_solution(&mut datasets, &graph, &mut rng);
     Instance::new(graph, datasets).unwrap()
-}
-
-/// Hard-region instance with *no* planted solution: heuristics reliably
-/// run to budget exhaustion instead of terminating on an exact solution.
-fn hard_instance(seed: u64, shape: QueryShape, n: usize, cardinality: usize) -> Instance {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let d = hard_region_density(shape, n, cardinality, 1.0);
-    let datasets: Vec<Dataset> = (0..n)
-        .map(|_| Dataset::uniform(cardinality, d, &mut rng))
-        .collect();
-    Instance::new(shape.graph(n), datasets).unwrap()
 }
 
 #[test]
@@ -105,8 +96,7 @@ fn pjm_counts_accesses_on_the_generic_predicate_path() {
 #[test]
 fn enabled_registry_receives_flushed_counters_and_events() {
     let inst = hard_instance(204, QueryShape::Chain, 4, 200);
-    let sink = Arc::new(VecSink::new());
-    let obs = ObsHandle::enabled().with_sink(sink.clone());
+    let (sink, obs) = sinked_obs();
     let ctx = SearchContext::local(SearchBudget::iterations(400)).with_obs(obs.clone());
     let mut rng = StdRng::seed_from_u64(205);
     let outcome = Ils::default().search(&inst, &ctx, &mut rng);

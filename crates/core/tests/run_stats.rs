@@ -2,28 +2,22 @@
 //! reports itself. These tests hold the three to each other — the sum is
 //! a commutative monoid, the `metrics` event of any run (single, two-stage,
 //! portfolio) is the name table applied to the run's block, and `run_end`
-//! is built from the same block for searches and exact joins alike.
+//! is built from the same block for searches (`driver_events.rs`) and
+//! exact joins alike.
 
+mod common;
+
+use common::hard_instance;
 use mwsj_core::{
     metric, AccessProfile, CacheStats, Ibb, IbbConfig, Ils, IlsConfig, Instance, MetricsSnapshot,
     ObsHandle, ParallelPortfolio, PortfolioConfig, RunEvent, RunStats, SearchBudget, SearchContext,
-    TwoStep, TwoStepConfig, VarCacheStats, VecSink, WindowReduction,
+    TwoStep, TwoStepConfig, VarCacheStats, WindowReduction,
 };
-use mwsj_datagen::{hard_region_density, Dataset, QueryShape};
+use mwsj_datagen::{Dataset, QueryShape};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use std::time::Duration;
-
-fn hard_instance(seed: u64, shape: QueryShape, n: usize, cardinality: usize) -> Instance {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let d = hard_region_density(shape, n, cardinality, 1.0);
-    let datasets: Vec<Dataset> = (0..n)
-        .map(|_| Dataset::uniform(cardinality, d, &mut rng))
-        .collect();
-    Instance::new(shape.graph(n), datasets).unwrap()
-}
 
 fn arb_stats() -> impl Strategy<Value = RunStats> {
     let counts = prop::collection::vec(0u64..1_000_000, 6);
@@ -187,18 +181,13 @@ fn a_single_run_reports_its_own_block() {
 #[test]
 fn two_stages_sharing_one_handle_sum_their_blocks() {
     let inst = hard_instance(303, QueryShape::Clique, 5, 400);
-    let sink = Arc::new(VecSink::new());
-    let obs = ObsHandle::enabled().with_sink(sink.clone());
+    let obs = ObsHandle::enabled();
     let pipeline = TwoStep::new(TwoStepConfig::Ils(
         IlsConfig::default(),
         SearchBudget::iterations(60),
     ));
-    let outcome = pipeline.run_with_obs(
-        &inst,
-        &SearchBudget::iterations(500),
-        &mut StdRng::seed_from_u64(304),
-        &obs,
-    );
+    let ctx = SearchContext::local(SearchBudget::iterations(500)).with_obs(obs.clone());
+    let outcome = pipeline.search(&inst, &ctx, &mut StdRng::seed_from_u64(304));
     assert!(outcome.ran_systematic(), "the hard instance needs IBB");
     let total = outcome.total_stats();
     assert_eq!(
@@ -206,18 +195,6 @@ fn two_stages_sharing_one_handle_sum_their_blocks() {
         outcome.heuristic.stats.steps + outcome.systematic.as_ref().unwrap().stats.steps
     );
     assert_metrics_are_the_name_table(&obs.metrics.snapshot(), &total, 2);
-    // The pipeline's one `run_end` is built from the same summed block.
-    let ends: Vec<RunEvent> = sink
-        .events()
-        .into_iter()
-        .filter(|e| matches!(e, RunEvent::RunEnd { .. }))
-        .collect();
-    let expected = total.run_end(
-        outcome.best.best_violations,
-        outcome.best.best_similarity,
-        outcome.best.proven_optimal,
-    );
-    assert_eq!(ends, [expected]);
 }
 
 #[test]
@@ -225,12 +202,9 @@ fn a_portfolio_reports_the_merged_block_on_any_thread_count() {
     let inst = hard_instance(305, QueryShape::Chain, 4, 300);
     let budget = SearchBudget::iterations(2_000);
     let run = |threads: usize| {
-        ParallelPortfolio::new(Ils::default(), PortfolioConfig::new(4, threads)).run_with_obs(
-            &inst,
-            &budget,
-            306,
-            &ObsHandle::enabled(),
-        )
+        let ctx = SearchContext::local(budget).with_obs(ObsHandle::enabled());
+        ParallelPortfolio::new(Ils::default(), PortfolioConfig::new(4, threads))
+            .search(&inst, &ctx, 306)
     };
     let (one, two) = (run(1), run(2));
     assert_eq!((one.threads_used, two.threads_used), (1, 2));

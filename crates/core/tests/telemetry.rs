@@ -5,33 +5,17 @@
 //! distinct `stall_aborted` stop reason, GILS surfaces its stagnation
 //! reseed as an event, and none of it perturbs search counters.
 
+mod common;
+
+use common::{hard_instance, sinked_obs};
 use mwsj_core::{
-    Gils, GilsConfig, Ils, IlsConfig, Instance, ObsHandle, RunEvent, RunOutcome, SearchBudget,
-    SearchContext, TelemetryConfig, VecSink,
+    Gils, GilsConfig, Ils, IlsConfig, Instance, RunEvent, RunOutcome, SearchBudget, SearchContext,
+    TelemetryConfig,
 };
-use mwsj_datagen::{hard_region_density, Dataset, QueryShape};
+use mwsj_datagen::{Dataset, QueryShape};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
-
-/// Hard-region instance with no planted solution, so heuristics run to
-/// budget exhaustion instead of stopping on an exact solution.
-fn hard_instance(seed: u64, n: usize, cardinality: usize) -> Instance {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let shape = QueryShape::Chain;
-    let d = hard_region_density(shape, n, cardinality, 1.0);
-    let datasets: Vec<Dataset> = (0..n)
-        .map(|_| Dataset::uniform(cardinality, d, &mut rng))
-        .collect();
-    Instance::new(shape.graph(n), datasets).unwrap()
-}
-
-fn sinked_obs() -> (Arc<VecSink>, ObsHandle) {
-    let sink = Arc::new(VecSink::new());
-    let obs = ObsHandle::enabled().with_sink(sink.clone());
-    (sink, obs)
-}
 
 /// A GILS that is structurally glued to its first local maximum: λ = 0
 /// makes punishment weightless (no downhill moves ever) and
@@ -52,7 +36,7 @@ fn run_ils(inst: &Instance, budget: u64, seed: u64, ctx: SearchContext) -> RunOu
 
 #[test]
 fn progress_events_follow_step_indexed_cadence() {
-    let inst = hard_instance(901, 4, 150);
+    let inst = hard_instance(901, QueryShape::Chain, 4, 150);
     let (sink, obs) = sinked_obs();
     let telemetry = TelemetryConfig {
         progress_every: Some(50),
@@ -103,7 +87,7 @@ fn progress_events_follow_step_indexed_cadence() {
 fn progress_requires_a_sink() {
     // Without a sink the watch state must not arm progress (it could not
     // emit anywhere); the run works normally.
-    let inst = hard_instance(903, 4, 120);
+    let inst = hard_instance(903, QueryShape::Chain, 4, 120);
     let telemetry = TelemetryConfig {
         progress_every: Some(10),
         ..TelemetryConfig::default()
@@ -115,7 +99,7 @@ fn progress_requires_a_sink() {
 
 #[test]
 fn progress_emission_never_perturbs_search_counters() {
-    let inst = hard_instance(905, 4, 200);
+    let inst = hard_instance(905, QueryShape::Chain, 4, 200);
     let budget = SearchBudget::iterations(400);
 
     let plain = {
@@ -154,7 +138,7 @@ fn progress_emission_never_perturbs_search_counters() {
 
 #[test]
 fn stalled_run_emits_one_stall_detected_per_episode() {
-    let inst = hard_instance(907, 4, 150);
+    let inst = hard_instance(907, QueryShape::Chain, 4, 150);
     let (sink, obs) = sinked_obs();
     let telemetry = TelemetryConfig {
         stall_window_steps: Some(100),
@@ -201,7 +185,7 @@ fn stalled_run_emits_one_stall_detected_per_episode() {
 
 #[test]
 fn stall_abort_stops_the_run_with_a_distinct_stop_reason() {
-    let inst = hard_instance(907, 4, 150);
+    let inst = hard_instance(907, QueryShape::Chain, 4, 150);
     let (sink, obs) = sinked_obs();
     let telemetry = TelemetryConfig {
         stall_window_steps: Some(100),
@@ -237,19 +221,50 @@ fn stall_abort_stops_the_run_with_a_distinct_stop_reason() {
             .any(|e| matches!(e, RunEvent::StallDetected { .. })),
         "the abort is preceded by its detection event"
     );
+}
+
+#[test]
+fn a_step_that_improves_is_not_a_stalled_step() {
+    // Dense data: the first step of the climb already reaches an exact
+    // solution. A window of one step must not fire on it — the watchdog
+    // counts completed steps without improvement, not the step under way.
+    let mut rng = StdRng::seed_from_u64(915);
+    let datasets: Vec<Dataset> = (0..2)
+        .map(|_| Dataset::uniform(2_000, 0.3, &mut rng))
+        .collect();
+    let inst = Instance::new(QueryShape::Chain.graph(2), datasets).unwrap();
+    let (sink, obs) = sinked_obs();
+    let telemetry = TelemetryConfig {
+        stall_window_steps: Some(1),
+        stall_abort: true,
+        ..TelemetryConfig::default()
+    };
+    let ctx = SearchContext::local(SearchBudget::iterations(100))
+        .with_obs(obs)
+        .with_telemetry(telemetry);
+    let outcome = run_ils(&inst, 100, 916, ctx);
+    assert!(outcome.is_exact());
+    assert!(outcome.stats.steps > 0, "the seed was not exact already");
+    let events = sink.events();
     assert_eq!(
-        events
-            .iter()
-            .filter(|e| matches!(e, RunEvent::RunEnd { .. }))
-            .count(),
-        1,
-        "an aborted run still finishes cleanly with one run_end"
+        events.last().map(RunEvent::kind),
+        Some("improvement"),
+        "the run ends on the improving step: {events:?}"
     );
+    for event in &events {
+        assert!(
+            !matches!(
+                event,
+                RunEvent::StallDetected { .. } | RunEvent::StallAborted { .. }
+            ),
+            "{event:?}"
+        );
+    }
 }
 
 #[test]
 fn stall_abort_works_without_a_sink() {
-    let inst = hard_instance(909, 4, 150);
+    let inst = hard_instance(909, QueryShape::Chain, 4, 150);
     let telemetry = TelemetryConfig {
         stall_window_steps: Some(100),
         stall_abort: true,
@@ -266,7 +281,7 @@ fn stall_abort_works_without_a_sink() {
 
 #[test]
 fn gils_stagnation_reseed_is_surfaced_as_an_event() {
-    let inst = hard_instance(911, 4, 150);
+    let inst = hard_instance(911, QueryShape::Chain, 4, 150);
     let (sink, obs) = sinked_obs();
     let ctx = SearchContext::local(SearchBudget::iterations(2_000)).with_obs(obs);
     let mut rng = StdRng::seed_from_u64(912);
@@ -311,7 +326,7 @@ proptest! {
         every in 1u64..40,
         seed in 0u64..1_000,
     ) {
-        let inst = hard_instance(913, 3, 80);
+        let inst = hard_instance(913, QueryShape::Chain, 3, 80);
         let (sink, obs) = sinked_obs();
         let telemetry = TelemetryConfig {
             progress_every: Some(every),

@@ -46,13 +46,12 @@ pub use mwsj_rtree as rtree;
 /// Convenient glob-import surface: `use mwsj::prelude::*;`.
 pub mod prelude {
     pub use mwsj_core::{
-        derive_seed, find_best_value, AnytimeSearch, BestValue, CutoffPolicy, ExactJoinOutcome,
-        Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance, InstanceError, NaiveGa,
-        NaiveGaConfig, NaiveLocalSearch, PairwiseJoin, ParallelPortfolio, Pjm, PortfolioConfig,
-        PortfolioOutcome, RestartOutcome, RunOutcome, RunStats, SaConfig, Sea, SeaConfig,
-        SearchBudget, SearchContext, SharedSearchState, SimulatedAnnealing, SynchronousTraversal,
-        TelemetryConfig, TopSolutions, TracePoint, TwoStep, TwoStepConfig, TwoStepOutcome,
-        WindowReduction,
+        derive_seed, find_best_value, AnytimeSearch, BestValue, ExactJoinOutcome, Gils, GilsConfig,
+        Ibb, IbbConfig, Ils, IlsConfig, Instance, InstanceError, NaiveGa, NaiveGaConfig,
+        NaiveLocalSearch, PairwiseJoin, ParallelPortfolio, Pjm, PortfolioConfig, PortfolioOutcome,
+        RestartOutcome, RunOutcome, RunStats, SaConfig, Sea, SeaConfig, SearchBudget,
+        SearchContext, SimulatedAnnealing, SynchronousTraversal, TelemetryConfig, TopSolutions,
+        TracePoint, TwoStep, TwoStepConfig, TwoStepOutcome, WindowReduction,
     };
     pub use mwsj_datagen::{
         hard_region_density, Dataset, DatasetSpec, Distribution, QueryShape, Workload, WorkloadSpec,

@@ -1,15 +1,16 @@
 //! Tier-1 guard of the run-event stream: what a search writes as JSON
 //! Lines must read back, through the derived typed reader, as exactly the
 //! events it emitted — every field, measured wall-clock ones included,
-//! bit for bit — and a top-level run ends with exactly one `run_end`.
+//! bit for bit — what the run emits inside and the frame
+//! ([`mwsj::core::emit_run_end`]) its caller closes it with alike.
 //!
 //! The rest of the observability tests live in `crates/obs` and
 //! `crates/cli` and only run under `--workspace`; this one runs with the
 //! root package so a writer/reader drift fails the tier-1 gate.
 
 use mwsj::core::{
-    EventSink, FanoutSink, JsonlSink, ObsHandle, ParallelPortfolio, PortfolioConfig, RunEvent,
-    VecSink,
+    emit_run_end, EventSink, FanoutSink, JsonlSink, ObsHandle, ParallelPortfolio, PortfolioConfig,
+    RunEvent, VecSink,
 };
 use mwsj::datagen::plant_solution;
 use mwsj::prelude::*;
@@ -69,7 +70,7 @@ fn assert_stream_round_trips(search: impl FnOnce(&ObsHandle)) {
         .iter()
         .filter(|e| matches!(e, RunEvent::RunEnd { .. }))
         .count();
-    assert_eq!(run_ends, 1, "exactly one run_end per top-level run");
+    assert_eq!(run_ends, 1, "the caller's one run_end");
     assert!(
         matches!(events.last(), Some(RunEvent::RunEnd { .. })),
         "run_end closes the stream"
@@ -85,7 +86,8 @@ fn ils_stream_reads_back_as_emitted() {
     assert_stream_round_trips(|obs| {
         let ctx = SearchContext::local(SearchBudget::iterations(4_000)).with_obs(obs.clone());
         let mut rng = StdRng::seed_from_u64(911);
-        Ils::new(IlsConfig::default()).search(&inst, &ctx, &mut rng);
+        let outcome = Ils::new(IlsConfig::default()).search(&inst, &ctx, &mut rng);
+        emit_run_end(obs, &inst, &outcome);
     });
 }
 
@@ -96,12 +98,9 @@ fn two_restart_portfolio_stream_reads_back_as_emitted() {
         // One worker thread: the two sinks then see the same event order.
         let portfolio =
             ParallelPortfolio::new(Ils::new(IlsConfig::default()), PortfolioConfig::new(2, 1));
-        let outcome = portfolio.run_with_obs(
-            &inst,
-            &SearchBudget::iterations(4_000),
-            0xDEAD_BEEF_F00D,
-            obs,
-        );
+        let ctx = SearchContext::local(SearchBudget::iterations(4_000)).with_obs(obs.clone());
+        let outcome = portfolio.search(&inst, &ctx, 0xDEAD_BEEF_F00D);
         assert_eq!(outcome.restarts.len(), 2);
+        emit_run_end(obs, &inst, &outcome.merged);
     });
 }

@@ -94,17 +94,14 @@ fn progress_events_are_bit_identical_across_thread_counts() {
     let telemetered_run = |threads: usize| {
         let sink = Arc::new(VecSink::new());
         let obs = ObsHandle::enabled().with_sink(sink.clone());
-        let mut config = PortfolioConfig::new(4, threads);
-        config.telemetry = TelemetryConfig {
-            progress_every: Some(100),
-            ..TelemetryConfig::default()
-        };
-        ParallelPortfolio::new(Ils::new(IlsConfig::default()), config).run_with_obs(
-            &inst,
-            &SearchBudget::iterations(3_000),
-            4242,
-            &obs,
-        );
+        let ctx = SearchContext::local(SearchBudget::iterations(3_000))
+            .with_obs(obs)
+            .with_telemetry(TelemetryConfig {
+                progress_every: Some(100),
+                ..TelemetryConfig::default()
+            });
+        let config = PortfolioConfig::new(4, threads);
+        ParallelPortfolio::new(Ils::new(IlsConfig::default()), config).search(&inst, &ctx, 4242);
         // Canonical order: threads interleave arbitrarily in the sink, so
         // sort by (restart, step); within a restart steps are unique.
         let mut rows: Vec<ProgressRow> = sink
