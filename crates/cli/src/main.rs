@@ -136,7 +136,13 @@ USAGE:
   mwsj join --data FILE [--data FILE]... --query SPEC [--algo wr|st|pjm] [--limit K] [--seconds S]
             [--backend rtree|grid] [--grid-threads T] [--metrics-out FILE]
                                             --algo st descends the R*-trees and ignores
-                                            --backend; it takes overlap queries only
+                                            --backend; it takes overlap queries only.
+                                            No exact join fans out: --grid-threads is
+                                            accepted and changes nothing here.
+                                            Solutions print in the algorithm's own
+                                            enumeration order (deterministic; it differs
+                                            between algorithms and backends and is not
+                                            sorted); --limit K keeps its first K
   mwsj explain --data FILE [--data FILE]... --query SPEC [--backend rtree|grid] [--metrics-out FILE]
                                             pre-run cost & selectivity report, no solving:
                                             per-edge selectivity estimates (with exact

@@ -705,9 +705,11 @@ fn within_epsilon_must_be_a_finite_distance() {
     }
 }
 
-/// The grid's canonical enumeration order is pinned: WR and PJM under
-/// `--limit` print the tuples (and count the accesses) they printed when
-/// grid cells were scanned whole, in item order.
+/// Each algorithm's enumeration order on the grid is deterministic and
+/// `--limit` keeps a prefix of it: WR (leaf order of the first variable,
+/// then the grid's `(cell, object)` order per window query) and PJM (the
+/// cell-pair join's order, then the same) print these tuples and count
+/// these accesses.
 #[test]
 fn grid_joins_print_the_pinned_first_tuples() {
     let dir = temp_dir("gridpinned");
@@ -717,15 +719,16 @@ fn grid_joins_print_the_pinned_first_tuples() {
     let pinned = [
         (
             "wr",
-            "(7 node accesses)\n  (r1,249, r2,2, r3,986)\n  (r1,249, r2,2, r3,990)\n  \
-             (r1,611, r2,2, r3,986)\n  (r1,611, r2,2, r3,990)\n  (r1,1386, r2,2, r3,986)\n  \
-             (r1,1386, r2,2, r3,990)\n",
+            "(8 node accesses)\n  (r1,1158, r2,625, r3,1590)\n  (r1,180, r2,1323, r3,614)\n  \
+             (r1,180, r2,1323, r3,1530)\n  (r1,180, r2,1323, r3,1780)\n  \
+             (r1,180, r2,1323, r3,1861)\n  (r1,400, r2,1323, r3,614)\n",
         ),
         (
             "pjm",
-            "(8420 node accesses)\n  (r1,1, r2,503, r3,435)\n  (r1,1, r2,503, r3,1150)\n  \
-             (r1,1, r2,503, r3,1591)\n  (r1,2, r2,155, r3,351)\n  (r1,2, r2,155, r3,1296)\n  \
-             (r1,2, r2,155, r3,1330)\n",
+            "(5950 node accesses)\n  (r1,1153, r2,1568, r3,1436)\n  \
+             (r1,1153, r2,1568, r3,1746)\n  (r1,1419, r2,1031, r3,62)\n  \
+             (r1,1419, r2,1031, r3,1436)\n  (r1,1419, r2,1031, r3,1746)\n  \
+             (r1,1153, r2,1031, r3,62)\n",
         ),
     ];
     for (algo, tail) in pinned {

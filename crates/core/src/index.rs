@@ -8,8 +8,10 @@
 //! join of two whole datasets, is the third entry point ([`first_pair`]).
 //!
 //! Each is answered by the instance's selected [`BackendKind`]: the
-//! R*-tree through the two traversals of [`mwsj_rtree::multiwindow`], the
-//! uniform grid through the two kernels of [`mwsj_rtree::grid`]. Every
+//! R*-tree through the two traversals of [`mwsj_rtree::multiwindow`] and
+//! the synchronous join of [`crate::pairwise`], the uniform grid through the
+//! three kernels of [`mwsj_rtree::grid`] (best entry, candidates, cell-pair
+//! join). Every
 //! `match` on the backend is in this file; the algorithms above it never
 //! see which index they run on. (Synchronous traversal is not a question
 //! to an index but a descent of the trees themselves, which every instance
@@ -129,16 +131,16 @@ pub(crate) fn candidates(
 }
 
 /// PJM's first pair: every `[a, b]` with `a` an object of `v0`, `b` one of
-/// `v1` and `a pred b`, ordered by `a` ascending and, for one `a`, in
-/// [`candidates`] order.
+/// `v1` and `a pred b`, in the deterministic order of the join that
+/// produced it.
 ///
-/// On the R*-tree an overlap join is the synchronous [`PairwiseJoin`] of
-/// the two trees. Everything else is an index-nested-loop: each object of
-/// `v0` probes `v1`'s index with the transposed predicate. On the grid
-/// with `grid_threads() > 1` the probes fan out over scoped worker
-/// threads; the result is merged back in `v0`-object order and the
-/// per-probe access counts are summed, so both the pair list and
-/// `node_accesses` are bit-identical to the sequential run (DESIGN.md §5j).
+/// An overlap join on the R*-tree is the synchronous [`PairwiseJoin`] of
+/// the two trees. On the grid, the three predicates that imply intersection
+/// are the cell-pair join of the two grids ([`grid::join`]). Everything
+/// else is an index-nested-loop: each object of `v0`, in leaf order (no
+/// order is promised, and consecutive leaves are spatial neighbours, so
+/// consecutive probes walk the same part of `v1`'s index), probes `v1`'s
+/// index with the transposed predicate.
 pub(crate) fn first_pair(
     instance: &Instance,
     v0: VarId,
@@ -146,58 +148,29 @@ pub(crate) fn first_pair(
     pred: Predicate,
     node_accesses: &mut u64,
 ) -> Vec<Vec<usize>> {
-    let backend = instance.backend();
-    if backend == BackendKind::RTree && pred == Predicate::Intersects {
-        let join = PairwiseJoin::join(instance.tree(v0), instance.tree(v1));
-        *node_accesses += join.node_accesses;
-        return join
-            .pairs
-            .into_iter()
-            .map(|(a, b)| vec![a as usize, b as usize])
-            .collect();
-    }
-
-    let probe = |a: usize, w: Rect, accesses: &mut u64| {
-        candidates(instance, v1, &[(pred.transpose(), w)], 1, accesses, &mut [])
-            .into_iter()
-            .map(move |(b, _)| vec![a, b])
-    };
-    let n = instance.cardinality(v0);
-    let threads = match backend {
-        BackendKind::RTree => 1,
-        BackendKind::Grid => instance.grid_threads().min(n),
-    };
+    use Predicate::{Contains, Inside, Intersects};
     let mut out = Vec::new();
-    if threads <= 1 {
-        for (a, w) in instance.scan(v0) {
-            out.extend(probe(a, w, node_accesses));
+    match (instance.backend(), pred) {
+        (BackendKind::RTree, Intersects) => {
+            let join = PairwiseJoin::join(instance.tree(v0), instance.tree(v1));
+            *node_accesses += join.node_accesses;
+            let pairs = join.pairs.into_iter();
+            out.extend(pairs.map(|(a, b)| vec![a as usize, b as usize]));
         }
-        return out;
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    // (probe object, its pair rows, its cell accesses) per finished probe.
-    type ProbeResult = (usize, Vec<Vec<usize>>, u64);
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<ProbeResult>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let a = next.fetch_add(1, Ordering::Relaxed);
-                if a >= n {
-                    break;
-                }
-                let mut accesses = 0u64;
-                let rows = probe(a, instance.rect(v0, a), &mut accesses).collect();
-                done.lock().expect("probe mutex").push((a, rows, accesses));
-            });
+        (BackendKind::Grid, Intersects | Contains | Inside) => grid::join(
+            instance.grid(v0),
+            instance.grid(v1),
+            pred,
+            node_accesses,
+            |a, b| out.push(vec![a as usize, b as usize]),
+        ),
+        _ => {
+            for (&a, w) in instance.objects(v0).iter().zip(instance.rects(v0)) {
+                let window = [(pred.transpose(), *w)];
+                let hits = candidates(instance, v1, &window, 1, node_accesses, &mut []);
+                out.extend(hits.into_iter().map(|(b, _)| vec![a as usize, b]));
+            }
         }
-    });
-    let mut done = done.into_inner().expect("probe mutex");
-    done.sort_unstable_by_key(|&(a, _, _)| a);
-    for (_, rows, accesses) in done {
-        *node_accesses += accesses;
-        out.extend(rows);
     }
     out
 }
@@ -312,25 +285,35 @@ mod tests {
             .sum::<u64>()
     }
 
-    /// The index-nested-loop first pair under every predicate: on the
-    /// R*-tree, tuples ordered by `v0` object and then by leaf position,
-    /// and one access per node entered, root included — the order and the
-    /// count of the depth-first iterator the walk replaced; on the grid the
-    /// same set, at any thread count the same list and count.
+    /// The first pair under every predicate. The index-nested-loop on the
+    /// R*-tree: tuples ordered by `v0` leaf position and then by `v1` leaf
+    /// position, and one access per node entered, root included — the
+    /// order and the count of a depth-first window query per object. On the
+    /// grid the same set, every pair once.
     #[test]
-    fn nested_loop_first_pair_keeps_its_order_and_its_accesses() {
-        let [rtree, grid] = both_backends(93, 300, 0.4);
+    fn first_pair_keeps_its_order_and_its_accesses() {
+        // The second dataset is the first with every other rectangle grown
+        // and the rest shrunk, so that containment has pairs to find.
+        let first = Dataset::uniform(300, 0.4, &mut StdRng::seed_from_u64(93));
+        let resized = first.rects().iter().zip(0..).map(|(r, i)| {
+            let scale = if i % 2 == 0 { 1.5 } else { 0.5 };
+            Rect::from_center(r.center(), scale * r.width(), scale * r.height())
+        });
+        let second: Vec<Rect> = resized.collect();
+        let rtree = Instance::new(QueryGraph::chain(2), [first.rects(), &second[..]]).unwrap();
+        let grid = rtree.clone().with_backend(BackendKind::Grid);
         for pred in PREDICATES {
             let (mut expected, mut visited) = (Vec::new(), 0);
-            for (a, w) in rtree.scan(0) {
+            for (&a, w) in rtree.objects(0).iter().zip(rtree.rects(0)) {
                 let to_a = pred.transpose();
-                visited += nodes_entered(rtree.tree(1).root_node(), to_a, &w);
+                visited += nodes_entered(rtree.tree(1).root_node(), to_a, w);
                 let hits = rtree.rects(1).iter().zip(rtree.objects(1));
                 expected.extend(
-                    hits.filter(|(r, _)| to_a.eval(r, &w))
-                        .map(|(_, &b)| vec![a, b as usize]),
+                    hits.filter(|(r, _)| to_a.eval(r, w))
+                        .map(|(_, &b)| vec![a as usize, b as usize]),
                 );
             }
+            assert!(!expected.is_empty(), "{pred} matched nothing");
             for (a, b) in expected.iter().map(|t| (t[0], t[1])) {
                 assert!(pred.eval(&rtree.rect(0, a), &rtree.rect(1, b)), "{pred}");
             }
@@ -342,20 +325,11 @@ mod tests {
             }
 
             let mut cells = 0;
-            let on_grid = first_pair(&grid, 0, 1, pred, &mut cells);
-            let mut cells_t3 = 0;
-            let fanned = first_pair(
-                &grid.clone().with_grid_threads(3),
-                0,
-                1,
-                pred,
-                &mut cells_t3,
-            );
-            assert_eq!((&on_grid, cells), (&fanned, cells_t3), "{pred}");
-            let mut sorted = on_grid;
-            sorted.sort();
+            let mut on_grid = first_pair(&grid, 0, 1, pred, &mut cells);
+            assert!(cells > 0, "{pred}");
+            on_grid.sort();
             expected.sort();
-            assert_eq!(sorted, expected, "{pred} on the grid");
+            assert_eq!(on_grid, expected, "{pred} on the grid");
         }
     }
 }

@@ -219,9 +219,10 @@ impl Instance {
         self
     }
 
-    /// Sets the worker-thread count for intra-query grid parallelism
-    /// (builder style). Clamped to at least 1; query results and access
-    /// counters are bit-identical at any setting (DESIGN.md §5j).
+    /// Sets the worker-thread count for intra-query grid parallelism — the
+    /// cells of one *find best value* call (builder style). Clamped to at
+    /// least 1; query results and access counters are bit-identical at any
+    /// setting (DESIGN.md §5j).
     pub fn with_grid_threads(mut self, threads: usize) -> Self {
         self.grid_threads = threads.max(1);
         self

@@ -21,101 +21,120 @@ pub struct PairwiseJoin {
 impl PairwiseJoin {
     /// Joins two R-trees on MBR intersection.
     pub fn join(left: &RTree<u32>, right: &RTree<u32>) -> PairwiseJoin {
-        let mut result = PairwiseJoin::default();
+        let mut join = Join::default();
         if left.is_empty() || right.is_empty() {
-            return result;
+            return join.out;
         }
-        result.node_accesses = 2;
-        join_rec(
-            Cursor::Node(left.root_node()),
-            Cursor::Node(right.root_node()),
-            &mut result,
+        join.out.node_accesses = 2;
+        join.pair(
+            Cursor::Node(left.root_node(), left.bounding_box()),
+            Cursor::Node(right.root_node(), right.bounding_box()),
         );
-        result
+        join.out
     }
 }
 
-/// Either a subtree still being descended or an already-fixed data object
-/// (needed when the two trees have different heights).
+/// Either a subtree still being descended, with its MBR — the rectangle of
+/// the entry that led to it, the tree's bounding box for a root — or an
+/// already-fixed data object (needed when the two trees have different
+/// heights).
+#[derive(Clone, Copy)]
 enum Cursor<'a> {
-    Node(NodeRef<'a, u32>),
+    Node(NodeRef<'a, u32>, Rect),
     Data(u32, &'a Rect),
 }
 
-fn join_rec(a: Cursor<'_>, b: Cursor<'_>, out: &mut PairwiseJoin) {
-    match (a, b) {
-        (Cursor::Data(va, ra), Cursor::Data(vb, rb)) => {
-            if ra.intersects(rb) {
-                out.pairs.push((va, vb));
+/// One join in progress: its output, and the entry positions that survived
+/// the restriction of every node pair on the current descent path (a stack:
+/// a node pair pushes its two lists and pops them when it is done, so the
+/// whole join allocates only while this grows).
+#[derive(Default)]
+struct Join {
+    out: PairwiseJoin,
+    survivors: Vec<u32>,
+}
+
+impl Join {
+    fn pair(&mut self, a: Cursor<'_>, b: Cursor<'_>) {
+        match (a, b) {
+            (Cursor::Data(..), Cursor::Data(..)) => {
+                unreachable!("`descend` reports a pair of objects itself")
             }
-        }
-        (Cursor::Node(na), Cursor::Data(vb, rb)) => {
-            for ea in na.entries() {
-                if ea.mbr().intersects(rb) {
-                    match ea.child() {
-                        Some(child) => {
-                            out.node_accesses += 1;
-                            join_rec(Cursor::Node(child), Cursor::Data(vb, rb), out);
-                        }
-                        None => out.pairs.push((*ea.value().expect("leaf"), vb)),
-                    }
-                }
-            }
-        }
-        (Cursor::Data(va, ra), Cursor::Node(nb)) => {
-            for eb in nb.entries() {
-                if ra.intersects(eb.mbr()) {
-                    match eb.child() {
-                        Some(child) => {
-                            out.node_accesses += 1;
-                            join_rec(Cursor::Data(va, ra), Cursor::Node(child), out);
-                        }
-                        None => out.pairs.push((va, *eb.value().expect("leaf"))),
-                    }
+            (Cursor::Node(na, _), Cursor::Data(_, rb)) => {
+                for ea in na.entries().filter(|e| e.mbr().intersects(rb)) {
+                    self.descend(cursor_of(ea), b, 1);
                 }
             }
-        }
-        (Cursor::Node(na), Cursor::Node(nb)) => {
-            // Descend the taller tree (or both when equal) — the classic
-            // strategy for trees of different heights.
-            if na.level() > nb.level() {
-                for ea in na.entries() {
-                    if ea.mbr().intersects(&nb.mbr()) {
-                        out.node_accesses += 1;
-                        join_rec(cursor_of(ea), Cursor::Node(nb), out);
-                    }
-                }
-            } else if nb.level() > na.level() {
-                for eb in nb.entries() {
-                    if eb.mbr().intersects(&na.mbr()) {
-                        out.node_accesses += 1;
-                        join_rec(Cursor::Node(na), cursor_of(eb), out);
-                    }
-                }
-            } else {
-                for ea in na.entries() {
-                    for eb in nb.entries() {
-                        if ea.mbr().intersects(eb.mbr()) {
-                            match (ea.child(), eb.child()) {
-                                (None, None) => out
-                                    .pairs
-                                    .push((*ea.value().expect("leaf"), *eb.value().expect("leaf"))),
-                                _ => {
-                                    out.node_accesses += 2;
-                                    join_rec(cursor_of(ea), cursor_of(eb), out);
-                                }
-                            }
-                        }
-                    }
+            (Cursor::Data(_, ra), Cursor::Node(nb, _)) => {
+                for eb in nb.entries().filter(|e| ra.intersects(e.mbr())) {
+                    self.descend(a, cursor_of(eb), 1);
                 }
             }
+            // Descend the taller tree alone — the classic strategy for
+            // trees of different heights.
+            (Cursor::Node(na, _), Cursor::Node(nb, mb)) if na.level() > nb.level() => {
+                for ea in na.entries().filter(|e| e.mbr().intersects(&mb)) {
+                    self.descend(cursor_of(ea), b, 1);
+                }
+            }
+            (Cursor::Node(na, ma), Cursor::Node(nb, _)) if nb.level() > na.level() => {
+                for eb in nb.entries().filter(|e| e.mbr().intersects(&ma)) {
+                    self.descend(a, cursor_of(eb), 1);
+                }
+            }
+            (Cursor::Node(na, ma), Cursor::Node(nb, mb)) => self.node_pair(na, &ma, nb, &mb),
         }
     }
+
+    /// Joins one qualifying entry pair: a result when both sides are data,
+    /// otherwise the `read` nodes it opens are counted and joined.
+    fn descend(&mut self, a: Cursor<'_>, b: Cursor<'_>, read: u64) {
+        if let (Cursor::Data(va, _), Cursor::Data(vb, _)) = (a, b) {
+            self.out.pairs.push((va, vb));
+        } else {
+            self.out.node_accesses += read;
+            self.pair(a, b);
+        }
+    }
+
+    /// Two nodes of one level (\[BKS93\]'s search-space restriction): only an
+    /// entry that meets the *other* node's MBR can meet one of its entries,
+    /// so each side is cut to those entries first — of 32 × 32 entry pairs,
+    /// about 8 × 8 are left to test. The survivors are joined in entry
+    /// order, so the qualifying entry pairs, their order and the node pairs
+    /// entered are those of the plain nested loop.
+    fn node_pair(&mut self, na: NodeRef<'_, u32>, ma: &Rect, nb: NodeRef<'_, u32>, mb: &Rect) {
+        let (ra, rb) = (na.rects(), nb.rects());
+        let base = self.survivors.len();
+        self.survivors.extend(positions_meeting(ra, mb));
+        let mid = self.survivors.len();
+        self.survivors.extend(positions_meeting(rb, ma));
+        let end = self.survivors.len();
+        for i in base..mid {
+            let ia = self.survivors[i] as usize;
+            for j in mid..end {
+                let ib = self.survivors[j] as usize;
+                if ra[ia].intersects(&rb[ib]) {
+                    self.descend(cursor_of(na.entry(ia)), cursor_of(nb.entry(ib)), 2);
+                }
+            }
+        }
+        self.survivors.truncate(base);
+    }
+}
+
+/// Positions of the `rects` that intersect `other`, ascending.
+fn positions_meeting<'a>(rects: &'a [Rect], other: &'a Rect) -> impl Iterator<Item = u32> + 'a {
+    let hits = rects
+        .iter()
+        .zip(0u32..)
+        .filter(|(r, _)| r.intersects(other));
+    hits.map(|(_, i)| i)
 }
 
 fn cursor_of<'a>(entry: mwsj_rtree::EntryRef<'a, u32>) -> Cursor<'a> {
     match entry.child() {
-        Some(node) => Cursor::Node(node),
+        Some(node) => Cursor::Node(node, *entry.mbr()),
         None => Cursor::Data(*entry.value().expect("leaf entry"), entry.mbr()),
     }
 }
@@ -135,47 +154,107 @@ mod tests {
         )
     }
 
-    #[test]
-    fn join_matches_nested_loops() {
-        let mut rng = StdRng::seed_from_u64(111);
-        let a = Dataset::uniform(500, 0.2, &mut rng);
-        let b = Dataset::uniform(700, 0.2, &mut rng);
-        let ta = tree_of(a.rects(), 8);
-        let tb = tree_of(b.rects(), 8);
-        let mut got = PairwiseJoin::join(&ta, &tb).pairs;
-        got.sort_unstable();
-        let mut expected = Vec::new();
-        for (i, ra) in a.rects().iter().enumerate() {
-            for (j, rb) in b.rects().iter().enumerate() {
-                if ra.intersects(rb) {
-                    expected.push((i as u32, j as u32));
+    /// The join before restriction, kept as the reference: every entry of
+    /// one node against every entry of the other. Returns the pairs in the
+    /// order found and the nodes read.
+    fn unrestricted(a: NodeRef<'_, u32>, b: NodeRef<'_, u32>, out: &mut (Vec<(u32, u32)>, u64)) {
+        if a.level() > b.level() {
+            for ea in a.entries().filter(|e| e.mbr().intersects(&b.mbr())) {
+                out.1 += 1;
+                unrestricted(ea.child().unwrap(), b, out);
+            }
+        } else if b.level() > a.level() {
+            for eb in b.entries().filter(|e| e.mbr().intersects(&a.mbr())) {
+                out.1 += 1;
+                unrestricted(a, eb.child().unwrap(), out);
+            }
+        } else {
+            for ea in a.entries() {
+                for eb in b.entries().filter(|e| ea.mbr().intersects(e.mbr())) {
+                    match (ea.child(), eb.child()) {
+                        (Some(ca), Some(cb)) => {
+                            out.1 += 2;
+                            unrestricted(ca, cb, out);
+                        }
+                        _ => out.0.push((*ea.value().unwrap(), *eb.value().unwrap())),
+                    }
                 }
             }
         }
-        expected.sort_unstable();
-        assert_eq!(got, expected);
+    }
+
+    /// Asserts that the join of the two layouts returns the pair multiset
+    /// of nested loops over the rectangles, in the order and with the node
+    /// reads of [`unrestricted`].
+    fn assert_join_is_exact(name: &str, left: &[Rect], right: &[Rect], cap: usize) {
+        let (tl, tr) = (tree_of(left, cap), tree_of(right, cap));
+        let got = PairwiseJoin::join(&tl, &tr);
+        let mut reference = (Vec::new(), 2);
+        unrestricted(tl.root_node(), tr.root_node(), &mut reference);
+        assert_eq!(got.pairs, reference.0, "{name}, capacity {cap}: pairs");
+        assert_eq!(got.node_accesses, reference.1, "{name}, capacity {cap}");
+        let mut sorted = got.pairs;
+        sorted.sort_unstable();
+        let mut expected = Vec::new();
+        for (i, ra) in left.iter().enumerate() {
+            let hits = right.iter().enumerate().filter(|(_, rb)| ra.intersects(rb));
+            expected.extend(hits.map(|(j, _)| (i as u32, j as u32)));
+        }
+        assert_eq!(
+            sorted, expected,
+            "{name}, capacity {cap}: against nested loops"
+        );
     }
 
     #[test]
-    fn join_with_different_heights() {
-        let mut rng = StdRng::seed_from_u64(112);
-        let small = Dataset::uniform(10, 0.3, &mut rng);
-        let large = Dataset::uniform(3_000, 0.3, &mut rng);
-        let ts = tree_of(small.rects(), 4);
-        let tl = tree_of(large.rects(), 4);
-        assert!(tl.height() > ts.height());
-        let mut got = PairwiseJoin::join(&ts, &tl).pairs;
-        got.sort_unstable();
-        let mut expected = Vec::new();
-        for (i, ra) in small.rects().iter().enumerate() {
-            for (j, rb) in large.rects().iter().enumerate() {
-                if ra.intersects(rb) {
-                    expected.push((i as u32, j as u32));
-                }
+    fn join_equals_nested_loops_and_the_unrestricted_reference() {
+        let mut rng = StdRng::seed_from_u64(111);
+        let mut uniform = |n, density| Dataset::uniform(n, density, &mut rng).rects().to_vec();
+        let (a, b) = (uniform(500, 0.2), uniform(700, 0.2));
+        let (small, large) = (uniform(10, 0.3), uniform(3_000, 0.3));
+        // Unit squares tiling a square: every neighbour touches on an edge
+        // or in a corner, and so do the node MBRs above them.
+        let tiles: Vec<Rect> = (0..400)
+            .map(|i| ((i % 20) as f64, (i / 20) as f64))
+            .map(|(x, y)| Rect::new(x, y, x + 1.0, y + 1.0))
+            .collect();
+        let duplicates = vec![Rect::new(0.3, 0.3, 0.4, 0.5); 200];
+        let zero_width: Vec<Rect> = a
+            .iter()
+            .map(|r| Rect::new(r.min.x, r.min.y, r.min.x, r.max.y))
+            .collect();
+        let cases: [(&str, &[Rect], &[Rect]); 7] = [
+            ("uniform", &a, &b),
+            ("a short and a tall tree", &small, &large),
+            ("a tall and a short tree", &large, &small),
+            ("touching tiles", &tiles, &tiles),
+            ("duplicates", &duplicates, &a),
+            ("duplicates on both sides", &duplicates, &duplicates),
+            ("zero width", &zero_width, &b),
+        ];
+        for (name, left, right) in cases {
+            for cap in [4, 32] {
+                assert_join_is_exact(name, left, right, cap);
             }
         }
-        expected.sort_unstable();
-        assert_eq!(got, expected);
+        assert!(tree_of(&large, 4).height() > tree_of(&small, 4).height());
+    }
+
+    proptest::proptest! {
+        /// The same equality on drawn layouts: any two sizes (so any two
+        /// heights), entry extent and node capacity.
+        #[test]
+        fn join_is_exact_on_drawn_layouts(
+            seed in proptest::prelude::any::<u64>(),
+            sizes in (2usize..400, 2usize..400),
+            density in 0.0f64..0.8,
+            cap in 4usize..=32,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let left = Dataset::uniform(sizes.0, density, &mut rng);
+            let right = Dataset::uniform(sizes.1, density, &mut rng);
+            assert_join_is_exact("drawn", left.rects(), right.rects(), cap);
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! from pairwise joins.
 //!
 //! The first two variables of the join order are joined as a pair
-//! (`index::first_pair`: on the R*-tree the BKS93 synchronous pairwise join
-//! for overlap, an index-nested-loop otherwise); every further variable is
+//! (`index::first_pair`: the BKS93 synchronous pairwise join of two
+//! R*-trees or the cell-pair join of two grids where the predicate allows,
+//! an index-nested-loop otherwise); every further variable is
 //! attached by an index-nested-loop step that, for each intermediate tuple,
 //! runs a conjunctive multi-window query against the new variable's index.
 //! A variable with no placed neighbour — the query graph is disconnected —

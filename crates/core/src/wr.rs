@@ -20,9 +20,16 @@ use mwsj_query::Solution;
 /// Result of an exact-join enumeration (WR, ST or PJM).
 #[derive(Debug, Clone, Default)]
 pub struct ExactJoinOutcome {
-    /// The exact solutions found (up to the requested limit).
+    /// The exact solutions found, in the algorithm's own enumeration order
+    /// — deterministic for an instance and a backend, different between
+    /// algorithms and backends, and no sorted order. A `limit` keeps a
+    /// prefix of it.
     pub solutions: Vec<Solution>,
-    /// Counters (`steps` = variable instantiations tried).
+    /// Counters. `steps`: variable instantiations tried (WR), combinations
+    /// expanded (ST), intermediate tuples extended plus one for the first
+    /// pair (PJM). `node_accesses`: index nodes or grid cells read; for ST,
+    /// the nodes held by the expanded combinations — one per variable
+    /// still inside a subtree — whatever pruning found them.
     pub stats: RunStats,
     /// `true` if enumeration finished (neither the limit nor the budget
     /// truncated it) — the solution list is then complete.
@@ -144,14 +151,16 @@ fn descend(
 
     if windows.is_empty() {
         // First variable (or a variable with no instantiated neighbours —
-        // impossible on connected graphs past depth 0): full scan.
-        for (obj, rect) in instance.scan(var) {
+        // impossible on connected graphs past depth 0): full scan, in leaf
+        // order — the order the rectangles are stored in, and one in which
+        // consecutive windows are spatial neighbours.
+        for (&obj, &rect) in instance.objects(var).iter().zip(instance.rects(var)) {
             if state.clock.exhausted() {
                 state.truncated = true;
                 return true;
             }
             state.clock.step();
-            (assignment[var], rects[var]) = (obj, rect);
+            (assignment[var], rects[var]) = (obj as usize, rect);
             if descend(state, depth + 1, assignment, rects) {
                 return true;
             }

@@ -1,4 +1,5 @@
-//! An SEA generation allocates nothing.
+//! An SEA generation allocates nothing, and neither does a combination
+//! that synchronous traversal expands.
 //!
 //! Selection copies into a second population the run owns, crossover and
 //! mutation pick their variables out of run-owned scratch, re-evaluation
@@ -11,10 +12,15 @@
 //! keeps `pop[winner].clone()` — 127 200 allocations here — from coming
 //! back.
 //!
+//! Synchronous traversal keeps its candidate lists, its forward-checking
+//! frames and the entries it has fixed in one arena per run, used as a
+//! stack: a run allocates for the arena's growth and once per solution it
+//! emits, however many combinations it expands.
+//!
 //! The counting allocator counts per thread, so the harness's own threads
 //! do not disturb the reading.
 
-use mwsj_core::{Instance, Sea, SeaConfig, SearchBudget};
+use mwsj_core::{Instance, Sea, SeaConfig, SearchBudget, SynchronousTraversal};
 use mwsj_datagen::{hard_region_density, Dataset, QueryShape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,5 +99,26 @@ fn two_hundred_generations_allocate_next_to_nothing() {
         extra <= 400,
         "200 further generations allocated {extra} times ({short} -> {long}): \
          two a generation covers the incumbent's trace and top list and nothing per individual"
+    );
+}
+
+#[test]
+fn synchronous_traversal_allocates_per_solution_not_per_combination() {
+    let mut rng = StdRng::seed_from_u64(303);
+    let datasets: Vec<Dataset> = (0..4)
+        .map(|_| Dataset::uniform(5_000, 0.05, &mut rng))
+        .collect();
+    let instance = Instance::new(QueryShape::Clique.graph(4), datasets).unwrap();
+    let before = ALLOCATIONS.get();
+    let outcome =
+        SynchronousTraversal::new().run(&instance, &SearchBudget::seconds(60.0), usize::MAX);
+    let allocations = ALLOCATIONS.get() - before;
+    let (steps, solutions) = (outcome.stats.steps, outcome.solutions.len() as u64);
+    assert!(outcome.complete && steps >= 1_000, "{steps} steps");
+    let beside_solutions = allocations.saturating_sub(solutions);
+    assert!(
+        beside_solutions <= 64,
+        "{steps} combinations, {solutions} solutions, {allocations} allocations: \
+         the arena and the solution list double a few dozen times, nothing is per combination"
     );
 }

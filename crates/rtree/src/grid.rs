@@ -15,11 +15,13 @@
 //! span meets a query's candidate cell range — so each result is reported
 //! exactly once without any hash set.
 //!
-//! There are two kernels over one plan → sweep → runs traversal:
+//! There are two query kernels over one plan → sweep → runs traversal:
 //! [`find_best_in_windows`] (the best entry for a window list) and
 //! [`candidates_with_counts`] (every entry satisfying at least `min_count`
 //! of the windows; a single-window query is that with one window and
-//! `min_count = 1`).
+//! `min_count = 1`). The third kernel, [`join`], joins two whole grids cell
+//! pair by cell pair, with a reference point of its own: the corner
+//! `(max lo_x, max lo_y)` of a pair's intersection.
 //!
 //! Determinism contract (mirrors the portfolio's): candidate cells are
 //! enumerated in ascending row-major order, the entries of one cell rank
@@ -275,15 +277,33 @@ impl<T> UniformGrid<T> {
     }
 
     #[inline]
+    fn x_axis(&self) -> Axis {
+        Axis {
+            min: self.bbox.min.x,
+            max: self.bbox.max.x,
+            step: self.cell_w,
+            n: self.nx,
+        }
+    }
+
+    #[inline]
+    fn y_axis(&self) -> Axis {
+        Axis {
+            min: self.bbox.min.y,
+            max: self.bbox.max.y,
+            step: self.cell_h,
+            n: self.ny,
+        }
+    }
+
+    #[inline]
     fn cell_x(&self, x: f64) -> usize {
-        let i = ((x - self.bbox.min.x) / self.cell_w).floor();
-        (i.max(0.0) as usize).min(self.nx - 1)
+        self.x_axis().cell(x)
     }
 
     #[inline]
     fn cell_y(&self, y: f64) -> usize {
-        let i = ((y - self.bbox.min.y) / self.cell_h).floor();
-        (i.max(0.0) as usize).min(self.ny - 1)
+        self.y_axis().cell(y)
     }
 
     /// Cell span of a rectangle (clamped to the grid).
@@ -397,6 +417,61 @@ impl<T> UniformGrid<T> {
             }
         });
         slots
+    }
+}
+
+/// One axis of a grid: `n` cells of width `step` over `[min, max]`.
+#[derive(Clone, Copy)]
+struct Axis {
+    min: f64,
+    max: f64,
+    step: f64,
+    n: usize,
+}
+
+impl Axis {
+    /// The cell of coordinate `v`, clamped to the axis.
+    #[inline]
+    fn cell(&self, v: f64) -> usize {
+        let i = ((v - self.min) / self.step).floor();
+        (i.max(0.0) as usize).min(self.n - 1)
+    }
+
+    /// The smallest coordinate whose cell is `c` (`1 ≤ c < n`) or a later
+    /// one: `min + c·step` moved by the few ulps the rounding in
+    /// [`cell`](Self::cell) makes, found with `cell` itself. The walk stays
+    /// inside the extent, so an axis too wide for `f64` (an infinite
+    /// `step`: every coordinate in cell 0) ends it at once.
+    fn first_of(&self, c: usize) -> f64 {
+        let mut v = self.min + c as f64 * self.step;
+        while self.cell(v) >= c && v > self.min {
+            v = v.next_down();
+        }
+        while self.cell(v) < c && v < self.max {
+            v = v.next_up();
+        }
+        v
+    }
+
+    /// For every cell of `self`, the cells `c0..=c1` of `other` that hold a
+    /// coordinate of it lying in both extents, `None` when there is none.
+    /// Exact, because [`cell`](Self::cell) is monotone: two grids over one
+    /// bounding box pair each cell with one cell, not with three.
+    fn covers(&self, other: &Axis) -> Vec<Option<(usize, usize)>> {
+        let mut lo = self.min;
+        let cover = |c: usize| {
+            let next = if c + 1 < self.n {
+                self.first_of(c + 1)
+            } else {
+                f64::INFINITY
+            };
+            let hi = next.next_down().min(self.max);
+            let meets = lo <= hi && lo <= other.max && hi >= other.min;
+            let cells = meets.then(|| (other.cell(lo), other.cell(hi)));
+            lo = next;
+            cells
+        };
+        (0..self.n).map(cover).collect()
     }
 }
 
@@ -614,6 +689,94 @@ pub fn candidates_with_counts<T: Copy + Ord>(
         }
     });
     out
+}
+
+/// PBSM cell-pair join of two grids: calls `emit(a, b)` once for every pair
+/// of an entry of `left` and an entry of `right` with `a pred b`, for the
+/// three predicates that imply intersection (`Intersects`, `Contains`,
+/// `Inside`).
+///
+/// Every occupied cell of `left` is joined with the cells of `right` it
+/// overlaps — one when the two grids are aligned, 2 × 2 when their cells
+/// are of a size and are not — by a forward scan over the two runs, which
+/// both grids already store in `lo_x` order: the run that starts first
+/// scans the other while its `lo_x` stays below the first's `hi_x`. A pair
+/// of replicated rectangles meets in several cell pairs and is reported in
+/// one, by the reference-point rule: the point `(max lo_x, max lo_y)` lies
+/// in both rectangles, hence in a cell of each that holds them, and the
+/// pair belongs to the cell pair whose two cells contain it — decided with
+/// the `cell_x` / `cell_y` the builds used, so the two grids need not be
+/// aligned. The exact predicate is evaluated last.
+///
+/// Pairs arrive in `left`'s row-major cell order, then `right`'s, then scan
+/// order. One access is charged per occupied cell of `left` and one per
+/// non-empty cell of `right` paired with it.
+///
+/// # Panics
+/// Panics if `pred` is one of the other three predicates: a pair satisfying
+/// them need not share a cell.
+pub fn join<T: Copy, U: Copy>(
+    left: &UniformGrid<T>,
+    right: &UniformGrid<U>,
+    pred: Predicate,
+    cell_accesses: &mut u64,
+    mut emit: impl FnMut(T, U),
+) {
+    assert!(
+        matches!(
+            pred,
+            Predicate::Intersects | Predicate::Contains | Predicate::Inside
+        ),
+        "the cell-pair join needs a predicate that implies intersection, not {pred}"
+    );
+    let columns = left.x_axis().covers(&right.x_axis());
+    let rows = left.y_axis().covers(&right.y_axis());
+    for (cy, row) in rows.iter().enumerate() {
+        let Some((y0, y1)) = *row else {
+            continue;
+        };
+        for (cx, column) in columns.iter().enumerate() {
+            let run = left.cell_slots(cy * left.nx + cx);
+            let Some((x0, x1)) = column.filter(|_| !run.is_empty()) else {
+                continue;
+            };
+            *cell_accesses += 1;
+            for (by, bx) in (y0..=y1).flat_map(|by| (x0..=x1).map(move |bx| (by, bx))) {
+                let other = right.cell_slots(by * right.nx + bx);
+                if other.is_empty() {
+                    continue;
+                }
+                *cell_accesses += 1;
+                // `i`, `j`: slots of `left` and `right` that overlap in x;
+                // `x` is the larger `lo_x` of the two.
+                let mut visit = |i: usize, j: usize, x: f64| {
+                    if left.lo_y[i] > right.hi_y[j] || right.lo_y[j] > left.hi_y[i] {
+                        return;
+                    }
+                    let y = left.lo_y[i].max(right.lo_y[j]);
+                    let here = (left.cell_x(x), left.cell_y(y)) == (cx, cy)
+                        && (right.cell_x(x), right.cell_y(y)) == (bx, by);
+                    if here && pred.eval(&left.rect_at(i), &right.rect_at(j)) {
+                        emit(left.values[i], right.values[j]);
+                    }
+                };
+                let (mut i, mut j) = (run.start, other.start);
+                while i < run.end && j < other.end {
+                    if left.lo_x[i] <= right.lo_x[j] {
+                        let reach = left.hi_x[i];
+                        let ahead = (j..other.end).take_while(|&k| right.lo_x[k] <= reach);
+                        ahead.for_each(|k| visit(i, k, right.lo_x[k]));
+                        i += 1;
+                    } else {
+                        let reach = right.hi_x[j];
+                        let ahead = (i..run.end).take_while(|&k| left.lo_x[k] <= reach);
+                        ahead.for_each(|k| visit(k, j, left.lo_x[k]));
+                        j += 1;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Cell width/height that is strictly positive even for degenerate
@@ -964,6 +1127,24 @@ mod tests {
         }
     }
 
+    /// The layout shrunk into `spots` tight clumps (as it is for 0).
+    fn clumped(mut items: Vec<(Rect, u32)>, spots: usize) -> Vec<(Rect, u32)> {
+        if spots == 0 {
+            return items;
+        }
+        for (i, (r, _)) in items.iter_mut().enumerate() {
+            let at = 0.1 + 0.25 * (i % spots) as f64;
+            let shrink = |v: f64| at + 0.05 * v;
+            *r = Rect::new(
+                shrink(r.min.x),
+                shrink(r.min.y),
+                shrink(r.max.x),
+                shrink(r.max.y),
+            );
+        }
+        items
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -980,15 +1161,7 @@ mod tests {
             preds in proptest::collection::vec(0usize..ALL_PREDS.len(), 1..=5),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut items = random_items(seed, n, extent + 1e-9);
-            if spots > 0 {
-                // Shrink the layout into `spots` tight clumps.
-                for (i, (r, _)) in items.iter_mut().enumerate() {
-                    let at = 0.1 + 0.25 * (i % spots) as f64;
-                    let shrink = |v: f64| at + 0.05 * v;
-                    *r = Rect::new(shrink(r.min.x), shrink(r.min.y), shrink(r.max.x), shrink(r.max.y));
-                }
-            }
+            let items = clumped(random_items(seed, n, extent + 1e-9), spots);
             let grid = UniformGrid::with_target_occupancy(&items, occupancy);
             let windows: Vec<(Predicate, Rect)> = preds
                 .iter()
@@ -998,6 +1171,115 @@ mod tests {
                 })
                 .collect();
             assert_kernels_match_full_scan("drawn", &grid, &windows);
+        }
+    }
+
+    const JOIN_PREDS: [Predicate; 3] = [
+        Predicate::Intersects,
+        Predicate::Contains,
+        Predicate::Inside,
+    ];
+
+    /// Asserts that the cell-pair join of the two layouts, under each of
+    /// its three predicates, reports the pairs of brute force, every pair
+    /// once, and reads at most every cell of `left` once and every cell of
+    /// `right` once per cell of `left`.
+    fn assert_join_matches_brute_force(
+        name: &str,
+        left: &[(Rect, u32)],
+        right: &[(Rect, u32)],
+        occupancy: (f64, f64),
+    ) {
+        let a = UniformGrid::with_target_occupancy(left, occupancy.0);
+        let b = UniformGrid::with_target_occupancy(right, occupancy.1);
+        for pred in JOIN_PREDS {
+            let (mut got, mut cells) = (Vec::new(), 0);
+            join(&a, &b, pred, &mut cells, |x, y| got.push((x, y)));
+            got.sort_unstable();
+            let mut expected = Vec::new();
+            for (ra, x) in left {
+                let hits = right.iter().filter(|(rb, _)| pred.eval(ra, rb));
+                expected.extend(hits.map(|(_, y)| (*x, *y)));
+            }
+            expected.sort_unstable();
+            assert_eq!(got, expected, "{name}: {pred}");
+            let bound = (a.nx * a.ny) as u64 * (1 + (b.nx * b.ny) as u64);
+            assert!(cells <= bound && (cells > 0 || got.is_empty()), "{name}");
+        }
+    }
+
+    fn shifted(items: &[(Rect, u32)], by: f64) -> Vec<(Rect, u32)> {
+        let moved = |r: &Rect| Rect::new(r.min.x + by, r.min.y + by, r.max.x + by, r.max.y + by);
+        items.iter().map(|(r, v)| (moved(r), *v)).collect()
+    }
+
+    #[test]
+    fn join_equals_brute_force_on_hostile_layouts() {
+        let layouts = hostile_layouts();
+        // Every ordered pair, self-pairs included (one grid on both sides,
+        // and containment between equal rectangles), on two resolutions.
+        for (left_name, left) in &layouts {
+            for (right_name, right) in &layouts {
+                let name = format!("{left_name} × {right_name}");
+                assert_join_matches_brute_force(&name, left, right, (6.0, 16.0));
+            }
+        }
+        // Bounding boxes that half overlap, touch in a corner and are
+        // disjoint; an empty side.
+        let (_, uniform) = &layouts[0];
+        let (_, covered) = &layouts[2];
+        for by in [0.5, 1.05, 2.0] {
+            let name = format!("shifted by {by}");
+            assert_join_matches_brute_force(&name, uniform, &shifted(covered, by), (6.0, 6.0));
+            assert_join_matches_brute_force(&name, &shifted(covered, by), uniform, (16.0, 2.0));
+        }
+        // An extent wider than `f64`: the cell width is infinite and every
+        // coordinate falls in cell 0.
+        let far = |at: f64| Rect::new(at, at, at + 1e307, at + 1e307);
+        let wide = [far(-1.5e308), far(1.5e308), far(0.0)].map(|r| (r, 0));
+        assert_join_matches_brute_force("wider than f64", &wide, &wide, (1.0, 1.0));
+        assert_join_matches_brute_force("wide × uniform", &wide, uniform, (1.0, 6.0));
+        assert_join_matches_brute_force("empty right", uniform, &[], (6.0, 6.0));
+        assert_join_matches_brute_force("empty left", &[], uniform, (6.0, 6.0));
+    }
+
+    /// Two grids over one bounding box pair each cell with one cell: the
+    /// cover is exact, not padded to the neighbours.
+    #[test]
+    fn aligned_grids_join_cell_by_cell() {
+        let mut items = random_items(27, 2_000, 0.01);
+        items.push((Rect::new(0.0, 0.0, 1.0, 1.0), 2_000));
+        let grid = UniformGrid::build(&items);
+        let mut cells = 0;
+        join(&grid, &grid, Predicate::Intersects, &mut cells, |_, _| {});
+        assert_eq!(cells, 2 * grid.stats().occupied_cells);
+    }
+
+    #[test]
+    #[should_panic(expected = "implies intersection")]
+    fn join_rejects_a_predicate_that_need_not_share_a_cell() {
+        let grid = UniformGrid::build(&random_items(28, 10, 0.1));
+        join(&grid, &grid, Predicate::NorthEast, &mut 0, |_, _| {});
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The same equality on drawn layouts: any two sizes, entry
+        /// extents, cell occupancies and offsets between the two bounding
+        /// boxes, uniform or packed into a few spots.
+        #[test]
+        fn join_equals_brute_force_on_drawn_layouts(
+            seed in proptest::prelude::any::<u64>(),
+            sizes in (1usize..300, 1usize..300),
+            extents in (0.0f64..0.3, 0.0f64..0.3),
+            occupancy in (1.0f64..40.0, 1.0f64..40.0),
+            offset in -1.2f64..1.2,
+            spots in 0usize..4,
+        ) {
+            let left = clumped(random_items(seed, sizes.0, extents.0 + 1e-9), spots);
+            let right = clumped(random_items(!seed, sizes.1, extents.1 + 1e-9), spots);
+            assert_join_matches_brute_force("drawn", &left, &shifted(&right, offset), occupancy);
         }
     }
 

@@ -32,8 +32,9 @@
 //!   [`RTree::count_window_counted`] are a probe-only wrapper over the walk
 //!   (see the `access` module docs).
 //! * A **uniform grid** ([`UniformGrid`]), the second spatial backend,
-//!   with the same two questions: [`grid::find_best_in_windows`] and
-//!   [`grid::candidates_with_counts`].
+//!   with the same two questions — [`grid::find_best_in_windows`] and
+//!   [`grid::candidates_with_counts`] — and a join of two grids
+//!   ([`grid::join`]).
 //! * An **invariant checker** ([`RTree::check_invariants`]) used by the test
 //!   suite and property tests.
 //!
