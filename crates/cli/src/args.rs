@@ -136,7 +136,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             "seconds",
             "iterations",
             "backend",
-            "grid-threads",
             "metrics-out",
         ],
         switches: &[],
@@ -144,7 +143,7 @@ pub const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "explain",
         positionals: false,
-        values: &["data", "query", "backend", "grid-threads", "metrics-out"],
+        values: &["data", "query", "backend", "metrics-out"],
         switches: &[],
     },
     CommandSpec {

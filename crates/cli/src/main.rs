@@ -134,11 +134,9 @@ USAGE:
              [--follow]                     flush each event line immediately so the
                                             metrics file can be tailed live
   mwsj join --data FILE [--data FILE]... --query SPEC [--algo wr|st|pjm] [--limit K] [--seconds S]
-            [--backend rtree|grid] [--grid-threads T] [--metrics-out FILE]
+            [--backend rtree|grid] [--metrics-out FILE]
                                             --algo st descends the R*-trees and ignores
                                             --backend; it takes overlap queries only.
-                                            No exact join fans out: --grid-threads is
-                                            accepted and changes nothing here.
                                             Solutions print in the algorithm's own
                                             enumeration order (deterministic; it differs
                                             between algorithms and backends and is not
@@ -216,8 +214,9 @@ fn budget_from(args: &Args) -> Result<Option<SearchBudget>, String> {
     })
 }
 
-/// Applies `--backend rtree|grid` and `--grid-threads N` to a freshly
-/// built instance — shared by `solve`, `join` and `explain`.
+/// Applies `--backend rtree|grid` and, where the command reads it
+/// (`solve`), `--grid-threads N` to a freshly built instance — shared by
+/// `solve`, `join` and `explain`.
 fn apply_backend(args: &Args, instance: Instance) -> Result<Instance, String> {
     let backend = match args.value("backend") {
         None => BackendKind::RTree,

@@ -67,11 +67,9 @@ fn parse_edge_list(spec: &str, n_vars: usize) -> Result<QueryGraph, QuerySpecErr
         if part.is_empty() {
             continue;
         }
-        let mut pieces = part.splitn(2, ':');
-        let pair = pieces.next().expect("split yields at least one piece");
-        let pred = match pieces.next() {
-            None => Predicate::Intersects,
-            Some(p) => parse_predicate(p)?,
+        let (pair, pred) = match part.split_once(':') {
+            None => (part, Predicate::Intersects),
+            Some((pair, p)) => (pair, parse_predicate(p)?),
         };
         let (a, b) = pair
             .split_once('-')

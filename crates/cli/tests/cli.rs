@@ -391,6 +391,7 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     let a = a.to_str().unwrap();
     let solve = ["solve", "--data", a, "--data", a, "--query", "0-1"];
     let solve_steps = [&solve[..], &["--iterations", "10"]].concat();
+    let solve_grid = [&solve_steps[..], &["--backend", "grid"]].concat();
     let watch = ["watch", a, "--no-tty"];
     let join = ["join", "--data", a, "--data", a, "--query", "0-1"];
     let join = [&join[..], &["--algo", "pjm", "--backend", "grid"]].concat();
@@ -446,7 +447,7 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     std::fs::write(&one, "0,0,1,1\n").unwrap();
     let one = one.to_str().unwrap();
     let solve_one = ["solve", "--data", one, "--data", one, "--query", "chain"];
-    let rows: [(&[&str], &[&str], Expect); 45] = [
+    let rows: [(&[&str], &[&str], Expect); 47] = [
         (&solve, &["--seconds", "inf"], NotSeconds),
         (&solve, &["--seconds", "1e20"], NotSeconds),
         (&solve, &["--seconds", "-3"], NotSeconds),
@@ -454,10 +455,22 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
         (&solve_steps, &["--stall-secs", "-3"], NotSeconds),
         (&solve_steps, &["--stall-secs", "nan"], NotSeconds),
         (&watch, &["--timeout-secs", "1e20"], NotSeconds),
-        (&join, &["--grid-threads", "-1"], NotACount),
-        (&join, &["--grid-threads", "abc"], NotACount),
-        (&join, &["--grid-threads", "0"], Accepted),
-        (&join, &["--grid-threads", "100000"], Accepted),
+        (&solve_grid, &["--grid-threads", "-1"], NotACount),
+        (&solve_grid, &["--grid-threads", "abc"], NotACount),
+        (&solve_grid, &["--grid-threads", "0"], Accepted),
+        (&solve_grid, &["--grid-threads", "100000"], Accepted),
+        // Read by `solve` alone: no exact join and no report fans out, and
+        // an option that changes nothing is an error, not a courtesy.
+        (
+            &join,
+            &["--grid-threads", "1"],
+            Foreign("--grid-threads", "join"),
+        ),
+        (
+            &explain,
+            &["--backend", "grid", "--grid-threads", "1"],
+            Foreign("--grid-threads", "explain"),
+        ),
         (&solve_steps, &["--sead", "5"], Unknown("--sead")),
         (&solve_steps, &["--sead=5"], Unknown("--sead")),
         (
@@ -562,14 +575,17 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
             Mentions("bbox [-1e308, 1.7e308]x[0, 1.7e308]"),
         ),
     ];
-    // Everything `join` prints but the elapsed time of its first line.
-    let solutions = |stdout: &[u8]| {
+    // Everything `solve` prints but the elapsed time of its `stats:` line.
+    let untimed = |stdout: &[u8]| {
         let text = String::from_utf8_lossy(stdout).into_owned();
-        let (head, rest) = text.split_once(" in ").expect("join summary line");
-        format!("{head}{}", &rest[rest.find(" (").expect("access count")..])
+        let (head, rest) = text.split_once("stats: ").expect("solve stats line");
+        format!(
+            "{head}{}",
+            &rest[rest.find(" elapsed").expect("elapsed time")..]
+        )
     };
     let one_thread = mwsj()
-        .args(&join)
+        .args(&solve_grid)
         .args(["--grid-threads", "1"])
         .output()
         .unwrap();
@@ -591,7 +607,7 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
             Refused(message) => message.to_string(),
             Accepted => {
                 assert_eq!(out.status.code(), Some(0), "{hostile:?}: {stderr}");
-                assert_eq!(solutions(&out.stdout), solutions(&one_thread.stdout));
+                assert_eq!(untimed(&out.stdout), untimed(&one_thread.stdout));
                 continue;
             }
             Prints(head) => {
@@ -741,6 +757,92 @@ fn grid_joins_print_the_pinned_first_tuples() {
         let out = cmd.args(["--algo", algo]).output().unwrap();
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(text.ends_with(tail), "{algo}: {text}");
+    }
+}
+
+/// Datasets that degenerate an index — a grid most of all: every cell
+/// holding every object, one cell, a bounding box without height, without
+/// area, wider than `f64`, narrower than a normal number — run every
+/// index-driven command to exit 0 on both backends, with the same answer
+/// (solution count, best similarity, expected solutions) and with no `NaN`
+/// or `inf` in anything printed.
+#[test]
+fn hostile_datasets_run_alike_on_both_backends() {
+    let dir = temp_dir("hostiledata");
+    let datasets: [(&str, Vec<[f64; 4]>); 6] = [
+        ("200 identical rectangles", vec![[0.3, 0.3, 0.4, 0.5]; 200]),
+        ("one object", vec![[0.2, 0.2, 0.6, 0.7]]),
+        (
+            "300 points on a line",
+            (0..300)
+                .map(|i| [i as f64 / 300.0, 0.5, i as f64 / 300.0, 0.5])
+                .collect(),
+        ),
+        ("100 copies of one point", vec![[0.5; 4]; 100]),
+        (
+            "a bounding box wider than f64",
+            (-24..24)
+                .map(|i| i as f64 * 4e306)
+                .map(|lo| [lo, lo, lo + 1e307, lo + 1e307])
+                .collect(),
+        ),
+        (
+            "subnormal extents",
+            (0..48)
+                .map(|i| [i as f64 * 5e-324, (i + 1) as f64 * 5e-324])
+                .map(|[lo, hi]| [lo, lo, hi, hi])
+                .collect(),
+        ),
+    ];
+    // (arguments, the part of stdout both backends must agree on).
+    type Answer = fn(&str) -> &str;
+    let first_line: Answer = |text| text.lines().next().expect("a first line");
+    let similarity: Answer = |text| {
+        let line = text.lines().next().expect("a first line");
+        &line[line.find("(similarity").expect("best similarity")..]
+    };
+    let count: Answer = |text| text.split_once(" in ").expect("join summary line").0;
+    let commands: [(&[&str], Answer); 5] = [
+        (
+            &["solve", "--algo", "ils", "--iterations", "200"],
+            similarity,
+        ),
+        (
+            &["solve", "--algo", "gils", "--iterations", "200"],
+            similarity,
+        ),
+        (&["join", "--algo", "wr", "--limit", "1000000"], count),
+        (&["join", "--algo", "pjm", "--limit", "1000000"], count),
+        (&["explain"], first_line),
+    ];
+    for (i, (name, rects)) in datasets.iter().enumerate() {
+        let path = dir.join(format!("{i}.csv"));
+        let rows = rects
+            .iter()
+            .map(|[a, b, c, d]| format!("{a},{b},{c},{d}\n"));
+        std::fs::write(&path, rows.collect::<String>()).unwrap();
+        let path = path.to_str().unwrap();
+        for (command, answer) in commands {
+            let run = |backend: &str| {
+                let out = mwsj()
+                    .args(command)
+                    .args(["--data", path, "--data", path, "--data", path])
+                    .args(["--query", "0-1,1-2:northeast", "--backend", backend])
+                    .output()
+                    .unwrap();
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert!(out.status.success(), "{name}: {command:?}: {stderr}");
+                let stdout = String::from_utf8_lossy(&out.stdout).to_lowercase();
+                let mut words = stdout.split(|c: char| !c.is_ascii_alphanumeric());
+                assert!(
+                    !words.any(|w| matches!(w, "nan" | "inf" | "infinity")),
+                    "{name}: {command:?} on {backend}: {stdout}"
+                );
+                stdout
+            };
+            let (tree, grid) = (run("rtree"), run("grid"));
+            assert_eq!(answer(&tree), answer(&grid), "{name}: {command:?}");
+        }
     }
 }
 

@@ -378,6 +378,12 @@ impl WindowCache {
     /// return what [`Instance::rect`] would, and is asked about nothing but
     /// `sol`'s own assignments — instead of from the dataset's rectangle
     /// array. `tally` is `(node_accesses, level_accesses)`.
+    ///
+    /// `#[inline]` keeps it inside the three `drive` loops, where the
+    /// inliner had put it unasked until the grid kernel it reaches through
+    /// [`index::best`] changed size (PR 24) and it fell out: +1 … +3 %
+    /// `solve_s` on the R*-tree rows, which run none of the changed code.
+    #[inline]
     pub(crate) fn find_best_value_with(
         &mut self,
         instance: &Instance,

@@ -86,6 +86,7 @@ impl Dataset {
         let mut out = String::with_capacity(HEADER.len() + self.len() * (ROW_BYTES + 3));
         out.push_str(HEADER);
         for r in self.rects() {
+            // Unreachable: `String`'s `write_str` only appends, it has no `Err`.
             writeln!(out, "{},{},{},{}", r.min.x, r.min.y, r.max.x, r.max.y)
                 .expect("writing to a String cannot fail");
         }
@@ -172,16 +173,15 @@ fn next_delimiter(bytes: &[u8], from: usize) -> usize {
     const HI: u64 = splat(0x80);
     let zero_bytes = |v: u64| v.wrapping_sub(LO) & !v & HI;
     let mut at = from;
-    let mut words = bytes[from..].chunks_exact(8);
-    for word in &mut words {
-        let word = u64::from_le_bytes(word.try_into().expect("chunks of 8"));
+    let (words, tail) = bytes[from..].as_chunks::<8>();
+    for word in words {
+        let word = u64::from_le_bytes(*word);
         let hits = zero_bytes(word ^ splat(b',')) | zero_bytes(word ^ splat(b'\n'));
         if hits != 0 {
             return at + (hits.trailing_zeros() / 8) as usize;
         }
         at += 8;
     }
-    let tail = words.remainder();
     at + tail
         .iter()
         .position(|b| matches!(b, b',' | b'\n'))

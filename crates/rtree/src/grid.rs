@@ -15,6 +15,23 @@
 //! span meets a query's candidate cell range — so each result is reported
 //! exactly once without any hash set.
 //!
+//! **No cell arithmetic in the loops.** The rule needs an entry's cell
+//! span, which the build knows: it keeps one bit per slot, *straddles* —
+//! the span holds more than one cell. A clear bit decides the rule without
+//! computing anything: the span is the scanned cell `c` alone and `c` is a
+//! candidate cell, so the smallest cell where span and ranges meet is `c`.
+//! Only straddlers (1.4 % of the swept slots on Zipf data, 7.4 % on
+//! uniform: `a_replay_pays_the_rule_on_the_straddling_slots_only`) run
+//! `dedup_cell`; [`join`] likewise takes a side's single-cell entry
+//! without locating the pair's reference point, which lies in the entry
+//! and so in its cell. A cell index is a division and a saturating cast,
+//! no `floor` (`Axis::cell`). Measured in ISSUE 24's prototype and not
+//! built: tallying a run window by window over the SoA slices
+//! (`Predicate::tally_eval`, the R*-tree leaf's shape) read +9…+12 %
+//! `solve_s` on uniform and +7 % on Zipf data — a run is 3–5 slots, too
+//! short for a count buffer. The loop was read in the release binary's
+//! assembly (DESIGN.md §5j).
+//!
 //! There are two query kernels over one plan → sweep → runs traversal:
 //! [`find_best_in_windows`] (the best entry for a window list) and
 //! [`candidates_with_counts`] (every entry satisfying at least `min_count`
@@ -70,7 +87,7 @@ pub struct UniformGrid<T> {
     cell_h: f64,
     /// Per-cell spans into the SoA arrays: cell `c` owns
     /// `starts[c]..starts[c+1]`, ordered by `(lo_x, item)`.
-    starts: Vec<usize>,
+    starts: Vec<u32>,
     lo_x: Vec<f64>,
     lo_y: Vec<f64>,
     hi_x: Vec<f64>,
@@ -79,6 +96,9 @@ pub struct UniformGrid<T> {
     /// Per-cell sweep bound: a width `w` with `lo_x + w ≥ hi_x` (as
     /// computed in `f64`) for every entry of the cell.
     max_w: Vec<f64>,
+    /// One bit per slot, 64 slots a word: set iff the entry's cell span
+    /// holds more than one cell (the entry has replicas).
+    straddles: Vec<u64>,
     /// Number of unique indexed rectangles (before replication).
     unique: usize,
 }
@@ -147,13 +167,15 @@ impl<T: Copy> UniformGrid<T> {
             hi_y: Vec::new(),
             values: Vec::new(),
             max_w: vec![0.0; nx * ny],
+            straddles: Vec::new(),
             unique: items.len(),
         };
+        // Every item's cell span, computed once for the three passes.
+        let spans: Vec<CellRange> = items.iter().map(|(r, _)| grid.span_of(r)).collect();
 
         // Pass 1: per-cell replica counts.
         let mut counts = vec![0usize; nx * ny];
-        for (r, _) in items {
-            let s = grid.span_of(r);
+        for s in &spans {
             for cy in s.y0..=s.y1 {
                 for cx in s.x0..=s.x1 {
                     counts[cy * nx + cx] += 1;
@@ -165,14 +187,13 @@ impl<T: Copy> UniformGrid<T> {
         starts.push(0);
         for &c in &counts {
             acc += c;
-            starts.push(acc);
+            starts.push(u32::try_from(acc).expect("a grid holds at most u32::MAX replicas"));
         }
 
         // Pass 2: the items of each cell, in item order.
-        let mut cursor: Vec<usize> = starts[..nx * ny].to_vec();
+        let mut cursor: Vec<u32> = starts[..nx * ny].to_vec();
         let mut slots = vec![0usize; acc];
-        for (i, (r, _)) in items.iter().enumerate() {
-            let s = grid.span_of(r);
+        for (i, ((r, _), s)) in items.iter().zip(&spans).enumerate() {
             let mut w = r.max.x - r.min.x;
             if r.min.x + w < r.max.x {
                 w = w.next_up(); // the subtraction rounded down
@@ -180,7 +201,7 @@ impl<T: Copy> UniformGrid<T> {
             for cy in s.y0..=s.y1 {
                 for cx in s.x0..=s.x1 {
                     let cell = cy * nx + cx;
-                    slots[cursor[cell]] = i;
+                    slots[cursor[cell] as usize] = i;
                     cursor[cell] += 1;
                     grid.max_w[cell] = grid.max_w[cell].max(w);
                 }
@@ -190,7 +211,8 @@ impl<T: Copy> UniformGrid<T> {
         // Pass 3: order each cell by `lo_x` — stably, so ties keep item
         // order — and lay the entries out.
         for cell in starts.windows(2) {
-            slots[cell[0]..cell[1]].sort_by(|&a, &b| items[a].0.min.x.total_cmp(&items[b].0.min.x));
+            let run = &mut slots[cell[0] as usize..cell[1] as usize];
+            run.sort_by(|&a, &b| items[a].0.min.x.total_cmp(&items[b].0.min.x));
         }
         let entries = || slots.iter().map(|&i| &items[i]);
         grid.lo_x = entries().map(|(r, _)| r.min.x).collect();
@@ -198,6 +220,12 @@ impl<T: Copy> UniformGrid<T> {
         grid.hi_x = entries().map(|(r, _)| r.max.x).collect();
         grid.hi_y = entries().map(|(r, _)| r.max.y).collect();
         grid.values = entries().map(|(_, v)| *v).collect();
+        grid.straddles = vec![0; acc.div_ceil(64)];
+        for (slot, &i) in slots.iter().enumerate() {
+            let s = &spans[i];
+            let replicated = (s.x0, s.y0) != (s.x1, s.y1);
+            grid.straddles[slot / 64] |= (replicated as u64) << (slot % 64);
+        }
         grid.starts = starts;
         grid
     }
@@ -225,7 +253,13 @@ impl<T> UniformGrid<T> {
     /// Entry slots of cell `c` (indices into the SoA arrays).
     #[inline]
     fn cell_slots(&self, c: usize) -> std::ops::Range<usize> {
-        self.starts[c]..self.starts[c + 1]
+        self.starts[c] as usize..self.starts[c + 1] as usize
+    }
+
+    /// Whether the entry at SoA slot `i` lies in more than one cell.
+    #[inline]
+    fn straddles(&self, i: usize) -> bool {
+        self.straddles[i / 64] >> (i % 64) & 1 != 0
     }
 
     /// The full rectangle stored at SoA slot `i`.
@@ -374,8 +408,8 @@ impl<T> UniformGrid<T> {
     /// ascend too and overlapping runs merge in one pass. A cell whose
     /// widest entry spans it yields the whole cell.
     fn runs(&self, c: usize, plan: &[WindowPlan], mut f: impl FnMut(std::ops::Range<usize>)) {
-        let (reach, end) = (self.max_w[c], self.starts[c + 1]);
-        let (mut a, mut run) = (self.starts[c], 0..0);
+        let (reach, end) = (self.max_w[c], self.starts[c + 1] as usize);
+        let (mut a, mut run) = (self.starts[c] as usize, 0..0);
         for p in plan {
             a += self.lo_x[a..end].partition_point(|&x| x + reach < p.x0);
             let b = a + self.lo_x[a..end].partition_point(|&x| x <= p.x1);
@@ -391,7 +425,8 @@ impl<T> UniformGrid<T> {
     /// The one scan loop of both kernels: visits `(slot, rect)` for
     /// every entry of the plan's `pos`-th cell that lies in one of its
     /// [`runs`](Self::runs) and is processed in that cell under the
-    /// reference-point rule. The runs are those of **all** windows, not
+    /// reference-point rule — by construction when it lies in no other
+    /// cell. The runs are those of **all** windows, not
     /// only of the windows whose range covers the cell: the rule can
     /// process an entry in a cell that lies only in another window's range.
     fn sweep(&self, plan: &Plan, pos: usize, mut visit: impl FnMut(usize, &Rect)) {
@@ -399,7 +434,7 @@ impl<T> UniformGrid<T> {
         self.runs(c, &plan.windows, |run| {
             for slot in run {
                 let r = self.rect_at(slot);
-                if self.dedup_cell(&r, &plan.windows) == Some(c) {
+                if !self.straddles(slot) || self.dedup_cell(&r, &plan.windows) == Some(c) {
                     visit(slot, &r);
                 }
             }
@@ -430,11 +465,14 @@ struct Axis {
 }
 
 impl Axis {
-    /// The cell of coordinate `v`, clamped to the axis.
+    /// The cell of coordinate `v`, clamped to the axis. The cast is the
+    /// floor: it truncates toward zero, which is `floor` on `[0, ∞)`;
+    /// negatives and NaN become cell 0 through the `max`, as they did
+    /// through `floor` and `max`, and `+∞` saturates into the `min`. The
+    /// division stays: a reciprocal multiply moves borders by an ulp.
     #[inline]
     fn cell(&self, v: f64) -> usize {
-        let i = ((v - self.min) / self.step).floor();
-        (i.max(0.0) as usize).min(self.n - 1)
+        (((v - self.min) / self.step).max(0.0) as usize).min(self.n - 1)
     }
 
     /// The smallest coordinate whose cell is `c` (`1 ≤ c < n`) or a later
@@ -704,9 +742,10 @@ pub fn candidates_with_counts<T: Copy + Ord>(
 /// of replicated rectangles meets in several cell pairs and is reported in
 /// one, by the reference-point rule: the point `(max lo_x, max lo_y)` lies
 /// in both rectangles, hence in a cell of each that holds them, and the
-/// pair belongs to the cell pair whose two cells contain it — decided with
-/// the `cell_x` / `cell_y` the builds used, so the two grids need not be
-/// aligned. The exact predicate is evaluated last.
+/// pair belongs to the cell pair whose two cells contain it — decided, for
+/// a side whose entry straddles cells, with the `cell_x` / `cell_y` the
+/// builds used, so the two grids need not be aligned (an entry in one cell
+/// holds the point there). The exact predicate is evaluated last.
 ///
 /// Pairs arrive in `left`'s row-major cell order, then `right`'s, then scan
 /// order. One access is charged per occupied cell of `left` and one per
@@ -754,8 +793,8 @@ pub fn join<T: Copy, U: Copy>(
                         return;
                     }
                     let y = left.lo_y[i].max(right.lo_y[j]);
-                    let here = (left.cell_x(x), left.cell_y(y)) == (cx, cy)
-                        && (right.cell_x(x), right.cell_y(y)) == (bx, by);
+                    let here = (!left.straddles(i) || (left.cell_x(x), left.cell_y(y)) == (cx, cy))
+                        && (!right.straddles(j) || (right.cell_x(x), right.cell_y(y)) == (bx, by));
                     if here && pred.eval(&left.rect_at(i), &right.rect_at(j)) {
                         emit(left.values[i], right.values[j]);
                     }
@@ -797,9 +836,10 @@ impl<T> MemoryFootprint for UniformGrid<T> {
     fn memory_bytes(&self) -> u64 {
         let coords = (self.lo_x.len() * 4 * std::mem::size_of::<f64>()) as u64;
         let values = (self.values.len() * std::mem::size_of::<T>()) as u64;
-        let starts = (self.starts.len() * std::mem::size_of::<usize>()) as u64;
+        let starts = (self.starts.len() * std::mem::size_of::<u32>()) as u64;
         let widths = (self.max_w.len() * std::mem::size_of::<f64>()) as u64;
-        coords + values + starts + widths
+        let bits = (self.straddles.len() * std::mem::size_of::<u64>()) as u64;
+        coords + values + starts + widths + bits
     }
 }
 
@@ -1073,8 +1113,9 @@ mod tests {
     }
 
     /// Data layouts chosen to defeat the sweep: hot cells, a maximal sweep
-    /// bound in every cell, zero widths, equal sort keys, duplicates and
-    /// the smallest grid.
+    /// bound in every cell, zero widths, equal sort keys, duplicates, the
+    /// smallest grid, and the two ends of the straddle bit — every entry
+    /// replicated, none replicated.
     fn hostile_layouts() -> Vec<(&'static str, Vec<(Rect, u32)>)> {
         let ids = |rects: Vec<Rect>| rects.into_iter().zip(0u32..).collect::<Vec<_>>();
         let mut covered = random_items(21, 400, 0.05);
@@ -1085,6 +1126,14 @@ mod tests {
         let same_lo_x = random_items(23, 400, 0.1)
             .into_iter()
             .map(|(r, _)| Rect::new(0.25, r.min.y, r.max.x.max(0.25), r.max.y));
+        // Wider than a cell at either occupancy the tests build with: the
+        // bounding box is at most 1.45 wide and has at least 5 cells a side.
+        let wide = random_items(29, 400, 0.1)
+            .into_iter()
+            .map(|(r, _)| Rect::new(r.min.x, r.min.y, r.max.x + 0.35, r.max.y));
+        let points = random_items(30, 400, 0.1)
+            .into_iter()
+            .map(|(r, _)| Rect::new(r.min.x, r.min.y, r.min.x, r.min.y));
         vec![
             ("uniform", random_items(20, 1_500, 0.08)),
             ("zipf", zipf_items(24, 4_000, 0.05)),
@@ -1093,7 +1142,32 @@ mod tests {
             ("equal lo_x", ids(same_lo_x.collect())),
             ("duplicates", ids(vec![Rect::new(0.3, 0.3, 0.4, 0.5); 200])),
             ("single object", ids(vec![Rect::new(0.2, 0.2, 0.6, 0.7)])),
+            ("every rectangle wider than a cell", ids(wide.collect())),
+            ("points", ids(points.collect())),
         ]
+    }
+
+    /// The bit is what it abbreviates: set iff the entry's span — the one
+    /// `dedup_cell` would compute — holds more than one cell.
+    #[test]
+    fn straddle_bit_is_set_iff_the_span_holds_several_cells() {
+        for (name, items) in hostile_layouts() {
+            for occupancy in [6.0, 16.0] {
+                let grid = UniformGrid::with_target_occupancy(&items, occupancy);
+                let mut set = 0;
+                for slot in 0..grid.values.len() {
+                    let s = grid.span_of(&grid.rect_at(slot));
+                    let several = (s.x0, s.y0) != (s.x1, s.y1);
+                    assert_eq!(grid.straddles(slot), several, "{name}: slot {slot}");
+                    set += several as usize;
+                }
+                match name {
+                    "every rectangle wider than a cell" => assert_eq!(set, grid.values.len()),
+                    "points" => assert_eq!(set, 0),
+                    _ => {}
+                }
+            }
+        }
     }
 
     #[test]
@@ -1302,6 +1376,128 @@ mod tests {
         assert!(swept * 10 <= occupancy, "swept {swept} of {occupancy}");
     }
 
+    /// `swept_slots`' own traversal, counting beside the swept slots those
+    /// whose bit is set: the slots that still pay for `dedup_cell`.
+    fn swept_and_straddling(grid: &UniformGrid<u32>, windows: &[(Predicate, Rect)]) -> (u64, u64) {
+        let (mut swept, mut straddling) = (0, 0);
+        with_plan(grid, windows, &mut 0, &mut [], |plan| {
+            for &c in &plan.cells {
+                grid.runs(c, &plan.windows, |run| {
+                    swept += run.len() as u64;
+                    straddling += run.filter(|&slot| grid.straddles(slot)).count() as u64;
+                });
+            }
+        });
+        assert_eq!(swept, grid.swept_slots(windows));
+        (swept, straddling)
+    }
+
+    /// What the bit saves, in slots: a replay of 10 000 windows drawn from
+    /// the data, on the benchmark's uniform row (`chain-100k-grid`) and on
+    /// its Zipf row (`zipf-50k-grid`). Before the bit every swept slot ran
+    /// the reference-point rule; now the straddling ones do.
+    #[test]
+    fn a_replay_pays_the_rule_on_the_straddling_slots_only() {
+        use mwsj_datagen::{hard_region_density, Dataset, DatasetSpec, QueryShape};
+        let uniform = DatasetSpec::uniform(
+            100_000,
+            hard_region_density(QueryShape::Chain, 6, 100_000, 1e-3),
+        );
+        let uniform = Dataset::generate(&uniform, &mut StdRng::seed_from_u64(31));
+        let uniform: Vec<(Rect, u32)> = uniform.rects().iter().copied().zip(0u32..).collect();
+        let density = hard_region_density(QueryShape::Chain, 6, 50_000, 1e-10);
+        let rows = [
+            ("uniform", uniform, (17_057, 1_254)),
+            ("zipf", zipf_items(26, 50_000, density), (57_744, 819)),
+        ];
+        for (name, items, pinned) in rows {
+            let grid = UniformGrid::build(&items);
+            let mut rng = StdRng::seed_from_u64(32);
+            let (mut swept, mut straddling) = (0, 0);
+            for _ in 0..10_000 {
+                let (w, _) = items[rng.random_range(0..items.len())];
+                let counts = swept_and_straddling(&grid, &[(Predicate::Intersects, w)]);
+                swept += counts.0;
+                straddling += counts.1;
+            }
+            assert_eq!((swept, straddling), pinned, "{name}");
+        }
+    }
+
+    /// The formula [`Axis::cell`] replaced, kept as the reference.
+    fn floor_cell(axis: &Axis, v: f64) -> usize {
+        let i = ((v - axis.min) / axis.step).floor();
+        (i.max(0.0) as usize).min(axis.n - 1)
+    }
+
+    #[test]
+    fn cell_is_the_floor_formula_at_every_border() {
+        let axis = |min: f64, step: f64, n: usize| Axis {
+            min,
+            max: min,
+            step,
+            n,
+        };
+        let axes = [
+            axis(0.25, 0.125, 8),
+            axis(-0.0, 0.1, 10),
+            axis(-3.0, 1.0 / 3.0, 4096),
+            axis(-1.5e308, INF, 3), // an extent too wide for `f64`
+            axis(0.0, 5e-324, 7),
+            axis(1e300, 5e-324, 7),
+            axis(0.5, 1.0, 1),
+        ];
+        for a in &axes {
+            let mut values = vec![-0.0, 0.0, -1e-320, 1e-320, INF, -INF, f64::NAN];
+            values.extend([a.min.next_down(), a.min, a.min.next_up()]);
+            for k in 0..=a.n.min(9) {
+                let at = a.min + k as f64 * a.step;
+                values.extend([at.next_down(), at, at.next_up()]);
+            }
+            for v in values {
+                assert_eq!(
+                    a.cell(v),
+                    floor_cell(a, v),
+                    "{v:e} on {:e} + k·{:e}",
+                    a.min,
+                    a.step
+                );
+            }
+            assert_eq!((a.cell(-INF), a.cell(f64::NAN)), (0, 0));
+        }
+        assert_eq!(axes[0].cell(0.25 + 3.0 * 0.125), 3);
+        assert_eq!(axes[0].cell((0.25f64 + 3.0 * 0.125).next_down()), 2);
+        assert_eq!((axes[0].cell(INF), axes[0].cell(1e300)), (7, 7));
+        assert_eq!((axes[3].cell(1.5e308), axes[3].cell(INF)), (0, 0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// The same equality on any three bit patterns — negative, zero,
+        /// subnormal, infinite and NaN origins, steps and coordinates — and
+        /// within two ulps of the `k`-th border of the axis they make.
+        #[test]
+        fn cell_is_the_floor_formula_on_any_bits(
+            v in proptest::prelude::any::<u64>(),
+            min in proptest::prelude::any::<u64>(),
+            step in proptest::prelude::any::<u64>(),
+            n in 1usize..=4096,
+            k in 0usize..5000,
+            ulps in -2i32..=2,
+        ) {
+            let (min, step) = (f64::from_bits(min), f64::from_bits(step));
+            let axis = Axis { min, max: min, step, n };
+            let mut border = min + k as f64 * step;
+            for _ in 0..ulps.abs() {
+                border = if ulps < 0 { border.next_down() } else { border.next_up() };
+            }
+            for v in [f64::from_bits(v), border] {
+                proptest::prop_assert_eq!(axis.cell(v), floor_cell(&axis, v));
+            }
+        }
+    }
+
     #[test]
     fn stats_and_footprint_are_consistent() {
         let items = random_items(17, 400, 0.3);
@@ -1313,7 +1509,20 @@ mod tests {
         assert!(stats.replication_factor >= 1.0);
         assert!(stats.occupied_cells <= stats.cells);
         assert!(stats.max_occupancy as f64 >= stats.avg_occupancy);
-        assert!(grid.memory_bytes() > 0);
+        // Every vector of the struct, at its element size, and nothing else.
+        let vectors = [
+            std::mem::size_of_val(&grid.starts[..]),
+            std::mem::size_of_val(&grid.lo_x[..]),
+            std::mem::size_of_val(&grid.lo_y[..]),
+            std::mem::size_of_val(&grid.hi_x[..]),
+            std::mem::size_of_val(&grid.hi_y[..]),
+            std::mem::size_of_val(&grid.values[..]),
+            std::mem::size_of_val(&grid.max_w[..]),
+            std::mem::size_of_val(&grid.straddles[..]),
+        ];
+        assert_eq!(grid.memory_bytes(), vectors.iter().sum::<usize>() as u64);
+        assert_eq!(grid.starts.len() as u64, stats.cells + 1);
+        assert_eq!(grid.straddles.len() as u64, stats.entries.div_ceil(64));
         // Same logical grid, same bytes.
         let again = UniformGrid::build(&items);
         assert_eq!(grid.memory_bytes(), again.memory_bytes());
