@@ -5,7 +5,7 @@ use std::fmt;
 use std::time::Duration;
 
 /// A parsed command line: subcommand, positional arguments,
-/// `--key value` options (repeatable) and `--switch` switches.
+/// `--key value` options and `--switch` switches.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// The subcommand (first non-flag argument).
@@ -38,6 +38,8 @@ pub enum ArgError {
     UnexpectedArgument(String),
     /// A `--name` the binary does not read.
     UnknownOption(String),
+    /// A single-valued `--name` given twice.
+    RepeatedOption(String),
     /// A `--name` the binary reads, but not for this command.
     ForeignOption {
         /// The option name.
@@ -59,6 +61,7 @@ impl fmt::Display for ArgError {
             } => write!(f, "--{option} {value}: expected {expected}"),
             ArgError::UnexpectedArgument(a) => write!(f, "unexpected argument '{a}'"),
             ArgError::UnknownOption(k) => write!(f, "unknown option '--{k}'"),
+            ArgError::RepeatedOption(k) => write!(f, "option --{k} given more than once"),
             ArgError::ForeignOption { option, command } => {
                 write!(f, "unknown option '--{option}' for '{command}'")
             }
@@ -113,17 +116,14 @@ pub const COMMANDS: &[CommandSpec] = &[
             "restarts",
             "threads",
             "backend",
-            "grid-threads",
             "metrics-out",
             "trace-out",
             "profile-out",
-            "flight-recorder-out",
-            "flight-recorder-bytes",
             "progress-every",
             "stall-steps",
             "stall-secs",
         ],
-        switches: &["stall-abort", "follow"],
+        switches: &["stall-abort"],
     },
     CommandSpec {
         name: "join",
@@ -178,6 +178,10 @@ pub const COMMANDS: &[CommandSpec] = &[
     },
 ];
 
+/// The one option that may be given more than once, each value kept in
+/// order; a second value for any other would otherwise be silently lost.
+const REPEATABLE: &str = "data";
+
 impl Args {
     /// Parses an iterator of arguments (excluding the program name).
     pub fn parse<I: IntoIterator<Item = String>>(items: I) -> Result<Args, ArgError> {
@@ -201,10 +205,11 @@ impl Args {
                         Some(value) => value,
                         None => return Err(ArgError::MissingValue(name.to_string())),
                     };
-                    args.options
-                        .entry(name.to_string())
-                        .or_default()
-                        .push(value);
+                    let values = args.options.entry(name.to_string()).or_default();
+                    if !values.is_empty() && name != REPEATABLE {
+                        return Err(ArgError::RepeatedOption(name.to_string()));
+                    }
+                    values.push(value);
                 } else if !is_switch(name) {
                     return Err(ArgError::UnknownOption(name.to_string()));
                 } else if inline.is_some() {
@@ -238,7 +243,7 @@ impl Args {
         COMMANDS.iter().find(|c| c.name == command)
     }
 
-    /// All values given for a repeatable option.
+    /// All values given for the repeatable option.
     pub fn values(&self, key: &str) -> &[String] {
         self.options.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
@@ -314,18 +319,39 @@ mod tests {
 
     #[test]
     fn parses_command_and_options() {
-        let a = parse("solve --algo ils --seconds 2.5 --follow").unwrap();
+        let a = parse("solve --algo ils --seconds 2.5 --stall-abort").unwrap();
         assert_eq!(a.command.as_deref(), Some("solve"));
         assert_eq!(a.value("algo"), Some("ils"));
         assert_eq!(a.value("seconds"), Some("2.5"));
-        assert!(a.flag("follow"));
-        assert!(!a.flag("stall-abort"));
+        assert!(a.flag("stall-abort"));
+        assert!(!a.flag("no-tty"));
     }
 
     #[test]
     fn repeatable_options_accumulate() {
         let a = parse("solve --data a.csv --data b.csv --data c.csv").unwrap();
         assert_eq!(a.values("data"), &["a.csv", "b.csv", "c.csv"]);
+    }
+
+    #[test]
+    fn a_single_valued_option_given_twice_is_rejected_by_name() {
+        for (line, name) in [
+            ("solve --seed 1 --seed 2", "seed"),
+            ("solve --iterations 100 --iterations=1", "iterations"),
+            ("solve --algo ils --algo gils", "algo"),
+            ("join --limit 1 --limit 5", "limit"),
+            ("solve --top 1 --top=3", "top"),
+            ("--seed 1 generate --seed 1", "seed"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert_eq!(err, ArgError::RepeatedOption(name.into()), "{line}");
+            assert_eq!(
+                err.to_string(),
+                format!("option --{name} given more than once")
+            );
+        }
+        // A repeated switch says the same thing twice.
+        assert!(parse("solve --stall-abort --stall-abort").is_ok());
     }
 
     #[test]
@@ -394,6 +420,15 @@ mod tests {
     fn unknown_options_are_rejected_in_either_form() {
         for (line, name) in [
             ("solve --sead 5", "sead"),
+            // Gone in PR 25: every line is flushed, there is no ring, and
+            // the grid does not fan out per query.
+            ("solve --follow", "follow"),
+            ("solve --flight-recorder-out f.jsonl", "flight-recorder-out"),
+            (
+                "solve --flight-recorder-bytes 8192",
+                "flight-recorder-bytes",
+            ),
+            ("solve --grid-threads 2", "grid-threads"),
             ("solve --sead=5", "sead"),
             ("solve --stall-abrt", "stall-abrt"),
             ("bench snapshot --reps 1", "reps"),
@@ -405,8 +440,8 @@ mod tests {
         }
         // A switch takes no value.
         assert_eq!(
-            parse("solve --follow=1").unwrap_err(),
-            ArgError::UnexpectedArgument("--follow=1".into())
+            parse("solve --stall-abort=1").unwrap_err(),
+            ArgError::UnexpectedArgument("--stall-abort=1".into())
         );
     }
 

@@ -16,10 +16,10 @@ mod watch;
 use args::Args;
 use mwsj_core::obs::{to_folded, PhaseSnapshot};
 use mwsj_core::{
-    AnytimeSearch, BackendKind, EventSink, FanoutSink, FlightRecorder, FlushPolicy, Gils,
-    GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance, JsonlSink, MetricsSnapshot, ObsHandle,
-    ParallelPortfolio, Pjm, PortfolioConfig, RunEvent, RunOutcome, Sea, SeaConfig, SearchBudget,
-    SearchContext, SynchronousTraversal, TelemetryConfig, TwoStep, TwoStepConfig, WindowReduction,
+    AnytimeSearch, BackendKind, EventSink, Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig,
+    Instance, JsonlSink, MetricsSnapshot, ObsHandle, ParallelPortfolio, Pjm, PortfolioConfig,
+    RunEvent, RunOutcome, Sea, SeaConfig, SearchBudget, SearchContext, SynchronousTraversal,
+    TelemetryConfig, TwoStep, TwoStepConfig, WindowReduction,
 };
 use mwsj_datagen::{Dataset, DatasetSpec, Distribution, QueryShape};
 use rand::rngs::StdRng;
@@ -113,17 +113,12 @@ USAGE:
              [--backend rtree|grid]         spatial index backend: R*-trees (default) or a
                                             PBSM-style uniform grid (identical results,
                                             different cost profile; see mwsj explain)
-             [--grid-threads T]             fan grid queries over T threads (grid backend
-                                            only; default 1, T=0 -> all cores, never more
-                                            than all cores; results are bit-identical
-                                            for any T)
-             [--metrics-out FILE]           structured JSONL run events + metrics
+             [--metrics-out FILE]           structured JSONL run events + metrics, each
+                                            line flushed as it is written (tail it live
+                                            with mwsj watch)
              [--trace-out FILE]             convergence trace as JSONL trace points
              [--profile-out FILE]           per-phase wall-clock profile (folded stacks,
                                             flamegraph-ready)
-             [--flight-recorder-out FILE]   byte-bounded ring of the most recent run
-                                            events, drained to JSONL after the run
-             [--flight-recorder-bytes N]    ring byte budget (default 65536, min 4096)
              [--progress-every N]           emit a 'progress' heartbeat event every N
                                             steps (requires --metrics-out)
              [--stall-steps N | --stall-secs S]
@@ -131,8 +126,6 @@ USAGE:
                                             (or S seconds) without improvement
              [--stall-abort]                stop a stalled run via the cutoff machinery
                                             (stop reason 'stall_aborted')
-             [--follow]                     flush each event line immediately so the
-                                            metrics file can be tailed live
   mwsj join --data FILE [--data FILE]... --query SPEC [--algo wr|st|pjm] [--limit K] [--seconds S]
             [--backend rtree|grid] [--metrics-out FILE]
                                             --algo st descends the R*-trees and ignores
@@ -157,8 +150,8 @@ USAGE:
   mwsj report FILE                          validate + summarise a metrics JSONL file
                                             (or a BENCH_*.json bench snapshot)
   mwsj watch FILE [--poll-ms MS] [--timeout-secs S] [--no-tty]
-                                            tail a live metrics JSONL file (written with
-                                            solve --follow): in-place status view on a
+                                            tail a live metrics JSONL file (any
+                                            --metrics-out): in-place status view on a
                                             TTY, one line per update with --no-tty;
                                             exits when the run ends
   mwsj bench snapshot [--tier base|large] [--label L] [--out FILE]
@@ -214,8 +207,7 @@ fn budget_from(args: &Args) -> Result<Option<SearchBudget>, String> {
     })
 }
 
-/// Applies `--backend rtree|grid` and, where the command reads it
-/// (`solve`), `--grid-threads N` to a freshly built instance — shared by
+/// Applies `--backend rtree|grid` to a freshly built instance — shared by
 /// `solve`, `join` and `explain`.
 fn apply_backend(args: &Args, instance: Instance) -> Result<Instance, String> {
     let backend = match args.value("backend") {
@@ -223,26 +215,12 @@ fn apply_backend(args: &Args, instance: Instance) -> Result<Instance, String> {
         Some(name) => BackendKind::parse(name)
             .ok_or_else(|| format!("unknown backend '{name}' (expected rtree|grid)"))?,
     };
-    let grid_threads: usize = args
-        .parse_or("grid-threads", 1, "a thread count")
-        .map_err(|e| e.to_string())?;
-    if args.value("grid-threads").is_some() && backend != BackendKind::Grid {
-        return Err("--grid-threads needs --backend grid".into());
-    }
-    Ok(instance
-        .with_backend(backend)
-        .with_grid_threads(grid_workers(grid_threads)))
+    Ok(instance.with_backend(backend))
 }
 
-/// Worker threads for a `--grid-threads` request: `0` means all cores, as
-/// for `--threads`, and no request gets more workers than there are cores
-/// (the grid spawns what it is given, once per query).
-fn grid_workers(requested: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    match requested {
-        0 => cores,
-        n => n.min(cores),
-    }
+/// Creates the JSONL file an output option names; an error names the path.
+fn create_sink(path: &str) -> Result<JsonlSink, String> {
+    JsonlSink::create(path).map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_generate(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
@@ -344,7 +322,6 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let metrics_path = args.value("metrics-out").map(str::to_string);
     let trace_path = args.value("trace-out").map(str::to_string);
     let profile_path = args.value("profile-out").map(str::to_string);
-    let flight_path = args.value("flight-recorder-out").map(str::to_string);
 
     // Live telemetry: progress heartbeats and the stall watchdog.
     let progress_every: u64 = args
@@ -369,57 +346,20 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     if telemetry.progress_every.is_some() && metrics_path.is_none() {
         return Err("--progress-every needs --metrics-out FILE to stream to".into());
     }
-    // `--follow` streams each event line the moment it happens (per-event
-    // flush) so `mwsj watch FILE` can tail the run live.
-    let follow = args.flag("follow");
-    if follow && metrics_path.is_none() {
-        return Err("--follow needs --metrics-out FILE to stream to".into());
-    }
-    let flush_policy = if follow {
-        FlushPolicy::PerEvent
-    } else {
-        FlushPolicy::Buffered
-    };
-
-    // The flight recorder rides alongside any JSONL sink (or alone): a
-    // byte-bounded ring of the most recent run events, drained after the
-    // run (see DESIGN.md "Resource observability").
-    let recorder_bytes: u64 = args
-        .parse_or(
-            "flight-recorder-bytes",
-            mwsj_core::DEFAULT_FLIGHT_RECORDER_BYTES as u64,
-            "a byte budget",
-        )
-        .map_err(|e| e.to_string())?;
-    if recorder_bytes < 4096 {
-        return Err(format!(
-            "--flight-recorder-bytes {recorder_bytes}: the ring needs at least 4096 bytes \
-             to hold a useful event window"
-        )
-        .into());
-    }
-    if args.value("flight-recorder-bytes").is_some() && flight_path.is_none() {
-        return Err("--flight-recorder-bytes needs --flight-recorder-out FILE".into());
-    }
-    let recorder = flight_path
-        .as_ref()
-        .map(|_| Arc::new(FlightRecorder::with_capacity_bytes(recorder_bytes as usize)));
-    let obs = match (&metrics_path, &recorder) {
-        (Some(path), recorder) => {
-            let sink =
-                JsonlSink::create_with(path, flush_policy).map_err(|e| format!("{path}: {e}"))?;
-            match recorder {
-                Some(rec) => ObsHandle::enabled()
-                    .with_sink(Arc::new(FanoutSink::new(vec![Arc::new(sink), rec.clone()]))),
-                None => ObsHandle::enabled().with_sink(Arc::new(sink)),
-            }
-        }
-        (None, Some(rec)) => ObsHandle::enabled().with_sink(rec.clone()),
+    // Every output file exists before the search starts: a bad path costs
+    // the error, not the run.
+    let obs = match &metrics_path {
+        Some(path) => ObsHandle::enabled().with_sink(Arc::new(create_sink(path)?)),
         // No event sink requested, but the profile still needs live phase
         // timers; a fully disabled handle records nothing.
-        (None, None) if profile_path.is_some() => ObsHandle::timer_only(),
-        (None, None) => ObsHandle::disabled(),
+        None if profile_path.is_some() => ObsHandle::timer_only(),
+        None => ObsHandle::disabled(),
     };
+    let trace_sink = trace_path.as_deref().map(create_sink).transpose()?;
+    let profile_file = profile_path
+        .as_deref()
+        .map(|path| std::fs::File::create(path).map_err(|e| format!("{path}: {e}")))
+        .transpose()?;
     obs.emit(mwsj_core::run_start(
         algo, &instance, &budget, restarts, threads, seed,
     ));
@@ -467,8 +407,7 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     obs.emit(RunEvent::Phases {
         phases: phases.clone(),
     });
-    if let Some(path) = &trace_path {
-        let sink = JsonlSink::create(path).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(sink) = &trace_sink {
         for p in &outcome.trace {
             sink.emit(&RunEvent::TracePoint {
                 step: p.step,
@@ -528,18 +467,10 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
             outcome.trace.len()
         )?;
     }
-    if let (Some(path), Some(rec)) = (&flight_path, &recorder) {
-        let written = rec.write_jsonl(path).map_err(|e| format!("{path}: {e}"))?;
-        writeln!(
-            stdout,
-            "wrote {written} recent run events to {path} (flight recorder, \
-             {} byte budget)",
-            rec.capacity_bytes()
-        )?;
-    }
-    if let Some(path) = &profile_path {
+    if let (Some(path), Some(mut file)) = (&profile_path, profile_file) {
         let folded = to_folded(&phases);
-        std::fs::write(path, &folded).map_err(|e| format!("{path}: {e}"))?;
+        file.write_all(folded.as_bytes())
+            .map_err(|e| format!("{path}: {e}"))?;
         writeln!(
             stdout,
             "wrote phase profile to {path} ({} folded stack lines, flamegraph-ready)",
@@ -623,8 +554,7 @@ fn cmd_explain(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let report = mwsj_core::build_explain_report(&instance);
     write!(stdout, "{}", report::explain_text(&report))?;
     if let Some(path) = args.value("metrics-out") {
-        let sink = JsonlSink::create(path).map_err(|e| format!("{path}: {e}"))?;
-        sink.emit(&RunEvent::ExplainReport {
+        create_sink(path)?.emit(&RunEvent::ExplainReport {
             report: report.clone(),
         });
         writeln!(
@@ -659,10 +589,7 @@ fn cmd_join(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     }
     let metrics_path = args.value("metrics-out").map(str::to_string);
     let obs = match &metrics_path {
-        Some(path) => {
-            let sink = JsonlSink::create(path).map_err(|e| format!("{path}: {e}"))?;
-            ObsHandle::enabled().with_sink(Arc::new(sink))
-        }
+        Some(path) => ObsHandle::enabled().with_sink(Arc::new(create_sink(path)?)),
         None => ObsHandle::disabled(),
     };
     // Seed 0: exact joins are deterministic; no RNG is involved.
@@ -735,7 +662,7 @@ fn cmd_hard_density(args: &Args, stdout: &mut impl Write) -> Result<(), Failure>
 
 #[cfg(test)]
 mod tests {
-    use super::{grid_workers, two_step_stage_budget};
+    use super::two_step_stage_budget;
     use mwsj_core::SearchBudget;
     use std::time::Duration;
 
@@ -758,14 +685,5 @@ mod tests {
         ] {
             assert_eq!(two_step_stage_budget(&given), stage, "{given:?}");
         }
-    }
-
-    #[test]
-    fn grid_workers_never_exceed_the_cores() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(grid_workers(0), cores);
-        assert_eq!(grid_workers(1), 1);
-        assert_eq!(grid_workers(100_000), cores);
-        assert_eq!(grid_workers(usize::MAX), cores);
     }
 }

@@ -1,9 +1,9 @@
-//! `mwsj watch` — tail a live metrics JSONL file (written by `mwsj solve
-//! --follow`) and render the run's progress as it happens.
+//! `mwsj watch` — tail a live metrics JSONL file (any `--metrics-out`) and
+//! render the run's progress as it happens.
 //!
 //! The watcher polls the file by byte offset, consuming only *complete*
-//! lines (the writer flushes per event, so a complete line is a complete
-//! JSON object), and keeps one status row per portfolio restart. On a TTY
+//! lines (the sink writes and flushes one whole line per event, so a
+//! complete line is a complete JSON object), and keeps one status row per portfolio restart. On a TTY
 //! the status block is redrawn in place; with `--no-tty` (or when stdout
 //! is not a terminal) every update is one plain line, suitable for CI
 //! logs. The watcher exits successfully when the run's `run_end` event

@@ -148,6 +148,48 @@ fn report_rejects_trailing_partial_line() {
     assert!(err.contains("appears truncated"), "{err}");
 }
 
+/// A metrics file cut mid-line — a run killed while writing, or a copy
+/// taken while it is still being written — is an error naming the file and
+/// the line to `report`, and the end of a stream that never closes to
+/// `watch`, which still shows every complete line first. Neither panics.
+#[test]
+fn a_half_written_metrics_file_is_refused_by_report_and_watch() {
+    let dir = temp_dir("half_written");
+    let (metrics, _) = solve_with_metrics(&dir, &[]);
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    // Cut 10 bytes into the `run_end` line: every line before it is whole.
+    let cut_line = text
+        .lines()
+        .position(|l| l.starts_with("{\"event\":\"run_end\""))
+        .expect("a run_end line");
+    let line_start: usize = text.lines().take(cut_line).map(|l| l.len() + 1).sum();
+    let path = dir.join("cut.jsonl");
+    std::fs::write(&path, &text[..line_start + 10]).unwrap();
+
+    let out = report(&path);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    let named = format!("{}:{}: ", path.display(), cut_line + 1);
+    assert!(err.starts_with(&format!("error: {named}")), "{err}");
+    assert!(err.trim_end().ends_with("appears truncated)"), "{err}");
+
+    let out = mwsj()
+        .args(["watch", path.to_str().unwrap(), "--no-tty"])
+        .args(["--poll-ms", "10", "--timeout-secs", "1"])
+        .output()
+        .unwrap();
+    let (stdout, err) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("no run_end"), "{err}");
+    // The complete lines were rendered (`run_start` is the one of them
+    // `watch` prints a line for); the cut one was not.
+    assert!(stdout.starts_with("run_start "), "{stdout}");
+    assert!(!stdout.contains("run_end"), "{stdout}");
+}
+
 /// `mwsj report` is the one validator CI runs on every artifact: each of
 /// the four hostile lines of the smoke jobs is an error naming the line,
 /// the event and the field path, and nothing is rendered.
@@ -292,70 +334,6 @@ fn report_renders_resource_report_as_memory_table() {
         assert!(text.contains(component), "missing {component}:\n{text}");
     }
     assert!(text.contains("bytes"), "{text}");
-}
-
-#[test]
-fn flight_recorder_out_writes_schema_valid_jsonl() {
-    let dir = temp_dir("flight");
-    let flight = dir.join("flight.jsonl");
-    let (metrics, out) =
-        solve_with_metrics(&dir, &["--flight-recorder-out", flight.to_str().unwrap()]);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("flight recorder"), "{text}");
-
-    // The recorded ring is itself a valid metrics file; with a 64 KiB
-    // budget and a short run it holds the complete event stream, so it
-    // reports identically to the JSONL sink's file.
-    let out = report(&flight);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let flight_text = std::fs::read_to_string(&flight).unwrap();
-    let metrics_text = std::fs::read_to_string(&metrics).unwrap();
-    assert_eq!(
-        flight_text, metrics_text,
-        "short-run flight recording must equal the full event stream"
-    );
-}
-
-#[test]
-fn flight_recorder_works_without_metrics_out() {
-    let dir = temp_dir("flight_solo");
-    let a = generate(&dir, "a.csv", 200, 5);
-    let b = generate(&dir, "b.csv", 200, 6);
-    let flight = dir.join("flight.jsonl");
-    let out = mwsj()
-        .args([
-            "solve",
-            "--data",
-            a.to_str().unwrap(),
-            "--data",
-            b.to_str().unwrap(),
-            "--query",
-            "chain",
-            "--iterations",
-            "200",
-            "--flight-recorder-out",
-            flight.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let report_out = report(&flight);
-    assert!(
-        report_out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&report_out.stderr)
-    );
-    let text = String::from_utf8_lossy(&report_out.stdout);
-    assert!(text.contains("schema OK"), "{text}");
-    assert!(text.contains("memory:"), "{text}");
 }
 
 #[test]

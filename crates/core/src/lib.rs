@@ -79,7 +79,6 @@ pub use wr::{ExactJoinOutcome, WindowReduction};
 // search runs to sinks without depending on `mwsj-obs` directly.
 pub use mwsj_obs as obs;
 pub use mwsj_obs::{
-    merge_phase_snapshots, EventSink, FanoutSink, FlightRecorder, FlushPolicy, JsonlSink,
-    MemoryFootprint, MetricsRegistry, MetricsSnapshot, ObsHandle, PhaseSnapshot, PhaseTimer,
-    ResourceReport, RunEvent, VecSink, DEFAULT_FLIGHT_RECORDER_BYTES,
+    merge_phase_snapshots, EventSink, JsonlSink, MemoryFootprint, MetricsRegistry, MetricsSnapshot,
+    ObsHandle, PhaseSnapshot, PhaseTimer, ResourceReport, RunEvent, VecSink,
 };

@@ -117,9 +117,6 @@ pub fn emit_run_end(obs: &ObsHandle, instance: &Instance, outcome: &RunOutcome) 
         "top_solutions",
         crate::result::solutions_bytes(&outcome.top_solutions),
     );
-    // The observability layer accounts for itself: a retaining sink (the
-    // flight recorder) reports its ring bytes here.
-    obs.fill_sink_resources(&mut report);
     obs.emit(RunEvent::ResourceReport { report });
 
     obs.emit(outcome.run_end());

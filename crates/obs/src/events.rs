@@ -5,9 +5,9 @@
 //! schema: the enum, its writer, its validating reader
 //! ([`RunEvent::parse_line`]) and the table in `DESIGN.md`
 //! ("Observability") are all derived from it (see [`crate::record`]).
-//! Producers emit through the object-safe [`EventSink`] trait so the same
-//! instrumentation can stream to a file ([`JsonlSink`]) or be captured
-//! in-memory for tests ([`VecSink`]).
+//! Producers emit through the object-safe [`EventSink`] trait: a run
+//! streams to a file ([`JsonlSink`]), a test captures in memory
+//! ([`VecSink`]).
 
 use crate::record::events;
 use crate::registry::MetricsSnapshot;
@@ -222,37 +222,14 @@ events! {
 pub trait EventSink: Send + Sync {
     /// Handles one event.
     fn emit(&self, event: &RunEvent);
-
-    /// Records this sink's own resident bytes into `report`, so
-    /// `resource_report` accounts for the observability layer itself. Only
-    /// sinks that retain events (the flight recorder) have anything to
-    /// report; the default is a no-op.
-    fn fill_resource_report(&self, report: &mut crate::resource::ResourceReport) {
-        let _ = report;
-    }
 }
 
-/// When a [`JsonlSink`] pushes bytes to its underlying writer.
-///
-/// `Buffered` is the post-hoc default: lines accumulate in the
-/// `BufWriter` and reach the file on drop — cheapest, but a concurrent
-/// tail sees nothing until the run ends. `PerEvent` flushes after every
-/// line so a live reader (`mwsj watch`) sees each event promptly; used by
-/// `solve --follow`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlushPolicy {
-    /// Buffer lines; flush on [`JsonlSink::flush`] or drop.
-    #[default]
-    Buffered,
-    /// Flush the writer after every emitted line.
-    PerEvent,
-}
-
-/// Streams events to a writer as JSON Lines. I/O errors are swallowed
-/// (observability must never fail the search).
+/// Streams events to a writer as JSON Lines, flushing every line as it is
+/// written: the file on disk always holds exactly the complete lines
+/// emitted so far, so `mwsj watch` can tail any `--metrics-out` file live.
+/// I/O errors are swallowed (observability must never fail the search).
 pub struct JsonlSink {
     out: Mutex<Box<dyn Write + Send>>,
-    policy: FlushPolicy,
 }
 
 impl std::fmt::Debug for JsonlSink {
@@ -262,94 +239,28 @@ impl std::fmt::Debug for JsonlSink {
 }
 
 impl JsonlSink {
-    /// Creates a [`FlushPolicy::Buffered`] sink writing to `writer`.
+    /// Creates a sink writing to `writer`.
     pub fn new(writer: Box<dyn Write + Send>) -> Self {
-        JsonlSink::with_policy(writer, FlushPolicy::Buffered)
-    }
-
-    /// Creates a sink writing to `writer` under the given flush policy.
-    pub fn with_policy(writer: Box<dyn Write + Send>, policy: FlushPolicy) -> Self {
         JsonlSink {
             out: Mutex::new(writer),
-            policy,
         }
     }
 
-    /// Creates (truncating) the file at `path` and streams events to it
-    /// under [`FlushPolicy::Buffered`].
+    /// Creates (truncating) the file at `path` and streams events to it.
     pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        JsonlSink::create_with(path, FlushPolicy::Buffered)
-    }
-
-    /// Creates (truncating) the file at `path` and streams events to it
-    /// under the given flush policy.
-    pub fn create_with<P: AsRef<Path>>(path: P, policy: FlushPolicy) -> io::Result<Self> {
         let file = std::fs::File::create(path)?;
-        Ok(JsonlSink::with_policy(
-            Box::new(io::BufWriter::new(file)),
-            policy,
-        ))
-    }
-
-    /// Flushes the underlying writer.
-    pub fn flush(&self) {
-        let _ = self.out.lock().expect("sink mutex").flush();
+        Ok(JsonlSink::new(Box::new(io::BufWriter::new(file))))
     }
 }
 
 impl EventSink for JsonlSink {
     fn emit(&self, event: &RunEvent) {
-        let line = event.to_json();
+        let mut line = event.to_json();
+        line.push('\n');
+        // One write of the whole line, then a flush: a reader never sees a
+        // line the writer has not finished.
         let mut out = self.out.lock().expect("sink mutex");
-        let _ = writeln!(out, "{line}");
-        if self.policy == FlushPolicy::PerEvent {
-            let _ = out.flush();
-        }
-    }
-}
-
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        if let Ok(mut out) = self.out.lock() {
-            let _ = out.flush();
-        }
-    }
-}
-
-/// Forwards every event to each inner sink, in order. Lets one run stream
-/// to a JSONL file and feed a [`FlightRecorder`](crate::FlightRecorder)
-/// at the same time.
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<std::sync::Arc<dyn EventSink>>,
-}
-
-impl std::fmt::Debug for FanoutSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanoutSink")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl FanoutSink {
-    /// Creates a fanout over the given sinks.
-    pub fn new(sinks: Vec<std::sync::Arc<dyn EventSink>>) -> Self {
-        FanoutSink { sinks }
-    }
-}
-
-impl EventSink for FanoutSink {
-    fn emit(&self, event: &RunEvent) {
-        for sink in &self.sinks {
-            sink.emit(event);
-        }
-    }
-
-    fn fill_resource_report(&self, report: &mut crate::resource::ResourceReport) {
-        for sink in &self.sinks {
-            sink.fill_resource_report(report);
-        }
+        let _ = out.write_all(line.as_bytes()).and_then(|()| out.flush());
     }
 }
 
@@ -549,95 +460,27 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
+    fn every_emitted_line_is_on_disk_before_the_next_emit() {
         let dir = std::env::temp_dir().join("mwsj-obs-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("sink-{}.jsonl", std::process::id()));
-        {
-            let sink = JsonlSink::create(&path).unwrap();
-            sink.emit(&RunEvent::TracePoint {
-                step: 1,
+        let path = dir.join(format!("live-{}.jsonl", std::process::id()));
+        let sink = JsonlSink::create(&path).unwrap();
+        let mut emitted = String::new();
+        for step in 1..=3 {
+            let event = RunEvent::TracePoint {
+                step,
                 similarity: 0.5,
                 elapsed_secs: 0.0,
-            });
-            sink.emit(&RunEvent::TracePoint {
-                step: 2,
-                similarity: 0.6,
-                elapsed_secs: 0.1,
-            });
+            };
+            sink.emit(&event);
+            emitted.push_str(&event.to_json());
+            emitted.push('\n');
+            // The sink is still live: nothing has been dropped or flushed
+            // by the caller.
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), emitted);
         }
-        let text = std::fs::read_to_string(&path).unwrap();
+        drop(sink);
         std::fs::remove_file(&path).ok();
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            Json::parse(line).unwrap();
-        }
-    }
-
-    #[test]
-    fn per_event_flush_is_visible_to_a_concurrent_reader() {
-        let dir = std::env::temp_dir().join("mwsj-obs-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace = |step| RunEvent::TracePoint {
-            step,
-            similarity: 0.5,
-            elapsed_secs: 0.0,
-        };
-
-        // Buffered: a reader tailing the live file sees nothing until the
-        // sink is dropped (this is the behaviour --follow exists to fix).
-        let buffered = dir.join(format!("buffered-{}.jsonl", std::process::id()));
-        let sink = JsonlSink::create(&buffered).unwrap();
-        sink.emit(&trace(1));
-        assert_eq!(
-            std::fs::read_to_string(&buffered).unwrap(),
-            "",
-            "buffered sink must not reach the file before flush/drop"
-        );
-        drop(sink);
-        assert_eq!(
-            std::fs::read_to_string(&buffered).unwrap().lines().count(),
-            1
-        );
-        std::fs::remove_file(&buffered).ok();
-
-        // Per-event: every line is readable immediately after emit, while
-        // the sink is still live.
-        let live = dir.join(format!("live-{}.jsonl", std::process::id()));
-        let sink = JsonlSink::create_with(&live, FlushPolicy::PerEvent).unwrap();
-        for step in 1..=3 {
-            sink.emit(&trace(step));
-            let text = std::fs::read_to_string(&live).unwrap();
-            assert_eq!(
-                text.lines().count(),
-                step as usize,
-                "line {step} must be visible promptly"
-            );
-            assert!(text.ends_with('\n'), "only complete lines on disk");
-            for line in text.lines() {
-                Json::parse(line).unwrap();
-            }
-        }
-        drop(sink);
-        std::fs::remove_file(&live).ok();
-    }
-
-    #[test]
-    fn fanout_collects_sink_resources() {
-        let recorder = std::sync::Arc::new(crate::FlightRecorder::new());
-        recorder.emit(&RunEvent::TracePoint {
-            step: 1,
-            similarity: 0.5,
-            elapsed_secs: 0.0,
-        });
-        let fanout = FanoutSink::new(vec![std::sync::Arc::new(VecSink::new()), recorder.clone()]);
-        let mut report = crate::resource::ResourceReport::new();
-        fanout.fill_resource_report(&mut report);
-        assert_eq!(
-            report.component("flight_recorder"),
-            Some(recorder.byte_len() as u64)
-        );
-        assert!(report.component("flight_recorder").unwrap() > 0);
     }
 
     #[test]

@@ -108,15 +108,6 @@ impl ObsHandle {
         self.sink.is_some()
     }
 
-    /// Asks the attached sink (if any) to record its own resident bytes
-    /// into `report` — e.g. the flight recorder's ring. See
-    /// [`EventSink::fill_resource_report`].
-    pub fn fill_sink_resources(&self, report: &mut crate::resource::ResourceReport) {
-        if let Some(sink) = &self.sink {
-            sink.fill_resource_report(report);
-        }
-    }
-
     /// `true` when any of the three components is active.
     pub fn is_enabled(&self) -> bool {
         self.metrics.is_enabled() || self.timer.is_enabled() || self.sink.is_some()

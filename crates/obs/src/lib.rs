@@ -59,16 +59,14 @@ pub mod timer;
 
 pub use compare::{compare, CompareReport, Verdict};
 pub use curve::{AnytimeCurve, CurvePoint};
-pub use events::{EventSink, FanoutSink, FlushPolicy, JsonlSink, RunEvent, VecSink};
+pub use events::{EventSink, JsonlSink, RunEvent, VecSink};
 pub use explain::{EdgeExplain, ExplainReport, GridQuality, TreeQuality, VarExplain};
 pub use handle::ObsHandle;
 pub use json::{Json, JsonWriter};
 pub use profile::{folded_root_totals, parse_folded, to_folded};
 pub use record::{Field, FieldDoc, FieldError, Record};
 pub use registry::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use resource::{
-    FlightRecorder, MemoryFootprint, ResourceReport, DEFAULT_FLIGHT_RECORDER_BYTES,
-};
+pub use resource::{MemoryFootprint, ResourceReport};
 pub use snapshot::{
     snapshot_sections, AlgoRecord, BenchSnapshot, CacheRecord, ExplainRecord, InstanceRecord,
     MemoryRecord, SnapshotError, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,

@@ -9,8 +9,8 @@
 //! root package so a writer/reader drift fails the tier-1 gate.
 
 use mwsj::core::{
-    emit_run_end, EventSink, FanoutSink, JsonlSink, ObsHandle, ParallelPortfolio, PortfolioConfig,
-    RunEvent, VecSink,
+    emit_run_end, EventSink, JsonlSink, ObsHandle, ParallelPortfolio, PortfolioConfig, RunEvent,
+    VecSink,
 };
 use mwsj::datagen::plant_solution;
 use mwsj::prelude::*;
@@ -45,19 +45,19 @@ fn planted_instance(seed: u64) -> Instance {
     Instance::new(graph, datasets).unwrap()
 }
 
-/// Runs `search` with a handle that fans out to a [`VecSink`] and an
-/// in-memory [`JsonlSink`], then checks the written lines against the
-/// captured events.
+/// Runs `search` with a handle that captures its events in a [`VecSink`],
+/// writes them through an in-memory [`JsonlSink`], and checks the written
+/// lines against the captured events.
 fn assert_stream_round_trips(search: impl FnOnce(&ObsHandle)) {
     let captured = Arc::new(VecSink::new());
-    let buf = SharedBuf::default();
-    let jsonl = Arc::new(JsonlSink::new(Box::new(buf.clone())));
-    let sinks: Vec<Arc<dyn EventSink>> = vec![captured.clone(), jsonl.clone()];
-    let obs = ObsHandle::enabled().with_sink(Arc::new(FanoutSink::new(sinks)));
-    search(&obs);
-    jsonl.flush();
-
+    search(&ObsHandle::enabled().with_sink(captured.clone()));
     let events = captured.take();
+    let buf = SharedBuf::default();
+    let jsonl = JsonlSink::new(Box::new(buf.clone()));
+    for event in &events {
+        jsonl.emit(event);
+    }
+
     let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
     assert!(text.ends_with('\n'), "only complete lines");
     assert_eq!(text.lines().count(), events.len());
@@ -95,7 +95,6 @@ fn ils_stream_reads_back_as_emitted() {
 fn two_restart_portfolio_stream_reads_back_as_emitted() {
     let inst = planted_instance(920);
     assert_stream_round_trips(|obs| {
-        // One worker thread: the two sinks then see the same event order.
         let portfolio =
             ParallelPortfolio::new(Ils::new(IlsConfig::default()), PortfolioConfig::new(2, 1));
         let ctx = SearchContext::local(SearchBudget::iterations(4_000)).with_obs(obs.clone());
