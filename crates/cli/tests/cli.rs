@@ -422,8 +422,13 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     let explain = ["explain", "--data", a, "--data", a, "--query", "0-1"];
     let hard_density = ["hard-density", "--shape", "chain"];
     // (command, hostile arguments, what must come of them).
-    enum Expect {
+    enum Expect<'a> {
         NotSeconds,
+        /// Exit 1: this dataset file holds no rectangle.
+        NoRectangles(&'a str),
+        /// Exit 0, and `mwsj report` accepts the `--metrics-out` file
+        /// given last.
+        Validates,
         Unknown(&'static str),
         /// A single-valued option given twice.
         Repeated(&'static str),
@@ -471,7 +476,56 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     std::fs::write(&one, "0,0,1,1\n").unwrap();
     let one = one.to_str().unwrap();
     let solve_one = ["solve", "--data", one, "--data", one, "--query", "chain"];
-    let rows: [(&[&str], &[&str], Expect); 50] = [
+    // Datasets with no rectangle: a header alone, and no byte at all.
+    let header = dir.join("header.csv");
+    std::fs::write(&header, "x1,y1,x2,y2\n").unwrap();
+    let header = header.to_str().unwrap();
+    let zero = dir.join("zero.csv");
+    std::fs::write(&zero, "").unwrap();
+    let zero = zero.to_str().unwrap();
+    let on_header = ["--data", header, "--data", header, "--query", "0-1"];
+    let on_zero = ["--data", zero, "--data", zero, "--query", "0-1"];
+    let solve_10 = ["solve", "--iterations", "10"];
+    let (wr_join, st_join, pjm_join) = (
+        ["join", "--algo", "wr"],
+        ["join", "--algo", "st"],
+        ["join", "--algo", "pjm"],
+    );
+    let unqueried = ["--data", a, "--data", a];
+    let solve_unqueried = [&solve_10[..], &unqueried[..]].concat();
+    let join_unqueried = [&["join"][..], &unqueried[..]].concat();
+    let explain_unqueried = [&["explain"][..], &unqueried[..]].concat();
+    let twice = "error: invalid query graph: duplicate edge (0, 1)";
+    let reversed = "error: invalid query graph: duplicate edge (1, 0)";
+    let stalled = dir.join("stalled.jsonl");
+    let stalled = stalled.to_str().unwrap();
+    let stall_at_once = |algo| {
+        let flags = ["--stall-steps", "1", "--stall-abort", "--metrics-out"];
+        [&["--algo", algo][..], &flags[..], &[stalled][..]].concat()
+    };
+    let stall_rows = ["ils", "gils", "sea", "sea-hybrid", "ibb", "two-step"].map(stall_at_once);
+    let rows: [(&[&str], &[&str], Expect); 66] = [
+        (&solve_10, &on_header, NoRectangles(header)),
+        (&wr_join, &on_header, NoRectangles(header)),
+        (&st_join, &on_header, NoRectangles(header)),
+        (&pjm_join, &on_header, NoRectangles(header)),
+        (&["explain"], &on_header, NoRectangles(header)),
+        (&solve_10, &on_zero, NoRectangles(zero)),
+        (&wr_join, &on_zero, NoRectangles(zero)),
+        (&st_join, &on_zero, NoRectangles(zero)),
+        (&pjm_join, &on_zero, NoRectangles(zero)),
+        (&["explain"], &on_zero, NoRectangles(zero)),
+        // An edge given twice, in either direction.
+        (&solve_unqueried, &["--query", "0-1,0-1"], Refused(twice)),
+        (&solve_unqueried, &["--query", "0-1,1-0"], Refused(reversed)),
+        (&join_unqueried, &["--query", "0-1,0-1"], Refused(twice)),
+        (&join_unqueried, &["--query", "0-1,1-0"], Refused(reversed)),
+        (&explain_unqueried, &["--query", "0-1,0-1"], Refused(twice)),
+        (
+            &explain_unqueried,
+            &["--query", "0-1,1-0"],
+            Refused(reversed),
+        ),
         (&solve, &["--seconds", "inf"], NotSeconds),
         (&solve, &["--seconds", "1e20"], NotSeconds),
         (&solve, &["--seconds", "-3"], NotSeconds),
@@ -625,13 +679,25 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
             Mentions("bbox [-1e308, 1.7e308]x[0, 1.7e308]"),
         ),
     ];
-    for (command, hostile, expect) in rows {
+    // A stall window of one step, which every search closes at once.
+    let stall_rows = stall_rows
+        .iter()
+        .map(|r| (&solve_steps[..], &r[..], Validates));
+    for (command, hostile, expect) in rows.into_iter().chain(stall_rows) {
         let out = mwsj().args(command).args(hostile).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         let (flag, value) = (hostile[0], hostile[hostile.len() - 1]);
         let error = match expect {
             NotSeconds => {
                 format!("error: {flag} must be a positive, finite number of seconds (got {value})")
+            }
+            NoRectangles(file) => format!("error: {file}: no rectangles in input"),
+            Validates => {
+                assert_eq!(out.status.code(), Some(0), "{hostile:?}: {stderr}");
+                let report = mwsj().args(["report", value]).output().unwrap();
+                let report_err = String::from_utf8_lossy(&report.stderr);
+                assert!(report.status.success(), "{hostile:?}: {report_err}");
+                continue;
             }
             Repeated(option) => format!("error: option {option} given more than once"),
             Unknown(option) => format!("error: unknown option '{option}'"),

@@ -52,6 +52,11 @@ pub struct BestValue {
 /// `penalties` activates GILS mode: leaf values are compared by their
 /// λ-discounted effective value. `node_accesses` is incremented once per
 /// R*-tree node visited (per candidate cell scanned on the grid backend).
+///
+/// # Panics
+/// Panics if the penalty weight λ of `penalties` is negative, infinite or
+/// NaN: the traversal prunes on "no object scores above its satisfied
+/// count", which only a finite λ ≥ 0 keeps true.
 pub fn find_best_value(
     instance: &Instance,
     sol: &Solution,
@@ -72,6 +77,7 @@ pub fn find_best_value(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::BackendKind;
     use mwsj_datagen::Dataset;
     use mwsj_query::{QueryGraph, QueryGraphBuilder};
     use rand::rngs::StdRng;
@@ -238,6 +244,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One penalised query at `lambda` on each backend. Pruning on "no
+    /// object scores above its count" is wrong for a negative or NaN λ:
+    /// before λ was checked, the 200 calls of
+    /// `penalty_mode_matches_brute_force` run at λ = −0.5 returned another
+    /// effective value than `brute_best` 46 times, and at NaN another
+    /// object 133 times (at 0.5: never).
+    fn penalised_queries(lambda: f64) {
+        let inst = random_instance(57, 4, 300, 0.3);
+        let mut table = PenaltyTable::new();
+        table.penalize(0, 7);
+        let sol = Solution::new(vec![0; 4]);
+        for inst in [inst.clone(), inst.with_backend(BackendKind::Grid)] {
+            let penalties = Some((&table, lambda));
+            let _ = find_best_value(&inst, &sol, 0, penalties, &mut 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "λ must be finite and ≥ 0, got -0.5")]
+    fn a_negative_lambda_is_refused() {
+        penalised_queries(-0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "λ must be finite and ≥ 0, got NaN")]
+    fn a_nan_lambda_is_refused() {
+        penalised_queries(f64::NAN);
     }
 
     #[test]

@@ -36,6 +36,8 @@ use rand::rngs::StdRng;
 pub struct GilsConfig {
     /// Penalty weight λ. `None` applies the paper's `λ = 10⁻¹⁰·s`
     /// (`s` = problem size in bits), resolved per instance at run time.
+    /// Must be finite and ≥ 0: a run with any other value panics at its
+    /// first best-value query.
     pub lambda: Option<f64>,
     /// Reseed from a fresh random solution after this many punishment
     /// rounds without improving the incumbent. In sparse candidate spaces
@@ -62,7 +64,8 @@ impl GilsConfig {
         1e-10 * s
     }
 
-    /// Configuration with an explicit λ.
+    /// Configuration with an explicit λ, which must be finite and ≥ 0
+    /// ([`GilsConfig::lambda`]).
     pub fn with_lambda(lambda: f64) -> Self {
         GilsConfig {
             lambda: Some(lambda),
@@ -85,6 +88,9 @@ impl Gils {
 
     /// Runs GILS until the budget is exhausted. One budget step = one
     /// `find best value` call.
+    ///
+    /// # Panics
+    /// Panics if the configured λ is negative, infinite or NaN.
     pub fn run(&self, instance: &Instance, budget: &SearchBudget, rng: &mut StdRng) -> RunOutcome {
         self.search(instance, &SearchContext::local(*budget), rng)
     }
@@ -92,6 +98,9 @@ impl Gils {
     /// Runs GILS under an explicit [`SearchContext`] — the entry point
     /// used by [`crate::ParallelPortfolio`] to share deadlines and bounds
     /// across restarts.
+    ///
+    /// # Panics
+    /// As [`Gils::run`].
     pub fn search(&self, instance: &Instance, ctx: &SearchContext, rng: &mut StdRng) -> RunOutcome {
         run_driven(self, instance, ctx, rng)
     }
@@ -272,6 +281,17 @@ mod tests {
             outcome.stats.local_maxima,
             outcome.stats.restarts
         );
+    }
+
+    /// A negative λ used to run and climb on answers that were not the
+    /// best; it now stops at the first best-value query.
+    #[test]
+    #[should_panic(expected = "λ must be finite and ≥ 0, got -0.5")]
+    fn a_negative_lambda_stops_the_run() {
+        let inst = hard_instance(75, QueryShape::Clique, 4, 200);
+        let mut rng = StdRng::seed_from_u64(76);
+        let gils = Gils::new(GilsConfig::with_lambda(-0.5));
+        let _ = gils.run(&inst, &SearchBudget::iterations(100), &mut rng);
     }
 
     /// The analogue of SEA's `individuals_stay_consistent_…`: after every

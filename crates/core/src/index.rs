@@ -37,6 +37,12 @@ use mwsj_rtree::{grid, multiwindow};
 /// an object by its satisfied count; penalty mode subtracts `λ·penalty` —
 /// both as `f64`, which reproduces the paper's raw strict-count comparison
 /// exactly because `u32 → f64` is lossless.
+///
+/// # Panics
+/// Panics if penalty mode's λ is negative, infinite or NaN: both kernels
+/// prune on "no object scores above its satisfied count", which only a
+/// finite λ ≥ 0 keeps true, and would return an object that is not the
+/// best.
 pub(crate) fn best(
     instance: &Instance,
     var: VarId,
@@ -45,6 +51,12 @@ pub(crate) fn best(
     node_accesses: &mut u64,
     level_accesses: &mut [u64],
 ) -> Option<BestValue> {
+    if let Some((_, lambda)) = penalties {
+        assert!(
+            lambda.is_finite() && lambda >= 0.0,
+            "GILS penalty weight λ must be finite and ≥ 0, got {lambda}"
+        );
+    }
     // Backend is matched before the closures are built: the grid kernel
     // fans cells across threads and therefore needs `Fn + Sync` scorers,
     // while the R*-tree kernel keeps its `FnMut` contract.

@@ -343,6 +343,10 @@ impl WindowCache {
     /// neighbour assignment changed are rebuilt); if no slot changed and
     /// the penalty version is unchanged, the memoised result is returned
     /// without traversing the index (`node_accesses` is left untouched).
+    ///
+    /// # Panics
+    /// As [`find_best_value`](crate::find_best_value): when a traversal
+    /// runs with a penalty weight λ that is negative, infinite or NaN.
     pub fn find_best_value(
         &mut self,
         instance: &Instance,
@@ -358,6 +362,9 @@ impl WindowCache {
     /// attribution: misses bump `level_accesses[lvl]` (`[0]` = leaf) per
     /// visited node alongside `node_accesses`, hits touch neither — so the
     /// attributed counts sum exactly to the shared access counter.
+    ///
+    /// # Panics
+    /// As [`WindowCache::find_best_value`].
     pub fn find_best_value_leveled(
         &mut self,
         instance: &Instance,

@@ -89,6 +89,14 @@ impl Predicate {
     ///
     /// Admissibility: for every `r` with `node.contains(&r)`, if
     /// `self.eval(&r, b)` then `self.possible(node, b)`.
+    ///
+    /// Monotonicity: for every `c` with `node.contains(&c)`, if
+    /// `self.possible(&c, b)` then `self.possible(node, b)` — a window a
+    /// node's rectangle fails, every rectangle inside it fails too, under
+    /// `eval` and `possible` alike. Both hold in `f64`, not only in the
+    /// reals: the tests compare coordinates, `min`/`max` are exact and
+    /// rounding is monotone. The R\*-tree's multi-window scan relies on
+    /// them to skip, below a node, the windows the node fails.
     #[inline]
     pub fn possible(&self, node: &Rect, b: &Rect) -> bool {
         match *self {
@@ -403,6 +411,37 @@ mod proptests {
             let node = obj.inflate(grow); // any node MBR enclosing obj
             if p.eval(&obj, &window) {
                 prop_assert!(p.possible(&node, &window));
+            }
+        }
+
+        /// The two properties the R*-tree's window filter rests on, for
+        /// `m = c ∪ other` (exact in `f64`) under all six predicates:
+        /// `possible(c, w) ⇒ possible(m, w)` and `eval(c, w) ⇒
+        /// possible(m, w)` — over lattice rectangles (shared borders, zero
+        /// extent), random ones, and the empty window.
+        #[test]
+        fn possible_is_monotone_under_containment(
+            c in arb_scan_rect(),
+            other in arb_scan_rect(),
+            window in prop_oneof![arb_scan_rect(), Just(Rect::EMPTY)],
+            eps in 0.0f64..0.5,
+        ) {
+            let m = c.union(&other);
+            prop_assert!(m.contains(&c));
+            let all = [
+                Predicate::Intersects,
+                Predicate::Contains,
+                Predicate::Inside,
+                Predicate::NorthEast,
+                Predicate::SouthWest,
+                Predicate::WithinDistance(0.0),
+                Predicate::WithinDistance(eps),
+            ];
+            for p in all {
+                let outer = p.possible(&m, &window);
+                let what = format!("{p}: {c} in {m} against {window}");
+                prop_assert!(!p.possible(&c, &window) || outer, "possible: {}", what);
+                prop_assert!(!p.eval(&c, &window) || outer, "eval: {}", what);
             }
         }
 

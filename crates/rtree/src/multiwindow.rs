@@ -23,24 +23,38 @@
 //!
 //! # The node scan
 //!
-//! A node is scored **window by window**: for each window the predicate's
-//! batch form ([`Predicate::tally_possible`] on internal nodes,
-//! [`Predicate::tally_eval`] on leaves) runs over the node's run of its
-//! level's rectangle array and adds its verdicts to one count per slot —
-//! the predicate is matched once per window and the loop over the entries
-//! has no data-dependent branch. The slots with a positive count are then ranked in a **total
-//! order: count descending, then slot ascending**, and visited in it.
+//! One scan scores the nodes of every entry point, over either leaf layout:
+//!
+//! - **Window by window.** For each window the predicate's batch form
+//!   ([`Predicate::tally_possible`] on internal nodes,
+//!   [`Predicate::tally_eval`] on leaves) runs over the node's run of its
+//!   level's rectangle array and adds its verdicts to one count per slot:
+//!   the predicate is matched once per window and the loop over the
+//!   entries has no data-dependent branch.
+//! - **Only the windows the node can satisfy.** A window that the node's
+//!   own rectangle (its parent's entry) fails `possible` against adds
+//!   nothing to any slot: `eval(r, w)` and `possible(c, w)` each imply
+//!   `possible(m, w)` for `r, c ⊆ m`, so no rectangle inside the node
+//!   passes it either. A node is entered with the count its parent tallied
+//!   for it, which is exactly how many windows its rectangle passes. When
+//!   that is every window (the root; every node of a conjunctive walk) the
+//!   scan tallies them all untested; otherwise it tests windows against the
+//!   node's rectangle until it has met the ones that fail, and skips them.
+//! - **Ranked, then cut.** The slots with a positive count are ranked in a
+//!   **total order: count descending, then slot ascending**, and visited
+//!   in it, up to the first whose count does not exceed the incumbent's
+//!   score: later slots count no more, and no scorer exceeds its count.
 //!
 //! Counts and ranks live in one per-thread arena that the traversal uses
 //! as a stack (a frame per node on the current root-to-leaf path), so a
 //! call allocates nothing once the arena has grown to the tree's height.
 //! [`for_each_candidate`], the threshold walk of the systematic algorithms,
-//! scores its nodes through the same scan.
+//! scores its nodes through the same scan and visits the slots that reach
+//! its threshold in slot order.
 
 use crate::flat::FlatLeaves;
 use crate::visit::NodeRef;
 use mwsj_geom::{Predicate, Rect};
-use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 
@@ -63,10 +77,11 @@ pub struct BestLeaf<T> {
 /// Entries of each visited node are scored by the number of windows they
 /// satisfy (leaf level, `Predicate::eval`) or could satisfy (internal
 /// level, `Predicate::possible`), entries with zero count are dropped, and
-/// the rest are visited in descending count order. A subtree is pruned
-/// when its potential count, as an `f64`, does not exceed the best score
-/// found so far — admissible as long as `score(v, c) <= c as f64` for
-/// every leaf, which both the raw and the penalised scorer guarantee.
+/// the rest are visited in descending count order. A subtree is pruned,
+/// and a leaf is not scored, when its count, as an `f64`, does not exceed
+/// the best score found so far — admissible as long as `score(v, c) <= c
+/// as f64` for every leaf, which both the raw and the penalised scorer
+/// guarantee. So `score` sees only the leaves that could still win.
 ///
 /// Returns `None` when no leaf satisfies any window. `node_accesses` is
 /// incremented once per node visited.
@@ -85,9 +100,8 @@ pub fn find_best_leaf<T: Copy>(
     mut score: impl FnMut(&T, u32) -> f64,
     node_accesses: &mut u64,
 ) -> Option<BestLeaf<T>> {
-    search(root, None, windows, &mut score, &mut |_| {
-        *node_accesses += 1
-    })
+    let access = |_| *node_accesses += 1;
+    Walk::new(windows, None, access).search(root, &mut score)
 }
 
 /// [`find_best_leaf`] with **per-level access attribution**: identical
@@ -104,12 +118,8 @@ pub fn find_best_leaf_leveled<T: Copy>(
     node_accesses: &mut u64,
     level_accesses: &mut [u64],
 ) -> Option<BestLeaf<T>> {
-    search(root, None, windows, &mut score, &mut |lvl| {
-        *node_accesses += 1;
-        if let Some(slot) = level_accesses.get_mut(lvl as usize) {
-            *slot += 1;
-        }
-    })
+    let access = leveled(node_accesses, level_accesses);
+    Walk::new(windows, None, access).search(root, &mut score)
 }
 
 /// [`find_best_leaf`] over the flat leaf layout (see
@@ -129,9 +139,8 @@ pub fn find_best_leaf_flat<T: Copy>(
     mut score: impl FnMut(&T, u32) -> f64,
     node_accesses: &mut u64,
 ) -> Option<BestLeaf<T>> {
-    search(root, Some(flat), windows, &mut score, &mut |_| {
-        *node_accesses += 1
-    })
+    let access = |_| *node_accesses += 1;
+    Walk::new(windows, Some(flat), access).search(root, &mut score)
 }
 
 /// Visits every leaf payload below `root` that satisfies at least
@@ -156,17 +165,20 @@ pub fn for_each_candidate<T: Copy>(
     if windows.is_empty() {
         return;
     }
-    with_scratch(|scratch| {
-        collect(
-            root,
-            windows,
-            min_count,
-            &mut emit,
-            node_accesses,
-            level_accesses,
-            scratch,
-        )
-    });
+    let mut walk = Walk::new(windows, None, leveled(node_accesses, level_accesses));
+    let root = walk.root(root);
+    with_scratch(|scratch| walk.collect(root, min_count, &mut emit, scratch));
+}
+
+/// The access counter of a walk that also attributes each node to its
+/// level, when `level_accesses` is long enough.
+fn leveled<'c>(node_accesses: &'c mut u64, level_accesses: &'c mut [u64]) -> impl FnMut(u32) + 'c {
+    move |level| {
+        *node_accesses += 1;
+        if let Some(slot) = level_accesses.get_mut(level as usize) {
+            *slot += 1;
+        }
+    }
 }
 
 thread_local! {
@@ -186,27 +198,6 @@ fn with_scratch<R>(f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
     out
 }
 
-/// Adds to `counts[slot]` the number of `windows` that slot's rectangle
-/// satisfies (`leaf`: `eval`) or could satisfy (internal: `possible`);
-/// `rects` yields the node's rectangles in slot order, once per window.
-fn tally_windows<I>(
-    windows: &[(Predicate, Rect)],
-    leaf: bool,
-    rects: impl Fn() -> I,
-    counts: &mut [u32],
-) where
-    I: ExactSizeIterator,
-    I::Item: Borrow<Rect>,
-{
-    for (pred, w) in windows {
-        if leaf {
-            pred.tally_eval(w, rects(), counts);
-        } else {
-            pred.tally_possible(w, rects(), counts);
-        }
-    }
-}
-
 /// Writes the slots with a positive count to the front of `ranks` — count
 /// descending, then slot ascending — and returns how many there are.
 /// `ranks` must be at least as long as `counts`.
@@ -221,116 +212,158 @@ fn rank(counts: &[u32], ranks: &mut [u32]) -> usize {
     ranked
 }
 
-/// Shared back half of the three entry points.
-fn search<T: Copy>(
-    root: NodeRef<'_, T>,
-    flat: Option<&FlatLeaves<T>>,
-    windows: &[(Predicate, Rect)],
-    score: &mut impl FnMut(&T, u32) -> f64,
-    tally: &mut impl FnMut(u32),
-) -> Option<BestLeaf<T>> {
-    if windows.is_empty() {
-        return None;
-    }
-    let mut best = None;
-    with_scratch(|scratch| descend(root, flat, windows, score, &mut best, tally, scratch));
-    best
+/// What a traversal holds fixed from node to node: the windows, the leaf
+/// layout it reads (`None`: the leaf level's rectangle array), and the
+/// access counter every entered node bumps with its level (0 = leaf).
+struct Walk<'a, T, A> {
+    windows: &'a [(Predicate, Rect)],
+    flat: Option<&'a FlatLeaves<T>>,
+    access: A,
 }
 
-/// Recursive worker shared by every entry point. `tally` is invoked once
-/// per node whose entries are read, with the node's level (0 = leaf) —
-/// the entry points reduce it to a plain counter bump or a counter bump
-/// plus per-level attribution, so the traversal itself stays single-copy.
-///
-/// The node's frame on `scratch` is `n` counts followed by `n` rank
-/// cells; it is addressed by index because the recursion pushes further
-/// frames behind it, and popped before returning.
-fn descend<T: Copy>(
-    node: NodeRef<'_, T>,
-    flat: Option<&FlatLeaves<T>>,
-    windows: &[(Predicate, Rect)],
-    score: &mut impl FnMut(&T, u32) -> f64,
-    best: &mut Option<BestLeaf<T>>,
-    tally: &mut impl FnMut(u32),
-    scratch: &mut Vec<u32>,
-) {
-    tally(node.level());
+/// A node as a walk enters it: `mbr` is its parent's entry for it and
+/// `possible` the parent's count for that entry — the number of windows
+/// `mbr` passes `possible` against.
+struct Entered<'a, T> {
+    node: NodeRef<'a, T>,
+    mbr: &'a Rect,
+    possible: u32,
+}
 
-    let rects = node.rects();
-    let (leaf, n) = (node.is_leaf(), rects.len());
-    let base = scratch.len();
-    scratch.resize(base + 2 * n, 0);
-    let (counts, ranks) = scratch[base..].split_at_mut(n);
-    match flat {
-        Some(flat) if leaf => tally_windows(windows, leaf, || flat.rects(node.index()), counts),
-        _ => tally_windows(windows, leaf, || rects.iter(), counts),
-    }
-    let ranked = rank(counts, ranks);
-
-    for k in 0..ranked {
-        let slot = scratch[base + n + k] as usize;
-        let count = scratch[base + slot];
-        if leaf {
-            let value = match flat {
-                Some(flat) => flat.values(node.index())[slot],
-                None => node.values()[slot],
-            };
-            offer(best, value, &rects[slot], count, score);
-            continue;
+impl<'a, T: Copy, A: FnMut(u32)> Walk<'a, T, A> {
+    fn new(windows: &'a [(Predicate, Rect)], flat: Option<&'a FlatLeaves<T>>, access: A) -> Self {
+        Walk {
+            windows,
+            flat,
+            access,
         }
-        // The potential count bounds every leaf score below this entry
-        // (scorers never exceed the raw count), so a subtree that
-        // cannot beat the incumbent score is pruned.
-        if let Some(b) = best {
-            if (count as f64) <= b.score {
+    }
+
+    /// The root as a walk enters it: with no parent entry to rule a window
+    /// out, every window counts as passing.
+    fn root(&self, root: NodeRef<'a, T>) -> Entered<'a, T> {
+        Entered {
+            node: root,
+            mbr: &Rect::EMPTY,
+            possible: self.windows.len() as u32,
+        }
+    }
+
+    /// Shared back half of the three `find_best_leaf*` entry points.
+    fn search(
+        mut self,
+        root: NodeRef<'a, T>,
+        score: &mut impl FnMut(&T, u32) -> f64,
+    ) -> Option<BestLeaf<T>> {
+        if self.windows.is_empty() {
+            return None;
+        }
+        let mut best = None;
+        let root = self.root(root);
+        with_scratch(|scratch| self.descend(root, score, &mut best, scratch));
+        best
+    }
+
+    /// The node scan (module docs): counts the node as accessed and adds to
+    /// `counts[slot]` the number of windows that slot's rectangle satisfies
+    /// (leaf: `eval`) or could satisfy (internal: `possible`), skipping the
+    /// windows the node's own rectangle fails.
+    fn scan(&mut self, at: &Entered<'a, T>, counts: &mut [u32]) {
+        let node = at.node;
+        (self.access)(node.level());
+        // The windows `at.mbr` fails and the scan has not met yet: once
+        // none is left, the rest pass and are tallied untested.
+        let mut failing = self.windows.len() as u32 - at.possible;
+        for (pred, w) in self.windows {
+            if failing > 0 && !pred.possible(at.mbr, w) {
+                failing -= 1;
                 continue;
             }
+            match self.flat {
+                _ if !node.is_leaf() => pred.tally_possible(w, node.rects(), counts),
+                Some(flat) => pred.tally_eval(w, flat.rects(node.index()), counts),
+                None => pred.tally_eval(w, node.rects(), counts),
+            }
         }
-        let child = node.entry(slot).child().expect("internal entry");
-        descend(child, flat, windows, score, best, tally, scratch);
     }
-    scratch.truncate(base);
-}
 
-/// Recursive worker of [`for_each_candidate`]; its frame is the `n`
-/// counts alone.
-fn collect<T: Copy>(
-    node: NodeRef<'_, T>,
-    windows: &[(Predicate, Rect)],
-    min_count: u32,
-    emit: &mut impl FnMut(T, u32),
-    node_accesses: &mut u64,
-    level_accesses: &mut [u64],
-    scratch: &mut Vec<u32>,
-) {
-    *node_accesses += 1;
-    if let Some(slot) = level_accesses.get_mut(node.level() as usize) {
-        *slot += 1;
-    }
-    let (leaf, rects) = (node.is_leaf(), node.rects());
-    let base = scratch.len();
-    scratch.resize(base + rects.len(), 0);
-    tally_windows(windows, leaf, || rects.iter(), &mut scratch[base..]);
-    for slot in 0..rects.len() {
-        let count = scratch[base + slot];
-        if count < min_count {
-            continue;
+    /// Best-first worker of [`Walk::search`]. The node's frame on `scratch`
+    /// is `n` counts followed by `n` rank cells; it is addressed by index
+    /// because the recursion pushes further frames behind it, and popped
+    /// before returning.
+    fn descend(
+        &mut self,
+        at: Entered<'a, T>,
+        score: &mut impl FnMut(&T, u32) -> f64,
+        best: &mut Option<BestLeaf<T>>,
+        scratch: &mut Vec<u32>,
+    ) {
+        let (node, rects) = (at.node, at.node.rects());
+        let n = rects.len();
+        let base = scratch.len();
+        scratch.resize(base + 2 * n, 0);
+        let (counts, ranks) = scratch[base..].split_at_mut(n);
+        self.scan(&at, counts);
+        let ranked = rank(counts, ranks);
+
+        for k in 0..ranked {
+            let slot = scratch[base + n + k] as usize;
+            let count = scratch[base + slot];
+            // No leaf at or below this entry scores above its count
+            // (scorers never exceed the raw count), and later ranks count
+            // no more: once the incumbent reaches it, nothing left can win.
+            if best.as_ref().is_some_and(|b| f64::from(count) <= b.score) {
+                break;
+            }
+            if node.is_leaf() {
+                let value = match self.flat {
+                    Some(flat) => flat.values(node.index())[slot],
+                    None => node.values()[slot],
+                };
+                offer(best, value, &rects[slot], count, score);
+            } else {
+                let child = Entered {
+                    node: node.entry(slot).child().expect("internal entry"),
+                    mbr: &rects[slot],
+                    possible: count,
+                };
+                self.descend(child, score, best, scratch);
+            }
         }
-        if leaf {
-            emit(node.values()[slot], count);
-        } else {
-            collect(
-                node.entry(slot).child().expect("internal entry"),
-                windows,
-                min_count,
-                emit,
-                node_accesses,
-                level_accesses,
-                scratch,
-            );
-        }
+        scratch.truncate(base);
     }
-    scratch.truncate(base);
+
+    /// Worker of [`for_each_candidate`]: the slots that reach `min_count`,
+    /// in slot order. Its frame is the `n` counts alone.
+    fn collect(
+        &mut self,
+        at: Entered<'a, T>,
+        min_count: u32,
+        emit: &mut impl FnMut(T, u32),
+        scratch: &mut Vec<u32>,
+    ) {
+        let (node, rects) = (at.node, at.node.rects());
+        let base = scratch.len();
+        scratch.resize(base + rects.len(), 0);
+        self.scan(&at, &mut scratch[base..]);
+        for slot in 0..rects.len() {
+            let count = scratch[base + slot];
+            if count < min_count {
+                continue;
+            }
+            if node.is_leaf() {
+                emit(node.values()[slot], count);
+            } else {
+                let child = Entered {
+                    node: node.entry(slot).child().expect("internal entry"),
+                    mbr: &rects[slot],
+                    possible: count,
+                };
+                self.collect(child, min_count, emit, scratch);
+            }
+        }
+        scratch.truncate(base);
+    }
 }
 
 /// Offers one leaf candidate to the incumbent: strictly greater score
@@ -362,8 +395,10 @@ fn offer<T: Copy>(
 pub(crate) mod tests {
     use super::*;
     use crate::{RTree, RTreeParams};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// The single-window query of the crate's other test modules: the
     /// payloads satisfying `pred` against `window`, in walk order.
@@ -450,12 +485,15 @@ pub(crate) mod tests {
     }
 
     /// The threshold walk as it was: entry-by-entry counts, slot order.
+    /// `missed` gains, per node entered below the root, the number of
+    /// windows its rectangle fails — the windows the kernel's scan skips.
     fn reference_collect(
         node: NodeRef<'_, u32>,
         windows: &[(Predicate, Rect)],
         min_count: u32,
         out: &mut Vec<(u32, u32)>,
         levels: &mut [u64],
+        missed: &mut u64,
     ) {
         levels[node.level() as usize] += 1;
         for entry in node.entries() {
@@ -471,7 +509,8 @@ pub(crate) mod tests {
                     let possible =
                         windows.iter().filter(|(p, w)| p.possible(mbr, w)).count() as u32;
                     if possible >= min_count {
-                        reference_collect(child, windows, min_count, out, levels);
+                        *missed += (windows.len() as u32 - possible) as u64;
+                        reference_collect(child, windows, min_count, out, levels, missed);
                     }
                 }
             }
@@ -501,9 +540,15 @@ pub(crate) mod tests {
         }
     }
 
-    /// Holds the three kernels and the threshold walk against the
-    /// references on one window list, raw and penalised.
-    fn assert_equals_reference(tree: &RTree<u32>, windows: &[(Predicate, Rect)], what: &str) {
+    /// Holds the three kernels and the threshold walk at every `min_count`
+    /// against the references on one window list, raw and penalised.
+    /// Returns how many (node, window) pairs the walk at `min_count` 1
+    /// enters with the node's rectangle failing the window.
+    fn assert_equals_reference(
+        tree: &RTree<u32>,
+        windows: &[(Predicate, Rect)],
+        what: &str,
+    ) -> u64 {
         let flat = tree.flat_leaves();
         let height = tree.height() as usize;
         // λ = 0 is the raw scorer. Few distinct penalties, so that many
@@ -542,17 +587,23 @@ pub(crate) mod tests {
             assert_eq!(bits(flat_best), bits(expected), "flat: {what}");
             assert_eq!(acc, expected_accesses, "flat accesses: {what}");
         }
-        for min_count in [1, windows.len() as u32] {
+        let mut missed_at_one = 0;
+        for min_count in 1..=windows.len() as u32 {
             let what = format!("{what}, min_count {min_count}");
             let mut expected = Vec::new();
             let mut expected_levels = vec![0u64; height];
+            let mut missed = 0;
             reference_collect(
                 tree.root_node(),
                 windows,
                 min_count,
                 &mut expected,
                 &mut expected_levels,
+                &mut missed,
             );
+            if min_count == 1 {
+                missed_at_one = missed;
+            }
             let (mut acc, mut levels, mut got) = (0u64, vec![0u64; height], Vec::new());
             for_each_candidate(
                 tree.root_node(),
@@ -566,6 +617,7 @@ pub(crate) mod tests {
             assert_eq!(levels, expected_levels, "candidate attribution: {what}");
             assert_eq!(acc, expected_levels.iter().sum::<u64>(), "{what}");
         }
+        missed_at_one
     }
 
     #[test]
@@ -593,6 +645,71 @@ pub(crate) mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Rectangles on a 1/16 lattice of the unit square: drawn pairs share
+    /// borders, touch at corners, nest with common sides and collapse to
+    /// segments and points.
+    fn lattice_rect() -> impl Strategy<Value = Rect> {
+        (0u32..16, 0u32..16, 0u32..4, 0u32..4).prop_map(|(x, y, w, h)| {
+            let at = |i: u32| f64::from(i) / 16.0;
+            Rect::new(at(x), at(y), at(x + w), at(y + h))
+        })
+    }
+
+    /// An object's size at hard-region density: at most 1/50 of the unit
+    /// square's side, so that most nodes of a tree miss it.
+    fn hard_region_rect() -> impl Strategy<Value = Rect> {
+        (0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.02, 0.0f64..0.02)
+            .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
+    }
+
+    fn any_predicate() -> impl Strategy<Value = Predicate> {
+        prop_oneof![
+            Just(Predicate::Intersects),
+            Just(Predicate::Contains),
+            Just(Predicate::Inside),
+            Just(Predicate::NorthEast),
+            Just(Predicate::SouthWest),
+            Just(Predicate::WithinDistance(0.0)),
+            Just(Predicate::WithinDistance(1.0 / 16.0)),
+            (0.0f64..0.05).prop_map(Predicate::WithinDistance),
+        ]
+    }
+
+    /// Cases so far, and how many of them entered a node whose rectangle
+    /// fails one of the windows.
+    static CASES: AtomicU64 = AtomicU64::new(0);
+    static MISSING: AtomicU64 = AtomicU64::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The window filter where it acts: one to six windows of mixed
+        /// predicates, each the size of one object at hard-region density
+        /// or a lattice rectangle, over lattice and hard-region-sized data
+        /// at capacities 4, 8 and 32. Winners, counts, score bits, accesses
+        /// and per-level attribution equal the unfiltered references, and
+        /// the filter is not vacuous: most cases enter a node that fails a
+        /// window.
+        #[test]
+        fn kernels_equal_the_reference_where_nodes_miss_windows(
+            capacity in prop_oneof![Just(4usize), Just(8), Just(32)],
+            rects in prop::collection::vec(prop_oneof![lattice_rect(), hard_region_rect()], 1..600),
+            windows in prop::collection::vec(
+                (any_predicate(), prop_oneof![hard_region_rect(), lattice_rect()]),
+                1..=6,
+            ),
+        ) {
+            let items = rects.iter().zip(0u32..).map(|(r, i)| (*r, i)).collect();
+            let tree = RTree::bulk_load_with_params(RTreeParams::new(capacity), items);
+            let what = format!("capacity {capacity}, {} rectangles, {windows:?}", rects.len());
+            let missed = assert_equals_reference(&tree, &windows, &what);
+            let cases = CASES.fetch_add(1, Ordering::Relaxed) + 1;
+            let missing = MISSING.fetch_add((missed > 0) as u64, Ordering::Relaxed)
+                + (missed > 0) as u64;
+            prop_assert!(cases < 16 || 2 * missing >= cases, "{missing} of {cases} cases");
         }
     }
 
