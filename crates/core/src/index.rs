@@ -57,9 +57,8 @@ pub(crate) fn best(
             "GILS penalty weight λ must be finite and ≥ 0, got {lambda}"
         );
     }
-    // Backend is matched before the closures are built: the grid kernel
-    // fans cells across threads and therefore needs `Fn + Sync` scorers,
-    // while the R*-tree kernel keeps its `FnMut` contract.
+    // One arm per (backend, scorer): each kernel is instantiated with the
+    // one closure it runs, which it can inline.
     let best = match (instance.backend(), penalties) {
         (BackendKind::RTree, Some((table, lambda))) => multiwindow::find_best_leaf_leveled(
             instance.tree(var).root_node(),
@@ -75,19 +74,17 @@ pub(crate) fn best(
             node_accesses,
             level_accesses,
         ),
-        (BackendKind::Grid, Some((table, lambda))) => grid::find_best_in_windows(
+        (BackendKind::Grid, Some((table, lambda))) => grid::best_in_windows(
             instance.grid(var),
             windows,
             |&object, count| count as f64 - lambda * table.get(var, object as usize) as f64,
-            instance.grid_threads(),
             node_accesses,
             level_accesses,
         ),
-        (BackendKind::Grid, None) => grid::find_best_in_windows(
+        (BackendKind::Grid, None) => grid::best_in_windows(
             instance.grid(var),
             windows,
             |_, count| count as f64,
-            instance.grid_threads(),
             node_accesses,
             level_accesses,
         ),

@@ -148,9 +148,6 @@ pub struct Instance {
     graph: QueryGraph,
     data: Vec<Arc<IndexedDataset>>,
     backend: BackendKind,
-    /// Worker threads for intra-query grid parallelism (1 = sequential;
-    /// results are bit-identical at any setting).
-    grid_threads: usize,
 }
 
 impl Instance {
@@ -181,7 +178,6 @@ impl Instance {
             graph,
             data,
             backend: BackendKind::default(),
-            grid_threads: 1,
         })
     }
 
@@ -201,7 +197,6 @@ impl Instance {
             graph,
             data: vec![shared; n],
             backend: BackendKind::default(),
-            grid_threads: 1,
         })
     }
 
@@ -219,25 +214,10 @@ impl Instance {
         self
     }
 
-    /// Sets the worker-thread count for intra-query grid parallelism — the
-    /// cells of one *find best value* call (builder style). Clamped to at
-    /// least 1; query results and access counters are bit-identical at any
-    /// setting (DESIGN.md §5j).
-    pub fn with_grid_threads(mut self, threads: usize) -> Self {
-        self.grid_threads = threads.max(1);
-        self
-    }
-
     /// The spatial backend answering the index queries.
     #[inline]
     pub fn backend(&self) -> BackendKind {
         self.backend
-    }
-
-    /// Worker threads for intra-query grid parallelism.
-    #[inline]
-    pub fn grid_threads(&self) -> usize {
-        self.grid_threads
     }
 
     /// The uniform-grid index over variable `v`'s dataset (built on first

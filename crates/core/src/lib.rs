@@ -40,6 +40,8 @@ mod ils;
 mod index;
 mod individual;
 mod instance;
+#[doc(hidden)]
+pub mod legacy;
 mod naive;
 mod observe;
 mod order;

@@ -30,7 +30,6 @@
 //! two forms cannot disagree.
 
 use crate::{Point, Rect};
-use std::borrow::Borrow;
 use std::fmt;
 
 /// A binary spatial predicate `a P b` between two MBRs.
@@ -122,13 +121,11 @@ impl Predicate {
     ///
     /// # Panics
     /// Panics if `rects` and `counts` differ in length.
-    pub fn tally_eval<I>(&self, b: &Rect, rects: I, counts: &mut [u32])
-    where
-        I: IntoIterator,
-        I::IntoIter: ExactSizeIterator,
-        I::Item: Borrow<Rect>,
-    {
-        self.tally(b, rects.into_iter(), counts, Predicate::eval);
+    // `#[inline]` on both batch forms: the multi-window scan lives in
+    // another crate, and without it the call would not be inlined there.
+    #[inline]
+    pub fn tally_eval(&self, b: &Rect, rects: &[Rect], counts: &mut [u32]) {
+        self.tally(b, rects, counts, Predicate::eval);
     }
 
     /// Batch form of [`Predicate::possible`]: adds
@@ -137,13 +134,9 @@ impl Predicate {
     ///
     /// # Panics
     /// Panics if `nodes` and `counts` differ in length.
-    pub fn tally_possible<I>(&self, b: &Rect, nodes: I, counts: &mut [u32])
-    where
-        I: IntoIterator,
-        I::IntoIter: ExactSizeIterator,
-        I::Item: Borrow<Rect>,
-    {
-        self.tally(b, nodes.into_iter(), counts, Predicate::possible);
+    #[inline]
+    pub fn tally_possible(&self, b: &Rect, nodes: &[Rect], counts: &mut [u32]) {
+        self.tally(b, nodes, counts, Predicate::possible);
     }
 
     /// Runs `counts[i] += test(self, rectᵢ, b)` over `rects`.
@@ -157,17 +150,17 @@ impl Predicate {
     /// R\*-tree rows and the traced `rtree.multiwindow_entry.ns_per_call`
     /// (DESIGN §5e has the numbers to compare against).
     #[inline]
-    fn tally<R: Borrow<Rect>>(
+    fn tally(
         &self,
         b: &Rect,
-        rects: impl ExactSizeIterator<Item = R>,
+        rects: &[Rect],
         counts: &mut [u32],
         test: impl Fn(&Predicate, &Rect, &Rect) -> bool + Copy,
     ) {
         assert_eq!(rects.len(), counts.len(), "one count per rectangle");
-        let run = |fixed: Predicate| {
+        let mut run = |fixed: Predicate| {
             for (count, rect) in counts.iter_mut().zip(rects) {
-                *count += test(&fixed, rect.borrow(), b) as u32;
+                *count += test(&fixed, rect, b) as u32;
             }
         };
         match *self {
@@ -387,7 +380,7 @@ mod proptests {
             let mut evals = vec![prior; rects.len()];
             p.tally_eval(&window, &rects, &mut evals);
             let mut possibles = vec![prior; rects.len()];
-            p.tally_possible(&window, rects.iter().copied(), &mut possibles);
+            p.tally_possible(&window, &rects, &mut possibles);
             for (i, r) in rects.iter().enumerate() {
                 prop_assert_eq!(evals[i], prior + p.eval(r, &window) as u32, "{} eval #{}", p, i);
                 prop_assert_eq!(

@@ -6,7 +6,6 @@
 //! regression-gated working-set cost of keeping an index resident, not an
 //! allocator measurement.
 
-use crate::flat::FlatLeaves;
 use crate::tree::RTree;
 use mwsj_geom::Rect;
 use mwsj_obs::MemoryFootprint;
@@ -24,15 +23,6 @@ impl<T> MemoryFootprint for RTree<T> {
             .map(|l| l.rects.len() * size_of::<Rect>() + l.start.len() * size_of::<u32>())
             .sum();
         (levels + self.values.len() * size_of::<T>()) as u64
-    }
-}
-
-impl<T> MemoryFootprint for FlatLeaves<T> {
-    /// Delegates to [`FlatLeaves::memory_bytes`]: the SoA coordinate
-    /// streams, the value array and the per-node span table. Probe-only,
-    /// like the type (see the `flat` module docs).
-    fn memory_bytes(&self) -> u64 {
-        FlatLeaves::memory_bytes(self) as u64
     }
 }
 
@@ -57,8 +47,7 @@ mod tests {
 
     proptest! {
         /// Deterministic accounting: building the same tree twice from the
-        /// same items reports identical bytes, for the tree and for two
-        /// independently frozen flat-leaf snapshots.
+        /// same items reports identical bytes.
         #[test]
         fn footprint_is_deterministic_across_rebuilds(
             seed in 0u64..1_000,
@@ -71,23 +60,6 @@ mod tests {
                 MemoryFootprint::memory_bytes(&a),
                 MemoryFootprint::memory_bytes(&b)
             );
-            prop_assert_eq!(
-                MemoryFootprint::memory_bytes(&a.flat_leaves()),
-                MemoryFootprint::memory_bytes(&b.flat_leaves())
-            );
-        }
-
-        /// `FlatLeaves` can never report less than its four coordinate
-        /// streams: 4 × len × size_of::<f64>.
-        #[test]
-        fn flat_leaves_lower_bound_is_the_coordinate_streams(
-            seed in 0u64..1_000,
-            n in 0usize..400,
-        ) {
-            let tree = RTree::bulk_load_with_params(RTreeParams::new(8), items(seed, n));
-            let flat = tree.flat_leaves();
-            let streams = 4 * flat.len() as u64 * size_of::<f64>() as u64;
-            prop_assert!(MemoryFootprint::memory_bytes(&flat) >= streams);
         }
     }
 

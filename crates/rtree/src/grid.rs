@@ -5,8 +5,7 @@
 //!
 //! The workspace bounding box is split into `nx × ny` uniform cells; every
 //! MBR is **replicated** into each cell its rectangle overlaps, stored in
-//! per-cell contiguous SoA coordinate arrays (the same layout trick as
-//! [`FlatLeaves`](crate::FlatLeaves)) ordered by `lo_x`. Queries visit only
+//! per-cell contiguous SoA coordinate arrays ordered by `lo_x`. Queries visit only
 //! candidate cells and **sweep** a cell: two binary searches per window,
 //! bounded by the cell's widest entry, find the slots whose x extent can
 //! reach the window. Replicated hits are deduplicated with a
@@ -33,31 +32,32 @@
 //! assembly (DESIGN.md §5j).
 //!
 //! There are two query kernels over one plan → sweep → runs traversal:
-//! [`find_best_in_windows`] (the best entry for a window list) and
+//! [`best_in_windows`] (the best entry for a window list) and
 //! [`candidates_with_counts`] (every entry satisfying at least `min_count`
 //! of the windows; a single-window query is that with one window and
 //! `min_count = 1`). The third kernel, [`join`], joins two whole grids cell
 //! pair by cell pair, with a reference point of its own: the corner
 //! `(max lo_x, max lo_y)` of a pair's intersection.
 //!
-//! Determinism contract (mirrors the portfolio's): candidate cells are
-//! enumerated in ascending row-major order, the entries of one cell rank
-//! by payload (item order, for the ascending object ids every caller
-//! builds with). [`find_best_in_windows`] can fan whole cells across
-//! scoped worker threads; it merges by `(cell, payload)` rank, so its
-//! result and its counter-class metric (`cell accesses`) are bit-identical
-//! across thread counts, including the sequential path.
+//! Determinism contract: candidate cells are enumerated in ascending
+//! row-major order and the entries of one cell rank by payload (item
+//! order, for the ascending object ids every caller builds with). The
+//! sweep does not visit a cell's slots in payload order, so
+//! [`best_in_windows`] breaks score ties by `(cell, payload)` rank and
+//! [`candidates_with_counts`] sorts each cell's hits by payload.
 //!
 //! Access accounting: one *access* per candidate cell scanned (the grid
 //! analogue of one R*-tree node visit). The candidate cell set is a pure
-//! function of the query windows, so the count is thread-invariant by
-//! construction.
+//! function of the query windows.
 
 use crate::multiwindow::BestLeaf;
 use mwsj_geom::{Point, Predicate, Rect};
 use mwsj_obs::MemoryFootprint;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+
+// The benchmark's name for `best_in_windows`, with its ignored thread count.
+#[doc(hidden)]
+pub use crate::legacy::grid::*;
 
 const INF: f64 = f64::INFINITY;
 
@@ -574,43 +574,6 @@ fn with_plan<T>(
     PLAN.set(plan);
 }
 
-/// Runs `work(pos, &mut acc)` for every `pos < n` — in ascending order on
-/// the calling thread, or, with `threads > 1`, fanned over scoped workers
-/// that each start from `A::default()` — and hands every accumulator to
-/// `merge`.
-fn fan_out<A: Default + Send>(
-    n: usize,
-    threads: usize,
-    work: impl Fn(usize, &mut A) + Sync,
-    mut merge: impl FnMut(A),
-) {
-    if threads <= 1 || n < 2 {
-        let mut acc = A::default();
-        (0..n).for_each(|pos| work(pos, &mut acc));
-        return merge(acc);
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads.min(n))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut acc = A::default();
-                    loop {
-                        let pos = next.fetch_add(1, Ordering::Relaxed);
-                        if pos >= n {
-                            break acc;
-                        }
-                        work(pos, &mut acc);
-                    }
-                })
-            })
-            .collect();
-        for worker in workers {
-            merge(worker.join().expect("grid worker panicked"));
-        }
-    });
-}
-
 /// Number of `windows` that `r` satisfies under the exact predicate.
 #[inline]
 fn satisfied_count(windows: &[(Predicate, Rect)], r: &Rect) -> u32 {
@@ -643,7 +606,8 @@ impl<T: Ord> CellBest<T> {
 }
 
 /// Multi-window best-entry query over the grid — the grid analogue of the
-/// R*-tree [`find_best_leaf`](crate::find_best_leaf) kernel.
+/// R*-tree kernel
+/// [`find_best_leaf_leveled`](crate::multiwindow::find_best_leaf_leveled).
 ///
 /// Sweeps the union of the windows' candidate cell ranges in ascending
 /// row-major order; each entry is evaluated at most once (reference-point
@@ -652,40 +616,33 @@ impl<T: Ord> CellBest<T> {
 /// ties going to the earliest `(cell, payload)` — the grid's canonical
 /// order. Entries satisfying zero windows are skipped.
 ///
-/// `threads > 1` fans whole cells across scoped worker threads; the merge
-/// applies the same rule, reproducing the sequential result bit-for-bit.
 /// `cell_accesses` (and `level_accesses[0]`, when present) are bumped once
-/// per candidate cell — an exact, thread-invariant count.
-pub fn find_best_in_windows<T: Copy + Ord + Send + Sync>(
+/// per candidate cell.
+pub fn best_in_windows<T: Copy + Ord>(
     grid: &UniformGrid<T>,
     windows: &[(Predicate, Rect)],
-    score: impl Fn(&T, u32) -> f64 + Sync,
-    threads: usize,
+    mut score: impl FnMut(&T, u32) -> f64,
     cell_accesses: &mut u64,
     level_accesses: &mut [u64],
 ) -> Option<BestLeaf<T>> {
     let mut winner: Option<CellBest<T>> = None;
     with_plan(grid, windows, cell_accesses, level_accesses, |plan| {
-        let scan = |pos: usize, best: &mut Option<CellBest<T>>| {
+        for pos in 0..plan.cells.len() {
             grid.sweep(plan, pos, |slot, r| {
                 let satisfied = satisfied_count(windows, r);
                 if satisfied > 0 {
                     let value = grid.values[slot];
-                    let score = score(&value, satisfied);
                     CellBest {
-                        score,
+                        score: score(&value, satisfied),
                         cell_pos: pos,
                         slot,
                         value,
                         satisfied,
                     }
-                    .offer_to(best);
+                    .offer_to(&mut winner);
                 }
             });
-        };
-        fan_out(plan.cells.len(), threads, scan, |best| {
-            best.into_iter().for_each(|b| b.offer_to(&mut winner));
-        });
+        }
     });
     winner.map(|b| BestLeaf {
         value: b.value,
@@ -932,7 +889,7 @@ mod tests {
                 Rect::new(0.7, 0.7, 0.8, 0.8),
             ),
         ];
-        let best = find_best_in_windows(&grid, &windows, |_, c| c as f64, 1, &mut 0, &mut [])
+        let best = best_in_windows(&grid, &windows, |_, c| c as f64, &mut 0, &mut [])
             .expect("some entry satisfies a window");
         let brute = items
             .iter()
@@ -944,30 +901,6 @@ mod tests {
             .unwrap();
         assert_eq!(best.satisfied, brute.0);
         assert_eq!(best.score, brute.0 as f64);
-    }
-
-    #[test]
-    fn find_best_is_thread_invariant() {
-        let items = random_items(14, 2_000, 0.1);
-        let grid = UniformGrid::build(&items);
-        let windows = vec![
-            (Predicate::Intersects, Rect::new(0.2, 0.2, 0.7, 0.7)),
-            (Predicate::Inside, Rect::new(0.0, 0.0, 0.9, 0.9)),
-        ];
-        // A payload-dependent score forces tie-breaks to matter.
-        let score = |v: &u32, c: u32| c as f64 + (*v % 7) as f64 * 1e-9;
-        let mut acc1 = 0;
-        let seq = find_best_in_windows(&grid, &windows, score, 1, &mut acc1, &mut []);
-        for threads in [2, 4, 8] {
-            let mut acc = 0;
-            let par = find_best_in_windows(&grid, &windows, score, threads, &mut acc, &mut []);
-            assert_eq!(
-                seq.as_ref().map(|b| (b.value, b.satisfied, b.score)),
-                par.as_ref().map(|b| (b.value, b.satisfied, b.score)),
-                "threads {threads}"
-            );
-            assert_eq!(acc, acc1, "accesses must be thread-invariant");
-        }
     }
 
     #[test]
@@ -1048,9 +981,8 @@ mod tests {
         (seen, cells.len() as u64, scanned)
     }
 
-    /// Asserts that both kernels — the find-best one at 1 and 3 threads —
-    /// return exactly what [`full_scan`] implies: same winner, output order
-    /// and accesses.
+    /// Asserts that both kernels return exactly what [`full_scan`]
+    /// implies: same winner, output order and accesses.
     fn assert_kernels_match_full_scan(
         name: &str,
         grid: &UniformGrid<u32>,
@@ -1066,16 +998,11 @@ mod tests {
                 best = Some((v, c, score(&v, c)));
             }
         }
-        for threads in [1, 3] {
-            let (mut acc, mut levels) = (0, [0u64; 2]);
-            let got = find_best_in_windows(grid, windows, score, threads, &mut acc, &mut levels);
-            let got = got.map(|b| (b.value, b.satisfied, b.score));
-            assert_eq!(
-                got, best,
-                "{name}: find_best, {threads} threads, {windows:?}"
-            );
-            assert_eq!((acc, levels), (cells, [cells, 0]), "{name}: {windows:?}");
-        }
+        let (mut acc, mut levels) = (0, [0u64; 2]);
+        let got = best_in_windows(grid, windows, score, &mut acc, &mut levels);
+        let got = got.map(|b| (b.value, b.satisfied, b.score));
+        assert_eq!(got, best, "{name}: find_best, {windows:?}");
+        assert_eq!((acc, levels), (cells, [cells, 0]), "{name}: {windows:?}");
         for min in 1..=windows.len() as u32 {
             let (mut acc, mut levels) = (0, [0u64; 1]);
             let got = candidates_with_counts(grid, windows, min, &mut acc, &mut levels);

@@ -19,20 +19,19 @@
 //!   ([`Predicate`](mwsj_geom::Predicate), window) pairs. A window query is
 //!   that walk with one window and `min_count = 1`; there is no second
 //!   traversal.
-//! * A **multi-window branch-and-bound kernel** ([`find_best_leaf`]):
+//! * A **multi-window branch-and-bound kernel** ([`find_best_leaf_leveled`]):
 //!   the best-first, prune-by-potential traversal of the paper's *find
 //!   best value* (Fig. 5) with a caller-supplied leaf scorer, shared by
-//!   the raw (ILS/SEA/IBB) and λ-penalised (GILS) search paths.
+//!   the raw (ILS/SEA/IBB) and λ-penalised (GILS) search paths. It and the
+//!   enumeration are the tree's two traversals.
 //! * A **read-only traversal API** ([`NodeRef`]/[`EntryRef`]) for the
 //!   traversals `mwsj-core` writes itself (synchronous traversal, the
 //!   pairwise join).
 //! * **Access accounting by the caller**: every traversal bumps a `&mut
 //!   u64` it is handed once per node it enters (the kernels also a
-//!   per-level slice). [`AccessCounter`] and
-//!   [`RTree::count_window_counted`] are a probe-only wrapper over the walk
-//!   (see the `access` module docs).
+//!   per-level slice).
 //! * A **uniform grid** ([`UniformGrid`]), the second spatial backend,
-//!   with the same two questions — [`grid::find_best_in_windows`] and
+//!   with the same two questions — [`grid::best_in_windows`] and
 //!   [`grid::candidates_with_counts`] — and a join of two grids
 //!   ([`grid::join`]).
 //! * An **invariant checker** ([`RTree::check_invariants`]) used by the test
@@ -44,18 +43,18 @@
 //! table per level says where each node's run begins, and entry *j* of a
 //! level **is** node *j* of the level below — no child ids, no per-node
 //! allocation, no unsafe code (the `tree` module docs draw it).
-//! [`FlatLeaves`] and
-//! [`find_best_leaf_flat`] are probe-only leftovers of a retired leaf
-//! layout (see the `flat` module docs).
+//!
+//! The hidden `legacy` module holds the names only the repository
+//! benchmark's probes still call, each a shim over one of the paths above.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod access;
 mod bulk;
-mod flat;
 mod footprint;
 pub mod grid;
+#[doc(hidden)]
+pub mod legacy;
 pub mod multiwindow;
 mod params;
 mod stats;
@@ -63,10 +62,12 @@ mod tree;
 mod validate;
 mod visit;
 
-pub use access::AccessCounter;
-pub use flat::FlatLeaves;
 pub use grid::{GridStats, UniformGrid};
-pub use multiwindow::{find_best_leaf, find_best_leaf_flat, find_best_leaf_leveled, BestLeaf};
+// The benchmark's names at their old paths; `legacy::grid` is shadowed by
+// the real `grid` module and re-exported from there.
+#[doc(hidden)]
+pub use legacy::*;
+pub use multiwindow::{find_best_leaf_leveled, BestLeaf};
 pub use params::RTreeParams;
 pub use stats::TreeStats;
 pub use tree::RTree;

@@ -23,7 +23,7 @@
 //!
 //! # The node scan
 //!
-//! One scan scores the nodes of every entry point, over either leaf layout:
+//! One scan scores the nodes of both traversals:
 //!
 //! - **Window by window.** For each window the predicate's batch form
 //!   ([`Predicate::tally_possible`] on internal nodes,
@@ -52,13 +52,12 @@
 //! scores its nodes through the same scan and visits the slots that reach
 //! its threshold in slot order.
 
-use crate::flat::FlatLeaves;
 use crate::visit::NodeRef;
 use mwsj_geom::{Predicate, Rect};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 
-/// The winning leaf of a [`find_best_leaf`] traversal.
+/// The winning leaf of a [`find_best_leaf_leveled`] traversal.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BestLeaf<T> {
     /// The leaf payload.
@@ -83,8 +82,12 @@ pub struct BestLeaf<T> {
 /// as f64` for every leaf, which both the raw and the penalised scorer
 /// guarantee. So `score` sees only the leaves that could still win.
 ///
-/// Returns `None` when no leaf satisfies any window. `node_accesses` is
-/// incremented once per node visited.
+/// Returns `None` when no leaf satisfies any window. Each visited node
+/// increments `node_accesses` and, when the slice is long enough,
+/// `level_accesses[node.level()]` (`[0]` = leaf level): callers sizing the
+/// slice from [`crate::RTree::height`] lose nothing, and `&mut []` skips
+/// the attribution. The attribution invariant — `level_accesses` deltas
+/// summing exactly to the `node_accesses` delta — is locked by tests.
 ///
 /// # Determinism
 ///
@@ -94,23 +97,6 @@ pub struct BestLeaf<T> {
 /// a fixed tree and window list the winner is the first leaf, in that
 /// order, that reaches the maximum score — whatever the node capacity and
 /// however many entries tie.
-pub fn find_best_leaf<T: Copy>(
-    root: NodeRef<'_, T>,
-    windows: &[(Predicate, Rect)],
-    mut score: impl FnMut(&T, u32) -> f64,
-    node_accesses: &mut u64,
-) -> Option<BestLeaf<T>> {
-    let access = |_| *node_accesses += 1;
-    Walk::new(windows, None, access).search(root, &mut score)
-}
-
-/// [`find_best_leaf`] with **per-level access attribution**: identical
-/// traversal and result, but each visited node additionally increments
-/// `level_accesses[node.level()]` (`[0]` = leaf level). Levels beyond the
-/// slice length are counted only in `node_accesses`, so callers sizing the
-/// slice from [`crate::RTree::height`] lose nothing. The attribution
-/// invariant — `level_accesses` deltas summing exactly to the
-/// `node_accesses` delta — is locked by property tests.
 pub fn find_best_leaf_leveled<T: Copy>(
     root: NodeRef<'_, T>,
     windows: &[(Predicate, Rect)],
@@ -119,28 +105,7 @@ pub fn find_best_leaf_leveled<T: Copy>(
     level_accesses: &mut [u64],
 ) -> Option<BestLeaf<T>> {
     let access = leveled(node_accesses, level_accesses);
-    Walk::new(windows, None, access).search(root, &mut score)
-}
-
-/// [`find_best_leaf`] over the flat leaf layout (see
-/// [`FlatLeaves`]) — **probe-only**, kept for the benchmark's
-/// `rtree.multiwindow` probe: internal-node traversal, ordering and
-/// pruning are byte-for-byte the same, but leaf nodes are scanned through
-/// the SoA coordinate arrays instead of the leaf level's rectangle array.
-/// Results (winner, satisfied count, score) and the `node_accesses` total
-/// are bit-identical to [`find_best_leaf`]'s, locked by property tests.
-///
-/// `flat` must be the copy of the tree `root` belongs to; spans of
-/// another tree's copy address the wrong data.
-pub fn find_best_leaf_flat<T: Copy>(
-    root: NodeRef<'_, T>,
-    flat: &FlatLeaves<T>,
-    windows: &[(Predicate, Rect)],
-    mut score: impl FnMut(&T, u32) -> f64,
-    node_accesses: &mut u64,
-) -> Option<BestLeaf<T>> {
-    let access = |_| *node_accesses += 1;
-    Walk::new(windows, Some(flat), access).search(root, &mut score)
+    Walk { windows, access }.search(root, &mut score)
 }
 
 /// Visits every leaf payload below `root` that satisfies at least
@@ -165,7 +130,8 @@ pub fn for_each_candidate<T: Copy>(
     if windows.is_empty() {
         return;
     }
-    let mut walk = Walk::new(windows, None, leveled(node_accesses, level_accesses));
+    let access = leveled(node_accesses, level_accesses);
+    let mut walk = Walk { windows, access };
     let root = walk.root(root);
     with_scratch(|scratch| walk.collect(root, min_count, &mut emit, scratch));
 }
@@ -212,12 +178,10 @@ fn rank(counts: &[u32], ranks: &mut [u32]) -> usize {
     ranked
 }
 
-/// What a traversal holds fixed from node to node: the windows, the leaf
-/// layout it reads (`None`: the leaf level's rectangle array), and the
+/// What a traversal holds fixed from node to node: the windows and the
 /// access counter every entered node bumps with its level (0 = leaf).
-struct Walk<'a, T, A> {
+struct Walk<'a, A> {
     windows: &'a [(Predicate, Rect)],
-    flat: Option<&'a FlatLeaves<T>>,
     access: A,
 }
 
@@ -230,18 +194,10 @@ struct Entered<'a, T> {
     possible: u32,
 }
 
-impl<'a, T: Copy, A: FnMut(u32)> Walk<'a, T, A> {
-    fn new(windows: &'a [(Predicate, Rect)], flat: Option<&'a FlatLeaves<T>>, access: A) -> Self {
-        Walk {
-            windows,
-            flat,
-            access,
-        }
-    }
-
+impl<'a, A: FnMut(u32)> Walk<'a, A> {
     /// The root as a walk enters it: with no parent entry to rule a window
     /// out, every window counts as passing.
-    fn root(&self, root: NodeRef<'a, T>) -> Entered<'a, T> {
+    fn root<T>(&self, root: NodeRef<'a, T>) -> Entered<'a, T> {
         Entered {
             node: root,
             mbr: &Rect::EMPTY,
@@ -249,8 +205,8 @@ impl<'a, T: Copy, A: FnMut(u32)> Walk<'a, T, A> {
         }
     }
 
-    /// Shared back half of the three `find_best_leaf*` entry points.
-    fn search(
+    /// Back half of [`find_best_leaf_leveled`].
+    fn search<T: Copy>(
         mut self,
         root: NodeRef<'a, T>,
         score: &mut impl FnMut(&T, u32) -> f64,
@@ -268,7 +224,7 @@ impl<'a, T: Copy, A: FnMut(u32)> Walk<'a, T, A> {
     /// `counts[slot]` the number of windows that slot's rectangle satisfies
     /// (leaf: `eval`) or could satisfy (internal: `possible`), skipping the
     /// windows the node's own rectangle fails.
-    fn scan(&mut self, at: &Entered<'a, T>, counts: &mut [u32]) {
+    fn scan<T>(&mut self, at: &Entered<'a, T>, counts: &mut [u32]) {
         let node = at.node;
         (self.access)(node.level());
         // The windows `at.mbr` fails and the scan has not met yet: once
@@ -279,10 +235,10 @@ impl<'a, T: Copy, A: FnMut(u32)> Walk<'a, T, A> {
                 failing -= 1;
                 continue;
             }
-            match self.flat {
-                _ if !node.is_leaf() => pred.tally_possible(w, node.rects(), counts),
-                Some(flat) => pred.tally_eval(w, flat.rects(node.index()), counts),
-                None => pred.tally_eval(w, node.rects(), counts),
+            if node.is_leaf() {
+                pred.tally_eval(w, node.rects(), counts);
+            } else {
+                pred.tally_possible(w, node.rects(), counts);
             }
         }
     }
@@ -291,7 +247,7 @@ impl<'a, T: Copy, A: FnMut(u32)> Walk<'a, T, A> {
     /// is `n` counts followed by `n` rank cells; it is addressed by index
     /// because the recursion pushes further frames behind it, and popped
     /// before returning.
-    fn descend(
+    fn descend<T: Copy>(
         &mut self,
         at: Entered<'a, T>,
         score: &mut impl FnMut(&T, u32) -> f64,
@@ -316,11 +272,7 @@ impl<'a, T: Copy, A: FnMut(u32)> Walk<'a, T, A> {
                 break;
             }
             if node.is_leaf() {
-                let value = match self.flat {
-                    Some(flat) => flat.values(node.index())[slot],
-                    None => node.values()[slot],
-                };
-                offer(best, value, &rects[slot], count, score);
+                offer(best, node.values()[slot], &rects[slot], count, score);
             } else {
                 let child = Entered {
                     node: node.entry(slot).child().expect("internal entry"),
@@ -335,7 +287,7 @@ impl<'a, T: Copy, A: FnMut(u32)> Walk<'a, T, A> {
 
     /// Worker of [`for_each_candidate`]: the slots that reach `min_count`,
     /// in slot order. Its frame is the `n` counts alone.
-    fn collect(
+    fn collect<T: Copy>(
         &mut self,
         at: Entered<'a, T>,
         min_count: u32,
@@ -540,8 +492,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// Holds the three kernels and the threshold walk at every `min_count`
-    /// against the references on one window list, raw and penalised.
+    /// Holds the kernel, with and without per-level attribution, and the
+    /// threshold walk at every `min_count` against the references on one
+    /// window list, raw and penalised.
     /// Returns how many (node, window) pairs the walk at `min_count` 1
     /// enters with the node's rectangle failing the window.
     fn assert_equals_reference(
@@ -549,7 +502,6 @@ pub(crate) mod tests {
         windows: &[(Predicate, Rect)],
         what: &str,
     ) -> u64 {
-        let flat = tree.flat_leaves();
         let height = tree.height() as usize;
         // λ = 0 is the raw scorer. Few distinct penalties, so that many
         // leaves tie on the score and the visit order decides the winner.
@@ -571,9 +523,10 @@ pub(crate) mod tests {
             };
 
             let mut acc = 0u64;
-            let plain = find_best_leaf(tree.root_node(), windows, scorer, &mut acc);
-            assert_eq!(bits(plain), bits(expected), "plain: {what}");
-            assert_eq!(acc, expected_accesses, "plain accesses: {what}");
+            let plain =
+                find_best_leaf_leveled(tree.root_node(), windows, scorer, &mut acc, &mut []);
+            assert_eq!(bits(plain), bits(expected), "unattributed: {what}");
+            assert_eq!(acc, expected_accesses, "unattributed accesses: {what}");
 
             let (mut acc, mut levels) = (0u64, vec![0u64; height]);
             let leveled =
@@ -581,11 +534,6 @@ pub(crate) mod tests {
             assert_eq!(bits(leveled), bits(expected), "leveled: {what}");
             assert_eq!(acc, expected_accesses, "leveled accesses: {what}");
             assert_eq!(levels, expected_levels, "per-level attribution: {what}");
-
-            let mut acc = 0u64;
-            let flat_best = find_best_leaf_flat(tree.root_node(), &flat, windows, scorer, &mut acc);
-            assert_eq!(bits(flat_best), bits(expected), "flat: {what}");
-            assert_eq!(acc, expected_accesses, "flat accesses: {what}");
         }
         let mut missed_at_one = 0;
         for min_count in 1..=windows.len() as u32 {
@@ -651,7 +599,7 @@ pub(crate) mod tests {
     /// Rectangles on a 1/16 lattice of the unit square: drawn pairs share
     /// borders, touch at corners, nest with common sides and collapse to
     /// segments and points.
-    fn lattice_rect() -> impl Strategy<Value = Rect> {
+    pub(crate) fn lattice_rect() -> impl Strategy<Value = Rect> {
         (0u32..16, 0u32..16, 0u32..4, 0u32..4).prop_map(|(x, y, w, h)| {
             let at = |i: u32| f64::from(i) / 16.0;
             Rect::new(at(x), at(y), at(x + w), at(y + h))
@@ -660,12 +608,12 @@ pub(crate) mod tests {
 
     /// An object's size at hard-region density: at most 1/50 of the unit
     /// square's side, so that most nodes of a tree miss it.
-    fn hard_region_rect() -> impl Strategy<Value = Rect> {
+    pub(crate) fn hard_region_rect() -> impl Strategy<Value = Rect> {
         (0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.02, 0.0f64..0.02)
             .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
     }
 
-    fn any_predicate() -> impl Strategy<Value = Predicate> {
+    pub(crate) fn any_predicate() -> impl Strategy<Value = Predicate> {
         prop_oneof![
             Just(Predicate::Intersects),
             Just(Predicate::Contains),
@@ -816,7 +764,8 @@ pub(crate) mod tests {
                 .map(|_| (Predicate::Intersects, random_rect(&mut rng, 0.3)))
                 .collect();
             let mut acc = 0;
-            let fast = find_best_leaf(tree.root_node(), &windows, |_, c| c as f64, &mut acc);
+            let root = tree.root_node();
+            let fast = find_best_leaf_leveled(root, &windows, |_, c| c as f64, &mut acc, &mut []);
             let slow = scan_best_score(&rects, &windows, |_, c| c as f64);
             assert_eq!(fast.map(|b| b.score), slow);
             if let Some(b) = fast {
@@ -844,7 +793,7 @@ pub(crate) mod tests {
                 .map(|_| (Predicate::Intersects, random_rect(&mut rng, 0.3)))
                 .collect();
             let mut acc = 0;
-            let fast = find_best_leaf(tree.root_node(), &windows, score, &mut acc);
+            let fast = find_best_leaf_leveled(tree.root_node(), &windows, score, &mut acc, &mut []);
             let slow = scan_best_score(&rects, &windows, score);
             assert_eq!(fast.map(|b| b.score), slow);
         }
@@ -854,8 +803,9 @@ pub(crate) mod tests {
     fn empty_windows_return_none_without_visiting() {
         let (tree, _) = sample_tree(11, 50);
         let mut acc = 0;
+        let score = |_: &u32, c: u32| c as f64;
         assert_eq!(
-            find_best_leaf(tree.root_node(), &[], |_: &u32, c| c as f64, &mut acc),
+            find_best_leaf_leveled(tree.root_node(), &[], score, &mut acc, &mut []),
             None
         );
         assert_eq!(acc, 0);
@@ -864,14 +814,15 @@ pub(crate) mod tests {
     #[test]
     fn leveled_kernel_matches_plain_kernel_and_attributes_every_access() {
         let (tree, _) = sample_tree(15, 2_000);
-        let flat = tree.flat_leaves();
         let mut rng = StdRng::seed_from_u64(16);
         for _ in 0..30 {
             let windows: Vec<(Predicate, Rect)> = (0..3)
                 .map(|_| (Predicate::Intersects, random_rect(&mut rng, 0.25)))
                 .collect();
             let mut plain_acc = 0u64;
-            let plain = find_best_leaf(tree.root_node(), &windows, |_, c| c as f64, &mut plain_acc);
+            let root = tree.root_node();
+            let plain =
+                find_best_leaf_leveled(root, &windows, |_, c| c as f64, &mut plain_acc, &mut []);
             let mut acc = 0u64;
             let mut levels = vec![0u64; tree.height() as usize];
             let leveled = find_best_leaf_leveled(
@@ -884,16 +835,6 @@ pub(crate) mod tests {
             assert_eq!(plain, leveled);
             assert_eq!(plain_acc, acc);
             assert_eq!(levels.iter().sum::<u64>(), acc, "levels {levels:?}");
-            let mut flat_acc = 0u64;
-            let flat_best = find_best_leaf_flat(
-                tree.root_node(),
-                &flat,
-                &windows,
-                |_, c| c as f64,
-                &mut flat_acc,
-            );
-            assert_eq!(plain, flat_best);
-            assert_eq!(flat_acc, acc);
         }
     }
 
@@ -905,7 +846,13 @@ pub(crate) mod tests {
             .map(|_| (Predicate::Intersects, random_rect(&mut rng, 0.2)))
             .collect();
         let mut acc = 0;
-        let _ = find_best_leaf(tree.root_node(), &windows, |_, c| c as f64, &mut acc);
+        let _ = find_best_leaf_leveled(
+            tree.root_node(),
+            &windows,
+            |_, c| c as f64,
+            &mut acc,
+            &mut [],
+        );
         assert!(
             acc < tree.node_count() as u64,
             "visited {acc} of {} nodes — pruning ineffective",

@@ -135,17 +135,6 @@ impl<T> RTree<T> {
         NodeRef::new(self, self.height() - 1, 0)
     }
 
-    /// Builds a structure-of-arrays copy of the leaf level (see
-    /// [`FlatLeaves`](crate::FlatLeaves) and
-    /// [`multiwindow::find_best_leaf_flat`](crate::find_best_leaf_flat)).
-    /// Probe-only: nothing in the engine holds one.
-    pub fn flat_leaves(&self) -> crate::FlatLeaves<T>
-    where
-        T: Copy,
-    {
-        crate::FlatLeaves::new(self)
-    }
-
     /// Iterates over every stored `(mbr, payload)` pair, in leaf order.
     pub fn iter(&self) -> impl Iterator<Item = (&Rect, &T)> + '_ {
         self.leaf_rects().iter().zip(&self.values)

@@ -37,16 +37,10 @@ impl<'a, T> NodeRef<'a, T> {
         NodeRef { tree, level, index }
     }
 
-    /// Position of the node among the nodes of its level.
-    #[inline]
-    pub(crate) fn index(&self) -> usize {
-        self.index as usize
-    }
-
     /// The node's run in its level's entry arrays.
     #[inline]
     fn span(&self) -> Range<usize> {
-        self.tree.levels[self.level as usize].span(self.index())
+        self.tree.levels[self.level as usize].span(self.index as usize)
     }
 
     /// Level of this node (0 = leaf).
@@ -95,7 +89,7 @@ impl<'a, T> NodeRef<'a, T> {
     /// for this node stores, computed only for the root.
     pub fn mbr(&self) -> Rect {
         match self.tree.levels.get(self.level as usize + 1) {
-            Some(parents) => parents.rects[self.index()],
+            Some(parents) => parents.rects[self.index as usize],
             None => Rect::union_all(self.rects()),
         }
     }

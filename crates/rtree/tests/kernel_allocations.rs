@@ -1,6 +1,6 @@
 //! The multi-window traversals allocate nothing once warm.
 //!
-//! `find_best_leaf*` and `for_each_candidate` keep their per-node counts
+//! `find_best_leaf_leveled` and `for_each_candidate` keep their per-node counts
 //! and ranks in a per-thread arena (see the `multiwindow` module docs). One
 //! call that reaches a leaf grows the arena to the tree's height; every
 //! later call on that tree must run without touching the allocator. This
