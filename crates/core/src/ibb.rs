@@ -172,9 +172,7 @@ fn descend(
     candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
     // Try positive-count candidates in decreasing-count order.
-    let mut positive = std::collections::HashSet::new();
     for &(obj, count) in &candidates {
-        positive.insert(obj);
         let new_violations = violations_so_far + (assigned_neighbors - count) as usize;
         if new_violations >= state.driver.bound() {
             // Candidates are sorted by count desc: every later candidate is
@@ -194,10 +192,17 @@ fn descend(
 
     // Zero-count region (or no windows at all, e.g. the first variable):
     // every remaining object violates all `assigned_neighbors` conditions.
+    // If the bound admits this region, the loop above ran to its end — it
+    // breaks only at violations that reach the bound, and a zero-count
+    // object has no fewer — so every candidate was tried: the scan, in id
+    // order, skips them by walking their ids sorted.
     let zero_violations = violations_so_far + assigned_neighbors as usize;
     if zero_violations < state.driver.bound() {
+        let mut tried: Vec<usize> = candidates.iter().map(|&(obj, _)| obj).collect();
+        tried.sort_unstable();
+        let mut tried = tried.into_iter().peekable();
         for (obj, rect) in instance.scan(var) {
-            if positive.contains(&obj) {
+            if tried.next_if_eq(&obj).is_some() {
                 continue;
             }
             // Re-check: the incumbent may have improved mid-loop.

@@ -22,8 +22,9 @@ pub enum BackendKind {
     /// The R*-tree branch-and-bound traversals (the paper's setting).
     #[default]
     RTree,
-    /// The PBSM-style uniform grid with cell-replicated MBRs and
-    /// reference-point deduplication ([`mwsj_rtree::grid`]).
+    /// The PBSM-style uniform grid over the tree's leaf arrays, with
+    /// cell-replicated positions and reference-point deduplication
+    /// ([`mwsj_rtree::grid`]).
     Grid,
 }
 
@@ -57,10 +58,11 @@ pub(crate) struct IndexedDataset {
     /// Mean per-axis extent, summed in object-id order (the leaf order
     /// would round the sum differently).
     pub avg_extent: f64,
-    /// Uniform-grid index over the same rectangles, built on first use
-    /// (selecting [`BackendKind::Grid`] builds it eagerly). `OnceLock`
-    /// keeps the dataset shareable across `Arc` aliases without cloning
-    /// the non-cloneable tree.
+    /// Uniform-grid index over the tree's leaf arrays (it shares them, it
+    /// does not copy them), built on first use (selecting
+    /// [`BackendKind::Grid`] builds it eagerly). `OnceLock` keeps the
+    /// dataset shareable across `Arc` aliases without cloning the
+    /// non-cloneable tree.
     pub grid: OnceLock<UniformGrid<u32>>,
 }
 
@@ -85,16 +87,12 @@ impl IndexedDataset {
         self.tree.leaf_rects()[self.inv[obj] as usize]
     }
 
-    /// The grid index, built deterministically from the rectangles on
-    /// first access — fed in object-id order, which is what breaks its
-    /// `lo_x` ties.
+    /// The grid index over the leaf arrays, built on first access. Its
+    /// cells order their slots by `(lo_x, object id)`, so the leaf order
+    /// does not show in it.
     fn grid(&self) -> &UniformGrid<u32> {
-        self.grid.get_or_init(|| {
-            let items: Vec<(Rect, u32)> = (0..self.inv.len())
-                .map(|obj| (self.rect(obj), obj as u32))
-                .collect();
-            UniformGrid::build(&items)
-        })
+        self.grid
+            .get_or_init(|| UniformGrid::over_leaves(&self.tree))
     }
 
     /// Resident bytes of everything but the leaf rectangles and the grid:
@@ -340,8 +338,9 @@ impl Instance {
     /// dataset, the rectangles (`rects.varNNN`: the tree's leaf array) and
     /// the rest of the R*-tree (`rtree.varNNN`: payloads, the id → position
     /// table, upper levels and `start` tables), named after the first
-    /// variable bound to that dataset, plus `grid.varNNN` once the grid has
-    /// been built. The same table backs the `resource_report` run event
+    /// variable bound to that dataset, plus `grid.varNNN` — the grid's index
+    /// alone, since it shares the leaf arrays — once the grid has been
+    /// built. The same table backs the `resource_report` run event
     /// and the `memory` section of bench snapshots.
     pub fn fill_resource_report(&self, report: &mut ResourceReport) {
         for (v, d) in self.unique_datasets() {
@@ -475,8 +474,17 @@ mod tests {
 
             let items: Vec<(Rect, u32)> = input.iter().copied().zip(0u32..).collect();
             let (built, expected) = (inst.grid(1), UniformGrid::build(&items));
-            // Field by field, every slot of every cell.
-            assert!(format!("{built:?}") == format!("{expected:?}"));
+            assert_eq!(built.stats(), expected.stats());
+            // Every slot of every cell, rectangle bits and id.
+            let bits = |(r, &id): (&Rect, &u32)| {
+                ([r.min.x, r.min.y, r.max.x, r.max.y].map(f64::to_bits), id)
+            };
+            for c in 0..built.stats().cells as usize {
+                assert!(built
+                    .cell_entries(c)
+                    .map(bits)
+                    .eq(expected.cell_entries(c).map(bits)));
+            }
         }
     }
 

@@ -294,6 +294,12 @@ impl Sea {
                     let (head, tail) = pop.split_at_mut(i);
                     (&mut tail[0], &head[donor])
                 };
+                // A copy of the same solution (selection makes many): the
+                // child is the parent, whatever the keep set. The draws
+                // above are made either way, so the stream does not move.
+                if ind.sol == donor.sol {
+                    continue;
+                }
                 keep.fill(graph, &ind.cs, c);
                 let mut changed = false;
                 for v in 0..n {
@@ -360,8 +366,8 @@ impl DriveSearch for Sea {
 struct KeepSet {
     /// `mask[v]`: variable `v` keeps its assignment.
     mask: Vec<bool>,
-    order: Vec<VarId>,
-    rank: Vec<usize>,
+    /// `towards[v]`: conditions `v` satisfies towards the members so far.
+    towards: Vec<u32>,
 }
 
 impl KeepSet {
@@ -370,55 +376,40 @@ impl KeepSet {
     /// then grows by repeatedly adding the variable satisfying the most
     /// conditions towards members of `X`, ties resolved by the initial
     /// order.
+    ///
+    /// The initial order is the total key `(Reverse(satisfied), conflicts,
+    /// v)`, so "earlier in the order" is "smaller key": each round takes the
+    /// non-member with the largest `towards` count and then the smallest
+    /// key, and raises the counts of the new member's satisfied neighbours.
     fn fill(&mut self, graph: &mwsj_query::QueryGraph, cs: &ConflictState, c: usize) {
-        let KeepSet { mask, order, rank } = self;
+        let KeepSet { mask, towards } = self;
         let n = graph.n_vars();
-        let c = c.min(n);
-        // Initial order (a total one: the variable is the last key).
-        order.clear();
-        order.extend(0..n);
-        order.sort_unstable_by_key(|&v| {
+        mask.clear();
+        mask.resize(n, false);
+        towards.clear();
+        towards.resize(n, 0);
+        let key = |v: VarId| {
             (
                 std::cmp::Reverse(cs.satisfied_of(graph, v)),
                 cs.conflicts_of(v),
                 v,
             )
-        });
-        rank.clear();
-        rank.resize(n, 0);
-        for (r, &v) in order.iter().enumerate() {
-            rank[v] = r;
-        }
-
-        mask.clear();
-        mask.resize(n, false);
-        if c == 0 {
-            return;
-        }
-        mask[order[0]] = true;
-        for _ in 1..c {
-            let mut best: Option<(u32, usize, VarId)> = None; // (sat_to_X desc, rank asc)
-            for v in 0..n {
-                if mask[v] {
-                    continue;
-                }
-                let sat_to_x = graph
-                    .neighbors(v)
-                    .iter()
-                    .filter(|&&(u, _)| {
-                        mask[u]
-                            && !cs.is_edge_violated(graph.edge_index(v, u).expect("neighbor edge"))
-                    })
-                    .count() as u32;
-                let better = match best {
-                    None => true,
-                    Some((bs, br, _)) => sat_to_x > bs || (sat_to_x == bs && rank[v] < br),
-                };
+        };
+        for _ in 0..c.min(n) {
+            let mut joins = usize::MAX;
+            for v in (0..n).filter(|&v| !mask[v]) {
+                let better = joins == usize::MAX
+                    || towards[v] > towards[joins]
+                    || (towards[v] == towards[joins] && key(v) < key(joins));
                 if better {
-                    best = Some((sat_to_x, rank[v], v));
+                    joins = v;
                 }
             }
-            mask[best.expect("n > c candidates remain").2] = true;
+            mask[joins] = true;
+            for &(u, _) in graph.neighbors(joins) {
+                let edge = graph.edge_index(joins, u).expect("neighbor edge");
+                towards[u] += u32::from(!cs.is_edge_violated(edge));
+            }
         }
     }
 }

@@ -4,16 +4,48 @@
 //! The effective inconsistency degree of a solution adds
 //! `λ · Σᵢ penalty(vᵢ ← rᵢ)` to its violation count. The paper notes the
 //! penalty array is very sparse and suggests a hash table for large
-//! problems — which is what this is.
+//! problems — which is what this is. The GILS scorer looks the table up
+//! for every object it scores, so it hashes with one multiply a word
+//! ([`MixHasher`]), not SipHash: nothing iterates the table, so the hash
+//! decides no result.
 
 use crate::{Solution, VarId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Sparse table of assignment penalties.
 #[derive(Debug, Clone, Default)]
 pub struct PenaltyTable {
-    penalties: HashMap<(VarId, usize), u32>,
+    penalties: HashMap<(VarId, usize), u32, BuildHasherDefault<MixHasher>>,
     version: u64,
+}
+
+/// A multiplicative word hash — rotate, xor the word in, multiply by an
+/// odd constant: the mix of the search layer's window-cache memo. The keys
+/// are `(variable, object)` pairs the search makes, not input, so the
+/// table needs no defence against chosen collisions.
+#[derive(Debug, Clone, Copy, Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
 }
 
 impl PenaltyTable {
@@ -147,6 +179,21 @@ mod tests {
         let _ = t.get(0, 1);
         let _ = t.total_for(&sol);
         assert_eq!(t.version(), 1 + punished.len() as u64);
+    }
+
+    /// Dense keys — every variable, a run of objects — each keep their own
+    /// count under the multiplicative hash.
+    #[test]
+    fn many_assignments_keep_their_own_penalties() {
+        let mut t = PenaltyTable::new();
+        for v in 0..8 {
+            (0..5_000).step_by(v + 1).for_each(|obj| t.penalize(v, obj));
+        }
+        for v in 0..8 {
+            for obj in 0..5_000 {
+                assert_eq!(t.get(v, obj), u32::from(obj % (v + 1) == 0), "{v} <- {obj}");
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,9 @@
 //!    order, starting from the root — which makes every node's children
 //!    contiguous and turns child ids into positions.
 //! 3. **Gather.** In that order each level's rectangles — and, on the leaf
-//!    level, the payloads — are copied once into their arrays.
+//!    level, the payloads — are copied once into their arrays, each
+//!    collected from an exact-size iterator straight into its shared
+//!    allocation.
 
 use crate::params::RTreeParams;
 use crate::tree::{Level, RTree};

@@ -3,16 +3,19 @@
 //! Tsitsigkos & Mamoulis, *Parallel In-Memory Evaluation of Spatial
 //! Joins*).
 //!
-//! The workspace bounding box is split into `nx × ny` uniform cells; every
-//! MBR is **replicated** into each cell its rectangle overlaps, stored in
-//! per-cell contiguous SoA coordinate arrays ordered by `lo_x`. Queries visit only
-//! candidate cells and **sweep** a cell: two binary searches per window,
+//! The workspace bounding box is split into `nx × ny` uniform cells, and
+//! every MBR is referenced from each cell it overlaps. A cell is a run of
+//! *slots* in `lo_x` order; a slot is the entry's `lo_x` and its position
+//! in the one rectangle array the grid indexes — an R*-tree's STR-ordered
+//! leaf level ([`UniformGrid::over_leaves`]) or a copy of the grid's own
+//! ([`UniformGrid::build`]). Queries visit only candidate cells and
+//! **sweep** a cell: two binary searches per window over its `lo_x` keys,
 //! bounded by the cell's widest entry, find the slots whose x extent can
-//! reach the window. Replicated hits are deduplicated with a
-//! **reference-point rule**: every entry is *processed* in exactly one
-//! deterministic cell — the row-major smallest cell where the entry's cell
-//! span meets a query's candidate cell range — so each result is reported
-//! exactly once without any hash set.
+//! reach the window, and only those read their rectangle. Replicated hits
+//! are deduplicated with a **reference-point rule**: every entry is
+//! *processed* in exactly one deterministic cell — the row-major smallest
+//! cell where the entry's cell span meets a query's candidate cell range —
+//! so each result is reported exactly once without any hash set.
 //!
 //! **No cell arithmetic in the loops.** The rule needs an entry's cell
 //! span, which the build knows: it keeps one bit per slot, *straddles* —
@@ -24,12 +27,8 @@
 //! `dedup_cell`; [`join`] likewise takes a side's single-cell entry
 //! without locating the pair's reference point, which lies in the entry
 //! and so in its cell. A cell index is a division and a saturating cast,
-//! no `floor` (`Axis::cell`). Measured in ISSUE 24's prototype and not
-//! built: tallying a run window by window over the SoA slices
-//! (`Predicate::tally_eval`, the R*-tree leaf's shape) read +9…+12 %
-//! `solve_s` on uniform and +7 % on Zipf data — a run is 3–5 slots, too
-//! short for a count buffer. The loop was read in the release binary's
-//! assembly (DESIGN.md §5j).
+//! no `floor` (`Axis::cell`). DESIGN.md §5j records the layouts and loops
+//! measured and not built.
 //!
 //! There are two query kernels over one plan → sweep → runs traversal:
 //! [`best_in_windows`] (the best entry for a window list) and
@@ -40,20 +39,23 @@
 //! `(max lo_x, max lo_y)` of a pair's intersection.
 //!
 //! Determinism contract: candidate cells are enumerated in ascending
-//! row-major order and the entries of one cell rank by payload (item
-//! order, for the ascending object ids every caller builds with). The
-//! sweep does not visit a cell's slots in payload order, so
-//! [`best_in_windows`] breaks score ties by `(cell, payload)` rank and
-//! [`candidates_with_counts`] sorts each cell's hits by payload.
+//! row-major order, and a cell's slots are ordered by `(lo_x, payload)`
+//! whatever order the indexed arrays are in — a grid over a tree's leaves
+//! has the slots of one built from the same objects in id order. The
+//! entries of a cell rank by payload (object id), which the sweep does not
+//! visit them in, so [`best_in_windows`] breaks score ties by `(cell,
+//! payload)` rank and [`candidates_with_counts`] sorts each cell's hits.
 //!
 //! Access accounting: one *access* per candidate cell scanned (the grid
 //! analogue of one R*-tree node visit). The candidate cell set is a pure
 //! function of the query windows.
 
 use crate::multiwindow::BestLeaf;
+use crate::tree::RTree;
 use mwsj_geom::{Point, Predicate, Rect};
 use mwsj_obs::MemoryFootprint;
 use std::cell::RefCell;
+use std::sync::Arc;
 
 // The benchmark's name for `best_in_windows`, with its ignored thread count.
 #[doc(hidden)]
@@ -74,33 +76,33 @@ struct CellRange {
     y1: usize,
 }
 
-/// A uniform grid over 2-D MBRs with cell-replicated entries.
+/// A uniform grid over 2-D MBRs whose cells hold positions into one
+/// rectangle array.
 ///
-/// Build once ([`UniformGrid::build`]), query many times. Entries carry a
-/// `Copy` payload (object ids in this codebase).
+/// Build once ([`UniformGrid::over_leaves`] or [`UniformGrid::build`]),
+/// query many times. Entries carry a `Copy` payload (object ids in this
+/// codebase).
 #[derive(Debug, Clone)]
 pub struct UniformGrid<T> {
-    bbox: Rect,
-    nx: usize,
-    ny: usize,
-    cell_w: f64,
-    cell_h: f64,
-    /// Per-cell spans into the SoA arrays: cell `c` owns
-    /// `starts[c]..starts[c+1]`, ordered by `(lo_x, item)`.
+    /// The cells along x and along y, over the bounding box's extent.
+    x: Axis,
+    y: Axis,
+    /// The indexed rectangles and, position for position, their payloads.
+    rects: Arc<[Rect]>,
+    values: Arc<[T]>,
+    /// Per-cell spans into the slot arrays: cell `c` owns
+    /// `starts[c]..starts[c+1]`, ordered by `(lo_x, payload, position)`.
     starts: Vec<u32>,
+    /// Per slot, the entry's `lo_x` (the sweep's search key) …
     lo_x: Vec<f64>,
-    lo_y: Vec<f64>,
-    hi_x: Vec<f64>,
-    hi_y: Vec<f64>,
-    values: Vec<T>,
+    /// … and its position in `rects` and `values`.
+    pos: Vec<u32>,
     /// Per-cell sweep bound: a width `w` with `lo_x + w ≥ hi_x` (as
     /// computed in `f64`) for every entry of the cell.
     max_w: Vec<f64>,
     /// One bit per slot, 64 slots a word: set iff the entry's cell span
     /// holds more than one cell (the entry has replicas).
     straddles: Vec<u64>,
-    /// Number of unique indexed rectangles (before replication).
-    unique: usize,
 }
 
 /// Structural statistics of a [`UniformGrid`] (cell-occupancy telemetry).
@@ -133,45 +135,57 @@ pub struct GridStats {
     pub seen_max_width: f64,
 }
 
-impl<T: Copy> UniformGrid<T> {
-    /// Builds a grid over `items` at the default target occupancy.
+impl<T: Copy + Ord> UniformGrid<T> {
+    /// Builds a grid over the leaf level of `tree` at the default target
+    /// occupancy. The grid indexes the tree's rectangle and payload arrays
+    /// themselves: it holds new handles on them, not copies.
+    pub fn over_leaves(tree: &RTree<T>) -> Self {
+        let (rects, values) = tree.shared_leaves();
+        Self::index(rects, values, DEFAULT_TARGET_OCCUPANCY)
+    }
+
+    /// Builds a grid over `items` at the default target occupancy, on
+    /// arrays of its own: a copy of the rectangles and one of the payloads.
     pub fn build(items: &[(Rect, T)]) -> Self {
         Self::with_target_occupancy(items, DEFAULT_TARGET_OCCUPANCY)
     }
 
-    /// Builds a grid sized for roughly `target` entries per cell.
+    /// [`UniformGrid::build`] sized for roughly `target` entries per cell.
     pub fn with_target_occupancy(items: &[(Rect, T)], target: f64) -> Self {
-        let bbox = if items.is_empty() {
+        let rects = items.iter().map(|(r, _)| *r).collect();
+        let values = items.iter().map(|(_, v)| *v).collect();
+        Self::index(rects, values, target)
+    }
+
+    /// Indexes `rects` (paired with `values`) in cells sized for roughly
+    /// `target` entries each.
+    fn index(rects: Arc<[Rect]>, values: Arc<[T]>, target: f64) -> Self {
+        debug_assert_eq!(rects.len(), values.len());
+        let n = rects.len();
+        let bbox = if n == 0 {
             Rect::new(0.0, 0.0, 1.0, 1.0)
         } else {
-            Rect::union_all(items.iter().map(|(r, _)| r))
+            Rect::union_all(rects.iter())
         };
-        let side = if items.is_empty() {
+        let side = if n == 0 {
             1
         } else {
-            ((items.len() as f64 / target.max(1.0)).sqrt().ceil() as usize).max(1)
+            ((n as f64 / target.max(1.0)).sqrt().ceil() as usize).max(1)
         };
         let (nx, ny) = (side, side);
-        let cell_w = positive_step(bbox.width(), nx);
-        let cell_h = positive_step(bbox.height(), ny);
         let mut grid = UniformGrid {
-            bbox,
-            nx,
-            ny,
-            cell_w,
-            cell_h,
+            x: Axis::over(bbox.min.x, bbox.max.x, bbox.width(), nx),
+            y: Axis::over(bbox.min.y, bbox.max.y, bbox.height(), ny),
+            rects,
+            values,
             starts: Vec::new(),
             lo_x: Vec::new(),
-            lo_y: Vec::new(),
-            hi_x: Vec::new(),
-            hi_y: Vec::new(),
-            values: Vec::new(),
+            pos: Vec::new(),
             max_w: vec![0.0; nx * ny],
             straddles: Vec::new(),
-            unique: items.len(),
         };
-        // Every item's cell span, computed once for the three passes.
-        let spans: Vec<CellRange> = items.iter().map(|(r, _)| grid.span_of(r)).collect();
+        // Every entry's cell span, computed once for the three passes.
+        let spans: Vec<CellRange> = grid.rects.iter().map(|r| grid.span_of(r)).collect();
 
         // Pass 1: per-cell replica counts.
         let mut counts = vec![0usize; nx * ny];
@@ -190,10 +204,11 @@ impl<T: Copy> UniformGrid<T> {
             starts.push(u32::try_from(acc).expect("a grid holds at most u32::MAX replicas"));
         }
 
-        // Pass 2: the items of each cell, in item order.
+        // Pass 2: the positions of each cell, in array order (every entry
+        // lies in a cell, so positions fit the `u32` the replicas do).
         let mut cursor: Vec<u32> = starts[..nx * ny].to_vec();
-        let mut slots = vec![0usize; acc];
-        for (i, ((r, _), s)) in items.iter().zip(&spans).enumerate() {
+        let mut pos = vec![0u32; acc];
+        for (at, (r, s)) in grid.rects.iter().zip(&spans).enumerate() {
             let mut w = r.max.x - r.min.x;
             if r.min.x + w < r.max.x {
                 w = w.next_up(); // the subtraction rounded down
@@ -201,31 +216,33 @@ impl<T: Copy> UniformGrid<T> {
             for cy in s.y0..=s.y1 {
                 for cx in s.x0..=s.x1 {
                     let cell = cy * nx + cx;
-                    slots[cursor[cell] as usize] = i;
+                    pos[cursor[cell] as usize] = at as u32;
                     cursor[cell] += 1;
                     grid.max_w[cell] = grid.max_w[cell].max(w);
                 }
             }
         }
 
-        // Pass 3: order each cell by `lo_x` — stably, so ties keep item
-        // order — and lay the entries out.
+        // Pass 3: order each cell by `(lo_x, payload, position)` — a total
+        // order, so the array order the entries came in cannot show — and
+        // lay the slots out.
+        let (rects, values) = (&grid.rects, &grid.values);
         for cell in starts.windows(2) {
-            let run = &mut slots[cell[0] as usize..cell[1] as usize];
-            run.sort_by(|&a, &b| items[a].0.min.x.total_cmp(&items[b].0.min.x));
+            let run = &mut pos[cell[0] as usize..cell[1] as usize];
+            run.sort_unstable_by(|&a, &b| {
+                let (a, b) = (a as usize, b as usize);
+                let by_x = rects[a].min.x.total_cmp(&rects[b].min.x);
+                by_x.then(values[a].cmp(&values[b])).then(a.cmp(&b))
+            });
         }
-        let entries = || slots.iter().map(|&i| &items[i]);
-        grid.lo_x = entries().map(|(r, _)| r.min.x).collect();
-        grid.lo_y = entries().map(|(r, _)| r.min.y).collect();
-        grid.hi_x = entries().map(|(r, _)| r.max.x).collect();
-        grid.hi_y = entries().map(|(r, _)| r.max.y).collect();
-        grid.values = entries().map(|(_, v)| *v).collect();
+        grid.lo_x = pos.iter().map(|&at| rects[at as usize].min.x).collect();
         grid.straddles = vec![0; acc.div_ceil(64)];
-        for (slot, &i) in slots.iter().enumerate() {
-            let s = &spans[i];
+        for (slot, &at) in pos.iter().enumerate() {
+            let s = &spans[at as usize];
             let replicated = (s.x0, s.y0) != (s.x1, s.y1);
             grid.straddles[slot / 64] |= (replicated as u64) << (slot % 64);
         }
+        grid.pos = pos;
         grid.starts = starts;
         grid
     }
@@ -235,46 +252,56 @@ impl<T> UniformGrid<T> {
     /// Number of unique indexed rectangles.
     #[inline]
     pub fn len(&self) -> usize {
-        self.unique
+        self.rects.len()
     }
 
     /// Returns `true` if the grid indexes no rectangles.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.unique == 0
+        self.rects.is_empty()
     }
 
     /// The workspace bounding box the grid covers.
     #[inline]
     pub fn bbox(&self) -> Rect {
-        self.bbox
+        Rect {
+            min: Point::new(self.x.min, self.y.min),
+            max: Point::new(self.x.max, self.y.max),
+        }
     }
 
-    /// Entry slots of cell `c` (indices into the SoA arrays).
+    /// The entries of cell `c` (row-major, `c < nx · ny`) as `(rectangle,
+    /// payload)`, in slot order: by `lo_x`, then payload.
+    pub fn cell_entries(&self, c: usize) -> impl Iterator<Item = (&Rect, &T)> + '_ {
+        self.cell_slots(c).map(|slot| {
+            let at = self.pos[slot] as usize;
+            (&self.rects[at], &self.values[at])
+        })
+    }
+
+    /// Entry slots of cell `c` (indices into the slot arrays).
     #[inline]
     fn cell_slots(&self, c: usize) -> std::ops::Range<usize> {
         self.starts[c] as usize..self.starts[c + 1] as usize
     }
 
-    /// Whether the entry at SoA slot `i` lies in more than one cell.
+    /// Whether the entry at slot `i` lies in more than one cell.
     #[inline]
     fn straddles(&self, i: usize) -> bool {
         self.straddles[i / 64] >> (i % 64) & 1 != 0
     }
 
-    /// The full rectangle stored at SoA slot `i`.
+    /// The rectangle of the entry at slot `i`.
     #[inline]
-    fn rect_at(&self, i: usize) -> Rect {
-        Rect {
-            min: Point::new(self.lo_x[i], self.lo_y[i]),
-            max: Point::new(self.hi_x[i], self.hi_y[i]),
-        }
+    fn rect_at(&self, i: usize) -> &Rect {
+        &self.rects[self.pos[i] as usize]
     }
 
     /// Structural cell-occupancy statistics.
     pub fn stats(&self) -> GridStats {
-        let cells = self.nx * self.ny;
-        let entries = self.values.len() as u64;
+        let cells = self.x.n * self.y.n;
+        let entries = self.pos.len() as u64;
+        let unique = self.rects.len() as u64;
         let mut occupied = 0u64;
         let mut max_occ = 0u64;
         let (mut len_sq, mut width) = (0.0, 0.0);
@@ -288,16 +315,16 @@ impl<T> UniformGrid<T> {
             width += (n * n) as f64 * self.max_w[c];
         }
         GridStats {
-            nx: self.nx as u64,
-            ny: self.ny as u64,
+            nx: self.x.n as u64,
+            ny: self.y.n as u64,
             cells: cells as u64,
             occupied_cells: occupied,
             entries,
-            unique: self.unique as u64,
-            replication_factor: if self.unique == 0 {
+            unique,
+            replication_factor: if unique == 0 {
                 1.0
             } else {
-                entries as f64 / self.unique as f64
+                entries as f64 / unique as f64
             },
             avg_occupancy: if occupied == 0 {
                 0.0
@@ -310,44 +337,14 @@ impl<T> UniformGrid<T> {
         }
     }
 
-    #[inline]
-    fn x_axis(&self) -> Axis {
-        Axis {
-            min: self.bbox.min.x,
-            max: self.bbox.max.x,
-            step: self.cell_w,
-            n: self.nx,
-        }
-    }
-
-    #[inline]
-    fn y_axis(&self) -> Axis {
-        Axis {
-            min: self.bbox.min.y,
-            max: self.bbox.max.y,
-            step: self.cell_h,
-            n: self.ny,
-        }
-    }
-
-    #[inline]
-    fn cell_x(&self, x: f64) -> usize {
-        self.x_axis().cell(x)
-    }
-
-    #[inline]
-    fn cell_y(&self, y: f64) -> usize {
-        self.y_axis().cell(y)
-    }
-
     /// Cell span of a rectangle (clamped to the grid).
     #[inline]
     fn span_of(&self, r: &Rect) -> CellRange {
         CellRange {
-            x0: self.cell_x(r.min.x),
-            y0: self.cell_y(r.min.y),
-            x1: self.cell_x(r.max.x),
-            y1: self.cell_y(r.max.y),
+            x0: self.x.cell(r.min.x),
+            y0: self.y.cell(r.min.y),
+            x1: self.x.cell(r.max.x),
+            y1: self.y.cell(r.max.y),
         }
     }
 
@@ -370,7 +367,7 @@ impl<T> UniformGrid<T> {
                 4.0 * f64::EPSILON * (eps.abs() + w.min.x.abs().max(w.max.x.abs())),
             ),
         };
-        let clamped = region.intersection(&self.bbox);
+        let clamped = region.intersection(&self.bbox());
         (!clamped.is_empty()).then(|| WindowPlan {
             range: self.span_of(&clamped),
             x0: region.min.x - pad,
@@ -393,7 +390,7 @@ impl<T> UniformGrid<T> {
             if x0 > s.x1.min(g.x1) || y0 > s.y1.min(g.y1) {
                 continue;
             }
-            let idx = y0 * self.nx + x0;
+            let idx = y0 * self.x.n + x0;
             if best.is_none_or(|b| idx < b) {
                 best = Some(idx);
             }
@@ -422,20 +419,21 @@ impl<T> UniformGrid<T> {
         f(run);
     }
 
-    /// The one scan loop of both kernels: visits `(slot, rect)` for
-    /// every entry of the plan's `pos`-th cell that lies in one of its
+    /// The one scan loop of both kernels: visits `(position, rect)` for
+    /// every entry of the plan's `cell_pos`-th cell that lies in one of its
     /// [`runs`](Self::runs) and is processed in that cell under the
     /// reference-point rule — by construction when it lies in no other
     /// cell. The runs are those of **all** windows, not
     /// only of the windows whose range covers the cell: the rule can
     /// process an entry in a cell that lies only in another window's range.
-    fn sweep(&self, plan: &Plan, pos: usize, mut visit: impl FnMut(usize, &Rect)) {
-        let c = plan.cells[pos];
+    fn sweep(&self, plan: &Plan, cell_pos: usize, mut visit: impl FnMut(usize, &Rect)) {
+        let c = plan.cells[cell_pos];
         self.runs(c, &plan.windows, |run| {
             for slot in run {
-                let r = self.rect_at(slot);
-                if !self.straddles(slot) || self.dedup_cell(&r, &plan.windows) == Some(c) {
-                    visit(slot, &r);
+                let at = self.pos[slot] as usize;
+                let r = &self.rects[at];
+                if !self.straddles(slot) || self.dedup_cell(r, &plan.windows) == Some(c) {
+                    visit(at, r);
                 }
             }
         });
@@ -456,7 +454,7 @@ impl<T> UniformGrid<T> {
 }
 
 /// One axis of a grid: `n` cells of width `step` over `[min, max]`.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct Axis {
     min: f64,
     max: f64,
@@ -465,6 +463,14 @@ struct Axis {
 }
 
 impl Axis {
+    /// `n` cells over `[min, max]`, of width `extent / n` — or 1 when that
+    /// is not positive (all data on one point or line).
+    fn over(min: f64, max: f64, extent: f64, n: usize) -> Self {
+        let step = extent / n as f64;
+        let step = if step > 0.0 { step } else { 1.0 };
+        Axis { min, max, step, n }
+    }
+
     /// The cell of coordinate `v`, clamped to the axis. The cast is the
     /// floor: it truncates toward zero, which is `floor` on `[0, ∞)`;
     /// negatives and NaN become cell 0 through the `max`, as they did
@@ -558,7 +564,8 @@ fn with_plan<T>(
     plan.cells.clear();
     for WindowPlan { range: g, .. } in &plan.windows {
         for cy in g.y0..=g.y1 {
-            plan.cells.extend((g.x0..=g.x1).map(|cx| cy * grid.nx + cx));
+            plan.cells
+                .extend((g.x0..=g.x1).map(|cx| cy * grid.x.n + cx));
         }
     }
     plan.cells.sort_unstable();
@@ -585,8 +592,8 @@ fn satisfied_count(windows: &[(Predicate, Rect)], r: &Rect) -> u32 {
 struct CellBest<T> {
     score: f64,
     cell_pos: usize,
-    /// Where the entry lies in the SoA arrays.
-    slot: usize,
+    /// Where the entry lies in the indexed arrays.
+    at: usize,
     value: T,
     satisfied: u32,
 }
@@ -627,15 +634,15 @@ pub fn best_in_windows<T: Copy + Ord>(
 ) -> Option<BestLeaf<T>> {
     let mut winner: Option<CellBest<T>> = None;
     with_plan(grid, windows, cell_accesses, level_accesses, |plan| {
-        for pos in 0..plan.cells.len() {
-            grid.sweep(plan, pos, |slot, r| {
+        for cell_pos in 0..plan.cells.len() {
+            grid.sweep(plan, cell_pos, |at, r| {
                 let satisfied = satisfied_count(windows, r);
                 if satisfied > 0 {
-                    let value = grid.values[slot];
+                    let value = grid.values[at];
                     CellBest {
                         score: score(&value, satisfied),
-                        cell_pos: pos,
-                        slot,
+                        cell_pos,
+                        at,
                         value,
                         satisfied,
                     }
@@ -646,7 +653,7 @@ pub fn best_in_windows<T: Copy + Ord>(
     });
     winner.map(|b| BestLeaf {
         value: b.value,
-        rect: grid.rect_at(b.slot),
+        rect: grid.rects[b.at],
         satisfied: b.satisfied,
         score: b.score,
     })
@@ -672,12 +679,12 @@ pub fn candidates_with_counts<T: Copy + Ord>(
     debug_assert!(min_count >= 1);
     let mut out = Vec::new();
     with_plan(grid, windows, cell_accesses, level_accesses, |plan| {
-        for pos in 0..plan.cells.len() {
+        for cell_pos in 0..plan.cells.len() {
             let start = out.len();
-            grid.sweep(plan, pos, |slot, r| {
+            grid.sweep(plan, cell_pos, |at, r| {
                 let count = satisfied_count(windows, r);
                 if count >= min_count {
-                    out.push((grid.values[slot], count));
+                    out.push((grid.values[at], count));
                 }
             });
             out[start..].sort_unstable_by_key(|hit| hit.0);
@@ -700,7 +707,7 @@ pub fn candidates_with_counts<T: Copy + Ord>(
 /// one, by the reference-point rule: the point `(max lo_x, max lo_y)` lies
 /// in both rectangles, hence in a cell of each that holds them, and the
 /// pair belongs to the cell pair whose two cells contain it — decided, for
-/// a side whose entry straddles cells, with the `cell_x` / `cell_y` the
+/// a side whose entry straddles cells, with the cell arithmetic the
 /// builds used, so the two grids need not be aligned (an entry in one cell
 /// holds the point there). The exact predicate is evaluated last.
 ///
@@ -725,20 +732,20 @@ pub fn join<T: Copy, U: Copy>(
         ),
         "the cell-pair join needs a predicate that implies intersection, not {pred}"
     );
-    let columns = left.x_axis().covers(&right.x_axis());
-    let rows = left.y_axis().covers(&right.y_axis());
+    let columns = left.x.covers(&right.x);
+    let rows = left.y.covers(&right.y);
     for (cy, row) in rows.iter().enumerate() {
         let Some((y0, y1)) = *row else {
             continue;
         };
         for (cx, column) in columns.iter().enumerate() {
-            let run = left.cell_slots(cy * left.nx + cx);
+            let run = left.cell_slots(cy * left.x.n + cx);
             let Some((x0, x1)) = column.filter(|_| !run.is_empty()) else {
                 continue;
             };
             *cell_accesses += 1;
             for (by, bx) in (y0..=y1).flat_map(|by| (x0..=x1).map(move |bx| (by, bx))) {
-                let other = right.cell_slots(by * right.nx + bx);
+                let other = right.cell_slots(by * right.x.n + bx);
                 if other.is_empty() {
                     continue;
                 }
@@ -746,25 +753,29 @@ pub fn join<T: Copy, U: Copy>(
                 // `i`, `j`: slots of `left` and `right` that overlap in x;
                 // `x` is the larger `lo_x` of the two.
                 let mut visit = |i: usize, j: usize, x: f64| {
-                    if left.lo_y[i] > right.hi_y[j] || right.lo_y[j] > left.hi_y[i] {
+                    let (a, b) = (left.rect_at(i), right.rect_at(j));
+                    if a.min.y > b.max.y || b.min.y > a.max.y {
                         return;
                     }
-                    let y = left.lo_y[i].max(right.lo_y[j]);
-                    let here = (!left.straddles(i) || (left.cell_x(x), left.cell_y(y)) == (cx, cy))
-                        && (!right.straddles(j) || (right.cell_x(x), right.cell_y(y)) == (bx, by));
-                    if here && pred.eval(&left.rect_at(i), &right.rect_at(j)) {
-                        emit(left.values[i], right.values[j]);
+                    let y = a.min.y.max(b.min.y);
+                    let here = (!left.straddles(i) || (left.x.cell(x), left.y.cell(y)) == (cx, cy))
+                        && (!right.straddles(j) || (right.x.cell(x), right.y.cell(y)) == (bx, by));
+                    if here && pred.eval(a, b) {
+                        emit(
+                            left.values[left.pos[i] as usize],
+                            right.values[right.pos[j] as usize],
+                        );
                     }
                 };
                 let (mut i, mut j) = (run.start, other.start);
                 while i < run.end && j < other.end {
                     if left.lo_x[i] <= right.lo_x[j] {
-                        let reach = left.hi_x[i];
+                        let reach = left.rect_at(i).max.x;
                         let ahead = (j..other.end).take_while(|&k| right.lo_x[k] <= reach);
                         ahead.for_each(|k| visit(i, k, right.lo_x[k]));
                         i += 1;
                     } else {
-                        let reach = right.hi_x[j];
+                        let reach = right.rect_at(j).max.x;
                         let ahead = (i..run.end).take_while(|&k| left.lo_x[k] <= reach);
                         ahead.for_each(|k| visit(k, j, left.lo_x[k]));
                         j += 1;
@@ -775,34 +786,25 @@ pub fn join<T: Copy, U: Copy>(
     }
 }
 
-/// Cell width/height that is strictly positive even for degenerate
-/// bounding boxes (all data on one point or line).
-#[inline]
-fn positive_step(extent: f64, n: usize) -> f64 {
-    let step = extent / n as f64;
-    if step > 0.0 {
-        step
-    } else {
-        1.0
-    }
-}
-
 impl<T> MemoryFootprint for UniformGrid<T> {
-    /// Length-based resident bytes: the four SoA coordinate streams, the
-    /// value array, the per-cell span table and the per-cell sweep bounds.
+    /// Length-based resident bytes of the index alone: per slot its `lo_x`
+    /// and position, per cell its span start and sweep bound, and the
+    /// straddle bits. The indexed rectangles and payloads are counted by
+    /// their owner — an R*-tree's leaf level, for a grid
+    /// [`over_leaves`](UniformGrid::over_leaves).
     fn memory_bytes(&self) -> u64 {
-        let coords = (self.lo_x.len() * 4 * std::mem::size_of::<f64>()) as u64;
-        let values = (self.values.len() * std::mem::size_of::<T>()) as u64;
-        let starts = (self.starts.len() * std::mem::size_of::<u32>()) as u64;
-        let widths = (self.max_w.len() * std::mem::size_of::<f64>()) as u64;
-        let bits = (self.straddles.len() * std::mem::size_of::<u64>()) as u64;
-        coords + values + starts + widths + bits
+        let slots = std::mem::size_of_val(&self.lo_x[..]) + std::mem::size_of_val(&self.pos[..]);
+        let cells =
+            std::mem::size_of_val(&self.starts[..]) + std::mem::size_of_val(&self.max_w[..]);
+        (slots + cells + std::mem::size_of_val(&self.straddles[..])) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    mod reference;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -961,20 +963,19 @@ mod tests {
         let mut cells = Vec::new();
         for WindowPlan { range: g, .. } in &plan {
             for cy in g.y0..=g.y1 {
-                cells.extend((g.x0..=g.x1).map(|cx| cy * grid.nx + cx));
+                cells.extend((g.x0..=g.x1).map(|cx| cy * grid.x.n + cx));
             }
         }
         cells.sort_unstable();
         cells.dedup();
         let (mut seen, mut scanned) = (Vec::new(), 0);
         for &c in &cells {
-            let mut slots: Vec<usize> = grid.cell_slots(c).collect();
-            slots.sort_by_key(|&slot| grid.values[slot]);
-            scanned += slots.len() as u64;
-            for slot in slots {
-                let r = grid.rect_at(slot);
-                if grid.dedup_cell(&r, &plan) == Some(c) {
-                    seen.push((grid.values[slot], satisfied_count(windows, &r)));
+            let mut entries: Vec<(&Rect, &u32)> = grid.cell_entries(c).collect();
+            entries.sort_by_key(|&(_, v)| v);
+            scanned += entries.len() as u64;
+            for (r, &v) in entries {
+                if grid.dedup_cell(r, &plan) == Some(c) {
+                    seen.push((v, satisfied_count(windows, r)));
                 }
             }
         }
@@ -1082,14 +1083,14 @@ mod tests {
             for occupancy in [6.0, 16.0] {
                 let grid = UniformGrid::with_target_occupancy(&items, occupancy);
                 let mut set = 0;
-                for slot in 0..grid.values.len() {
-                    let s = grid.span_of(&grid.rect_at(slot));
+                for slot in 0..grid.pos.len() {
+                    let s = grid.span_of(grid.rect_at(slot));
                     let several = (s.x0, s.y0) != (s.x1, s.y1);
                     assert_eq!(grid.straddles(slot), several, "{name}: slot {slot}");
                     set += several as usize;
                 }
                 match name {
-                    "every rectangle wider than a cell" => assert_eq!(set, grid.values.len()),
+                    "every rectangle wider than a cell" => assert_eq!(set, grid.pos.len()),
                     "points" => assert_eq!(set, 0),
                     _ => {}
                 }
@@ -1128,6 +1129,16 @@ mod tests {
         }
     }
 
+    /// Windows of drawn predicates, each around a drawn entry of `items`.
+    fn drawn_windows(items: &[(Rect, u32)], preds: &[usize], seed: u64) -> Vec<(Predicate, Rect)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut window = |&p: &usize| {
+            let (r, _) = items[rng.random_range(0..items.len())];
+            (ALL_PREDS[p], r.inflate(rng.random_range(0.0..0.1)))
+        };
+        preds.iter().map(&mut window).collect()
+    }
+
     /// The layout shrunk into `spots` tight clumps (as it is for 0).
     fn clumped(mut items: Vec<(Rect, u32)>, spots: usize) -> Vec<(Rect, u32)> {
         if spots == 0 {
@@ -1161,17 +1172,9 @@ mod tests {
             spots in 0usize..4,
             preds in proptest::collection::vec(0usize..ALL_PREDS.len(), 1..=5),
         ) {
-            let mut rng = StdRng::seed_from_u64(seed);
             let items = clumped(random_items(seed, n, extent + 1e-9), spots);
             let grid = UniformGrid::with_target_occupancy(&items, occupancy);
-            let windows: Vec<(Predicate, Rect)> = preds
-                .iter()
-                .map(|&p| {
-                    let (r, _) = items[rng.random_range(0..items.len())];
-                    (ALL_PREDS[p], r.inflate(rng.random_range(0.0..0.1)))
-                })
-                .collect();
-            assert_kernels_match_full_scan("drawn", &grid, &windows);
+            assert_kernels_match_full_scan("drawn", &grid, &drawn_windows(&items, &preds, seed));
         }
     }
 
@@ -1204,7 +1207,7 @@ mod tests {
             }
             expected.sort_unstable();
             assert_eq!(got, expected, "{name}: {pred}");
-            let bound = (a.nx * a.ny) as u64 * (1 + (b.nx * b.ny) as u64);
+            let bound = (a.x.n * a.y.n) as u64 * (1 + (b.x.n * b.y.n) as u64);
             assert!(cells <= bound && (cells > 0 || got.is_empty()), "{name}");
         }
     }
@@ -1425,34 +1428,26 @@ mod tests {
         }
     }
 
+    /// The statistics agree, and the footprint is the index alone: 12 B a
+    /// slot (`lo_x`, position), 12 B a cell (span start, sweep bound) and
+    /// the closing start, and the straddle words — not a byte of the
+    /// indexed arrays, shared or owned. A copy of them in the grid fails.
     #[test]
     fn stats_and_footprint_are_consistent() {
-        let items = random_items(17, 400, 0.3);
-        let grid = UniformGrid::build(&items);
-        let stats = grid.stats();
-        assert_eq!(stats.unique, 400);
-        assert_eq!(stats.cells, stats.nx * stats.ny);
-        assert!(stats.entries >= stats.unique, "replication only adds");
-        assert!(stats.replication_factor >= 1.0);
-        assert!(stats.occupied_cells <= stats.cells);
-        assert!(stats.max_occupancy as f64 >= stats.avg_occupancy);
-        // Every vector of the struct, at its element size, and nothing else.
-        let vectors = [
-            std::mem::size_of_val(&grid.starts[..]),
-            std::mem::size_of_val(&grid.lo_x[..]),
-            std::mem::size_of_val(&grid.lo_y[..]),
-            std::mem::size_of_val(&grid.hi_x[..]),
-            std::mem::size_of_val(&grid.hi_y[..]),
-            std::mem::size_of_val(&grid.values[..]),
-            std::mem::size_of_val(&grid.max_w[..]),
-            std::mem::size_of_val(&grid.straddles[..]),
-        ];
-        assert_eq!(grid.memory_bytes(), vectors.iter().sum::<usize>() as u64);
-        assert_eq!(grid.starts.len() as u64, stats.cells + 1);
-        assert_eq!(grid.straddles.len() as u64, stats.entries.div_ceil(64));
-        // Same logical grid, same bytes.
-        let again = UniformGrid::build(&items);
-        assert_eq!(grid.memory_bytes(), again.memory_bytes());
+        let items = random_items(17, 3_000, 0.1);
+        let tree = RTree::bulk_load(items.clone());
+        let shared = UniformGrid::over_leaves(&tree);
+        assert!(std::ptr::eq(tree.leaf_rects(), &shared.rects[..]));
+        for grid in [shared, UniformGrid::build(&items)] {
+            let stats = grid.stats();
+            let GridStats { entries, cells, .. } = stats;
+            assert_eq!((stats.unique, cells), (3_000, stats.nx * stats.ny));
+            assert!(entries > stats.unique && stats.replication_factor > 1.0);
+            assert!(stats.occupied_cells <= cells);
+            assert!(stats.max_occupancy as f64 >= stats.avg_occupancy);
+            let index = 12 * entries + 12 * cells + 4 + 8 * entries.div_ceil(64);
+            assert_eq!(grid.memory_bytes(), index, "{entries} slots, {cells} cells");
+        }
     }
 
     #[test]

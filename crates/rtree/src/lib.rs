@@ -33,16 +33,19 @@
 //! * A **uniform grid** ([`UniformGrid`]), the second spatial backend,
 //!   with the same two questions — [`grid::best_in_windows`] and
 //!   [`grid::candidates_with_counts`] — and a join of two grids
-//!   ([`grid::join`]).
+//!   ([`grid::join`]). Built over a tree ([`UniformGrid::over_leaves`]),
+//!   its cells are runs of positions into the tree's leaf arrays: the grid
+//!   adds an index, not a copy of the data.
 //! * An **invariant checker** ([`RTree::check_invariants`]) used by the test
 //!   suite and property tests.
 //!
 //! The tree is one packed array per level: the leaf level is the dataset's
 //! rectangles themselves, permuted once into STR order next to a parallel
-//! payload array; each level above is an array of node MBRs; a `start`
-//! table per level says where each node's run begins, and entry *j* of a
-//! level **is** node *j* of the level below — no child ids, no per-node
-//! allocation, no unsafe code (the `tree` module docs draw it).
+//! payload array (both reference-counted, so that a grid shares them);
+//! each level above is an array of node MBRs; a `start` table per level
+//! says where each node's run begins, and entry *j* of a level **is** node
+//! *j* of the level below — no child ids, no per-node allocation, no
+//! unsafe code (the `tree` module docs draw it).
 //!
 //! The hidden `legacy` module holds the names only the repository
 //! benchmark's probes still call, each a shim over one of the paths above.

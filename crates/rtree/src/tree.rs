@@ -12,19 +12,22 @@
 //! `rects[start[index]..start[index + 1]]` of its level; an internal entry
 //! needs no child id because its position *is* the child's index. The leaf
 //! level holds the dataset's rectangles themselves, permuted once into STR
-//! order — there is no second copy.
+//! order — there is no second copy. The leaf arrays are reference-counted
+//! so that the uniform grid ([`crate::UniformGrid::over_leaves`]) indexes
+//! the same rectangles and payloads instead of copying them.
 
 use crate::params::RTreeParams;
 use crate::visit::NodeRef;
 use mwsj_geom::Rect;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// One level of the tree: the entry rectangles of its nodes, node after
 /// node, and where each node's run begins.
 #[derive(Debug)]
 pub(crate) struct Level {
     /// Data rectangles on level 0, child-node MBRs above.
-    pub rects: Vec<Rect>,
+    pub rects: Arc<[Rect]>,
     /// Node `k` owns `rects[start[k]..start[k + 1]]`; one more cell than
     /// the level has nodes.
     pub start: Vec<u32>,
@@ -78,7 +81,7 @@ pub struct RTree<T> {
     /// `[0]` = leaf level; the last level holds the root, its only node.
     pub(crate) levels: Vec<Level>,
     /// Leaf payloads, parallel to `levels[0].rects`.
-    pub(crate) values: Vec<T>,
+    pub(crate) values: Arc<[T]>,
 }
 
 impl<T> RTree<T> {
@@ -129,6 +132,11 @@ impl<T> RTree<T> {
         &self.values
     }
 
+    /// New handles on the two leaf arrays, for an index that shares them.
+    pub(crate) fn shared_leaves(&self) -> (Arc<[Rect]>, Arc<[T]>) {
+        (Arc::clone(&self.levels[0].rects), Arc::clone(&self.values))
+    }
+
     /// Read-only view of the root node, entry point of the traversal API
     /// used by the join algorithms (`find best value`, ST, IBB).
     pub fn root_node(&self) -> NodeRef<'_, T> {
@@ -137,7 +145,7 @@ impl<T> RTree<T> {
 
     /// Iterates over every stored `(mbr, payload)` pair, in leaf order.
     pub fn iter(&self) -> impl Iterator<Item = (&Rect, &T)> + '_ {
-        self.leaf_rects().iter().zip(&self.values)
+        self.leaf_rects().iter().zip(self.leaf_values())
     }
 }
 

@@ -83,6 +83,28 @@ fn resource_report_holds_rects_and_one_index_per_dataset() {
     assert_eq!(names, names_of(&["grid", "rects", "rtree"]));
 }
 
+/// The grid backend adds its index and nothing else: per dataset 12 B a
+/// slot (`lo_x`, position), 12 B a cell and the straddle words, next to
+/// unchanged rectangles and R*-tree — the grid indexes the tree's leaf
+/// arrays, it does not copy them. A copy back in the grid fails this.
+#[test]
+fn grid_backend_adds_its_index_alone() {
+    let (mut before, mut after) = (ResourceReport::new(), ResourceReport::new());
+    let rtree = chain_instance();
+    rtree.fill_resource_report(&mut before);
+    let grid = rtree.with_backend(BackendKind::Grid);
+    grid.fill_resource_report(&mut after);
+    let mut added = 0;
+    for v in 0..N_VARS {
+        let stats = grid.grid(v).stats();
+        let (slots, cells) = (stats.entries, stats.cells);
+        let index = 12 * slots + 12 * cells + 4 + 8 * slots.div_ceil(64);
+        assert_eq!(after.component(&format!("grid.var{v:03}")), Some(index));
+        added += index;
+    }
+    assert_eq!(after.total_bytes(), before.total_bytes() + added);
+}
+
 /// 200 `find_best_value` calls on random solutions, raw and penalised
 /// alternating, each held against the exhaustive scan over
 /// `instance.rects(var)`, whose ids are `instance.objects(var)`. Returns
