@@ -62,7 +62,7 @@ impl Recorder {
         search: impl FnOnce(&SearchContext) -> RunOutcome,
     ) -> RunOutcome {
         self.obs
-            .emit(mwsj_core::run_start(algo, instance, budget, 1, 1, seed));
+            .emit(mwsj_core::run_start(algo, instance, budget, 1, seed));
         let outcome = search(&SearchContext::local(*budget).with_obs(self.obs.clone()));
         self.obs.emit(outcome.run_end());
         outcome

@@ -114,7 +114,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             "seed",
             "top",
             "restarts",
-            "threads",
             "backend",
             "metrics-out",
             "trace-out",
@@ -429,6 +428,7 @@ mod tests {
                 "flight-recorder-bytes",
             ),
             ("solve --grid-threads 2", "grid-threads"),
+            ("solve --threads 2", "threads"),
             ("solve --sead=5", "sead"),
             ("solve --stall-abrt", "stall-abrt"),
             ("bench snapshot --reps 1", "reps"),

@@ -14,12 +14,12 @@ mod report;
 mod watch;
 
 use args::Args;
-use mwsj_core::obs::{to_folded, PhaseSnapshot};
+use mwsj_core::obs::to_folded;
 use mwsj_core::{
     AnytimeSearch, BackendKind, EventSink, Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig,
-    Instance, JsonlSink, MetricsSnapshot, ObsHandle, ParallelPortfolio, Pjm, PortfolioConfig,
-    RunEvent, RunOutcome, Sea, SeaConfig, SearchBudget, SearchContext, SynchronousTraversal,
-    TelemetryConfig, TwoStep, TwoStepConfig, WindowReduction,
+    Instance, JsonlSink, ObsHandle, Pjm, Portfolio, RunEvent, RunOutcome, Sea, SeaConfig,
+    SearchBudget, SearchContext, SynchronousTraversal, TelemetryConfig, TwoStep, TwoStepConfig,
+    WindowReduction,
 };
 use mwsj_datagen::{Dataset, DatasetSpec, Distribution, QueryShape};
 use rand::rngs::StdRng;
@@ -108,8 +108,9 @@ USAGE:
                                             two-step: ILS gets a tenth of each limit given
                                             (at least 1 step, at most 0.5 s), then IBB,
                                             bounded by its result, the whole budget
-             [--restarts K] [--threads T]   parallel portfolio of K seeded restarts
-                                            (heuristics only; T=0 -> all cores)
+             [--restarts K]                 K seeded restarts, one after another, each
+                                            with 1/K of the budget (heuristics only;
+                                            1 <= K <= 1000)
              [--backend rtree|grid]         spatial index backend: R*-trees (default) or a
                                             PBSM-style uniform grid (identical results,
                                             different cost profile; see mwsj explain)
@@ -124,8 +125,8 @@ USAGE:
              [--stall-steps N | --stall-secs S]
                                             watchdog: emit 'stall_detected' after N steps
                                             (or S seconds) without improvement
-             [--stall-abort]                stop a stalled run via the cutoff machinery
-                                            (stop reason 'stall_aborted')
+             [--stall-abort]                stop a stalled run (stop reason
+                                            'stall_aborted')
   mwsj join --data FILE [--data FILE]... --query SPEC [--algo wr|st|pjm] [--limit K] [--seconds S]
             [--backend rtree|grid] [--metrics-out FILE]
                                             --algo st descends the R*-trees and ignores
@@ -309,11 +310,11 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let restarts: usize = args
         .parse_or("restarts", 1, "a restart count")
         .map_err(|e| e.to_string())?;
-    let threads: usize = args
-        .parse_or("threads", 0, "a thread count")
-        .map_err(|e| e.to_string())?;
     if restarts == 0 {
         return Err("--restarts must be at least 1".into());
+    }
+    if restarts > MAX_RESTARTS {
+        return Err(format!("--restarts must be at most {MAX_RESTARTS} (got {restarts})").into());
     }
 
     let algo = args.value("algo").unwrap_or("ils");
@@ -361,7 +362,7 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
         .map(|path| std::fs::File::create(path).map_err(|e| format!("{path}: {e}")))
         .transpose()?;
     obs.emit(mwsj_core::run_start(
-        algo, &instance, &budget, restarts, threads, seed,
+        algo, &instance, &budget, restarts, seed,
     ));
     let ctx = SearchContext::local(budget)
         .with_obs(obs.clone())
@@ -372,11 +373,8 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
         ctx: &ctx,
         seed,
         restarts,
-        threads,
     };
-    // A portfolio merges its restarts' private registries and phase timers
-    // itself; a single run's are the handle's own.
-    let (outcome, merged): (RunOutcome, Option<Merged>) = match algo {
+    let outcome = match algo {
         "ils" => heuristic.run(Ils::new(IlsConfig::default()), stdout)?,
         "gils" => heuristic.run(Gils::new(GilsConfig::default()), stdout)?,
         "sea" => heuristic.run(Sea::new(SeaConfig::default_for(&instance)), stdout)?,
@@ -389,21 +387,23 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
                 format!("--restarts applies to the anytime heuristics, not '{algo}'").into(),
             )
         }
-        "ibb" => (Ibb::new(IbbConfig::new()).search(&instance, &ctx), None),
+        "ibb" => Ibb::new(IbbConfig::new()).search(&instance, &ctx),
         "two-step" => {
             let step_one = TwoStepConfig::Ils(IlsConfig::default(), two_step_stage_budget(&budget));
             let mut rng = StdRng::seed_from_u64(seed);
-            let out = TwoStep::new(step_one).search(&instance, &ctx, &mut rng);
-            (out.combined(), None)
+            TwoStep::new(step_one)
+                .search(&instance, &ctx, &mut rng)
+                .combined()
         }
         other => return Err(format!("unknown algorithm '{other}'").into()),
     };
 
     // The frame of the run: the library emits only what happens inside one.
     mwsj_core::emit_run_end(&obs, &instance, &outcome);
-    let (metrics, phases) =
-        merged.unwrap_or_else(|| (obs.metrics.snapshot(), obs.timer.snapshot()));
-    obs.emit(RunEvent::Metrics { snapshot: metrics });
+    let phases = obs.timer.snapshot();
+    obs.emit(RunEvent::Metrics {
+        snapshot: obs.metrics.snapshot(),
+    });
     obs.emit(RunEvent::Phases {
         phases: phases.clone(),
     });
@@ -493,8 +493,9 @@ fn two_step_stage_budget(budget: &SearchBudget) -> SearchBudget {
     }
 }
 
-/// The merged registry and phase timers of a portfolio's restarts.
-type Merged = (MetricsSnapshot, Vec<PhaseSnapshot>);
+/// The most restarts `solve --restarts` takes: far more than any budget
+/// can feed, and few enough that the per-restart outcomes fit in memory.
+const MAX_RESTARTS: usize = 1_000;
 
 /// What `solve` runs an anytime heuristic with.
 struct HeuristicRun<'a> {
@@ -502,31 +503,26 @@ struct HeuristicRun<'a> {
     ctx: &'a SearchContext,
     seed: u64,
     restarts: usize,
-    threads: usize,
 }
 
 impl HeuristicRun<'_> {
     /// Runs `algo` once from the seed — or, with `--restarts K` above 1, as
-    /// a portfolio of K seeded restarts, whose merged registry and phase
-    /// timers come back beside the merged outcome.
+    /// a portfolio of K seeded restarts reporting through the same handle.
     fn run<A: AnytimeSearch>(
         &self,
         algo: A,
         stdout: &mut impl Write,
-    ) -> Result<(RunOutcome, Option<Merged>), Failure> {
+    ) -> Result<RunOutcome, Failure> {
         if self.restarts == 1 {
             let mut rng = StdRng::seed_from_u64(self.seed);
-            return Ok((algo.search(self.instance, self.ctx, &mut rng), None));
+            return Ok(algo.search(self.instance, self.ctx, &mut rng));
         }
-        let config = PortfolioConfig::new(self.restarts, self.threads);
         let outcome =
-            ParallelPortfolio::new(algo, config).search(self.instance, self.ctx, self.seed);
+            Portfolio::new(algo, self.restarts).search(self.instance, self.ctx, self.seed);
         writeln!(
             stdout,
-            "portfolio: {} restarts on {} thread{} (per-restart best: {})",
+            "portfolio: {} restarts (per-restart best: {})",
             outcome.restarts.len(),
-            outcome.threads_used,
-            if outcome.threads_used == 1 { "" } else { "s" },
             outcome
                 .restarts
                 .iter()
@@ -534,7 +530,7 @@ impl HeuristicRun<'_> {
                 .collect::<Vec<_>>()
                 .join(", ")
         )?;
-        Ok((outcome.merged, Some((outcome.metrics, outcome.phases))))
+        Ok(outcome.merged)
     }
 }
 
@@ -593,7 +589,7 @@ fn cmd_join(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
         None => ObsHandle::disabled(),
     };
     // Seed 0: exact joins are deterministic; no RNG is involved.
-    obs.emit(mwsj_core::run_start(algo, &instance, &budget, 1, 1, 0));
+    obs.emit(mwsj_core::run_start(algo, &instance, &budget, 1, 0));
     let outcome = match algo {
         "wr" => WindowReduction::new().run_with_obs(&instance, &budget, limit, &obs),
         "st" => SynchronousTraversal::new().run_with_obs(&instance, &budget, limit, &obs),

@@ -63,12 +63,11 @@ pub fn report_text(path: &str, text: &str) -> Result<String, String> {
             RunEvent::Improvement { .. } => (0, "improvements"),
             RunEvent::RestartEnd { .. } => (1, "restarts finished"),
             RunEvent::BudgetExhausted { .. } => (2, "budget exhaustions"),
-            RunEvent::CutoffFired { .. } => (3, "cutoff firings"),
-            RunEvent::TracePoint { .. } => (4, "trace points"),
-            RunEvent::Progress { .. } => (5, "progress heartbeats"),
-            RunEvent::StallDetected { .. } => (6, "stalls detected"),
-            RunEvent::StallAborted { .. } => (7, "stall aborts"),
-            RunEvent::StagnationReseed { .. } => (8, "stagnation reseeds"),
+            RunEvent::TracePoint { .. } => (3, "trace points"),
+            RunEvent::Progress { .. } => (4, "progress heartbeats"),
+            RunEvent::StallDetected { .. } => (5, "stalls detected"),
+            RunEvent::StallAborted { .. } => (6, "stall aborts"),
+            RunEvent::StagnationReseed { .. } => (7, "stagnation reseeds"),
             _ => continue,
         };
         *lifecycle.entry(counted).or_default() += 1;
@@ -458,7 +457,7 @@ mod tests {
     #[test]
     fn valid_stream_renders_typed_fields() {
         let text = concat!(
-            r#"{"event":"run_start","algo":"ILS","n_vars":3,"edges":2,"restarts":1,"threads":0,"seed":16045690984503098047,"budget_steps":50}"#,
+            r#"{"event":"run_start","algo":"ILS","n_vars":3,"edges":2,"restarts":1,"seed":16045690984503098047,"budget_steps":50}"#,
             "\n",
             r#"{"event":"stall_aborted","steps":40,"elapsed_secs":0.5}"#,
             "\n"

@@ -225,9 +225,7 @@ impl View {
                 logs.push(format!("{}{}", event.kind(), restart_tag(*restart)));
             }
             RunEvent::StagnationReseed { .. } => self.reseeds += 1,
-            RunEvent::BudgetExhausted { .. } | RunEvent::CutoffFired { .. } => {
-                self.stop = Some(event.kind());
-            }
+            RunEvent::BudgetExhausted { .. } => self.stop = Some(event.kind()),
             RunEvent::RestartEnd { restart, .. } => {
                 self.rows.entry(*restart).or_default().finished = true;
             }

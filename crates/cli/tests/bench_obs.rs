@@ -295,8 +295,6 @@ fn profile_out_works_without_metrics_out_and_with_portfolio() {
             "200",
             "--restarts",
             "2",
-            "--threads",
-            "1",
             "--profile-out",
             profile.to_str().unwrap(),
         ])
@@ -686,7 +684,7 @@ fn metrics_out_writes_one_order_of_event_kinds_per_command() {
         (&["--algo", "ibb"], &["improvement"]),
         (&["--algo", "two-step"], &["improvement"]),
         (
-            &["--algo", "ils", "--restarts", "2", "--threads", "1"],
+            &["--algo", "ils", "--restarts", "2"],
             &[restart, restart].concat(),
         ),
     ];

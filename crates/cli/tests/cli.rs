@@ -225,6 +225,44 @@ fn metrics_out_streams_progress_events() {
     assert!(summary.contains("progress heartbeats"), "{summary}");
 }
 
+/// Under `--seconds` every restart gets its own share of the clock: the
+/// restarts used to share one deadline, which the later ones met before
+/// their first step.
+#[test]
+fn every_restart_of_a_timed_portfolio_runs() {
+    let dir = temp_dir("timedrestarts");
+    let [a, b, c] = hard_trio(&dir);
+    let metrics = dir.join("timed.jsonl");
+    let out = mwsj()
+        .args(["solve", "--data", a.to_str().unwrap()])
+        .args(["--data", b.to_str().unwrap()])
+        .args(["--data", c.to_str().unwrap()])
+        .args(["--query", "clique", "--algo", "gils"])
+        .args(["--restarts", "4", "--seconds", "0.4"])
+        .args(["--metrics-out", metrics.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    let steps: Vec<(u64, u64)> = text
+        .lines()
+        .filter_map(
+            |line| match mwsj_core::RunEvent::parse_line(line).unwrap() {
+                mwsj_core::RunEvent::RestartEnd { restart, steps, .. } => Some((restart, steps)),
+                _ => None,
+            },
+        )
+        .collect();
+    assert_eq!(steps.len(), 4, "{text}");
+    for (restart, steps) in steps {
+        assert!(steps > 0, "restart {restart} ran no step");
+    }
+}
+
 #[test]
 fn stall_abort_stops_a_hopeless_run_early() {
     let dir = temp_dir("stallabort");
@@ -504,7 +542,7 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
         [&["--algo", algo][..], &flags[..], &[stalled][..]].concat()
     };
     let stall_rows = ["ils", "gils", "sea", "sea-hybrid", "ibb", "two-step"].map(stall_at_once);
-    let rows: [(&[&str], &[&str], Expect); 66] = [
+    let rows: [(&[&str], &[&str], Expect); 68] = [
         (&solve_10, &on_header, NoRectangles(header)),
         (&wr_join, &on_header, NoRectangles(header)),
         (&st_join, &on_header, NoRectangles(header)),
@@ -542,6 +580,8 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
             Unknown("--grid-threads"),
         ),
         (&join, &["--grid-threads", "1"], Unknown("--grid-threads")),
+        // Restarts run one after another: there is no thread count to set.
+        (&solve_steps, &["--threads", "2"], Unknown("--threads")),
         (&solve_steps, &["--follow"], Unknown("--follow")),
         (
             &solve_steps,
@@ -630,6 +670,13 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
         // `--iterations 0` used to run the 2 s default, `join --seconds 2`
         // the 60 s one, and `--limit 0` returned one solution from WR / ST.
         (&solve, &["--iterations", "0"], Refused(no_iterations)),
+        // A restart count past the cap: it used to abort the process
+        // allocating one budget per restart.
+        (
+            &solve_steps,
+            &["--restarts", "1000000000000"],
+            Refused("error: --restarts must be at most 1000 (got 1000000000000)"),
+        ),
         (&join_wr, &["--iterations", "0"], Refused(no_iterations)),
         (
             &join_wr,

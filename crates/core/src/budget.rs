@@ -1,5 +1,5 @@
-//! Search budgets: wall-clock and/or step limits, plus the cross-thread
-//! state that lets a portfolio of restarts share one budget.
+//! Search budgets: wall-clock and/or step limits, and the context a run is
+//! given.
 //!
 //! The paper frames approximate processing as retrieval of the best
 //! solution *within a time threshold* (its experiments use `10·n` seconds).
@@ -8,16 +8,10 @@
 //! call (ILS/GILS), one generation (SEA) or one expanded node (IBB) — which
 //! makes tests and CI runs reproducible.
 //!
-//! For parallel portfolios ([`crate::ParallelPortfolio`]) a single budget
-//! is shared by `K` concurrent restarts: the wall-clock limit becomes one
-//! **absolute deadline** (every restart stops at the same instant, instead
-//! of each measuring its own start), the step limit is **split
-//! deterministically** across restarts, and the restarts share the
-//! best-known violation count.
+//! A [`crate::Portfolio`] of `K` restarts divides one budget into `K`
+//! shares ([`SearchBudget::share`]) and runs them one after another.
 
 use mwsj_obs::{ObsHandle, RunEvent};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A budget limiting a search run. Both limits may be set; the run stops at
@@ -69,29 +63,27 @@ impl SearchBudget {
         }
     }
 
-    /// Splits this budget across `k` parallel restarts.
+    /// Restart `i`'s share of this budget when `k` restarts divide it.
     ///
     /// The step limit is divided evenly — the first `max_steps % k`
-    /// restarts receive one extra step — so the restarts together consume
-    /// exactly `max_steps` and the split depends only on `(max_steps, k)`.
-    /// The time limit is copied verbatim into every share: a portfolio
-    /// converts it into one absolute deadline common to all restarts.
+    /// restarts receive one extra step — so the `k` shares together hold
+    /// exactly `max_steps` and each depends only on `(max_steps, k, i)`.
+    /// The time limit is divided into `k` equal shares, each measured from
+    /// the moment its restart starts.
     ///
     /// # Panics
-    /// Panics if `k == 0`.
-    pub fn split(&self, k: usize) -> Vec<SearchBudget> {
-        assert!(k > 0, "cannot split a budget across zero restarts");
-        let k64 = k as u64;
-        (0..k64)
-            .map(|i| SearchBudget {
-                time_limit: self.time_limit,
-                max_steps: self.max_steps.map(|total| {
-                    let base = total / k64;
-                    let extra = u64::from(i < total % k64);
-                    base + extra
-                }),
-            })
-            .collect()
+    /// Panics unless `i < k`.
+    pub fn share(&self, i: usize, k: usize) -> SearchBudget {
+        assert!(i < k, "restart {i} is not one of {k}");
+        let (i, k64) = (i as u64, k as u64);
+        SearchBudget {
+            time_limit: self
+                .time_limit
+                .map(|limit| limit / u32::try_from(k).unwrap_or(u32::MAX)),
+            max_steps: self
+                .max_steps
+                .map(|total| total / k64 + u64::from(i < total % k64)),
+        }
     }
 
     /// Panics if neither limit is set (a run would never terminate).
@@ -120,7 +112,7 @@ pub struct TelemetryConfig {
     /// Declare a stall after this many wall-clock seconds without
     /// incumbent improvement (non-deterministic; opt-in).
     pub stall_window_secs: Option<f64>,
-    /// When a stall is declared, stop the run through the cutoff machinery
+    /// When a stall is declared, stop the run through the budget check
     /// (stop reason `stall_aborted`) instead of only reporting it.
     pub stall_abort: bool,
 }
@@ -132,46 +124,6 @@ impl TelemetryConfig {
     }
 }
 
-/// Coordination state shared by every restart of a parallel portfolio:
-/// the best-known violation count (the portfolio's *bound*, mirroring how
-/// the two-step scheme of §6 feeds a heuristic bound into IBB).
-///
-/// Cloning shares the underlying atomic.
-#[derive(Debug, Clone)]
-pub(crate) struct SharedSearchState {
-    /// Best-known violations across all restarts; `u32::MAX` = none yet.
-    bound: Arc<AtomicU32>,
-}
-
-impl SharedSearchState {
-    /// Fresh state with no published bound.
-    pub(crate) fn new() -> Self {
-        SharedSearchState {
-            bound: Arc::new(AtomicU32::new(u32::MAX)),
-        }
-    }
-
-    /// The best-known violation count published by any restart, if any.
-    pub(crate) fn bound_violations(&self) -> Option<usize> {
-        match self.bound.load(Ordering::Relaxed) {
-            u32::MAX => None,
-            v => Some(v as usize),
-        }
-    }
-
-    /// Lowers the shared bound to `violations` if it improves on it.
-    pub(crate) fn publish(&self, violations: usize) {
-        let v = u32::try_from(violations).unwrap_or(u32::MAX - 1);
-        self.bound.fetch_min(v, Ordering::Relaxed);
-    }
-
-    /// `true` once a zero-violation (similarity 1) solution was published:
-    /// nothing can improve on it, so cooperating restarts may stop.
-    pub(crate) fn optimum_reached(&self) -> bool {
-        self.bound.load(Ordering::Relaxed) == 0
-    }
-}
-
 /// What one run is given: the [`SearchBudget`] that stops it, the
 /// [`ObsHandle`] it reports through and the [`TelemetryConfig`] of its
 /// heartbeats and stall watchdog. Built with [`SearchContext::local`],
@@ -180,17 +132,13 @@ impl SharedSearchState {
 /// `search(instance, &SearchContext::local(budget), …)`.
 ///
 /// The handle and the telemetry travel **only** here: a composite
-/// ([`crate::TwoStep`], [`crate::ParallelPortfolio`]) copies both into the
+/// ([`crate::TwoStep`], [`crate::Portfolio`]) copies both into the
 /// contexts of its stages and restarts. A run emits what happens inside it
 /// (improvements, progress, stalls, stop reasons, restart lifecycle); the
 /// caller frames it with [`crate::run_start`] and [`crate::emit_run_end`].
 #[derive(Debug, Clone)]
 pub struct SearchContext {
     budget: SearchBudget,
-    /// Absolute deadline overriding the budget's relative time limit.
-    deadline: Option<Instant>,
-    shared: Option<SharedSearchState>,
-    cutoff: bool,
     obs: ObsHandle,
     telemetry: TelemetryConfig,
 }
@@ -202,9 +150,6 @@ impl SearchContext {
         budget.validate();
         SearchContext {
             budget,
-            deadline: None,
-            shared: None,
-            cutoff: false,
             obs: ObsHandle::disabled(),
             telemetry: TelemetryConfig::default(),
         }
@@ -212,31 +157,11 @@ impl SearchContext {
 
     /// The context of one component of this run (a pipeline stage, a
     /// portfolio restart) under its own `budget`: same handle, same
-    /// telemetry, no coordination state.
+    /// telemetry.
     pub(crate) fn stage(&self, budget: SearchBudget) -> Self {
         SearchContext::local(budget)
             .with_obs(self.obs.clone())
             .with_telemetry(self.telemetry)
-    }
-
-    /// Replaces the budget's relative time limit with an absolute deadline
-    /// (shared by every restart of a portfolio).
-    pub(crate) fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Attaches portfolio coordination state. With `cutoff` set, the run
-    /// additionally stops as soon as the shared bound reaches zero
-    /// violations (a similarity-1 certificate another restart published —
-    /// the only *sound* cross-restart cutoff for heuristics, since nothing
-    /// can beat an exact solution). Cutoff trades bit-reproducibility of
-    /// secondary results for wall-clock, so portfolios arm it only for
-    /// time-limited budgets.
-    pub(crate) fn with_shared(mut self, shared: SharedSearchState, cutoff: bool) -> Self {
-        self.shared = Some(shared);
-        self.cutoff = cutoff;
-        self
     }
 
     /// Attaches an observability handle: the run flushes its counters into
@@ -278,11 +203,9 @@ pub(crate) struct BudgetClock {
     deadline: Option<Instant>,
     max_steps: Option<u64>,
     steps: u64,
-    shared: Option<SharedSearchState>,
-    cutoff: bool,
     obs: ObsHandle,
     /// Set by the stall watchdog (`--stall-abort`): the run stops through
-    /// the same exhaustion check as budget/cutoff, with its own distinct
+    /// the same exhaustion check as the budget, with its own distinct
     /// stop reason.
     stall_tripped: bool,
 }
@@ -297,16 +220,11 @@ impl BudgetClock {
         let start = Instant::now();
         // The budget was validated by `SearchContext::local`. A limit too
         // long for `Instant` to represent never fires.
-        let deadline = ctx
-            .deadline
-            .or_else(|| ctx.budget.time_limit.and_then(|d| start.checked_add(d)));
         BudgetClock {
             start,
-            deadline,
+            deadline: ctx.budget.time_limit.and_then(|d| start.checked_add(d)),
             max_steps: ctx.budget.max_steps,
             steps: 0,
-            shared: ctx.shared.clone(),
-            cutoff: ctx.cutoff,
             obs: ctx.obs.clone(),
             stall_tripped: false,
         }
@@ -314,8 +232,8 @@ impl BudgetClock {
 
     /// Trips the stall watchdog: from now on [`BudgetClock::exhausted`]
     /// returns `true` and the stop reason is `stall_aborted` (which takes
-    /// precedence over budget/cutoff reasons — the watchdog stopped the
-    /// run before either fired).
+    /// precedence over the budget — the watchdog stopped the run before
+    /// it ran out).
     pub(crate) fn trip_stall(&mut self) {
         self.stall_tripped = true;
     }
@@ -345,11 +263,9 @@ impl BudgetClock {
     }
 
     /// Emits the stop-reason event for a finished run: `budget_exhausted`
-    /// when either limit was hit, `cutoff_fired` when a cooperating restart
-    /// stopped on another restart's similarity-1 certificate. Runs that end
-    /// for algorithmic reasons (exact solution found, space exhausted) emit
-    /// neither. Called once at finish time so the hot `exhausted()` check
-    /// stays branch-free.
+    /// when either limit was hit. Runs that end for algorithmic reasons
+    /// (exact solution found, space exhausted) emit none. Called once at
+    /// finish time so the hot `exhausted()` check stays branch-free.
     fn emit_stop_reason(&self) {
         if !self.obs.has_sink() {
             return;
@@ -364,19 +280,8 @@ impl BudgetClock {
         }
         let steps_out = self.max_steps.is_some_and(|max| self.steps >= max);
         let time_out = self.deadline.is_some_and(|d| Instant::now() >= d);
-        let cut = self.cutoff
-            && self
-                .shared
-                .as_ref()
-                .is_some_and(|shared| shared.optimum_reached());
         if steps_out || time_out {
             self.obs.emit(RunEvent::BudgetExhausted {
-                restart: self.obs.restart(),
-                steps: self.steps,
-                elapsed_secs: self.elapsed().as_secs_f64(),
-            });
-        } else if cut {
-            self.obs.emit(RunEvent::CutoffFired {
                 restart: self.obs.restart(),
                 steps: self.steps,
                 elapsed_secs: self.elapsed().as_secs_f64(),
@@ -394,15 +299,6 @@ impl BudgetClock {
     #[inline]
     pub(crate) fn elapsed(&self) -> Duration {
         self.start.elapsed()
-    }
-
-    /// Publishes an improved violation count to the portfolio bound
-    /// (no-op for standalone runs).
-    #[inline]
-    pub(crate) fn publish_bound(&self, violations: usize) {
-        if let Some(shared) = &self.shared {
-            shared.publish(violations);
-        }
     }
 
     /// Fraction of the budget consumed, in `[0, 1]`: the maximum of the
@@ -424,9 +320,8 @@ impl BudgetClock {
         fraction.min(1.0)
     }
 
-    /// Returns `true` once either limit is reached — or, for cooperating
-    /// portfolio restarts with cutoff enabled, once any restart has
-    /// published a similarity-1 solution.
+    /// Returns `true` once either limit is reached (or the stall watchdog
+    /// tripped).
     #[inline]
     pub(crate) fn exhausted(&self) -> bool {
         if self.stall_tripped {
@@ -440,13 +335,6 @@ impl BudgetClock {
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
                 return true;
-            }
-        }
-        if self.cutoff {
-            if let Some(shared) = &self.shared {
-                if shared.optimum_reached() {
-                    return true;
-                }
             }
         }
         false
@@ -530,88 +418,52 @@ mod tests {
     }
 
     #[test]
-    fn split_divides_steps_exactly() {
-        let shares = SearchBudget::iterations(10).split(4);
-        let steps: Vec<u64> = shares.iter().map(|b| b.max_steps.unwrap()).collect();
-        assert_eq!(steps, vec![3, 3, 2, 2]);
-        assert_eq!(steps.iter().sum::<u64>(), 10);
+    fn shares_divide_steps_exactly() {
+        let steps = |total: u64, k: usize| -> Vec<u64> {
+            (0..k)
+                .map(|i| {
+                    SearchBudget::iterations(total)
+                        .share(i, k)
+                        .max_steps
+                        .unwrap()
+                })
+                .collect()
+        };
+        assert_eq!(steps(10, 4), vec![3, 3, 2, 2]);
+        assert_eq!(steps(3, 4), vec![1, 1, 1, 0]);
 
-        let shares = SearchBudget::iterations(3).split(4);
-        let steps: Vec<u64> = shares.iter().map(|b| b.max_steps.unwrap()).collect();
-        assert_eq!(steps, vec![1, 1, 1, 0]);
-
-        let timed = SearchBudget::seconds(2.0).split(3);
-        assert!(timed
-            .iter()
-            .all(|b| b.time_limit == Some(Duration::from_secs(2))));
-        assert!(timed.iter().all(|b| b.max_steps.is_none()));
+        let timed = SearchBudget::seconds(2.0);
+        for i in 0..4 {
+            assert_eq!(
+                timed.share(i, 4),
+                SearchBudget::time(Duration::from_millis(500))
+            );
+        }
+        // A limit no `Instant` can reach stays one in every share.
+        let endless = SearchBudget::seconds(f64::INFINITY).share(2, 3);
+        assert!(!BudgetClock::start(&endless).exhausted());
     }
 
     #[test]
-    fn split_with_more_restarts_than_steps_yields_zero_step_shares() {
+    fn more_restarts_than_steps_yield_zero_step_shares() {
         // K > total_steps: the surplus restarts get zero-step budgets,
         // which are still valid (`validate` passes — `Some(0)` is a set
         // limit) and exhaust immediately.
-        let shares = SearchBudget::iterations(3).split(5);
-        let steps: Vec<u64> = shares.iter().map(|b| b.max_steps.unwrap()).collect();
-        assert_eq!(steps, vec![1, 1, 1, 0, 0]);
-        for share in &shares {
+        for i in 0..5 {
+            let share = SearchBudget::iterations(3).share(i, 5);
+            assert_eq!(share.max_steps, Some(u64::from(i < 3)));
             share.validate();
-            let clock = BudgetClock::start(share);
             assert_eq!(
-                clock.exhausted(),
-                share.max_steps == Some(0),
+                BudgetClock::start(&share).exhausted(),
+                i >= 3,
                 "zero-step shares are born exhausted, the rest are not"
             );
         }
     }
 
     #[test]
-    #[should_panic(expected = "zero restarts")]
-    fn split_zero_panics() {
-        let _ = SearchBudget::iterations(1).split(0);
-    }
-
-    #[test]
-    fn shared_state_keeps_the_lowest_published_bound() {
-        let shared = SharedSearchState::new();
-        assert_eq!(shared.bound_violations(), None);
-        assert!(!shared.optimum_reached());
-
-        let ctx =
-            SearchContext::local(SearchBudget::iterations(5)).with_shared(shared.clone(), false);
-        let a = BudgetClock::from_context(&ctx);
-        let b = BudgetClock::from_context(&ctx);
-
-        a.publish_bound(7);
-        b.publish_bound(9); // worse: ignored
-        assert_eq!(shared.bound_violations(), Some(7));
-        b.publish_bound(0);
-        assert!(shared.optimum_reached());
-    }
-
-    #[test]
-    fn cutoff_stops_cooperating_clocks() {
-        let shared = SharedSearchState::new();
-        let ctx = SearchContext::local(SearchBudget::iterations(1_000_000))
-            .with_shared(shared.clone(), true);
-        let clock = BudgetClock::from_context(&ctx);
-        assert!(!clock.exhausted());
-        shared.publish(0);
-        assert!(clock.exhausted(), "similarity-1 certificate stops the run");
-
-        // Without cutoff the same certificate does not stop the run.
-        let ctx =
-            SearchContext::local(SearchBudget::iterations(1_000_000)).with_shared(shared, false);
-        let clock = BudgetClock::from_context(&ctx);
-        assert!(!clock.exhausted());
-    }
-
-    #[test]
-    fn absolute_deadline_is_respected() {
-        let ctx = SearchContext::local(SearchBudget::seconds(3600.0))
-            .with_deadline(Some(Instant::now() - Duration::from_millis(1)));
-        let clock = BudgetClock::from_context(&ctx);
-        assert!(clock.exhausted(), "deadline already passed");
+    #[should_panic(expected = "not one of")]
+    fn a_share_outside_the_restarts_panics() {
+        let _ = SearchBudget::iterations(1).share(0, 0);
     }
 }

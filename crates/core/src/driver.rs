@@ -4,8 +4,7 @@
 //! IBB, the two-step pipeline) carried its own copy of the run scaffolding:
 //! stepping the [`BudgetClock`], tracking the incumbent and
 //! [`TopSolutions`](crate::TopSolutions), recording `(step, similarity)`
-//! trace points, publishing bounds, flushing counters and emitting
-//! stop-reason events. [`SearchDriver`] owns all of that; the
+//! trace points, flushing counters and emitting stop-reason events. [`SearchDriver`] owns all of that; the
 //! algorithms reduce to *drive* functions ([`DriveSearch`]) that only
 //! encode their search moves.
 //!
@@ -269,7 +268,7 @@ impl SearchDriver {
         });
     }
 
-    /// `true` once the budget (or a cooperating cutoff) stops the run.
+    /// `true` once the budget (or the stall watchdog) stops the run.
     #[inline]
     pub(crate) fn exhausted(&self) -> bool {
         self.clock.exhausted()
@@ -332,8 +331,7 @@ impl SearchDriver {
 
     /// Offers `sol` to the incumbent (the shared move of the anytime
     /// heuristics): creations and strict improvements update the trace and
-    /// top list, publish the portfolio bound and emit an improvement
-    /// event. Returns `true` when the incumbent was created or improved.
+    /// top list and emit an improvement event. Returns `true` when the incumbent was created or improved.
     pub(crate) fn offer(&mut self, sol: &Solution, violations: usize) -> bool {
         let improved = match &mut self.incumbent {
             None => {
@@ -344,7 +342,6 @@ impl SearchDriver {
                     self.clock.elapsed(),
                     self.clock.steps(),
                 ));
-                self.clock.publish_bound(violations);
                 crate::observe::emit_improvement(&self.clock, violations, self.edges);
                 true
             }
@@ -357,7 +354,6 @@ impl SearchDriver {
                     self.clock.steps(),
                 ) {
                     self.stats.improvements += 1;
-                    self.clock.publish_bound(violations);
                     crate::observe::emit_improvement(&self.clock, violations, self.edges);
                     true
                 } else {
@@ -372,7 +368,7 @@ impl SearchDriver {
     }
 
     /// Installs an initial incumbent **silently**: trace point and top-list
-    /// entry, but no improvement event and no bound publication. Used for
+    /// entry, but no improvement event. Used for
     /// seeds that are given, not found (IBB's heuristic bound, naive-GA's
     /// first population member).
     pub(crate) fn seed_incumbent(&mut self, sol: &Solution, violations: usize) {
@@ -388,8 +384,7 @@ impl SearchDriver {
 
     /// Records a full solution found by systematic search (IBB): strictly
     /// better than the bound by construction, counted as an improvement and
-    /// emitted as one, but — matching IBB's published behaviour — without
-    /// publishing a portfolio bound.
+    /// emitted as one.
     pub(crate) fn record_best(&mut self, sol: &Solution, violations: usize) {
         match &mut self.incumbent {
             None => {
@@ -493,7 +488,7 @@ impl SearchDriver {
 /// the driver owns the run-wide bookkeeping, the implementation encodes
 /// only the search moves. Every implementor is an [`AnytimeSearch`] via
 /// the blanket impl below.
-pub(crate) trait DriveSearch: Sync {
+pub(crate) trait DriveSearch {
     /// Display name (matches the paper's figures).
     const NAME: &'static str;
     /// Phase-timer span label of one run.

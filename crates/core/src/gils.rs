@@ -95,9 +95,8 @@ impl Gils {
         self.search(instance, &SearchContext::local(*budget), rng)
     }
 
-    /// Runs GILS under an explicit [`SearchContext`] — the entry point
-    /// used by [`crate::ParallelPortfolio`] to share deadlines and bounds
-    /// across restarts.
+    /// Runs GILS under an explicit [`SearchContext`] — its budget, handle
+    /// and telemetry; a [`crate::Portfolio`] restart is one such call.
     ///
     /// # Panics
     /// As [`Gils::run`].

@@ -41,9 +41,8 @@ impl Ils {
         self.search(instance, &SearchContext::local(*budget), rng)
     }
 
-    /// Runs ILS under an explicit [`SearchContext`] — the entry point used
-    /// by [`crate::ParallelPortfolio`] to share deadlines and bounds
-    /// across restarts.
+    /// Runs ILS under an explicit [`SearchContext`] — its budget, handle and
+    /// telemetry; a [`crate::Portfolio`] restart is one such call.
     pub fn search(&self, instance: &Instance, ctx: &SearchContext, rng: &mut StdRng) -> RunOutcome {
         run_driven(self, instance, ctx, rng)
     }

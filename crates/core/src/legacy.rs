@@ -5,9 +5,12 @@
 //! An instance has no grid thread count: a grid *find best value* call
 //! runs on the calling thread, so the probe's `rtree.grid.pjm_speedup_t2`
 //! reads ≈ 1 by construction and `rtree.grid.find_best` times the one
-//! kernel.
+//! kernel. A portfolio has no thread count either: its restarts run one
+//! after another, so `core.portfolio.speedup_t2` reads ≈ 1 too.
 
+use crate::budget::SearchBudget;
 use crate::instance::Instance;
+use crate::portfolio::{AnytimeSearch, Portfolio, PortfolioOutcome};
 
 impl Instance {
     /// Returns the instance unchanged; the thread count is ignored.
@@ -21,9 +24,44 @@ impl Instance {
     }
 }
 
+/// A restart count; the thread count is ignored.
+#[derive(Debug, Clone, Copy)]
+pub struct PortfolioConfig {
+    restarts: usize,
+}
+
+impl PortfolioConfig {
+    /// `restarts` restarts; `threads` is ignored.
+    pub fn new(restarts: usize, _threads: usize) -> Self {
+        PortfolioConfig { restarts }
+    }
+}
+
+/// [`Portfolio`] under its old name and constructor.
+#[derive(Debug, Clone)]
+pub struct ParallelPortfolio<A>(Portfolio<A>);
+
+impl<A: AnytimeSearch> ParallelPortfolio<A> {
+    /// `Portfolio::new(algo, config.restarts)`.
+    pub fn new(algo: A, config: PortfolioConfig) -> Self {
+        ParallelPortfolio(Portfolio::new(algo, config.restarts))
+    }
+
+    /// [`Portfolio::run`].
+    pub fn run(
+        &self,
+        instance: &Instance,
+        budget: &SearchBudget,
+        master_seed: u64,
+    ) -> PortfolioOutcome {
+        self.0.run(instance, budget, master_seed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use crate::{find_best_value, BackendKind, BestValue, Instance};
+    use super::{ParallelPortfolio, PortfolioConfig};
+    use crate::{find_best_value, BackendKind, BestValue, Ils, Instance, Portfolio, SearchBudget};
     use mwsj_datagen::Dataset;
     use mwsj_query::{PenaltyTable, QueryGraph};
     use rand::rngs::StdRng;
@@ -57,5 +95,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_parallel_portfolio_is_the_sequential_one() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let datasets: Vec<Dataset> = (0..3)
+            .map(|_| Dataset::uniform(300, 0.05, &mut rng))
+            .collect();
+        let inst = Instance::new(QueryGraph::chain(3), datasets).unwrap();
+        let budget = SearchBudget::iterations(600);
+        let shim = ParallelPortfolio::new(Ils::default(), PortfolioConfig::new(3, 2))
+            .run(&inst, &budget, 5)
+            .merged;
+        let engine = Portfolio::new(Ils::default(), 3)
+            .run(&inst, &budget, 5)
+            .merged;
+        assert_eq!(
+            (shim.best, shim.top_solutions, shim.stats.steps),
+            (engine.best, engine.top_solutions, engine.stats.steps)
+        );
     }
 }

@@ -66,10 +66,10 @@ pub use naive::{NaiveGa, NaiveGaConfig, NaiveLocalSearch, SaConfig, SimulatedAnn
 pub use observe::{emit_run_end, metric, run_start};
 pub use pairwise::PairwiseJoin;
 pub use pjm::Pjm;
-pub use portfolio::{
-    derive_seed, AnytimeSearch, ParallelPortfolio, PortfolioConfig, PortfolioOutcome,
-    RestartOutcome,
-};
+// The benchmark's names for `Portfolio`.
+#[doc(hidden)]
+pub use legacy::*;
+pub use portfolio::{derive_seed, AnytimeSearch, Portfolio, PortfolioOutcome, RestartOutcome};
 pub use result::{AccessProfile, RunOutcome, RunStats, TopSolutions, TracePoint, DEFAULT_TOP_K};
 pub use sea::{Sea, SeaConfig};
 pub use st::SynchronousTraversal;
@@ -81,6 +81,6 @@ pub use wr::{ExactJoinOutcome, WindowReduction};
 // search runs to sinks without depending on `mwsj-obs` directly.
 pub use mwsj_obs as obs;
 pub use mwsj_obs::{
-    merge_phase_snapshots, EventSink, JsonlSink, MemoryFootprint, MetricsRegistry, MetricsSnapshot,
-    ObsHandle, PhaseSnapshot, PhaseTimer, ResourceReport, RunEvent, VecSink,
+    EventSink, JsonlSink, MemoryFootprint, MetricsRegistry, MetricsSnapshot, ObsHandle,
+    PhaseSnapshot, PhaseTimer, ResourceReport, RunEvent, VecSink,
 };

@@ -57,13 +57,12 @@ pub(crate) fn flush_stats(obs: &ObsHandle, stats: &RunStats) {
 }
 
 /// The `run_start` event of one run of `algo` on `instance` under `budget`
-/// (`restarts` = 1 and `threads` = 1 for anything but a portfolio).
+/// (`restarts` = 1 for anything but a portfolio).
 pub fn run_start(
     algo: &str,
     instance: &Instance,
     budget: &SearchBudget,
     restarts: usize,
-    threads: usize,
     seed: u64,
 ) -> RunEvent {
     RunEvent::RunStart {
@@ -71,7 +70,6 @@ pub fn run_start(
         n_vars: instance.n_vars() as u64,
         edges: instance.graph().edge_count() as u64,
         restarts: restarts as u64,
-        threads: threads as u64,
         seed,
         budget_steps: budget.max_steps,
         budget_secs: budget.time_limit.map(|d| d.as_secs_f64()),

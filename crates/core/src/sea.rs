@@ -149,9 +149,8 @@ impl Sea {
         self.search(instance, &SearchContext::local(*budget), rng)
     }
 
-    /// Runs SEA under an explicit [`SearchContext`] — the entry point used
-    /// by [`crate::ParallelPortfolio`] to share deadlines and bounds
-    /// across restarts.
+    /// Runs SEA under an explicit [`SearchContext`] — its budget, handle and
+    /// telemetry; a [`crate::Portfolio`] restart is one such call.
     pub fn search(&self, instance: &Instance, ctx: &SearchContext, rng: &mut StdRng) -> RunOutcome {
         run_driven(self, instance, ctx, rng)
     }

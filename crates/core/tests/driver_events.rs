@@ -11,8 +11,8 @@ mod common;
 use common::{hard_instance, sinked_obs};
 use mwsj_core::{
     emit_run_end, Gils, Ibb, IbbConfig, Ils, IlsConfig, NaiveGa, NaiveGaConfig, NaiveLocalSearch,
-    ParallelPortfolio, PortfolioConfig, RunEvent, SaConfig, Sea, SeaConfig, SearchBudget,
-    SearchContext, SimulatedAnnealing, TwoStep, TwoStepConfig,
+    Portfolio, RunEvent, SaConfig, Sea, SeaConfig, SearchBudget, SearchContext, SimulatedAnnealing,
+    TwoStep, TwoStepConfig,
 };
 use mwsj_datagen::QueryShape;
 use rand::rngs::StdRng;
@@ -23,12 +23,7 @@ const FRAME_KINDS: [&str; 4] = ["run_start", "explain_report", "resource_report"
 fn count_stop_reasons(events: &[RunEvent]) -> usize {
     events
         .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                RunEvent::BudgetExhausted { .. } | RunEvent::CutoffFired { .. }
-            )
-        })
+        .filter(|e| matches!(e, RunEvent::BudgetExhausted { .. }))
         .count()
 }
 
@@ -40,7 +35,7 @@ fn no_algorithm_or_composite_frames_its_own_run() {
         IlsConfig::default(),
         SearchBudget::iterations(100),
     ));
-    let portfolio = ParallelPortfolio::new(Ils::default(), PortfolioConfig::new(3, 1));
+    let portfolio = Portfolio::new(Ils::default(), 3);
     // (name, the run, how many driver-runs it may hold).
     type AlgoRun<'a> = Box<dyn Fn(&SearchContext, &mut StdRng) + 'a>;
     let algos: Vec<(&str, AlgoRun, usize)> = vec![
@@ -157,12 +152,12 @@ fn emit_run_end_frames_a_two_step_run_with_the_counters_of_both_stages() {
 
 #[test]
 fn portfolio_with_more_restarts_than_steps_emits_all_restart_pairs() {
-    // K = 5 restarts sharing a 3-step budget: `SearchBudget::split` hands
+    // K = 5 restarts sharing a 3-step budget: `SearchBudget::share` hands
     // the last two restarts zero steps. They must still run, emit their
     // `restart_start`/`restart_end` pair, and merge cleanly.
     let inst = hard_instance(308, QueryShape::Chain, 4, 120);
     let (sink, obs) = sinked_obs();
-    let portfolio = ParallelPortfolio::new(Ils::default(), PortfolioConfig::new(5, 1));
+    let portfolio = Portfolio::new(Ils::default(), 5);
     let ctx = SearchContext::local(SearchBudget::iterations(3)).with_obs(obs);
     let outcome = portfolio.search(&inst, &ctx, 309);
 
@@ -187,7 +182,10 @@ fn portfolio_with_more_restarts_than_steps_emits_all_restart_pairs() {
         assert!(starts.contains(&i), "restart_start for restart {i}");
     }
     let zero_step = ends.iter().filter(|(_, steps)| *steps == 0).count();
-    assert_eq!(zero_step, 2, "split(3, 5) leaves two zero-step restarts");
+    assert_eq!(
+        zero_step, 2,
+        "3 steps over 5 restarts leave two zero-step shares"
+    );
     assert_eq!(
         ends.iter().map(|(_, steps)| steps).sum::<u64>(),
         3,

@@ -10,8 +10,8 @@ mod common;
 use common::hard_instance;
 use mwsj_core::{
     metric, AccessProfile, CacheStats, Ibb, IbbConfig, Ils, IlsConfig, Instance, MetricsSnapshot,
-    ObsHandle, ParallelPortfolio, PortfolioConfig, RunEvent, RunStats, SearchBudget, SearchContext,
-    TwoStep, TwoStepConfig, VarCacheStats, WindowReduction,
+    ObsHandle, Portfolio, RunEvent, RunStats, SearchBudget, SearchContext, TwoStep, TwoStepConfig,
+    VarCacheStats, WindowReduction,
 };
 use mwsj_datagen::{Dataset, QueryShape};
 use proptest::prelude::*;
@@ -57,7 +57,7 @@ fn sum<'a>(blocks: impl IntoIterator<Item = &'a RunStats>) -> RunStats {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The portfolio folds restarts in seed order and the two-step
+    /// The portfolio folds restarts in restart order and the two-step
     /// pipeline adds two stages; both are sound only if grouping and order
     /// do not matter — tables of unequal length included.
     #[test]
@@ -198,23 +198,12 @@ fn two_stages_sharing_one_handle_sum_their_blocks() {
 }
 
 #[test]
-fn a_portfolio_reports_the_merged_block_on_any_thread_count() {
+fn a_portfolio_reports_the_merged_block() {
     let inst = hard_instance(305, QueryShape::Chain, 4, 300);
-    let budget = SearchBudget::iterations(2_000);
-    let run = |threads: usize| {
-        let ctx = SearchContext::local(budget).with_obs(ObsHandle::enabled());
-        ParallelPortfolio::new(Ils::default(), PortfolioConfig::new(4, threads))
-            .search(&inst, &ctx, 306)
-    };
-    let (one, two) = (run(1), run(2));
-    assert_eq!((one.threads_used, two.threads_used), (1, 2));
-    for outcome in [&one, &two] {
-        assert_metrics_are_the_name_table(&outcome.metrics, &outcome.merged.stats, 4);
-        for restart in &outcome.restarts {
-            assert_metrics_are_the_name_table(&restart.metrics, &restart.outcome.stats, 1);
-        }
-    }
-    assert_eq!(one.metrics, two.metrics);
+    let obs = ObsHandle::enabled();
+    let ctx = SearchContext::local(SearchBudget::iterations(2_000)).with_obs(obs.clone());
+    let outcome = Portfolio::new(Ils::default(), 4).search(&inst, &ctx, 306);
+    assert_metrics_are_the_name_table(&obs.metrics.snapshot(), &outcome.merged.stats, 4);
 }
 
 #[test]

@@ -34,8 +34,6 @@ events! {
             edges: u64,
             /// Portfolio restarts requested (1 for single runs).
             restarts: u64,
-            /// Worker threads requested (0 = auto).
-            threads: u64,
             /// Master RNG seed.
             seed: u64,
             /// Step budget, when one was set.
@@ -79,16 +77,6 @@ events! {
             /// Restart index, when inside a portfolio.
             restart: Option<u64> [opt],
             /// Steps consumed at exhaustion.
-            steps: u64,
-            /// Seconds since the run started.
-            elapsed_secs: f64 [measured],
-        },
-        /// The portfolio cutoff stopped this run because a sibling restart
-        /// already reached an exact solution.
-        CutoffFired = "cutoff_fired" {
-            /// Restart index, when inside a portfolio.
-            restart: Option<u64> [opt],
-            /// Steps consumed when the cutoff fired.
             steps: u64,
             /// Seconds since the run started.
             elapsed_secs: f64 [measured],
@@ -146,7 +134,7 @@ events! {
             elapsed_secs: f64 [measured],
         },
         /// The stall watchdog aborted the run (`--stall-abort`): a distinct
-        /// stop reason riding the same cutoff machinery as `cutoff_fired`.
+        /// stop reason, stopping the run through the budget check.
         StallAborted = "stall_aborted" {
             /// Restart index, when inside a portfolio.
             restart: Option<u64> [opt],
@@ -217,8 +205,8 @@ events! {
 
 }
 
-/// Receives run events. Implementations must tolerate concurrent emitters
-/// (portfolio restarts run on worker threads).
+/// Receives run events. One sink is shared (`Arc`) by every handle derived
+/// from the one it was attached to, so `emit` takes `&self`.
 pub trait EventSink: Send + Sync {
     /// Handles one event.
     fn emit(&self, event: &RunEvent);
@@ -319,7 +307,6 @@ mod tests {
                 n_vars: 5,
                 edges: 4,
                 restarts: 4,
-                threads: 1,
                 seed: 42,
                 budget_steps: Some(1000),
                 budget_secs: None,
@@ -345,11 +332,6 @@ mod tests {
                 restart: None,
                 steps: 1000,
                 elapsed_secs: 0.2,
-            },
-            RunEvent::CutoffFired {
-                restart: Some(3),
-                steps: 40,
-                elapsed_secs: 0.05,
             },
             RunEvent::TracePoint {
                 step: 10,

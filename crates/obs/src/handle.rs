@@ -67,24 +67,12 @@ impl ObsHandle {
         self
     }
 
-    /// Derives the handle for portfolio restart `index`: a **fresh**
-    /// registry and timer (mirroring this handle's enabledness, so each
-    /// restart's metrics can be reduced deterministically in seed order)
-    /// sharing the same event sink.
+    /// Derives the handle for portfolio restart `index`: this handle's
+    /// registry, timer and sink, with its events tagged `restart: index`.
     pub fn for_restart(&self, index: u64) -> Self {
         ObsHandle {
-            metrics: if self.metrics.is_enabled() {
-                MetricsRegistry::new()
-            } else {
-                MetricsRegistry::disabled()
-            },
-            timer: if self.timer.is_enabled() {
-                PhaseTimer::new()
-            } else {
-                PhaseTimer::disabled()
-            },
-            sink: self.sink.clone(),
             restart: Some(index),
+            ..self.clone()
         }
     }
 
@@ -133,7 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn for_restart_isolates_metrics_but_shares_sink() {
+    fn for_restart_tags_the_index_and_shares_everything_else() {
         let sink = Arc::new(VecSink::new());
         let obs = ObsHandle::enabled().with_sink(sink.clone());
         let child = obs.for_restart(3);
@@ -142,8 +130,9 @@ mod tests {
             counters: vec![("c".into(), 1)],
             ..Default::default()
         });
-        assert_eq!(child.metrics.snapshot().counter("c"), Some(1));
-        assert_eq!(obs.metrics.snapshot().counter("c"), None);
+        assert_eq!(obs.metrics.snapshot().counter("c"), Some(1));
+        drop(child.timer.span("restart[3]"));
+        assert_eq!(obs.timer.snapshot()[0].path, "restart[3]");
         child.emit(RunEvent::RestartStart {
             restart: 3,
             seed: 9,

@@ -18,7 +18,7 @@
 //!   Disabled timers never call [`std::time::Instant::now`].
 //! * [`RunEvent`] / [`EventSink`] — a structured run-event stream (run
 //!   start/end, incumbent improvements, restart lifecycle, budget
-//!   exhaustion, cutoff firings) serialised as JSON Lines. Each kind is
+//!   exhaustion, stalls) serialised as JSON Lines. Each kind is
 //!   declared once ([`record`]); the writer, the validating reader
 //!   [`RunEvent::parse_line`] (behind `mwsj report` and `mwsj watch`), the
 //!   snapshot comparator and the `DESIGN.md` schema table derive from it.
@@ -36,9 +36,9 @@
 //!
 //! **Determinism contract.** Metric *values* flushed by the search layer
 //! are pure counters of algorithmic work (steps, node accesses, …) and are
-//! bit-identical across thread counts under a step budget; wall-clock
-//! lives only in timers and events, which are exempt. See
-//! [`MetricsSnapshot::merge`] for the portfolio reduction.
+//! bit-identical run to run under a step budget; wall-clock lives only in
+//! timers and events, which are exempt. Runs sharing a registry sum
+//! ([`MetricsSnapshot::merge`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,4 +71,4 @@ pub use snapshot::{
     snapshot_sections, AlgoRecord, BenchSnapshot, CacheRecord, ExplainRecord, InstanceRecord,
     MemoryRecord, SnapshotError, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
 };
-pub use timer::{merge_phase_snapshots, PhaseSnapshot, PhaseSpan, PhaseTimer};
+pub use timer::{PhaseSnapshot, PhaseSpan, PhaseTimer};

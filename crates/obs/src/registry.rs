@@ -7,9 +7,8 @@
 //! either *enabled* (one shared snapshot behind a mutex, touched once per
 //! run) or *disabled* (every operation is one `Option` check).
 //!
-//! Snapshots hold only algorithmic-work counts (never wall-clock), so
-//! merging per-restart snapshots in seed order — the portfolio's metric
-//! reduction — is bit-identical for any thread count under a step budget.
+//! Snapshots hold only algorithmic-work counts (never wall-clock), so what
+//! a registry accumulates under a step budget is bit-identical run to run.
 
 use crate::record::record;
 use std::collections::BTreeMap;
@@ -123,8 +122,8 @@ record! {
     ///
     /// Snapshots merge **deterministically**: counters and histogram contents
     /// sum, gauges keep the maximum. The operation is associative and
-    /// commutative, so a fold over per-restart snapshots in seed order is
-    /// independent of which thread produced which snapshot.
+    /// commutative, so runs sharing a registry (a portfolio's restarts, a
+    /// two-step pipeline's stages) sum to the merge of their snapshots.
     #[derive(Debug, Clone, Default, PartialEq)]
     pub struct MetricsSnapshot {
         /// `(name, value)` pairs, ascending by name.

@@ -155,7 +155,6 @@ mod tests {
                 n_vars: 4,
                 edges: 3,
                 restarts: 1,
-                threads: 0,
                 seed: 1,
                 budget_steps: None,
                 budget_secs: Some(2.0),

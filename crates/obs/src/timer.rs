@@ -170,29 +170,6 @@ record! {
     }
 }
 
-/// Merges several phase-snapshot lists (e.g. one per portfolio restart)
-/// into one, summing `calls`, `steps` and `wall` per path; the result is
-/// sorted by path.
-pub fn merge_phase_snapshots<I>(lists: I) -> Vec<PhaseSnapshot>
-where
-    I: IntoIterator<Item = Vec<PhaseSnapshot>>,
-{
-    let mut merged: BTreeMap<String, PhaseSnapshot> = BTreeMap::new();
-    for list in lists {
-        for snap in list {
-            merged
-                .entry(snap.path.clone())
-                .and_modify(|agg| {
-                    agg.calls += snap.calls;
-                    agg.steps += snap.steps;
-                    agg.wall += snap.wall;
-                })
-                .or_insert(snap);
-        }
-    }
-    merged.into_values().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,22 +230,5 @@ mod tests {
         }
         let snaps = timer.snapshot();
         assert_eq!(snaps[0].calls, 5);
-    }
-
-    #[test]
-    fn merge_sums_per_path() {
-        let make = |steps| {
-            vec![PhaseSnapshot {
-                path: "solve".into(),
-                calls: 1,
-                steps,
-                wall: Duration::from_millis(steps),
-            }]
-        };
-        let merged = merge_phase_snapshots([make(2), make(3)]);
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].calls, 2);
-        assert_eq!(merged[0].steps, 5);
-        assert_eq!(merged[0].wall, Duration::from_millis(5));
     }
 }

@@ -72,7 +72,6 @@ fn golden_events() -> Vec<RunEvent> {
             n_vars: 5,
             edges: 4,
             restarts: 4,
-            threads: 1,
             seed: 42,
             budget_steps: Some(1000),
             budget_secs: Some(2.5),
@@ -82,7 +81,6 @@ fn golden_events() -> Vec<RunEvent> {
             n_vars: 2,
             edges: 1,
             restarts: 1,
-            threads: 0,
             seed: u64::MAX,
             budget_steps: None,
             budget_secs: None,
@@ -120,16 +118,6 @@ fn golden_events() -> Vec<RunEvent> {
             restart: Some(2),
             steps: 1000,
             elapsed_secs: 0.2,
-        },
-        RunEvent::CutoffFired {
-            restart: Some(3),
-            steps: 40,
-            elapsed_secs: 0.05,
-        },
-        RunEvent::CutoffFired {
-            restart: None,
-            steps: 41,
-            elapsed_secs: 0.0,
         },
         RunEvent::TracePoint {
             step: 10,
@@ -275,7 +263,7 @@ fn writer_reproduces_the_golden_bytes() {
     let written: String = golden_events().iter().map(|e| e.to_json() + "\n").collect();
     assert_eq!(written, GOLDEN);
     let kinds: std::collections::BTreeSet<_> = golden_events().iter().map(|e| e.kind()).collect();
-    assert_eq!(kinds.len(), 16, "every event kind has a golden line");
+    assert_eq!(kinds.len(), 15, "every event kind has a golden line");
 }
 
 #[test]
@@ -374,7 +362,6 @@ fn arb_event() -> impl Strategy<Value = RunEvent> {
                     n_vars: n,
                     edges: n / 2,
                     restarts: 1,
-                    threads: 0,
                     seed,
                     budget_steps,
                     budget_secs,

@@ -8,10 +8,7 @@
 //! `crates/cli` and only run under `--workspace`; this one runs with the
 //! root package so a writer/reader drift fails the tier-1 gate.
 
-use mwsj::core::{
-    emit_run_end, EventSink, JsonlSink, ObsHandle, ParallelPortfolio, PortfolioConfig, RunEvent,
-    VecSink,
-};
+use mwsj::core::{emit_run_end, EventSink, JsonlSink, ObsHandle, RunEvent, VecSink};
 use mwsj::datagen::plant_solution;
 use mwsj::prelude::*;
 use rand::rngs::StdRng;
@@ -95,8 +92,7 @@ fn ils_stream_reads_back_as_emitted() {
 fn two_restart_portfolio_stream_reads_back_as_emitted() {
     let inst = planted_instance(920);
     assert_stream_round_trips(|obs| {
-        let portfolio =
-            ParallelPortfolio::new(Ils::new(IlsConfig::default()), PortfolioConfig::new(2, 1));
+        let portfolio = Portfolio::new(Ils::new(IlsConfig::default()), 2);
         let ctx = SearchContext::local(SearchBudget::iterations(4_000)).with_obs(obs.clone());
         let outcome = portfolio.search(&inst, &ctx, 0xDEAD_BEEF_F00D);
         assert_eq!(outcome.restarts.len(), 2);
