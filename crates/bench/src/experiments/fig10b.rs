@@ -43,12 +43,13 @@ pub fn run_shape(scale: Scale, shape: QueryShape, rec: &Recorder) -> Table {
         let curve: Vec<f64> = (1..=GRID)
             .map(|g| {
                 let t = total.mul_f64(g as f64 / GRID as f64);
-                mean(
-                    &outcomes
-                        .iter()
-                        .map(|o| o.best_similarity_at(t))
-                        .collect::<Vec<_>>(),
-                )
+                // Each trace is a step function: its last point at or
+                // before `t` holds, 0 before its first.
+                let known = outcomes.iter().map(|o| {
+                    let upto = o.trace.iter().take_while(|p| p.elapsed <= t);
+                    upto.last().map_or(0.0, |p| p.similarity)
+                });
+                mean(&known.collect::<Vec<_>>())
             })
             .collect();
         curves.push(curve);

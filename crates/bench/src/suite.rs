@@ -332,17 +332,6 @@ fn counters_of(run: &SuiteRun) -> Vec<(String, u64)> {
     counters
 }
 
-/// The step axis of a run's convergence trace as an [`AnytimeCurve`],
-/// normalized by the run's totals.
-fn curve_from_trace(trace: &[TracePoint], stats: &RunStats) -> AnytimeCurve {
-    let mut curve = AnytimeCurve::new();
-    for p in trace {
-        curve.record(p.step, 0.0, p.similarity);
-    }
-    curve.set_totals(stats.steps, stats.node_accesses, 0.0);
-    curve
-}
-
 fn measure(
     algo: SuiteAlgo,
     instance: &Instance,
@@ -370,7 +359,7 @@ fn measure(
         algo.name(),
         expected,
         run.best_similarity,
-        &curve_from_trace(&run.trace, &run.stats),
+        &AnytimeCurve::from_trace(&run.trace, run.stats.steps),
     );
     Ok((record, run.stats.cache))
 }

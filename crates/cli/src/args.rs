@@ -297,6 +297,23 @@ impl Args {
             })
     }
 
+    /// The value of a positive real option (`--density`, `--target`),
+    /// `default` when absent: zero, negative, NaN and infinite values are
+    /// errors, never a library assert.
+    pub fn positive(&self, key: &str, default: f64, expected: &'static str) -> Result<f64, String> {
+        let value: f64 = self
+            .parse_or(key, default, expected)
+            .map_err(|e| e.to_string())?;
+        if value > 0.0 && value.is_finite() {
+            Ok(value)
+        } else {
+            let raw = self.value(key).unwrap_or_default();
+            Err(format!(
+                "--{key} must be a positive, finite number (got {raw})"
+            ))
+        }
+    }
+
     /// The first positional argument, for single-argument commands.
     pub fn arg(&self) -> Option<&str> {
         self.positionals.first().map(String::as_str)

@@ -229,9 +229,10 @@ fn cmd_generate(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let n: usize = args
         .parse_or("n", 10_000, "an object count")
         .map_err(|e| e.to_string())?;
-    let density: f64 = args
-        .parse_or("density", 0.05, "a density")
-        .map_err(|e| e.to_string())?;
+    if n == 0 {
+        return Err("--n must be at least 1".into());
+    }
+    let density = args.positive("density", 0.05, "a density")?;
     let seed: u64 = args
         .parse_or("seed", 0, "a seed")
         .map_err(|e| e.to_string())?;
@@ -636,12 +637,22 @@ fn cmd_hard_density(args: &Args, stdout: &mut impl Write) -> Result<(), Failure>
     let vars: usize = args
         .parse_or("vars", 5, "a variable count")
         .map_err(|e| e.to_string())?;
+    // The sizes `solve` accepts for a shape, refused in its words.
+    let min_vars = if shape == QueryShape::Cycle { 3 } else { 2 };
+    if vars < min_vars {
+        return Err(format!(
+            "invalid query graph: a {} query needs at least {min_vars} datasets, got {vars}",
+            shape.name()
+        )
+        .into());
+    }
     let n: usize = args
         .parse_or("n", 100_000, "a cardinality")
         .map_err(|e| e.to_string())?;
-    let target: f64 = args
-        .parse_or("target", 1.0, "a solution count")
-        .map_err(|e| e.to_string())?;
+    if n == 0 {
+        return Err("--n must be at least 1".into());
+    }
+    let target = args.positive("target", 1.0, "a solution count")?;
     let d = mwsj_datagen::hard_region_density(shape, vars, n, target);
     writeln!(
         stdout,

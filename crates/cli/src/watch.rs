@@ -10,6 +10,7 @@
 //! arrives, and fails after `--timeout-secs` without one.
 
 use crate::args::Args;
+use mwsj_core::obs::BenchSnapshot;
 use mwsj_core::RunEvent;
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -60,7 +61,10 @@ fn watch_file(path: &str, poll: Duration, timeout: Duration, plain: bool) -> Res
             if line.is_empty() {
                 continue;
             }
-            for log in view.ingest(line, path)? {
+            let logs = view
+                .ingest(line, path)
+                .map_err(|e| snapshot_error(path).unwrap_or(e))?;
+            for log in logs {
                 if plain {
                     // A closed downstream pipe (e.g. `mwsj watch | head`)
                     // just means nobody is reading any more: stop quietly.
@@ -98,6 +102,18 @@ fn watch_file(path: &str, poll: Duration, timeout: Duration, plain: bool) -> Res
         }
         std::thread::sleep(poll);
     }
+}
+
+/// The error for a bench snapshot given to `watch`, `None` for any other
+/// file: a snapshot is one JSON document, not a stream of event lines, and
+/// it is told apart the way `mwsj report` tells it.
+fn snapshot_error(path: &str) -> Option<String> {
+    let text = std::fs::read_to_string(path).ok()?;
+    BenchSnapshot::sniff(&text).then(|| {
+        format!(
+            "{path} is a bench snapshot, not a metrics stream (read it with 'mwsj report {path}')"
+        )
+    })
 }
 
 /// Reads everything appended to `path` since `offset`, advancing it.

@@ -254,6 +254,28 @@ fn report_names_the_field_a_schema_invalid_snapshot_lacks() {
     );
 }
 
+/// `watch` given a bench snapshot says what the file is, the way `report`
+/// tells it apart, instead of the stream reader's complaint about its first
+/// line (`JSON error at byte 1: expected '"'`).
+#[test]
+fn watch_tells_a_bench_snapshot_from_a_metrics_stream() {
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+    let out = mwsj()
+        .args(["watch", baseline, "--no-tty", "--timeout-secs", "5"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert_eq!(
+        err.trim_end(),
+        format!(
+            "error: {baseline} is a bench snapshot, not a metrics stream \
+             (read it with 'mwsj report {baseline}')"
+        )
+    );
+    assert!(out.stdout.is_empty());
+}
+
 #[test]
 fn profile_out_writes_parseable_folded_stacks() {
     let dir = temp_dir("profile");

@@ -542,7 +542,71 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
         [&["--algo", algo][..], &flags[..], &[stalled][..]].concat()
     };
     let stall_rows = ["ils", "gils", "sea", "sea-hybrid", "ibb", "two-step"].map(stall_at_once);
-    let rows: [(&[&str], &[&str], Expect); 68] = [
+    let generated = dir.join("g.csv");
+    let generate = ["generate", "--out", generated.to_str().unwrap()];
+    let hard_cycle = ["hard-density", "--shape", "cycle"];
+    let no_objects = "error: --n must be at least 1";
+    let rows: [(&[&str], &[&str], Expect); 81] = [
+        // Counts and reals the generator and the density solver cannot use
+        // hit the library's asserts (exit 101), or printed `density inf`.
+        (&generate, &["--n", "0"], Refused(no_objects)),
+        (
+            &generate,
+            &["--density", "-1"],
+            Refused("error: --density must be a positive, finite number (got -1)"),
+        ),
+        (
+            &generate,
+            &["--density", "nan"],
+            Refused("error: --density must be a positive, finite number (got nan)"),
+        ),
+        (
+            &generate,
+            &["--density", "inf"],
+            Refused("error: --density must be a positive, finite number (got inf)"),
+        ),
+        // Extents wider than the unit square used to panic in `f64::clamp`.
+        (
+            &generate,
+            &["--n", "1", "--density", "0.5", "--seed", "6"],
+            Prints("wrote 1 objects (density 0.5)"),
+        ),
+        (
+            &generate,
+            &["--n", "4", "--density", "2", "--seed", "1"],
+            Prints("wrote 4 objects (density 2)"),
+        ),
+        (
+            &hard_density,
+            &["--vars", "1"],
+            Refused("error: invalid query graph: a chain query needs at least 2 datasets, got 1"),
+        ),
+        (
+            &hard_cycle,
+            &["--vars", "2"],
+            Refused("error: invalid query graph: a cycle query needs at least 3 datasets, got 2"),
+        ),
+        (&hard_density, &["--n", "0"], Refused(no_objects)),
+        (
+            &hard_density,
+            &["--target", "0"],
+            Refused("error: --target must be a positive, finite number (got 0)"),
+        ),
+        (
+            &hard_density,
+            &["--target", "-1"],
+            Refused("error: --target must be a positive, finite number (got -1)"),
+        ),
+        (
+            &hard_density,
+            &["--target", "nan"],
+            Refused("error: --target must be a positive, finite number (got nan)"),
+        ),
+        (
+            &hard_cycle,
+            &["--vars", "3"],
+            Prints("cycle query over 3 datasets"),
+        ),
         (&solve_10, &on_header, NoRectangles(header)),
         (&wr_join, &on_header, NoRectangles(header)),
         (&st_join, &on_header, NoRectangles(header)),

@@ -113,7 +113,9 @@ impl SearchDriver {
         let clock = BudgetClock::from_context(ctx);
         let watch = WatchState::new(ctx.telemetry(), instance, ctx.obs());
         let stats = RunStats {
-            access_profile: crate::result::AccessProfile::for_instance(instance),
+            access_profile: (0..instance.n_vars())
+                .map(|v| vec![0; instance.tree(v).height() as usize])
+                .collect(),
             ..RunStats::default()
         };
         SearchDriver {
@@ -301,18 +303,7 @@ impl SearchDriver {
     pub(crate) fn tally(&mut self, var: mwsj_query::VarId) -> (&mut u64, &mut [u64]) {
         (
             &mut self.stats.node_accesses,
-            self.stats.access_profile.levels_mut(var),
-        )
-    }
-
-    /// Split borrow of the node-access counter and the whole attribution
-    /// profile, for helpers that attribute across several variables
-    /// (ILS-seeded SEA initialisation).
-    #[inline]
-    pub(crate) fn access_mut(&mut self) -> (&mut u64, &mut crate::result::AccessProfile) {
-        (
-            &mut self.stats.node_accesses,
-            &mut self.stats.access_profile,
+            &mut self.stats.access_profile[var],
         )
     }
 

@@ -11,9 +11,9 @@
 //!   [`OBSERVED_PAIR_BUDGET`]: edges whose dataset product exceeds the
 //!   budget report `None` (the paper-scale base suite, `N = 200`, is
 //!   always counted; very large tiers skip the quadratic pass).
-//! * **Per-variable × per-level node accesses** — the
-//!   [`AccessProfile`](crate::AccessProfile) attribution of the shared
-//!   access counter, summing exactly to `RunStats::node_accesses` for the
+//! * **Per-variable × per-level node accesses** — the rows of
+//!   [`RunStats::access_profile`], which attribute the shared access
+//!   counter and sum exactly to `RunStats::node_accesses` for the
 //!   window-query algorithms (ILS/GILS/SEA/IBB).
 //! * **Tree structural quality** — [`TreeStats`](mwsj_rtree::TreeStats)
 //!   per-level fill / overlap factor / dead space / perimeter, which also
@@ -184,7 +184,7 @@ pub fn build_explain_report(instance: &Instance) -> ExplainReport {
 pub fn explain_report_for_run(instance: &Instance, stats: &RunStats) -> ExplainReport {
     let mut report = build_explain_report(instance);
     for (v, var) in report.vars.iter_mut().enumerate() {
-        if let Some(levels) = stats.access_profile.per_var.get(v) {
+        if let Some(levels) = stats.access_profile.get(v) {
             var.observed_accesses = levels.iter().sum();
             // Keep the estimate-side row length (the tree height); absorb
             // may have grown rows, but never beyond any real tree height.
@@ -419,20 +419,22 @@ mod tests {
     fn run_report_attaches_profile_and_counter_total() {
         let inst = paper_instance(QueryShape::Chain, 3, 50, 11);
         let mut stats = RunStats {
-            access_profile: crate::result::AccessProfile::for_instance(&inst),
+            node_accesses: 30,
+            access_profile: (0..3)
+                .map(|v| vec![0; inst.tree(v).height() as usize])
+                .collect(),
             ..RunStats::default()
         };
-        stats.node_accesses = 30;
-        let rows = stats.access_profile.levels_mut(1);
-        rows[0] = 20;
-        if rows.len() > 1 {
-            rows[1] = 5;
+        let row = &mut stats.access_profile[1];
+        row[0] = 20;
+        if row.len() > 1 {
+            row[1] = 5;
         }
         let report = explain_report_for_run(&inst, &stats);
         assert_eq!(report.observed_node_accesses, Some(30));
         assert_eq!(
             report.vars[1].observed_accesses,
-            stats.access_profile.var_total(1)
+            stats.access_profile[1].iter().sum::<u64>()
         );
         assert_eq!(report.vars[0].observed_accesses, 0);
         assert!(report.attributed_accesses() <= 30);

@@ -12,7 +12,7 @@ use crate::budget::{SearchBudget, SearchContext};
 use crate::driver::{run_driven, DriveSearch, SearchDriver};
 use crate::individual::Individual;
 use crate::instance::Instance;
-use crate::result::RunOutcome;
+use crate::result::{RunOutcome, RunStats};
 use crate::window_cache::WindowCache;
 use rand::rngs::StdRng;
 
@@ -127,15 +127,13 @@ impl DriveSearch for Ils {
 /// most `step_cap` `find best value` calls. Used by the hybrid SEA
 /// initialisation the paper's Discussion proposes ("apply ILS and use the
 /// first p local maxima visited as the p solutions of the first
-/// generation").
+/// generation"). Its node accesses and cache telemetry count into `stats`.
 pub(crate) fn collect_local_maxima(
     instance: &Instance,
     want: usize,
     step_cap: u64,
     rng: &mut StdRng,
-    node_accesses: &mut u64,
-    profile: &mut crate::result::AccessProfile,
-    cache_stats: &mut crate::window_cache::CacheStats,
+    stats: &mut RunStats,
 ) -> Vec<mwsj_query::Solution> {
     let graph = instance.graph();
     let mut cache = WindowCache::new(instance);
@@ -150,7 +148,10 @@ pub(crate) fn collect_local_maxima(
             for v in ind.cs.vars_by_badness(graph) {
                 steps += 1;
                 let current = ind.cs.satisfied_of(graph, v);
-                let tally = (&mut *node_accesses, profile.levels_mut(v));
+                let tally = (
+                    &mut stats.node_accesses,
+                    stats.access_profile[v].as_mut_slice(),
+                );
                 if let Some(best) = ind.best_value(&mut cache, instance, v, None, tally) {
                     if best.satisfied > current {
                         ind.assign(graph, v, &best);
@@ -168,7 +169,7 @@ pub(crate) fn collect_local_maxima(
         }
         maxima.push(ind.sol);
     }
-    cache_stats.absorb(&cache.stats());
+    stats.cache.absorb(&cache.stats());
     maxima
 }
 

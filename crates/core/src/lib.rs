@@ -70,7 +70,7 @@ pub use pjm::Pjm;
 #[doc(hidden)]
 pub use legacy::*;
 pub use portfolio::{derive_seed, AnytimeSearch, Portfolio, PortfolioOutcome, RestartOutcome};
-pub use result::{AccessProfile, RunOutcome, RunStats, TopSolutions, TracePoint, DEFAULT_TOP_K};
+pub use result::{RunOutcome, RunStats, TopSolutions, TracePoint, DEFAULT_TOP_K};
 pub use sea::{Sea, SeaConfig};
 pub use st::SynchronousTraversal;
 pub use two_step::{TwoStep, TwoStepConfig, TwoStepOutcome};

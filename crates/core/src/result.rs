@@ -2,6 +2,7 @@
 
 use crate::observe::metric;
 use crate::window_cache::{CacheStats, VarCacheStats};
+pub use mwsj_obs::TracePoint;
 use mwsj_obs::{HistogramSnapshot, MemoryFootprint, MetricsSnapshot, RunEvent};
 use mwsj_query::Solution;
 use std::time::Duration;
@@ -29,10 +30,14 @@ pub struct RunStats {
     /// [`WindowCache`](crate::WindowCache) efficiency telemetry (empty for
     /// algorithms that run without the cache).
     pub cache: CacheStats,
-    /// Per-variable × per-tree-level attribution of
-    /// [`RunStats::node_accesses`] (empty for algorithms that predate the
-    /// attribution plumbing). See [`AccessProfile`] for the invariant.
-    pub access_profile: AccessProfile,
+    /// Per-variable, per-tree-level attribution of
+    /// [`RunStats::node_accesses`]: `access_profile[v][l]` counts the nodes
+    /// of variable `v`'s tree visited at level `l` (`[0]` = leaf level, as
+    /// in [`NodeRef::level`](mwsj_rtree::NodeRef::level)). A driven run
+    /// has one row per variable, one slot per tree level, and its rows sum
+    /// **exactly** to `node_accesses` (the attribution property tests pin
+    /// this for ILS, GILS, SEA and IBB); the exact joins leave it empty.
+    pub access_profile: Vec<Vec<u64>>,
 }
 
 impl RunStats {
@@ -58,7 +63,17 @@ impl RunStats {
         self.node_accesses += node_accesses;
         self.improvements += improvements;
         self.cache.absorb(cache);
-        self.access_profile.absorb(access_profile);
+        if self.access_profile.len() < access_profile.len() {
+            self.access_profile.resize(access_profile.len(), Vec::new());
+        }
+        for (mine, theirs) in self.access_profile.iter_mut().zip(access_profile) {
+            if mine.len() < theirs.len() {
+                mine.resize(theirs.len(), 0);
+            }
+            for (m, t) in mine.iter_mut().zip(theirs) {
+                *m += t;
+            }
+        }
     }
 
     /// The work counters by name — the one table behind the rows a
@@ -144,86 +159,6 @@ impl RunStats {
             proven_optimal,
         }
     }
-}
-
-/// Per-variable, per-tree-level attribution of R*-tree node accesses.
-///
-/// `per_var[v][l]` counts the nodes of variable `v`'s tree visited at
-/// level `l` (`[0]` = leaf level, matching
-/// [`NodeRef::level`](mwsj_rtree::NodeRef::level)). For runs whose
-/// traversals all flow through the attributed kernels (ILS, GILS, SEA,
-/// IBB), the profile total equals [`RunStats::node_accesses`] **exactly**
-/// — the invariant the attribution property tests pin. Algorithms with
-/// unattributed traversals leave the difference as implicit unattributed
-/// work.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AccessProfile {
-    /// `per_var[v][l]` = node accesses on variable `v`'s tree at level `l`.
-    pub per_var: Vec<Vec<u64>>,
-}
-
-impl AccessProfile {
-    /// Creates a zeroed profile: one row per variable, sized to that
-    /// variable's tree height.
-    pub fn for_instance(instance: &crate::Instance) -> Self {
-        AccessProfile {
-            per_var: (0..instance.n_vars())
-                .map(|v| vec![0u64; instance.tree(v).height() as usize])
-                .collect(),
-        }
-    }
-
-    /// `true` when no attribution rows exist (pre-attribution algorithms).
-    pub fn is_empty(&self) -> bool {
-        self.per_var.is_empty()
-    }
-
-    /// Mutable level row of variable `v` (empty when unattributed).
-    pub(crate) fn levels_mut(&mut self, var: usize) -> &mut [u64] {
-        match self.per_var.get_mut(var) {
-            Some(row) => row.as_mut_slice(),
-            None => &mut [],
-        }
-    }
-
-    /// Total attributed accesses of variable `v`.
-    pub fn var_total(&self, var: usize) -> u64 {
-        self.per_var.get(var).map_or(0, |row| row.iter().sum())
-    }
-
-    /// Total attributed accesses across all variables and levels.
-    pub fn total(&self) -> u64 {
-        self.per_var.iter().map(|row| row.iter().sum::<u64>()).sum()
-    }
-
-    /// Pointwise merge of another profile (used by the portfolio's
-    /// seed-ordered reduction and the two-step pipeline). Rows and levels
-    /// grow to cover the larger operand.
-    pub fn absorb(&mut self, other: &AccessProfile) {
-        if self.per_var.len() < other.per_var.len() {
-            self.per_var.resize(other.per_var.len(), Vec::new());
-        }
-        for (mine, theirs) in self.per_var.iter_mut().zip(&other.per_var) {
-            if mine.len() < theirs.len() {
-                mine.resize(theirs.len(), 0);
-            }
-            for (m, t) in mine.iter_mut().zip(theirs) {
-                *m += t;
-            }
-        }
-    }
-}
-
-/// One point of the convergence trace: the best similarity known at a given
-/// time/step — the raw material of the paper's Fig. 10b.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TracePoint {
-    /// Time since the run started.
-    pub elapsed: Duration,
-    /// Steps consumed when the improvement happened.
-    pub step: u64,
-    /// Best similarity after the improvement.
-    pub similarity: f64,
 }
 
 /// Default number of distinct best solutions retained by a run
@@ -344,24 +279,6 @@ impl RunOutcome {
     #[inline]
     pub fn is_exact(&self) -> bool {
         self.best_violations == 0
-    }
-
-    /// Best similarity known at `t` according to the trace (step function),
-    /// used to resample convergence curves onto a common time grid.
-    ///
-    /// Edge cases: an empty trace yields `0.0` (nothing was known at any
-    /// time); a `t` before the first trace point also yields `0.0`; a `t`
-    /// exactly on a trace point's timestamp includes that point.
-    pub fn best_similarity_at(&self, t: Duration) -> f64 {
-        let mut sim = 0.0;
-        for p in &self.trace {
-            if p.elapsed <= t {
-                sim = p.similarity;
-            } else {
-                break;
-            }
-        }
-        sim
     }
 
     /// The `run_end` event describing this outcome.
@@ -497,95 +414,6 @@ mod tests {
         assert_eq!(inc.best.as_slice(), &[2, 2]);
         assert_eq!(inc.improvements, 1);
         assert_eq!(inc.trace.len(), 2);
-    }
-
-    #[test]
-    fn similarity_at_is_a_step_function() {
-        let outcome = RunOutcome {
-            best: Solution::new(vec![0]),
-            best_violations: 0,
-            best_similarity: 1.0,
-            stats: RunStats::default(),
-            proven_optimal: false,
-            top_solutions: vec![],
-            trace: vec![
-                TracePoint {
-                    elapsed: Duration::from_secs(0),
-                    step: 0,
-                    similarity: 0.2,
-                },
-                TracePoint {
-                    elapsed: Duration::from_secs(2),
-                    step: 10,
-                    similarity: 0.7,
-                },
-                TracePoint {
-                    elapsed: Duration::from_secs(5),
-                    step: 20,
-                    similarity: 1.0,
-                },
-            ],
-        };
-        assert_eq!(outcome.best_similarity_at(Duration::from_secs(1)), 0.2);
-        assert_eq!(outcome.best_similarity_at(Duration::from_secs(2)), 0.7);
-        assert_eq!(outcome.best_similarity_at(Duration::from_secs(99)), 1.0);
-    }
-
-    fn outcome_with_trace(trace: Vec<TracePoint>) -> RunOutcome {
-        RunOutcome {
-            best: Solution::new(vec![0]),
-            best_violations: 0,
-            best_similarity: 1.0,
-            stats: RunStats::default(),
-            proven_optimal: false,
-            top_solutions: vec![],
-            trace,
-        }
-    }
-
-    #[test]
-    fn best_similarity_at_empty_trace_is_zero() {
-        let outcome = outcome_with_trace(vec![]);
-        assert_eq!(outcome.best_similarity_at(Duration::ZERO), 0.0);
-        assert_eq!(outcome.best_similarity_at(Duration::from_secs(100)), 0.0);
-    }
-
-    #[test]
-    fn best_similarity_at_before_first_point_is_zero() {
-        let outcome = outcome_with_trace(vec![TracePoint {
-            elapsed: Duration::from_millis(500),
-            step: 3,
-            similarity: 0.4,
-        }]);
-        assert_eq!(outcome.best_similarity_at(Duration::from_millis(499)), 0.0);
-        // Exact-boundary timestamps include the point.
-        assert_eq!(outcome.best_similarity_at(Duration::from_millis(500)), 0.4);
-        assert_eq!(outcome.best_similarity_at(Duration::from_millis(501)), 0.4);
-    }
-
-    #[test]
-    fn best_similarity_at_exact_boundaries_take_the_later_value() {
-        let outcome = outcome_with_trace(vec![
-            TracePoint {
-                elapsed: Duration::from_secs(1),
-                step: 1,
-                similarity: 0.25,
-            },
-            TracePoint {
-                elapsed: Duration::from_secs(1),
-                step: 2,
-                similarity: 0.5,
-            },
-            TracePoint {
-                elapsed: Duration::from_secs(3),
-                step: 9,
-                similarity: 0.75,
-            },
-        ]);
-        // Two points share a timestamp: the later (better) one wins at the
-        // boundary, matching "best similarity known at t".
-        assert_eq!(outcome.best_similarity_at(Duration::from_secs(1)), 0.5);
-        assert_eq!(outcome.best_similarity_at(Duration::from_secs(3)), 0.75);
     }
 
     #[test]

@@ -167,19 +167,7 @@ impl Sea {
             return Vec::new();
         }
         let p = self.config.population;
-        let mut seed_cache = crate::window_cache::CacheStats::default();
-        let (acc, profile) = driver.access_mut();
-        let maxima = crate::ils::collect_local_maxima(
-            instance,
-            p,
-            20 * p as u64,
-            rng,
-            acc,
-            profile,
-            &mut seed_cache,
-        );
-        driver.stats_mut().cache.absorb(&seed_cache);
-        maxima
+        crate::ils::collect_local_maxima(instance, p, 20 * p as u64, rng, driver.stats_mut())
     }
 
     /// The search itself, on the `cache` it is given; `after_generation`
@@ -649,7 +637,7 @@ mod tests {
                         assert_eq!(queries(&a), queries(&b), "{what}");
                         assert!(a.stats.node_accesses >= b.stats.node_accesses, "{what}");
                         assert_eq!(
-                            b.stats.access_profile.total(),
+                            b.stats.access_profile.iter().flatten().sum::<u64>(),
                             b.stats.node_accesses,
                             "attribution still sums: {what}"
                         );

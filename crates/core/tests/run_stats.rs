@@ -9,8 +9,8 @@ mod common;
 
 use common::hard_instance;
 use mwsj_core::{
-    metric, AccessProfile, CacheStats, Ibb, IbbConfig, Ils, IlsConfig, Instance, MetricsSnapshot,
-    ObsHandle, Portfolio, RunEvent, RunStats, SearchBudget, SearchContext, TwoStep, TwoStepConfig,
+    metric, CacheStats, Ibb, IbbConfig, Ils, IlsConfig, Instance, MetricsSnapshot, ObsHandle,
+    Portfolio, RunEvent, RunStats, SearchBudget, SearchContext, TwoStep, TwoStepConfig,
     VarCacheStats, WindowReduction,
 };
 use mwsj_datagen::{Dataset, QueryShape};
@@ -42,7 +42,7 @@ fn arb_stats() -> impl Strategy<Value = RunStats> {
                 .collect(),
             bytes: c[5],
         },
-        access_profile: AccessProfile { per_var: profile },
+        access_profile: profile,
     })
 }
 

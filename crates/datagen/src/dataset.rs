@@ -107,7 +107,9 @@ impl Dataset {
             }
             let (cx, cy) = sample_center(&spec.distribution, rng);
             // Keep the rectangle inside the unit workspace so the realised
-            // density matches the analytic model at the borders.
+            // density matches the analytic model at the borders. An extent
+            // wider than the workspace (a density near or above N) spans it.
+            let (extent_x, extent_y) = (extent_x.min(1.0), extent_y.min(1.0));
             let x = (cx - extent_x / 2.0).clamp(0.0, 1.0 - extent_x);
             let y = (cy - extent_y / 2.0).clamp(0.0, 1.0 - extent_y);
             rects.push(Rect::new(x, y, x + extent_x, y + extent_y));
@@ -258,6 +260,27 @@ mod tests {
         for r in d.rects() {
             assert!(r.min.x >= 0.0 && r.max.x <= 1.0 + 1e-12);
             assert!(r.min.y >= 0.0 && r.max.y <= 1.0 + 1e-12);
+        }
+    }
+
+    #[test]
+    fn extents_wider_than_the_workspace_span_it() {
+        // N = 1 at d = 4 draws |r| = 2; N = 4 at d = 2 draws |r| ≈ 0.71,
+        // which variable extents stretch past 1. Both used to panic in
+        // `f64::clamp` (its upper bound `1 − extent` was negative).
+        let wide = Dataset::uniform(1, 4.0, &mut StdRng::seed_from_u64(6));
+        assert_eq!(wide.rect(0), Rect::new(0.0, 0.0, 1.0, 1.0));
+        let spec = DatasetSpec {
+            cardinality: 4,
+            density: 2.0,
+            distribution: Distribution::Uniform,
+            constant_extent: false,
+        };
+        for seed in 0..32 {
+            for r in spec.generate(&mut StdRng::seed_from_u64(seed)).rects() {
+                assert!(r.min.x >= 0.0 && r.max.x <= 1.0, "{r:?}");
+                assert!(r.min.y >= 0.0 && r.max.y <= 1.0, "{r:?}");
+            }
         }
     }
 

@@ -1,42 +1,39 @@
 //! Anytime-curve capture: the paper's evaluation object.
 //!
 //! Figs. 10a–c and 11 of *Papadias & Arkoumanis, EDBT 2002* plot the best
-//! similarity reached against consumed resources. [`AnytimeCurve`] folds a
-//! run's [`RunEvent::Improvement`] / [`RunEvent::TracePoint`] stream (or a
-//! trace fed in directly) into a monotone step function and derives the
-//! two summary statistics used for regression gating, both over the
-//! **step** axis, which is deterministic under a step budget:
+//! similarity reached against consumed resources. A run records that
+//! trajectory as its trace of [`TracePoint`]s; [`AnytimeCurve`] folds a
+//! trace into a monotone step function and derives the two summary
+//! statistics used for regression gating, both over the **step** axis,
+//! which is deterministic under a step budget:
 //!
 //! * **quality AUC** — the area under the normalized similarity curve in
 //!   `[0, 1]` (1.0 = the run was at similarity 1 from the first instant,
 //!   0.0 = it never found anything).
 //! * **steps to similarity τ** — the first step count at which the curve
 //!   reached a threshold τ, or `None` when it never did.
-//!
-//! Each point also carries the wall-clock reading it was observed at, for
-//! callers that plot against time; no summary is taken over that axis.
 
-use crate::events::RunEvent;
+use std::time::Duration;
 
-/// One point of an anytime curve: the best similarity known after `step`
-/// steps / `wall_ms` milliseconds.
+/// One point of a convergence trace: the best similarity known after
+/// `step` steps, `elapsed` into the run — the raw material of the paper's
+/// Fig. 10b.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CurvePoint {
-    /// Steps consumed when this similarity was reached.
+pub struct TracePoint {
+    /// Time since the run started.
+    pub elapsed: Duration,
+    /// Steps consumed when the improvement happened.
     pub step: u64,
-    /// Milliseconds since the run started.
-    pub wall_ms: f64,
-    /// Best similarity from this point on (until the next point).
+    /// Best similarity after the improvement.
     pub similarity: f64,
 }
 
-/// A monotone similarity-vs-cost curve plus the run totals that normalize
-/// it (see the module docs).
+/// A monotone similarity-vs-steps curve plus the run's step total that
+/// normalizes it (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnytimeCurve {
-    points: Vec<CurvePoint>,
+    points: Vec<TracePoint>,
     total_steps: u64,
-    total_node_accesses: u64,
 }
 
 impl AnytimeCurve {
@@ -45,79 +42,56 @@ impl AnytimeCurve {
         AnytimeCurve::default()
     }
 
-    /// Records one observation. Non-improving observations (similarity not
-    /// strictly above the current best) are folded away, keeping the curve
-    /// strictly increasing in similarity and non-decreasing in both cost
-    /// axes.
+    /// The curve of a run's `trace`, normalized by the `total_steps` the
+    /// run consumed. Points that do not improve on the similarity before
+    /// them are folded away.
+    pub fn from_trace(trace: &[TracePoint], total_steps: u64) -> Self {
+        let mut curve = AnytimeCurve {
+            points: Vec::with_capacity(trace.len()),
+            total_steps,
+        };
+        for &point in trace {
+            curve.push(point);
+        }
+        curve
+    }
+
+    /// Records one observation `wall_ms` milliseconds into the run (a
+    /// negative or NaN reading counts as 0, one beyond [`Duration::MAX`]
+    /// as that). Non-improving observations are folded away, as in
+    /// [`AnytimeCurve::from_trace`].
     pub fn record(&mut self, step: u64, wall_ms: f64, similarity: f64) {
+        let elapsed = Duration::try_from_secs_f64(wall_ms.max(0.0) / 1e3).unwrap_or(Duration::MAX);
+        self.push(TracePoint {
+            elapsed,
+            step,
+            similarity,
+        });
+    }
+
+    /// Appends `point` if it improves on the curve's best similarity, with
+    /// its step clamped to the last point's, so the curve stays strictly
+    /// increasing in similarity and non-decreasing in steps.
+    fn push(&mut self, mut point: TracePoint) {
         if let Some(last) = self.points.last() {
-            if similarity <= last.similarity {
+            if point.similarity <= last.similarity {
                 return;
             }
-            // Clamp non-monotone cost readings (clock skew across threads).
-            let step = step.max(last.step);
-            let wall_ms = wall_ms.max(last.wall_ms);
-            self.points.push(CurvePoint {
-                step,
-                wall_ms,
-                similarity,
-            });
-        } else {
-            self.points.push(CurvePoint {
-                step,
-                wall_ms,
-                similarity,
-            });
+            point.step = point.step.max(last.step);
         }
+        self.points.push(point);
     }
 
-    /// Folds one run event into the curve: `improvement` and `trace_point`
-    /// become observations, `run_end` sets the normalization totals, and
-    /// every other kind is ignored.
-    pub fn observe(&mut self, event: &RunEvent) {
-        match event {
-            RunEvent::Improvement {
-                step,
-                similarity,
-                elapsed_secs,
-                ..
-            }
-            | RunEvent::TracePoint {
-                step,
-                similarity,
-                elapsed_secs,
-            } => self.record(*step, elapsed_secs * 1000.0, *similarity),
-            RunEvent::RunEnd {
-                steps,
-                node_accesses,
-                elapsed_secs,
-                ..
-            } => self.set_totals(*steps, *node_accesses, elapsed_secs * 1000.0),
-            _ => {}
-        }
-    }
-
-    /// Sets the run totals the curve is normalized against. The wall total
-    /// is accepted and dropped: `benchmark/` calls this with all three, and
-    /// no summary is normalized against time.
-    pub fn set_totals(&mut self, steps: u64, node_accesses: u64, _wall_ms: f64) {
+    /// Sets the step total the curve is normalized against. The access
+    /// and wall totals are accepted and dropped: `benchmark/` calls this
+    /// with all three, and no summary is normalized against them.
+    pub fn set_totals(&mut self, steps: u64, _node_accesses: u64, _wall_ms: f64) {
         self.total_steps = steps;
-        self.total_node_accesses = node_accesses;
     }
 
     /// The recorded points, in order.
-    pub fn points(&self) -> &[CurvePoint] {
+    pub fn points(&self) -> &[TracePoint] {
         &self.points
-    }
-
-    /// Total steps the run consumed.
-    pub fn total_steps(&self) -> u64 {
-        self.total_steps
-    }
-
-    /// Total R*-tree node accesses the run consumed.
-    pub fn total_node_accesses(&self) -> u64 {
-        self.total_node_accesses
     }
 
     /// The curve's final (best) similarity; `0.0` for an empty curve.
@@ -176,46 +150,22 @@ mod tests {
     }
 
     #[test]
-    fn non_monotone_cost_readings_are_clamped() {
+    fn non_monotone_steps_are_clamped() {
         let c = curve(&[(10, 5.0, 0.25), (8, 4.0, 0.5)]);
         assert_eq!(c.points()[1].step, 10);
-        assert_eq!(c.points()[1].wall_ms, 5.0);
     }
 
     #[test]
-    fn observe_folds_events_and_totals() {
+    fn any_wall_reading_is_recorded_without_panicking() {
+        let readings = [-1.0, f64::NAN, f64::INFINITY, 1e300, 1.5];
         let mut c = AnytimeCurve::new();
-        c.observe(&RunEvent::Improvement {
-            restart: None,
-            step: 2,
-            violations: 1,
-            similarity: 0.5,
-            elapsed_secs: 0.001,
-        });
-        c.observe(&RunEvent::TracePoint {
-            step: 6,
-            similarity: 1.0,
-            elapsed_secs: 0.004,
-        });
-        c.observe(&RunEvent::RestartStart {
-            restart: 0,
-            seed: 1,
-        }); // ignored
-        c.observe(&RunEvent::RunEnd {
-            best_violations: 0,
-            best_similarity: 1.0,
-            steps: 10,
-            node_accesses: 40,
-            local_maxima: 0,
-            improvements: 2,
-            restarts: 1,
-            elapsed_secs: 0.01,
-            proven_optimal: false,
-        });
-        assert_eq!(c.points().len(), 2);
-        assert_eq!(c.total_steps(), 10);
-        assert_eq!(c.total_node_accesses(), 40);
-        assert_eq!(c.points()[0].wall_ms, 1.0);
+        for (step, ms) in readings.into_iter().enumerate() {
+            c.record(step as u64, ms, step as f64 + 1.0);
+        }
+        let elapsed: Vec<Duration> = c.points().iter().map(|p| p.elapsed).collect();
+        let (zero, max) = (Duration::ZERO, Duration::MAX);
+        let ms = Duration::from_micros(1500);
+        assert_eq!(elapsed, [zero, zero, max, max, ms]);
     }
 
     #[test]

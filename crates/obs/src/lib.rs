@@ -26,8 +26,8 @@
 //! [`ObsHandle`] bundles the three for threading through search contexts.
 //!
 //! On top of the raw streams sit the performance-trajectory tools:
-//! [`AnytimeCurve`] folds improvement events into the paper's
-//! similarity-vs-cost convergence curves (with quality-AUC and
+//! [`AnytimeCurve`] folds a run's trace of [`TracePoint`]s into the
+//! paper's similarity-vs-steps convergence curves (with quality-AUC and
 //! steps-to-τ summaries), [`BenchSnapshot`] is the schema-validated,
 //! clock-free `BENCH_<label>.json` format produced by `mwsj bench
 //! snapshot`, [`compare`](mod@compare) is the exact-or-fail regression
@@ -58,7 +58,7 @@ pub mod snapshot;
 pub mod timer;
 
 pub use compare::{compare, CompareReport, Verdict};
-pub use curve::{AnytimeCurve, CurvePoint};
+pub use curve::{AnytimeCurve, TracePoint};
 pub use events::{EventSink, JsonlSink, RunEvent, VecSink};
 pub use explain::{EdgeExplain, ExplainReport, GridQuality, TreeQuality, VarExplain};
 pub use handle::ObsHandle;
