@@ -9,11 +9,11 @@
 //! visits them best-first, and prunes any subtree whose potential count
 //! cannot exceed the best leaf count found so far.
 //!
-//! GILS extends the comparison at leaf level with assignment penalties
-//! (paper §4): the *effective* value of a leaf object is
-//! `satisfied − λ·penalty(vᵢ ← object)`; internal-node bounds stay the raw
-//! satisfied-count, which remains admissible because penalties only lower a
-//! leaf's value.
+//! GILS extends the comparison with assignment penalties (paper §4): the
+//! *effective* value of an object is `satisfied − λ·penalty(vᵢ ← object)`.
+//! Penalties only lower a value, so no object below the top satisfied count
+//! `t` scores above `t − 1`: the objects at `t`, re-scored, answer the
+//! question whenever their best beats `t − 1` (DESIGN.md §5e).
 //!
 //! The traversal itself is the shared multi-window kernel in
 //! [`mwsj_rtree::multiwindow`] (or its grid analogue), reached through
@@ -25,6 +25,7 @@
 
 use crate::index;
 use crate::instance::Instance;
+use crate::window_cache::WindowCache;
 use mwsj_geom::{Predicate, Rect};
 use mwsj_query::{PenaltyTable, Solution, VarId};
 
@@ -50,13 +51,15 @@ pub struct BestValue {
 /// condition (the paper's `bestValue = ∅`).
 ///
 /// `penalties` activates GILS mode: leaf values are compared by their
-/// λ-discounted effective value. `node_accesses` is incremented once per
-/// R*-tree node visited (per candidate cell scanned on the grid backend).
+/// λ-discounted effective value, answered as GILS answers it — by a fresh
+/// [`WindowCache`] re-scoring the objects at the top count. `node_accesses`
+/// is incremented once per R*-tree node visited (per candidate cell scanned
+/// on the grid backend).
 ///
 /// # Panics
 /// Panics if the penalty weight λ of `penalties` is negative, infinite or
-/// NaN: the traversal prunes on "no object scores above its satisfied
-/// count", which only a finite λ ≥ 0 keeps true.
+/// NaN: "no object off the top count scores above it" holds only for a
+/// finite λ ≥ 0.
 pub fn find_best_value(
     instance: &Instance,
     sol: &Solution,
@@ -64,6 +67,10 @@ pub fn find_best_value(
     penalties: Option<(&PenaltyTable, f64)>,
     node_accesses: &mut u64,
 ) -> Option<BestValue> {
+    if penalties.is_some() {
+        let mut cache = WindowCache::new(instance);
+        return cache.find_best_value(instance, sol, var, penalties, node_accesses);
+    }
     // The windows: one per neighbour, with the predicate oriented var → u.
     let windows: Vec<(Predicate, Rect)> = instance
         .graph()
@@ -71,7 +78,7 @@ pub fn find_best_value(
         .iter()
         .map(|&(u, pred)| (pred, instance.rect(u, sol.get(u))))
         .collect();
-    index::best(instance, var, &windows, penalties, node_accesses, &mut [])
+    index::best(instance, var, &windows, node_accesses, &mut [])
 }
 
 #[cfg(test)]

@@ -132,6 +132,7 @@ impl Gils {
             .unwrap_or_else(|| GilsConfig::paper_lambda(instance.problem_size_bits()));
         let mut penalties = PenaltyTable::new();
         let mut cache = WindowCache::new(instance);
+        let mut order = Vec::new();
 
         // A seed (or reseed) that is already exact ends the run: nothing
         // beats similarity 1, and climbing from it would punish the
@@ -158,7 +159,8 @@ impl Gils {
                 }
                 let mut improved = false;
                 any_candidate = false;
-                for v in ind.cs.vars_by_badness(graph) {
+                ind.cs.vars_by_badness(graph, &mut order);
+                for &v in &order {
                     if driver.exhausted() {
                         break 'time;
                     }

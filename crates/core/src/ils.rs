@@ -14,6 +14,7 @@ use crate::individual::Individual;
 use crate::instance::Instance;
 use crate::result::{RunOutcome, RunStats};
 use crate::window_cache::WindowCache;
+use mwsj_query::Solution;
 use rand::rngs::StdRng;
 
 /// Configuration of [`Ils`]: empty. The paper emphasises that ILS "does not
@@ -61,10 +62,13 @@ impl Ils {
     ) {
         let graph = instance.graph();
         let mut cache = WindowCache::new(instance);
+        // Run-owned: a restart reseeds `ind`, a pass re-fills `order`.
+        let mut ind = Individual::new(instance, Solution::new(vec![0; instance.n_vars()]));
+        let mut order = Vec::new();
 
         'restarts: while !driver.exhausted() {
             driver.stats_mut().restarts += 1;
-            let mut ind = Individual::new(instance, instance.random_solution(rng));
+            ind.reseed(instance, None, rng);
             driver.offer(&ind.sol, ind.cs.total_violations());
             if ind.cs.total_violations() == 0 {
                 // The seed is already exact: climbing it would book the
@@ -81,7 +85,8 @@ impl Ils {
                 let mut improved = false;
                 // Worst variable first; fall through to progressively
                 // better-off variables when the worst cannot improve.
-                for v in ind.cs.vars_by_badness(graph) {
+                ind.cs.vars_by_badness(graph, &mut order);
+                for &v in &order {
                     if driver.exhausted() {
                         break 'restarts;
                     }
@@ -134,10 +139,11 @@ pub(crate) fn collect_local_maxima(
     step_cap: u64,
     rng: &mut StdRng,
     stats: &mut RunStats,
-) -> Vec<mwsj_query::Solution> {
+) -> Vec<Solution> {
     let graph = instance.graph();
     let mut cache = WindowCache::new(instance);
     let mut maxima = Vec::with_capacity(want);
+    let mut order = Vec::new();
     let mut steps = 0u64;
     while maxima.len() < want && steps < step_cap {
         let mut ind = Individual::new(instance, instance.random_solution(rng));
@@ -145,7 +151,8 @@ pub(crate) fn collect_local_maxima(
             if steps >= step_cap {
                 break;
             }
-            for v in ind.cs.vars_by_badness(graph) {
+            ind.cs.vars_by_badness(graph, &mut order);
+            for &v in &order {
                 steps += 1;
                 let current = ind.cs.satisfied_of(graph, v);
                 let tally = (

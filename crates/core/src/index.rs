@@ -1,7 +1,9 @@
 //! The one module that knows which index answers a question.
 //!
 //! Every algorithm of the paper asks its index one of two questions: *the
-//! best object for these windows* ([`best`] — find best value, Fig. 5) or
+//! best object for these windows* ([`best`] — find best value, Fig. 5; for
+//! GILS's penalised scores, the objects that tie on the top count,
+//! [`top_objects`], which the window cache re-scores) or
 //! *every object satisfying at least `k` of these windows* ([`candidates`]
 //! — the conjunctive window query of WR and PJM with `k = windows.len()`,
 //! the candidate generation of IBB with `k = 1`). PJM's opening move, the
@@ -26,62 +28,33 @@ use crate::find_best_value::BestValue;
 use crate::instance::{BackendKind, Instance};
 use crate::pairwise::PairwiseJoin;
 use mwsj_geom::{Predicate, Rect};
-use mwsj_query::{PenaltyTable, VarId};
+use mwsj_query::VarId;
 use mwsj_rtree::{grid, multiwindow};
 
-/// The object of `var`'s dataset with the best score against pre-built
+/// The object of `var`'s dataset that satisfies the most of the pre-built
 /// `windows`, or `None` when no object satisfies any of them.
 ///
-/// This is the shared back half of [`find_best_value`](crate::find_best_value)
-/// and the [`WindowCache`](crate::WindowCache) fast path. Raw mode scores
-/// an object by its satisfied count; penalty mode subtracts `λ·penalty` —
-/// both as `f64`, which reproduces the paper's raw strict-count comparison
-/// exactly because `u32 → f64` is lossless.
-///
-/// # Panics
-/// Panics if penalty mode's λ is negative, infinite or NaN: both kernels
-/// prune on "no object scores above its satisfied count", which only a
-/// finite λ ≥ 0 keeps true, and would return an object that is not the
-/// best.
+/// This is the raw back half of [`find_best_value`](crate::find_best_value)
+/// and of the [`WindowCache`](crate::WindowCache): the score is the
+/// satisfied count as `f64`, which reproduces the paper's strict-count
+/// comparison exactly because `u32 → f64` is lossless. A penalised question
+/// re-scores the objects [`top_objects`] lists instead.
 pub(crate) fn best(
     instance: &Instance,
     var: VarId,
     windows: &[(Predicate, Rect)],
-    penalties: Option<(&PenaltyTable, f64)>,
     node_accesses: &mut u64,
     level_accesses: &mut [u64],
 ) -> Option<BestValue> {
-    if let Some((_, lambda)) = penalties {
-        assert!(
-            lambda.is_finite() && lambda >= 0.0,
-            "GILS penalty weight λ must be finite and ≥ 0, got {lambda}"
-        );
-    }
-    // One arm per (backend, scorer): each kernel is instantiated with the
-    // one closure it runs, which it can inline.
-    let best = match (instance.backend(), penalties) {
-        (BackendKind::RTree, Some((table, lambda))) => multiwindow::find_best_leaf_leveled(
-            instance.tree(var).root_node(),
-            windows,
-            |&object, count| count as f64 - lambda * table.get(var, object as usize) as f64,
-            node_accesses,
-            level_accesses,
-        ),
-        (BackendKind::RTree, None) => multiwindow::find_best_leaf_leveled(
+    let best = match instance.backend() {
+        BackendKind::RTree => multiwindow::find_best_leaf_leveled(
             instance.tree(var).root_node(),
             windows,
             |_, count| count as f64,
             node_accesses,
             level_accesses,
         ),
-        (BackendKind::Grid, Some((table, lambda))) => grid::best_in_windows(
-            instance.grid(var),
-            windows,
-            |&object, count| count as f64 - lambda * table.get(var, object as usize) as f64,
-            node_accesses,
-            level_accesses,
-        ),
-        (BackendKind::Grid, None) => grid::best_in_windows(
+        BackendKind::Grid => grid::best_in_windows(
             instance.grid(var),
             windows,
             |_, count| count as f64,
@@ -95,6 +68,55 @@ pub(crate) fn best(
         satisfied: best.satisfied,
         effective: best.score,
     })
+}
+
+/// Fills `out` with the `(object, satisfied_count)` of the objects of
+/// `var`'s dataset that reach the top count of `windows` — `widen`ed, of
+/// every object with a count ≥ 1 — in the order the backend's best-entry
+/// kernel breaks ties in: for any score at most the count, the first strict
+/// maximum of `out` is the object the kernel would return.
+///
+/// The R*-tree runs the best-first kernel with a scorer that records what
+/// it is offered and scores a leaf ½ below its count — so the kernel cuts
+/// only what counts *below* the running top, and offers every tie, in its
+/// own order — or, widened, ½ whatever the count, which cuts nothing. The
+/// grid sweeps its candidates, in `(cell, object)` order.
+pub(crate) fn top_objects(
+    instance: &Instance,
+    var: VarId,
+    windows: &[(Predicate, Rect)],
+    widen: bool,
+    out: &mut Vec<(u32, u32)>,
+    node_accesses: &mut u64,
+    level_accesses: &mut [u64],
+) {
+    out.clear();
+    match instance.backend() {
+        BackendKind::RTree => {
+            let record = |&object: &u32, count: u32| {
+                out.push((object, count));
+                f64::from(if widen { 1 } else { count }) - 0.5
+            };
+            let root = instance.tree(var).root_node();
+            multiwindow::find_best_leaf_leveled(
+                root,
+                windows,
+                record,
+                node_accesses,
+                level_accesses,
+            );
+        }
+        BackendKind::Grid => out.extend(grid::candidates_with_counts(
+            instance.grid(var),
+            windows,
+            1,
+            node_accesses,
+            level_accesses,
+        )),
+    }
+    let top = out.iter().map(|&(_, count)| count).max().unwrap_or(0);
+    let keep = if widen { 1 } else { top };
+    out.retain(|&(_, count)| count >= keep);
 }
 
 /// Enumerates `(object, satisfied_count)` for all objects of `var`'s

@@ -60,6 +60,7 @@ impl DriveSearch for NaiveLocalSearch {
 
     fn drive(&self, instance: &Instance, driver: &mut SearchDriver, rng: &mut StdRng) {
         let graph = instance.graph();
+        let mut order = Vec::new();
 
         'restarts: while !driver.exhausted() {
             driver.stats_mut().restarts += 1;
@@ -76,7 +77,8 @@ impl DriveSearch for NaiveLocalSearch {
                     break 'restarts;
                 }
                 let mut improved = false;
-                for v in cs.vars_by_badness(graph) {
+                cs.vars_by_badness(graph, &mut order);
+                for &v in &order {
                     if driver.exhausted() {
                         break 'restarts;
                     }

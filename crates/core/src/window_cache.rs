@@ -17,6 +17,15 @@
 //! The variable's *own* assignment is irrelevant: the query depends only
 //! on the neighbour windows.
 //!
+//! A punishment changes no window, only the scores, so a penalised result
+//! that (b) invalidated is not re-walked: the cache keeps, next to the
+//! windows it was built from, the list of objects that reach the top
+//! satisfied count `t` ([`index::top_objects`]), in the kernel's tie order,
+//! and re-scores it with the kernel's `count − λ·penalty` and first strict
+//! maximum. No object off the list scores above `t − 1`, so an answer
+//! above `t − 1` is exact; otherwise the list is widened once to every
+//! object with a count ≥ 1, which is always exact (DESIGN.md §5e).
+//!
 //! One entry per variable forgets a neighbourhood the moment another
 //! solution asks about a different one. A population asks the same few
 //! questions over and over — tournament selection fills it with copies of
@@ -51,7 +60,8 @@ use mwsj_query::{PenaltyTable, Solution, VarId};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VarCacheStats {
     /// Queries answered without a traversal: from the variable's own
-    /// memoised result or, behind it, from the neighbourhood memo.
+    /// memoised result, from the neighbourhood memo behind it, or, in
+    /// penalty mode, by re-scoring the variable's tie list.
     pub hits: u64,
     /// Queries that ran the index traversal (cold or invalidated).
     pub misses: u64,
@@ -59,7 +69,8 @@ pub struct VarCacheStats {
     /// previously memoised result.
     pub invalidations_reassign: u64,
     /// Misses caused by a [`PenaltyTable::version`] bump alone (all
-    /// neighbour windows unchanged).
+    /// neighbour windows unchanged): the tie list had to be built, or
+    /// widened, before it could answer.
     pub invalidations_penalty: u64,
 }
 
@@ -199,6 +210,40 @@ struct VarWindows {
     penalty_version: u64,
 }
 
+/// What a penalised question about one variable is re-scored over:
+/// `(object, satisfied)` at the top count — at every count ≥ 1 once
+/// `widened` — in the order the kernel breaks ties in, and the neighbour
+/// assignments, so the windows, it was built from.
+#[derive(Debug, Clone, Default)]
+struct TieList {
+    assignments: Vec<usize>,
+    tied: Vec<(u32, u32)>,
+    widened: bool,
+}
+
+impl TieList {
+    /// The first strict maximum of `count − λ·penalty` over the list — the
+    /// kernel's expression and tie rule — if it is the kernel's answer: off
+    /// a top list, no object scores above `top − 1`.
+    fn rescore(&self, var: VarId, table: &PenaltyTable, lambda: f64) -> Option<Option<Answer>> {
+        let mut best: Option<Answer> = None;
+        for &(object, satisfied) in &self.tied {
+            let object = object as usize;
+            let effective = satisfied as f64 - lambda * table.get(var, object) as f64;
+            if best.is_none_or(|b| effective > b.effective) {
+                best = Some(Answer {
+                    object,
+                    satisfied,
+                    effective,
+                });
+            }
+        }
+        let top = self.tied.first().map_or(0, |&(_, count)| count);
+        let exact = self.widened || best.is_none_or(|b| b.effective > f64::from(top) - 1.0);
+        exact.then_some(best)
+    }
+}
+
 /// The neighbourhood memo of [`WindowCache::with_memo`]: a direct-mapped
 /// table from a whole question to its answer.
 #[derive(Debug, Clone)]
@@ -253,6 +298,8 @@ impl Memo {
 #[derive(Debug, Clone)]
 pub struct WindowCache {
     vars: Vec<VarWindows>,
+    /// One per variable from the first penalised question on; empty until.
+    lists: Vec<TieList>,
     stats: Vec<VarCacheStats>,
     memo: Option<Memo>,
 }
@@ -274,6 +321,7 @@ impl WindowCache {
         let stats = vec![VarCacheStats::default(); instance.n_vars()];
         WindowCache {
             vars,
+            lists: Vec::new(),
             stats,
             memo: None,
         }
@@ -311,6 +359,7 @@ impl WindowCache {
             entry.windows.clear();
             entry.result = None;
         }
+        self.lists.clear();
         if let Some(memo) = &mut self.memo {
             memo.slots.fill(None);
         }
@@ -343,6 +392,8 @@ impl WindowCache {
     /// neighbour assignment changed are rebuilt); if no slot changed and
     /// the penalty version is unchanged, the memoised result is returned
     /// without traversing the index (`node_accesses` is left untouched).
+    /// If only the version changed, the variable's tie list is re-scored,
+    /// untouched too unless the answer needs the list widened.
     ///
     /// # Panics
     /// As [`find_best_value`](crate::find_best_value): when a traversal
@@ -448,19 +499,31 @@ impl WindowCache {
             },
         };
 
-        // Traversal required; classify why a memoised result didn't serve.
+        let version_changed = entry.penalty_version != penalty_version;
+        let mut walked = true;
+        let result = match penalties {
+            None => index::best(instance, var, &entry.windows, tally.0, tally.1),
+            Some((table, lambda)) => {
+                let answer;
+                (answer, walked) = self.penalised(instance, var, table, lambda, tally);
+                answer.map(|a| a.revive(instance, sol, var, rect_of))
+            }
+        };
+
+        // A re-scored list is a hit; a walk, classify why it was needed.
         let var_stats = &mut self.stats[var];
-        var_stats.misses += 1;
-        if had_result {
+        var_stats.hits += u64::from(!walked);
+        var_stats.misses += u64::from(walked);
+        if walked && had_result {
             if dirty {
                 var_stats.invalidations_reassign += 1;
-            } else if entry.penalty_version != penalty_version {
+            } else if version_changed {
                 var_stats.invalidations_penalty += 1;
             }
             // (neither: the memoised result was dropped by `clear`)
         }
 
-        let result = index::best(instance, var, &entry.windows, penalties, tally.0, tally.1);
+        let entry = &mut self.vars[var];
         let answer = result.map(Answer::of);
         entry.result = Some(answer);
         entry.penalty_version = penalty_version;
@@ -475,13 +538,58 @@ impl WindowCache {
         }
         result
     }
+
+    /// The answer to a penalised question about `var`, whose front entry
+    /// holds the question's windows, and whether it took a walk: the tie
+    /// list re-scored if it was built from these windows and answers
+    /// exactly; otherwise it is rebuilt, and widened once if need be.
+    /// Outlined, so that the raw path the drives inline stays as it was.
+    #[inline(never)]
+    fn penalised(
+        &mut self,
+        instance: &Instance,
+        var: VarId,
+        table: &PenaltyTable,
+        lambda: f64,
+        (acc, levels): (&mut u64, &mut [u64]),
+    ) -> (Option<Answer>, bool) {
+        assert!(
+            lambda.is_finite() && lambda >= 0.0,
+            "GILS penalty weight λ must be finite and ≥ 0, got {lambda}"
+        );
+        if self.lists.is_empty() {
+            self.lists.resize_with(self.vars.len(), TieList::default);
+        }
+        let (entry, list) = (&self.vars[var], &mut self.lists[var]);
+        let mut walked = false;
+        for widen in [false, true] {
+            if widen || list.assignments != entry.assignments {
+                let windows = &entry.windows;
+                index::top_objects(instance, var, windows, widen, &mut list.tied, acc, levels);
+                list.assignments.clone_from(&entry.assignments);
+                list.widened = widen;
+                walked = true;
+            }
+            if let Some(answer) = list.rescore(var, table, lambda) {
+                return (answer, walked);
+            }
+        }
+        unreachable!("a widened list answers every question")
+    }
 }
 
 impl MemoryFootprint for WindowCache {
     /// Length-based resident bytes: the per-variable window/assignment
-    /// vectors, the telemetry counters, the per-variable headers and the
-    /// neighbourhood memo's table.
+    /// vectors, the telemetry counters, the per-variable headers, the tie
+    /// lists and the neighbourhood memo's table.
     fn memory_bytes(&self) -> u64 {
+        let lists: usize = (self.lists.iter())
+            .map(|l| {
+                std::mem::size_of::<TieList>()
+                    + std::mem::size_of_val(l.assignments.as_slice())
+                    + std::mem::size_of_val(l.tied.as_slice())
+            })
+            .sum();
         let per_entry: u64 = self
             .vars
             .iter()
@@ -497,7 +605,7 @@ impl MemoryFootprint for WindowCache {
             std::mem::size_of_val(m.slots.as_slice())
                 + std::mem::size_of_val(m.assignments.as_slice())
         }) as u64;
-        per_entry + headers + stats + memo
+        per_entry + headers + stats + lists as u64 + memo
     }
 }
 
@@ -505,6 +613,7 @@ impl MemoryFootprint for WindowCache {
 mod tests {
     use super::*;
     use crate::find_best_value::find_best_value;
+    use crate::instance::BackendKind;
     use mwsj_datagen::Dataset;
     use mwsj_query::QueryGraph;
     use rand::rngs::StdRng;
@@ -578,35 +687,73 @@ mod tests {
         assert_eq!(cache.stats().per_var[1].hits, 1);
     }
 
+    /// A punishment changes no window: the re-query re-scores the tie list
+    /// and walks nothing — unless the list's best falls to `top − 1` or
+    /// below, when the list is widened once and answers from then on.
     #[test]
-    fn penalty_version_change_invalidates_the_result() {
-        let inst = random_instance(67, 3, 200);
-        let mut rng = StdRng::seed_from_u64(68);
-        let sol = inst.random_solution(&mut rng);
-        let mut cache = WindowCache::new(&inst);
-        let mut table = PenaltyTable::new();
-        let lambda = 0.1;
-        let mut acc = 0;
-        let first = cache.find_best_value(&inst, &sol, 0, Some((&table, lambda)), &mut acc);
-        let mut check = 0;
-        assert_eq!(
-            first,
-            find_best_value(&inst, &sol, 0, Some((&table, lambda)), &mut check)
-        );
-        // Punish the current assignments; the cached result is now stale.
-        table.penalize_local_maximum(&sol);
-        let after_first = acc;
-        let second = cache.find_best_value(&inst, &sol, 0, Some((&table, lambda)), &mut acc);
-        assert!(acc > after_first, "version bump must force a re-traversal");
-        let mut check = 0;
-        assert_eq!(
-            second,
-            find_best_value(&inst, &sol, 0, Some((&table, lambda)), &mut check)
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.per_var[0].invalidations_penalty, 1);
-        assert_eq!(stats.per_var[0].invalidations_reassign, 0);
-        assert_eq!(stats.per_var[0].misses, 2);
+    fn a_punishment_re_scores_the_tie_list_and_widens_it_once() {
+        // Variable 1 lies between two windows. Objects 0–2, one rectangle
+        // three times, satisfy both; object 3 only the left, 4 the right.
+        let both = Rect::new(0.45, 0.45, 0.46, 0.46);
+        let middle = vec![
+            both,
+            both,
+            both,
+            Rect::new(0.1, 0.1, 0.2, 0.2),
+            Rect::new(0.8, 0.8, 0.9, 0.9),
+        ];
+        let left = vec![Rect::new(0.0, 0.0, 0.5, 0.5)];
+        let right = vec![Rect::new(0.4, 0.4, 1.0, 1.0)];
+        let rtree = Instance::new(QueryGraph::chain(3), vec![left, middle, right]).unwrap();
+        let sol = Solution::new(vec![0, 3, 0]);
+        for inst in [rtree.clone(), rtree.with_backend(BackendKind::Grid)] {
+            let backend = inst.backend().name();
+            // One question about variable 1: its answer, and its accesses.
+            let ask = |cache: &mut WindowCache, table: &PenaltyTable, lambda: f64| {
+                let mut acc = 0;
+                let got = cache.find_best_value(&inst, &sol, 1, Some((table, lambda)), &mut acc);
+                let best = got.expect("every object satisfies a window");
+                (best.object, best.satisfied, best.effective, acc)
+            };
+
+            // λ = 0.5: a punished object loses its tie, and nothing walks.
+            let (mut cache, mut table) = (WindowCache::new(&inst), PenaltyTable::new());
+            let (first, count, _, acc) = ask(&mut cache, &table, 0.5);
+            assert!(first < 3 && count == 2 && acc > 0, "{backend}");
+            table.penalize(1, first);
+            let (second, _, effective, acc) = ask(&mut cache, &table, 0.5);
+            assert!(
+                second < 3 && second != first && effective == 2.0,
+                "{backend}"
+            );
+            assert_eq!(acc, 0, "{backend}: a re-score walks nothing");
+            (0..3).for_each(|object| table.penalize(1, object));
+            let (third, _, effective, acc) = ask(&mut cache, &table, 0.5);
+            assert_eq!((third, effective, acc), (second, 1.5, 0), "{backend}");
+            let stats = cache.stats().per_var[1];
+            assert_eq!(
+                (stats.hits, stats.misses, stats.invalidations_penalty),
+                (2, 1, 0)
+            );
+
+            // λ = 4: punished once, the three score −2, below what object 3
+            // scores off the list — the list widens, once.
+            let (mut cache, mut table) = (WindowCache::new(&inst), PenaltyTable::new());
+            let _ = ask(&mut cache, &table, 4.0);
+            (0..3).for_each(|object| table.penalize(1, object));
+            let (widened, count, effective, acc) = ask(&mut cache, &table, 4.0);
+            assert_eq!((widened, count, effective), (3, 1, 1.0), "{backend}");
+            assert!(acc > 0, "{backend}: widening walks");
+            table.penalize(1, 3);
+            let (next, _, effective, acc) = ask(&mut cache, &table, 4.0);
+            assert_eq!((next, effective, acc), (4, 1.0, 0), "{backend}");
+            let stats = cache.stats().per_var[1];
+            assert_eq!(
+                (stats.hits, stats.misses, stats.invalidations_penalty),
+                (1, 2, 1)
+            );
+            assert!(cache.memory_bytes() > WindowCache::new(&inst).memory_bytes());
+        }
     }
 
     #[test]

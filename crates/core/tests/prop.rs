@@ -7,11 +7,13 @@ use mwsj_core::{
     Portfolio, RunOutcome, Sea, SeaConfig, SearchBudget, SynchronousTraversal, WindowCache,
     WindowReduction,
 };
-use mwsj_geom::Rect;
+use mwsj_geom::{Predicate, Rect};
 use mwsj_query::{PenaltyTable, QueryGraph, QueryGraphBuilder, Solution};
+use mwsj_rtree::{grid, multiwindow};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An arbitrary small instance: 3–4 variables, 5–12 objects each, random
 /// connected overlap query (kept tiny so the brute-force cross product
@@ -39,6 +41,77 @@ fn arb_instance() -> impl Strategy<Value = (Instance, u64)> {
         },
     )
 }
+
+/// An instance whose objects tie: 3–5 variables of 40–160 objects, each a
+/// copy of one of 3–80 rectangles, so that copies tie on every count and
+/// only their penalties tell them apart — more objects than a node of 32
+/// holds, so that the R*-tree has two levels to rank.
+fn arb_tied_instance() -> impl Strategy<Value = (Instance, u64)> {
+    let shape = (3usize..=5, 40usize..=160, 3usize..=80, 0.0f64..=1.0);
+    (shape, any::<u64>()).prop_map(|((n, cardinality, distinct, extra_edges), seed)| {
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = QueryGraph::random_connected(n, extra_edges, &mut rng);
+        let datasets: Vec<Vec<Rect>> = (0..n)
+            .map(|_| {
+                let pool: Vec<Rect> = (0..distinct)
+                    .map(|_| {
+                        let (x, y): (f64, f64) =
+                            (rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+                        let (w, h): (f64, f64) =
+                            (rng.random_range(0.0..0.3), rng.random_range(0.0..0.3));
+                        Rect::new(x, y, (x + w).min(1.0), (y + h).min(1.0))
+                    })
+                    .collect();
+                (0..cardinality)
+                    .map(|_| pool[rng.random_range(0..distinct)])
+                    .collect()
+            })
+            .collect();
+        (Instance::new(graph, datasets).unwrap(), seed)
+    })
+}
+
+/// `var`'s windows under `sol`, one per neighbour.
+fn windows_of(inst: &Instance, sol: &Solution, var: usize) -> Vec<(Predicate, Rect)> {
+    let neighbors = inst.graph().neighbors(var).iter();
+    neighbors
+        .map(|&(u, pred)| (pred, inst.rect(u, sol.get(u))))
+        .collect()
+}
+
+/// The penalised question asked of the backend's best-entry kernel
+/// directly: `(object, rect, satisfied, effective bits)`.
+fn penalised_kernel(
+    inst: &Instance,
+    sol: &Solution,
+    var: usize,
+    table: &PenaltyTable,
+    lambda: f64,
+) -> Option<(usize, Rect, u32, u64)> {
+    let windows = windows_of(inst, sol, var);
+    let score =
+        |&object: &u32, count: u32| count as f64 - lambda * table.get(var, object as usize) as f64;
+    let best = match inst.backend() {
+        BackendKind::RTree => multiwindow::find_best_leaf_leveled(
+            inst.tree(var).root_node(),
+            &windows,
+            score,
+            &mut 0,
+            &mut [],
+        ),
+        BackendKind::Grid => {
+            grid::best_in_windows(inst.grid(var), &windows, score, &mut 0, &mut [])
+        }
+    };
+    best.map(|b| (b.value as usize, b.rect, b.satisfied, b.score.to_bits()))
+}
+
+/// Cases of `gils_re_scores_exactly` so far; of them, those whose λ = 4
+/// runs widened a list, and those that re-scored a list of two or more.
+static TIED_CASES: AtomicU64 = AtomicU64::new(0);
+static WIDENED_AT_4: AtomicU64 = AtomicU64::new(0);
+static RESCORED_TIES: AtomicU64 = AtomicU64::new(0);
 
 /// Brute-force minimum violations over the full cross product.
 fn brute_optimum(inst: &Instance) -> usize {
@@ -205,14 +278,24 @@ proptest! {
             }
             let var = rng.random_range(0..inst.n_vars());
             let penalties = (round % 4 == 3).then_some((&table, 0.3));
-            let fresh = find_best_value(&inst, &pop[i], var, penalties, &mut 0);
+            let mut fresh_acc = 0u64;
+            let fresh = find_best_value(&inst, &pop[i], var, penalties, &mut fresh_acc);
             let (mut plain_acc, mut memo_acc) = (0u64, 0u64);
             prop_assert_eq!(plain.find_best_value(&inst, &pop[i], var, penalties, &mut plain_acc), fresh);
             prop_assert_eq!(memo.find_best_value(&inst, &pop[i], var, penalties, &mut memo_acc), fresh);
             if let Some(best) = fresh {
                 prop_assert_eq!(best.rect, inst.rect(var, best.object));
             }
-            prop_assert!(memo_acc <= plain_acc, "a memo may only save node accesses");
+            if penalties.is_none() {
+                prop_assert!(memo_acc <= plain_acc, "a memo may only save node accesses");
+            } else {
+                // A penalised question is a tie list re-scored, or walked
+                // first: a memo hit can leave the memo cache without the
+                // list that the plain cache re-scores, so neither cache
+                // bounds the other — but neither walks more than the
+                // uncached question, which walks the list in full.
+                prop_assert!(plain_acc <= fresh_acc && memo_acc <= fresh_acc);
+            }
             if round % 7 == 6 {
                 table.penalize_local_maximum(&pop[i]);
             }
@@ -225,6 +308,85 @@ proptest! {
             prop_assert_eq!(stats.hits() + stats.misses(), QUERIES, "every query classified");
         }
         prop_assert!(memo.stats().hits() >= plain.stats().hits());
+    }
+
+    /// GILS's re-scored answers are the kernel's. A `WindowCache` is driven
+    /// as GILS drives it — every variable asked, the local maximum
+    /// punished, every variable asked again, now and then a variable moved
+    /// — on both backends and at λ ∈ {0, paper λ, 0.25, 1, 4}, and every
+    /// answer is bit-equal in object, rectangle, count and effective value
+    /// to the penalised kernel called directly. A re-query after a
+    /// punishment, its windows unchanged, walks nothing, but for the one
+    /// walk that widens its list. The checks are not vacuous: the λ = 4
+    /// runs widen lists, and most cases re-score a tie of two or more.
+    #[test]
+    fn gils_re_scores_exactly((rtree, seed) in arb_tied_instance()) {
+        use rand::RngExt;
+        let paper = GilsConfig::paper_lambda(rtree.problem_size_bits());
+        let grid = rtree.clone().with_backend(BackendKind::Grid);
+        let (mut widened_at_4, mut rescored_ties) = (false, false);
+        for inst in [&rtree, &grid] {
+            for lambda in [0.0, paper, 0.25, 1.0, 4.0] {
+                let what = format!("{}, λ = {lambda}", inst.backend().name());
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x6115);
+                let mut sol = inst.random_solution(&mut rng);
+                let mut cache = WindowCache::new(inst);
+                let mut table = PenaltyTable::new();
+                // Per variable: its list widened since it was last built.
+                let mut widened = vec![false; inst.n_vars()];
+                let mut moves = Vec::new();
+                for round in 0..16 {
+                    for requery in [false, true] {
+                        for var in 0..inst.n_vars() {
+                            let before = cache.stats().per_var[var];
+                            let mut acc = 0;
+                            let got = cache.find_best_value(inst, &sol, var, Some((&table, lambda)), &mut acc);
+                            let got = got.map(|b| (b.object, b.rect, b.satisfied, b.effective.to_bits()));
+                            let want = penalised_kernel(inst, &sol, var, &table, lambda);
+                            prop_assert_eq!(got, want, "{}: round {}, var {}", what, round, var);
+                            let after = cache.stats().per_var[var];
+                            let hit = after.hits > before.hits;
+                            prop_assert!(!hit || acc == 0, "{}: a hit walked", what);
+                            if !requery {
+                                widened[var] &= hit;
+                                continue;
+                            }
+                            let widening = after.invalidations_penalty > before.invalidations_penalty;
+                            prop_assert!(hit || (widening && !widened[var]), "{}: var {} walked", what, var);
+                            widened[var] |= widening;
+                            widened_at_4 |= widening && lambda == 4.0;
+                            let counts = (0..inst.cardinality(var)).map(|o| {
+                                let r = inst.rect(var, o);
+                                windows_of(inst, &sol, var).iter().filter(|(p, w)| p.eval(&r, w)).count()
+                            });
+                            let counts: Vec<usize> = counts.collect();
+                            let top = counts.iter().copied().max().unwrap_or(0);
+                            let tied = counts.iter().filter(|&&c| c == top).count();
+                            rescored_ties |= hit && top > 0 && tied >= 2;
+                            // GILS's move test: does the answer beat `var`'s own value?
+                            let own = counts[sol.get(var)] as f64 - lambda * table.get(var, sol.get(var)) as f64;
+                            let better = got.filter(|b| b.0 != sol.get(var) && f64::from_bits(b.3) > own);
+                            moves.extend(better.map(|b| (var, b.0)));
+                        }
+                        if !requery {
+                            table.penalize_local_maximum(&sol);
+                        }
+                    }
+                    // The first variable that improves moves, as GILS's climb
+                    // does; at a maximum, one moves anywhere, as a reseed.
+                    let v = rng.random_range(0..inst.n_vars());
+                    let anywhere = (v, rng.random_range(0..inst.cardinality(v)));
+                    let (v, object) = moves.first().copied().unwrap_or(anywhere);
+                    sol.set(v, object);
+                    moves.clear();
+                }
+            }
+        }
+        let cases = TIED_CASES.fetch_add(1, Ordering::Relaxed) + 1;
+        let widened = WIDENED_AT_4.fetch_add(widened_at_4 as u64, Ordering::Relaxed) + widened_at_4 as u64;
+        let ties = RESCORED_TIES.fetch_add(rescored_ties as u64, Ordering::Relaxed) + rescored_ties as u64;
+        prop_assert!(cases < 16 || 3 * widened >= cases, "{} of {} cases widened at λ = 4", widened, cases);
+        prop_assert!(cases < 16 || 2 * ties >= cases, "{} of {} cases re-scored a tie", ties, cases);
     }
 
     /// Exhaustive IBB equals the brute-force optimum on every instance.

@@ -1,5 +1,5 @@
-//! An SEA generation allocates nothing, and neither does a combination
-//! that synchronous traversal expands.
+//! An SEA generation allocates nothing, and neither does a pass of the ILS
+//! or GILS climb or a combination that synchronous traversal expands.
 //!
 //! Selection copies into a second population the run owns, crossover and
 //! mutation pick their variables out of run-owned scratch, re-evaluation
@@ -20,7 +20,10 @@
 //! The counting allocator counts per thread, so the harness's own threads
 //! do not disturb the reading.
 
-use mwsj_core::{Instance, Sea, SeaConfig, SearchBudget, SynchronousTraversal};
+use mwsj_core::{
+    AnytimeSearch, Gils, Ils, Instance, Sea, SeaConfig, SearchBudget, SearchContext,
+    SynchronousTraversal,
+};
 use mwsj_datagen::{hard_region_density, Dataset, QueryShape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,6 +103,44 @@ fn two_hundred_generations_allocate_next_to_nothing() {
         "200 further generations allocated {extra} times ({short} -> {long}): \
          two a generation covers the incumbent's trace and top list and nothing per individual"
     );
+}
+
+/// The climbs of ILS and GILS on the R*-tree: a pass orders the variables
+/// into a run-owned buffer, an ILS restart draws its seed into the last
+/// one's storage, a punishment returns a count, and the window cache
+/// re-scores tie lists it reuses. So 6 000 further steps allocate for the
+/// incumbent and — in GILS — for a few doublings of the penalty table and
+/// of the tie lists as they reach new sizes.
+#[test]
+fn ils_and_gils_climbs_allocate_next_to_nothing() {
+    let (n, cardinality) = (6, 10_000);
+    let mut rng = StdRng::seed_from_u64(304);
+    let density = hard_region_density(QueryShape::Chain, n, cardinality, 1.0);
+    let datasets: Vec<Dataset> = (0..n)
+        .map(|_| Dataset::uniform(cardinality, density, &mut rng))
+        .collect();
+    let instance = Instance::new(QueryShape::Chain.graph(n), datasets).unwrap();
+    let runs: [(&str, &dyn AnytimeSearch); 2] =
+        [("ILS", &Ils::default()), ("GILS", &Gils::default())];
+    for (name, algo) in runs {
+        let allocations_of = |steps: u64| {
+            let before = ALLOCATIONS.get();
+            let ctx = SearchContext::local(SearchBudget::iterations(steps));
+            let outcome = algo.search(&instance, &ctx, &mut StdRng::seed_from_u64(305));
+            assert_eq!(outcome.stats.steps, steps, "{name}: the run stopped early");
+            ALLOCATIONS.get() - before
+        };
+        allocations_of(2);
+        let (short, long) = (allocations_of(3_000), allocations_of(9_000));
+        let extra = long.saturating_sub(short);
+        // Before the buffers: 4 225 for ILS, a sorted `Vec` a pass and a
+        // fresh solution a restart.
+        assert!(
+            extra <= 32,
+            "{name}: 6 000 further steps allocated {extra} times ({short} -> {long}): \
+             the incumbent's trace and top list and a few doublings, nothing per pass"
+        );
+    }
 }
 
 #[test]

@@ -165,18 +165,21 @@ impl ConflictState {
         }
     }
 
-    /// Variables ordered worst-first: most conflicts, ties broken by fewest
-    /// satisfied conditions (paper §3), then by index for determinism.
-    pub fn vars_by_badness(&self, graph: &QueryGraph) -> Vec<VarId> {
-        let mut vars: Vec<VarId> = (0..graph.n_vars()).collect();
-        vars.sort_by_key(|&v| {
+    /// Writes the variables to `order` worst-first: most conflicts, ties
+    /// broken by fewest satisfied conditions (paper §3), then by index for
+    /// determinism. `order` is overwritten, and reused: a climb calls this
+    /// once a pass.
+    pub fn vars_by_badness(&self, graph: &QueryGraph, order: &mut Vec<VarId>) {
+        order.clear();
+        order.extend(0..graph.n_vars());
+        // The key is unique per variable, so any sort yields the one order.
+        order.sort_unstable_by_key(|&v| {
             (
                 std::cmp::Reverse(self.conflicts[v]),
                 self.satisfied_of(graph, v),
                 v,
             )
         });
-        vars
     }
 }
 
@@ -225,8 +228,10 @@ mod tests {
         assert_eq!(cs.total_violations(), 2);
         assert_eq!(cs.conflicts_of(3), 2);
         assert_eq!(cs.conflicts_of(2), 1);
-        let order = cs.vars_by_badness(&g);
+        let mut order = vec![9; 7]; // dirty on purpose
+        cs.vars_by_badness(&g, &mut order);
         assert_eq!(order[0], 3, "v4 (index 3) must be worst");
+        assert_eq!(order.len(), 4);
     }
 
     #[test]
@@ -311,12 +316,13 @@ mod tests {
     fn worst_tied_is_the_leading_run_of_vars_by_badness() {
         let mut rng = StdRng::seed_from_u64(101);
         let mut tied = vec![7, 7, 7]; // dirty on purpose
+        let mut order = Vec::new();
         let mut widest = 0;
         for round in 0..1_000 {
             let n = 2 + round % 9;
             let (g, data) = random_problem(&mut rng, n, 6);
             let cs = ConflictState::evaluate(&g, &random_solution(&mut rng, n, 6), rect_of(&data));
-            let order = cs.vars_by_badness(&g);
+            cs.vars_by_badness(&g, &mut order);
             let key = |v: VarId| (cs.conflicts_of(v), cs.satisfied_of(&g, v));
             let run = order
                 .iter()

@@ -60,9 +60,11 @@ impl PenaltyTable {
         self.penalties.get(&(v, obj)).copied().unwrap_or(0)
     }
 
-    /// Increments the penalty of `v ← obj`.
+    /// Increments the penalty of `v ← obj`, saturating at `u32::MAX`: the
+    /// most punished assignment stays the most punished.
     pub fn penalize(&mut self, v: VarId, obj: usize) {
-        *self.penalties.entry((v, obj)).or_insert(0) += 1;
+        let penalty = self.penalties.entry((v, obj)).or_insert(0);
+        *penalty = penalty.saturating_add(1);
         self.version += 1;
     }
 
@@ -88,8 +90,8 @@ impl PenaltyTable {
     /// The GILS punishment step: among the assignments of the current local
     /// maximum, penalise those with the **minimum** penalty so far (avoiding
     /// over-punishing assignments already penalised at earlier maxima).
-    /// Returns the penalised variables.
-    pub fn penalize_local_maximum(&mut self, sol: &Solution) -> Vec<VarId> {
+    /// Returns how many assignments it penalised.
+    pub fn penalize_local_maximum(&mut self, sol: &Solution) -> usize {
         let min = sol
             .as_slice()
             .iter()
@@ -97,13 +99,15 @@ impl PenaltyTable {
             .map(|(v, &obj)| self.get(v, obj))
             .min()
             .expect("solution has at least one variable");
-        let chosen: Vec<VarId> = (0..sol.len())
-            .filter(|&v| self.get(v, sol.get(v)) == min)
-            .collect();
-        for &v in &chosen {
-            self.penalize(v, sol.get(v));
+        let mut punished = 0;
+        // Punishing `v ← obj` moves no other variable's penalty.
+        for (v, &obj) in sol.as_slice().iter().enumerate() {
+            if self.get(v, obj) == min {
+                self.penalize(v, obj);
+                punished += 1;
+            }
         }
-        chosen
+        punished
     }
 
     /// Number of distinct assignments holding a positive penalty.
@@ -154,16 +158,28 @@ mod tests {
         let mut t = PenaltyTable::new();
         let sol = Solution::new(vec![10, 20, 30]);
         // First maximum: all assignments have penalty 0 → all punished.
-        let p1 = t.penalize_local_maximum(&sol);
-        assert_eq!(p1, vec![0, 1, 2]);
+        assert_eq!(t.penalize_local_maximum(&sol), 3);
+        assert_eq!([t.get(0, 10), t.get(1, 20), t.get(2, 30)], [1, 1, 1]);
         // Manually bump v0's assignment.
         t.penalize(0, 10);
         // Same maximum again: v0←10 has penalty 2, v1/v2 have 1 → only v1, v2.
-        let p2 = t.penalize_local_maximum(&sol);
-        assert_eq!(p2, vec![1, 2]);
+        assert_eq!(t.penalize_local_maximum(&sol), 2);
         assert_eq!(t.get(0, 10), 2);
         assert_eq!(t.get(1, 20), 2);
         assert_eq!(t.get(2, 30), 2);
+    }
+
+    /// Past `u32::MAX` punishments of one assignment the count used to
+    /// overflow: a panic in a debug build, and in a release build a wrap to
+    /// 0 that scored the most punished assignment as never punished.
+    #[test]
+    fn a_penalty_saturates_instead_of_wrapping() {
+        let mut t = PenaltyTable::new();
+        t.penalties.insert((0, 7), u32::MAX - 1);
+        t.penalize(0, 7);
+        t.penalize(0, 7);
+        assert_eq!(t.get(0, 7), u32::MAX);
+        assert_eq!(t.version(), 2, "every punishment still counts");
     }
 
     #[test]
@@ -173,12 +189,12 @@ mod tests {
         t.penalize(0, 1);
         assert_eq!(t.version(), 1);
         let sol = Solution::new(vec![1, 2]);
-        let punished = t.penalize_local_maximum(&sol);
-        assert_eq!(t.version(), 1 + punished.len() as u64);
+        let punished = t.penalize_local_maximum(&sol) as u64;
+        assert_eq!(t.version(), 1 + punished);
         // Reads do not bump the version.
         let _ = t.get(0, 1);
         let _ = t.total_for(&sol);
-        assert_eq!(t.version(), 1 + punished.len() as u64);
+        assert_eq!(t.version(), 1 + punished);
     }
 
     /// Dense keys — every variable, a run of objects — each keep their own

@@ -12,8 +12,8 @@
 //! - a **raw** scorer (`count as f64`) reproduces the paper's Fig. 5
 //!   comparison exactly, because `u32` counts convert to `f64` losslessly
 //!   (so `score_a > score_b ⇔ count_a > count_b`);
-//! - a **λ-penalised** scorer (`count − λ·penalty(value)`) yields the GILS
-//!   variant of §4.
+//! - a **λ-penalised** scorer (`count − λ·penalty(value)`) is GILS's (§4),
+//!   which the search layer applies to the ties a recording scorer keeps.
 //!
 //! Pruning uses the entry's *potential* count (how many windows the entry
 //! MBR could still satisfy) as an admissible bound on any leaf score below
