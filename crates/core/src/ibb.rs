@@ -12,7 +12,10 @@
 //!
 //! The incumbent bound is what the two-step methods exploit: seeding IBB
 //! with a high-similarity heuristic solution prunes the vast low-quality
-//! part of the search space up front (paper Fig. 11).
+//! part of the search space up front (paper Fig. 11). The bound is applied
+//! inside the index: each candidate walk asks only for the objects whose
+//! satisfied count can still beat the incumbent, so the R*-tree skips the
+//! subtrees below that count.
 
 use crate::budget::{SearchBudget, SearchContext};
 use crate::driver::SearchDriver;
@@ -131,6 +134,11 @@ impl Ibb {
 /// Depth-first search. Returns `true` if an exact solution was found and
 /// the search should stop. `rects[v]` is the MBR of `assignment[v]` for
 /// every instantiated `v`.
+///
+/// The bound in force when `var`'s candidates are asked for is the walk's
+/// `min_count`, so the index returns exactly the candidates the loop can
+/// reach before its bound check breaks (the bound only falls): the same
+/// search as asking for every object with a count ≥ 1, fewer nodes read.
 fn descend(
     state: &mut SearchState<'_, '_>,
     depth: usize,
@@ -160,23 +168,25 @@ fn descend(
         .collect();
     let assigned_neighbors = windows.len() as u32;
 
-    // Candidate objects satisfying ≥ 1 window, best first.
+    // Candidate objects that can still beat the incumbent, best first: a
+    // count `c` gives `violations_so_far + assigned − c` violations, below
+    // the bound iff `c ≥ violations_so_far + assigned + 1 − bound`.
     let mut candidates = if windows.is_empty() {
         Vec::new()
     } else {
-        {
-            let (node_accesses, levels) = state.driver.tally(var);
-            index::candidates(instance, var, &windows, 1, node_accesses, levels)
-        }
+        let beat = violations_so_far + windows.len() + 1;
+        let min_count = beat.saturating_sub(state.driver.bound()).max(1) as u32;
+        let (node_accesses, levels) = state.driver.tally(var);
+        index::candidates(instance, var, &windows, min_count, node_accesses, levels)
     };
     candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
-    // Try positive-count candidates in decreasing-count order.
+    // Try them in decreasing-count order.
     for &(obj, count) in &candidates {
         let new_violations = violations_so_far + (assigned_neighbors - count) as usize;
         if new_violations >= state.driver.bound() {
-            // Candidates are sorted by count desc: every later candidate is
-            // at least as bad.
+            // The incumbent improved mid-loop; candidates are sorted by
+            // count desc: every later candidate is at least as bad.
             break;
         }
         if state.driver.exhausted() {
@@ -192,10 +202,12 @@ fn descend(
 
     // Zero-count region (or no windows at all, e.g. the first variable):
     // every remaining object violates all `assigned_neighbors` conditions.
-    // If the bound admits this region, the loop above ran to its end — it
-    // breaks only at violations that reach the bound, and a zero-count
-    // object has no fewer — so every candidate was tried: the scan, in id
-    // order, skips them by walking their ids sorted.
+    // If the bound admits this region, it admitted it when the walk was
+    // issued (the bound only falls), so the walk asked for count ≥ 1, and
+    // the loop above ran to its end — it breaks only at violations that
+    // reach the bound, and a zero-count object has no fewer — so every
+    // candidate was tried: the scan, in id order, skips them by walking
+    // their ids sorted.
     let zero_violations = violations_so_far + assigned_neighbors as usize;
     if zero_violations < state.driver.bound() {
         let mut tried: Vec<usize> = candidates.iter().map(|&(obj, _)| obj).collect();
@@ -228,6 +240,7 @@ fn descend(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::BackendKind;
     use mwsj_datagen::{
         count_exact_solutions, hard_region_density, plant_solution, Dataset, QueryShape,
     };
@@ -330,6 +343,181 @@ mod tests {
             !outcome.proven_optimal,
             "a 50-step run cannot exhaust this space"
         );
+    }
+
+    /// `descend` as it was before the bound went into the walk: every object
+    /// satisfying ≥ 1 window is asked for and the bound is applied to the
+    /// sorted list afterwards. Kept as the reference the bounded walk is
+    /// held to.
+    fn reference_descend(
+        state: &mut SearchState<'_, '_>,
+        depth: usize,
+        assignment: &mut [usize],
+        rects: &mut [Rect],
+        violations_so_far: usize,
+    ) -> bool {
+        let instance = state.instance;
+        let graph = instance.graph();
+        if depth == graph.n_vars() {
+            let sol = Solution::new(assignment.to_vec());
+            state.driver.record_best(&sol, violations_so_far);
+            return violations_so_far == 0 && state.stop_at_exact;
+        }
+        let var = state.order[depth];
+        let windows: Vec<(Predicate, Rect)> = graph
+            .neighbors(var)
+            .iter()
+            .filter(|&&(u, _)| state.position[u] < depth)
+            .map(|&(u, pred)| (pred, rects[u]))
+            .collect();
+        let assigned_neighbors = windows.len() as u32;
+        let mut candidates = if windows.is_empty() {
+            Vec::new()
+        } else {
+            let (node_accesses, levels) = state.driver.tally(var);
+            index::candidates(instance, var, &windows, 1, node_accesses, levels)
+        };
+        candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        for &(obj, count) in &candidates {
+            let new_violations = violations_so_far + (assigned_neighbors - count) as usize;
+            if new_violations >= state.driver.bound() {
+                break;
+            }
+            if state.driver.exhausted() {
+                state.truncated = true;
+                return false;
+            }
+            state.driver.step();
+            (assignment[var], rects[var]) = (obj, instance.rect(var, obj));
+            if reference_descend(state, depth + 1, assignment, rects, new_violations) {
+                return true;
+            }
+        }
+        let zero_violations = violations_so_far + assigned_neighbors as usize;
+        if zero_violations < state.driver.bound() {
+            let mut tried: Vec<usize> = candidates.iter().map(|&(obj, _)| obj).collect();
+            tried.sort_unstable();
+            let mut tried = tried.into_iter().peekable();
+            for (obj, rect) in instance.scan(var) {
+                if tried.next_if_eq(&obj).is_some() {
+                    continue;
+                }
+                if zero_violations >= state.driver.bound() {
+                    break;
+                }
+                if state.driver.exhausted() {
+                    state.truncated = true;
+                    return false;
+                }
+                state.driver.step();
+                (assignment[var], rects[var]) = (obj, rect);
+                if reference_descend(state, depth + 1, assignment, rects, zero_violations) {
+                    return true;
+                }
+            }
+        }
+        assignment[var] = usize::MAX;
+        false
+    }
+
+    /// [`Ibb::run`] over [`reference_descend`].
+    fn run_reference(config: &IbbConfig, instance: &Instance, budget: &SearchBudget) -> RunOutcome {
+        let ctx = SearchContext::local(*budget);
+        let order = connectivity_order(instance.graph());
+        let mut position = vec![0usize; order.len()];
+        for (k, &v) in order.iter().enumerate() {
+            position[v] = k;
+        }
+        let mut driver = SearchDriver::new(instance, &ctx);
+        if let Some(sol) = &config.initial {
+            driver.seed_incumbent(sol, instance.violations(sol));
+        }
+        let mut state = SearchState {
+            instance,
+            order,
+            position,
+            driver: &mut driver,
+            stop_at_exact: config.stop_at_exact,
+            truncated: false,
+        };
+        let mut assignment = vec![usize::MAX; instance.n_vars()];
+        let mut rects = vec![Rect::EMPTY; instance.n_vars()];
+        let exact_found = reference_descend(&mut state, 0, &mut assignment, &mut rects, 0);
+        let proven_optimal = !state.truncated || (exact_found && state.stop_at_exact);
+        driver.finish_systematic(instance, proven_optimal)
+    }
+
+    /// The bounded walk runs the reference's search: the same best, trace,
+    /// improvements, top list, steps and proof, on every query shape, both
+    /// backends, with no seed, a heuristic seed and a near-optimal one,
+    /// stopping at the first exact solution or not, under step budgets that
+    /// truncate and one that mostly does not — reading no more nodes, and
+    /// fewer on cliques, where a variable has several assigned neighbours.
+    #[test]
+    fn bounded_walk_is_the_count_one_search() {
+        use crate::ils::{Ils, IlsConfig};
+        let shapes = [
+            QueryShape::Chain,
+            QueryShape::Star,
+            QueryShape::Cycle,
+            QueryShape::Clique,
+            QueryShape::Random,
+        ];
+        let (mut cases, mut fewer_on_a_clique) = (0, false);
+        for (s, shape) in shapes.into_iter().enumerate() {
+            for n in 3..=6 {
+                let seed = 900 + 10 * s as u64 + n as u64;
+                let (rtree, planted) = planted_instance(seed, shape, n, 100);
+                let heuristic = Ils::new(IlsConfig::default()).run(
+                    &rtree,
+                    &SearchBudget::iterations(60),
+                    &mut StdRng::seed_from_u64(seed),
+                );
+                let mut near = planted.clone();
+                near.set(n - 1, (planted.get(n - 1) + 1) % rtree.cardinality(n - 1));
+                let seeds = [None, Some(heuristic.best), Some(near)];
+                let grid = rtree.clone().with_backend(BackendKind::Grid);
+                for inst in [&rtree, &grid] {
+                    for initial in &seeds {
+                        for stop_at_exact in [true, false] {
+                            for steps in [7, 90, 3_000] {
+                                let config = IbbConfig {
+                                    initial: initial.clone(),
+                                    stop_at_exact,
+                                };
+                                let budget = SearchBudget::iterations(steps);
+                                let got = Ibb::new(config.clone()).run(inst, &budget);
+                                let want = run_reference(&config, inst, &budget);
+                                let case = format!(
+                                    "{} n={n} {} seeded={} stop={stop_at_exact} steps={steps}",
+                                    shape.name(),
+                                    inst.backend().name(),
+                                    initial.is_some()
+                                );
+                                let curve = |o: &RunOutcome| -> Vec<(u64, f64)> {
+                                    o.trace.iter().map(|p| (p.step, p.similarity)).collect()
+                                };
+                                assert_eq!(got.best, want.best, "{case}");
+                                assert_eq!(got.best_violations, want.best_violations, "{case}");
+                                assert_eq!(curve(&got), curve(&want), "{case}");
+                                let improvements = want.stats.improvements;
+                                assert_eq!(got.stats.improvements, improvements, "{case}");
+                                assert_eq!(got.top_solutions, want.top_solutions, "{case}");
+                                assert_eq!(got.stats.steps, want.stats.steps, "{case}");
+                                assert_eq!(got.proven_optimal, want.proven_optimal, "{case}");
+                                let (read, ref_read) =
+                                    (got.stats.node_accesses, want.stats.node_accesses);
+                                assert!(read <= ref_read, "{case}: {read} > {ref_read}");
+                                fewer_on_a_clique |= shape == QueryShape::Clique && read < ref_read;
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 5 * 4 * 2 * 3 * 2 * 3);
+        assert!(fewer_on_a_clique, "the threshold never pruned a node");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! [`top_objects`], which the window cache re-scores) or
 //! *every object satisfying at least `k` of these windows* ([`candidates`]
 //! — the conjunctive window query of WR and PJM with `k = windows.len()`,
-//! the candidate generation of IBB with `k = 1`). PJM's opening move, the
-//! join of two whole datasets, is the third entry point ([`first_pair`]).
+//! the candidate generation of IBB with `k` the least count that can still
+//! beat its incumbent). PJM's opening move, the join of two whole datasets,
+//! is the third entry point ([`first_pair`]).
 //!
 //! Each is answered by the instance's selected [`BackendKind`]: the
 //! R*-tree through the two traversals of [`mwsj_rtree::multiwindow`] and

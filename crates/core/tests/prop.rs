@@ -118,6 +118,17 @@ fn brute_optimum(inst: &Instance) -> usize {
     brute_violations(inst).into_iter().min().unwrap()
 }
 
+/// The assignment at position `index` of [`brute_violations`]'s odometer
+/// order (variable 0 turns fastest).
+fn odometer_solution(inst: &Instance, mut index: usize) -> Solution {
+    let digits = (0..inst.n_vars()).map(|k| {
+        let digit = index % inst.cardinality(k);
+        index /= inst.cardinality(k);
+        digit
+    });
+    Solution::new(digits.collect())
+}
+
 /// The violation count of every assignment of the full cross product.
 fn brute_violations(inst: &Instance) -> Vec<usize> {
     let n = inst.n_vars();
@@ -389,15 +400,25 @@ proptest! {
         prop_assert!(cases < 16 || 2 * ties >= cases, "{} of {} cases re-scored a tie", ties, cases);
     }
 
-    /// Exhaustive IBB equals the brute-force optimum on every instance.
+    /// Exhaustive IBB equals the brute-force optimum on every instance, on
+    /// a drawn backend, unseeded and seeded: with a random solution, and
+    /// with one violation more than the optimum, where the count the
+    /// candidate walks ask for is highest.
     #[test]
-    fn ibb_is_globally_optimal((inst, _) in arb_instance()) {
-        let config = IbbConfig { initial: None, stop_at_exact: false };
-        let outcome = Ibb::new(config).run(&inst, &SearchBudget::seconds(120.0));
-        prop_assert!(outcome.proven_optimal);
-        prop_assert_eq!(outcome.best_violations, brute_optimum(&inst));
-        // And the returned solution really evaluates to that.
-        prop_assert_eq!(inst.violations(&outcome.best), outcome.best_violations);
+    fn ibb_is_globally_optimal((inst, seed) in arb_instance(), grid in any::<bool>()) {
+        let inst = if grid { inst.with_backend(BackendKind::Grid) } else { inst };
+        let violations = brute_violations(&inst);
+        let optimum = *violations.iter().min().unwrap();
+        let random = inst.random_solution(&mut StdRng::seed_from_u64(seed ^ 0x1BB));
+        let next = violations.iter().position(|&v| v == optimum + 1);
+        for initial in [None, Some(random), next.map(|i| odometer_solution(&inst, i))] {
+            let config = IbbConfig { initial, stop_at_exact: false };
+            let outcome = Ibb::new(config).run(&inst, &SearchBudget::seconds(120.0));
+            prop_assert!(outcome.proven_optimal);
+            prop_assert_eq!(outcome.best_violations, optimum);
+            // And the returned solution really evaluates to that.
+            prop_assert_eq!(inst.violations(&outcome.best), outcome.best_violations);
+        }
     }
 
     /// WR enumerates exactly the zero-violation assignments.

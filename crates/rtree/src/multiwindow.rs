@@ -112,8 +112,8 @@ pub fn find_best_leaf_leveled<T: Copy>(
 /// `min_count` (≥ 1) of the `windows`: `emit(value, satisfied_count)`, in
 /// tree order, descending only into entries whose MBR could still reach
 /// `min_count`. With `min_count = windows.len()` this is the conjunctive
-/// window query of *window reduction*; with `min_count = 1` it is the
-/// candidate generation of IBB.
+/// window query of *window reduction*; with `min_count` the least count
+/// that can still beat the incumbent it is the candidate generation of IBB.
 ///
 /// Every visited node bumps `node_accesses` and, when the slice is long
 /// enough, `level_accesses[node.level()]` (`[0]` = leaf); pass `&mut []`

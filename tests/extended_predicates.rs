@@ -22,37 +22,6 @@ fn mixed_instance(seed: u64, cardinality: usize) -> Instance {
     Instance::new(graph, vec![big, small, mid_a, mid_b]).unwrap()
 }
 
-/// Brute-force optimum for small mixed-predicate instances.
-fn brute_optimum(inst: &Instance) -> usize {
-    let n = inst.n_vars();
-    assert_eq!(n, 4);
-    let mut best = usize::MAX;
-    for a in 0..inst.cardinality(0) {
-        for b in 0..inst.cardinality(1) {
-            for c in 0..inst.cardinality(2) {
-                for d in 0..inst.cardinality(3) {
-                    let v = inst.violations(&Solution::new(vec![a, b, c, d]));
-                    best = best.min(v);
-                    if best == 0 {
-                        return 0;
-                    }
-                }
-            }
-        }
-    }
-    best
-}
-
-#[test]
-fn ibb_is_optimal_with_mixed_predicates() {
-    let inst = mixed_instance(301, 12);
-    let mut config = IbbConfig::new();
-    config.stop_at_exact = false;
-    let outcome = Ibb::new(config).run(&inst, &SearchBudget::seconds(60.0));
-    assert!(outcome.proven_optimal);
-    assert_eq!(outcome.best_violations, brute_optimum(&inst));
-}
-
 #[test]
 fn heuristics_run_with_mixed_predicates() {
     let inst = mixed_instance(302, 500);

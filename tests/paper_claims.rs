@@ -114,6 +114,22 @@ fn seeded_ibb_prunes_search() {
         seeded.stats.steps,
         plain.stats.steps
     );
+    // The bound prunes inside the index too: a seeded candidate walk asks
+    // only for the counts that can beat the incumbent, so each step reads
+    // fewer nodes — 1.07 against 2.08 here. (Walks that ask for every
+    // count ≥ 1 read 3.02 against 3.14: the seeded run visits other
+    // prefixes, so a margin, not a bare `<`, is what tells the two apart.)
+    let per_step = |o: &RunOutcome| o.stats.node_accesses as f64 / o.stats.steps as f64;
+    assert!(
+        per_step(&seeded) < per_step(&plain) * 2.0 / 3.0,
+        "seeded {:.2} vs plain {:.2} node accesses per step ({} / {} and {} / {})",
+        per_step(&seeded),
+        per_step(&plain),
+        seeded.stats.node_accesses,
+        seeded.stats.steps,
+        plain.stats.node_accesses,
+        plain.stats.steps
+    );
 }
 
 /// Hard-region calibration: raising the target expected solutions makes
