@@ -10,135 +10,99 @@
 //! A third study sweeps GILS's penalty weight λ, including the paper's
 //! printed `10⁻¹⁰·s` setting.
 
-use crate::experiments::build_instance;
-use crate::{mean, write_csv, Algo, Recorder, Scale, Table};
-use mwsj_core::{Gils, GilsConfig, SearchBudget};
+use super::{build_instance, fixed_n, mean_cell, Output};
+use crate::{Algo, Recorder, Scale, Table};
+use mwsj_core::{Gils, GilsConfig, Sea, SeaConfig};
 use mwsj_datagen::QueryShape;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Runs all ablation studies, streaming per-run events and metrics through
-/// `rec`; rows are `(study, shape, algorithm, similarity)`.
-pub fn run(scale: Scale, rec: &Recorder) -> Table {
-    let n = match scale {
-        Scale::Smoke => 5,
-        _ => 15,
-    };
+/// `rec`; one table, `(study, shape, algorithm, similarity)`. Every run
+/// gets the moves of `10·n` paper-seconds.
+pub fn run(scale: Scale, rec: &Recorder) -> Vec<Output> {
+    let n = fixed_n(scale);
+    let paper_secs = 10.0 * n as f64;
     let reps = scale.repetitions();
     let mut table = Table::new(vec!["study", "shape", "algorithm", "similarity"]);
 
     for shape in [QueryShape::Chain, QueryShape::Clique] {
         let (instance, _, _) =
             build_instance(shape, n, scale.cardinality(), 1.0, false, 0xAB1A + n as u64);
-        let budget = SearchBudget::time(scale.query_budget(n));
+        let mut row = |study: &str, algorithm: &str, cell: String| {
+            let cells = [study, shape.name(), algorithm, cell.as_str()];
+            table.row(cells.to_vec());
+        };
 
-        // (i) Re-instantiation policy.
-        for algo in [Algo::Ils, Algo::NaiveLs, Algo::Sa] {
-            let sims: Vec<f64> = (0..reps)
-                .map(|rep| {
-                    rec.run(algo, &instance, &budget, 6000 + rep as u64)
-                        .best_similarity
-                })
-                .collect();
-            table.row(vec![
-                "reinstantiation".to_string(),
-                shape.name().to_string(),
-                algo.name().to_string(),
-                format!("{:.3}", mean(&sims)),
-            ]);
-            eprintln!(
-                "ablations: reinstantiation {} {} done",
-                shape.name(),
-                algo.name()
-            );
-        }
-
-        // (ii) Crossover mechanism.
-        for algo in [Algo::Sea, Algo::NaiveGa] {
-            let sims: Vec<f64> = (0..reps)
-                .map(|rep| {
-                    rec.run(algo, &instance, &budget, 7000 + rep as u64)
-                        .best_similarity
-                })
-                .collect();
-            table.row(vec![
-                "crossover".to_string(),
-                shape.name().to_string(),
-                algo.name().to_string(),
-                format!("{:.3}", mean(&sims)),
-            ]);
-            eprintln!("ablations: crossover {} {} done", shape.name(), algo.name());
+        // (i) Re-instantiation policy, (ii) crossover mechanism.
+        for (study, algos, seed) in [
+            (
+                "reinstantiation",
+                vec![Algo::Ils, Algo::NaiveLs, Algo::Sa],
+                6000,
+            ),
+            ("crossover", vec![Algo::Sea, Algo::NaiveGa], 7000),
+        ] {
+            for algo in algos {
+                let budget = scale.budget(algo, &instance, paper_secs);
+                let cell = mean_cell(reps, seed, |seed| {
+                    rec.run(algo, &instance, &budget, seed).best_similarity
+                });
+                row(study, algo.name(), cell);
+                eprintln!("ablations: {study} {} {} done", shape.name(), algo.name());
+            }
         }
 
         // (iii) Hybrid initialisation (paper §7 future work): SEA seeded
-        // with ILS local maxima vs. random initial population.
-        {
-            use mwsj_core::{Sea, SeaConfig};
-            for (label, seeded) in [("SEA (random init)", false), ("SEA (ILS-seeded)", true)] {
-                let sims: Vec<f64> = (0..reps)
-                    .map(|rep| {
-                        let mut cfg = SeaConfig::default_for(&instance);
-                        cfg.seed_with_ils = seeded;
-                        let seed = 7500 + rep as u64;
-                        let mut rng = StdRng::seed_from_u64(seed);
-                        rec.framed(label, &instance, &budget, seed, |ctx| {
-                            Sea::new(cfg).search(&instance, ctx, &mut rng)
-                        })
-                        .best_similarity
-                    })
-                    .collect();
-                table.row(vec![
-                    "sea_seeding".to_string(),
-                    shape.name().to_string(),
-                    label.to_string(),
-                    format!("{:.3}", mean(&sims)),
-                ]);
-            }
-            eprintln!("ablations: sea_seeding {} done", shape.name());
+        // with ILS local maxima vs. random initial population. The seeds'
+        // ILS steps are not budget steps: a seeded run does more work.
+        let budget = scale.budget(Algo::Sea, &instance, paper_secs);
+        for (label, seeded) in [("SEA (random init)", false), ("SEA (ILS-seeded)", true)] {
+            let config = SeaConfig {
+                seed_with_ils: seeded,
+                ..SeaConfig::default_for(&instance)
+            };
+            let cell = mean_cell(reps, 7500, |seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                rec.framed(label, &instance, &budget, seed, |ctx| {
+                    Sea::new(config.clone()).search(&instance, ctx, &mut rng)
+                })
+                .best_similarity
+            });
+            row("sea_seeding", label, cell);
         }
+        eprintln!("ablations: sea_seeding {} done", shape.name());
 
         // (iv) GILS λ sweep.
+        let budget = scale.budget(Algo::Gils, &instance, paper_secs);
         let s = instance.problem_size_bits();
         for (label, lambda) in [
-            ("paper(1e-10·s)".to_string(), GilsConfig::paper_lambda(s)),
-            ("0.01".to_string(), 0.01),
-            ("0.1".to_string(), 0.1),
-            ("0.5".to_string(), 0.5),
-            ("1.0".to_string(), 1.0),
-            ("10".to_string(), 10.0),
+            ("paper(1e-10·s)", GilsConfig::paper_lambda(s)),
+            ("0.01", 0.01),
+            ("0.1", 0.1),
+            ("0.5", 0.5),
+            ("1.0", 1.0),
+            ("10", 10.0),
         ] {
-            let sims: Vec<f64> = (0..reps)
-                .map(|rep| {
-                    let seed = 8000 + rep as u64;
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let name = format!("GILS λ={label}");
-                    rec.framed(&name, &instance, &budget, seed, |ctx| {
-                        Gils::new(GilsConfig::with_lambda(lambda)).search(&instance, ctx, &mut rng)
-                    })
-                    .best_similarity
+            let (name, config) = (format!("GILS λ={label}"), GilsConfig::with_lambda(lambda));
+            let cell = mean_cell(reps, 8000, |seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                rec.framed(&name, &instance, &budget, seed, |ctx| {
+                    Gils::new(config.clone()).search(&instance, ctx, &mut rng)
                 })
-                .collect();
-            table.row(vec![
-                "gils_lambda".to_string(),
-                shape.name().to_string(),
-                format!("λ={label}"),
-                format!("{:.3}", mean(&sims)),
-            ]);
+                .best_similarity
+            });
+            row("gils_lambda", &format!("λ={label}"), cell);
         }
         eprintln!("ablations: gils_lambda {} done", shape.name());
     }
-    table
-}
-
-/// Runs, prints and persists the ablation studies.
-pub fn main(scale: Scale) {
-    println!("Ablation studies (scale: {})", scale.name());
-    let rec = Recorder::create("ablations");
-    let table = run(scale, &rec);
-    println!("{}", table.render());
-    let path = write_csv("ablations.csv", &table.to_csv()).expect("write results");
-    println!("CSV written to {}", path.display());
-    if let Some(metrics) = rec.finish() {
-        println!("metrics JSONL written to {}", metrics.display());
-    }
+    vec![Output {
+        csv: "ablations.csv".into(),
+        title: format!(
+            "Ablation studies (scale: {}, {} moves a run)",
+            scale.name(),
+            scale.moves(paper_secs)
+        ),
+        table,
+    }]
 }

@@ -3,38 +3,21 @@
 //!
 //! One-at-a-time sweeps around the scaled defaults on a 15-variable clique
 //! in the hard region: population `p`, tournament size `T`, crossover rate
-//! `μc`, mutation rate `μm` and the crossover-point schedule `g_c`.
+//! `μc`, mutation rate `μm` and the crossover-point schedule `g_c`. Every
+//! setting gets the moves of `10·n` paper-seconds, so a larger population
+//! runs fewer generations.
 
-use crate::experiments::build_instance;
-use crate::{mean, write_csv, Scale, Table};
+use super::{build_instance, fixed_n, mean_cell, Output};
+use crate::{Recorder, Scale, Table};
 use mwsj_core::{Sea, SeaConfig, SearchBudget};
 use mwsj_datagen::QueryShape;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn run_config(
-    instance: &mwsj_core::Instance,
-    config: SeaConfig,
-    budget: &SearchBudget,
-    reps: usize,
-) -> f64 {
-    let sims: Vec<f64> = (0..reps)
-        .map(|rep| {
-            let mut rng = StdRng::seed_from_u64(5000 + rep as u64);
-            Sea::new(config.clone())
-                .run(instance, budget, &mut rng)
-                .best_similarity
-        })
-        .collect();
-    mean(&sims)
-}
-
-/// Runs the sweep; rows are `(parameter, value, similarity)`.
-pub fn run(scale: Scale) -> Table {
-    let n = match scale {
-        Scale::Smoke => 5,
-        _ => 15,
-    };
+/// Runs the sweep, streaming per-run events and metrics through `rec`;
+/// one table, `(parameter, value, similarity)`.
+pub fn run(scale: Scale, rec: &Recorder) -> Vec<Output> {
+    let n = fixed_n(scale);
     let (instance, _, _) = build_instance(
         QueryShape::Clique,
         n,
@@ -43,95 +26,65 @@ pub fn run(scale: Scale) -> Table {
         false,
         0x5EA,
     );
-    let budget = SearchBudget::time(scale.query_budget(n));
+    let moves = scale.moves(10.0 * n as f64);
     let base = SeaConfig::default_for(&instance);
     let reps = scale.repetitions().min(5);
-
-    let mut table = Table::new(vec!["parameter", "value", "similarity"]);
 
     let populations: &[usize] = match scale {
         Scale::Smoke => &[32, 64],
         _ => &[32, 64, 128, 256, 512],
     };
+    // Each setting is the defaults with one parameter changed.
+    let with = |change: &dyn Fn(&mut SeaConfig)| {
+        let mut config = base.clone();
+        change(&mut config);
+        config
+    };
+    let mut settings: Vec<(&str, String, SeaConfig)> = Vec::new();
     for &p in populations {
-        let config = SeaConfig {
-            population: p,
-            tournament: (p / 20).max(2),
-            ..base.clone()
-        };
-        let sim = run_config(&instance, config, &budget, reps);
-        table.row(vec![
-            "population".into(),
-            p.to_string(),
-            format!("{sim:.3}"),
-        ]);
-        eprintln!("sea_tuning: population={p} done");
+        let config = with(&|c| {
+            c.population = p;
+            c.tournament = (p / 20).max(2);
+        });
+        settings.push(("population", p.to_string(), config));
+    }
+    for t in [1, 2, 6, 13, 26] {
+        let config = with(&|c| c.tournament = t);
+        settings.push(("tournament", t.to_string(), config));
+    }
+    for mc in [0.0, 0.3, 0.6, 0.9] {
+        let config = with(&|c| c.crossover_rate = mc);
+        settings.push(("crossover_rate", mc.to_string(), config));
+    }
+    for mm in [0.0, 0.5, 1.0] {
+        let config = with(&|c| c.mutation_rate = mm);
+        settings.push(("mutation_rate", mm.to_string(), config));
+    }
+    for gc in [1, 5, 10, 50] {
+        let config = with(&|c| c.generations_per_c = gc);
+        settings.push(("generations_per_c", gc.to_string(), config));
     }
 
-    for &t in &[1usize, 2, 6, 13, 26] {
-        let config = SeaConfig {
-            tournament: t,
-            ..base.clone()
-        };
-        let sim = run_config(&instance, config, &budget, reps);
-        table.row(vec![
-            "tournament".into(),
-            t.to_string(),
-            format!("{sim:.3}"),
-        ]);
-        eprintln!("sea_tuning: tournament={t} done");
+    let mut table = Table::new(vec!["parameter", "value", "similarity"]);
+    for (parameter, value, config) in settings {
+        let budget = SearchBudget::iterations((moves / config.population as u64).max(1));
+        let cell = mean_cell(reps, 5000, |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            rec.framed("SEA", &instance, &budget, seed, |ctx| {
+                Sea::new(config.clone()).search(&instance, ctx, &mut rng)
+            })
+            .best_similarity
+        });
+        eprintln!("sea_tuning: {parameter}={value} done");
+        table.row(vec![parameter.to_string(), value, cell]);
     }
 
-    for &mc in &[0.0, 0.3, 0.6, 0.9] {
-        let config = SeaConfig {
-            crossover_rate: mc,
-            ..base.clone()
-        };
-        let sim = run_config(&instance, config, &budget, reps);
-        table.row(vec![
-            "crossover_rate".into(),
-            mc.to_string(),
-            format!("{sim:.3}"),
-        ]);
-        eprintln!("sea_tuning: crossover_rate={mc} done");
-    }
-
-    for &mm in &[0.0, 0.5, 1.0] {
-        let config = SeaConfig {
-            mutation_rate: mm,
-            ..base.clone()
-        };
-        let sim = run_config(&instance, config, &budget, reps);
-        table.row(vec![
-            "mutation_rate".into(),
-            mm.to_string(),
-            format!("{sim:.3}"),
-        ]);
-        eprintln!("sea_tuning: mutation_rate={mm} done");
-    }
-
-    for &gc in &[1u64, 5, 10, 50] {
-        let config = SeaConfig {
-            generations_per_c: gc,
-            ..base.clone()
-        };
-        let sim = run_config(&instance, config, &budget, reps);
-        table.row(vec![
-            "generations_per_c".into(),
-            gc.to_string(),
-            format!("{sim:.3}"),
-        ]);
-        eprintln!("sea_tuning: generations_per_c={gc} done");
-    }
-
-    table
-}
-
-/// Runs, prints and persists the sweep.
-pub fn main(scale: Scale) {
-    println!("SEA parameter tuning (scale: {})", scale.name());
-    let table = run(scale);
-    println!("{}", table.render());
-    let path = write_csv("sea_tuning.csv", &table.to_csv()).expect("write results");
-    println!("CSV written to {}", path.display());
+    vec![Output {
+        csv: "sea_tuning.csv".into(),
+        title: format!(
+            "SEA parameter tuning (scale: {}, {moves} moves a setting)",
+            scale.name()
+        ),
+        table,
+    }]
 }

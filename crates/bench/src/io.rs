@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// A simple fixed-width table printer matching the paper's tabular style.
 #[derive(Debug, Clone, Default)]
@@ -79,35 +79,25 @@ impl Table {
     }
 }
 
-/// Writes `content` to `results/<name>` (creating the directory), relative
-/// to the workspace root when run from it, else the current directory.
-pub fn write_csv(name: &str, content: &str) -> std::io::Result<std::path::PathBuf> {
-    let dir = results_dir();
-    fs::create_dir_all(&dir)?;
-    let path = dir.join(name);
+/// Writes `content` to `results/<name>` (creating the directory) and
+/// returns that path ([`results_file`]).
+pub fn write_csv(name: &str, content: &str) -> std::io::Result<PathBuf> {
+    let path = results_file(name)?;
     fs::write(&path, content)?;
     Ok(path)
 }
 
-/// Resolves (and creates) `results/<name>`, for writers that stream to the
-/// file themselves (e.g. the JSONL metrics recorder).
-pub(crate) fn results_file(name: &str) -> std::io::Result<std::path::PathBuf> {
-    let dir = results_dir();
+/// Resolves (and creates) `results/<name>` under the workspace root when
+/// run inside it, else under the current directory. The path is relative
+/// to the current directory, so what a run prints does not depend on where
+/// the checkout lives.
+pub(crate) fn results_file(name: &str) -> std::io::Result<PathBuf> {
+    let cwd = std::env::current_dir()?;
+    let is_root = |dir: &Path| dir.join("Cargo.toml").exists() && dir.join("crates").exists();
+    let depth = cwd.ancestors().position(is_root).unwrap_or(0);
+    let dir: PathBuf = (0..depth).map(|_| "..").chain(["results"]).collect();
     fs::create_dir_all(&dir)?;
     Ok(dir.join(name))
-}
-
-fn results_dir() -> std::path::PathBuf {
-    // Prefer the workspace root (where Cargo.toml with [workspace] lives).
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| Path::new(".").to_path_buf());
-    loop {
-        if dir.join("Cargo.toml").exists() && dir.join("crates").exists() {
-            return dir.join("results");
-        }
-        if !dir.pop() {
-            return Path::new("results").to_path_buf();
-        }
-    }
 }
 
 #[cfg(test)]

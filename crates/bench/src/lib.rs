@@ -1,20 +1,29 @@
 //! Benchmark harness regenerating every figure of the paper's evaluation
 //! (§6), plus parameter-tuning and ablation studies.
 //!
-//! Each experiment lives in [`experiments`] and is exposed both as a
-//! library function (used by the `all_experiments` orchestrator and the
-//! integration tests) and as a standalone binary (`fig10a`, `fig10b`,
-//! `fig10c`, `fig11`, `sea_tuning`, `ablations`).
+//! Each experiment lives in [`experiments`]; [`experiments::FIGURES`] lists
+//! them by id, and the one binary walks that list:
 //!
-//! All binaries accept `--scale smoke|default|paper`:
+//! ```text
+//! all_experiments [--fig <id>] [--scale smoke|default|paper]
+//! ```
 //!
-//! * `smoke` — seconds-long sanity run (CI);
-//! * `default` — minutes-long run at N = 10,000 objects per dataset that
-//!   reproduces the *shape* of every figure;
-//! * `paper` — the full EDBT 2002 setting (N = 100,000, `10·n`-second
-//!   budgets, 100 repetitions): hours of wall-clock time.
+//! * `smoke` — sub-second sanity run (tests, CI);
+//! * `default` — minutes-long run at N = 10,000 objects per dataset and
+//!   1 % of the paper's moves that reproduces the *shape* of every figure;
+//! * `paper` — the full EDBT 2002 setting (N = 100,000, `10·n`
+//!   paper-seconds, 100 repetitions): days of compute.
 //!
-//! Results are printed as the paper's tables and appended as CSV under
+//! Every budget counts **moves**, not seconds: a step of ILS, GILS, naive
+//! LS or SA is one move, a generation of SEA or naive GA is one move per
+//! member of its population ([`Algo::moves_per_step`]). A paper-second is
+//! [`MOVES_PER_PAPER_SECOND`] = 440 000 moves, calibrated once against the
+//! paper's "ILS visits 60 000 local maxima in 5 s": 12 000 maxima a second
+//! times the 36.7 moves our ILS makes per local maximum on Fig. 10b's
+//! n = 15 instances (DESIGN §3b). So a figure's table is a function of its
+//! seeds alone: two runs on any two machines write the same CSV bytes.
+//!
+//! Results are printed as the paper's tables and written as CSV under
 //! `results/`.
 
 #![forbid(unsafe_code)]
@@ -28,7 +37,7 @@ pub mod suite;
 
 pub use io::{write_csv, Table};
 pub use record::Recorder;
-pub use scale::Scale;
+pub use scale::{Scale, MOVES_PER_PAPER_SECOND};
 pub use suite::{pinned_suite, pinned_suite_large, run_suite, BenchTier, SuiteAlgo, SuiteCase};
 
 use mwsj_core::Instance;
@@ -69,6 +78,17 @@ impl Algo {
             Algo::NaiveLs => "naive-LS",
             Algo::NaiveGa => "naive-GA",
             Algo::Sa => "SA",
+        }
+    }
+
+    /// Moves one step of the algorithm makes on `instance`: a step of ILS,
+    /// GILS, naive LS or SA is one move, a generation of SEA or naive GA
+    /// one move per member of its population.
+    pub fn moves_per_step(&self, instance: &Instance) -> u64 {
+        match self {
+            Algo::Sea => SeaConfig::default_for(instance).population as u64,
+            Algo::NaiveGa => NaiveGaConfig::default().population as u64,
+            Algo::Ils | Algo::Gils | Algo::NaiveLs | Algo::Sa => 1,
         }
     }
 

@@ -1,7 +1,7 @@
 //! Streaming metrics recorder for the experiment harness.
 //!
-//! Every experiment `main` records its individual algorithm runs to
-//! `results/<experiment>.metrics.jsonl` in the same JSONL run-event schema
+//! `all_experiments` records every figure's individual algorithm runs to
+//! `results/<figure>.metrics.jsonl` in the same JSONL run-event schema
 //! the CLI's `--metrics-out` produces (see `DESIGN.md` "Observability"),
 //! so figure runs can be post-processed with `mwsj report` or any JSONL
 //! tool. Tests pass [`Recorder::disabled`], which writes nothing.

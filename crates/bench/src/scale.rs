@@ -1,14 +1,25 @@
-//! Experiment scales: smoke / default / paper.
+//! Experiment scales (smoke / default / paper) and the work unit every
+//! figure budget is counted in.
 
-use std::time::Duration;
+use crate::Algo;
+use mwsj_core::{Instance, SearchBudget};
+
+/// Moves one paper-second buys (DESIGN §3b). The paper's ILS "visits
+/// about 60 000 local maxima" in 5 s, 12 000 a second. On Fig. 10b's
+/// n = 15 instances at `--scale default` ILS makes 31.2 moves per local
+/// maximum on the chain and 42.1 on the clique (`all_experiments --fig
+/// fig10b --scale default`, `results/calibration.csv`); 12 000 times
+/// their mean, 36.7, is 439 900: 440 000 to two significant figures.
+pub const MOVES_PER_PAPER_SECOND: f64 = 440_000.0;
 
 /// How big an experiment run should be.
 ///
-/// The paper's hardware budget (`10·n` seconds per execution, 100
-/// repetitions, N = 100,000 objects) totals days of compute; `Scale`
-/// shrinks N, repetitions and time budgets together so the *hard region*
-/// property is preserved (densities are re-solved for the chosen N) while
-/// the wall-clock cost drops to CI-friendly levels.
+/// The paper's budget (`10·n` seconds per execution, 100 repetitions,
+/// N = 100,000 objects) totals days of compute; `Scale` shrinks N,
+/// repetitions and budgets together so the *hard region* property is
+/// preserved (densities are re-solved for the chosen N). Every budget is a
+/// count of moves ([`Scale::budget`]), so a figure's table depends on the
+/// seeds alone, not on the machine that ran it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds: tiny datasets, one repetition. Verifies the harness.
@@ -16,31 +27,11 @@ pub enum Scale {
     /// Minutes: N = 10,000, a few repetitions, compressed budgets —
     /// reproduces the figures' shapes.
     Default,
-    /// The full EDBT 2002 setting. Hours.
+    /// The full EDBT 2002 setting. Days.
     Paper,
 }
 
 impl Scale {
-    /// Parses `--scale <s>` / `--scale=<s>` from CLI args, defaulting to
-    /// [`Scale::Default`].
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for (i, a) in args.iter().enumerate() {
-            let value = if let Some(v) = a.strip_prefix("--scale=") {
-                Some(v.to_string())
-            } else if a == "--scale" {
-                args.get(i + 1).cloned()
-            } else {
-                None
-            };
-            if let Some(v) = value {
-                return Scale::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown scale '{v}' (smoke|default|paper)"));
-            }
-        }
-        Scale::Default
-    }
-
     /// Parses a scale name.
     pub fn parse(s: &str) -> Option<Scale> {
         match s.to_ascii_lowercase().as_str() {
@@ -69,28 +60,34 @@ impl Scale {
         }
     }
 
-    /// Scales the paper's wall-clock budgets (e.g. `10·n` seconds becomes
-    /// `10·n · time_factor()`).
-    pub fn time_factor(&self) -> f64 {
+    /// The share of the paper's work a budget gets at this scale.
+    fn paper_share(&self) -> f64 {
         match self {
-            Scale::Smoke => 0.002,
-            Scale::Default => 0.02,
+            Scale::Smoke => 0.000_05,
+            Scale::Default => 0.01,
             Scale::Paper => 1.0,
         }
     }
 
-    /// The paper's per-query budget `10·n` seconds, scaled.
-    pub fn query_budget(&self, n_vars: usize) -> Duration {
-        Duration::from_secs_f64(10.0 * n_vars as f64 * self.time_factor())
+    /// The moves `paper_secs` paper-seconds buy at this scale:
+    /// `paper_secs ·` [`MOVES_PER_PAPER_SECOND`] `·` the scale's share.
+    pub fn moves(&self, paper_secs: f64) -> u64 {
+        (paper_secs * MOVES_PER_PAPER_SECOND * self.paper_share()).round() as u64
     }
 
-    /// Query sizes for Fig. 10a / Fig. 11 (the paper uses 5..=25 step 5;
-    /// smaller scales trim the top end to keep SEA populations meaningful).
+    /// The step budget that gives `algo` the moves of `paper_secs`
+    /// paper-seconds on `instance` ([`Algo::moves_per_step`]), at least
+    /// one step.
+    pub fn budget(&self, algo: Algo, instance: &Instance, paper_secs: f64) -> SearchBudget {
+        SearchBudget::iterations((self.moves(paper_secs) / algo.moves_per_step(instance)).max(1))
+    }
+
+    /// Query sizes for Fig. 10a (the paper uses 5..=25 step 5; smoke
+    /// trims them to keep a run within seconds).
     pub fn query_sizes(&self) -> Vec<usize> {
         match self {
             Scale::Smoke => vec![3, 5],
-            Scale::Default => vec![5, 10, 15, 20, 25],
-            Scale::Paper => vec![5, 10, 15, 20, 25],
+            Scale::Default | Scale::Paper => vec![5, 10, 15, 20, 25],
         }
     }
 
@@ -121,12 +118,12 @@ mod tests {
         let s = Scale::Paper;
         assert_eq!(s.cardinality(), 100_000);
         assert_eq!(s.repetitions(), 100);
-        assert_eq!(s.query_budget(15), Duration::from_secs(150));
+        assert_eq!(s.moves(150.0), (150.0 * MOVES_PER_PAPER_SECOND) as u64);
     }
 
     #[test]
     fn budgets_shrink_with_scale() {
-        assert!(Scale::Smoke.query_budget(15) < Scale::Default.query_budget(15));
-        assert!(Scale::Default.query_budget(15) < Scale::Paper.query_budget(15));
+        assert!(Scale::Smoke.moves(150.0) < Scale::Default.moves(150.0));
+        assert!(Scale::Default.moves(150.0) < Scale::Paper.moves(150.0));
     }
 }
