@@ -12,7 +12,8 @@
 //! the pre-refactor bookkeeping **bit-exactly** — steps, improvements,
 //! restarts, local maxima and the `(step, similarity)` trace of every
 //! algorithm are unchanged; `node_accesses` may only decrease (via
-//! [`WindowCache`](crate::WindowCache) hits).
+//! [`WindowCache`](crate::WindowCache) hits and the instance's support
+//! bits).
 //!
 //! The driver emits what happens *inside* a run (improvements, progress,
 //! stalls, the stop reason). What *frames* a run — `run_start` and the
@@ -484,22 +485,33 @@ pub(crate) trait DriveSearch {
     const NAME: &'static str;
     /// Phase-timer span label of one run.
     const PHASE: &'static str;
+    /// Whether the drive asks *find best value* questions, whose walks the
+    /// instance's support bits can spare (they are built before the first
+    /// step if so).
+    const ASKS_BEST_VALUES: bool = false;
 
     /// Runs the search moves until the driver reports exhaustion (or the
     /// algorithm decides to stop early).
     fn drive(&self, instance: &Instance, driver: &mut SearchDriver, rng: &mut StdRng);
 }
 
-/// Runs a [`DriveSearch`] under `ctx`: driver construction, phase span,
-/// drive, finish.
+/// Runs a [`DriveSearch`] under `ctx`: phase span, the support bits (built
+/// once per instance, under their own `support` span, before the driver
+/// starts the clock and samples the instance's bytes — so neither the first
+/// step nor the budget is charged with them, and every run of an instance
+/// reports the same bytes), driver construction, drive, finish.
 pub(crate) fn run_driven<T: DriveSearch + ?Sized>(
     algo: &T,
     instance: &Instance,
     ctx: &SearchContext,
     rng: &mut StdRng,
 ) -> RunOutcome {
-    let mut driver = SearchDriver::new(instance, ctx);
     let _phase = ctx.obs().timer.span(T::PHASE);
+    if T::ASKS_BEST_VALUES {
+        let _support = ctx.obs().timer.span("support");
+        instance.support();
+    }
+    let mut driver = SearchDriver::new(instance, ctx);
     algo.drive(instance, &mut driver, rng);
     driver.finish(instance, rng)
 }

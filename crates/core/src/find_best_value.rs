@@ -17,7 +17,10 @@
 //!
 //! The traversal itself is the shared multi-window kernel in
 //! [`mwsj_rtree::multiwindow`] (or its grid analogue), reached through
-//! `index::best`; this module builds the windows from the query graph.
+//! `index::best`; this module builds the windows from the query graph. In
+//! the hard region most questions have no answer at all, and `index::best`
+//! answers those from the instance's support bits without reading a node
+//! (DESIGN.md §5e, "A question no object can answer is not walked").
 //! Hot loops should prefer
 //! [`WindowCache::find_best_value`](crate::WindowCache), which reuses the
 //! window vector across calls and skips the traversal entirely when nothing
@@ -54,7 +57,8 @@ pub struct BestValue {
 /// λ-discounted effective value, answered as GILS answers it — by a fresh
 /// [`WindowCache`] re-scoring the objects at the top count. `node_accesses`
 /// is incremented once per R*-tree node visited (per candidate cell scanned
-/// on the grid backend).
+/// on the grid backend); a question the support bits rule out visits none.
+/// The first question about an instance builds its support bits.
 ///
 /// # Panics
 /// Panics if the penalty weight λ of `penalties` is negative, infinite or
@@ -72,13 +76,12 @@ pub fn find_best_value(
         return cache.find_best_value(instance, sol, var, penalties, node_accesses);
     }
     // The windows: one per neighbour, with the predicate oriented var → u.
-    let windows: Vec<(Predicate, Rect)> = instance
-        .graph()
-        .neighbors(var)
-        .iter()
-        .map(|&(u, pred)| (pred, instance.rect(u, sol.get(u))))
+    let neighbors = instance.graph().neighbors(var);
+    let assigned: Vec<usize> = neighbors.iter().map(|&(u, _)| sol.get(u)).collect();
+    let windows: Vec<(Predicate, Rect)> = (neighbors.iter().zip(&assigned))
+        .map(|(&(u, pred), &object)| (pred, instance.rect(u, object)))
         .collect();
-    index::best(instance, var, &windows, node_accesses, &mut [])
+    index::best(instance, var, &windows, &assigned, node_accesses, &mut [])
 }
 
 #[cfg(test)]

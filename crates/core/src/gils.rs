@@ -108,6 +108,7 @@ impl Gils {
 impl DriveSearch for Gils {
     const NAME: &'static str = "GILS";
     const PHASE: &'static str = "gils";
+    const ASKS_BEST_VALUES: bool = true;
 
     fn drive(&self, instance: &Instance, driver: &mut SearchDriver, rng: &mut StdRng) {
         self.climb(instance, driver, rng, |_| {});

@@ -122,6 +122,7 @@ impl Ils {
 impl DriveSearch for Ils {
     const NAME: &'static str = "ILS";
     const PHASE: &'static str = "ils";
+    const ASKS_BEST_VALUES: bool = true;
 
     fn drive(&self, instance: &Instance, driver: &mut SearchDriver, rng: &mut StdRng) {
         self.climb(instance, driver, rng, |_| {});

@@ -23,7 +23,11 @@
 //! Each visited node (R*-tree) or scanned candidate cell (grid) bumps
 //! `node_accesses` and, when the slice is long enough, the matching
 //! `level_accesses` row (`[0]` = leaf; the grid charges everything to the
-//! leaf row). Pass `&mut []` to skip attribution.
+//! leaf row). Pass `&mut []` to skip attribution. A best-value question
+//! ([`best`], [`top_objects`]) that the instance's support bits rule out —
+//! no object of the variable satisfies any of its windows — is answered
+//! empty before either index is asked, and touches no counter
+//! ([`crate::support`]).
 
 use crate::find_best_value::BestValue;
 use crate::instance::{BackendKind, Instance};
@@ -40,7 +44,27 @@ use mwsj_rtree::{grid, multiwindow};
 /// satisfied count as `f64`, which reproduces the paper's strict-count
 /// comparison exactly because `u32 → f64` is lossless. A penalised question
 /// re-scores the objects [`top_objects`] lists instead.
+///
+/// `windows` are the neighbour windows of `var` in
+/// `graph().neighbors(var)` order and `assignments` the neighbour objects
+/// they are the rectangles of: a question the support bits rule out is
+/// answered `None` without a walk.
 pub(crate) fn best(
+    instance: &Instance,
+    var: VarId,
+    windows: &[(Predicate, Rect)],
+    assignments: &[usize],
+    node_accesses: &mut u64,
+    level_accesses: &mut [u64],
+) -> Option<BestValue> {
+    if instance.support().rules_out(var, assignments) {
+        return None;
+    }
+    walk_best(instance, var, windows, node_accesses, level_accesses)
+}
+
+/// [`best`] without the support check: the backend's best-entry kernel.
+pub(crate) fn walk_best(
     instance: &Instance,
     var: VarId,
     windows: &[(Predicate, Rect)],
@@ -81,8 +105,36 @@ pub(crate) fn best(
 /// it is offered and scores a leaf ½ below its count — so the kernel cuts
 /// only what counts *below* the running top, and offers every tie, in its
 /// own order — or, widened, ½ whatever the count, which cuts nothing. The
-/// grid sweeps its candidates, in `(cell, object)` order.
+/// grid sweeps its candidates, in `(cell, object)` order. `assignments`
+/// are as for [`best`]: a question the support bits rule out has an empty
+/// list, and walks nothing.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn top_objects(
+    instance: &Instance,
+    var: VarId,
+    windows: &[(Predicate, Rect)],
+    assignments: &[usize],
+    widen: bool,
+    out: &mut Vec<(u32, u32)>,
+    node_accesses: &mut u64,
+    level_accesses: &mut [u64],
+) {
+    out.clear();
+    if !instance.support().rules_out(var, assignments) {
+        walk_top_objects(
+            instance,
+            var,
+            windows,
+            widen,
+            out,
+            node_accesses,
+            level_accesses,
+        );
+    }
+}
+
+/// [`top_objects`] without the support check, into an empty `out`.
+pub(crate) fn walk_top_objects(
     instance: &Instance,
     var: VarId,
     windows: &[(Predicate, Rect)],
@@ -91,7 +143,6 @@ pub(crate) fn top_objects(
     node_accesses: &mut u64,
     level_accesses: &mut [u64],
 ) {
-    out.clear();
     match instance.backend() {
         BackendKind::RTree => {
             let record = |&object: &u32, count: u32| {

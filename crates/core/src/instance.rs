@@ -1,5 +1,6 @@
 //! A join instance: query graph plus indexed datasets.
 
+use crate::support::Support;
 use mwsj_geom::Rect;
 use mwsj_obs::{MemoryFootprint, ResourceReport};
 use mwsj_query::{ConflictState, QueryGraph, Solution, VarId};
@@ -146,6 +147,9 @@ pub struct Instance {
     graph: QueryGraph,
     data: Vec<Arc<IndexedDataset>>,
     backend: BackendKind,
+    /// The support bits, built on first use. They depend on the graph, so
+    /// they live here and not on the (shareable) datasets.
+    support: OnceLock<Support>,
 }
 
 impl Instance {
@@ -176,6 +180,7 @@ impl Instance {
             graph,
             data,
             backend: BackendKind::default(),
+            support: OnceLock::new(),
         })
     }
 
@@ -195,6 +200,7 @@ impl Instance {
             graph,
             data: vec![shared; n],
             backend: BackendKind::default(),
+            support: OnceLock::new(),
         })
     }
 
@@ -222,6 +228,13 @@ impl Instance {
     /// access; shared across `Arc`-aliased self-join variables).
     pub fn grid(&self, v: VarId) -> &UniformGrid<u32> {
         self.data[v].grid()
+    }
+
+    /// The support bits of the instance ([`crate::support`]), built on
+    /// first access.
+    #[inline]
+    pub(crate) fn support(&self) -> &Support {
+        self.support.get_or_init(|| Support::build(self))
     }
 
     /// The query graph.
@@ -340,8 +353,10 @@ impl Instance {
     /// table, upper levels and `start` tables), named after the first
     /// variable bound to that dataset, plus `grid.varNNN` — the grid's index
     /// alone, since it shares the leaf arrays — once the grid has been
-    /// built. The same table backs the `resource_report` run event
-    /// and the `memory` section of bench snapshots.
+    /// built. Once the support bits are built, every variable that keeps
+    /// some adds `support.varNNN`, its bit words. The same table backs the
+    /// `resource_report` run event and the `memory` section of bench
+    /// snapshots.
     pub fn fill_resource_report(&self, report: &mut ResourceReport) {
         for (v, d) in self.unique_datasets() {
             report.record(&format!("rects.var{v:03}"), d.rect_bytes());
@@ -351,6 +366,15 @@ impl Instance {
             // pinned bench snapshots) byte-identical.
             if let Some(grid) = d.grid.get() {
                 report.record(&format!("grid.var{v:03}"), grid.memory_bytes());
+            }
+        }
+        // Likewise the bits: an instance no heuristic has asked reports as
+        // it did before they existed.
+        if let Some(support) = self.support.get() {
+            for v in 0..self.n_vars() {
+                if let Some(bytes) = support.bytes(v) {
+                    report.record(&format!("support.var{v:03}"), bytes);
+                }
             }
         }
     }
@@ -374,16 +398,21 @@ impl Instance {
 impl MemoryFootprint for Instance {
     /// Resident bytes of the indexed datasets (rectangles, R*-tree and
     /// built grids), with `Arc`-shared self-join datasets counted
-    /// once. Deterministic: the same logical instance always reports the
-    /// same total.
+    /// once, and of the support bits once built. Deterministic: the same
+    /// logical instance always reports the same total.
     fn memory_bytes(&self) -> u64 {
-        self.unique_datasets()
+        let datasets: u64 = self
+            .unique_datasets()
             .map(|(_, d)| {
                 d.rect_bytes()
                     + d.index_bytes()
                     + d.grid.get().map_or(0, MemoryFootprint::memory_bytes)
             })
-            .sum()
+            .sum();
+        let support = self.support.get().map_or(0, |s| {
+            (0..self.n_vars()).filter_map(|v| s.bytes(v)).sum::<u64>()
+        });
+        datasets + support
     }
 }
 
@@ -593,6 +622,43 @@ mod tests {
         let mut report = ResourceReport::new();
         plain.fill_resource_report(&mut report);
         assert_eq!(report.components().len(), 6);
+    }
+
+    /// The support bits show in the report once a heuristic has built them,
+    /// one component per variable of one bit per object of each neighbour;
+    /// an instance only exact methods have run on reports as before.
+    #[test]
+    fn support_bits_are_reported_once_a_heuristic_has_built_them() {
+        let draw = |seed| Dataset::uniform(1_000, 0.05, &mut StdRng::seed_from_u64(seed));
+        let build = || Instance::new(QueryGraph::chain(3), [draw(1), draw(2), draw(3)]).unwrap();
+        let report = |inst: &Instance| {
+            let mut report = ResourceReport::new();
+            inst.fill_resource_report(&mut report);
+            assert_eq!(report.total_bytes(), inst.memory_bytes());
+            report.components().to_vec()
+        };
+        let (exact, heuristic) = (build(), build());
+        let before = report(&exact);
+        let budget = crate::SearchBudget::iterations(50);
+        let _ = crate::Ibb::new(crate::IbbConfig::new()).run(&exact, &budget);
+        let _ = crate::WindowReduction::new().run(&exact, &budget, 10);
+        assert_eq!(report(&exact), before, "exact methods build no bits");
+
+        let mut rng = StdRng::seed_from_u64(4);
+        let _ = crate::Ils::default().run(&heuristic, &budget, &mut rng);
+        let after = report(&heuristic);
+        let added: Vec<_> = after.iter().filter(|c| !before.contains(c)).collect();
+        // 1 000 bits are 16 words: the ends have one neighbour, the middle two.
+        let expected = [
+            ("support.var000", 128),
+            ("support.var001", 256),
+            ("support.var002", 128),
+        ];
+        let expected: Vec<_> = expected
+            .map(|(name, bytes)| (name.to_string(), bytes))
+            .to_vec();
+        assert_eq!(added, expected.iter().collect::<Vec<_>>());
+        assert_eq!(after.len(), before.len() + 3);
     }
 
     #[test]

@@ -51,6 +51,7 @@ mod portfolio;
 mod result;
 mod sea;
 mod st;
+mod support;
 mod two_step;
 mod window_cache;
 mod wr;

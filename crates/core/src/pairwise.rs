@@ -3,10 +3,12 @@
 //! Synchronous depth-first traversal of two R-trees producing all pairs of
 //! objects whose MBRs intersect. This is the building block of the
 //! pairwise join method ([`crate::Pjm`]) against which the paper positions
-//! its multiway algorithms.
+//! its multiway algorithms, and of the support bits of an instance, whose
+//! build stops a join that outgrows its cap ([`PairwiseJoin::visit`]).
 
 use mwsj_geom::Rect;
 use mwsj_rtree::{NodeRef, RTree};
+use std::ops::ControlFlow;
 
 /// Result of a pairwise join: matching object id pairs plus node-access
 /// counters.
@@ -21,16 +23,40 @@ pub struct PairwiseJoin {
 impl PairwiseJoin {
     /// Joins two R-trees on MBR intersection.
     pub fn join(left: &RTree<u32>, right: &RTree<u32>) -> PairwiseJoin {
-        let mut join = Join::default();
-        if left.is_empty() || right.is_empty() {
-            return join.out;
+        let mut pairs = Vec::new();
+        let (node_accesses, _) = Self::visit(left, right, |a, b| {
+            pairs.push((a, b));
+            ControlFlow::Continue(())
+        });
+        PairwiseJoin {
+            pairs,
+            node_accesses,
         }
-        join.out.node_accesses = 2;
+    }
+
+    /// Hands every pair [`PairwiseJoin::join`] would return to `visit`, in
+    /// the same order, until `visit` breaks. Returns the nodes read and
+    /// whether the join ran to its end (`false`: `visit` broke, and no node
+    /// was entered after that).
+    pub fn visit(
+        left: &RTree<u32>,
+        right: &RTree<u32>,
+        visit: impl FnMut(u32, u32) -> ControlFlow<()>,
+    ) -> (u64, bool) {
+        if left.is_empty() || right.is_empty() {
+            return (0, true);
+        }
+        let mut join = Join {
+            visit,
+            node_accesses: 2,
+            stopped: false,
+            survivors: Vec::new(),
+        };
         join.pair(
             Cursor::Node(left.root_node(), left.bounding_box()),
             Cursor::Node(right.root_node(), right.bounding_box()),
         );
-        join.out
+        (join.node_accesses, !join.stopped)
     }
 }
 
@@ -44,17 +70,19 @@ enum Cursor<'a> {
     Data(u32, &'a Rect),
 }
 
-/// One join in progress: its output, and the entry positions that survived
-/// the restriction of every node pair on the current descent path (a stack:
-/// a node pair pushes its two lists and pops them when it is done, so the
+/// One join in progress: where its pairs go, the nodes it read, whether
+/// `visit` stopped it, and the entry positions that survived the
+/// restriction of every node pair on the current descent path (a stack: a
+/// node pair pushes its two lists and pops them when it is done, so the
 /// whole join allocates only while this grows).
-#[derive(Default)]
-struct Join {
-    out: PairwiseJoin,
+struct Join<F> {
+    visit: F,
+    node_accesses: u64,
+    stopped: bool,
     survivors: Vec<u32>,
 }
 
-impl Join {
+impl<F: FnMut(u32, u32) -> ControlFlow<()>> Join<F> {
     fn pair(&mut self, a: Cursor<'_>, b: Cursor<'_>) {
         match (a, b) {
             (Cursor::Data(..), Cursor::Data(..)) => {
@@ -89,10 +117,13 @@ impl Join {
     /// Joins one qualifying entry pair: a result when both sides are data,
     /// otherwise the `read` nodes it opens are counted and joined.
     fn descend(&mut self, a: Cursor<'_>, b: Cursor<'_>, read: u64) {
+        if self.stopped {
+            return;
+        }
         if let (Cursor::Data(va, _), Cursor::Data(vb, _)) = (a, b) {
-            self.out.pairs.push((va, vb));
+            self.stopped = (self.visit)(va, vb).is_break();
         } else {
-            self.out.node_accesses += read;
+            self.node_accesses += read;
             self.pair(a, b);
         }
     }
@@ -254,6 +285,31 @@ mod tests {
             let left = Dataset::uniform(sizes.0, density, &mut rng);
             let right = Dataset::uniform(sizes.1, density, &mut rng);
             assert_join_is_exact("drawn", left.rects(), right.rects(), cap);
+        }
+    }
+
+    /// `visit` hands out the pairs of `join` in its order; broken after
+    /// `k` pairs, it has handed out the first `k`, reports the join cut
+    /// short and has read no more nodes than the whole join.
+    #[test]
+    fn a_visit_stops_where_it_is_told() {
+        let mut rng = StdRng::seed_from_u64(112);
+        let left = tree_of(Dataset::uniform(400, 0.3, &mut rng).rects(), 8);
+        let right = tree_of(Dataset::uniform(300, 0.3, &mut rng).rects(), 8);
+        let whole = PairwiseJoin::join(&left, &right);
+        assert!(whole.pairs.len() > 10);
+        for k in [0, 1, 10, whole.pairs.len()] {
+            let mut seen = Vec::new();
+            let (accesses, complete) = PairwiseJoin::visit(&left, &right, |a, b| {
+                if seen.len() == k {
+                    return ControlFlow::Break(());
+                }
+                seen.push((a, b));
+                ControlFlow::Continue(())
+            });
+            assert_eq!(seen, whole.pairs[..k], "k = {k}");
+            assert_eq!(complete, k == whole.pairs.len(), "k = {k}");
+            assert!(accesses <= whole.node_accesses);
         }
     }
 

@@ -336,6 +336,7 @@ impl Sea {
 impl DriveSearch for Sea {
     const NAME: &'static str = "SEA";
     const PHASE: &'static str = "sea";
+    const ASKS_BEST_VALUES: bool = true;
 
     fn drive(&self, instance: &Instance, driver: &mut SearchDriver, rng: &mut StdRng) {
         // Selection fills the population with copies, so most mutations ask

@@ -39,7 +39,10 @@
 //! Because a cache hit returns a bit-identical result while skipping the
 //! traversal, node-access counts under the cache are ≤ the uncached
 //! counts and every other counter (steps, improvements, trajectories) is
-//! unchanged — the counter-compatibility contract of DESIGN.md §5e.
+//! unchanged — the counter-compatibility contract of DESIGN.md §5e. A miss
+//! is a question for the index, not necessarily a walk: one whose every
+//! window the instance's support bits show dead is answered empty without
+//! a node read ([`index::best`]), and still counts as a miss.
 //!
 //! Every query is classified into the cache's own telemetry
 //! ([`CacheStats`]: hits, misses, invalidations by cause, per variable) as
@@ -349,22 +352,6 @@ impl WindowCache {
         }
     }
 
-    /// Drops every cached window and result (e.g. after swapping in an
-    /// unrelated solution wholesale is *not* required — assignments are
-    /// re-checked per call — but callers may use this to bound memory on
-    /// huge instances). Telemetry is cumulative and survives a clear.
-    pub fn clear(&mut self) {
-        for entry in &mut self.vars {
-            entry.assignments.fill(usize::MAX);
-            entry.windows.clear();
-            entry.result = None;
-        }
-        self.lists.clear();
-        if let Some(memo) = &mut self.memo {
-            memo.slots.fill(None);
-        }
-    }
-
     /// Freezes the cache's telemetry: the per-variable counters recorded
     /// so far plus the cache's current [`MemoryFootprint`] bytes. Drives
     /// absorb this into [`RunStats`](crate::RunStats) when the run ends.
@@ -502,7 +489,10 @@ impl WindowCache {
         let version_changed = entry.penalty_version != penalty_version;
         let mut walked = true;
         let result = match penalties {
-            None => index::best(instance, var, &entry.windows, tally.0, tally.1),
+            None => {
+                let (windows, assignments) = (&entry.windows, &entry.assignments);
+                index::best(instance, var, windows, assignments, tally.0, tally.1)
+            }
             Some((table, lambda)) => {
                 let answer;
                 (answer, walked) = self.penalised(instance, var, table, lambda, tally);
@@ -520,7 +510,6 @@ impl WindowCache {
             } else if version_changed {
                 var_stats.invalidations_penalty += 1;
             }
-            // (neither: the memoised result was dropped by `clear`)
         }
 
         let entry = &mut self.vars[var];
@@ -564,8 +553,9 @@ impl WindowCache {
         let mut walked = false;
         for widen in [false, true] {
             if widen || list.assignments != entry.assignments {
-                let windows = &entry.windows;
-                index::top_objects(instance, var, windows, widen, &mut list.tied, acc, levels);
+                let (windows, assigned) = (&entry.windows, &entry.assignments);
+                let tied = &mut list.tied;
+                index::top_objects(instance, var, windows, assigned, widen, tied, acc, levels);
                 list.assignments.clone_from(&entry.assignments);
                 list.widened = widen;
                 walked = true;
@@ -775,28 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_to_cold_state() {
-        let inst = random_instance(69, 3, 200);
-        let mut rng = StdRng::seed_from_u64(70);
-        let sol = inst.random_solution(&mut rng);
-        let mut cache = WindowCache::new(&inst);
-        let mut acc = 0;
-        let first = cache.find_best_value(&inst, &sol, 0, None, &mut acc);
-        cache.clear();
-        let before = acc;
-        let again = cache.find_best_value(&inst, &sol, 0, None, &mut acc);
-        assert_eq!(first, again);
-        assert!(acc > before, "cleared cache must re-traverse");
-        let stats = cache.stats();
-        assert_eq!(stats.per_var[0].misses, 2);
-        assert_eq!(
-            stats.per_var[0].invalidations_reassign + stats.per_var[0].invalidations_penalty,
-            0,
-            "a cleared result is a cold miss, not an invalidation"
-        );
-    }
-
-    #[test]
     fn memo_answers_a_question_the_front_has_forgotten() {
         let inst = random_instance(75, 4, 300);
         let mut rng = StdRng::seed_from_u64(76);
@@ -829,13 +797,6 @@ mod tests {
         assert_eq!(cache.find_best_value(&inst, &a, 0, None, &mut acc), first);
         assert_eq!(acc, walked.0);
         assert_eq!(cache.stats().per_var[0].hits, 2);
-
-        // `clear` empties front and memo alike.
-        cache.find_best_value(&inst, &b, 0, None, &mut acc);
-        cache.clear();
-        let before = acc;
-        assert_eq!(cache.find_best_value(&inst, &a, 0, None, &mut acc), first);
-        assert!(acc > before, "a cleared memo must not answer");
 
         // The table is counted: 64 slots of a header and 3 assignments.
         let slot = std::mem::size_of::<Option<MemoSlot>>() + 3 * 8;

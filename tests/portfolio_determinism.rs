@@ -245,6 +245,8 @@ fn a_portfolio_leaves_the_sum_of_its_restarts_in_the_callers_handle() {
             [
                 (format!("restart[{}]", r.index), 1, 0),
                 (format!("restart[{}] > ils", r.index), 1, steps),
+                // Built by the first restart; the others find the bits.
+                (format!("restart[{}] > ils > support", r.index), 1, 0),
             ]
         })
         .collect();
