@@ -410,6 +410,7 @@ pub fn run_suite(
                 misses: cache_stats.misses(),
                 invalidations_reassign: cache_stats.invalidations_reassign(),
                 invalidations_penalty: cache_stats.invalidations_penalty(),
+                skipped: cache_stats.skipped(),
                 bytes: cache_stats.bytes,
             });
             algos.push(record);

@@ -341,11 +341,12 @@ fn snapshot_lines(path: &str, snapshot: &BenchSnapshot) -> Vec<String> {
         }
         for cache in snapshot.cache.iter().filter(|c| c.instance == inst.name) {
             lines.push(format!(
-                "    {:<18} cache: {} hits, {} misses, {} reassign / {} penalty \
-                 invalidations, {} bytes",
+                "    {:<18} cache: {} hits, {} misses, {} skipped, {} reassign / {} \
+                 penalty invalidations, {} bytes",
                 cache.algo,
                 cache.hits,
                 cache.misses,
+                cache.skipped,
                 cache.invalidations_reassign,
                 cache.invalidations_penalty,
                 cache.bytes

@@ -20,7 +20,10 @@
 //! `index::best`; this module builds the windows from the query graph. In
 //! the hard region most questions have no answer at all, and `index::best`
 //! answers those from the instance's support bits without reading a node
-//! (DESIGN.md §5e, "A question no object can answer is not walked").
+//! (DESIGN.md §5e, "A question no object can answer is not walked"). ILS
+//! and SEA use an answer only if it beats the variable's current count;
+//! they do not ask at all when the support bits show that no object can
+//! (§5e, "A question whose answer cannot be used is not asked").
 //! Hot loops should prefer
 //! [`WindowCache::find_best_value`](crate::WindowCache), which reuses the
 //! window vector across calls and skips the traversal entirely when nothing

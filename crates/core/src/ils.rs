@@ -91,9 +91,8 @@ impl Ils {
                         break 'restarts;
                     }
                     driver.step();
-                    let current_satisfied = ind.cs.satisfied_of(graph, v);
-                    let best = ind.best_value(&mut cache, instance, v, None, driver.tally(v));
-                    if let Some(best) = best.filter(|best| best.satisfied > current_satisfied) {
+                    let tally = driver.tally(v);
+                    if let Some(best) = ind.improving_value(&mut cache, instance, v, tally) {
                         ind.assign(graph, v, &best);
                         driver.offer(&ind.sol, ind.cs.total_violations());
                         improved = true;
@@ -155,19 +154,16 @@ pub(crate) fn collect_local_maxima(
             ind.cs.vars_by_badness(graph, &mut order);
             for &v in &order {
                 steps += 1;
-                let current = ind.cs.satisfied_of(graph, v);
                 let tally = (
                     &mut stats.node_accesses,
                     stats.access_profile[v].as_mut_slice(),
                 );
-                if let Some(best) = ind.best_value(&mut cache, instance, v, None, tally) {
-                    if best.satisfied > current {
-                        ind.assign(graph, v, &best);
-                        if ind.cs.total_violations() == 0 {
-                            break 'climb;
-                        }
-                        continue 'climb;
+                if let Some(best) = ind.improving_value(&mut cache, instance, v, tally) {
+                    ind.assign(graph, v, &best);
+                    if ind.cs.total_violations() == 0 {
+                        break 'climb;
                     }
+                    continue 'climb;
                 }
                 if steps >= step_cap {
                     break;

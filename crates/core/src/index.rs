@@ -57,7 +57,7 @@ pub(crate) fn best(
     node_accesses: &mut u64,
     level_accesses: &mut [u64],
 ) -> Option<BestValue> {
-    if instance.support().rules_out(var, assignments) {
+    if instance.support().live(var, assignments.iter().copied()) == Some(0) {
         return None;
     }
     walk_best(instance, var, windows, node_accesses, level_accesses)
@@ -120,7 +120,7 @@ pub(crate) fn top_objects(
     level_accesses: &mut [u64],
 ) {
     out.clear();
-    if !instance.support().rules_out(var, assignments) {
+    if instance.support().live(var, assignments.iter().copied()) != Some(0) {
         walk_top_objects(
             instance,
             var,

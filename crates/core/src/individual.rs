@@ -82,6 +82,22 @@ impl Individual {
         cache.find_best_value_with(instance, &self.sol, var, penalties, |v, _| rects[v], tally)
     }
 
+    /// [`Individual::best_value`], raw, if it satisfies more conditions
+    /// than `var`'s current assignment, the only answer ILS's climb and
+    /// SEA's mutation take; a question the support bits show cannot be
+    /// answered so is not asked ([`WindowCache::improving_value_with`]).
+    pub(crate) fn improving_value(
+        &self,
+        cache: &mut WindowCache,
+        instance: &Instance,
+        var: VarId,
+        tally: (&mut u64, &mut [u64]),
+    ) -> Option<BestValue> {
+        let current = self.cs.satisfied_of(instance.graph(), var);
+        let rects = &self.rects;
+        cache.improving_value_with(instance, &self.sol, var, current, |v, _| rects[v], tally)
+    }
+
     /// The invariant the searches keep after every step: the carried
     /// rectangles and evaluation are those of the solution.
     #[cfg(test)]

@@ -36,13 +36,16 @@ pub mod metric {
     pub const CACHE_INVALIDATIONS_REASSIGN: &str = "cache.invalidations.reassign";
     /// Counter: cached results invalidated by a penalty-version bump.
     pub const CACHE_INVALIDATIONS_PENALTY: &str = "cache.invalidations.penalty";
+    /// Counter: questions the support bits' bound answered before the
+    /// window cache was consulted (ILS, SEA).
+    pub const CACHE_SKIPPED: &str = "cache.skipped";
     /// Counter: window-cache resident bytes at run end (sums across
     /// merged restarts — the aggregate cache working set).
     pub const CACHE_BYTES: &str = "cache.bytes";
 
     /// Per-variable counter name, e.g. `cache.var003.hits`. `kind` is one
     /// of `hits` / `misses` / `invalidations.reassign` /
-    /// `invalidations.penalty`.
+    /// `invalidations.penalty` / `skipped`.
     pub fn cache_var(var: usize, kind: &str) -> String {
         format!("cache.var{var:03}.{kind}")
     }

@@ -200,8 +200,10 @@ impl Sea {
             pop
         };
         // Everything a generation writes lives in storage the run owns:
-        // selection copies into `next` and swaps, crossover and mutation
-        // pick their variables out of `keep` and `tied`.
+        // selection records its `winners`, copies into `next` and swaps,
+        // crossover and mutation pick their variables out of `keep` and
+        // `tied`.
+        let mut winners: Vec<usize> = Vec::with_capacity(p);
         let mut next = pop.clone();
         let mut keep = KeepSet::default();
         let mut tied: Vec<VarId> = Vec::with_capacity(n);
@@ -253,7 +255,11 @@ impl Sea {
             }
 
             // --- Offspring allocation: tournament selection. ---
-            for (i, slot) in next.iter_mut().enumerate() {
+            // Every tournament is drawn before any slot changes; a member
+            // that wins its own keeps its slot, and only the others are
+            // copied (from the old population) and swapped in.
+            winners.clear();
+            for i in 0..p {
                 let mut winner = i;
                 for _ in 0..self.config.tournament {
                     let rival = rng.random_range(0..p);
@@ -261,9 +267,15 @@ impl Sea {
                         winner = rival;
                     }
                 }
-                slot.clone_from(&pop[winner]);
+                winners.push(winner);
             }
-            std::mem::swap(&mut pop, &mut next);
+            let replaced = || winners.iter().enumerate().filter(|&(i, &w)| w != i);
+            for (i, &winner) in replaced() {
+                next[i].clone_from(&pop[winner]);
+            }
+            for (i, _) in replaced() {
+                std::mem::swap(&mut pop[i], &mut next[i]);
+            }
 
             // --- Crossover. ---
             for i in 0..p {
@@ -316,9 +328,8 @@ impl Sea {
                 // identically.
                 ind.cs.worst_tied(graph, &mut tied);
                 let worst = tied[rng.random_range(0..tied.len())];
-                let current_satisfied = ind.cs.satisfied_of(graph, worst);
-                let best = ind.best_value(&mut cache, instance, worst, None, driver.tally(worst));
-                if let Some(best) = best.filter(|best| best.satisfied > current_satisfied) {
+                let tally = driver.tally(worst);
+                if let Some(best) = ind.improving_value(&mut cache, instance, worst, tally) {
                     ind.assign(graph, worst, &best);
                 }
             }
@@ -633,8 +644,7 @@ mod tests {
                         assert_eq!(a.stats.steps, b.stats.steps, "{what}");
                         assert_eq!(a.stats.improvements, b.stats.improvements, "{what}");
                         assert_eq!(a.stats.restarts, b.stats.restarts, "{what}");
-                        let queries =
-                            |o: &RunOutcome| o.stats.cache.hits() + o.stats.cache.misses();
+                        let queries = |o: &RunOutcome| o.stats.cache.questions();
                         assert_eq!(queries(&a), queries(&b), "{what}");
                         assert!(a.stats.node_accesses >= b.stats.node_accesses, "{what}");
                         assert_eq!(

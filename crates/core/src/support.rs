@@ -9,10 +9,17 @@
 //! `graph().neighbors(var)`; a bit is clear only if no object of `var`
 //! satisfies the slot's predicate against that object of `u`. A question
 //! whose every window sits on a clear bit has the answer `None` without a
-//! walk ([`Support::rules_out`]), and that is what the kernel would return:
+//! walk ([`Support::live`] is 0), and that is what the kernel would return:
 //! a question with one set bit runs the kernel on all its windows, as
 //! before. Answers, tie orders and trajectories do not change; only node
 //! accesses fall.
+//!
+//! The same bits bound every answer: no object of `var` satisfies more of
+//! its windows than [`Support::live`] counts set bits among them. ILS and
+//! SEA use an answer only if it beats the variable's current count, so a
+//! question whose live count is no higher is not asked
+//! ([`WindowCache::improving_value_with`](crate::WindowCache)) — in the hard
+//! region nearly all of theirs.
 //!
 //! One [`PairwiseJoin`] per edge sets the bits of both directions. It
 //! joins on MBR intersection, which Intersects, Contains and Inside all
@@ -141,15 +148,21 @@ impl Support {
         Support { vars }
     }
 
-    /// `true` when no object of `var` satisfies any window of a question
-    /// whose neighbours, in `graph().neighbors(var)` order, hold
-    /// `assignments`: every one of them has a clear bit.
+    /// The number of windows of a question about `var` whose neighbour
+    /// object — `assignments`, in `graph().neighbors(var)` order — has a
+    /// set bit, or `None` if `var` keeps no bits. No object of `var`
+    /// satisfies a window on a clear bit, so none satisfies more windows
+    /// than this: at 0 the question has no answer, and no answer beats a
+    /// count at or above it.
     #[inline]
-    pub(crate) fn rules_out(&self, var: VarId, assignments: &[usize]) -> bool {
-        self.vars[var].as_deref().is_some_and(|slots| {
-            let mut bits = slots.iter().zip(assignments);
-            bits.all(|(bits, &object)| !bits.get(object))
-        })
+    pub(crate) fn live(
+        &self,
+        var: VarId,
+        assignments: impl IntoIterator<Item = usize>,
+    ) -> Option<u32> {
+        let slots = self.vars[var].as_deref()?;
+        let live = (slots.iter().zip(assignments)).filter(|(bits, object)| bits.get(*object));
+        Some(live.count() as u32)
     }
 
     /// Resident bytes of `var`'s bits, if it keeps any.
@@ -207,7 +220,9 @@ fn dead_fraction(instance: &Instance, var: VarId, u: VarId, pred: Predicate) -> 
 mod tests {
     use super::*;
     use crate::index;
+    use crate::individual::Individual;
     use crate::instance::BackendKind;
+    use crate::window_cache::WindowCache;
     use mwsj_datagen::Dataset;
     use mwsj_geom::Rect;
     use mwsj_query::{Edge, QueryGraph, Solution};
@@ -330,7 +345,7 @@ mod tests {
                 let kernel = index::walk_best(&inst, var, &windows, &mut walked, &mut []);
                 assert_eq!(got, kernel, "{draw:?}: var {var}");
                 assert!(checked <= walked);
-                if every.rules_out(var, &assigned) {
+                if every.live(var, assigned.iter().copied()) == Some(0) {
                     assert_eq!(kernel, None, "{draw:?}: var {var}");
                 }
                 for widen in [false, true] {
@@ -361,19 +376,89 @@ mod tests {
         }
     }
 
+    /// Every [`Draw`] over its whole range.
+    fn draws() -> impl proptest::strategy::Strategy<Value = Draw> {
+        use proptest::prelude::*;
+        let graph = (any::<u64>(), 2usize..5, any::<bool>(), 0usize..7);
+        let data = (0.005f64..0.6, 0u8..4, any::<bool>(), any::<bool>());
+        (graph, data).prop_map(
+            |((seed, vars, clique, pred), (density, shape, self_join, grid))| Draw {
+                seed,
+                vars,
+                clique,
+                pred,
+                density,
+                shape,
+                self_join,
+                grid,
+            },
+        )
+    }
+
+    /// The bound on one drawn instance, for every variable of eight random
+    /// solutions:
+    /// - where the variable keeps bits, `live` is the number of slots whose
+    ///   neighbour object has a partner, by brute force;
+    /// - `live ≤ satisfied` means no object of the variable satisfies more
+    ///   than `satisfied` windows;
+    /// - the asking method answers as the unconditional kernel filtered by
+    ///   `> satisfied` does, a skipped question reads no node, and every
+    ///   question is a hit, a miss or skipped.
+    fn check_live(draw: Draw) {
+        let inst = draw.instance();
+        let graph = inst.graph();
+        let every = Support::joined(&inst, &vec![true; inst.n_vars()]);
+        let mut cache = WindowCache::new(&inst);
+        let mut rng = StdRng::seed_from_u64(draw.seed ^ 0x11fe);
+        for _ in 0..8 {
+            let ind = Individual::new(&inst, inst.random_solution(&mut rng));
+            let sol = &ind.sol;
+            for var in 0..inst.n_vars() {
+                let neighbors = graph.neighbors(var);
+                let windows: Vec<(Predicate, Rect)> = (neighbors.iter())
+                    .map(|&(u, pred)| (pred, inst.rect(u, sol.get(u))))
+                    .collect();
+                let partnered_slots = (windows.iter())
+                    .filter(|(pred, window)| partnered(&inst, var, *pred, window))
+                    .count() as u32;
+                let most = (inst.scan(var))
+                    .map(|(_, r)| windows.iter().filter(|(p, w)| p.eval(&r, w)).count() as u32)
+                    .max()
+                    .unwrap_or(0);
+                let satisfied = ind.cs.satisfied_of(graph, var);
+                for support in [inst.support(), &every] {
+                    let assigned = neighbors.iter().map(|&(u, _)| sol.get(u));
+                    let Some(live) = support.live(var, assigned) else {
+                        continue;
+                    };
+                    assert_eq!(live, partnered_slots, "{draw:?}: var {var}");
+                    if live <= satisfied {
+                        assert!(most <= satisfied, "{draw:?}: var {var}");
+                    }
+                }
+                let kernel = index::walk_best(&inst, var, &windows, &mut 0, &mut []);
+                let skipped = cache.stats().per_var[var].skipped;
+                let mut accesses = 0;
+                let got = ind.improving_value(&mut cache, &inst, var, (&mut accesses, &mut []));
+                let want = kernel.filter(|best| best.satisfied > satisfied);
+                assert_eq!(got, want, "{draw:?}: var {var}");
+                if cache.stats().per_var[var].skipped > skipped {
+                    assert_eq!(accesses, 0, "{draw:?}: var {var}");
+                }
+            }
+        }
+        assert_eq!(cache.stats().questions(), 8 * inst.n_vars() as u64);
+    }
+
     proptest::proptest! {
         #[test]
-        fn bits_are_sound_exact_and_change_no_answer(
-            seed in proptest::prelude::any::<u64>(),
-            vars in 2usize..5,
-            clique in proptest::prelude::any::<bool>(),
-            pred in 0usize..7,
-            density in 0.005f64..0.6,
-            shape in 0u8..4,
-            self_join in proptest::prelude::any::<bool>(),
-            grid in proptest::prelude::any::<bool>(),
-        ) {
-            check(Draw { seed, vars, clique, pred, density, shape, self_join, grid });
+        fn live_bounds_every_answer_and_skips_only_what_cannot_improve(draw in draws()) {
+            check_live(draw);
+        }
+
+        #[test]
+        fn bits_are_sound_exact_and_change_no_answer(draw in draws()) {
+            check(draw);
         }
     }
 
@@ -392,7 +477,7 @@ mod tests {
                 let assigned = vec![sol.get(0), sol.get(2)];
                 (sol, assigned)
             })
-            .find(|(_, assigned)| support.rules_out(1, assigned))
+            .find(|(_, assigned)| support.live(1, assigned.iter().copied()) == Some(0))
             .expect("most questions are dead");
         let mut accesses = 0;
         assert_eq!(

@@ -44,10 +44,21 @@
 //! window the instance's support bits show dead is answered empty without
 //! a node read ([`index::best`]), and still counts as a miss.
 //!
+//! A question is not asked at all when its answer could not be used. ILS's
+//! climb and SEA's mutation keep an answer only if it satisfies more
+//! conditions than the variable's current assignment, and no object
+//! satisfies more windows than the support bits leave live; when those are
+//! at most the current count, [`WindowCache::improving_value_with`] answers
+//! `None` before the front entry is read and counts the question as
+//! `skipped`. The front and the memo are not touched, so a later question
+//! may miss where it would have hit, but every answer stays the kernel's
+//! (DESIGN.md §5e, "A question whose answer cannot be used is not asked").
+//!
 //! Every query is classified into the cache's own telemetry
-//! ([`CacheStats`]: hits, misses, invalidations by cause, per variable) as
-//! plain `u64` increments — no atomics, no registry lookups in the hot
-//! loop. Drives absorb the counters into
+//! ([`CacheStats`]: hits, misses, skipped, invalidations by cause, per
+//! variable; per variable `hits + misses + skipped` is the number of
+//! questions asked) as plain `u64` increments — no atomics, no registry
+//! lookups in the hot loop. Drives absorb the counters into
 //! [`RunStats`](crate::RunStats) when the run finishes, from where they
 //! follow the same deterministic flush-and-merge path as every other work
 //! counter (DESIGN.md §5g).
@@ -75,17 +86,23 @@ pub struct VarCacheStats {
     /// neighbour windows unchanged): the tie list had to be built, or
     /// widened, before it could answer.
     pub invalidations_penalty: u64,
+    /// Questions that needed an answer above the variable's current count
+    /// and were answered `None` by the support bits' bound alone, without
+    /// a look at the cache (the raw question of ILS's climb and SEA's
+    /// mutation).
+    pub skipped: u64,
 }
 
 impl VarCacheStats {
-    /// The four counters by the name the `metrics` event gives them
+    /// The five counters by the name the `metrics` event gives them
     /// (`cache.<name>` for the totals, `cache.varNNN.<name>` per variable).
-    pub(crate) fn counters(&self) -> [(&'static str, u64); 4] {
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 5] {
         [
             ("hits", self.hits),
             ("misses", self.misses),
             ("invalidations.reassign", self.invalidations_reassign),
             ("invalidations.penalty", self.invalidations_penalty),
+            ("skipped", self.skipped),
         ]
     }
 
@@ -94,6 +111,7 @@ impl VarCacheStats {
         self.misses += other.misses;
         self.invalidations_reassign += other.invalidations_reassign;
         self.invalidations_penalty += other.invalidations_penalty;
+        self.skipped += other.skipped;
     }
 }
 
@@ -132,6 +150,16 @@ impl CacheStats {
     /// Total penalty-version-caused invalidations across variables.
     pub fn invalidations_penalty(&self) -> u64 {
         self.per_var.iter().map(|v| v.invalidations_penalty).sum()
+    }
+
+    /// Total questions the support bits answered before the cache.
+    pub fn skipped(&self) -> u64 {
+        self.per_var.iter().map(|v| v.skipped).sum()
+    }
+
+    /// Every question asked: hits, misses and skipped.
+    pub fn questions(&self) -> u64 {
+        self.hits() + self.misses() + self.skipped()
     }
 
     /// `true` when no cache was ever consulted.
@@ -528,6 +556,42 @@ impl WindowCache {
         result
     }
 
+    /// [`WindowCache::find_best_value_with`], raw, for a caller that uses
+    /// the answer only if it satisfies more than `current` conditions —
+    /// ILS's climb, SEA's mutation — and gets `None` otherwise. No object
+    /// satisfies more windows than the support bits leave live
+    /// ([`Support::live`](crate::support::Support::live)), so when those
+    /// are at most `current` the answer is `None` whatever the index holds:
+    /// it is returned without a look at the cache or the index and counts
+    /// as `skipped`, so that per variable `hits + misses + skipped` is the
+    /// number of questions asked.
+    #[inline]
+    pub(crate) fn improving_value_with(
+        &mut self,
+        instance: &Instance,
+        sol: &Solution,
+        var: VarId,
+        current: u32,
+        rect_of: impl Fn(VarId, usize) -> Rect,
+        tally: (&mut u64, &mut [u64]),
+    ) -> Option<BestValue> {
+        let assigned = instance
+            .graph()
+            .neighbors(var)
+            .iter()
+            .map(|&(u, _)| sol.get(u));
+        if instance
+            .support()
+            .live(var, assigned)
+            .is_some_and(|live| live <= current)
+        {
+            self.stats[var].skipped += 1;
+            return None;
+        }
+        let best = self.find_best_value_with(instance, sol, var, None, rect_of, tally);
+        best.filter(|best| best.satisfied > current)
+    }
+
     /// The answer to a penalised question about `var`, whose front entry
     /// holds the question's windows, and whether it took a walk: the tie
     /// list re-scored if it was built from these windows and answers
@@ -842,6 +906,7 @@ mod tests {
                 misses: 2,
                 invalidations_reassign: 1,
                 invalidations_penalty: 0,
+                skipped: 6,
             }],
             bytes: 100,
         };
@@ -852,6 +917,7 @@ mod tests {
                     misses: 20,
                     invalidations_reassign: 3,
                     invalidations_penalty: 4,
+                    skipped: 2,
                 },
                 VarCacheStats {
                     hits: 5,
@@ -869,6 +935,8 @@ mod tests {
         assert_eq!(ab.misses(), 22);
         assert_eq!(ab.invalidations_reassign(), 4);
         assert_eq!(ab.invalidations_penalty(), 4);
+        assert_eq!(ab.skipped(), 8);
+        assert_eq!(ab.questions(), 16 + 22 + 8);
         assert_eq!(ab.bytes, 150);
         assert_eq!(ab.per_var.len(), 2);
     }

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 fn arb_stats() -> impl Strategy<Value = RunStats> {
     let counts = prop::collection::vec(0u64..1_000_000, 6);
-    let cache = prop::collection::vec(prop::collection::vec(0u64..10_000, 4), 0..5);
+    let cache = prop::collection::vec(prop::collection::vec(0u64..10_000, 5), 0..5);
     let profile = prop::collection::vec(prop::collection::vec(0u64..10_000, 0..4), 0..5);
     (counts, cache, profile, 0u64..5_000_000).prop_map(|(c, cache, profile, us)| RunStats {
         elapsed: Duration::from_micros(us),
@@ -38,6 +38,7 @@ fn arb_stats() -> impl Strategy<Value = RunStats> {
                     misses: v[1],
                     invalidations_reassign: v[2],
                     invalidations_penalty: v[3],
+                    skipped: v[4],
                 })
                 .collect(),
             bytes: c[5],
@@ -135,12 +136,15 @@ fn metric_names_are_the_counter_table_under_the_search_prefix() {
     let mut cached = RunStats::default();
     cached.cache.per_var = vec![VarCacheStats::default(); 2];
     cached.cache.per_var[1].misses = 7;
+    cached.cache.per_var[0].skipped = 3;
     let snap = cached.metrics();
     assert_eq!(snap.counter(metric::CACHE_HITS), Some(0));
     assert_eq!(snap.counter(metric::CACHE_MISSES), Some(7));
+    assert_eq!(snap.counter(metric::CACHE_SKIPPED), Some(3));
     assert_eq!(snap.counter(metric::CACHE_BYTES), Some(0));
     assert_eq!(snap.counter(&metric::cache_var(1, "misses")), Some(7));
-    assert_eq!(snap.counters.len(), 5 + 5 + 2 * 4);
+    assert_eq!(snap.counter(&metric::cache_var(0, "skipped")), Some(3));
+    assert_eq!(snap.counters.len(), 5 + 6 + 2 * 5);
 }
 
 #[test]

@@ -153,8 +153,8 @@ pub fn compare(baseline: &BenchSnapshot, candidate: &BenchSnapshot) -> CompareRe
         |c| format!("{}/{}/cache", c.instance, c.algo),
         |c| {
             format!(
-                "cache counters identical ({} hits, {} misses)",
-                c.hits, c.misses
+                "cache counters identical ({} hits, {} misses, {} skipped)",
+                c.hits, c.misses, c.skipped
             )
         },
     );
@@ -347,6 +347,7 @@ mod tests {
             misses: 20,
             invalidations_reassign: 3,
             invalidations_penalty: 0,
+            skipped: 7,
             bytes: 512,
         }];
         snap.explain = vec![crate::snapshot::ExplainRecord {

@@ -129,6 +129,9 @@ record! {
         pub invalidations_reassign: u64,
         /// Misses caused by a penalty-version bump alone.
         pub invalidations_penalty: u64,
+        /// Questions the support bits' bound answered before the cache
+        /// (0 in snapshots written before the class existed).
+        pub skipped: u64 [default],
         /// Cache resident bytes at run end (summed across merged restarts).
         pub bytes: u64,
     }
@@ -369,6 +372,7 @@ mod tests {
                 misses: 63,
                 invalidations_reassign: 12,
                 invalidations_penalty: 0,
+                skipped: 5,
                 bytes: 2048,
             }],
             explain: vec![ExplainRecord {

@@ -186,7 +186,11 @@ fn golden_events() -> Vec<RunEvent> {
         },
         RunEvent::Metrics {
             snapshot: MetricsSnapshot {
-                counters: vec![("cache.hits".into(), 3), ("search.steps".into(), 1 << 60)],
+                counters: vec![
+                    ("cache.hits".into(), 3),
+                    ("cache.skipped".into(), 9),
+                    ("search.steps".into(), 1 << 60),
+                ],
                 gauges: vec![("g".into(), 0.5), ("g.bad".into(), f64::NEG_INFINITY)],
                 histograms: vec![
                     ("empty".into(), HistogramSnapshot::default()),
