@@ -80,7 +80,8 @@ impl Table {
 }
 
 /// Writes `content` to `results/<name>` (creating the directory) and
-/// returns that path ([`results_file`]).
+/// returns that path: under the workspace root when run inside it, else
+/// under the current directory.
 pub fn write_csv(name: &str, content: &str) -> std::io::Result<PathBuf> {
     let path = results_file(name)?;
     fs::write(&path, content)?;

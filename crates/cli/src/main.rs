@@ -16,10 +16,10 @@ mod watch;
 use args::Args;
 use mwsj_core::obs::to_folded;
 use mwsj_core::{
-    AnytimeSearch, BackendKind, EventSink, Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig,
-    Instance, JsonlSink, ObsHandle, Pjm, Portfolio, RunEvent, RunOutcome, Sea, SeaConfig,
-    SearchBudget, SearchContext, SynchronousTraversal, TelemetryConfig, TwoStep, TwoStepConfig,
-    WindowReduction,
+    metric, AnytimeSearch, BackendKind, EventSink, Gils, GilsConfig, Ibb, IbbConfig, Ils,
+    IlsConfig, Instance, JsonlSink, MetricsSnapshot, ObsHandle, Pjm, Portfolio, RunEvent,
+    RunOutcome, Sea, SeaConfig, SearchBudget, SearchContext, SynchronousTraversal, TelemetryConfig,
+    TwoStep, TwoStepConfig, WindowReduction,
 };
 use mwsj_datagen::{Dataset, DatasetSpec, Distribution, QueryShape};
 use rand::rngs::StdRng;
@@ -597,6 +597,14 @@ fn cmd_join(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
         "pjm" => Pjm::default().run_with_obs(&instance, &budget, limit, &obs),
         other => return Err(format!("unknown exact algorithm '{other}'").into()),
     };
+    // The arc-consistency pass's reads belong to the instance, not to the
+    // run: they are their own counter.
+    if let Some(reads) = instance.core_node_accesses() {
+        obs.metrics.absorb(&MetricsSnapshot {
+            counters: vec![(metric::CORE_NODE_ACCESSES.into(), reads)],
+            ..MetricsSnapshot::default()
+        });
+    }
     obs.emit(RunEvent::Metrics {
         snapshot: obs.metrics.snapshot(),
     });
@@ -613,6 +621,18 @@ fn cmd_join(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
         outcome.stats.elapsed,
         outcome.stats.node_accesses
     )?;
+    // What the arc-consistency pass left of each dataset and what it read
+    // (it does not run under `--limit 0`).
+    if let (Some(sizes), Some(reads)) = (instance.core_sizes(), instance.core_node_accesses()) {
+        let domains: Vec<String> = (sizes.iter().enumerate())
+            .map(|(v, size)| format!("{size}/{}", instance.cardinality(v)))
+            .collect();
+        writeln!(
+            stdout,
+            "core: {} ({reads} node accesses)",
+            domains.join(" ")
+        )?;
+    }
     for sol in outcome.solutions.iter().take(limit) {
         writeln!(stdout, "  {sol}")?;
     }

@@ -932,29 +932,33 @@ fn within_epsilon_must_be_a_finite_distance() {
 /// `--limit` keeps a prefix of it: WR (leaf order of the first variable,
 /// then the grid's `(cell, object)` order per window query) and PJM (the
 /// cell-pair join's order, then the same) print these tuples and count
-/// these accesses.
+/// these accesses. The data is dense: the arc-consistency pass ends after
+/// its first join, removing nothing, and the line after the count says so.
 #[test]
 fn grid_joins_print_the_pinned_first_tuples() {
     let dir = temp_dir("gridpinned");
     let files: Vec<PathBuf> = (0..3)
         .map(|i| generate(&dir, &format!("{i}.csv"), 2000, 0.5, 41 + i))
         .collect();
+    let core = "core: 2000/2000 2000/2000 2000/2000 (809 node accesses)\n";
     let pinned = [
         (
             "wr",
-            "(8 node accesses)\n  (r1,1158, r2,625, r3,1590)\n  (r1,180, r2,1323, r3,614)\n  \
+            "(8 node accesses)\n",
+            "  (r1,1158, r2,625, r3,1590)\n  (r1,180, r2,1323, r3,614)\n  \
              (r1,180, r2,1323, r3,1530)\n  (r1,180, r2,1323, r3,1780)\n  \
              (r1,180, r2,1323, r3,1861)\n  (r1,400, r2,1323, r3,614)\n",
         ),
         (
             "pjm",
-            "(5950 node accesses)\n  (r1,1153, r2,1568, r3,1436)\n  \
+            "(5950 node accesses)\n",
+            "  (r1,1153, r2,1568, r3,1436)\n  \
              (r1,1153, r2,1568, r3,1746)\n  (r1,1419, r2,1031, r3,62)\n  \
              (r1,1419, r2,1031, r3,1436)\n  (r1,1419, r2,1031, r3,1746)\n  \
              (r1,1153, r2,1031, r3,62)\n",
         ),
     ];
-    for (algo, tail) in pinned {
+    for (algo, accesses, tuples) in pinned {
         let mut cmd = mwsj();
         cmd.arg("join");
         for f in &files {
@@ -963,7 +967,49 @@ fn grid_joins_print_the_pinned_first_tuples() {
         cmd.args(["--query", "chain", "--backend", "grid", "--limit", "6"]);
         let out = cmd.args(["--algo", algo]).output().unwrap();
         let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.ends_with(tail), "{algo}: {text}");
+        let tail = format!("{accesses}{core}{tuples}");
+        assert!(text.ends_with(&tail), "{algo}: {text}");
+    }
+}
+
+/// On sparse data the pass cuts every dataset down to the objects that
+/// still have partners: `join` prints what it left and what it read, the
+/// same for every algorithm and backend, and `--metrics-out` holds those
+/// reads as `core.node_accesses`, apart from the run's own
+/// `search.node_accesses`.
+#[test]
+fn join_prints_the_core_and_the_reads_of_its_pass() {
+    let dir = temp_dir("corepinned");
+    let files: Vec<PathBuf> = (0..3)
+        .map(|i| generate(&dir, &format!("{i}.csv"), 2000, 0.05, 41 + i))
+        .collect();
+    let core = "\ncore: 80/2000 78/2000 78/2000 (2017 node accesses)\n";
+    let metrics = dir.join("join.jsonl");
+    for backend in ["rtree", "grid"] {
+        for algo in ["wr", "st", "pjm"] {
+            let mut cmd = mwsj();
+            cmd.arg("join");
+            for f in &files {
+                cmd.args(["--data", f.to_str().unwrap()]);
+            }
+            cmd.args(["--query", "chain", "--backend", backend, "--algo", algo]);
+            cmd.args(["--metrics-out", metrics.to_str().unwrap()]);
+            let out = cmd.output().unwrap();
+            let text = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && text.contains(core),
+                "{backend} {algo}: {text}"
+            );
+            let counters = std::fs::read_to_string(&metrics).unwrap();
+            let counters = counters
+                .lines()
+                .find(|l| l.contains("\"metrics\""))
+                .unwrap();
+            assert!(
+                counters.contains("\"core.node_accesses\":2017,"),
+                "{counters}"
+            );
+        }
     }
 }
 

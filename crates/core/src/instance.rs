@@ -1,6 +1,7 @@
 //! A join instance: query graph plus indexed datasets.
 
-use crate::support::Support;
+use crate::budget::BudgetClock;
+use crate::support::{Domains, Support};
 use mwsj_geom::Rect;
 use mwsj_obs::{MemoryFootprint, ResourceReport};
 use mwsj_query::{ConflictState, QueryGraph, Solution, VarId};
@@ -68,7 +69,7 @@ pub(crate) struct IndexedDataset {
 }
 
 impl IndexedDataset {
-    fn build(rects: &[Rect]) -> Self {
+    pub(crate) fn build(rects: &[Rect]) -> Self {
         let tree = RTree::from_rects(rects);
         let mut inv = vec![0u32; rects.len()];
         for (position, &object) in tree.leaf_values().iter().enumerate() {
@@ -106,6 +107,14 @@ impl IndexedDataset {
     /// Resident bytes of the leaf rectangle array.
     fn rect_bytes(&self) -> u64 {
         std::mem::size_of_val(self.tree.leaf_rects()) as u64
+    }
+
+    /// Resident bytes of everything: rectangles, index and the grid once
+    /// built.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.rect_bytes()
+            + self.index_bytes()
+            + self.grid.get().map_or(0, MemoryFootprint::memory_bytes)
     }
 }
 
@@ -150,6 +159,9 @@ pub struct Instance {
     /// The support bits, built on first use. They depend on the graph, so
     /// they live here and not on the (shareable) datasets.
     support: OnceLock<Support>,
+    /// The arc-consistent domains, built on first use by an exact join and
+    /// shared by every clone — the backend views of one instance.
+    domains: Arc<OnceLock<Domains>>,
 }
 
 impl Instance {
@@ -181,6 +193,7 @@ impl Instance {
             data,
             backend: BackendKind::default(),
             support: OnceLock::new(),
+            domains: Arc::default(),
         })
     }
 
@@ -201,6 +214,7 @@ impl Instance {
             data: vec![shared; n],
             backend: BackendKind::default(),
             support: OnceLock::new(),
+            domains: Arc::default(),
         })
     }
 
@@ -235,6 +249,53 @@ impl Instance {
     #[inline]
     pub(crate) fn support(&self) -> &Support {
         self.support.get_or_init(|| Support::build(self))
+    }
+
+    /// The arc-consistent domains ([`crate::support::Domains`]), built on
+    /// first access and shared by every clone; `None` if `clock` runs out
+    /// during the build, which then leaves nothing behind. A build adds the
+    /// nodes it reads to `node_accesses`.
+    pub(crate) fn domains(&self, clock: &BudgetClock, node_accesses: &mut u64) -> Option<&Domains> {
+        if let Some(domains) = self.domains.get() {
+            return Some(domains);
+        }
+        let built = Domains::build(self, clock, node_accesses)?;
+        Some(self.domains.get_or_init(|| built))
+    }
+
+    /// The core: the same graph and backend over `domains`' survivors; a
+    /// variable that lost none keeps its dataset. No domain may be empty.
+    pub(crate) fn core(&self, domains: &Domains) -> Instance {
+        debug_assert!(!domains.is_empty(), "an empty domain has no core");
+        let data = (self.data.iter().enumerate())
+            .map(|(v, whole)| domains.dataset(v).unwrap_or(whole).clone())
+            .collect();
+        let core = Instance {
+            graph: self.graph.clone(),
+            data,
+            backend: BackendKind::default(),
+            support: OnceLock::new(),
+            domains: Arc::default(),
+        };
+        core.with_backend(self.backend)
+    }
+
+    /// How many objects of each variable survive the arc-consistency pass
+    /// of the exact joins, once one of them has run it (WR, ST and PJM
+    /// search only those; DESIGN.md §5k). The pass stops at the first
+    /// domain it empties, so the others may then be larger than their
+    /// fixpoint. It removes nothing where its probes find no edge that
+    /// leaves three quarters of an end without a partner.
+    pub fn core_sizes(&self) -> Option<Vec<usize>> {
+        let domains = self.domains.get()?;
+        let sizes = (0..self.n_vars()).map(|v| domains.size(v).unwrap_or(self.cardinality(v)));
+        Some(sizes.collect())
+    }
+
+    /// The index nodes the arc-consistency pass read, once it has run. They
+    /// belong to the instance: no run's `node_accesses` counts them.
+    pub fn core_node_accesses(&self) -> Option<u64> {
+        self.domains.get().map(Domains::node_accesses)
     }
 
     /// The query graph.
@@ -354,9 +415,11 @@ impl Instance {
     /// variable bound to that dataset, plus `grid.varNNN` — the grid's index
     /// alone, since it shares the leaf arrays — once the grid has been
     /// built. Once the support bits are built, every variable that keeps
-    /// some adds `support.varNNN`, its bit words. The same table backs the
-    /// `resource_report` run event and the `memory` section of bench
-    /// snapshots.
+    /// some adds `support.varNNN`, its bit words; once the exact joins'
+    /// arc-consistency pass has run, every variable that lost objects adds
+    /// `domains.varNNN`, its surviving ids and their dataset. The same
+    /// table backs the `resource_report` run event and the `memory` section
+    /// of bench snapshots.
     pub fn fill_resource_report(&self, report: &mut ResourceReport) {
         for (v, d) in self.unique_datasets() {
             report.record(&format!("rects.var{v:03}"), d.rect_bytes());
@@ -374,6 +437,13 @@ impl Instance {
             for v in 0..self.n_vars() {
                 if let Some(bytes) = support.bytes(v) {
                     report.record(&format!("support.var{v:03}"), bytes);
+                }
+            }
+        }
+        if let Some(domains) = self.domains.get() {
+            for v in 0..self.n_vars() {
+                if let Some(bytes) = domains.bytes(v) {
+                    report.record(&format!("domains.var{v:03}"), bytes);
                 }
             }
         }
@@ -398,21 +468,18 @@ impl Instance {
 impl MemoryFootprint for Instance {
     /// Resident bytes of the indexed datasets (rectangles, R*-tree and
     /// built grids), with `Arc`-shared self-join datasets counted
-    /// once, and of the support bits once built. Deterministic: the same
-    /// logical instance always reports the same total.
+    /// once, and of the support bits and the exact joins' domains once
+    /// built. Deterministic: the same logical instance always reports the
+    /// same total.
     fn memory_bytes(&self) -> u64 {
-        let datasets: u64 = self
-            .unique_datasets()
-            .map(|(_, d)| {
-                d.rect_bytes()
-                    + d.index_bytes()
-                    + d.grid.get().map_or(0, MemoryFootprint::memory_bytes)
-            })
-            .sum();
+        let datasets: u64 = self.unique_datasets().map(|(_, d)| d.bytes()).sum();
         let support = self.support.get().map_or(0, |s| {
             (0..self.n_vars()).filter_map(|v| s.bytes(v)).sum::<u64>()
         });
-        datasets + support
+        let domains = self.domains.get().map_or(0, |d| {
+            (0..self.n_vars()).filter_map(|v| d.bytes(v)).sum::<u64>()
+        });
+        datasets + support + domains
     }
 }
 
@@ -626,7 +693,8 @@ mod tests {
 
     /// The support bits show in the report once a heuristic has built them,
     /// one component per variable of one bit per object of each neighbour;
-    /// an instance only exact methods have run on reports as before.
+    /// an instance only exact methods have run on reports no bits, and WR
+    /// adds only its domains.
     #[test]
     fn support_bits_are_reported_once_a_heuristic_has_built_them() {
         let draw = |seed| Dataset::uniform(1_000, 0.05, &mut StdRng::seed_from_u64(seed));
@@ -641,8 +709,12 @@ mod tests {
         let before = report(&exact);
         let budget = crate::SearchBudget::iterations(50);
         let _ = crate::Ibb::new(crate::IbbConfig::new()).run(&exact, &budget);
+        assert_eq!(report(&exact), before, "IBB builds no bits");
         let _ = crate::WindowReduction::new().run(&exact, &budget, 10);
-        assert_eq!(report(&exact), before, "exact methods build no bits");
+        let (domains, rest): (Vec<_>, Vec<_>) =
+            (report(&exact).into_iter()).partition(|(name, _)| name.starts_with("domains."));
+        assert_eq!(rest, before, "exact methods build no bits");
+        assert_eq!(domains.len(), 3, "every variable lost objects");
 
         let mut rng = StdRng::seed_from_u64(4);
         let _ = crate::Ils::default().run(&heuristic, &budget, &mut rng);

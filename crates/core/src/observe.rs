@@ -39,6 +39,9 @@ pub mod metric {
     /// Counter: questions the support bits' bound answered before the
     /// window cache was consulted (ILS, SEA).
     pub const CACHE_SKIPPED: &str = "cache.skipped";
+    /// Counter: index nodes the exact joins' arc-consistency pass read
+    /// (once per instance; no run's `search.node_accesses` counts them).
+    pub const CORE_NODE_ACCESSES: &str = "core.node_accesses";
     /// Counter: window-cache resident bytes at run end (sums across
     /// merged restarts — the aggregate cache working set).
     pub const CACHE_BYTES: &str = "cache.bytes";

@@ -13,7 +13,7 @@
 //! blow-up on high-selectivity queries, and the reason it cannot be adapted
 //! to approximate retrieval (intermediate pairs must intersect).
 
-use crate::budget::{BudgetClock, SearchBudget, SearchContext};
+use crate::budget::{BudgetClock, SearchBudget};
 use crate::index;
 use crate::instance::Instance;
 use crate::order::connectivity_order;
@@ -64,13 +64,23 @@ impl Pjm {
         limit: usize,
         obs: &ObsHandle,
     ) -> ExactJoinOutcome {
+        ExactJoinOutcome::on_core(instance, budget, limit, obs, "pjm", |core, clock, stats| {
+            self.enumerate(core, limit, clock, stats)
+        })
+    }
+
+    /// PJM itself, on the instance it is given: up to `limit` solutions,
+    /// and whether the enumeration completed.
+    pub(crate) fn enumerate(
+        &self,
+        instance: &Instance,
+        limit: usize,
+        clock: &mut BudgetClock,
+        stats: &mut RunStats,
+    ) -> (Vec<Solution>, bool) {
         let graph = instance.graph();
         let n = graph.n_vars();
         let order = cost_based_order(instance);
-        let ctx = SearchContext::local(*budget).with_obs(obs.clone());
-        let mut clock = BudgetClock::from_context(&ctx);
-        let _phase = clock.obs().timer.span("pjm");
-        let mut stats = RunStats::default();
         let mut truncated = false;
 
         // Step 1: pairwise join of the first two variables in the order.
@@ -146,13 +156,7 @@ impl Pjm {
             }
             solutions.push(Solution::new(assignment));
         }
-
-        clock.finish(&mut stats);
-        ExactJoinOutcome {
-            solutions,
-            stats,
-            complete: !truncated,
-        }
+        (solutions, !truncated)
     }
 }
 

@@ -36,7 +36,7 @@
 //! every [`Instance`] has its trees: the algorithm descends them whatever
 //! [`BackendKind`](crate::BackendKind) is selected.
 
-use crate::budget::{BudgetClock, SearchBudget, SearchContext};
+use crate::budget::{BudgetClock, SearchBudget};
 use crate::instance::Instance;
 use crate::result::RunStats;
 use crate::wr::ExactJoinOutcome;
@@ -119,46 +119,50 @@ impl SynchronousTraversal {
                 .all(|e| e.pred == Predicate::Intersects),
             "synchronous traversal supports overlap queries only"
         );
-        let ctx = SearchContext::local(*budget).with_obs(obs.clone());
-        let clock = BudgetClock::from_context(&ctx);
-        let _phase = clock.obs().timer.span("st");
-        let mut state = StState {
-            instance,
-            clock,
-            stats: RunStats::default(),
-            solutions: Vec::new(),
-            limit,
-            truncated: false,
-            chosen: Vec::new(),
-            lists: Vec::new(),
-            frames: Vec::new(),
-        };
-        // `limit = 0` asks for nothing: `expand` would push the first
-        // solution before looking at the limit.
-        if limit > 0 {
-            state.chosen.extend((0..instance.n_vars()).map(|v| {
-                let tree = instance.tree(v);
-                Cursor::Node(tree.root_node(), tree.bounding_box())
-            }));
-            expand(&mut state, 0);
-        }
-        let mut stats = state.stats;
-        state.clock.finish(&mut stats);
-        let complete = !state.truncated && state.solutions.len() < state.limit;
-        ExactJoinOutcome {
-            solutions: state.solutions,
-            stats,
-            complete,
-        }
+        ExactJoinOutcome::on_core(instance, budget, limit, obs, "st", |core, clock, stats| {
+            enumerate(core, limit, clock, stats)
+        })
     }
+}
+
+/// The traversal itself, descending the trees of the instance it is given:
+/// up to `limit` solutions, and whether the enumeration completed.
+pub(crate) fn enumerate(
+    instance: &Instance,
+    limit: usize,
+    clock: &mut BudgetClock,
+    stats: &mut RunStats,
+) -> (Vec<Solution>, bool) {
+    let mut state = StState {
+        instance,
+        clock,
+        stats,
+        solutions: Vec::new(),
+        limit,
+        truncated: false,
+        chosen: Vec::new(),
+        lists: Vec::new(),
+        frames: Vec::new(),
+    };
+    // `limit = 0` asks for nothing: `expand` would push the first
+    // solution before looking at the limit.
+    if limit > 0 {
+        state.chosen.extend((0..instance.n_vars()).map(|v| {
+            let tree = instance.tree(v);
+            Cursor::Node(tree.root_node(), tree.bounding_box())
+        }));
+        expand(&mut state, 0);
+    }
+    let complete = !state.truncated && state.solutions.len() < limit;
+    (state.solutions, complete)
 }
 
 /// A run in progress. The three vectors are the run's arena, each used as a
 /// stack that a recursion level grows and cuts back to where it found it.
-struct StState<'a> {
+struct StState<'a, 'r> {
     instance: &'a Instance,
-    clock: BudgetClock,
-    stats: RunStats,
+    clock: &'r mut BudgetClock,
+    stats: &'r mut RunStats,
     solutions: Vec<Solution>,
     limit: usize,
     truncated: bool,
@@ -174,7 +178,7 @@ struct StState<'a> {
 
 /// Processes the combination `chosen[combo..combo + n]`; returns `true` to
 /// stop everything.
-fn expand(state: &mut StState<'_>, combo: usize) -> bool {
+fn expand(state: &mut StState<'_, '_>, combo: usize) -> bool {
     if state.clock.exhausted() {
         state.truncated = true;
         return true;
@@ -239,7 +243,7 @@ fn expand(state: &mut StState<'_>, combo: usize) -> bool {
 /// its list in `frames[frame..frame + n]` — every one of which meets the
 /// entries already fixed — and forward-checking the lists of its later
 /// neighbours against the pick.
-fn choose(state: &mut StState<'_>, frame: usize, var: usize) -> bool {
+fn choose(state: &mut StState<'_, '_>, frame: usize, var: usize) -> bool {
     let instance = state.instance;
     let (graph, n) = (instance.graph(), instance.n_vars());
     if var == n {
@@ -378,13 +382,22 @@ mod tests {
         }
     }
 
-    /// Asserts that a run finds the solutions of [`Unrestricted`] in its
-    /// order, in as many steps and node reads, at every limit; returns how
-    /// many there are.
+    /// The traversal of `inst`'s own trees, without the arc-consistency
+    /// pass that the public entry runs first.
+    fn kernel(inst: &Instance, limit: usize) -> ExactJoinOutcome {
+        let (budget, obs) = (SearchBudget::seconds(60.0), ObsHandle::disabled());
+        ExactJoinOutcome::framed(&budget, &obs, "st", |clock, stats| {
+            enumerate(inst, limit, clock, stats)
+        })
+    }
+
+    /// Asserts that the traversal of `inst` finds the solutions of
+    /// [`Unrestricted`] in its order, in as many steps and node reads, at
+    /// every limit; returns how many there are.
     fn assert_equals_unrestricted(name: &str, inst: &Instance) -> usize {
         let mut found = 0;
         for limit in [usize::MAX, 5, 1, 0] {
-            let got = SynchronousTraversal::new().run(inst, &SearchBudget::seconds(60.0), limit);
+            let got = kernel(inst, limit);
             let want = Unrestricted::run(inst, limit);
             assert_eq!(got.solutions, want.solutions, "{name}, limit {limit}");
             assert_eq!(got.stats.steps, want.steps, "{name}, limit {limit}");

@@ -37,13 +37,47 @@
 //! edge neither end keeps bits for is not joined. A join that finds more
 //! than `N_a + N_b` pairs stops, and its two ends keep no bits, so that
 //! dense data costs O(N).
+//!
+//! # Arc consistency for the exact joins
+//!
+//! The bits are one round of semi-joins. Iterated to a fixpoint they are
+//! AC-3 over the edges whose predicate implies intersection: [`Domains`]
+//! keeps, per variable, the objects that still have a surviving partner
+//! on every such edge. No object of an exact solution is removed — each of
+//! its partners survives with it — so WR, ST and PJM enumerate the same
+//! set on the *core*, the instance rebuilt from the survivors
+//! ([`ExactJoinOutcome::on_core`](crate::wr::ExactJoinOutcome)). On trees
+//! whose every edge implies intersection the fixpoint is the full reducer:
+//! every survivor lies in some exact solution.
+//!
+//! - While both domains of an edge are whole, its revision is the capped
+//!   join of the bits; past the cap the edge removes nothing for now.
+//! - After that, each surviving object of the smaller domain asks the
+//!   other side's tree for its partners, and both sides keep only the
+//!   survivors that met one.
+//! - A variable that loses objects re-queues its other edges. The pass
+//!   stops when the queue is empty or a domain is.
+//! - The pass runs only if the bits' probes ([`PROBES`] evenly spaced
+//!   objects an end) find some edge that leaves at least [`PASS_MIN_DEAD`]
+//!   of one of its ends without a partner. Where every join keeps most
+//!   objects, the pass costs more than the smaller core saves.
+//! - The budget of the run that builds the pass is checked before the
+//!   probes and before every revision; a pass it stops is dropped, not
+//!   kept.
+//!
+//! The heuristics and IBB score *partial* solutions: an object without a
+//! partner may still be the best answer to a question, so they keep the
+//! one-round bits and never see the core.
 
-use crate::instance::Instance;
+use crate::budget::BudgetClock;
+use crate::instance::{IndexedDataset, Instance};
 use crate::pairwise::PairwiseJoin;
-use mwsj_geom::Predicate;
-use mwsj_query::VarId;
+use mwsj_geom::{Predicate, Rect};
+use mwsj_query::{Edge, Solution, VarId};
 use mwsj_rtree::multiwindow;
+use std::collections::VecDeque;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// Objects of a neighbour probed per slot to estimate its dead fraction.
 const PROBES: usize = 64;
@@ -51,6 +85,10 @@ const PROBES: usize = 64;
 /// The least estimated chance that all of a variable's windows are dead
 /// for which the variable keeps bits.
 const MIN_DEAD: f64 = 0.25;
+
+/// The least estimated share of an edge end without a partner for which
+/// the arc-consistency pass runs.
+const PASS_MIN_DEAD: f64 = 0.75;
 
 /// The support bits of one instance ([module docs](self)).
 #[derive(Debug, Clone)]
@@ -76,6 +114,22 @@ impl Bits {
     #[inline]
     fn get(&self, i: usize) -> bool {
         self.0[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    fn count(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The set indices, ascending.
+    fn ones(&self) -> impl Iterator<Item = u32> + '_ {
+        self.0.iter().zip(0u32..).flat_map(|(&word, at)| {
+            let mut word = word;
+            std::iter::from_fn(move || {
+                let bit = (word != 0).then(|| word.trailing_zeros())?;
+                word &= word - 1;
+                Some(at * 64 + bit)
+            })
+        })
     }
 }
 
@@ -113,36 +167,22 @@ impl Support {
             .collect();
         for edge in graph.edges() {
             let (a, b) = (edge.a, edge.b);
-            let (mut at_a, mut at_b) = (vars[a].take(), vars[b].take());
-            if at_a.is_none() && at_b.is_none() {
+            if vars[a].is_none() && vars[b].is_none() {
                 continue;
             }
+            let Some([partnered_a, partnered_b]) = semi_join(instance, edge, &mut 0) else {
+                (vars[a], vars[b]) = (None, None);
+                continue;
+            };
             let slot = |of: VarId, u: VarId| {
                 let slot = graph.neighbors(of).iter().position(|n| n.0 == u);
                 slot.expect("the ends of an edge are each other's neighbours")
             };
-            let (b_in_a, a_in_b) = (slot(a, b), slot(b, a));
-            let cap = instance.cardinality(a) + instance.cardinality(b);
-            let mut pairs = 0;
-            let (_, complete) =
-                PairwiseJoin::visit(instance.tree(a), instance.tree(b), |oa, ob| {
-                    pairs += 1;
-                    if pairs > cap {
-                        return ControlFlow::Break(());
-                    }
-                    let (ra, rb) = (instance.rect(a, oa as usize), instance.rect(b, ob as usize));
-                    if edge.pred.eval(&ra, &rb) {
-                        if let Some(slots) = &mut at_a {
-                            slots[b_in_a].set(ob);
-                        }
-                        if let Some(slots) = &mut at_b {
-                            slots[a_in_b].set(oa);
-                        }
-                    }
-                    ControlFlow::Continue(())
-                });
-            if complete {
-                (vars[a], vars[b]) = (at_a, at_b);
+            if let Some(slots) = &mut vars[a] {
+                slots[slot(a, b)] = partnered_b;
+            }
+            if let Some(slots) = &mut vars[b] {
+                slots[slot(b, a)] = partnered_a;
             }
         }
         Support { vars }
@@ -177,13 +217,244 @@ impl Support {
     }
 }
 
+/// The objects of `edge.a` and of `edge.b` that satisfy the edge's
+/// predicate with some object of the other side: one pairwise join on MBR
+/// intersection, `None` once it finds more than `N_a + N_b` pairs. Adds
+/// the nodes it reads to `node_accesses`.
+fn semi_join(instance: &Instance, edge: &Edge, node_accesses: &mut u64) -> Option<[Bits; 2]> {
+    let (a, b) = (edge.a, edge.b);
+    let (n_a, n_b) = (instance.cardinality(a), instance.cardinality(b));
+    let mut partnered = [Bits::clear(n_a), Bits::clear(n_b)];
+    let mut pairs = 0;
+    let (read, complete) = PairwiseJoin::visit(instance.tree(a), instance.tree(b), |oa, ob| {
+        pairs += 1;
+        if pairs > n_a + n_b {
+            return ControlFlow::Break(());
+        }
+        let (ra, rb) = (instance.rect(a, oa as usize), instance.rect(b, ob as usize));
+        if edge.pred.eval(&ra, &rb) {
+            partnered[0].set(oa);
+            partnered[1].set(ob);
+        }
+        ControlFlow::Continue(())
+    });
+    *node_accesses += read;
+    complete.then_some(partnered)
+}
+
+/// The arc-consistent domains of an instance ([module
+/// docs](self#arc-consistency-for-the-exact-joins)), and the survivors of
+/// every variable that lost objects as a dataset of their own.
+#[derive(Debug)]
+pub(crate) struct Domains {
+    /// Per variable, the surviving object ids in ascending order, or
+    /// `None` if the pass removed none.
+    ids: Vec<Option<Box<[u32]>>>,
+    /// Per variable with `ids`, the survivors' rectangles in `ids` order,
+    /// indexed: object `j` of it is object `ids[v][j]` of the instance.
+    /// None at all once a domain is empty.
+    data: Vec<Option<Arc<IndexedDataset>>>,
+    /// Index nodes the pass read.
+    node_accesses: u64,
+}
+
+impl Domains {
+    /// The fixpoint, if some edge that implies intersection is estimated to
+    /// leave [`PASS_MIN_DEAD`] of an end without a partner; else domains
+    /// that remove nothing. `None` if `clock` has run out before the
+    /// estimate or a revision. Adds the nodes it reads to `node_accesses`.
+    pub(crate) fn build(
+        instance: &Instance,
+        clock: &BudgetClock,
+        node_accesses: &mut u64,
+    ) -> Option<Domains> {
+        if clock.exhausted() {
+            return None;
+        }
+        let graph = instance.graph();
+        let selective = |edge: &Edge| {
+            let (a, b) = (edge.a, edge.b);
+            let pred = |x, y| graph.predicate_between(x, y).expect("the ends of an edge");
+            implies_intersection(edge.pred)
+                && (dead_fraction(instance, a, b, pred(a, b), node_accesses) >= PASS_MIN_DEAD
+                    || dead_fraction(instance, b, a, pred(b, a), node_accesses) >= PASS_MIN_DEAD)
+        };
+        if graph.edges().iter().any(selective) {
+            Domains::fixpoint(instance, clock, node_accesses)
+        } else {
+            let whole = vec![None; instance.n_vars()];
+            Some(Domains::ended(instance, whole, *node_accesses))
+        }
+    }
+
+    /// Revises the edges that imply intersection until no domain shrinks
+    /// or one is empty. `None` if `clock` runs out before a revision. Adds
+    /// the nodes it reads to `node_accesses`.
+    fn fixpoint(
+        instance: &Instance,
+        clock: &BudgetClock,
+        node_accesses: &mut u64,
+    ) -> Option<Domains> {
+        let graph = instance.graph();
+        let edges = graph.edges();
+        let n = instance.n_vars();
+        // `None`: every object survives.
+        let mut domains: Vec<Option<Bits>> = vec![None; n];
+        let mut sizes: Vec<usize> = (0..n).map(|v| instance.cardinality(v)).collect();
+        let mut queued: Vec<bool> = edges.iter().map(|e| implies_intersection(e.pred)).collect();
+        let mut queue: VecDeque<usize> = (0..edges.len()).filter(|&e| queued[e]).collect();
+        while let Some(e) = queue.pop_front() {
+            if clock.exhausted() {
+                return None;
+            }
+            queued[e] = false;
+            let edge = &edges[e];
+            let revised = match (&domains[edge.a], &domains[edge.b]) {
+                (None, None) => semi_join(instance, edge, node_accesses),
+                _ => Some(probe(instance, edge, &domains, &sizes, node_accesses)),
+            };
+            for (v, kept) in [edge.a, edge.b]
+                .into_iter()
+                .zip(revised.into_iter().flatten())
+            {
+                let size = kept.count();
+                if size == sizes[v] {
+                    continue;
+                }
+                (domains[v], sizes[v]) = (Some(kept), size);
+                if size == 0 {
+                    return Some(Domains::ended(instance, domains, *node_accesses));
+                }
+                for &(u, pred) in graph.neighbors(v) {
+                    let other = graph.edge_index(v, u).expect("neighbours share an edge");
+                    if other != e && implies_intersection(pred) && !queued[other] {
+                        queued[other] = true;
+                        queue.push_back(other);
+                    }
+                }
+            }
+        }
+        Some(Domains::ended(instance, domains, *node_accesses))
+    }
+
+    /// The domains the pass left, with the survivors' datasets unless one
+    /// is empty.
+    fn ended(instance: &Instance, domains: Vec<Option<Bits>>, node_accesses: u64) -> Domains {
+        let ids: Vec<Option<Box<[u32]>>> = domains
+            .iter()
+            .map(|d| d.as_ref().map(|d| d.ones().collect()))
+            .collect();
+        let empty = ids.iter().flatten().any(|ids| ids.is_empty());
+        let data = ids
+            .iter()
+            .enumerate()
+            .map(|(v, ids)| {
+                let ids = ids.as_ref().filter(|_| !empty)?;
+                let rects: Vec<Rect> = ids.iter().map(|&o| instance.rect(v, o as usize)).collect();
+                Some(Arc::new(IndexedDataset::build(&rects)))
+            })
+            .collect();
+        Domains {
+            ids,
+            data,
+            node_accesses,
+        }
+    }
+
+    /// The index nodes the pass read.
+    pub(crate) fn node_accesses(&self) -> u64 {
+        self.node_accesses
+    }
+
+    /// Whether some domain is empty: the join has no solution.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ids.iter().flatten().any(|ids| ids.is_empty())
+    }
+
+    /// Whether some variable lost objects.
+    pub(crate) fn pruned(&self) -> bool {
+        self.ids.iter().any(Option::is_some)
+    }
+
+    /// The number of objects of `v` that survive, if it lost some.
+    pub(crate) fn size(&self, v: VarId) -> Option<usize> {
+        self.ids[v].as_ref().map(|ids| ids.len())
+    }
+
+    /// The survivors of `v` as a dataset, if it lost objects and no domain
+    /// is empty.
+    pub(crate) fn dataset(&self, v: VarId) -> Option<&Arc<IndexedDataset>> {
+        self.data[v].as_ref()
+    }
+
+    /// Rewrites `sol`, a solution of the core, in the instance's object
+    /// ids.
+    pub(crate) fn to_original(&self, sol: &mut Solution) {
+        for (v, ids) in self.ids.iter().enumerate() {
+            if let Some(ids) = ids {
+                sol.set(v, ids[sol.get(v)] as usize);
+            }
+        }
+    }
+
+    /// Resident bytes of `v`'s surviving ids and dataset, if it lost
+    /// objects.
+    pub(crate) fn bytes(&self, v: VarId) -> Option<u64> {
+        let ids = self.ids[v].as_deref()?;
+        let data = self.data[v].as_ref().map_or(0, |d| d.bytes());
+        Some(std::mem::size_of_val(ids) as u64 + data)
+    }
+}
+
+/// Revises `edge` once a side has lost objects: each surviving object of
+/// the smaller domain asks the other side's tree for its partners, and
+/// both sides keep the survivors that met one.
+fn probe(
+    instance: &Instance,
+    edge: &Edge,
+    domains: &[Option<Bits>],
+    sizes: &[usize],
+    node_accesses: &mut u64,
+) -> [Bits; 2] {
+    let (small, large) = if sizes[edge.a] <= sizes[edge.b] {
+        (edge.a, edge.b)
+    } else {
+        (edge.b, edge.a)
+    };
+    let pred = (instance.graph())
+        .predicate_between(large, small)
+        .expect("the ends of an edge");
+    let alive = |v: VarId, o: usize| domains[v].as_ref().is_none_or(|d| d.get(o));
+    let (n_small, n_large) = (instance.cardinality(small), instance.cardinality(large));
+    let (mut kept_small, mut kept_large) = (Bits::clear(n_small), Bits::clear(n_large));
+    let root = instance.tree(large).root_node();
+    for x in (0..n_small).filter(|&x| alive(small, x)) {
+        let window = [(pred, instance.rect(small, x))];
+        let mut met = false;
+        multiwindow::for_each_candidate(root, &window, 1, node_accesses, &mut [], |y, _| {
+            if alive(large, y as usize) {
+                kept_large.set(y);
+                met = true;
+            }
+        });
+        if met {
+            kept_small.set(x as u32);
+        }
+    }
+    if small == edge.a {
+        [kept_small, kept_large]
+    } else {
+        [kept_large, kept_small]
+    }
+}
+
 /// Whether `var`'s bits can pay: the product of its slots' dead fractions
 /// is at least [`MIN_DEAD`].
 fn worth_keeping(instance: &Instance, var: VarId) -> bool {
     let neighbors = instance.graph().neighbors(var);
     let mut all_dead = 1.0;
     for &(u, pred) in neighbors {
-        all_dead *= dead_fraction(instance, var, u, pred);
+        all_dead *= dead_fraction(instance, var, u, pred, &mut 0);
         if all_dead < MIN_DEAD {
             return false;
         }
@@ -193,7 +464,14 @@ fn worth_keeping(instance: &Instance, var: VarId) -> bool {
 
 /// The share of [`PROBES`] evenly spaced objects of `u` that no object of
 /// `var` satisfies `pred` against; 0 for a predicate that gets no bits.
-fn dead_fraction(instance: &Instance, var: VarId, u: VarId, pred: Predicate) -> f64 {
+/// Adds the nodes it reads to `node_accesses`.
+fn dead_fraction(
+    instance: &Instance,
+    var: VarId,
+    u: VarId,
+    pred: Predicate,
+    node_accesses: &mut u64,
+) -> f64 {
     if !implies_intersection(pred) {
         return 0.0;
     }
@@ -207,7 +485,7 @@ fn dead_fraction(instance: &Instance, var: VarId, u: VarId, pred: Predicate) -> 
                 root,
                 &window,
                 |_, count| count as f64,
-                &mut 0,
+                node_accesses,
                 &mut [],
             );
             any.is_none()
@@ -219,12 +497,16 @@ fn dead_fraction(instance: &Instance, var: VarId, u: VarId, pred: Predicate) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{BudgetClock, SearchBudget};
     use crate::index;
     use crate::individual::Individual;
     use crate::instance::BackendKind;
     use crate::window_cache::WindowCache;
+    use crate::wr::ExactJoinOutcome;
+    use crate::{Pjm, RunStats, SynchronousTraversal, WindowReduction};
     use mwsj_datagen::Dataset;
     use mwsj_geom::Rect;
+    use mwsj_obs::ObsHandle;
     use mwsj_query::{Edge, QueryGraph, Solution};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -244,6 +526,8 @@ mod tests {
         seed: u64,
         vars: usize,
         clique: bool,
+        /// A star in place of a chain (no effect on a clique).
+        star: bool,
         /// An index into [`PREDICATES`], or 6: every edge its own.
         pred: usize,
         density: f64,
@@ -261,6 +545,8 @@ mod tests {
                 (0..n)
                     .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
                     .collect()
+            } else if self.star {
+                (1..n).map(|b| (0, b)).collect()
             } else {
                 (1..n).map(|b| (b - 1, b)).collect()
             };
@@ -386,6 +672,7 @@ mod tests {
                 seed,
                 vars,
                 clique,
+                star: false,
                 pred,
                 density,
                 shape,
@@ -450,7 +737,160 @@ mod tests {
         assert_eq!(cache.stats().questions(), 8 * inst.n_vars() as u64);
     }
 
+    /// Per variable and object, whether some exact solution assigns it:
+    /// a backtracking search per object not yet seen in a solution, over
+    /// the variables in breadth-first order from its own.
+    fn in_some_solution(inst: &Instance) -> Vec<Vec<bool>> {
+        let (graph, n) = (inst.graph(), inst.n_vars());
+        let fits = |var: VarId, o: usize, assignment: &[usize]| {
+            let placed = graph.neighbors(var).iter();
+            let mut placed = placed.filter(|&&(u, _)| assignment[u] != usize::MAX);
+            placed.all(|&(u, pred)| pred.eval(&inst.rect(var, o), &inst.rect(u, assignment[u])))
+        };
+        fn extend(
+            inst: &Instance,
+            fits: &dyn Fn(VarId, usize, &[usize]) -> bool,
+            order: &[VarId],
+            assignment: &mut [usize],
+        ) -> bool {
+            let Some((&var, rest)) = order.split_first() else {
+                return true;
+            };
+            for o in 0..inst.cardinality(var) {
+                if fits(var, o, assignment) {
+                    assignment[var] = o;
+                    if extend(inst, fits, rest, assignment) {
+                        return true;
+                    }
+                }
+            }
+            assignment[var] = usize::MAX;
+            false
+        }
+        let mut found: Vec<Vec<bool>> = (0..n).map(|v| vec![false; inst.cardinality(v)]).collect();
+        for v in 0..n {
+            let mut order = vec![v];
+            for at in 0.. {
+                let Some(&u) = order.get(at) else { break };
+                let next: Vec<VarId> = (graph.neighbors(u).iter())
+                    .map(|&(w, _)| w)
+                    .filter(|w| !order.contains(w))
+                    .collect();
+                order.extend(next);
+            }
+            for o in 0..inst.cardinality(v) {
+                let mut assignment = vec![usize::MAX; n];
+                assignment[v] = o;
+                if !found[v][o] && extend(inst, &fits, &order[1..], &mut assignment) {
+                    for (u, &object) in assignment.iter().enumerate() {
+                        found[u][object] = true;
+                    }
+                }
+            }
+        }
+        found
+    }
+
+    /// The arc-consistency pass on one drawn instance:
+    /// - the pass is the fixpoint, or removes nothing where its probes
+    ///   find no selective edge;
+    /// - every object of every exact solution survives the fixpoint;
+    /// - on a chain or a star whose edges all imply intersection, once no
+    ///   edge joins more pairs than its cap, every object the fixpoint
+    ///   keeps lies in some exact solution;
+    /// - the public WR, ST and PJM enumerate the set their kernels do
+    ///   without the pass, where that set is small enough to list.
+    fn check_core(draw: Draw) {
+        let inst = draw.instance();
+        let graph = inst.graph();
+        let unbounded = SearchBudget::iterations(u64::MAX);
+        let clock = BudgetClock::start(&unbounded);
+        let no_cut = "a step budget never runs out during the pass";
+        let domains = Domains::fixpoint(&inst, &clock, &mut 0).expect(no_cut);
+        let built = Domains::build(&inst, &clock, &mut 0).expect(no_cut);
+        assert!(
+            built.ids == domains.ids || !built.pruned(),
+            "{draw:?}: the pass is the fixpoint or removes nothing"
+        );
+        let survives = |v: VarId, o: usize| match &domains.ids[v] {
+            None => true,
+            Some(ids) => ids.binary_search(&(o as u32)).is_ok(),
+        };
+        let in_solution = in_some_solution(&inst);
+        for (v, objects) in in_solution.iter().enumerate() {
+            for (o, &solved) in objects.iter().enumerate() {
+                assert!(!solved || survives(v, o), "{draw:?}: var {v} object {o}");
+            }
+        }
+        let uncapped = graph.edges().iter().all(|e| {
+            let pairs = PairwiseJoin::join(inst.tree(e.a), inst.tree(e.b))
+                .pairs
+                .len();
+            pairs <= inst.cardinality(e.a) + inst.cardinality(e.b)
+        });
+        let tree = !draw.clique || inst.n_vars() == 2;
+        let joinable = graph.edges().iter().all(|e| implies_intersection(e.pred));
+        if tree && joinable && uncapped && !domains.is_empty() {
+            for (v, objects) in in_solution.iter().enumerate() {
+                for (o, &solved) in objects.iter().enumerate() {
+                    assert!(solved || !survives(v, o), "{draw:?}: var {v} object {o}");
+                }
+            }
+        }
+
+        let (budget, obs) = (unbounded, ObsHandle::disabled());
+        let limit = 20_000;
+        let sorted = |outcome: ExactJoinOutcome| {
+            let mut solutions = outcome.solutions;
+            solutions.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
+            (solutions, outcome.complete)
+        };
+        let kernel = |phase, enumerate: &dyn Fn(&mut BudgetClock, &mut RunStats) -> _| {
+            sorted(ExactJoinOutcome::framed(&budget, &obs, phase, enumerate))
+        };
+        let wr = kernel("wr", &|clock, stats| {
+            crate::wr::enumerate(&inst, limit, clock, stats)
+        });
+        if !wr.1 {
+            return;
+        }
+        assert_eq!(
+            sorted(WindowReduction::new().run(&inst, &budget, limit)),
+            wr,
+            "{draw:?}"
+        );
+        let pjm = kernel("pjm", &|clock, stats| {
+            Pjm::default().enumerate(&inst, limit, clock, stats)
+        });
+        assert_eq!(pjm, wr, "{draw:?}");
+        assert_eq!(
+            sorted(Pjm::default().run(&inst, &budget, limit)),
+            pjm,
+            "{draw:?}"
+        );
+        if graph
+            .edges()
+            .iter()
+            .all(|e| e.pred == Predicate::Intersects)
+        {
+            let st = kernel("st", &|clock, stats| {
+                crate::st::enumerate(&inst, limit, clock, stats)
+            });
+            assert_eq!(st, wr, "{draw:?}");
+            let public = SynchronousTraversal::new().run(&inst, &budget, limit);
+            assert_eq!(sorted(public), st, "{draw:?}");
+        }
+    }
+
     proptest::proptest! {
+        #[test]
+        fn the_core_keeps_every_solution_and_changes_no_join(
+            draw in draws(),
+            star in proptest::prelude::any::<bool>(),
+        ) {
+            check_core(Draw { star, ..draw });
+        }
+
         #[test]
         fn live_bounds_every_answer_and_skips_only_what_cannot_improve(draw in draws()) {
             check_live(draw);
@@ -537,6 +977,7 @@ mod tests {
                 seed: 12,
                 vars: 3,
                 clique: false,
+                star: false,
                 pred: PREDICATES.iter().position(|&p| p == pred).unwrap(),
                 density: 0.01,
                 shape: 0,
