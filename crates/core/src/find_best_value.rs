@@ -25,9 +25,10 @@
 //! they do not ask at all when the support bits show that no object can
 //! (§5e, "A question whose answer cannot be used is not asked").
 //! Hot loops should prefer
-//! [`WindowCache::find_best_value`](crate::WindowCache), which reuses the
-//! window vector across calls and skips the traversal entirely when nothing
-//! relevant changed.
+//! [`WindowCache::find_best_value`](crate::WindowCache), which remembers
+//! each variable's last question (and, for a population, the questions its
+//! members asked) with its answer, and skips the traversal entirely when a
+//! question is asked again.
 
 use crate::index;
 use crate::instance::Instance;

@@ -351,10 +351,9 @@ impl DriveSearch for Sea {
 
     fn drive(&self, instance: &Instance, driver: &mut SearchDriver, rng: &mut StdRng) {
         // Selection fills the population with copies, so most mutations ask
-        // a question some individual has asked before: a memo of a few
-        // slots per individual answers those without the index.
-        let slots = (4 * self.config.population).next_power_of_two();
-        let cache = WindowCache::with_memo(instance, slots);
+        // a question some individual has asked before: the shared slots of
+        // a population cache answer those without the index.
+        let cache = WindowCache::for_population(instance, self.config.population);
         self.evolve(instance, driver, rng, cache, |_| {});
     }
 }
@@ -627,10 +626,10 @@ mod tests {
                             seed_with_ils: hybrid,
                             ..SeaConfig::default_for(&inst)
                         };
-                        let slots = (4 * cfg.population).next_power_of_two();
+                        let population = cfg.population;
                         let sea = Sea::new(cfg);
                         let plain = WindowCache::new(&inst);
-                        let memo = WindowCache::with_memo(&inst, slots);
+                        let memo = WindowCache::for_population(&inst, population);
                         let a = evolve_with(&sea, &inst, GENERATIONS, 17, plain, |_| {});
                         let b = evolve_with(&sea, &inst, GENERATIONS, 17, memo, |_| {});
                         let what = format!("{shape:?} n={n} {backend:?} hybrid={hybrid}");
@@ -675,7 +674,7 @@ mod tests {
                 seed_with_ils: hybrid,
                 ..SeaConfig::default_for(&inst)
             };
-            let cache = WindowCache::with_memo(&inst, 256);
+            let cache = WindowCache::for_population(&inst, 64);
             let mut generations = 0;
             evolve_with(&Sea::new(cfg), &inst, 51, 18, cache, |pop| {
                 generations += 1;

@@ -1,66 +1,50 @@
-//! Per-variable window caching for the *find best value* hot path.
+//! Remembered answers for the *find best value* hot path.
 //!
-//! Every [`find_best_value`](crate::find_best_value) call rebuilds the
-//! neighbour-window vector from scratch, even though a local-search step
-//! changes at most one assignment — so between consecutive calls for the
-//! same variable most windows (and often all of them) are unchanged.
-//! [`WindowCache`] keeps one window vector per variable, refreshes only
-//! the entries whose neighbour assignment actually changed, and — when
-//! nothing relevant changed at all — returns the previously computed
-//! [`BestValue`] without touching the index.
+//! A local-search step changes at most one assignment, so the next
+//! question about a variable often has the same windows as its last; a
+//! population asks the same few questions over and over, selection filling
+//! it with copies of good solutions. [`WindowCache`] is one table of
+//! remembered questions — variable, raw or penalised mode and penalty
+//! version, every neighbour's assignment — and their answers; a question in
+//! the table is answered without touching the index. The variable's *own*
+//! assignment is not part of a question: its windows are its neighbours'.
 //!
-//! Invalidation rule: a cached traversal result for variable `v` is valid
-//! iff (a) every neighbour of `v` holds the same assignment as when the
-//! result was computed, and (b) in penalty mode, the
-//! [`PenaltyTable::version`] is unchanged (penalties only ever apply to
-//! `v`'s own objects, but any punishment can re-rank the leaves).
-//! The variable's *own* assignment is irrelevant: the query depends only
-//! on the neighbour windows.
+//! Slot `v` of the first `n` is variable `v`'s own and holds the last
+//! question asked about `v`. A population cache
+//! ([`WindowCache::for_population`]) adds direct-mapped slots behind them,
+//! addressed by a hash of the whole question. A question gathers its
+//! neighbour assignments once, into its own slot, and probes that slot,
+//! then its shared slot; a shared hit is copied into the own slot. A miss
+//! builds the windows, asks the index and writes both slots. Keys are
+//! stored and compared in full: two questions that share a slot evict each
+//! other, they never answer for each other.
 //!
-//! A punishment changes no window, only the scores, so a penalised result
-//! that (b) invalidated is not re-walked: the cache keeps, next to the
-//! windows it was built from, the list of objects that reach the top
-//! satisfied count `t` ([`index::top_objects`]), in the kernel's tie order,
-//! and re-scores it with the kernel's `count − λ·penalty` and first strict
-//! maximum. No object off the list scores above `t − 1`, so an answer
-//! above `t − 1` is exact; otherwise the list is widened once to every
-//! object with a count ≥ 1, which is always exact (DESIGN.md §5e).
+//! A punishment changes no window, only the scores, so a penalised
+//! question that differs from its own slot in the version alone is not
+//! re-walked: the cache keeps, per variable, the objects that reach the top
+//! satisfied count `t` ([`index::top_objects`]) in the kernel's tie order,
+//! and re-scores them with the kernel's `count − λ·penalty` and first
+//! strict maximum. No object off the list scores above `t − 1`, so an
+//! answer above `t − 1` is exact; otherwise the list is widened once to
+//! every object with a count ≥ 1, which is always exact (DESIGN.md §5e).
 //!
-//! One entry per variable forgets a neighbourhood the moment another
-//! solution asks about a different one. A population asks the same few
-//! questions over and over — tournament selection fills it with copies of
-//! good solutions — so [`WindowCache::with_memo`] adds a direct-mapped
-//! table behind the per-variable front, consulted after a front miss and
-//! before the traversal. Its key is everything the answer depends on
-//! (variable, raw or penalised mode and penalty version, every neighbour's
-//! assignment), stored and compared in full: two keys that share a slot
-//! evict each other, they never answer for each other.
+//! A hit returns a bit-identical result without the traversal, so node
+//! accesses under the cache are ≤ the uncached ones and every other counter
+//! is unchanged (DESIGN.md §5e). A miss is a question for the index, not
+//! necessarily a walk: one whose every window the support bits show dead is
+//! answered empty without a node read ([`index::best`]). ILS's climb and
+//! SEA's mutation keep only an answer above the current count; when the
+//! support bits' live windows are at most that count,
+//! [`WindowCache::improving_value_with`] answers `None` before the table is
+//! read and counts the question as `skipped`, so a later question may miss
+//! where it would have hit, but every answer stays the kernel's.
 //!
-//! Because a cache hit returns a bit-identical result while skipping the
-//! traversal, node-access counts under the cache are ≤ the uncached
-//! counts and every other counter (steps, improvements, trajectories) is
-//! unchanged — the counter-compatibility contract of DESIGN.md §5e. A miss
-//! is a question for the index, not necessarily a walk: one whose every
-//! window the instance's support bits show dead is answered empty without
-//! a node read ([`index::best`]), and still counts as a miss.
-//!
-//! A question is not asked at all when its answer could not be used. ILS's
-//! climb and SEA's mutation keep an answer only if it satisfies more
-//! conditions than the variable's current assignment, and no object
-//! satisfies more windows than the support bits leave live; when those are
-//! at most the current count, [`WindowCache::improving_value_with`] answers
-//! `None` before the front entry is read and counts the question as
-//! `skipped`. The front and the memo are not touched, so a later question
-//! may miss where it would have hit, but every answer stays the kernel's
-//! (DESIGN.md §5e, "A question whose answer cannot be used is not asked").
-//!
-//! Every query is classified into the cache's own telemetry
-//! ([`CacheStats`]: hits, misses, skipped, invalidations by cause, per
-//! variable; per variable `hits + misses + skipped` is the number of
-//! questions asked) as plain `u64` increments — no atomics, no registry
-//! lookups in the hot loop. Drives absorb the counters into
-//! [`RunStats`](crate::RunStats) when the run finishes, from where they
-//! follow the same deterministic flush-and-merge path as every other work
+//! Every question is classified into [`CacheStats`] (per variable, `hits +
+//! misses + skipped` is the number asked) by plain `u64` increments. A miss
+//! is an invalidation when the variable's own slot held another question:
+//! `reassign` if a neighbour's assignment differs, else `penalty`. Drives
+//! absorb the counters into [`RunStats`](crate::RunStats) at the end of the
+//! run, from where they merge deterministically like every other work
 //! counter (DESIGN.md §5g).
 
 use crate::find_best_value::BestValue;
@@ -73,14 +57,14 @@ use mwsj_query::{PenaltyTable, Solution, VarId};
 /// Cache telemetry for one variable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VarCacheStats {
-    /// Queries answered without a traversal: from the variable's own
-    /// memoised result, from the neighbourhood memo behind it, or, in
-    /// penalty mode, by re-scoring the variable's tie list.
+    /// Queries answered without a traversal: from the variable's own slot,
+    /// from a shared slot, or, in penalty mode, by re-scoring the
+    /// variable's tie list.
     pub hits: u64,
     /// Queries that ran the index traversal (cold or invalidated).
     pub misses: u64,
-    /// Misses caused by a neighbour-assignment change that invalidated a
-    /// previously memoised result.
+    /// Misses caused by a neighbour-assignment change that invalidated the
+    /// variable's remembered question.
     pub invalidations_reassign: u64,
     /// Misses caused by a [`PenaltyTable::version`] bump alone (all
     /// neighbour windows unchanged): the tie list had to be built, or
@@ -183,9 +167,9 @@ impl CacheStats {
 }
 
 /// A traversal's answer as the cache keeps it: a [`BestValue`] without its
-/// rectangle — 32 of its 56 bytes, in every front entry and memo slot —
-/// which a hit reads back from the asking solution's own rectangles or,
-/// failing that, from the instance ([`Answer::revive`]).
+/// rectangle — 32 of its 56 bytes, in every slot — which a hit reads back
+/// from the asking solution's own rectangles or, failing that, from the
+/// instance ([`Answer::revive`]).
 #[derive(Debug, Clone, Copy)]
 struct Answer {
     object: usize,
@@ -194,14 +178,6 @@ struct Answer {
 }
 
 impl Answer {
-    fn of(best: BestValue) -> Self {
-        Answer {
-            object: best.object,
-            satisfied: best.satisfied,
-            effective: best.effective,
-        }
-    }
-
     /// The full answer to a question about `var` asked on behalf of `sol`,
     /// whose assignments' rectangles `rect_of` has at hand.
     fn revive(
@@ -225,20 +201,14 @@ impl Answer {
     }
 }
 
-/// Cached window state for one variable.
-#[derive(Debug, Clone)]
-struct VarWindows {
-    /// Neighbour assignments the windows were built from; `usize::MAX`
-    /// marks a slot that has never been built (no dataset is that large).
-    assignments: Vec<usize>,
-    /// One `(predicate, rect)` window per neighbour, in
-    /// `graph().neighbors(var)` order — the same order
-    /// [`find_best_value`](crate::find_best_value) builds.
-    windows: Vec<(Predicate, Rect)>,
-    /// Result of the last traversal with these windows, if still valid.
-    result: Option<Option<Answer>>,
-    /// Penalty-table version the cached result was computed at.
-    penalty_version: u64,
+/// One remembered question but for its neighbour assignments, which sit in
+/// [`WindowCache::assignments`], and its answer.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    var: VarId,
+    /// 0 = raw, `v + 1` = penalised at [`PenaltyTable::version`] `v`.
+    mode: u64,
+    answer: Option<Answer>,
 }
 
 /// What a penalised question about one variable is re-scored over:
@@ -275,52 +245,8 @@ impl TieList {
     }
 }
 
-/// The neighbourhood memo of [`WindowCache::with_memo`]: a direct-mapped
-/// table from a whole question to its answer.
-#[derive(Debug, Clone)]
-struct Memo {
-    /// `None` = never written.
-    slots: Vec<Option<MemoSlot>>,
-    /// Per slot: the question's neighbour assignments, `stride` apiece.
-    assignments: Vec<usize>,
-    /// The largest degree of the query graph.
-    stride: usize,
-}
-
-/// The fixed-size part of a memoised question, and the traversal's answer.
-#[derive(Debug, Clone, Copy)]
-struct MemoSlot {
-    var: VarId,
-    /// Penalty version; `None` = raw mode.
-    version: Option<u64>,
-    answer: Option<Answer>,
-}
-
-impl Memo {
-    /// The slot a question maps to, and the answer if the slot holds exactly
-    /// that question.
-    fn probe(
-        &self,
-        var: VarId,
-        version: Option<u64>,
-        assignments: &[usize],
-    ) -> (usize, Option<Option<Answer>>) {
-        let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-        let seed = mix(var as u64, version.map_or(0, |v| v.wrapping_add(1)));
-        let hash = assignments.iter().fold(seed, |h, &a| mix(h, a as u64));
-        // The multiply pushes entropy upwards: index with the high half.
-        let slot = (hash >> 32) as usize & (self.slots.len() - 1);
-        let stored = &self.assignments[slot * self.stride..];
-        let same = |s: &MemoSlot| {
-            s.var == var && s.version == version && stored[..assignments.len()] == *assignments
-        };
-        let answer = self.slots[slot].filter(same).map(|s| s.answer);
-        (slot, answer)
-    }
-}
-
-/// Reusable window vectors + memoised results for repeated
-/// [`find_best_value`](crate::find_best_value) calls over one instance.
+/// A table of remembered [`find_best_value`](crate::find_best_value)
+/// questions over one instance.
 ///
 /// Create one per search run and route every best-value query through
 /// [`WindowCache::find_best_value`]; the answers are identical to the
@@ -328,55 +254,47 @@ impl Memo {
 /// cheaper.
 #[derive(Debug, Clone)]
 pub struct WindowCache {
-    vars: Vec<VarWindows>,
+    /// Slot `v < n` is variable `v`'s own; the rest are shared, addressed
+    /// by a hash of the question. `None` = never written.
+    slots: Vec<Option<Slot>>,
+    /// Per slot: the question's neighbour assignments, `stride` apiece;
+    /// `usize::MAX` (no dataset is that large) in an own slot never asked.
+    assignments: Vec<usize>,
+    /// The largest degree of the query graph.
+    stride: usize,
+    /// The windows of the question being walked, `stride` of them.
+    windows: Vec<(Predicate, Rect)>,
     /// One per variable from the first penalised question on; empty until.
     lists: Vec<TieList>,
     stats: Vec<VarCacheStats>,
-    memo: Option<Memo>,
 }
 
 impl WindowCache {
-    /// An empty cache sized for `instance`.
+    /// A cache with one own slot per variable of `instance`, which
+    /// remembers each variable's last question.
     pub fn new(instance: &Instance) -> Self {
-        let vars = (0..instance.n_vars())
-            .map(|var| {
-                let deg = instance.graph().neighbors(var).len();
-                VarWindows {
-                    assignments: vec![usize::MAX; deg],
-                    windows: Vec::with_capacity(deg),
-                    result: None,
-                    penalty_version: 0,
-                }
-            })
-            .collect();
-        let stats = vec![VarCacheStats::default(); instance.n_vars()];
-        WindowCache {
-            vars,
-            lists: Vec::new(),
-            stats,
-            memo: None,
-        }
+        WindowCache::with_shared(instance, 0)
     }
 
-    /// [`WindowCache::new`] plus a neighbourhood memo of `slots` entries (a
-    /// power of two) — for a caller that interleaves queries about many
-    /// solutions, i.e. one that keeps a population. A memo hit is counted as
-    /// a hit, refreshes the variable's front entry and, like a front hit,
-    /// touches no access counter.
-    pub fn with_memo(instance: &Instance, slots: usize) -> Self {
-        assert!(slots.is_power_of_two(), "memo slots must be a power of two");
-        let graph = instance.graph();
-        let stride = (0..graph.n_vars())
-            .map(|v| graph.degree(v))
-            .max()
-            .unwrap_or(0);
+    /// [`WindowCache::new`] plus four shared slots per member, rounded up
+    /// to a power of two — for a caller that interleaves questions about
+    /// the `members` solutions of a population. A shared hit is counted as
+    /// a hit and, like an own-slot hit, touches no access counter.
+    pub fn for_population(instance: &Instance, members: usize) -> Self {
+        WindowCache::with_shared(instance, (4 * members).next_power_of_two())
+    }
+
+    fn with_shared(instance: &Instance, shared: usize) -> Self {
+        let (graph, n) = (instance.graph(), instance.n_vars());
+        let stride = (0..n).map(|v| graph.degree(v)).max().unwrap_or(0);
+        let placeholder = (Predicate::Intersects, Rect::new(0.0, 0.0, 0.0, 0.0));
         WindowCache {
-            memo: Some(Memo {
-                slots: vec![None; slots],
-                assignments: vec![0; slots * stride],
-                stride,
-            }),
-            ..WindowCache::new(instance)
+            slots: vec![None; n + shared],
+            assignments: vec![usize::MAX; (n + shared) * stride],
+            stride,
+            windows: vec![placeholder; stride],
+            lists: Vec::new(),
+            stats: vec![VarCacheStats::default(); n],
         }
     }
 
@@ -403,11 +321,9 @@ impl WindowCache {
     /// Cached equivalent of [`find_best_value`](crate::find_best_value):
     /// same arguments, bit-identical result, fewer node accesses.
     ///
-    /// The window vector for `var` is refreshed in place (only slots whose
-    /// neighbour assignment changed are rebuilt); if no slot changed and
-    /// the penalty version is unchanged, the memoised result is returned
-    /// without traversing the index (`node_accesses` is left untouched).
-    /// If only the version changed, the variable's tie list is re-scored,
+    /// A question found in the table is answered without traversing the
+    /// index (`node_accesses` is left untouched). A penalised question whose
+    /// windows are those of the variable's tie list re-scores the list,
     /// untouched too unless the answer needs the list widened.
     ///
     /// # Panics
@@ -421,36 +337,19 @@ impl WindowCache {
         penalties: Option<(&PenaltyTable, f64)>,
         node_accesses: &mut u64,
     ) -> Option<BestValue> {
-        self.find_best_value_leveled(instance, sol, var, penalties, node_accesses, &mut [])
-    }
-
-    /// [`WindowCache::find_best_value`] with per-level node-access
-    /// attribution: misses bump `level_accesses[lvl]` (`[0]` = leaf) per
-    /// visited node alongside `node_accesses`, hits touch neither — so the
-    /// attributed counts sum exactly to the shared access counter.
-    ///
-    /// # Panics
-    /// As [`WindowCache::find_best_value`].
-    pub fn find_best_value_leveled(
-        &mut self,
-        instance: &Instance,
-        sol: &Solution,
-        var: VarId,
-        penalties: Option<(&PenaltyTable, f64)>,
-        node_accesses: &mut u64,
-        level_accesses: &mut [u64],
-    ) -> Option<BestValue> {
-        let tally = (node_accesses, level_accesses);
+        let tally = (node_accesses, &mut [][..]);
         self.find_best_value_with(instance, sol, var, penalties, instance.rect_of(), tally)
     }
 
-    /// [`WindowCache::find_best_value_leveled`] for a caller that keeps the
-    /// MBRs of `sol`'s assignments at hand: a changed neighbour's window,
-    /// and the rectangle of a remembered answer that is `var`'s current
+    /// [`WindowCache::find_best_value`] for a caller that keeps the MBRs of
+    /// `sol`'s assignments at hand: the windows of a walked question, and
+    /// the rectangle of a remembered answer that is `var`'s current
     /// assignment, are read through `rect_of(v, sol.get(v))` — which must
     /// return what [`Instance::rect`] would, and is asked about nothing but
     /// `sol`'s own assignments — instead of from the dataset's rectangle
-    /// array. `tally` is `(node_accesses, level_accesses)`.
+    /// array. `tally` is `(node_accesses, level_accesses)`: a walk bumps
+    /// `level_accesses[lvl]` (`[0]` = leaf) per visited node alongside
+    /// `node_accesses`, a hit touches neither.
     ///
     /// `#[inline]` keeps it inside the three `drive` loops, where the
     /// inliner had put it unasked until the grid kernel it reaches through
@@ -467,93 +366,81 @@ impl WindowCache {
         tally: (&mut u64, &mut [u64]),
     ) -> Option<BestValue> {
         let neighbors = instance.graph().neighbors(var);
-        let entry = &mut self.vars[var];
+        let mode = penalties.map_or(0, |(table, _)| table.version().wrapping_add(1));
+        let own = var * self.stride..var * self.stride + neighbors.len();
 
+        // The question's assignments, over those of the variable's last.
         let mut dirty = false;
-        if entry.windows.len() != neighbors.len() {
-            // First use of this variable: build the full vector.
-            entry.windows.clear();
-            for (slot, &(u, pred)) in neighbors.iter().enumerate() {
-                let assigned = sol.get(u);
-                entry.assignments[slot] = assigned;
-                entry.windows.push((pred, rect_of(u, assigned)));
-            }
-            dirty = true;
-        } else {
-            for (slot, &(u, _)) in neighbors.iter().enumerate() {
-                let assigned = sol.get(u);
-                if entry.assignments[slot] != assigned {
-                    entry.assignments[slot] = assigned;
-                    entry.windows[slot].1 = rect_of(u, assigned);
-                    dirty = true;
-                }
+        for (stored, &(u, _)) in self.assignments[own.clone()].iter_mut().zip(neighbors) {
+            let assigned = sol.get(u);
+            if *stored != assigned {
+                *stored = assigned;
+                dirty = true;
             }
         }
-
-        let had_result = entry.result.is_some();
-        let penalty_version = penalties.map_or(0, |(table, _)| table.version());
-        if !dirty && entry.penalty_version == penalty_version {
-            if let Some(cached) = entry.result {
-                self.stats[var].hits += 1;
-                return cached.map(|a| a.revive(instance, sol, var, rect_of));
-            }
+        // Its own slot, then — has any solution asked it? — its shared slot.
+        let last = self.slots[var];
+        let fresh = last.filter(|s| !dirty && s.mode == mode);
+        let assigned = &self.assignments[own.clone()];
+        let has_shared = fresh.is_none() && self.slots.len() > self.stats.len();
+        let shared = has_shared.then(|| self.probe_shared(var, mode, assigned));
+        let remembered = shared
+            .filter(|&(_, same)| same)
+            .and_then(|(at, _)| self.slots[at]);
+        if let Some(slot) = fresh.or(remembered) {
+            self.stats[var].hits += 1;
+            self.slots[var] = Some(slot);
+            return slot.answer.map(|a| a.revive(instance, sol, var, rect_of));
         }
 
-        // The front missed; has any solution asked this whole question?
-        let version = penalties.map(|_| penalty_version);
-        let memo_slot = match &self.memo {
-            None => None,
-            Some(memo) => match memo.probe(var, version, &entry.assignments) {
-                (_, Some(answer)) => {
-                    self.stats[var].hits += 1;
-                    entry.result = Some(answer);
-                    entry.penalty_version = penalty_version;
-                    return answer.map(|a| a.revive(instance, sol, var, rect_of));
-                }
-                (slot, None) => Some(slot),
-            },
-        };
-
-        let version_changed = entry.penalty_version != penalty_version;
         let mut walked = true;
         let result = match penalties {
             None => {
-                let (windows, assignments) = (&entry.windows, &entry.assignments);
-                index::best(instance, var, windows, assignments, tally.0, tally.1)
+                let windows = fill_windows(&mut self.windows, neighbors, assigned, &rect_of);
+                index::best(instance, var, windows, assigned, tally.0, tally.1)
             }
             Some((table, lambda)) => {
                 let answer;
-                (answer, walked) = self.penalised(instance, var, table, lambda, tally);
+                (answer, walked) = self.penalised(instance, var, table, lambda, &rect_of, tally);
                 answer.map(|a| a.revive(instance, sol, var, rect_of))
             }
         };
 
-        // A re-scored list is a hit; a walk, classify why it was needed.
+        // A re-scored list is a hit; a walk where the own slot held another
+        // question is an invalidation, by what differs.
         let var_stats = &mut self.stats[var];
         var_stats.hits += u64::from(!walked);
         var_stats.misses += u64::from(walked);
-        if walked && had_result {
-            if dirty {
-                var_stats.invalidations_reassign += 1;
-            } else if version_changed {
-                var_stats.invalidations_penalty += 1;
-            }
-        }
+        let invalidated = walked && last.is_some();
+        var_stats.invalidations_reassign += u64::from(invalidated && dirty);
+        var_stats.invalidations_penalty += u64::from(invalidated && !dirty);
 
-        let entry = &mut self.vars[var];
-        let answer = result.map(Answer::of);
-        entry.result = Some(answer);
-        entry.penalty_version = penalty_version;
-        if let (Some(memo), Some(slot)) = (&mut self.memo, memo_slot) {
-            memo.slots[slot] = Some(MemoSlot {
-                var,
-                version,
-                answer,
-            });
-            memo.assignments[slot * memo.stride..][..entry.assignments.len()]
-                .copy_from_slice(&entry.assignments);
+        let answer = result.map(|best| Answer {
+            object: best.object,
+            satisfied: best.satisfied,
+            effective: best.effective,
+        });
+        self.slots[var] = Some(Slot { var, mode, answer });
+        if let Some((at, _)) = shared {
+            self.slots[at] = self.slots[var];
+            self.assignments.copy_within(own, at * self.stride);
         }
         result
+    }
+
+    /// The shared slot a question maps to, and whether it holds this very
+    /// question. The cache must have shared slots.
+    fn probe_shared(&self, var: VarId, mode: u64, assignments: &[usize]) -> (usize, bool) {
+        let n = self.stats.len();
+        let shared = self.slots.len() - n;
+        let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        let seed = mix(var as u64, mode);
+        let hash = assignments.iter().fold(seed, |h, &a| mix(h, a as u64));
+        // The multiply pushes entropy upwards: index with the high half.
+        let at = n + ((hash >> 32) as usize & (shared - 1));
+        let stored = &self.assignments[at * self.stride..][..assignments.len()];
+        let same = |s: Slot| s.var == var && s.mode == mode && stored == assignments;
+        (at, self.slots[at].is_some_and(same))
     }
 
     /// [`WindowCache::find_best_value_with`], raw, for a caller that uses
@@ -575,16 +462,11 @@ impl WindowCache {
         rect_of: impl Fn(VarId, usize) -> Rect,
         tally: (&mut u64, &mut [u64]),
     ) -> Option<BestValue> {
-        let assigned = instance
-            .graph()
-            .neighbors(var)
-            .iter()
-            .map(|&(u, _)| sol.get(u));
-        if instance
+        let assigned = instance.graph().neighbors(var).iter();
+        let live = instance
             .support()
-            .live(var, assigned)
-            .is_some_and(|live| live <= current)
-        {
+            .live(var, assigned.map(|&(u, _)| sol.get(u)));
+        if live.is_some_and(|live| live <= current) {
             self.stats[var].skipped += 1;
             return None;
         }
@@ -592,11 +474,14 @@ impl WindowCache {
         best.filter(|best| best.satisfied > current)
     }
 
-    /// The answer to a penalised question about `var`, whose front entry
-    /// holds the question's windows, and whether it took a walk: the tie
-    /// list re-scored if it was built from these windows and answers
-    /// exactly; otherwise it is rebuilt, and widened once if need be.
-    /// Outlined, so that the raw path the drives inline stays as it was.
+    /// The answer to a penalised question about `var`, whose own slot holds
+    /// the question's assignments, and whether it took a walk: the tie
+    /// list re-scored if it was built from these assignments and answers
+    /// exactly; otherwise it is rebuilt from the windows, and widened once
+    /// if need be. Outlined, so that the raw path the drives inline stays
+    /// small; `rect_of` is `dyn` for the same reason — generic, the
+    /// function was copied per caller and the re-scoring loop fell out of
+    /// it.
     #[inline(never)]
     fn penalised(
         &mut self,
@@ -604,6 +489,7 @@ impl WindowCache {
         var: VarId,
         table: &PenaltyTable,
         lambda: f64,
+        rect_of: &dyn Fn(VarId, usize) -> Rect,
         (acc, levels): (&mut u64, &mut [u64]),
     ) -> (Option<Answer>, bool) {
         assert!(
@@ -611,16 +497,19 @@ impl WindowCache {
             "GILS penalty weight λ must be finite and ≥ 0, got {lambda}"
         );
         if self.lists.is_empty() {
-            self.lists.resize_with(self.vars.len(), TieList::default);
+            self.lists.resize_with(self.stats.len(), TieList::default);
         }
-        let (entry, list) = (&self.vars[var], &mut self.lists[var]);
+        let neighbors = instance.graph().neighbors(var);
+        let assigned = &self.assignments[var * self.stride..][..neighbors.len()];
+        let list = &mut self.lists[var];
         let mut walked = false;
         for widen in [false, true] {
-            if widen || list.assignments != entry.assignments {
-                let (windows, assigned) = (&entry.windows, &entry.assignments);
+            if widen || list.assignments != assigned {
+                let windows = fill_windows(&mut self.windows, neighbors, assigned, rect_of);
                 let tied = &mut list.tied;
                 index::top_objects(instance, var, windows, assigned, widen, tied, acc, levels);
-                list.assignments.clone_from(&entry.assignments);
+                list.assignments.clear();
+                list.assignments.extend_from_slice(assigned);
                 list.widened = widen;
                 walked = true;
             }
@@ -632,10 +521,26 @@ impl WindowCache {
     }
 }
 
+/// The windows of a question — one per neighbour, its predicate and the
+/// rectangle of its `assigned` object, read through `rect_of` — written
+/// into the front of `scratch`.
+fn fill_windows<'w>(
+    scratch: &'w mut [(Predicate, Rect)],
+    neighbors: &[(VarId, Predicate)],
+    assigned: &[usize],
+    rect_of: &(impl Fn(VarId, usize) -> Rect + ?Sized),
+) -> &'w [(Predicate, Rect)] {
+    let windows = &mut scratch[..neighbors.len()];
+    for ((window, &(u, pred)), &object) in windows.iter_mut().zip(neighbors).zip(assigned) {
+        *window = (pred, rect_of(u, object));
+    }
+    windows
+}
+
 impl MemoryFootprint for WindowCache {
-    /// Length-based resident bytes: the per-variable window/assignment
-    /// vectors, the telemetry counters, the per-variable headers, the tie
-    /// lists and the neighbourhood memo's table.
+    /// Length-based resident bytes: the table (slots and their
+    /// assignments), the window scratch, the telemetry counters and the
+    /// tie lists. Only the tie lists grow after construction.
     fn memory_bytes(&self) -> u64 {
         let lists: usize = (self.lists.iter())
             .map(|l| {
@@ -644,22 +549,11 @@ impl MemoryFootprint for WindowCache {
                     + std::mem::size_of_val(l.tied.as_slice())
             })
             .sum();
-        let per_entry: u64 = self
-            .vars
-            .iter()
-            .map(|e| {
-                (e.assignments.len() * std::mem::size_of::<usize>()
-                    + e.windows.len() * std::mem::size_of::<(Predicate, Rect)>())
-                    as u64
-            })
-            .sum();
-        let headers = (self.vars.len() * std::mem::size_of::<VarWindows>()) as u64;
-        let stats = (self.stats.len() * std::mem::size_of::<VarCacheStats>()) as u64;
-        let memo = self.memo.as_ref().map_or(0, |m| {
-            std::mem::size_of_val(m.slots.as_slice())
-                + std::mem::size_of_val(m.assignments.as_slice())
-        }) as u64;
-        per_entry + headers + stats + lists as u64 + memo
+        let table = std::mem::size_of_val(self.slots.as_slice())
+            + std::mem::size_of_val(self.assignments.as_slice())
+            + std::mem::size_of_val(self.windows.as_slice())
+            + std::mem::size_of_val(self.stats.as_slice());
+        (table + lists) as u64
     }
 }
 
@@ -829,57 +723,59 @@ mod tests {
     }
 
     #[test]
-    fn memo_answers_a_question_the_front_has_forgotten() {
+    fn a_shared_slot_answers_what_the_own_slot_has_forgotten() {
         let inst = random_instance(75, 4, 300);
         let mut rng = StdRng::seed_from_u64(76);
         let a = inst.random_solution(&mut rng);
         let mut b = a.clone();
         b.set(1, (a.get(1) + 1) % 300); // a neighbour of variable 0
-        let mut cache = WindowCache::with_memo(&inst, 64);
+        let mut cache = WindowCache::for_population(&inst, 16);
         let mut levels = vec![0u64; inst.tree(0).height() as usize];
         let mut acc = 0;
-        let first = cache.find_best_value_leveled(&inst, &a, 0, None, &mut acc, &mut levels);
-        let other = cache.find_best_value_leveled(&inst, &b, 0, None, &mut acc, &mut levels);
-        let walked = (acc, levels.clone());
-        // The front now holds b's neighbourhood; a's is in the memo.
-        let again = cache.find_best_value_leveled(&inst, &a, 0, None, &mut acc, &mut levels);
+        let mut ask = |cache: &mut WindowCache, sol: &Solution, acc: &mut u64| {
+            cache.find_best_value_with(&inst, sol, 0, None, inst.rect_of(), (acc, &mut levels))
+        };
+        let first = ask(&mut cache, &a, &mut acc);
+        let other = ask(&mut cache, &b, &mut acc);
+        let walked = acc;
+        // Variable 0's own slot now holds b's question; a's is shared.
+        let again = ask(&mut cache, &a, &mut acc);
         assert_eq!(again, first);
         assert_eq!(again, find_best_value(&inst, &a, 0, None, &mut 0));
         assert_eq!(other, find_best_value(&inst, &b, 0, None, &mut 0));
-        assert_eq!(
-            (acc, levels.clone()),
-            walked,
-            "a memo hit touches no counter"
-        );
-        // ... and the hit refreshed the front: the same question is now a
-        // front hit even in a cache whose memo has been emptied.
+        assert_eq!(acc, walked, "a shared hit touches no counter");
         let stats = cache.stats();
         assert_eq!(stats.per_var[0].hits, 1);
         assert_eq!(stats.per_var[0].misses, 2);
         assert_eq!(stats.per_var[0].invalidations_reassign, 1, "b's miss only");
-        cache.memo.as_mut().unwrap().slots.fill(None);
-        assert_eq!(cache.find_best_value(&inst, &a, 0, None, &mut acc), first);
-        assert_eq!(acc, walked.0);
+        // ... and the hit copied itself into the own slot: the same question
+        // is now an own-slot hit even with every shared slot emptied.
+        cache.slots[inst.n_vars()..].fill(None);
+        assert_eq!(ask(&mut cache, &a, &mut acc), first);
+        assert_eq!(acc, walked);
         assert_eq!(cache.stats().per_var[0].hits, 2);
+        let levels_sum: u64 = levels.iter().sum();
+        assert_eq!(levels_sum, walked, "the two walks, attributed per level");
 
-        // The table is counted: 64 slots of a header and 3 assignments.
-        let slot = std::mem::size_of::<Option<MemoSlot>>() + 3 * 8;
+        // The shared region is counted: 64 slots of a header and 3
+        // assignments.
+        let slot = std::mem::size_of::<Option<Slot>>() + 3 * 8;
         let plain = WindowCache::new(&inst).memory_bytes();
-        let memo = WindowCache::with_memo(&inst, 64).memory_bytes();
-        assert_eq!(memo - plain, 64 * slot as u64);
+        let shared = WindowCache::for_population(&inst, 16).memory_bytes();
+        assert_eq!(shared - plain, 64 * slot as u64);
     }
 
     #[test]
     fn questions_sharing_a_slot_evict_but_never_answer_for_each_other() {
         let inst = random_instance(77, 4, 300);
-        let mut cache = WindowCache::with_memo(&inst, 1024);
-        // Brute-force two neighbourhoods of variable 0 into one slot.
-        let memo = cache.memo.as_ref().unwrap();
-        let slot_of = |x: usize, y: usize| memo.probe(0, None, &[x, y, 9]).0;
+        let mut cache = WindowCache::for_population(&inst, 256);
+        // Brute-force two neighbourhoods of variable 0 into one shared slot.
+        let slot_of = |x: usize, y: usize| cache.probe_shared(0, 0, &[x, y, 9]).0;
         let (x, y) = (1..300)
             .flat_map(|x| (0..300).map(move |y| (x, y)))
             .find(|&(x, y)| slot_of(x, y) == slot_of(0, 0))
             .expect("90 000 keys over 1 024 slots: many share a slot with (0, 0)");
+        assert!(slot_of(0, 0) >= inst.n_vars(), "behind the own slots");
         let a = Solution::new(vec![5, 0, 0, 9]);
         let b = Solution::new(vec![5, x, y, 9]);
         let mut acc = 0;
@@ -942,19 +838,26 @@ mod tests {
     }
 
     #[test]
-    fn memory_bytes_is_deterministic_and_grows_with_use() {
+    fn the_table_is_allocated_at_construction() {
         let inst = random_instance(73, 4, 300);
-        let cache_a = WindowCache::new(&inst);
-        let cache_b = WindowCache::new(&inst);
-        assert_eq!(cache_a.memory_bytes(), cache_b.memory_bytes());
+        let fresh = WindowCache::new(&inst).memory_bytes();
+        assert_eq!(fresh, WindowCache::new(&inst).memory_bytes());
         let mut rng = StdRng::seed_from_u64(74);
-        let sol = inst.random_solution(&mut rng);
+        let mut sol = inst.random_solution(&mut rng);
         let mut used = WindowCache::new(&inst);
         let mut acc = 0;
-        let _ = used.find_best_value(&inst, &sol, 0, None, &mut acc);
+        for _ in 0..1_000 {
+            let var = rng.random_range(0..4);
+            let _ = used.find_best_value(&inst, &sol, var, None, &mut acc);
+            sol.set(rng.random_range(0..4), rng.random_range(0..300));
+        }
+        assert!(acc > 0 && used.stats().misses() > 0);
+        assert_eq!(used.memory_bytes(), fresh, "raw questions allocate nothing");
+        let table = PenaltyTable::new();
+        let _ = used.find_best_value(&inst, &sol, 0, Some((&table, 0.5)), &mut acc);
         assert!(
-            used.memory_bytes() > cache_a.memory_bytes(),
-            "built windows must count"
+            used.memory_bytes() > fresh,
+            "a penalised question's tie list counts"
         );
     }
 }

@@ -279,7 +279,7 @@ proptest! {
         // questions evict each other all the time.
         let mut pop: Vec<Solution> = (0..4).map(|_| inst.random_solution(&mut rng)).collect();
         let mut plain = WindowCache::new(&inst);
-        let mut memo = WindowCache::with_memo(&inst, 4);
+        let mut memo = WindowCache::for_population(&inst, 1);
         let mut table = PenaltyTable::new();
         const QUERIES: u64 = 80;
         for round in 0..QUERIES {
