@@ -16,6 +16,16 @@
 //! inside the index: each candidate walk asks only for the objects whose
 //! satisfied count can still beat the incumbent, so the R*-tree skips the
 //! subtrees below that count.
+//!
+//! Most of a variable's windows come from variables placed before its
+//! parent, and stay put while the parent's loop tries object after object.
+//! When the count asked for needs some of those fixed windows, the
+//! objects satisfying enough of them are asked for once per parent loop
+//! (the pool), and each step recounts the pool against the parent's own
+//! window instead of walking the index again: the same candidates, with
+//! the same counts, so the search is unchanged and only node reads fall.
+//! Each depth keeps its windows, candidates and pool in buffers the run
+//! owns, so a step allocates nothing.
 
 use crate::budget::{SearchBudget, SearchContext};
 use crate::driver::SearchDriver;
@@ -79,6 +89,49 @@ struct SearchState<'a, 'd> {
     stop_at_exact: bool,
     /// Set when the budget ran out (result not proven optimal).
     truncated: bool,
+    /// One per depth: what `descend` keeps between calls.
+    frames: Vec<Frame>,
+}
+
+impl<'a, 'd> SearchState<'a, 'd> {
+    fn new(instance: &'a Instance, driver: &'d mut SearchDriver, stop_at_exact: bool) -> Self {
+        let order = connectivity_order(instance.graph());
+        let mut position = vec![0usize; order.len()];
+        for (k, &v) in order.iter().enumerate() {
+            position[v] = k;
+        }
+        let frames = order.iter().map(|_| Frame::default()).collect();
+        SearchState {
+            instance,
+            order,
+            position,
+            driver,
+            stop_at_exact,
+            truncated: false,
+            frames,
+        }
+    }
+}
+
+/// The buffers of one depth of [`descend`], reused from call to call so
+/// that a step allocates nothing once they have grown.
+#[derive(Default)]
+struct Frame {
+    /// The variable's windows, one per neighbour placed before it: first
+    /// the fixed ones — of the neighbours placed before the parent (the
+    /// variable one depth up), which the parent's loop holds fixed — then
+    /// the parent's own, if it is a neighbour.
+    windows: Vec<(Predicate, Rect)>,
+    /// `(object, count)` of the candidates: best first while they are
+    /// tried, then by id for the zero-count scan to skip.
+    candidates: Vec<(u32, u32)>,
+    /// `(object, count of fixed windows)` of every object satisfying at
+    /// least `pool_min` of the fixed windows.
+    pool: Vec<(u32, u32)>,
+    /// The count the pool was asked for; `None` until it is asked in the
+    /// parent's current call. No later call in it needs less, which
+    /// [`descend`] debug-asserts.
+    pool_min: Option<u32>,
 }
 
 impl Ibb {
@@ -100,28 +153,13 @@ impl Ibb {
     /// phase timings ("ibb") and improvement / stop-reason events through
     /// its handle.
     pub fn search(&self, instance: &Instance, ctx: &SearchContext) -> RunOutcome {
-        let graph = instance.graph();
-        let order = connectivity_order(graph);
-        let mut position = vec![0usize; order.len()];
-        for (k, &v) in order.iter().enumerate() {
-            position[v] = k;
-        }
-
         let mut driver = SearchDriver::new(instance, ctx);
         let _phase = ctx.obs().timer.span("ibb");
         if let Some(sol) = &self.config.initial {
             driver.seed_incumbent(sol, instance.violations(sol));
         }
 
-        let mut state = SearchState {
-            instance,
-            order,
-            position,
-            driver: &mut driver,
-            stop_at_exact: self.config.stop_at_exact,
-            truncated: false,
-        };
-
+        let mut state = SearchState::new(instance, &mut driver, self.config.stop_at_exact);
         let mut assignment = vec![usize::MAX; instance.n_vars()];
         let mut rects = vec![Rect::EMPTY; instance.n_vars()];
         let exact_found = descend(&mut state, 0, &mut assignment, &mut rects, 0);
@@ -139,6 +177,15 @@ impl Ibb {
 /// `min_count`, so the index returns exactly the candidates the loop can
 /// reach before its bound check breaks (the bound only falls): the same
 /// search as asking for every object with a count ≥ 1, fewer nodes read.
+///
+/// A candidate needs `min_count` windows, of which at most `k` (0 or 1)
+/// are the parent's own: it satisfies at least `min_count − k` of the
+/// windows the parent's loop holds fixed. When that is ≥ 1, the objects
+/// that do (the pool) are asked for once per call of the parent, and each
+/// call here recounts the pool against the parent's window instead of
+/// walking the index. Within one call of the parent `min_count` never
+/// falls — its violations only rise and the bound only falls — so the pool
+/// asked for first still holds every candidate of the calls after it.
 fn descend(
     state: &mut SearchState<'_, '_>,
     depth: usize,
@@ -158,31 +205,88 @@ fn descend(
         return violations_so_far == 0 && state.stop_at_exact;
     }
 
+    // The next depth's pool belongs to this call's loop.
+    if let Some(next) = state.frames.get_mut(depth + 1) {
+        next.pool_min = None;
+    }
+
     let var = state.order[depth];
-    // Windows: assignments of neighbours that precede `var` in the order.
-    let windows: Vec<(Predicate, Rect)> = graph
-        .neighbors(var)
-        .iter()
-        .filter(|&&(u, _)| state.position[u] < depth)
-        .map(|&(u, pred)| (pred, rects[u]))
-        .collect();
-    let assigned_neighbors = windows.len() as u32;
+    let parent = depth.checked_sub(1).map(|up| state.order[up]);
+    let frame = &mut state.frames[depth];
+    // Windows: assignments of neighbours that precede `var` in the order,
+    // the parent's own last.
+    frame.windows.clear();
+    let mut own = None;
+    for &(u, pred) in graph.neighbors(var) {
+        if Some(u) == parent {
+            own = Some((pred, rects[u]));
+        } else if state.position[u] < depth {
+            frame.windows.push((pred, rects[u]));
+        }
+    }
+    let fixed = frame.windows.len();
+    frame.windows.extend(own);
+    let assigned_neighbors = frame.windows.len() as u32;
 
     // Candidate objects that can still beat the incumbent, best first: a
     // count `c` gives `violations_so_far + assigned − c` violations, below
     // the bound iff `c ≥ violations_so_far + assigned + 1 − bound`.
-    let mut candidates = if windows.is_empty() {
-        Vec::new()
-    } else {
-        let beat = violations_so_far + windows.len() + 1;
+    frame.candidates.clear();
+    if !frame.windows.is_empty() {
+        let beat = violations_so_far + frame.windows.len() + 1;
         let min_count = beat.saturating_sub(state.driver.bound()).max(1) as u32;
         let (node_accesses, levels) = state.driver.tally(var);
-        index::candidates(instance, var, &windows, min_count, node_accesses, levels)
-    };
-    candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let k = own.is_some() as u32;
+        if min_count > k {
+            let from_fixed = min_count - k;
+            // Asked once per call of the parent: `min_count` never falls
+            // within it, so the first pool holds every later candidate.
+            debug_assert!(frame.pool_min.is_none_or(|asked| asked <= from_fixed));
+            if frame.pool_min.is_none() {
+                let (fixed, pool) = (&frame.windows[..fixed], &mut frame.pool);
+                index::candidates(
+                    instance,
+                    var,
+                    fixed,
+                    from_fixed,
+                    pool,
+                    node_accesses,
+                    levels,
+                );
+                frame.pool_min = Some(from_fixed);
+            }
+            let own_hit = |obj: u32| {
+                let rect = || instance.rect(var, obj as usize);
+                own.is_some_and(|(pred, w): (Predicate, Rect)| pred.eval(&rect(), &w)) as u32
+            };
+            let recounted = frame
+                .pool
+                .iter()
+                .map(|&(obj, count)| (obj, count + own_hit(obj)));
+            frame
+                .candidates
+                .extend(recounted.filter(|&(_, count)| count >= min_count));
+        } else {
+            let (windows, out) = (&frame.windows, &mut frame.candidates);
+            index::candidates(
+                instance,
+                var,
+                windows,
+                min_count,
+                out,
+                node_accesses,
+                levels,
+            );
+        }
+    }
+    frame
+        .candidates
+        .sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
-    // Try them in decreasing-count order.
-    for &(obj, count) in &candidates {
+    // Try them in decreasing-count order. Indexed, not iterated: the
+    // recursion borrows `state`, and uses the frames below this one only.
+    for at in 0..state.frames[depth].candidates.len() {
+        let (obj, count) = state.frames[depth].candidates[at];
         let new_violations = violations_so_far + (assigned_neighbors - count) as usize;
         if new_violations >= state.driver.bound() {
             // The incumbent improved mid-loop; candidates are sorted by
@@ -194,6 +298,7 @@ fn descend(
             return false;
         }
         state.driver.step();
+        let obj = obj as usize;
         (assignment[var], rects[var]) = (obj, instance.rect(var, obj));
         if descend(state, depth + 1, assignment, rects, new_violations) {
             return true;
@@ -207,14 +312,17 @@ fn descend(
     // the loop above ran to its end — it breaks only at violations that
     // reach the bound, and a zero-count object has no fewer — so every
     // candidate was tried: the scan, in id order, skips them by walking
-    // their ids sorted.
+    // them sorted by id.
     let zero_violations = violations_so_far + assigned_neighbors as usize;
     if zero_violations < state.driver.bound() {
-        let mut tried: Vec<usize> = candidates.iter().map(|&(obj, _)| obj).collect();
-        tried.sort_unstable();
-        let mut tried = tried.into_iter().peekable();
+        state.frames[depth]
+            .candidates
+            .sort_unstable_by_key(|&(obj, _)| obj);
+        let mut skipped = 0;
         for (obj, rect) in instance.scan(var) {
-            if tried.next_if_eq(&obj).is_some() {
+            let tried = state.frames[depth].candidates.get(skipped);
+            if tried.is_some_and(|&(candidate, _)| candidate as usize == obj) {
+                skipped += 1;
                 continue;
             }
             // Re-check: the incumbent may have improved mid-loop.
@@ -244,7 +352,7 @@ mod tests {
     use mwsj_datagen::{
         count_exact_solutions, hard_region_density, plant_solution, Dataset, QueryShape,
     };
-    use mwsj_query::QueryGraph;
+    use mwsj_query::{Edge, QueryGraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -371,12 +479,19 @@ mod tests {
             .map(|&(u, pred)| (pred, rects[u]))
             .collect();
         let assigned_neighbors = windows.len() as u32;
-        let mut candidates = if windows.is_empty() {
-            Vec::new()
-        } else {
+        let mut candidates = Vec::new();
+        if !windows.is_empty() {
             let (node_accesses, levels) = state.driver.tally(var);
-            index::candidates(instance, var, &windows, 1, node_accesses, levels)
-        };
+            index::candidates(
+                instance,
+                var,
+                &windows,
+                1,
+                &mut candidates,
+                node_accesses,
+                levels,
+            );
+        }
         candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         for &(obj, count) in &candidates {
             let new_violations = violations_so_far + (assigned_neighbors - count) as usize;
@@ -388,6 +503,7 @@ mod tests {
                 return false;
             }
             state.driver.step();
+            let obj = obj as usize;
             (assignment[var], rects[var]) = (obj, instance.rect(var, obj));
             if reference_descend(state, depth + 1, assignment, rects, new_violations) {
                 return true;
@@ -395,7 +511,7 @@ mod tests {
         }
         let zero_violations = violations_so_far + assigned_neighbors as usize;
         if zero_violations < state.driver.bound() {
-            let mut tried: Vec<usize> = candidates.iter().map(|&(obj, _)| obj).collect();
+            let mut tried: Vec<usize> = candidates.iter().map(|&(obj, _)| obj as usize).collect();
             tried.sort_unstable();
             let mut tried = tried.into_iter().peekable();
             for (obj, rect) in instance.scan(var) {
@@ -423,28 +539,34 @@ mod tests {
     /// [`Ibb::run`] over [`reference_descend`].
     fn run_reference(config: &IbbConfig, instance: &Instance, budget: &SearchBudget) -> RunOutcome {
         let ctx = SearchContext::local(*budget);
-        let order = connectivity_order(instance.graph());
-        let mut position = vec![0usize; order.len()];
-        for (k, &v) in order.iter().enumerate() {
-            position[v] = k;
-        }
         let mut driver = SearchDriver::new(instance, &ctx);
         if let Some(sol) = &config.initial {
             driver.seed_incumbent(sol, instance.violations(sol));
         }
-        let mut state = SearchState {
-            instance,
-            order,
-            position,
-            driver: &mut driver,
-            stop_at_exact: config.stop_at_exact,
-            truncated: false,
-        };
+        let mut state = SearchState::new(instance, &mut driver, config.stop_at_exact);
         let mut assignment = vec![usize::MAX; instance.n_vars()];
         let mut rects = vec![Rect::EMPTY; instance.n_vars()];
         let exact_found = reference_descend(&mut state, 0, &mut assignment, &mut rects, 0);
         let proven_optimal = !state.truncated || (exact_found && state.stop_at_exact);
         driver.finish_systematic(instance, proven_optimal)
+    }
+
+    /// `got` ran the search `want` ran — the same best, `(step,
+    /// similarity)` trace, improvements, top list, steps and proof — and
+    /// read no more nodes.
+    fn assert_same_search(got: &RunOutcome, want: &RunOutcome, case: &str) {
+        let curve = |o: &RunOutcome| -> Vec<(u64, f64)> {
+            o.trace.iter().map(|p| (p.step, p.similarity)).collect()
+        };
+        assert_eq!(got.best, want.best, "{case}");
+        assert_eq!(got.best_violations, want.best_violations, "{case}");
+        assert_eq!(curve(got), curve(want), "{case}");
+        assert_eq!(got.stats.improvements, want.stats.improvements, "{case}");
+        assert_eq!(got.top_solutions, want.top_solutions, "{case}");
+        assert_eq!(got.stats.steps, want.stats.steps, "{case}");
+        assert_eq!(got.proven_optimal, want.proven_optimal, "{case}");
+        let (read, ref_read) = (got.stats.node_accesses, want.stats.node_accesses);
+        assert!(read <= ref_read, "{case}: {read} > {ref_read}");
     }
 
     /// The bounded walk runs the reference's search: the same best, trace,
@@ -494,20 +616,9 @@ mod tests {
                                     inst.backend().name(),
                                     initial.is_some()
                                 );
-                                let curve = |o: &RunOutcome| -> Vec<(u64, f64)> {
-                                    o.trace.iter().map(|p| (p.step, p.similarity)).collect()
-                                };
-                                assert_eq!(got.best, want.best, "{case}");
-                                assert_eq!(got.best_violations, want.best_violations, "{case}");
-                                assert_eq!(curve(&got), curve(&want), "{case}");
-                                let improvements = want.stats.improvements;
-                                assert_eq!(got.stats.improvements, improvements, "{case}");
-                                assert_eq!(got.top_solutions, want.top_solutions, "{case}");
-                                assert_eq!(got.stats.steps, want.stats.steps, "{case}");
-                                assert_eq!(got.proven_optimal, want.proven_optimal, "{case}");
+                                assert_same_search(&got, &want, &case);
                                 let (read, ref_read) =
                                     (got.stats.node_accesses, want.stats.node_accesses);
-                                assert!(read <= ref_read, "{case}: {read} > {ref_read}");
                                 fewer_on_a_clique |= shape == QueryShape::Clique && read < ref_read;
                                 cases += 1;
                             }
@@ -518,6 +629,93 @@ mod tests {
         }
         assert_eq!(cases, 5 * 4 * 2 * 3 * 2 * 3);
         assert!(fewer_on_a_clique, "the threshold never pruned a node");
+    }
+
+    const PREDICATES: [Predicate; 6] = [
+        Predicate::Intersects,
+        Predicate::Contains,
+        Predicate::Inside,
+        Predicate::NorthEast,
+        Predicate::SouthWest,
+        Predicate::WithinDistance(0.02),
+    ];
+
+    /// A drawn instance: `shape`'s graph on `n` variables with every edge
+    /// labelled `PREDICATES[pred]` (`pred == 6`: edge `i` gets
+    /// `PREDICATES[i % 6]`), over uniform datasets of 20–119 objects.
+    fn drawn_instance(
+        seed: u64,
+        shape: QueryShape,
+        n: usize,
+        pred: usize,
+        density: f64,
+    ) -> Instance {
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shaped = shape.graph_seeded(n, seed);
+        let edges = shaped.edges().iter().enumerate().map(|(i, &edge)| Edge {
+            pred: PREDICATES[if pred == 6 { i % 6 } else { pred }],
+            ..edge
+        });
+        let graph = QueryGraph::from_edges(n, edges.collect()).unwrap();
+        let datasets: Vec<Dataset> = (0..n)
+            .map(|_| Dataset::uniform(rng.random_range(20..120), density, &mut rng))
+            .collect();
+        Instance::new(graph, datasets).unwrap()
+    }
+
+    proptest::proptest! {
+        /// The pooled search is the count-one search on drawn instances:
+        /// every query shape — chains and cliques, where a variable's
+        /// parent is one of its neighbours, stars, where it is not, and
+        /// cycles and random graphs, which have both —, each of the six
+        /// predicates on every edge or a mix, sparse to dense data, both
+        /// backends, no seed, a random solution or a short ILS best as the
+        /// seed, stopping at the first exact solution or not, under a drawn
+        /// step budget: [`assert_same_search`] against [`run_reference`].
+        #[test]
+        fn pooled_search_is_the_count_one_search(
+            seed in proptest::prelude::any::<u64>(),
+            shape in 0usize..5,
+            n in 3usize..7,
+            pred in 0usize..7,
+            density in 0.05f64..2.0,
+            grid in proptest::prelude::any::<bool>(),
+            seeded in 0u8..3,
+            stop_at_exact in proptest::prelude::any::<bool>(),
+            steps in 1u64..4_000,
+        ) {
+            use crate::ils::{Ils, IlsConfig};
+            let shape = [
+                QueryShape::Chain,
+                QueryShape::Star,
+                QueryShape::Cycle,
+                QueryShape::Clique,
+                QueryShape::Random,
+            ][shape];
+            let inst = drawn_instance(seed, shape, n, pred, density);
+            let inst = if grid { inst.with_backend(BackendKind::Grid) } else { inst };
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x1BB);
+            let initial = match seeded {
+                0 => None,
+                1 => Some(inst.random_solution(&mut rng)),
+                _ => {
+                    let ils = Ils::new(IlsConfig::default());
+                    Some(ils.run(&inst, &SearchBudget::iterations(40), &mut rng).best)
+                }
+            };
+            let config = IbbConfig { initial, stop_at_exact };
+            let budget = SearchBudget::iterations(steps);
+            let got = Ibb::new(config.clone()).run(&inst, &budget);
+            let want = run_reference(&config, &inst, &budget);
+            let case = format!(
+                "{} n={n} pred={pred} density={density} {} seeded={seeded} \
+                 stop={stop_at_exact} steps={steps}",
+                shape.name(),
+                inst.backend().name(),
+            );
+            assert_same_search(&got, &want, &case);
+        }
     }
 
     #[test]

@@ -158,22 +158,24 @@ pub(crate) fn walk_top_objects(
                 level_accesses,
             );
         }
-        BackendKind::Grid => out.extend(grid::candidates_with_counts(
+        BackendKind::Grid => grid::candidates_with_counts(
             instance.grid(var),
             windows,
             1,
+            out,
             node_accesses,
             level_accesses,
-        )),
+        ),
     }
     let top = out.iter().map(|&(_, count)| count).max().unwrap_or(0);
     let keep = if widen { 1 } else { top };
     out.retain(|&(_, count)| count >= keep);
 }
 
-/// Enumerates `(object, satisfied_count)` for all objects of `var`'s
+/// Fills `out` with `(object, satisfied_count)` for all objects of `var`'s
 /// dataset satisfying at least `min_count` (≥ 1) of the `windows`; empty
-/// `windows` yield nothing.
+/// `windows` yield nothing. A caller that reuses `out` allocates nothing
+/// once it has grown.
 ///
 /// Both backends return the identical result *set*; the order differs
 /// (R*-tree walk order — ascending leaf position — vs the grid's canonical
@@ -184,32 +186,28 @@ pub(crate) fn candidates(
     var: VarId,
     windows: &[(Predicate, Rect)],
     min_count: u32,
+    out: &mut Vec<(u32, u32)>,
     node_accesses: &mut u64,
     level_accesses: &mut [u64],
-) -> Vec<(usize, u32)> {
+) {
+    out.clear();
     match instance.backend() {
-        BackendKind::RTree => {
-            let mut out = Vec::new();
-            multiwindow::for_each_candidate(
-                instance.tree(var).root_node(),
-                windows,
-                min_count,
-                node_accesses,
-                level_accesses,
-                |object, count| out.push((object as usize, count)),
-            );
-            out
-        }
-        BackendKind::Grid => grid::candidates_with_counts(
-            instance.grid(var),
+        BackendKind::RTree => multiwindow::for_each_candidate(
+            instance.tree(var).root_node(),
             windows,
             min_count,
             node_accesses,
             level_accesses,
-        )
-        .into_iter()
-        .map(|(object, count)| (object as usize, count))
-        .collect(),
+            |object, count| out.push((object, count)),
+        ),
+        BackendKind::Grid => grid::candidates_with_counts(
+            instance.grid(var),
+            windows,
+            min_count,
+            out,
+            node_accesses,
+            level_accesses,
+        ),
     }
 }
 
@@ -248,10 +246,11 @@ pub(crate) fn first_pair(
             |a, b| out.push(vec![a as usize, b as usize]),
         ),
         _ => {
+            let mut hits = Vec::new();
             for (&a, w) in instance.objects(v0).iter().zip(instance.rects(v0)) {
                 let window = [(pred.transpose(), *w)];
-                let hits = candidates(instance, v1, &window, 1, node_accesses, &mut []);
-                out.extend(hits.into_iter().map(|(b, _)| vec![a as usize, b]));
+                candidates(instance, v1, &window, 1, &mut hits, node_accesses, &mut []);
+                out.extend(hits.iter().map(|&(b, _)| vec![a as usize, b as usize]));
             }
         }
     }
@@ -296,11 +295,11 @@ mod tests {
         ]
     }
 
-    fn brute(inst: &Instance, windows: &[(Predicate, Rect)], min: u32) -> Vec<(usize, u32)> {
+    fn brute(inst: &Instance, windows: &[(Predicate, Rect)], min: u32) -> Vec<(u32, u32)> {
         inst.scan(0)
             .filter_map(|(i, r)| {
                 let c = windows.iter().filter(|(p, w)| p.eval(&r, w)).count() as u32;
-                (c >= min).then_some((i, c))
+                (c >= min).then_some((i as u32, c))
             })
             .collect()
     }
@@ -327,7 +326,8 @@ mod tests {
                             .zip(window_rects.iter().copied())
                             .collect();
                         for min in 1..=3 {
-                            let mut got = candidates(&inst, 0, &windows, min, &mut 0, &mut []);
+                            let mut got = Vec::new();
+                            candidates(&inst, 0, &windows, min, &mut got, &mut 0, &mut []);
                             got.sort_unstable();
                             let expected = brute(&inst, &windows, min);
                             assert_eq!(got, expected, "{backend}: {pred}, min_count {min}");
@@ -343,8 +343,9 @@ mod tests {
     #[test]
     fn empty_windows_yield_nothing() {
         for inst in both_backends(91, 800, 0.3) {
-            let mut acc = 0;
-            assert!(candidates(&inst, 0, &[], 1, &mut acc, &mut []).is_empty());
+            let (mut acc, mut got) = (0, vec![(0, 0)]);
+            candidates(&inst, 0, &[], 1, &mut got, &mut acc, &mut []);
+            assert!(got.is_empty());
             assert_eq!(acc, 0);
         }
     }
@@ -352,9 +353,9 @@ mod tests {
     #[test]
     fn higher_threshold_prunes_more() {
         let [rtree, _] = both_backends(91, 800, 0.3);
-        let (mut acc1, mut acc3) = (0, 0);
-        let _ = candidates(&rtree, 0, &large_windows(), 1, &mut acc1, &mut []);
-        let _ = candidates(&rtree, 0, &large_windows(), 3, &mut acc3, &mut []);
+        let (mut acc1, mut acc3, mut got) = (0, 0, Vec::new());
+        candidates(&rtree, 0, &large_windows(), 1, &mut got, &mut acc1, &mut []);
+        candidates(&rtree, 0, &large_windows(), 3, &mut got, &mut acc3, &mut []);
         assert!(acc3 <= acc1, "conjunctive query should visit fewer nodes");
     }
 

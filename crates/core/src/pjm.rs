@@ -93,6 +93,7 @@ impl Pjm {
 
         // Steps 2..n: attach one variable at a time.
         let mut windows: Vec<(Predicate, Rect)> = Vec::new();
+        let mut hits = Vec::new();
         for k in 2..n {
             if tuples.is_empty() {
                 break;
@@ -128,9 +129,16 @@ impl Pjm {
                 } else {
                     let required = windows.len() as u32;
                     let accesses = &mut stats.node_accesses;
-                    index::candidates(instance, var, &windows, required, accesses, &mut [])
-                        .into_iter()
-                        .all(|(obj, _)| extend(obj))
+                    index::candidates(
+                        instance,
+                        var,
+                        &windows,
+                        required,
+                        &mut hits,
+                        accesses,
+                        &mut [],
+                    );
+                    hits.iter().all(|&(obj, _)| extend(obj as usize))
                 };
                 if !fits {
                     truncated = true;

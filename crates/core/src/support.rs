@@ -424,22 +424,27 @@ fn probe(
     let pred = (instance.graph())
         .predicate_between(large, small)
         .expect("the ends of an edge");
-    let alive = |v: VarId, o: usize| domains[v].as_ref().is_none_or(|d| d.get(o));
     let (n_small, n_large) = (instance.cardinality(small), instance.cardinality(large));
     let (mut kept_small, mut kept_large) = (Bits::clear(n_small), Bits::clear(n_large));
     let root = instance.tree(large).root_node();
-    for x in (0..n_small).filter(|&x| alive(small, x)) {
-        let window = [(pred, instance.rect(small, x))];
+    let large_alive = domains[large].as_ref();
+    let revise = |x: u32| {
+        let window = [(pred, instance.rect(small, x as usize))];
         let mut met = false;
         multiwindow::for_each_candidate(root, &window, 1, node_accesses, &mut [], |y, _| {
-            if alive(large, y as usize) {
+            if large_alive.is_none_or(|d| d.get(y as usize)) {
                 kept_large.set(y);
                 met = true;
             }
         });
         if met {
-            kept_small.set(x as u32);
+            kept_small.set(x);
         }
+    };
+    // Ascending ids either way; a shrunk domain is walked by its survivors.
+    match &domains[small] {
+        Some(alive) => alive.ones().for_each(revise),
+        None => (0..n_small as u32).for_each(revise),
     }
     if small == edge.a {
         [kept_small, kept_large]

@@ -241,15 +241,18 @@ fn descend(
     } else {
         // Conjunctive window query: every condition must hold.
         let required = windows.len() as u32;
-        let candidates = index::candidates(
+        let mut candidates = Vec::new();
+        index::candidates(
             instance,
             var,
             &windows,
             required,
+            &mut candidates,
             &mut state.stats.node_accesses,
             &mut [],
         );
         for (obj, _) in candidates {
+            let obj = obj as usize;
             if state.clock.exhausted() {
                 state.truncated = true;
                 return true;

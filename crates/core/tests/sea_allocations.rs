@@ -20,12 +20,17 @@
 //! the second run; on data this dense the pass ends after its first join
 //! and ST descends the whole trees.
 //!
+//! IBB keeps the windows, candidates and candidate pool of each depth in
+//! buffers its run owns, so a step — a candidate tried, or an object of a
+//! zero-count scan — allocates nothing; what a longer run adds is the
+//! incumbent's and the buffers' growth.
+//!
 //! The counting allocator counts per thread, so the harness's own threads
 //! do not disturb the reading.
 
 use mwsj_core::{
-    AnytimeSearch, Gils, Ils, Instance, Sea, SeaConfig, SearchBudget, SearchContext,
-    SynchronousTraversal,
+    AnytimeSearch, Gils, Ibb, IbbConfig, Ils, Instance, Sea, SeaConfig, SearchBudget,
+    SearchContext, SynchronousTraversal,
 };
 use mwsj_datagen::{hard_region_density, Dataset, QueryShape};
 use rand::rngs::StdRng;
@@ -168,5 +173,37 @@ fn synchronous_traversal_allocates_per_solution_not_per_combination() {
         beside_solutions <= 64,
         "{steps} combinations, {solutions} solutions, {allocations} allocations: \
          the arena and the solution list double a few dozen times, nothing is per combination"
+    );
+}
+
+/// An exhaustive IBB run on a 4-clique: 60 000 steps against 10 000, each
+/// a candidate tried below a pool or an object of a zero-count scan.
+#[test]
+fn ibb_allocates_per_loop_not_per_step() {
+    let (n, cardinality) = (4, 5_000);
+    let mut rng = StdRng::seed_from_u64(306);
+    let density = hard_region_density(QueryShape::Clique, n, cardinality, 1.0);
+    let datasets: Vec<Dataset> = (0..n)
+        .map(|_| Dataset::uniform(cardinality, density, &mut rng))
+        .collect();
+    let instance = Instance::new(QueryShape::Clique.graph(n), datasets).unwrap();
+    let ibb = Ibb::new(IbbConfig {
+        initial: None,
+        stop_at_exact: false,
+    });
+    let allocations_of = |steps: u64| {
+        let before = ALLOCATIONS.get();
+        let outcome = ibb.run(&instance, &SearchBudget::iterations(steps));
+        assert_eq!(outcome.stats.steps, steps, "the run stopped early");
+        ALLOCATIONS.get() - before
+    };
+    allocations_of(2);
+    let (short, long) = (allocations_of(10_000), allocations_of(60_000));
+    let extra = long.saturating_sub(short);
+    // Before the buffers: 50 004, a window list a step.
+    assert!(
+        extra <= 32,
+        "50 000 further steps allocated {extra} times ({short} -> {long}): \
+         the incumbent's trace and top list and a few doublings, nothing per step"
     );
 }

@@ -663,7 +663,9 @@ pub fn best_in_windows<T: Copy + Ord>(
 /// candidate walk ([`for_each_candidate`](crate::multiwindow::for_each_candidate))
 /// used by WR, PJM and IBB: every `(value, satisfied_count)` with
 /// `satisfied_count ≥ min_count`, each value exactly once, in canonical
-/// `(cell, payload)` order. One access is charged per candidate cell.
+/// `(cell, payload)` order, appended to `out` (so a caller that reuses `out`
+/// allocates nothing once it has grown). One access is charged per
+/// candidate cell.
 ///
 /// The sweep covers the **union** of the windows' candidate ranges even for
 /// conjunctive queries (`min_count == windows.len()`): an entry may
@@ -673,11 +675,11 @@ pub fn candidates_with_counts<T: Copy + Ord>(
     grid: &UniformGrid<T>,
     windows: &[(Predicate, Rect)],
     min_count: u32,
+    out: &mut Vec<(T, u32)>,
     cell_accesses: &mut u64,
     level_accesses: &mut [u64],
-) -> Vec<(T, u32)> {
+) {
     debug_assert!(min_count >= 1);
-    let mut out = Vec::new();
     with_plan(grid, windows, cell_accesses, level_accesses, |plan| {
         for cell_pos in 0..plan.cells.len() {
             let start = out.len();
@@ -690,7 +692,6 @@ pub fn candidates_with_counts<T: Copy + Ord>(
             out[start..].sort_unstable_by_key(|hit| hit.0);
         }
     });
-    out
 }
 
 /// PBSM cell-pair join of two grids: calls `emit(a, b)` once for every pair
@@ -832,7 +833,8 @@ mod tests {
 
     /// A single-window query: the kernel with one window and `min_count` 1.
     fn query(grid: &UniformGrid<u32>, pred: Predicate, w: &Rect, accesses: &mut u64) -> Vec<u32> {
-        let hits = candidates_with_counts(grid, &[(pred, *w)], 1, accesses, &mut []);
+        let mut hits = Vec::new();
+        candidates_with_counts(grid, &[(pred, *w)], 1, &mut hits, accesses, &mut []);
         hits.into_iter().map(|(v, _)| v).collect()
     }
 
@@ -915,7 +917,8 @@ mod tests {
             (Predicate::NorthEast, Rect::new(0.1, 0.1, 0.2, 0.2)),
         ];
         for min in 1..=3 {
-            let mut got = candidates_with_counts(&grid, &windows, min, &mut 0, &mut []);
+            let mut got = Vec::new();
+            candidates_with_counts(&grid, &windows, min, &mut got, &mut 0, &mut []);
             got.sort_unstable();
             let mut expected: Vec<(u32, u32)> = items
                 .iter()
@@ -943,7 +946,8 @@ mod tests {
             (Predicate::Intersects, Rect::new(0.0, 0.0, 0.1, 0.1)),
             (Predicate::Intersects, Rect::new(0.9, 0.9, 1.0, 1.0)),
         ];
-        let got = candidates_with_counts(&grid, &windows, 2, &mut 0, &mut []);
+        let mut got = Vec::new();
+        candidates_with_counts(&grid, &windows, 2, &mut got, &mut 0, &mut []);
         assert_eq!(got, vec![(0, 2)]);
     }
 
@@ -1006,7 +1010,8 @@ mod tests {
         assert_eq!((acc, levels), (cells, [cells, 0]), "{name}: {windows:?}");
         for min in 1..=windows.len() as u32 {
             let (mut acc, mut levels) = (0, [0u64; 1]);
-            let got = candidates_with_counts(grid, windows, min, &mut acc, &mut levels);
+            let mut got = Vec::new();
+            candidates_with_counts(grid, windows, min, &mut got, &mut acc, &mut levels);
             let want: Vec<(u32, u32)> = seen.iter().copied().filter(|&(_, c)| c >= min).collect();
             assert_eq!(got, want, "{name}: candidates ≥ {min}, {windows:?}");
             assert_eq!((acc, levels), (cells, [cells]), "{name}: {windows:?}");

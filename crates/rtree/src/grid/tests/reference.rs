@@ -93,7 +93,11 @@ fn assert_packed_equals_replicated(
         let best = best_in_windows(g, windows, score, &mut acc, &mut levels)
             .map(|b| (b.value, bits(&b.rect), b.satisfied, b.score.to_bits()));
         let hits: Vec<_> = (1..=windows.len() as u32)
-            .map(|min| candidates_with_counts(g, windows, min, &mut acc, &mut levels))
+            .map(|min| {
+                let mut hits = Vec::new();
+                candidates_with_counts(g, windows, min, &mut hits, &mut acc, &mut levels);
+                hits
+            })
             .collect();
         let mut pairs = Vec::new();
         for pred in JOIN_PREDS {
