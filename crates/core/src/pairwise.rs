@@ -3,8 +3,19 @@
 //! Synchronous depth-first traversal of two R-trees producing all pairs of
 //! objects whose MBRs intersect. This is the building block of the
 //! pairwise join method ([`crate::Pjm`]) against which the paper positions
-//! its multiway algorithms, and of the support bits of an instance, whose
-//! build stops a join that outgrows its cap ([`PairwiseJoin::visit`]).
+//! its multiway algorithms, and of the support bits of an instance and its
+//! arc-consistency pass, whose build stops a join that outgrows its cap
+//! ([`PairwiseJoin::visit`]).
+//!
+//! Every node pair of one level is first cut to the entries that meet the
+//! other node's MBR. A pair of leaves, where nearly all of a join's
+//! rectangle tests fall, then goes through a column kernel: the right
+//! leaf's survivors are copied into four coordinate columns, and each
+//! survivor of the left leaf first counts its hits over them as a plain
+//! sum, which LLVM vectorises, and looks for the hits only when the count
+//! is not zero. Both cuts and that scan keep entry order, so the pairs,
+//! their order, the node reads and the point where a `visit` break stops
+//! the join are those of the plain nested loop over the two nodes.
 
 use mwsj_geom::Rect;
 use mwsj_rtree::{NodeRef, RTree};
@@ -51,6 +62,7 @@ impl PairwiseJoin {
             node_accesses: 2,
             stopped: false,
             survivors: Vec::new(),
+            leaves: Leaves::default(),
         };
         join.pair(
             Cursor::Node(left.root_node(), left.bounding_box()),
@@ -71,15 +83,108 @@ enum Cursor<'a> {
 }
 
 /// One join in progress: where its pairs go, the nodes it read, whether
-/// `visit` stopped it, and the entry positions that survived the
-/// restriction of every node pair on the current descent path (a stack: a
-/// node pair pushes its two lists and pops them when it is done, so the
-/// whole join allocates only while this grows).
+/// `visit` stopped it, the entry positions that survived the restriction
+/// of every node pair on the current descent path (a stack: a node pair
+/// pushes its two lists and pops them when it is done) and the leaf-pair
+/// kernel's scratch. The whole join allocates only while these grow.
 struct Join<F> {
     visit: F,
     node_accesses: u64,
     stopped: bool,
     survivors: Vec<u32>,
+    leaves: Leaves,
+}
+
+/// Scratch of [`Join::leaf_pair`]: the positions of the `a` survivors, and
+/// the `b` survivors as positions plus four coordinate columns. Each vector
+/// grows to the largest leaf seen and is never cleared: a leaf pair writes
+/// the prefix it reads.
+#[derive(Default)]
+struct Leaves {
+    a: Vec<u32>,
+    b: Vec<u32>,
+    lo_x: Vec<f64>,
+    hi_x: Vec<f64>,
+    lo_y: Vec<f64>,
+    hi_y: Vec<f64>,
+}
+
+impl Leaves {
+    /// Cuts `ra` to the positions meeting `mb` and `rb` to the columns
+    /// meeting `ma`, both in entry order. Branch-free: every position is
+    /// written, and the end advances only on a hit.
+    #[inline]
+    fn cut<'s>(
+        &'s mut self,
+        ra: &[Rect],
+        mb: &Rect,
+        rb: &[Rect],
+        ma: &Rect,
+    ) -> (&'s [u32], Columns<'s>) {
+        let len = ra.len().max(rb.len());
+        if self.a.len() < len {
+            self.a.resize(len, 0);
+            self.b.resize(len, 0);
+            for column in [
+                &mut self.lo_x,
+                &mut self.hi_x,
+                &mut self.lo_y,
+                &mut self.hi_y,
+            ] {
+                column.resize(len, 0.0);
+            }
+        }
+        // Sliced to the leaves' lengths, so one bound covers each loop's
+        // writes.
+        let (a, b) = (&mut self.a[..ra.len()], &mut self.b[..rb.len()]);
+        let (lo_x, hi_x) = (&mut self.lo_x[..rb.len()], &mut self.hi_x[..rb.len()]);
+        let (lo_y, hi_y) = (&mut self.lo_y[..rb.len()], &mut self.hi_y[..rb.len()]);
+        let mut ka = 0;
+        for (i, r) in (0u32..).zip(ra) {
+            a[ka] = i;
+            ka += usize::from(r.intersects(mb));
+        }
+        let mut kb = 0;
+        for (j, r) in (0u32..).zip(rb) {
+            b[kb] = j;
+            lo_x[kb] = r.min.x;
+            hi_x[kb] = r.max.x;
+            lo_y[kb] = r.min.y;
+            hi_y[kb] = r.max.y;
+            kb += usize::from(r.intersects(ma));
+        }
+        let columns = Columns {
+            positions: &b[..kb],
+            lo_x: &lo_x[..kb],
+            hi_x: &hi_x[..kb],
+            lo_y: &lo_y[..kb],
+            hi_y: &hi_y[..kb],
+        };
+        (&a[..ka], columns)
+    }
+}
+
+/// The `b` survivors of a leaf pair, one slice per coordinate.
+struct Columns<'s> {
+    positions: &'s [u32],
+    lo_x: &'s [f64],
+    hi_x: &'s [f64],
+    lo_y: &'s [f64],
+    hi_y: &'s [f64],
+}
+
+impl Columns<'_> {
+    /// How many survivors `r` meets: a plain sum over the columns, with no
+    /// branch per entry, so LLVM vectorises it.
+    #[inline]
+    fn count(&self, r: &Rect) -> u32 {
+        let x = self.lo_x.iter().zip(self.hi_x);
+        let y = self.lo_y.iter().zip(self.hi_y);
+        let meets = |((lo_x, hi_x), (lo_y, hi_y)): ((&f64, &f64), (&f64, &f64))| {
+            (r.min.x <= *hi_x) & (*lo_x <= r.max.x) & (r.min.y <= *hi_y) & (*lo_y <= r.max.y)
+        };
+        x.zip(y).map(|c| u32::from(meets(c))).sum()
+    }
 }
 
 impl<F: FnMut(u32, u32) -> ControlFlow<()>> Join<F> {
@@ -133,8 +238,12 @@ impl<F: FnMut(u32, u32) -> ControlFlow<()>> Join<F> {
     /// so each side is cut to those entries first — of 32 × 32 entry pairs,
     /// about 8 × 8 are left to test. The survivors are joined in entry
     /// order, so the qualifying entry pairs, their order and the node pairs
-    /// entered are those of the plain nested loop.
+    /// entered are those of the plain nested loop. Two leaves go to
+    /// [`Join::leaf_pair`].
     fn node_pair(&mut self, na: NodeRef<'_, u32>, ma: &Rect, nb: NodeRef<'_, u32>, mb: &Rect) {
+        if na.is_leaf() {
+            return self.leaf_pair(na, ma, nb, mb);
+        }
         let (ra, rb) = (na.rects(), nb.rects());
         let base = self.survivors.len();
         self.survivors.extend(positions_meeting(ra, mb));
@@ -151,6 +260,35 @@ impl<F: FnMut(u32, u32) -> ControlFlow<()>> Join<F> {
             }
         }
         self.survivors.truncate(base);
+    }
+
+    /// Two leaves, restricted as in [`Join::node_pair`], with the `b`
+    /// survivors as columns ([`Leaves::cut`]). Each `a` survivor counts its
+    /// hits over all the columns first; a count of zero, the common case,
+    /// ends it without a branch per entry, and otherwise the `b` survivors
+    /// are scanned in entry order until that many hits went to `visit`. So
+    /// the pairs come in the nested loop's order, a `visit` break stops the
+    /// join at the nested loop's pair, and a pair of objects reads no node.
+    fn leaf_pair(&mut self, na: NodeRef<'_, u32>, ma: &Rect, nb: NodeRef<'_, u32>, mb: &Rect) {
+        let (ra, rb) = (na.rects(), nb.rects());
+        let (va, vb) = (na.values(), nb.values());
+        let (a, b) = self.leaves.cut(ra, mb, rb, ma);
+        for &ia in a {
+            let r = &ra[ia as usize];
+            let mut hits = b.count(r);
+            for &ib in b.positions {
+                if hits == 0 {
+                    break;
+                }
+                if r.intersects(&rb[ib as usize]) {
+                    hits -= 1;
+                    if (self.visit)(va[ia as usize], vb[ib as usize]).is_break() {
+                        self.stopped = true;
+                        return;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -264,7 +402,7 @@ mod tests {
             ("zero width", &zero_width, &b),
         ];
         for (name, left, right) in cases {
-            for cap in [4, 32] {
+            for cap in [4, 32, 64] {
                 assert_join_is_exact(name, left, right, cap);
             }
         }
@@ -273,13 +411,16 @@ mod tests {
 
     proptest::proptest! {
         /// The same equality on drawn layouts: any two sizes (so any two
-        /// heights), entry extent and node capacity.
+        /// heights), entry extent and node capacity. The capacities run to
+        /// 96, so the leaf kernel's scratch meets leaves of many lengths,
+        /// and grows within a join wherever a leaf pair is longer than
+        /// every one before it.
         #[test]
         fn join_is_exact_on_drawn_layouts(
             seed in proptest::prelude::any::<u64>(),
             sizes in (2usize..400, 2usize..400),
             density in 0.0f64..0.8,
-            cap in 4usize..=32,
+            cap in 4usize..=96,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let left = Dataset::uniform(sizes.0, density, &mut rng);
@@ -288,9 +429,30 @@ mod tests {
         }
     }
 
+    /// The leaf of every object of `tree`, leaves numbered in visit order.
+    fn leaf_of(tree: &RTree<u32>) -> Vec<usize> {
+        fn walk(node: NodeRef<'_, u32>, leaves: &mut usize, out: &mut [usize]) {
+            if node.is_leaf() {
+                for &v in node.values() {
+                    out[v as usize] = *leaves;
+                }
+                *leaves += 1;
+            } else {
+                for e in node.entries() {
+                    walk(e.child().unwrap(), leaves, out);
+                }
+            }
+        }
+        let mut out = vec![0; tree.len()];
+        walk(tree.root_node(), &mut 0, &mut out);
+        out
+    }
+
     /// `visit` hands out the pairs of `join` in its order; broken after
     /// `k` pairs, it has handed out the first `k`, reports the join cut
-    /// short and has read no more nodes than the whole join.
+    /// short and has read no more nodes than the whole join. One break
+    /// falls between two pairs of one object and one leaf pair, where the
+    /// leaf kernel is mid-scan.
     #[test]
     fn a_visit_stops_where_it_is_told() {
         let mut rng = StdRng::seed_from_u64(112);
@@ -298,7 +460,14 @@ mod tests {
         let right = tree_of(Dataset::uniform(300, 0.3, &mut rng).rects(), 8);
         let whole = PairwiseJoin::join(&left, &right);
         assert!(whole.pairs.len() > 10);
-        for k in [0, 1, 10, whole.pairs.len()] {
+        let leaf = leaf_of(&right);
+        let mid_scan = (1..whole.pairs.len())
+            .find(|&k| {
+                let ((a0, b0), (a1, b1)) = (whole.pairs[k - 1], whole.pairs[k]);
+                a0 == a1 && leaf[b0 as usize] == leaf[b1 as usize]
+            })
+            .expect("an object with two partners in one leaf");
+        for k in [0, 1, 10, mid_scan, whole.pairs.len()] {
             let mut seen = Vec::new();
             let (accesses, complete) = PairwiseJoin::visit(&left, &right, |a, b| {
                 if seen.len() == k {
