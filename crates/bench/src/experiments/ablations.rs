@@ -3,7 +3,7 @@
 //! heuristics \[PMK+99\]:
 //!
 //! (i)  index-based re-instantiation (ILS) vs. random re-instantiation
-//!      (naive-LS), plus simulated annealing for context;
+//!      (naive-LS);
 //! (ii) the greedy, quality-aware crossover (SEA) vs. a random single-point
 //!      crossover GA (naive-GA).
 //!
@@ -36,11 +36,7 @@ pub fn run(scale: Scale, rec: &Recorder) -> Vec<Output> {
 
         // (i) Re-instantiation policy, (ii) crossover mechanism.
         for (study, algos, seed) in [
-            (
-                "reinstantiation",
-                vec![Algo::Ils, Algo::NaiveLs, Algo::Sa],
-                6000,
-            ),
+            ("reinstantiation", vec![Algo::Ils, Algo::NaiveLs], 6000),
             ("crossover", vec![Algo::Sea, Algo::NaiveGa], 7000),
         ] {
             for algo in algos {

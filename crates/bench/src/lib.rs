@@ -43,7 +43,7 @@ pub use suite::{pinned_suite, pinned_suite_large, run_suite, BenchTier, SuiteAlg
 use mwsj_core::Instance;
 use mwsj_core::{
     Gils, GilsConfig, Ils, IlsConfig, NaiveGa, NaiveGaConfig, NaiveLocalSearch, RunOutcome, Sea,
-    SeaConfig, SearchBudget, SearchContext, SimulatedAnnealing,
+    SeaConfig, SearchBudget, SearchContext,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,8 +61,6 @@ pub enum Algo {
     NaiveLs,
     /// GA with random crossover/mutation (ablation baseline).
     NaiveGa,
-    /// Simulated annealing (ablation baseline).
-    Sa,
 }
 
 impl Algo {
@@ -77,18 +75,17 @@ impl Algo {
             Algo::Sea => "SEA",
             Algo::NaiveLs => "naive-LS",
             Algo::NaiveGa => "naive-GA",
-            Algo::Sa => "SA",
         }
     }
 
     /// Moves one step of the algorithm makes on `instance`: a step of ILS,
-    /// GILS, naive LS or SA is one move, a generation of SEA or naive GA
+    /// GILS or naive LS is one move, a generation of SEA or naive GA
     /// one move per member of its population.
     pub fn moves_per_step(&self, instance: &Instance) -> u64 {
         match self {
             Algo::Sea => SeaConfig::default_for(instance).population as u64,
             Algo::NaiveGa => NaiveGaConfig::default().population as u64,
-            Algo::Ils | Algo::Gils | Algo::NaiveLs | Algo::Sa => 1,
+            Algo::Ils | Algo::Gils | Algo::NaiveLs => 1,
         }
     }
 
@@ -107,7 +104,6 @@ impl Algo {
             Algo::Sea => Sea::new(SeaConfig::default_for(instance)).search(instance, ctx, rng),
             Algo::NaiveLs => NaiveLocalSearch::default().search(instance, ctx, rng),
             Algo::NaiveGa => NaiveGa::new(NaiveGaConfig::default()).search(instance, ctx, rng),
-            Algo::Sa => SimulatedAnnealing::default().search(instance, ctx, rng),
         }
     }
 }
@@ -139,11 +135,10 @@ mod tests {
             Algo::Sea,
             Algo::NaiveLs,
             Algo::NaiveGa,
-            Algo::Sa,
         ]
         .iter()
         .map(|a| a.name())
         .collect();
-        assert_eq!(names.len(), 6);
+        assert_eq!(names.len(), 5);
     }
 }

@@ -130,7 +130,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         values: &[
             "data",
             "query",
-            "algo",
             "limit",
             "seconds",
             "iterations",

@@ -17,9 +17,9 @@ use args::Args;
 use mwsj_core::obs::to_folded;
 use mwsj_core::{
     metric, AnytimeSearch, BackendKind, EventSink, Gils, GilsConfig, Ibb, IbbConfig, Ils,
-    IlsConfig, Instance, JsonlSink, MetricsSnapshot, ObsHandle, Pjm, Portfolio, RunEvent,
-    RunOutcome, Sea, SeaConfig, SearchBudget, SearchContext, SynchronousTraversal, TelemetryConfig,
-    TwoStep, TwoStepConfig, WindowReduction,
+    IlsConfig, Instance, JsonlSink, MetricsSnapshot, ObsHandle, Portfolio, RunEvent, RunOutcome,
+    Sea, SeaConfig, SearchBudget, SearchContext, TelemetryConfig, TwoStep, TwoStepConfig,
+    WindowReduction,
 };
 use mwsj_datagen::{Dataset, DatasetSpec, Distribution, QueryShape};
 use rand::rngs::StdRng;
@@ -127,13 +127,12 @@ USAGE:
                                             (or S seconds) without improvement
              [--stall-abort]                stop a stalled run (stop reason
                                             'stall_aborted')
-  mwsj join --data FILE [--data FILE]... --query SPEC [--algo wr|st|pjm] [--limit K] [--seconds S]
+  mwsj join --data FILE [--data FILE]... --query SPEC [--limit K] [--seconds S]
             [--backend rtree|grid] [--metrics-out FILE]
-                                            --algo st descends the R*-trees and ignores
-                                            --backend; it takes overlap queries only.
-                                            Solutions print in the algorithm's own
-                                            enumeration order (deterministic; it differs
-                                            between algorithms and backends and is not
+                                            exact join (WR, opening with the pairwise
+                                            join of its first edge). Solutions print in
+                                            its enumeration order (deterministic; it
+                                            differs between backends and is not
                                             sorted); --limit K keeps its first K
   mwsj explain --data FILE [--data FILE]... --query SPEC [--backend rtree|grid] [--metrics-out FILE]
                                             pre-run cost & selectivity report, no solving:
@@ -577,26 +576,14 @@ fn cmd_join(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
         .parse_or("limit", 100, "a solution limit")
         .map_err(|e| e.to_string())?;
 
-    let algo = args.value("algo").unwrap_or("wr");
-    // The MBR filter of the synchronous descent is complete for overlap
-    // only, and the library asserts it.
-    let overlap_only = |e: &mwsj_query::Edge| e.pred == mwsj_geom::Predicate::Intersects;
-    if algo == "st" && !instance.graph().edges().iter().all(overlap_only) {
-        return Err("--algo st supports overlap (intersects) queries only".into());
-    }
     let metrics_path = args.value("metrics-out").map(str::to_string);
     let obs = match &metrics_path {
         Some(path) => ObsHandle::enabled().with_sink(Arc::new(create_sink(path)?)),
         None => ObsHandle::disabled(),
     };
     // Seed 0: exact joins are deterministic; no RNG is involved.
-    obs.emit(mwsj_core::run_start(algo, &instance, &budget, 1, 0));
-    let outcome = match algo {
-        "wr" => WindowReduction::new().run_with_obs(&instance, &budget, limit, &obs),
-        "st" => SynchronousTraversal::new().run_with_obs(&instance, &budget, limit, &obs),
-        "pjm" => Pjm::default().run_with_obs(&instance, &budget, limit, &obs),
-        other => return Err(format!("unknown exact algorithm '{other}'").into()),
-    };
+    obs.emit(mwsj_core::run_start("wr", &instance, &budget, 1, 0));
+    let outcome = WindowReduction::new().run_with_obs(&instance, &budget, limit, &obs);
     // The arc-consistency pass's reads belong to the instance, not to the
     // run: they are their own counter.
     if let Some(reads) = instance.core_node_accesses() {

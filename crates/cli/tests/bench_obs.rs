@@ -716,7 +716,7 @@ fn metrics_out_writes_one_order_of_event_kinds_per_command() {
         assert_eq!(kinds_of("solve", 3, &extra), expected, "{algo:?}");
     }
     assert_eq!(
-        kinds_of("join", 2, &["--algo", "wr"]),
+        kinds_of("join", 2, &[]),
         ["run_start", "metrics", "phases", "run_end"]
     );
 }

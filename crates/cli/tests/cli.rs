@@ -126,8 +126,6 @@ fn exact_join_counts_solutions() {
             b.to_str().unwrap(),
             "--query",
             "0-1",
-            "--algo",
-            "wr",
             "--limit",
             "10",
         ])
@@ -456,7 +454,7 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     let solve_grid = [&solve_steps[..], &["--backend", "grid"]].concat();
     let watch = ["watch", a, "--no-tty"];
     let join = ["join", "--data", a, "--data", a, "--query", "0-1"];
-    let join = [&join[..], &["--algo", "pjm", "--backend", "grid"]].concat();
+    let join = [&join[..], &["--backend", "grid"]].concat();
     let explain = ["explain", "--data", a, "--data", a, "--query", "0-1"];
     let hard_density = ["hard-density", "--shape", "chain"];
     // (command, hostile arguments, what must come of them).
@@ -507,7 +505,6 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     let isolated = ["--data", apart, "--data", apart, "--data", apart];
     let isolated = [&["join", "--query", "0-1"], &isolated[..]].concat();
     let contains = ["join", "--data", a, "--data", a, "--query", "0-1:contains"];
-    let st_overlap_only = "error: --algo st supports overlap (intersects) queries only";
     // One object a side: every seed is exact, and a search that does not
     // look at its seed spends the whole budget climbing from the optimum.
     let one = dir.join("one.csv");
@@ -524,11 +521,6 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     let on_header = ["--data", header, "--data", header, "--query", "0-1"];
     let on_zero = ["--data", zero, "--data", zero, "--query", "0-1"];
     let solve_10 = ["solve", "--iterations", "10"];
-    let (wr_join, st_join, pjm_join) = (
-        ["join", "--algo", "wr"],
-        ["join", "--algo", "st"],
-        ["join", "--algo", "pjm"],
-    );
     let unqueried = ["--data", a, "--data", a];
     let solve_unqueried = [&solve_10[..], &unqueried[..]].concat();
     let join_unqueried = [&["join"][..], &unqueried[..]].concat();
@@ -546,7 +538,7 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
     let generate = ["generate", "--out", generated.to_str().unwrap()];
     let hard_cycle = ["hard-density", "--shape", "cycle"];
     let no_objects = "error: --n must be at least 1";
-    let rows: [(&[&str], &[&str], Expect); 81] = [
+    let rows: [(&[&str], &[&str], Expect); 73] = [
         // Counts and reals the generator and the density solver cannot use
         // hit the library's asserts (exit 101), or printed `density inf`.
         (&generate, &["--n", "0"], Refused(no_objects)),
@@ -608,14 +600,10 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
             Prints("cycle query over 3 datasets"),
         ),
         (&solve_10, &on_header, NoRectangles(header)),
-        (&wr_join, &on_header, NoRectangles(header)),
-        (&st_join, &on_header, NoRectangles(header)),
-        (&pjm_join, &on_header, NoRectangles(header)),
+        (&["join"], &on_header, NoRectangles(header)),
         (&["explain"], &on_header, NoRectangles(header)),
         (&solve_10, &on_zero, NoRectangles(zero)),
-        (&wr_join, &on_zero, NoRectangles(zero)),
-        (&st_join, &on_zero, NoRectangles(zero)),
-        (&pjm_join, &on_zero, NoRectangles(zero)),
+        (&["join"], &on_zero, NoRectangles(zero)),
         (&["explain"], &on_zero, NoRectangles(zero)),
         // An edge given twice, in either direction.
         (&solve_unqueried, &["--query", "0-1,0-1"], Refused(twice)),
@@ -747,29 +735,12 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
             &["--metrics-out", metrics, "--seconds", "2"],
             Announces("\"budget_secs\":2}"),
         ),
-        (&join_wr, &["--algo", "wr", "--limit", "0"], Prints(nothing)),
-        (&join_wr, &["--algo", "st", "--limit", "0"], Prints(nothing)),
-        (
-            &join_wr,
-            &["--algo", "pjm", "--limit", "0"],
-            Prints(nothing),
-        ),
-        (
-            &join_wr,
-            &["--backend", "grid", "--algo", "wr", "--limit", "0"],
-            Prints(nothing),
-        ),
-        (
-            &join_wr,
-            &["--backend", "grid", "--algo", "st", "--limit", "0"],
-            Prints(nothing),
-        ),
+        (&join_wr, &["--limit", "0"], Prints(nothing)),
         (&join, &["--limit", "0"], Prints(nothing)),
-        // A variable no edge touches multiplies the result by its dataset:
-        // PJM used to attach it with no window and return nothing.
+        // A variable no edge touches multiplies the result by its dataset.
         (
             &isolated,
-            &["--algo", "pjm"],
+            &["--limit", "100"],
             Prints("9 exact solutions in"),
         ),
         (
@@ -777,8 +748,8 @@ fn hostile_flags_are_rejected_or_clamped_without_panicking() {
             &["--algo", "gils", "--iterations", "1000"],
             Mentions(" elapsed, 0 steps, "),
         ),
-        // A query spec ST cannot run is an error, not its library assert.
-        (&contains, &["--algo", "st"], Refused(st_overlap_only)),
+        // `join` runs one algorithm and names none.
+        (&contains, &["--algo", "wr"], Foreign("--algo", "join")),
         (
             &explain_huge,
             &["--metrics-out", explained],
@@ -904,7 +875,7 @@ fn within_epsilon_must_be_a_finite_distance() {
         mwsj()
             .args(["join", "--data", a.to_str().unwrap()])
             .args(["--data", b.to_str().unwrap()])
-            .args(["--algo", "wr", "--limit", "100000000"])
+            .args(["--limit", "100000000"])
             .args(["--backend", backend])
             .args(["--query", &format!("0-1:within:{eps}")])
             .output()
@@ -928,10 +899,10 @@ fn within_epsilon_must_be_a_finite_distance() {
     }
 }
 
-/// Each algorithm's enumeration order on the grid is deterministic and
-/// `--limit` keeps a prefix of it: WR (leaf order of the first variable,
-/// then the grid's `(cell, object)` order per window query) and PJM (the
-/// cell-pair join's order, then the same) print these tuples and count
+/// The join's enumeration order on the grid is deterministic and
+/// `--limit` keeps a prefix of it: WR opens with the pairwise join of its
+/// first edge (the R*-trees' join order), then takes the grid's `(cell,
+/// object)` order per window query, and prints these tuples and counts
 /// these accesses. The data is dense: the arc-consistency pass ends after
 /// its first join, removing nothing, and the line after the count says so.
 #[test]
@@ -941,42 +912,26 @@ fn grid_joins_print_the_pinned_first_tuples() {
         .map(|i| generate(&dir, &format!("{i}.csv"), 2000, 0.5, 41 + i))
         .collect();
     let core = "core: 2000/2000 2000/2000 2000/2000 (809 node accesses)\n";
-    let pinned = [
-        (
-            "wr",
-            "(8 node accesses)\n",
-            "  (r1,1158, r2,625, r3,1590)\n  (r1,180, r2,1323, r3,614)\n  \
-             (r1,180, r2,1323, r3,1530)\n  (r1,180, r2,1323, r3,1780)\n  \
-             (r1,180, r2,1323, r3,1861)\n  (r1,400, r2,1323, r3,614)\n",
-        ),
-        (
-            "pjm",
-            "(5950 node accesses)\n",
-            "  (r1,1153, r2,1568, r3,1436)\n  \
-             (r1,1153, r2,1568, r3,1746)\n  (r1,1419, r2,1031, r3,62)\n  \
-             (r1,1419, r2,1031, r3,1436)\n  (r1,1419, r2,1031, r3,1746)\n  \
-             (r1,1153, r2,1031, r3,62)\n",
-        ),
-    ];
-    for (algo, accesses, tuples) in pinned {
-        let mut cmd = mwsj();
-        cmd.arg("join");
-        for f in &files {
-            cmd.args(["--data", f.to_str().unwrap()]);
-        }
-        cmd.args(["--query", "chain", "--backend", "grid", "--limit", "6"]);
-        let out = cmd.args(["--algo", algo]).output().unwrap();
-        let text = String::from_utf8_lossy(&out.stdout);
-        let tail = format!("{accesses}{core}{tuples}");
-        assert!(text.ends_with(&tail), "{algo}: {text}");
+    let accesses = "(10 node accesses)\n";
+    let tuples = "  (r1,1158, r2,625, r3,1590)\n  (r1,1579, r2,1323, r3,614)\n  \
+                  (r1,1579, r2,1323, r3,1530)\n  (r1,1579, r2,1323, r3,1780)\n  \
+                  (r1,1579, r2,1323, r3,1861)\n  (r1,180, r2,1323, r3,614)\n";
+    let mut cmd = mwsj();
+    cmd.arg("join");
+    for f in &files {
+        cmd.args(["--data", f.to_str().unwrap()]);
     }
+    cmd.args(["--query", "chain", "--backend", "grid", "--limit", "6"]);
+    let out = cmd.output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    let tail = format!("{accesses}{core}{tuples}");
+    assert!(text.ends_with(&tail), "{text}");
 }
 
 /// On sparse data the pass cuts every dataset down to the objects that
 /// still have partners: `join` prints what it left and what it read, the
-/// same for every algorithm and backend, and `--metrics-out` holds those
-/// reads as `core.node_accesses`, apart from the run's own
-/// `search.node_accesses`.
+/// same on either backend, and `--metrics-out` holds those reads as
+/// `core.node_accesses`, apart from the run's own `search.node_accesses`.
 #[test]
 fn join_prints_the_core_and_the_reads_of_its_pass() {
     let dir = temp_dir("corepinned");
@@ -986,30 +941,28 @@ fn join_prints_the_core_and_the_reads_of_its_pass() {
     let core = "\ncore: 80/2000 78/2000 78/2000 (2017 node accesses)\n";
     let metrics = dir.join("join.jsonl");
     for backend in ["rtree", "grid"] {
-        for algo in ["wr", "st", "pjm"] {
-            let mut cmd = mwsj();
-            cmd.arg("join");
-            for f in &files {
-                cmd.args(["--data", f.to_str().unwrap()]);
-            }
-            cmd.args(["--query", "chain", "--backend", backend, "--algo", algo]);
-            cmd.args(["--metrics-out", metrics.to_str().unwrap()]);
-            let out = cmd.output().unwrap();
-            let text = String::from_utf8_lossy(&out.stdout);
-            assert!(
-                out.status.success() && text.contains(core),
-                "{backend} {algo}: {text}"
-            );
-            let counters = std::fs::read_to_string(&metrics).unwrap();
-            let counters = counters
-                .lines()
-                .find(|l| l.contains("\"metrics\""))
-                .unwrap();
-            assert!(
-                counters.contains("\"core.node_accesses\":2017,"),
-                "{counters}"
-            );
+        let mut cmd = mwsj();
+        cmd.arg("join");
+        for f in &files {
+            cmd.args(["--data", f.to_str().unwrap()]);
         }
+        cmd.args(["--query", "chain", "--backend", backend]);
+        cmd.args(["--metrics-out", metrics.to_str().unwrap()]);
+        let out = cmd.output().unwrap();
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && text.contains(core),
+            "{backend}: {text}"
+        );
+        let counters = std::fs::read_to_string(&metrics).unwrap();
+        let counters = counters
+            .lines()
+            .find(|l| l.contains("\"metrics\""))
+            .unwrap();
+        assert!(
+            counters.contains("\"core.node_accesses\":2017,"),
+            "{counters}"
+        );
     }
 }
 
@@ -1055,7 +1008,7 @@ fn hostile_datasets_run_alike_on_both_backends() {
         &line[line.find("(similarity").expect("best similarity")..]
     };
     let count: Answer = |text| text.split_once(" in ").expect("join summary line").0;
-    let commands: [(&[&str], Answer); 5] = [
+    let commands: [(&[&str], Answer); 4] = [
         (
             &["solve", "--algo", "ils", "--iterations", "200"],
             similarity,
@@ -1064,8 +1017,7 @@ fn hostile_datasets_run_alike_on_both_backends() {
             &["solve", "--algo", "gils", "--iterations", "200"],
             similarity,
         ),
-        (&["join", "--algo", "wr", "--limit", "1000000"], count),
-        (&["join", "--algo", "pjm", "--limit", "1000000"], count),
+        (&["join", "--limit", "1000000"], count),
         (&["explain"], first_line),
     ];
     for (i, (name, rects)) in datasets.iter().enumerate() {

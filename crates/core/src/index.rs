@@ -5,20 +5,17 @@
 //! GILS's penalised scores, the objects that tie on the top count,
 //! [`top_objects`], which the window cache re-scores) or
 //! *every object satisfying at least `k` of these windows* ([`candidates`]
-//! — the conjunctive window query of WR and PJM with `k = windows.len()`,
+//! — the conjunctive window query of WR with `k = windows.len()`,
 //! the candidate generation of IBB with `k` the least count that can still
-//! beat its incumbent). PJM's opening move, the join of two whole datasets,
-//! is the third entry point ([`first_pair`]).
+//! beat its incumbent).
 //!
 //! Each is answered by the instance's selected [`BackendKind`]: the
-//! R*-tree through the two traversals of [`mwsj_rtree::multiwindow`] and
-//! the synchronous join of [`crate::pairwise`], the uniform grid through the
-//! three kernels of [`mwsj_rtree::grid`] (best entry, candidates, cell-pair
-//! join). Every
-//! `match` on the backend is in this file; the algorithms above it never
-//! see which index they run on. (Synchronous traversal is not a question
-//! to an index but a descent of the trees themselves, which every instance
-//! has — it does not come through here.)
+//! R*-tree through the two traversals of [`mwsj_rtree::multiwindow`], the
+//! uniform grid through the two kernels of [`mwsj_rtree::grid`] (best
+//! entry, candidates). Every `match` on the backend is in this file; the
+//! algorithms above it never see which index they run on. (WR's opening
+//! pairwise join is not a question to an index but a descent of the trees
+//! themselves, which every instance has — it does not come through here.)
 //!
 //! Each visited node (R*-tree) or scanned candidate cell (grid) bumps
 //! `node_accesses` and, when the slice is long enough, the matching
@@ -31,7 +28,6 @@
 
 use crate::find_best_value::BestValue;
 use crate::instance::{BackendKind, Instance};
-use crate::pairwise::PairwiseJoin;
 use mwsj_geom::{Predicate, Rect};
 use mwsj_query::VarId;
 use mwsj_rtree::{grid, multiwindow};
@@ -211,58 +207,11 @@ pub(crate) fn candidates(
     }
 }
 
-/// PJM's first pair: every `[a, b]` with `a` an object of `v0`, `b` one of
-/// `v1` and `a pred b`, in the deterministic order of the join that
-/// produced it.
-///
-/// An overlap join on the R*-tree is the synchronous [`PairwiseJoin`] of
-/// the two trees. On the grid, the three predicates that imply intersection
-/// are the cell-pair join of the two grids ([`grid::join`]). Everything
-/// else is an index-nested-loop: each object of `v0`, in leaf order (no
-/// order is promised, and consecutive leaves are spatial neighbours, so
-/// consecutive probes walk the same part of `v1`'s index), probes `v1`'s
-/// index with the transposed predicate.
-pub(crate) fn first_pair(
-    instance: &Instance,
-    v0: VarId,
-    v1: VarId,
-    pred: Predicate,
-    node_accesses: &mut u64,
-) -> Vec<Vec<usize>> {
-    use Predicate::{Contains, Inside, Intersects};
-    let mut out = Vec::new();
-    match (instance.backend(), pred) {
-        (BackendKind::RTree, Intersects) => {
-            let join = PairwiseJoin::join(instance.tree(v0), instance.tree(v1));
-            *node_accesses += join.node_accesses;
-            let pairs = join.pairs.into_iter();
-            out.extend(pairs.map(|(a, b)| vec![a as usize, b as usize]));
-        }
-        (BackendKind::Grid, Intersects | Contains | Inside) => grid::join(
-            instance.grid(v0),
-            instance.grid(v1),
-            pred,
-            node_accesses,
-            |a, b| out.push(vec![a as usize, b as usize]),
-        ),
-        _ => {
-            let mut hits = Vec::new();
-            for (&a, w) in instance.objects(v0).iter().zip(instance.rects(v0)) {
-                let window = [(pred.transpose(), *w)];
-                candidates(instance, v1, &window, 1, &mut hits, node_accesses, &mut []);
-                out.extend(hits.iter().map(|&(b, _)| vec![a as usize, b as usize]));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mwsj_datagen::Dataset;
     use mwsj_query::QueryGraph;
-    use mwsj_rtree::NodeRef;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -357,63 +306,5 @@ mod tests {
         candidates(&rtree, 0, &large_windows(), 1, &mut got, &mut acc1, &mut []);
         candidates(&rtree, 0, &large_windows(), 3, &mut got, &mut acc3, &mut []);
         assert!(acc3 <= acc1, "conjunctive query should visit fewer nodes");
-    }
-
-    /// Nodes a depth-first window query enters: the root, and every node
-    /// whose MBR could hold a match.
-    fn nodes_entered(node: NodeRef<'_, u32>, pred: Predicate, w: &Rect) -> u64 {
-        let below = node.entries().filter(|e| pred.possible(e.mbr(), w));
-        1 + below
-            .filter_map(|e| e.child())
-            .map(|child| nodes_entered(child, pred, w))
-            .sum::<u64>()
-    }
-
-    /// The first pair under every predicate. The index-nested-loop on the
-    /// R*-tree: tuples ordered by `v0` leaf position and then by `v1` leaf
-    /// position, and one access per node entered, root included — the
-    /// order and the count of a depth-first window query per object. On the
-    /// grid the same set, every pair once.
-    #[test]
-    fn first_pair_keeps_its_order_and_its_accesses() {
-        // The second dataset is the first with every other rectangle grown
-        // and the rest shrunk, so that containment has pairs to find.
-        let first = Dataset::uniform(300, 0.4, &mut StdRng::seed_from_u64(93));
-        let resized = first.rects().iter().zip(0..).map(|(r, i)| {
-            let scale = if i % 2 == 0 { 1.5 } else { 0.5 };
-            Rect::from_center(r.center(), scale * r.width(), scale * r.height())
-        });
-        let second: Vec<Rect> = resized.collect();
-        let rtree = Instance::new(QueryGraph::chain(2), [first.rects(), &second[..]]).unwrap();
-        let grid = rtree.clone().with_backend(BackendKind::Grid);
-        for pred in PREDICATES {
-            let (mut expected, mut visited) = (Vec::new(), 0);
-            for (&a, w) in rtree.objects(0).iter().zip(rtree.rects(0)) {
-                let to_a = pred.transpose();
-                visited += nodes_entered(rtree.tree(1).root_node(), to_a, w);
-                let hits = rtree.rects(1).iter().zip(rtree.objects(1));
-                expected.extend(
-                    hits.filter(|(r, _)| to_a.eval(r, w))
-                        .map(|(_, &b)| vec![a as usize, b as usize]),
-                );
-            }
-            assert!(!expected.is_empty(), "{pred} matched nothing");
-            for (a, b) in expected.iter().map(|t| (t[0], t[1])) {
-                assert!(pred.eval(&rtree.rect(0, a), &rtree.rect(1, b)), "{pred}");
-            }
-            if pred != Predicate::Intersects {
-                let mut accesses = 0;
-                let got = first_pair(&rtree, 0, 1, pred, &mut accesses);
-                assert_eq!(got, expected, "{pred}");
-                assert_eq!(accesses, visited, "{pred}");
-            }
-
-            let mut cells = 0;
-            let mut on_grid = first_pair(&grid, 0, 1, pred, &mut cells);
-            assert!(cells > 0, "{pred}");
-            on_grid.sort();
-            expected.sort();
-            assert_eq!(on_grid, expected, "{pred} on the grid");
-        }
     }
 }

@@ -281,8 +281,8 @@ impl Instance {
     }
 
     /// How many objects of each variable survive the arc-consistency pass
-    /// of the exact joins, once one of them has run it (WR, ST and PJM
-    /// search only those; DESIGN.md §5k). The pass stops at the first
+    /// of the exact join, once it has run it (WR searches only those;
+    /// DESIGN.md §5k). The pass stops at the first
     /// domain it empties, so the others may then be larger than their
     /// fixpoint. It removes nothing where its probes find no edge that
     /// leaves three quarters of an end without a partner.

@@ -1,16 +1,23 @@
 //! Names that only the repository benchmark's probes
-//! (`benchmark/src/probes.rs`) still call, each a shim over the path the
-//! engine runs.
+//! (`benchmark/src/probes.rs`, `benchmark/src/pipeline.rs`) still call,
+//! each a shim over the path the engine runs.
 //!
 //! An instance has no grid thread count: a grid *find best value* call
 //! runs on the calling thread, so the probe's `rtree.grid.pjm_speedup_t2`
 //! reads ≈ 1 by construction and `rtree.grid.find_best` times the one
 //! kernel. A portfolio has no thread count either: its restarts run one
 //! after another, so `core.portfolio.speedup_t2` reads ≈ 1 too.
+//!
+//! The engine has one exact join, [`WindowReduction`], which opens with
+//! the pairwise join that was PJM's first step. [`Pjm`] and
+//! [`SynchronousTraversal`] are that join under their old names, so the
+//! benchmark's `st`, `pjm` and `pjm-grid` ops, its draw check and its grid
+//! PJM probe all time WR.
 
 use crate::budget::SearchBudget;
 use crate::instance::Instance;
 use crate::portfolio::{AnytimeSearch, Portfolio, PortfolioOutcome};
+use crate::wr::{ExactJoinOutcome, WindowReduction};
 
 impl Instance {
     /// Returns the instance unchanged; the thread count is ignored.
@@ -58,9 +65,47 @@ impl<A: AnytimeSearch> ParallelPortfolio<A> {
     }
 }
 
+/// [`WindowReduction`] under the pairwise join method's name.
+#[derive(Debug, Clone, Default)]
+pub struct Pjm;
+
+impl Pjm {
+    /// [`WindowReduction::run`].
+    pub fn run(
+        &self,
+        instance: &Instance,
+        budget: &SearchBudget,
+        limit: usize,
+    ) -> ExactJoinOutcome {
+        WindowReduction::new().run(instance, budget, limit)
+    }
+}
+
+/// [`WindowReduction`] under the synchronous traversal's name.
+#[derive(Debug, Clone, Default)]
+pub struct SynchronousTraversal;
+
+impl SynchronousTraversal {
+    /// Creates the join.
+    pub fn new() -> Self {
+        SynchronousTraversal
+    }
+
+    /// [`WindowReduction::run`].
+    pub fn run(
+        &self,
+        instance: &Instance,
+        budget: &SearchBudget,
+        limit: usize,
+    ) -> ExactJoinOutcome {
+        WindowReduction::new().run(instance, budget, limit)
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::{ParallelPortfolio, PortfolioConfig};
+    use super::{ParallelPortfolio, Pjm, PortfolioConfig, SynchronousTraversal};
+    use crate::WindowReduction;
     use crate::{find_best_value, BackendKind, BestValue, Ils, Instance, Portfolio, SearchBudget};
     use mwsj_datagen::Dataset;
     use mwsj_query::{PenaltyTable, QueryGraph};
@@ -115,5 +160,24 @@ mod tests {
             (shim.best, shim.top_solutions, shim.stats.steps),
             (engine.best, engine.top_solutions, engine.stats.steps)
         );
+    }
+
+    #[test]
+    fn the_old_exact_joins_are_window_reduction() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let datasets: Vec<Dataset> = (0..3)
+            .map(|_| Dataset::uniform(300, 0.3, &mut rng))
+            .collect();
+        let inst = Instance::new(QueryGraph::clique(3), datasets).unwrap();
+        let budget = SearchBudget::iterations(u64::MAX);
+        let wr = WindowReduction::new().run(&inst, &budget, 50);
+        assert!(!wr.solutions.is_empty());
+        for shim in [
+            Pjm.run(&inst, &budget, 50),
+            SynchronousTraversal::new().run(&inst, &budget, 50),
+        ] {
+            assert_eq!(shim.solutions, wr.solutions);
+            assert_eq!(shim.stats.counters(), wr.stats.counters());
+        }
     }
 }

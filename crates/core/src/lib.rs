@@ -13,10 +13,8 @@
 //! | [`Sea`] — spatial evolutionary algorithm | §5, Fig. 9 | anytime heuristic |
 //! | [`Ibb`] — indexed branch and bound | §6 | systematic, optimal |
 //! | [`TwoStep`] — heuristic then `Ibb` with its bound | §6, Fig. 11 | systematic, optimal |
-//! | [`WindowReduction`] | \[PMT99\] | exact baseline |
-//! | [`SynchronousTraversal`] | \[PMT99\] | exact baseline |
-//! | [`Pjm`] (pairwise join method) | \[MP99\] | exact baseline |
-//! | [`NaiveLocalSearch`], [`NaiveGa`], [`SimulatedAnnealing`] | \[PMK+99\] | ablation baselines |
+//! | [`WindowReduction`], opening with the pairwise join of its first edge | \[PMT99\], \[MP99\] | exact join |
+//! | [`NaiveLocalSearch`], [`NaiveGa`] | \[PMK+99\] | ablation baselines |
 //!
 //! The shared primitive is [`find_best_value`] (§3, Fig. 5): a
 //! branch-and-bound *multi-window* query that retrieves, for one query
@@ -46,11 +44,9 @@ mod naive;
 mod observe;
 mod order;
 mod pairwise;
-mod pjm;
 mod portfolio;
 mod result;
 mod sea;
-mod st;
 mod support;
 mod two_step;
 mod window_cache;
@@ -63,17 +59,15 @@ pub use gils::{Gils, GilsConfig};
 pub use ibb::{Ibb, IbbConfig};
 pub use ils::{Ils, IlsConfig};
 pub use instance::{BackendKind, Instance, InstanceError};
-pub use naive::{NaiveGa, NaiveGaConfig, NaiveLocalSearch, SaConfig, SimulatedAnnealing};
+pub use naive::{NaiveGa, NaiveGaConfig, NaiveLocalSearch};
 pub use observe::{emit_run_end, metric, run_start};
 pub use pairwise::PairwiseJoin;
-pub use pjm::Pjm;
-// The benchmark's names for `Portfolio`.
+// The benchmark's names for `Portfolio` and the exact joins WR replaced.
 #[doc(hidden)]
 pub use legacy::*;
 pub use portfolio::{derive_seed, AnytimeSearch, Portfolio, PortfolioOutcome, RestartOutcome};
 pub use result::{RunOutcome, RunStats, TopSolutions, TracePoint, DEFAULT_TOP_K};
 pub use sea::{Sea, SeaConfig};
-pub use st::SynchronousTraversal;
 pub use two_step::{TwoStep, TwoStepConfig, TwoStepOutcome};
 pub use window_cache::{CacheStats, VarCacheStats, WindowCache};
 pub use wr::{ExactJoinOutcome, WindowReduction};

@@ -10,9 +10,7 @@
 //! * [`NaiveLocalSearch`] — conflict-directed hill climbing whose
 //!   re-instantiation samples random values (no index);
 //! * [`NaiveGa`] — a genetic algorithm with random single-point crossover
-//!   and random-value mutation (no index, no greedy split);
-//! * [`SimulatedAnnealing`] — the classic temperature-scheduled random walk
-//!   from \[PMK+99\].
+//!   and random-value mutation (no index, no greedy split).
 
 use crate::budget::{SearchBudget, SearchContext};
 use crate::driver::{run_driven, DriveSearch, SearchDriver};
@@ -248,96 +246,6 @@ impl DriveSearch for NaiveGa {
     }
 }
 
-/// Configuration of [`SimulatedAnnealing`].
-#[derive(Debug, Clone)]
-pub struct SaConfig {
-    /// Initial temperature, in units of violations.
-    pub initial_temperature: f64,
-    /// Geometric cooling factor per move, in `(0, 1)`.
-    pub cooling: f64,
-    /// Restart temperature floor: below this the walk restarts hot from the
-    /// current solution.
-    pub floor: f64,
-}
-
-impl Default for SaConfig {
-    fn default() -> Self {
-        SaConfig {
-            initial_temperature: 2.0,
-            cooling: 0.9995,
-            floor: 0.01,
-        }
-    }
-}
-
-/// Simulated annealing over random single-variable moves.
-#[derive(Debug, Clone, Default)]
-pub struct SimulatedAnnealing {
-    config: SaConfig,
-}
-
-impl SimulatedAnnealing {
-    /// Creates the baseline.
-    pub fn new(config: SaConfig) -> Self {
-        assert!(config.cooling > 0.0 && config.cooling < 1.0);
-        SimulatedAnnealing { config }
-    }
-
-    /// Runs the baseline. One budget step = one proposed move.
-    pub fn run(&self, instance: &Instance, budget: &SearchBudget, rng: &mut StdRng) -> RunOutcome {
-        self.search(instance, &SearchContext::local(*budget), rng)
-    }
-
-    /// Runs the baseline under an explicit [`SearchContext`].
-    pub fn search(&self, instance: &Instance, ctx: &SearchContext, rng: &mut StdRng) -> RunOutcome {
-        run_driven(self, instance, ctx, rng)
-    }
-}
-
-impl DriveSearch for SimulatedAnnealing {
-    const NAME: &'static str = "SA";
-    const PHASE: &'static str = "sa";
-
-    fn drive(&self, instance: &Instance, driver: &mut SearchDriver, rng: &mut StdRng) {
-        let graph = instance.graph();
-        let n = instance.n_vars();
-
-        let mut sol = instance.random_solution(rng);
-        let mut cs = instance.evaluate(&sol);
-        driver.offer(&sol, cs.total_violations());
-        driver.stats_mut().restarts = 1;
-        if cs.total_violations() == 0 {
-            return; // an exact seed leaves nothing to anneal towards
-        }
-
-        let mut temperature = self.config.initial_temperature;
-        while !driver.exhausted() {
-            driver.step();
-            let v = rng.random_range(0..n);
-            let old_obj = sol.get(v);
-            let obj = rng.random_range(0..instance.cardinality(v));
-            let before = cs.total_violations() as f64;
-            cs.reassign(graph, &mut sol, v, obj, instance.rect_of());
-            let delta = cs.total_violations() as f64 - before;
-            let accept =
-                delta <= 0.0 || rng.random_range(0.0..1.0) < (-delta / temperature.max(1e-9)).exp();
-            if accept {
-                driver.offer(&sol, cs.total_violations());
-                if cs.total_violations() == 0 {
-                    break;
-                }
-            } else {
-                cs.reassign(graph, &mut sol, v, old_obj, instance.rect_of());
-            }
-            temperature *= self.config.cooling;
-            if temperature < self.config.floor {
-                temperature = self.config.initial_temperature;
-                driver.stats_mut().restarts += 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,21 +271,11 @@ mod tests {
         let one = vec![Rect::new(0.0, 0.0, 1.0, 1.0)];
         let inst = Instance::new(QueryGraph::chain(2), [one.clone(), one]).unwrap();
         let budget = SearchBudget::iterations(1_000);
-        let rng = || StdRng::seed_from_u64(1);
-        for (name, outcome) in [
-            (
-                "naive-LS",
-                NaiveLocalSearch::default().run(&inst, &budget, &mut rng()),
-            ),
-            (
-                "SA",
-                SimulatedAnnealing::default().run(&inst, &budget, &mut rng()),
-            ),
-        ] {
-            assert_eq!(outcome.best_similarity, 1.0, "{name}");
-            assert_eq!(outcome.stats.steps, 0, "{name}");
-            assert_eq!(outcome.stats.restarts, 1, "{name}");
-        }
+        let mut rng = StdRng::seed_from_u64(1);
+        let outcome = NaiveLocalSearch::default().run(&inst, &budget, &mut rng);
+        assert_eq!(outcome.best_similarity, 1.0);
+        assert_eq!(outcome.stats.steps, 0);
+        assert_eq!(outcome.stats.restarts, 1);
     }
 
     #[test]
@@ -427,19 +325,6 @@ mod tests {
             .sum::<f64>()
             / 50.0;
         let outcome = NaiveGa::default().run(&inst, &SearchBudget::iterations(40), &mut rng);
-        assert!(outcome.best_similarity > random_sim);
-    }
-
-    #[test]
-    fn sa_improves_over_random() {
-        let inst = hard_instance(167, 5, 500);
-        let mut rng = StdRng::seed_from_u64(168);
-        let random_sim: f64 = (0..50)
-            .map(|_| inst.similarity(&inst.random_solution(&mut rng)))
-            .sum::<f64>()
-            / 50.0;
-        let outcome =
-            SimulatedAnnealing::default().run(&inst, &SearchBudget::iterations(20_000), &mut rng);
         assert!(outcome.best_similarity > random_sim);
     }
 

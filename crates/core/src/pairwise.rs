@@ -2,10 +2,10 @@
 //!
 //! Synchronous depth-first traversal of two R-trees producing all pairs of
 //! objects whose MBRs intersect. This is the building block of the
-//! pairwise join method ([`crate::Pjm`]) against which the paper positions
-//! its multiway algorithms, and of the support bits of an instance and its
-//! arc-consistency pass, whose build stops a join that outgrows its cap
-//! ([`PairwiseJoin::visit`]).
+//! pairwise join method against which the paper positions its multiway
+//! algorithms — WR opens with it ([`crate::WindowReduction`]) — and of the
+//! support bits of an instance and its arc-consistency pass, whose build
+//! stops a join that outgrows its cap ([`PairwiseJoin::visit`]).
 //!
 //! Every node pair of one level is first cut to the entries that meet the
 //! other node's MBR. A pair of leaves, where nearly all of a join's

@@ -44,7 +44,7 @@
 //! AC-3 over the edges whose predicate implies intersection: [`Domains`]
 //! keeps, per variable, the objects that still have a surviving partner
 //! on every such edge. No object of an exact solution is removed — each of
-//! its partners survives with it — so WR, ST and PJM enumerate the same
+//! its partners survives with it — so WR enumerates the same
 //! set on the *core*, the instance rebuilt from the survivors
 //! ([`ExactJoinOutcome::on_core`](crate::wr::ExactJoinOutcome)). On trees
 //! whose every edge implies intersection the fixpoint is the full reducer:
@@ -134,7 +134,7 @@ impl Bits {
 }
 
 /// The predicates whose every satisfying pair intersects.
-fn implies_intersection(pred: Predicate) -> bool {
+pub(crate) fn implies_intersection(pred: Predicate) -> bool {
     matches!(
         pred,
         Predicate::Intersects | Predicate::Contains | Predicate::Inside
@@ -508,7 +508,7 @@ mod tests {
     use crate::instance::BackendKind;
     use crate::window_cache::WindowCache;
     use crate::wr::ExactJoinOutcome;
-    use crate::{Pjm, RunStats, SynchronousTraversal, WindowReduction};
+    use crate::{RunStats, WindowReduction};
     use mwsj_datagen::Dataset;
     use mwsj_geom::Rect;
     use mwsj_obs::ObsHandle;
@@ -803,8 +803,9 @@ mod tests {
     /// - on a chain or a star whose edges all imply intersection, once no
     ///   edge joins more pairs than its cap, every object the fixpoint
     ///   keeps lies in some exact solution;
-    /// - the public WR, ST and PJM enumerate the set their kernels do
-    ///   without the pass, where that set is small enough to list.
+    /// - the public WR enumerates the set its kernel does without the
+    ///   pass, where that set is small enough to list, and as many
+    ///   solutions as the independent backtracking counter finds.
     fn check_core(draw: Draw) {
         let inst = draw.instance();
         let graph = inst.graph();
@@ -864,27 +865,11 @@ mod tests {
             wr,
             "{draw:?}"
         );
-        let pjm = kernel("pjm", &|clock, stats| {
-            Pjm::default().enumerate(&inst, limit, clock, stats)
-        });
-        assert_eq!(pjm, wr, "{draw:?}");
-        assert_eq!(
-            sorted(Pjm::default().run(&inst, &budget, limit)),
-            pjm,
-            "{draw:?}"
-        );
-        if graph
-            .edges()
-            .iter()
-            .all(|e| e.pred == Predicate::Intersects)
-        {
-            let st = kernel("st", &|clock, stats| {
-                crate::st::enumerate(&inst, limit, clock, stats)
-            });
-            assert_eq!(st, wr, "{draw:?}");
-            let public = SynchronousTraversal::new().run(&inst, &budget, limit);
-            assert_eq!(sorted(public), st, "{draw:?}");
-        }
+        let datasets: Vec<Dataset> = (0..inst.n_vars())
+            .map(|v| Dataset::from_rects(inst.scan(v).map(|(_, r)| r).collect()))
+            .collect();
+        let count = mwsj_datagen::count_exact_solutions(&datasets, graph, u64::MAX);
+        assert_eq!(wr.0.len() as u64, count, "{draw:?}");
     }
 
     proptest::proptest! {

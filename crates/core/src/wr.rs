@@ -1,27 +1,34 @@
 //! Window Reduction (paper §2, \[PMT99\]): exact multiway join by
-//! backtracking with index window queries.
+//! backtracking with index window queries — the engine's one exact join.
 //!
-//! The first variable in the order takes every value of its dataset; each
-//! subsequent variable is instantiated via a conjunctive multi-window query
-//! (the assignments of its already-instantiated neighbours), backtracking
-//! when the query returns nothing. WR enumerates exactly the set of exact
-//! solutions; it cannot return approximate matches (which is precisely the
-//! limitation the paper's heuristics address).
+//! When the first two variables of the order share an edge whose predicate
+//! implies intersection, they open as a pair: the synchronous pairwise
+//! join of their trees (\[BKS93\]), the first step of the pairwise join
+//! method \[MP99\]. Otherwise the first variable takes every value of its
+//! dataset. Each subsequent variable is instantiated via a conjunctive
+//! multi-window query (the assignments of its already-instantiated
+//! neighbours), backtracking when the query returns nothing. WR enumerates
+//! exactly the set of exact solutions; it cannot return approximate
+//! matches (which is precisely the limitation the paper's heuristics
+//! address).
 //!
-//! WR, ST and PJM search the instance's arc-consistent core
-//! ([`crate::support`]): the same solutions, over domains the semi-joins
-//! have cut down to the objects that can still take part in one.
+//! WR searches the instance's arc-consistent core ([`crate::support`]):
+//! the same solutions, over domains the semi-joins have cut down to the
+//! objects that can still take part in one.
 
 use crate::budget::{BudgetClock, SearchBudget, SearchContext};
 use crate::index;
 use crate::instance::Instance;
 use crate::order::connectivity_order;
+use crate::pairwise::PairwiseJoin;
 use crate::result::RunStats;
+use crate::support::implies_intersection;
 use mwsj_geom::{Predicate, Rect};
 use mwsj_obs::ObsHandle;
-use mwsj_query::Solution;
+use mwsj_query::{Solution, VarId};
+use std::ops::ControlFlow;
 
-/// Result of an exact-join enumeration (WR, ST or PJM).
+/// Result of an exact-join enumeration (WR).
 #[derive(Debug, Clone, Default)]
 pub struct ExactJoinOutcome {
     /// The exact solutions found, in the algorithm's own enumeration order
@@ -29,13 +36,13 @@ pub struct ExactJoinOutcome {
     /// algorithms and backends, and no sorted order. A `limit` keeps a
     /// prefix of it.
     pub solutions: Vec<Solution>,
-    /// Counters. `steps`: variable instantiations tried (WR), combinations
-    /// expanded (ST), intermediate tuples extended plus one for the first
-    /// pair (PJM). `node_accesses`: index nodes or grid cells read; for ST,
-    /// the nodes held by the expanded combinations — one per variable
-    /// still inside a subtree — whatever pruning found them. Both count
-    /// the search of the instance's arc-consistent core, not the pass
-    /// that built it ([`Instance::core_node_accesses`]).
+    /// Counters. `steps`: variable instantiations tried — an opening pair
+    /// of the first edge's join counts as one, as does each object of a
+    /// scanned variable and each candidate of a window query.
+    /// `node_accesses`: index nodes or grid cells read, plus the tree
+    /// nodes the opening join reads. Both count the search of the
+    /// instance's arc-consistent core, not the pass that built it
+    /// ([`Instance::core_node_accesses`]).
     pub stats: RunStats,
     /// `true` if enumeration finished (neither the limit nor the budget
     /// truncated it) — the solution list is then complete.
@@ -183,10 +190,56 @@ pub(crate) fn enumerate(
     // `limit = 0` asks for nothing: `descend` would push the first
     // solution before looking at the limit.
     if limit > 0 {
-        descend(&mut state, 0, &mut assignment, &mut rects);
+        let pair = match state.order[..] {
+            [v0, v1, ..] => graph.predicate_between(v0, v1).map(|pred| (v0, v1, pred)),
+            _ => None,
+        };
+        match pair.filter(|&(_, _, pred)| implies_intersection(pred)) {
+            Some((v0, v1, pred)) => {
+                open_with_pair(&mut state, v0, v1, pred, &mut assignment, &mut rects)
+            }
+            None => _ = descend(&mut state, 0, &mut assignment, &mut rects),
+        }
     }
     let complete = !state.truncated && state.solutions.len() < limit;
     (state.solutions, complete)
+}
+
+/// The opening move when the first two variables share an edge whose
+/// predicate implies intersection: the pairs of the synchronous
+/// [`PairwiseJoin`] of their trees (\[BKS93\], PJM's first step \[MP99\]),
+/// filtered by the oriented predicate, each taking one step and descending
+/// from depth 2. The join stops at the first pair whose descent ends the
+/// enumeration; no pair list is built. Every instance has its trees, so
+/// this holds on either backend.
+fn open_with_pair(
+    state: &mut WrState<'_>,
+    v0: VarId,
+    v1: VarId,
+    pred: Predicate,
+    assignment: &mut [usize],
+    rects: &mut [Rect],
+) {
+    let instance = state.instance;
+    let (reads, _) = PairwiseJoin::visit(instance.tree(v0), instance.tree(v1), |a, b| {
+        let (ra, rb) = (instance.rect(v0, a as usize), instance.rect(v1, b as usize));
+        if !pred.eval(&ra, &rb) {
+            return ControlFlow::Continue(());
+        }
+        if state.clock.exhausted() {
+            state.truncated = true;
+            return ControlFlow::Break(());
+        }
+        state.clock.step();
+        (assignment[v0], rects[v0]) = (a as usize, ra);
+        (assignment[v1], rects[v1]) = (b as usize, rb);
+        if descend(state, 2, assignment, rects) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    state.stats.node_accesses += reads;
 }
 
 struct WrState<'a> {

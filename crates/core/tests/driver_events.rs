@@ -11,8 +11,7 @@ mod common;
 use common::{hard_instance, sinked_obs};
 use mwsj_core::{
     emit_run_end, Gils, Ibb, IbbConfig, Ils, IlsConfig, NaiveGa, NaiveGaConfig, NaiveLocalSearch,
-    Portfolio, RunEvent, SaConfig, Sea, SeaConfig, SearchBudget, SearchContext, SimulatedAnnealing,
-    TwoStep, TwoStepConfig,
+    Portfolio, RunEvent, Sea, SeaConfig, SearchBudget, SearchContext, TwoStep, TwoStepConfig,
 };
 use mwsj_datagen::QueryShape;
 use rand::rngs::StdRng;
@@ -71,13 +70,6 @@ fn no_algorithm_or_composite_frames_its_own_run() {
             "naive-GA",
             Box::new(|ctx, rng| {
                 let _ = NaiveGa::new(NaiveGaConfig::default()).search(&inst, ctx, rng);
-            }),
-            1,
-        ),
-        (
-            "SA",
-            Box::new(|ctx, rng| {
-                let _ = SimulatedAnnealing::new(SaConfig::default()).search(&inst, ctx, rng);
             }),
             1,
         ),

@@ -6,8 +6,8 @@ mod common;
 
 use common::{hard_instance, sinked_obs};
 use mwsj_core::{
-    metric, Gils, Ibb, IbbConfig, Ils, ObsHandle, Pjm, RunEvent, Sea, SeaConfig, SearchBudget,
-    SearchContext, SynchronousTraversal, TwoStep, TwoStepConfig, WindowReduction,
+    metric, Gils, Ibb, IbbConfig, Ils, ObsHandle, RunEvent, Sea, SeaConfig, SearchBudget,
+    SearchContext, TwoStep, TwoStepConfig, WindowReduction,
 };
 use mwsj_core::{IlsConfig, Instance};
 use mwsj_datagen::{hard_region_density, plant_solution, Dataset, QueryShape};
@@ -52,12 +52,6 @@ fn every_index_driven_algorithm_accounts_node_accesses() {
     let wr = WindowReduction::new().run(&inst, &SearchBudget::seconds(30.0), 5);
     assert!(wr.stats.node_accesses > 0, "WR");
 
-    let st = SynchronousTraversal::new().run(&inst, &SearchBudget::seconds(30.0), 5);
-    assert!(st.stats.node_accesses > 0, "ST");
-
-    let pjm = Pjm::default().run(&inst, &SearchBudget::seconds(30.0), 5);
-    assert!(pjm.stats.node_accesses > 0, "PJM");
-
     let two_step = TwoStep::new(TwoStepConfig::Ils(
         IlsConfig::default(),
         SearchBudget::iterations(200),
@@ -74,23 +68,25 @@ fn every_index_driven_algorithm_accounts_node_accesses() {
 }
 
 #[test]
-fn pjm_counts_accesses_on_the_generic_predicate_path() {
-    // A 2-variable non-overlap query takes PJM's index-nested-loop branch
-    // (generic predicate), which must count its traversals too.
+fn wr_counts_accesses_on_both_of_its_openings() {
+    // A 2-variable query: WR opens with the pairwise join of the two trees
+    // under Intersects and scans the first variable, probing the second's
+    // index, under NorthEast. Both must count their reads.
     let mut rng = StdRng::seed_from_u64(203);
     let datasets: Vec<Dataset> = (0..2)
         .map(|_| Dataset::uniform(200, 0.5, &mut rng))
         .collect();
-    let graph = QueryGraphBuilder::new(2)
-        .edge_with(0, 1, Predicate::NorthEast)
-        .build()
-        .unwrap();
-    let inst = Instance::new(graph, datasets).unwrap();
-    let outcome = Pjm::default().run(&inst, &SearchBudget::seconds(30.0), usize::MAX);
-    assert!(
-        outcome.stats.node_accesses > 0,
-        "generic-predicate branch must count node accesses"
-    );
+    for pred in [Predicate::Intersects, Predicate::NorthEast] {
+        let graph = QueryGraphBuilder::new(2)
+            .edge_with(0, 1, pred)
+            .build()
+            .unwrap();
+        let inst = Instance::new(graph, datasets.clone()).unwrap();
+        let solutions = common::assert_wr_matches_the_counter(&inst, usize::MAX, "two variables");
+        let outcome = WindowReduction::new().run(&inst, &SearchBudget::seconds(30.0), usize::MAX);
+        assert!(solutions > 0, "{pred}");
+        assert!(outcome.stats.node_accesses > 0, "{pred}");
+    }
 }
 
 #[test]

@@ -2,11 +2,13 @@
 //! search primitive is validated against brute force on arbitrary random
 //! instances.
 
+mod common;
+
 use mwsj_core::{
-    find_best_value, BackendKind, Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance, Pjm,
-    Portfolio, RunOutcome, Sea, SeaConfig, SearchBudget, SynchronousTraversal, WindowCache,
-    WindowReduction,
+    find_best_value, BackendKind, Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance,
+    Portfolio, RunOutcome, Sea, SeaConfig, SearchBudget, WindowCache, WindowReduction,
 };
+use mwsj_datagen::Dataset;
 use mwsj_geom::{Predicate, Rect};
 use mwsj_query::{PenaltyTable, QueryGraph, QueryGraphBuilder, Solution};
 use mwsj_rtree::{grid, multiwindow};
@@ -421,39 +423,6 @@ proptest! {
         }
     }
 
-    /// WR enumerates exactly the zero-violation assignments.
-    #[test]
-    fn wr_is_exact_and_complete((inst, _) in arb_instance()) {
-        let outcome = WindowReduction::new().run(&inst, &SearchBudget::seconds(120.0), usize::MAX);
-        prop_assert!(outcome.complete);
-        let mut found: Vec<_> = outcome.solutions.clone();
-        found.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
-        // Brute-force enumeration.
-        let n = inst.n_vars();
-        let mut assignment = vec![0usize; n];
-        let mut expected = Vec::new();
-        'outer: loop {
-            let sol = Solution::new(assignment.clone());
-            if inst.violations(&sol) == 0 {
-                expected.push(sol);
-            }
-            let mut k = 0;
-            loop {
-                if k == n {
-                    break 'outer;
-                }
-                assignment[k] += 1;
-                if assignment[k] < inst.cardinality(k) {
-                    break;
-                }
-                assignment[k] = 0;
-                k += 1;
-            }
-        }
-        expected.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
-        prop_assert_eq!(found, expected);
-    }
-
     /// ILS never reports a better result than the global optimum, and its
     /// reported violations always match re-evaluation.
     #[test]
@@ -466,48 +435,38 @@ proptest! {
         prop_assert_eq!(inst.violations(&outcome.best), outcome.best_violations);
     }
 
-    /// The three exact baselines (window reduction, synchronous traversal,
-    /// pairwise join method) enumerate identical solution sets, of the
-    /// brute-force size, on every random instance — and on the same data
-    /// under a disconnected query (one edge, every other variable isolated:
-    /// the cross product with their datasets), on both backends.
+    /// WR enumerates exactly the zero-violation assignments on every random
+    /// instance — and on the same data under a disconnected query (one
+    /// edge, every other variable isolated: the cross product with their
+    /// datasets) — on both backends, and a limit keeps that many members
+    /// of the set.
     #[test]
-    fn exact_baselines_agree((inst, _) in arb_instance()) {
+    fn wr_is_exact_and_complete((inst, _) in arb_instance()) {
         let budget = SearchBudget::seconds(120.0);
-        let datasets = (0..inst.n_vars()).map(|v| inst.scan(v).map(|(_, r)| r).collect::<Vec<Rect>>());
         let one_edge = QueryGraphBuilder::new(inst.n_vars()).edge(0, 1).build().unwrap();
-        let disconnected = Instance::new(one_edge, datasets).unwrap();
-        let on_grid = disconnected.clone().with_backend(BackendKind::Grid);
-        for (row, inst) in [("connected", inst), ("disconnected", disconnected), ("disconnected, grid", on_grid)] {
-            let sets: Vec<Vec<Solution>> = [
-                WindowReduction::new().run(&inst, &budget, usize::MAX),
-                SynchronousTraversal::new().run(&inst, &budget, usize::MAX),
-                Pjm::default().run(&inst, &budget, usize::MAX),
-            ]
-            .into_iter()
-            .map(|outcome| {
-                prop_assert!(outcome.complete, "{}", row);
-                let mut sols = outcome.solutions;
-                sols.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
-                Ok(sols)
-            })
-            .collect::<Result<_, _>>()?;
-            prop_assert_eq!(&sets[0], &sets[1], "{}", row);
-            prop_assert_eq!(&sets[0], &sets[2], "{}", row);
-            let exact = brute_violations(&inst).into_iter().filter(|&v| v == 0).count();
-            prop_assert_eq!(sets[0].len(), exact, "{}", row);
-
-            // Under a limit each returns that many members of the set (which
-            // ones is the algorithm's enumeration order), none for `limit = 0`.
-            for limit in 0..=2 {
-                for (name, outcome) in [
-                    ("wr", WindowReduction::new().run(&inst, &budget, limit)),
-                    ("st", SynchronousTraversal::new().run(&inst, &budget, limit)),
-                    ("pjm", Pjm::default().run(&inst, &budget, limit)),
-                ] {
-                    prop_assert_eq!(outcome.solutions.len(), limit.min(sets[0].len()), "{}: {} limit {}", row, name, limit);
-                    prop_assert!(outcome.solutions.iter().all(|s| sets[0].contains(s)), "{}: {} limit {}", row, name, limit);
-                    prop_assert!(outcome.complete || limit <= sets[0].len(), "{}: {} limit {}", row, name, limit);
+        let disconnected = common::regraphed(&inst, one_edge);
+        let by_objects = |a: &Solution, b: &Solution| a.as_slice().cmp(b.as_slice());
+        for inst in [inst, disconnected] {
+            let violations = brute_violations(&inst).into_iter().enumerate();
+            let mut expected: Vec<Solution> = violations
+                .filter(|&(_, v)| v == 0)
+                .map(|(index, _)| odometer_solution(&inst, index))
+                .collect();
+            expected.sort_by(by_objects);
+            for view in [inst.clone(), inst.with_backend(BackendKind::Grid)] {
+                let row = format!("{} edges, {}", view.graph().edge_count(), view.backend().name());
+                let all = WindowReduction::new().run(&view, &budget, usize::MAX);
+                prop_assert!(all.complete, "{}", row);
+                let mut found = all.solutions.clone();
+                found.sort_by(by_objects);
+                prop_assert_eq!(&found, &expected, "{}", row);
+                // Under a limit WR returns that many members of the set,
+                // none for `limit = 0`.
+                for limit in 0..=2 {
+                    let some = WindowReduction::new().run(&view, &budget, limit);
+                    prop_assert_eq!(some.solutions.len(), limit.min(expected.len()), "{} limit {}", row, limit);
+                    prop_assert!(some.solutions.iter().all(|s| all.solutions.contains(s)), "{} limit {}", row, limit);
+                    prop_assert!(some.complete || limit <= expected.len(), "{} limit {}", row, limit);
                 }
             }
         }
@@ -580,5 +539,40 @@ proptest! {
         let ibb = Ibb::new(IbbConfig { initial: None, stop_at_exact: false })
             .run(&inst, &SearchBudget::seconds(120.0));
         check(&ibb, "IBB")?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// At a few hundred objects a variable, under a random connected query
+    /// whose first edge carries each of the six predicates in turn — so that
+    /// WR opens with the pairwise join of that edge where the predicate
+    /// implies intersection and scans its first variable where it does
+    /// not —, WR finds on both backends the solutions the independent
+    /// backtracking counter counts.
+    #[test]
+    fn wr_matches_the_backtracking_counter_whatever_its_first_edge(
+        (n, cardinality, extra_edges, seed) in (3usize..=4, 100usize..=300, 0.0f64..=1.0, any::<u64>()),
+        density in 0.05f64..0.3,
+    ) {
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = QueryGraph::random_connected(n, extra_edges, &mut rng);
+        // Every dataset is one drawn dataset with each rectangle scaled
+        // about its centre, so that object `i` of one variable often
+        // contains object `i` of another and Contains and Inside have
+        // solutions to find.
+        let base = Dataset::uniform(cardinality, density, &mut rng);
+        let mut scaled = |r: &Rect| {
+            let k = rng.random_range(0.3..1.7);
+            Rect::from_center(r.center(), k * r.width(), k * r.height())
+        };
+        let datasets: Vec<Vec<Rect>> = (0..n).map(|_| base.rects().iter().map(&mut scaled).collect()).collect();
+        for pred in common::PREDICATES {
+            let graph = common::with_first_edge(&graph, pred);
+            let inst = Instance::new(graph, datasets.clone()).unwrap();
+            common::assert_wr_matches_the_counter(&inst, 20_000, &format!("{:?}", inst.graph()));
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! An SEA generation allocates nothing, and neither does a pass of the ILS
-//! or GILS climb or a combination that synchronous traversal expands.
+//! or GILS climb.
 //!
 //! Selection copies into a second population the run owns, crossover and
 //! mutation pick their variables out of run-owned scratch, re-evaluation
@@ -12,14 +12,6 @@
 //! keeps `pop[winner].clone()` — 127 200 allocations here — from coming
 //! back.
 //!
-//! Synchronous traversal keeps its candidate lists, its forward-checking
-//! frames and the entries it has fixed in one arena per run, used as a
-//! stack: a run allocates for the arena's growth and once per solution it
-//! emits, however many combinations it expands. The first exact join of an
-//! instance runs the arc-consistency pass once, so the count is taken on
-//! the second run; on data this dense the pass ends after its first join
-//! and ST descends the whole trees.
-//!
 //! IBB keeps the windows, candidates and candidate pool of each depth in
 //! buffers its run owns, so a step — a candidate tried, or an object of a
 //! zero-count scan — allocates nothing; what a longer run adds is the
@@ -29,8 +21,7 @@
 //! do not disturb the reading.
 
 use mwsj_core::{
-    AnytimeSearch, Gils, Ibb, IbbConfig, Ils, Instance, Sea, SeaConfig, SearchBudget,
-    SearchContext, SynchronousTraversal,
+    AnytimeSearch, Gils, Ibb, IbbConfig, Ils, Instance, Sea, SeaConfig, SearchBudget, SearchContext,
 };
 use mwsj_datagen::{hard_region_density, Dataset, QueryShape};
 use rand::rngs::StdRng;
@@ -149,31 +140,6 @@ fn ils_and_gils_climbs_allocate_next_to_nothing() {
              the incumbent's trace and top list and a few doublings, nothing per pass"
         );
     }
-}
-
-#[test]
-fn synchronous_traversal_allocates_per_solution_not_per_combination() {
-    let mut rng = StdRng::seed_from_u64(303);
-    // Dense enough that the pass removes nothing.
-    let datasets: Vec<Dataset> = (0..4)
-        .map(|_| Dataset::uniform(5_000, 0.4, &mut rng))
-        .collect();
-    let instance = Instance::new(QueryShape::Clique.graph(4), datasets).unwrap();
-    let run =
-        || SynchronousTraversal::new().run(&instance, &SearchBudget::seconds(60.0), usize::MAX);
-    run();
-    assert_eq!(instance.core_sizes(), Some(vec![5_000; 4]));
-    let before = ALLOCATIONS.get();
-    let outcome = run();
-    let allocations = ALLOCATIONS.get() - before;
-    let (steps, solutions) = (outcome.stats.steps, outcome.solutions.len() as u64);
-    assert!(outcome.complete && steps >= 1_000, "{steps} steps");
-    let beside_solutions = allocations.saturating_sub(solutions);
-    assert!(
-        beside_solutions <= 64,
-        "{steps} combinations, {solutions} solutions, {allocations} allocations: \
-         the arena and the solution list double a few dozen times, nothing is per combination"
-    );
 }
 
 /// An exhaustive IBB run on a 4-clique: 60 000 steps against 10 000, each

@@ -24,9 +24,7 @@
 //! candidate cell, so the smallest cell where span and ranges meet is `c`.
 //! Only straddlers (1.4 % of the swept slots on Zipf data, 7.4 % on
 //! uniform: `a_replay_pays_the_rule_on_the_straddling_slots_only`) run
-//! `dedup_cell`; [`join`] likewise takes a side's single-cell entry
-//! without locating the pair's reference point, which lies in the entry
-//! and so in its cell. A cell index is a division and a saturating cast,
+//! `dedup_cell`. A cell index is a division and a saturating cast,
 //! no `floor` (`Axis::cell`). DESIGN.md §5j records the layouts and loops
 //! measured and not built.
 //!
@@ -34,9 +32,8 @@
 //! [`best_in_windows`] (the best entry for a window list) and
 //! [`candidates_with_counts`] (every entry satisfying at least `min_count`
 //! of the windows; a single-window query is that with one window and
-//! `min_count = 1`). The third kernel, [`join`], joins two whole grids cell
-//! pair by cell pair, with a reference point of its own: the corner
-//! `(max lo_x, max lo_y)` of a pair's intersection.
+//! `min_count = 1`). A join of two whole datasets is not a grid question:
+//! every instance joins its R*-trees (\[BKS93\]), on either backend.
 //!
 //! Determinism contract: candidate cells are enumerated in ascending
 //! row-major order, and a cell's slots are ordered by `(lo_x, payload)`
@@ -291,12 +288,6 @@ impl<T> UniformGrid<T> {
         self.straddles[i / 64] >> (i % 64) & 1 != 0
     }
 
-    /// The rectangle of the entry at slot `i`.
-    #[inline]
-    fn rect_at(&self, i: usize) -> &Rect {
-        &self.rects[self.pos[i] as usize]
-    }
-
     /// Structural cell-occupancy statistics.
     pub fn stats(&self) -> GridStats {
         let cells = self.x.n * self.y.n;
@@ -480,43 +471,6 @@ impl Axis {
     fn cell(&self, v: f64) -> usize {
         (((v - self.min) / self.step).max(0.0) as usize).min(self.n - 1)
     }
-
-    /// The smallest coordinate whose cell is `c` (`1 ≤ c < n`) or a later
-    /// one: `min + c·step` moved by the few ulps the rounding in
-    /// [`cell`](Self::cell) makes, found with `cell` itself. The walk stays
-    /// inside the extent, so an axis too wide for `f64` (an infinite
-    /// `step`: every coordinate in cell 0) ends it at once.
-    fn first_of(&self, c: usize) -> f64 {
-        let mut v = self.min + c as f64 * self.step;
-        while self.cell(v) >= c && v > self.min {
-            v = v.next_down();
-        }
-        while self.cell(v) < c && v < self.max {
-            v = v.next_up();
-        }
-        v
-    }
-
-    /// For every cell of `self`, the cells `c0..=c1` of `other` that hold a
-    /// coordinate of it lying in both extents, `None` when there is none.
-    /// Exact, because [`cell`](Self::cell) is monotone: two grids over one
-    /// bounding box pair each cell with one cell, not with three.
-    fn covers(&self, other: &Axis) -> Vec<Option<(usize, usize)>> {
-        let mut lo = self.min;
-        let cover = |c: usize| {
-            let next = if c + 1 < self.n {
-                self.first_of(c + 1)
-            } else {
-                f64::INFINITY
-            };
-            let hi = next.next_down().min(self.max);
-            let meets = lo <= hi && lo <= other.max && hi >= other.min;
-            let cells = meets.then(|| (other.cell(lo), other.cell(hi)));
-            lo = next;
-            cells
-        };
-        (0..self.n).map(cover).collect()
-    }
 }
 
 /// One window's share of a query plan.
@@ -661,7 +615,7 @@ pub fn best_in_windows<T: Copy + Ord>(
 
 /// Multi-window candidate enumeration — the grid analogue of the R*-tree
 /// candidate walk ([`for_each_candidate`](crate::multiwindow::for_each_candidate))
-/// used by WR, PJM and IBB: every `(value, satisfied_count)` with
+/// used by WR and IBB: every `(value, satisfied_count)` with
 /// `satisfied_count ≥ min_count`, each value exactly once, in canonical
 /// `(cell, payload)` order, appended to `out` (so a caller that reuses `out`
 /// allocates nothing once it has grown). One access is charged per
@@ -692,99 +646,6 @@ pub fn candidates_with_counts<T: Copy + Ord>(
             out[start..].sort_unstable_by_key(|hit| hit.0);
         }
     });
-}
-
-/// PBSM cell-pair join of two grids: calls `emit(a, b)` once for every pair
-/// of an entry of `left` and an entry of `right` with `a pred b`, for the
-/// three predicates that imply intersection (`Intersects`, `Contains`,
-/// `Inside`).
-///
-/// Every occupied cell of `left` is joined with the cells of `right` it
-/// overlaps — one when the two grids are aligned, 2 × 2 when their cells
-/// are of a size and are not — by a forward scan over the two runs, which
-/// both grids already store in `lo_x` order: the run that starts first
-/// scans the other while its `lo_x` stays below the first's `hi_x`. A pair
-/// of replicated rectangles meets in several cell pairs and is reported in
-/// one, by the reference-point rule: the point `(max lo_x, max lo_y)` lies
-/// in both rectangles, hence in a cell of each that holds them, and the
-/// pair belongs to the cell pair whose two cells contain it — decided, for
-/// a side whose entry straddles cells, with the cell arithmetic the
-/// builds used, so the two grids need not be aligned (an entry in one cell
-/// holds the point there). The exact predicate is evaluated last.
-///
-/// Pairs arrive in `left`'s row-major cell order, then `right`'s, then scan
-/// order. One access is charged per occupied cell of `left` and one per
-/// non-empty cell of `right` paired with it.
-///
-/// # Panics
-/// Panics if `pred` is one of the other three predicates: a pair satisfying
-/// them need not share a cell.
-pub fn join<T: Copy, U: Copy>(
-    left: &UniformGrid<T>,
-    right: &UniformGrid<U>,
-    pred: Predicate,
-    cell_accesses: &mut u64,
-    mut emit: impl FnMut(T, U),
-) {
-    assert!(
-        matches!(
-            pred,
-            Predicate::Intersects | Predicate::Contains | Predicate::Inside
-        ),
-        "the cell-pair join needs a predicate that implies intersection, not {pred}"
-    );
-    let columns = left.x.covers(&right.x);
-    let rows = left.y.covers(&right.y);
-    for (cy, row) in rows.iter().enumerate() {
-        let Some((y0, y1)) = *row else {
-            continue;
-        };
-        for (cx, column) in columns.iter().enumerate() {
-            let run = left.cell_slots(cy * left.x.n + cx);
-            let Some((x0, x1)) = column.filter(|_| !run.is_empty()) else {
-                continue;
-            };
-            *cell_accesses += 1;
-            for (by, bx) in (y0..=y1).flat_map(|by| (x0..=x1).map(move |bx| (by, bx))) {
-                let other = right.cell_slots(by * right.x.n + bx);
-                if other.is_empty() {
-                    continue;
-                }
-                *cell_accesses += 1;
-                // `i`, `j`: slots of `left` and `right` that overlap in x;
-                // `x` is the larger `lo_x` of the two.
-                let mut visit = |i: usize, j: usize, x: f64| {
-                    let (a, b) = (left.rect_at(i), right.rect_at(j));
-                    if a.min.y > b.max.y || b.min.y > a.max.y {
-                        return;
-                    }
-                    let y = a.min.y.max(b.min.y);
-                    let here = (!left.straddles(i) || (left.x.cell(x), left.y.cell(y)) == (cx, cy))
-                        && (!right.straddles(j) || (right.x.cell(x), right.y.cell(y)) == (bx, by));
-                    if here && pred.eval(a, b) {
-                        emit(
-                            left.values[left.pos[i] as usize],
-                            right.values[right.pos[j] as usize],
-                        );
-                    }
-                };
-                let (mut i, mut j) = (run.start, other.start);
-                while i < run.end && j < other.end {
-                    if left.lo_x[i] <= right.lo_x[j] {
-                        let reach = left.rect_at(i).max.x;
-                        let ahead = (j..other.end).take_while(|&k| right.lo_x[k] <= reach);
-                        ahead.for_each(|k| visit(i, k, right.lo_x[k]));
-                        i += 1;
-                    } else {
-                        let reach = right.rect_at(j).max.x;
-                        let ahead = (i..run.end).take_while(|&k| left.lo_x[k] <= reach);
-                        ahead.for_each(|k| visit(k, j, left.lo_x[k]));
-                        j += 1;
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl<T> MemoryFootprint for UniformGrid<T> {
@@ -1089,7 +950,7 @@ mod tests {
                 let grid = UniformGrid::with_target_occupancy(&items, occupancy);
                 let mut set = 0;
                 for slot in 0..grid.pos.len() {
-                    let s = grid.span_of(grid.rect_at(slot));
+                    let s = grid.span_of(&grid.rects[grid.pos[slot] as usize]);
                     let several = (s.x0, s.y0) != (s.x1, s.y1);
                     assert_eq!(grid.straddles(slot), several, "{name}: slot {slot}");
                     set += several as usize;
@@ -1180,115 +1041,6 @@ mod tests {
             let items = clumped(random_items(seed, n, extent + 1e-9), spots);
             let grid = UniformGrid::with_target_occupancy(&items, occupancy);
             assert_kernels_match_full_scan("drawn", &grid, &drawn_windows(&items, &preds, seed));
-        }
-    }
-
-    const JOIN_PREDS: [Predicate; 3] = [
-        Predicate::Intersects,
-        Predicate::Contains,
-        Predicate::Inside,
-    ];
-
-    /// Asserts that the cell-pair join of the two layouts, under each of
-    /// its three predicates, reports the pairs of brute force, every pair
-    /// once, and reads at most every cell of `left` once and every cell of
-    /// `right` once per cell of `left`.
-    fn assert_join_matches_brute_force(
-        name: &str,
-        left: &[(Rect, u32)],
-        right: &[(Rect, u32)],
-        occupancy: (f64, f64),
-    ) {
-        let a = UniformGrid::with_target_occupancy(left, occupancy.0);
-        let b = UniformGrid::with_target_occupancy(right, occupancy.1);
-        for pred in JOIN_PREDS {
-            let (mut got, mut cells) = (Vec::new(), 0);
-            join(&a, &b, pred, &mut cells, |x, y| got.push((x, y)));
-            got.sort_unstable();
-            let mut expected = Vec::new();
-            for (ra, x) in left {
-                let hits = right.iter().filter(|(rb, _)| pred.eval(ra, rb));
-                expected.extend(hits.map(|(_, y)| (*x, *y)));
-            }
-            expected.sort_unstable();
-            assert_eq!(got, expected, "{name}: {pred}");
-            let bound = (a.x.n * a.y.n) as u64 * (1 + (b.x.n * b.y.n) as u64);
-            assert!(cells <= bound && (cells > 0 || got.is_empty()), "{name}");
-        }
-    }
-
-    fn shifted(items: &[(Rect, u32)], by: f64) -> Vec<(Rect, u32)> {
-        let moved = |r: &Rect| Rect::new(r.min.x + by, r.min.y + by, r.max.x + by, r.max.y + by);
-        items.iter().map(|(r, v)| (moved(r), *v)).collect()
-    }
-
-    #[test]
-    fn join_equals_brute_force_on_hostile_layouts() {
-        let layouts = hostile_layouts();
-        // Every ordered pair, self-pairs included (one grid on both sides,
-        // and containment between equal rectangles), on two resolutions.
-        for (left_name, left) in &layouts {
-            for (right_name, right) in &layouts {
-                let name = format!("{left_name} × {right_name}");
-                assert_join_matches_brute_force(&name, left, right, (6.0, 16.0));
-            }
-        }
-        // Bounding boxes that half overlap, touch in a corner and are
-        // disjoint; an empty side.
-        let (_, uniform) = &layouts[0];
-        let (_, covered) = &layouts[2];
-        for by in [0.5, 1.05, 2.0] {
-            let name = format!("shifted by {by}");
-            assert_join_matches_brute_force(&name, uniform, &shifted(covered, by), (6.0, 6.0));
-            assert_join_matches_brute_force(&name, &shifted(covered, by), uniform, (16.0, 2.0));
-        }
-        // An extent wider than `f64`: the cell width is infinite and every
-        // coordinate falls in cell 0.
-        let far = |at: f64| Rect::new(at, at, at + 1e307, at + 1e307);
-        let wide = [far(-1.5e308), far(1.5e308), far(0.0)].map(|r| (r, 0));
-        assert_join_matches_brute_force("wider than f64", &wide, &wide, (1.0, 1.0));
-        assert_join_matches_brute_force("wide × uniform", &wide, uniform, (1.0, 6.0));
-        assert_join_matches_brute_force("empty right", uniform, &[], (6.0, 6.0));
-        assert_join_matches_brute_force("empty left", &[], uniform, (6.0, 6.0));
-    }
-
-    /// Two grids over one bounding box pair each cell with one cell: the
-    /// cover is exact, not padded to the neighbours.
-    #[test]
-    fn aligned_grids_join_cell_by_cell() {
-        let mut items = random_items(27, 2_000, 0.01);
-        items.push((Rect::new(0.0, 0.0, 1.0, 1.0), 2_000));
-        let grid = UniformGrid::build(&items);
-        let mut cells = 0;
-        join(&grid, &grid, Predicate::Intersects, &mut cells, |_, _| {});
-        assert_eq!(cells, 2 * grid.stats().occupied_cells);
-    }
-
-    #[test]
-    #[should_panic(expected = "implies intersection")]
-    fn join_rejects_a_predicate_that_need_not_share_a_cell() {
-        let grid = UniformGrid::build(&random_items(28, 10, 0.1));
-        join(&grid, &grid, Predicate::NorthEast, &mut 0, |_, _| {});
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-
-        /// The same equality on drawn layouts: any two sizes, entry
-        /// extents, cell occupancies and offsets between the two bounding
-        /// boxes, uniform or packed into a few spots.
-        #[test]
-        fn join_equals_brute_force_on_drawn_layouts(
-            seed in proptest::prelude::any::<u64>(),
-            sizes in (1usize..300, 1usize..300),
-            extents in (0.0f64..0.3, 0.0f64..0.3),
-            occupancy in (1.0f64..40.0, 1.0f64..40.0),
-            offset in -1.2f64..1.2,
-            spots in 0usize..4,
-        ) {
-            let left = clumped(random_items(seed, sizes.0, extents.0 + 1e-9), spots);
-            let right = clumped(random_items(!seed, sizes.1, extents.1 + 1e-9), spots);
-            assert_join_matches_brute_force("drawn", &left, &shifted(&right, offset), occupancy);
         }
     }
 

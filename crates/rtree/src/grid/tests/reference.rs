@@ -76,16 +76,14 @@ fn bits(r: &Rect) -> [u64; 4] {
 /// Holds both packed grids of `items` to the reference: slot for slot
 /// the same `(rect bits, id)`, keys, bounds, bits and statistics (less
 /// the unique count, which a replicated array inflates), and from every
-/// kernel the same answer — bits, order and accesses — to `windows`
-/// and, against the grids of `other`, from the join.
+/// kernel the same answer — bits, order and accesses — to `windows`.
 fn assert_packed_equals_replicated(
     name: &str,
     items: &[(Rect, u32)],
-    other: &[(Rect, u32)],
     target: f64,
     windows: &[(Predicate, Rect)],
 ) {
-    let (grids, others) = (three_grids(items, target), three_grids(other, 2.0 * target));
+    let grids = three_grids(items, target);
     let score = |v: &u32, c: u32| c as f64 + (*v % 3) as f64 * 0.25;
     let answers = |k: usize| {
         let g = &grids[k];
@@ -99,10 +97,6 @@ fn assert_packed_equals_replicated(
                 hits
             })
             .collect();
-        let mut pairs = Vec::new();
-        for pred in JOIN_PREDS {
-            join(g, &others[k], pred, &mut acc, |a, b| pairs.push((a, b)));
-        }
         let cells: Vec<Vec<_>> = (0..g.x.n * g.y.n)
             .map(|c| g.cell_entries(c).map(|(r, &v)| (bits(r), v)).collect())
             .collect();
@@ -113,7 +107,7 @@ fn assert_packed_equals_replicated(
             ..g.stats()
         };
         let layout = (cells, keys, g.starts.clone(), g.straddles.clone(), stats);
-        let answers = (best, hits, pairs, acc, levels, g.swept_slots(windows));
+        let answers = (best, hits, acc, levels, g.swept_slots(windows));
         (answers, layout, g.bbox())
     };
     let reference = answers(2);
@@ -129,10 +123,9 @@ fn assert_packed_equals_replicated(
 fn packed_grids_equal_the_replicated_reference_on_hostile_layouts() {
     let layouts = hostile_layouts();
     for (i, (name, items)) in layouts.iter().enumerate() {
-        let (_, other) = &layouts[(i + 1) % layouts.len()];
         let windows = drawn_windows(items, &[0, 1, 2, 3, 4, 5], i as u64);
         for k in 1..=windows.len() {
-            assert_packed_equals_replicated(name, items, other, 6.0, &windows[..k]);
+            assert_packed_equals_replicated(name, items, 6.0, &windows[..k]);
         }
     }
 }
@@ -156,21 +149,18 @@ proptest::proptest! {
 
     /// The same on drawn layouts, snapped to a coarse lattice or not —
     /// ties on every key, zero extents, straddlers and entries on the
-    /// bounding box's edges —, and with an empty join partner.
+    /// bounding box's edges.
     #[test]
     fn packed_grids_equal_the_replicated_reference_on_drawn_layouts(
         seed in proptest::prelude::any::<u64>(),
-        sizes in (1usize..400, 0usize..200),
+        size in 1usize..400,
         extent in 0.0f64..0.4,
         occupancy in 1.0f64..40.0,
         snap in 0u32..9,
-        offset in -1.2f64..1.2,
         preds in proptest::collection::vec(0usize..ALL_PREDS.len(), 1..=5),
     ) {
-        let items = snapped(random_items(seed, sizes.0, extent + 1e-9), snap);
-        let other = snapped(random_items(!seed, sizes.1, extent + 1e-9), snap);
+        let items = snapped(random_items(seed, size, extent + 1e-9), snap);
         let windows = drawn_windows(&items, &preds, seed);
-        let other = shifted(&other, offset);
-        assert_packed_equals_replicated("drawn", &items, &other, occupancy, &windows);
+        assert_packed_equals_replicated("drawn", &items, occupancy, &windows);
     }
 }

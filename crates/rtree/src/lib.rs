@@ -25,15 +25,13 @@
 //!   the raw (ILS/SEA/IBB) and λ-penalised (GILS) search paths. It and the
 //!   enumeration are the tree's two traversals.
 //! * A **read-only traversal API** ([`NodeRef`]/[`EntryRef`]) for the
-//!   traversals `mwsj-core` writes itself (synchronous traversal, the
-//!   pairwise join).
+//!   traversal `mwsj-core` writes itself (the pairwise join).
 //! * **Access accounting by the caller**: every traversal bumps a `&mut
 //!   u64` it is handed once per node it enters (the kernels also a
 //!   per-level slice).
 //! * A **uniform grid** ([`UniformGrid`]), the second spatial backend,
 //!   with the same two questions — [`grid::best_in_windows`] and
-//!   [`grid::candidates_with_counts`] — and a join of two grids
-//!   ([`grid::join`]). Built over a tree ([`UniformGrid::over_leaves`]),
+//!   [`grid::candidates_with_counts`]. Built over a tree ([`UniformGrid::over_leaves`]),
 //!   its cells are runs of positions into the tree's leaf arrays: the grid
 //!   adds an index, not a copy of the data.
 //! * An **invariant checker** ([`RTree::check_invariants`]) used by the test

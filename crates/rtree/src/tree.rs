@@ -138,7 +138,7 @@ impl<T> RTree<T> {
     }
 
     /// Read-only view of the root node, entry point of the traversal API
-    /// used by the join algorithms (`find best value`, ST, IBB).
+    /// used by the join algorithms (`find best value`, the pairwise join, IBB).
     pub fn root_node(&self) -> NodeRef<'_, T> {
         NodeRef::new(self, self.height() - 1, 0)
     }

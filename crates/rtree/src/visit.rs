@@ -1,8 +1,8 @@
 //! Read-only traversal API.
 //!
 //! The join algorithms of `mwsj-core` implement their own branch-and-bound
-//! traversals over the index (the paper's *find best value*, synchronous
-//! traversal and IBB all sort and prune node entries with query-specific
+//! traversals over the index (the paper's *find best value*, the pairwise
+//! join and IBB all sort and prune node entries with query-specific
 //! logic). [`NodeRef`] and [`EntryRef`] expose the tree structure immutably
 //! without this crate leaking mutable internals: a node is a `(level,
 //! index)` pair, its entries a run of its level's rectangle array.

@@ -10,7 +10,8 @@
 //! * [`rtree`] — the R*-tree index,
 //! * [`query`] — query graphs (constraint networks) and solutions,
 //! * [`datagen`] — synthetic datasets and the analytic hard-region models,
-//! * [`core`] — the join algorithms: ILS, GILS, SEA, IBB, WR, ST, PJM.
+//! * [`core`] — the join algorithms: ILS, GILS, SEA, IBB and the exact
+//!   join WR, which opens with a pairwise join.
 //!
 //! ## Quickstart
 //!
@@ -48,10 +49,9 @@ pub mod prelude {
     pub use mwsj_core::{
         derive_seed, find_best_value, AnytimeSearch, BestValue, ExactJoinOutcome, Gils, GilsConfig,
         Ibb, IbbConfig, Ils, IlsConfig, Instance, InstanceError, NaiveGa, NaiveGaConfig,
-        NaiveLocalSearch, PairwiseJoin, Pjm, Portfolio, PortfolioOutcome, RestartOutcome,
-        RunOutcome, RunStats, SaConfig, Sea, SeaConfig, SearchBudget, SearchContext,
-        SimulatedAnnealing, SynchronousTraversal, TelemetryConfig, TopSolutions, TracePoint,
-        TwoStep, TwoStepConfig, TwoStepOutcome, WindowReduction,
+        NaiveLocalSearch, PairwiseJoin, Portfolio, PortfolioOutcome, RestartOutcome, RunOutcome,
+        RunStats, Sea, SeaConfig, SearchBudget, SearchContext, TelemetryConfig, TopSolutions,
+        TracePoint, TwoStep, TwoStepConfig, TwoStepOutcome, WindowReduction,
     };
     pub use mwsj_datagen::{
         hard_region_density, Dataset, DatasetSpec, Distribution, QueryShape, Workload, WorkloadSpec,

@@ -9,8 +9,10 @@
 //!   it carries into its candidate walks is tightest);
 //! * two-step returns the optimum, no heuristic reports better, and a
 //!   portfolio's best is its restarts' best;
-//! * WR, ST (overlap-only queries) and PJM enumerate exactly the exact
-//!   assignments, and a `limit` keeps a prefix of each one's own order.
+//! * WR enumerates exactly the exact assignments — opening with the
+//!   pairwise join where the first edge implies intersection, with a scan
+//!   of its first variable otherwise — and a `limit` keeps a prefix of its
+//!   order.
 //!
 //! Every search's top list is checked too: it re-scores as reported, is
 //! sorted and distinct, starts at the best, and its `i`-th entry is no
@@ -129,10 +131,6 @@ impl Oracle {
     fn with_violations(&self, violations: usize) -> Option<Solution> {
         let found = self.all.iter().find(|(v, _)| *v == violations);
         found.map(|(_, a)| Solution::new(a.clone()))
-    }
-
-    fn overlap_only(&self) -> bool {
-        self.edges.iter().all(|e| e.2 == Predicate::Intersects)
     }
 
     /// The instance on both backends.
@@ -327,10 +325,6 @@ fn two_step_returns_the_optimum_and_no_heuristic_beats_it() {
                     NaiveLocalSearch::default().run(&inst, &budget, &mut rng),
                 ),
                 ("ga", NaiveGa::default().run(&inst, &generations, &mut rng)),
-                (
-                    "sa",
-                    SimulatedAnnealing::default().run(&inst, &budget, &mut rng),
-                ),
             ];
             for (name, outcome) in heuristics {
                 oracle.check(&outcome, &format!("{backend} {name}"));
@@ -357,32 +351,21 @@ fn exact_joins_return_the_enumerated_set_and_limits_keep_a_prefix() {
         let expected = oracle.exact();
         satisfiable += usize::from(expected.len() >= 2);
         for inst in oracle.instances() {
-            let join = |algo: &str, limit: usize| match algo {
-                "wr" => WindowReduction::new().run(&inst, &budget, limit),
-                "st" => SynchronousTraversal::new().run(&inst, &budget, limit),
-                _ => Pjm::default().run(&inst, &budget, limit),
-            };
-            let algos: &[&str] = if oracle.overlap_only() {
-                &["wr", "st", "pjm"]
-            } else {
-                &["wr", "pjm"]
-            };
-            for &algo in algos {
-                let what = format!("{}: {} {algo}", oracle.name, inst.backend().name());
-                let full = join(algo, usize::MAX);
-                assert!(full.complete, "{what}");
-                let mut found: Vec<Vec<usize>> = full
-                    .solutions
-                    .iter()
-                    .map(|s| s.as_slice().to_vec())
-                    .collect();
-                found.sort();
-                assert_eq!(found, expected, "{what}");
-                let n = full.solutions.len();
-                for limit in [0, 1, 2, n / 2, n.saturating_sub(1)] {
-                    let prefix = &full.solutions[..limit.min(n)];
-                    assert_eq!(join(algo, limit).solutions, prefix, "{what} limit {limit}");
-                }
+            let join = |limit: usize| WindowReduction::new().run(&inst, &budget, limit);
+            let what = format!("{}: {} wr", oracle.name, inst.backend().name());
+            let full = join(usize::MAX);
+            assert!(full.complete, "{what}");
+            let mut found: Vec<Vec<usize>> = full
+                .solutions
+                .iter()
+                .map(|s| s.as_slice().to_vec())
+                .collect();
+            found.sort();
+            assert_eq!(found, expected, "{what}");
+            let n = full.solutions.len();
+            for limit in [0, 1, 2, n / 2, n.saturating_sub(1)] {
+                let prefix = &full.solutions[..limit.min(n)];
+                assert_eq!(join(limit).solutions, prefix, "{what} limit {limit}");
             }
         }
     }

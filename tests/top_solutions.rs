@@ -24,7 +24,7 @@ fn top_lists_are_sound_for_all_algorithms() {
         Gils::new(GilsConfig::default()).run(&inst, &SearchBudget::iterations(800), &mut rng),
         Sea::new(SeaConfig::default_for(&inst)).run(&inst, &SearchBudget::iterations(20), &mut rng),
         NaiveGa::default().run(&inst, &SearchBudget::iterations(20), &mut rng),
-        SimulatedAnnealing::default().run(&inst, &SearchBudget::iterations(2_000), &mut rng),
+        NaiveLocalSearch::default().run(&inst, &SearchBudget::iterations(2_000), &mut rng),
     ];
     for o in outcomes {
         assert!(!o.top_solutions.is_empty());
@@ -67,9 +67,10 @@ fn dense_instances_yield_multiple_exact_solutions() {
         .map(|_| Dataset::uniform(300, 2.0, &mut rng))
         .collect();
     let inst = Instance::new(QueryGraph::chain(3), datasets).unwrap();
-    // SA wanders enough to hit several distinct good solutions.
+    // Random re-instantiation wanders enough to hit several distinct good
+    // solutions.
     let outcome =
-        SimulatedAnnealing::default().run(&inst, &SearchBudget::iterations(20_000), &mut rng);
+        NaiveLocalSearch::default().run(&inst, &SearchBudget::iterations(20_000), &mut rng);
     assert!(outcome.top_solutions.len() >= 3);
     assert_eq!(outcome.top_solutions[0].1, 0);
 }
