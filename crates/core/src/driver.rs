@@ -290,6 +290,11 @@ impl SearchDriver {
         self.clock.obs()
     }
 
+    /// The run's budget clock.
+    pub(crate) fn clock(&self) -> &BudgetClock {
+        &self.clock
+    }
+
     /// Mutable access to the counter block (restarts, local maxima, …).
     #[inline]
     pub(crate) fn stats_mut(&mut self) -> &mut RunStats {
@@ -453,6 +458,14 @@ impl SearchDriver {
             self.edges,
             proven_optimal,
         )
+    }
+
+    /// Finishes an exact join: its counters, without the per-level
+    /// profile, which the opening join's reads have no place in.
+    pub(crate) fn finish_exact(mut self) -> RunStats {
+        self.stats.access_profile = Vec::new();
+        self.clock.finish(&mut self.stats);
+        self.stats
     }
 
     fn into_outcome(

@@ -1,4 +1,4 @@
-//! Indexed Branch and Bound (paper §6).
+//! Indexed Branch and Bound (paper §6): the engine's one systematic walk.
 //!
 //! A systematic algorithm that retrieves the **best** solution — exact if
 //! one exists, otherwise the approximate solution with the minimum
@@ -26,6 +26,11 @@
 //! the same counts, so the search is unchanged and only node reads fall.
 //! Each depth keeps its windows, candidates and pool in buffers the run
 //! owns, so a step allocates nothing.
+//!
+//! Window reduction is this walk with its bound held at one violation
+//! ([`Goal::Exact`]): the candidates are the objects satisfying every
+//! window, tried in id order. [`crate::wr`] opens the walk and hands it
+//! every depth after the opening.
 
 use crate::budget::{SearchBudget, SearchContext};
 use crate::driver::SearchDriver;
@@ -80,21 +85,40 @@ pub struct Ibb {
     config: IbbConfig,
 }
 
-struct SearchState<'a, 'd> {
+/// What a walk is for; it sets the bound and what a full assignment does,
+/// and nothing else.
+pub(crate) enum Goal {
+    /// IBB's best solution: the bound is the driver's incumbent, a full
+    /// assignment becomes the new one, and an exact one ends the walk if
+    /// `stop_at_exact`.
+    Best { stop_at_exact: bool },
+    /// WR's exact solutions: the bound stays at one violation, a full
+    /// assignment is pushed, and the `limit`-th ends the walk.
+    Exact {
+        solutions: Vec<Solution>,
+        limit: usize,
+    },
+}
+
+/// A walk's signature: [`descend`], or a test's reference.
+pub(crate) type Descend =
+    fn(&mut SearchState<'_, '_>, usize, &mut [usize], &mut [Rect], usize) -> bool;
+
+pub(crate) struct SearchState<'a, 'd> {
     instance: &'a Instance,
-    order: Vec<VarId>,
+    pub(crate) order: Vec<VarId>,
     /// position of each variable in `order`.
     position: Vec<usize>,
-    driver: &'d mut SearchDriver,
-    stop_at_exact: bool,
-    /// Set when the budget ran out (result not proven optimal).
-    truncated: bool,
+    pub(crate) driver: &'d mut SearchDriver,
+    pub(crate) goal: Goal,
+    /// Set when the budget ran out (the walk did not finish).
+    pub(crate) truncated: bool,
     /// One per depth: what `descend` keeps between calls.
     frames: Vec<Frame>,
 }
 
 impl<'a, 'd> SearchState<'a, 'd> {
-    fn new(instance: &'a Instance, driver: &'d mut SearchDriver, stop_at_exact: bool) -> Self {
+    pub(crate) fn new(instance: &'a Instance, driver: &'d mut SearchDriver, goal: Goal) -> Self {
         let order = connectivity_order(instance.graph());
         let mut position = vec![0usize; order.len()];
         for (k, &v) in order.iter().enumerate() {
@@ -106,9 +130,41 @@ impl<'a, 'd> SearchState<'a, 'd> {
             order,
             position,
             driver,
-            stop_at_exact,
+            goal,
             truncated: false,
             frames,
+        }
+    }
+
+    /// The violations a branch must stay below.
+    fn bound(&self) -> usize {
+        match self.goal {
+            Goal::Best { .. } => self.driver.bound(),
+            Goal::Exact { .. } => 1,
+        }
+    }
+
+    /// Hands a full assignment with `violations` (below the bound) to the
+    /// goal; `true` ends the walk.
+    fn found(&mut self, assignment: &[usize], violations: usize) -> bool {
+        debug_assert!(violations < self.bound());
+        let sol = Solution::new(assignment.to_vec());
+        match &mut self.goal {
+            Goal::Best { stop_at_exact } => {
+                self.driver.record_best(&sol, violations);
+                violations == 0 && *stop_at_exact
+            }
+            Goal::Exact { solutions, limit } => {
+                solutions.push(sol);
+                solutions.len() >= *limit
+            }
+        }
+    }
+
+    /// Forgets `depth`'s pool: the loop one depth up starts over.
+    pub(crate) fn new_parent_loop(&mut self, depth: usize) {
+        if let Some(frame) = self.frames.get_mut(depth) {
+            frame.pool_min = None;
         }
     }
 }
@@ -159,19 +215,20 @@ impl Ibb {
             driver.seed_incumbent(sol, instance.violations(sol));
         }
 
-        let mut state = SearchState::new(instance, &mut driver, self.config.stop_at_exact);
+        let stop_at_exact = self.config.stop_at_exact;
+        let mut state = SearchState::new(instance, &mut driver, Goal::Best { stop_at_exact });
         let mut assignment = vec![usize::MAX; instance.n_vars()];
         let mut rects = vec![Rect::EMPTY; instance.n_vars()];
-        let exact_found = descend(&mut state, 0, &mut assignment, &mut rects, 0);
-
-        let proven_optimal = !state.truncated || (exact_found && state.stop_at_exact);
+        // It stops early only at an exact solution, which proves it best.
+        let stopped = descend(&mut state, 0, &mut assignment, &mut rects, 0);
+        let proven_optimal = !state.truncated || stopped;
         driver.finish_systematic(instance, proven_optimal)
     }
 }
 
-/// Depth-first search. Returns `true` if an exact solution was found and
-/// the search should stop. `rects[v]` is the MBR of `assignment[v]` for
-/// every instantiated `v`.
+/// The systematic walk, from `depth` on: IBB's search or WR's, as the
+/// state's [`Goal`] says. Returns `true` when the goal ends the walk.
+/// `rects[v]` is the MBR of `assignment[v]` for every instantiated `v`.
 ///
 /// The bound in force when `var`'s candidates are asked for is the walk's
 /// `min_count`, so the index returns exactly the candidates the loop can
@@ -186,7 +243,7 @@ impl Ibb {
 /// walking the index. Within one call of the parent `min_count` never
 /// falls — its violations only rise and the bound only falls — so the pool
 /// asked for first still holds every candidate of the calls after it.
-fn descend(
+pub(crate) fn descend(
     state: &mut SearchState<'_, '_>,
     depth: usize,
     assignment: &mut [usize],
@@ -195,23 +252,15 @@ fn descend(
 ) -> bool {
     let instance = state.instance;
     let graph = instance.graph();
-    let n = graph.n_vars();
-
-    if depth == n {
-        // Strictly better by construction of the bound checks.
-        debug_assert!(violations_so_far < state.driver.bound());
-        let sol = Solution::new(assignment.to_vec());
-        state.driver.record_best(&sol, violations_so_far);
-        return violations_so_far == 0 && state.stop_at_exact;
+    if depth == graph.n_vars() {
+        // Below the bound by construction of the bound checks.
+        return state.found(assignment, violations_so_far);
     }
-
-    // The next depth's pool belongs to this call's loop.
-    if let Some(next) = state.frames.get_mut(depth + 1) {
-        next.pool_min = None;
-    }
+    state.new_parent_loop(depth + 1);
 
     let var = state.order[depth];
     let parent = depth.checked_sub(1).map(|up| state.order[up]);
+    let bound = state.bound();
     let frame = &mut state.frames[depth];
     // Windows: assignments of neighbours that precede `var` in the order,
     // the parent's own last.
@@ -234,7 +283,7 @@ fn descend(
     frame.candidates.clear();
     if !frame.windows.is_empty() {
         let beat = violations_so_far + frame.windows.len() + 1;
-        let min_count = beat.saturating_sub(state.driver.bound()).max(1) as u32;
+        let min_count = beat.saturating_sub(bound).max(1) as u32;
         let (node_accesses, levels) = state.driver.tally(var);
         let k = own.is_some() as u32;
         if min_count > k {
@@ -288,7 +337,7 @@ fn descend(
     for at in 0..state.frames[depth].candidates.len() {
         let (obj, count) = state.frames[depth].candidates[at];
         let new_violations = violations_so_far + (assigned_neighbors - count) as usize;
-        if new_violations >= state.driver.bound() {
+        if new_violations >= state.bound() {
             // The incumbent improved mid-loop; candidates are sorted by
             // count desc: every later candidate is at least as bad.
             break;
@@ -314,7 +363,7 @@ fn descend(
     // candidate was tried: the scan, in id order, skips them by walking
     // them sorted by id.
     let zero_violations = violations_so_far + assigned_neighbors as usize;
-    if zero_violations < state.driver.bound() {
+    if zero_violations < state.bound() {
         state.frames[depth]
             .candidates
             .sort_unstable_by_key(|&(obj, _)| obj);
@@ -326,7 +375,7 @@ fn descend(
                 continue;
             }
             // Re-check: the incumbent may have improved mid-loop.
-            if zero_violations >= state.driver.bound() {
+            if zero_violations >= state.bound() {
                 break;
             }
             if state.driver.exhausted() {
@@ -349,9 +398,11 @@ fn descend(
 mod tests {
     use super::*;
     use crate::instance::BackendKind;
+    use crate::wr::ExactJoinOutcome;
     use mwsj_datagen::{
         count_exact_solutions, hard_region_density, plant_solution, Dataset, QueryShape,
     };
+    use mwsj_obs::ObsHandle;
     use mwsj_query::{Edge, QueryGraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -456,7 +507,7 @@ mod tests {
     /// `descend` as it was before the bound went into the walk: every object
     /// satisfying ≥ 1 window is asked for and the bound is applied to the
     /// sorted list afterwards. Kept as the reference the bounded walk is
-    /// held to.
+    /// held to, for either [`Goal`].
     fn reference_descend(
         state: &mut SearchState<'_, '_>,
         depth: usize,
@@ -467,9 +518,7 @@ mod tests {
         let instance = state.instance;
         let graph = instance.graph();
         if depth == graph.n_vars() {
-            let sol = Solution::new(assignment.to_vec());
-            state.driver.record_best(&sol, violations_so_far);
-            return violations_so_far == 0 && state.stop_at_exact;
+            return state.found(assignment, violations_so_far);
         }
         let var = state.order[depth];
         let windows: Vec<(Predicate, Rect)> = graph
@@ -495,7 +544,7 @@ mod tests {
         candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         for &(obj, count) in &candidates {
             let new_violations = violations_so_far + (assigned_neighbors - count) as usize;
-            if new_violations >= state.driver.bound() {
+            if new_violations >= state.bound() {
                 break;
             }
             if state.driver.exhausted() {
@@ -510,7 +559,7 @@ mod tests {
             }
         }
         let zero_violations = violations_so_far + assigned_neighbors as usize;
-        if zero_violations < state.driver.bound() {
+        if zero_violations < state.bound() {
             let mut tried: Vec<usize> = candidates.iter().map(|&(obj, _)| obj as usize).collect();
             tried.sort_unstable();
             let mut tried = tried.into_iter().peekable();
@@ -518,7 +567,7 @@ mod tests {
                 if tried.next_if_eq(&obj).is_some() {
                     continue;
                 }
-                if zero_violations >= state.driver.bound() {
+                if zero_violations >= state.bound() {
                     break;
                 }
                 if state.driver.exhausted() {
@@ -543,12 +592,44 @@ mod tests {
         if let Some(sol) = &config.initial {
             driver.seed_incumbent(sol, instance.violations(sol));
         }
-        let mut state = SearchState::new(instance, &mut driver, config.stop_at_exact);
+        let stop_at_exact = config.stop_at_exact;
+        let mut state = SearchState::new(instance, &mut driver, Goal::Best { stop_at_exact });
         let mut assignment = vec![usize::MAX; instance.n_vars()];
         let mut rects = vec![Rect::EMPTY; instance.n_vars()];
-        let exact_found = reference_descend(&mut state, 0, &mut assignment, &mut rects, 0);
-        let proven_optimal = !state.truncated || (exact_found && state.stop_at_exact);
+        let stopped = reference_descend(&mut state, 0, &mut assignment, &mut rects, 0);
+        let proven_optimal = !state.truncated || stopped;
         driver.finish_systematic(instance, proven_optimal)
+    }
+
+    /// WR's kernel over `walk` (WR's opening join, then `walk` with the
+    /// exact goal).
+    fn run_exact(
+        walk: Descend,
+        instance: &Instance,
+        budget: &SearchBudget,
+        limit: usize,
+    ) -> ExactJoinOutcome {
+        ExactJoinOutcome::framed(instance, budget, &ObsHandle::disabled(), |driver| {
+            crate::wr::enumerate(walk, instance, limit, driver)
+        })
+    }
+
+    /// WR ran the search the reference runs for the exact goal: the same
+    /// solutions in the same order, steps and completeness, and no more
+    /// nodes read.
+    fn assert_same_exact_search(
+        instance: &Instance,
+        budget: &SearchBudget,
+        limit: usize,
+        case: &str,
+    ) {
+        let got = run_exact(descend, instance, budget, limit);
+        let want = run_exact(reference_descend, instance, budget, limit);
+        assert_eq!(got.solutions, want.solutions, "{case}");
+        assert_eq!(got.stats.steps, want.stats.steps, "{case}");
+        assert_eq!(got.complete, want.complete, "{case}");
+        let (read, ref_read) = (got.stats.node_accesses, want.stats.node_accesses);
+        assert!(read <= ref_read, "{case}: {read} > {ref_read}");
     }
 
     /// `got` ran the search `want` ran — the same best, `(step,
@@ -673,6 +754,8 @@ mod tests {
         /// backends, no seed, a random solution or a short ILS best as the
         /// seed, stopping at the first exact solution or not, under a drawn
         /// step budget: [`assert_same_search`] against [`run_reference`].
+        /// WR's exact goal runs on the same instance under the same
+        /// budget, with a drawn limit: [`assert_same_exact_search`].
         #[test]
         fn pooled_search_is_the_count_one_search(
             seed in proptest::prelude::any::<u64>(),
@@ -684,6 +767,7 @@ mod tests {
             seeded in 0u8..3,
             stop_at_exact in proptest::prelude::any::<bool>(),
             steps in 1u64..4_000,
+            limit in 1usize..300,
         ) {
             use crate::ils::{Ils, IlsConfig};
             let shape = [
@@ -715,6 +799,7 @@ mod tests {
                 inst.backend().name(),
             );
             assert_same_search(&got, &want, &case);
+            assert_same_exact_search(&inst, &budget, limit, &format!("{case} limit={limit}"));
         }
     }
 

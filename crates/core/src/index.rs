@@ -175,8 +175,8 @@ pub(crate) fn walk_top_objects(
 ///
 /// Both backends return the identical result *set*; the order differs
 /// (R*-tree walk order — ascending leaf position — vs the grid's canonical
-/// `(cell, object)` order), so callers needing a fixed order sort — IBB
-/// already sorts by `(count desc, object asc)`.
+/// `(cell, object)` order). Its one caller, the systematic walk
+/// ([`crate::ibb`], IBB's and WR's), sorts by `(count desc, object asc)`.
 pub(crate) fn candidates(
     instance: &Instance,
     var: VarId,

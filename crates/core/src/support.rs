@@ -46,7 +46,7 @@
 //! on every such edge. No object of an exact solution is removed — each of
 //! its partners survives with it — so WR enumerates the same
 //! set on the *core*, the instance rebuilt from the survivors
-//! ([`ExactJoinOutcome::on_core`](crate::wr::ExactJoinOutcome)). On trees
+//! ([`WindowReduction::run_with_obs`](crate::WindowReduction)). On trees
 //! whose every edge implies intersection the fixpoint is the full reducer:
 //! every survivor lies in some exact solution.
 //!
@@ -508,7 +508,7 @@ mod tests {
     use crate::instance::BackendKind;
     use crate::window_cache::WindowCache;
     use crate::wr::ExactJoinOutcome;
-    use crate::{RunStats, WindowReduction};
+    use crate::WindowReduction;
     use mwsj_datagen::Dataset;
     use mwsj_geom::Rect;
     use mwsj_obs::ObsHandle;
@@ -851,12 +851,9 @@ mod tests {
             solutions.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
             (solutions, outcome.complete)
         };
-        let kernel = |phase, enumerate: &dyn Fn(&mut BudgetClock, &mut RunStats) -> _| {
-            sorted(ExactJoinOutcome::framed(&budget, &obs, phase, enumerate))
-        };
-        let wr = kernel("wr", &|clock, stats| {
-            crate::wr::enumerate(&inst, limit, clock, stats)
-        });
+        let wr = sorted(ExactJoinOutcome::framed(&inst, &budget, &obs, |driver| {
+            crate::wr::enumerate(crate::ibb::descend, &inst, limit, driver)
+        }));
         if !wr.1 {
             return;
         }

@@ -4,26 +4,28 @@
 //! When the first two variables of the order share an edge whose predicate
 //! implies intersection, they open as a pair: the synchronous pairwise
 //! join of their trees (\[BKS93\]), the first step of the pairwise join
-//! method \[MP99\]. Otherwise the first variable takes every value of its
-//! dataset. Each subsequent variable is instantiated via a conjunctive
-//! multi-window query (the assignments of its already-instantiated
-//! neighbours), backtracking when the query returns nothing. WR enumerates
-//! exactly the set of exact solutions; it cannot return approximate
-//! matches (which is precisely the limitation the paper's heuristics
-//! address).
+//! method \[MP99\]. Otherwise the first variable opens alone, in leaf
+//! order. Every depth after the opening is IBB's walk ([`crate::ibb`])
+//! with its bound held at one violation: a conjunctive multi-window query
+//! on the assignments of the variable's placed neighbours, its candidates
+//! tried in id order, backtracking when it returns nothing. Both openings
+//! come from the trees, so the order is the same on both backends. WR
+//! enumerates exactly the set of exact solutions; it cannot return
+//! approximate matches (which is precisely the limitation the paper's
+//! heuristics address).
 //!
 //! WR searches the instance's arc-consistent core ([`crate::support`]):
 //! the same solutions, over domains the semi-joins have cut down to the
 //! objects that can still take part in one.
 
-use crate::budget::{BudgetClock, SearchBudget, SearchContext};
-use crate::index;
+use crate::budget::{SearchBudget, SearchContext};
+use crate::driver::SearchDriver;
+use crate::ibb::{descend, Descend, Goal, SearchState};
 use crate::instance::Instance;
-use crate::order::connectivity_order;
 use crate::pairwise::PairwiseJoin;
 use crate::result::RunStats;
 use crate::support::implies_intersection;
-use mwsj_geom::{Predicate, Rect};
+use mwsj_geom::Rect;
 use mwsj_obs::ObsHandle;
 use mwsj_query::{Solution, VarId};
 use std::ops::ControlFlow;
@@ -31,10 +33,9 @@ use std::ops::ControlFlow;
 /// Result of an exact-join enumeration (WR).
 #[derive(Debug, Clone, Default)]
 pub struct ExactJoinOutcome {
-    /// The exact solutions found, in the algorithm's own enumeration order
-    /// — deterministic for an instance and a backend, different between
-    /// algorithms and backends, and no sorted order. A `limit` keeps a
-    /// prefix of it.
+    /// The exact solutions found, in WR's enumeration order —
+    /// deterministic for an instance, the same on both backends, and no
+    /// sorted order. A `limit` keeps a prefix of it.
     pub solutions: Vec<Solution>,
     /// Counters. `steps`: variable instantiations tried — an opening pair
     /// of the first edge's join counts as one, as does each object of a
@@ -62,65 +63,21 @@ impl ExactJoinOutcome {
         self.stats.run_end(violations, similarity, self.complete)
     }
 
-    /// Runs `kernel` — an enumeration of up to `limit` solutions of the
-    /// instance it is given, returning them and whether it completed —
-    /// on `instance`'s arc-consistent core ([`crate::support`]), and maps
-    /// its solutions back to `instance`'s object ids. The pass is built on
-    /// the first call of any view of the instance, under a `core` span;
-    /// its node reads are the instance's ([`Instance::core_node_accesses`]),
-    /// not the run's, so a run's counters do not depend on which run came
-    /// first. A budget that runs out during the pass ends the run there,
-    /// truncated and charged the pass's reads, and the pass is not kept.
-    /// An empty domain means no solution: the outcome is then empty and
-    /// complete. `limit = 0` asks for nothing, so it builds nothing.
-    pub(crate) fn on_core(
+    /// Runs `body` on a fresh driver of `instance` for `budget`, under a
+    /// `wr` span, and finishes the driver into the outcome's counters.
+    pub(crate) fn framed(
         instance: &Instance,
         budget: &SearchBudget,
-        limit: usize,
         obs: &ObsHandle,
-        phase: &'static str,
-        kernel: impl FnOnce(&Instance, &mut BudgetClock, &mut RunStats) -> (Vec<Solution>, bool),
-    ) -> ExactJoinOutcome {
-        ExactJoinOutcome::framed(budget, obs, phase, |clock, stats| {
-            if limit == 0 {
-                return kernel(instance, clock, stats);
-            }
-            let pass = clock.obs().timer.span("core");
-            let mut reads = 0;
-            let Some(domains) = instance.domains(clock, &mut reads) else {
-                stats.node_accesses += reads;
-                return (Vec::new(), false);
-            };
-            drop(pass);
-            if domains.is_empty() {
-                return (Vec::new(), true);
-            }
-            if !domains.pruned() {
-                return kernel(instance, clock, stats);
-            }
-            let (mut solutions, complete) = kernel(&instance.core(domains), clock, stats);
-            solutions.iter_mut().for_each(|s| domains.to_original(s));
-            (solutions, complete)
-        })
-    }
-
-    /// Runs `body` under a fresh clock for `budget` and a `phase` span,
-    /// and finishes the clock into the outcome's counters.
-    pub(crate) fn framed(
-        budget: &SearchBudget,
-        obs: &ObsHandle,
-        phase: &'static str,
-        body: impl FnOnce(&mut BudgetClock, &mut RunStats) -> (Vec<Solution>, bool),
+        body: impl FnOnce(&mut SearchDriver) -> (Vec<Solution>, bool),
     ) -> ExactJoinOutcome {
         let ctx = SearchContext::local(*budget).with_obs(obs.clone());
-        let mut clock = BudgetClock::from_context(&ctx);
-        let _phase = clock.obs().timer.span(phase);
-        let mut stats = RunStats::default();
-        let (solutions, complete) = body(&mut clock, &mut stats);
-        clock.finish(&mut stats);
+        let mut driver = SearchDriver::new(instance, &ctx);
+        let _phase = obs.timer.span("wr");
+        let (solutions, complete) = body(&mut driver);
         ExactJoinOutcome {
             solutions,
-            stats,
+            stats: driver.finish_exact(),
             complete,
         }
     }
@@ -148,6 +105,17 @@ impl WindowReduction {
 
     /// Like [`WindowReduction::run`], additionally reporting counters and
     /// phase timings ("wr") through `obs`.
+    ///
+    /// WR runs on `instance`'s arc-consistent core ([`Instance::core_sizes`]),
+    /// and its solutions are mapped back to `instance`'s object ids. The
+    /// pass is built on the first call of any view of the instance, under
+    /// a `core` span; its node reads are the instance's
+    /// ([`Instance::core_node_accesses`]), not the run's, so a run's
+    /// counters do not depend on which run came first. A budget that runs
+    /// out during the pass ends the run there, truncated and charged the
+    /// pass's reads, and the pass is not kept. An empty domain means no
+    /// solution: the outcome is then empty and complete. `limit = 0` asks
+    /// for nothing, so it builds nothing.
     pub fn run_with_obs(
         &self,
         instance: &Instance,
@@ -155,170 +123,100 @@ impl WindowReduction {
         limit: usize,
         obs: &ObsHandle,
     ) -> ExactJoinOutcome {
-        ExactJoinOutcome::on_core(instance, budget, limit, obs, "wr", |core, clock, stats| {
-            enumerate(core, limit, clock, stats)
+        ExactJoinOutcome::framed(instance, budget, obs, |driver| {
+            if limit == 0 {
+                return (Vec::new(), false);
+            }
+            let pass = obs.timer.span("core");
+            let mut reads = 0;
+            let Some(domains) = instance.domains(driver.clock(), &mut reads) else {
+                driver.stats_mut().node_accesses += reads;
+                return (Vec::new(), false);
+            };
+            drop(pass);
+            if domains.is_empty() {
+                return (Vec::new(), true);
+            }
+            if !domains.pruned() {
+                return enumerate(descend, instance, limit, driver);
+            }
+            let core = instance.core(domains);
+            let (mut solutions, complete) = enumerate(descend, &core, limit, driver);
+            solutions.iter_mut().for_each(|s| domains.to_original(s));
+            (solutions, complete)
         })
     }
 }
 
-/// WR itself, on the instance it is given: up to `limit` solutions, and
-/// whether the enumeration completed.
+/// WR itself, on the instance it is given: up to `limit` (≥ 1)
+/// solutions, and whether the enumeration completed. `walk` takes every
+/// depth after the opening: [`descend`], or a test's reference.
 pub(crate) fn enumerate(
+    walk: Descend,
     instance: &Instance,
     limit: usize,
-    clock: &mut BudgetClock,
-    stats: &mut RunStats,
+    driver: &mut SearchDriver,
 ) -> (Vec<Solution>, bool) {
-    let graph = instance.graph();
-    let order = connectivity_order(graph);
-    let mut position = vec![0usize; order.len()];
-    for (k, &v) in order.iter().enumerate() {
-        position[v] = k;
-    }
-    let mut state = WrState {
-        instance,
-        order,
-        position,
-        clock,
-        stats,
-        solutions: Vec::new(),
-        limit,
-        truncated: false,
-    };
+    debug_assert!(limit > 0, "the walk pushes before it checks the limit");
+    let solutions = Vec::new();
+    let mut state = SearchState::new(instance, driver, Goal::Exact { solutions, limit });
     let mut assignment = vec![usize::MAX; instance.n_vars()];
     let mut rects = vec![Rect::EMPTY; instance.n_vars()];
-    // `limit = 0` asks for nothing: `descend` would push the first
-    // solution before looking at the limit.
-    if limit > 0 {
-        let pair = match state.order[..] {
-            [v0, v1, ..] => graph.predicate_between(v0, v1).map(|pred| (v0, v1, pred)),
-            _ => None,
-        };
-        match pair.filter(|&(_, _, pred)| implies_intersection(pred)) {
-            Some((v0, v1, pred)) => {
-                open_with_pair(&mut state, v0, v1, pred, &mut assignment, &mut rects)
-            }
-            None => _ = descend(&mut state, 0, &mut assignment, &mut rects),
-        }
-    }
-    let complete = !state.truncated && state.solutions.len() < limit;
-    (state.solutions, complete)
-}
-
-/// The opening move when the first two variables share an edge whose
-/// predicate implies intersection: the pairs of the synchronous
-/// [`PairwiseJoin`] of their trees (\[BKS93\], PJM's first step \[MP99\]),
-/// filtered by the oriented predicate, each taking one step and descending
-/// from depth 2. The join stops at the first pair whose descent ends the
-/// enumeration; no pair list is built. Every instance has its trees, so
-/// this holds on either backend.
-fn open_with_pair(
-    state: &mut WrState<'_>,
-    v0: VarId,
-    v1: VarId,
-    pred: Predicate,
-    assignment: &mut [usize],
-    rects: &mut [Rect],
-) {
-    let instance = state.instance;
-    let (reads, _) = PairwiseJoin::visit(instance.tree(v0), instance.tree(v1), |a, b| {
-        let (ra, rb) = (instance.rect(v0, a as usize), instance.rect(v1, b as usize));
-        if !pred.eval(&ra, &rb) {
-            return ControlFlow::Continue(());
-        }
-        if state.clock.exhausted() {
+    let pair = match state.order[..] {
+        [v0, v1, ..] => (instance.graph().predicate_between(v0, v1)).map(|pred| (v0, v1, pred)),
+        _ => None,
+    };
+    // An opening: one step, its objects placed, and the walk on from the
+    // depth after them; `Break` ends the enumeration.
+    let mut open = |state: &mut SearchState<'_, '_>, placed: &[(VarId, u32, Rect)]| {
+        if state.driver.exhausted() {
             state.truncated = true;
             return ControlFlow::Break(());
         }
-        state.clock.step();
-        (assignment[v0], rects[v0]) = (a as usize, ra);
-        (assignment[v1], rects[v1]) = (b as usize, rb);
-        if descend(state, 2, assignment, rects) {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
+        state.driver.step();
+        for &(v, object, rect) in placed {
+            (assignment[v], rects[v]) = (object as usize, rect);
         }
-    });
-    state.stats.node_accesses += reads;
-}
-
-struct WrState<'a> {
-    instance: &'a Instance,
-    order: Vec<usize>,
-    position: Vec<usize>,
-    clock: &'a mut BudgetClock,
-    stats: &'a mut RunStats,
-    solutions: Vec<Solution>,
-    limit: usize,
-    truncated: bool,
-}
-
-/// Returns `true` when enumeration should stop (limit or budget hit).
-/// `rects[v]` is the MBR of `assignment[v]` for every instantiated `v`.
-fn descend(
-    state: &mut WrState<'_>,
-    depth: usize,
-    assignment: &mut [usize],
-    rects: &mut [Rect],
-) -> bool {
-    let instance = state.instance;
-    let graph = instance.graph();
-    if depth == graph.n_vars() {
-        state.solutions.push(Solution::new(assignment.to_vec()));
-        return state.solutions.len() >= state.limit;
-    }
-    let var = state.order[depth];
-    let windows: Vec<(Predicate, Rect)> = graph
-        .neighbors(var)
-        .iter()
-        .filter(|&&(u, _)| state.position[u] < depth)
-        .map(|&(u, pred)| (pred, rects[u]))
-        .collect();
-
-    if windows.is_empty() {
-        // First variable (or a variable with no instantiated neighbours —
-        // impossible on connected graphs past depth 0): full scan, in leaf
-        // order — the order the rectangles are stored in, and one in which
+        match walk(state, placed.len(), &mut assignment, &mut rects, 0) {
+            true => ControlFlow::Break(()),
+            false => ControlFlow::Continue(()),
+        }
+    };
+    match pair.filter(|&(_, _, pred)| implies_intersection(pred)) {
+        // The pairs of the synchronous [`PairwiseJoin`] of the first two
+        // variables' trees (\[BKS93\], PJM's first step \[MP99\]) that
+        // satisfy the oriented predicate. The join stops where the walk
+        // ends; no pair list is built. Every instance has its trees, so
+        // this holds on either backend.
+        Some((v0, v1, pred)) => {
+            let mut opened = None;
+            let (reads, _) = PairwiseJoin::visit(instance.tree(v0), instance.tree(v1), |a, b| {
+                let (ra, rb) = (instance.rect(v0, a as usize), instance.rect(v1, b as usize));
+                if !pred.eval(&ra, &rb) {
+                    return ControlFlow::Continue(());
+                }
+                // The join stands in for the loops of depths 0 and 1: depth
+                // 2's pool holds while the first variable's object does.
+                if opened.replace(a) != Some(a) {
+                    state.new_parent_loop(2);
+                }
+                open(&mut state, &[(v0, a, ra), (v1, b, rb)])
+            });
+            state.driver.stats_mut().node_accesses += reads;
+        }
+        // Otherwise the first variable's objects in leaf order, where
         // consecutive windows are spatial neighbours.
-        for (&obj, &rect) in instance.objects(var).iter().zip(instance.rects(var)) {
-            if state.clock.exhausted() {
-                state.truncated = true;
-                return true;
-            }
-            state.clock.step();
-            (assignment[var], rects[var]) = (obj as usize, rect);
-            if descend(state, depth + 1, assignment, rects) {
-                return true;
-            }
-        }
-    } else {
-        // Conjunctive window query: every condition must hold.
-        let required = windows.len() as u32;
-        let mut candidates = Vec::new();
-        index::candidates(
-            instance,
-            var,
-            &windows,
-            required,
-            &mut candidates,
-            &mut state.stats.node_accesses,
-            &mut [],
-        );
-        for (obj, _) in candidates {
-            let obj = obj as usize;
-            if state.clock.exhausted() {
-                state.truncated = true;
-                return true;
-            }
-            state.clock.step();
-            (assignment[var], rects[var]) = (obj, instance.rect(var, obj));
-            if descend(state, depth + 1, assignment, rects) {
-                return true;
-            }
+        None => {
+            let v0 = state.order[0];
+            let mut leaves = instance.objects(v0).iter().zip(instance.rects(v0));
+            _ = leaves.try_for_each(|(&object, &rect)| open(&mut state, &[(v0, object, rect)]));
         }
     }
-    assignment[var] = usize::MAX;
-    false
+    let Goal::Exact { solutions, .. } = state.goal else {
+        unreachable!("the walk keeps its goal")
+    };
+    let complete = !state.truncated && solutions.len() < limit;
+    (solutions, complete)
 }
 
 #[cfg(test)]
@@ -404,12 +302,8 @@ mod tests {
         assert!(!first.solutions.is_empty());
         assert_eq!(first.solutions, again.solutions);
         assert_eq!(first.stats.counters(), again.stats.counters());
-        let mut on_grid = WindowReduction::new().run(&grid, &budget, usize::MAX);
-        let mut wanted = again.solutions;
-        let by_objects = |a: &Solution, b: &Solution| a.as_slice().cmp(b.as_slice());
-        on_grid.solutions.sort_by(by_objects);
-        wanted.sort_by(by_objects);
-        assert_eq!(on_grid.solutions, wanted);
+        let on_grid = WindowReduction::new().run(&grid, &budget, usize::MAX);
+        assert_eq!(on_grid.solutions, again.solutions);
     }
 
     /// On data where every join keeps most objects the pass does not run:
@@ -430,10 +324,9 @@ mod tests {
         let reads = inst.core_node_accesses().unwrap();
         let search = public.stats.node_accesses;
         assert!(reads > 0 && reads < search / 4, "{reads} of {search}");
-        let kernel =
-            ExactJoinOutcome::framed(&budget, &ObsHandle::disabled(), "wr", |clock, stats| {
-                enumerate(&inst, usize::MAX, clock, stats)
-            });
+        let kernel = ExactJoinOutcome::framed(&inst, &budget, &ObsHandle::disabled(), |driver| {
+            enumerate(descend, &inst, usize::MAX, driver)
+        });
         assert!(public.complete && kernel.complete);
         assert_eq!(public.solutions, kernel.solutions);
         assert_eq!(public.stats.counters(), kernel.stats.counters());

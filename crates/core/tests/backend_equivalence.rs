@@ -134,11 +134,11 @@ proptest! {
         }
     }
 
-    /// WR returns one solution *set* on both backends, of the size the
-    /// independent backtracking counter finds, whichever of the six
+    /// WR returns one solution *sequence* on both backends, of the size
+    /// the independent backtracking counter finds, whichever of the six
     /// predicates its first edge carries — the opening pairwise join and the
-    /// scan of the first variable alike. (A count above the limit is
-    /// compared up to the limit.)
+    /// scan of the first variable alike — and a smaller limit keeps a
+    /// prefix of it. (A count above the limit is compared up to the limit.)
     #[test]
     fn exact_join_is_backend_invariant(
         (inst, _) in arb_backend_instance(),
