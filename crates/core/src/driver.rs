@@ -109,23 +109,28 @@ pub(crate) struct SearchDriver {
 }
 
 impl SearchDriver {
-    /// Starts the clock for one run of `instance` under `ctx`.
+    /// Starts the clock for one run of `instance` under `ctx`, with no
+    /// per-level profile rows (see [`SearchDriver::with_access_profile`]).
     pub(crate) fn new(instance: &Instance, ctx: &SearchContext) -> Self {
         let clock = BudgetClock::from_context(ctx);
         let watch = WatchState::new(ctx.telemetry(), instance, ctx.obs());
-        let stats = RunStats {
-            access_profile: (0..instance.n_vars())
-                .map(|v| vec![0; instance.tree(v).height() as usize])
-                .collect(),
-            ..RunStats::default()
-        };
         SearchDriver {
             clock,
-            stats,
+            stats: RunStats::default(),
             incumbent: None,
             edges: instance.graph().edge_count(),
             watch,
         }
+    }
+
+    /// Sizes the per-level profile: one row per variable, one slot per
+    /// tree level. Only the runs that report the rows (the anytime drives
+    /// and IBB) pay for them; an exact join's tallies go to empty rows.
+    pub(crate) fn with_access_profile(mut self, instance: &Instance) -> Self {
+        self.stats.access_profile = (0..instance.n_vars())
+            .map(|v| vec![0; instance.tree(v).height() as usize])
+            .collect();
+        self
     }
 
     /// Records one budget step (see [`BudgetClock::step`]).
@@ -303,13 +308,16 @@ impl SearchDriver {
 
     /// Split borrow of the node-access counter and the per-level
     /// attribution row of `var`, in the shape the leveled traversal
-    /// kernels increment. The two live in disjoint `RunStats` fields, so
-    /// both can be handed out mutably at once.
+    /// kernels increment (an empty row when the profile is not sized;
+    /// the kernels skip a level the row has no slot for). The two live in
+    /// disjoint `RunStats` fields, so both can be handed out mutably at
+    /// once.
     #[inline]
     pub(crate) fn tally(&mut self, var: mwsj_query::VarId) -> (&mut u64, &mut [u64]) {
+        let row = self.stats.access_profile.get_mut(var);
         (
             &mut self.stats.node_accesses,
-            &mut self.stats.access_profile[var],
+            row.map_or(&mut [], Vec::as_mut_slice),
         )
     }
 
@@ -350,7 +358,6 @@ impl SearchDriver {
                     || self.clock.elapsed(),
                     self.clock.steps(),
                 ) {
-                    self.stats.improvements += 1;
                     crate::observe::emit_improvement(&self.clock, violations, self.edges);
                     true
                 } else {
@@ -460,10 +467,9 @@ impl SearchDriver {
         )
     }
 
-    /// Finishes an exact join: its counters, without the per-level
+    /// Finishes an exact join: its counters. Its driver has no per-level
     /// profile, which the opening join's reads have no place in.
     pub(crate) fn finish_exact(mut self) -> RunStats {
-        self.stats.access_profile = Vec::new();
         self.clock.finish(&mut self.stats);
         self.stats
     }
@@ -524,7 +530,7 @@ pub(crate) fn run_driven<T: DriveSearch + ?Sized>(
         let _support = ctx.obs().timer.span("support");
         instance.support();
     }
-    let mut driver = SearchDriver::new(instance, ctx);
+    let mut driver = SearchDriver::new(instance, ctx).with_access_profile(instance);
     algo.drive(instance, &mut driver, rng);
     driver.finish(instance, rng)
 }

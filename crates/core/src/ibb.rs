@@ -209,7 +209,7 @@ impl Ibb {
     /// phase timings ("ibb") and improvement / stop-reason events through
     /// its handle.
     pub fn search(&self, instance: &Instance, ctx: &SearchContext) -> RunOutcome {
-        let mut driver = SearchDriver::new(instance, ctx);
+        let mut driver = SearchDriver::new(instance, ctx).with_access_profile(instance);
         let _phase = ctx.obs().timer.span("ibb");
         if let Some(sol) = &self.config.initial {
             driver.seed_incumbent(sol, instance.violations(sol));

@@ -20,27 +20,16 @@ use mwsj_query::{ConflictState, Solution};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-/// Local search with **random** re-instantiation (no index).
-#[derive(Debug, Clone)]
-pub struct NaiveLocalSearch {
-    /// Random values sampled per re-instantiation attempt; the best of the
-    /// sample replaces the variable if it improves the solution.
-    pub samples: usize,
-}
+/// Random values [`NaiveLocalSearch`] samples per re-instantiation
+/// attempt; the best of the sample replaces the variable if it improves
+/// the solution.
+const SAMPLES: usize = 8;
 
-impl Default for NaiveLocalSearch {
-    fn default() -> Self {
-        NaiveLocalSearch { samples: 8 }
-    }
-}
+/// Local search with **random** re-instantiation (no index).
+#[derive(Debug, Clone, Default)]
+pub struct NaiveLocalSearch {}
 
 impl NaiveLocalSearch {
-    /// Creates the baseline with a per-move sample size.
-    pub fn new(samples: usize) -> Self {
-        assert!(samples >= 1);
-        NaiveLocalSearch { samples }
-    }
-
     /// Runs the baseline. One budget step = one re-instantiation attempt.
     pub fn run(&self, instance: &Instance, budget: &SearchBudget, rng: &mut StdRng) -> RunOutcome {
         self.search(instance, &SearchContext::local(*budget), rng)
@@ -85,7 +74,7 @@ impl DriveSearch for NaiveLocalSearch {
                     // satisfied conditions towards v's neighbours.
                     let current = cs.satisfied_of(graph, v);
                     let mut best: Option<(u32, usize)> = None;
-                    for _ in 0..self.samples {
+                    for _ in 0..SAMPLES {
                         let obj = rng.random_range(0..instance.cardinality(v));
                         let r = instance.rect(v, obj);
                         let sat = graph

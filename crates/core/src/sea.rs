@@ -606,7 +606,7 @@ mod tests {
     ) -> RunOutcome {
         let ctx = SearchContext::local(SearchBudget::iterations(generations));
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut driver = SearchDriver::new(inst, &ctx);
+        let mut driver = SearchDriver::new(inst, &ctx).with_access_profile(inst);
         sea.evolve(inst, &mut driver, &mut rng, cache, after_generation);
         driver.finish(inst, &mut rng)
     }

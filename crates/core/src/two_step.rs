@@ -14,7 +14,7 @@ use crate::ils::Ils;
 use crate::instance::Instance;
 use crate::result::{RunOutcome, RunStats};
 use crate::sea::{Sea, SeaConfig};
-use crate::{GilsConfig, IlsConfig};
+use crate::IlsConfig;
 use rand::rngs::StdRng;
 
 /// Which heuristic runs in step one.
@@ -22,8 +22,6 @@ use rand::rngs::StdRng;
 pub enum TwoStepConfig {
     /// ILS for the given budget (the paper uses 1 second).
     Ils(IlsConfig, SearchBudget),
-    /// GILS for the given budget.
-    Gils(GilsConfig, SearchBudget),
     /// SEA for the given budget (the paper uses `10·n` seconds).
     Sea(SeaConfig, SearchBudget),
 }
@@ -108,9 +106,6 @@ impl TwoStep {
             match &self.config {
                 TwoStepConfig::Ils(cfg, budget) => {
                     Ils::new(cfg.clone()).search(instance, &ctx.stage(*budget), rng)
-                }
-                TwoStepConfig::Gils(cfg, budget) => {
-                    crate::Gils::new(cfg.clone()).search(instance, &ctx.stage(*budget), rng)
                 }
                 TwoStepConfig::Sea(cfg, budget) => {
                     Sea::new(cfg.clone()).search(instance, &ctx.stage(*budget), rng)
@@ -199,11 +194,11 @@ mod tests {
     }
 
     #[test]
-    fn gils_variant_runs_and_is_sound() {
+    fn the_best_is_sound_and_no_worse_than_the_heuristic() {
         let inst = planted_instance(156, 4, 100);
         let mut rng = StdRng::seed_from_u64(157);
-        let two_step = TwoStep::new(TwoStepConfig::Gils(
-            crate::GilsConfig::default(),
+        let two_step = TwoStep::new(TwoStepConfig::Ils(
+            IlsConfig::default(),
             SearchBudget::iterations(300),
         ));
         let outcome = two_step.run(&inst, &SearchBudget::seconds(30.0), &mut rng);

@@ -20,8 +20,8 @@
 //!   start/end, incumbent improvements, restart lifecycle, budget
 //!   exhaustion, stalls) serialised as JSON Lines. Each kind is
 //!   declared once ([`record`]); the writer, the validating reader
-//!   [`RunEvent::parse_line`] (behind `mwsj report` and `mwsj watch`), the
-//!   snapshot comparator and the `DESIGN.md` schema table derive from it.
+//!   [`RunEvent::parse_line`] (behind `mwsj report` and `mwsj watch`) and
+//!   the `DESIGN.md` schema table derive from it.
 //!
 //! [`ObsHandle`] bundles the three for threading through search contexts.
 //!
@@ -30,9 +30,9 @@
 //! paper's similarity-vs-steps convergence curves (with quality-AUC and
 //! steps-to-τ summaries), [`BenchSnapshot`] is the schema-validated,
 //! clock-free `BENCH_<label>.json` format produced by `mwsj bench
-//! snapshot`, [`compare`](mod@compare) is the exact-or-fail regression
-//! gate behind `mwsj bench compare`, and [`profile::to_folded`] exports
-//! phase timers as flamegraph-ready folded stacks.
+//! snapshot`, [`compare`](mod@compare) is the regression gate behind
+//! `mwsj bench compare` (a diff of two snapshot documents), and
+//! [`profile::to_folded`] exports phase timers as folded stacks.
 //!
 //! **Determinism contract.** Metric *values* flushed by the search layer
 //! are pure counters of algorithmic work (steps, node accesses, …) and are
@@ -57,13 +57,13 @@ pub mod schema;
 pub mod snapshot;
 pub mod timer;
 
-pub use compare::{compare, CompareReport, Verdict};
+pub use compare::{compare, CompareReport};
 pub use curve::{AnytimeCurve, TracePoint};
 pub use events::{EventSink, JsonlSink, RunEvent, VecSink};
 pub use explain::{EdgeExplain, ExplainReport, GridQuality, TreeQuality, VarExplain};
 pub use handle::ObsHandle;
 pub use json::{Json, JsonWriter};
-pub use profile::{folded_root_totals, parse_folded, to_folded};
+pub use profile::to_folded;
 pub use record::{Field, FieldDoc, FieldError, Record};
 pub use registry::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use resource::{MemoryFootprint, ResourceReport};

@@ -15,8 +15,8 @@
 //! difference is non-negative up to clock granularity; it is clamped at
 //! zero). Values are **nanoseconds**, so the per-root-phase sums are
 //! exact: for every root phase, the folded self values of its subtree sum
-//! back to the root's recorded inclusive total. [`parse_folded`] is the
-//! inverse used by tests and the snapshot round-trip check.
+//! back to the root's recorded inclusive total. `mwsj solve --profile-out`
+//! writes this text; nothing in the workspace reads it back.
 
 use crate::timer::PhaseSnapshot;
 use std::collections::BTreeMap;
@@ -58,47 +58,18 @@ fn is_direct_child(parent: &str, child: &str) -> bool {
         .is_some_and(|name| !name.contains(PATH_SEP))
 }
 
-/// Parses folded-stack lines back into `(phase path, self nanoseconds)`
-/// pairs (the `;` separators are restored to the timer's `" > "` form).
-/// Empty lines are ignored; a line without a trailing integer value is an
-/// error.
-pub fn parse_folded(text: &str) -> Result<Vec<(String, u64)>, String> {
-    let mut stacks = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (stack, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {}: missing folded-stack value", i + 1))?;
-        let value: u64 = value
-            .parse()
-            .map_err(|_| format!("line {}: '{value}' is not a sample value", i + 1))?;
-        if stack.is_empty() {
-            return Err(format!("line {}: empty stack", i + 1));
-        }
-        stacks.push((stack.replace(';', PATH_SEP), value));
-    }
-    Ok(stacks)
-}
-
-/// Sums parsed folded stacks per **root phase** (first stack frame). For
-/// output of [`to_folded`] this reconstructs each root's inclusive
-/// wall-clock total in nanoseconds.
-pub fn folded_root_totals(stacks: &[(String, u64)]) -> BTreeMap<String, u64> {
-    let mut totals = BTreeMap::new();
-    for (path, value) in stacks {
-        let root = path.split(PATH_SEP).next().unwrap_or(path).to_string();
-        *totals.entry(root).or_insert(0) += value;
-    }
-    totals
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::timer::PhaseTimer;
     use std::time::Duration;
+
+    /// The folded values of `root`'s stacks, summed.
+    fn root_total(folded: &str, root: &str) -> u64 {
+        let of_root = |line: &&str| line.split([';', ' ']).next() == Some(root);
+        let value = |line: &str| line.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap();
+        folded.lines().filter(of_root).map(value).sum()
+    }
 
     fn snap(path: &str, millis: u64) -> PhaseSnapshot {
         PhaseSnapshot {
@@ -138,7 +109,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_and_sums_to_root_totals() {
+    fn folded_values_sum_to_root_totals() {
         let phases = vec![
             snap("solve", 100),
             snap("solve > restart[0]", 30),
@@ -146,17 +117,13 @@ mod tests {
             snap("solve > restart[1]", 60),
             snap("join", 7),
         ];
-        let stacks = parse_folded(&to_folded(&phases)).unwrap();
-        let totals = folded_root_totals(&stacks);
-        assert_eq!(
-            totals["solve"],
-            Duration::from_millis(100).as_nanos() as u64
-        );
-        assert_eq!(totals["join"], Duration::from_millis(7).as_nanos() as u64);
+        let folded = to_folded(&phases);
+        assert_eq!(root_total(&folded, "solve"), 100_000_000);
+        assert_eq!(root_total(&folded, "join"), 7_000_000);
     }
 
     #[test]
-    fn real_timer_snapshot_round_trips_exactly() {
+    fn real_timer_snapshot_sums_exactly() {
         let timer = PhaseTimer::new();
         {
             let _solve = timer.span("solve");
@@ -173,20 +140,7 @@ mod tests {
             .unwrap()
             .wall
             .as_nanos() as u64;
-        let stacks = parse_folded(&to_folded(&phases)).unwrap();
-        assert_eq!(folded_root_totals(&stacks)["solve"], root_inclusive);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(parse_folded("solve").is_err());
-        assert!(parse_folded("solve x").is_err());
-        assert!(parse_folded(" 12").is_err());
-        assert_eq!(parse_folded("\n\n").unwrap(), vec![]);
-        assert_eq!(
-            parse_folded("a;b 5\n").unwrap(),
-            vec![("a > b".to_string(), 5)]
-        );
+        assert_eq!(root_total(&to_folded(&phases), "solve"), root_inclusive);
     }
 
     #[test]

@@ -4,27 +4,23 @@
 //! it is, each field optionally followed by its JSON key (`as "key"`,
 //! default: the field name) and one flag:
 //!
-//! | flag | JSON | `diff` |
-//! |---|---|---|
-//! | *(none)* | required member | compared |
-//! | `[measured]` | required, non-negative wall-clock measurement | skipped |
-//! | `[opt]` | `Option` field, member absent when `None` | compared |
-//! | `[default]` | always written, `Default` when absent (older files) | compared |
-//! | `[flat]` | a nested record's members inlined into this object | compared |
+//! | flag | JSON |
+//! |---|---|
+//! | *(none)* | required member |
+//! | `[measured]` | required, non-negative wall-clock measurement |
+//! | `[opt]` | `Option` field, member absent when `None` |
+//! | `[flat]` | a nested record's members inlined into this object |
 //!
 //! From that the macros derive the type itself, the writer, the typed
 //! reader (which *is* the schema validator: unknown extra members are
-//! allowed, everything declared is checked all the way down), the
-//! exact-or-fail [`Field::diff`] and the rows of
-//! [`crate::schema::markdown_table`]. The JSON shape of a field follows
-//! from its Rust type through [`Field`].
+//! allowed, everything declared is checked all the way down) and the
+//! rows of [`crate::schema::markdown_table`] — no comparison: `bench
+//! compare` diffs the written documents ([`mod@crate::compare`]). The JSON
+//! shape of a field follows from its Rust type through [`Field`].
 
 use crate::json::{Json, JsonWriter};
 use std::fmt;
 use std::time::Duration;
-
-/// Absolute tolerance of [`Field::diff`] on floats (round-off only).
-const FLOAT_EPS: f64 = 1e-9;
 
 /// A value that failed to read: where, and what was expected there.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,9 +78,9 @@ pub(crate) fn join(head: &str, tail: &str) -> String {
     }
 }
 
-/// The JSON form of one field type: shape name, writer, validating
-/// reader and exact-or-fail comparison.
-pub trait Field: Sized + fmt::Debug {
+/// The JSON form of one field type: shape name, writer and validating
+/// reader.
+pub trait Field: Sized {
     /// Shape name for the schema table (`u64`, `[f64]`, `{str: u64}`, a
     /// record name).
     fn kind() -> String;
@@ -92,9 +88,6 @@ pub trait Field: Sized + fmt::Debug {
     fn write(&self, w: &mut JsonWriter);
     /// Reads and validates the value.
     fn read(value: &Json) -> Result<Self, FieldError>;
-    /// Appends one `path base -> candidate` message per difference:
-    /// integers, strings and shapes exactly, floats to round-off.
-    fn diff(&self, cand: &Self, path: &str, out: &mut Vec<String>);
     /// `false` for a negative measurement (checked on `[measured]` fields).
     fn non_negative(&self) -> bool {
         true
@@ -109,8 +102,6 @@ pub trait Record: Field {
     /// Reads and validates the record out of a JSON object (for a
     /// `[flat]` member: out of the object it is inlined into).
     fn from_json(object: &Json) -> Result<Self, FieldError>;
-    /// Compares member by member, skipping `[measured]` ones.
-    fn diff_fields(&self, cand: &Self, path: &str, out: &mut Vec<String>);
     /// Appends one [`FieldDoc`] per member.
     fn schema(out: &mut Vec<FieldDoc>);
 
@@ -119,13 +110,6 @@ pub trait Record: Field {
         let mut w = JsonWriter::compact();
         self.write(&mut w);
         w.finish()
-    }
-
-    /// Every deterministic difference to `cand` (empty = identical).
-    fn drift(&self, cand: &Self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.diff_fields(cand, "", &mut out);
-        out
     }
 }
 
@@ -136,7 +120,7 @@ pub struct FieldDoc {
     pub key: &'static str,
     /// [`Field::kind`] of the member.
     pub kind: String,
-    /// The declaration's flag (`""`, `"measured"`, `"opt"`, `"default"`).
+    /// The declaration's flag (`""`, `"measured"`, `"opt"`).
     pub flag: &'static str,
 }
 
@@ -151,7 +135,7 @@ pub(crate) fn render_fields(fields: &[FieldDoc]) -> String {
         };
         format!("`{}` {kind}{dagger}", f.key)
     };
-    let optional = |f: &&FieldDoc| matches!(f.flag, "opt" | "default");
+    let optional = |f: &&FieldDoc| f.flag == "opt";
     let required: Vec<_> = fields.iter().filter(|f| !optional(f)).map(item).collect();
     let optionals: Vec<_> = fields.iter().filter(optional).map(item).collect();
     match optionals.is_empty() {
@@ -188,12 +172,6 @@ pub(crate) fn measured<T: Field>(object: &Json, key: &str) -> Result<T, FieldErr
     }
 }
 
-fn diff_exact<T: PartialEq + fmt::Debug>(base: &T, cand: &T, path: &str, out: &mut Vec<String>) {
-    if base != cand {
-        out.push(format!("{path} {base:?} -> {cand:?}"));
-    }
-}
-
 macro_rules! scalar_field {
     ($ty:ty, $kind:literal, $expected:literal, $write:ident, $read:expr) => {
         impl Field for $ty {
@@ -205,9 +183,6 @@ macro_rules! scalar_field {
             }
             fn read(value: &Json) -> Result<Self, FieldError> {
                 ($read)(value).ok_or(FieldError::expected($expected))
-            }
-            fn diff(&self, cand: &Self, path: &str, out: &mut Vec<String>) {
-                diff_exact(self, cand, path, out);
             }
         }
     };
@@ -226,9 +201,6 @@ impl Field for String {
     fn read(value: &Json) -> Result<Self, FieldError> {
         let text = value.as_str().ok_or(FieldError::expected("string"))?;
         Ok(text.to_string())
-    }
-    fn diff(&self, cand: &Self, path: &str, out: &mut Vec<String>) {
-        diff_exact(self, cand, path, out);
     }
 }
 
@@ -250,11 +222,6 @@ impl Field for f64 {
                 .ok_or(FieldError::expected("finite number")),
         }
     }
-    fn diff(&self, cand: &Self, path: &str, out: &mut Vec<String>) {
-        if (self - cand).abs() > FLOAT_EPS {
-            out.push(format!("{path} {self} -> {cand}"));
-        }
-    }
     fn non_negative(&self) -> bool {
         self.is_nan() || *self >= 0.0
     }
@@ -271,9 +238,6 @@ impl Field for Duration {
     fn read(value: &Json) -> Result<Self, FieldError> {
         Duration::try_from_secs_f64(f64::read(value)?)
             .map_err(|_| FieldError::expected("non-negative number of seconds"))
-    }
-    fn diff(&self, cand: &Self, path: &str, out: &mut Vec<String>) {
-        self.as_secs_f64().diff(&cand.as_secs_f64(), path, out);
     }
 }
 
@@ -294,19 +258,12 @@ impl<T: Field> Field for Option<T> {
             value => T::read(value).map(Some),
         }
     }
-    fn diff(&self, cand: &Self, path: &str, out: &mut Vec<String>) {
-        match (self, cand) {
-            (Some(base), Some(cand)) => base.diff(cand, path, out),
-            (None, None) => {}
-            _ => out.push(format!("{path} {self:?} -> {cand:?}")),
-        }
-    }
     fn non_negative(&self) -> bool {
         self.as_ref().is_none_or(T::non_negative)
     }
 }
 
-/// Lists are JSON arrays, compared position by position.
+/// Lists are JSON arrays.
 impl<T: Field> Field for Vec<T> {
     fn kind() -> String {
         format!("[{}]", T::kind())
@@ -324,22 +281,12 @@ impl<T: Field> Field for Vec<T> {
         let read = |(i, item)| T::read(item).map_err(|e: FieldError| e.at_index(i, item));
         items.iter().enumerate().map(read).collect()
     }
-    fn diff(&self, cand: &Self, path: &str, out: &mut Vec<String>) {
-        if self.len() != cand.len() {
-            out.push(format!("{path} length {} -> {}", self.len(), cand.len()));
-            return;
-        }
-        for (i, (base, cand)) in self.iter().zip(cand).enumerate() {
-            base.diff(cand, &format!("{path}[{i}]"), out);
-        }
-    }
     fn non_negative(&self) -> bool {
         self.iter().all(T::non_negative)
     }
 }
 
-/// Name-keyed tables are JSON objects, kept ascending by name and
-/// compared key by key (a key on one side only is a difference).
+/// Name-keyed tables are JSON objects, kept ascending by name.
 impl<T: Field> Field for Vec<(String, T)> {
     fn kind() -> String {
         format!("{{str: {}}}", T::kind())
@@ -361,20 +308,6 @@ impl<T: Field> Field for Vec<(String, T)> {
         let mut table = members.iter().map(read).collect::<Result<Vec<_>, _>>()?;
         table.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(table)
-    }
-    fn diff(&self, cand: &Self, path: &str, out: &mut Vec<String>) {
-        let find = |table: &'_ Self, key: &str| table.iter().position(|(k, _)| k == key);
-        for (key, base) in self {
-            match find(cand, key) {
-                Some(i) => base.diff(&cand[i].1, &join(path, key), out),
-                None => out.push(format!("{} {base:?} -> <absent>", join(path, key))),
-            }
-        }
-        for (key, value) in cand {
-            if find(self, key).is_none() {
-                out.push(format!("{} <absent> -> {value:?}", join(path, key)));
-            }
-        }
     }
     fn non_negative(&self) -> bool {
         self.iter().all(|(_, value)| value.non_negative())
@@ -402,9 +335,6 @@ impl Field for (u32, u64) {
             },
             _ => Err(FieldError::expected("[bucket, count] pair")),
         }
-    }
-    fn diff(&self, cand: &Self, path: &str, out: &mut Vec<String>) {
-        diff_exact(self, cand, path, out);
     }
 }
 
@@ -442,18 +372,8 @@ macro_rules! field_op {
     (read [opt] $object:ident, $key:expr) => {
         $crate::record::optional($object, $key)?
     };
-    (read [default] $object:ident, $key:expr) => {
-        $crate::record::optional($object, $key)?.unwrap_or_default()
-    };
     (read [flat] $object:ident, $key:expr) => {
         $crate::record::Record::from_json($object)?
-    };
-    (diff [measured] $base:expr, $cand:expr, $path:ident, $key:expr, $out:ident) => {};
-    (diff [flat] $base:expr, $cand:expr, $path:ident, $key:expr, $out:ident) => {
-        $crate::record::Record::diff_fields($base, $cand, $path, $out);
-    };
-    (diff [$($flag:ident)?] $base:expr, $cand:expr, $path:ident, $key:expr, $out:ident) => {
-        $crate::record::Field::diff($base, $cand, &$crate::record::join($path, $key), $out);
     };
     (schema [flat] $ty:ty, $key:expr, $out:ident) => {
         <$ty as $crate::record::Record>::schema($out);
@@ -492,10 +412,6 @@ macro_rules! record {
                     $( $field: $crate::record::field_op!(read [$($flag)?] object, $crate::record::field_key!($field $($key)?)) ),*
                 })
             }
-            fn diff_fields(&self, cand: &Self, path: &str, out: &mut Vec<String>) {
-                $( $crate::record::field_op!(diff [$($flag)?] &self.$field, &cand.$field, path,
-                             $crate::record::field_key!($field $($key)?), out); )*
-            }
             fn schema(out: &mut Vec<$crate::record::FieldDoc>) {
                 $( $crate::record::field_op!(schema [$($flag)?] $ty, $crate::record::field_key!($field $($key)?), out); )*
             }
@@ -512,9 +428,6 @@ macro_rules! record {
             }
             fn read(value: &$crate::json::Json) -> Result<Self, $crate::record::FieldError> {
                 $crate::record::Record::from_json(value)
-            }
-            fn diff(&self, cand: &Self, path: &str, out: &mut Vec<String>) {
-                $crate::record::Record::diff_fields(self, cand, path, out);
             }
         }
     };

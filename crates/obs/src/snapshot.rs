@@ -15,7 +15,8 @@
 //! `record!` (see [`crate::record`]); [`BenchSnapshot::parse`] — the
 //! derived reader plus the format/version/non-empty checks — is the
 //! schema (`mwsj report` runs it on any file that [`BenchSnapshot::sniff`]s
-//! as a snapshot), and `mwsj bench compare` consumes the parsed form.
+//! as a snapshot). `mwsj bench compare` reads both files with it, then
+//! diffs the documents they write back ([`mod@crate::compare`]).
 
 use crate::curve::AnytimeCurve;
 use crate::explain::ExplainReport;
@@ -67,20 +68,16 @@ record! {
         pub label: String,
         /// Per-instance records.
         pub instances: Vec<InstanceRecord> as "suite",
-        /// Deterministic per-instance memory tables (the `memory` section;
-        /// empty for snapshots written before it existed). Compared with
-        /// exact equality by `mwsj bench compare`.
-        pub memory: Vec<MemoryRecord> [default],
+        /// Deterministic per-instance memory tables (the `memory` section).
+        pub memory: Vec<MemoryRecord>,
         /// Deterministic per-record cache-efficiency counters (the `cache`
-        /// section; empty for snapshots written before it existed). Compared
-        /// with exact equality by `mwsj bench compare`.
-        pub cache: Vec<CacheRecord> [default],
+        /// section).
+        pub cache: Vec<CacheRecord>,
         /// Deterministic per-instance workload explain reports (the `explain`
-        /// section; empty for snapshots written before it existed): the
-        /// pre-run estimate side only — selectivities, hit rates, predicted
-        /// accesses, tree quality — a pure function of the pinned instance.
-        /// Compared with exact equality by `mwsj bench compare`.
-        pub explain: Vec<ExplainRecord> [default],
+        /// section): the pre-run estimate side only — selectivities, hit
+        /// rates, predicted accesses, tree quality — a pure function of the
+        /// pinned instance.
+        pub explain: Vec<ExplainRecord>,
     }
 }
 
@@ -129,9 +126,8 @@ record! {
         pub invalidations_reassign: u64,
         /// Misses caused by a penalty-version bump alone.
         pub invalidations_penalty: u64,
-        /// Questions the support bits' bound answered before the cache
-        /// (0 in snapshots written before the class existed).
-        pub skipped: u64 [default],
+        /// Questions the support bits' bound answered before the cache.
+        pub skipped: u64,
         /// Cache resident bytes at run end (summed across merged restarts).
         pub bytes: u64,
     }
@@ -162,8 +158,7 @@ record! {
     pub struct AlgoRecord {
         /// Algorithm name (`"ILS"`, `"GILS"`, `"SEA"`, `"two-step"`).
         pub algo: String,
-        /// Deterministic work counters, ascending by name. Compared with
-        /// exact equality by `mwsj bench compare`.
+        /// Deterministic work counters, ascending by name.
         pub counters: Vec<(String, u64)>,
         /// Best similarity reached (deterministic under a step budget).
         pub best_similarity: f64,
@@ -324,11 +319,6 @@ impl BenchSnapshot {
     pub fn algo_records(&self) -> usize {
         self.instances.iter().map(|i| i.algos.len()).sum()
     }
-
-    /// Looks up an instance by name.
-    pub fn instance(&self, name: &str) -> Option<&InstanceRecord> {
-        self.instances.iter().find(|i| i.name == name)
-    }
 }
 
 #[cfg(test)]
@@ -466,23 +456,25 @@ mod tests {
     }
 
     #[test]
-    fn missing_memory_cache_explain_sections_parse_as_empty() {
-        // Pre-section snapshots (no memory/cache/explain keys) stay readable.
+    fn a_snapshot_missing_a_section_is_refused_naming_it() {
         let mut snap = sample_snapshot("old");
         snap.memory.clear();
         snap.cache.clear();
         snap.explain.clear();
-        // `explain` is the last section, so it carries no trailing comma.
-        let text = snap.to_string_pretty().replace(
-            ",\n  \"memory\": [],\n  \"cache\": [],\n  \"explain\": []",
-            "",
-        );
-        assert!(
-            !text.contains("\"memory\"") && !text.contains("\"explain\""),
-            "{text}"
-        );
-        let parsed = BenchSnapshot::parse(&text).unwrap();
-        assert!(parsed.memory.is_empty() && parsed.cache.is_empty() && parsed.explain.is_empty());
+        let full = snap.to_string_pretty();
+        for (section, member) in [
+            ("memory", ",\n  \"memory\": []"),
+            ("cache", ",\n  \"cache\": []"),
+            ("explain", ",\n  \"explain\": []"),
+        ] {
+            let text = full.replace(member, "");
+            assert_ne!(text, full, "{section}");
+            let err = BenchSnapshot::parse(&text).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("snapshot schema violation: {section}: missing required field")
+            );
+        }
     }
 
     #[test]

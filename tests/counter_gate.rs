@@ -1,12 +1,14 @@
 //! Tier-1 run of the counter gate: the base tier of the pinned suite, run
 //! here, must compare clean against the committed `BENCH_baseline.json` —
-//! every work counter, `best_similarity`, `auc_steps`, `steps_to`, and the
-//! memory, cache and explain tables.
+//! every member of the document: workload seeds and shapes, every work
+//! counter, `best_similarity`, `auc_steps`, `steps_to`, and the memory,
+//! cache and explain tables.
 //!
 //! This is `mwsj bench snapshot` + `mwsj bench compare` without the
 //! binary. A snapshot has no clock in it, so the check is the same on any
-//! machine; it uses `compare`'s derived diff rather than byte equality
-//! because the explain estimates go through `libm`, which may round
+//! machine; `compare` diffs the two documents (integers exactly, other
+//! numbers within 1e-9, `null` only against `null`) rather than their
+//! bytes because the explain estimates go through `libm`, which may round
 //! differently elsewhere. After an intended trajectory change, re-baseline
 //! with `mwsj bench snapshot --label baseline --out BENCH_baseline.json`.
 
