@@ -254,6 +254,40 @@ fn report_names_the_field_a_schema_invalid_snapshot_lacks() {
     );
 }
 
+/// A `null` where a snapshot holds a float that is not a measurement —
+/// `best_similarity` — fails `report` and `bench compare`, and the error
+/// names the member; `report` used to render it as `similarity NaN`.
+#[test]
+fn a_null_best_similarity_fails_report_and_compare() {
+    let dir = temp_dir("report_null_float");
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+    let text = std::fs::read_to_string(baseline).unwrap();
+    let key = "\"best_similarity\": ";
+    let at = text.find(key).unwrap() + key.len();
+    let end = at + text[at..].find(',').unwrap();
+    let path = dir.join("null.json");
+    std::fs::write(&path, format!("{}null{}", &text[..at], &text[end..])).unwrap();
+    let member = "suite[0 \"chain-n4-hard\"].algos[0 \"ILS\"].best_similarity: \
+                  expected finite number";
+
+    let out = report(&path);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        err.contains(&format!("null.json: snapshot schema violation: {member}")),
+        "{err}"
+    );
+
+    let out = mwsj()
+        .args(["bench", "compare", baseline, path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains(member), "{err}");
+}
+
 /// `watch` given a bench snapshot says what the file is, the way `report`
 /// tells it apart, instead of the stream reader's complaint about its first
 /// line (`JSON error at byte 1: expected '"'`).

@@ -360,33 +360,36 @@ pub(crate) fn descend(
     // issued (the bound only falls), so the walk asked for count ≥ 1, and
     // the loop above ran to its end — it breaks only at violations that
     // reach the bound, and a zero-count object has no fewer — so every
-    // candidate was tried: the scan, in id order, skips them by walking
-    // them sorted by id.
+    // candidate was tried: the scan, in id order, steps over them. Sorted
+    // by id they cut the ids into gaps, and a gap's objects are scanned
+    // without a compare — past the last tried one, and everywhere when
+    // none was tried.
     let zero_violations = violations_so_far + assigned_neighbors as usize;
     if zero_violations < state.bound() {
-        state.frames[depth]
-            .candidates
-            .sort_unstable_by_key(|&(obj, _)| obj);
-        let mut skipped = 0;
-        for (obj, rect) in instance.scan(var) {
-            let tried = state.frames[depth].candidates.get(skipped);
-            if tried.is_some_and(|&(candidate, _)| candidate as usize == obj) {
-                skipped += 1;
-                continue;
+        let tried = &mut state.frames[depth].candidates;
+        tried.sort_unstable_by_key(|&(obj, _)| obj);
+        let gaps = tried.len() + 1;
+        let (mut objects, mut next) = (instance.scan(var), 0);
+        'scan: for gap in 0..gaps {
+            let candidate = state.frames[depth].candidates.get(gap);
+            let end = candidate.map_or(usize::MAX, |&(obj, _)| obj as usize);
+            for (obj, rect) in objects.by_ref().take(end - next) {
+                // Re-check: the incumbent may have improved mid-loop.
+                if zero_violations >= state.bound() {
+                    break 'scan;
+                }
+                if state.driver.exhausted() {
+                    state.truncated = true;
+                    return false;
+                }
+                state.driver.step();
+                (assignment[var], rects[var]) = (obj, rect);
+                if descend(state, depth + 1, assignment, rects, zero_violations) {
+                    return true;
+                }
             }
-            // Re-check: the incumbent may have improved mid-loop.
-            if zero_violations >= state.bound() {
-                break;
-            }
-            if state.driver.exhausted() {
-                state.truncated = true;
-                return false;
-            }
-            state.driver.step();
-            (assignment[var], rects[var]) = (obj, rect);
-            if descend(state, depth + 1, assignment, rects, zero_violations) {
-                return true;
-            }
+            objects.next(); // the tried candidate itself
+            next = end.saturating_add(1);
         }
     }
 

@@ -416,6 +416,28 @@ mod tests {
         }
     }
 
+    /// `null` reads as NaN in a measured member (or an estimate), never in
+    /// a similarity: the run_end line with a `null` wall time parses, the
+    /// one with a `null` similarity is refused by name.
+    #[test]
+    fn a_null_wall_time_reads_and_a_null_similarity_is_refused() {
+        let line = |similarity: &str, secs: &str| {
+            format!(
+                r#"{{"event":"run_end","best_violations":0,"best_similarity":{similarity},"steps":1,"node_accesses":1,"local_maxima":0,"improvements":0,"restarts":0,"elapsed_secs":{secs},"proven_optimal":false}}"#
+            )
+        };
+        match RunEvent::parse_line(&line("1", "null")) {
+            Ok(RunEvent::RunEnd { elapsed_secs, .. }) => assert!(elapsed_secs.is_nan()),
+            other => panic!("{other:?}"),
+        }
+        let err = RunEvent::parse_line(&line("null", "0.5")).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("best_similarity: expected finite number"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn metrics_event_embeds_snapshot_values() {
         let line = RunEvent::Metrics {

@@ -33,11 +33,11 @@ record! {
         /// Mean node occupancy per level.
         pub fill_per_level: Vec<f64>,
         /// Summed pairwise sibling overlap area / summed node area per level.
-        pub overlap_factor_per_level: Vec<f64>,
+        pub overlap_factor_per_level: Vec<f64> [estimate],
         /// Fraction of node area not covered by entries per level.
-        pub dead_space_per_level: Vec<f64>,
+        pub dead_space_per_level: Vec<f64> [estimate],
         /// Summed node margins (width + height) per level.
-        pub perimeter_per_level: Vec<f64>,
+        pub perimeter_per_level: Vec<f64> [estimate],
     }
 }
 
@@ -60,12 +60,12 @@ record! {
         /// Expected candidate cells touched by one *find best value* query on
         /// this variable, summed over the neighbour windows and clamped at
         /// `cells`.
-        pub predicted_cells_per_query: f64,
+        pub predicted_cells_per_query: f64 [estimate],
         /// Predicted entries one query's in-cell sweep tests: per neighbour
         /// window, its candidate cells times the occupancy a window placed on
         /// the data finds (`Σ len² / Σ len`) times the swept share of a cell,
         /// `(w + max_w) / cell_w`, at most 1.
-        pub predicted_cost_per_query: f64,
+        pub predicted_cost_per_query: f64 [estimate],
     }
 }
 
@@ -80,7 +80,7 @@ record! {
         /// Predicate name (e.g. `"intersects"`).
         pub predicate: String,
         /// Estimated pairwise selectivity `(|rₐ|+|r_b|)²` \[TSS98\].
-        pub estimated_selectivity: f64,
+        pub estimated_selectivity: f64 [estimate],
         /// Observed selectivity `pairs / (Nₐ·N_b)`; `None` when the pair count
         /// was skipped (dataset product over the counting threshold).
         pub observed_selectivity: Option<f64> [opt],
@@ -111,16 +111,16 @@ record! {
         /// Dataset cardinality `Nᵥ`.
         pub cardinality: u64,
         /// Average per-axis rectangle extent `|rᵥ|`.
-        pub avg_extent: f64,
+        pub avg_extent: f64 [estimate],
         /// Expected objects satisfying all neighbour windows at once,
         /// `Nᵥ · Π (|rᵤ|+|rᵥ|)²`.
-        pub expected_window_hits: f64,
+        pub expected_window_hits: f64 [estimate],
         /// Predicted R*-tree node accesses of one *find best value* query on
         /// this variable: the classic window-query cost model
         /// `Σ_levels (area + w·perimeter + w²·nodes)` summed over the
         /// neighbour windows (union bound, clamped per level at the level's
         /// node count).
-        pub predicted_accesses_per_query: f64,
+        pub predicted_accesses_per_query: f64 [estimate],
         /// Observed node accesses attributed to this variable's tree.
         pub observed_accesses: u64,
         /// Observed accesses per tree level, `[0]` = leaf.
@@ -147,7 +147,7 @@ record! {
         /// (`acyclic` / `clique` / `decomposed` / `independence`).
         pub model: String,
         /// Expected number of exact solutions of the query.
-        pub expected_solutions: f64,
+        pub expected_solutions: f64 [estimate],
         /// Per-edge records, in query-graph edge order.
         pub edges: Vec<EdgeExplain>,
         /// Per-variable records, in variable order.

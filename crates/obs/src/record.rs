@@ -7,7 +7,8 @@
 //! | flag | JSON |
 //! |---|---|
 //! | *(none)* | required member |
-//! | `[measured]` | required, non-negative wall-clock measurement |
+//! | `[measured]` | required, non-negative wall-clock measurement; a float may be `null` |
+//! | `[estimate]` | required model estimate from the data's geometry; a float may be `null` |
 //! | `[opt]` | `Option` field, member absent when `None` |
 //! | `[flat]` | a nested record's members inlined into this object |
 //!
@@ -88,6 +89,12 @@ pub trait Field: Sized {
     fn write(&self, w: &mut JsonWriter);
     /// Reads and validates the value.
     fn read(value: &Json) -> Result<Self, FieldError>;
+    /// Reads a `[measured]` or `[estimate]` member, whose value may not
+    /// be finite: [`Field::read`], except where the type writes such a
+    /// value as `null` (a float), which reads back as NaN.
+    fn read_non_finite(value: &Json) -> Result<Self, FieldError> {
+        Self::read(value)
+    }
     /// `false` for a negative measurement (checked on `[measured]` fields).
     fn non_negative(&self) -> bool {
         true
@@ -120,15 +127,20 @@ pub struct FieldDoc {
     pub key: &'static str,
     /// [`Field::kind`] of the member.
     pub kind: String,
-    /// The declaration's flag (`""`, `"measured"`, `"opt"`).
+    /// The declaration's flag (`""`, `"measured"`, `"estimate"`, `"opt"`).
     pub flag: &'static str,
 }
 
 /// Renders documented members as `` `key` kind`` items: required ones
-/// first, then the optional ones; `†` marks measured wall-clock members.
+/// first, then the optional ones; `†` marks measured wall-clock members,
+/// `‡` estimates.
 pub(crate) fn render_fields(fields: &[FieldDoc]) -> String {
     let item = |f: &FieldDoc| {
-        let dagger = if f.flag == "measured" { "†" } else { "" };
+        let dagger = match f.flag {
+            "measured" => "†",
+            "estimate" => "‡",
+            _ => "",
+        };
         let kind = match f.flag {
             "opt" => f.kind.trim_end_matches('?'),
             _ => f.kind.as_str(),
@@ -144,28 +156,47 @@ pub(crate) fn render_fields(fields: &[FieldDoc]) -> String {
     }
 }
 
-/// Looks a member up and reads it; `None` when absent.
-pub(crate) fn optional<T: Field>(object: &Json, key: &str) -> Result<Option<T>, FieldError> {
+/// Looks a member up and reads it with `read`; `None` when absent.
+fn member<T>(
+    object: &Json,
+    key: &str,
+    read: fn(&Json) -> Result<T, FieldError>,
+) -> Result<Option<T>, FieldError> {
     if object.as_object().is_none() {
         return Err(FieldError::expected("object"));
     }
     object
         .get(key)
-        .map(|v| T::read(v).map_err(|e| e.at(key)))
+        .map(|v| read(v).map_err(|e| e.at(key)))
         .transpose()
 }
 
-/// Looks a required member up and reads it.
-pub(crate) fn required<T: Field>(object: &Json, key: &str) -> Result<T, FieldError> {
-    optional(object, key)?.ok_or(FieldError {
+/// A required member's value, or the error that names it missing.
+fn present<T>(value: Option<T>, key: &str) -> Result<T, FieldError> {
+    value.ok_or(FieldError {
         path: key.to_string(),
         expected: None,
     })
 }
 
-/// [`required`], additionally rejecting negative measurements.
+/// Looks a member up and reads it; `None` when absent.
+pub(crate) fn optional<T: Field>(object: &Json, key: &str) -> Result<Option<T>, FieldError> {
+    member(object, key, T::read)
+}
+
+/// Looks a required member up and reads it.
+pub(crate) fn required<T: Field>(object: &Json, key: &str) -> Result<T, FieldError> {
+    present(optional(object, key)?, key)
+}
+
+/// [`required`] through [`Field::read_non_finite`].
+pub(crate) fn estimate<T: Field>(object: &Json, key: &str) -> Result<T, FieldError> {
+    present(member(object, key, T::read_non_finite)?, key)
+}
+
+/// [`estimate`], additionally rejecting negative measurements.
 pub(crate) fn measured<T: Field>(object: &Json, key: &str) -> Result<T, FieldError> {
-    let value: T = required(object, key)?;
+    let value: T = estimate(object, key)?;
     match value.non_negative() {
         true => Ok(value),
         false => Err(FieldError::expected("non-negative number").at(key)),
@@ -204,8 +235,11 @@ impl Field for String {
     }
 }
 
-/// Floats: the writer turns non-finite values into `null`, so `null`
-/// reads back as NaN; a literal that overflows `f64` is rejected.
+/// Floats: the writer turns a non-finite value into `null`. A measured
+/// member (a rate over no elapsed time) or an estimate (one that overflowed
+/// on huge coordinates) reads `null` back as NaN; every other float — a
+/// similarity, a gauge — refuses it, as it refuses a literal that
+/// overflows `f64`.
 impl Field for f64 {
     fn kind() -> String {
         "f64".to_string()
@@ -214,12 +248,15 @@ impl Field for f64 {
         w.f64(*self);
     }
     fn read(value: &Json) -> Result<Self, FieldError> {
+        value
+            .as_f64()
+            .filter(|v| v.is_finite())
+            .ok_or(FieldError::expected("finite number"))
+    }
+    fn read_non_finite(value: &Json) -> Result<Self, FieldError> {
         match value {
             Json::Null => Ok(f64::NAN),
-            _ => value
-                .as_f64()
-                .filter(|v| v.is_finite())
-                .ok_or(FieldError::expected("finite number")),
+            _ => Self::read(value),
         }
     }
     fn non_negative(&self) -> bool {
@@ -277,13 +314,24 @@ impl<T: Field> Field for Vec<T> {
         w.close(']');
     }
     fn read(value: &Json) -> Result<Self, FieldError> {
-        let items = value.as_array().ok_or(FieldError::expected("array"))?;
-        let read = |(i, item)| T::read(item).map_err(|e: FieldError| e.at_index(i, item));
-        items.iter().enumerate().map(read).collect()
+        read_items(value, T::read)
+    }
+    fn read_non_finite(value: &Json) -> Result<Self, FieldError> {
+        read_items(value, T::read_non_finite)
     }
     fn non_negative(&self) -> bool {
         self.iter().all(T::non_negative)
     }
+}
+
+/// A JSON array's items, each read with `read`.
+fn read_items<T>(
+    value: &Json,
+    read: fn(&Json) -> Result<T, FieldError>,
+) -> Result<Vec<T>, FieldError> {
+    let items = value.as_array().ok_or(FieldError::expected("array"))?;
+    let read = |(i, item)| read(item).map_err(|e: FieldError| e.at_index(i, item));
+    items.iter().enumerate().map(read).collect()
 }
 
 /// Name-keyed tables are JSON objects, kept ascending by name.
@@ -368,6 +416,9 @@ macro_rules! field_op {
     };
     (read [measured] $object:ident, $key:expr) => {
         $crate::record::measured($object, $key)?
+    };
+    (read [estimate] $object:ident, $key:expr) => {
+        $crate::record::estimate($object, $key)?
     };
     (read [opt] $object:ident, $key:expr) => {
         $crate::record::optional($object, $key)?

@@ -130,7 +130,9 @@ pub fn markdown_table() -> String {
         out += &format!("| `{name}` | {} |\n", render_fields(&fields));
     }
     out += "\n`†` measured wall-clock (non-negative; exempt from determinism; in \
-            run events only, a bench snapshot has none) · `?` may be `null` · `{str: T}` object \
+            run events only, a bench snapshot has none) · `‡` estimate from the data's geometry \
+            · a `†` or `‡` float is `null` when not finite, any other float refuses `null` \
+            · `?` may be `null` · `{str: T}` object \
             keyed by name · nested records are validated recursively · unknown \
             extra members are allowed\n";
     out

@@ -5,13 +5,16 @@
 //!
 //! The workspace bounding box is split into `nx × ny` uniform cells, and
 //! every MBR is referenced from each cell it overlaps. A cell is a run of
-//! *slots* in `lo_x` order; a slot is the entry's `lo_x` and its position
-//! in the one rectangle array the grid indexes — an R*-tree's STR-ordered
-//! leaf level ([`UniformGrid::over_leaves`]) or a copy of the grid's own
+//! *slots* in `lo_x` order; a slot is 8 bytes: a key, the largest `f32` at
+//! or below the entry's `lo_x`, and the entry's position in the one
+//! rectangle array the grid indexes — an R*-tree's STR-ordered leaf level
+//! ([`UniformGrid::over_leaves`]) or a copy of the grid's own
 //! ([`UniformGrid::build`]). Queries visit only candidate cells and
-//! **sweep** a cell: two binary searches per window over its `lo_x` keys,
-//! bounded by the cell's widest entry, find the slots whose x extent can
-//! reach the window, and only those read their rectangle. Replicated hits
+//! **sweep** a cell: two binary searches per window over its keys, bounded
+//! by the cell's widest entry (an `f32` rounded up against the keys), find
+//! the slots whose x extent can reach the window, and only those read
+//! their rectangle. A key rounded down and a bound rounded up can only let
+//! in a slot that the exact test then rejects. Replicated hits
 //! are deduplicated with a **reference-point rule**: every entry is
 //! *processed* in exactly one deterministic cell — the row-major smallest
 //! cell where the entry's cell span meets a query's candidate cell range —
@@ -90,13 +93,14 @@ pub struct UniformGrid<T> {
     /// Per-cell spans into the slot arrays: cell `c` owns
     /// `starts[c]..starts[c+1]`, ordered by `(lo_x, payload, position)`.
     starts: Vec<u32>,
-    /// Per slot, the entry's `lo_x` (the sweep's search key) …
-    lo_x: Vec<f64>,
+    /// Per slot, the sweep's search key: the largest `f32` at or below the
+    /// entry's `lo_x` ([`key_below`]), so the keys ascend with the slots …
+    key: Vec<f32>,
     /// … and its position in `rects` and `values`.
     pos: Vec<u32>,
-    /// Per-cell sweep bound: a width `w` with `lo_x + w ≥ hi_x` (as
-    /// computed in `f64`) for every entry of the cell.
-    max_w: Vec<f64>,
+    /// Per-cell sweep bound: an `f32` width `w` with `key + w ≥ hi_x` (as
+    /// computed in `f64`) for every slot of the cell ([`bound_above`]).
+    max_w: Vec<f32>,
     /// One bit per slot, 64 slots a word: set iff the entry's cell span
     /// holds more than one cell (the entry has replicas).
     straddles: Vec<u64>,
@@ -176,7 +180,7 @@ impl<T: Copy + Ord> UniformGrid<T> {
             rects,
             values,
             starts: Vec::new(),
-            lo_x: Vec::new(),
+            key: Vec::new(),
             pos: Vec::new(),
             max_w: vec![0.0; nx * ny],
             straddles: Vec::new(),
@@ -205,34 +209,39 @@ impl<T: Copy + Ord> UniformGrid<T> {
         // lies in a cell, so positions fit the `u32` the replicas do).
         let mut cursor: Vec<u32> = starts[..nx * ny].to_vec();
         let mut pos = vec![0u32; acc];
-        for (at, (r, s)) in grid.rects.iter().zip(&spans).enumerate() {
-            let mut w = r.max.x - r.min.x;
-            if r.min.x + w < r.max.x {
-                w = w.next_up(); // the subtraction rounded down
-            }
+        for (at, s) in spans.iter().enumerate() {
             for cy in s.y0..=s.y1 {
                 for cx in s.x0..=s.x1 {
                     let cell = cy * nx + cx;
                     pos[cursor[cell] as usize] = at as u32;
                     cursor[cell] += 1;
-                    grid.max_w[cell] = grid.max_w[cell].max(w);
                 }
             }
         }
 
         // Pass 3: order each cell by `(lo_x, payload, position)` — a total
         // order, so the array order the entries came in cannot show — and
-        // lay the slots out.
+        // lay the slots out: the keys, rounded down, ascend with the
+        // slots; the bound, rounded up, reaches every slot's `hi_x` from
+        // its key.
         let (rects, values) = (&grid.rects, &grid.values);
-        for cell in starts.windows(2) {
+        grid.key.reserve_exact(acc);
+        for (c, cell) in starts.windows(2).enumerate() {
             let run = &mut pos[cell[0] as usize..cell[1] as usize];
             run.sort_unstable_by(|&a, &b| {
                 let (a, b) = (a as usize, b as usize);
                 let by_x = rects[a].min.x.total_cmp(&rects[b].min.x);
                 by_x.then(values[a].cmp(&values[b])).then(a.cmp(&b))
             });
+            let mut widest = 0.0f64;
+            for &at in &*run {
+                let r = &rects[at as usize];
+                let key = key_below(r.min.x);
+                widest = widest.max(reach(f64::from(key), r.max.x));
+                grid.key.push(key);
+            }
+            grid.max_w[c] = bound_above(widest);
         }
-        grid.lo_x = pos.iter().map(|&at| rects[at as usize].min.x).collect();
         grid.straddles = vec![0; acc.div_ceil(64)];
         for (slot, &at) in pos.iter().enumerate() {
             let s = &spans[at as usize];
@@ -303,7 +312,11 @@ impl<T> UniformGrid<T> {
             }
             max_occ = max_occ.max(n);
             len_sq += (n * n) as f64;
-            width += (n * n) as f64 * self.max_w[c];
+            // From the rectangles, not from the rounded sweep bound.
+            let widest = self.cell_entries(c).fold(0.0, |widest: f64, (r, _)| {
+                widest.max(reach(r.min.x, r.max.x))
+            });
+            width += (n * n) as f64 * widest;
         }
         GridStats {
             nx: self.x.n as u64,
@@ -390,17 +403,17 @@ impl<T> UniformGrid<T> {
     }
 
     /// Calls `f` with the runs (some may be empty) of cell `c`'s slots that
-    /// the x extent of a window's candidate region can reach: `lo_x ≤ x1`,
-    /// and `lo_x + max_w(c) ≥ x0`, which `hi_x ≥ x0` implies for every
-    /// entry of the cell. `plan` ascends in `x0`, so the runs' starts
-    /// ascend too and overlapping runs merge in one pass. A cell whose
-    /// widest entry spans it yields the whole cell.
+    /// the x extent of a window's candidate region can reach: `key ≤ x1`,
+    /// which `lo_x ≤ x1` implies, and `key + max_w(c) ≥ x0`, which `hi_x ≥
+    /// x0` implies, both in `f64`. `plan` ascends in `x0`, so the runs'
+    /// starts ascend too and overlapping runs merge in one pass. A cell
+    /// whose widest entry spans it yields the whole cell.
     fn runs(&self, c: usize, plan: &[WindowPlan], mut f: impl FnMut(std::ops::Range<usize>)) {
-        let (reach, end) = (self.max_w[c], self.starts[c + 1] as usize);
+        let (reach, end) = (f64::from(self.max_w[c]), self.starts[c + 1] as usize);
         let (mut a, mut run) = (self.starts[c] as usize, 0..0);
         for p in plan {
-            a += self.lo_x[a..end].partition_point(|&x| x + reach < p.x0);
-            let b = a + self.lo_x[a..end].partition_point(|&x| x <= p.x1);
+            a += self.key[a..end].partition_point(|&x| f64::from(x) + reach < p.x0);
+            let b = a + self.key[a..end].partition_point(|&x| f64::from(x) <= p.x1);
             if a > run.end {
                 f(std::mem::replace(&mut run, a..b));
             } else {
@@ -441,6 +454,43 @@ impl<T> UniformGrid<T> {
             }
         });
         slots
+    }
+}
+
+/// The largest `f32` at or below `x`. The conversion rounds to nearest;
+/// where it rounded up, the bit pattern takes one step toward −∞: down
+/// for a positive result (a +∞ from an `x` above `f32::MAX` becomes
+/// `f32::MAX`), up for a negative one (a −0.0 from a tiny negative `x`
+/// becomes the negative subnormal nearest zero). An `x` below
+/// `−f32::MAX` gets −∞. No branch: about half the keys round up.
+#[inline]
+fn key_below(x: f64) -> f32 {
+    let key = x as f32;
+    let up = (f64::from(key) > x) as u32;
+    // −1 where the sign bit is clear, +1 where it is set.
+    let toward_minus_inf = (key.to_bits() >> 31 << 1).wrapping_sub(1);
+    f32::from_bits(
+        key.to_bits()
+            .wrapping_add(up.wrapping_mul(toward_minus_inf)),
+    )
+}
+
+/// The smallest `f32` at or above a width `w ≥ 0` (+∞ above `f32::MAX`).
+#[inline]
+fn bound_above(w: f64) -> f32 {
+    let bound = w as f32;
+    f32::from_bits(bound.to_bits() + (f64::from(bound) < w) as u32)
+}
+
+/// A width `w` with `from + w ≥ to` as computed in `f64`: the difference,
+/// one ulp up where the subtraction rounded down.
+#[inline]
+fn reach(from: f64, to: f64) -> f64 {
+    let w = to - from;
+    if from + w < to {
+        w.next_up()
+    } else {
+        w
     }
 }
 
@@ -649,13 +699,13 @@ pub fn candidates_with_counts<T: Copy + Ord>(
 }
 
 impl<T> MemoryFootprint for UniformGrid<T> {
-    /// Length-based resident bytes of the index alone: per slot its `lo_x`
-    /// and position, per cell its span start and sweep bound, and the
-    /// straddle bits. The indexed rectangles and payloads are counted by
+    /// Length-based resident bytes of the index alone: per slot its key
+    /// and position (8 B), per cell its span start and sweep bound (8 B),
+    /// and the straddle bits. The indexed rectangles and payloads are counted by
     /// their owner — an R*-tree's leaf level, for a grid
     /// [`over_leaves`](UniformGrid::over_leaves).
     fn memory_bytes(&self) -> u64 {
-        let slots = std::mem::size_of_val(&self.lo_x[..]) + std::mem::size_of_val(&self.pos[..]);
+        let slots = std::mem::size_of_val(&self.key[..]) + std::mem::size_of_val(&self.pos[..]);
         let cells =
             std::mem::size_of_val(&self.starts[..]) + std::mem::size_of_val(&self.max_w[..]);
         (slots + cells + std::mem::size_of_val(&self.straddles[..])) as u64
@@ -1095,7 +1145,7 @@ mod tests {
         let density = hard_region_density(QueryShape::Chain, 6, 50_000, 1e-10);
         let rows = [
             ("uniform", uniform, (17_057, 1_254)),
-            ("zipf", zipf_items(26, 50_000, density), (57_744, 819)),
+            ("zipf", zipf_items(26, 50_000, density), (57_750, 819)),
         ];
         for (name, items, pinned) in rows {
             let grid = UniformGrid::build(&items);
@@ -1108,6 +1158,78 @@ mod tests {
                 straddling += counts.1;
             }
             assert_eq!((swept, straddling), pinned, "{name}");
+        }
+    }
+
+    /// A coordinate from anywhere in `f64`, its kind drawn: ordinary, up
+    /// to ±1e300, beyond ±`f32::MAX` (a key of −∞ or a bound of +∞),
+    /// subnormal, ±0.0, or one of the distinct values next to ⅓ that round
+    /// to one `f32`.
+    fn wide_coordinate(rng: &mut StdRng) -> f64 {
+        let sign = if rng.random_bool(0.5) { -1.0 } else { 1.0 };
+        sign * match rng.random_range(0..6) {
+            0 => rng.random_range(0.0..1.0),
+            1 => rng.random_range(0.0..1.0) * 1e300,
+            2 => f64::from(f32::MAX) * rng.random_range(1.0..4.0),
+            3 => f64::from_bits(rng.random_range(0..1u64 << 52)),
+            4 => 0.0,
+            _ => 1.0 / 3.0 + rng.random_range(0..64) as f64 * f64::EPSILON,
+        }
+    }
+
+    /// `n` rectangles over [`wide_coordinate`]s: per axis a second drawn
+    /// coordinate, the first again (zero extent) or the first a few ulps
+    /// to a millionth of itself further.
+    fn wide_items(seed: u64, n: usize) -> Vec<(Rect, u32)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let extent = |rng: &mut StdRng| {
+            let a = wide_coordinate(rng);
+            let b = match rng.random_range(0..3) {
+                0 => wide_coordinate(rng),
+                1 => a,
+                _ => a + a.abs() * rng.random_range(0.0..1e-6),
+            };
+            (a, b)
+        };
+        (0..n as u32)
+            .map(|i| {
+                let ((x1, x2), (y1, y2)) = (extent(&mut rng), extent(&mut rng));
+                (Rect::new(x1, y1, x2, y2), i)
+            })
+            .collect()
+    }
+
+    /// What the sweep rests on, slot by slot: the key is the largest `f32`
+    /// at or below `lo_x`, and the cell's bound carries the key to `hi_x`
+    /// in `f64`, as the sweep adds them (`key + bound < x0` drops a slot),
+    /// on the hostile layouts and on coordinates from the whole `f64`
+    /// range — where a key below `−f32::MAX` is −∞ and its cell's bound
+    /// +∞, so the sweep takes the whole cell.
+    #[test]
+    fn every_key_and_bound_bracket_their_slot() {
+        let mut layouts = hostile_layouts();
+        layouts.push(("whole f64 range", wide_items(41, 3_000)));
+        for (name, items) in layouts {
+            let grid = UniformGrid::with_target_occupancy(&items, 6.0);
+            let mut below_f32 = 0;
+            for c in 0..grid.x.n * grid.y.n {
+                let bound = f64::from(grid.max_w[c]);
+                for slot in grid.cell_slots(c) {
+                    let r = &grid.rects[grid.pos[slot] as usize];
+                    let key = grid.key[slot];
+                    let at = format!("{name}: slot {slot}, {r}, key {key:e}, bound {bound:e}");
+                    assert!(f64::from(key) <= r.min.x, "{at}");
+                    assert!(f64::from(key.next_up()) > r.min.x, "{at}");
+                    if key == f32::NEG_INFINITY {
+                        // −∞ + ∞ is NaN, which the sweep's `<` keeps.
+                        assert_eq!(bound, INF, "{at}");
+                        below_f32 += 1;
+                    } else {
+                        assert!(f64::from(key) + bound >= r.max.x, "{at}");
+                    }
+                }
+            }
+            assert_eq!(below_f32 > 0, name == "whole f64 range", "{name}");
         }
     }
 
@@ -1185,10 +1307,11 @@ mod tests {
         }
     }
 
-    /// The statistics agree, and the footprint is the index alone: 12 B a
-    /// slot (`lo_x`, position), 12 B a cell (span start, sweep bound) and
-    /// the closing start, and the straddle words — not a byte of the
-    /// indexed arrays, shared or owned. A copy of them in the grid fails.
+    /// The statistics agree, and the footprint is the index alone: 8 B a
+    /// slot (`f32` key, position), 8 B a cell (span start, `f32` sweep
+    /// bound) and the closing start, and the straddle words — not a byte
+    /// of the indexed arrays, shared or owned. A copy of them in the grid
+    /// fails.
     #[test]
     fn stats_and_footprint_are_consistent() {
         let items = random_items(17, 3_000, 0.1);
@@ -1202,7 +1325,7 @@ mod tests {
             assert!(entries > stats.unique && stats.replication_factor > 1.0);
             assert!(stats.occupied_cells <= cells);
             assert!(stats.max_occupancy as f64 >= stats.avg_occupancy);
-            let index = 12 * entries + 12 * cells + 4 + 8 * entries.div_ceil(64);
+            let index = 8 * entries + 8 * cells + 4 + 8 * entries.div_ceil(64);
             assert_eq!(grid.memory_bytes(), index, "{entries} slots, {cells} cells");
         }
     }

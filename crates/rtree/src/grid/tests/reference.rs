@@ -7,7 +7,8 @@ use super::*;
 /// The layout the packed slots replaced, kept as the reference: each
 /// cell a run of *copies* of its entries — in item order, then stably
 /// by `lo_x` — which is the packed layout over a replicated array with
-/// one position per slot, in slot order.
+/// one position per slot, in slot order. Its keys and bounds are rounded
+/// one at a time with the standard library's `next_down` / `next_up`.
 fn replicated_reference(items: &[(Rect, u32)], target: f64) -> UniformGrid<u32> {
     let n = items.len();
     let bbox = match n {
@@ -21,7 +22,7 @@ fn replicated_reference(items: &[(Rect, u32)], target: f64) -> UniformGrid<u32> 
         rects: Arc::new([]),
         values: Arc::new([]),
         starts: vec![0],
-        lo_x: Vec::new(),
+        key: Vec::new(),
         pos: Vec::new(),
         max_w: vec![0.0; side * side],
         straddles: Vec::new(),
@@ -30,20 +31,33 @@ fn replicated_reference(items: &[(Rect, u32)], target: f64) -> UniformGrid<u32> 
     for (i, (r, _)) in items.iter().enumerate() {
         let s = grid.span_of(r);
         several.push((s.x0, s.y0) != (s.x1, s.y1));
-        let w = r.max.x - r.min.x;
-        let w = if r.min.x + w < r.max.x {
-            w.next_up()
-        } else {
-            w
-        };
         for cell in (s.y0..=s.y1).flat_map(|cy| (s.x0..=s.x1).map(move |cx| cy * side + cx)) {
             cells[cell].push(i);
-            grid.max_w[cell] = grid.max_w[cell].max(w);
         }
     }
     let mut slots = Vec::new();
-    for cell in &mut cells {
+    for (c, cell) in cells.iter_mut().enumerate() {
         cell.sort_by(|&a, &b| items[a].0.min.x.total_cmp(&items[b].0.min.x));
+        for &i in &*cell {
+            let r = &items[i].0;
+            let near = r.min.x as f32;
+            let key = match f64::from(near) > r.min.x {
+                true => near.next_down(),
+                false => near,
+            };
+            let w = r.max.x - f64::from(key);
+            let w = match f64::from(key) + w < r.max.x {
+                true => w.next_up(),
+                false => w,
+            };
+            let near = w as f32;
+            let bound = match f64::from(near) < w {
+                true => near.next_up(),
+                false => near,
+            };
+            grid.key.push(key);
+            grid.max_w[c] = grid.max_w[c].max(bound);
+        }
         slots.extend_from_slice(cell);
         grid.starts.push(slots.len() as u32);
     }
@@ -53,7 +67,6 @@ fn replicated_reference(items: &[(Rect, u32)], target: f64) -> UniformGrid<u32> 
     }
     grid.rects = slots.iter().map(|&i| items[i].0).collect();
     grid.values = slots.iter().map(|&i| items[i].1).collect();
-    grid.lo_x = grid.rects.iter().map(|r| r.min.x).collect();
     grid.pos = (0..slots.len() as u32).collect();
     grid
 }
@@ -100,7 +113,7 @@ fn assert_packed_equals_replicated(
         let cells: Vec<Vec<_>> = (0..g.x.n * g.y.n)
             .map(|c| g.cell_entries(c).map(|(r, &v)| (bits(r), v)).collect())
             .collect();
-        let keys: Vec<u64> = g.lo_x.iter().chain(&g.max_w).map(|x| x.to_bits()).collect();
+        let keys: Vec<u32> = g.key.iter().chain(&g.max_w).map(|x| x.to_bits()).collect();
         let stats = GridStats {
             unique: 0,
             replication_factor: 0.0,
@@ -162,5 +175,28 @@ proptest::proptest! {
         let items = snapped(random_items(seed, size, extent + 1e-9), snap);
         let windows = drawn_windows(&items, &preds, seed);
         assert_packed_equals_replicated("drawn", &items, occupancy, &windows);
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+    /// Coordinates from the whole `f64` range ([`wide_items`]): ±1e300,
+    /// beyond ±`f32::MAX`, subnormals, −0.0 and distinct `lo_x` values
+    /// that round to one `f32` key. Both packed builds equal the
+    /// reference — bits, order and accesses — and both kernels equal the
+    /// full scan.
+    #[test]
+    fn rounded_keys_hold_across_the_whole_f64_range(
+        seed in proptest::prelude::any::<u64>(),
+        size in 1usize..300,
+        occupancy in 1.0f64..40.0,
+        preds in proptest::collection::vec(0usize..ALL_PREDS.len(), 1..=5),
+    ) {
+        let items = wide_items(seed, size);
+        let windows = drawn_windows(&items, &preds, seed);
+        assert_packed_equals_replicated("whole f64 range", &items, occupancy, &windows);
+        let grid = UniformGrid::with_target_occupancy(&items, occupancy);
+        assert_kernels_match_full_scan("whole f64 range", &grid, &windows);
     }
 }

@@ -83,8 +83,8 @@ fn resource_report_holds_rects_and_one_index_per_dataset() {
     assert_eq!(names, names_of(&["grid", "rects", "rtree"]));
 }
 
-/// The grid backend adds its index and nothing else: per dataset 12 B a
-/// slot (`lo_x`, position), 12 B a cell and the straddle words, next to
+/// The grid backend adds its index and nothing else: per dataset 8 B a
+/// slot (`f32` key, position), 8 B a cell and the straddle words, next to
 /// unchanged rectangles and R*-tree — the grid indexes the tree's leaf
 /// arrays, it does not copy them. A copy back in the grid fails this.
 #[test]
@@ -98,7 +98,7 @@ fn grid_backend_adds_its_index_alone() {
     for v in 0..N_VARS {
         let stats = grid.grid(v).stats();
         let (slots, cells) = (stats.entries, stats.cells);
-        let index = 12 * slots + 12 * cells + 4 + 8 * slots.div_ceil(64);
+        let index = 8 * slots + 8 * cells + 4 + 8 * slots.div_ceil(64);
         assert_eq!(after.component(&format!("grid.var{v:03}")), Some(index));
         added += index;
     }
