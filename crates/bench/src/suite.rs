@@ -15,8 +15,7 @@
 
 use crate::Algo;
 use mwsj_core::{
-    BackendKind, CacheStats, IlsConfig, Instance, RunStats, SearchBudget, TracePoint, TwoStep,
-    TwoStepConfig,
+    CacheStats, IlsConfig, Instance, RunStats, SearchBudget, TracePoint, TwoStep, TwoStepConfig,
 };
 use mwsj_datagen::{Distribution, QueryShape, WorkloadSpec};
 use mwsj_obs::snapshot::AlgoRecord;
@@ -99,20 +98,6 @@ impl BenchTier {
         }
     }
 
-    /// The algorithms the tier snapshots, in record order.
-    pub fn algos(&self) -> Vec<SuiteAlgo> {
-        match self {
-            BenchTier::Base => SuiteAlgo::ALL.to_vec(),
-            BenchTier::Large => vec![
-                SuiteAlgo::Ils,
-                SuiteAlgo::IlsGrid,
-                SuiteAlgo::Gils,
-                SuiteAlgo::Sea,
-                SuiteAlgo::TwoStep,
-            ],
-        }
-    }
-
     fn budgets(&self) -> TierBudgets {
         match self {
             BenchTier::Base => TierBudgets {
@@ -191,8 +176,7 @@ pub fn pinned_suite_large() -> Vec<SuiteCase> {
         case("random-n10-hard", QueryShape::Random, 10, 10_000, 206),
         case("chain-n6-100k", QueryShape::Chain, 6, 100_000, 207),
     ];
-    // Zipf-clustered skew case: a few dense hot-spots stress the uniform
-    // grid's occupancy balance in the grid-vs-R*-tree A/B record.
+    // Zipf-clustered skew case: a few dense hot-spots.
     cases.push(SuiteCase {
         name: "chain-n6-zipf",
         spec: WorkloadSpec {
@@ -217,13 +201,6 @@ pub fn pinned_suite_large() -> Vec<SuiteCase> {
 pub enum SuiteAlgo {
     /// Indexed local search under the tier's local-search budget.
     Ils,
-    /// ILS on the uniform-grid backend ([`BackendKind::Grid`]) — the
-    /// large tier's backend A/B record: its solution quality
-    /// (`best_violations`, `best_similarity`) must equal the `ILS`
-    /// record's exactly (backend equivalence, gated in CI). Trajectory
-    /// counters may differ: the backends break score ties differently,
-    /// and `node_accesses` counts candidate cells, not R*-tree nodes.
-    IlsGrid,
     /// Guided indexed local search under the tier's local-search budget.
     Gils,
     /// Spatial evolutionary algorithm under the tier's generation budget.
@@ -233,7 +210,7 @@ pub enum SuiteAlgo {
 }
 
 impl SuiteAlgo {
-    /// The base tier's algorithms, in snapshot order.
+    /// Every algorithm, in snapshot order.
     pub const ALL: [SuiteAlgo; 4] = [
         SuiteAlgo::Ils,
         SuiteAlgo::Gils,
@@ -245,7 +222,6 @@ impl SuiteAlgo {
     pub fn name(&self) -> &'static str {
         match self {
             SuiteAlgo::Ils => "ILS",
-            SuiteAlgo::IlsGrid => "ILS-grid",
             SuiteAlgo::Gils => "GILS",
             SuiteAlgo::Sea => "SEA",
             SuiteAlgo::TwoStep => "two-step",
@@ -263,21 +239,11 @@ struct SuiteRun {
 
 fn run_once(algo: SuiteAlgo, instance: &Instance, budgets: TierBudgets) -> SuiteRun {
     match algo {
-        SuiteAlgo::Ils | SuiteAlgo::IlsGrid | SuiteAlgo::Gils | SuiteAlgo::Sea => {
+        SuiteAlgo::Ils | SuiteAlgo::Gils | SuiteAlgo::Sea => {
             let (runner, steps) = match algo {
-                SuiteAlgo::Ils | SuiteAlgo::IlsGrid => (Algo::Ils, budgets.local_search),
+                SuiteAlgo::Ils => (Algo::Ils, budgets.local_search),
                 SuiteAlgo::Gils => (Algo::Gils, budgets.local_search),
                 _ => (Algo::Sea, budgets.sea),
-            };
-            // The A/B record runs the same search over the grid backend; a
-            // shallow clone retargets the kernel (the Arc'd datasets are
-            // shared, not copied).
-            let ab_instance;
-            let instance = if algo == SuiteAlgo::IlsGrid {
-                ab_instance = instance.clone().with_backend(BackendKind::Grid);
-                &ab_instance
-            } else {
-                instance
             };
             let outcome = runner.run(instance, &SearchBudget::iterations(steps), RUN_SEED);
             SuiteRun {
@@ -400,7 +366,7 @@ pub fn run_suite(
             report: mwsj_core::build_explain_report(&instance),
         });
         let mut algos = Vec::new();
-        for algo in tier.algos() {
+        for algo in SuiteAlgo::ALL {
             progress(case.name, algo.name());
             let (record, cache_stats) = measure(algo, &instance, budgets)?;
             cache.push(CacheRecord {

@@ -114,7 +114,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             "seed",
             "top",
             "restarts",
-            "backend",
             "metrics-out",
             "trace-out",
             "profile-out",
@@ -133,7 +132,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             "limit",
             "seconds",
             "iterations",
-            "backend",
             "metrics-out",
         ],
         switches: &[],
@@ -141,7 +139,7 @@ pub const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "explain",
         positionals: false,
-        values: &["data", "query", "backend", "metrics-out"],
+        values: &["data", "query", "metrics-out"],
         switches: &[],
     },
     CommandSpec {
@@ -435,8 +433,8 @@ mod tests {
     fn unknown_options_are_rejected_in_either_form() {
         for (line, name) in [
             ("solve --sead 5", "sead"),
-            // Gone in PR 25: every line is flushed, there is no ring, and
-            // the grid does not fan out per query.
+            // Gone: every line is flushed, there is no ring, nothing fans
+            // out per query, and there is one spatial index.
             ("solve --follow", "follow"),
             ("solve --flight-recorder-out f.jsonl", "flight-recorder-out"),
             (
@@ -445,6 +443,7 @@ mod tests {
             ),
             ("solve --grid-threads 2", "grid-threads"),
             ("solve --threads 2", "threads"),
+            ("solve --backend grid", "backend"),
             ("solve --sead=5", "sead"),
             ("solve --stall-abrt", "stall-abrt"),
             ("bench snapshot --reps 1", "reps"),

@@ -16,10 +16,9 @@ mod watch;
 use args::Args;
 use mwsj_core::obs::to_folded;
 use mwsj_core::{
-    metric, AnytimeSearch, BackendKind, EventSink, Gils, GilsConfig, Ibb, IbbConfig, Ils,
-    IlsConfig, Instance, JsonlSink, MetricsSnapshot, ObsHandle, Portfolio, RunEvent, RunOutcome,
-    Sea, SeaConfig, SearchBudget, SearchContext, TelemetryConfig, TwoStep, TwoStepConfig,
-    WindowReduction,
+    metric, AnytimeSearch, EventSink, Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance,
+    JsonlSink, MetricsSnapshot, ObsHandle, Portfolio, RunEvent, RunOutcome, Sea, SeaConfig,
+    SearchBudget, SearchContext, TelemetryConfig, TwoStep, TwoStepConfig, WindowReduction,
 };
 use mwsj_datagen::{Dataset, DatasetSpec, Distribution, QueryShape};
 use rand::rngs::StdRng;
@@ -111,9 +110,6 @@ USAGE:
              [--restarts K]                 K seeded restarts, one after another, each
                                             with 1/K of the budget (heuristics only;
                                             1 <= K <= 1000)
-             [--backend rtree|grid]         spatial index backend: R*-trees (default) or a
-                                            PBSM-style uniform grid (identical results,
-                                            different cost profile; see mwsj explain)
              [--metrics-out FILE]           structured JSONL run events + metrics, each
                                             line flushed as it is written (tail it live
                                             with mwsj watch)
@@ -128,23 +124,19 @@ USAGE:
              [--stall-abort]                stop a stalled run (stop reason
                                             'stall_aborted')
   mwsj join --data FILE [--data FILE]... --query SPEC [--limit K] [--seconds S]
-            [--backend rtree|grid] [--metrics-out FILE]
+            [--metrics-out FILE]
                                             exact join (WR, opening with the pairwise
                                             join of its first edge). Solutions print in
-                                            its enumeration order (deterministic; it
-                                            differs between backends and is not
+                                            its enumeration order (deterministic, not
                                             sorted); --limit K keeps its first K
-  mwsj explain --data FILE [--data FILE]... --query SPEC [--backend rtree|grid] [--metrics-out FILE]
+  mwsj explain --data FILE [--data FILE]... --query SPEC [--metrics-out FILE]
                                             pre-run cost & selectivity report, no solving:
                                             per-edge selectivity estimates (with exact
                                             observed selectivities when the pair count is
                                             affordable), per-variable window hit rates,
                                             predicted node accesses per window query, and
-                                            R*-tree structural quality per level (plus grid
-                                            cell-occupancy stats and the predicted number
-                                            of entries one query's in-cell sweep tests
-                                            with --backend grid); output is byte-stable
-                                            for a fixed dataset. --metrics-out writes the
+                                            R*-tree structural quality per level; output
+                                            is byte-stable for a fixed dataset. --metrics-out writes the
                                             same report as one schema-validated
                                             'explain_report' JSONL event
   mwsj report FILE                          validate + summarise a metrics JSONL file
@@ -205,17 +197,6 @@ fn budget_from(args: &Args) -> Result<Option<SearchBudget>, String> {
         (Some(limit), None) => Some(SearchBudget::time(limit)),
         (None, None) => None,
     })
-}
-
-/// Applies `--backend rtree|grid` to a freshly built instance — shared by
-/// `solve`, `join` and `explain`.
-fn apply_backend(args: &Args, instance: Instance) -> Result<Instance, String> {
-    let backend = match args.value("backend") {
-        None => BackendKind::RTree,
-        Some(name) => BackendKind::parse(name)
-            .ok_or_else(|| format!("unknown backend '{name}' (expected rtree|grid)"))?,
-    };
-    Ok(instance.with_backend(backend))
 }
 
 /// Creates the JSONL file an output option names; an error names the path.
@@ -296,10 +277,7 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let n_vars = datasets.len();
     let query = args.required("query").map_err(|e| e.to_string())?;
     let graph = query_spec::parse_query(query, n_vars).map_err(|e| e.to_string())?;
-    let instance = apply_backend(
-        args,
-        Instance::new(graph, datasets).map_err(|e| e.to_string())?,
-    )?;
+    let instance = Instance::new(graph, datasets).map_err(|e| e.to_string())?;
     let budget = budget_from(args)?.unwrap_or(SearchBudget::seconds(2.0));
     let seed: u64 = args
         .parse_or("seed", 42, "a seed")
@@ -543,10 +521,7 @@ fn cmd_explain(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let n_vars = datasets.len();
     let query = args.required("query").map_err(|e| e.to_string())?;
     let graph = query_spec::parse_query(query, n_vars).map_err(|e| e.to_string())?;
-    let instance = apply_backend(
-        args,
-        Instance::new(graph, datasets).map_err(|e| e.to_string())?,
-    )?;
+    let instance = Instance::new(graph, datasets).map_err(|e| e.to_string())?;
     let report = mwsj_core::build_explain_report(&instance);
     write!(stdout, "{}", report::explain_text(&report))?;
     if let Some(path) = args.value("metrics-out") {
@@ -566,10 +541,7 @@ fn cmd_join(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let n_vars = datasets.len();
     let query = args.required("query").map_err(|e| e.to_string())?;
     let graph = query_spec::parse_query(query, n_vars).map_err(|e| e.to_string())?;
-    let instance = apply_backend(
-        args,
-        Instance::new(graph, datasets).map_err(|e| e.to_string())?,
-    )?;
+    let instance = Instance::new(graph, datasets).map_err(|e| e.to_string())?;
     // Exact joins default to a generous budget.
     let budget = budget_from(args)?.unwrap_or(SearchBudget::seconds(60.0));
     let limit: usize = args

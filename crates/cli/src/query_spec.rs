@@ -99,8 +99,8 @@ fn parse_predicate(spec: &str) -> Result<Predicate, QuerySpecError> {
         other => {
             if let Some(eps) = other.strip_prefix("within:") {
                 // A distance: `f64::from_str` also reads "nan", "inf" and
-                // negatives, on which the backends do not agree (the grid
-                // clamps a negative ε to 0, the R*-tree compares with ε²).
+                // negatives, and the test compares with ε², which would read
+                // a negative ε as its absolute value.
                 match eps.parse::<f64>() {
                     Ok(eps) if eps.is_finite() && eps >= 0.0 => Ok(Predicate::WithinDistance(eps)),
                     _ => Err(QuerySpecError::BadPredicate(other.to_string())),

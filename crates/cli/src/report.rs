@@ -273,19 +273,6 @@ fn explain_lines(report: &ExplainReport, lines: &mut Vec<String>) {
             fmt3(&t.dead_space_per_level),
             fmt3(&t.perimeter_per_level)
         ));
-        if let Some(g) = &v.grid {
-            lines.push(format!(
-                "    grid: {} cells ({} occupied), replication {}, occupancy avg {} max {}, \
-                 predicted cells/query {}, predicted swept entries/query {}",
-                g.cells,
-                g.occupied_cells,
-                fixed(g.replication_factor, 3),
-                fixed(g.avg_occupancy, 1),
-                g.max_occupancy,
-                fixed(g.predicted_cells_per_query, 2),
-                fixed(g.predicted_cost_per_query, 2)
-            ));
-        }
     }
     if let Some(total) = report.observed_node_accesses {
         lines.push(format!(

@@ -3,16 +3,16 @@
 //! Historically each algorithm (ILS, GILS, SEA, the naive baselines, SA,
 //! IBB, the two-step pipeline) carried its own copy of the run scaffolding:
 //! stepping the [`BudgetClock`], tracking the incumbent and
-//! [`TopSolutions`](crate::TopSolutions), recording `(step, similarity)`
-//! trace points, flushing counters and emitting stop-reason events. [`SearchDriver`] owns all of that; the
-//! algorithms reduce to *drive* functions ([`DriveSearch`]) that only
-//! encode their search moves.
+//! [`TopSolutions`], recording `(step, similarity)` trace points, flushing
+//! counters and emitting stop-reason events. [`SearchDriver`] owns all of
+//! that; the algorithms reduce to *drive* functions ([`DriveSearch`]) that
+//! only encode their search moves.
 //!
 //! Counter-compatibility contract (DESIGN.md §5e): the driver reproduces
 //! the pre-refactor bookkeeping **bit-exactly** — steps, improvements,
 //! restarts, local maxima and the `(step, similarity)` trace of every
 //! algorithm are unchanged; `node_accesses` may only decrease (via
-//! [`WindowCache`](crate::WindowCache) hits and the instance's support
+//! [`WindowCache`] hits and the instance's support
 //! bits).
 //!
 //! The driver emits what happens *inside* a run (improvements, progress,

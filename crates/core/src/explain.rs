@@ -21,10 +21,10 @@
 //!   cost model `Σ_levels area + w·perimeter + w²·nodes`, summed over
 //!   neighbour windows and clamped per level at the level's node count).
 
-use crate::instance::{BackendKind, Instance};
+use crate::instance::Instance;
 use crate::result::RunStats;
 use mwsj_datagen::estimate_workload;
-use mwsj_obs::{EdgeExplain, ExplainReport, GridQuality, TreeQuality, VarExplain};
+use mwsj_obs::{EdgeExplain, ExplainReport, TreeQuality, VarExplain};
 
 /// Upper bound on `Nᵢ·Nⱼ` for the exact observed-selectivity pair count.
 /// 4·10⁶ rectangle-pair evaluations take well under 100 ms and cover the
@@ -114,39 +114,6 @@ pub fn build_explain_report(instance: &Instance) -> ExplainReport {
                     per_window.min(stats.nodes_per_level[l] as f64)
                 })
                 .sum();
-            // Grid-backend cost: expected candidate cells of a window of
-            // extent w are `(1 + w/cell_w)·(1 + w/cell_h)` (a window spans
-            // one cell plus one boundary crossing per cell length), summed
-            // over the neighbour windows and clamped at the cell count. In
-            // each of them the sweep tests the entries whose `lo_x` lies
-            // within `w + max_w` of the window, out of a cell that holds
-            // what a window placed on the data finds, not the average.
-            let grid = (instance.backend() == BackendKind::Grid).then(|| {
-                let g = instance.grid(v);
-                let gs = g.stats();
-                let cell_w = g.bbox().width() / gs.nx as f64;
-                let cell_h = g.bbox().height() / gs.ny as f64;
-                let cells = gs.cells as f64;
-                let window_cells = |w: f64| ((1.0 + w / cell_w) * (1.0 + w / cell_h)).min(cells);
-                let swept_per_cell =
-                    |w: f64| gs.seen_occupancy * ((w + gs.seen_max_width) / cell_w).min(1.0);
-                GridQuality {
-                    cells: gs.cells,
-                    occupied_cells: gs.occupied_cells,
-                    replication_factor: gs.replication_factor,
-                    avg_occupancy: gs.avg_occupancy,
-                    max_occupancy: gs.max_occupancy,
-                    predicted_cells_per_query: windows
-                        .iter()
-                        .map(|&w| window_cells(w))
-                        .sum::<f64>()
-                        .min(cells),
-                    predicted_cost_per_query: windows
-                        .iter()
-                        .map(|&w| window_cells(w) * swept_per_cell(w))
-                        .sum(),
-                }
-            });
             VarExplain {
                 var: v as u64,
                 cardinality: cards[v] as u64,
@@ -164,7 +131,6 @@ pub fn build_explain_report(instance: &Instance) -> ExplainReport {
                     dead_space_per_level: stats.dead_space_per_level,
                     perimeter_per_level: stats.perimeter_per_level,
                 },
-                grid,
             }
         })
         .collect();
@@ -226,6 +192,8 @@ mod tests {
             b.to_json(),
             "serialisation must be byte-stable"
         );
+        let json = mwsj_obs::Json::parse(&a.to_json()).unwrap();
+        assert_eq!(ExplainReport::from_json(&json), Ok(a.clone()));
         assert!(!a.has_observed());
         assert_eq!(a.attributed_accesses(), 0);
         assert_eq!(a.model, "acyclic");
@@ -306,110 +274,6 @@ mod tests {
                     edge.b,
                     edge.estimated_selectivity,
                     edge.observed_selectivity,
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn grid_backend_report_carries_grid_quality_and_round_trips() {
-        let inst = paper_instance(QueryShape::Chain, 3, 100, 12).with_backend(BackendKind::Grid);
-        let report = build_explain_report(&inst);
-        for var in &report.vars {
-            let g = var.grid.as_ref().expect("grid quality on grid backend");
-            assert!(g.cells >= g.occupied_cells);
-            assert!(g.occupied_cells > 0);
-            assert!(g.replication_factor >= 1.0);
-            assert!(g.predicted_cells_per_query > 0.0);
-            assert!(g.predicted_cells_per_query <= g.cells as f64);
-            assert!(g.predicted_cost_per_query > 0.0);
-            let full_scan = g.predicted_cells_per_query * g.max_occupancy as f64;
-            assert!(g.predicted_cost_per_query <= full_scan);
-        }
-        let json = mwsj_obs::Json::parse(&report.to_json()).unwrap();
-        assert_eq!(ExplainReport::from_json(&json), Ok(report.clone()));
-
-        // Pinned to the bit on the middle variable: what the grid stores
-        // per cell may change, what it reports and predicts may not.
-        let stats = inst.grid(1).stats();
-        assert_eq!(
-            (stats.entries, stats.seen_occupancy, stats.seen_max_width),
-            (105, 12.638095238095238, 0.01581138830084193)
-        );
-        let g = report.vars[1].grid.as_ref().unwrap();
-        assert_eq!(
-            (g.avg_occupancy, g.max_occupancy, g.replication_factor),
-            (11.666666666666666, 17, 1.05)
-        );
-        assert_eq!(
-            (g.predicted_cells_per_query, g.predicted_cost_per_query),
-            (2.1951232622347248, 2.655336400598554)
-        );
-
-        // R*-tree reports stay grid-free, keeping pinned snapshots
-        // byte-identical.
-        let plain = build_explain_report(&paper_instance(QueryShape::Chain, 3, 100, 12));
-        assert!(plain.vars.iter().all(|v| v.grid.is_none()));
-    }
-
-    /// The grid cost is a prediction of a count the grid can make: the
-    /// slots one query's sweep tests, with one window per neighbour placed
-    /// on a random object of the neighbour's dataset (what a search step
-    /// asks). Pinned within [`FACTOR`] on uniform and on skewed data.
-    #[test]
-    fn grid_cost_predicts_the_swept_slots_within_a_stated_factor() {
-        use rand::RngExt;
-        const FACTOR: f64 = 1.5;
-        let zipf = mwsj_datagen::Distribution::ZipfClustered {
-            clusters: 16,
-            sigma: 0.02,
-            exponent: 1.1,
-        };
-        for (name, distribution) in [
-            ("uniform", mwsj_datagen::Distribution::Uniform),
-            ("zipf", zipf),
-        ] {
-            let workload = mwsj_datagen::WorkloadSpec {
-                shape: QueryShape::Chain,
-                n_vars: 3,
-                cardinality: 20_000,
-                target_solutions: 1.0,
-                plant: false,
-                distribution,
-                seed: 31,
-            }
-            .generate();
-            let inst = Instance::new(workload.graph, workload.datasets)
-                .unwrap()
-                .with_backend(BackendKind::Grid);
-            let report = build_explain_report(&inst);
-            let mut rng = StdRng::seed_from_u64(32);
-            for v in 0..inst.n_vars() {
-                const QUERIES: u64 = 2_000;
-                let swept: u64 = (0..QUERIES)
-                    .map(|_| {
-                        let windows: Vec<_> = inst
-                            .graph()
-                            .neighbors(v)
-                            .iter()
-                            .map(|&(u, pred)| {
-                                let obj = rng.random_range(0..inst.cardinality(u));
-                                (pred, inst.rect(u, obj))
-                            })
-                            .collect();
-                        inst.grid(v).swept_slots(&windows)
-                    })
-                    .sum();
-                let counted = swept as f64 / QUERIES as f64;
-                let predicted = report.vars[v]
-                    .grid
-                    .as_ref()
-                    .unwrap()
-                    .predicted_cost_per_query;
-                let ratio = predicted / counted;
-                assert!(
-                    (1.0 / FACTOR..=FACTOR).contains(&ratio),
-                    "{name} var {v}: predicted {predicted:.1}, counted {counted:.1}"
                 );
             }
         }

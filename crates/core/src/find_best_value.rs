@@ -16,7 +16,7 @@
 //! question whenever their best beats `t − 1` (DESIGN.md §5e).
 //!
 //! The traversal itself is the shared multi-window kernel in
-//! [`mwsj_rtree::multiwindow`] (or its grid analogue), reached through
+//! [`mwsj_rtree::multiwindow`], reached through
 //! `index::best`; this module builds the windows from the query graph. In
 //! the hard region most questions have no answer at all, and `index::best`
 //! answers those from the instance's support bits without reading a node
@@ -60,8 +60,8 @@ pub struct BestValue {
 /// `penalties` activates GILS mode: leaf values are compared by their
 /// λ-discounted effective value, answered as GILS answers it — by a fresh
 /// [`WindowCache`] re-scoring the objects at the top count. `node_accesses`
-/// is incremented once per R*-tree node visited (per candidate cell scanned
-/// on the grid backend); a question the support bits rule out visits none.
+/// is incremented once per R*-tree node visited; a question the support
+/// bits rule out visits none.
 /// The first question about an instance builds its support bits.
 ///
 /// # Panics
@@ -91,7 +91,6 @@ pub fn find_best_value(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::BackendKind;
     use mwsj_datagen::Dataset;
     use mwsj_query::{QueryGraph, QueryGraphBuilder};
     use rand::rngs::StdRng;
@@ -260,7 +259,7 @@ mod tests {
         }
     }
 
-    /// One penalised query at `lambda` on each backend. Pruning on "no
+    /// One penalised query at `lambda`. Pruning on "no
     /// object scores above its count" is wrong for a negative or NaN λ:
     /// before λ was checked, the 200 calls of
     /// `penalty_mode_matches_brute_force` run at λ = −0.5 returned another
@@ -271,10 +270,7 @@ mod tests {
         let mut table = PenaltyTable::new();
         table.penalize(0, 7);
         let sol = Solution::new(vec![0; 4]);
-        for inst in [inst.clone(), inst.with_backend(BackendKind::Grid)] {
-            let penalties = Some((&table, lambda));
-            let _ = find_best_value(&inst, &sol, 0, penalties, &mut 0);
-        }
+        let _ = find_best_value(&inst, &sol, 0, Some((&table, lambda)), &mut 0);
     }
 
     #[test]

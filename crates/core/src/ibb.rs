@@ -400,7 +400,6 @@ pub(crate) fn descend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::BackendKind;
     use crate::wr::ExactJoinOutcome;
     use mwsj_datagen::{
         count_exact_solutions, hard_region_density, plant_solution, Dataset, QueryShape,
@@ -654,8 +653,8 @@ mod tests {
     }
 
     /// The bounded walk runs the reference's search: the same best, trace,
-    /// improvements, top list, steps and proof, on every query shape, both
-    /// backends, with no seed, a heuristic seed and a near-optimal one,
+    /// improvements, top list, steps and proof, on every query shape, with
+    /// no seed, a heuristic seed and a near-optimal one,
     /// stopping at the first exact solution or not, under step budgets that
     /// truncate and one that mostly does not — reading no more nodes, and
     /// fewer on cliques, where a variable has several assigned neighbours.
@@ -673,45 +672,42 @@ mod tests {
         for (s, shape) in shapes.into_iter().enumerate() {
             for n in 3..=6 {
                 let seed = 900 + 10 * s as u64 + n as u64;
-                let (rtree, planted) = planted_instance(seed, shape, n, 100);
+                let (inst, planted) = planted_instance(seed, shape, n, 100);
+                let inst = &inst;
                 let heuristic = Ils::new(IlsConfig::default()).run(
-                    &rtree,
+                    inst,
                     &SearchBudget::iterations(60),
                     &mut StdRng::seed_from_u64(seed),
                 );
                 let mut near = planted.clone();
-                near.set(n - 1, (planted.get(n - 1) + 1) % rtree.cardinality(n - 1));
+                near.set(n - 1, (planted.get(n - 1) + 1) % inst.cardinality(n - 1));
                 let seeds = [None, Some(heuristic.best), Some(near)];
-                let grid = rtree.clone().with_backend(BackendKind::Grid);
-                for inst in [&rtree, &grid] {
-                    for initial in &seeds {
-                        for stop_at_exact in [true, false] {
-                            for steps in [7, 90, 3_000] {
-                                let config = IbbConfig {
-                                    initial: initial.clone(),
-                                    stop_at_exact,
-                                };
-                                let budget = SearchBudget::iterations(steps);
-                                let got = Ibb::new(config.clone()).run(inst, &budget);
-                                let want = run_reference(&config, inst, &budget);
-                                let case = format!(
-                                    "{} n={n} {} seeded={} stop={stop_at_exact} steps={steps}",
-                                    shape.name(),
-                                    inst.backend().name(),
-                                    initial.is_some()
-                                );
-                                assert_same_search(&got, &want, &case);
-                                let (read, ref_read) =
-                                    (got.stats.node_accesses, want.stats.node_accesses);
-                                fewer_on_a_clique |= shape == QueryShape::Clique && read < ref_read;
-                                cases += 1;
-                            }
+                for initial in &seeds {
+                    for stop_at_exact in [true, false] {
+                        for steps in [7, 90, 3_000] {
+                            let config = IbbConfig {
+                                initial: initial.clone(),
+                                stop_at_exact,
+                            };
+                            let budget = SearchBudget::iterations(steps);
+                            let got = Ibb::new(config.clone()).run(inst, &budget);
+                            let want = run_reference(&config, inst, &budget);
+                            let case = format!(
+                                "{} n={n} seeded={} stop={stop_at_exact} steps={steps}",
+                                shape.name(),
+                                initial.is_some()
+                            );
+                            assert_same_search(&got, &want, &case);
+                            let (read, ref_read) =
+                                (got.stats.node_accesses, want.stats.node_accesses);
+                            fewer_on_a_clique |= shape == QueryShape::Clique && read < ref_read;
+                            cases += 1;
                         }
                     }
                 }
             }
         }
-        assert_eq!(cases, 5 * 4 * 2 * 3 * 2 * 3);
+        assert_eq!(cases, 5 * 4 * 3 * 2 * 3);
         assert!(fewer_on_a_clique, "the threshold never pruned a node");
     }
 
@@ -753,8 +749,8 @@ mod tests {
         /// every query shape — chains and cliques, where a variable's
         /// parent is one of its neighbours, stars, where it is not, and
         /// cycles and random graphs, which have both —, each of the six
-        /// predicates on every edge or a mix, sparse to dense data, both
-        /// backends, no seed, a random solution or a short ILS best as the
+        /// predicates on every edge or a mix, sparse to dense data, no
+        /// seed, a random solution or a short ILS best as the
         /// seed, stopping at the first exact solution or not, under a drawn
         /// step budget: [`assert_same_search`] against [`run_reference`].
         /// WR's exact goal runs on the same instance under the same
@@ -766,7 +762,6 @@ mod tests {
             n in 3usize..7,
             pred in 0usize..7,
             density in 0.05f64..2.0,
-            grid in proptest::prelude::any::<bool>(),
             seeded in 0u8..3,
             stop_at_exact in proptest::prelude::any::<bool>(),
             steps in 1u64..4_000,
@@ -781,7 +776,6 @@ mod tests {
                 QueryShape::Random,
             ][shape];
             let inst = drawn_instance(seed, shape, n, pred, density);
-            let inst = if grid { inst.with_backend(BackendKind::Grid) } else { inst };
             let mut rng = StdRng::seed_from_u64(seed ^ 0x1BB);
             let initial = match seeded {
                 0 => None,
@@ -796,10 +790,9 @@ mod tests {
             let got = Ibb::new(config.clone()).run(&inst, &budget);
             let want = run_reference(&config, &inst, &budget);
             let case = format!(
-                "{} n={n} pred={pred} density={density} {} seeded={seeded} \
+                "{} n={n} pred={pred} density={density} seeded={seeded} \
                  stop={stop_at_exact} steps={steps}",
                 shape.name(),
-                inst.backend().name(),
             );
             assert_same_search(&got, &want, &case);
             assert_same_exact_search(&inst, &budget, limit, &format!("{case} limit={limit}"));

@@ -3,7 +3,7 @@
 //! Restart-based hill climbing over the solution graph: from a random seed,
 //! repeatedly re-instantiate the *worst* variable (most violated incident
 //! conditions, ties by fewest satisfied) with the best value the index can
-//! provide ([`find_best_value`](crate::find_best_value)). When no variable
+//! provide ([`find_best_value`](fn@crate::find_best_value)). When no variable
 //! can be improved the solution is a local maximum and the search restarts
 //! from a fresh random seed, keeping the best solution seen, until the
 //! budget is exhausted.
@@ -275,35 +275,31 @@ mod tests {
     }
 
     /// An instance every random seed of which is exact: the search must
-    /// see that before it spends a step — on both backends, and without
-    /// naming a stop reason, because the budget did not end the run.
+    /// see that before it spends a step, and without naming a stop reason,
+    /// because the budget did not end the run.
     #[test]
     fn an_exact_seed_ends_the_run_before_its_first_step() {
-        use crate::{BackendKind, ObsHandle, RunEvent, VecSink};
+        use crate::{ObsHandle, RunEvent, VecSink};
         use mwsj_geom::Rect;
         use std::sync::Arc;
         let one = vec![Rect::new(0.0, 0.0, 1.0, 1.0)];
         let two = vec![Rect::new(0.0, 0.0, 1.0, 1.0), Rect::new(0.5, 0.5, 2.0, 2.0)];
-        for backend in [BackendKind::RTree, BackendKind::Grid] {
-            let inst = Instance::new(QueryGraph::chain(2), [one.clone(), two.clone()])
-                .unwrap()
-                .with_backend(backend);
-            let sink = Arc::new(VecSink::new());
-            let obs = ObsHandle::enabled().with_sink(sink.clone());
-            let ctx = SearchContext::local(SearchBudget::iterations(50)).with_obs(obs);
-            let outcome = Ils::default().search(&inst, &ctx, &mut StdRng::seed_from_u64(1));
-            assert_eq!(outcome.best_similarity, 1.0, "{backend:?}");
-            assert_eq!(outcome.stats.steps, 0, "{backend:?}");
-            assert_eq!(outcome.stats.restarts, 1, "{backend:?}");
-            assert_eq!(outcome.stats.local_maxima, 1, "{backend:?}");
-            let events = sink.events();
-            assert!(
-                !events
-                    .iter()
-                    .any(|e| matches!(e, RunEvent::BudgetExhausted { .. })),
-                "{backend:?}: {events:?}"
-            );
-        }
+        let inst = Instance::new(QueryGraph::chain(2), [one, two]).unwrap();
+        let sink = Arc::new(VecSink::new());
+        let obs = ObsHandle::enabled().with_sink(sink.clone());
+        let ctx = SearchContext::local(SearchBudget::iterations(50)).with_obs(obs);
+        let outcome = Ils::default().search(&inst, &ctx, &mut StdRng::seed_from_u64(1));
+        assert_eq!(outcome.best_similarity, 1.0);
+        assert_eq!(outcome.stats.steps, 0);
+        assert_eq!(outcome.stats.restarts, 1);
+        assert_eq!(outcome.stats.local_maxima, 1);
+        let events = sink.events();
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e, RunEvent::BudgetExhausted { .. })),
+            "{events:?}"
+        );
     }
 
     /// The analogue of SEA's `individuals_stay_consistent_…`: after every

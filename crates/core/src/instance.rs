@@ -1,53 +1,16 @@
 //! A join instance: query graph plus indexed datasets.
 
 use crate::budget::BudgetClock;
+use crate::legacy::GridSlot;
 use crate::support::{Domains, Support};
 use mwsj_geom::Rect;
 use mwsj_obs::{MemoryFootprint, ResourceReport};
 use mwsj_query::{ConflictState, QueryGraph, Solution, VarId};
-use mwsj_rtree::{RTree, UniformGrid};
+use mwsj_rtree::RTree;
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
-
-/// Which spatial index backend answers the window and multi-window
-/// queries of the search algorithms.
-///
-/// Dispatch is by enum, not generics: `Instance` stays a concrete type
-/// (every algorithm, cache, sink and CLI signature is untouched), the
-/// R*-tree arm compiles to exactly the code it was before the backend
-/// axis existed, and both indexes can coexist on one instance for A/B
-/// runs over the same `Arc`-shared data. See DESIGN.md §5j.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendKind {
-    /// The R*-tree branch-and-bound traversals (the paper's setting).
-    #[default]
-    RTree,
-    /// The PBSM-style uniform grid over the tree's leaf arrays, with
-    /// cell-replicated positions and reference-point deduplication
-    /// ([`mwsj_rtree::grid`]).
-    Grid,
-}
-
-impl BackendKind {
-    /// Parses a CLI backend name.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s {
-            "rtree" => Some(BackendKind::RTree),
-            "grid" => Some(BackendKind::Grid),
-            _ => None,
-        }
-    }
-
-    /// Display name (`rtree` / `grid`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackendKind::RTree => "rtree",
-            BackendKind::Grid => "grid",
-        }
-    }
-}
 
 /// One dataset as its R*-tree index (payloads are object ids): the tree's
 /// leaf level *is* the rectangle storage, in STR order, and `inv` finds an
@@ -60,12 +23,10 @@ pub(crate) struct IndexedDataset {
     /// Mean per-axis extent, summed in object-id order (the leaf order
     /// would round the sum differently).
     pub avg_extent: f64,
-    /// Uniform-grid index over the tree's leaf arrays (it shares them, it
-    /// does not copy them), built on first use (selecting
-    /// [`BackendKind::Grid`] builds it eagerly). `OnceLock` keeps the
-    /// dataset shareable across `Arc` aliases without cloning the
-    /// non-cloneable tree.
-    pub grid: OnceLock<UniformGrid<u32>>,
+    /// The benchmark's grid stand-in ([`crate::legacy`]), built by its
+    /// first `Instance::grid` call; no engine path reads it, and it reports
+    /// no bytes.
+    pub legacy_grid: GridSlot,
 }
 
 impl IndexedDataset {
@@ -80,7 +41,7 @@ impl IndexedDataset {
             tree,
             inv,
             avg_extent: extents / rects.len() as f64,
-            grid: OnceLock::new(),
+            legacy_grid: GridSlot::new(),
         }
     }
 
@@ -89,16 +50,8 @@ impl IndexedDataset {
         self.tree.leaf_rects()[self.inv[obj] as usize]
     }
 
-    /// The grid index over the leaf arrays, built on first access. Its
-    /// cells order their slots by `(lo_x, object id)`, so the leaf order
-    /// does not show in it.
-    fn grid(&self) -> &UniformGrid<u32> {
-        self.grid
-            .get_or_init(|| UniformGrid::over_leaves(&self.tree))
-    }
-
-    /// Resident bytes of everything but the leaf rectangles and the grid:
-    /// payloads, `inv`, upper levels and `start` tables.
+    /// Resident bytes of everything but the leaf rectangles: payloads,
+    /// `inv`, upper levels and `start` tables.
     fn index_bytes(&self) -> u64 {
         self.tree.memory_bytes() - self.rect_bytes()
             + (self.inv.len() * std::mem::size_of::<u32>()) as u64
@@ -109,12 +62,9 @@ impl IndexedDataset {
         std::mem::size_of_val(self.tree.leaf_rects()) as u64
     }
 
-    /// Resident bytes of everything: rectangles, index and the grid once
-    /// built.
+    /// Resident bytes of everything: rectangles and index.
     pub(crate) fn bytes(&self) -> u64 {
-        self.rect_bytes()
-            + self.index_bytes()
-            + self.grid.get().map_or(0, MemoryFootprint::memory_bytes)
+        self.rect_bytes() + self.index_bytes()
     }
 }
 
@@ -155,12 +105,11 @@ impl std::error::Error for InstanceError {}
 pub struct Instance {
     graph: QueryGraph,
     data: Vec<Arc<IndexedDataset>>,
-    backend: BackendKind,
     /// The support bits, built on first use. They depend on the graph, so
     /// they live here and not on the (shareable) datasets.
     support: OnceLock<Support>,
     /// The arc-consistent domains, built on first use by an exact join and
-    /// shared by every clone — the backend views of one instance.
+    /// shared by every clone.
     domains: Arc<OnceLock<Domains>>,
 }
 
@@ -191,7 +140,6 @@ impl Instance {
         Ok(Instance {
             graph,
             data,
-            backend: BackendKind::default(),
             support: OnceLock::new(),
             domains: Arc::default(),
         })
@@ -212,36 +160,14 @@ impl Instance {
         Ok(Instance {
             graph,
             data: vec![shared; n],
-            backend: BackendKind::default(),
             support: OnceLock::new(),
             domains: Arc::default(),
         })
     }
 
-    /// Selects the spatial backend answering the index queries (builder
-    /// style). Choosing [`BackendKind::Grid`] builds the grid index of
-    /// every unique dataset eagerly, so later queries (and the resource
-    /// report) see a fully materialised backend.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        if backend == BackendKind::Grid {
-            for (_, d) in self.unique_datasets() {
-                let _ = d.grid();
-            }
-        }
-        self
-    }
-
-    /// The spatial backend answering the index queries.
-    #[inline]
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    /// The uniform-grid index over variable `v`'s dataset (built on first
-    /// access; shared across `Arc`-aliased self-join variables).
-    pub fn grid(&self, v: VarId) -> &UniformGrid<u32> {
-        self.data[v].grid()
+    /// The slot of variable `v`'s grid stand-in ([`crate::legacy`]).
+    pub(crate) fn legacy_grid(&self, v: VarId) -> &GridSlot {
+        &self.data[v].legacy_grid
     }
 
     /// The support bits of the instance ([`crate::support`]), built on
@@ -263,21 +189,19 @@ impl Instance {
         Some(self.domains.get_or_init(|| built))
     }
 
-    /// The core: the same graph and backend over `domains`' survivors; a
-    /// variable that lost none keeps its dataset. No domain may be empty.
+    /// The core: the same graph over `domains`' survivors; a variable that
+    /// lost none keeps its dataset. No domain may be empty.
     pub(crate) fn core(&self, domains: &Domains) -> Instance {
         debug_assert!(!domains.is_empty(), "an empty domain has no core");
         let data = (self.data.iter().enumerate())
             .map(|(v, whole)| domains.dataset(v).unwrap_or(whole).clone())
             .collect();
-        let core = Instance {
+        Instance {
             graph: self.graph.clone(),
             data,
-            backend: BackendKind::default(),
             support: OnceLock::new(),
             domains: Arc::default(),
-        };
-        core.with_backend(self.backend)
+        }
     }
 
     /// How many objects of each variable survive the arc-consistency pass
@@ -412,27 +336,19 @@ impl Instance {
     /// dataset, the rectangles (`rects.varNNN`: the tree's leaf array) and
     /// the rest of the R*-tree (`rtree.varNNN`: payloads, the id → position
     /// table, upper levels and `start` tables), named after the first
-    /// variable bound to that dataset, plus `grid.varNNN` — the grid's index
-    /// alone, since it shares the leaf arrays — once the grid has been
-    /// built. Once the support bits are built, every variable that keeps
-    /// some adds `support.varNNN`, its bit words; once the exact joins'
-    /// arc-consistency pass has run, every variable that lost objects adds
-    /// `domains.varNNN`, its surviving ids and their dataset. The same
-    /// table backs the `resource_report` run event and the `memory` section
-    /// of bench snapshots.
+    /// variable bound to that dataset. Once the support bits are built,
+    /// every variable that keeps some adds `support.varNNN`, its bit words;
+    /// once the exact joins' arc-consistency pass has run, every variable
+    /// that lost objects adds `domains.varNNN`, its surviving ids and their
+    /// dataset. The same table backs the `resource_report` run event and
+    /// the `memory` section of bench snapshots.
     pub fn fill_resource_report(&self, report: &mut ResourceReport) {
         for (v, d) in self.unique_datasets() {
             report.record(&format!("rects.var{v:03}"), d.rect_bytes());
             report.record(&format!("rtree.var{v:03}"), d.index_bytes());
-            // The grid component appears only once the grid backend has
-            // been materialised, keeping R*-tree-only reports (and the
-            // pinned bench snapshots) byte-identical.
-            if let Some(grid) = d.grid.get() {
-                report.record(&format!("grid.var{v:03}"), grid.memory_bytes());
-            }
         }
-        // Likewise the bits: an instance no heuristic has asked reports as
-        // it did before they existed.
+        // The bits only once built: an instance no heuristic has asked
+        // reports as it did before they existed.
         if let Some(support) = self.support.get() {
             for v in 0..self.n_vars() {
                 if let Some(bytes) = support.bytes(v) {
@@ -466,10 +382,9 @@ impl Instance {
 }
 
 impl MemoryFootprint for Instance {
-    /// Resident bytes of the indexed datasets (rectangles, R*-tree and
-    /// built grids), with `Arc`-shared self-join datasets counted
-    /// once, and of the support bits and the exact joins' domains once
-    /// built. Deterministic: the same logical instance always reports the
+    /// Resident bytes of the indexed datasets (rectangles and R*-tree),
+    /// with `Arc`-shared self-join datasets counted once, and of the
+    /// support bits and the exact joins' domains once built. Deterministic: the same logical instance always reports the
     /// same total.
     fn memory_bytes(&self) -> u64 {
         let datasets: u64 = self.unique_datasets().map(|(_, d)| d.bytes()).sum();
@@ -558,8 +473,7 @@ mod tests {
     }
 
     /// What is computed from the rectangles in object-id order stays as it
-    /// was when they were stored in that order: the extent sum's rounding
-    /// and every cell of the grid, ties and all.
+    /// was when they were stored in that order: the extent sum's rounding.
     #[test]
     fn id_ordered_derivations_do_not_see_the_leaf_order() {
         for input in tie_heavy_inputs() {
@@ -567,20 +481,6 @@ mod tests {
             let sum: f64 = input.iter().map(|r| 0.5 * (r.width() + r.height())).sum();
             let expected = sum / input.len() as f64;
             assert_eq!(inst.avg_extent(0).to_bits(), expected.to_bits());
-
-            let items: Vec<(Rect, u32)> = input.iter().copied().zip(0u32..).collect();
-            let (built, expected) = (inst.grid(1), UniformGrid::build(&items));
-            assert_eq!(built.stats(), expected.stats());
-            // Every slot of every cell, rectangle bits and id.
-            let bits = |(r, &id): (&Rect, &u32)| {
-                ([r.min.x, r.min.y, r.max.x, r.max.y].map(f64::to_bits), id)
-            };
-            for c in 0..built.stats().cells as usize {
-                assert!(built
-                    .cell_entries(c)
-                    .map(bits)
-                    .eq(expected.cell_entries(c).map(bits)));
-            }
         }
     }
 
@@ -660,35 +560,6 @@ mod tests {
         distinct.fill_resource_report(&mut report);
         assert_eq!(report.components().len(), 6);
         assert_eq!(report.total_bytes(), distinct.memory_bytes());
-    }
-
-    #[test]
-    fn grid_backend_adds_components_and_shares_self_join_grids() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let data = Dataset::uniform(80, 0.2, &mut rng);
-        let inst = Instance::self_join(QueryGraph::clique(4), data.rects()).unwrap();
-        let rtree_bytes = inst.memory_bytes();
-        let inst = inst.with_backend(BackendKind::Grid);
-        assert_eq!(inst.backend(), BackendKind::Grid);
-        assert!(inst.memory_bytes() > rtree_bytes, "grid bytes must show up");
-
-        let mut report = ResourceReport::new();
-        inst.fill_resource_report(&mut report);
-        let names: Vec<&str> = report
-            .components()
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .collect();
-        assert_eq!(names, ["grid.var000", "rects.var000", "rtree.var000"]);
-        assert_eq!(report.total_bytes(), inst.memory_bytes());
-        // Aliased variables share one grid.
-        assert!(std::ptr::eq(inst.grid(0), inst.grid(3)));
-        // Default stays R*-tree with no grid component.
-        let plain = tiny_instance();
-        assert_eq!(plain.backend(), BackendKind::RTree);
-        let mut report = ResourceReport::new();
-        plain.fill_resource_report(&mut report);
-        assert_eq!(report.components().len(), 6);
     }
 
     /// The support bits show in the report once a heuristic has built them,

@@ -16,9 +16,9 @@
 //! | [`WindowReduction`], opening with the pairwise join of its first edge | \[PMT99\], \[MP99\] | exact join |
 //! | [`NaiveLocalSearch`], [`NaiveGa`] | \[PMK+99\] | ablation baselines |
 //!
-//! The shared primitive is [`find_best_value`] (§3, Fig. 5): a
-//! branch-and-bound *multi-window* query that retrieves, for one query
-//! variable, the object intersecting the most windows — the current
+//! The shared primitive is [`find_best_value`](fn@find_best_value) (§3,
+//! Fig. 5): a branch-and-bound *multi-window* query that retrieves, for one
+//! query variable, the object intersecting the most windows — the current
 //! assignments of the variable's query-graph neighbours.
 //!
 //! Every randomized algorithm takes a seeded [`rand::rngs::StdRng`] and a
@@ -58,11 +58,12 @@ pub use find_best_value::{find_best_value, BestValue};
 pub use gils::{Gils, GilsConfig};
 pub use ibb::{Ibb, IbbConfig};
 pub use ils::{Ils, IlsConfig};
-pub use instance::{BackendKind, Instance, InstanceError};
+pub use instance::{Instance, InstanceError};
 pub use naive::{NaiveGa, NaiveGaConfig, NaiveLocalSearch};
 pub use observe::{emit_run_end, metric, run_start};
 pub use pairwise::PairwiseJoin;
-// The benchmark's names for `Portfolio` and the exact joins WR replaced.
+// The benchmark's names for `Portfolio`, the exact joins WR replaced and
+// the retired grid backend.
 #[doc(hidden)]
 pub use legacy::*;
 pub use portfolio::{derive_seed, AnytimeSearch, Portfolio, PortfolioOutcome, RestartOutcome};

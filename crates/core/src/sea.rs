@@ -15,7 +15,7 @@
 //!   later ones preserve good building blocks;
 //! * **mutation** — the only index-driven operator: with probability `μm`
 //!   the worst variable of a solution is re-instantiated with
-//!   [`find_best_value`](crate::find_best_value), exactly like one ILS move
+//!   [`find_best_value`](fn@crate::find_best_value), exactly like one ILS move
 //!   ("mutation can only have positive results").
 
 use crate::budget::{SearchBudget, SearchContext};
@@ -415,7 +415,6 @@ impl KeepSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BackendKind;
     use mwsj_datagen::{hard_region_density, Dataset, QueryShape};
     use mwsj_query::{QueryGraph, QueryGraphBuilder};
     use rand::SeedableRng;
@@ -618,46 +617,43 @@ mod tests {
         let mut restarted = 0;
         for shape in [QueryShape::Chain, QueryShape::Clique, QueryShape::Star] {
             for n in [3, 5, 8] {
-                for backend in [BackendKind::RTree, BackendKind::Grid] {
-                    let inst = hard_instance(91 + n as u64, shape, n, 300).with_backend(backend);
-                    for hybrid in [false, true] {
-                        let cfg = SeaConfig {
-                            stagnation_restart: 6,
-                            seed_with_ils: hybrid,
-                            ..SeaConfig::default_for(&inst)
-                        };
-                        let population = cfg.population;
-                        let sea = Sea::new(cfg);
-                        let plain = WindowCache::new(&inst);
-                        let memo = WindowCache::for_population(&inst, population);
-                        let a = evolve_with(&sea, &inst, GENERATIONS, 17, plain, |_| {});
-                        let b = evolve_with(&sea, &inst, GENERATIONS, 17, memo, |_| {});
-                        let what = format!("{shape:?} n={n} {backend:?} hybrid={hybrid}");
-                        assert_eq!(a.best, b.best, "{what}");
-                        assert_eq!(a.best_violations, b.best_violations, "{what}");
-                        assert_eq!(a.top_solutions, b.top_solutions, "{what}");
-                        let trace = |o: &RunOutcome| -> Vec<(u64, f64)> {
-                            o.trace.iter().map(|p| (p.step, p.similarity)).collect()
-                        };
-                        assert_eq!(trace(&a), trace(&b), "{what}");
-                        assert_eq!(a.stats.steps, b.stats.steps, "{what}");
-                        assert_eq!(a.stats.improvements, b.stats.improvements, "{what}");
-                        assert_eq!(a.stats.restarts, b.stats.restarts, "{what}");
-                        let queries = |o: &RunOutcome| o.stats.cache.questions();
-                        assert_eq!(queries(&a), queries(&b), "{what}");
-                        assert!(a.stats.node_accesses >= b.stats.node_accesses, "{what}");
-                        assert_eq!(
-                            b.stats.access_profile.iter().flatten().sum::<u64>(),
-                            b.stats.node_accesses,
-                            "attribution still sums: {what}"
-                        );
-                        saved += a.stats.node_accesses - b.stats.node_accesses;
-                        // A run whose last improvement is more than the
-                        // stagnation window before its end has re-seeded.
-                        let last = a.trace.last().expect("eager incumbent").step;
-                        restarted +=
-                            (a.stats.steps == GENERATIONS && last + 7 < GENERATIONS) as u32;
-                    }
+                let inst = hard_instance(91 + n as u64, shape, n, 300);
+                for hybrid in [false, true] {
+                    let cfg = SeaConfig {
+                        stagnation_restart: 6,
+                        seed_with_ils: hybrid,
+                        ..SeaConfig::default_for(&inst)
+                    };
+                    let population = cfg.population;
+                    let sea = Sea::new(cfg);
+                    let plain = WindowCache::new(&inst);
+                    let memo = WindowCache::for_population(&inst, population);
+                    let a = evolve_with(&sea, &inst, GENERATIONS, 17, plain, |_| {});
+                    let b = evolve_with(&sea, &inst, GENERATIONS, 17, memo, |_| {});
+                    let what = format!("{shape:?} n={n} hybrid={hybrid}");
+                    assert_eq!(a.best, b.best, "{what}");
+                    assert_eq!(a.best_violations, b.best_violations, "{what}");
+                    assert_eq!(a.top_solutions, b.top_solutions, "{what}");
+                    let trace = |o: &RunOutcome| -> Vec<(u64, f64)> {
+                        o.trace.iter().map(|p| (p.step, p.similarity)).collect()
+                    };
+                    assert_eq!(trace(&a), trace(&b), "{what}");
+                    assert_eq!(a.stats.steps, b.stats.steps, "{what}");
+                    assert_eq!(a.stats.improvements, b.stats.improvements, "{what}");
+                    assert_eq!(a.stats.restarts, b.stats.restarts, "{what}");
+                    let queries = |o: &RunOutcome| o.stats.cache.questions();
+                    assert_eq!(queries(&a), queries(&b), "{what}");
+                    assert!(a.stats.node_accesses >= b.stats.node_accesses, "{what}");
+                    assert_eq!(
+                        b.stats.access_profile.iter().flatten().sum::<u64>(),
+                        b.stats.node_accesses,
+                        "attribution still sums: {what}"
+                    );
+                    saved += a.stats.node_accesses - b.stats.node_accesses;
+                    // A run whose last improvement is more than the
+                    // stagnation window before its end has re-seeded.
+                    let last = a.trace.last().expect("eager incumbent").step;
+                    restarted += (a.stats.steps == GENERATIONS && last + 7 < GENERATIONS) as u32;
                 }
             }
         }

@@ -505,7 +505,6 @@ mod tests {
     use crate::budget::{BudgetClock, SearchBudget};
     use crate::index;
     use crate::individual::Individual;
-    use crate::instance::BackendKind;
     use crate::window_cache::WindowCache;
     use crate::wr::ExactJoinOutcome;
     use crate::WindowReduction;
@@ -539,7 +538,6 @@ mod tests {
         /// 0: boxes, 1: points, 2: vertical lines, 3: horizontal lines.
         shape: u8,
         self_join: bool,
-        grid: bool,
     }
 
     impl Draw {
@@ -572,16 +570,11 @@ mod tests {
                 });
                 shaped.collect()
             };
-            let instance = if self.self_join {
+            if self.self_join {
                 Instance::self_join(graph, dataset(&mut rng)).unwrap()
             } else {
                 let datasets: Vec<Vec<Rect>> = (0..n).map(|_| dataset(&mut rng)).collect();
                 Instance::new(graph, datasets).unwrap()
-            };
-            if self.grid {
-                instance.with_backend(BackendKind::Grid)
-            } else {
-                instance
             }
         }
     }
@@ -671,9 +664,9 @@ mod tests {
     fn draws() -> impl proptest::strategy::Strategy<Value = Draw> {
         use proptest::prelude::*;
         let graph = (any::<u64>(), 2usize..5, any::<bool>(), 0usize..7);
-        let data = (0.005f64..0.6, 0u8..4, any::<bool>(), any::<bool>());
+        let data = (0.005f64..0.6, 0u8..4, any::<bool>());
         (graph, data).prop_map(
-            |((seed, vars, clique, pred), (density, shape, self_join, grid))| Draw {
+            |((seed, vars, clique, pred), (density, shape, self_join))| Draw {
                 seed,
                 vars,
                 clique,
@@ -682,7 +675,6 @@ mod tests {
                 density,
                 shape,
                 self_join,
-                grid,
             },
         )
     }
@@ -969,7 +961,6 @@ mod tests {
                 density: 0.01,
                 shape: 0,
                 self_join: false,
-                grid: false,
             };
             let inst = draw.instance();
             let joined = Support::joined(&inst, &[true; 3]);

@@ -245,7 +245,7 @@ impl TieList {
     }
 }
 
-/// A table of remembered [`find_best_value`](crate::find_best_value)
+/// A table of remembered [`find_best_value`](fn@crate::find_best_value)
 /// questions over one instance.
 ///
 /// Create one per search run and route every best-value query through
@@ -318,7 +318,7 @@ impl WindowCache {
         (hits, misses, self.memory_bytes())
     }
 
-    /// Cached equivalent of [`find_best_value`](crate::find_best_value):
+    /// Cached equivalent of [`find_best_value`](fn@crate::find_best_value):
     /// same arguments, bit-identical result, fewer node accesses.
     ///
     /// A question found in the table is answered without traversing the
@@ -327,7 +327,7 @@ impl WindowCache {
     /// untouched too unless the answer needs the list widened.
     ///
     /// # Panics
-    /// As [`find_best_value`](crate::find_best_value): when a traversal
+    /// As [`find_best_value`](fn@crate::find_best_value): when a traversal
     /// runs with a penalty weight λ that is negative, infinite or NaN.
     pub fn find_best_value(
         &mut self,
@@ -352,9 +352,9 @@ impl WindowCache {
     /// `node_accesses`, a hit touches neither.
     ///
     /// `#[inline]` keeps it inside the three `drive` loops, where the
-    /// inliner had put it unasked until the grid kernel it reaches through
-    /// [`index::best`] changed size (PR 24) and it fell out: +1 … +3 %
-    /// `solve_s` on the R*-tree rows, which run none of the changed code.
+    /// inliner had put it unasked until a kernel behind [`index::best`]
+    /// changed size and it fell out: +1 … +3 % `solve_s` on rows that ran
+    /// none of the changed code.
     #[inline]
     pub(crate) fn find_best_value_with(
         &mut self,
@@ -561,7 +561,6 @@ impl MemoryFootprint for WindowCache {
 mod tests {
     use super::*;
     use crate::find_best_value::find_best_value;
-    use crate::instance::BackendKind;
     use mwsj_datagen::Dataset;
     use mwsj_query::QueryGraph;
     use rand::rngs::StdRng;
@@ -652,56 +651,50 @@ mod tests {
         ];
         let left = vec![Rect::new(0.0, 0.0, 0.5, 0.5)];
         let right = vec![Rect::new(0.4, 0.4, 1.0, 1.0)];
-        let rtree = Instance::new(QueryGraph::chain(3), vec![left, middle, right]).unwrap();
+        let inst = Instance::new(QueryGraph::chain(3), vec![left, middle, right]).unwrap();
         let sol = Solution::new(vec![0, 3, 0]);
-        for inst in [rtree.clone(), rtree.with_backend(BackendKind::Grid)] {
-            let backend = inst.backend().name();
-            // One question about variable 1: its answer, and its accesses.
-            let ask = |cache: &mut WindowCache, table: &PenaltyTable, lambda: f64| {
-                let mut acc = 0;
-                let got = cache.find_best_value(&inst, &sol, 1, Some((table, lambda)), &mut acc);
-                let best = got.expect("every object satisfies a window");
-                (best.object, best.satisfied, best.effective, acc)
-            };
+        // One question about variable 1: its answer, and its accesses.
+        let ask = |cache: &mut WindowCache, table: &PenaltyTable, lambda: f64| {
+            let mut acc = 0;
+            let got = cache.find_best_value(&inst, &sol, 1, Some((table, lambda)), &mut acc);
+            let best = got.expect("every object satisfies a window");
+            (best.object, best.satisfied, best.effective, acc)
+        };
 
-            // λ = 0.5: a punished object loses its tie, and nothing walks.
-            let (mut cache, mut table) = (WindowCache::new(&inst), PenaltyTable::new());
-            let (first, count, _, acc) = ask(&mut cache, &table, 0.5);
-            assert!(first < 3 && count == 2 && acc > 0, "{backend}");
-            table.penalize(1, first);
-            let (second, _, effective, acc) = ask(&mut cache, &table, 0.5);
-            assert!(
-                second < 3 && second != first && effective == 2.0,
-                "{backend}"
-            );
-            assert_eq!(acc, 0, "{backend}: a re-score walks nothing");
-            (0..3).for_each(|object| table.penalize(1, object));
-            let (third, _, effective, acc) = ask(&mut cache, &table, 0.5);
-            assert_eq!((third, effective, acc), (second, 1.5, 0), "{backend}");
-            let stats = cache.stats().per_var[1];
-            assert_eq!(
-                (stats.hits, stats.misses, stats.invalidations_penalty),
-                (2, 1, 0)
-            );
+        // λ = 0.5: a punished object loses its tie, and nothing walks.
+        let (mut cache, mut table) = (WindowCache::new(&inst), PenaltyTable::new());
+        let (first, count, _, acc) = ask(&mut cache, &table, 0.5);
+        assert!(first < 3 && count == 2 && acc > 0);
+        table.penalize(1, first);
+        let (second, _, effective, acc) = ask(&mut cache, &table, 0.5);
+        assert!(second < 3 && second != first && effective == 2.0);
+        assert_eq!(acc, 0, "a re-score walks nothing");
+        (0..3).for_each(|object| table.penalize(1, object));
+        let (third, _, effective, acc) = ask(&mut cache, &table, 0.5);
+        assert_eq!((third, effective, acc), (second, 1.5, 0));
+        let stats = cache.stats().per_var[1];
+        assert_eq!(
+            (stats.hits, stats.misses, stats.invalidations_penalty),
+            (2, 1, 0)
+        );
 
-            // λ = 4: punished once, the three score −2, below what object 3
-            // scores off the list — the list widens, once.
-            let (mut cache, mut table) = (WindowCache::new(&inst), PenaltyTable::new());
-            let _ = ask(&mut cache, &table, 4.0);
-            (0..3).for_each(|object| table.penalize(1, object));
-            let (widened, count, effective, acc) = ask(&mut cache, &table, 4.0);
-            assert_eq!((widened, count, effective), (3, 1, 1.0), "{backend}");
-            assert!(acc > 0, "{backend}: widening walks");
-            table.penalize(1, 3);
-            let (next, _, effective, acc) = ask(&mut cache, &table, 4.0);
-            assert_eq!((next, effective, acc), (4, 1.0, 0), "{backend}");
-            let stats = cache.stats().per_var[1];
-            assert_eq!(
-                (stats.hits, stats.misses, stats.invalidations_penalty),
-                (1, 2, 1)
-            );
-            assert!(cache.memory_bytes() > WindowCache::new(&inst).memory_bytes());
-        }
+        // λ = 4: punished once, the three score −2, below what object 3
+        // scores off the list — the list widens, once.
+        let (mut cache, mut table) = (WindowCache::new(&inst), PenaltyTable::new());
+        let _ = ask(&mut cache, &table, 4.0);
+        (0..3).for_each(|object| table.penalize(1, object));
+        let (widened, count, effective, acc) = ask(&mut cache, &table, 4.0);
+        assert_eq!((widened, count, effective), (3, 1, 1.0));
+        assert!(acc > 0, "widening walks");
+        table.penalize(1, 3);
+        let (next, _, effective, acc) = ask(&mut cache, &table, 4.0);
+        assert_eq!((next, effective, acc), (4, 1.0, 0));
+        let stats = cache.stats().per_var[1];
+        assert_eq!(
+            (stats.hits, stats.misses, stats.invalidations_penalty),
+            (1, 2, 1)
+        );
+        assert!(cache.memory_bytes() > WindowCache::new(&inst).memory_bytes());
     }
 
     #[test]

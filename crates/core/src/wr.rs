@@ -8,8 +8,7 @@
 //! order. Every depth after the opening is IBB's walk ([`crate::ibb`])
 //! with its bound held at one violation: a conjunctive multi-window query
 //! on the assignments of the variable's placed neighbours, its candidates
-//! tried in id order, backtracking when it returns nothing. Both openings
-//! come from the trees, so the order is the same on both backends. WR
+//! tried in id order, backtracking when it returns nothing. WR
 //! enumerates exactly the set of exact solutions; it cannot return
 //! approximate matches (which is precisely the limitation the paper's
 //! heuristics address).
@@ -34,14 +33,13 @@ use std::ops::ControlFlow;
 #[derive(Debug, Clone, Default)]
 pub struct ExactJoinOutcome {
     /// The exact solutions found, in WR's enumeration order —
-    /// deterministic for an instance, the same on both backends, and no
-    /// sorted order. A `limit` keeps a prefix of it.
+    /// deterministic for an instance, and no sorted order. A `limit` keeps
+    /// a prefix of it.
     pub solutions: Vec<Solution>,
     /// Counters. `steps`: variable instantiations tried — an opening pair
     /// of the first edge's join counts as one, as does each object of a
     /// scanned variable and each candidate of a window query.
-    /// `node_accesses`: index nodes or grid cells read, plus the tree
-    /// nodes the opening join reads. Both count the search of the
+    /// `node_accesses`: index nodes read, the opening join's included. Both count the search of the
     /// instance's arc-consistent core, not the pass that built it
     /// ([`Instance::core_node_accesses`]).
     pub stats: RunStats,
@@ -186,8 +184,7 @@ pub(crate) fn enumerate(
         // The pairs of the synchronous [`PairwiseJoin`] of the first two
         // variables' trees (\[BKS93\], PJM's first step \[MP99\]) that
         // satisfy the oriented predicate. The join stops where the walk
-        // ends; no pair list is built. Every instance has its trees, so
-        // this holds on either backend.
+        // ends; no pair list is built.
         Some((v0, v1, pred)) => {
             let mut opened = None;
             let (reads, _) = PairwiseJoin::visit(instance.tree(v0), instance.tree(v1), |a, b| {
@@ -283,27 +280,27 @@ mod tests {
         assert!(!outcome.complete);
     }
 
-    /// One pass per instance: the first exact join of either backend view
-    /// builds it, every later one — the other view's included — finds it
-    /// built, and `--limit 0` builds nothing. The pass's reads are the
+    /// One pass per instance: the first exact join of the instance or of
+    /// a clone builds it, every later one — the other's included — finds
+    /// it built, and `--limit 0` builds nothing. The pass's reads are the
     /// instance's, so the first run counts what every later one does.
     #[test]
-    fn the_pass_is_built_once_and_shared_by_the_views() {
+    fn the_pass_is_built_once_and_shared_by_clones() {
         let (inst, _) = instance(126, QueryShape::Chain, 3, 2_000, 0.05);
-        let grid = inst.clone().with_backend(crate::BackendKind::Grid);
+        let clone = inst.clone();
         let budget = SearchBudget::seconds(30.0);
-        let _ = WindowReduction::new().run(&grid, &budget, 0);
+        let _ = WindowReduction::new().run(&clone, &budget, 0);
         assert_eq!(inst.core_sizes(), None);
         let first = WindowReduction::new().run(&inst, &budget, usize::MAX);
-        let sizes = grid.core_sizes().expect("the views share the pass");
+        let sizes = clone.core_sizes().expect("clones share the pass");
         assert!(sizes.iter().all(|&size| size < 2_000), "{sizes:?}");
-        assert!(grid.core_node_accesses().is_some_and(|reads| reads > 0));
+        assert!(clone.core_node_accesses().is_some_and(|reads| reads > 0));
         let again = WindowReduction::new().run(&inst, &budget, usize::MAX);
         assert!(!first.solutions.is_empty());
         assert_eq!(first.solutions, again.solutions);
         assert_eq!(first.stats.counters(), again.stats.counters());
-        let on_grid = WindowReduction::new().run(&grid, &budget, usize::MAX);
-        assert_eq!(on_grid.solutions, again.solutions);
+        let on_clone = WindowReduction::new().run(&clone, &budget, usize::MAX);
+        assert_eq!(on_clone.solutions, again.solutions);
     }
 
     /// On data where every join keeps most objects the pass does not run:

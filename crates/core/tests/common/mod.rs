@@ -3,7 +3,7 @@
 // Each test binary compiles its own copy and uses what it needs.
 #![allow(dead_code)]
 
-use mwsj_core::{BackendKind, Instance, ObsHandle, SearchBudget, VecSink, WindowReduction};
+use mwsj_core::{Instance, ObsHandle, SearchBudget, VecSink, WindowReduction};
 use mwsj_datagen::{count_exact_solutions, hard_region_density, Dataset, QueryShape};
 use mwsj_geom::{Predicate, Rect};
 use mwsj_query::{QueryGraph, QueryGraphBuilder};
@@ -60,39 +60,31 @@ pub fn with_first_edge(graph: &QueryGraph, pred: Predicate) -> QueryGraph {
     builder.build().unwrap()
 }
 
-/// WR with `limit` on `inst` and on its grid view, held to the independent
-/// backtracking counter over the same rectangles
-/// ([`count_exact_solutions`]): each backend finds as many solutions as it
-/// counts up to `limit`, every one exact and none twice; both backends
-/// enumerate them in one order, and a smaller limit keeps a prefix of it.
-/// Returns the count.
+/// WR with `limit` on `inst`, held to the independent backtracking counter
+/// over the same rectangles ([`count_exact_solutions`]): it finds as many
+/// solutions as the counter counts up to `limit`, every one exact and none
+/// twice, and a smaller limit keeps a prefix of them. Returns the count.
 pub fn assert_wr_matches_the_counter(inst: &Instance, limit: usize, what: &str) -> usize {
     let datasets: Vec<Dataset> = (0..inst.n_vars())
         .map(|v| Dataset::from_rects(rects_of(inst, v)))
         .collect();
     let count = count_exact_solutions(&datasets, inst.graph(), limit as u64) as usize;
     let budget = SearchBudget::iterations(u64::MAX);
-    let grid = inst.clone().with_backend(BackendKind::Grid);
-    let [on_rtree, on_grid] = [inst, &grid].map(|view| {
-        let outcome = WindowReduction::new().run(view, &budget, limit);
-        let backend = view.backend().name();
-        assert_eq!(outcome.solutions.len(), count, "{what}, {backend}");
-        assert_eq!(outcome.complete, count < limit, "{what}, {backend}");
-        assert!(outcome.solutions.iter().all(|s| view.violations(s) == 0));
-        let mut sorted = outcome.solutions.clone();
-        sorted.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
-        sorted.dedup();
-        assert_eq!(sorted.len(), count, "{what}, {backend}: a solution twice");
-        let prefix = WindowReduction::new().run(view, &budget, count / 2 + 1);
-        let kept = outcome.solutions.len().min(count / 2 + 1);
-        assert_eq!(
-            prefix.solutions,
-            outcome.solutions[..kept],
-            "{what}, {backend}: no prefix"
-        );
-        outcome.solutions
-    });
-    assert_eq!(on_rtree, on_grid, "{what}: the backends' orders differ");
+    let outcome = WindowReduction::new().run(inst, &budget, limit);
+    assert_eq!(outcome.solutions.len(), count, "{what}");
+    assert_eq!(outcome.complete, count < limit, "{what}");
+    assert!(outcome.solutions.iter().all(|s| inst.violations(s) == 0));
+    let mut sorted = outcome.solutions.clone();
+    sorted.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
+    sorted.dedup();
+    assert_eq!(sorted.len(), count, "{what}: a solution twice");
+    let prefix = WindowReduction::new().run(inst, &budget, count / 2 + 1);
+    let kept = outcome.solutions.len().min(count / 2 + 1);
+    assert_eq!(
+        prefix.solutions,
+        outcome.solutions[..kept],
+        "{what}: no prefix"
+    );
     count
 }
 

@@ -5,13 +5,13 @@
 mod common;
 
 use mwsj_core::{
-    find_best_value, BackendKind, Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance,
-    Portfolio, RunOutcome, Sea, SeaConfig, SearchBudget, WindowCache, WindowReduction,
+    find_best_value, Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance, Portfolio,
+    RunOutcome, Sea, SeaConfig, SearchBudget, WindowCache, WindowReduction,
 };
 use mwsj_datagen::Dataset;
 use mwsj_geom::{Predicate, Rect};
 use mwsj_query::{PenaltyTable, QueryGraph, QueryGraphBuilder, Solution};
-use mwsj_rtree::{grid, multiwindow};
+use mwsj_rtree::multiwindow;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,6 +74,54 @@ fn arb_tied_instance() -> impl Strategy<Value = (Instance, u64)> {
     })
 }
 
+/// An instance of 3–4 variables whose data holds what a spatial index
+/// can trip on: objects 0 and 1 share their coordinates, object 3 is a
+/// degenerate point at (0.5, 0.5), and object 2 spans nearly the whole
+/// space — or, every other draw, eight times the objects, small and packed
+/// around three centres, without the spanning object.
+fn arb_adversarial_instance() -> impl Strategy<Value = Instance> {
+    (
+        3usize..=4,
+        24usize..=40,
+        0.0f64..=1.0,
+        any::<u64>(),
+        any::<bool>(),
+    )
+        .prop_map(|(n, cardinality, extra_edges, seed, clustered)| {
+            use rand::RngExt;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let graph = QueryGraph::random_connected(n, extra_edges, &mut rng);
+            // (objects, their centres, spread around a centre, largest extent)
+            let (count, centres, spread, extent) = if clustered {
+                let centre = |_| (rng.random_range(0.1..0.9), rng.random_range(0.1..0.9));
+                (8 * cardinality, std::array::from_fn(centre), 0.04, 0.008)
+            } else {
+                (cardinality, [(0.0, 0.0); 3], 1.0, 0.12)
+            };
+            let datasets: Vec<Vec<Rect>> = (0..n)
+                .map(|_| {
+                    let mut rects: Vec<Rect> = (0..count)
+                        .map(|i| {
+                            let (cx, cy) = centres[i % 3];
+                            let x: f64 = cx + rng.random_range(0.0..spread);
+                            let y: f64 = cy + rng.random_range(0.0..spread);
+                            let w: f64 = rng.random_range(0.0..extent);
+                            let h: f64 = rng.random_range(0.0..extent);
+                            Rect::new(x, y, (x + w).min(1.0), (y + h).min(1.0))
+                        })
+                        .collect();
+                    rects[1] = rects[0];
+                    if !clustered {
+                        rects[2] = Rect::new(0.02, 0.02, 0.98, 0.98);
+                    }
+                    rects[3] = Rect::new(0.5, 0.5, 0.5, 0.5);
+                    rects
+                })
+                .collect();
+            Instance::new(graph, datasets).unwrap()
+        })
+}
+
 /// `var`'s windows under `sol`, one per neighbour.
 fn windows_of(inst: &Instance, sol: &Solution, var: usize) -> Vec<(Predicate, Rect)> {
     let neighbors = inst.graph().neighbors(var).iter();
@@ -82,8 +130,7 @@ fn windows_of(inst: &Instance, sol: &Solution, var: usize) -> Vec<(Predicate, Re
         .collect()
 }
 
-/// The penalised question asked of the backend's best-entry kernel
-/// directly: `(object, rect, satisfied, effective bits)`.
+/// The penalised question asked of the best-first kernel directly: `(object, rect, satisfied, effective bits)`.
 fn penalised_kernel(
     inst: &Instance,
     sol: &Solution,
@@ -94,18 +141,8 @@ fn penalised_kernel(
     let windows = windows_of(inst, sol, var);
     let score =
         |&object: &u32, count: u32| count as f64 - lambda * table.get(var, object as usize) as f64;
-    let best = match inst.backend() {
-        BackendKind::RTree => multiwindow::find_best_leaf_leveled(
-            inst.tree(var).root_node(),
-            &windows,
-            score,
-            &mut 0,
-            &mut [],
-        ),
-        BackendKind::Grid => {
-            grid::best_in_windows(inst.grid(var), &windows, score, &mut 0, &mut [])
-        }
-    };
+    let root = inst.tree(var).root_node();
+    let best = multiwindow::find_best_leaf_leveled(root, &windows, score, &mut 0, &mut []);
     best.map(|b| (b.value as usize, b.rect, b.satisfied, b.score.to_bits()))
 }
 
@@ -326,73 +363,71 @@ proptest! {
     /// GILS's re-scored answers are the kernel's. A `WindowCache` is driven
     /// as GILS drives it — every variable asked, the local maximum
     /// punished, every variable asked again, now and then a variable moved
-    /// — on both backends and at λ ∈ {0, paper λ, 0.25, 1, 4}, and every
+    /// — at λ ∈ {0, paper λ, 0.25, 1, 4}, and every
     /// answer is bit-equal in object, rectangle, count and effective value
     /// to the penalised kernel called directly. A re-query after a
     /// punishment, its windows unchanged, walks nothing, but for the one
     /// walk that widens its list. The checks are not vacuous: the λ = 4
     /// runs widen lists, and most cases re-score a tie of two or more.
     #[test]
-    fn gils_re_scores_exactly((rtree, seed) in arb_tied_instance()) {
+    fn gils_re_scores_exactly((inst, seed) in arb_tied_instance()) {
         use rand::RngExt;
-        let paper = GilsConfig::paper_lambda(rtree.problem_size_bits());
-        let grid = rtree.clone().with_backend(BackendKind::Grid);
+        let inst = &inst;
+        let paper = GilsConfig::paper_lambda(inst.problem_size_bits());
         let (mut widened_at_4, mut rescored_ties) = (false, false);
-        for inst in [&rtree, &grid] {
-            for lambda in [0.0, paper, 0.25, 1.0, 4.0] {
-                let what = format!("{}, λ = {lambda}", inst.backend().name());
-                let mut rng = StdRng::seed_from_u64(seed ^ 0x6115);
-                let mut sol = inst.random_solution(&mut rng);
-                let mut cache = WindowCache::new(inst);
-                let mut table = PenaltyTable::new();
-                // Per variable: its list widened since it was last built.
-                let mut widened = vec![false; inst.n_vars()];
-                let mut moves = Vec::new();
-                for round in 0..16 {
-                    for requery in [false, true] {
-                        for var in 0..inst.n_vars() {
-                            let before = cache.stats().per_var[var];
-                            let mut acc = 0;
-                            let got = cache.find_best_value(inst, &sol, var, Some((&table, lambda)), &mut acc);
-                            let got = got.map(|b| (b.object, b.rect, b.satisfied, b.effective.to_bits()));
-                            let want = penalised_kernel(inst, &sol, var, &table, lambda);
-                            prop_assert_eq!(got, want, "{}: round {}, var {}", what, round, var);
-                            let after = cache.stats().per_var[var];
-                            let hit = after.hits > before.hits;
-                            prop_assert!(!hit || acc == 0, "{}: a hit walked", what);
-                            if !requery {
-                                widened[var] &= hit;
-                                continue;
-                            }
-                            let widening = after.invalidations_penalty > before.invalidations_penalty;
-                            prop_assert!(hit || (widening && !widened[var]), "{}: var {} walked", what, var);
-                            widened[var] |= widening;
-                            widened_at_4 |= widening && lambda == 4.0;
-                            let counts = (0..inst.cardinality(var)).map(|o| {
-                                let r = inst.rect(var, o);
-                                windows_of(inst, &sol, var).iter().filter(|(p, w)| p.eval(&r, w)).count()
-                            });
-                            let counts: Vec<usize> = counts.collect();
-                            let top = counts.iter().copied().max().unwrap_or(0);
-                            let tied = counts.iter().filter(|&&c| c == top).count();
-                            rescored_ties |= hit && top > 0 && tied >= 2;
-                            // GILS's move test: does the answer beat `var`'s own value?
-                            let own = counts[sol.get(var)] as f64 - lambda * table.get(var, sol.get(var)) as f64;
-                            let better = got.filter(|b| b.0 != sol.get(var) && f64::from_bits(b.3) > own);
-                            moves.extend(better.map(|b| (var, b.0)));
-                        }
+        for lambda in [0.0, paper, 0.25, 1.0, 4.0] {
+            let what = format!("λ = {lambda}");
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x6115);
+            let mut sol = inst.random_solution(&mut rng);
+            let mut cache = WindowCache::new(inst);
+            let mut table = PenaltyTable::new();
+            // Per variable: its list widened since it was last built.
+            let mut widened = vec![false; inst.n_vars()];
+            let mut moves = Vec::new();
+            for round in 0..16 {
+                for requery in [false, true] {
+                    for var in 0..inst.n_vars() {
+                        let before = cache.stats().per_var[var];
+                        let mut acc = 0;
+                        let got = cache.find_best_value(inst, &sol, var, Some((&table, lambda)), &mut acc);
+                        let got = got.map(|b| (b.object, b.rect, b.satisfied, b.effective.to_bits()));
+                        let want = penalised_kernel(inst, &sol, var, &table, lambda);
+                        prop_assert_eq!(got, want, "{}: round {}, var {}", what, round, var);
+                        let after = cache.stats().per_var[var];
+                        let hit = after.hits > before.hits;
+                        prop_assert!(!hit || acc == 0, "{}: a hit walked", what);
                         if !requery {
-                            table.penalize_local_maximum(&sol);
+                            widened[var] &= hit;
+                            continue;
                         }
+                        let widening = after.invalidations_penalty > before.invalidations_penalty;
+                        prop_assert!(hit || (widening && !widened[var]), "{}: var {} walked", what, var);
+                        widened[var] |= widening;
+                        widened_at_4 |= widening && lambda == 4.0;
+                        let counts = (0..inst.cardinality(var)).map(|o| {
+                            let r = inst.rect(var, o);
+                            windows_of(inst, &sol, var).iter().filter(|(p, w)| p.eval(&r, w)).count()
+                        });
+                        let counts: Vec<usize> = counts.collect();
+                        let top = counts.iter().copied().max().unwrap_or(0);
+                        let tied = counts.iter().filter(|&&c| c == top).count();
+                        rescored_ties |= hit && top > 0 && tied >= 2;
+                        // GILS's move test: does the answer beat `var`'s own value?
+                        let own = counts[sol.get(var)] as f64 - lambda * table.get(var, sol.get(var)) as f64;
+                        let better = got.filter(|b| b.0 != sol.get(var) && f64::from_bits(b.3) > own);
+                        moves.extend(better.map(|b| (var, b.0)));
                     }
-                    // The first variable that improves moves, as GILS's climb
-                    // does; at a maximum, one moves anywhere, as a reseed.
-                    let v = rng.random_range(0..inst.n_vars());
-                    let anywhere = (v, rng.random_range(0..inst.cardinality(v)));
-                    let (v, object) = moves.first().copied().unwrap_or(anywhere);
-                    sol.set(v, object);
-                    moves.clear();
+                    if !requery {
+                        table.penalize_local_maximum(&sol);
+                    }
                 }
+                // The first variable that improves moves, as GILS's climb
+                // does; at a maximum, one moves anywhere, as a reseed.
+                let v = rng.random_range(0..inst.n_vars());
+                let anywhere = (v, rng.random_range(0..inst.cardinality(v)));
+                let (v, object) = moves.first().copied().unwrap_or(anywhere);
+                sol.set(v, object);
+                moves.clear();
             }
         }
         let cases = TIED_CASES.fetch_add(1, Ordering::Relaxed) + 1;
@@ -402,13 +437,12 @@ proptest! {
         prop_assert!(cases < 16 || 2 * ties >= cases, "{} of {} cases re-scored a tie", ties, cases);
     }
 
-    /// Exhaustive IBB equals the brute-force optimum on every instance, on
-    /// a drawn backend, unseeded and seeded: with a random solution, and
+    /// Exhaustive IBB equals the brute-force optimum on every instance,
+    /// unseeded and seeded: with a random solution, and
     /// with one violation more than the optimum, where the count the
     /// candidate walks ask for is highest.
     #[test]
-    fn ibb_is_globally_optimal((inst, seed) in arb_instance(), grid in any::<bool>()) {
-        let inst = if grid { inst.with_backend(BackendKind::Grid) } else { inst };
+    fn ibb_is_globally_optimal((inst, seed) in arb_instance()) {
         let violations = brute_violations(&inst);
         let optimum = *violations.iter().min().unwrap();
         let random = inst.random_solution(&mut StdRng::seed_from_u64(seed ^ 0x1BB));
@@ -438,8 +472,7 @@ proptest! {
     /// WR enumerates exactly the zero-violation assignments on every random
     /// instance — and on the same data under a disconnected query (one
     /// edge, every other variable isolated: the cross product with their
-    /// datasets) — on both backends, and a limit keeps that many members
-    /// of the set.
+    /// datasets) —, and a limit keeps that many members of the set.
     #[test]
     fn wr_is_exact_and_complete((inst, _) in arb_instance()) {
         let budget = SearchBudget::seconds(120.0);
@@ -453,21 +486,19 @@ proptest! {
                 .map(|(index, _)| odometer_solution(&inst, index))
                 .collect();
             expected.sort_by(by_objects);
-            for view in [inst.clone(), inst.with_backend(BackendKind::Grid)] {
-                let row = format!("{} edges, {}", view.graph().edge_count(), view.backend().name());
-                let all = WindowReduction::new().run(&view, &budget, usize::MAX);
-                prop_assert!(all.complete, "{}", row);
-                let mut found = all.solutions.clone();
-                found.sort_by(by_objects);
-                prop_assert_eq!(&found, &expected, "{}", row);
-                // Under a limit WR returns that many members of the set,
-                // none for `limit = 0`.
-                for limit in 0..=2 {
-                    let some = WindowReduction::new().run(&view, &budget, limit);
-                    prop_assert_eq!(some.solutions.len(), limit.min(expected.len()), "{} limit {}", row, limit);
-                    prop_assert!(some.solutions.iter().all(|s| all.solutions.contains(s)), "{} limit {}", row, limit);
-                    prop_assert!(some.complete || limit <= expected.len(), "{} limit {}", row, limit);
-                }
+            let row = format!("{} edges", inst.graph().edge_count());
+            let all = WindowReduction::new().run(&inst, &budget, usize::MAX);
+            prop_assert!(all.complete, "{}", row);
+            let mut found = all.solutions.clone();
+            found.sort_by(by_objects);
+            prop_assert_eq!(&found, &expected, "{}", row);
+            // Under a limit WR returns that many members of the set,
+            // none for `limit = 0`.
+            for limit in 0..=2 {
+                let some = WindowReduction::new().run(&inst, &budget, limit);
+                prop_assert_eq!(some.solutions.len(), limit.min(expected.len()), "{} limit {}", row, limit);
+                prop_assert!(some.solutions.iter().all(|s| all.solutions.contains(s)), "{} limit {}", row, limit);
+                prop_assert!(some.complete || limit <= expected.len(), "{} limit {}", row, limit);
             }
         }
     }
@@ -543,13 +574,33 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// On duplicate, degenerate, space-spanning and clustered data, WR
+    /// finds the solutions the independent backtracking counter counts,
+    /// whichever of the six predicates its first edge carries — the opening
+    /// pairwise join and the scan of the first variable alike —, and a
+    /// smaller limit keeps a prefix of them. (A count above the limit is
+    /// compared up to the limit.)
+    #[test]
+    fn wr_matches_the_counter_on_adversarial_data(
+        inst in arb_adversarial_instance(),
+        pred in 0usize..common::PREDICATES.len(),
+    ) {
+        let pred = common::PREDICATES[pred];
+        let inst = common::regraphed(&inst, common::with_first_edge(inst.graph(), pred));
+        common::assert_wr_matches_the_counter(&inst, 5_000, &format!("first edge {pred}"));
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// At a few hundred objects a variable, under a random connected query
     /// whose first edge carries each of the six predicates in turn — so that
     /// WR opens with the pairwise join of that edge where the predicate
     /// implies intersection and scans its first variable where it does
-    /// not —, WR finds on both backends the solutions the independent
+    /// not —, WR finds the solutions the independent
     /// backtracking counter counts.
     #[test]
     fn wr_matches_the_backtracking_counter_whatever_its_first_edge(

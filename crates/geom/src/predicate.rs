@@ -61,8 +61,8 @@ fn dominates(p: &Point, q: &Point) -> bool {
 }
 
 /// The *near* test; `eps` is a distance and therefore not negative (the
-/// window planners of the grid clamp it, so a negative ε would make the
-/// backends disagree — the CLI rejects it at parse time).
+/// test squares it, so a negative ε would read as its absolute value — the
+/// CLI rejects it at parse time).
 #[inline]
 fn within(a: &Rect, b: &Rect, eps: f64) -> bool {
     debug_assert!(eps >= 0.0, "within-distance needs ε ≥ 0, got {eps}");

@@ -384,12 +384,12 @@ mod tests {
         b.instances[0].algos[0]
             .counters
             .retain(|(k, _)| k != "steps");
-        b.memory[0].components.push(("grid.var000".into(), 12));
+        b.memory[0].components.push(("support.var000".into(), 12));
         assert_eq!(
             failing(&a, &b),
             [
                 r#"suite["chain-4"].algos["ILS"].counters.steps: 100 -> <absent>"#,
-                r#"memory["chain-4"].components.grid.var000: <absent> -> 12"#,
+                r#"memory["chain-4"].components.support.var000: <absent> -> 12"#,
             ]
         );
         // Beneath the typed records: a member of the document itself.

@@ -42,34 +42,6 @@ record! {
 }
 
 record! {
-    /// Structural quality and predicted query cost of one variable's uniform
-    /// grid (present only when the run used the grid backend).
-    #[derive(Debug, Clone, PartialEq, Default)]
-    pub struct GridQuality {
-        /// Total number of cells (`nx · ny`).
-        pub cells: u64,
-        /// Cells holding at least one entry.
-        pub occupied_cells: u64,
-        /// Replicated entries / unique objects (`≥ 1`; boundary straddlers are
-        /// stored once per overlapped cell).
-        pub replication_factor: f64,
-        /// Mean entries per occupied cell.
-        pub avg_occupancy: f64,
-        /// Largest cell's entry count.
-        pub max_occupancy: u64,
-        /// Expected candidate cells touched by one *find best value* query on
-        /// this variable, summed over the neighbour windows and clamped at
-        /// `cells`.
-        pub predicted_cells_per_query: f64 [estimate],
-        /// Predicted entries one query's in-cell sweep tests: per neighbour
-        /// window, its candidate cells times the occupancy a window placed on
-        /// the data finds (`Σ len² / Σ len`) times the swept share of a cell,
-        /// `(w + max_w) / cell_w`, at most 1.
-        pub predicted_cost_per_query: f64 [estimate],
-    }
-}
-
-record! {
     /// Estimate-vs-actual record of one query-graph edge.
     #[derive(Debug, Clone, PartialEq)]
     pub struct EdgeExplain {
@@ -127,9 +99,6 @@ record! {
         pub accesses_per_level: Vec<u64>,
         /// Structural quality of the variable's tree.
         pub tree: TreeQuality,
-        /// Grid-backend quality and predicted cost; `None` on R*-tree runs, so
-        /// existing reports and pinned snapshots serialise byte-identically.
-        pub grid: Option<GridQuality> [opt],
     }
 }
 
@@ -221,17 +190,6 @@ pub(crate) mod tests {
                         dead_space_per_level: vec![0.3, 0.1],
                         perimeter_per_level: vec![5.2, 2.1],
                     },
-                    // Mix Some/None so the round-trip test covers both the
-                    // grid-backend and the R*-tree serialisations.
-                    grid: (v == 1).then_some(GridQuality {
-                        cells: 16,
-                        occupied_cells: 12,
-                        replication_factor: 1.4,
-                        avg_occupancy: 23.3,
-                        max_occupancy: 61,
-                        predicted_cells_per_query: 5.5,
-                        predicted_cost_per_query: 128.15,
-                    }),
                 })
                 .collect(),
             observed_node_accesses: observed.then_some(123),

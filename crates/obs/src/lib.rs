@@ -60,7 +60,7 @@ pub mod timer;
 pub use compare::{compare, CompareReport};
 pub use curve::{AnytimeCurve, TracePoint};
 pub use events::{EventSink, JsonlSink, RunEvent, VecSink};
-pub use explain::{EdgeExplain, ExplainReport, GridQuality, TreeQuality, VarExplain};
+pub use explain::{EdgeExplain, ExplainReport, TreeQuality, VarExplain};
 pub use handle::ObsHandle;
 pub use json::{Json, JsonWriter};
 pub use profile::to_folded;

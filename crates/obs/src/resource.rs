@@ -1,7 +1,7 @@
 //! Resource observability: deterministic memory accounting.
 //!
 //! In-memory join processing lives or dies by working-set size: the paper's
-//! "Very Large Databases" claim only holds while every R*-tree, grid and
+//! "Very Large Databases" claim only holds while every R*-tree and
 //! search-side cache stays resident. This module gives the
 //! workspace one vocabulary for that cost:
 //!

@@ -118,7 +118,6 @@ pub fn markdown_table() -> String {
         record::<explain::EdgeExplain>(),
         record::<explain::VarExplain>(),
         record::<explain::TreeQuality>(),
-        record::<explain::GridQuality>(),
         record::<snapshot::SnapshotHeader>(),
         record::<snapshot::BenchSnapshot>(),
         record::<snapshot::InstanceRecord>(),
@@ -235,7 +234,6 @@ mod tests {
                         observed_accesses: 42,
                         accesses_per_level: vec![32, 10],
                         tree: crate::explain::TreeQuality::default(),
-                        grid: Some(crate::explain::GridQuality::default()),
                     }],
                     observed_node_accesses: Some(42),
                 },

@@ -7,8 +7,8 @@
 //! golden file (see CONTRIBUTING.md).
 
 use mwsj_obs::{
-    BenchSnapshot, EdgeExplain, ExplainReport, GridQuality, HistogramSnapshot, MetricsSnapshot,
-    PhaseSnapshot, ResourceReport, RunEvent, TreeQuality, VarExplain,
+    BenchSnapshot, EdgeExplain, ExplainReport, HistogramSnapshot, MetricsSnapshot, PhaseSnapshot,
+    ResourceReport, RunEvent, TreeQuality, VarExplain,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -45,15 +45,6 @@ fn explain_report(observed: bool) -> ExplainReport {
                     dead_space_per_level: vec![0.3, 0.1],
                     perimeter_per_level: vec![5.2, 2.1],
                 },
-                grid: (v == 1).then_some(GridQuality {
-                    cells: 16,
-                    occupied_cells: 12,
-                    replication_factor: 1.4,
-                    avg_occupancy: 23.3,
-                    max_occupancy: 61,
-                    predicted_cells_per_query: 5.5,
-                    predicted_cost_per_query: 128.15,
-                }),
             })
             .collect(),
         observed_node_accesses: observed.then_some(81),

@@ -15,8 +15,7 @@ impl<T> MemoryFootprint for RTree<T> {
     /// Heap bytes of the per-level arrays — every level's rectangles and
     /// `start` table — plus the leaf payloads, all counted by `len`. The
     /// leaf level's rectangles are the dataset itself, so this is the
-    /// index *and* the data it indexes; a grid over the leaves shares the
-    /// two leaf arrays and leaves them to be counted here.
+    /// index *and* the data it indexes.
     fn memory_bytes(&self) -> u64 {
         let levels: usize = self
             .levels

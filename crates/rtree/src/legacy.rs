@@ -82,14 +82,53 @@ impl<T: Copy> RTree<T> {
     }
 }
 
-/// Shims of [`crate::grid`], glob-re-exported from there.
+/// The retired uniform grid: an R*-tree over the same items, which the
+/// grid kernel's old name searches. It holds no index of its own worth
+/// counting, so it reports 0 bytes, as [`FlatLeaves`] does.
+#[derive(Debug)]
+pub struct UniformGrid<T>(RTree<T>);
+
+/// The two figures the probes read of the retired grid's statistics; every
+/// entry is stored once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GridStats {
+    /// Stored entries.
+    pub entries: u64,
+    /// Unique indexed rectangles.
+    pub unique: u64,
+}
+
+impl<T: Copy> UniformGrid<T> {
+    /// [`RTree::bulk_load`] over a copy of `items`.
+    pub fn build(items: &[(Rect, T)]) -> Self {
+        UniformGrid(RTree::bulk_load(items.to_vec()))
+    }
+
+    /// `entries = unique =` the item count, so a replication ratio reads 1.
+    pub fn stats(&self) -> GridStats {
+        let n = self.0.len() as u64;
+        GridStats {
+            entries: n,
+            unique: n,
+        }
+    }
+}
+
+impl<T> MemoryFootprint for UniformGrid<T> {
+    fn memory_bytes(&self) -> u64 {
+        0
+    }
+}
+
+/// The retired grid kernel's path.
 pub mod grid {
-    use crate::grid::{best_in_windows, UniformGrid};
-    use crate::multiwindow::BestLeaf;
+    use super::UniformGrid;
+    use crate::multiwindow::{find_best_leaf_leveled, BestLeaf};
     use mwsj_geom::{Predicate, Rect};
 
-    /// [`best_in_windows`]; `threads` is ignored.
-    pub fn find_best_in_windows<T: Copy + Ord>(
+    /// [`find_best_leaf_leveled`] over the stand-in's tree; `threads` is
+    /// ignored and the accesses are the tree's node reads.
+    pub fn find_best_in_windows<T: Copy>(
         grid: &UniformGrid<T>,
         windows: &[(Predicate, Rect)],
         score: impl FnMut(&T, u32) -> f64,
@@ -97,7 +136,8 @@ pub mod grid {
         cell_accesses: &mut u64,
         level_accesses: &mut [u64],
     ) -> Option<BestLeaf<T>> {
-        best_in_windows(grid, windows, score, cell_accesses, level_accesses)
+        let root = grid.0.root_node();
+        find_best_leaf_leveled(root, windows, score, cell_accesses, level_accesses)
     }
 }
 
@@ -105,7 +145,7 @@ pub mod grid {
 mod tests {
     use super::*;
     use crate::multiwindow::tests::{any_predicate, hard_region_rect, lattice_rect};
-    use crate::{RTreeParams, UniformGrid};
+    use crate::RTreeParams;
     use proptest::prelude::*;
 
     fn bits(best: Option<BestLeaf<u32>>) -> Option<(u32, Rect, u32, u64)> {
@@ -116,7 +156,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Every shim is the engine path: winner bits and accesses equal
-        /// on a drawn tree, grid and window list, raw and penalised.
+        /// on a drawn tree and window list, raw and penalised; the grid
+        /// stand-in is the tree over the same items.
         #[test]
         fn shims_equal_the_engine_paths(
             capacity in prop_oneof![Just(4usize), Just(8), Just(32)],
@@ -138,16 +179,23 @@ mod tests {
             prop_assert_eq!(MemoryFootprint::memory_bytes(&flat), 0);
 
             let grid = UniformGrid::build(&items);
-            let (mut cells, mut levels) = (0, [0u64; 1]);
-            let engine =
-                crate::grid::best_in_windows(&grid, &windows, score, &mut cells, &mut levels);
+            let n = items.len() as u64;
+            prop_assert_eq!(grid.stats(), GridStats { entries: n, unique: n });
+            prop_assert_eq!(MemoryFootprint::memory_bytes(&grid), 0);
+            let default_tree = RTree::bulk_load(items);
             for threads in [1, 4] {
-                let (mut shim_cells, mut shim_levels) = (0, [0u64; 1]);
+                let (mut cells, mut levels) = (0, [0u64; 4]);
                 let shim = grid::find_best_in_windows(
-                    &grid, &windows, score, threads, &mut shim_cells, &mut shim_levels,
+                    &grid, &windows, score, threads, &mut cells, &mut levels,
                 );
-                let got = (bits(shim), shim_cells, shim_levels);
-                prop_assert_eq!(got, (bits(engine), cells, levels));
+                let (mut engine_acc, mut engine_levels) = (0, [0u64; 4]);
+                let engine = find_best_leaf_leveled(
+                    default_tree.root_node(), &windows, score, &mut engine_acc, &mut engine_levels,
+                );
+                prop_assert_eq!(
+                    (bits(shim), cells, levels),
+                    (bits(engine), engine_acc, engine_levels)
+                );
             }
         }
     }

@@ -29,21 +29,15 @@
 //! * **Access accounting by the caller**: every traversal bumps a `&mut
 //!   u64` it is handed once per node it enters (the kernels also a
 //!   per-level slice).
-//! * A **uniform grid** ([`UniformGrid`]), the second spatial backend,
-//!   with the same two questions — [`grid::best_in_windows`] and
-//!   [`grid::candidates_with_counts`]. Built over a tree ([`UniformGrid::over_leaves`]),
-//!   its cells are runs of positions into the tree's leaf arrays: the grid
-//!   adds an index, not a copy of the data.
 //! * An **invariant checker** ([`RTree::check_invariants`]) used by the test
 //!   suite and property tests.
 //!
 //! The tree is one packed array per level: the leaf level is the dataset's
 //! rectangles themselves, permuted once into STR order next to a parallel
-//! payload array (both reference-counted, so that a grid shares them);
-//! each level above is an array of node MBRs; a `start` table per level
-//! says where each node's run begins, and entry *j* of a level **is** node
-//! *j* of the level below — no child ids, no per-node allocation, no
-//! unsafe code (the `tree` module docs draw it).
+//! payload array; each level above is an array of node MBRs; a `start`
+//! table per level says where each node's run begins, and entry *j* of a
+//! level **is** node *j* of the level below — no child ids, no per-node
+//! allocation, no unsafe code (the `tree` module docs draw it).
 //!
 //! The hidden `legacy` module holds the names only the repository
 //! benchmark's probes still call, each a shim over one of the paths above.
@@ -53,7 +47,6 @@
 
 mod bulk;
 mod footprint;
-pub mod grid;
 #[doc(hidden)]
 pub mod legacy;
 pub mod multiwindow;
@@ -63,9 +56,7 @@ mod tree;
 mod validate;
 mod visit;
 
-pub use grid::{GridStats, UniformGrid};
-// The benchmark's names at their old paths; `legacy::grid` is shadowed by
-// the real `grid` module and re-exported from there.
+// The benchmark's names at their old paths.
 #[doc(hidden)]
 pub use legacy::*;
 pub use multiwindow::{find_best_leaf_leveled, BestLeaf};

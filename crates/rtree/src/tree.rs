@@ -12,22 +12,19 @@
 //! `rects[start[index]..start[index + 1]]` of its level; an internal entry
 //! needs no child id because its position *is* the child's index. The leaf
 //! level holds the dataset's rectangles themselves, permuted once into STR
-//! order — there is no second copy. The leaf arrays are reference-counted
-//! so that the uniform grid ([`crate::UniformGrid::over_leaves`]) indexes
-//! the same rectangles and payloads instead of copying them.
+//! order — there is no second copy.
 
 use crate::params::RTreeParams;
 use crate::visit::NodeRef;
 use mwsj_geom::Rect;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// One level of the tree: the entry rectangles of its nodes, node after
 /// node, and where each node's run begins.
 #[derive(Debug)]
 pub(crate) struct Level {
     /// Data rectangles on level 0, child-node MBRs above.
-    pub rects: Arc<[Rect]>,
+    pub rects: Box<[Rect]>,
     /// Node `k` owns `rects[start[k]..start[k + 1]]`; one more cell than
     /// the level has nodes.
     pub start: Vec<u32>,
@@ -81,7 +78,7 @@ pub struct RTree<T> {
     /// `[0]` = leaf level; the last level holds the root, its only node.
     pub(crate) levels: Vec<Level>,
     /// Leaf payloads, parallel to `levels[0].rects`.
-    pub(crate) values: Arc<[T]>,
+    pub(crate) values: Box<[T]>,
 }
 
 impl<T> RTree<T> {
@@ -130,11 +127,6 @@ impl<T> RTree<T> {
     #[inline]
     pub fn leaf_values(&self) -> &[T] {
         &self.values
-    }
-
-    /// New handles on the two leaf arrays, for an index that shares them.
-    pub(crate) fn shared_leaves(&self) -> (Arc<[Rect]>, Arc<[T]>) {
-        (Arc::clone(&self.levels[0].rects), Arc::clone(&self.values))
     }
 
     /// Read-only view of the root node, entry point of the traversal API

@@ -22,11 +22,10 @@
 //!
 //! The queries are a chain, a star, a cycle, a clique, a random connected
 //! graph and a disconnected graph over four variables, each under every
-//! one of the six predicates and under a mix of them, on both backends.
+//! one of the six predicates and under a mix of them.
 //! Coordinates lie on a lattice of eighths, so rectangles touch, nest and
 //! sit exactly ε apart often: a `<` written for a `<=` anywhere shows.
 
-use mwsj::core::BackendKind;
 use mwsj::prelude::*;
 use mwsj::query::QueryGraphBuilder;
 use rand::rngs::StdRng;
@@ -133,16 +132,14 @@ impl Oracle {
         found.map(|(_, a)| Solution::new(a.clone()))
     }
 
-    /// The instance on both backends.
-    fn instances(&self) -> [Instance; 2] {
+    /// The instance.
+    fn instance(&self) -> Instance {
         let mut builder = QueryGraphBuilder::new(self.rects.len());
         for &(a, b, pred) in &self.edges {
             builder = builder.edge_with(a, b, pred);
         }
         let graph = builder.build().unwrap();
-        let rtree = Instance::new(graph, self.rects.clone()).unwrap();
-        let grid = rtree.clone().with_backend(BackendKind::Grid);
-        [rtree, grid]
+        Instance::new(graph, self.rects.clone()).unwrap()
     }
 
     /// What every search outcome satisfies: the best and each top-list
@@ -267,19 +264,17 @@ fn ibb_returns_the_enumerated_optimum() {
     for oracle in cases() {
         let edges = oracle.edges.len();
         approximate += usize::from(oracle.optimum() > 0);
-        for inst in oracle.instances() {
-            let backend = inst.backend().name();
-            oracle.check_optimal(&ibb(&inst, None, true), &format!("{backend} ibb"));
-            oracle.check_optimal(&ibb(&inst, None, false), &format!("{backend} exhaustive"));
-            for violations in oracle.optimum()..=edges {
-                let Some(seed) = oracle.with_violations(violations) else {
-                    continue;
-                };
-                for stop in [true, false] {
-                    let what = format!("{backend} seeded at {violations}, stop_at_exact {stop}");
-                    oracle.check_optimal(&ibb(&inst, Some(seed.clone()), stop), &what);
-                    seeds += 1;
-                }
+        let inst = oracle.instance();
+        oracle.check_optimal(&ibb(&inst, None, true), "ibb");
+        oracle.check_optimal(&ibb(&inst, None, false), "exhaustive");
+        for violations in oracle.optimum()..=edges {
+            let Some(seed) = oracle.with_violations(violations) else {
+                continue;
+            };
+            for stop in [true, false] {
+                let what = format!("seeded at {violations}, stop_at_exact {stop}");
+                oracle.check_optimal(&ibb(&inst, Some(seed.clone()), stop), &what);
+                seeds += 1;
             }
         }
     }
@@ -293,53 +288,47 @@ fn ibb_returns_the_enumerated_optimum() {
 #[test]
 fn two_step_returns_the_optimum_and_no_heuristic_beats_it() {
     for oracle in cases() {
-        for inst in oracle.instances() {
-            let backend = inst.backend().name();
-            let mut rng = StdRng::seed_from_u64(32);
-            let sea = SeaConfig::default_for(&inst);
-            for step_one in [
-                TwoStepConfig::Ils(IlsConfig::default(), SearchBudget::iterations(20)),
-                TwoStepConfig::Sea(sea.clone(), SearchBudget::iterations(2)),
-            ] {
-                let two_step = TwoStep::new(step_one).run(
-                    &inst,
-                    &SearchBudget::iterations(UNLIMITED),
-                    &mut rng,
-                );
-                oracle.check_optimal(&two_step.best, &format!("{backend} two-step"));
-            }
-            let budget = SearchBudget::iterations(150);
-            let generations = SearchBudget::iterations(4);
-            let heuristics = [
-                (
-                    "ils",
-                    Ils::new(IlsConfig::default()).run(&inst, &budget, &mut rng),
-                ),
-                (
-                    "gils",
-                    Gils::new(GilsConfig::default()).run(&inst, &budget, &mut rng),
-                ),
-                ("sea", Sea::new(sea).run(&inst, &generations, &mut rng)),
-                (
-                    "naive",
-                    NaiveLocalSearch::default().run(&inst, &budget, &mut rng),
-                ),
-                ("ga", NaiveGa::default().run(&inst, &generations, &mut rng)),
-            ];
-            for (name, outcome) in heuristics {
-                oracle.check(&outcome, &format!("{backend} {name}"));
-            }
-            let portfolio =
-                Portfolio::new(Ils::new(IlsConfig::default()), 3).run(&inst, &budget, 32);
-            oracle.check(&portfolio.merged, &format!("{backend} portfolio"));
-            let restarts = portfolio.restarts.iter().map(|r| r.outcome.best_violations);
-            assert_eq!(
-                Some(portfolio.merged.best_violations),
-                restarts.min(),
-                "{}",
-                oracle.name
-            );
+        let inst = oracle.instance();
+        let mut rng = StdRng::seed_from_u64(32);
+        let sea = SeaConfig::default_for(&inst);
+        for step_one in [
+            TwoStepConfig::Ils(IlsConfig::default(), SearchBudget::iterations(20)),
+            TwoStepConfig::Sea(sea.clone(), SearchBudget::iterations(2)),
+        ] {
+            let two_step =
+                TwoStep::new(step_one).run(&inst, &SearchBudget::iterations(UNLIMITED), &mut rng);
+            oracle.check_optimal(&two_step.best, "two-step");
         }
+        let budget = SearchBudget::iterations(150);
+        let generations = SearchBudget::iterations(4);
+        let heuristics = [
+            (
+                "ils",
+                Ils::new(IlsConfig::default()).run(&inst, &budget, &mut rng),
+            ),
+            (
+                "gils",
+                Gils::new(GilsConfig::default()).run(&inst, &budget, &mut rng),
+            ),
+            ("sea", Sea::new(sea).run(&inst, &generations, &mut rng)),
+            (
+                "naive",
+                NaiveLocalSearch::default().run(&inst, &budget, &mut rng),
+            ),
+            ("ga", NaiveGa::default().run(&inst, &generations, &mut rng)),
+        ];
+        for (name, outcome) in heuristics {
+            oracle.check(&outcome, name);
+        }
+        let portfolio = Portfolio::new(Ils::new(IlsConfig::default()), 3).run(&inst, &budget, 32);
+        oracle.check(&portfolio.merged, "portfolio");
+        let restarts = portfolio.restarts.iter().map(|r| r.outcome.best_violations);
+        assert_eq!(
+            Some(portfolio.merged.best_violations),
+            restarts.min(),
+            "{}",
+            oracle.name
+        );
     }
 }
 
@@ -350,23 +339,22 @@ fn exact_joins_return_the_enumerated_set_and_limits_keep_a_prefix() {
     for oracle in cases() {
         let expected = oracle.exact();
         satisfiable += usize::from(expected.len() >= 2);
-        for inst in oracle.instances() {
-            let join = |limit: usize| WindowReduction::new().run(&inst, &budget, limit);
-            let what = format!("{}: {} wr", oracle.name, inst.backend().name());
-            let full = join(usize::MAX);
-            assert!(full.complete, "{what}");
-            let mut found: Vec<Vec<usize>> = full
-                .solutions
-                .iter()
-                .map(|s| s.as_slice().to_vec())
-                .collect();
-            found.sort();
-            assert_eq!(found, expected, "{what}");
-            let n = full.solutions.len();
-            for limit in [0, 1, 2, n / 2, n.saturating_sub(1)] {
-                let prefix = &full.solutions[..limit.min(n)];
-                assert_eq!(join(limit).solutions, prefix, "{what} limit {limit}");
-            }
+        let inst = oracle.instance();
+        let join = |limit: usize| WindowReduction::new().run(&inst, &budget, limit);
+        let what = format!("{}: wr", oracle.name);
+        let full = join(usize::MAX);
+        assert!(full.complete, "{what}");
+        let mut found: Vec<Vec<usize>> = full
+            .solutions
+            .iter()
+            .map(|s| s.as_slice().to_vec())
+            .collect();
+        found.sort();
+        assert_eq!(found, expected, "{what}");
+        let n = full.solutions.len();
+        for limit in [0, 1, 2, n / 2, n.saturating_sub(1)] {
+            let prefix = &full.solutions[..limit.min(n)];
+            assert_eq!(join(limit).solutions, prefix, "{what} limit {limit}");
         }
     }
     assert!(
@@ -377,7 +365,7 @@ fn exact_joins_return_the_enumerated_set_and_limits_keep_a_prefix() {
 
 /// The mixed-predicate instance of `extended_predicates.rs` — `0 contains
 /// 1`, `2 within 0.1 of 0`, `3 north-east of 2` over four uniform datasets
-/// of twelve — exhausted by IBB on both backends.
+/// of twelve — exhausted by IBB.
 #[test]
 fn ibb_is_optimal_with_mixed_predicates() {
     let mut rng = StdRng::seed_from_u64(301);
@@ -390,7 +378,5 @@ fn ibb_is_optimal_with_mixed_predicates() {
         (3, 2, Predicate::NorthEast),
     ];
     let oracle = Oracle::new("mixed".into(), rects, edges);
-    for inst in oracle.instances() {
-        oracle.check_optimal(&ibb(&inst, None, false), inst.backend().name());
-    }
+    oracle.check_optimal(&ibb(&oracle.instance(), None, false), "exhaustive");
 }

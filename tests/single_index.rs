@@ -7,7 +7,7 @@
 //! this file runs with the root package so a second resident copy of the
 //! data, or a kernel drift, fails the tier-1 gate.
 
-use mwsj::core::{BackendKind, ResourceReport};
+use mwsj::core::ResourceReport;
 use mwsj::prelude::*;
 use mwsj::query::{PenaltyTable, QueryGraphBuilder};
 use rand::rngs::StdRng;
@@ -78,31 +78,6 @@ fn resource_report_holds_rects_and_one_index_per_dataset() {
     assert_eq!(names, names_of(&["rects", "rtree"]));
     let per_object = total as f64 / (N_VARS * CARDINALITY) as f64;
     assert!(per_object <= 45.0, "{per_object} B/object");
-
-    let (names, _) = component_names(&instance.with_backend(BackendKind::Grid));
-    assert_eq!(names, names_of(&["grid", "rects", "rtree"]));
-}
-
-/// The grid backend adds its index and nothing else: per dataset 8 B a
-/// slot (`f32` key, position), 8 B a cell and the straddle words, next to
-/// unchanged rectangles and R*-tree — the grid indexes the tree's leaf
-/// arrays, it does not copy them. A copy back in the grid fails this.
-#[test]
-fn grid_backend_adds_its_index_alone() {
-    let (mut before, mut after) = (ResourceReport::new(), ResourceReport::new());
-    let rtree = chain_instance();
-    rtree.fill_resource_report(&mut before);
-    let grid = rtree.with_backend(BackendKind::Grid);
-    grid.fill_resource_report(&mut after);
-    let mut added = 0;
-    for v in 0..N_VARS {
-        let stats = grid.grid(v).stats();
-        let (slots, cells) = (stats.entries, stats.cells);
-        let index = 8 * slots + 8 * cells + 4 + 8 * slots.div_ceil(64);
-        assert_eq!(after.component(&format!("grid.var{v:03}")), Some(index));
-        added += index;
-    }
-    assert_eq!(after.total_bytes(), before.total_bytes() + added);
 }
 
 /// 200 `find_best_value` calls on random solutions, raw and penalised
