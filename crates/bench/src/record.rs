@@ -7,9 +7,12 @@
 //! tool. Tests pass [`Recorder::disabled`], which writes nothing.
 
 use crate::Algo;
-use mwsj_core::{Instance, JsonlSink, ObsHandle, RunOutcome, SearchBudget, SearchContext};
+use mwsj_core::{
+    Instance, JsonlSink, ObsHandle, RunOutcome, RunStats, SearchBudget, SearchContext,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -18,6 +21,8 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct Recorder {
     obs: ObsHandle,
+    /// The counters of every outcome framed so far, summed.
+    total: RefCell<RunStats>,
     path: Option<PathBuf>,
 }
 
@@ -33,6 +38,7 @@ impl Recorder {
         }) {
             Ok((path, sink)) => Recorder {
                 obs: ObsHandle::enabled().with_sink(Arc::new(sink)),
+                total: RefCell::default(),
                 path: Some(path),
             },
             Err(e) => {
@@ -46,13 +52,14 @@ impl Recorder {
     pub fn disabled() -> Recorder {
         Recorder {
             obs: ObsHandle::disabled(),
+            total: RefCell::default(),
             path: None,
         }
     }
 
     /// Frames one run: `run_start`, then `search` under a context of
     /// `budget` reporting through this recorder, then `run_end` for the
-    /// outcome it returns.
+    /// outcome it returns, whose counters join the experiment's sum.
     pub fn framed(
         &self,
         algo: &str,
@@ -65,6 +72,7 @@ impl Recorder {
             .emit(mwsj_core::run_start(algo, instance, budget, 1, seed));
         let outcome = search(&SearchContext::local(*budget).with_obs(self.obs.clone()));
         self.obs.emit(outcome.run_end());
+        self.total.borrow_mut().absorb(&outcome.stats);
         outcome
     }
 
@@ -81,11 +89,11 @@ impl Recorder {
         })
     }
 
-    /// Freezes the experiment-wide metrics/phase aggregates into the file
-    /// and returns its path (when recording was active).
+    /// Writes the experiment-wide counter sum and phase aggregates into the
+    /// file and returns its path (when recording was active).
     pub fn finish(self) -> Option<PathBuf> {
         self.obs.emit(mwsj_core::RunEvent::Metrics {
-            snapshot: self.obs.metrics.snapshot(),
+            snapshot: self.total.into_inner().metrics(),
         });
         self.obs.emit(mwsj_core::RunEvent::Phases {
             phases: self.obs.timer.snapshot(),

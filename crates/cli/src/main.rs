@@ -17,8 +17,8 @@ use args::Args;
 use mwsj_core::obs::to_folded;
 use mwsj_core::{
     metric, AnytimeSearch, EventSink, Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance,
-    JsonlSink, MetricsSnapshot, ObsHandle, Portfolio, RunEvent, RunOutcome, Sea, SeaConfig,
-    SearchBudget, SearchContext, TelemetryConfig, TwoStep, TwoStepConfig, WindowReduction,
+    JsonlSink, ObsHandle, Portfolio, RunEvent, RunOutcome, Sea, SeaConfig, SearchBudget,
+    SearchContext, TelemetryConfig, TwoStep, TwoStepConfig, WindowReduction,
 };
 use mwsj_datagen::{Dataset, DatasetSpec, Distribution, QueryShape};
 use rand::rngs::StdRng;
@@ -331,7 +331,7 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
         Some(path) => ObsHandle::enabled().with_sink(Arc::new(create_sink(path)?)),
         // No event sink requested, but the profile still needs live phase
         // timers; a fully disabled handle records nothing.
-        None if profile_path.is_some() => ObsHandle::timer_only(),
+        None if profile_path.is_some() => ObsHandle::enabled(),
         None => ObsHandle::disabled(),
     };
     let trace_sink = trace_path.as_deref().map(create_sink).transpose()?;
@@ -380,7 +380,7 @@ fn cmd_solve(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     mwsj_core::emit_run_end(&obs, &instance, &outcome);
     let phases = obs.timer.snapshot();
     obs.emit(RunEvent::Metrics {
-        snapshot: obs.metrics.snapshot(),
+        snapshot: outcome.stats.metrics(),
     });
     obs.emit(RunEvent::Phases {
         phases: phases.clone(),
@@ -558,15 +558,14 @@ fn cmd_join(args: &Args, stdout: &mut impl Write) -> Result<(), Failure> {
     let outcome = WindowReduction::new().run_with_obs(&instance, &budget, limit, &obs);
     // The arc-consistency pass's reads belong to the instance, not to the
     // run: they are their own counter.
+    let mut snapshot = outcome.stats.metrics();
     if let Some(reads) = instance.core_node_accesses() {
-        obs.metrics.absorb(&MetricsSnapshot {
-            counters: vec![(metric::CORE_NODE_ACCESSES.into(), reads)],
-            ..MetricsSnapshot::default()
-        });
+        snapshot
+            .counters
+            .push((metric::CORE_NODE_ACCESSES.into(), reads));
+        snapshot.counters.sort_unstable();
     }
-    obs.emit(RunEvent::Metrics {
-        snapshot: obs.metrics.snapshot(),
-    });
+    obs.emit(RunEvent::Metrics { snapshot });
     obs.emit(RunEvent::Phases {
         phases: obs.timer.snapshot(),
     });

@@ -120,12 +120,6 @@ fn event_lines(event: &RunEvent, lines: &mut Vec<String>) {
             for (name, value) in &snapshot.counters {
                 lines.push(format!("  {name:<24} {value}"));
             }
-            for (name, h) in &snapshot.histograms {
-                lines.push(format!(
-                    "histogram {name}: {} samples in [{}, {}]",
-                    h.count, h.min, h.max
-                ));
-            }
         }
         RunEvent::ExplainReport { report } => explain_lines(report, lines),
         RunEvent::ResourceReport { report } => {
@@ -384,13 +378,8 @@ mod tests {
                 "phases[0].path: expected string",
             ),
             (
-                r#"{"event":"metrics","counters":{"a":"x"},"gauges":{},"histograms":{"h":3}}"#
-                    .into(),
+                r#"{"event":"metrics","counters":{"a":"x"}}"#.into(),
                 "counters.a: expected non-negative integer",
-            ),
-            (
-                r#"{"event":"metrics","counters":{},"gauges":{},"histograms":{"h":3}}"#.into(),
-                "histograms.h: expected object",
             ),
             (
                 r#"{"event":"resource_report","total_bytes":5,"components":{"rtree.var000":"lots"}}"#
@@ -458,18 +447,20 @@ mod tests {
         assert!(out.ends_with("events: 1 stall aborts\n"), "{out}");
     }
 
-    /// A `metrics` line as the registry of atomic cells wrote it (PR 20):
-    /// the wire record has not moved, so old artifacts still report.
+    /// A `metrics` line as older builds wrote it, with the `gauges` and
+    /// `histograms` members this build no longer writes: readers ignore
+    /// unknown members, so old artifacts still report their counters.
     #[test]
     fn a_metrics_line_written_before_the_accumulator_still_reports() {
-        let line = concat!(
+        let counters = concat!(
             r#"{"event":"metrics","counters":{"search.improvements":0,"search.local_maxima":0,"#,
-            r#""search.node_accesses":4240,"search.restarts":0,"search.steps":1430},"gauges":{},"#,
-            r#""histograms":{"search.steps_per_run":{"count":1,"sum":1430,"min":1430,"#,
-            r#""max":1430,"buckets":[[11,1]]}}}"#,
-            "\n"
+            r#""search.node_accesses":4240,"search.restarts":0,"search.steps":1430}"#,
         );
-        let out = report_text("wr.jsonl", line).unwrap();
+        let old = concat!(
+            r#","gauges":{},"histograms":{"search.steps_per_run":{"count":1,"sum":1430,"#,
+            r#""min":1430,"max":1430,"buckets":[[11,1]]}}}"#,
+        );
+        let out = report_text("wr.jsonl", &format!("{counters}{old}\n")).unwrap();
         assert_eq!(
             out,
             "wr.jsonl: 1 events, schema OK\n\
@@ -478,10 +469,9 @@ mod tests {
              \x20 search.local_maxima      0\n\
              \x20 search.node_accesses     4240\n\
              \x20 search.restarts          0\n\
-             \x20 search.steps             1430\n\
-             histogram search.steps_per_run: 1 samples in [1430, 1430]\n"
+             \x20 search.steps             1430\n"
         );
-        // And it is the line this build writes for the same counters.
+        // And this build writes the same counters, byte for byte.
         let stats = mwsj_core::RunStats {
             steps: 1430,
             node_accesses: 4240,
@@ -490,6 +480,6 @@ mod tests {
         let rewritten = RunEvent::Metrics {
             snapshot: stats.metrics(),
         };
-        assert_eq!(rewritten.to_json() + "\n", line);
+        assert_eq!(rewritten.to_json(), format!("{counters}}}"));
     }
 }

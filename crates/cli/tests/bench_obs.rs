@@ -205,7 +205,7 @@ fn report_rejects_nested_garbage_with_line_and_field_path() {
             r#"event "phases": phases[0]: expected object"#,
         ),
         (
-            r#"{"event":"metrics","counters":{"a":"x"},"gauges":{},"histograms":{"h":3}}"#,
+            r#"{"event":"metrics","counters":{"a":"x"}}"#,
             r#"event "metrics": counters.a: expected non-negative integer"#,
         ),
         (
@@ -768,6 +768,101 @@ fn metrics_out_writes_one_order_of_event_kinds_per_command() {
         kinds_of("join", 2, &[]),
         ["run_start", "metrics", "phases", "run_end"]
     );
+}
+
+/// The one `metrics` line of a `--metrics-out` file: it holds nothing but
+/// `event` and `counters`, its counters ascend by name, and its `search.*`
+/// counters are the one `run_end` line's members.
+fn metrics_repeating_run_end(path: &Path) -> mwsj_core::MetricsSnapshot {
+    use mwsj_core::{obs::Json, RunEvent};
+    let text = std::fs::read_to_string(path).unwrap();
+    let line = |kind: &str| {
+        let tag = format!("{{\"event\":\"{kind}\"");
+        let mut lines = text.lines().filter(|line| line.starts_with(&tag));
+        let line = lines.next().expect(kind);
+        assert!(lines.next().is_none(), "one {kind} line");
+        (
+            RunEvent::parse_line(line).unwrap(),
+            Json::parse(line).unwrap(),
+        )
+    };
+    let names = |object: &Json| -> Vec<String> {
+        let members = object.as_object().unwrap().iter();
+        members.map(|(name, _)| name.clone()).collect()
+    };
+    let (RunEvent::Metrics { snapshot }, raw) = line("metrics") else {
+        unreachable!()
+    };
+    assert_eq!(names(&raw), ["event", "counters"]);
+    let counters = names(raw.get("counters").unwrap());
+    assert!(counters.windows(2).all(|w| w[0] < w[1]), "{counters:?}");
+    let (_, run_end) = line("run_end");
+    let search: Vec<_> = (snapshot.counters.iter())
+        .filter_map(|(name, value)| Some((name.strip_prefix("search.")?, *value)))
+        .collect();
+    let members = [
+        "improvements",
+        "local_maxima",
+        "node_accesses",
+        "restarts",
+        "steps",
+    ]
+    .map(|name| (name, run_end.get(name).and_then(Json::as_u64).unwrap()));
+    assert_eq!(search, members);
+    snapshot
+}
+
+/// The stream states each count once: the `metrics` event's `search.*`
+/// counters are the `run_end` line's members — for one run, a two-step
+/// pipeline and a portfolio alike — and a join adds `core.node_accesses`
+/// exactly when it printed the pass's `core:` line.
+#[test]
+fn the_metrics_event_repeats_the_run_end_counts() {
+    let dir = temp_dir("metrics_once");
+    let metrics = dir.join("once.jsonl");
+    let run = |command: &str, data: &[PathBuf], extra: &[&str]| {
+        let mut cmd = mwsj();
+        cmd.arg(command);
+        for path in data {
+            cmd.args(["--data", path.to_str().unwrap()]);
+        }
+        cmd.args(["--metrics-out", metrics.to_str().unwrap()]);
+        let out = cmd.args(extra).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{command} {extra:?}: {stderr}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+
+    let data: Vec<PathBuf> = (1..=3)
+        .map(|seed| generate(&dir, &format!("{seed}.csv"), 200, seed))
+        .collect();
+    for algo in [&["ils"][..], &["two-step"], &["ils", "--restarts", "3"]] {
+        let budget = ["--query", "chain", "--iterations", "300", "--seed", "9"];
+        run("solve", &data, &[&["--algo"], algo, &budget].concat());
+        let snapshot = metrics_repeating_run_end(&metrics);
+        assert_eq!(snapshot.counter("core.node_accesses"), None, "{algo:?}");
+    }
+
+    let sparse: Vec<PathBuf> = (1..=3)
+        .map(|seed| {
+            let path = dir.join(format!("sparse{seed}.csv"));
+            let mut cmd = mwsj();
+            cmd.args(["generate", "--n", "2000", "--density", "0.05", "--out"]);
+            cmd.arg(&path).args(["--seed", &seed.to_string()]);
+            assert!(cmd.status().unwrap().success());
+            path
+        })
+        .collect();
+    for limit in ["100", "0"] {
+        let stdout = run("join", &sparse, &["--query", "0-1,1-2", "--limit", limit]);
+        let core = stdout.lines().find_map(|line| {
+            let reads = line.strip_prefix("core: ")?.rsplit_once(" (")?.1;
+            reads.strip_suffix(" node accesses)")?.parse::<u64>().ok()
+        });
+        assert_eq!(core.is_some(), limit != "0", "{stdout}");
+        let snapshot = metrics_repeating_run_end(&metrics);
+        assert_eq!(snapshot.counter("core.node_accesses"), core, "{stdout}");
+    }
 }
 
 /// `solve --algo two-step --iterations I` reads no clock: step one gets a

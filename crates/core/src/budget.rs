@@ -164,9 +164,9 @@ impl SearchContext {
             .with_telemetry(self.telemetry)
     }
 
-    /// Attaches an observability handle: the run flushes its counters into
-    /// the handle's metrics registry, attributes steps to the handle's
-    /// phase timer, and emits improvement / stop-reason events to its sink.
+    /// Attaches an observability handle: the run attributes steps to the
+    /// handle's phase timer and emits improvement / stop-reason events to
+    /// its sink.
     /// Defaults to a fully disabled handle.
     pub fn with_obs(mut self, obs: ObsHandle) -> Self {
         self.obs = obs;
@@ -253,12 +253,10 @@ impl BudgetClock {
     }
 
     /// Ends the run, the one way every algorithm does: freezes the wall
-    /// time and the step count into `stats`, hands the block to the
-    /// handle's metrics registry and emits the stop reason.
+    /// time and the step count into `stats` and emits the stop reason.
     pub(crate) fn finish(&self, stats: &mut crate::RunStats) {
         stats.elapsed = self.elapsed();
         stats.steps = self.steps;
-        crate::observe::flush_stats(&self.obs, stats);
         self.emit_stop_reason();
     }
 

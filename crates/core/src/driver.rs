@@ -421,8 +421,7 @@ impl SearchDriver {
 
     /// Finishes an anytime run: falls back to a random solution when the
     /// budget expired before any incumbent existed, freezes the counters,
-    /// flushes them to the metrics registry, emits the stop reason and
-    /// assembles the outcome.
+    /// emits the stop reason and assembles the outcome.
     pub(crate) fn finish(self, instance: &Instance, rng: &mut StdRng) -> RunOutcome {
         let fallback = |clock: &BudgetClock, rng: &mut StdRng| {
             let sol = instance.random_solution(rng);

@@ -77,6 +77,6 @@ pub use wr::{ExactJoinOutcome, WindowReduction};
 // search runs to sinks without depending on `mwsj-obs` directly.
 pub use mwsj_obs as obs;
 pub use mwsj_obs::{
-    EventSink, JsonlSink, MemoryFootprint, MetricsRegistry, MetricsSnapshot, ObsHandle,
-    PhaseSnapshot, PhaseTimer, ResourceReport, RunEvent, VecSink,
+    EventSink, JsonlSink, MemoryFootprint, MetricsSnapshot, ObsHandle, PhaseSnapshot, PhaseTimer,
+    ResourceReport, RunEvent, VecSink,
 };

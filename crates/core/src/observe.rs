@@ -1,20 +1,22 @@
 //! Glue between the search layer and `mwsj-obs`.
 //!
-//! The hot loops keep their plain `u64` counters in [`RunStats`] — an
-//! enabled-or-not check per `find best value` call would be pure overhead —
-//! and hand them to the handle's registry **once per run**, as one
-//! [`RunStats::metrics`] snapshot, when the run finishes. Event emission (incumbent improvements, stop reasons) happens
-//! at the same already-cold points, so a disabled [`ObsHandle`] costs one
-//! branch per run, not per step.
+//! The hot loops keep their plain `u64` counters in
+//! [`RunStats`](crate::RunStats) — an enabled-or-not check per `find best
+//! value` call would be pure overhead. Composites sum their runs' blocks
+//! with [`RunStats::absorb`](crate::RunStats::absorb), and the caller that
+//! frames a run writes the `metrics` event once, from the outcome it holds
+//! ([`RunStats::metrics`](crate::RunStats::metrics)). Event emission
+//! (incumbent improvements, stop reasons) happens at already-cold points,
+//! so a disabled [`ObsHandle`] costs one branch per run, not per step.
 
 use crate::budget::{BudgetClock, SearchBudget};
 use crate::instance::Instance;
-use crate::result::{RunOutcome, RunStats};
+use crate::result::RunOutcome;
 use mwsj_obs::{ObsHandle, ResourceReport, RunEvent};
 
 /// Canonical metric names every search algorithm reports under. The
-/// `search.*` counters are the rows of [`RunStats::counters`] under that
-/// prefix.
+/// `search.*` counters are the rows of
+/// [`RunStats::counters`](crate::RunStats::counters) under that prefix.
 pub mod metric {
     /// Counter: algorithm steps consumed (budget units).
     pub const STEPS: &str = "search.steps";
@@ -26,8 +28,6 @@ pub mod metric {
     pub const NODE_ACCESSES: &str = "search.node_accesses";
     /// Counter: incumbent improvements.
     pub const IMPROVEMENTS: &str = "search.improvements";
-    /// Histogram: steps per run (one record per finished run).
-    pub const STEPS_PER_RUN: &str = "search.steps_per_run";
     /// Counter: window-cache queries answered without a traversal.
     pub const CACHE_HITS: &str = "cache.hits";
     /// Counter: window-cache queries that ran the index traversal.
@@ -51,14 +51,6 @@ pub mod metric {
     /// `invalidations.penalty` / `skipped`.
     pub fn cache_var(var: usize, kind: &str) -> String {
         format!("cache.var{var:03}.{kind}")
-    }
-}
-
-/// Hands a finished run's counters to the handle's registry (no-op when
-/// the registry is disabled).
-pub(crate) fn flush_stats(obs: &ObsHandle, stats: &RunStats) {
-    if obs.metrics.is_enabled() {
-        obs.metrics.absorb(&stats.metrics());
     }
 }
 

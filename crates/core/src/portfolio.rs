@@ -21,8 +21,9 @@
 //! ([`RunStats::elapsed`], [`TracePoint::elapsed`]) are measured and exempt.
 //!
 //! The restarts report through the caller's handle, tagged with their index
-//! ([`mwsj_obs::ObsHandle::for_restart`]): their counters sum in its
-//! registry and their phases nest under `restart[i]` in its timer.
+//! ([`mwsj_obs::ObsHandle::for_restart`]): their events carry the index
+//! and their phases nest under `restart[i]` in its timer; their counters
+//! sum in the merged outcome.
 
 use crate::budget::{SearchBudget, SearchContext};
 use crate::instance::Instance;

@@ -3,7 +3,7 @@
 use crate::observe::metric;
 use crate::window_cache::{CacheStats, VarCacheStats};
 pub use mwsj_obs::TracePoint;
-use mwsj_obs::{HistogramSnapshot, MemoryFootprint, MetricsSnapshot, RunEvent};
+use mwsj_obs::{MemoryFootprint, MetricsSnapshot, RunEvent};
 use mwsj_query::Solution;
 use std::time::Duration;
 
@@ -100,10 +100,10 @@ impl RunStats {
     }
 
     /// This run as the `metrics` event reports it: `search.*` for every
-    /// row of [`RunStats::counters`] (zeros included), one
-    /// `search.steps_per_run` sample, and — only for a run that consulted
-    /// a window cache — `cache.*` totals and `cache.varNNN.*` rows. Names
-    /// are sorted, as [`MetricsSnapshot`] requires.
+    /// row of [`RunStats::counters`] (zeros included) and — only for a run
+    /// that consulted a window cache — `cache.*` totals and
+    /// `cache.varNNN.*` rows. Names are sorted, as [`MetricsSnapshot`]
+    /// requires.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut counters: Vec<(String, u64)> = self
             .counters()
@@ -128,13 +128,7 @@ impl RunStats {
             );
         }
         counters.sort_unstable();
-        let mut steps_per_run = HistogramSnapshot::default();
-        steps_per_run.record(self.steps);
-        MetricsSnapshot {
-            counters,
-            gauges: Vec::new(),
-            histograms: vec![(metric::STEPS_PER_RUN.into(), steps_per_run)],
-        }
+        MetricsSnapshot { counters }
     }
 
     /// The `run_end` event of a run with these counters whose best

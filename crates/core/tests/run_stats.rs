@@ -1,7 +1,7 @@
 //! `RunStats` is the one counter block: it sums itself, names itself and
 //! reports itself. These tests hold the three to each other — the sum is
-//! a commutative monoid, the `metrics` event of any run (single, two-stage,
-//! portfolio) is the name table applied to the run's block, and `run_end`
+//! a commutative monoid, the `metrics` counters of any outcome (single,
+//! two-stage, portfolio) are the name table applied to its block, and `run_end`
 //! is built from the same block for searches (`driver_events.rs`) and
 //! exact joins alike.
 
@@ -9,9 +9,8 @@ mod common;
 
 use common::hard_instance;
 use mwsj_core::{
-    metric, CacheStats, Ibb, IbbConfig, Ils, IlsConfig, Instance, MetricsSnapshot, ObsHandle,
-    Portfolio, RunEvent, RunStats, SearchBudget, SearchContext, TwoStep, TwoStepConfig,
-    VarCacheStats, WindowReduction,
+    metric, CacheStats, Ibb, IbbConfig, Ils, IlsConfig, Instance, Portfolio, RunEvent, RunStats,
+    SearchBudget, SearchContext, TwoStep, TwoStepConfig, VarCacheStats, WindowReduction,
 };
 use mwsj_datagen::{Dataset, QueryShape};
 use proptest::prelude::*;
@@ -81,19 +80,27 @@ proptest! {
     }
 }
 
-/// `emitted` is what a handle accumulated over `runs` runs whose summed
-/// block is `stats`: the counters are the name table applied to the sum,
-/// sorted, and every run left one `steps_per_run` sample.
-fn assert_metrics_are_the_name_table(emitted: &MetricsSnapshot, stats: &RunStats, runs: u64) {
-    assert_eq!(emitted.counters, stats.metrics().counters);
-    assert!(emitted.counters.windows(2).all(|w| w[0].0 < w[1].0));
-    assert!(emitted.gauges.is_empty());
-    let [(name, steps_per_run)] = &emitted.histograms[..] else {
-        panic!("one histogram expected: {:?}", emitted.histograms);
-    };
-    assert_eq!(name, metric::STEPS_PER_RUN);
-    assert_eq!(steps_per_run.count, runs);
-    assert_eq!(steps_per_run.sum, stats.steps);
+/// The `metrics` counters of `stats` are its name table under the
+/// `search.` prefix, plus `cache.*` rows exactly when a window cache ran,
+/// strictly ascending by name.
+fn assert_metrics_are_the_name_table(stats: &RunStats) {
+    let snap = stats.metrics();
+    assert!(
+        snap.counters.windows(2).all(|w| w[0].0 < w[1].0),
+        "{snap:?}"
+    );
+    for (name, value) in stats.counters() {
+        assert_eq!(
+            snap.counter(&format!("search.{name}")),
+            Some(value),
+            "{name}"
+        );
+    }
+    let others = snap.counters.len() - stats.counters().len();
+    assert_eq!(others > 0, !stats.cache.per_var.is_empty(), "{snap:?}");
+    assert!(snap.counters[..others]
+        .iter()
+        .all(|(name, _)| name.starts_with("cache.")));
 }
 
 #[test]
@@ -150,47 +157,30 @@ fn metric_names_are_the_counter_table_under_the_search_prefix() {
 #[test]
 fn a_single_run_reports_its_own_block() {
     let inst = hard_instance(301, QueryShape::Chain, 4, 200);
-    let obs = ObsHandle::enabled();
-    let ctx = SearchContext::local(SearchBudget::iterations(400)).with_obs(obs.clone());
-    let outcome = Ils::default().search(&inst, &ctx, &mut StdRng::seed_from_u64(302));
+    let budget = SearchBudget::iterations(400);
+    let outcome = Ils::default().run(&inst, &budget, &mut StdRng::seed_from_u64(302));
     assert!(!outcome.stats.cache.per_var.is_empty(), "ILS runs cached");
-    assert_metrics_are_the_name_table(&obs.metrics.snapshot(), &outcome.stats, 1);
+    assert_metrics_are_the_name_table(&outcome.stats);
 
     // IBB and the exact joins consult no window cache: no `cache.*` rows.
-    for snap in [
-        {
-            let obs = ObsHandle::enabled();
-            let ctx = SearchContext::local(SearchBudget::iterations(200)).with_obs(obs.clone());
-            let outcome = Ibb::new(IbbConfig::new()).search(&inst, &ctx);
-            assert_metrics_are_the_name_table(&obs.metrics.snapshot(), &outcome.stats, 1);
-            obs.metrics.snapshot()
-        },
-        {
-            let obs = ObsHandle::enabled();
-            let budget = SearchBudget::iterations(200);
-            let outcome = WindowReduction::new().run_with_obs(&inst, &budget, 5, &obs);
-            assert_metrics_are_the_name_table(&obs.metrics.snapshot(), &outcome.stats, 1);
-            obs.metrics.snapshot()
-        },
+    let budget = SearchBudget::iterations(200);
+    for stats in [
+        Ibb::new(IbbConfig::new()).run(&inst, &budget).stats,
+        WindowReduction::new().run(&inst, &budget, 5).stats,
     ] {
-        assert!(
-            snap.counters
-                .iter()
-                .all(|(name, _)| name.starts_with("search.")),
-            "{snap:?}"
-        );
+        assert!(stats.cache.per_var.is_empty(), "{stats:?}");
+        assert_metrics_are_the_name_table(&stats);
     }
 }
 
 #[test]
 fn two_stages_sharing_one_handle_sum_their_blocks() {
     let inst = hard_instance(303, QueryShape::Clique, 5, 400);
-    let obs = ObsHandle::enabled();
     let pipeline = TwoStep::new(TwoStepConfig::Ils(
         IlsConfig::default(),
         SearchBudget::iterations(60),
     ));
-    let ctx = SearchContext::local(SearchBudget::iterations(500)).with_obs(obs.clone());
+    let ctx = SearchContext::local(SearchBudget::iterations(500));
     let outcome = pipeline.search(&inst, &ctx, &mut StdRng::seed_from_u64(304));
     assert!(outcome.ran_systematic(), "the hard instance needs IBB");
     let total = outcome.total_stats();
@@ -198,16 +188,23 @@ fn two_stages_sharing_one_handle_sum_their_blocks() {
         total.steps,
         outcome.heuristic.stats.steps + outcome.systematic.as_ref().unwrap().stats.steps
     );
-    assert_metrics_are_the_name_table(&obs.metrics.snapshot(), &total, 2);
+    assert_eq!(outcome.combined().stats, total);
+    assert_metrics_are_the_name_table(&total);
 }
 
 #[test]
 fn a_portfolio_reports_the_merged_block() {
     let inst = hard_instance(305, QueryShape::Chain, 4, 300);
-    let obs = ObsHandle::enabled();
-    let ctx = SearchContext::local(SearchBudget::iterations(2_000)).with_obs(obs.clone());
-    let outcome = Portfolio::new(Ils::default(), 4).search(&inst, &ctx, 306);
-    assert_metrics_are_the_name_table(&obs.metrics.snapshot(), &outcome.merged.stats, 4);
+    let budget = SearchBudget::iterations(2_000);
+    let outcome = Portfolio::new(Ils::default(), 4).run(&inst, &budget, 306);
+    // The counters are the restarts' sum; `elapsed` is the portfolio's wall.
+    let mut sum = RunStats::default();
+    for restart in &outcome.restarts {
+        sum.absorb(&restart.outcome.stats);
+    }
+    sum.elapsed = outcome.merged.stats.elapsed;
+    assert_eq!(outcome.merged.stats, sum);
+    assert_metrics_are_the_name_table(&outcome.merged.stats);
 }
 
 #[test]

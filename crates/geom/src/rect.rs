@@ -45,15 +45,6 @@ impl Rect {
         }
     }
 
-    /// Creates a rectangle from two corner points (any order).
-    #[inline]
-    pub fn from_corners(a: Point, b: Point) -> Self {
-        Rect {
-            min: a.min(&b),
-            max: a.max(&b),
-        }
-    }
-
     /// Creates a rectangle from its center point and side extents.
     #[inline]
     pub fn from_center(center: Point, width: f64, height: f64) -> Self {

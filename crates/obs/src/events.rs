@@ -9,12 +9,32 @@
 //! streams to a file ([`JsonlSink`]), a test captures in memory
 //! ([`VecSink`]).
 
-use crate::record::events;
-use crate::registry::MetricsSnapshot;
+use crate::record::{events, record};
 use crate::timer::PhaseSnapshot;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Mutex;
+
+record! {
+    /// A run's work counters as the `metrics` event carries them:
+    /// `(name, value)` pairs, ascending by name. The search layer's
+    /// counter block builds it from a finished outcome and owns the names.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct MetricsSnapshot {
+        /// `(name, value)` pairs, ascending by name.
+        pub counters: Vec<(String, u64)>,
+    }
+}
+
+impl MetricsSnapshot {
+    /// Looks up a counter value by name.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters
+            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+            .ok()
+            .map(|i| self.counters[i].1)
+    }
+}
 
 events! {
     /// One structured run event.
@@ -155,7 +175,8 @@ events! {
             /// Seconds since the run started.
             elapsed_secs: f64 [measured],
         },
-        /// Frozen metrics of the run (or the merged portfolio metrics).
+        /// The work counters of the run's outcome (for a composite, its
+        /// merged outcome).
         Metrics = "metrics" {
             /// The snapshot.
             snapshot: MetricsSnapshot [flat],
@@ -285,21 +306,12 @@ impl EventSink for VecSink {
 mod tests {
     use super::*;
     use crate::json::Json;
-    use crate::registry::{HistogramSnapshot, MetricsSnapshot};
     use std::time::Duration;
-
-    fn one_sample(value: u64) -> HistogramSnapshot {
-        let mut h = HistogramSnapshot::default();
-        h.record(value);
-        h
-    }
 
     #[test]
     fn every_event_serialises_to_parseable_json() {
         let snapshot = MetricsSnapshot {
             counters: vec![("search.steps".into(), 3)],
-            gauges: vec![("g".into(), 0.5)],
-            histograms: vec![("h".into(), one_sample(4))],
         };
         let events = vec![
             RunEvent::RunStart {
@@ -440,27 +452,11 @@ mod tests {
 
     #[test]
     fn metrics_event_embeds_snapshot_values() {
-        let line = RunEvent::Metrics {
-            snapshot: MetricsSnapshot {
-                counters: vec![("steps".into(), 17)],
-                gauges: vec![],
-                histograms: vec![("h".into(), one_sample(5))],
-            },
-        }
-        .to_json();
-        let parsed = Json::parse(&line).unwrap();
-        assert_eq!(
-            parsed
-                .get("counters")
-                .unwrap()
-                .get("steps")
-                .unwrap()
-                .as_u64(),
-            Some(17)
-        );
-        let h = parsed.get("histograms").unwrap().get("h").unwrap();
-        assert_eq!(h.get("count").unwrap().as_u64(), Some(1));
-        assert_eq!(h.get("sum").unwrap().as_u64(), Some(5));
+        let snapshot = MetricsSnapshot {
+            counters: vec![("steps".into(), 17)],
+        };
+        let line = RunEvent::Metrics { snapshot }.to_json();
+        assert_eq!(line, r#"{"event":"metrics","counters":{"steps":17}}"#);
     }
 
     #[test]

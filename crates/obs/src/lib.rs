@@ -4,14 +4,8 @@
 //! The paper's whole evaluation (Figs. 10a–c, 11 of *Papadias &
 //! Arkoumanis, EDBT 2002*) is instrumentation: similarity-over-time
 //! convergence, node accesses and step counts. This crate centralises that
-//! bookkeeping behind three cooperating pieces:
+//! bookkeeping behind two cooperating pieces:
 //!
-//! * [`MetricsRegistry`] — an accumulator of per-run
-//!   [`MetricsSnapshot`]s (named counters and log₂-bucketed histograms;
-//!   the search layer's counter block owns the names). A registry handle
-//!   is either *enabled* (one shared snapshot, touched once per run) or
-//!   *disabled* (every operation is a single `Option` check), so
-//!   instrumented code pays near-zero cost when observability is off.
 //! * [`PhaseTimer`] — hierarchical wall-clock spans
 //!   (`solve > restart[3] > find_best_value`) with per-phase call counts
 //!   and step attribution.
@@ -23,7 +17,11 @@
 //!   [`RunEvent::parse_line`] (behind `mwsj report` and `mwsj watch`) and
 //!   the `DESIGN.md` schema table derive from it.
 //!
-//! [`ObsHandle`] bundles the three for threading through search contexts.
+//! [`ObsHandle`] bundles the two for threading through search contexts;
+//! a disabled handle costs one `Option` check where it is asked. The
+//! search layer sums a run's counters in its own counter block and
+//! writes them once, as the `metrics` event's [`MetricsSnapshot`] of the
+//! outcome the caller holds.
 //!
 //! On top of the raw streams sit the performance-trajectory tools:
 //! [`AnytimeCurve`] folds a run's trace of [`TracePoint`]s into the
@@ -34,11 +32,10 @@
 //! `mwsj bench compare` (a diff of two snapshot documents), and
 //! [`profile::to_folded`] exports phase timers as folded stacks.
 //!
-//! **Determinism contract.** Metric *values* flushed by the search layer
-//! are pure counters of algorithmic work (steps, node accesses, …) and are
+//! **Determinism contract.** The `metrics` event's counters are pure
+//! counts of algorithmic work (steps, node accesses, …) and are
 //! bit-identical run to run under a step budget; wall-clock lives only in
-//! timers and events, which are exempt. Runs sharing a registry sum
-//! ([`MetricsSnapshot::merge`]).
+//! timers and events, which are exempt.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,9 +46,10 @@ pub mod events;
 pub mod explain;
 pub mod handle;
 pub mod json;
+#[doc(hidden)]
+pub mod legacy;
 pub mod profile;
 pub mod record;
-pub mod registry;
 pub mod resource;
 pub mod schema;
 pub mod snapshot;
@@ -59,13 +57,12 @@ pub mod timer;
 
 pub use compare::{compare, CompareReport};
 pub use curve::{AnytimeCurve, TracePoint};
-pub use events::{EventSink, JsonlSink, RunEvent, VecSink};
+pub use events::{EventSink, JsonlSink, MetricsSnapshot, RunEvent, VecSink};
 pub use explain::{EdgeExplain, ExplainReport, TreeQuality, VarExplain};
 pub use handle::ObsHandle;
 pub use json::{Json, JsonWriter};
 pub use profile::to_folded;
 pub use record::{Field, FieldDoc, FieldError, Record};
-pub use registry::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use resource::{MemoryFootprint, ResourceReport};
 pub use snapshot::{
     snapshot_sections, AlgoRecord, BenchSnapshot, CacheRecord, ExplainRecord, InstanceRecord,

@@ -238,7 +238,7 @@ impl Field for String {
 /// Floats: the writer turns a non-finite value into `null`. A measured
 /// member (a rate over no elapsed time) or an estimate (one that overflowed
 /// on huge coordinates) reads `null` back as NaN; every other float — a
-/// similarity, a gauge — refuses it, as it refuses a literal that
+/// similarity, a coordinate — refuses it, as it refuses a literal that
 /// overflows `f64`.
 impl Field for f64 {
     fn kind() -> String {
@@ -359,30 +359,6 @@ impl<T: Field> Field for Vec<(String, T)> {
     }
     fn non_negative(&self) -> bool {
         self.iter().all(|(_, value)| value.non_negative())
-    }
-}
-
-/// A histogram bucket: `[log2_bucket, count]`.
-impl Field for (u32, u64) {
-    fn kind() -> String {
-        "[u32, u64]".to_string()
-    }
-    fn write(&self, w: &mut JsonWriter) {
-        w.open('[');
-        for part in [u64::from(self.0), self.1] {
-            w.elem();
-            w.u64(part);
-        }
-        w.close(']');
-    }
-    fn read(value: &Json) -> Result<Self, FieldError> {
-        match value.as_array() {
-            Some([bucket, count]) => match u32::try_from(u64::read(bucket)?) {
-                Ok(bucket) => Ok((bucket, u64::read(count)?)),
-                Err(_) => Err(FieldError::expected("32-bit bucket index")),
-            },
-            _ => Err(FieldError::expected("[bucket, count] pair")),
-        }
     }
 }
 

@@ -101,7 +101,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<RunEvent>, (usize, SchemaError)> {
 /// run events, one of the records nested in events and bench snapshots.
 /// `DESIGN.md` embeds this text verbatim (pinned by a test).
 pub fn markdown_table() -> String {
-    use crate::{explain, registry, snapshot, timer};
+    use crate::{explain, snapshot, timer};
     fn record<R: Record>() -> (String, Vec<FieldDoc>) {
         let mut fields = Vec::new();
         R::schema(&mut fields);
@@ -113,7 +113,6 @@ pub fn markdown_table() -> String {
     }
     out += "\n| record | fields |\n|---|---|\n";
     for (name, fields) in [
-        record::<registry::HistogramSnapshot>(),
         record::<timer::PhaseSnapshot>(),
         record::<explain::EdgeExplain>(),
         record::<explain::VarExplain>(),
@@ -141,7 +140,6 @@ pub fn markdown_table() -> String {
 mod tests {
     use super::*;
     use crate::events::RunEvent;
-    use crate::registry::MetricsRegistry;
 
     /// The kind of a valid line, or why it is not one.
     fn validate_line(line: &str) -> Result<&'static str, SchemaError> {
@@ -210,7 +208,7 @@ mod tests {
                 elapsed_secs: 0.2,
             },
             RunEvent::Metrics {
-                snapshot: MetricsRegistry::new().snapshot(),
+                snapshot: crate::MetricsSnapshot::default(),
             },
             RunEvent::Phases { phases: vec![] },
             RunEvent::ExplainReport {

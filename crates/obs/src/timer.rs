@@ -11,8 +11,8 @@
 //! operation is a single `Option` check.
 //!
 //! Wall-clock readings are inherently non-deterministic, so phase
-//! snapshots are kept **out** of the deterministic metric reduction (see
-//! [`crate::MetricsSnapshot`]); their `calls` and `steps` fields are
+//! snapshots are kept **out** of the deterministic `metrics` counters
+//! (see [`crate::MetricsSnapshot`]); their `calls` and `steps` fields are
 //! nevertheless exact counters.
 
 use crate::record::record;

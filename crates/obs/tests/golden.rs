@@ -7,8 +7,8 @@
 //! golden file (see CONTRIBUTING.md).
 
 use mwsj_obs::{
-    BenchSnapshot, EdgeExplain, ExplainReport, HistogramSnapshot, MetricsSnapshot, PhaseSnapshot,
-    ResourceReport, RunEvent, TreeQuality, VarExplain,
+    BenchSnapshot, EdgeExplain, ExplainReport, MetricsSnapshot, PhaseSnapshot, ResourceReport,
+    RunEvent, TreeQuality, VarExplain,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -182,20 +182,6 @@ fn golden_events() -> Vec<RunEvent> {
                     ("cache.skipped".into(), 9),
                     ("search.steps".into(), 1 << 60),
                 ],
-                gauges: vec![("g".into(), 0.5), ("g.bad".into(), f64::NEG_INFINITY)],
-                histograms: vec![
-                    ("empty".into(), HistogramSnapshot::default()),
-                    (
-                        "search.steps_per_run".into(),
-                        HistogramSnapshot {
-                            count: 3,
-                            sum: 21,
-                            min: 2,
-                            max: 12,
-                            buckets: vec![(2, 1), (3, 1), (4, 1)],
-                        },
-                    ),
-                ],
             },
         },
         RunEvent::Metrics {
@@ -263,11 +249,11 @@ fn writer_reproduces_the_golden_bytes() {
 
 /// Non-finite floats are written as `null`. A measured member (`†`) reads
 /// it back as NaN, which no value equals; any other float refuses it, and
-/// the error names the member: the golden improvement's similarity and
-/// the golden gauge `g.bad`. Every other line reads back exactly.
+/// the error names the member: the golden improvement's similarity.
+/// Every other line reads back exactly.
 #[test]
 fn every_golden_line_reads_back_and_rewrites_identically() {
-    let refused = [(5, "similarity"), (18, "gauges.g.bad")];
+    let refused = [(5, "similarity")];
     for (number, (line, event)) in (1..).zip(GOLDEN.lines().zip(golden_events())) {
         if let Some((_, member)) = refused.iter().find(|(at, _)| *at == number) {
             let err = RunEvent::parse_line(line).unwrap_err().to_string();
@@ -425,34 +411,14 @@ fn arb_event() -> impl Strategy<Value = RunEvent> {
                     resident_bytes: step,
                 }
             }),
-        (
-            prop::collection::vec((arb_name(), arb_u64()), 0..4),
-            prop::collection::vec((arb_name(), -1e6f64..1e6), 0..3),
-            prop::collection::vec((0u32..64, arb_u64()), 0..4)
-        )
-            .prop_map(|(mut counters, mut gauges, buckets)| {
-                // Maps are keyed: the reader keeps them ascending by name.
-                counters.sort();
-                counters.dedup_by(|a, b| a.0 == b.0);
-                gauges.sort_by(|a, b| a.0.cmp(&b.0));
-                gauges.dedup_by(|a, b| a.0 == b.0);
-                RunEvent::Metrics {
-                    snapshot: MetricsSnapshot {
-                        counters,
-                        gauges,
-                        histograms: vec![(
-                            "h".into(),
-                            HistogramSnapshot {
-                                count: buckets.len() as u64,
-                                sum: 7,
-                                min: 0,
-                                max: 9,
-                                buckets,
-                            },
-                        )],
-                    },
-                }
-            }),
+        prop::collection::vec((arb_name(), arb_u64()), 0..4).prop_map(|mut counters| {
+            // Maps are keyed: the reader keeps them ascending by name.
+            counters.sort();
+            counters.dedup_by(|a, b| a.0 == b.0);
+            RunEvent::Metrics {
+                snapshot: MetricsSnapshot { counters },
+            }
+        }),
         prop::collection::vec((arb_name(), arb_u64(), 0u64..1 << 50), 0..4).prop_map(|phases| {
             RunEvent::Phases {
                 phases: phases

@@ -9,8 +9,7 @@
 //!
 //! The views count nothing. A traversal counts the nodes it enters into a
 //! counter its caller owns — one access per node, the root included — and
-//! the search layer flushes that into the metrics registry when a run
-//! finishes.
+//! the search layer adds that to the run's counter block.
 
 use crate::tree::RTree;
 use mwsj_geom::Rect;
